@@ -53,22 +53,23 @@
 //     full sweep.
 //   - internal/gpaw, internal/linalg — a miniature real-space DFT stack
 //     (Poisson, Kohn–Sham eigensolver, SCF) providing the workload
-//     context GPAW gives the kernel — in two forms: the serial solvers,
-//     and the distributed solver layer (dist.go) that runs every one of
-//     them rank-parallel over an MPI Cartesian process grid with halo
-//     exchange through internal/core's overlap protocol, realizing the
-//     paper's four programming approaches at the solver level (per-rank
-//     worker pools inside MPI ranks). The hot iteration loops — Poisson
-//     Jacobi/CG, the multigrid smoother and residual, the eigensolver's
-//     Hamiltonian application including the band-parallel path — run
-//     split-phase in every approach except flat original, which keeps
-//     the serialized exchange as the differential baseline; overlapped
-//     and serialized runs are bit-identical (dist_overlap_test.go
-//     sweeps ranks x approaches x boundaries x threads). No solver path
-//     funnels through a
-//     single node: SOR's lexicographic Gauss–Seidel sweep runs as a
-//     pipelined wavefront over the process grid (boundary planes stream
-//     between neighbours mid-sweep, reproducing the serial update order
+//     context GPAW gives the kernel. Each algorithm is written once, on
+//     a Dist context (dist.go) that runs it rank-parallel over an MPI
+//     Cartesian process grid with halo exchange through internal/core's
+//     overlap protocol, realizing the paper's four programming
+//     approaches at the solver level (per-rank worker pools inside MPI
+//     ranks); a serial run is the one-rank instance, which NewPoisson,
+//     NewMultigrid, NewHamiltonian and NewSCF build over mpi.Self. The
+//     hot iteration loops — Poisson Jacobi/CG, the multigrid smoother
+//     and residual, the eigensolver's Hamiltonian application including
+//     the band-parallel path — run split-phase in every approach except
+//     flat original, which keeps the serialized exchange as the
+//     differential baseline; overlapped and serialized runs are
+//     bit-identical (dist_overlap_test.go sweeps ranks x approaches x
+//     boundaries x threads). No solver path funnels through a single
+//     node: SOR's lexicographic Gauss–Seidel sweep runs as a pipelined
+//     wavefront over the process grid (boundary planes stream between
+//     neighbours mid-sweep, reproducing the undecomposed update order
 //     bit for bit), and multigrid levels too coarse for the full
 //     process grid are redistributed onto shrunken sub-communicator
 //     grids (grid.NewDecompOrFallback shapes + grid.Redistribute) with
@@ -77,9 +78,9 @@
 //     bands x domain 2D layout splits the wave-functions across band
 //     groups, subspace matrices assemble by circulating state blocks
 //     through the band communicator, and the eigensolver/SCF reproduce
-//     the serial results bit for bit for every bands x domain split
+//     the one-rank results bit for bit for every bands x domain split
 //     (internal/gpaw/bands_test.go). The solver layer is fault
-//     tolerant: DistSCF/DistEigenSolver write gather-free, versioned,
+//     tolerant: SCF/EigenSolver write gather-free, versioned,
 //     CRC64-checksummed checkpoints (checkpoint.go — one shard per
 //     rank, manifest committed atomically, restore re-tiles onto any
 //     process grid or band layout), and RunSCFFT (ft.go) turns a rank
@@ -102,12 +103,13 @@
 //     norms and sums bit-identical for every thread count, rank count
 //     and process-grid shape — the determinism contract the cross-rank
 //     differential test harness (internal/gpaw/dist_test.go) asserts:
-//     distributed SCF total energies equal the serial ones bit for bit
-//     on 1/2/4/8 ranks for all four approaches.
+//     SCF total energies are equal bit for bit on 1/2/4/8 ranks for all
+//     four approaches, and equal to the frozen results of the former
+//     serial solver stack (internal/gpaw/testdata/serial_golden.json).
 //   - internal/bench — drivers that regenerate Table I and Figures 2,
 //     5, 6, 7 plus ablations; exercised by bench_test.go in this
 //     directory and by cmd/gpawsim.
 //
-// See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for paper-vs-measured results.
+// See README.md for a tour, and benchmark/README.md for the benchmark
+// and its per-layer ledger.
 package repro

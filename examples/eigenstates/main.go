@@ -22,7 +22,7 @@ func main() {
 	solver.MaxIter = 8000
 
 	psis := gpaw.InitGuess(4, [3]int{dims[0], dims[1], dims[2]}, 2)
-	eig, err := solver.Solve(psis)
+	eig, err := solver.Solve(len(psis), psis)
 	if err != nil {
 		panic(err)
 	}

@@ -33,7 +33,7 @@ import (
 // and returns the iteration count, the converged residual and the wall
 // time. solve selects the solver (CG, or wavefront SOR).
 func distSolve(global topology.Dims, procs topology.Dims, rhs *grid.Grid, h float64,
-	solve func(ps *gpaw.DistPoisson, phi, rhs *grid.Grid) (int, float64, error)) (int, float64, time.Duration) {
+	solve func(ps *gpaw.Poisson, phi, rhs *grid.Grid) (int, float64, error)) (int, float64, time.Duration) {
 	return distSolveApproach(global, procs, rhs, h, core.FlatOptimized, solve)
 }
 
@@ -41,7 +41,7 @@ func distSolve(global topology.Dims, procs topology.Dims, rhs *grid.Grid, h floa
 // (flat optimized runs the split-phase overlapped exchange, flat
 // original the serialized baseline).
 func distSolveApproach(global topology.Dims, procs topology.Dims, rhs *grid.Grid, h float64, a core.Approach,
-	solve func(ps *gpaw.DistPoisson, phi, rhs *grid.Grid) (int, float64, error)) (int, float64, time.Duration) {
+	solve func(ps *gpaw.Poisson, phi, rhs *grid.Grid) (int, float64, error)) (int, float64, time.Duration) {
 	var iters int
 	var res float64
 	start := time.Now()
@@ -72,14 +72,14 @@ func distSolveApproach(global topology.Dims, procs topology.Dims, rhs *grid.Grid
 
 // distCG is distSolve with the fused conjugate-gradient solver.
 func distCG(global topology.Dims, procs topology.Dims, rhs *grid.Grid, h float64) (int, float64, time.Duration) {
-	return distSolve(global, procs, rhs, h, func(ps *gpaw.DistPoisson, phi, rhs *grid.Grid) (int, float64, error) {
+	return distSolve(global, procs, rhs, h, func(ps *gpaw.Poisson, phi, rhs *grid.Grid) (int, float64, error) {
 		return ps.SolveCG(phi, rhs)
 	})
 }
 
 // distSOR is distSolve with the pipelined wavefront Gauss-Seidel solver.
 func distSOR(global topology.Dims, procs topology.Dims, rhs *grid.Grid, h float64) (int, float64, time.Duration) {
-	return distSolve(global, procs, rhs, h, func(ps *gpaw.DistPoisson, phi, rhs *grid.Grid) (int, float64, error) {
+	return distSolve(global, procs, rhs, h, func(ps *gpaw.Poisson, phi, rhs *grid.Grid) (int, float64, error) {
 		ps.Tol = 1e-6
 		return ps.SolveSOR(phi, rhs, 1.6)
 	})
@@ -290,7 +290,7 @@ func main() {
 			}
 			defer d.Close()
 			psis := d.InitGuessBand(m, [3]int{eGlobal[0], eGlobal[1], eGlobal[2]})
-			es := gpaw.NewDistEigenSolver(gpaw.NewDistHamiltonian(d, eh, d.ScatterReplicated(vext)))
+			es := gpaw.NewEigenSolver(gpaw.NewDistHamiltonian(d, eh, d.ScatterReplicated(vext)))
 			es.Tol = 1e-6
 			es.MaxIter = 800
 			eig, err := es.Solve(m, psis)
@@ -340,7 +340,7 @@ func main() {
 			BC: sys.BC, Approach: core.FlatOptimized, Batch: 2,
 		}, sys, gpaw.FTConfig{
 			Store: store, Every: 1, Recover: true,
-			Configure: func(s *gpaw.DistSCF) {
+			Configure: func(s *gpaw.SCF) {
 				s.Tol = 1e-4
 				s.OnIteration = func(it int) {
 					if it == 5 && c.Rank() == 2 {

@@ -73,7 +73,7 @@ func ChaosNet(opts Options) *Experiment {
 			inj := gpaw.NewBitRotInjector(2)
 			ft := gpaw.FTConfig{
 				Store: store, Every: 1, Keep: 3, Recover: true,
-				Configure: func(s *gpaw.DistSCF) {
+				Configure: func(s *gpaw.SCF) {
 					s.Tol = 1e-4
 					if sc.sdc && c.Rank() == 0 {
 						s.Guard.Tamper = inj

@@ -65,7 +65,7 @@ func Faults(opts Options) *Experiment {
 		err := mpi.Run(k.ranks, mpi.ThreadSingle, func(c *mpi.Comm) {
 			ft := gpaw.FTConfig{
 				Store: store, Every: 1, Recover: true,
-				Configure: func(s *gpaw.DistSCF) {
+				Configure: func(s *gpaw.SCF) {
 					s.Tol = 1e-4
 					s.OnIteration = func(it int) {
 						if it == k.at && c.Rank() == k.victim {

@@ -43,7 +43,7 @@ func (o Options) params() bgpsim.Params {
 
 // fig6Applications scales one operator application to the paper's
 // Figure 6 wall-clock magnitudes (~40 s for flat original at 16 384
-// cores); see EXPERIMENTS.md for the calibration.
+// cores).
 const fig6Applications = 55
 
 // simulate wraps bgpsim.Simulate, panicking on configuration errors —

@@ -99,8 +99,8 @@ type Params struct {
 	MeshSharePenalty bool
 }
 
-// DefaultParams returns the calibrated model (see EXPERIMENTS.md for the
-// calibration narrative).
+// DefaultParams returns the calibrated model (README.md, "Calibrated
+// network model on the live transport", describes the Figure-2 fit).
 func DefaultParams() Params {
 	return Params{
 		PacketEfficiency:   0.875, // 256-byte packets, 32 bytes overhead

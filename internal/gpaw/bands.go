@@ -13,10 +13,10 @@ import (
 
 // Band parallelization: the second axis of the bands x domain 2D layout.
 //
-// PR 2 distributed the real-space grids over a Cartesian process grid,
-// but every rank still held every wave-function, so the dense subspace
+// Distributing the real-space grids over a Cartesian process grid alone
+// leaves every wave-function on every rank, so the dense subspace
 // operations — overlap/Hamiltonian assembly, orthonormalization,
-// Rayleigh–Ritz, rotation — replicated O(m²) work and O(m) storage on
+// Rayleigh–Ritz, rotation — replicate O(m²) work and O(m) storage on
 // every rank. This file adds GPAW's band parallelization on top: the m
 // wave-functions are divided into contiguous slices across `Bands` rank
 // groups, each group runs its own domain decomposition (and halo-exchange
@@ -34,12 +34,12 @@ import (
 //   - the O(m²) rotation Ψ ← Ψ·C runs as a distributed GEMM over
 //     grid-vector blocks: source blocks are broadcast through the band
 //     communicator in ascending order, so every output point accumulates
-//     its m terms in exactly the serial lincombInto order.
+//     its m terms in exactly lincombInto's order.
 //
 // Because every floating-point reduction is either detsum-exact or an
-// ascending-order accumulation identical to the serial kernel, all
+// ascending-order accumulation identical to the one-group kernel, all
 // results — eigenvalues, wave-functions, SCF energies — are bit-identical
-// to the serial solver for every bands x domain layout, every process
+// for every bands x domain layout (one rank included), every process
 // grid shape and every programming approach.
 
 // subspaceBlock is the block size of the block-cyclic subspace matrices.
@@ -67,9 +67,9 @@ func (d *Dist) bandOwnerOf(m, st int) int {
 }
 
 // InitGuessBand fills this band group's slice of the m global seed
-// states at this rank's sub-domain, through the same deterministic
-// global-index field as the serial InitGuess — so band-distributed
-// solver runs start from bit-identical states for every layout.
+// states at this rank's sub-domain, through the deterministic
+// global-index field guessValue — so solver runs start from
+// bit-identical states for every layout.
 func (d *Dist) InitGuessBand(m int, dims [3]int) []*grid.Grid {
 	lo, hi := d.BandRange(m)
 	psis := make([]*grid.Grid, hi-lo)
@@ -134,8 +134,8 @@ func (d *Dist) forEachBandState(m int, local []*grid.Grid, f func(gi int, src *g
 // ascending order; the pair (i, j) is computed by the owner of i from
 // local sub-domain dots accumulated into detsum accumulators, reduced
 // exactly over the domain communicator in rank order, and the finished
-// rows are merged across band groups verbatim. Every entry is
-// bit-identical to the serial symMatrix value.
+// rows are merged across band groups verbatim. Every entry has the
+// same bits for every layout.
 func (d *Dist) bandSymMatrix(m int, out linalg.Matrix, left, right []*grid.Grid) {
 	lo, hi := d.BandRange(m)
 	if d.Bands == 1 {
@@ -219,14 +219,13 @@ func (d *Dist) bandSymMatrix(m int, out linalg.Matrix, left, right []*grid.Grid)
 // and Ψ is the band-distributed state set — the distributed GEMM over
 // grid-vector blocks. Source states are broadcast through the band
 // communicator in ascending global order, so every output point
-// accumulates its terms in exactly the serial lincombInto order (clear,
-// then += c_i * src_i for ascending i, skipping exact-zero
-// coefficients) and the rotated states are bit-identical to the serial
-// rotation for every band count.
+// accumulates its terms in exactly lincombInto's order (clear, then
+// += c_i * src_i for ascending i, skipping exact-zero coefficients) and
+// the rotated states are bit-identical for every band count.
 func (d *Dist) bandRotate(m int, psis []*grid.Grid, c linalg.Matrix) {
 	if d.Bands == 1 {
-		// Domain-only layout: the fused serial rotation performs the very
-		// same per-point addition sequence in m+1 memory passes per state
+		// Domain-only layout: the fused rotation performs the very same
+		// per-point addition sequence in m+1 memory passes per state
 		// instead of the circulate path's clear + m axpys.
 		rotate(d.pool, psis, c)
 		return
@@ -250,12 +249,12 @@ func (d *Dist) bandRotate(m int, psis []*grid.Grid, c linalg.Matrix) {
 	})
 }
 
-// orthonormalize mirrors OrthonormalizeWith on the bands x domain
-// layout: the overlap matrix is assembled band-parallel, factored by the
-// distributed Cholesky of internal/pblas on the band process grid,
-// inverted by distributed triangular solve, and the rotation Ψ ← Ψ·L⁻ᵀ
-// runs as the block-circulating distributed GEMM. Bit-identical to the
-// serial orthonormalization for every layout.
+// orthonormalize performs Löwdin-style orthonormalization Ψ ← Ψ·L⁻ᵀ on
+// the bands x domain layout: the overlap matrix is assembled
+// band-parallel, factored by the distributed Cholesky of internal/pblas
+// on the band process grid, inverted by distributed triangular solve,
+// and the rotation runs as the block-circulating distributed GEMM.
+// Bit-identical for every layout.
 func (d *Dist) orthonormalize(m int, psis []*grid.Grid) error {
 	defer d.Cart.TraceRank().Region("bands.orthonormalize").End()
 	s := linalg.NewMatrix(m, m)
@@ -281,13 +280,18 @@ func (d *Dist) orthonormalize(m int, psis []*grid.Grid) error {
 	return nil
 }
 
-// RayleighRitz mirrors the serial RayleighRitz on the bands x domain layout: H is
-// applied to this group's slice behind the approach's exchange protocol,
-// the subspace matrix is assembled band-parallel, diagonalized by the
-// pblas distributed eigensolver on the band process grid, and the states
+// RayleighRitz diagonalizes H in the span of the m global states, of
+// which psis is this band group's slice: H is applied to the slice
+// behind the approach's exchange protocol, the subspace matrix
+// <psi_i|H|psi_j> is assembled band-parallel, diagonalized by the pblas
+// distributed eigensolver on the band process grid, and the states
 // rotate to the Ritz vectors by distributed GEMM. Returns all m Ritz
-// values ascending (identical on every rank).
-func (h *DistHamiltonian) RayleighRitz(m int, psis []*grid.Grid) ([]float64, error) {
+// values ascending (identical on every rank); an error means the
+// subspace diagonalization failed to converge.
+func (h *Hamiltonian) RayleighRitz(m int, psis []*grid.Grid) ([]float64, error) {
+	if len(psis) > 0 {
+		h = h.bound(psis[0])
+	}
 	defer h.D.Cart.TraceRank().Region("bands.rayleighritz").End()
 	hp := make([]*grid.Grid, len(psis))
 	for i := range psis {
@@ -309,8 +313,8 @@ func (h *DistHamiltonian) RayleighRitz(m int, psis []*grid.Grid) ([]float64, err
 // (band group 0, domain rank 0), returning nil elsewhere: each owner
 // group gathers its states over its domain communicator, then the group
 // leaders relay interiors to group 0 through the band communicator. The
-// differential harness and the live demos use it to compare
-// band-distributed states against serial ones bitwise.
+// differential harness and the live demos use it to compare states
+// across layouts bitwise.
 func (d *Dist) GatherBandStates(m int, psis []*grid.Grid) []*grid.Grid {
 	lo, _ := d.BandRange(m)
 	var out []*grid.Grid

@@ -53,7 +53,7 @@ func domainShapes(t *testing.T) []topology.Dims {
 // runBand spins up a bands x domain world and builds the per-rank Dist.
 func runBand(t *testing.T, global, procs topology.Dims, bands int, bc Boundary, a core.Approach, body func(d *Dist)) {
 	t.Helper()
-	err := mpi.Run(bands*procs.Count(), modeFor(a), func(c *mpi.Comm) {
+	err := runRanks(bands*procs.Count(), modeFor(a), func(c *mpi.Comm) {
 		d, err := NewDist(c, DistConfig{
 			Global: global, Procs: procs, Bands: bands, Halo: 2, BC: bc,
 			Approach: a, Threads: threadsFor(a), Batch: 2,
@@ -71,15 +71,20 @@ func runBand(t *testing.T, global, procs topology.Dims, bands int, bc Boundary, 
 
 // TestBandSymMatrixRotate pins the band-parallel primitives in
 // isolation: the circulating subspace-matrix assembly and the
-// distributed-GEMM rotation must match serial symMatrix/rotate bitwise
-// on a 2 x 2 bands x domain layout.
+// distributed-GEMM rotation must match plain undecomposed dot products
+// and the one-group rotate bitwise on a 2 x 2 bands x domain layout.
 func TestBandSymMatrixRotate(t *testing.T) {
 	global := topology.Dims{8, 6, 8}
 	dims := [3]int{8, 6, 8}
 	const m = 5
 	serial := InitGuess(m, dims, 2)
 	want := linalg.NewMatrix(m, m)
-	symMatrix(nil, m, want, func(i, j int) float64 { return serial[i].Dot(serial[j]) })
+	for i := 0; i < m; i++ {
+		for j := i; j < m; j++ {
+			want[i][j] = serial[i].Dot(serial[j])
+			want[j][i] = want[i][j]
+		}
+	}
 	// A deterministic full-rank rotation.
 	c := linalg.NewMatrix(m, m)
 	for i := 0; i < m; i++ {
@@ -98,7 +103,7 @@ func TestBandSymMatrixRotate(t *testing.T) {
 		got := linalg.NewMatrix(m, m)
 		d.bandSymMatrix(m, got, psis, psis)
 		if diff := linalg.MaxAbsDiff(got, want); diff != 0 {
-			t.Errorf("bandSymMatrix deviates from serial symMatrix by %g", diff)
+			t.Errorf("bandSymMatrix deviates from undecomposed dot products by %g", diff)
 		}
 		d.bandRotate(m, psis, c)
 		lo, _ := d.BandRange(m)
@@ -128,7 +133,7 @@ func TestBandEigenDifferential(t *testing.T) {
 	es.Tol = 1e-7
 	es.MaxIter = 500
 	serialPsis := InitGuess(m, dims, 2)
-	want, err := es.Solve(serialPsis)
+	want, err := es.Solve(m, serialPsis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +146,7 @@ func TestBandEigenDifferential(t *testing.T) {
 				runBand(t, global, procs, bands, Dirichlet, a, func(d *Dist) {
 					vloc := d.ScatterReplicated(vext)
 					dh := NewDistHamiltonian(d, h, vloc)
-					des := NewDistEigenSolver(dh)
+					des := NewEigenSolver(dh)
 					des.Tol = 1e-7
 					des.MaxIter = 500
 					psis := d.InitGuessBand(m, dims)
@@ -244,7 +249,7 @@ func TestBandEmptyGroup(t *testing.T) {
 	es := NewEigenSolver(ham)
 	es.Tol = 1e-7
 	es.MaxIter = 500
-	want, err := es.Solve(InitGuess(m, dims, 2))
+	want, err := es.Solve(m, InitGuess(m, dims, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +259,7 @@ func TestBandEmptyGroup(t *testing.T) {
 			t.Errorf("band 3 expected empty slice, got %d states", hi-lo)
 		}
 		dh := NewDistHamiltonian(d, h, d.ScatterReplicated(vext))
-		des := NewDistEigenSolver(dh)
+		des := NewEigenSolver(dh)
 		des.Tol = 1e-7
 		des.MaxIter = 500
 		eig, err := des.Solve(m, d.InitGuessBand(m, dims))

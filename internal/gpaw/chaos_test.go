@@ -3,7 +3,6 @@ package gpaw
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/grid"
@@ -86,12 +85,12 @@ func TestChaosSCFDifferential(t *testing.T) {
 			for _, killRank := range killRanks {
 				for _, killIt := range killIters {
 					store := NewMemStore()
-					err := mpi.Run(p, modeFor(a), func(c *mpi.Comm) {
+					err := runRanks(p, modeFor(a), func(c *mpi.Comm) {
 						ft := FTConfig{
 							Store:   store,
 							Every:   1,
 							Recover: true,
-							Configure: func(s *DistSCF) {
+							Configure: func(s *SCF) {
 								s.Tol = 1e-4
 								s.OnIteration = func(it int) {
 									if it == killIt && c.Rank() == killRank {
@@ -144,11 +143,10 @@ func TestChaosNoRecoveryTypedError(t *testing.T) {
 	const p = 4
 	procs := scfLayoutsFor(p)[0]
 	store := NewMemStore()
-	err := mpi.Run(p, mpi.ThreadSingle, func(c *mpi.Comm) {
-		c.World().SetOpTimeout(30 * time.Second)
+	err := runRanks(p, mpi.ThreadSingle, func(c *mpi.Comm) {
 		ft := FTConfig{
 			Store: store, Every: 1, Recover: false,
-			Configure: func(s *DistSCF) {
+			Configure: func(s *SCF) {
 				s.Tol = 1e-4
 				s.OnIteration = func(it int) {
 					if it == 2 && c.Rank() == 1 {
@@ -182,7 +180,7 @@ func TestCheckpointRestartBitIdentical(t *testing.T) {
 
 	writeProcs := topology.Dims{1, 2, 2}
 	store := NewMemStore()
-	if err := mpi.Run(4, mpi.ThreadSingle, func(c *mpi.Comm) {
+	if err := runRanks(4, mpi.ThreadSingle, func(c *mpi.Comm) {
 		d, err := NewDist(c, DistConfig{Global: global, Procs: writeProcs, Halo: 2, BC: sys.BC,
 			Approach: core.FlatOptimized, Threads: 1, Batch: 2})
 		if err != nil {
@@ -214,7 +212,7 @@ func TestCheckpointRestartBitIdentical(t *testing.T) {
 		{2, topology.Dims{1, 1, 2}}, // shrink
 		{8, topology.Dims{2, 2, 2}}, // grow
 	} {
-		if err := mpi.Run(tc.ranks, mpi.ThreadSingle, func(c *mpi.Comm) {
+		if err := runRanks(tc.ranks, mpi.ThreadSingle, func(c *mpi.Comm) {
 			d, err := NewDist(c, DistConfig{Global: global, Procs: tc.procs, Halo: 2, BC: sys.BC,
 				Approach: core.FlatOptimized, Threads: 1, Batch: 2})
 			if err != nil {
@@ -255,7 +253,7 @@ func TestEigenCheckpointResume(t *testing.T) {
 	es := NewEigenSolver(ham)
 	es.Tol = 1e-7
 	es.MaxIter = 500
-	want, err := es.Solve(InitGuess(3, [3]int{8, 8, 8}, 2))
+	want, err := es.Solve(3, InitGuess(3, [3]int{8, 8, 8}, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +267,7 @@ func TestEigenCheckpointResume(t *testing.T) {
 		}
 		defer d.Close()
 		vloc := d.ScatterReplicated(vext)
-		des := NewDistEigenSolver(NewDistHamiltonian(d, h, vloc))
+		des := NewEigenSolver(NewDistHamiltonian(d, h, vloc))
 		des.Tol = 1e-7
 		des.MaxIter = 500
 		des.Ckpt = ck
@@ -306,7 +304,7 @@ func TestEigenCheckpointResume(t *testing.T) {
 		return eig
 	}
 
-	if err := mpi.Run(4, mpi.ThreadSingle, func(c *mpi.Comm) {
+	if err := runRanks(4, mpi.ThreadSingle, func(c *mpi.Comm) {
 		eig := solve(c, topology.Dims{2, 2, 1}, &Checkpointer{Store: store, Every: 5}, false)
 		for i := range eig {
 			if eig[i] != want[i] {
@@ -316,7 +314,7 @@ func TestEigenCheckpointResume(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mpi.Run(2, mpi.ThreadSingle, func(c *mpi.Comm) {
+	if err := runRanks(2, mpi.ThreadSingle, func(c *mpi.Comm) {
 		eig := solve(c, topology.Dims{1, 2, 1}, nil, true)
 		for i := range eig {
 			if eig[i] != want[i] {

@@ -74,7 +74,7 @@ func TestChaosNetSCFDifferential(t *testing.T) {
 			for _, cl := range classes {
 				for _, seed := range seeds {
 					plan := &mpi.FaultPlan{Msg: cl.faults(seed)}
-					err := mpi.RunWithFaults(p, modeFor(a), plan, func(c *mpi.Comm) {
+					err := runRanksWithFaults(p, modeFor(a), plan, func(c *mpi.Comm) {
 						d, err := NewDist(c, DistConfig{Global: global, Procs: procs, Halo: 2,
 							BC: sys.BC, Approach: a, Threads: threadsFor(a), Batch: 2})
 						if err != nil {
@@ -133,7 +133,7 @@ func TestChaosNetCleanRunCountersZero(t *testing.T) {
 	global := topology.Dims{8, 8, 8}
 	sys := scfSystem(global, 0.7)
 	procs := scfLayoutsFor(4)[0]
-	if err := mpi.Run(4, mpi.ThreadSingle, func(c *mpi.Comm) {
+	if err := runRanks(4, mpi.ThreadSingle, func(c *mpi.Comm) {
 		d, err := NewDist(c, DistConfig{Global: global, Procs: procs, Halo: 2, BC: sys.BC,
 			Approach: core.FlatOptimized, Threads: 1, Batch: 2})
 		if err != nil {
@@ -164,7 +164,7 @@ func TestChaosNetEngineStatsSurface(t *testing.T) {
 	sys := scfSystem(global, 0.7)
 	procs := scfLayoutsFor(4)[0]
 	plan := &mpi.FaultPlan{Msg: &mpi.MsgFaults{Seed: 7, Drop: 0.05, Dup: 0.05, Corrupt: 0.02}}
-	if err := mpi.RunWithFaults(4, mpi.ThreadSingle, plan, func(c *mpi.Comm) {
+	if err := runRanksWithFaults(4, mpi.ThreadSingle, plan, func(c *mpi.Comm) {
 		d, err := NewDist(c, DistConfig{Global: global, Procs: procs, Halo: 2, BC: sys.BC,
 			Approach: core.FlatOptimized, Threads: 1, Batch: 2})
 		if err != nil {
@@ -249,7 +249,7 @@ func TestChaosNetCheckpointFallback(t *testing.T) {
 		{"dir", dirStore, dirRoot},
 	} {
 		// Phase 1: a full checkpointed run with keep-last-3 retention.
-		if err := mpi.Run(4, mpi.ThreadSingle, func(c *mpi.Comm) {
+		if err := runRanks(4, mpi.ThreadSingle, func(c *mpi.Comm) {
 			d, err := NewDist(c, DistConfig{Global: global, Procs: procs, Halo: 2, BC: sys.BC,
 				Approach: core.FlatOptimized, Threads: 1, Batch: 2})
 			if err != nil {
@@ -287,9 +287,9 @@ func TestChaosNetCheckpointFallback(t *testing.T) {
 
 		// Phase 2: recovery through the FT driver restores the fallback
 		// generation and still reproduces the serial run bitwise.
-		if err := mpi.Run(4, mpi.ThreadSingle, func(c *mpi.Comm) {
+		if err := runRanks(4, mpi.ThreadSingle, func(c *mpi.Comm) {
 			ft := FTConfig{Store: tc.store, Every: 1, Keep: 3, Recover: true,
-				Configure: func(s *DistSCF) { s.Tol = 1e-4 }}
+				Configure: func(s *SCF) { s.Tol = 1e-4 }}
 			cfg := DistConfig{Global: global, Procs: procs, Halo: 2, BC: sys.BC,
 				Approach: core.FlatOptimized, Threads: 1, Batch: 2}
 			res, err := RunSCFFT(c, cfg, sys, ft)
@@ -317,7 +317,7 @@ func TestABFTSCFCleanBitIdentical(t *testing.T) {
 	sys := scfSystem(global, 0.7)
 	want := chaosWant(t, sys)
 	procs := scfLayoutsFor(4)[0]
-	if err := mpi.Run(4, mpi.ThreadSingle, func(c *mpi.Comm) {
+	if err := runRanks(4, mpi.ThreadSingle, func(c *mpi.Comm) {
 		d, err := NewDist(c, DistConfig{Global: global, Procs: procs, Halo: 2, BC: sys.BC,
 			Approach: core.FlatOptimized, Threads: 1, Batch: 2, ABFT: true})
 		if err != nil {
@@ -361,11 +361,11 @@ func TestSDCRollbackDifferential(t *testing.T) {
 	}
 	procs := scfLayoutsFor(4)[0]
 	store := NewMemStore()
-	if err := mpi.Run(4, mpi.ThreadSingle, func(c *mpi.Comm) {
+	if err := runRanks(4, mpi.ThreadSingle, func(c *mpi.Comm) {
 		inj := NewBitRotInjector(3)
 		var guards []*SDCGuard
 		ft := FTConfig{Store: store, Every: 1, Keep: 4, Recover: true,
-			Configure: func(s *DistSCF) {
+			Configure: func(s *SCF) {
 				s.Tol = 1e-4
 				if c.Rank() == 1 {
 					s.Guard.Tamper = inj
@@ -418,10 +418,10 @@ func TestChaosNetFullStack(t *testing.T) {
 	for _, seed := range chaosNetSeeds {
 		store := NewMemStore()
 		plan := &mpi.FaultPlan{Msg: &mpi.MsgFaults{Seed: seed, Drop: 0.01, Dup: 0.02, Reorder: 0.05, Corrupt: 0.01}}
-		err := mpi.RunWithFaults(4, mpi.ThreadSingle, plan, func(c *mpi.Comm) {
+		err := runRanksWithFaults(4, mpi.ThreadSingle, plan, func(c *mpi.Comm) {
 			inj := NewBitRotInjector(2)
 			ft := FTConfig{Store: store, Every: 1, Keep: 3, Recover: true,
-				Configure: func(s *DistSCF) {
+				Configure: func(s *SCF) {
 					s.Tol = 1e-4
 					if c.Rank() == 0 {
 						s.Guard.Tamper = inj

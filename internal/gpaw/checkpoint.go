@@ -661,7 +661,7 @@ func (ck *Checkpointer) prune() {
 // saveSCF snapshots the SCF state after iteration it: mixed density,
 // effective potential (the mixer's full state under linear mixing),
 // this band group's wave-function slice, eigenvalues and the counter.
-func (ck *Checkpointer) saveSCF(s *DistSCF, it, m int, eig []float64, psis []*grid.Grid, n, veff *grid.Grid) error {
+func (ck *Checkpointer) saveSCF(s *SCF, it, m int, eig []float64, psis []*grid.Grid, n, veff *grid.Grid) error {
 	d := s.D
 	lo, hi := d.BandRange(m)
 	sh := &shard{Kind: shardKindSCF, Iteration: it, Global: d.Decomp.Global,
@@ -689,7 +689,7 @@ func (ck *Checkpointer) saveEigen(d *Dist, it, m int, psis []*grid.Grid, prev []
 
 // --- restore --------------------------------------------------------
 
-// SCFRestart is a restored SCF state, ready for DistSCF.Resume on the
+// SCFRestart is a restored SCF state, ready for SCF.Resume on the
 // Dist it was restored onto.
 type SCFRestart struct {
 	Iteration int
@@ -701,7 +701,7 @@ type SCFRestart struct {
 }
 
 // EigenRestart is a restored standalone-eigensolver state for
-// DistEigenSolver.Resume.
+// EigenSolver.Resume.
 type EigenRestart struct {
 	Iteration int
 	States    int

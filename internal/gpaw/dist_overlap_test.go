@@ -29,7 +29,7 @@ func runOverlapCG(t *testing.T, global, procs topology.Dims, bc Boundary, a core
 	threads int, noOverlap bool, rhs *grid.Grid) overlapResult {
 	t.Helper()
 	var out overlapResult
-	err := mpi.Run(procs.Count(), modeFor(a), func(c *mpi.Comm) {
+	err := runRanks(procs.Count(), modeFor(a), func(c *mpi.Comm) {
 		d, err := NewDist(c, DistConfig{
 			Global: global, Procs: procs, Halo: 2, BC: bc,
 			Approach: a, Threads: threads, Batch: 2, NoOverlap: noOverlap,
@@ -38,7 +38,7 @@ func runOverlapCG(t *testing.T, global, procs topology.Dims, bc Boundary, a core
 			panic(err)
 		}
 		defer d.Close()
-		if want := !noOverlap && a != core.FlatOriginal; d.Overlapped() != want {
+		if want := !noOverlap && a != core.FlatOriginal && procs.Count() > 1; d.Overlapped() != want {
 			t.Errorf("approach %v noOverlap=%v: Overlapped()=%v, want %v", a, noOverlap, d.Overlapped(), want)
 		}
 		ps := NewDistPoisson(d, 0.35)
@@ -128,7 +128,7 @@ func TestOverlapEigenAndSCFBitIdentical(t *testing.T) {
 	for _, r := range runs {
 		solve := func(noOverlap bool) []float64 {
 			var eig []float64
-			err := mpi.Run(r.bands*r.procs.Count(), modeFor(r.a), func(c *mpi.Comm) {
+			err := runRanks(r.bands*r.procs.Count(), modeFor(r.a), func(c *mpi.Comm) {
 				d, err := NewDist(c, DistConfig{
 					Global: global, Procs: r.procs, Bands: r.bands, Halo: 2, BC: Dirichlet,
 					Approach: r.a, Threads: r.threads, Batch: 2, NoOverlap: noOverlap,
@@ -139,7 +139,7 @@ func TestOverlapEigenAndSCFBitIdentical(t *testing.T) {
 				defer d.Close()
 				const m = 3
 				psis := d.InitGuessBand(m, [3]int{global[0], global[1], global[2]})
-				es := NewDistEigenSolver(NewDistHamiltonian(d, h, d.ScatterReplicated(vext)))
+				es := NewEigenSolver(NewDistHamiltonian(d, h, d.ScatterReplicated(vext)))
 				es.Tol = 1e-7
 				es.MaxIter = 500
 				got, err := es.Solve(m, psis)
@@ -167,7 +167,7 @@ func TestOverlapEigenAndSCFBitIdentical(t *testing.T) {
 	// (eigensolver + Hartree CG + density mixing) on a hybrid layout.
 	sys := scfSystem(global, 0.7)
 	scfRun := func(noOverlap bool) (energy, residual float64, iters int) {
-		err := mpi.Run(2, mpi.ThreadMultiple, func(c *mpi.Comm) {
+		err := runRanks(2, mpi.ThreadMultiple, func(c *mpi.Comm) {
 			d, err := NewDist(c, DistConfig{
 				Global: global, Procs: topology.Dims{1, 1, 2}, Halo: 2, BC: sys.BC,
 				Approach: core.HybridMultiple, Threads: 2, Batch: 2, NoOverlap: noOverlap,

@@ -64,13 +64,20 @@ func threadsFor(a core.Approach) int {
 	return 1
 }
 
-// runDist spins up an MPI world and builds the per-rank Dist context.
+// runDist spins up an MPI world and builds the per-rank Dist context
+// with the harness's worker count for the approach.
 func runDist(t *testing.T, global, procs topology.Dims, bc Boundary, a core.Approach, body func(d *Dist)) {
 	t.Helper()
-	err := mpi.Run(procs.Count(), modeFor(a), func(c *mpi.Comm) {
+	runDistThreads(t, global, procs, bc, a, threadsFor(a), body)
+}
+
+// runDistThreads is runDist with an explicit per-rank worker count.
+func runDistThreads(t *testing.T, global, procs topology.Dims, bc Boundary, a core.Approach, threads int, body func(d *Dist)) {
+	t.Helper()
+	err := runRanks(procs.Count(), modeFor(a), func(c *mpi.Comm) {
 		d, err := NewDist(c, DistConfig{
 			Global: global, Procs: procs, Halo: 2, BC: bc,
-			Approach: a, Threads: threadsFor(a), Batch: 2,
+			Approach: a, Threads: threads, Batch: 2,
 		})
 		if err != nil {
 			panic(err)
@@ -79,7 +86,7 @@ func runDist(t *testing.T, global, procs topology.Dims, bc Boundary, a core.Appr
 		body(d)
 	})
 	if err != nil {
-		t.Fatalf("procs %v approach %v: %v", procs, a, err)
+		t.Fatalf("procs %v approach %v threads %d: %v", procs, a, threads, err)
 	}
 }
 
@@ -315,10 +322,7 @@ func TestDistMultigridDifferential(t *testing.T) {
 
 // TestDistMultigridShrinksDeepLevels pins the redistribution decision:
 // hierarchies whose coarse levels cannot host the full process grid
-// shrink onto sub-communicators at exactly the predicted level — and
-// never serialize. The SerializedFrom() == Levels() assertion is the
-// regression guard for the removed rank-0 arm: a shrinkable hierarchy
-// must report the whole hierarchy as distributed.
+// shrink onto sub-communicators at exactly the predicted level.
 func TestDistMultigridShrinksDeepLevels(t *testing.T) {
 	global := topology.Dims{16, 16, 16}
 	cases := []struct {
@@ -338,10 +342,6 @@ func TestDistMultigridShrinksDeepLevels(t *testing.T) {
 			}
 			if mg.Levels() != 3 {
 				t.Errorf("procs %v: %d levels, want 3", tc.procs, mg.Levels())
-			}
-			if mg.SerializedFrom() != mg.Levels() {
-				t.Errorf("procs %v: SerializedFrom %d, want Levels (%d) — no level may serialize",
-					tc.procs, mg.SerializedFrom(), mg.Levels())
 			}
 			if mg.ShrunkFrom() != tc.from {
 				t.Errorf("procs %v: shrunk from level %d, want %d", tc.procs, mg.ShrunkFrom(), tc.from)
@@ -439,7 +439,7 @@ func TestDistEigenDifferential(t *testing.T) {
 	es.Tol = 1e-7
 	es.MaxIter = 500
 	psis := InitGuess(3, [3]int{8, 8, 8}, 2)
-	want, err := es.Solve(psis)
+	want, err := es.Solve(3, psis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestDistEigenDifferential(t *testing.T) {
 				runDist(t, global, procs, Dirichlet, a, func(d *Dist) {
 					vloc := d.ScatterReplicated(vext)
 					dh := NewDistHamiltonian(d, h, vloc)
-					des := NewDistEigenSolver(dh)
+					des := NewEigenSolver(dh)
 					des.Tol = 1e-7
 					des.MaxIter = 500
 					dpsis := make([]*grid.Grid, 3)

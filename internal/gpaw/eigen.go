@@ -13,14 +13,20 @@ import (
 // subspace (block power) iteration with Rayleigh–Ritz rotation — the
 // same ingredients as GPAW's self-consistent eigensolvers: apply H to
 // every wave-function (the paper's dominant finite-difference workload),
-// orthonormalize, diagonalize in the subspace. The damped step runs as
-// one fused stencil sweep per state, subspace matrices are assembled
-// with the dot products spread across the worker pool, and rotations
-// write each new state in a single linear-combination sweep.
+// orthonormalize, diagonalize in the subspace. It runs on the
+// Hamiltonian's bands x domain layout: the damped step is one fused
+// stencil sweep per state of this band group's slice, while
+// orthonormalization, subspace assembly and Rayleigh–Ritz run
+// band-parallel through internal/pblas (see bands.go). Eigenvalues are
+// dV-invariant, so the solver works with raw dot products.
 type EigenSolver struct {
 	H       *Hamiltonian
 	Tol     float64 // eigenvalue convergence threshold (Hartree)
 	MaxIter int
+	// Ckpt, when set, snapshots the solver state (this band group's
+	// states, previous Ritz values, iteration counter) every
+	// Ckpt.Every iterations; see checkpoint.go.
+	Ckpt *Checkpointer
 }
 
 // NewEigenSolver returns a solver with sensible defaults.
@@ -28,51 +34,107 @@ func NewEigenSolver(h *Hamiltonian) *EigenSolver {
 	return &EigenSolver{H: h, Tol: 1e-8, MaxIter: 2000}
 }
 
-// Volume element for inner products: products of Dot must be scaled by
-// dV = h^3 to approximate integrals; eigenvalues are dV-invariant so the
-// solver works with raw dot products.
-
-// symMatrix fills the symmetric matrix out[i][j] = f(i, j) for j >= i,
-// with the independent entries divided across the pool's workers.
-func symMatrix(p *stencil.Pool, m int, out linalg.Matrix, f func(i, j int) float64) {
-	type pair struct{ i, j int }
-	pairs := make([]pair, 0, m*(m+1)/2)
-	for i := 0; i < m; i++ {
-		for j := i; j < m; j++ {
-			pairs = append(pairs, pair{i, j})
-		}
-	}
-	p.Exec(len(pairs), func(_, lo, hi int) {
-		for n := lo; n < hi; n++ {
-			pr := pairs[n]
-			v := f(pr.i, pr.j)
-			out[pr.i][pr.j], out[pr.j][pr.i] = v, v
-		}
-	})
+// Solve iterates this band group's slice of the m global states
+// (initial guesses) toward the lowest eigenstates and returns all m
+// eigenvalues ascending, bit-identical for every bands x domain layout.
+// psis must be the slice D.BandRange(m) selects (the whole state set
+// when Bands is 1, as on an undecomposed Hamiltonian). The slice
+// elements are updated to hold the converged states, but the damped
+// step ping-pongs through internal buffers, so individual *grid.Grid
+// objects may be replaced: read states through the slice after Solve
+// returns, not through element pointers saved beforehand.
+func (es *EigenSolver) Solve(m int, psis []*grid.Grid) ([]float64, error) {
+	return es.solve(m, psis, nil, 0)
 }
 
-// Orthonormalize performs Löwdin-style orthonormalization on the
-// process-wide worker pool. See OrthonormalizeWith.
+// Resume continues a solve from a restored checkpoint (RestoreEigen).
+// The restored states stand in for the caller's psis slice; the solver
+// skips the initial orthonormalization — the checkpointed states are
+// already the post-Rayleigh–Ritz basis, and renormalizing them would
+// perturb the bits an undisturbed run produces. The returned slice
+// holds the final states.
+func (es *EigenSolver) Resume(rs *EigenRestart) ([]float64, []*grid.Grid, error) {
+	eig, err := es.solve(rs.States, rs.Psis, rs.Prev, rs.Iteration)
+	return eig, rs.Psis, err
+}
+
+func (es *EigenSolver) solve(m int, psis []*grid.Grid, resumePrev []float64, start int) ([]float64, error) {
+	if m < 1 || (es.H.D == nil && len(psis) == 0) {
+		return nil, fmt.Errorf("gpaw: no states to solve")
+	}
+	h := es.H
+	if len(psis) > 0 {
+		h = h.bound(psis[0])
+	}
+	d := h.D
+	defer d.Cart.TraceRank().Region("eigen.solve").End()
+	if lo, hi := d.BandRange(m); hi-lo != len(psis) {
+		return nil, fmt.Errorf("gpaw: band group %d holds %d of %d states, want %d",
+			d.Band, len(psis), m, hi-lo)
+	}
+	prev := make([]float64, m)
+	if resumePrev != nil {
+		copy(prev, resumePrev)
+	} else {
+		if err := d.orthonormalize(m, psis); err != nil {
+			return nil, err
+		}
+		for i := range prev {
+			prev[i] = math.Inf(1)
+		}
+	}
+	tau := 1.0 / h.SpectralBound()
+	outs := make([]*grid.Grid, len(psis))
+	for i := range outs {
+		outs[i] = grid.NewDims(psis[i].Dims(), psis[i].H)
+	}
+	lastDelta := math.Inf(1)
+	for it := start + 1; it <= es.MaxIter; it++ {
+		// Damped power step psi <- psi - tau*H*psi for this group's
+		// states, one fused sweep each behind the approach's exchange
+		// protocol.
+		h.applyStates(outs, psis, -tau, 1)
+		for i := range psis {
+			psis[i], outs[i] = outs[i], psis[i]
+		}
+		if err := d.orthonormalize(m, psis); err != nil {
+			return nil, err
+		}
+		eig, err := h.RayleighRitz(m, psis)
+		if err != nil {
+			return nil, err
+		}
+		maxd := 0.0
+		for i, e := range eig {
+			if dd := math.Abs(e - prev[i]); dd > maxd {
+				maxd = dd
+			}
+			prev[i] = e
+		}
+		lastDelta = maxd
+		if es.Ckpt.due(it) {
+			if err := es.Ckpt.saveEigen(d, it, m, psis, prev); err != nil {
+				return nil, err
+			}
+		}
+		if maxd < es.Tol {
+			return eig, nil
+		}
+	}
+	return prev, errEigenNotConverged(es.MaxIter, lastDelta)
+}
+
+// Orthonormalize performs Löwdin-style orthonormalization of whole
+// (undecomposed) grids via the Cholesky factor of the overlap matrix:
+// Ψ ← Ψ L⁻ᵀ, preserving the spanned subspace. This mirrors GPAW's
+// orthogonalization step, which is the reason every rank must hold the
+// same sub-domain of every grid.
 func Orthonormalize(psis []*grid.Grid) error {
-	return OrthonormalizeWith(stencil.Shared(), psis)
-}
-
-// OrthonormalizeWith performs Löwdin-style orthonormalization via the
-// Cholesky factor of the overlap matrix: Ψ ← Ψ L⁻ᵀ, preserving the
-// spanned subspace. This mirrors GPAW's orthogonalization step, which is
-// the reason every rank must hold the same sub-domain of every grid.
-// Matrix assembly and rotation run on the given pool (nil for serial).
-func OrthonormalizeWith(pool *stencil.Pool, psis []*grid.Grid) error {
-	m := len(psis)
-	s := linalg.NewMatrix(m, m)
-	symMatrix(pool, m, s, func(i, j int) float64 { return psis[i].Dot(psis[j]) })
-	l, err := linalg.Cholesky(s)
-	if err != nil {
-		return fmt.Errorf("gpaw: overlap not positive definite (linearly dependent states): %w", err)
+	if len(psis) == 0 {
+		return nil
 	}
-	linv := linalg.InvertLower(l)
-	rotate(pool, psis, linalg.Transpose(linv))
-	return nil
+	// No halo is read, so the context's halo and boundary are arbitrary.
+	return selfDist(psis[0].Dims(), 2, Dirichlet).orthonormalize(len(psis), psis)
 }
 
 // rotate replaces psis by psis * C (column convention: new_j = Σ_i
@@ -129,82 +191,11 @@ func lincombInto(dst *grid.Grid, c linalg.Matrix, col int, srcs []*grid.Grid) {
 	grid.NoteTraffic(dst.Points(), len(terms)+1)
 }
 
-// RayleighRitz diagonalizes H in the span of psis: it computes the
-// subspace matrix <psi_i|H|psi_j>, diagonalizes it, rotates the states
-// to the Ritz vectors and returns the Ritz values (ascending). An error
-// means the subspace diagonalization failed to converge.
-func RayleighRitz(h *Hamiltonian, psis []*grid.Grid) ([]float64, error) {
-	m := len(psis)
-	hp := make([]*grid.Grid, m)
-	for i := range psis {
-		hp[i] = grid.NewDims(psis[i].Dims(), psis[i].H)
-		h.Apply(hp[i], psis[i])
-	}
-	hm := linalg.NewMatrix(m, m)
-	symMatrix(h.Pool, m, hm, func(i, j int) float64 { return psis[i].Dot(hp[j]) })
-	eig, vecs, err := linalg.SymEig(hm)
-	if err != nil {
-		return nil, fmt.Errorf("gpaw: subspace diagonalization: %w", err)
-	}
-	rotate(h.Pool, psis, vecs)
-	return eig, nil
-}
-
-// Solve iterates psis (initial guesses) toward the lowest len(psis)
-// eigenstates and returns their eigenvalues ascending. The slice
-// elements are updated to hold the converged states, but the damped
-// step ping-pongs through an internal buffer, so individual *grid.Grid
-// objects may be replaced: read states through the slice after Solve
-// returns, not through element pointers saved beforehand.
-func (es *EigenSolver) Solve(psis []*grid.Grid) ([]float64, error) {
-	if len(psis) == 0 {
-		return nil, fmt.Errorf("gpaw: no states to solve")
-	}
-	if err := OrthonormalizeWith(es.H.Pool, psis); err != nil {
-		return nil, err
-	}
-	tau := 1.0 / es.H.SpectralBound()
-	buf := grid.NewDims(psis[0].Dims(), psis[0].H)
-	prev := make([]float64, len(psis))
-	for i := range prev {
-		prev[i] = math.Inf(1)
-	}
-	lastDelta := math.Inf(1)
-	for it := 1; it <= es.MaxIter; it++ {
-		// Damped power step toward the low end of the spectrum,
-		// psi <- psi - tau*H*psi, as one fused sweep per state; the
-		// step lands in buf and the buffers are swapped.
-		for i, psi := range psis {
-			es.H.Step(buf, psi, tau)
-			psis[i], buf = buf, psi
-		}
-		if err := OrthonormalizeWith(es.H.Pool, psis); err != nil {
-			return nil, err
-		}
-		eig, err := RayleighRitz(es.H, psis)
-		if err != nil {
-			return nil, err
-		}
-		maxd := 0.0
-		for i, e := range eig {
-			if d := math.Abs(e - prev[i]); d > maxd {
-				maxd = d
-			}
-			prev[i] = e
-		}
-		lastDelta = maxd
-		if maxd < es.Tol {
-			return eig, nil
-		}
-	}
-	return prev, errEigenNotConverged(es.MaxIter, lastDelta)
-}
-
 // guessValue is the deterministic seed field of InitGuess evaluated at
 // global index (i, j, k) of a dims-sized grid: mixed low-order modes
-// plus a per-state phase. The distributed SCF fills local sub-domains
-// through this same function at global indices, so serial and
-// distributed initial states are bit-identical.
+// plus a per-state phase. Every rank fills its sub-domain through this
+// function at global indices, so initial states are bit-identical for
+// every decomposition.
 func guessValue(s int, dims [3]int, i, j, k int) float64 {
 	x := float64(i+1) / float64(dims[0]+1)
 	y := float64(j+1) / float64(dims[1]+1)
@@ -215,8 +206,8 @@ func guessValue(s int, dims [3]int, i, j, k int) float64 {
 		0.01*math.Cos(float64(s)+x+2*y+3*z)
 }
 
-// InitGuess fills m wave-function grids with deterministic, linearly
-// independent smooth fields suitable as eigensolver seeds.
+// InitGuess fills m whole wave-function grids with deterministic,
+// linearly independent smooth fields suitable as eigensolver seeds.
 func InitGuess(m int, dims [3]int, halo int) []*grid.Grid {
 	psis := make([]*grid.Grid, m)
 	for s := 0; s < m; s++ {

@@ -3,11 +3,10 @@ package gpaw
 import "fmt"
 
 // errNotConverged is the uniform non-convergence error of the solver
-// stack: every iterative solver — serial or distributed — reports its
-// method name and the final relative residual it reached, so callers
-// can always see how far a failed solve got without re-deriving it.
-// The distributed solvers produce bit-identical residuals to the serial
-// ones, so the error strings match across decompositions too.
+// stack: every iterative solver reports its method name and the final
+// relative residual it reached, so callers can always see how far a
+// failed solve got without re-deriving it. Residuals are bit-identical
+// across decompositions, so the error strings are too.
 func errNotConverged(method string, rel float64) error {
 	return fmt.Errorf("gpaw: %s did not converge (relative residual %g)", method, rel)
 }

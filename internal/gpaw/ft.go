@@ -44,10 +44,10 @@ type FTConfig struct {
 	// error is returned (<= 0: unbounded — recovery continues as long
 	// as at least one rank survives).
 	MaxRecoveries int
-	// Configure, when set, is applied to each attempt's DistSCF before
+	// Configure, when set, is applied to each attempt's SCF before
 	// it runs — the hook for tolerances, mixing, iteration hooks
-	// (DistSCF.OnIteration) and such.
-	Configure func(*DistSCF)
+	// (SCF.OnIteration) and such.
+	Configure func(*SCF)
 	// OnResult, when set, runs on every active rank of the successful
 	// attempt with its Dist and local result before parked ranks are
 	// released — the hook for gathering fields while the final process
@@ -296,7 +296,7 @@ func RunSCFFT(comm *mpi.Comm, cfg DistConfig, sys System, ft FTConfig) (*SCFResu
 // (bit-rot on the store) are skipped — the restore falls back to the
 // newest generation that still verifies, dropping a ckpt.fallback mark
 // on the timeline. Returns nil when there is nothing to resume from.
-func latestRestart(d *Dist, st Store, s *DistSCF) (*SCFRestart, error) {
+func latestRestart(d *Dist, st Store, s *SCF) (*SCFRestart, error) {
 	if st == nil {
 		return nil, nil
 	}

@@ -3,10 +3,17 @@ package gpaw
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/grid"
-	"repro/internal/stencil"
 	"repro/internal/topology"
 )
+
+// withWorkers runs body on a one-rank Dirichlet context whose sweeps
+// fork-join across a pool of the given worker count.
+func withWorkers(t *testing.T, n, workers int, body func(d *Dist)) {
+	t.Helper()
+	runDistThreads(t, topology.Dims{n, n, n}, topology.Dims{1, 1, 1}, Dirichlet, core.HybridMasterOnly, workers, body)
+}
 
 // fusedProblem builds a smooth Dirichlet Poisson problem.
 func fusedProblem(n int) (rhs *grid.Grid) {
@@ -48,18 +55,17 @@ func TestFusedCGWorkerCountInvariant(t *testing.T) {
 	rhs := fusedProblem(12)
 	var ref *grid.Grid
 	for _, w := range []int{1, 2, 4, 8} {
-		ps := NewPoisson(0.35, Dirichlet)
-		ps.Pool = stencil.NewPool(w)
 		phi := grid.New(12, 12, 12, 2)
-		if _, _, err := ps.SolveCG(phi, rhs); err != nil {
-			t.Fatal(err)
-		}
+		withWorkers(t, 12, w, func(d *Dist) {
+			if _, _, err := NewDistPoisson(d, 0.35).SolveCG(phi, rhs); err != nil {
+				panic(err)
+			}
+		})
 		if ref == nil {
 			ref = phi
 		} else if d := ref.MaxAbsDiff(phi); d != 0 {
 			t.Fatalf("workers=%d: solution deviates from workers=1 by %g", w, d)
 		}
-		ps.Pool.Close()
 	}
 }
 
@@ -70,7 +76,6 @@ func TestFusedCGWorkerCountInvariant(t *testing.T) {
 func TestFusedCGReducesTraffic(t *testing.T) {
 	rhs := fusedProblem(14)
 	ps := NewPoisson(0.35, Dirichlet)
-	ps.Pool = nil // serial: identical sweep structure, no pool overhead
 
 	phi := grid.New(14, 14, 14, 2)
 	grid.ResetTraffic()
@@ -104,7 +109,6 @@ func TestFusedCGReducesTraffic(t *testing.T) {
 func TestFusedJacobiReducesTraffic(t *testing.T) {
 	rhs := fusedProblem(12)
 	ps := NewPoisson(0.35, Dirichlet)
-	ps.Pool = nil
 	ps.Tol = 1e-6
 	phi := grid.New(12, 12, 12, 2)
 	grid.ResetTraffic()
@@ -126,21 +130,21 @@ func TestMultigridPoolInvariant(t *testing.T) {
 	rhs := fusedProblem(16)
 	var ref *grid.Grid
 	for _, w := range []int{1, 4} {
-		mg, err := NewMultigrid(topology.Dims{16, 16, 16}, 0.35, Dirichlet)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mg.Pool = stencil.NewPool(w)
 		phi := grid.New(16, 16, 16, 2)
-		if _, _, err := mg.Solve(phi, rhs); err != nil {
-			t.Fatal(err)
-		}
+		withWorkers(t, 16, w, func(d *Dist) {
+			mg, err := NewDistMultigrid(d, 0.35)
+			if err != nil {
+				panic(err)
+			}
+			if _, _, err := mg.Solve(phi, rhs); err != nil {
+				panic(err)
+			}
+		})
 		if ref == nil {
 			ref = phi
 		} else if d := ref.MaxAbsDiff(phi); d != 0 {
 			t.Fatalf("workers=%d: multigrid deviates by %g", w, d)
 		}
-		mg.Pool.Close()
 	}
 }
 
@@ -151,16 +155,16 @@ func TestEigenSolverPoolInvariant(t *testing.T) {
 	v := HarmonicPotential(dims, 0.4, 0.7)
 	var ref []float64
 	for _, w := range []int{1, 4} {
-		ham := NewHamiltonian(0.4, v, Dirichlet)
-		ham.Pool = stencil.NewPool(w)
-		es := NewEigenSolver(ham)
-		es.Tol = 1e-7
-		es.MaxIter = 400
-		psis := InitGuess(2, [3]int{10, 10, 10}, 2)
-		eig, err := es.Solve(psis)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var eig []float64
+		withWorkers(t, 10, w, func(d *Dist) {
+			es := NewEigenSolver(NewDistHamiltonian(d, 0.4, v))
+			es.Tol = 1e-7
+			es.MaxIter = 400
+			var err error
+			if eig, err = es.Solve(2, InitGuess(2, [3]int{10, 10, 10}, 2)); err != nil {
+				panic(err)
+			}
+		})
 		if ref == nil {
 			ref = eig
 		} else {
@@ -170,6 +174,5 @@ func TestEigenSolverPoolInvariant(t *testing.T) {
 				}
 			}
 		}
-		ham.Pool.Close()
 	}
 }

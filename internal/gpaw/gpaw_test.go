@@ -154,19 +154,21 @@ func TestHamiltonianExpectationAndBound(t *testing.T) {
 }
 
 func TestOrthonormalize(t *testing.T) {
-	psis := InitGuess(4, [3]int{10, 10, 10}, 2)
-	if err := Orthonormalize(psis); err != nil {
-		t.Fatal(err)
-	}
-	for i := range psis {
-		for j := range psis {
-			got := psis[i].Dot(psis[j])
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if math.Abs(got-want) > 1e-10 {
-				t.Fatalf("<%d|%d> = %g, want %g", i, j, got, want)
+	for _, halo := range []int{2, 0} { // orthonormalization reads no halo, so grids without one work too
+		psis := InitGuess(4, [3]int{10, 10, 10}, halo)
+		if err := Orthonormalize(psis); err != nil {
+			t.Fatal(err)
+		}
+		for i := range psis {
+			for j := range psis {
+				got := psis[i].Dot(psis[j])
+				want := 0.0
+				if i == j {
+					want = 1
+				}
+				if math.Abs(got-want) > 1e-10 {
+					t.Fatalf("halo %d: <%d|%d> = %g, want %g", halo, i, j, got, want)
+				}
 			}
 		}
 	}
@@ -193,7 +195,7 @@ func TestParticleInBoxEigenvalues(t *testing.T) {
 	es := NewEigenSolver(ham)
 	es.MaxIter = 4000
 	psis := InitGuess(2, [3]int{n, n, n}, 2)
-	eig, err := es.Solve(psis)
+	eig, err := es.Solve(len(psis), psis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +221,7 @@ func TestHarmonicOscillatorLevels(t *testing.T) {
 	es := NewEigenSolver(ham)
 	es.MaxIter = 6000
 	psis := InitGuess(4, [3]int{dims[0], dims[1], dims[2]}, 2)
-	eig, err := es.Solve(psis)
+	eig, err := es.Solve(len(psis), psis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +237,7 @@ func TestHarmonicOscillatorLevels(t *testing.T) {
 
 func TestEigenSolverEmptyInput(t *testing.T) {
 	es := NewEigenSolver(NewHamiltonian(0.5, nil, Dirichlet))
-	if _, err := es.Solve(nil); err == nil {
+	if _, err := es.Solve(0, nil); err == nil {
 		t.Fatal("empty state list accepted")
 	}
 }

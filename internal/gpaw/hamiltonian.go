@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/grid"
+	"repro/internal/mpi"
 	"repro/internal/stencil"
 )
 
@@ -14,47 +15,79 @@ func Kinetic(r int, h float64) *stencil.Operator {
 }
 
 // Hamiltonian is a one-particle Kohn–Sham Hamiltonian H = -(1/2)∇² + V
-// with a local effective potential on the same grid as the
-// wave-functions.
+// with a local effective potential, on the sub-domains of a Dist.
 type Hamiltonian struct {
-	T    *stencil.Operator // kinetic operator
-	V    *grid.Grid        // local effective potential
-	BC   Boundary
-	Pool *stencil.Pool // worker pool for grid sweeps; nil runs serial
+	// D is the distributed context. It is nil on a NewHamiltonian
+	// operator: each use then runs on a one-rank context covering its
+	// grids.
+	D *Dist
+	T *stencil.Operator // kinetic operator
+	V *grid.Grid        // local effective potential (may be nil)
+
+	bc Boundary // the one-rank context's boundary condition when D is nil
 }
 
-// NewHamiltonian builds H with the paper's radius-2 kinetic stencil,
-// running on the process-wide worker pool.
+// NewHamiltonian builds an undecomposed H with the paper's radius-2
+// kinetic stencil: v and the wave-functions are whole grids.
 func NewHamiltonian(h float64, v *grid.Grid, bc Boundary) *Hamiltonian {
-	return &Hamiltonian{T: Kinetic(2, h), V: v, BC: bc, Pool: stencil.Shared()}
+	return &Hamiltonian{T: Kinetic(2, h), V: v, bc: bc}
+}
+
+// NewDistHamiltonian builds H on d: v and the wave-functions are d's
+// local sub-domains.
+func NewDistHamiltonian(d *Dist, h float64, v *grid.Grid) *Hamiltonian {
+	return &Hamiltonian{D: d, T: Kinetic(2, h), V: v}
+}
+
+// bound returns h itself when it has a context, else a copy on a
+// one-rank context covering g.
+func (h *Hamiltonian) bound(g *grid.Grid) *Hamiltonian {
+	if h.D != nil {
+		return h
+	}
+	b := *h
+	b.D = selfDist(g.Dims(), g.H, h.bc)
+	return &b
 }
 
 // Apply computes dst = H psi in one fused sweep (kinetic stencil plus
-// potential term). psi's halos are overwritten according to the
-// boundary condition.
+// potential term) behind one halo exchange of psi.
 func (h *Hamiltonian) Apply(dst, psi *grid.Grid) {
-	fillHalos(psi, h.BC)
-	h.T.ApplyStep(h.Pool, dst, psi, h.V, 1, 0)
-}
-
-// Step computes dst = psi - tau*H(psi) in one fused sweep — the
-// eigensolver's damped power iteration without a separate H
-// application and axpy pass.
-func (h *Hamiltonian) Step(dst, psi *grid.Grid, tau float64) {
-	fillHalos(psi, h.BC)
-	h.T.ApplyStep(h.Pool, dst, psi, h.V, -tau, 1)
+	h.bound(psi).applyStates([]*grid.Grid{dst}, []*grid.Grid{psi}, 1, 0)
 }
 
 // Expectation returns <psi|H|psi> / <psi|psi>.
 func (h *Hamiltonian) Expectation(psi *grid.Grid) float64 {
+	h = h.bound(psi)
 	hp := grid.NewDims(psi.Dims(), psi.H)
 	h.Apply(hp, psi)
-	return psi.Dot(hp) / psi.Dot(psi)
+	return h.D.Dot(psi, hp) / h.D.Dot(psi, psi)
+}
+
+// applyStates computes dsts[i] = beta*psis[i] + alpha*(H psis[i]) for
+// every state, with halo exchange and compute structured by the Dist's
+// approach (batched exchange, per-thread communication or per-grid
+// fork-join). Overlapped contexts run each state's fused step split-
+// phase: the deep interior sweeps while the batch's halo messages are
+// in flight, the boundary shell after they land. The eigensolver's
+// damped power step and RayleighRitz (bands.go) apply H through it, so
+// the overlap covers the bands x domain layout too.
+func (h *Hamiltonian) applyStates(dsts, psis []*grid.Grid, alpha, beta float64) {
+	defer h.D.Cart.TraceRank().Region("eigen.apply").End()
+	if h.D.overlap {
+		h.D.forEachSplit(psis,
+			func(gi int, p *stencil.Pool) { h.T.ApplyStepInterior(p, dsts[gi], psis[gi], h.V, alpha, beta) },
+			func(gi int) { h.T.ApplyStepShell(dsts[gi], psis[gi], h.V, alpha, beta) })
+		return
+	}
+	h.D.forEachExchanged(psis, func(gi int, p *stencil.Pool) {
+		h.T.ApplyStep(p, dsts[gi], psis[gi], h.V, alpha, beta)
+	})
 }
 
 // kineticBound returns the kinetic part of the spectral bound: the sum
 // of the operator's absolute coefficients. It depends only on the
-// stencil, so serial and distributed solvers compute it identically.
+// stencil, so every rank computes it identically.
 func kineticBound(op *stencil.Operator) float64 {
 	bound := 0.0
 	for _, c := range op.X {
@@ -73,9 +106,9 @@ func kineticBound(op *stencil.Operator) float64 {
 }
 
 // maxPotential returns the maximum interior value of v, floored at 0 —
-// the potential term of the spectral bound. Max is associative, so a
-// per-rank maximum folded with an MPI max-reduction equals the serial
-// global maximum exactly.
+// the potential term of the spectral bound. Max is associative, so the
+// per-rank maxima folded with an MPI max-reduction give the global
+// maximum exactly, for every decomposition.
 func maxPotential(v *grid.Grid) float64 {
 	vmax := 0.0
 	d := v.Dims()
@@ -92,12 +125,15 @@ func maxPotential(v *grid.Grid) float64 {
 }
 
 // SpectralBound returns an upper bound on H's largest eigenvalue, used
-// to pick stable step sizes for the eigensolver: the kinetic bound
-// (sum of |coefficients|) plus the potential maximum.
+// to pick stable step sizes for the eigensolver: the kinetic bound (sum
+// of |coefficients|) plus the global potential maximum.
 func (h *Hamiltonian) SpectralBound() float64 {
 	bound := kineticBound(h.T)
 	if h.V != nil {
-		bound += maxPotential(h.V)
+		in := [1]float64{maxPotential(h.V)}
+		var out [1]float64
+		h.bound(h.V).D.Cart.Allreduce(mpi.OpMax, in[:], out[:])
+		bound += out[0]
 	}
 	return bound
 }

@@ -55,9 +55,9 @@ func cgUnder(t *testing.T, p int, procs topology.Dims, a core.Approach, calibrat
 		m := bgpsim.NetModelFor(p)
 		m.Coords = NetCoords(cfg, m.Net)
 		m.NoComputeWall = true
-		mk, err = mpi.RunModeled(p, modeFor(a), m, body)
+		mk, err = runRanksModeled(p, modeFor(a), m, body)
 	} else {
-		err = mpi.Run(p, modeFor(a), body)
+		err = runRanks(p, modeFor(a), body)
 	}
 	if err != nil {
 		t.Fatalf("p=%d procs %v approach %v calibrated=%v: %v", p, procs, a, calibrated, err)
@@ -127,9 +127,9 @@ func TestWavefrontSORBitIdenticalUnderModel(t *testing.T) {
 				m := bgpsim.NetModelFor(p)
 				m.Coords = NetCoords(cfg, m.Net)
 				m.NoComputeWall = true
-				_, err = mpi.RunModeled(p, mpi.ThreadSingle, m, body)
+				_, err = runRanksModeled(p, mpi.ThreadSingle, m, body)
 			} else {
-				err = mpi.Run(p, mpi.ThreadSingle, body)
+				err = runRanks(p, mpi.ThreadSingle, body)
 			}
 			if err != nil {
 				t.Fatalf("p=%d calibrated=%v: %v", p, calibrated, err)
@@ -180,7 +180,7 @@ func TestMappingSensitivity(t *testing.T) {
 		m := bgpsim.NetModelFor(p)
 		m.Coords = NetCoords(cfg, m.Net)
 		m.NoComputeWall = true
-		mk, err := mpi.RunModeled(p, mpi.ThreadSingle, m, func(c *mpi.Comm) {
+		mk, err := runRanksModeled(p, mpi.ThreadSingle, m, func(c *mpi.Comm) {
 			d, err := NewDist(c, cfg)
 			if err != nil {
 				panic(err)

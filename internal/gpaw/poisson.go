@@ -5,6 +5,15 @@
 // on real-space grids, with thousands of wave-function grids all
 // decomposed identically — using the operators of internal/stencil.
 //
+// There is one solver stack. Every solver runs on a Dist — one rank's
+// share of a bands x domain layout over an MPI communicator (dist.go) —
+// and a serial calculation is the one-rank instance: the constructors
+// that take no Dist (NewPoisson, NewMultigrid, NewHamiltonian, NewSCF)
+// run the same code on a one-rank context over mpi.Self, on the calling
+// goroutine and the process-wide worker pool. Only the unfused
+// SolveCGReference is a separate formulation, kept as the oracle the
+// fused solver is tested against.
+//
 // Every solver runs on the shared-memory worker pool of
 // internal/stencil and on its fused kernels, so each iteration makes
 // roughly half the full-grid memory passes of the textbook chains
@@ -18,6 +27,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/detsum"
 	"repro/internal/grid"
 	"repro/internal/stencil"
 )
@@ -40,7 +50,8 @@ func (b Boundary) String() string {
 	return "dirichlet"
 }
 
-// fillHalos installs boundary values for one application.
+// fillHalos installs boundary values of an undecomposed grid for one
+// application of the reference solver.
 func fillHalos(g *grid.Grid, bc Boundary) {
 	if bc == Periodic {
 		g.FillHalosPeriodic()
@@ -49,61 +60,94 @@ func fillHalos(g *grid.Grid, bc Boundary) {
 	}
 }
 
-// Poisson solves ∇²φ = rhs with a finite-difference Laplacian of the
-// given radius, using either damped Jacobi iteration or conjugate
-// gradients. For the periodic problem the right-hand side must integrate
-// to zero (the solver removes the mean defensively) and the solution is
-// fixed to zero mean.
+// Poisson solves ∇²φ = rhs on the local sub-domains of a Dist with a
+// finite-difference Laplacian, by damped Jacobi iteration, conjugate
+// gradients or successive over-relaxation. For the periodic problem the
+// right-hand side must integrate to zero (the solver removes the mean
+// defensively) and the solution is fixed to zero mean. Iterates are
+// bit-identical for every rank count, process grid and thread count.
 type Poisson struct {
+	// D is the distributed context. It is nil on a NewPoisson solver:
+	// each solve then runs on a one-rank context covering its grids.
+	D       *Dist
 	Op      *stencil.Operator
-	BC      Boundary
 	Tol     float64 // relative residual target
 	MaxIter int
-	Pool    *stencil.Pool // worker pool for grid sweeps; nil runs serial
+
+	bc Boundary // D.BC, or the one-rank context's when D is nil
 }
 
-// NewPoisson builds a solver with the paper's radius-2 Laplacian,
-// running on the process-wide worker pool.
+// NewPoisson builds an undecomposed solver with the paper's radius-2
+// Laplacian: phi and rhs are whole grids.
 func NewPoisson(h float64, bc Boundary) *Poisson {
-	return &Poisson{Op: stencil.Laplacian(2, h), BC: bc, Tol: 1e-8, MaxIter: 10000, Pool: stencil.Shared()}
+	return &Poisson{Op: stencil.Laplacian(2, h), Tol: 1e-8, MaxIter: 10000, bc: bc}
 }
 
-// residual computes r = rhs - ∇²phi in one fused sweep and returns its
-// norm.
+// NewDistPoisson builds the solver on d with the same defaults: phi and
+// rhs are d's local sub-domains, and every rank of d calls each solve.
+func NewDistPoisson(d *Dist, h float64) *Poisson {
+	ps := NewPoisson(h, d.BC)
+	ps.D = d
+	return ps
+}
+
+// bound returns ps itself when it has a context, else a copy on a
+// one-rank context covering g.
+func (ps *Poisson) bound(g *grid.Grid) *Poisson {
+	if ps.D != nil {
+		return ps
+	}
+	b := *ps
+	b.D = selfDist(g.Dims(), g.H, ps.bc)
+	return &b
+}
+
+// residual computes r = rhs - ∇²phi (one halo exchange + one fused
+// sweep, overlapped when the context allows) and returns the global
+// residual norm.
 func (ps *Poisson) residual(r, phi, rhs *grid.Grid) float64 {
-	fillHalos(phi, ps.BC)
-	return math.Sqrt(ps.Op.ApplyResidual(ps.Pool, r, rhs, phi))
+	d := ps.D
+	var acc detsum.Acc
+	d.withOverlap(d.eng, phi,
+		func() { ps.Op.ApplyResidualAcc(d.pool, r, rhs, phi, &acc) },
+		func() { ps.Op.ApplyResidualInteriorAcc(d.pool, r, rhs, phi, &acc) },
+		func() { ps.Op.ApplyResidualShellAcc(r, rhs, phi, &acc) })
+	return math.Sqrt(d.reduceAcc(&acc))
 }
 
 // SolveJacobi runs damped Jacobi relaxation, returning the iteration
-// count and final relative residual. phi is the initial guess and result.
-// Each iteration is two fused sweeps (residual-with-norm, correction
-// axpy) instead of the five passes of the unfused formulation.
+// count and final relative residual. phi is the initial guess and
+// result. Each iteration is two fused sweeps (residual-with-norm,
+// correction axpy) instead of the five passes of the unfused
+// formulation.
 func (ps *Poisson) SolveJacobi(phi, rhs *grid.Grid) (int, float64, error) {
+	ps = ps.bound(phi)
+	d := ps.D
+	defer d.Cart.TraceRank().Region("poisson.jacobi").End()
 	omega := 0.7
 	diag := ps.Op.Center
 	if diag == 0 {
 		return 0, 0, fmt.Errorf("gpaw: singular stencil diagonal")
 	}
 	b := rhs.Clone()
-	if ps.BC == Periodic {
-		removeMean(ps.Pool, b)
+	if d.BC == Periodic {
+		d.removeMean(b)
 	}
 	r := grid.NewDims(phi.Dims(), phi.H)
-	norm0 := b.Norm2()
+	norm0 := d.Norm2(b)
 	if norm0 == 0 {
 		phi.Fill(0)
 		return 0, 0, nil
 	}
 	for it := 1; it <= ps.MaxIter; it++ {
 		res := ps.residual(r, phi, b)
-		if ps.BC == Periodic {
-			removeMean(ps.Pool, phi)
+		if d.BC == Periodic {
+			d.removeMean(phi)
 		}
 		if res/norm0 < ps.Tol {
 			return it, res / norm0, nil
 		}
-		ps.Pool.Axpy(phi, omega/diag, r)
+		d.pool.Axpy(phi, omega/diag, r)
 	}
 	res := ps.residual(r, phi, b)
 	return ps.MaxIter, res / norm0, errNotConverged("Jacobi", res/norm0)
@@ -112,48 +156,60 @@ func (ps *Poisson) SolveJacobi(phi, rhs *grid.Grid) (int, float64, error) {
 // SolveCG runs conjugate gradients on the negated (positive-definite)
 // Laplacian. Much faster than Jacobi for the same tolerance. The sign
 // is folded into the operator coefficients and every iteration is four
-// fused sweeps — apply-with-dot, axpy, axpy-with-norm, axpy-with-scale —
-// about half the memory passes of SolveCGReference.
+// fused sweeps — exchange + apply-with-dot, axpy, axpy-with-norm,
+// axpy-with-scale — about half the memory passes of SolveCGReference,
+// with exact global reductions.
 func (ps *Poisson) SolveCG(phi, rhs *grid.Grid) (int, float64, error) {
+	ps = ps.bound(phi)
+	d := ps.D
+	defer d.Cart.TraceRank().Region("poisson.cg").End()
 	// Solve (-∇²) phi = -rhs, which is symmetric positive (semi-)definite.
 	neg := ps.Op.Scaled(-1)
 	b := rhs.Clone()
-	ps.Pool.Scale(b, -1)
-	if ps.BC == Periodic {
-		removeMean(ps.Pool, b)
+	d.pool.Scale(b, -1)
+	if d.BC == Periodic {
+		d.removeMean(b)
 	}
-	norm0 := b.Norm2()
+	norm0 := d.Norm2(b)
 	if norm0 == 0 {
 		phi.Fill(0)
 		return 0, 0, nil
 	}
 	r := grid.NewDims(phi.Dims(), phi.H)
 	ap := grid.NewDims(phi.Dims(), phi.H)
-	// r = b - A phi, fused with the halo fill preceding it.
-	fillHalos(phi, ps.BC)
-	neg.ApplyResidual(ps.Pool, r, b, phi)
-	if ps.BC == Periodic {
-		removeMean(ps.Pool, r)
+	var acc detsum.Acc
+	d.withOverlap(d.eng, phi,
+		func() { neg.ApplyResidualAcc(d.pool, r, b, phi, &acc) },
+		func() { neg.ApplyResidualInteriorAcc(d.pool, r, b, phi, &acc) },
+		func() { neg.ApplyResidualShellAcc(r, b, phi, &acc) })
+	if d.BC == Periodic {
+		d.removeMean(r)
 	}
 	p := r.Clone()
-	rsold := ps.Pool.Dot(r, r)
+	rsold := d.Dot(r, r)
 	for it := 1; it <= ps.MaxIter; it++ {
-		fillHalos(p, ps.BC)
-		pap := neg.ApplyDot(ps.Pool, ap, p) // ap = A p and <p, Ap> in one sweep
+		// ap = A p and <p, Ap>, the deep interior computed while p's
+		// halo messages are in flight.
+		acc.Reset()
+		d.withOverlap(d.eng, p,
+			func() { neg.ApplyDotAcc(d.pool, ap, p, &acc) },
+			func() { neg.ApplyDotInteriorAcc(d.pool, ap, p, &acc) },
+			func() { neg.ApplyDotShellAcc(ap, p, &acc) })
+		pap := d.reduceAcc(&acc)
 		alpha := rsold / pap
-		ps.Pool.Axpy(phi, alpha, p)
-		rs := ps.Pool.AxpyDot(r, -alpha, ap) // r -= alpha*Ap and <r, r> in one sweep
-		if ps.BC == Periodic {
-			removeMean(ps.Pool, r)
-			rs = ps.Pool.Dot(r, r)
+		d.pool.Axpy(phi, alpha, p)
+		rs := d.AxpyDot(r, -alpha, ap) // r -= alpha*Ap and <r, r> in one sweep
+		if d.BC == Periodic {
+			d.removeMean(r)
+			rs = d.Dot(r, r)
 		}
 		if math.Sqrt(rs)/norm0 < ps.Tol {
-			if ps.BC == Periodic {
-				removeMean(ps.Pool, phi)
+			if d.BC == Periodic {
+				d.removeMean(phi)
 			}
 			return it, math.Sqrt(rs) / norm0, nil
 		}
-		ps.Pool.AxpyScale(p, 1, r, rs/rsold) // p = r + beta*p in one sweep
+		d.pool.AxpyScale(p, 1, r, rs/rsold) // p = r + beta*p in one sweep
 		rsold = rs
 	}
 	return ps.MaxIter, math.Sqrt(rsold) / norm0, errNotConverged("CG", math.Sqrt(rsold)/norm0)
@@ -161,12 +217,14 @@ func (ps *Poisson) SolveCG(phi, rhs *grid.Grid) (int, float64, error) {
 
 // SolveCGReference is the unfused conjugate-gradient formulation the
 // fused SolveCG replaces: separate Apply, Scale, Axpy and Dot passes
-// per iteration. It is kept as the numerical reference for equivalence
-// tests and as the baseline for the memory-traffic benchmarks.
+// per iteration over an undecomposed grid, with local halo fills and no
+// context. It is kept as the independent numerical reference for
+// equivalence tests and as the baseline for the memory-traffic
+// benchmarks.
 func (ps *Poisson) SolveCGReference(phi, rhs *grid.Grid) (int, float64, error) {
 	b := rhs.Clone()
 	b.Scale(-1)
-	if ps.BC == Periodic {
+	if ps.bc == Periodic {
 		removeMeanSerial(b)
 	}
 	norm0 := b.Norm2()
@@ -175,7 +233,7 @@ func (ps *Poisson) SolveCGReference(phi, rhs *grid.Grid) (int, float64, error) {
 		return 0, 0, nil
 	}
 	apply := func(dst, src *grid.Grid) {
-		fillHalos(src, ps.BC)
+		fillHalos(src, ps.bc)
 		ps.Op.Apply(dst, src)
 		dst.Scale(-1)
 	}
@@ -185,7 +243,7 @@ func (ps *Poisson) SolveCGReference(phi, rhs *grid.Grid) (int, float64, error) {
 	apply(r, phi)
 	r.Scale(-1)
 	r.Axpy(1, b)
-	if ps.BC == Periodic {
+	if ps.bc == Periodic {
 		removeMeanSerial(r)
 	}
 	p := r.Clone()
@@ -195,12 +253,12 @@ func (ps *Poisson) SolveCGReference(phi, rhs *grid.Grid) (int, float64, error) {
 		alpha := rsold / p.Dot(ap)
 		phi.Axpy(alpha, p)
 		r.Axpy(-alpha, ap)
-		if ps.BC == Periodic {
+		if ps.bc == Periodic {
 			removeMeanSerial(r)
 		}
 		rs := r.Dot(r)
 		if math.Sqrt(rs)/norm0 < ps.Tol {
-			if ps.BC == Periodic {
+			if ps.bc == Periodic {
 				removeMeanSerial(phi)
 			}
 			return it, math.Sqrt(rs) / norm0, nil
@@ -212,11 +270,28 @@ func (ps *Poisson) SolveCGReference(phi, rhs *grid.Grid) (int, float64, error) {
 	return ps.MaxIter, math.Sqrt(rsold) / norm0, errNotConverged("CG", math.Sqrt(rsold)/norm0)
 }
 
-// SolveSOR runs successive over-relaxation: a Gauss–Seidel sweep with
-// over-relaxation factor omega in (0, 2). In-place updates propagate
-// within a sweep, so it converges substantially faster than Jacobi at
-// the cost of a fixed traversal order.
+// removeMeanSerial subtracts the interior mean on the calling goroutine
+// with a single straight-line accumulator, for the reference solver.
+func removeMeanSerial(g *grid.Grid) {
+	g.AddScalar(-g.Sum() / float64(g.Points()))
+}
+
+// SolveSOR runs successive over-relaxation: a lexicographic
+// Gauss–Seidel sweep with over-relaxation factor omega in (0, 2).
+// In-place updates propagate within a sweep, so it converges
+// substantially faster than Jacobi at the cost of a fixed traversal
+// order. The sweep is the pipelined wavefront of wavefront.go: every
+// rank sweeps its sub-domain plane by plane in the global order,
+// receiving updated upstream boundary planes into its halos just before
+// reading them and streaming its own boundaries downstream as each
+// plane completes. No rank gathers the grid; per-iteration
+// communication is the ordinary halo exchange plus the boundary-plane
+// pipeline, both O(surface), and the update order — and therefore every
+// bit of every iterate — is that of one undecomposed sweep.
 func (ps *Poisson) SolveSOR(phi, rhs *grid.Grid, omega float64) (int, float64, error) {
+	ps = ps.bound(phi)
+	d := ps.D
+	defer d.Cart.TraceRank().Region("poisson.sor").End()
 	if omega <= 0 || omega >= 2 {
 		return 0, 0, fmt.Errorf("gpaw: SOR omega %g outside (0, 2)", omega)
 	}
@@ -224,22 +299,23 @@ func (ps *Poisson) SolveSOR(phi, rhs *grid.Grid, omega float64) (int, float64, e
 		return 0, 0, fmt.Errorf("gpaw: singular stencil diagonal")
 	}
 	b := rhs.Clone()
-	if ps.BC == Periodic {
-		removeMean(ps.Pool, b)
+	if d.BC == Periodic {
+		d.removeMean(b)
 	}
-	norm0 := b.Norm2()
+	norm0 := d.Norm2(b)
 	if norm0 == 0 {
 		phi.Fill(0)
 		return 0, 0, nil
 	}
+	wf := newSORWavefront(d, ps.Op)
 	r := grid.NewDims(phi.Dims(), phi.H)
 	for it := 1; it <= ps.MaxIter; it++ {
-		// One lexicographic Gauss-Seidel sweep with halo refresh first;
-		// in-place updates use the freshest interior values available.
-		fillHalos(phi, ps.BC)
-		ps.Op.SORSweep(phi, b, omega)
-		if ps.BC == Periodic {
-			removeMean(ps.Pool, phi)
+		// Pre-sweep exchange: +side and periodic-wrap halos must hold
+		// pre-sweep values.
+		d.Exchange(phi)
+		wf.sweep(phi, b, omega)
+		if d.BC == Periodic {
+			d.removeMean(phi)
 		}
 		res := ps.residual(r, phi, b)
 		if res/norm0 < ps.Tol {
@@ -250,24 +326,13 @@ func (ps *Poisson) SolveSOR(phi, rhs *grid.Grid, omega float64) (int, float64, e
 	return ps.MaxIter, res / norm0, errNotConverged("SOR", res/norm0)
 }
 
-// removeMean subtracts the interior mean (projects out the constant
-// nullspace of the periodic Laplacian) with two pooled sweeps.
-func removeMean(p *stencil.Pool, g *grid.Grid) {
-	mean := p.Sum(g) / float64(g.Points())
-	p.AddScalar(g, -mean)
-}
-
-// removeMeanSerial is removeMean on the calling goroutine with a single
-// straight-line accumulator, used by the unfused reference solver.
-func removeMeanSerial(g *grid.Grid) {
-	g.AddScalar(-g.Sum() / float64(g.Points()))
-}
-
 // HartreePotential solves ∇²v = -4πn for the given density and returns
 // v (zero-mean for periodic boundaries).
 func (ps *Poisson) HartreePotential(n *grid.Grid) (*grid.Grid, error) {
+	ps = ps.bound(n)
+	defer ps.D.Cart.TraceRank().Region("poisson.hartree").End()
 	rhs := n.Clone()
-	ps.Pool.Scale(rhs, -4*math.Pi)
+	ps.D.pool.Scale(rhs, -4*math.Pi)
 	v := grid.NewDims(n.Dims(), n.H)
 	if _, _, err := ps.SolveCG(v, rhs); err != nil {
 		return nil, err

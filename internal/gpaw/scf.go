@@ -1,11 +1,13 @@
 package gpaw
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/detsum"
 	"repro/internal/grid"
+	"repro/internal/pblas"
 	"repro/internal/topology"
 )
 
@@ -39,52 +41,10 @@ func bandEnergy(eig []float64, electrons int) float64 {
 		occ := math.Min(2, remaining)
 		//lint:ignore detsumcheck occupation bookkeeping folds in fixed state order from the replicated eigenvalue list — deterministic on every rank
 		remaining -= occ
-		//lint:ignore detsumcheck band-energy fold in fixed state order is the serial reference sequence the differential harness asserts
+		//lint:ignore detsumcheck band-energy fold in fixed state order over the replicated eigenvalues is the sequence the golden energies were produced with
 		total += occ * e
 	}
 	return total
-}
-
-// SCF runs a simple self-consistent loop with Hartree and local-density
-// exchange (Slater Xα): diagonalize H[n], rebuild n, mix, repeat. It is
-// deliberately small — enough to generate the "thousands of
-// wave-functions, one density" workload shape the paper describes —
-// not a production DFT code.
-type SCF struct {
-	Sys     System
-	Mix     float64 // linear density mixing factor
-	Tol     float64 // density residual target
-	MaxIter int
-}
-
-// NewSCF builds an SCF driver with conservative defaults.
-func NewSCF(sys System) *SCF {
-	return &SCF{Sys: sys, Mix: 0.3, Tol: 1e-6, MaxIter: 60}
-}
-
-// states returns the number of doubly occupied orbitals.
-func (s *SCF) states() int { return (s.Sys.Electrons + 1) / 2 }
-
-// buildDensity assembles n(r) = Σ_i f_i |ψ_i|² normalized to the
-// electron count. Each state contributes one fused
-// accumulate-the-square sweep.
-func (s *SCF) buildDensity(psis []*grid.Grid) *grid.Grid {
-	n := grid.NewDims(s.Sys.Dims, psis[0].H)
-	dV := s.Sys.Spacing * s.Sys.Spacing * s.Sys.Spacing
-	remaining := float64(s.Sys.Electrons)
-	for _, psi := range psis {
-		occ := math.Min(2, remaining)
-		//lint:ignore detsumcheck occupation bookkeeping folds in fixed state order — deterministic on every rank
-		remaining -= occ
-		n.AccumSquared(occ, psi)
-	}
-	// Wave-functions are dot-product normalized; scale so that
-	// ∫n dV = electrons.
-	total := n.Sum() * dV
-	if total > 0 {
-		n.Scale(float64(s.Sys.Electrons) / total)
-	}
-	return n
 }
 
 // xAlpha is the Slater exchange potential v_x = -(3 n / π)^(1/3).
@@ -95,71 +55,227 @@ func xAlpha(n float64) float64 {
 	return -math.Cbrt(3 * n / math.Pi)
 }
 
-// Run executes the self-consistent loop.
+// SCF runs a simple self-consistent loop with Hartree and local-density
+// exchange (Slater Xα): diagonalize H[n], rebuild n, mix, repeat. It is
+// deliberately small — enough to generate the "thousands of
+// wave-functions, one density" workload shape the paper describes —
+// not a production DFT code. Sys describes the global system (Vext is
+// the global external potential, replicated on every rank); the
+// result's grids are this rank's local sub-domains while eigenvalues,
+// energies, iteration counts and residuals are identical on every rank
+// and bit-identical for every layout.
+type SCF struct {
+	// D is the distributed context. It is nil on a NewSCF driver: Run
+	// then builds a one-rank context covering Sys.Dims.
+	D       *Dist
+	Sys     System
+	Mix     float64 // linear density mixing factor
+	Tol     float64 // density residual target
+	MaxIter int
+	// Ckpt, when set, snapshots the SCF state (density, effective
+	// potential, this band group's states, eigenvalues, iteration
+	// counter) every Ckpt.Every iterations; see checkpoint.go.
+	Ckpt *Checkpointer
+	// OnIteration, when set, is called on every rank at the top of each
+	// SCF iteration, before any communication of that iteration. The
+	// fault-injection harness uses it to kill a rank at a chosen
+	// iteration; production callers may use it for progress reporting.
+	OnIteration func(it int)
+	// Guard, when set, runs the silent-data-corruption monitors each
+	// iteration (see sdc.go); NewDistSCF arms one when d.ABFT is set.
+	Guard *SDCGuard
+}
+
+// NewSCF builds an undecomposed SCF driver with conservative defaults.
+func NewSCF(sys System) *SCF {
+	return &SCF{Sys: sys, Mix: 0.3, Tol: 1e-6, MaxIter: 60}
+}
+
+// NewDistSCF builds the driver on d with the same defaults; every rank
+// of d calls Run.
+func NewDistSCF(d *Dist, sys System) *SCF {
+	s := NewSCF(sys)
+	s.D = d
+	if d.ABFT {
+		s.Guard = &SDCGuard{}
+	}
+	return s
+}
+
+// states returns the number of doubly occupied orbitals.
+func (s *SCF) states() int { return (s.Sys.Electrons + 1) / 2 }
+
+// buildDensity assembles n(r) = Σ_i f_i |ψ_i|² normalized to the
+// electron count, one fused accumulate-the-square sweep per state.
+// States circulate through the band communicator in ascending global
+// order so every rank accumulates occ·|ψ|² in the same state order,
+// then the normalization sum reduces exactly over the domain. The
+// returned density is replicated across band groups.
+func (s *SCF) buildDensity(m int, psis []*grid.Grid) *grid.Grid {
+	d := s.D
+	defer d.Cart.TraceRank().Region("scf.density").End()
+	n := grid.NewDims(d.local, d.Decomp.Halo)
+	dV := s.Sys.Spacing * s.Sys.Spacing * s.Sys.Spacing
+	remaining := float64(s.Sys.Electrons)
+	d.forEachBandState(m, psis, func(_ int, src *grid.Grid) {
+		occ := math.Min(2, remaining)
+		remaining -= occ
+		n.AccumSquared(occ, src)
+	})
+	// Wave-functions are dot-product normalized; scale so that
+	// ∫n dV = electrons.
+	total := d.Sum(n) * dV
+	if total > 0 {
+		n.Scale(float64(s.Sys.Electrons) / total)
+	}
+	return n
+}
+
+// Run executes the self-consistent loop (every reduced scalar is
+// identical on every rank, so all ranks take the same branches).
 func (s *SCF) Run() (*SCFResult, error) {
+	return s.run(nil)
+}
+
+// Resume continues the self-consistent loop from a restored checkpoint
+// (RestoreSCF), starting at iteration rs.Iteration+1. Because every
+// reduction in the solver stack is exact and the restored state is a
+// bit-exact re-tiling of the checkpointed one, the resumed run — on the
+// same process grid, a shrunken one, or a grown one — produces results
+// bit-identical to an undisturbed run, including the reported iteration
+// count.
+func (s *SCF) Resume(rs *SCFRestart) (*SCFResult, error) {
+	if rs == nil {
+		return nil, fmt.Errorf("gpaw: nil SCF restart state")
+	}
+	if rs.States != s.states() {
+		return nil, fmt.Errorf("gpaw: checkpoint has %d states, system wants %d", rs.States, s.states())
+	}
+	if rs.Iteration >= s.MaxIter {
+		return nil, fmt.Errorf("gpaw: checkpoint at iteration %d leaves no iterations below MaxIter %d", rs.Iteration, s.MaxIter)
+	}
+	return s.run(rs)
+}
+
+func (s *SCF) run(rs *SCFRestart) (*SCFResult, error) {
 	if s.Sys.Electrons < 1 {
 		return nil, fmt.Errorf("gpaw: %d electrons", s.Sys.Electrons)
 	}
 	if s.Sys.Vext == nil {
 		return nil, fmt.Errorf("gpaw: missing external potential")
 	}
+	if s.D == nil {
+		b := *s
+		b.D = selfDist(s.Sys.Dims, 2, s.Sys.BC)
+		s = &b
+	}
+	if s.Sys.BC != s.D.BC {
+		return nil, fmt.Errorf("gpaw: system boundary %v != distributed context boundary %v", s.Sys.BC, s.D.BC)
+	}
+	if s.Sys.Dims != s.D.Decomp.Global {
+		return nil, fmt.Errorf("gpaw: system dims %v != decomposed global %v", s.Sys.Dims, s.D.Decomp.Global)
+	}
+	d := s.D
 	m := s.states()
-	halo := 2
-	psis := InitGuess(m, [3]int{s.Sys.Dims[0], s.Sys.Dims[1], s.Sys.Dims[2]}, halo)
-	poisson := NewPoisson(s.Spacing(), s.Sys.BC)
+	poisson := NewDistPoisson(d, s.Sys.Spacing)
 	poisson.Tol = 1e-8
+	vextLocal := d.ScatterReplicated(s.Sys.Vext)
 
-	veff := s.Sys.Vext.Clone()
-	var n *grid.Grid
+	var psis []*grid.Grid
+	var n, veff *grid.Grid
 	var eig []float64
-	for it := 1; it <= s.MaxIter; it++ {
-		h := NewHamiltonian(s.Spacing(), veff, s.Sys.BC)
-		es := NewEigenSolver(h)
-		es.Tol = 1e-7
-		es.MaxIter = 600
-		var err error
-		eig, err = es.Solve(psis)
-		if err != nil {
-			return nil, fmt.Errorf("gpaw: scf iteration %d: %w", it, err)
-		}
-		newN := s.buildDensity(psis)
-		var residual float64
-		if n == nil {
-			n = newN
-			residual = math.Inf(1)
-		} else {
-			residual = math.Sqrt(mixDensity(n, newN, s.Mix))
-		}
-		vh, err := poisson.HartreePotential(n)
-		if err != nil {
-			return nil, fmt.Errorf("gpaw: scf iteration %d hartree: %w", it, err)
-		}
-		updateVeff(veff, s.Sys.Vext, vh, n)
-		if residual < s.Tol {
-			return &SCFResult{Eigenvalues: eig, TotalEnergy: bandEnergy(eig, s.Sys.Electrons),
-				Density: n, VHartree: vh, Iterations: it, Residual: residual}, nil
-		}
-		if it == s.MaxIter {
-			return &SCFResult{Eigenvalues: eig, TotalEnergy: bandEnergy(eig, s.Sys.Electrons),
-					Density: n, VHartree: vh, Iterations: it, Residual: residual},
-				fmt.Errorf("gpaw: SCF did not reach %g (residual %g)", s.Tol, residual)
+	start := 0
+	if rs != nil {
+		psis, n, veff, eig = rs.Psis, rs.N, rs.Veff, rs.Eig
+		start = rs.Iteration
+	} else {
+		psis = d.InitGuessBand(m, [3]int{s.Sys.Dims[0], s.Sys.Dims[1], s.Sys.Dims[2]})
+		veff = vextLocal.Clone()
+	}
+	for it := start + 1; it <= s.MaxIter; it++ {
+		// One traced region per SCF iteration; the closure gives the span
+		// a single exit covering the loop body's early returns.
+		res, err := func() (*SCFResult, error) {
+			defer d.Cart.TraceRank().Region("scf.iteration").End()
+			if s.OnIteration != nil {
+				s.OnIteration(it)
+			}
+			if s.Guard != nil {
+				if s.Guard.Tamper != nil {
+					s.Guard.Tamper(it, psis, n, veff)
+				}
+				if err := s.Guard.checkFields(d, it, psis, n, veff); err != nil {
+					return nil, fmt.Errorf("gpaw: scf iteration %d: %w", it, err)
+				}
+			}
+			h := NewDistHamiltonian(d, s.Sys.Spacing, veff)
+			es := NewEigenSolver(h)
+			es.Tol = 1e-7
+			es.MaxIter = 600
+			var err error
+			eig, err = es.Solve(m, psis)
+			if err != nil {
+				var sdc *pblas.ErrSDCDetected
+				if errors.As(err, &sdc) && s.Guard != nil {
+					s.Guard.NoteABFT(d, sdc)
+				}
+				return nil, fmt.Errorf("gpaw: scf iteration %d: %w", it, err)
+			}
+			if s.Guard != nil {
+				if err := s.Guard.checkEig(d, it, eig); err != nil {
+					return nil, fmt.Errorf("gpaw: scf iteration %d: %w", it, err)
+				}
+			}
+			newN := s.buildDensity(m, psis)
+			var residual float64
+			if n == nil {
+				n = newN
+				residual = math.Inf(1)
+			} else {
+				var acc detsum.Acc
+				mixDensityAcc(n, newN, s.Mix, &acc)
+				residual = math.Sqrt(d.reduceAcc(&acc))
+			}
+			if s.Guard != nil {
+				if err := s.Guard.checkResidual(d, it, residual); err != nil {
+					return nil, fmt.Errorf("gpaw: scf iteration %d: %w", it, err)
+				}
+			}
+			vh, err := poisson.HartreePotential(n)
+			if err != nil {
+				return nil, fmt.Errorf("gpaw: scf iteration %d hartree: %w", it, err)
+			}
+			updateVeff(veff, vextLocal, vh, n)
+			// Snapshot after the mix and potential update: (psis, n, veff,
+			// eig, it) is the complete SCF state — the Hartree solve holds
+			// no cross-iteration state. Saved before the convergence
+			// branch, which is taken identically on every rank.
+			if s.Ckpt.due(it) {
+				if err := s.Ckpt.saveSCF(s, it, m, eig, psis, n, veff); err != nil {
+					return nil, fmt.Errorf("gpaw: scf iteration %d checkpoint: %w", it, err)
+				}
+			}
+			if residual < s.Tol {
+				return &SCFResult{Eigenvalues: eig, TotalEnergy: bandEnergy(eig, s.Sys.Electrons),
+					Density: n, VHartree: vh, Iterations: it, Residual: residual}, nil
+			}
+			if it == s.MaxIter {
+				return &SCFResult{Eigenvalues: eig, TotalEnergy: bandEnergy(eig, s.Sys.Electrons),
+						Density: n, VHartree: vh, Iterations: it, Residual: residual},
+					fmt.Errorf("gpaw: SCF did not reach %g (residual %g)", s.Tol, residual)
+			}
+			return nil, nil
+		}()
+		if res != nil || err != nil {
+			return res, err
 		}
 	}
 	return nil, fmt.Errorf("gpaw: unreachable")
 }
 
-// mixDensity linearly mixes newN into n (n += mix*(newN - n)) and
-// returns the squared L2 norm of the density change, in one sweep over
-// flat rows instead of a per-point accessor loop with a separate norm
-// pass.
-func mixDensity(n, newN *grid.Grid, mix float64) float64 {
-	var acc detsum.Acc
-	mixDensityAcc(n, newN, mix, &acc)
-	return acc.Round()
-}
-
-// mixDensityAcc is mixDensity accumulating the squared density change
-// into acc, so the distributed SCF can fold per-rank partials into the
+// mixDensityAcc linearly mixes newN into n (n += mix*(newN - n)) and
+// accumulates the squared L2 norm of the density change into acc — one
+// sweep over flat rows; the caller folds the per-rank partials into the
 // exact global norm.
 func mixDensityAcc(n, newN *grid.Grid, mix float64, acc *detsum.Acc) {
 	nd, md := n.Data(), newN.Data()
@@ -194,9 +310,6 @@ func updateVeff(veff, vext, vh, n *grid.Grid) {
 	}
 	grid.NoteTraffic(veff.Points(), 4)
 }
-
-// Spacing returns the grid spacing.
-func (s *SCF) Spacing() float64 { return s.Sys.Spacing }
 
 // HarmonicPotential fills a grid with V(r) = 1/2 ω² |r - center|², the
 // classic validation potential with analytic levels ω(n + 3/2).

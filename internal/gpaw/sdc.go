@@ -33,7 +33,7 @@ import (
 const sdcMagnitudeLimit = 1e50
 
 // SDCGuard monitors one rank's view of a distributed SCF run for silent
-// data corruption. Install via DistSCF.Guard (NewDistSCF arms one
+// data corruption. Install via SCF.Guard (NewDistSCF arms one
 // automatically when the Dist was built with DistConfig.ABFT). The
 // zero value uses the defaults; a guard belongs to a single run.
 type SDCGuard struct {

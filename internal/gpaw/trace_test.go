@@ -20,7 +20,7 @@ import (
 // ranks start.
 func runDistTraced(t *testing.T, tr *trace.Tracer, global, procs topology.Dims, a core.Approach, body func(d *Dist)) {
 	t.Helper()
-	w := mpi.NewWorld(procs.Count(), modeFor(a))
+	w := testWorld(procs.Count(), modeFor(a))
 	w.SetTracer(tr)
 	err := w.Run(func(c *mpi.Comm) {
 		d, err := NewDist(c, DistConfig{
@@ -169,7 +169,7 @@ func TestTracedFaultRecovery(t *testing.T) {
 	}
 	const p = 4
 	tr := trace.New(p, 1<<15)
-	w := mpi.NewWorld(p, mpi.ThreadSingle)
+	w := testWorld(p, mpi.ThreadSingle)
 	w.SetTracer(tr)
 	store := NewMemStore()
 	var got *SCFResult
@@ -179,7 +179,7 @@ func TestTracedFaultRecovery(t *testing.T) {
 			BC: sys.BC, Approach: core.FlatOptimized, Batch: 2,
 		}, sys, FTConfig{
 			Store: store, Every: 1, Recover: true,
-			Configure: func(s *DistSCF) {
+			Configure: func(s *SCF) {
 				s.Tol = 1e-4
 				s.OnIteration = func(it int) {
 					if it == 3 && c.Rank() == 2 {

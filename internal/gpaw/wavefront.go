@@ -30,10 +30,10 @@ import (
 // (mpi.Pipe lanes, FIFO per plane). Ranks ahead in the lexicographic
 // order are already several planes further on — the wavefront. All
 // pre-sweep +side and wrap halo values come from the ordinary halo
-// exchange that precedes the sweep, exactly mirroring the serial
-// fillHalos: periodic wrap reads see pre-sweep values even where the
-// source interior has since been updated, because the serial kernel
-// reads the stale halo copy, not the live interior.
+// exchange that precedes the sweep, exactly mirroring a halo fill of
+// the undecomposed grid: periodic wrap reads see pre-sweep values even
+// where the source interior has since been updated, because the serial
+// kernel reads the stale halo copy, not the live interior.
 //
 // Every point therefore reads bit-for-bit the values the serial sweep
 // reads, in a schedule that differs only between independent points —

@@ -1,0 +1,38 @@
+package gpaw
+
+import (
+	"time"
+
+	"repro/internal/mpi"
+)
+
+// testWorld is the world every test of this package runs its ranks on:
+// each blocking wait is bounded, so a deadlock fails as a
+// *mpi.TimeoutError carrying the pending-receive dump within a minute
+// instead of as a go test kill. (Modeled and paced delay do not count
+// toward the limit.)
+func testWorld(n int, mode mpi.ThreadMode) *mpi.World {
+	w := mpi.NewWorld(n, mode)
+	w.SetOpTimeout(60 * time.Second)
+	return w
+}
+
+// runRanks is mpi.Run on a testWorld.
+func runRanks(n int, mode mpi.ThreadMode, body func(c *mpi.Comm)) error {
+	return testWorld(n, mode).Run(body)
+}
+
+// runRanksWithFaults is mpi.RunWithFaults on a testWorld.
+func runRanksWithFaults(n int, mode mpi.ThreadMode, plan *mpi.FaultPlan, body func(c *mpi.Comm)) error {
+	w := testWorld(n, mode)
+	w.SetFaultPlan(plan)
+	return w.Run(body)
+}
+
+// runRanksModeled is mpi.RunModeled on a testWorld.
+func runRanksModeled(n int, mode mpi.ThreadMode, m *mpi.NetModel, body func(c *mpi.Comm)) (time.Duration, error) {
+	w := testWorld(n, mode)
+	w.SetNetModel(m)
+	err := w.Run(body)
+	return w.MaxVirtualTime(), err
+}

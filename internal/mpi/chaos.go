@@ -490,12 +490,12 @@ func (w *World) chaosDeliver(toW int, fr *chaosFrame) {
 		}
 		if (pr.prSrc == AnySource || pr.prSrc == fr.commSrc) && (pr.prTag == AnyTag || pr.prTag == fr.tag) {
 			box.posted[i] = nil
+			w.untrack(pr) // before completion, as in sendDeliver
 			if fr.fail != nil {
 				pr.completeErr(fr.commSrc, fr.tag, 0, fr.fail)
 			} else {
 				completeRecv(pr, fr.commSrc, fr.tag, fr.data, fr.arriveAt)
 			}
-			w.untrack(pr)
 			box.cond.Broadcast()
 			return
 		}

@@ -387,3 +387,38 @@ func TestPipeFailsOnDeadStage(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRecvPostedAcrossFirstDeathFails is the regression test for the
+// lost wake-up on an un-planned world: ftOn is false until the first
+// death arms it, so a receive that entered irecv before the death and is
+// tracked after revoke's sweep must re-read ftOn — or it waits forever.
+// The hook holds rank 0 inside irecv while rank 1 dies.
+func TestRecvPostedAcrossFirstDeathFails(t *testing.T) {
+	entered, died := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	testHookIrecv = func() {
+		once.Do(func() {
+			close(entered)
+			<-died
+		})
+	}
+	defer func() { testHookIrecv = nil }()
+	w := NewWorld(3, ThreadSingle)
+	w.SetOpTimeout(5 * time.Second) // a stranded receive fails the test instead of hanging it
+	err := w.Run(func(c *Comm) {
+		switch c.Rank() {
+		case 0:
+			rf := recoverFailure(func() { c.Recv(2, 7, make([]float64, 1)) }) // rank 2 never sends
+			if rf == nil || rf.Rank != 1 {
+				panic(fmt.Sprintf("receive posted across the death: failure = %v, want rank 1", rf))
+			}
+		case 1:
+			<-entered
+			defer close(died) // runs as Fail unwinds, after the revocation swept
+			c.Fail()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

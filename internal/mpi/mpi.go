@@ -447,8 +447,11 @@ func (c *Comm) sendDeliver(to, tag int, data []float64) {
 		}
 		if (pr.prSrc == AnySource || pr.prSrc == c.rank) && (pr.prTag == AnyTag || pr.prTag == tag) {
 			box.posted[i] = nil
-			completeRecv(pr, c.rank, tag, data, arriveAt)
+			// Untrack before completing: once complete, the waiter may
+			// reclaim the request and another rank re-track it, and a late
+			// untrack would erase that live entry.
 			c.world.untrack(pr)
+			completeRecv(pr, c.rank, tag, data, arriveAt)
 			box.cond.Broadcast()
 			return
 		}
@@ -520,9 +523,16 @@ func (c *Comm) Irecv(from, tag int, buf []float64) *Request {
 	return c.irecv(from, tag, buf)
 }
 
+// testHookIrecv, when set by a test, runs on entry to every receive
+// post, before the mailbox is locked — the window in which a peer's
+// death must still fail the receive.
+var testHookIrecv func()
+
 //gpaw:hotpath
 func (c *Comm) irecv(from, tag int, buf []float64) *Request {
-	ft := c.world.ftOn.Load()
+	if testHookIrecv != nil {
+		testHookIrecv()
+	}
 	if c.world.netOn.Load() {
 		c.world.chargePost(c.group[c.rank])
 	}
@@ -560,10 +570,13 @@ func (c *Comm) irecv(from, tag int, buf []float64) *Request {
 	c.world.track(req)
 	// Fault checks must come after the request is tracked: a revocation
 	// that raced ahead of the post has already swept the pending set, so
-	// re-checking here guarantees the request can never be stranded.
+	// re-checking here guarantees the request can never be stranded. ftOn
+	// is loaded here, not on entry: an un-planned world arms it at the
+	// first death (die stores it before revoke sweeps), which may fall
+	// between this call's entry and the track above.
 	var failErr error
 	var deadPeer = -1
-	if ft {
+	if c.world.ftOn.Load() {
 		if int64(c.epoch) <= c.world.revokedEpoch.Load() {
 			failErr = c.world.failure()
 		} else if from != AnySource && from >= 0 && from < len(c.group) {
@@ -658,4 +671,13 @@ probe:
 		c.world.advanceTo(c.group[c.rank], arriveAt)
 	}
 	return src, gotTag, n
+}
+
+// Self returns a one-rank communicator on a world of its own, the
+// analogue of MPI_COMM_SELF: the calling goroutine is rank 0. There is
+// no World.Run and no rank goroutine, so a panic unwinds the caller
+// directly.
+func Self() *Comm {
+	var active int32
+	return &Comm{world: NewWorld(1, ThreadSingle), group: []int{0}, active: &active}
 }

@@ -71,15 +71,24 @@ func benchPoissonProblem() *grid.Grid {
 	return rhs
 }
 
+// singleThreadPoisson returns the Dirichlet solver for n^3 grids on a
+// one-rank context without a worker pool, so the fused/unfused CG
+// comparisons isolate kernel fusion from worker-pool parallelism.
+func singleThreadPoisson(n int) *gpaw.Poisson {
+	d, err := gpaw.NewDist(mpi.Self(), gpaw.DistConfig{Global: topology.Dims{n, n, n},
+		Procs: topology.Dims{1, 1, 1}, Halo: 2, BC: gpaw.Dirichlet, Approach: core.FlatOptimized})
+	if err != nil {
+		panic(err)
+	}
+	return gpaw.NewDistPoisson(d, 0.3)
+}
+
 // BenchmarkCGFused runs the fused conjugate-gradient Poisson solve
 // (apply-with-dot, axpy-with-norm, axpy-with-scale: ~11 full-grid
-// passes per iteration). Both CG benchmarks run serially (Pool = nil)
-// so the fused/unfused comparison isolates kernel fusion from
-// worker-pool parallelism.
+// passes per iteration). Both CG benchmarks run on one thread.
 func BenchmarkCGFused(b *testing.B) {
 	rhs := benchPoissonProblem()
-	ps := gpaw.NewPoisson(0.3, gpaw.Dirichlet)
-	ps.Pool = nil
+	ps := singleThreadPoisson(benchN)
 	ps.Tol = 1e-6
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -94,8 +103,7 @@ func BenchmarkCGFused(b *testing.B) {
 // (~18 passes per iteration) for comparison.
 func BenchmarkCGUnfused(b *testing.B) {
 	rhs := benchPoissonProblem()
-	ps := gpaw.NewPoisson(0.3, gpaw.Dirichlet)
-	ps.Pool = nil
+	ps := singleThreadPoisson(benchN)
 	ps.Tol = 1e-6
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -437,8 +445,7 @@ func TestWriteStencilBenchJSON(t *testing.T) {
 
 	rhs := gpaw.GaussianDensity(topology.Dims{n, n, n}, 0.3, 1.2, 1)
 	rhs.Scale(-1)
-	ps := gpaw.NewPoisson(0.3, gpaw.Dirichlet)
-	ps.Pool = nil
+	ps := singleThreadPoisson(n)
 	ps.Tol = 1e-7
 	phi := grid.New(n, n, n, 2)
 	grid.ResetTraffic()
