@@ -9,12 +9,13 @@
 //     double buffering, message batching, and the four programming
 //     approaches (flat original/optimized, hybrid multiple/master-only),
 //     running on a real in-process MPI runtime with bitwise verification.
-//     The exchange is split-phase: StartExchange posts every receive and
-//     send up front and returns an in-flight handle, FinishExchange
-//     completes it — so solvers sweep the halo-free deep interior while
-//     the messages travel and finish the one-radius boundary shell
-//     afterwards (communication/computation overlap, the paper's
-//     headline optimization). Exchange state is pooled on the engine and
+//     The exchange is split-phase, and scheduled in one place: the
+//     engine's batch loop (Engine.Run) posts every receive and send up
+//     front, calls the solver's compute callback on the halo-free deep
+//     interior while the messages travel, completes the exchange and
+//     calls it again on the one-radius boundary shell
+//     (communication/computation overlap, the paper's headline
+//     optimization). Exchange state is pooled on the engine and
 //     requests are recycled into the mpi world, making the steady-state
 //     loop allocation-free (asserted by TestOverlapExchangeZeroAlloc).
 //   - internal/mpi — that runtime: goroutine ranks, MPI matching
@@ -43,14 +44,16 @@
 //     stencil+BLAS-1 kernels (apply-with-dot, residual, smooth, damped
 //     step) that cut the memory passes of a solver iteration roughly in
 //     half, fused single-sweep grid primitives, and a traffic counter
-//     that makes the savings observable (BENCH_stencil.json). Every
-//     fused kernel also comes as a shell-aware Interior/Shell pair
-//     (shell.go): the deep-interior box [R, N-R)³ reads no halo and runs
-//     while the exchange is in flight, the at-most-six-block boundary
-//     shell (two x slabs, two y strips, two z strips) runs after —
-//     covering every point exactly once (fuzz-verified) with reductions
-//     through exact accumulators, so the split is bit-identical to the
-//     full sweep.
+//     that makes the savings observable (the grid.traffic_passes_per_op
+//     and stencil.* ledger rows of `bash benchmark/run.sh --trace 1`).
+//     A sweep is (fusion, region): every kernel is written once and
+//     covers the Region of the Operator view it is called on (shell.go,
+//     Operator.Over): the deep-interior box [R, N-R)³ reads no halo and
+//     runs while the exchange is in flight, the at-most-six-block
+//     boundary shell (two x slabs, two y strips, two z strips) runs
+//     after — covering every point exactly once (fuzz-verified) with
+//     reductions through exact accumulators, so Interior then Shell is
+//     bit-identical to the Full sweep.
 //   - internal/gpaw, internal/linalg — a miniature real-space DFT stack
 //     (Poisson, Kohn–Sham eigensolver, SCF) providing the workload
 //     context GPAW gives the kernel. Each algorithm is written once, on
@@ -96,7 +99,8 @@
 //     a symmetric eigensolver, each bit-identical to its replicated
 //     internal/linalg counterpart for every grid shape and block size
 //     (ascending-k panel broadcasts reproduce the serial rounding
-//     sequence exactly; BENCH_eigen.json tracks the layer's timings).
+//     sequence exactly; the pblas.* ledger rows of benchmark/run.sh
+//     track the layer's timings).
 //   - internal/detsum — exact, order-independent float64 summation (a
 //     small Kulisch-style superaccumulator). Every reduction in the
 //     solver stack accumulates through it, which makes dot products,

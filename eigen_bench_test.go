@@ -1,11 +1,8 @@
 package repro
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -22,10 +19,8 @@ import (
 
 // Benchmarks for the band-parallel dense-subspace layer: SUMMA
 // distributed matrix multiplication across process-grid shapes, and the
-// band-parallel Rayleigh–Ritz step across bands x ranks layouts.
-// TestWriteEigenBenchJSON distills the same measurements into
-// BENCH_eigen.json so the subsystem's perf trajectory is tracked
-// alongside BENCH_stencil.json.
+// band-parallel Rayleigh–Ritz step across bands x ranks layouts; the
+// tests below them hold the layer's deterministic properties.
 
 // summaOnce multiplies two n x n matrices over a pr x pc grid and
 // returns the replicated product (nil off rank 0).
@@ -195,56 +190,15 @@ func BenchmarkBandRayleighRitz(b *testing.B) {
 	}
 }
 
-// eigenBenchReport is the schema of BENCH_eigen.json.
-type eigenBenchReport struct {
-	Grid       [3]int `json:"grid"`
-	States     int    `json:"states"`
-	SummaN     int    `json:"summa_n"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
-	// Wall time of one band-parallel Rayleigh–Ritz step per
-	// bands x total-ranks layout (informational, host-dependent).
-	BandRayleighRitzNs map[string]float64 `json:"band_rayleigh_ritz_ns"`
-	// Wall time of one n x n SUMMA multiply per grid shape.
-	SummaNs map[string]float64 `json:"summa_ns"`
-	// Bit-identity of the Ritz values across every measured layout —
-	// asserted, because it is deterministic.
-	RitzValuesIdentical bool `json:"ritz_values_identical"`
-	// SUMMA re-run under the calibrated BG/P network model: virtual
-	// makespan of one multiply per simulated grid shape and, at 64
-	// ranks, per rank placement (the product is asserted bit-identical
-	// to the eager run). Deterministic model predictions, not host
-	// measurements.
-	SummaVirtUsCalibrated map[string]float64 `json:"summa_virt_us_calibrated"`
-	// Per-phase profile of one traced 4x4 calibrated SUMMA multiply
-	// under the virtual clock (pblas.summa region over the mpi
-	// broadcast/send spans). Deterministic (NoComputeWall).
-	Profile *trace.Profile `json:"profile"`
-}
-
-// TestWriteEigenBenchJSON measures the band-parallel subspace layer
-// and, when BENCH_EIGEN_JSON is set, rewrites BENCH_eigen.json at the
-// repository root (gated so routine `go test ./...` runs don't dirty
-// the committed file with host-specific timings). Wall times are
-// informational; the cross-layout bit-identity of the Ritz values is
-// asserted because it is deterministic.
-func TestWriteEigenBenchJSON(t *testing.T) {
+// TestBandRayleighRitzLayoutInvariant: the Ritz values of one
+// band-parallel Rayleigh–Ritz step must have the same bits on every
+// bands x domain layout.
+func TestBandRayleighRitzLayoutInvariant(t *testing.T) {
 	global := topology.Dims{12, 12, 12}
 	const m = 6
 	h := 0.5
 	vext := gpaw.HarmonicPotential(global, h, 1)
-	rep := eigenBenchReport{
-		Grid:               [3]int{global[0], global[1], global[2]},
-		States:             m,
-		SummaN:             64,
-		GOMAXPROCS:         runtime.GOMAXPROCS(0),
-		NumCPU:             runtime.NumCPU(),
-		BandRayleighRitzNs: map[string]float64{},
-		SummaNs:            map[string]float64{},
-	}
-	const reps = 3
 	var ref []float64
-	rep.RitzValuesIdentical = true
 	for _, l := range []struct {
 		bands int
 		procs topology.Dims
@@ -254,62 +208,54 @@ func TestWriteEigenBenchJSON(t *testing.T) {
 		{2, topology.Dims{1, 1, 2}},
 		{4, topology.Dims{1, 1, 2}},
 	} {
-		var eig []float64
-		ns := timeApply(reps, func() { eig = bandRROnce(global, m, l.bands, l.procs, vext, h) })
-		rep.BandRayleighRitzNs[fmt.Sprintf("bands%d_ranks%d", l.bands, l.bands*l.procs.Count())] = ns
+		eig := bandRROnce(global, m, l.bands, l.procs, vext, h)
 		if ref == nil {
 			ref = eig
 		}
 		for i := range eig {
 			if eig[i] != ref[i] {
-				rep.RitzValuesIdentical = false
 				t.Errorf("bands %d procs %v: Ritz value %d = %.17g deviates from %.17g",
 					l.bands, l.procs, i, eig[i], ref[i])
 			}
 		}
 	}
-	am, bm := benchMatrices(rep.SummaN)
-	for _, shape := range [][2]int{{1, 1}, {1, 2}, {2, 2}} {
-		ns := timeApply(reps, func() { summaOnce(am, bm, shape[0], shape[1], 8) })
-		rep.SummaNs[fmt.Sprintf("grid%dx%d", shape[0], shape[1])] = ns
-	}
+}
 
-	// SUMMA under the calibrated transport: paper-scale simulated grids,
-	// with the 64-rank multiply additionally compared across placements.
-	// The model only reorders time, so the product must equal the eager
-	// run's bitwise.
-	rep.SummaVirtUsCalibrated = map[string]float64{}
-	eagerProduct := summaOnce(am, bm, 4, 4, 8)
-	for _, shape := range [][2]int{{2, 2}, {4, 4}, {8, 8}} {
-		out, mk := summaOnceModeled(am, bm, shape[0], shape[1], 8, topology.MapCart)
-		rep.SummaVirtUsCalibrated[fmt.Sprintf("grid%dx%d", shape[0], shape[1])] = float64(mk) / 1e3
-		if shape == [2]int{4, 4} {
-			for i := range out {
-				for j := range out[i] {
-					if out[i][j] != eagerProduct[i][j] {
-						t.Fatalf("calibrated SUMMA product deviates from eager at (%d,%d): %.17g vs %.17g",
-							i, j, out[i][j], eagerProduct[i][j])
-					}
-				}
+// TestCalibratedSUMMAMatchesEagerAndCartBeatsShuffle: the calibrated
+// model only reorders time, so a modeled 4x4 SUMMA product must equal
+// the eager run's bitwise; and at 64 ranks the Cartesian placement must
+// be cheaper than the shuffled one.
+func TestCalibratedSUMMAMatchesEagerAndCartBeatsShuffle(t *testing.T) {
+	am, bm := benchMatrices(64)
+	eager := summaOnce(am, bm, 4, 4, 8)
+	out, _ := summaOnceModeled(am, bm, 4, 4, 8, topology.MapCart)
+	for i := range out {
+		for j := range out[i] {
+			if out[i][j] != eager[i][j] {
+				t.Fatalf("calibrated SUMMA product deviates from eager at (%d,%d): %.17g vs %.17g",
+					i, j, out[i][j], eager[i][j])
 			}
 		}
 	}
 	_, cartMk := summaOnceModeled(am, bm, 8, 8, 8, topology.MapCart)
 	_, shufMk := summaOnceModeled(am, bm, 8, 8, 8, topology.MapShuffle)
-	rep.SummaVirtUsCalibrated["grid8x8_cart"] = float64(cartMk) / 1e3
-	rep.SummaVirtUsCalibrated["grid8x8_shuffle"] = float64(shufMk) / 1e3
 	if cartMk >= shufMk {
 		t.Errorf("64-rank SUMMA: cart placement (%v) not cheaper than shuffle (%v)", cartMk, shufMk)
 	}
-	// Local GEMM charges no modeled compute, so under the virtual clock
-	// the profile is all communication; assert the broadcast traffic and
-	// the one summa region per rank are on the timeline.
-	rep.Profile = summaProfile(am, bm, 4, 4, 8)
-	if rep.Profile.CommNs <= 0 {
-		t.Errorf("traced SUMMA profile lacks comm self time (%dns)", rep.Profile.CommNs)
+}
+
+// TestTracedSUMMAProfile: local GEMM charges no modeled compute, so
+// under the virtual clock a traced 4x4 SUMMA profile is all
+// communication, with the broadcast traffic and one summa region per
+// rank on the timeline.
+func TestTracedSUMMAProfile(t *testing.T) {
+	am, bm := benchMatrices(64)
+	prof := summaProfile(am, bm, 4, 4, 8)
+	if prof.CommNs <= 0 {
+		t.Errorf("traced SUMMA profile lacks comm self time (%dns)", prof.CommNs)
 	}
 	summaCount := int64(0)
-	for _, ps := range rep.Profile.Phases {
+	for _, ps := range prof.Phases {
 		if ps.Name == "pblas.summa" {
 			summaCount = ps.Count
 		}
@@ -317,16 +263,4 @@ func TestWriteEigenBenchJSON(t *testing.T) {
 	if summaCount != 16 {
 		t.Errorf("traced SUMMA profile has %d pblas.summa regions, want one per rank (16)", summaCount)
 	}
-	if os.Getenv("BENCH_EIGEN_JSON") != "" {
-		out, err := json.MarshalIndent(&rep, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := writeFileAtomic("BENCH_eigen.json", append(out, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Logf("band RR 1-band %.2fms vs 4-band/8-rank %.2fms; Ritz values identical: %v",
-		rep.BandRayleighRitzNs["bands1_ranks1"]/1e6,
-		rep.BandRayleighRitzNs["bands4_ranks8"]/1e6, rep.RitzValuesIdentical)
 }

@@ -310,7 +310,7 @@ func TestJobValidation(t *testing.T) {
 
 func TestNewEngineValidation(t *testing.T) {
 	op := stencil.Laplacian(2, 1)
-	err := mpi.Run(4, mpi.ThreadSingle, func(c *mpi.Comm) {
+	err := runRanks(4, mpi.ThreadSingle, func(c *mpi.Comm) {
 		cart := c.CartCreate(topology.Dims{4, 1, 1}, [3]bool{true, true, true}, false)
 		// Mismatched proc grid.
 		d := grid.MustDecomp(topology.Dims{16, 16, 16}, topology.Dims{2, 2, 1}, 2)
@@ -338,7 +338,7 @@ func TestNewEngineValidation(t *testing.T) {
 
 func TestEngineAccessors(t *testing.T) {
 	op := stencil.Laplacian(2, 1)
-	err := mpi.Run(2, mpi.ThreadSingle, func(c *mpi.Comm) {
+	err := runRanks(2, mpi.ThreadSingle, func(c *mpi.Comm) {
 		cart := c.CartCreate(topology.Dims{2, 1, 1}, [3]bool{true, true, true}, false)
 		d := grid.MustDecomp(topology.Dims{8, 8, 8}, topology.Dims{2, 1, 1}, 2)
 		eng, err := NewEngine(cart, d, op, true, OptionsFor(FlatOptimized, 2, 1))
@@ -363,7 +363,7 @@ func TestEngineAccessors(t *testing.T) {
 }
 
 func TestHybridMultipleRequiresMultipleMode(t *testing.T) {
-	err := mpi.Run(1, mpi.ThreadSingle, func(c *mpi.Comm) {
+	err := runRanks(1, mpi.ThreadSingle, func(c *mpi.Comm) {
 		cart := c.CartCreate(topology.Dims{1, 1, 1}, [3]bool{true, true, true}, false)
 		d := grid.MustDecomp(topology.Dims{8, 8, 8}, topology.Dims{1, 1, 1}, 2)
 		eng, err := NewEngine(cart, d, stencil.Laplacian(2, 1), true, OptionsFor(HybridMultiple, 1, 2))
@@ -372,7 +372,7 @@ func TestHybridMultipleRequiresMultipleMode(t *testing.T) {
 		}
 		src := []*grid.Grid{eng.NewLocalGrid()}
 		dst := []*grid.Grid{eng.NewLocalGrid()}
-		eng.ApplyAllHybridMultiple(dst, src) // must panic: SINGLE world
+		eng.Apply(HybridMultiple, dst, src) // must panic: SINGLE world
 	})
 	if err == nil {
 		t.Fatal("hybrid multiple in SINGLE mode not rejected")

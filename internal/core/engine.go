@@ -39,14 +39,13 @@ type Engine struct {
 	statsMu sync.Mutex
 	stats   Stats
 
-	// scratchMu guards the free pools below. Exchange state (pack/unpack
+	// scratchMu guards the free pool below. Exchange state (pack/unpack
 	// buffers, request slices, batch lists) is hoisted onto the engine
 	// and recycled across protocol invocations, so the steady state of
-	// every exchange loop — blocking and split-phase alike — performs no
+	// the protocol loop — blocking and split-phase alike — performs no
 	// per-iteration allocation.
-	scratchMu    sync.Mutex
-	scratchFree  []*applyScratch
-	inflightFree []*InFlightExchange
+	scratchMu   sync.Mutex
+	scratchFree []*applyScratch
 }
 
 // Stats accumulates per-rank communication accounting: message and
@@ -130,25 +129,14 @@ func (e *Engine) noteWait(hidden, visible int64) {
 	e.statsMu.Unlock()
 }
 
-// noteSplit records split-phase compute time.
+// noteSplit records split-phase compute time in the stats and the
+// armed tracer's counters.
 func (e *Engine) noteSplit(interior, shell int64) {
 	e.statsMu.Lock()
-	if interior > 0 {
-		e.stats.InteriorNs += interior
-	}
-	if shell > 0 {
-		e.stats.ShellNs += shell
-	}
+	e.stats.InteriorNs += interior
+	e.stats.ShellNs += shell
 	e.statsMu.Unlock()
-}
-
-// NoteSplit folds externally timed split-phase compute into the stats
-// (and the armed tracer's counters). The solver layer uses it for
-// interior/shell work it runs itself around StartExchange and
-// FinishExchange, outside the engine's own protocol loop.
-func (e *Engine) NoteSplit(interiorNs, shellNs int64) {
-	e.noteSplit(interiorNs, shellNs)
-	e.cart.TraceRank().AddSplit(interiorNs, shellNs)
+	e.cart.TraceRank().AddSplit(interior, shell)
 }
 
 // noteMsg folds one sent message into the counters. (This replaces the
@@ -166,15 +154,13 @@ func (s *Stats) noteMsg(bytes int64) {
 }
 
 // engineEpoch bases the engine's wall profiling clock; only
-// differences of NowNs readings are meaningful.
+// differences of nowNs readings are meaningful.
 var engineEpoch = time.Now()
 
-// NowNs reads the engine's profiling clock: the calling rank's modeled
+// nowNs reads the engine's profiling clock: the calling rank's modeled
 // virtual clock when a network model is armed (deterministic under
-// NoComputeWall), monotonic wall nanoseconds otherwise. Solver code
-// uses it so externally timed phases (NoteSplit) share the clock of
-// the engine's own wait accounting.
-func (e *Engine) NowNs() int64 {
+// NoComputeWall), monotonic wall nanoseconds otherwise.
+func (e *Engine) nowNs() int64 {
 	w := e.cart.World()
 	if w.NetArmed() {
 		return int64(w.VirtualTime(e.cart.WorldRank()))
@@ -252,6 +238,9 @@ type Batch struct{ Lo, Hi int } // grids [Lo, Hi)
 
 // Size returns the number of grids in the batch.
 func (b Batch) Size() int { return b.Hi - b.Lo }
+
+// shift returns the batch moved up by off grid indices.
+func (b Batch) shift(off int) Batch { return Batch{b.Lo + off, b.Hi + off} }
 
 // MakeBatches splits n grids into batches of the given size. With ramp
 // the first batch is halved (rounded up) so the pipeline can start
@@ -351,7 +340,7 @@ func (e *Engine) startExchange(st *exchangeState, src []*grid.Grid, tagBase, bi 
 		e.postDim(st, src, tagBase, bi, dim)
 	}
 	sp.End()
-	st.postedNs = e.NowNs()
+	st.postedNs = e.nowNs()
 }
 
 // postDim posts the receives and sends of one dimension for the batch.
@@ -404,10 +393,10 @@ func (e *Engine) postDim(st *exchangeState, src []*grid.Grid, tagBase, bi, dim i
 //gpaw:hotpath
 func (e *Engine) finishExchange(st *exchangeState, src []*grid.Grid) {
 	rk := e.cart.TraceRank()
-	t0 := e.NowNs()
+	t0 := e.nowNs()
 	sp := rk.Begin("halo.wait", trace.KindWait)
 	mpi.Waitall(st.reqs...)
-	t1 := e.NowNs()
+	t1 := e.nowNs()
 	sp.End()
 	e.unpack(st, src)
 	mpi.Reclaim(st.reqs...)
@@ -456,10 +445,10 @@ func (e *Engine) exchangeSerialized(st *exchangeState, src []*grid.Grid, tagBase
 		e.postDim(st, src, tagBase, bi, dim)
 		// The serialized pattern has no non-blocking window: every wait
 		// is visible, which is exactly what its profile should show.
-		t0 := e.NowNs()
+		t0 := e.nowNs()
 		sp := rk.Begin("halo.wait", trace.KindWait)
 		mpi.Waitall(st.reqs...)
-		t1 := e.NowNs()
+		t1 := e.nowNs()
 		sp.End()
 		e.noteWait(0, t1-t0)
 		rk.AddWait(0, t1-t0)
@@ -482,53 +471,56 @@ func (e *Engine) exchangeSerialized(st *exchangeState, src []*grid.Grid, tagBase
 	e.noteExchanges(int64(st.b.Size()))
 }
 
-// computeBatch applies the operator to every grid of the batch.
-func (e *Engine) computeBatch(dst, src []*grid.Grid, b Batch) {
-	for gi := b.Lo; gi < b.Hi; gi++ {
-		e.op.Apply(dst[gi], src[gi])
-	}
-}
-
-// runBatchesSplit is the engine's one protocol loop. It runs the
-// configured exchange (serialized or async, batched, double-buffered)
-// over one thread's share of the grids and invokes, per batch, the
-// split-phase compute pair:
+// runBatches is the engine's one protocol loop. It runs the configured
+// exchange (serialized or async, batched, double-buffered) over one
+// thread's share of the grids and computes each batch around it:
 //
-//   - interior(b) runs while the batch's halo messages are still in
-//     flight — it may touch every point that does not read a halo
-//     (the paper's communication/computation overlap);
-//   - shell(b) runs after the batch's halos are installed.
+//   - overlapped, compute(b, Interior) runs while the batch's halo
+//     messages are still in flight — it may touch every point that does
+//     not read a halo (the paper's communication/computation overlap) —
+//     and compute(b, Shell) runs after the batch's halos are installed,
+//     both timed into the stats and traced as compute.interior /
+//     compute.shell regions;
+//   - otherwise compute(b, Full) runs, untimed, after the halos are
+//     installed: the original finish-then-compute protocol.
 //
-// A nil interior degrades to the original finish-then-compute protocol
-// with shell as the whole computation. In serialized mode (the flat
-// original baseline) there is no non-blocking window, so interior and
-// shell both run after the blocking exchange. tagBase keeps concurrent
-// threads' messages disjoint.
-func (e *Engine) runBatchesSplit(src []*grid.Grid, tagBase int, interior, shell func(b Batch)) {
+// In serialized mode (the flat original baseline) there is no
+// non-blocking window, so an overlapped run's Interior and Shell both
+// follow the blocking exchange. tagBase keeps concurrent threads'
+// messages disjoint; off shifts the batches compute sees, so a thread's
+// share is reported in indices of the caller's whole slice.
+func (e *Engine) runBatches(src []*grid.Grid, tagBase, off int, overlap bool, compute func(b Batch, r stencil.Region)) {
 	if len(src) == 0 {
 		return
 	}
-	// The split-phase callbacks are timed (stats + trace regions) only
-	// when an interior exists: the interior/shell timings specifically
-	// measure the split-phase protocol, and the blocking nil-interior
-	// path must stay untimed and closure-free.
-	rk := e.cart.TraceRank()
 	sc := e.getScratch()
 	defer e.putScratch(sc)
 	sc.batches = appendBatches(sc.batches[:0], len(src), e.opts.BatchSize, e.opts.BatchRamp)
 	batches := sc.batches
+	// inFlight and landed are the compute calls on either side of the
+	// completion of batch b's exchange. Neither closure escapes, so the
+	// loop allocates nothing in steady state
+	// (TestOverlapExchangeZeroAlloc).
+	inFlight := func(b Batch) {
+		if overlap {
+			e.phase(compute, b.shift(off), stencil.Interior)
+		}
+	}
+	landed := func(b Batch) {
+		if overlap {
+			e.phase(compute, b.shift(off), stencil.Shell)
+		} else {
+			compute(b.shift(off), stencil.Full)
+		}
+	}
 
 	if e.opts.Exchange == ExchangeSerialized {
 		st := &sc.states[0]
 		for bi, b := range batches {
 			st.b = b
 			e.exchangeSerialized(st, src, tagBase, bi)
-			if interior != nil {
-				e.interiorPhase(rk, interior, b)
-				e.shellPhase(rk, shell, b)
-			} else {
-				shell(b)
-			}
+			inFlight(b)
+			landed(b)
 		}
 		return
 	}
@@ -538,15 +530,9 @@ func (e *Engine) runBatchesSplit(src []*grid.Grid, tagBase int, interior, shell 
 		for bi, b := range batches {
 			st.b = b
 			e.startExchange(st, src, tagBase, bi)
-			if interior != nil {
-				e.interiorPhase(rk, interior, b)
-			}
+			inFlight(b)
 			e.finishExchange(st, src)
-			if interior != nil {
-				e.shellPhase(rk, shell, b)
-			} else {
-				shell(b)
-			}
+			landed(b)
 		}
 		return
 	}
@@ -565,119 +551,61 @@ func (e *Engine) runBatchesSplit(src []*grid.Grid, tagBase int, interior, shell 
 			nxt.b = batches[bi+1]
 			e.startExchange(nxt, src, tagBase, bi+1)
 		}
-		if interior != nil {
-			e.interiorPhase(rk, interior, cur.b)
-		}
+		inFlight(cur.b)
 		e.finishExchange(cur, src)
-		if interior != nil {
-			e.shellPhase(rk, shell, cur.b)
-		} else {
-			shell(cur.b)
-		}
+		landed(cur.b)
 	}
 }
 
-// interiorPhase and shellPhase run one split-phase compute callback
-// with stats timing and a trace region. They take the callback as a
-// plain parameter (never capturing it) so the protocol loops stay
-// free of heap-allocated closures — the zero-allocation contract of
-// the exchange steady state.
-func (e *Engine) interiorPhase(rk *trace.Rank, f func(b Batch), b Batch) {
-	sp := rk.Begin("compute.interior", trace.KindRegion)
-	t0 := e.NowNs()
-	f(b)
-	d := e.NowNs() - t0
+// phase runs one split-phase compute callback, timed into the stats and
+// traced as a compute.interior or compute.shell region.
+func (e *Engine) phase(compute func(b Batch, r stencil.Region), b Batch, r stencil.Region) {
+	rk := e.cart.TraceRank()
+	var sp trace.Span
+	if r == stencil.Interior {
+		sp = rk.Begin("compute.interior", trace.KindRegion)
+	} else {
+		sp = rk.Begin("compute.shell", trace.KindRegion)
+	}
+	t0 := e.nowNs()
+	compute(b, r)
+	d := e.nowNs() - t0
 	sp.End()
-	e.noteSplit(d, 0)
-	rk.AddSplit(d, 0)
-}
-
-func (e *Engine) shellPhase(rk *trace.Rank, f func(b Batch), b Batch) {
-	sp := rk.Begin("compute.shell", trace.KindRegion)
-	t0 := e.NowNs()
-	f(b)
-	d := e.NowNs() - t0
-	sp.End()
-	e.noteSplit(0, d)
-	rk.AddSplit(0, d)
-}
-
-// applyGrids runs the configured protocol over one thread's share of the
-// grids with the whole computation after each batch's halos are
-// installed. tagBase keeps concurrent threads' messages disjoint.
-func (e *Engine) applyGrids(dst, src []*grid.Grid, tagBase int, compute func(dst, src []*grid.Grid, b Batch)) {
-	if len(dst) != len(src) {
-		panic("core: dst/src length mismatch")
+	if r == stencil.Interior {
+		e.noteSplit(d, 0)
+	} else {
+		e.noteSplit(0, d)
 	}
-	if compute == nil {
-		compute = e.computeBatch
-	}
-	e.runBatchesSplit(src, tagBase, nil, func(b Batch) { compute(dst, src, b) })
 }
 
 // tagStride returns the tag-space width reserved per thread for n grids.
 func tagStride(n int) int { return 6 * (n + 2) }
-
-// ApplyAll performs one application of the operator to every grid using
-// the engine's approach-independent protocol on the calling goroutine
-// (the flat layouts, one process per core).
-func (e *Engine) ApplyAll(dst, src []*grid.Grid) {
-	e.applyGrids(dst, src, 0, nil)
-}
-
-// ApplyAllHybridMultiple divides the grids among the engine's worker
-// pool; each worker runs the full protocol — including its own
-// communication — on its share (the hybrid multiple approach). The only
-// synchronization is the final join, whose cost does not grow with the
-// number of grids. The world must be in MULTIPLE thread mode.
-func (e *Engine) ApplyAllHybridMultiple(dst, src []*grid.Grid) {
-	if e.cart.World().Mode() != mpi.ThreadMultiple {
-		panic("core: hybrid multiple requires a MULTIPLE-mode world")
-	}
-	stride := tagStride(len(src))
-	e.pool.Exec(len(src), func(w, lo, hi int) {
-		e.applyGrids(dst[lo:hi], src[lo:hi], w*stride, nil)
-	})
-}
-
-// ApplyAllHybridMasterOnly runs the protocol on the calling (master)
-// thread only — SINGLE thread mode suffices — but splits each grid's
-// computation across the same worker pool with a fork-join per grid, so
-// the synchronization cost grows with the number of grids (the paper's
-// explanation for this approach's inferior scaling).
-func (e *Engine) ApplyAllHybridMasterOnly(dst, src []*grid.Grid) {
-	compute := func(dsts, srcs []*grid.Grid, b Batch) {
-		for gi := b.Lo; gi < b.Hi; gi++ {
-			// Per-grid fork-join: cost proportional to #grids.
-			e.op.ApplyParallel(e.pool, dsts[gi], srcs[gi])
-		}
-	}
-	e.applyGrids(dst, src, 0, compute)
-}
 
 // WorkerPool exposes the engine's per-node worker pool (nil for the
 // flat approaches). The distributed solver layer in internal/gpaw uses
 // it to split local compute while the engine handles communication.
 func (e *Engine) WorkerPool() *stencil.Pool { return e.pool }
 
-// RunBatches executes the engine's configured exchange protocol
-// (serialized or async, batched, double-buffered) over src on the
-// calling goroutine and invokes compute for each batch once its halos
-// are installed. It is ApplyAll with the computation replaced by a
-// callback — the hook the distributed solvers use to run fused kernels
-// behind the paper's overlap protocol.
-func (e *Engine) RunBatches(src []*grid.Grid, compute func(b Batch)) {
-	e.applyGrids(src, src, 0, func(_, _ []*grid.Grid, b Batch) { compute(b) })
-}
-
-// RunBatchesHybridMultiple divides src across the engine's worker pool;
-// each worker runs the full protocol — including its own communication —
-// on its share, and compute is invoked with batch indices into the full
-// src slice. The world must be in MULTIPLE thread mode. Without a pool
-// it degrades to RunBatches.
-func (e *Engine) RunBatchesHybridMultiple(src []*grid.Grid, compute func(b Batch)) {
-	if e.pool == nil {
-		e.RunBatches(src, compute)
+// Run executes the engine's configured exchange protocol (serialized or
+// async, batched, double-buffered) over src and invokes compute for
+// each batch of grid indices around the completion of its exchange: as
+// compute(b, Full) once the batch's halos are installed, or, with
+// overlap, as compute(b, Interior) while its halo messages are in
+// flight (it must not read halos) and compute(b, Shell) after they
+// land. It is the one entry point behind which the solver layer runs
+// its fused kernels on the paper's protocol.
+//
+// The approach decides who communicates. Hybrid multiple divides src
+// among the engine's worker pool and every worker runs the whole
+// protocol — including its own communication — on its share, so compute
+// is called concurrently; the only synchronization is the final join,
+// whose cost does not grow with the number of grids, and the world must
+// be in MULTIPLE thread mode. Every other approach runs the protocol on
+// the calling goroutine (for hybrid master-only, compute fork-joins
+// each grid across the pool itself, so SINGLE thread mode suffices).
+func (e *Engine) Run(a Approach, src []*grid.Grid, overlap bool, compute func(b Batch, r stencil.Region)) {
+	if a != HybridMultiple {
+		e.runBatches(src, 0, 0, overlap, compute)
 		return
 	}
 	if e.cart.World().Mode() != mpi.ThreadMultiple {
@@ -685,183 +613,38 @@ func (e *Engine) RunBatchesHybridMultiple(src []*grid.Grid, compute func(b Batch
 	}
 	stride := tagStride(len(src))
 	e.pool.Exec(len(src), func(w, lo, hi int) {
-		e.applyGrids(src[lo:hi], src[lo:hi], w*stride, func(_, _ []*grid.Grid, b Batch) {
-			compute(Batch{Lo: b.Lo + lo, Hi: b.Hi + lo})
-		})
+		e.runBatches(src[lo:hi], w*stride, lo, overlap, compute)
 	})
 }
 
 // Exchange fills the halos of every grid from the neighbouring ranks
 // (and from the grid itself across periodic wraps in undivided
-// dimensions) using the engine's configured protocol, without any
-// computation. Corner halos are not filled — the axis-aligned stencils
-// never read them, matching GPAW.
+// dimensions) using the engine's configured protocol on the calling
+// goroutine, without any computation. Corner halos are not filled — the
+// axis-aligned stencils never read them, matching GPAW.
 //
 //gpaw:hotpath
 func (e *Engine) Exchange(grids []*grid.Grid) {
-	e.RunBatches(grids, func(Batch) {})
+	e.runBatches(grids, 0, 0, false, func(Batch, stencil.Region) {})
 }
 
-// --- split-phase halo exchange --------------------------------------
-
-// overlapTagBase is the tag space of StartExchange handles, disjoint
-// from the per-thread tag spaces of the batched protocols (w*tagStride
-// stays far below it for realistic grid and thread counts) and from the
-// solver layer's gather/redistribution tags (1<<24 and above).
-const overlapTagBase = 1 << 22
-
-// InFlightExchange is the handle of one split-phase halo exchange:
-// StartExchange posts the non-blocking receives and sends and returns
-// immediately; the caller computes every point that does not read a
-// halo while the messages travel, then calls FinishExchange (or
-// Finish), which waits for the transfers, installs the halos and
-// recycles the handle. A handle must be finished exactly once and not
-// touched afterwards — the engine hands the object out again.
-type InFlightExchange struct {
-	e     *Engine
-	st    exchangeState
-	grids []*grid.Grid
-	done  bool
-	// released marks the handle as returned to the pool; finishing a
-	// handle twice would double-insert it and hand the same object to
-	// two later exchanges, so Finish panics instead.
-	released bool
-}
-
-// getInflight pops a pooled handle or allocates one, so the
-// start/finish pair is allocation-free in steady state.
-//
-//gpaw:hotpath
-func (e *Engine) getInflight() *InFlightExchange {
-	e.scratchMu.Lock()
-	if n := len(e.inflightFree); n > 0 {
-		h := e.inflightFree[n-1]
-		e.inflightFree[n-1] = nil
-		e.inflightFree = e.inflightFree[:n-1]
-		e.scratchMu.Unlock()
-		h.done = false
-		h.released = false
-		return h
-	}
-	e.scratchMu.Unlock()
-	//lint:ignore hotpathalloc pool miss: only the first few exchanges allocate a handle; steady state always pops one above
-	return &InFlightExchange{e: e}
-}
-
-// StartExchange begins a split-phase halo exchange of the given grids:
-// the receives for every face are posted and the surface points of all
-// three dimensions are packed and sent at once (the section-V
-// asynchronous pattern), all grids in a single batch. With serialized
-// options (the flat original baseline has no non-blocking window) the
-// exchange completes before returning and Finish is a no-op, so callers
-// can use the split-phase form unconditionally.
-//
-// The caller keeps ownership of the grids slice; the handle copies it.
-// Between Start and Finish the grids' interiors may be read and other
-// grids written, but the exchanged grids' halos are undefined.
-//
-//gpaw:hotpath
-func (e *Engine) StartExchange(grids []*grid.Grid) *InFlightExchange {
-	h := e.getInflight()
-	//lint:ignore hotpathalloc append into the pooled handle's recycled slice — capacity is warm after the first exchange of this batch size
-	h.grids = append(h.grids[:0], grids...)
-	h.st.b = Batch{0, len(grids)}
-	if len(grids) == 0 {
-		h.done = true
-		return h
-	}
-	if e.opts.Exchange == ExchangeSerialized {
-		e.exchangeSerialized(&h.st, h.grids, overlapTagBase, 0)
-		h.done = true
-		return h
-	}
-	e.startExchange(&h.st, h.grids, overlapTagBase, 0)
-	return h
-}
-
-// Finish completes the exchange: waits for all transfers, installs the
-// received surface points into the grids' halos and recycles the
-// handle. Finishing a handle twice panics.
-//
-//gpaw:hotpath
-func (h *InFlightExchange) Finish() {
-	if h.released {
-		panic("core: InFlightExchange finished twice")
-	}
-	if !h.done {
-		h.e.finishExchange(&h.st, h.grids)
-		h.done = true
-	}
-	h.released = true
-	// Drop the grid references before pooling so a parked handle does
-	// not pin the last exchange's grids alive.
-	clear(h.grids)
-	h.grids = h.grids[:0]
-	e := h.e
-	e.scratchMu.Lock()
-	//lint:ignore hotpathalloc append into the handle free pool; capacity is warm after the first start/finish cycle
-	e.inflightFree = append(e.inflightFree, h)
-	e.scratchMu.Unlock()
-}
-
-// Test reports whether every transfer of the exchange has already
-// completed, without blocking — Finish would not wait.
-func (h *InFlightExchange) Test() bool {
-	return h.done || mpi.Testall(h.st.reqs...)
-}
-
-// FinishExchange is Finish as an engine method, for symmetry with
-// StartExchange.
-//
-//gpaw:hotpath
-func (e *Engine) FinishExchange(h *InFlightExchange) { h.Finish() }
-
-// RunBatchesSplit executes the engine's configured exchange protocol
-// over src on the calling goroutine with split-phase compute: for each
-// batch, interior(b) runs while the batch's halo messages are in
-// flight (it must not read halos), then the exchange completes and
-// shell(b) runs over the halo-reading remainder. It is the overlapped
-// sibling of RunBatches; with serialized options both callbacks run
-// after the blocking exchange.
-func (e *Engine) RunBatchesSplit(src []*grid.Grid, interior, shell func(b Batch)) {
-	e.runBatchesSplit(src, 0, interior, shell)
-}
-
-// RunBatchesSplitHybridMultiple divides src across the engine's worker
-// pool; each worker runs the full split-phase protocol — including its
-// own communication — on its share, with batch indices into the full
-// src slice. The world must be in MULTIPLE thread mode. Without a pool
-// it degrades to RunBatchesSplit.
-func (e *Engine) RunBatchesSplitHybridMultiple(src []*grid.Grid, interior, shell func(b Batch)) {
-	if e.pool == nil {
-		e.RunBatchesSplit(src, interior, shell)
-		return
-	}
-	if e.cart.World().Mode() != mpi.ThreadMultiple {
-		panic("core: hybrid multiple requires a MULTIPLE-mode world")
-	}
-	stride := tagStride(len(src))
-	e.pool.Exec(len(src), func(w, lo, hi int) {
-		shifted := func(f func(b Batch)) func(b Batch) {
-			if f == nil {
-				return nil // preserve runBatchesSplit's nil-interior degrade
-			}
-			return func(b Batch) { f(Batch{Lo: b.Lo + lo, Hi: b.Hi + lo}) }
-		}
-		e.runBatchesSplit(src[lo:hi], w*stride, shifted(interior), shifted(shell))
-	})
-}
-
-// Apply dispatches to the approach-specific driver.
+// Apply performs one application of the operator to every grid with
+// approach a: dst[i] = op(src[i]) behind the protocol of Run. Hybrid
+// master-only splits each grid's computation across the worker pool
+// with a fork-join per grid, so its synchronization cost grows with the
+// number of grids (the paper's explanation for that approach's inferior
+// scaling).
 func (e *Engine) Apply(a Approach, dst, src []*grid.Grid) {
-	switch a {
-	case FlatOriginal, FlatOptimized:
-		e.ApplyAll(dst, src)
-	case HybridMultiple:
-		e.ApplyAllHybridMultiple(dst, src)
-	case HybridMasterOnly:
-		e.ApplyAllHybridMasterOnly(dst, src)
-	default:
-		panic(fmt.Sprintf("core: unknown approach %d", int(a)))
+	if len(dst) != len(src) {
+		panic("core: dst/src length mismatch")
 	}
+	e.Run(a, src, false, func(b Batch, _ stencil.Region) {
+		for gi := b.Lo; gi < b.Hi; gi++ {
+			if a == HybridMasterOnly {
+				e.op.ApplyParallel(e.pool, dst[gi], src[gi])
+			} else {
+				e.op.Apply(dst[gi], src[gi])
+			}
+		}
+	})
 }

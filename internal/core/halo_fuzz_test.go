@@ -87,7 +87,7 @@ func TestHaloExchangeFuzz(t *testing.T) {
 			return encode(g, c[0], c[1], c[2]), false
 		}
 
-		err := mpi.Run(procs.Count(), mpi.ThreadSingle, func(c *mpi.Comm) {
+		err := runRanks(procs.Count(), mpi.ThreadSingle, func(c *mpi.Comm) {
 			cart := c.CartCreate(procs, [3]bool{periodic, periodic, periodic}, true)
 			eng, err := NewEngine(cart, dec, op, periodic, opts)
 			if err != nil {

@@ -54,7 +54,7 @@ func TestEngineWithKineticOperator(t *testing.T) {
 	kin.ApplyPeriodicReference(seqDst, seqSrc)
 
 	out := grid.NewDims(global, 0)
-	err := mpi.Run(procs, mpi.ThreadSingle, func(c *mpi.Comm) {
+	err := runRanks(procs, mpi.ThreadSingle, func(c *mpi.Comm) {
 		cart := c.CartCreate(procGrid, [3]bool{true, true, true}, true)
 		eng, err := NewEngine(cart, decomp, kin, true, OptionsFor(FlatOptimized, 2, 1))
 		if err != nil {
@@ -67,7 +67,7 @@ func TestEngineWithKineticOperator(t *testing.T) {
 			return TestField(0, off[0]+i, off[1]+j, off[2]+k)
 		})
 		dst := eng.NewLocalGrid()
-		eng.ApplyAll([]*grid.Grid{dst}, []*grid.Grid{src})
+		eng.Apply(FlatOptimized, []*grid.Grid{dst}, []*grid.Grid{src})
 		// Gather on rank 0.
 		if c.Rank() == 0 {
 			decomp.Gather(out, coord, dst)
@@ -120,7 +120,7 @@ func TestDistributedOrthogonalization(t *testing.T) {
 	}
 
 	got := linalg.NewMatrix(nGrids, nGrids)
-	err := mpi.Run(procs, mpi.ThreadSingle, func(c *mpi.Comm) {
+	err := runRanks(procs, mpi.ThreadSingle, func(c *mpi.Comm) {
 		cart := c.CartCreate(procGrid, [3]bool{true, true, true}, true)
 		coord := cart.Coords(c.Rank())
 		off := decomp.Offset(coord)
@@ -191,7 +191,7 @@ func TestDistributedPoissonJacobi(t *testing.T) {
 	}
 
 	out := grid.NewDims(global, 0)
-	err := mpi.Run(procs, mpi.ThreadSingle, func(c *mpi.Comm) {
+	err := runRanks(procs, mpi.ThreadSingle, func(c *mpi.Comm) {
 		cart := c.CartCreate(procGrid, [3]bool{true, true, true}, true)
 		eng, err := NewEngine(cart, decomp, op, true, OptionsFor(FlatOptimized, 1, 1))
 		if err != nil {
@@ -204,7 +204,7 @@ func TestDistributedPoissonJacobi(t *testing.T) {
 		rhs.FillFunc(func(i, j, k int) float64 { return rhsOf(off[0]+i, off[1]+j, off[2]+k) })
 		tmp := eng.NewLocalGrid()
 		for s := 0; s < sweeps; s++ {
-			eng.ApplyAll([]*grid.Grid{tmp}, []*grid.Grid{phi})
+			eng.Apply(FlatOptimized, []*grid.Grid{tmp}, []*grid.Grid{phi})
 			tmp.Scale(-1)
 			tmp.Axpy(1, rhs)
 			phi.Axpy(omega/op.Center, tmp)

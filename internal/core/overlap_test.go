@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/grid"
@@ -10,10 +12,13 @@ import (
 	"repro/internal/topology"
 )
 
-// Split-phase halo exchange tests: StartExchange/FinishExchange must
-// install exactly the halos the blocking Exchange installs, for every
-// layout, boundary condition and option set — and the steady-state
-// start/finish loop must not allocate.
+// Split-phase halo exchange tests: an overlapped Run must install
+// exactly the halos the blocking Exchange installs, for every layout,
+// boundary condition and option set, with the Interior compute ahead of
+// that installation — and the steady-state loop must not allocate.
+
+// noCompute is the compute callback of a Run that only exchanges.
+func noCompute(Batch, stencil.Region) {}
 
 // overlapEngine builds a per-rank engine over the given layout.
 func overlapEngine(c *mpi.Comm, global, procs topology.Dims, periodic bool, opts Options) *Engine {
@@ -40,21 +45,20 @@ func fillLocal(dec *grid.Decomp, coord topology.Coord, gs []*grid.Grid) {
 	}
 }
 
-// TestStartFinishMatchesExchange: for several layouts, both boundary
-// conditions and both option sets, a StartExchange/FinishExchange pair
-// must leave every halo cell bitwise equal to what the blocking
-// Exchange produces.
-func TestStartFinishMatchesExchange(t *testing.T) {
+// TestOverlappedRunMatchesExchange: for several layouts, both boundary
+// conditions and both option sets, an overlapped Run must leave every
+// halo cell bitwise equal to what the blocking Exchange produces.
+func TestOverlappedRunMatchesExchange(t *testing.T) {
 	global := topology.Dims{12, 10, 8}
 	layouts := []topology.Dims{{1, 1, 1}, {2, 1, 1}, {1, 2, 2}, {2, 2, 2}, {1, 1, 4}}
 	for _, procs := range layouts {
 		for _, periodic := range []bool{false, true} {
 			for _, opts := range []Options{
 				OptionsFor(FlatOptimized, 2, 1),
-				OptionsFor(FlatOriginal, 1, 1), // serialized: Start degrades to blocking
+				OptionsFor(FlatOriginal, 1, 1), // serialized: no non-blocking window
 			} {
 				opts := opts
-				err := mpi.Run(procs.Count(), mpi.ThreadSingle, func(c *mpi.Comm) {
+				err := runRanks(procs.Count(), mpi.ThreadSingle, func(c *mpi.Comm) {
 					eng := overlapEngine(c, global, procs, periodic, opts)
 					defer eng.Close()
 					coord := eng.Coord()
@@ -67,8 +71,7 @@ func TestStartFinishMatchesExchange(t *testing.T) {
 					want := mk()
 					eng.Exchange(want)
 					got := mk()
-					h := eng.StartExchange(got)
-					eng.FinishExchange(h)
+					eng.Run(FlatOptimized, got, true, noCompute)
 					for gi := range got {
 						// Compare the full allocation, halos included.
 						wd, gd := want[gi].Data(), got[gi].Data()
@@ -89,16 +92,17 @@ func TestStartFinishMatchesExchange(t *testing.T) {
 	}
 }
 
-// TestSplitExchangeInteriorDuringFlight: interior stencil compute
-// between Start and Finish plus shell compute after must reproduce the
-// exchange-then-full-apply result bitwise (the protocol the distributed
-// solvers run).
+// TestSplitExchangeInteriorDuringFlight: the Interior compute of an
+// overlapped Run happens while the exchange is in flight — the grid's
+// halos are still exactly as they were before the Run — and with the
+// Shell compute after it reproduces the exchange-then-full-apply result
+// bitwise (the protocol the distributed solvers run).
 func TestSplitExchangeInteriorDuringFlight(t *testing.T) {
 	global := topology.Dims{12, 12, 12}
 	op := stencil.Laplacian(2, 0.7)
 	for _, procs := range []topology.Dims{{2, 1, 1}, {2, 2, 1}, {1, 2, 2}} {
 		for _, periodic := range []bool{false, true} {
-			err := mpi.Run(procs.Count(), mpi.ThreadSingle, func(c *mpi.Comm) {
+			err := runRanks(procs.Count(), mpi.ThreadSingle, func(c *mpi.Comm) {
 				eng := overlapEngine(c, global, procs, periodic, OptionsFor(FlatOptimized, 1, 1))
 				defer eng.Close()
 				dec, _ := grid.NewDecomp(global, procs, 2)
@@ -110,11 +114,17 @@ func TestSplitExchangeInteriorDuringFlight(t *testing.T) {
 
 				src2 := eng.NewLocalGrid()
 				fillLocal(dec, eng.Coord(), []*grid.Grid{src2})
+				posted := append([]float64(nil), src2.Data()...)
 				got := eng.NewLocalGrid()
-				h := eng.StartExchange([]*grid.Grid{src2})
-				op.ApplyInterior(nil, got, src2)
-				h.Finish()
-				op.ApplyShell(got, src2)
+				eng.Run(FlatOptimized, []*grid.Grid{src2}, true, func(_ Batch, r stencil.Region) {
+					if r == stencil.Interior && !slices.Equal(src2.Data(), posted) {
+						t.Errorf("procs %v periodic %v: halos installed before the interior compute", procs, periodic)
+					}
+					op.Over(r).Apply(got, src2)
+				})
+				if slices.Equal(src2.Data(), posted) {
+					t.Errorf("procs %v periodic %v: Run installed no halo", procs, periodic)
+				}
 				if diff := got.MaxAbsDiff(want); diff != 0 {
 					t.Errorf("procs %v periodic %v: interior+shell deviates by %g", procs, periodic, diff)
 				}
@@ -126,93 +136,78 @@ func TestSplitExchangeInteriorDuringFlight(t *testing.T) {
 	}
 }
 
-// TestRunBatchesSplitCoversAllBatches: the split driver must hand every
-// grid to interior and shell exactly once each, interior before shell
-// per batch, for all option sets including hybrid multiple.
-func TestRunBatchesSplitCoversAllBatches(t *testing.T) {
+// TestRunCoversAllBatches: Run must hand every grid to compute exactly
+// once per region — Full alone without overlap, Interior then Shell
+// with it — for the serialized, async and hybrid-multiple protocols.
+func TestRunCoversAllBatches(t *testing.T) {
 	global := topology.Dims{8, 8, 8}
 	procs := topology.Dims{1, 1, 2}
 	const n = 7
-	for _, hybrid := range []bool{false, true} {
-		mode := mpi.ThreadSingle
-		opts := OptionsFor(FlatOptimized, 2, 1)
-		if hybrid {
-			mode = mpi.ThreadMultiple
-			opts = OptionsFor(HybridMultiple, 2, 2)
-		}
-		err := mpi.Run(procs.Count(), mode, func(c *mpi.Comm) {
-			eng := overlapEngine(c, global, procs, true, opts)
-			defer eng.Close()
-			gs := make([]*grid.Grid, n)
-			for i := range gs {
-				gs[i] = eng.NewLocalGrid()
+	for _, a := range []Approach{FlatOriginal, FlatOptimized, HybridMultiple} {
+		for _, overlap := range []bool{false, true} {
+			mode := mpi.ThreadSingle
+			if a == HybridMultiple {
+				mode = mpi.ThreadMultiple
 			}
-			intSeen := make([]int, n)
-			shellSeen := make([]int, n)
-			var seenMu = make(chan struct{}, 1)
-			seenMu <- struct{}{}
-			interior := func(b Batch) {
-				<-seenMu
-				for gi := b.Lo; gi < b.Hi; gi++ {
-					intSeen[gi]++
-					if shellSeen[gi] != 0 {
-						panic(fmt.Sprintf("grid %d: shell before interior", gi))
+			err := runRanks(procs.Count(), mode, func(c *mpi.Comm) {
+				eng := overlapEngine(c, global, procs, true, OptionsFor(a, 2, 2))
+				defer eng.Close()
+				gs := make([]*grid.Grid, n)
+				for i := range gs {
+					gs[i] = eng.NewLocalGrid()
+				}
+				var mu sync.Mutex
+				var seen [n][3]int // per grid: visits by region
+				eng.Run(a, gs, overlap, func(b Batch, r stencil.Region) {
+					mu.Lock()
+					defer mu.Unlock()
+					for gi := b.Lo; gi < b.Hi; gi++ {
+						if r == stencil.Shell && seen[gi][stencil.Interior] != 1 {
+							panic(fmt.Sprintf("grid %d: shell without interior", gi))
+						}
+						seen[gi][r]++
+					}
+				})
+				want := [3]int{stencil.Full: 1}
+				if overlap {
+					want = [3]int{stencil.Interior: 1, stencil.Shell: 1}
+				}
+				for gi := range seen {
+					if seen[gi] != want {
+						panic(fmt.Sprintf("grid %d visited %v times by region, want %v", gi, seen[gi], want))
 					}
 				}
-				seenMu <- struct{}{}
+			})
+			if err != nil {
+				t.Fatalf("%v overlap=%v: %v", a, overlap, err)
 			}
-			shell := func(b Batch) {
-				<-seenMu
-				for gi := b.Lo; gi < b.Hi; gi++ {
-					shellSeen[gi]++
-					if intSeen[gi] != 1 {
-						panic(fmt.Sprintf("grid %d: shell without interior", gi))
-					}
-				}
-				seenMu <- struct{}{}
-			}
-			if hybrid {
-				eng.RunBatchesSplitHybridMultiple(gs, interior, shell)
-			} else {
-				eng.RunBatchesSplit(gs, interior, shell)
-			}
-			for gi := 0; gi < n; gi++ {
-				if intSeen[gi] != 1 || shellSeen[gi] != 1 {
-					panic(fmt.Sprintf("grid %d visited interior %d shell %d times", gi, intSeen[gi], shellSeen[gi]))
-				}
-			}
-		})
-		if err != nil {
-			t.Fatalf("hybrid=%v: %v", hybrid, err)
 		}
 	}
 }
 
 // TestOverlapExchangeZeroAlloc is the hoisted-buffer regression test:
-// once warmed up, a StartExchange/FinishExchange cycle must perform no
-// allocation at all. One periodic rank exercises the full pack/send/
-// recv/unpack path through self-messages in every dimension, and every
-// receive is posted before its matching send, so the transport's
-// direct-delivery fast path and the engine's pooled state make the
-// loop allocation-free in steady state.
+// once warmed up, an overlapped Run must perform no allocation at all.
+// One periodic rank exercises the full pack/send/recv/unpack path
+// through self-messages in every dimension, and every receive is
+// posted before its matching send, so the transport's direct-delivery
+// fast path and the engine's pooled state make the loop allocation-free
+// in steady state.
 func TestOverlapExchangeZeroAlloc(t *testing.T) {
 	global := topology.Dims{8, 8, 8}
 	procs := topology.Dims{1, 1, 1}
-	err := mpi.Run(1, mpi.ThreadSingle, func(c *mpi.Comm) {
+	err := runRanks(1, mpi.ThreadSingle, func(c *mpi.Comm) {
 		eng := overlapEngine(c, global, procs, true, OptionsFor(FlatOptimized, 1, 1))
 		defer eng.Close()
 		g := eng.NewLocalGrid()
 		gs := []*grid.Grid{g}
-		// Warm up the engine scratch pools, the mpi request pool and the
+		// Warm up the engine scratch pool, the mpi request pool and the
 		// mailbox slices.
 		for i := 0; i < 4; i++ {
-			h := eng.StartExchange(gs)
-			eng.FinishExchange(h)
+			eng.Run(FlatOptimized, gs, true, noCompute)
 			eng.Exchange(gs)
 		}
 		if allocs := testing.AllocsPerRun(100, func() {
-			h := eng.StartExchange(gs)
-			eng.FinishExchange(h)
+			eng.Run(FlatOptimized, gs, true, noCompute)
 		}); allocs != 0 {
 			t.Errorf("split-phase exchange allocates %.1f objects/iteration, want 0", allocs)
 		}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/mpi"
+	"repro/internal/stencil"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -25,13 +26,13 @@ func spin() float64 {
 func TestStatsWaitsAndSplitTimings(t *testing.T) {
 	global := topology.Dims{8, 8, 8}
 	procs := topology.Dims{1, 1, 2}
-	err := mpi.Run(2, mpi.ThreadSingle, func(c *mpi.Comm) {
+	err := runRanks(2, mpi.ThreadSingle, func(c *mpi.Comm) {
 		sink := 0.0
 		eng := overlapEngine(c, global, procs, true, OptionsFor(FlatOptimized, 1, 1))
 		defer eng.Close()
 		gs := []*grid.Grid{eng.NewLocalGrid()}
 		for i := 0; i < 3; i++ {
-			eng.RunBatchesSplit(gs, func(Batch) { sink += spin() }, func(Batch) { sink += spin() })
+			eng.Run(FlatOptimized, gs, true, func(Batch, stencil.Region) { sink += spin() })
 		}
 		s := eng.Stats()
 		if s.Waits == 0 {
@@ -62,7 +63,7 @@ func TestStatsWaitsAndSplitTimings(t *testing.T) {
 func TestStatsSerializedHidesNothing(t *testing.T) {
 	global := topology.Dims{8, 8, 8}
 	procs := topology.Dims{1, 1, 2}
-	err := mpi.Run(2, mpi.ThreadSingle, func(c *mpi.Comm) {
+	err := runRanks(2, mpi.ThreadSingle, func(c *mpi.Comm) {
 		eng := overlapEngine(c, global, procs, true, OptionsFor(FlatOriginal, 1, 1))
 		defer eng.Close()
 		gs := []*grid.Grid{eng.NewLocalGrid()}
@@ -89,13 +90,13 @@ func TestEngineTraceEvents(t *testing.T) {
 	global := topology.Dims{8, 8, 8}
 	procs := topology.Dims{1, 1, 2}
 	tr := trace.New(2, 1024)
-	w := mpi.NewWorld(2, mpi.ThreadSingle)
+	w := testWorld(2, mpi.ThreadSingle)
 	w.SetTracer(tr)
 	err := w.Run(func(c *mpi.Comm) {
 		eng := overlapEngine(c, global, procs, true, OptionsFor(FlatOptimized, 1, 1))
 		defer eng.Close()
 		gs := []*grid.Grid{eng.NewLocalGrid()}
-		eng.RunBatchesSplit(gs, func(Batch) {}, func(Batch) {})
+		eng.Run(FlatOptimized, gs, true, noCompute)
 	})
 	if err != nil {
 		t.Fatal(err)

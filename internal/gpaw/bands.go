@@ -127,6 +127,29 @@ func (d *Dist) forEachBandState(m int, local []*grid.Grid, f func(gi int, src *g
 	}
 }
 
+// symScratch is bandSymMatrix's working storage, owned by the Dist and
+// sized on first use: the eigensolver assembles two subspace matrices
+// per iteration, always on the rank's master goroutine.
+type symScratch struct {
+	pairs      [][2]int
+	accs       []detsum.Acc
+	ptrs       []*detsum.Acc
+	used       []bool
+	slots      []int
+	in, merged []float64
+}
+
+// grow returns *s resized to n elements, reallocating only when its
+// capacity is short — the first call, or a larger subspace. The
+// contents are unspecified.
+func grow[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	}
+	*s = (*s)[:n]
+	return *s
+}
+
 // bandSymMatrix assembles the full m x m symmetric matrix
 // out[i][j] = <left_i, right_j> (j >= i computed, mirrored) when each
 // band group holds only its slice of left and right. Blocks of the
@@ -136,39 +159,42 @@ func (d *Dist) forEachBandState(m int, local []*grid.Grid, f func(gi int, src *g
 // exactly over the domain communicator in rank order, and the finished
 // rows are merged across band groups verbatim. Every entry has the
 // same bits for every layout.
+//
+//gpaw:hotpath
 func (d *Dist) bandSymMatrix(m int, out linalg.Matrix, left, right []*grid.Grid) {
+	sc := &d.sym
 	lo, hi := d.BandRange(m)
 	if d.Bands == 1 {
 		// Domain-only layout: one pool split over all m(m+1)/2 pairs
 		// keeps every worker busy (no circulation needed — every state
 		// is local). Same per-pair arithmetic and reduction order as the
 		// circulate path, so the entries are bit-identical either way.
-		type pair struct{ i, j int }
-		pairs := make([]pair, 0, m*(m+1)/2)
-		for i := 0; i < m; i++ {
-			for j := i; j < m; j++ {
-				pairs = append(pairs, pair{i, j})
+		np := m * (m + 1) / 2
+		pairs, accs, ptrs := grow(&sc.pairs, np), grow(&sc.accs, np), grow(&sc.ptrs, np)
+		clear(accs)
+		for i, k := 0, 0; i < m; i++ {
+			for j := i; j < m; j, k = j+1, k+1 {
+				pairs[k], ptrs[k] = [2]int{i, j}, &accs[k]
 			}
 		}
-		accs := make([]detsum.Acc, len(pairs))
-		d.pool.Exec(len(pairs), func(_, plo, phi int) {
+		//lint:ignore hotpathalloc the fork-join closure Pool.Exec takes: one per matrix, not per pair
+		d.pool.Exec(np, func(_, plo, phi int) {
 			for n := plo; n < phi; n++ {
-				left[pairs[n].i].DotAccRange(right[pairs[n].j], 0, left[pairs[n].i].Nx, &accs[n])
+				l := left[pairs[n][0]]
+				l.DotAccRange(right[pairs[n][1]], 0, l.Nx, &accs[n])
 			}
 		})
-		ptrs := make([]*detsum.Acc, len(accs))
-		for i := range accs {
-			ptrs[i] = &accs[i]
-		}
 		vals := d.reduceAccs(ptrs)
 		for n, pr := range pairs {
-			out[pr.i][pr.j], out[pr.j][pr.i] = vals[n], vals[n]
+			out[pr[0]][pr[1]], out[pr[1]][pr[0]] = vals[n], vals[n]
 		}
 		return
 	}
 	nown := hi - lo
-	accs := make([]detsum.Acc, nown*m)
-	used := make([]bool, nown*m)
+	accs, used := grow(&sc.accs, nown*m), grow(&sc.used, nown*m)
+	clear(accs)
+	clear(used)
+	//lint:ignore hotpathalloc the visitor forEachBandState takes: one per matrix
 	d.forEachBandState(m, right, func(j int, src *grid.Grid) {
 		// Pairs (i, j) with i in my range and i <= j.
 		iEnd := j + 1
@@ -179,6 +205,7 @@ func (d *Dist) bandSymMatrix(m int, out linalg.Matrix, left, right []*grid.Grid)
 		if count <= 0 {
 			return
 		}
+		//lint:ignore hotpathalloc the fork-join closure Pool.Exec takes: one per circulated state
 		d.pool.Exec(count, func(_, ilo, ihi int) {
 			for ii := ilo; ii < ihi; ii++ {
 				left[ii].DotAccRange(src, 0, left[ii].Nx, &accs[ii*m+j])
@@ -189,23 +216,23 @@ func (d *Dist) bandSymMatrix(m int, out linalg.Matrix, left, right []*grid.Grid)
 		}
 	})
 	// Exact domain reduction of every owned pair, in a fixed order.
-	var ptrs []*detsum.Acc
-	var slots []int
+	ptrs, slots := grow(&sc.ptrs, nown*m), grow(&sc.slots, nown*m)
+	n := 0
 	for k := range accs {
 		if used[k] {
-			ptrs = append(ptrs, &accs[k])
-			slots = append(slots, k)
+			ptrs[n], slots[n] = &accs[k], k
+			n++
 		}
 	}
-	vals := d.reduceAccs(ptrs)
+	vals := d.reduceAccs(ptrs[:n])
 	// Merge the finished rows across band groups verbatim and mirror.
-	in := make([]float64, 2*m*m)
-	for v, k := range slots {
+	in, merged := grow(&sc.in, 2*m*m), grow(&sc.merged, 2*m*m)
+	clear(in)
+	for v, k := range slots[:n] {
 		i, j := lo+k/m, k%m
 		in[i*m+j] = vals[v]
 		in[m*m+i*m+j] = 1
 	}
-	merged := make([]float64, 2*m*m)
 	d.BandComm.AllreduceFunc(in, merged, pblas.MergeMasked)
 	for i := 0; i < m; i++ {
 		for j := i; j < m; j++ {

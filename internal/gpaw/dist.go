@@ -47,12 +47,13 @@ import (
 // fork-joined across the pool; THREAD_SINGLE suffices).
 //
 // Split-phase overlap: every approach except flat original runs its hot
-// iteration loops on the overlapped protocol — the halo exchange is
-// posted (core.StartExchange), the fused kernel sweeps the deep
-// interior (every point that reads no halo) while the messages are in
-// flight, the exchange completes (FinishExchange) and the one-radius
-// boundary shell finishes the sweep (the ApplyXxxInterior/Shell kernel
-// pairs of internal/stencil). Flat original keeps the original
+// iteration loops on the overlapped protocol of core.Engine.Run — the
+// halo exchange is posted, the fused kernel sweeps the deep interior
+// (every point that reads no halo) while the messages are in flight,
+// the exchange completes and the same kernel finishes the sweep over
+// the one-radius boundary shell. A sweep site states its kernel call
+// once, on the stencil.Region the engine hands it
+// (stencil.Operator.Over). Flat original keeps the original
 // exchange-to-completion-then-compute structure as the differential
 // baseline, DistConfig.NoOverlap forces that structure for any
 // approach, and a one-rank domain grid always runs it: nothing is in
@@ -163,8 +164,9 @@ type Dist struct {
 	exBuf   []*grid.Grid
 
 	// redIn, redOut and redVals are reduceAccs' transport and result
-	// scratch, sized on first use.
+	// scratch, sized on first use; sym is bandSymMatrix's.
 	redIn, redOut, redVals []float64
+	sym                    symScratch
 
 	// pointNs is the modeled per-point sweep cost in virtual ns charged
 	// through mpi.Comm.Compute (0: charging off). It already includes
@@ -259,13 +261,9 @@ func (d *Dist) chargePoints(n int) {
 	}
 }
 
-// sweepCharges returns the modeled point counts of one fused sweep over
-// a local grid: the halo-free deep interior and the boundary shell.
-func sweepCharges(g *grid.Grid, r int) (interior, shell int) {
-	total := g.Nx * g.Ny * g.Nz
-	ib := stencil.InteriorBlock(g.Nx, g.Ny, g.Nz, r)
-	interior = ib.Points()
-	return interior, total - interior
+// chargeSweep charges one fused sweep over region r of a local grid.
+func (d *Dist) chargeSweep(g *grid.Grid, r stencil.Region) {
+	d.chargePoints(r.Points(g.Nx, g.Ny, g.Nz, d.Decomp.Halo))
 }
 
 // Close releases the rank's worker pool.
@@ -307,48 +305,27 @@ func (d *Dist) Overlapped() bool { return d.overlap }
 func (d *Dist) Stats() core.Stats { return d.eng.Stats() }
 
 // withOverlap runs one halo exchange of g plus one fused sweep through
-// eng with the configured structure. Overlapped: the exchange is
-// posted, interior() computes the halo-free deep interior while the
-// messages travel, the exchange completes and shell() finishes the
-// boundary. Serialized baseline: the blocking exchange completes first,
-// then full() runs the whole sweep. Both orders produce bit-identical
-// results (exact reductions, identical per-point arithmetic); only the
+// eng with the configured structure: sweep is called with the region to
+// cover, on the calling goroutine. Overlapped, that is Interior while
+// the halo messages travel and Shell once they have landed; on the
+// serialized baseline it is Full after the blocking exchange, traced as
+// a compute.sweep region. Both orders produce bit-identical results
+// (exact reductions, identical per-point arithmetic); only the
 // communication/computation schedule differs. eng is a parameter
 // because the multigrid levels own engines of their own.
-func (d *Dist) withOverlap(eng *core.Engine, g *grid.Grid, full, interior, shell func()) {
+func (d *Dist) withOverlap(eng *core.Engine, g *grid.Grid, sweep func(r stencil.Region)) {
 	d.exBuf = append(d.exBuf[:0], g)
-	intPts, shellPts := 0, 0
-	if d.pointNs > 0 {
-		intPts, shellPts = sweepCharges(g, d.Decomp.Halo)
-	}
-	rk := d.Cart.TraceRank()
-	if !d.overlap {
-		eng.Exchange(d.exBuf)
-		sp := rk.Region("compute.sweep")
-		full()
-		d.chargePoints(intPts + shellPts)
-		sp.End()
-		return
-	}
-	h := eng.StartExchange(d.exBuf)
-	t0 := eng.NowNs()
-	sp := rk.Region("compute.interior")
-	interior()
-	// The interior charge lands before FinishExchange's wait, so under a
-	// network model the modeled arrival hides behind modeled compute —
-	// the overlap the calibrated benchmarks measure. It also lands before
-	// the region end and phase timestamps, so modeled compute shows up as
-	// interior time on both the timeline and the profile.
-	d.chargePoints(intPts)
-	sp.End()
-	t1 := eng.NowNs()
-	eng.FinishExchange(h)
-	t2 := eng.NowNs()
-	sp = rk.Region("compute.shell")
-	shell()
-	d.chargePoints(shellPts)
-	sp.End()
-	eng.NoteSplit(t1-t0, eng.NowNs()-t2)
+	eng.Run(d.Approach, d.exBuf, d.overlap, func(_ core.Batch, r stencil.Region) {
+		if r == stencil.Full {
+			defer d.Cart.TraceRank().Region("compute.sweep").End()
+		}
+		sweep(r)
+		// The charge lands inside the engine's (or the sweep's) region
+		// and, for Interior, before the exchange's wait: under a network
+		// model the modeled arrival hides behind modeled compute — the
+		// overlap the calibrated benchmarks measure.
+		d.chargeSweep(g, r)
+	})
 }
 
 // --- deterministic global reductions -------------------------------
@@ -477,79 +454,25 @@ func (d *Dist) GatherGlobal(local *grid.Grid) *grid.Grid { return d.gather0(loca
 // --- per-approach wave-function processing -------------------------
 
 // forEachExchanged runs the configured exchange protocol over the
-// states and invokes f once per state after its halos are installed.
-// Hybrid multiple divides states among pool workers, each communicating
-// for its own share; every other approach communicates on the caller.
-// f receives the pool to split a single state's compute across (nil
-// except for hybrid master-only, whose defining property is the
-// per-grid fork-join).
-func (d *Dist) forEachExchanged(states []*grid.Grid, f func(gi int, p *stencil.Pool)) {
-	charge := d.stateCharger(states)
-	switch d.Approach {
-	case core.HybridMultiple:
-		d.eng.RunBatchesHybridMultiple(states, func(b core.Batch) {
-			for gi := b.Lo; gi < b.Hi; gi++ {
-				f(gi, nil)
-				charge(1, 1)
-			}
-		})
-	case core.HybridMasterOnly:
-		d.eng.RunBatches(states, func(b core.Batch) {
-			for gi := b.Lo; gi < b.Hi; gi++ {
-				f(gi, d.pool)
-				charge(1, 1)
-			}
-		})
-	default:
-		d.eng.RunBatches(states, func(b core.Batch) {
-			for gi := b.Lo; gi < b.Hi; gi++ {
-				f(gi, nil)
-				charge(1, 1)
-			}
-		})
+// states and invokes sweep for each state and region: Full once the
+// state's halos are installed, or — overlapped — Interior while its
+// batch's halo messages are in flight (it must not read halos) and
+// Shell after they land. Hybrid multiple divides states among pool
+// workers, each communicating for its own share; every other approach
+// communicates on the caller. sweep receives the pool to split a single
+// state's compute across (nil except for hybrid master-only, whose
+// defining property is the per-grid fork-join).
+func (d *Dist) forEachExchanged(states []*grid.Grid, sweep func(gi int, r stencil.Region, p *stencil.Pool)) {
+	var p *stencil.Pool
+	if d.Approach == core.HybridMasterOnly {
+		p = d.pool
 	}
-}
-
-// forEachSplit is forEachExchanged's split-phase sibling: per batch,
-// interior runs for each state while its halo messages are in flight
-// and shell runs after they are installed. Hybrid multiple divides
-// states among pool workers, each communicating for its own share;
-// hybrid master-only hands interior the pool to fork-join one state's
-// deep interior across (the shell is O(surface) and stays on the
-// master). Interior must not read halos.
-func (d *Dist) forEachSplit(states []*grid.Grid, interior func(gi int, p *stencil.Pool), shell func(gi int)) {
-	charge := d.stateCharger(states)
-	runAll := func(b core.Batch, f func(gi int)) {
+	d.eng.Run(d.Approach, states, d.overlap, func(b core.Batch, r stencil.Region) {
 		for gi := b.Lo; gi < b.Hi; gi++ {
-			f(gi)
+			sweep(gi, r, p)
+			d.chargeSweep(states[gi], r)
 		}
-	}
-	switch d.Approach {
-	case core.HybridMultiple:
-		d.eng.RunBatchesSplitHybridMultiple(states,
-			func(b core.Batch) { runAll(b, func(gi int) { interior(gi, nil); charge(1, 0) }) },
-			func(b core.Batch) { runAll(b, func(gi int) { shell(gi); charge(0, 1) }) })
-	case core.HybridMasterOnly:
-		d.eng.RunBatchesSplit(states,
-			func(b core.Batch) { runAll(b, func(gi int) { interior(gi, d.pool); charge(1, 0) }) },
-			func(b core.Batch) { runAll(b, func(gi int) { shell(gi); charge(0, 1) }) })
-	default:
-		d.eng.RunBatchesSplit(states,
-			func(b core.Batch) { runAll(b, func(gi int) { interior(gi, nil); charge(1, 0) }) },
-			func(b core.Batch) { runAll(b, func(gi int) { shell(gi); charge(0, 1) }) })
-	}
-}
-
-// stateCharger returns a compute-charge hook for per-state sweeps:
-// charge(i, s) adds i interior and s shell sweeps' worth of modeled
-// compute for one state. A no-op closure when charging is off, so the
-// hot loops stay branch-free.
-func (d *Dist) stateCharger(states []*grid.Grid) func(interior, shell int) {
-	if d.pointNs == 0 || len(states) == 0 {
-		return func(int, int) {}
-	}
-	intPts, shellPts := sweepCharges(states[0], d.Decomp.Halo)
-	return func(i, s int) { d.chargePoints(i*intPts + s*shellPts) }
+	})
 }
 
 // DistSCF is the name SCF carried while a separate serial loop existed;

@@ -74,14 +74,8 @@ func (h *Hamiltonian) Expectation(psi *grid.Grid) float64 {
 // the overlap covers the bands x domain layout too.
 func (h *Hamiltonian) applyStates(dsts, psis []*grid.Grid, alpha, beta float64) {
 	defer h.D.Cart.TraceRank().Region("eigen.apply").End()
-	if h.D.overlap {
-		h.D.forEachSplit(psis,
-			func(gi int, p *stencil.Pool) { h.T.ApplyStepInterior(p, dsts[gi], psis[gi], h.V, alpha, beta) },
-			func(gi int) { h.T.ApplyStepShell(dsts[gi], psis[gi], h.V, alpha, beta) })
-		return
-	}
-	h.D.forEachExchanged(psis, func(gi int, p *stencil.Pool) {
-		h.T.ApplyStep(p, dsts[gi], psis[gi], h.V, alpha, beta)
+	h.D.forEachExchanged(psis, func(gi int, rg stencil.Region, p *stencil.Pool) {
+		h.T.Over(rg).ApplyStep(p, dsts[gi], psis[gi], h.V, alpha, beta)
 	})
 }
 

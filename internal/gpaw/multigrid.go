@@ -212,12 +212,11 @@ func (mg *Multigrid) smooth(lv *mgLevel, phi, rhs *grid.Grid, n int) {
 	defer d.Cart.TraceRank().Region("mg.smooth").End()
 	src, dst := phi, lv.res
 	for s := 0; s < n; s++ {
-		// The callbacks run inside withOverlap, before the swap, so they
-		// see this sweep's src/dst.
-		d.withOverlap(lv.eng, src,
-			func() { lv.op.ApplySmooth(d.pool, dst, src, rhs, c) },
-			func() { lv.op.ApplySmoothInterior(d.pool, dst, src, rhs, c) },
-			func() { lv.op.ApplySmoothShell(dst, src, rhs, c) })
+		// The callback runs inside withOverlap, before the swap, so it
+		// sees this sweep's src/dst.
+		d.withOverlap(lv.eng, src, func(rg stencil.Region) {
+			lv.op.Over(rg).ApplySmooth(d.pool, dst, src, rhs, c)
+		})
 		src, dst = dst, src
 	}
 	if src != phi {
@@ -230,10 +229,9 @@ func (mg *Multigrid) smooth(lv *mgLevel, phi, rhs *grid.Grid, n int) {
 // they need the global norm; the V-cycle discards it).
 func (mg *Multigrid) residualInto(lv *mgLevel, res, phi, rhs *grid.Grid, acc *detsum.Acc) {
 	d := mg.D
-	d.withOverlap(lv.eng, phi,
-		func() { lv.op.ApplyResidualAcc(d.pool, res, rhs, phi, acc) },
-		func() { lv.op.ApplyResidualInteriorAcc(d.pool, res, rhs, phi, acc) },
-		func() { lv.op.ApplyResidualShellAcc(res, rhs, phi, acc) })
+	d.withOverlap(lv.eng, phi, func(rg stencil.Region) {
+		lv.op.Over(rg).ApplyResidualAcc(d.pool, res, rhs, phi, acc)
+	})
 }
 
 // restrictFull full-weights fine into coarse (fine dims are exactly

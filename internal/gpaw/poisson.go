@@ -108,10 +108,9 @@ func (ps *Poisson) bound(g *grid.Grid) *Poisson {
 func (ps *Poisson) residual(r, phi, rhs *grid.Grid) float64 {
 	d := ps.D
 	var acc detsum.Acc
-	d.withOverlap(d.eng, phi,
-		func() { ps.Op.ApplyResidualAcc(d.pool, r, rhs, phi, &acc) },
-		func() { ps.Op.ApplyResidualInteriorAcc(d.pool, r, rhs, phi, &acc) },
-		func() { ps.Op.ApplyResidualShellAcc(r, rhs, phi, &acc) })
+	d.withOverlap(d.eng, phi, func(rg stencil.Region) {
+		ps.Op.Over(rg).ApplyResidualAcc(d.pool, r, rhs, phi, &acc)
+	})
 	return math.Sqrt(d.reduceAcc(&acc))
 }
 
@@ -178,10 +177,9 @@ func (ps *Poisson) SolveCG(phi, rhs *grid.Grid) (int, float64, error) {
 	r := grid.NewDims(phi.Dims(), phi.H)
 	ap := grid.NewDims(phi.Dims(), phi.H)
 	var acc detsum.Acc
-	d.withOverlap(d.eng, phi,
-		func() { neg.ApplyResidualAcc(d.pool, r, b, phi, &acc) },
-		func() { neg.ApplyResidualInteriorAcc(d.pool, r, b, phi, &acc) },
-		func() { neg.ApplyResidualShellAcc(r, b, phi, &acc) })
+	d.withOverlap(d.eng, phi, func(rg stencil.Region) {
+		neg.Over(rg).ApplyResidualAcc(d.pool, r, b, phi, &acc)
+	})
 	if d.BC == Periodic {
 		d.removeMean(r)
 	}
@@ -191,10 +189,9 @@ func (ps *Poisson) SolveCG(phi, rhs *grid.Grid) (int, float64, error) {
 		// ap = A p and <p, Ap>, the deep interior computed while p's
 		// halo messages are in flight.
 		acc.Reset()
-		d.withOverlap(d.eng, p,
-			func() { neg.ApplyDotAcc(d.pool, ap, p, &acc) },
-			func() { neg.ApplyDotInteriorAcc(d.pool, ap, p, &acc) },
-			func() { neg.ApplyDotShellAcc(ap, p, &acc) })
+		d.withOverlap(d.eng, p, func(rg stencil.Region) {
+			neg.Over(rg).ApplyDotAcc(d.pool, ap, p, &acc)
+		})
 		pap := d.reduceAcc(&acc)
 		alpha := rsold / pap
 		d.pool.Axpy(phi, alpha, p)

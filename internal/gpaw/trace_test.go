@@ -2,6 +2,7 @@ package gpaw
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -220,5 +221,71 @@ func TestTracedFaultRecovery(t *testing.T) {
 	}
 	if counts["scf.iteration"] == 0 || counts["poisson.cg"] == 0 {
 		t.Errorf("solver regions missing from the traced recovery run: %v", counts)
+	}
+}
+
+// TestSweepSpanVocabulary pins the span names the benchmark ledger
+// counts on (benchmark/ledger.go derives gpaw.cg_iters from the
+// compute.interior / compute.sweep spans that complete before each
+// poisson.cg span): a CG solve of n iterations makes n+1 single-grid
+// sweeps, and every sweep must record exactly one compute.interior
+// followed by its compute.shell when overlapped — and exactly one
+// compute.sweep when not — on every rank, for every approach.
+func TestSweepSpanVocabulary(t *testing.T) {
+	global := topology.Dims{16, 16, 16}
+	procs := topology.Dims{1, 2, 2}
+	rhs := poissonRHS(global)
+	for _, a := range core.Approaches {
+		for _, noOverlap := range []bool{false, true} {
+			tr := trace.New(procs.Count(), 1<<14)
+			w := testWorld(procs.Count(), modeFor(a))
+			w.SetTracer(tr)
+			var iters int
+			overlapped := false
+			err := w.Run(func(c *mpi.Comm) {
+				d, err := NewDist(c, DistConfig{
+					Global: global, Procs: procs, Halo: 2, BC: Dirichlet,
+					Approach: a, Threads: threadsFor(a), Batch: 2, NoOverlap: noOverlap,
+				})
+				if err != nil {
+					panic(err)
+				}
+				defer d.Close()
+				it, _, err := NewDistPoisson(d, 0.35).SolveCG(d.NewLocalGrid(), d.ScatterReplicated(rhs))
+				if err != nil {
+					panic(err)
+				}
+				if c.Rank() == 0 {
+					iters, overlapped = it, d.Overlapped()
+				}
+			})
+			if err != nil {
+				t.Fatalf("%v noOverlap=%v: %v", a, noOverlap, err)
+			}
+			for r := 0; r < procs.Count(); r++ {
+				// Events arrive in completion order, so the solve's
+				// sweeps precede its own span.
+				var seq []string
+				for _, e := range tr.RankEvents(r) {
+					switch e.Name {
+					case "compute.interior", "compute.shell", "compute.sweep", "poisson.cg":
+						seq = append(seq, e.Name)
+					}
+				}
+				var want []string
+				for s := 0; s <= iters; s++ {
+					if overlapped {
+						want = append(want, "compute.interior", "compute.shell")
+					} else {
+						want = append(want, "compute.sweep")
+					}
+				}
+				want = append(want, "poisson.cg")
+				if !slices.Equal(seq, want) {
+					t.Errorf("%v noOverlap=%v rank %d: %d CG iterations recorded %d sweep spans %v..., want %d of the form %v...",
+						a, noOverlap, r, iters, len(seq)-1, seq[:min(4, len(seq))], len(want)-1, want[:2])
+				}
+			}
+		}
 	}
 }

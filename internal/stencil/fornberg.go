@@ -28,15 +28,20 @@
 //   - fused.go — kernels that combine a stencil application with the
 //     BLAS-1 work solvers do immediately after it, in one sweep:
 //
-//     ApplyDot      dst = op(src), returns <src,dst>      2 streams (16 B/pt)
-//     ApplyResidual r = b - op(phi), returns |r|^2        3 streams (24 B/pt)
-//     ApplySmooth   dst = phi + c*(rhs - op(phi))         3 streams (24 B/pt)
-//     ApplyStep     dst = beta*src + alpha*(op+v)(src)    2-3 streams
-//     ApplyAxpy     dst = op(src); y += alpha*dst         4 streams (32 B/pt)
+//     ApplyDotAcc      dst = op(src), acc += <src,dst>      2 streams (16 B/pt)
+//     ApplyResidualAcc r = b - op(phi), acc += |r|^2        3 streams (24 B/pt)
+//     ApplySmooth      dst = phi + c*(rhs - op(phi))        3 streams (24 B/pt)
+//     ApplyStep        dst = beta*src + alpha*(op+v)(src)   2-3 streams
 //
 //     The unfused chains these replace cost 7-9 streams; a fused CG or
 //     Jacobi iteration moves roughly half the bytes of its unfused
 //     counterpart. grid.TrafficPoints observes the stream counts.
+//
+//   - shell.go — a sweep is (fusion, region): every kernel is written
+//     once and covers the Region of the Operator view it is called on
+//     (Operator.Over) — Full, the halo-free deep Interior, or the
+//     boundary Shell — so a solver overlaps a halo exchange with the
+//     Interior and finishes with the Shell, bit-identical to Full.
 //
 // All kernels — serial, parallel, fused — evaluate the stencil through
 // one shared row routine, so their stencil values are bit-identical

@@ -51,82 +51,122 @@ func (op *Operator) Scaled(s float64) *Operator {
 		}
 		return out
 	}
-	return &Operator{
+	return Operator{
 		R:      op.R,
 		Center: s * op.Center,
 		X:      scale(op.X),
 		Y:      scale(op.Y),
 		Z:      scale(op.Z),
-	}
+	}.withViews()
 }
 
-// ApplyAxpy computes dst = op(src) and y += alpha*dst in one sweep
-// (4 streams). y must not alias src or dst.
-func (op *Operator) ApplyAxpy(p *Pool, dst, y *grid.Grid, alpha float64, src *grid.Grid) {
-	op.checkFused("ApplyAxpy", src, dst, y)
-	taps := op.gridTaps(src)
-	in := src.Data()
-	out := dst.Data()
-	yd := y.Data()
-	p.Exec(src.Nx, func(_, x0, x1 int) {
-		for i := x0; i < x1; i++ {
-			for j := 0; j < src.Ny; j++ {
-				srow := src.Index(i, j, 0)
-				drow := dst.Index(i, j, 0)
-				yrow := y.Index(i, j, 0)
-				stencilRow(out[drow:drow+src.Nz], in, srow, src.Nz, op.Center, taps)
-				for k := 0; k < src.Nz; k++ {
-					yd[yrow+k] += alpha * out[drow+k]
-				}
-			}
+// sweep runs body over op's region of a sweep over g and accounts
+// streams memory streams per point. Full and Interior split the x
+// planes of their box across the pool, body receiving the worker index
+// and its share; the Shell is O(surface) work, so its up to six blocks
+// run on the calling goroutine as worker 0. row is rowLen values of
+// scratch (one z-row for the kernels that stage the stencil value, 0
+// for those that do not) private to the goroutine running body.
+func (op *Operator) sweep(p *Pool, g *grid.Grid, streams, rowLen int, body func(w int, row []float64, b Block)) {
+	grid.NoteTraffic(op.region.Points(g.Nx, g.Ny, g.Nz, op.R), streams)
+	box := Block{0, g.Nx, 0, g.Ny, 0, g.Nz}
+	switch op.region {
+	case Interior:
+		box = InteriorBlock(g.Nx, g.Ny, g.Nz, op.R)
+	case Shell:
+		var blocks [6]Block
+		row := make([]float64, rowLen)
+		for _, b := range AppendShellBlocks(blocks[:0], g.Nx, g.Ny, g.Nz, op.R) {
+			body(0, row, b)
 		}
+		return
+	}
+	if box.Empty() {
+		return
+	}
+	p.Exec(box.X1-box.X0, func(w, lo, hi int) {
+		sub := box
+		sub.X0, sub.X1 = box.X0+lo, box.X0+hi
+		body(w, make([]float64, rowLen), sub)
 	})
-	grid.NoteTraffic(src.Points(), 4)
 }
 
-// ApplyDot computes dst = op(src) and returns <src, dst> in the same
-// sweep. The reduction reuses cache-hot values, so the kernel stays at
+// sweepAcc is sweep for the kernels that reduce: body adds its block's
+// terms into the accumulator it is handed — acc itself when one
+// goroutine runs the whole region, else a per-worker partial merged
+// into acc afterwards. The sums are exact, so acc ends up with the same
+// bits however the points were split, across workers or across the
+// Interior and Shell views accumulating into one acc.
+func (op *Operator) sweepAcc(p *Pool, g *grid.Grid, streams, rowLen int, acc *detsum.Acc, body func(a *detsum.Acc, row []float64, b Block)) {
+	if op.region == Shell || p.Workers() == 1 {
+		op.sweep(nil, g, streams, rowLen, func(_ int, row []float64, b Block) { body(acc, row, b) })
+		return
+	}
+	accs := make([]detsum.Acc, p.Workers())
+	op.sweep(p, g, streams, rowLen, func(w int, row []float64, b Block) { body(&accs[w], row, b) })
+	mergeAccs(acc, accs)
+}
+
+// ApplyDotAcc computes dst = op(src) and accumulates <src, dst> into
+// acc in the same sweep, for callers that fold partial sums across MPI
+// ranks. The reduction reuses cache-hot values, so the kernel stays at
 // the plain operator's 2 streams — CG's p·Ap comes for free.
-func (op *Operator) ApplyDot(p *Pool, dst, src *grid.Grid) float64 {
-	var acc detsum.Acc
-	op.ApplyDotAcc(p, dst, src, &acc)
-	return acc.Round()
-}
-
-// ApplyDotAcc is ApplyDot accumulating <src, dst> into acc, for callers
-// that fold partial sums across MPI ranks.
 func (op *Operator) ApplyDotAcc(p *Pool, dst, src *grid.Grid, acc *detsum.Acc) {
 	op.checkFused("ApplyDot", src, dst)
 	taps := op.gridTaps(src)
-	accs := make([]detsum.Acc, p.Workers())
-	p.Exec(src.Nx, func(w, x0, x1 int) {
-		op.applyDotBlock(dst, src, taps, &accs[w], Block{x0, x1, 0, src.Ny, 0, src.Nz})
+	op.sweepAcc(p, src, 2, 0, acc, func(a *detsum.Acc, _ []float64, b Block) {
+		op.applyDotBlock(dst, src, taps, a, b)
 	})
-	grid.NoteTraffic(src.Points(), 2)
-	mergeAccs(acc, accs)
 }
 
-// ApplyResidual computes r = b - op(phi) and returns |r|^2 in one sweep
-// (3 streams, versus 9 for Apply+Scale+Axpy+Dot). r may alias b; it
-// must not alias phi.
-func (op *Operator) ApplyResidual(p *Pool, r, b, phi *grid.Grid) float64 {
-	var acc detsum.Acc
-	op.ApplyResidualAcc(p, r, b, phi, &acc)
-	return acc.Round()
+// applyDotBlock is ApplyDotAcc over one block.
+func (op *Operator) applyDotBlock(dst, src *grid.Grid, taps []tap, a *detsum.Acc, blk Block) {
+	in := src.Data()
+	out := dst.Data()
+	n := blk.Z1 - blk.Z0
+	for i := blk.X0; i < blk.X1; i++ {
+		for j := blk.Y0; j < blk.Y1; j++ {
+			srow := src.Index(i, j, blk.Z0)
+			drow := dst.Index(i, j, blk.Z0)
+			stencilRow(out[drow:drow+n], in, srow, n, op.Center, taps)
+			for k := 0; k < n; k++ {
+				a.Add(in[srow+k] * out[drow+k])
+			}
+		}
+	}
 }
 
-// ApplyResidualAcc is ApplyResidual accumulating |r|^2 into acc, for
-// callers that fold partial sums across MPI ranks.
+// ApplyResidualAcc computes r = b - op(phi) and accumulates |r|^2 into
+// acc in one sweep (3 streams, versus 9 for Apply+Scale+Axpy+Dot). r may
+// alias b; it must not alias phi.
 func (op *Operator) ApplyResidualAcc(p *Pool, r, b, phi *grid.Grid, acc *detsum.Acc) {
 	op.checkFused("ApplyResidual", phi, r, b)
 	taps := op.gridTaps(phi)
-	accs := make([]detsum.Acc, p.Workers())
-	p.Exec(phi.Nx, func(w, x0, x1 int) {
-		buf := make([]float64, phi.Nz)
-		op.applyResidualBlock(r, b, phi, taps, buf, &accs[w], Block{x0, x1, 0, phi.Ny, 0, phi.Nz})
+	op.sweepAcc(p, phi, 3, phi.Nz, acc, func(a *detsum.Acc, row []float64, blk Block) {
+		op.applyResidualBlock(r, b, phi, taps, row, a, blk)
 	})
-	grid.NoteTraffic(phi.Points(), 3)
-	mergeAccs(acc, accs)
+}
+
+// applyResidualBlock is ApplyResidualAcc over one block; row holds at
+// least Z1-Z0 values of scratch.
+func (op *Operator) applyResidualBlock(r, b, phi *grid.Grid, taps []tap, row []float64, a *detsum.Acc, blk Block) {
+	in := phi.Data()
+	rd := r.Data()
+	bd := b.Data()
+	n := blk.Z1 - blk.Z0
+	buf := row[:n]
+	for i := blk.X0; i < blk.X1; i++ {
+		for j := blk.Y0; j < blk.Y1; j++ {
+			stencilRow(buf, in, phi.Index(i, j, blk.Z0), n, op.Center, taps)
+			rrow := r.Index(i, j, blk.Z0)
+			brow := b.Index(i, j, blk.Z0)
+			for k := 0; k < n; k++ {
+				v := bd[brow+k] - buf[k]
+				rd[rrow+k] = v
+				a.Add(v * v)
+			}
+		}
+	}
 }
 
 // ApplySmooth computes dst = phi + c*(rhs - op(phi)) in one sweep
@@ -135,11 +175,29 @@ func (op *Operator) ApplyResidualAcc(p *Pool, r, b, phi *grid.Grid, acc *detsum.
 func (op *Operator) ApplySmooth(p *Pool, dst, phi, rhs *grid.Grid, c float64) {
 	op.checkFused("ApplySmooth", phi, dst, rhs)
 	taps := op.gridTaps(phi)
-	p.Exec(phi.Nx, func(_, x0, x1 int) {
-		buf := make([]float64, phi.Nz)
-		op.applySmoothBlock(dst, phi, rhs, taps, buf, c, Block{x0, x1, 0, phi.Ny, 0, phi.Nz})
+	op.sweep(p, phi, 3, phi.Nz, func(_ int, row []float64, b Block) {
+		op.applySmoothBlock(dst, phi, rhs, taps, row, c, b)
 	})
-	grid.NoteTraffic(phi.Points(), 3)
+}
+
+// applySmoothBlock is ApplySmooth over one block; row as above.
+func (op *Operator) applySmoothBlock(dst, phi, rhs *grid.Grid, taps []tap, row []float64, c float64, blk Block) {
+	in := phi.Data()
+	out := dst.Data()
+	bd := rhs.Data()
+	n := blk.Z1 - blk.Z0
+	buf := row[:n]
+	for i := blk.X0; i < blk.X1; i++ {
+		for j := blk.Y0; j < blk.Y1; j++ {
+			srow := phi.Index(i, j, blk.Z0)
+			stencilRow(buf, in, srow, n, op.Center, taps)
+			drow := dst.Index(i, j, blk.Z0)
+			brow := rhs.Index(i, j, blk.Z0)
+			for k := 0; k < n; k++ {
+				out[drow+k] = in[srow+k] + c*(bd[brow+k]-buf[k])
+			}
+		}
+	}
 }
 
 // ApplyStep computes dst = beta*src + alpha*((op(src)) + v.*src) in one
@@ -149,13 +207,54 @@ func (op *Operator) ApplySmooth(p *Pool, dst, phi, rhs *grid.Grid, c float64) {
 // dst = src - tau*H(src). 3 streams with v, 2 without. dst must not
 // alias src or v.
 func (op *Operator) ApplyStep(p *Pool, dst, src, v *grid.Grid, alpha, beta float64) {
-	op.checkStep("ApplyStep", dst, src, v)
+	streams := 2
+	if v != nil {
+		op.checkFused("ApplyStep", src, dst, v)
+		streams = 3
+	} else {
+		op.checkFused("ApplyStep", src, dst)
+	}
 	taps := op.gridTaps(src)
-	p.Exec(src.Nx, func(_, x0, x1 int) {
-		buf := make([]float64, src.Nz)
-		op.applyStepBlock(dst, src, v, taps, buf, alpha, beta, Block{x0, x1, 0, src.Ny, 0, src.Nz})
+	op.sweep(p, src, streams, src.Nz, func(_ int, row []float64, b Block) {
+		op.applyStepBlock(dst, src, v, taps, row, alpha, beta, b)
 	})
-	grid.NoteTraffic(src.Points(), stepStreams(v))
+}
+
+// applyStepBlock is ApplyStep over one block; row as above.
+func (op *Operator) applyStepBlock(dst, src, v *grid.Grid, taps []tap, row []float64, alpha, beta float64, blk Block) {
+	in := src.Data()
+	out := dst.Data()
+	var vd []float64
+	if v != nil {
+		vd = v.Data()
+	}
+	n := blk.Z1 - blk.Z0
+	buf := row[:n]
+	for i := blk.X0; i < blk.X1; i++ {
+		for j := blk.Y0; j < blk.Y1; j++ {
+			srow := src.Index(i, j, blk.Z0)
+			stencilRow(buf, in, srow, n, op.Center, taps)
+			if v != nil {
+				vrow := v.Index(i, j, blk.Z0)
+				for k := 0; k < n; k++ {
+					buf[k] += vd[vrow+k] * in[srow+k]
+				}
+			}
+			drow := dst.Index(i, j, blk.Z0)
+			switch {
+			case beta == 0 && alpha == 1:
+				copy(out[drow:drow+n], buf)
+			case beta == 1:
+				for k := 0; k < n; k++ {
+					out[drow+k] = in[srow+k] + alpha*buf[k]
+				}
+			default:
+				for k := 0; k < n; k++ {
+					out[drow+k] = beta*in[srow+k] + alpha*buf[k]
+				}
+			}
+		}
+	}
 }
 
 // SORSweep performs one in-place lexicographic Gauss-Seidel sweep with

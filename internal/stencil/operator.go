@@ -14,11 +14,36 @@ import (
 // (C1..C13 in section II.A). Coefficient slices have length 2R+1 and are
 // indexed by offset+R; the center entries of X, Y, Z must be zero — the
 // merged center weight lives in Center.
+//
+// An Operator sweeps one Region of the grids it is applied to — the
+// whole grid unless it is one of the Interior/Shell views Over returns.
 type Operator struct {
 	R       int
 	Center  float64
 	X, Y, Z []float64
+
+	// region is the part of every sweep this view covers; views holds
+	// the operator's three views, indexed by Region and sharing the
+	// coefficient slices, so Over never allocates.
+	region Region
+	views  *[3]Operator
 }
+
+// withViews returns the Full view of a new operator with op's
+// coefficients.
+func (op Operator) withViews() *Operator {
+	v := new([3]Operator)
+	for r := range v {
+		v[r] = op
+		v[r].region, v[r].views = Region(r), v
+	}
+	return &v[Full]
+}
+
+// Over returns the view of op whose sweeps cover only region r; every
+// kernel method of the view computes exactly the points of r, with the
+// arithmetic of the Full sweep.
+func (op *Operator) Over(r Region) *Operator { return &op.views[r] }
 
 // NewOperator builds an operator from per-axis coefficient slices of
 // length 2R+1 (center entries included). The three axis centers are
@@ -27,7 +52,7 @@ func NewOperator(r int, cx, cy, cz []float64) *Operator {
 	if len(cx) != 2*r+1 || len(cy) != 2*r+1 || len(cz) != 2*r+1 {
 		panic(fmt.Sprintf("stencil: coefficient length must be %d", 2*r+1))
 	}
-	op := &Operator{
+	op := Operator{
 		R: r,
 		X: append([]float64(nil), cx...),
 		Y: append([]float64(nil), cy...),
@@ -35,7 +60,7 @@ func NewOperator(r int, cx, cy, cz []float64) *Operator {
 	}
 	op.Center = op.X[r] + op.Y[r] + op.Z[r]
 	op.X[r], op.Y[r], op.Z[r] = 0, 0, 0
-	return op
+	return op.withViews()
 }
 
 // Laplacian returns the central-difference approximation of ∇² with the
@@ -64,24 +89,20 @@ func (op *Operator) FlopsPerPoint() int { return 2*op.Points() - 1 }
 // 2 streams x 8 bytes. Fused variants move more streams per sweep but
 // far fewer per solver iteration: ApplyDot stays at 2 streams (16 B)
 // because the reduction reuses cache-hot values; ApplyResidual and
-// ApplySmooth are 3 streams (24 B); ApplyAxpy is 4 streams (32 B). The
-// unfused chains they replace cost 7-9 streams. See the package comment
-// for the full traffic model.
+// ApplySmooth are 3 streams (24 B). The unfused chains they replace
+// cost 7-9 streams. See the package comment for the full traffic model.
 func (op *Operator) BytesPerPoint() int { return 16 }
 
-// Apply computes dst = op(src) over the interior of src, reading halo
-// cells of src up to distance R. Halos must have been filled beforehand
-// (by grid.FillHalosPeriodic, grid.FillHalosZero, or a distributed halo
+// Apply computes dst = op(src) over op's region on the calling
+// goroutine, reading halo cells of src up to distance R (the Interior
+// view reads none). Halos must have been filled beforehand (by
+// grid.FillHalosPeriodic, grid.FillHalosZero, or a distributed halo
 // exchange). dst and src must have identical interiors and src's halo
 // must be at least R.
 func (op *Operator) Apply(dst, src *grid.Grid) {
-	if dst.Nx != src.Nx || dst.Ny != src.Ny || dst.Nz != src.Nz {
-		panic("stencil: Apply extent mismatch")
-	}
-	if src.H < op.R {
-		panic(fmt.Sprintf("stencil: source halo %d < stencil radius %d", src.H, op.R))
-	}
-	op.ApplyRange(dst, src, 0, src.Nx)
+	op.checkFused("Apply", src, dst)
+	taps := op.gridTaps(src)
+	op.sweep(nil, src, 2, 0, func(_ int, _ []float64, b Block) { op.applyBlock(dst, src, taps, b) })
 }
 
 // tap is one nonzero off-center stencil coefficient, flattened into a
@@ -163,29 +184,21 @@ func stencilRow(out, in []float64, s0, n int, center float64, taps []tap) {
 	}
 }
 
-// applyBlock computes dst = op(src) over the sub-box [x0,x1) x [j0,j1) x
-// [k0,k1). It is the innermost building block of both the plane-split
-// and the cache-blocked traversals.
-func (op *Operator) applyBlock(dst, src *grid.Grid, taps []tap, x0, x1, j0, j1, k0, k1 int) {
+// applyBlock computes dst = op(src) over one block. It is the innermost
+// building block of both the plane-split and the cache-blocked
+// traversals.
+func (op *Operator) applyBlock(dst, src *grid.Grid, taps []tap, b Block) {
 	in := src.Data()
 	out := dst.Data()
 	center := op.Center
-	n := k1 - k0
-	for i := x0; i < x1; i++ {
-		for j := j0; j < j1; j++ {
-			srow := src.Index(i, j, k0)
-			drow := dst.Index(i, j, k0)
+	n := b.Z1 - b.Z0
+	for i := b.X0; i < b.X1; i++ {
+		for j := b.Y0; j < b.Y1; j++ {
+			srow := src.Index(i, j, b.Z0)
+			drow := dst.Index(i, j, b.Z0)
 			stencilRow(out[drow:drow+n], in, srow, n, center, taps)
 		}
 	}
-}
-
-// ApplyRange computes dst = op(src) for interior planes i in [x0, x1).
-// It is the work-splitting primitive used by the hybrid master-only
-// approach, where one grid's computation is divided across threads.
-func (op *Operator) ApplyRange(dst, src *grid.Grid, x0, x1 int) {
-	op.applyBlock(dst, src, op.gridTaps(src), x0, x1, 0, src.Ny, 0, src.Nz)
-	grid.NoteTraffic((x1-x0)*src.Ny*src.Nz, 2)
 }
 
 // ApplyPeriodicReference fills src's halos periodically and applies the

@@ -168,28 +168,22 @@ const (
 	tileK = 2048
 )
 
-// ApplyParallel computes dst = op(src) with the sweep split across the
-// pool's workers and cache-blocked over (j, k) tiles. Halos must have
-// been filled, exactly as for Apply; the result is bit-identical to
-// Apply for every worker count.
+// ApplyParallel is Apply with the sweep split across the pool's workers
+// and cache-blocked over (j, k) tiles. Halos must have been filled,
+// exactly as for Apply; the result is bit-identical to Apply for every
+// worker count.
 func (op *Operator) ApplyParallel(p *Pool, dst, src *grid.Grid) {
-	if dst.Nx != src.Nx || dst.Ny != src.Ny || dst.Nz != src.Nz {
-		panic("stencil: ApplyParallel extent mismatch")
-	}
-	if src.H < op.R {
-		panic(fmt.Sprintf("stencil: source halo %d < stencil radius %d", src.H, op.R))
-	}
+	op.checkFused("ApplyParallel", src, dst)
 	taps := op.gridTaps(src)
-	p.Exec(src.Nx, func(_, x0, x1 int) {
-		for j0 := 0; j0 < src.Ny; j0 += tileJ {
-			j1 := min(j0+tileJ, src.Ny)
-			for k0 := 0; k0 < src.Nz; k0 += tileK {
-				k1 := min(k0+tileK, src.Nz)
-				op.applyBlock(dst, src, taps, x0, x1, j0, j1, k0, k1)
+	op.sweep(p, src, 2, 0, func(_ int, _ []float64, b Block) {
+		for j0 := b.Y0; j0 < b.Y1; j0 += tileJ {
+			j1 := min(j0+tileJ, b.Y1)
+			for k0 := b.Z0; k0 < b.Z1; k0 += tileK {
+				k1 := min(k0+tileK, b.Z1)
+				op.applyBlock(dst, src, taps, Block{b.X0, b.X1, j0, j1, k0, k1})
 			}
 		}
 	})
-	grid.NoteTraffic(src.Points(), 2)
 }
 
 // The drivers below run the grid package's range-based BLAS-1 sweeps

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/detsum"
 	"repro/internal/grid"
 )
 
@@ -141,28 +142,6 @@ func fusedCase(t *testing.T) (op *Operator, src, ref, aux *grid.Grid) {
 	return op, src, ref, aux
 }
 
-func TestApplyAxpyMatchesUnfused(t *testing.T) {
-	op, src, ref, aux := fusedCase(t)
-	const alpha = 0.37
-	// Unfused: dst = op(src); y += alpha*dst.
-	op.Apply(ref, src)
-	yWant := aux.Clone()
-	yWant.Axpy(alpha, ref)
-	for _, w := range []int{1, 4} {
-		p := NewPool(w)
-		dst := grid.New(10, 9, 8, 2)
-		y := aux.Clone()
-		op.ApplyAxpy(p, dst, y, alpha, src)
-		if d := ref.MaxAbsDiff(dst); d != 0 {
-			t.Fatalf("workers=%d: fused dst deviates by %g", w, d)
-		}
-		if d := yWant.MaxAbsDiff(y); d != 0 {
-			t.Fatalf("workers=%d: fused y deviates by %g", w, d)
-		}
-		p.Close()
-	}
-}
-
 func TestApplyDotMatchesUnfused(t *testing.T) {
 	op, src, ref, _ := fusedCase(t)
 	op.Apply(ref, src)
@@ -171,7 +150,9 @@ func TestApplyDotMatchesUnfused(t *testing.T) {
 	for i, w := range []int{1, 2, 4, 8} {
 		p := NewPool(w)
 		dst := grid.New(10, 9, 8, 2)
-		got := op.ApplyDot(p, dst, src)
+		var acc detsum.Acc
+		op.ApplyDotAcc(p, dst, src, &acc)
+		got := acc.Round()
 		if d := ref.MaxAbsDiff(dst); d != 0 {
 			t.Fatalf("workers=%d: dst deviates by %g", w, d)
 		}
@@ -197,7 +178,9 @@ func TestApplyResidualMatchesUnfused(t *testing.T) {
 	for i, w := range []int{1, 2, 4, 8} {
 		p := NewPool(w)
 		r := grid.New(10, 9, 8, 2)
-		sumsq := op.ApplyResidual(p, r, b, src)
+		var acc detsum.Acc
+		op.ApplyResidualAcc(p, r, b, src, &acc)
+		sumsq := acc.Round()
 		if d := ref.MaxAbsDiff(r); d != 0 {
 			t.Fatalf("workers=%d: fused residual deviates by %g", w, d)
 		}
@@ -398,7 +381,7 @@ func TestTrafficCounterStreams(t *testing.T) {
 
 	grid.ResetTraffic()
 	b := grid.New(8, 8, 8, 2)
-	op.ApplyResidual(nil, dst, b, src)
+	op.ApplyResidualAcc(nil, dst, b, src, new(detsum.Acc))
 	if got := grid.TrafficPoints(); got != 3*pts {
 		t.Fatalf("ApplyResidual traffic = %d, want %d", got, 3*pts)
 	}

@@ -1,17 +1,13 @@
 package stencil
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/detsum"
-	"repro/internal/grid"
-)
-
-// Shell-aware kernels for the split-phase halo exchange
-// (internal/core.StartExchange/FinishExchange): every fused sweep is
-// split into a deep-interior part that reads no halo cell — computable
-// while halo messages are still in flight — and a one-stencil-radius
-// boundary shell computed after the exchange completes.
+// Regions for the split-phase halo exchange (internal/core.Engine.Run):
+// every sweep can be split into a deep-interior part that reads no halo
+// cell — computable while halo messages are still in flight — and a
+// one-stencil-radius boundary shell computed after the exchange
+// completes. A kernel is written once; the Operator view it is called
+// on (Operator.Over) says which region it covers.
 //
 // Geometry. A point (i, j, k) of an Nx x Ny x Nz sweep reads halos iff
 // it lies within R of some face (the operator's taps are axis-aligned,
@@ -22,13 +18,38 @@ import (
 // between them, and two z strips between those. Interior plus shell
 // cover every sweep point exactly once (fuzzed in shell_test.go).
 //
-// Determinism. The split variants produce results bit-identical to the
-// corresponding full kernels: every point's stencil value funnels
-// through the same stencilRow arithmetic, elementwise outputs are
-// written once by whichever part owns the point, and reductions
-// accumulate into detsum.Acc — exact and order-independent — so
-// summing interior and shell partials equals the full sweep's sum
-// bitwise no matter how the points are split.
+// Determinism. Interior followed by Shell is bit-identical to Full:
+// every point's stencil value funnels through the same stencilRow
+// arithmetic, elementwise outputs are written once by whichever region
+// owns the point, and reductions accumulate into detsum.Acc — exact and
+// order-independent — so summing interior and shell partials equals
+// the full sweep's sum bitwise no matter how the points are split.
+
+// Region names the part of a sweep a kernel covers.
+type Region int
+
+const (
+	// Full is every point of the sweep.
+	Full Region = iota
+	// Interior is the deep interior: the points whose stencil reads no
+	// halo cell, safe to compute while a halo exchange is in flight.
+	Interior
+	// Shell is the complement of Interior: the points within one
+	// stencil radius of a face, which need valid halos.
+	Shell
+)
+
+// Points returns how many points of an (nx, ny, nz) sweep with stencil
+// radius r the region covers.
+func (rg Region) Points(nx, ny, nz, r int) int {
+	switch in := InteriorBlock(nx, ny, nz, r).Points(); rg {
+	case Interior:
+		return in
+	case Shell:
+		return nx*ny*nz - in
+	}
+	return nx * ny * nz
+}
 
 // Block is a half-open sub-box [X0,X1) x [Y0,Y1) x [Z0,Z1) of a grid
 // sweep, in interior coordinates.
@@ -93,317 +114,6 @@ func AppendShellBlocks(dst []Block, nx, ny, nz, r int) []Block {
 		}
 	}
 	return dst
-}
-
-// ShellBlocks is AppendShellBlocks into a fresh slice.
-func ShellBlocks(nx, ny, nz, r int) []Block {
-	return AppendShellBlocks(nil, nx, ny, nz, r)
-}
-
-// interiorOf returns the deep-interior block of a sweep over g.
-func (op *Operator) interiorOf(g *grid.Grid) Block {
-	return InteriorBlock(g.Nx, g.Ny, g.Nz, op.R)
-}
-
-// execBlock splits a block's x planes across the pool and runs
-// fn(worker, sub-block) for every non-empty share.
-func execBlock(p *Pool, b Block, fn func(w int, sub Block)) {
-	if b.Empty() {
-		return
-	}
-	p.Exec(b.X1-b.X0, func(w, lo, hi int) {
-		sub := b
-		sub.X0, sub.X1 = b.X0+lo, b.X0+hi
-		fn(w, sub)
-	})
-}
-
-// --- Apply ----------------------------------------------------------
-
-// ApplyInterior computes dst = op(src) over the deep interior only,
-// split across the pool. Safe to run while src's halo exchange is in
-// flight; halos are never read. ApplyInterior followed by ApplyShell is
-// bit-identical to Apply.
-func (op *Operator) ApplyInterior(p *Pool, dst, src *grid.Grid) {
-	op.checkFused("ApplyInterior", src, dst)
-	blk := op.interiorOf(src)
-	if blk.Empty() {
-		return
-	}
-	taps := op.gridTaps(src)
-	execBlock(p, blk, func(_ int, s Block) {
-		op.applyBlock(dst, src, taps, s.X0, s.X1, s.Y0, s.Y1, s.Z0, s.Z1)
-	})
-	grid.NoteTraffic(blk.Points(), 2)
-}
-
-// ApplyShell computes dst = op(src) over the boundary shell. src's
-// halos must be valid (the exchange must have finished). The shell is
-// O(surface) work, so it runs on the calling goroutine.
-func (op *Operator) ApplyShell(dst, src *grid.Grid) {
-	op.checkFused("ApplyShell", src, dst)
-	taps := op.gridTaps(src)
-	pts := 0
-	var blocks [6]Block
-	for _, s := range AppendShellBlocks(blocks[:0], src.Nx, src.Ny, src.Nz, op.R) {
-		op.applyBlock(dst, src, taps, s.X0, s.X1, s.Y0, s.Y1, s.Z0, s.Z1)
-		pts += s.Points()
-	}
-	grid.NoteTraffic(pts, 2)
-}
-
-// --- ApplyDot -------------------------------------------------------
-
-// applyDotBlock is the block form of the ApplyDot sweep: dst = op(src)
-// and acc += <src, dst> over one block.
-func (op *Operator) applyDotBlock(dst, src *grid.Grid, taps []tap, a *detsum.Acc, blk Block) {
-	in := src.Data()
-	out := dst.Data()
-	n := blk.Z1 - blk.Z0
-	for i := blk.X0; i < blk.X1; i++ {
-		for j := blk.Y0; j < blk.Y1; j++ {
-			srow := src.Index(i, j, blk.Z0)
-			drow := dst.Index(i, j, blk.Z0)
-			stencilRow(out[drow:drow+n], in, srow, n, op.Center, taps)
-			for k := 0; k < n; k++ {
-				a.Add(in[srow+k] * out[drow+k])
-			}
-		}
-	}
-}
-
-// ApplyDotInteriorAcc computes dst = op(src) over the deep interior and
-// accumulates the interior part of <src, dst> into acc, split across
-// the pool. With ApplyDotShellAcc on the same acc afterwards, the
-// rounded sum is bit-identical to ApplyDotAcc's (the accumulation is
-// exact, hence split-independent).
-func (op *Operator) ApplyDotInteriorAcc(p *Pool, dst, src *grid.Grid, acc *detsum.Acc) {
-	op.checkFused("ApplyDotInterior", src, dst)
-	blk := op.interiorOf(src)
-	if blk.Empty() {
-		return
-	}
-	taps := op.gridTaps(src)
-	accs := make([]detsum.Acc, p.Workers())
-	execBlock(p, blk, func(w int, s Block) {
-		op.applyDotBlock(dst, src, taps, &accs[w], s)
-	})
-	grid.NoteTraffic(blk.Points(), 2)
-	mergeAccs(acc, accs)
-}
-
-// ApplyDotShellAcc is the boundary-shell remainder of ApplyDotInteriorAcc.
-// src's halos must be valid.
-func (op *Operator) ApplyDotShellAcc(dst, src *grid.Grid, acc *detsum.Acc) {
-	op.checkFused("ApplyDotShell", src, dst)
-	taps := op.gridTaps(src)
-	pts := 0
-	var blocks [6]Block
-	for _, s := range AppendShellBlocks(blocks[:0], src.Nx, src.Ny, src.Nz, op.R) {
-		op.applyDotBlock(dst, src, taps, acc, s)
-		pts += s.Points()
-	}
-	grid.NoteTraffic(pts, 2)
-}
-
-// --- ApplyResidual --------------------------------------------------
-
-// applyResidualBlock is the block form of the ApplyResidual sweep:
-// r = b - op(phi) and acc += |r|^2 over one block. buf must hold at
-// least Z1-Z0 values.
-func (op *Operator) applyResidualBlock(r, b, phi *grid.Grid, taps []tap, buf []float64, a *detsum.Acc, blk Block) {
-	in := phi.Data()
-	rd := r.Data()
-	bd := b.Data()
-	n := blk.Z1 - blk.Z0
-	for i := blk.X0; i < blk.X1; i++ {
-		for j := blk.Y0; j < blk.Y1; j++ {
-			stencilRow(buf[:n], in, phi.Index(i, j, blk.Z0), n, op.Center, taps)
-			rrow := r.Index(i, j, blk.Z0)
-			brow := b.Index(i, j, blk.Z0)
-			for k := 0; k < n; k++ {
-				v := bd[brow+k] - buf[k]
-				rd[rrow+k] = v
-				a.Add(v * v)
-			}
-		}
-	}
-}
-
-// ApplyResidualInteriorAcc computes r = b - op(phi) over the deep
-// interior and accumulates the interior part of |r|^2 into acc, split
-// across the pool. r may alias b; it must not alias phi.
-func (op *Operator) ApplyResidualInteriorAcc(p *Pool, r, b, phi *grid.Grid, acc *detsum.Acc) {
-	op.checkFused("ApplyResidualInterior", phi, r, b)
-	blk := op.interiorOf(phi)
-	if blk.Empty() {
-		return
-	}
-	taps := op.gridTaps(phi)
-	accs := make([]detsum.Acc, p.Workers())
-	execBlock(p, blk, func(w int, s Block) {
-		buf := make([]float64, s.Z1-s.Z0)
-		op.applyResidualBlock(r, b, phi, taps, buf, &accs[w], s)
-	})
-	grid.NoteTraffic(blk.Points(), 3)
-	mergeAccs(acc, accs)
-}
-
-// ApplyResidualShellAcc is the boundary-shell remainder of
-// ApplyResidualInteriorAcc. phi's halos must be valid.
-func (op *Operator) ApplyResidualShellAcc(r, b, phi *grid.Grid, acc *detsum.Acc) {
-	op.checkFused("ApplyResidualShell", phi, r, b)
-	taps := op.gridTaps(phi)
-	buf := make([]float64, phi.Nz)
-	pts := 0
-	var blocks [6]Block
-	for _, s := range AppendShellBlocks(blocks[:0], phi.Nx, phi.Ny, phi.Nz, op.R) {
-		op.applyResidualBlock(r, b, phi, taps, buf, acc, s)
-		pts += s.Points()
-	}
-	grid.NoteTraffic(pts, 3)
-}
-
-// --- ApplySmooth ----------------------------------------------------
-
-// applySmoothBlock is the block form of the ApplySmooth sweep:
-// dst = phi + c*(rhs - op(phi)) over one block.
-func (op *Operator) applySmoothBlock(dst, phi, rhs *grid.Grid, taps []tap, buf []float64, c float64, blk Block) {
-	in := phi.Data()
-	out := dst.Data()
-	bd := rhs.Data()
-	n := blk.Z1 - blk.Z0
-	for i := blk.X0; i < blk.X1; i++ {
-		for j := blk.Y0; j < blk.Y1; j++ {
-			srow := phi.Index(i, j, blk.Z0)
-			stencilRow(buf[:n], in, srow, n, op.Center, taps)
-			drow := dst.Index(i, j, blk.Z0)
-			brow := rhs.Index(i, j, blk.Z0)
-			for k := 0; k < n; k++ {
-				out[drow+k] = in[srow+k] + c*(bd[brow+k]-buf[k])
-			}
-		}
-	}
-}
-
-// ApplySmoothInterior computes the damped Jacobi relaxation
-// dst = phi + c*(rhs - op(phi)) over the deep interior, split across
-// the pool. dst must not alias phi; it may alias rhs.
-func (op *Operator) ApplySmoothInterior(p *Pool, dst, phi, rhs *grid.Grid, c float64) {
-	op.checkFused("ApplySmoothInterior", phi, dst, rhs)
-	blk := op.interiorOf(phi)
-	if blk.Empty() {
-		return
-	}
-	taps := op.gridTaps(phi)
-	execBlock(p, blk, func(_ int, s Block) {
-		buf := make([]float64, s.Z1-s.Z0)
-		op.applySmoothBlock(dst, phi, rhs, taps, buf, c, s)
-	})
-	grid.NoteTraffic(blk.Points(), 3)
-}
-
-// ApplySmoothShell is the boundary-shell remainder of
-// ApplySmoothInterior. phi's halos must be valid.
-func (op *Operator) ApplySmoothShell(dst, phi, rhs *grid.Grid, c float64) {
-	op.checkFused("ApplySmoothShell", phi, dst, rhs)
-	taps := op.gridTaps(phi)
-	buf := make([]float64, phi.Nz)
-	pts := 0
-	var blocks [6]Block
-	for _, s := range AppendShellBlocks(blocks[:0], phi.Nx, phi.Ny, phi.Nz, op.R) {
-		op.applySmoothBlock(dst, phi, rhs, taps, buf, c, s)
-		pts += s.Points()
-	}
-	grid.NoteTraffic(pts, 3)
-}
-
-// --- ApplyStep ------------------------------------------------------
-
-// applyStepBlock is the block form of the ApplyStep sweep:
-// dst = beta*src + alpha*(op(src) + v.*src), v optional, over one block.
-func (op *Operator) applyStepBlock(dst, src, v *grid.Grid, taps []tap, buf []float64, alpha, beta float64, blk Block) {
-	in := src.Data()
-	out := dst.Data()
-	var vd []float64
-	if v != nil {
-		vd = v.Data()
-	}
-	n := blk.Z1 - blk.Z0
-	for i := blk.X0; i < blk.X1; i++ {
-		for j := blk.Y0; j < blk.Y1; j++ {
-			srow := src.Index(i, j, blk.Z0)
-			stencilRow(buf[:n], in, srow, n, op.Center, taps)
-			if v != nil {
-				vrow := v.Index(i, j, blk.Z0)
-				for k := 0; k < n; k++ {
-					buf[k] += vd[vrow+k] * in[srow+k]
-				}
-			}
-			drow := dst.Index(i, j, blk.Z0)
-			switch {
-			case beta == 0 && alpha == 1:
-				copy(out[drow:drow+n], buf[:n])
-			case beta == 1:
-				for k := 0; k < n; k++ {
-					out[drow+k] = in[srow+k] + alpha*buf[k]
-				}
-			default:
-				for k := 0; k < n; k++ {
-					out[drow+k] = beta*in[srow+k] + alpha*buf[k]
-				}
-			}
-		}
-	}
-}
-
-// checkStep validates the ApplyStep operand set (v optional).
-func (op *Operator) checkStep(kernel string, dst, src, v *grid.Grid) {
-	if v != nil {
-		op.checkFused(kernel, src, dst, v)
-	} else {
-		op.checkFused(kernel, src, dst)
-	}
-}
-
-// stepStreams returns the memory streams of an ApplyStep sweep.
-func stepStreams(v *grid.Grid) int {
-	if v != nil {
-		return 3
-	}
-	return 2
-}
-
-// ApplyStepInterior computes the fused Kohn-Sham step
-// dst = beta*src + alpha*(op(src) + v.*src) over the deep interior,
-// split across the pool. dst must not alias src or v.
-func (op *Operator) ApplyStepInterior(p *Pool, dst, src, v *grid.Grid, alpha, beta float64) {
-	op.checkStep("ApplyStepInterior", dst, src, v)
-	blk := op.interiorOf(src)
-	if blk.Empty() {
-		return
-	}
-	taps := op.gridTaps(src)
-	execBlock(p, blk, func(_ int, s Block) {
-		buf := make([]float64, s.Z1-s.Z0)
-		op.applyStepBlock(dst, src, v, taps, buf, alpha, beta, s)
-	})
-	grid.NoteTraffic(blk.Points(), stepStreams(v))
-}
-
-// ApplyStepShell is the boundary-shell remainder of ApplyStepInterior.
-// src's halos must be valid.
-func (op *Operator) ApplyStepShell(dst, src, v *grid.Grid, alpha, beta float64) {
-	op.checkStep("ApplyStepShell", dst, src, v)
-	taps := op.gridTaps(src)
-	buf := make([]float64, src.Nz)
-	pts := 0
-	var blocks [6]Block
-	for _, s := range AppendShellBlocks(blocks[:0], src.Nx, src.Ny, src.Nz, op.R) {
-		op.applyStepBlock(dst, src, v, taps, buf, alpha, beta, s)
-		pts += s.Points()
-	}
-	grid.NoteTraffic(pts, stepStreams(v))
 }
 
 // String implements fmt.Stringer for test failure messages.

@@ -23,7 +23,7 @@ func coverCount(nx, ny, nz, r int) []int {
 		}
 	}
 	stamp(InteriorBlock(nx, ny, nz, r))
-	for _, b := range ShellBlocks(nx, ny, nz, r) {
+	for _, b := range AppendShellBlocks(nil, nx, ny, nz, r) {
 		stamp(b)
 	}
 	return mark
@@ -124,93 +124,88 @@ func shellOperand(nx, ny, nz int, seed float64) *grid.Grid {
 	return g
 }
 
-// TestSplitKernelsMatchFullBitwise: for every fused kernel, interior +
-// shell must reproduce the full sweep bitwise — outputs and reductions
-// — across worker counts and degenerate extents where the interior is
-// thin or empty.
-func TestSplitKernelsMatchFullBitwise(t *testing.T) {
+// TestRegionsMatchFullBitwise: for every fusion, the Interior view
+// followed by the Shell view must reproduce the Full sweep bitwise —
+// outputs and Acc sums — and account the same memory traffic, across
+// worker counts and the degenerate extents (n < 2R) where the interior
+// is thin or empty.
+func TestRegionsMatchFullBitwise(t *testing.T) {
+	type operands struct{ src, rhs, v *grid.Grid }
+	fusions := []struct {
+		name string
+		run  func(op *Operator, p *Pool, dst *grid.Grid, in operands, acc *detsum.Acc)
+	}{
+		{"Apply", func(op *Operator, _ *Pool, dst *grid.Grid, in operands, _ *detsum.Acc) {
+			op.Apply(dst, in.src)
+		}},
+		{"ApplyParallel", func(op *Operator, p *Pool, dst *grid.Grid, in operands, _ *detsum.Acc) {
+			op.ApplyParallel(p, dst, in.src)
+		}},
+		{"ApplyDotAcc", func(op *Operator, p *Pool, dst *grid.Grid, in operands, acc *detsum.Acc) {
+			op.ApplyDotAcc(p, dst, in.src, acc)
+		}},
+		{"ApplyResidualAcc", func(op *Operator, p *Pool, dst *grid.Grid, in operands, acc *detsum.Acc) {
+			op.ApplyResidualAcc(p, dst, in.rhs, in.src, acc)
+		}},
+		{"ApplySmooth", func(op *Operator, p *Pool, dst *grid.Grid, in operands, _ *detsum.Acc) {
+			op.ApplySmooth(p, dst, in.src, in.rhs, 0.31)
+		}},
+		// ApplyStep with and without a potential, over its three
+		// coefficient fast paths.
+		{"ApplyStep(v,1,0)", func(op *Operator, p *Pool, dst *grid.Grid, in operands, _ *detsum.Acc) {
+			op.ApplyStep(p, dst, in.src, in.v, 1, 0)
+		}},
+		{"ApplyStep(v,-0.01,1)", func(op *Operator, p *Pool, dst *grid.Grid, in operands, _ *detsum.Acc) {
+			op.ApplyStep(p, dst, in.src, in.v, -0.01, 1)
+		}},
+		{"ApplyStep(v,0.5,-0.25)", func(op *Operator, p *Pool, dst *grid.Grid, in operands, _ *detsum.Acc) {
+			op.ApplyStep(p, dst, in.src, in.v, 0.5, -0.25)
+		}},
+		{"ApplyStep(nil,-0.02,1)", func(op *Operator, p *Pool, dst *grid.Grid, in operands, _ *detsum.Acc) {
+			op.ApplyStep(p, dst, in.src, nil, -0.02, 1)
+		}},
+	}
 	op := Laplacian(2, 0.6)
-	shapes := [][3]int{{12, 10, 8}, {4, 12, 12}, {12, 3, 12}, {12, 12, 2}, {3, 3, 3}, {5, 4, 9}}
+	shapes := [][3]int{{12, 10, 8}, {4, 12, 12}, {12, 3, 12}, {12, 12, 2}, {3, 3, 3}, {5, 4, 9}, {1, 1, 1}}
+	defer grid.ResetTraffic()
 	for _, sh := range shapes {
 		nx, ny, nz := sh[0], sh[1], sh[2]
+		in := operands{shellOperand(nx, ny, nz, 0.25), shellOperand(nx, ny, nz, -1.5), shellOperand(nx, ny, nz, 0.75)}
 		for _, w := range []int{1, 3} {
 			p := NewPool(w)
-			src := shellOperand(nx, ny, nz, 0.25)
-			rhs := shellOperand(nx, ny, nz, -1.5)
-			v := shellOperand(nx, ny, nz, 0.75)
+			for _, f := range fusions {
+				var fullAcc, splitAcc detsum.Acc
+				full := grid.New(nx, ny, nz, 2)
+				grid.ResetTraffic()
+				f.run(op, p, full, in, &fullAcc)
+				fullTraffic := grid.TrafficPoints()
 
-			// Apply.
-			full := grid.New(nx, ny, nz, 2)
-			op.Apply(full, src)
-			split := grid.New(nx, ny, nz, 2)
-			op.ApplyInterior(p, split, src)
-			op.ApplyShell(split, src)
-			if d := split.MaxAbsDiff(full); d != 0 {
-				t.Errorf("%v w=%d Apply split deviates by %g", sh, w, d)
-			}
-
-			// ApplyDot.
-			var fullAcc, splitAcc detsum.Acc
-			op.ApplyDotAcc(p, full, src, &fullAcc)
-			op.ApplyDotInteriorAcc(p, split, src, &splitAcc)
-			op.ApplyDotShellAcc(split, src, &splitAcc)
-			if split.MaxAbsDiff(full) != 0 || splitAcc.Round() != fullAcc.Round() {
-				t.Errorf("%v w=%d ApplyDot split: dot %.17g, full %.17g", sh, w, splitAcc.Round(), fullAcc.Round())
-			}
-
-			// ApplyResidual.
-			fullAcc.Reset()
-			splitAcc.Reset()
-			op.ApplyResidualAcc(p, full, rhs, src, &fullAcc)
-			op.ApplyResidualInteriorAcc(p, split, rhs, src, &splitAcc)
-			op.ApplyResidualShellAcc(split, rhs, src, &splitAcc)
-			if split.MaxAbsDiff(full) != 0 || splitAcc.Round() != fullAcc.Round() {
-				t.Errorf("%v w=%d ApplyResidual split: |r|^2 %.17g, full %.17g", sh, w, splitAcc.Round(), fullAcc.Round())
-			}
-
-			// ApplySmooth.
-			op.ApplySmooth(p, full, src, rhs, 0.31)
-			op.ApplySmoothInterior(p, split, src, rhs, 0.31)
-			op.ApplySmoothShell(split, src, rhs, 0.31)
-			if d := split.MaxAbsDiff(full); d != 0 {
-				t.Errorf("%v w=%d ApplySmooth split deviates by %g", sh, w, d)
-			}
-
-			// ApplyStep, with and without a potential, over the three
-			// coefficient fast paths.
-			for _, tc := range []struct {
-				v           *grid.Grid
-				alpha, beta float64
-			}{
-				{v, 1, 0}, {v, -0.01, 1}, {v, 0.5, -0.25}, {nil, -0.02, 1},
-			} {
-				op.ApplyStep(p, full, src, tc.v, tc.alpha, tc.beta)
-				op.ApplyStepInterior(p, split, src, tc.v, tc.alpha, tc.beta)
-				op.ApplyStepShell(split, src, tc.v, tc.alpha, tc.beta)
+				// The split output starts from a value no kernel produces,
+				// so a point neither view writes shows up.
+				split := grid.New(nx, ny, nz, 2)
+				split.Fill(1e300)
+				grid.ResetTraffic()
+				f.run(op.Over(Interior), p, split, in, &splitAcc)
+				f.run(op.Over(Shell), p, split, in, &splitAcc)
 				if d := split.MaxAbsDiff(full); d != 0 {
-					t.Errorf("%v w=%d ApplyStep(alpha=%g beta=%g) split deviates by %g", sh, w, tc.alpha, tc.beta, d)
+					t.Errorf("%v w=%d %s: Interior+Shell output deviates from Full by %g", sh, w, f.name, d)
+				}
+				if got, want := splitAcc.Round(), fullAcc.Round(); got != want {
+					t.Errorf("%v w=%d %s: Interior+Shell sum %.17g, Full %.17g", sh, w, f.name, got, want)
+				}
+				if got := grid.TrafficPoints(); got != fullTraffic {
+					t.Errorf("%v w=%d %s: Interior+Shell traffic %d, Full %d", sh, w, f.name, got, fullTraffic)
 				}
 			}
 			p.Close()
 		}
+		for _, rg := range []Region{Interior, Shell} {
+			if op.Over(rg).Over(Full) != op {
+				t.Fatalf("view %d does not lead back to the Full operator", rg)
+			}
+		}
+		if in, sh3 := Interior.Points(nx, ny, nz, 2), Shell.Points(nx, ny, nz, 2); in+sh3 != Full.Points(nx, ny, nz, 2) || in+sh3 != nx*ny*nz {
+			t.Errorf("%v: Interior %d + Shell %d points != %d", sh, in, sh3, nx*ny*nz)
+		}
 	}
-}
-
-// TestSplitTrafficAddsUp: interior + shell must account exactly the
-// same memory traffic as the full sweep (the counter feeds the
-// benchmark reports).
-func TestSplitTrafficAddsUp(t *testing.T) {
-	op := Laplacian(2, 1)
-	src := shellOperand(10, 9, 8, 0)
-	dst := grid.New(10, 9, 8, 2)
-	grid.ResetTraffic()
-	op.Apply(dst, src)
-	full := grid.TrafficPoints()
-	grid.ResetTraffic()
-	op.ApplyInterior(nil, dst, src)
-	op.ApplyShell(dst, src)
-	if got := grid.TrafficPoints(); got != full {
-		t.Errorf("split traffic %d, full %d", got, full)
-	}
-	grid.ResetTraffic()
 }

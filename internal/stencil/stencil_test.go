@@ -212,23 +212,6 @@ func TestApplyConvergesToContinuumLaplacian(t *testing.T) {
 	}
 }
 
-func TestApplyRangeCoversApply(t *testing.T) {
-	op := Laplacian(2, 1)
-	src := grid.New(8, 6, 5, 2)
-	src.FillFunc(func(i, j, k int) float64 { return float64((i*7+j*3+k)%11) - 5 })
-	src.FillHalosPeriodic()
-	whole := grid.New(8, 6, 5, 2)
-	op.Apply(whole, src)
-	// Split the x range across 3 "threads" like hybrid master-only does.
-	parts := grid.New(8, 6, 5, 2)
-	op.ApplyRange(parts, src, 0, 3)
-	op.ApplyRange(parts, src, 3, 6)
-	op.ApplyRange(parts, src, 6, 8)
-	if whole.MaxAbsDiff(parts) != 0 {
-		t.Fatal("ApplyRange pieces disagree with whole Apply")
-	}
-}
-
 func TestApplyPanics(t *testing.T) {
 	op := Laplacian(2, 1)
 	a := grid.New(4, 4, 4, 2)
