@@ -101,8 +101,12 @@
 //     (ascending-k panel broadcasts reproduce the serial rounding
 //     sequence exactly; the pblas.* ledger rows of benchmark/run.sh
 //     track the layer's timings).
-//   - internal/detsum — exact, order-independent float64 summation (a
-//     small Kulisch-style superaccumulator). Every reduction in the
+//   - internal/detsum — exact, order-independent float64 summation: a
+//     Kulisch-style superaccumulator of 68 int64 bins into which each
+//     value's mantissa is deposited by integer shifts and adds, a row at
+//     a time (AddSlice/AddMulSlice; the detsum.* ledger rows of
+//     `bash benchmark/run.sh --trace 1` price it against a plain dot).
+//     Every reduction in the
 //     solver stack accumulates through it, which makes dot products,
 //     norms and sums bit-identical for every thread count, rank count
 //     and process-grid shape — the determinism contract the cross-rank

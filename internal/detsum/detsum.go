@@ -6,12 +6,14 @@
 // shape and thread count. A plain float64 accumulator cannot provide
 // that: floating-point addition is not associative, so any partitioning
 // of a sum — across pool workers or across MPI ranks — changes the
-// rounding. detsum fixes the problem at the root: every value is split
-// into exact 32-bit chunks that are accumulated in fixed-weight bins
-// (a small Kulisch-style superaccumulator). Chunk extraction and bin
-// addition are exact integer arithmetic in float64, so the bins — and
-// therefore the rounded result — depend only on the multiset of added
-// values, never on the order or grouping of the additions.
+// rounding. detsum fixes the problem at the root: an Acc is a fixed-point
+// register wide enough for every finite float64 (a Kulisch-style
+// superaccumulator), held as 68 int64 bins of 32 value bits each. Adding
+// a value deposits its 53-bit mantissa, shifted to its exponent's
+// position, into the three bins it straddles — integer shifts and adds,
+// no rounding anywhere — so the bins, and therefore the rounded result,
+// depend only on the multiset of added values, never on the order or
+// grouping of the additions.
 //
 // The contract the solver stack builds on:
 //
@@ -19,6 +21,10 @@
 //	Merge is exact          -> any partitioning of the terms gives the
 //	                           same Acc value (threads, ranks, batches)
 //	Round is deterministic  -> equal Acc values round to equal float64s
+//
+// Reducing loops feed whole rows (AddSlice, AddMulSlice) rather than
+// single values: the deposit is the same, the per-call overhead and the
+// bounds checks are paid once per row.
 //
 // Accumulators serialize to a flat []float64 (Transport/MergeTransport)
 // so they travel through the mpi runtime unchanged and merge on the
@@ -28,103 +34,161 @@ package detsum
 import "math"
 
 const (
-	// binWidth is the chunk width in bits. Each bin b holds an integer
-	// count of units of 2^(32b-bias).
+	// binWidth is the number of value bits per bin. Bin b counts units of
+	// 2^(32b-bias).
 	binWidth = 32
 	// bias positions bin 0 at weight 2^-1088, below the smallest
 	// subnormal's lowest mantissa bit (2^-1074), so every finite float64
-	// splits exactly.
+	// deposits exactly.
 	bias = 1088
 	// numBins covers weights up to 2^(32*67-1088) = 2^1056 > MaxFloat64,
 	// leaving headroom for carries out of the top value bin.
 	numBins = 68
-	// carryEvery bounds the number of Adds between carry propagations:
-	// each Add deposits chunks < 2^32 per bin, so after 2^19 Adds a bin
-	// holds < 2^51 — comfortably inside float64's exact-integer range.
-	carryEvery = 1 << 19
+	// expShift turns a biased exponent into a bit offset above bin 0: a
+	// finite float64 is mant*2^(e-1075) with e = max(biasedExp, 1), that
+	// is mant << (e+expShift) units of 2^-bias.
+	expShift = bias - 1075
+	// carryEvery bounds the deposits between carry propagations. A
+	// deposit moves a bin by less than 2^32 and a carried bin is below
+	// 2^32 (or, merged from transports, 2^53), so 2^24 deposits keep
+	// every bin below 2^57 — six bits inside int64. The bound is far
+	// below the 2^30 the headroom allows so that a test can cross it
+	// twice in a fraction of a second; a carry pass every 16M values
+	// costs nothing measurable.
+	carryEvery = 1 << 24
 
 	two32 = 1 << 32
 	two31 = 1 << 31
 )
 
-// scaleUp[m] = 2^(bias-32m) for bins where that is representable;
-// lower bins (huge scales) take the two-step path in Add.
-var scaleUp [numBins]float64
-
-func init() {
-	for m := range scaleUp {
-		e := bias - binWidth*m
-		if e <= 1023 {
-			scaleUp[m] = math.Ldexp(1, e)
-		}
-	}
-}
-
 // Acc is an exact accumulator of float64 values. The zero value is an
 // empty sum and is ready to use.
 type Acc struct {
-	bins [numBins]float64
-	n    int     // Adds since the last carry propagation
+	bins [numBins]int64
+	n    int     // deposits since the last carry propagation
 	spec float64 // running sum of non-finite inputs (Inf/NaN)
 }
 
 // Reset empties the accumulator.
 func (a *Acc) Reset() { *a = Acc{} }
 
+// finite reports whether the float64 with these bits is neither Inf nor
+// NaN.
+func finite(bits uint64) bool { return bits>>52&0x7ff != 0x7ff }
+
+// split decodes the finite float64 with the given bits, branch-free,
+// into a signed integer mantissa and its bit offset above bin 0: the
+// value is mant << off units of 2^-bias. Normal values get their
+// implicit bit back; zero and subnormals have none and sit at exponent 1.
+func split(bits uint64) (mant int64, off uint64) {
+	be := bits >> 52 & 0x7ff
+	normal := (be + 0x7ff) >> 11 // 1 unless be == 0
+	sgn := int64(bits) >> 63
+	mant = int64(bits&(1<<52-1) | normal<<52)
+	return (mant ^ sgn) - sgn, be + 1 - normal + expShift
+}
+
+// deposit adds mant << off to the bins. The shifted mantissa spans three
+// 32-bit pieces: the two low ones are the non-negative low words of its
+// two's-complement form and the top one carries the sign, so the pieces
+// sum to the value exactly. A zero mantissa deposits nothing.
+func (a *Acc) deposit(mant int64, off uint64) {
+	sh := off & 31
+	// No finite value reaches past bin 66 (off <= 2059); the clamp only
+	// lets the compiler drop the three bounds checks.
+	k := min(off>>5, numBins-3)
+	hi := mant >> (32 - sh)
+	a.bins[k] += int64(uint32(mant << sh))
+	a.bins[k+1] += int64(uint32(hi))
+	a.bins[k+2] += hi >> 32
+}
+
 // Add accumulates v exactly. Non-finite values are tracked separately
 // and poison Round, matching a plain accumulator's behaviour.
 func (a *Acc) Add(v float64) {
-	if v == 0 {
-		return
-	}
 	bits := math.Float64bits(v)
-	be := int(bits>>52) & 0x7ff
-	if be == 0x7ff {
+	if !finite(bits) {
 		a.spec += v
 		return
 	}
-	// Top-bit exponent e = be-1023 (for subnormals be=0 overestimates e,
-	// which only makes the first chunk 0 — still exact).
-	// Top chunk bin m = floor((e+bias)/32) = (be+65)>>5.
-	m := (be + 65) >> 5
-	var rest float64
-	if s := scaleUp[m]; s != 0 {
-		rest = v * s // exact: power-of-two scale, |rest| < 2^32
-	} else {
-		// 2^(bias-32m) overflows float64; split the scaling.
-		rest = v * math.Ldexp(1, 512) * math.Ldexp(1, bias-binWidth*m-512)
-	}
-	for {
-		chunk := math.Trunc(rest)
-		a.bins[m] += chunk
-		rest = (rest - chunk) * two32 // exact: fraction shifted up
-		if rest == 0 {
-			break
-		}
-		m--
-	}
-	a.n++
-	if a.n >= carryEvery {
-		a.carry()
-	}
+	a.deposit(split(bits))
+	a.deposited(1)
 }
 
 // AddMul accumulates the rounded product x*y — the element step of a
 // deterministic dot product. The product is rounded once, identically
 // for every partitioning, and then accumulated exactly.
-func (a *Acc) AddMul(x, y float64) { a.Add(x * y) }
+func (a *Acc) AddMul(x, y float64) { a.Add(float64(x * y)) }
 
-// carry moves each bin's overflow (beyond 32 bits) one bin up, keeping
-// every bin's magnitude below 2^33. The accumulator's value is
-// unchanged; all operations are exact.
+// AddSlice accumulates every element of x: Add over a row, with the
+// carry threshold checked once per row rather than once per element.
+func (a *Acc) AddSlice(x []float64) {
+	if k := carryEvery - a.n; len(x) > k {
+		// A row that would pass the carry threshold is fed in two parts;
+		// the first fills the window exactly and carries.
+		a.AddSlice(x[:k])
+		a.AddSlice(x[k:])
+		return
+	}
+	for _, v := range x {
+		bits := math.Float64bits(v)
+		if !finite(bits) {
+			a.spec += v
+			continue
+		}
+		a.deposit(split(bits))
+	}
+	a.deposited(len(x))
+}
+
+// AddMulSlice accumulates the rounded products x[i]*y[i] — a row of a
+// deterministic dot product (a sum of squares when y is x). Each product
+// is rounded to float64 on its own (the explicit conversion forbids
+// fusing it into a neighbouring operation on any architecture) and then
+// accumulated exactly. The slices must have equal length.
+func (a *Acc) AddMulSlice(x, y []float64) {
+	if len(x) != len(y) {
+		panic("detsum: AddMulSlice length mismatch")
+	}
+	if k := carryEvery - a.n; len(x) > k {
+		a.AddMulSlice(x[:k], y[:k])
+		a.AddMulSlice(x[k:], y[k:])
+		return
+	}
+	for i, xv := range x {
+		v := float64(xv * y[i])
+		bits := math.Float64bits(v)
+		if !finite(bits) {
+			a.spec += v
+			continue
+		}
+		a.deposit(split(bits))
+	}
+	a.deposited(len(x))
+}
+
+// deposited counts k deposits toward the carry threshold and carries
+// when it is reached. The row kernels size their rows so that the count
+// lands on the threshold, never past it.
+func (a *Acc) deposited(k int) {
+	a.n += k
+	if a.n >= carryEvery {
+		a.carry()
+	}
+}
+
+// carry moves each bin's overflow (beyond 32 bits) one bin up, leaving
+// every bin but the top one in [0, 2^32); the top bin keeps the sign.
+// The accumulator's value is unchanged.
 func (a *Acc) carry() {
 	a.n = 0
+	var c int64
 	for b := 0; b < numBins-1; b++ {
-		if hi := math.Trunc(a.bins[b] * (1.0 / two32)); hi != 0 {
-			a.bins[b] -= hi * two32
-			a.bins[b+1] += hi
-		}
+		t := a.bins[b] + c
+		c = t >> binWidth // arithmetic: floor, so the remainder is non-negative
+		a.bins[b] = t - c<<binWidth
 	}
+	a.bins[numBins-1] += c
 }
 
 // Merge folds o into a exactly: afterwards a holds the sum of both
@@ -149,19 +213,21 @@ func (a *Acc) Round() float64 {
 		return a.spec
 	}
 	a.carry()
-	// Canonical balanced digits: d in (-2^31, 2^31], carries exact.
+	// Canonical balanced digits: d in (-2^31, 2^31].
 	var digits [numBins]float64
-	carry := 0.0
+	var carry int64
+	top := -1
 	for b := 0; b < numBins; b++ {
-		t := a.bins[b] + carry // exact: both integers < 2^34
-		d := math.Mod(t, two32)
+		t := a.bins[b] + carry
+		d := t & (two32 - 1)
 		if d > two31 {
 			d -= two32
-		} else if d <= -two31 {
-			d += two32
 		}
-		carry = (t - d) * (1.0 / two32) // exact by construction
-		digits[b] = d
+		carry = (t - d) >> binWidth
+		digits[b] = float64(d)
+		if d != 0 {
+			top = b
+		}
 	}
 	// Fold largest-to-smallest with a compensated (head + tail)
 	// accumulator. The canonical digits are non-overlapping, so the
@@ -175,16 +241,8 @@ func (a *Acc) Round() float64 {
 	// the fold runs in a 2^shift-scaled space and rescales once at the
 	// end (power-of-two scaling is exact; a true overflow still lands
 	// on ±Inf).
-	top := -1
 	if carry != 0 {
 		top = numBins
-	} else {
-		for b := numBins - 1; b >= 0; b-- {
-			if digits[b] != 0 {
-				top = b
-				break
-			}
-		}
 	}
 	if top < 0 {
 		return 0
@@ -203,7 +261,7 @@ func (a *Acc) Round() float64 {
 		tail += err
 	}
 	if carry != 0 {
-		fold(carry, binWidth*numBins-bias)
+		fold(float64(carry), binWidth*numBins-bias)
 	}
 	for b := numBins - 1; b >= 0; b-- {
 		if digits[b] != 0 {
@@ -217,28 +275,33 @@ func (a *Acc) Round() float64 {
 const TransportLen = numBins + 1
 
 // Transport appends the accumulator's state to dst as plain float64
-// words (carry-normalized: every word's magnitude stays below 2^33, so
-// even 2^19 transports can be summed term-by-term without rounding).
-// The words travel through mpi buffers unchanged.
+// words (carry-normalized: every word is an integer below 2^32 in
+// magnitude for any sum float64 can hold, so even 2^20 transports can be
+// summed term-by-term without rounding). The words travel through mpi
+// buffers unchanged.
 func (a *Acc) Transport(dst []float64) []float64 {
 	a.carry()
-	dst = append(dst, a.bins[:]...)
+	for _, b := range a.bins {
+		dst = append(dst, float64(b))
+	}
 	return append(dst, a.spec)
 }
 
 // FromTransport reconstructs an accumulator from Transport's words.
 func FromTransport(w []float64) *Acc {
 	a := &Acc{}
-	copy(a.bins[:], w[:numBins])
+	for b := range a.bins {
+		a.bins[b] = int64(w[b])
+	}
 	a.spec = w[numBins]
 	return a
 }
 
 // MergeTransport adds the transported accumulator src into dst
 // word-by-word (dst and src both in Transport layout). The addition is
-// exact for any realistic number of merges (bins are carry-normalized
-// integers below 2^33), so the merged transport represents the exact
-// combined sum independent of merge order.
+// exact for any realistic number of merges (the words are integers
+// below 2^32), so the merged transport represents the exact combined
+// sum independent of merge order.
 func MergeTransport(dst, src []float64) {
 	for i := range dst {
 		dst[i] += src[i]
@@ -252,8 +315,6 @@ func RoundTransport(w []float64) float64 { return FromTransport(w).Round() }
 // Sum is a convenience: the deterministic sum of a slice.
 func Sum(vs []float64) float64 {
 	var a Acc
-	for _, v := range vs {
-		a.Add(v)
-	}
+	a.AddSlice(vs)
 	return a.Round()
 }

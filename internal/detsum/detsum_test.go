@@ -1,11 +1,264 @@
 package detsum
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// refAcc is the accumulator this package shipped before the integer
+// deposit: every value is split into exact 32-bit chunks with math.Trunc
+// and accumulated in float64 bins of the same weights. It is slower by
+// 3-4x and kept only as the oracle the integer Acc is held to — both
+// represent the exact sum, so every Round must agree to the bit.
+type refAcc struct {
+	bins [numBins]float64
+	n    int
+	spec float64
+}
+
+// refCarryEvery keeps the float bins inside float64's exact-integer
+// range: 2^19 chunks below 2^32 stay below 2^51.
+const refCarryEvery = 1 << 19
+
+func (a *refAcc) Add(v float64) {
+	if v == 0 {
+		return
+	}
+	be := int(math.Float64bits(v)>>52) & 0x7ff
+	if be == 0x7ff {
+		a.spec += v
+		return
+	}
+	// Top chunk bin m = floor((e+bias)/32) for the top-bit exponent
+	// e = be-1023; the scale 2^(bias-32m) brings |v| below 2^32 and is
+	// applied in two exact steps where it overflows float64.
+	m := (be + 65) >> 5
+	var rest float64
+	if e := bias - binWidth*m; e <= 1023 {
+		rest = v * math.Ldexp(1, e)
+	} else {
+		rest = v * math.Ldexp(1, 512) * math.Ldexp(1, e-512)
+	}
+	for {
+		chunk := math.Trunc(rest)
+		a.bins[m] += chunk
+		rest = (rest - chunk) * two32
+		if rest == 0 {
+			break
+		}
+		m--
+	}
+	a.n++
+	if a.n >= refCarryEvery {
+		a.carry()
+	}
+}
+
+func (a *refAcc) carry() {
+	a.n = 0
+	for b := 0; b < numBins-1; b++ {
+		if hi := math.Trunc(a.bins[b] * (1.0 / two32)); hi != 0 {
+			a.bins[b] -= hi * two32
+			a.bins[b+1] += hi
+		}
+	}
+}
+
+func (a *refAcc) Round() float64 {
+	if a.spec != 0 || math.IsNaN(a.spec) {
+		return a.spec
+	}
+	a.carry()
+	var digits [numBins]float64
+	carry := 0.0
+	for b := 0; b < numBins; b++ {
+		t := a.bins[b] + carry
+		d := math.Mod(t, two32)
+		if d > two31 {
+			d -= two32
+		} else if d <= -two31 {
+			d += two32
+		}
+		carry = (t - d) * (1.0 / two32)
+		digits[b] = d
+	}
+	top := -1
+	if carry != 0 {
+		top = numBins
+	} else {
+		for b := numBins - 1; b >= 0; b-- {
+			if digits[b] != 0 {
+				top = b
+				break
+			}
+		}
+	}
+	if top < 0 {
+		return 0
+	}
+	shift := 0
+	if topExp := binWidth*top - bias + 31; topExp > 1000 {
+		shift = 1000 - topExp
+	}
+	head, tail := 0.0, 0.0
+	fold := func(d float64, exp int) {
+		v := math.Ldexp(d, exp+shift)
+		s := head + v
+		bv := s - head
+		err := (head - (s - bv)) + (v - bv)
+		head = s
+		tail += err
+	}
+	if carry != 0 {
+		fold(carry, binWidth*numBins-bias)
+	}
+	for b := numBins - 1; b >= 0; b-- {
+		if digits[b] != 0 {
+			fold(digits[b], binWidth*b-bias)
+		}
+	}
+	return math.Ldexp(head+tail, -shift)
+}
+
+// sameBits reports whether two rounded sums agree: bit for bit, except
+// that any NaN equals any NaN (a NaN's payload depends on the order the
+// non-finite inputs met, which a partitioned sum is free to change).
+func sameBits(x, y float64) bool {
+	if math.IsNaN(x) || math.IsNaN(y) {
+		return math.IsNaN(x) && math.IsNaN(y)
+	}
+	return math.Float64bits(x) == math.Float64bits(y)
+}
+
+// normalized returns a's carry-normalized bins — a function of the exact
+// sum only, so two accumulators fed the same multiset must agree on it.
+func normalized(a *Acc) [numBins]int64 {
+	a.carry()
+	return a.bins
+}
+
+func encodeValues(vs []float64) []byte {
+	out := make([]byte, 0, 8*len(vs))
+	for _, v := range vs {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+	}
+	return out
+}
+
+func repeated(v float64, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
+// FuzzAccMatchesReference holds the integer accumulator to the
+// float-chunk oracle over the whole float64 range: the fuzz bytes are
+// raw float64 bit patterns (so every exponent, subnormals, infinities
+// and NaNs occur), ctl seeds a random partition of them into parts fed
+// through Add or AddSlice, a random merge order, and one
+// Transport -> MergeTransport -> RoundTransport hop between two halves
+// of the parts. It also checks that each row kernel leaves exactly the
+// bins element-wise Add leaves.
+func FuzzAccMatchesReference(f *testing.F) {
+	inf := math.Inf(1)
+	for i, vs := range [][]float64{
+		{5e-324, 5e-324},
+		{5e-324, 1.0, -1.0},
+		{2.2250738585072014e-308, -1.1125369292536007e-308}, // normal/subnormal boundary
+		{math.MaxFloat64 / 4, math.MaxFloat64 / 4, -math.MaxFloat64 / 4},
+		{math.MaxFloat64, math.MaxFloat64, math.MaxFloat64},
+		{1e16, 1, -1e16},
+		{1, inf},
+		{inf, -inf, 3},
+		{math.NaN(), 1e300},
+		{math.Copysign(0, -1), math.Copysign(0, -1)},
+		{math.Copysign(0, -1), 1e-300, -1e-300},
+		repeated(1.1, 3000),
+		repeated(-math.MaxFloat64/8192, 3000),
+		append(repeated(5e-324, 2000), repeated(-0x1p-1022, 2000)...),
+	} {
+		f.Add(encodeValues(vs), uint64(i))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, ctl uint64) {
+		vs := make([]float64, len(data)/8)
+		for i := range vs {
+			vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		var ref refAcc
+		var whole Acc
+		for _, v := range vs {
+			ref.Add(v)
+			whole.Add(v)
+		}
+		want := ref.Round()
+		wholeBins := normalized(&whole)
+		if got := whole.Round(); !sameBits(got, want) {
+			t.Fatalf("Add: %x, oracle %x", math.Float64bits(got), math.Float64bits(want))
+		}
+
+		// Random partition, each part through Add or AddSlice, merged in
+		// a random order into two halves that meet over a transport hop.
+		rng := rand.New(rand.NewSource(int64(ctl)))
+		parts := make([]Acc, 1+rng.Intn(6))
+		lo := 0
+		for p := range parts {
+			hi := lo + rng.Intn(len(vs)-lo+1)
+			if p == len(parts)-1 {
+				hi = len(vs)
+			}
+			if rng.Intn(2) == 0 {
+				parts[p].AddSlice(vs[lo:hi])
+			} else {
+				for _, v := range vs[lo:hi] {
+					parts[p].Add(v)
+				}
+			}
+			lo = hi
+		}
+		var halves [2]Acc
+		for i, p := range rng.Perm(len(parts)) {
+			halves[i%2].Merge(&parts[p])
+		}
+		w := halves[0].Transport(nil)
+		MergeTransport(w, halves[1].Transport(nil))
+		if got := RoundTransport(w); !sameBits(got, want) {
+			t.Fatalf("partitioned + transported: %x, oracle %x", math.Float64bits(got), math.Float64bits(want))
+		}
+		if got := normalized(FromTransport(w)); got != wholeBins {
+			t.Fatalf("partitioned + transported bins differ from element-wise Add")
+		}
+
+		// Row kernels against element-wise Add, and the product row
+		// against the oracle fed the same rounded products.
+		var row Acc
+		row.AddSlice(vs)
+		if normalized(&row) != wholeBins || !sameBits(row.spec, whole.spec) {
+			t.Fatalf("AddSlice bins differ from element-wise Add")
+		}
+		ys := make([]float64, len(vs))
+		for i := range ys {
+			ys[i] = vs[(i+1+int(ctl%7))%len(vs)]
+		}
+		var mul, mulElem Acc
+		var mulRef refAcc
+		mul.AddMulSlice(vs, ys)
+		for i, x := range vs {
+			mulElem.Add(x * ys[i])
+			mulRef.Add(x * ys[i])
+		}
+		if normalized(&mul) != normalized(&mulElem) || !sameBits(mul.spec, mulElem.spec) {
+			t.Fatalf("AddMulSlice bins differ from element-wise Add of the products")
+		}
+		if got, want := mul.Round(), mulRef.Round(); !sameBits(got, want) {
+			t.Fatalf("AddMulSlice: %x, oracle %x", math.Float64bits(got), math.Float64bits(want))
+		}
+	})
+}
 
 // sumVia adds vs split into the given contiguous parts, each into its
 // own Acc, merged in a shuffled order.
@@ -133,26 +386,36 @@ func TestNonFinite(t *testing.T) {
 }
 
 func TestCarrySaturation(t *testing.T) {
-	// Far more Adds than carryEvery, alternating signs and magnitudes;
-	// compare against a fresh accumulator fed the same values in pairs.
-	var a, b Acc
+	// Far more values than carryEvery, alternating signs and magnitudes:
+	// element-wise Add forwards, the row kernel backwards in rows whose
+	// lengths straddle the carry threshold, and the oracle.
 	n := carryEvery*2 + 123
+	value := func(i int) float64 {
+		v := float64(i%97) * 1.25e10
+		if i%2 == 1 {
+			v = -v / 3
+		}
+		return v
+	}
+	var a, b Acc
+	var ref refAcc
 	for i := 0; i < n; i++ {
-		v := float64(i%97) * 1.25e10
-		if i%2 == 1 {
-			v = -v / 3
-		}
-		a.Add(v)
+		a.Add(value(i))
+		ref.Add(value(i))
 	}
-	for i := n - 1; i >= 0; i-- {
-		v := float64(i%97) * 1.25e10
-		if i%2 == 1 {
-			v = -v / 3
+	row := make([]float64, 0, 1<<20+7)
+	for i := n - 1; i >= 0; {
+		row = row[:0]
+		for ; i >= 0 && len(row) < cap(row); i-- {
+			row = append(row, value(i))
 		}
-		b.Add(v)
+		b.AddSlice(row)
 	}
-	if a.Round() != b.Round() {
-		t.Fatalf("carry saturation broke invariance: %.17g vs %.17g", a.Round(), b.Round())
+	if normalized(&a) != normalized(&b) {
+		t.Fatalf("carry saturation: row kernel bins differ from element-wise Add")
+	}
+	if a.Round() != b.Round() || a.Round() != ref.Round() {
+		t.Fatalf("carry saturation broke invariance: %.17g vs %.17g, oracle %.17g", a.Round(), b.Round(), ref.Round())
 	}
 }
 
@@ -214,6 +477,21 @@ func BenchmarkAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Add(vs[i&4095])
+	}
+	_ = a.Round()
+}
+
+func BenchmarkAddMulSlice(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	xs, ys := make([]float64, 4096), make([]float64, 4096)
+	for i := range xs {
+		xs[i], ys[i] = rng.NormFloat64(), rng.NormFloat64()
+	}
+	var a Acc
+	b.SetBytes(8 * 4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.AddMulSlice(xs, ys)
 	}
 	_ = a.Round()
 }

@@ -106,16 +106,18 @@ func (d *Dist) bcastBandState(owner int, src, buf *grid.Grid, flat []float64) *g
 // forEachBandState visits the m global states in ascending order,
 // handing f each state's local sub-domain field: the owner group's
 // slice entry directly, other groups a broadcast copy (which f must
-// not retain past the call). The ascending circulation order is the
-// determinism contract every consumer — subspace assembly, rotation,
-// density build — rests on.
+// not retain past the call) landed in the Dist's circulation buffer.
+// The ascending circulation order is the determinism contract every
+// consumer — subspace assembly, rotation, density build — rests on.
+//
+//gpaw:hotpath
 func (d *Dist) forEachBandState(m int, local []*grid.Grid, f func(gi int, src *grid.Grid)) {
 	lo, _ := d.BandRange(m)
-	var buf *grid.Grid
-	var flat []float64
-	if d.Bands > 1 {
-		buf = grid.NewDims(d.local, 0)
-		flat = make([]float64, buf.Points())
+	sc := &d.states
+	if d.Bands > 1 && sc.buf == nil {
+		sc.buf = grid.NewDims(d.local, 0)
+		//lint:ignore hotpathalloc grow-once scratch: the first circulation sizes it, every later one reuses it
+		sc.flat = make([]float64, sc.buf.Points())
 	}
 	for gi := 0; gi < m; gi++ {
 		owner := d.bandOwnerOf(m, gi)
@@ -123,7 +125,49 @@ func (d *Dist) forEachBandState(m int, local []*grid.Grid, f func(gi int, src *g
 		if owner == d.Band {
 			own = local[gi-lo]
 		}
-		f(gi, d.bcastBandState(owner, own, buf, flat))
+		f(gi, d.bcastBandState(owner, own, sc.buf, sc.flat))
+	}
+}
+
+// stateScratch is the eigen iteration's working storage, owned by the
+// Dist and grown on first use (never in NewDist: most contexts — the
+// Poisson and multigrid ones, every per-call selfDist — run no eigen
+// iteration). The iteration's three consumers of a second state set use
+// it strictly one after the other on the rank's master goroutine — the
+// damped step's outputs, then the rotation targets of orthonormalize,
+// then RayleighRitz's H·psi set and, once the subspace matrix is built
+// from it, RayleighRitz's rotation targets — so one set serves all.
+type stateScratch struct {
+	set []*grid.Grid // one state-shaped grid per local state
+
+	buf  *grid.Grid // forEachBandState's landing grid (Bands > 1)
+	flat []float64  // and its flat broadcast transport
+}
+
+// scratchStates returns one scratch grid per state of psis, with that
+// state's extents and halo, allocating only the ones the set does not
+// hold yet (the first iteration, a larger state count, or differently
+// shaped states). Their contents are unspecified; callers write
+// interiors only, so the halos of a grid born here stay zero until an
+// exchange fills them. Callers that produce new states in the set
+// install them with swapStates, which leaves the replaced states' grids
+// in the set.
+//
+//gpaw:hotpath
+func (d *Dist) scratchStates(psis []*grid.Grid) []*grid.Grid {
+	set := grow(&d.states.set, len(psis))
+	for i, g := range set {
+		if like := psis[i]; g == nil || g.Dims() != like.Dims() || g.H != like.H {
+			set[i] = grid.NewDims(like.Dims(), like.H)
+		}
+	}
+	return set
+}
+
+// swapStates exchanges the grids of psis and set element-wise.
+func swapStates(psis, set []*grid.Grid) {
+	for i := range psis {
+		psis[i], set[i] = set[i], psis[i]
 	}
 }
 
@@ -244,36 +288,47 @@ func (d *Dist) bandSymMatrix(m int, out linalg.Matrix, left, right []*grid.Grid)
 // bandRotate replaces the band slice psis (global states [lo, hi)) by
 // the columns [lo, hi) of Ψ·C, where C is the replicated m x m rotation
 // and Ψ is the band-distributed state set — the distributed GEMM over
-// grid-vector blocks. Source states are broadcast through the band
-// communicator in ascending global order, so every output point
-// accumulates its terms in exactly lincombInto's order (clear, then
-// += c_i * src_i for ascending i, skipping exact-zero coefficients) and
-// the rotated states are bit-identical for every band count.
+// grid-vector blocks. The rotated states are written into the Dist's
+// scratch set and swapped into psis (the *grid.Grid objects are
+// replaced, as EigenSolver.Solve documents), so no state is copied.
+// With one band group every output state is one fused
+// linear-combination sweep over the old states' rows, the states
+// divided across the pool. Otherwise source states are broadcast
+// through the band communicator in ascending global order, so every
+// output point accumulates its terms in exactly lincombInto's order
+// (zero, then += c_i * src_i for ascending i, skipping exact-zero
+// coefficients) and the rotated states are bit-identical for every
+// band count.
+//
+//gpaw:hotpath
 func (d *Dist) bandRotate(m int, psis []*grid.Grid, c linalg.Matrix) {
+	news := d.scratchStates(psis)
 	if d.Bands == 1 {
-		// Domain-only layout: the fused rotation performs the very same
-		// per-point addition sequence in m+1 memory passes per state
-		// instead of the circulate path's clear + m axpys.
-		rotate(d.pool, psis, c)
+		//lint:ignore hotpathalloc the fork-join closure Pool.Exec takes: one per rotation, not per state
+		d.pool.Exec(m, func(_, lo, hi int) {
+			for j := lo; j < hi; j++ {
+				lincombInto(news[j], c, j, psis)
+			}
+		})
+		swapStates(psis, news)
 		return
 	}
 	lo, hi := d.BandRange(m)
-	olds := make([]*grid.Grid, len(psis))
-	for i, p := range psis {
-		olds[i] = p.Clone()
+	for _, g := range news {
+		g.Fill(0)
 	}
-	for _, p := range psis {
-		p.Fill(0)
-	}
-	d.forEachBandState(m, olds, func(gi int, src *grid.Grid) {
+	//lint:ignore hotpathalloc the visitor forEachBandState takes: one per rotation
+	d.forEachBandState(m, psis, func(gi int, src *grid.Grid) {
+		//lint:ignore hotpathalloc the fork-join closure Pool.Exec takes: one per circulated state
 		d.pool.Exec(hi-lo, func(_, jlo, jhi int) {
 			for jj := jlo; jj < jhi; jj++ {
 				if ct := c[gi][lo+jj]; ct != 0 {
-					psis[jj].Axpy(ct, src)
+					news[jj].Axpy(ct, src)
 				}
 			}
 		})
 	})
+	swapStates(psis, news)
 }
 
 // orthonormalize performs Löwdin-style orthonormalization Ψ ← Ψ·L⁻ᵀ on
@@ -315,21 +370,24 @@ func (d *Dist) orthonormalize(m int, psis []*grid.Grid) error {
 // rotate to the Ritz vectors by distributed GEMM. Returns all m Ritz
 // values ascending (identical on every rank); an error means the
 // subspace diagonalization failed to converge.
+//
+//gpaw:hotpath
 func (h *Hamiltonian) RayleighRitz(m int, psis []*grid.Grid) ([]float64, error) {
 	if len(psis) > 0 {
 		h = h.bound(psis[0])
 	}
 	defer h.D.Cart.TraceRank().Region("bands.rayleighritz").End()
-	hp := make([]*grid.Grid, len(psis))
-	for i := range psis {
-		hp[i] = grid.NewDims(psis[i].Dims(), psis[i].H)
-	}
+	// H·psi lands in the scratch set: only interiors are written here and
+	// read by the subspace assembly, after which the set is free again
+	// for bandRotate's targets.
+	hp := h.D.scratchStates(psis)
 	h.applyStates(hp, psis, 1, 0)
 	hm := linalg.NewMatrix(m, m)
 	h.D.bandSymMatrix(m, hm, psis, hp)
 	dh := pblas.FromReplicated(h.D.BGrid, hm, subspaceBlock, subspaceBlock)
 	eig, dv, err := pblas.SymEig(dh)
 	if err != nil {
+		//lint:ignore hotpathalloc error path: the solve is over
 		return nil, fmt.Errorf("gpaw: subspace diagonalization: %w", err)
 	}
 	h.D.bandRotate(m, psis, dv.Replicate())

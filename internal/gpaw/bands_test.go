@@ -97,7 +97,7 @@ func TestBandSymMatrixRotate(t *testing.T) {
 	for i := range rotSerial {
 		rotSerial[i] = serial[i].Clone()
 	}
-	rotate(nil, rotSerial, c)
+	selfDist(global, 2, Dirichlet).bandRotate(m, rotSerial, c)
 	runBand(t, global, topology.Dims{1, 1, 2}, 2, Dirichlet, core.FlatOptimized, func(d *Dist) {
 		psis := d.InitGuessBand(m, dims)
 		got := linalg.NewMatrix(m, m)

@@ -164,9 +164,11 @@ type Dist struct {
 	exBuf   []*grid.Grid
 
 	// redIn, redOut and redVals are reduceAccs' transport and result
-	// scratch, sized on first use; sym is bandSymMatrix's.
+	// scratch, sized on first use; sym is bandSymMatrix's and states the
+	// eigen iteration's second state set.
 	redIn, redOut, redVals []float64
 	sym                    symScratch
+	states                 stateScratch
 
 	// pointNs is the modeled per-point sweep cost in virtual ns charged
 	// through mpi.Comm.Compute (0: charging off). It already includes

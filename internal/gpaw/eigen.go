@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/linalg"
-	"repro/internal/stencil"
 )
 
 // EigenSolver finds the lowest eigenstates of a Hamiltonian by damped
@@ -84,19 +83,14 @@ func (es *EigenSolver) solve(m int, psis []*grid.Grid, resumePrev []float64, sta
 		}
 	}
 	tau := 1.0 / h.SpectralBound()
-	outs := make([]*grid.Grid, len(psis))
-	for i := range outs {
-		outs[i] = grid.NewDims(psis[i].Dims(), psis[i].H)
-	}
 	lastDelta := math.Inf(1)
 	for it := start + 1; it <= es.MaxIter; it++ {
 		// Damped power step psi <- psi - tau*H*psi for this group's
 		// states, one fused sweep each behind the approach's exchange
-		// protocol.
+		// protocol, out of place into the Dist's scratch set.
+		outs := d.scratchStates(psis)
 		h.applyStates(outs, psis, -tau, 1)
-		for i := range psis {
-			psis[i], outs[i] = outs[i], psis[i]
-		}
+		swapStates(psis, outs)
 		if err := d.orthonormalize(m, psis); err != nil {
 			return nil, err
 		}
@@ -137,58 +131,83 @@ func Orthonormalize(psis []*grid.Grid) error {
 	return selfDist(psis[0].Dims(), 2, Dirichlet).orthonormalize(len(psis), psis)
 }
 
-// rotate replaces psis by psis * C (column convention: new_j = Σ_i
-// old_i C[i][j]). Each output state is produced in one fused
-// linear-combination sweep over the old states' rows, and the states
-// are divided across the pool's workers.
-func rotate(p *stencil.Pool, psis []*grid.Grid, c linalg.Matrix) {
-	m := len(psis)
-	olds := make([]*grid.Grid, m)
-	for i := range psis {
-		olds[i] = psis[i].Clone()
-	}
-	p.Exec(m, func(_, lo, hi int) {
-		for j := lo; j < hi; j++ {
-			lincombInto(psis[j], c, j, olds)
-		}
-	})
-}
-
 // lincombInto writes dst = Σ_i c[i][col]*srcs[i] row by row,
-// accumulating each point in index order (the same addition order as
-// the Fill+Axpy chain it replaces, in m+1 memory passes instead of
-// 4m+1). Zero coefficients are skipped. The sources are clones of dst
-// (identical extents and halo), so dst's row offsets address their
-// storage directly.
+// accumulating each point in index order: 0 + c_0 s_0, then += c_1 s_1,
+// ... (the addition order of a Fill(0) + Axpy chain; the leading zero
+// makes a -0 product land as +0). Up to four sources are folded per
+// point in registers, so a rotation streams its sources once and its
+// output ceil(terms/4) times. Zero coefficients are skipped. Every
+// product is rounded before it is added (the explicit conversion keeps
+// an FMA-capable architecture from fusing the two). The sources share
+// dst's extents and halo, so dst's row offsets address their storage
+// directly.
 func lincombInto(dst *grid.Grid, c linalg.Matrix, col int, srcs []*grid.Grid) {
-	type term struct {
-		data []float64
-		c    float64
-	}
-	terms := make([]term, 0, len(srcs))
+	var stack [16]lincombTerm // no heap allocation up to 16 states per group
+	terms := stack[:0]
 	for i, src := range srcs {
 		if src.Nx != dst.Nx || src.Ny != dst.Ny || src.Nz != dst.Nz || src.H != dst.H {
 			panic("gpaw: lincombInto layout mismatch")
 		}
 		if c[i][col] != 0 {
-			terms = append(terms, term{src.Data(), c[i][col]})
+			terms = append(terms, lincombTerm{src.Data(), c[i][col]})
 		}
 	}
 	out := dst.Data()
 	for i := 0; i < dst.Nx; i++ {
 		for j := 0; j < dst.Ny; j++ {
-			drow := dst.Index(i, j, 0)
-			clear(out[drow : drow+dst.Nz])
-			for _, tm := range terms {
-				src := tm.data
-				ct := tm.c
-				for k := 0; k < dst.Nz; k++ {
-					out[drow+k] += ct * src[drow+k]
-				}
+			off := dst.Index(i, j, 0)
+			row := out[off : off+dst.Nz]
+			clear(row)
+			for t := 0; t < len(terms); t += 4 {
+				foldRow(row, off, terms[t:min(t+4, len(terms))])
 			}
 		}
 	}
 	grid.NoteTraffic(dst.Points(), len(terms)+1)
+}
+
+// lincombTerm is one source of a linear combination: a grid's storage
+// and its coefficient.
+type lincombTerm struct {
+	data []float64
+	c    float64
+}
+
+// foldRow adds the one to four terms ts, in order, to every point of
+// row, which sits at offset off of each term's storage.
+func foldRow(row []float64, off int, ts []lincombTerm) {
+	n := len(row)
+	c0, s0 := ts[0].c, ts[0].data[off:off+n]
+	switch len(ts) {
+	case 1:
+		for k, v := range row {
+			row[k] = v + float64(c0*s0[k])
+		}
+	case 2:
+		c1, s1 := ts[1].c, ts[1].data[off:off+n]
+		for k, v := range row {
+			v += float64(c0 * s0[k])
+			row[k] = v + float64(c1*s1[k])
+		}
+	case 3:
+		c1, s1 := ts[1].c, ts[1].data[off:off+n]
+		c2, s2 := ts[2].c, ts[2].data[off:off+n]
+		for k, v := range row {
+			v += float64(c0 * s0[k])
+			v += float64(c1 * s1[k])
+			row[k] = v + float64(c2*s2[k])
+		}
+	case 4:
+		c1, s1 := ts[1].c, ts[1].data[off:off+n]
+		c2, s2 := ts[2].c, ts[2].data[off:off+n]
+		c3, s3 := ts[3].c, ts[3].data[off:off+n]
+		for k, v := range row {
+			v += float64(c0 * s0[k])
+			v += float64(c1 * s1[k])
+			v += float64(c2 * s2[k])
+			row[k] = v + float64(c3*s3[k])
+		}
+	}
 }
 
 // guessValue is the deterministic seed field of InitGuess evaluated at

@@ -275,18 +275,23 @@ func (s *SCF) run(rs *SCFRestart) (*SCFResult, error) {
 
 // mixDensityAcc linearly mixes newN into n (n += mix*(newN - n)) and
 // accumulates the squared L2 norm of the density change into acc — one
-// sweep over flat rows; the caller folds the per-rank partials into the
+// sweep over flat rows, the change staged in a cache-resident row for
+// the row reduction; the caller folds the per-rank partials into the
 // exact global norm.
 func mixDensityAcc(n, newN *grid.Grid, mix float64, acc *detsum.Acc) {
 	nd, md := n.Data(), newN.Data()
+	diff := make([]float64, n.Nz)
 	for i := 0; i < n.Nx; i++ {
 		for j := 0; j < n.Ny; j++ {
 			a := n.Index(i, j, 0)
 			b := newN.Index(i, j, 0)
-			for k := 0; k < n.Nz; k++ {
-				diff := md[b+k] - nd[a+k]
-				acc.Add(diff * diff)
-				nd[a+k] += mix * diff
+			nrow, mrow := nd[a:a+n.Nz], md[b:b+n.Nz]
+			for k, mv := range mrow {
+				diff[k] = mv - nrow[k]
+			}
+			acc.AddMulSlice(diff, diff)
+			for k, dv := range diff {
+				nrow[k] += float64(mix * dv)
 			}
 		}
 	}

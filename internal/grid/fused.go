@@ -96,9 +96,7 @@ func (g *Grid) DotAccRange(o *Grid, i0, i1 int, acc *detsum.Acc) {
 		for j := 0; j < g.Ny; j++ {
 			a := g.index(i, j, 0)
 			b := o.index(i, j, 0)
-			for k := 0; k < g.Nz; k++ {
-				acc.Add(g.data[a+k] * o.data[b+k])
-			}
+			acc.AddMulSlice(g.data[a:a+g.Nz], o.data[b:b+g.Nz])
 		}
 	}
 	g.noteTraffic(i1-i0, dotStreams(g, o))
@@ -134,11 +132,9 @@ func (g *Grid) DotNormAccRange(o *Grid, i0, i1 int, dotAcc, sqAcc *detsum.Acc) {
 		for j := 0; j < g.Ny; j++ {
 			a := g.index(i, j, 0)
 			b := o.index(i, j, 0)
-			for k := 0; k < g.Nz; k++ {
-				gv := g.data[a+k]
-				dotAcc.Add(gv * o.data[b+k])
-				sqAcc.Add(gv * gv)
-			}
+			row := g.data[a : a+g.Nz]
+			dotAcc.AddMulSlice(row, o.data[b:b+g.Nz])
+			sqAcc.AddMulSlice(row, row)
 		}
 	}
 	g.noteTraffic(i1-i0, dotStreams(g, o))
@@ -167,11 +163,11 @@ func (g *Grid) AxpyDotAccRange(a float64, x *Grid, i0, i1 int, acc *detsum.Acc) 
 		for j := 0; j < g.Ny; j++ {
 			dst := g.index(i, j, 0)
 			src := x.index(i, j, 0)
-			for k := 0; k < g.Nz; k++ {
-				v := g.data[dst+k] + a*x.data[src+k]
-				g.data[dst+k] = v
-				acc.Add(v * v)
+			row, xrow := g.data[dst:dst+g.Nz], x.data[src:src+g.Nz]
+			for k, xv := range xrow {
+				row[k] += float64(a * xv)
 			}
+			acc.AddMulSlice(row, row)
 		}
 	}
 	g.noteTraffic(i1-i0, 3)
@@ -189,9 +185,7 @@ func (g *Grid) SumAccRange(i0, i1 int, acc *detsum.Acc) {
 	for i := i0; i < i1; i++ {
 		for j := 0; j < g.Ny; j++ {
 			row := g.index(i, j, 0)
-			for k := 0; k < g.Nz; k++ {
-				acc.Add(g.data[row+k])
-			}
+			acc.AddSlice(g.data[row : row+g.Nz])
 		}
 	}
 	g.noteTraffic(i1-i0, 1)

@@ -129,9 +129,7 @@ func (op *Operator) applyDotBlock(dst, src *grid.Grid, taps []tap, a *detsum.Acc
 			srow := src.Index(i, j, blk.Z0)
 			drow := dst.Index(i, j, blk.Z0)
 			stencilRow(out[drow:drow+n], in, srow, n, op.Center, taps)
-			for k := 0; k < n; k++ {
-				a.Add(in[srow+k] * out[drow+k])
-			}
+			a.AddMulSlice(in[srow:srow+n], out[drow:drow+n])
 		}
 	}
 }
@@ -160,11 +158,11 @@ func (op *Operator) applyResidualBlock(r, b, phi *grid.Grid, taps []tap, row []f
 			stencilRow(buf, in, phi.Index(i, j, blk.Z0), n, op.Center, taps)
 			rrow := r.Index(i, j, blk.Z0)
 			brow := b.Index(i, j, blk.Z0)
-			for k := 0; k < n; k++ {
-				v := bd[brow+k] - buf[k]
-				rd[rrow+k] = v
-				a.Add(v * v)
+			res := rd[rrow : rrow+n]
+			for k, bv := range bd[brow : brow+n] {
+				res[k] = bv - buf[k]
 			}
+			a.AddMulSlice(res, res)
 		}
 	}
 }
