@@ -1,5 +1,7 @@
-// Command gpawsim regenerates the paper's tables and figures on the
-// calibrated Blue Gene/P model.
+// Command gpawsim replays the paper's evaluation — its tables, figures
+// and ablations — on the calibrated Blue Gene/P model (internal/bgpsim).
+// It measures nothing on this host: the live runtime is measured by
+// `bash benchmark/run.sh` and asserted by the package tests.
 //
 // Usage:
 //
@@ -7,23 +9,7 @@
 //	gpawsim -experiment fig5a,fig6 -quick
 //
 // Experiments: table1, fig2, fig5a (no batching), fig5b (batch 8), fig6,
-// fig7, headline, ablations, dist, bands, faults (rank-failure
-// injection + shrink-to-survivors recovery), chaosnet (lossy transport
-// healed by reliable delivery + silent-data-corruption rollback),
-// netmodel (calibrated transport at 64..4096 simulated ranks x rank
-// placements), all.
-//
-// -netmodel arms the calibrated network model on the live-runtime dist
-// experiment (deterministic virtual makespans instead of wall time);
-// -map picks the rank placement on the simulated torus for such runs.
-//
-// -trace FILE writes a Chrome/Perfetto trace-event timeline of one
-// traced distributed SCF (one track per rank, nested comm/compute
-// spans; virtual timestamps under -netmodel); -profile appends its
-// per-phase profile table — comm/compute split and overlap efficiency
-// — to the dist experiment's notes:
-//
-//	gpawsim -experiment dist -netmodel -trace out.json -profile
+// fig7, headline, ablations, all.
 package main
 
 import (
@@ -33,30 +19,15 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/topology"
 )
 
 func main() {
 	experiment := flag.String("experiment", "all",
-		"comma-separated list: table1, fig2, fig5a, fig5b, fig6, fig7, headline, ablations, dist, bands, faults, chaosnet, netmodel, all")
+		"comma-separated list: table1, fig2, fig5a, fig5b, fig6, fig7, headline, ablations, all")
 	quick := flag.Bool("quick", false, "reduced sweeps for a fast run")
-	netmodel := flag.Bool("netmodel", false,
-		"arm the calibrated network model on the live-runtime experiments (dist)")
-	mapFlag := flag.String("map", "",
-		"rank placement on the simulated torus for -netmodel runs: linear, cart, shuffle")
-	traceOut := flag.String("trace", "",
-		"write a Chrome/Perfetto trace of one traced dist SCF run to this file (implies -experiment dist artifacts)")
-	profile := flag.Bool("profile", false,
-		"append the traced dist run's per-phase profile table (comm/compute split, overlap efficiency)")
 	flag.Parse()
 
-	mapping, err := topology.ParseMapping(*mapFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gpawsim: %v\n", err)
-		os.Exit(2)
-	}
-	opts := bench.Options{Quick: *quick, NetModel: *netmodel, Map: mapping,
-		TraceOut: *traceOut, Profile: *profile}
+	opts := bench.Options{Quick: *quick}
 	drivers := map[string]func() []*bench.Experiment{
 		"table1":   func() []*bench.Experiment { return []*bench.Experiment{bench.Table1()} },
 		"fig2":     func() []*bench.Experiment { return []*bench.Experiment{bench.Figure2(opts)} },
@@ -65,11 +36,6 @@ func main() {
 		"fig6":     func() []*bench.Experiment { return []*bench.Experiment{bench.Figure6(opts)} },
 		"fig7":     func() []*bench.Experiment { return []*bench.Experiment{bench.Figure7(opts)} },
 		"headline": func() []*bench.Experiment { return []*bench.Experiment{bench.Headline(opts)} },
-		"dist":     func() []*bench.Experiment { return []*bench.Experiment{bench.DistSolvers(opts)} },
-		"bands":    func() []*bench.Experiment { return []*bench.Experiment{bench.BandSolvers(opts)} },
-		"faults":   func() []*bench.Experiment { return []*bench.Experiment{bench.Faults(opts)} },
-		"chaosnet": func() []*bench.Experiment { return []*bench.Experiment{bench.ChaosNet(opts)} },
-		"netmodel": func() []*bench.Experiment { return []*bench.Experiment{bench.NetScaling(opts)} },
 		"ablations": func() []*bench.Experiment {
 			return []*bench.Experiment{
 				bench.AblationLatencyHiding(opts),
@@ -83,7 +49,7 @@ func main() {
 			}
 		},
 	}
-	order := []string{"table1", "fig2", "fig5a", "fig5b", "fig6", "fig7", "headline", "ablations", "dist", "bands", "faults", "chaosnet", "netmodel"}
+	order := []string{"table1", "fig2", "fig5a", "fig5b", "fig6", "fig7", "headline", "ablations"}
 
 	var selected []string
 	if *experiment == "all" {

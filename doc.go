@@ -63,20 +63,17 @@
 //     approaches at the solver level (per-rank worker pools inside MPI
 //     ranks); a serial run is the one-rank instance, which NewPoisson,
 //     NewMultigrid, NewHamiltonian and NewSCF build over mpi.Self. The
-//     hot iteration loops — Poisson Jacobi/CG, the multigrid smoother
-//     and residual, the eigensolver's Hamiltonian application including
-//     the band-parallel path — run split-phase in every approach except
+//     hot iteration loops — Poisson CG, the multigrid smoother and
+//     residual, the eigensolver's Hamiltonian application including the
+//     band-parallel path — run split-phase in every approach except
 //     flat original, which keeps the serialized exchange as the
 //     differential baseline; overlapped and serialized runs are
 //     bit-identical (dist_overlap_test.go sweeps ranks x approaches x
 //     boundaries x threads). No solver path funnels through a single
-//     node: SOR's lexicographic Gauss–Seidel sweep runs as a pipelined
-//     wavefront over the process grid (boundary planes stream between
-//     neighbours mid-sweep, reproducing the undecomposed update order
-//     bit for bit), and multigrid levels too coarse for the full
-//     process grid are redistributed onto shrunken sub-communicator
-//     grids (grid.NewDecompOrFallback shapes + grid.Redistribute) with
-//     the remaining ranks parked until prolongation. Band parallelization
+//     node: multigrid levels too coarse for the full process grid are
+//     redistributed onto shrunken sub-communicator grids
+//     (grid.NewDecompOrFallback shapes + grid.Redistribute) with the
+//     remaining ranks parked until prolongation. Band parallelization
 //     (bands.go) adds the second axis of GPAW's Blue Gene/P scaling: a
 //     bands x domain 2D layout splits the wave-functions across band
 //     groups, subspace matrices assemble by circulating state blocks
@@ -114,9 +111,11 @@
 //     SCF total energies are equal bit for bit on 1/2/4/8 ranks for all
 //     four approaches, and equal to the frozen results of the former
 //     serial solver stack (internal/gpaw/testdata/serial_golden.json).
-//   - internal/bench — drivers that regenerate Table I and Figures 2,
-//     5, 6, 7 plus ablations; exercised by bench_test.go in this
-//     directory and by cmd/gpawsim.
+//   - internal/bench — replays of the paper's evaluation on the
+//     internal/bgpsim model: Table I, Figures 2, 5, 6, 7 and the
+//     ablations, printed by cmd/gpawsim. The live runtime is measured
+//     only by `bash benchmark/run.sh` and asserted only by package
+//     tests.
 //
 // See README.md for a tour, and benchmark/README.md for the benchmark
 // and its per-layer ledger.

@@ -2,16 +2,15 @@
 // Gene/P model — one 192^3 grid per core, all four programming
 // approaches, printed as a speedup-per-core-count table (a miniature
 // version of the paper's Figure 6) — followed by a strong-scaling run
-// of the REAL distributed Poisson solver on the in-process MPI runtime
-// — CG, then the pipelined wavefront SOR, then the split-phase
-// overlapped exchange against the serialized baseline — whose solutions
-// are bit-identical at every rank count, and by the bands x domain
-// eigensolver: the same eigenvalues, bit for bit, for every split of
-// the wave-functions across band groups. It closes with the failure
-// model: an SCF run whose rank 2 is killed mid-flight recovers onto
-// the survivors from its last checkpoint and still reproduces the
-// undisturbed energy bit for bit (the same demonstration `gpawsim
-// -experiment faults` prints as a table).
+// of the REAL distributed CG Poisson solver on the in-process MPI
+// runtime, then the split-phase overlapped exchange against the
+// serialized baseline — solutions bit-identical at every rank count —
+// and by the bands x domain eigensolver: the same eigenvalues, bit for
+// bit, for every split of the wave-functions across band groups. It
+// closes with the failure model: an SCF run whose rank 2 is killed
+// mid-flight recovers onto the survivors from its last checkpoint and
+// still reproduces the undisturbed energy bit for bit (internal/gpaw's
+// TestChaosSCFDifferential asserts the full kill matrix).
 package main
 
 import (
@@ -29,26 +28,17 @@ import (
 	"repro/internal/trace"
 )
 
-// distSolve runs one distributed Poisson solve on p in-process ranks
-// and returns the iteration count, the converged residual and the wall
-// time. solve selects the solver (CG, or wavefront SOR).
-func distSolve(global topology.Dims, procs topology.Dims, rhs *grid.Grid, h float64,
-	solve func(ps *gpaw.Poisson, phi, rhs *grid.Grid) (int, float64, error)) (int, float64, time.Duration) {
-	return distSolveApproach(global, procs, rhs, h, core.FlatOptimized, solve)
-}
-
-// distSolveApproach is distSolve with an explicit programming approach
-// (flat optimized runs the split-phase overlapped exchange, flat
-// original the serialized baseline).
-func distSolveApproach(global topology.Dims, procs topology.Dims, rhs *grid.Grid, h float64, a core.Approach,
-	solve func(ps *gpaw.Poisson, phi, rhs *grid.Grid) (int, float64, error)) (int, float64, time.Duration) {
+// distCG runs one distributed CG Poisson solve (flat optimized) on the
+// in-process ranks of procs and returns the iteration count, the
+// converged residual and the wall time.
+func distCG(global topology.Dims, procs topology.Dims, rhs *grid.Grid, h float64) (int, float64, time.Duration) {
 	var iters int
 	var res float64
 	start := time.Now()
 	err := mpi.Run(procs.Count(), mpi.ThreadSingle, func(c *mpi.Comm) {
 		d, err := gpaw.NewDist(c, gpaw.DistConfig{
 			Global: global, Procs: procs, Halo: 2, BC: gpaw.Periodic,
-			Approach: a, Batch: 1,
+			Approach: core.FlatOptimized, Batch: 1,
 		})
 		if err != nil {
 			panic(err)
@@ -56,7 +46,7 @@ func distSolveApproach(global topology.Dims, procs topology.Dims, rhs *grid.Grid
 		defer d.Close()
 		ps := gpaw.NewDistPoisson(d, h)
 		phi := d.NewLocalGrid()
-		it, r, err := solve(ps, phi, d.ScatterReplicated(rhs))
+		it, r, err := ps.SolveCG(phi, d.ScatterReplicated(rhs))
 		if err != nil {
 			panic(err)
 		}
@@ -68,21 +58,6 @@ func distSolveApproach(global topology.Dims, procs topology.Dims, rhs *grid.Grid
 		panic(err)
 	}
 	return iters, res, time.Since(start)
-}
-
-// distCG is distSolve with the fused conjugate-gradient solver.
-func distCG(global topology.Dims, procs topology.Dims, rhs *grid.Grid, h float64) (int, float64, time.Duration) {
-	return distSolve(global, procs, rhs, h, func(ps *gpaw.Poisson, phi, rhs *grid.Grid) (int, float64, error) {
-		return ps.SolveCG(phi, rhs)
-	})
-}
-
-// distSOR is distSolve with the pipelined wavefront Gauss-Seidel solver.
-func distSOR(global topology.Dims, procs topology.Dims, rhs *grid.Grid, h float64) (int, float64, time.Duration) {
-	return distSolve(global, procs, rhs, h, func(ps *gpaw.Poisson, phi, rhs *grid.Grid) (int, float64, error) {
-		ps.Tol = 1e-6
-		return ps.SolveSOR(phi, rhs, 1.6)
-	})
 }
 
 // distCGModeled solves the same CG problem under the calibrated network
@@ -156,8 +131,8 @@ func tracedCGTimeline(global, procs topology.Dims, rhs *grid.Grid, h float64) {
 	tr.WriteTimeline(os.Stdout, trace.Virtual, 12)
 	fmt.Println("\naggregated per-phase profile of the same run:")
 	fmt.Println(tr.Profile(trace.Virtual).Table())
-	fmt.Println("load the same data into a Chrome/Perfetto timeline with")
-	fmt.Println("`gpawsim -experiment dist -netmodel -trace out.json -profile`")
+	fmt.Println("for a Chrome/Perfetto timeline of a whole SCF run:")
+	fmt.Println("`bash benchmark/run.sh -workload scf_bgp64 -trace 1 -trace-out DIR`")
 }
 
 func main() {
@@ -208,20 +183,6 @@ func main() {
 	fmt.Println("\nidentical iteration counts at every rank count: the exact")
 	fmt.Println("(order-independent) reductions make the distributed solver")
 	fmt.Println("bit-identical to the serial one")
-
-	// Wavefront SOR: the lexicographic Gauss-Seidel sweep used to gather
-	// the whole grid to rank 0 every iteration; it now runs as a
-	// pipelined wavefront over the process grid — same bits, O(surface)
-	// communication.
-	fmt.Println("\npipelined wavefront SOR (omega=1.6), same problem:")
-	fmt.Printf("%8s %8s %8s %12s\n", "ranks", "layout", "iters", "time")
-	for _, procs := range []topology.Dims{{1, 1, 1}, {2, 1, 1}, {2, 2, 1}, {2, 2, 2}} {
-		it, _, dt := distSOR(global, procs, rhs, h)
-		fmt.Printf("%8d %8s %8d %11.3fs\n", procs.Count(), procs.String(), it, dt.Seconds())
-	}
-	fmt.Println("\nthe wavefront preserves the serial update order exactly, so the")
-	fmt.Println("Gauss-Seidel iterates — and the iteration count — never change")
-	fmt.Println("with the decomposition; no rank gathers the global grid")
 
 	// Split-phase overlap: the same CG problem with the halo exchange
 	// overlapped with deep-interior compute versus the serialized
@@ -311,8 +272,7 @@ func main() {
 	fmt.Println("last bit: subspace matrices assemble through exact reductions and")
 	fmt.Println("the dense algebra runs distributed in internal/pblas")
 
-	// Fault tolerance: the same SCF problem gpawsim's `faults`
-	// experiment runs, here with the whole lifecycle visible — a rank
+	// Fault tolerance with the whole lifecycle visible — a rank
 	// voluntarily dies at a chosen SCF iteration, the survivors get a
 	// typed failure (never a hang), agree on the membership, shrink,
 	// re-tile the last checkpoint onto the smaller grid and resume.
@@ -374,6 +334,6 @@ func main() {
 	}
 	fmt.Println("\nthe recovered energy and iteration count match the undisturbed run")
 	fmt.Println("bit for bit: checkpoints re-tile exactly and every reduction is")
-	fmt.Println("decomposition-independent — run `gpawsim -experiment faults` for the")
-	fmt.Println("full kill matrix (victim x iteration x rank count)")
+	fmt.Println("decomposition-independent — TestChaosSCFDifferential in internal/gpaw")
+	fmt.Println("asserts the full kill matrix (victim x iteration x rank count)")
 }

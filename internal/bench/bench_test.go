@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/bgpsim"
-	"repro/internal/topology"
 )
 
 func TestTable1ContainsPaperValues(t *testing.T) {
@@ -149,36 +148,4 @@ func fmtSscan(s string, v *float64) (int, error) {
 	n, err := fmt.Sscan(s, &f)
 	*v = f
 	return n, err
-}
-
-func TestNetScalingQuick(t *testing.T) {
-	e := NetScaling(Options{Quick: true})
-	if len(e.Rows) != 3 {
-		t.Fatalf("rows = %d, want one per mapping", len(e.Rows))
-	}
-	for _, n := range e.Notes {
-		if strings.Contains(n, "DEVIATION") {
-			t.Fatalf("mapping ordering violated: %s", n)
-		}
-	}
-	found := false
-	for _, n := range e.Notes {
-		if strings.Contains(n, "Cartesian embedding beat the shuffled placement") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("missing mapping-ordering note:\n%s", e.String())
-	}
-}
-
-func TestDistSolversQuickNetModel(t *testing.T) {
-	e := DistSolvers(Options{Quick: true, NetModel: true, Map: topology.MapCart})
-	s := e.String()
-	if strings.Contains(s, "DEVIATION") {
-		t.Fatalf("calibrated model broke the determinism contract:\n%s", s)
-	}
-	if !strings.Contains(s, "virt") {
-		t.Fatalf("netmodel run should report virtual makespans:\n%s", s)
-	}
 }

@@ -15,23 +15,6 @@ type Options struct {
 	Quick bool
 	// Params overrides the calibrated machine model when non-zero.
 	Params bgpsim.Params
-	// NetModel arms the calibrated network model on the live-runtime
-	// experiments (dist): every message pays modeled latency/bandwidth
-	// cost and the time column reports deterministic virtual makespans
-	// instead of host wall time.
-	NetModel bool
-	// Map picks the rank placement on the simulated torus for
-	// NetModel runs (linear, cart, shuffle).
-	Map topology.Mapping
-	// TraceOut, when non-empty, makes the live-runtime experiments
-	// (dist) write a Chrome/Perfetto trace-event file of one traced
-	// SCF run to this path — one timeline track per rank, nested
-	// comm/compute spans, virtual timestamps when NetModel is armed.
-	TraceOut string
-	// Profile appends the traced run's per-phase profile table
-	// (count, time, bytes, %comm vs %compute, overlap efficiency) to
-	// the experiment's notes.
-	Profile bool
 }
 
 func (o Options) params() bgpsim.Params {

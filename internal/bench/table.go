@@ -1,8 +1,8 @@
-// Package bench regenerates every table and figure of the paper's
-// evaluation on the Blue Gene/P model (internal/bgpsim) and on the real
-// in-process runtime (internal/core). Each driver returns an Experiment
-// holding the same rows/series the paper reports; the drivers are shared
-// by the root benchmark suite (bench_test.go) and cmd/gpawsim.
+// Package bench replays the paper's evaluation on the Blue Gene/P model
+// (internal/bgpsim): each driver returns an Experiment holding the same
+// rows/series as one of the paper's tables, figures or ablations, and
+// cmd/gpawsim prints them. Nothing here runs or times the live runtime —
+// `bash benchmark/run.sh` measures it and the package tests assert it.
 package bench
 
 import (

@@ -71,7 +71,7 @@ func TestEngineWithKineticOperator(t *testing.T) {
 		// Gather on rank 0.
 		if c.Rank() == 0 {
 			decomp.Gather(out, coord, dst)
-			buf := make([]float64, maxLocalPoints(decomp))
+			buf := make([]float64, decomp.MaxLocalPoints())
 			for r := 1; r < procs; r++ {
 				rc := procGrid.Coord(r)
 				n := decomp.LocalDims(rc).Count()
@@ -211,7 +211,7 @@ func TestDistributedPoissonJacobi(t *testing.T) {
 		}
 		if c.Rank() == 0 {
 			decomp.Gather(out, coord, phi)
-			buf := make([]float64, maxLocalPoints(decomp))
+			buf := make([]float64, decomp.MaxLocalPoints())
 			for r := 1; r < procs; r++ {
 				rc := procGrid.Coord(r)
 				n := decomp.LocalDims(rc).Count()

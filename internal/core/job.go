@@ -157,7 +157,7 @@ func (j Job) Run(gather bool) (*Result, error) {
 				global := grid.NewDims(j.Global, 0)
 				// Rank 0's own part.
 				decomp.Gather(global, coord, src[g])
-				buf := make([]float64, maxLocalPoints(decomp))
+				buf := make([]float64, decomp.MaxLocalPoints())
 				for r := 1; r < procs; r++ {
 					rc := procGrid.Coord(r)
 					n := decomp.LocalDims(rc).Count()
@@ -178,18 +178,6 @@ func (j Job) Run(gather bool) (*Result, error) {
 		return nil, runErr
 	}
 	return res, nil
-}
-
-// maxLocalPoints returns the largest sub-domain point count in the
-// decomposition.
-func maxLocalPoints(d *grid.Decomp) int {
-	max := 0
-	for r := 0; r < d.NumProcs(); r++ {
-		if n := d.LocalDims(d.Procs.Coord(r)).Count(); n > max {
-			max = n
-		}
-	}
-	return max
 }
 
 // Sequential computes the job's reference result on a single process

@@ -398,8 +398,7 @@ func (h *Hamiltonian) RayleighRitz(m int, psis []*grid.Grid) ([]float64, error) 
 // (band group 0, domain rank 0), returning nil elsewhere: each owner
 // group gathers its states over its domain communicator, then the group
 // leaders relay interiors to group 0 through the band communicator. The
-// differential harness and the live demos use it to compare states
-// across layouts bitwise.
+// differential harness uses it to compare states across layouts bitwise.
 func (d *Dist) GatherBandStates(m int, psis []*grid.Grid) []*grid.Grid {
 	lo, _ := d.BandRange(m)
 	var out []*grid.Grid
@@ -410,7 +409,7 @@ func (d *Dist) GatherBandStates(m int, psis []*grid.Grid) []*grid.Grid {
 		owner := d.bandOwnerOf(m, st)
 		var g *grid.Grid
 		if owner == d.Band {
-			g = d.gather0(psis[st-lo])
+			g = d.GatherGlobal(psis[st-lo])
 		}
 		if d.Cart.Rank() != 0 {
 			continue

@@ -412,28 +412,18 @@ func (d *Dist) removeMean(g *grid.Grid) {
 
 // --- gather / scatter / broadcast ----------------------------------
 
-// maxLocalPoints returns the largest sub-domain size of the decomposition.
-func maxLocalPoints(dec *grid.Decomp) int {
-	max := 0
-	for r := 0; r < dec.Procs.Count(); r++ {
-		if n := dec.LocalDims(dec.Procs.Coord(r)).Count(); n > max {
-			max = n
-		}
-	}
-	return max
-}
-
-// gatherDec assembles the global grid of the given decomposition from
-// every rank's local interior on rank 0 (returns nil elsewhere). The
-// multigrid hierarchy passes per-level decompositions.
-func (d *Dist) gatherDec(dec *grid.Decomp, local *grid.Grid) *grid.Grid {
+// GatherGlobal assembles the global grid from every rank's local
+// interior on rank 0 (returns nil elsewhere) — what GatherBandStates and
+// the differential tests use to compare fields across decompositions.
+func (d *Dist) GatherGlobal(local *grid.Grid) *grid.Grid {
 	if d.Cart.Rank() != 0 {
 		d.Cart.Send(0, distTag, local.InteriorSlice())
 		return nil
 	}
+	dec := d.Decomp
 	g := grid.NewDims(dec.Global, local.H)
 	dec.Gather(g, d.coord, local)
-	buf := make([]float64, maxLocalPoints(dec))
+	buf := make([]float64, dec.MaxLocalPoints())
 	for r := 1; r < d.Cart.Size(); r++ {
 		rc := dec.Procs.Coord(r)
 		n := dec.LocalDims(rc).Count()
@@ -444,14 +434,6 @@ func (d *Dist) gatherDec(dec *grid.Decomp, local *grid.Grid) *grid.Grid {
 	}
 	return g
 }
-
-// gather0 is gatherDec over the solver-level decomposition.
-func (d *Dist) gather0(local *grid.Grid) *grid.Grid { return d.gatherDec(d.Decomp, local) }
-
-// GatherGlobal assembles the global grid on rank 0 (nil elsewhere) —
-// the transport differential tests and external drivers use to compare
-// fields across decompositions.
-func (d *Dist) GatherGlobal(local *grid.Grid) *grid.Grid { return d.gather0(local) }
 
 // --- per-approach wave-function processing -------------------------
 

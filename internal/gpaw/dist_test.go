@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/mpi"
-	"repro/internal/stencil"
 	"repro/internal/topology"
 )
 
@@ -161,117 +160,6 @@ func TestDistPoissonCGDifferential(t *testing.T) {
 					})
 				}
 			}
-		}
-	}
-}
-
-// TestDistPoissonJacobiDifferential covers the Jacobi solver on a
-// reduced matrix (it converges slowly; CG covers the full sweep).
-func TestDistPoissonJacobiDifferential(t *testing.T) {
-	global := topology.Dims{16, 16, 16}
-	h := 0.4
-	rhs := poissonRHS(global)
-	ps := NewPoisson(h, Periodic)
-	ps.Tol = 1e-4
-	wantPhi := grid.NewDims(global, 2)
-	wantIt, wantRes, err := ps.SolveJacobi(wantPhi, rhs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range rankCounts(t) {
-		for _, procs := range layoutsFor(p)[:1] {
-			for _, a := range []core.Approach{core.FlatOriginal, core.HybridMultiple} {
-				runDist(t, global, procs, Periodic, a, func(d *Dist) {
-					dps := NewDistPoisson(d, h)
-					dps.Tol = 1e-4
-					phi := d.NewLocalGrid()
-					it, res, err := dps.SolveJacobi(phi, d.ScatterReplicated(rhs))
-					if err != nil {
-						panic(err)
-					}
-					if it != wantIt || res != wantRes {
-						t.Errorf("Jacobi procs %v approach %v: (it,res)=(%d,%g), serial (%d,%g)",
-							procs, a, it, res, wantIt, wantRes)
-					}
-					checkIdentical(t, d, phi, wantPhi, "Jacobi", procs, a)
-				})
-			}
-		}
-	}
-}
-
-// TestDistPoissonSORDifferential: the pipelined wavefront sweep
-// reproduces the serial lexicographic traversal point for point, so
-// iterates match bitwise — for every rank count, layout, approach and
-// boundary condition, with no rank-0 gather anywhere in the loop.
-func TestDistPoissonSORDifferential(t *testing.T) {
-	global := topology.Dims{16, 16, 16}
-	h := 0.4
-	rhs := poissonRHS(global)
-	for _, bc := range []Boundary{Dirichlet, Periodic} {
-		ps := NewPoisson(h, bc)
-		ps.Tol = 1e-6
-		wantPhi := grid.NewDims(global, 2)
-		wantIt, wantRes, err := ps.SolveSOR(wantPhi, rhs, 1.6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range rankCounts(t) {
-			for _, procs := range layoutsFor(p) {
-				if !feasible(global, procs, 2) {
-					continue
-				}
-				for _, a := range core.Approaches {
-					runDist(t, global, procs, bc, a, func(d *Dist) {
-						dps := NewDistPoisson(d, h)
-						dps.Tol = 1e-6
-						phi := d.NewLocalGrid()
-						it, res, err := dps.SolveSOR(phi, d.ScatterReplicated(rhs), 1.6)
-						if err != nil {
-							panic(err)
-						}
-						if it != wantIt || res != wantRes {
-							t.Errorf("%v SOR procs %v approach %v: (it,res)=(%d,%.17g), serial (%d,%.17g)",
-								bc, procs, a, it, res, wantIt, wantRes)
-						}
-						checkIdentical(t, d, phi, wantPhi, "SOR "+bc.String(), procs, a)
-					})
-				}
-			}
-		}
-	}
-}
-
-// TestWavefrontSweepMatchesSerial asserts the wavefront at its finest
-// grain: a single pipelined sweep over an asymmetric 3-D process grid
-// must produce exactly the bits of one serial SORSweep — the update
-// ordering proof underneath the solver-level differential tests, under
-// both boundary conditions.
-func TestWavefrontSweepMatchesSerial(t *testing.T) {
-	global := topology.Dims{12, 10, 8}
-	op := stencil.Laplacian(2, 0.5)
-	mkPhi := func() *grid.Grid {
-		g := grid.NewDims(global, 2)
-		g.FillFunc(func(i, j, k int) float64 {
-			return math.Sin(float64(3*i-2*j+k)) + 0.1*float64((i*5+j*3+k*7)%11)
-		})
-		return g
-	}
-	rhs := poissonRHS(global)
-	const omega = 1.5
-	for _, bc := range []Boundary{Dirichlet, Periodic} {
-		want := mkPhi()
-		fillHalos(want, bc)
-		op.SORSweep(want, rhs, omega)
-		for _, procs := range []topology.Dims{{2, 1, 1}, {1, 2, 2}, {2, 2, 2}, {1, 1, 4}, {1, 5, 1}} {
-			runDist(t, global, procs, bc, core.FlatOptimized, func(d *Dist) {
-				phi := d.ScatterReplicated(mkPhi())
-				b := d.ScatterReplicated(rhs)
-				wf := newSORWavefront(d, op)
-				d.Exchange(phi)
-				wf.sweep(phi, b, omega)
-				checkIdentical(t, d, phi, want, "wavefront sweep "+bc.String(), procs, core.FlatOptimized)
-			})
 		}
 	}
 }
@@ -504,10 +392,8 @@ func TestSolverErrorsReportResidual(t *testing.T) {
 		}
 		return err.Error()
 	}
-	serialErr("Jacobi", func(ps *Poisson, phi *grid.Grid) (int, float64, error) { return ps.SolveJacobi(phi, rhs) })
 	cgMsg := serialErr("CG", func(ps *Poisson, phi *grid.Grid) (int, float64, error) { return ps.SolveCG(phi, rhs) })
 	serialErr("CGReference", func(ps *Poisson, phi *grid.Grid) (int, float64, error) { return ps.SolveCGReference(phi, rhs) })
-	sorMsg := serialErr("SOR", func(ps *Poisson, phi *grid.Grid) (int, float64, error) { return ps.SolveSOR(phi, rhs, 1.6) })
 
 	mgS, err := NewMultigrid(global, h, Dirichlet)
 	if err != nil {
@@ -516,9 +402,11 @@ func TestSolverErrorsReportResidual(t *testing.T) {
 	mgS.MaxCycles = 1
 	mgS.Tol = 1e-14
 	phi := grid.NewDims(global, 2)
-	if _, _, err := mgS.Solve(phi, rhs); err == nil || !strings.Contains(err.Error(), wantSub) {
-		t.Errorf("multigrid error %v lacks %q", err, wantSub)
+	_, _, err = mgS.Solve(phi, rhs)
+	if err == nil || !strings.Contains(err.Error(), wantSub) {
+		t.Fatalf("multigrid error %v lacks %q", err, wantSub)
 	}
+	mgMsg := err.Error()
 
 	runDist(t, global, topology.Dims{1, 1, 2}, Dirichlet, core.FlatOptimized, func(d *Dist) {
 		dps := NewDistPoisson(d, h)
@@ -527,9 +415,14 @@ func TestSolverErrorsReportResidual(t *testing.T) {
 		if _, _, err := dps.SolveCG(lphi, d.ScatterReplicated(rhs)); err == nil || err.Error() != cgMsg {
 			t.Errorf("distributed CG error %v != serial %q", err, cgMsg)
 		}
-		lphi = d.NewLocalGrid()
-		if _, _, err := dps.SolveSOR(lphi, d.ScatterReplicated(rhs), 1.6); err == nil || err.Error() != sorMsg {
-			t.Errorf("distributed SOR error %v != serial %q", err, sorMsg)
+		mg, err := NewDistMultigrid(d, h)
+		if err != nil {
+			panic(err)
+		}
+		mg.MaxCycles = 1
+		mg.Tol = 1e-14
+		if _, _, err := mg.Solve(d.NewLocalGrid(), d.ScatterReplicated(rhs)); err == nil || err.Error() != mgMsg {
+			t.Errorf("distributed multigrid error %v != serial %q", err, mgMsg)
 		}
 	})
 }

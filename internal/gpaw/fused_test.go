@@ -103,27 +103,6 @@ func TestFusedCGReducesTraffic(t *testing.T) {
 	}
 }
 
-// TestFusedJacobiReducesTraffic: the fused Jacobi iteration (fused
-// residual-with-norm plus axpy, 6 streams) versus the unfused chain
-// (Apply+Scale+Axpy+Dot+Axpy, 12 streams).
-func TestFusedJacobiReducesTraffic(t *testing.T) {
-	rhs := fusedProblem(12)
-	ps := NewPoisson(0.35, Dirichlet)
-	ps.Tol = 1e-6
-	phi := grid.New(12, 12, 12, 2)
-	grid.ResetTraffic()
-	it, _, err := ps.SolveJacobi(phi, rhs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perIter := float64(grid.TrafficPoints()) / float64(it) / float64(rhs.Points())
-	grid.ResetTraffic()
-	// 3 (fused residual) + 3 (axpy) = 6, plus amortized setup.
-	if perIter > 7 {
-		t.Fatalf("fused Jacobi iteration makes %.2f passes, want <= 7", perIter)
-	}
-}
-
 // TestMultigridPoolInvariant: the pooled multigrid solver must produce
 // identical results for every worker count.
 func TestMultigridPoolInvariant(t *testing.T) {

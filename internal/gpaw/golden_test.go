@@ -118,14 +118,8 @@ func TestSerialGolden(t *testing.T) {
 			var res float64
 			var err error
 			switch g.Solver {
-			case "jacobi":
-				ps.Tol = 1e-4
-				it, res, err = ps.SolveJacobi(phi, b)
 			case "cg":
 				it, res, err = ps.SolveCG(phi, b)
-			case "sor":
-				ps.Tol = 1e-6
-				it, res, err = ps.SolveSOR(phi, b, 1.6)
 			case "multigrid":
 				mg, mgErr := NewMultigrid(global, g.Spacing, bc)
 				if d != nil {

@@ -13,10 +13,10 @@ import (
 )
 
 // Redistribution tags: the level-transfer traffic of the V-cycle,
-// disjoint from the gather (dist.go) and wavefront tag ranges. The same
-// pair serves every shrink boundary — all ranks execute their shared
-// transfers in the same order, so FIFO matching per (source, tag) pairs
-// the k-th send with the k-th receive even across nested levels.
+// disjoint from the gather tag (dist.go). The same pair serves every
+// shrink boundary — all ranks execute their shared transfers in the
+// same order, so FIFO matching per (source, tag) pairs the k-th send
+// with the k-th receive even across nested levels.
 const (
 	redistDownTag = distTag + 16 // fine residual -> doubled transfer layout
 	redistUpTag   = distTag + 17 // coarse correction -> fine layout
@@ -52,7 +52,11 @@ type mgLevel struct {
 }
 
 // Multigrid is a geometric V-cycle Poisson solver — the method GPAW's
-// production Poisson solver uses — on the sub-domains of a Dist. Each
+// production Poisson solver uses — on the sub-domains of a Dist. No SCF
+// path, example or benchmark workload calls it yet: it (with
+// ApplySmooth, grid.Doubled / NewDecompOrFallback / RedistPlan) is kept
+// because ROADMAP item 3 makes it the Hartree solver, and the
+// differential and golden tests hold its bits until then. Each
 // level rediscretizes the Laplacian at twice the spacing;
 // full-weighting restriction moves residuals down, piecewise-constant
 // prolongation moves corrections up, and damped Jacobi smooths at every

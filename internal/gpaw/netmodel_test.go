@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bgpsim"
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/mpi"
@@ -17,12 +16,12 @@ import (
 // scaling benchmarks claim their virtual timings describe the very
 // computation the eager tests verified.
 
-// cgUnder runs the distributed CG solve at p ranks over procs, with or
-// without the calibrated model, and returns (iters, residual, gathered
-// field on rank 0, modeled makespan).
-func cgUnder(t *testing.T, p int, procs topology.Dims, a core.Approach, calibrated, noOverlap bool) (int, float64, *grid.Grid, time.Duration) {
+// cgUnder runs the distributed CG solve of the global grid over procs,
+// with or without the calibrated model, and returns (iters, residual,
+// gathered field on rank 0, modeled makespan).
+func cgUnder(t *testing.T, global, procs topology.Dims, a core.Approach, calibrated, noOverlap bool) (int, float64, *grid.Grid, time.Duration) {
 	t.Helper()
-	global := topology.Dims{16, 16, 16}
+	p := procs.Count()
 	rhs := poissonRHS(global)
 	cfg := DistConfig{
 		Global: global, Procs: procs, Halo: 2, BC: Periodic,
@@ -52,10 +51,7 @@ func cgUnder(t *testing.T, p int, procs topology.Dims, a core.Approach, calibrat
 	var mk time.Duration
 	var err error
 	if calibrated {
-		m := bgpsim.NetModelFor(p)
-		m.Coords = NetCoords(cfg, m.Net)
-		m.NoComputeWall = true
-		mk, err = runRanksModeled(p, modeFor(a), m, body)
+		mk, err = runRanksModeled(p, modeFor(a), calibratedModel(cfg), body)
 	} else {
 		err = runRanks(p, modeFor(a), body)
 	}
@@ -69,11 +65,12 @@ func cgUnder(t *testing.T, p int, procs topology.Dims, a core.Approach, calibrat
 // approaches and asserts the CG solution, iteration count and residual
 // are bitwise unchanged by arming the calibrated transport model.
 func TestEagerVsCalibratedBitIdentical(t *testing.T) {
+	global := topology.Dims{16, 16, 16}
 	for _, p := range rankCounts(t) {
 		procs := layoutsFor(p)[len(layoutsFor(p))-1]
 		for _, a := range core.Approaches {
-			eIt, eRes, eG, _ := cgUnder(t, p, procs, a, false, false)
-			cIt, cRes, cG, mk := cgUnder(t, p, procs, a, true, false)
+			eIt, eRes, eG, _ := cgUnder(t, global, procs, a, false, false)
+			cIt, cRes, cG, mk := cgUnder(t, global, procs, a, true, false)
 			if eIt != cIt || eRes != cRes {
 				t.Errorf("p=%d %v approach %v: eager (it,res)=(%d,%.17g), calibrated (%d,%.17g)",
 					p, procs, a, eIt, eRes, cIt, cRes)
@@ -88,80 +85,29 @@ func TestEagerVsCalibratedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWavefrontSORBitIdenticalUnderModel covers the pipelined wavefront
-// path (mpi.Pipe lanes) under the model.
-func TestWavefrontSORBitIdenticalUnderModel(t *testing.T) {
-	global := topology.Dims{16, 16, 16}
-	rhs := poissonRHS(global)
-	for _, p := range rankCounts(t) {
-		procs := layoutsFor(p)[0]
-		if !feasible(global, procs, 2) {
-			continue
-		}
-		run := func(calibrated bool) (int, float64, *grid.Grid) {
-			cfg := DistConfig{Global: global, Procs: procs, Halo: 2, BC: Dirichlet,
-				Approach: core.FlatOptimized, Threads: 1, Batch: 2, NetCompute: calibrated}
-			var it int
-			var res float64
-			var g *grid.Grid
-			body := func(c *mpi.Comm) {
-				d, err := NewDist(c, cfg)
-				if err != nil {
-					panic(err)
-				}
-				defer d.Close()
-				dps := NewDistPoisson(d, 0.4)
-				dps.Tol = 1e-6
-				phi := d.NewLocalGrid()
-				it0, res0, err := dps.SolveSOR(phi, d.ScatterReplicated(rhs), 1.6)
-				if err != nil {
-					panic(err)
-				}
-				gg := d.GatherGlobal(phi)
-				if c.Rank() == 0 {
-					it, res, g = it0, res0, gg
-				}
-			}
-			var err error
-			if calibrated {
-				m := bgpsim.NetModelFor(p)
-				m.Coords = NetCoords(cfg, m.Net)
-				m.NoComputeWall = true
-				_, err = runRanksModeled(p, mpi.ThreadSingle, m, body)
-			} else {
-				err = runRanks(p, mpi.ThreadSingle, body)
-			}
-			if err != nil {
-				t.Fatalf("p=%d calibrated=%v: %v", p, calibrated, err)
-			}
-			return it, res, g
-		}
-		eIt, eRes, eG := run(false)
-		cIt, cRes, cG := run(true)
-		if eIt != cIt || eRes != cRes {
-			t.Errorf("p=%d: SOR eager (it,res)=(%d,%.17g), calibrated (%d,%.17g)", p, eIt, eRes, cIt, cRes)
-		}
-		if diff := eG.MaxAbsDiff(cG); diff != 0 {
-			t.Errorf("p=%d: SOR calibrated solution deviates by %g", p, diff)
-		}
-	}
-}
-
 // TestCalibratedOverlapBeatsSerialized: under modeled latency the
 // split-phase protocol's virtual makespan must be strictly below the
-// forced-serialized baseline's — the paper's overlap win, now visible
-// because delivery finally costs something. Deterministic: the model
-// runs with NoComputeWall, so both makespans are exact.
+// forced-serialized baseline's, in the same number of iterations, at 8
+// and at 64 simulated ranks — the paper's overlap win, visible because
+// delivery finally costs something. Deterministic: the model runs with
+// NoComputeWall, so both makespans are exact.
 func TestCalibratedOverlapBeatsSerialized(t *testing.T) {
-	p := 8
-	procs := topology.Dims{2, 2, 2}
-	_, _, _, overlap := cgUnder(t, p, procs, core.FlatOptimized, true, false)
-	_, _, _, serialized := cgUnder(t, p, procs, core.FlatOptimized, true, true)
-	if overlap >= serialized {
-		t.Errorf("overlapped virtual makespan %v not below serialized %v", overlap, serialized)
+	for _, l := range []struct{ global, procs topology.Dims }{
+		{topology.Dims{16, 16, 16}, topology.Dims{2, 2, 2}},
+		{topology.Dims{32, 32, 32}, topology.Dims{4, 4, 4}},
+	} {
+		p := l.procs.Count()
+		itOv, _, _, overlap := cgUnder(t, l.global, l.procs, core.FlatOptimized, true, false)
+		itSer, _, _, serialized := cgUnder(t, l.global, l.procs, core.FlatOptimized, true, true)
+		if itOv != itSer {
+			t.Fatalf("%d ranks: overlap took %d iterations, serialized %d", p, itOv, itSer)
+		}
+		if overlap >= serialized {
+			t.Errorf("%d ranks: overlapped virtual makespan %v not below serialized %v", p, overlap, serialized)
+		}
+		t.Logf("%d ranks virtual makespan: overlap %v, serialized %v, speedup %.3fx",
+			p, overlap, serialized, float64(serialized)/float64(overlap))
 	}
-	t.Logf("virtual makespan: overlap %v, serialized %v, speedup %.3fx",
-		overlap, serialized, float64(serialized)/float64(overlap))
 }
 
 // TestMappingSensitivity: at 64 simulated ranks the same exchange costs
@@ -177,10 +123,7 @@ func TestMappingSensitivity(t *testing.T) {
 		cfg := DistConfig{Global: global, Procs: procs, Halo: 2, BC: Periodic,
 			Approach: core.FlatOptimized, Threads: 1, Batch: 2,
 			Map: mapping, NetCompute: true}
-		m := bgpsim.NetModelFor(p)
-		m.Coords = NetCoords(cfg, m.Net)
-		m.NoComputeWall = true
-		mk, err := runRanksModeled(p, mpi.ThreadSingle, m, func(c *mpi.Comm) {
+		mk, err := runRanksModeled(p, mpi.ThreadSingle, calibratedModel(cfg), func(c *mpi.Comm) {
 			d, err := NewDist(c, cfg)
 			if err != nil {
 				panic(err)

@@ -24,7 +24,6 @@
 package gpaw
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/detsum"
@@ -61,11 +60,11 @@ func fillHalos(g *grid.Grid, bc Boundary) {
 }
 
 // Poisson solves ∇²φ = rhs on the local sub-domains of a Dist with a
-// finite-difference Laplacian, by damped Jacobi iteration, conjugate
-// gradients or successive over-relaxation. For the periodic problem the
-// right-hand side must integrate to zero (the solver removes the mean
-// defensively) and the solution is fixed to zero mean. Iterates are
-// bit-identical for every rank count, process grid and thread count.
+// finite-difference Laplacian, by conjugate gradients. For the periodic
+// problem the right-hand side must integrate to zero (the solver
+// removes the mean defensively) and the solution is fixed to zero mean.
+// Iterates are bit-identical for every rank count, process grid and
+// thread count.
 type Poisson struct {
 	// D is the distributed context. It is nil on a NewPoisson solver:
 	// each solve then runs on a one-rank context covering its grids.
@@ -102,62 +101,11 @@ func (ps *Poisson) bound(g *grid.Grid) *Poisson {
 	return &b
 }
 
-// residual computes r = rhs - ∇²phi (one halo exchange + one fused
-// sweep, overlapped when the context allows) and returns the global
-// residual norm.
-func (ps *Poisson) residual(r, phi, rhs *grid.Grid) float64 {
-	d := ps.D
-	var acc detsum.Acc
-	d.withOverlap(d.eng, phi, func(rg stencil.Region) {
-		ps.Op.Over(rg).ApplyResidualAcc(d.pool, r, rhs, phi, &acc)
-	})
-	return math.Sqrt(d.reduceAcc(&acc))
-}
-
-// SolveJacobi runs damped Jacobi relaxation, returning the iteration
-// count and final relative residual. phi is the initial guess and
-// result. Each iteration is two fused sweeps (residual-with-norm,
-// correction axpy) instead of the five passes of the unfused
-// formulation.
-func (ps *Poisson) SolveJacobi(phi, rhs *grid.Grid) (int, float64, error) {
-	ps = ps.bound(phi)
-	d := ps.D
-	defer d.Cart.TraceRank().Region("poisson.jacobi").End()
-	omega := 0.7
-	diag := ps.Op.Center
-	if diag == 0 {
-		return 0, 0, fmt.Errorf("gpaw: singular stencil diagonal")
-	}
-	b := rhs.Clone()
-	if d.BC == Periodic {
-		d.removeMean(b)
-	}
-	r := grid.NewDims(phi.Dims(), phi.H)
-	norm0 := d.Norm2(b)
-	if norm0 == 0 {
-		phi.Fill(0)
-		return 0, 0, nil
-	}
-	for it := 1; it <= ps.MaxIter; it++ {
-		res := ps.residual(r, phi, b)
-		if d.BC == Periodic {
-			d.removeMean(phi)
-		}
-		if res/norm0 < ps.Tol {
-			return it, res / norm0, nil
-		}
-		d.pool.Axpy(phi, omega/diag, r)
-	}
-	res := ps.residual(r, phi, b)
-	return ps.MaxIter, res / norm0, errNotConverged("Jacobi", res/norm0)
-}
-
 // SolveCG runs conjugate gradients on the negated (positive-definite)
-// Laplacian. Much faster than Jacobi for the same tolerance. The sign
-// is folded into the operator coefficients and every iteration is four
-// fused sweeps — exchange + apply-with-dot, axpy, axpy-with-norm,
-// axpy-with-scale — about half the memory passes of SolveCGReference,
-// with exact global reductions.
+// Laplacian. The sign is folded into the operator coefficients and
+// every iteration is four fused sweeps — exchange + apply-with-dot,
+// axpy, axpy-with-norm, axpy-with-scale — about half the memory passes
+// of SolveCGReference, with exact global reductions.
 func (ps *Poisson) SolveCG(phi, rhs *grid.Grid) (int, float64, error) {
 	ps = ps.bound(phi)
 	d := ps.D
@@ -271,56 +219,6 @@ func (ps *Poisson) SolveCGReference(phi, rhs *grid.Grid) (int, float64, error) {
 // with a single straight-line accumulator, for the reference solver.
 func removeMeanSerial(g *grid.Grid) {
 	g.AddScalar(-g.Sum() / float64(g.Points()))
-}
-
-// SolveSOR runs successive over-relaxation: a lexicographic
-// Gauss–Seidel sweep with over-relaxation factor omega in (0, 2).
-// In-place updates propagate within a sweep, so it converges
-// substantially faster than Jacobi at the cost of a fixed traversal
-// order. The sweep is the pipelined wavefront of wavefront.go: every
-// rank sweeps its sub-domain plane by plane in the global order,
-// receiving updated upstream boundary planes into its halos just before
-// reading them and streaming its own boundaries downstream as each
-// plane completes. No rank gathers the grid; per-iteration
-// communication is the ordinary halo exchange plus the boundary-plane
-// pipeline, both O(surface), and the update order — and therefore every
-// bit of every iterate — is that of one undecomposed sweep.
-func (ps *Poisson) SolveSOR(phi, rhs *grid.Grid, omega float64) (int, float64, error) {
-	ps = ps.bound(phi)
-	d := ps.D
-	defer d.Cart.TraceRank().Region("poisson.sor").End()
-	if omega <= 0 || omega >= 2 {
-		return 0, 0, fmt.Errorf("gpaw: SOR omega %g outside (0, 2)", omega)
-	}
-	if ps.Op.Center == 0 {
-		return 0, 0, fmt.Errorf("gpaw: singular stencil diagonal")
-	}
-	b := rhs.Clone()
-	if d.BC == Periodic {
-		d.removeMean(b)
-	}
-	norm0 := d.Norm2(b)
-	if norm0 == 0 {
-		phi.Fill(0)
-		return 0, 0, nil
-	}
-	wf := newSORWavefront(d, ps.Op)
-	r := grid.NewDims(phi.Dims(), phi.H)
-	for it := 1; it <= ps.MaxIter; it++ {
-		// Pre-sweep exchange: +side and periodic-wrap halos must hold
-		// pre-sweep values.
-		d.Exchange(phi)
-		wf.sweep(phi, b, omega)
-		if d.BC == Periodic {
-			d.removeMean(phi)
-		}
-		res := ps.residual(r, phi, b)
-		if res/norm0 < ps.Tol {
-			return it, res / norm0, nil
-		}
-	}
-	res := ps.residual(r, phi, b)
-	return ps.MaxIter, res / norm0, errNotConverged("SOR", res/norm0)
 }
 
 // HartreePotential solves ∇²v = -4πn for the given density and returns

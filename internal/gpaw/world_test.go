@@ -3,6 +3,7 @@ package gpaw
 import (
 	"time"
 
+	"repro/internal/bgpsim"
 	"repro/internal/mpi"
 )
 
@@ -35,4 +36,13 @@ func runRanksModeled(n int, mode mpi.ThreadMode, m *mpi.NetModel, body func(c *m
 	w.SetNetModel(m)
 	err := w.Run(body)
 	return w.MaxVirtualTime(), err
+}
+
+// calibratedModel is the BG/P network model for a domain-only cfg, its
+// ranks placed by cfg.Map; NoComputeWall makes virtual makespans exact.
+func calibratedModel(cfg DistConfig) *mpi.NetModel {
+	m := bgpsim.NetModelFor(cfg.Procs.Count())
+	m.Coords = NetCoords(cfg, m.Net)
+	m.NoComputeWall = true
+	return m
 }

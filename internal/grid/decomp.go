@@ -109,6 +109,18 @@ func (d *Decomp) LocalDims(c topology.Coord) topology.Dims {
 	return out
 }
 
+// MaxLocalPoints returns the largest sub-domain point count of the
+// decomposition — the receive-buffer size of a gather.
+func (d *Decomp) MaxLocalPoints() int {
+	max := 0
+	for r := 0; r < d.NumProcs(); r++ {
+		if n := d.LocalDims(d.Procs.Coord(r)).Count(); n > max {
+			max = n
+		}
+	}
+	return max
+}
+
 // Offset returns the global offset of the sub-domain at coordinate c.
 func (d *Decomp) Offset(c topology.Coord) topology.Coord {
 	var out topology.Coord

@@ -77,67 +77,6 @@ func (g *Grid) UnpackHalo(dim int, side Side, t int, buf []float64) int {
 	return g.copySlab(dim, lo, t, buf, false)
 }
 
-// PackPlaneFace copies the interior slab of thickness t adjacent to the
-// given face of dimension dim (1 for y, 2 for z), restricted to the
-// single x plane i, into buf and returns the number of values written.
-// It is the per-plane message unit of the pipelined wavefront sweep:
-// the downstream rank's halo rows (or columns) for exactly that plane.
-func (g *Grid) PackPlaneFace(i, dim int, side Side, t int, buf []float64) int {
-	if t > g.extent(dim) {
-		panic(fmt.Sprintf("grid: face thickness %d exceeds extent %d", t, g.extent(dim)))
-	}
-	lo := 0
-	if side == High {
-		lo = g.extent(dim) - t
-	}
-	return g.copyPlaneSlab(i, dim, lo, t, buf, true)
-}
-
-// UnpackPlaneHalo copies buf into the halo slab of thickness t on the
-// given face of dimension dim (1 or 2), restricted to x plane i.
-func (g *Grid) UnpackPlaneHalo(i, dim int, side Side, t int, buf []float64) int {
-	if t > g.H {
-		panic(fmt.Sprintf("grid: face thickness %d exceeds halo %d", t, g.H))
-	}
-	lo := -t
-	if side == High {
-		lo = g.extent(dim)
-	}
-	return g.copyPlaneSlab(i, dim, lo, t, buf, false)
-}
-
-// copyPlaneSlab is copySlab restricted to one x plane, for dim 1 (rows
-// [lo, lo+t) spanning the interior z extent) or dim 2 (the z range
-// [lo, lo+t) of every interior row).
-func (g *Grid) copyPlaneSlab(i, dim, lo, t int, buf []float64, pack bool) int {
-	y0, y1 := 0, g.Ny
-	z0, z1 := 0, g.Nz
-	switch dim {
-	case 1:
-		y0, y1 = lo, lo+t
-	case 2:
-		z0, z1 = lo, lo+t
-	default:
-		panic(fmt.Sprintf("grid: bad plane dimension %d", dim))
-	}
-	need := (y1 - y0) * (z1 - z0)
-	if len(buf) < need {
-		panic(fmt.Sprintf("grid: buffer len %d < plane slab size %d", len(buf), need))
-	}
-	pos := 0
-	for j := y0; j < y1; j++ {
-		row := g.index(i, j, z0)
-		n := z1 - z0
-		if pack {
-			copy(buf[pos:pos+n], g.data[row:row+n])
-		} else {
-			copy(g.data[row:row+n], buf[pos:pos+n])
-		}
-		pos += n
-	}
-	return pos
-}
-
 // copySlab moves a slab of thickness t starting at index lo of dimension
 // dim between the grid and buf. pack=true copies grid->buf, else
 // buf->grid. The slab spans the full interior extent of the other two

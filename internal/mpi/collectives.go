@@ -127,41 +127,13 @@ func (c *Comm) Bcast(root int, buf []float64) {
 	}
 }
 
-// Reduce combines each rank's contribution into out at root using op.
-// Contributions are always folded in ascending rank order, so
-// floating-point results are deterministic run to run. out is only
-// written at root and must be as long as in there; in and out must not
-// alias.
+// Reduce combines each rank's contribution into out at root using op:
+// ReduceFunc with the operator as the merge, so contributions fold in
+// ascending rank order and floating-point results are deterministic run
+// to run. out is only written at root and must be as long as in there;
+// in and out must not alias.
 func (c *Comm) Reduce(root int, op Op, in, out []float64) {
-	c.enter()
-	defer c.exit()
-	if rk := c.traceRank(); rk != nil {
-		defer rk.BeginComm("mpi.reduce", trace.KindCollective, c.worldRank(root), -1, int64(len(in))*8).End()
-	}
-	tag := c.collTag(c.coll)
-	c.coll++
-	if c.rank != root {
-		c.sendInternal(root, tag, in)
-		return
-	}
-	if len(out) < len(in) {
-		panic("mpi: Reduce output shorter than input")
-	}
-	parts := make([][]float64, len(c.group))
-	parts[root] = append([]float64(nil), in...)
-	for r := 0; r < len(c.group); r++ {
-		if r == root {
-			continue
-		}
-		buf := make([]float64, len(in))
-		c.irecv(r, tag, buf).Wait()
-		parts[r] = buf
-	}
-	acc := out[:len(in)]
-	copy(acc, parts[0])
-	for r := 1; r < len(c.group); r++ {
-		op.apply(acc, parts[r])
-	}
+	c.ReduceFunc(root, in, out, op.apply)
 }
 
 // ReduceFunc folds every rank's contribution into out at root with a
@@ -187,19 +159,25 @@ func (c *Comm) ReduceFunc(root int, in, out []float64, merge func(acc, contrib [
 	if len(out) < len(in) {
 		panic("mpi: ReduceFunc output shorter than input")
 	}
+	// The root's own contribution reaches the fold by copy only: handing
+	// in to merge, an indirect call, would move every caller's in to the
+	// heap.
 	parts := make([][]float64, len(c.group))
-	parts[root] = in
-	for r := 0; r < len(c.group); r++ {
+	for r := range parts {
 		if r == root {
 			continue
 		}
-		buf := make([]float64, len(in))
-		c.irecv(r, tag, buf).Wait()
-		parts[r] = buf
+		parts[r] = make([]float64, len(in))
+		c.irecv(r, tag, parts[r]).Wait()
 	}
 	acc := out[:len(in)]
-	copy(acc, parts[0])
-	for r := 1; r < len(c.group); r++ {
+	if root == 0 {
+		copy(acc, in)
+	} else {
+		parts[root] = append([]float64(nil), in...)
+		copy(acc, parts[0])
+	}
+	for r := 1; r < len(parts); r++ {
 		merge(acc, parts[r])
 	}
 }
@@ -218,16 +196,9 @@ func (c *Comm) AllreduceFunc(in, out []float64, merge func(acc, contrib []float6
 }
 
 // Allreduce combines every rank's contribution with op and distributes
-// the result to all ranks (Reduce to rank 0 + Bcast).
+// the result to all ranks (AllreduceFunc with the operator as the merge).
 func (c *Comm) Allreduce(op Op, in, out []float64) {
-	if len(out) < len(in) {
-		panic("mpi: Allreduce output shorter than input")
-	}
-	if rk := c.traceRank(); rk != nil {
-		defer rk.BeginComm("mpi.allreduce", trace.KindCollective, -1, -1, int64(len(in))*8).End()
-	}
-	c.Reduce(0, op, in, out)
-	c.Bcast(0, out[:len(in)])
+	c.AllreduceFunc(in, out, op.apply)
 }
 
 // AllreduceSum is a convenience wrapper reducing a single value.

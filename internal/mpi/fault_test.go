@@ -350,7 +350,7 @@ func TestErrRankFailedErrorsAs(t *testing.T) {
 }
 
 func TestPipeFailsOnDeadStage(t *testing.T) {
-	// Pipelines are built on Send/Recv, so a dead upstream stage must
+	// A relay chain of plain Send/Recv: a dead upstream stage must
 	// surface as the typed failure in downstream Recv calls.
 	plan := &FaultPlan{Kills: []Kill{{Rank: 0, AfterOps: 2}}}
 	err := RunWithFaults(3, ThreadSingle, plan, func(c *Comm) {

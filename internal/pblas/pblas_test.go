@@ -63,7 +63,7 @@ func onGrids(t *testing.T, body func(t *testing.T, g *Grid2D)) {
 	for _, p := range []int{1, 2, 4, 8} {
 		for _, shape := range gridShapes(p) {
 			pr, pc := shape[0], shape[1]
-			err := mpi.Run(p, mpi.ThreadSingle, func(c *mpi.Comm) {
+			err := testWorld(p).Run(func(c *mpi.Comm) {
 				g, err := NewGrid2D(c, pr, pc)
 				if err != nil {
 					panic(err)

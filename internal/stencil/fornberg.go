@@ -33,9 +33,10 @@
 //     ApplySmooth      dst = phi + c*(rhs - op(phi))        3 streams (24 B/pt)
 //     ApplyStep        dst = beta*src + alpha*(op+v)(src)   2-3 streams
 //
-//     The unfused chains these replace cost 7-9 streams; a fused CG or
-//     Jacobi iteration moves roughly half the bytes of its unfused
-//     counterpart. grid.TrafficPoints observes the stream counts.
+//     The unfused chains these replace cost 7-9 streams; a fused CG
+//     iteration moves roughly half the bytes of its unfused counterpart
+//     (gpaw's TestFusedCGReducesTraffic). grid.TrafficPoints observes
+//     the stream counts.
 //
 //   - shell.go — a sweep is (fusion, region): every kernel is written
 //     once and covers the Region of the Operator view it is called on

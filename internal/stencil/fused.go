@@ -254,44 +254,3 @@ func (op *Operator) applyStepBlock(dst, src, v *grid.Grid, taps []tap, row []flo
 		}
 	}
 }
-
-// SORSweep performs one in-place lexicographic Gauss-Seidel sweep with
-// over-relaxation omega on op(phi) = rhs (halos of phi must be valid).
-// The fixed traversal order is the method's defining property, so the
-// sweep is inherently serial; this kernel replaces a per-point
-// accessor-based loop with a flat-slice traversal.
-func (op *Operator) SORSweep(phi, rhs *grid.Grid, omega float64) {
-	op.SORSweepPlanes(phi, rhs, omega, 0, phi.Nx)
-}
-
-// SORSweepPlanes is the restartable per-plane form of SORSweep: it
-// sweeps only the x planes [i0, i1), reading whatever phi currently
-// holds in the planes and halos around them. Sweeping [0, Nx) in one
-// call is exactly SORSweep; sweeping plane by plane with the upstream
-// boundary planes refreshed between calls is the distributed pipelined
-// wavefront (internal/gpaw), which reproduces the serial update order —
-// and therefore the serial bits — across ranks.
-func (op *Operator) SORSweepPlanes(phi, rhs *grid.Grid, omega float64, i0, i1 int) {
-	op.checkFused("SORSweep", phi, rhs)
-	diag := op.Center
-	taps := op.gridTaps(phi)
-	in := phi.Data()
-	bd := rhs.Data()
-	for i := i0; i < i1; i++ {
-		for j := 0; j < phi.Ny; j++ {
-			prow := phi.Index(i, j, 0)
-			brow := rhs.Index(i, j, 0)
-			for k := 0; k < phi.Nz; k++ {
-				s := prow + k
-				v := diag * in[s]
-				for _, tp := range taps {
-					//lint:ignore detsumcheck rank-local stencil application in fixed tap order; this exact rounding sequence IS the bit-identity contract
-					v += tp.c * in[s+tp.off]
-				}
-				res := bd[brow+k] - v
-				in[s] += omega * res / diag
-			}
-		}
-	}
-	grid.NoteTraffic((i1-i0)*phi.Ny*phi.Nz, 3)
-}

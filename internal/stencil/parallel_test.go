@@ -320,54 +320,6 @@ func TestPoolBlasDriversMatchSerial(t *testing.T) {
 	}
 }
 
-func TestSORSweepMatchesAccessorSweep(t *testing.T) {
-	op := Laplacian(2, 0.6)
-	src, _ := testGrid(9, 8, 7)
-	const omega = 1.3
-	b := grid.New(9, 8, 7, 2)
-	b.FillFunc(func(i, j, k int) float64 { return float64((i*j+k)%5) - 2 })
-
-	// Accessor-based reference sweep (the pre-kernel formulation, with
-	// the same X-then-Y-then-Z tap order as the kernel).
-	ref := src.Clone()
-	ref.FillHalosPeriodic()
-	diag := op.Center
-	for i := 0; i < ref.Nx; i++ {
-		for j := 0; j < ref.Ny; j++ {
-			for k := 0; k < ref.Nz; k++ {
-				v := diag * ref.At(i, j, k)
-				for o := -op.R; o <= op.R; o++ {
-					if o == 0 {
-						continue
-					}
-					v += op.X[o+op.R] * ref.At(i+o, j, k)
-				}
-				for o := -op.R; o <= op.R; o++ {
-					if o == 0 {
-						continue
-					}
-					v += op.Y[o+op.R] * ref.At(i, j+o, k)
-				}
-				for o := -op.R; o <= op.R; o++ {
-					if o == 0 {
-						continue
-					}
-					v += op.Z[o+op.R] * ref.At(i, j, k+o)
-				}
-				res := b.At(i, j, k) - v
-				ref.Set(i, j, k, ref.At(i, j, k)+omega*res/diag)
-			}
-		}
-	}
-
-	got := src.Clone()
-	got.FillHalosPeriodic()
-	op.SORSweep(got, b, omega)
-	if d := ref.MaxAbsDiff(got); d != 0 {
-		t.Fatalf("SORSweep deviates from accessor sweep by %g", d)
-	}
-}
-
 func TestTrafficCounterStreams(t *testing.T) {
 	op := Laplacian(2, 1)
 	src, dst := testGrid(8, 8, 8)

@@ -47,19 +47,6 @@ func (m Mapping) String() string {
 	return fmt.Sprintf("Mapping(%d)", int(m))
 }
 
-// ParseMapping converts a -map flag value to a Mapping.
-func ParseMapping(s string) (Mapping, error) {
-	switch s {
-	case "linear", "":
-		return MapLinear, nil
-	case "cart":
-		return MapCart, nil
-	case "shuffle":
-		return MapShuffle, nil
-	}
-	return 0, fmt.Errorf("topology: unknown mapping %q (want linear, cart or shuffle)", s)
-}
-
 // MapGrid places the ranks of a row-major process grid onto node
 // coordinates of the network and returns the rank-indexed coordinate
 // table. More ranks than nodes fold onto shared nodes (virtual-node

@@ -203,19 +203,3 @@ func TestMapBandsSlabsAndLayout(t *testing.T) {
 		}
 	}
 }
-
-// TestParseMappingRoundTrip covers the -map flag spellings.
-func TestParseMappingRoundTrip(t *testing.T) {
-	for _, m := range []Mapping{MapLinear, MapCart, MapShuffle} {
-		got, err := ParseMapping(m.String())
-		if err != nil || got != m {
-			t.Errorf("ParseMapping(%q) = %v, %v", m.String(), got, err)
-		}
-	}
-	if m, err := ParseMapping(""); err != nil || m != MapLinear {
-		t.Errorf("empty mapping should default to linear, got %v, %v", m, err)
-	}
-	if _, err := ParseMapping("zigzag"); err == nil {
-		t.Error("ParseMapping(zigzag) should fail")
-	}
-}
