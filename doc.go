@@ -41,9 +41,9 @@
 //     the 13-point finite-difference operator (Fornberg coefficients),
 //     plus the shared-memory parallel execution engine: a persistent
 //     worker pool with cache-blocked plane/tile work splitting, fused
-//     stencil+BLAS-1 kernels (apply-with-dot, residual, smooth, damped
-//     step) that cut the memory passes of a solver iteration roughly in
-//     half, fused single-sweep grid primitives, and a traffic counter
+//     stencil+BLAS-1 kernels (apply-with-dot, residual, smooth, the
+//     three-term recurrence step of a polynomial filter) that cut the
+//     memory passes of a solver iteration roughly in half, fused single-sweep grid primitives, and a traffic counter
 //     that makes the savings observable (the grid.traffic_passes_per_op
 //     and stencil.* ledger rows of `bash benchmark/run.sh --trace 1`).
 //     A sweep is (fusion, region): every kernel is written once and
@@ -56,7 +56,14 @@
 //     bit-identical to the Full sweep.
 //   - internal/gpaw, internal/linalg — a miniature real-space DFT stack
 //     (Poisson, Kohn–Sham eigensolver, SCF) providing the workload
-//     context GPAW gives the kernel. Each algorithm is written once, on
+//     context GPAW gives the kernel. The eigensolver is
+//     Chebyshev-filtered subspace iteration: a pass is a degree-8
+//     polynomial of H applied to every state — eight back-to-back
+//     halo-overlapped H·psi sweeps with no reduction between them —
+//     then one subspace step (overlap and Hamiltonian matrices in one
+//     assembly, Cholesky-reduce, diagonalize, one rotation); the SCF
+//     runs one pass per step and carries one unoccupied guard state
+//     that bounds the filter. Each algorithm is written once, on
 //     a Dist context (dist.go) that runs it rank-parallel over an MPI
 //     Cartesian process grid with halo exchange through internal/core's
 //     overlap protocol, realizing the paper's four programming
@@ -80,7 +87,7 @@
 //     through the band communicator, and the eigensolver/SCF reproduce
 //     the one-rank results bit for bit for every bands x domain split
 //     (internal/gpaw/bands_test.go). The solver layer is fault
-//     tolerant: SCF/EigenSolver write gather-free, versioned,
+//     tolerant: the SCF writes gather-free, versioned,
 //     CRC64-checksummed checkpoints (checkpoint.go — one shard per
 //     rank, manifest committed atomically, restore re-tiles onto any
 //     process grid or band layout), and RunSCFFT (ft.go) turns a rank

@@ -220,16 +220,17 @@ func main() {
 	tracedCGTimeline(global, topology.Dims{2, 2, 1}, rhs, h)
 
 	// Band parallelization: the second axis. Eight wave-functions in a
-	// harmonic trap are split across band groups; subspace assembly,
-	// orthonormalization and Rayleigh-Ritz run band-parallel with the
-	// dense algebra distributed block-cyclically via internal/pblas.
-	fmt.Println("\nband-parallel eigensolver, 12^3 harmonic trap, 8 states,")
+	// harmonic trap (and the filter's guard state) are split across band
+	// groups; subspace assembly, the generalized Rayleigh-Ritz step and
+	// the rotation run band-parallel with the dense algebra distributed
+	// block-cyclically via internal/pblas.
+	fmt.Println("\nband-parallel eigensolver, 12^3 harmonic trap, 8 states + guard,")
 	fmt.Println("bands x domain layouts (flat optimized):")
 	fmt.Printf("%8s %8s %8s %24s %12s\n", "ranks", "bands", "domain", "eig[0] (Ha)", "time")
 	eGlobal := topology.Dims{12, 12, 12}
 	eh := 0.5
 	vext := gpaw.HarmonicPotential(eGlobal, eh, 1)
-	const m = 8
+	const m = 8 + 1 // the top state of the block is the filter's guard
 	for _, l := range []struct {
 		bands int
 		procs topology.Dims
@@ -253,7 +254,6 @@ func main() {
 			psis := d.InitGuessBand(m, [3]int{eGlobal[0], eGlobal[1], eGlobal[2]})
 			es := gpaw.NewEigenSolver(gpaw.NewDistHamiltonian(d, eh, d.ScatterReplicated(vext)))
 			es.Tol = 1e-6
-			es.MaxIter = 800
 			eig, err := es.Solve(m, psis)
 			if err != nil {
 				panic(err)

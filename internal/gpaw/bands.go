@@ -15,8 +15,8 @@ import (
 //
 // Distributing the real-space grids over a Cartesian process grid alone
 // leaves every wave-function on every rank, so the dense subspace
-// operations — overlap/Hamiltonian assembly, orthonormalization,
-// Rayleigh–Ritz, rotation — replicate O(m²) work and O(m) storage on
+// operations — overlap/Hamiltonian assembly, generalized Rayleigh–Ritz,
+// rotation — replicate O(m²) work and O(m) storage on
 // every rank. This file adds GPAW's band parallelization on top: the m
 // wave-functions are divided into contiguous slices across `Bands` rank
 // groups, each group runs its own domain decomposition (and halo-exchange
@@ -129,36 +129,33 @@ func (d *Dist) forEachBandState(m int, local []*grid.Grid, f func(gi int, src *g
 	}
 }
 
-// stateScratch is the eigen iteration's working storage, owned by the
-// Dist and grown on first use (never in NewDist: most contexts — the
-// Poisson and multigrid ones, every per-call selfDist — run no eigen
-// iteration). The iteration's three consumers of a second state set use
-// it strictly one after the other on the rank's master goroutine — the
-// damped step's outputs, then the rotation targets of orthonormalize,
-// then RayleighRitz's H·psi set and, once the subspace matrix is built
-// from it, RayleighRitz's rotation targets — so one set serves all.
+// stateScratch is the eigen pass's working storage, owned by the Dist
+// and grown on first use (never in NewDist: most contexts — the Poisson
+// and multigrid ones, every per-call selfDist — run no eigen pass). The
+// pass's consumers of a second state set use it strictly one after the
+// other on the rank's master goroutine — the filter's ping-pong partner,
+// then RayleighRitz's H·psi set and, once the subspace matrices are
+// built from it, its rotation targets — so one set serves all.
 type stateScratch struct {
-	set []*grid.Grid // one state-shaped grid per local state
+	set []*grid.Grid // one local grid per local state
 
 	buf  *grid.Grid // forEachBandState's landing grid (Bands > 1)
 	flat []float64  // and its flat broadcast transport
 }
 
-// scratchStates returns one scratch grid per state of psis, with that
-// state's extents and halo, allocating only the ones the set does not
-// hold yet (the first iteration, a larger state count, or differently
-// shaped states). Their contents are unspecified; callers write
-// interiors only, so the halos of a grid born here stay zero until an
-// exchange fills them. Callers that produce new states in the set
-// install them with swapStates, which leaves the replaced states' grids
-// in the set.
+// scratchStates returns n local scratch grids, allocating only the ones
+// the set does not hold yet (the first pass, or a larger state count).
+// Their contents are unspecified; callers write interiors only, so the
+// halos of a grid born here stay zero until an exchange fills them.
+// Callers that produce new states in the set install them with
+// swapStates, which leaves the replaced states' grids in the set.
 //
 //gpaw:hotpath
-func (d *Dist) scratchStates(psis []*grid.Grid) []*grid.Grid {
-	set := grow(&d.states.set, len(psis))
+func (d *Dist) scratchStates(n int) []*grid.Grid {
+	set := grow(&d.states.set, n)
 	for i, g := range set {
-		if like := psis[i]; g == nil || g.Dims() != like.Dims() || g.H != like.H {
-			set[i] = grid.NewDims(like.Dims(), like.H)
+		if g == nil {
+			set[i] = d.NewLocalGrid()
 		}
 	}
 	return set
@@ -172,10 +169,10 @@ func swapStates(psis, set []*grid.Grid) {
 }
 
 // symScratch is bandSymMatrix's working storage, owned by the Dist and
-// sized on first use: the eigensolver assembles two subspace matrices
-// per iteration, always on the rank's master goroutine.
+// sized on first use: the eigensolver assembles its subspace matrices
+// once per pass, always on the rank's master goroutine.
 type symScratch struct {
-	pairs      [][2]int
+	pairs      [][3]int
 	accs       []detsum.Acc
 	ptrs       []*detsum.Acc
 	used       []bool
@@ -194,93 +191,103 @@ func grow[T any](s *[]T, n int) []T {
 	return *s
 }
 
-// bandSymMatrix assembles the full m x m symmetric matrix
-// out[i][j] = <left_i, right_j> (j >= i computed, mirrored) when each
-// band group holds only its slice of left and right. Blocks of the
-// right-hand states circulate through the band communicator in
-// ascending order; the pair (i, j) is computed by the owner of i from
-// local sub-domain dots accumulated into detsum accumulators, reduced
-// exactly over the domain communicator in rank order, and the finished
-// rows are merged across band groups verbatim. Every entry has the
-// same bits for every layout.
+// bandSymMatrix assembles, for every right-hand state set rights[k],
+// the full m x m symmetric matrix outs[k][i][j] = <left_i, rights[k]_j>
+// (j >= i computed, mirrored) when each band group holds only its slice
+// of the sets — all of them in one domain reduction and one band merge,
+// so the overlap and Hamiltonian matrices of a subspace step cost the
+// collectives of one. Blocks of the right-hand states circulate through
+// the band communicator in ascending order; the pair (i, j) is computed
+// by the owner of i from local sub-domain dots accumulated into detsum
+// accumulators, reduced exactly over the domain communicator in rank
+// order, and the finished rows are merged across band groups verbatim.
+// Every entry has the same bits for every layout.
 //
 //gpaw:hotpath
-func (d *Dist) bandSymMatrix(m int, out linalg.Matrix, left, right []*grid.Grid) {
+func (d *Dist) bandSymMatrix(m int, outs []linalg.Matrix, left []*grid.Grid, rights ...[]*grid.Grid) {
 	sc := &d.sym
 	lo, hi := d.BandRange(m)
 	if d.Bands == 1 {
-		// Domain-only layout: one pool split over all m(m+1)/2 pairs
-		// keeps every worker busy (no circulation needed — every state
-		// is local). Same per-pair arithmetic and reduction order as the
-		// circulate path, so the entries are bit-identical either way.
-		np := m * (m + 1) / 2
+		// Domain-only layout: one pool split over the m(m+1)/2 pairs of
+		// every matrix keeps every worker busy (every state is local, no
+		// circulation needed). Same per-pair arithmetic and reduction order
+		// as the circulate path, so the entries are bit-identical either way.
+		np := len(rights) * m * (m + 1) / 2
 		pairs, accs, ptrs := grow(&sc.pairs, np), grow(&sc.accs, np), grow(&sc.ptrs, np)
 		clear(accs)
-		for i, k := 0, 0; i < m; i++ {
-			for j := i; j < m; j, k = j+1, k+1 {
-				pairs[k], ptrs[k] = [2]int{i, j}, &accs[k]
+		n := 0
+		for k := range rights {
+			for i := 0; i < m; i++ {
+				for j := i; j < m; j, n = j+1, n+1 {
+					pairs[n], ptrs[n] = [3]int{k, i, j}, &accs[n]
+				}
 			}
 		}
-		//lint:ignore hotpathalloc the fork-join closure Pool.Exec takes: one per matrix, not per pair
+		//lint:ignore hotpathalloc the fork-join closure Pool.Exec takes: one per assembly, not per pair
 		d.pool.Exec(np, func(_, plo, phi int) {
 			for n := plo; n < phi; n++ {
-				l := left[pairs[n][0]]
-				l.DotAccRange(right[pairs[n][1]], 0, l.Nx, &accs[n])
+				l := left[pairs[n][1]]
+				l.DotAccRange(rights[pairs[n][0]][pairs[n][2]], 0, l.Nx, &accs[n])
 			}
 		})
 		vals := d.reduceAccs(ptrs)
 		for n, pr := range pairs {
-			out[pr[0]][pr[1]], out[pr[1]][pr[0]] = vals[n], vals[n]
+			out := outs[pr[0]]
+			out[pr[1]][pr[2]], out[pr[2]][pr[1]] = vals[n], vals[n]
 		}
 		return
 	}
-	nown := hi - lo
-	accs, used := grow(&sc.accs, nown*m), grow(&sc.used, nown*m)
+	// Slot (k, ii, j) of the owned rows: matrix k, local row ii, column j.
+	nown, mm := hi-lo, m*m
+	nslot := len(rights) * nown * m
+	accs, used := grow(&sc.accs, nslot), grow(&sc.used, nslot)
 	clear(accs)
 	clear(used)
-	//lint:ignore hotpathalloc the visitor forEachBandState takes: one per matrix
-	d.forEachBandState(m, right, func(j int, src *grid.Grid) {
-		// Pairs (i, j) with i in my range and i <= j.
-		iEnd := j + 1
-		if iEnd > hi {
-			iEnd = hi
-		}
-		count := iEnd - lo
-		if count <= 0 {
-			return
-		}
-		//lint:ignore hotpathalloc the fork-join closure Pool.Exec takes: one per circulated state
-		d.pool.Exec(count, func(_, ilo, ihi int) {
-			for ii := ilo; ii < ihi; ii++ {
-				left[ii].DotAccRange(src, 0, left[ii].Nx, &accs[ii*m+j])
+	for k, right := range rights {
+		base := k * nown * m
+		//lint:ignore hotpathalloc the visitor forEachBandState takes: one per matrix
+		d.forEachBandState(m, right, func(j int, src *grid.Grid) {
+			// Pairs (i, j) with i in my range and i <= j.
+			count := min(j+1, hi) - lo
+			if count <= 0 {
+				return
+			}
+			//lint:ignore hotpathalloc the fork-join closure Pool.Exec takes: one per circulated state
+			d.pool.Exec(count, func(_, ilo, ihi int) {
+				for ii := ilo; ii < ihi; ii++ {
+					left[ii].DotAccRange(src, 0, left[ii].Nx, &accs[base+ii*m+j])
+				}
+			})
+			for ii := 0; ii < count; ii++ {
+				used[base+ii*m+j] = true
 			}
 		})
-		for ii := 0; ii < count; ii++ {
-			used[ii*m+j] = true
-		}
-	})
+	}
 	// Exact domain reduction of every owned pair, in a fixed order.
-	ptrs, slots := grow(&sc.ptrs, nown*m), grow(&sc.slots, nown*m)
+	ptrs, slots := grow(&sc.ptrs, nslot), grow(&sc.slots, nslot)
 	n := 0
-	for k := range accs {
-		if used[k] {
-			ptrs[n], slots[n] = &accs[k], k
+	for s := range accs {
+		if used[s] {
+			ptrs[n], slots[n] = &accs[s], s
 			n++
 		}
 	}
 	vals := d.reduceAccs(ptrs[:n])
 	// Merge the finished rows across band groups verbatim and mirror.
-	in, merged := grow(&sc.in, 2*m*m), grow(&sc.merged, 2*m*m)
+	nval := len(rights) * mm
+	in, merged := grow(&sc.in, 2*nval), grow(&sc.merged, 2*nval)
 	clear(in)
-	for v, k := range slots[:n] {
-		i, j := lo+k/m, k%m
-		in[i*m+j] = vals[v]
-		in[m*m+i*m+j] = 1
+	for v, s := range slots[:n] {
+		k, i, j := s/(nown*m), lo+s%(nown*m)/m, s%m
+		in[k*mm+i*m+j] = vals[v]
+		in[nval+k*mm+i*m+j] = 1
 	}
 	d.BandComm.AllreduceFunc(in, merged, pblas.MergeMasked)
-	for i := 0; i < m; i++ {
-		for j := i; j < m; j++ {
-			out[i][j], out[j][i] = merged[i*m+j], merged[i*m+j]
+	for k, out := range outs {
+		for i := 0; i < m; i++ {
+			for j := i; j < m; j++ {
+				out[i][j], out[j][i] = merged[k*mm+i*m+j], merged[k*mm+i*m+j]
+			}
 		}
 	}
 }
@@ -302,7 +309,7 @@ func (d *Dist) bandSymMatrix(m int, out linalg.Matrix, left, right []*grid.Grid)
 //
 //gpaw:hotpath
 func (d *Dist) bandRotate(m int, psis []*grid.Grid, c linalg.Matrix) {
-	news := d.scratchStates(psis)
+	news := d.scratchStates(len(psis))
 	if d.Bands == 1 {
 		//lint:ignore hotpathalloc the fork-join closure Pool.Exec takes: one per rotation, not per state
 		d.pool.Exec(m, func(_, lo, hi int) {
@@ -331,66 +338,67 @@ func (d *Dist) bandRotate(m int, psis []*grid.Grid, c linalg.Matrix) {
 	swapStates(psis, news)
 }
 
-// orthonormalize performs Löwdin-style orthonormalization Ψ ← Ψ·L⁻ᵀ on
-// the bands x domain layout: the overlap matrix is assembled
-// band-parallel, factored by the distributed Cholesky of internal/pblas
-// on the band process grid, inverted by distributed triangular solve,
-// and the rotation runs as the block-circulating distributed GEMM.
-// Bit-identical for every layout.
-func (d *Dist) orthonormalize(m int, psis []*grid.Grid) error {
-	defer d.Cart.TraceRank().Region("bands.orthonormalize").End()
-	s := linalg.NewMatrix(m, m)
-	d.bandSymMatrix(m, s, psis, psis)
-	ds := pblas.FromReplicated(d.BGrid, s, subspaceBlock, subspaceBlock)
-	cholesky := pblas.Cholesky
-	if d.ABFT {
-		cholesky = pblas.CholeskyChecked
-	}
-	l, err := cholesky(ds)
-	if err != nil {
-		var sdc *pblas.ErrSDCDetected
-		if errors.As(err, &sdc) {
-			return err
-		}
-		return fmt.Errorf("gpaw: overlap not positive definite (linearly dependent states): %w", err)
-	}
-	linv, err := pblas.InvertLower(l)
-	if err != nil {
-		return err
-	}
-	d.bandRotate(m, psis, linalg.Transpose(linv.Replicate()))
-	return nil
-}
-
-// RayleighRitz diagonalizes H in the span of the m global states, of
-// which psis is this band group's slice: H is applied to the slice
-// behind the approach's exchange protocol, the subspace matrix
-// <psi_i|H|psi_j> is assembled band-parallel, diagonalized by the pblas
-// distributed eigensolver on the band process grid, and the states
-// rotate to the Ritz vectors by distributed GEMM. Returns all m Ritz
-// values ascending (identical on every rank); an error means the
-// subspace diagonalization failed to converge.
+// RayleighRitz is the subspace step: it replaces the m global states,
+// of which psis is this band group's slice and which need be neither
+// orthogonal nor normalized, by the orthonormal Ritz vectors of H in
+// their span. H is applied to the slice behind the approach's exchange
+// protocol; S = <psi_i|psi_j> and <psi_i|H|psi_j> are assembled
+// band-parallel in one reduction; S is Cholesky-factored and the factor
+// inverted by internal/pblas on the band process grid; L⁻¹HL⁻ᵀ is
+// diagonalized to QΛQᵀ; one distributed GEMM rotates the states by
+// L⁻ᵀQ. Returns all m Ritz values ascending (bit-identical on every rank
+// and layout); an error means linearly dependent states or a
+// diagonalization that failed to converge.
 //
 //gpaw:hotpath
 func (h *Hamiltonian) RayleighRitz(m int, psis []*grid.Grid) ([]float64, error) {
 	if len(psis) > 0 {
 		h = h.bound(psis[0])
 	}
-	defer h.D.Cart.TraceRank().Region("bands.rayleighritz").End()
+	d := h.D
+	defer d.Cart.TraceRank().Region("bands.rayleighritz").End()
 	// H·psi lands in the scratch set: only interiors are written here and
 	// read by the subspace assembly, after which the set is free again
 	// for bandRotate's targets.
-	hp := h.D.scratchStates(psis)
-	h.applyStates(hp, psis, 1, 0)
-	hm := linalg.NewMatrix(m, m)
-	h.D.bandSymMatrix(m, hm, psis, hp)
-	dh := pblas.FromReplicated(h.D.BGrid, hm, subspaceBlock, subspaceBlock)
-	eig, dv, err := pblas.SymEig(dh)
+	hp := d.scratchStates(len(psis))
+	h.applyStates(hp, psis, nil, 1, 0, 0)
+	s, hm := linalg.NewMatrix(m, m), linalg.NewMatrix(m, m)
+	//lint:ignore hotpathalloc the two-matrix argument lists: one per subspace step
+	d.bandSymMatrix(m, []linalg.Matrix{s, hm}, psis, psis, hp)
+	cholesky := pblas.Cholesky
+	if d.ABFT {
+		cholesky = pblas.CholeskyChecked
+	}
+	l, err := cholesky(pblas.FromReplicated(d.BGrid, s, subspaceBlock, subspaceBlock))
+	if err != nil {
+		var sdc *pblas.ErrSDCDetected
+		if errors.As(err, &sdc) {
+			return nil, err
+		}
+		//lint:ignore hotpathalloc error path: the solve is over
+		return nil, fmt.Errorf("gpaw: overlap not positive definite (linearly dependent states): %w", err)
+	}
+	dlinv, err := pblas.InvertLower(l)
+	if err != nil {
+		return nil, err
+	}
+	// The m x m reduction runs replicated — every rank holds
+	// bit-identical factors. The upper triangle of the result, symmetric
+	// up to rounding, is taken as the matrix.
+	linv := dlinv.Replicate()
+	linvT := linalg.Transpose(linv)
+	red := linalg.MatMul(linalg.MatMul(linv, hm), linvT)
+	for i := range red {
+		for j := i + 1; j < m; j++ {
+			red[j][i] = red[i][j]
+		}
+	}
+	eig, q, err := pblas.SymEig(pblas.FromReplicated(d.BGrid, red, subspaceBlock, subspaceBlock))
 	if err != nil {
 		//lint:ignore hotpathalloc error path: the solve is over
 		return nil, fmt.Errorf("gpaw: subspace diagonalization: %w", err)
 	}
-	h.D.bandRotate(m, psis, dv.Replicate())
+	d.bandRotate(m, psis, linalg.MatMul(linvT, q.Replicate()))
 	return eig, nil
 }
 

@@ -100,10 +100,23 @@ func TestBandSymMatrixRotate(t *testing.T) {
 	selfDist(global, 2, Dirichlet).bandRotate(m, rotSerial, c)
 	runBand(t, global, topology.Dims{1, 1, 2}, 2, Dirichlet, core.FlatOptimized, func(d *Dist) {
 		psis := d.InitGuessBand(m, dims)
-		got := linalg.NewMatrix(m, m)
-		d.bandSymMatrix(m, got, psis, psis)
+		// Two right-hand sets in one assembly; the second is the first
+		// doubled, which doubles every dot product exactly.
+		twice := d.InitGuessBand(m, dims)
+		for _, g := range twice {
+			g.Scale(2)
+		}
+		got, got2 := linalg.NewMatrix(m, m), linalg.NewMatrix(m, m)
+		d.bandSymMatrix(m, []linalg.Matrix{got, got2}, psis, psis, twice)
 		if diff := linalg.MaxAbsDiff(got, want); diff != 0 {
 			t.Errorf("bandSymMatrix deviates from undecomposed dot products by %g", diff)
+		}
+		for i := range got2 {
+			for j := range got2[i] {
+				if got2[i][j] != 2*want[i][j] {
+					t.Errorf("bandSymMatrix second matrix [%d][%d] = %g, want %g", i, j, got2[i][j], 2*want[i][j])
+				}
+			}
 		}
 		d.bandRotate(m, psis, c)
 		lo, _ := d.BandRange(m)
@@ -182,9 +195,9 @@ func TestBandEigenDifferential(t *testing.T) {
 // eigenvalues, iteration counts, residuals and fields bit-identical to
 // the serial SCF for every bands x domain layout and all four
 // approaches. Eight electrons give four occupied states — the s level
-// plus the closed, 3-fold degenerate p shell of the harmonic trap, so
-// the damped subspace iteration converges while every band count up to
-// 4 still gets a non-trivial slice (TestBandEmptyGroup covers slices
+// plus the closed, 3-fold degenerate p shell of the harmonic trap —
+// and with the guard five to distribute, so every band count up to 4
+// gets a non-trivial, uneven slice (TestBandEmptyGroup covers slices
 // that come up empty).
 func TestBandSCFDifferential(t *testing.T) {
 	global := topology.Dims{8, 8, 8}

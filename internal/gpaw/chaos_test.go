@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/grid"
 	"repro/internal/mpi"
 	"repro/internal/topology"
 )
@@ -239,90 +238,6 @@ func TestCheckpointRestartBitIdentical(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestEigenCheckpointResume covers the standalone eigensolver's
-// checkpoint path: resume on a different layout reproduces the
-// undisturbed eigenvalues bitwise.
-func TestEigenCheckpointResume(t *testing.T) {
-	global := topology.Dims{8, 8, 8}
-	h := 0.5
-	vext := HarmonicPotential(global, h, 1)
-	ham := NewHamiltonian(h, vext, Dirichlet)
-	es := NewEigenSolver(ham)
-	es.Tol = 1e-7
-	es.MaxIter = 500
-	want, err := es.Solve(3, InitGuess(3, [3]int{8, 8, 8}, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	store := NewMemStore()
-	solve := func(c *mpi.Comm, procs topology.Dims, ck *Checkpointer, fromStore bool) []float64 {
-		d, err := NewDist(c, DistConfig{Global: global, Procs: procs, Halo: 2, BC: Dirichlet,
-			Approach: core.FlatOptimized, Threads: 1, Batch: 2})
-		if err != nil {
-			panic(err)
-		}
-		defer d.Close()
-		vloc := d.ScatterReplicated(vext)
-		des := NewEigenSolver(NewDistHamiltonian(d, h, vloc))
-		des.Tol = 1e-7
-		des.MaxIter = 500
-		des.Ckpt = ck
-		if fromStore {
-			steps, err := store.Steps()
-			if err != nil || len(steps) == 0 {
-				panic("no committed eigen checkpoints")
-			}
-			rs, err := RestoreEigen(d, store, steps[len(steps)/2])
-			if err != nil {
-				panic(err)
-			}
-			eig, _, err := des.Resume(rs)
-			if err != nil {
-				panic(err)
-			}
-			return eig
-		}
-		dpsis := make([]*grid.Grid, 3)
-		dims := [3]int{8, 8, 8}
-		for s := range dpsis {
-			g := d.NewLocalGrid()
-			s := s
-			off := d.Offset()
-			g.FillFunc(func(i, j, k int) float64 {
-				return guessValue(s, dims, off[0]+i, off[1]+j, off[2]+k)
-			})
-			dpsis[s] = g
-		}
-		eig, err := des.Solve(3, dpsis)
-		if err != nil {
-			panic(err)
-		}
-		return eig
-	}
-
-	if err := runRanks(4, mpi.ThreadSingle, func(c *mpi.Comm) {
-		eig := solve(c, topology.Dims{2, 2, 1}, &Checkpointer{Store: store, Every: 5}, false)
-		for i := range eig {
-			if eig[i] != want[i] {
-				t.Errorf("checkpointed solve: eig %d = %.17g, serial %.17g", i, eig[i], want[i])
-			}
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := runRanks(2, mpi.ThreadSingle, func(c *mpi.Comm) {
-		eig := solve(c, topology.Dims{1, 2, 1}, nil, true)
-		for i := range eig {
-			if eig[i] != want[i] {
-				t.Errorf("resumed solve: eig %d = %.17g, serial %.17g", i, eig[i], want[i])
-			}
-		}
-	}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -362,8 +362,7 @@ const (
 	shardMagic   = uint64(0x4750434b5f763100) // "GPCK_v1\0"
 	shardVersion = 1
 
-	shardKindSCF   = 1
-	shardKindEigen = 2
+	shardKindSCF = 1 // the one kind of state checkpointed: the SCF loop's
 )
 
 // ErrCheckpointCorrupt wraps checksum and format failures detected when
@@ -373,9 +372,8 @@ var ErrCheckpointCorrupt = errors.New("gpaw: corrupt checkpoint shard")
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // shard is the decoded form of one rank's checkpoint piece. Fields are
-// grid interiors in x-major order over the Local box at Off; an SCF
-// shard's fields are [density, veff, psi(BandLo) .. psi(BandHi-1)], an
-// eigen shard's are the psis alone.
+// grid interiors in x-major order over the Local box at Off:
+// [density, veff, psi(BandLo) .. psi(BandHi-1)].
 type shard struct {
 	Kind      int
 	Iteration int
@@ -384,10 +382,10 @@ type shard struct {
 	Local     topology.Dims
 	Spacing   float64
 	BC        int
-	States    int // m, the global state count
+	States    int // m, the global state count (the eigensolver's guard included)
 	BandLo    int // this shard's band slice [BandLo, BandHi)
 	BandHi    int
-	Scalars   []float64 // SCF: eigenvalues; eigen: previous Ritz values
+	Scalars   []float64 // the m Ritz values of the iteration, which bound the next one's filter
 	Fields    [][]float64
 }
 
@@ -660,7 +658,8 @@ func (ck *Checkpointer) prune() {
 
 // saveSCF snapshots the SCF state after iteration it: mixed density,
 // effective potential (the mixer's full state under linear mixing),
-// this band group's wave-function slice, eigenvalues and the counter.
+// this band group's wave-function slice, all m Ritz values (they bound
+// the next iteration's filter) and the counter.
 func (ck *Checkpointer) saveSCF(s *SCF, it, m int, eig []float64, psis []*grid.Grid, n, veff *grid.Grid) error {
 	d := s.D
 	lo, hi := d.BandRange(m)
@@ -668,19 +667,6 @@ func (ck *Checkpointer) saveSCF(s *SCF, it, m int, eig []float64, psis []*grid.G
 		Off: d.Offset(), Local: d.LocalDims(), Spacing: s.Sys.Spacing, BC: int(s.Sys.BC),
 		States: m, BandLo: lo, BandHi: hi, Scalars: append([]float64(nil), eig...)}
 	sh.Fields = append(sh.Fields, n.InteriorSlice(), veff.InteriorSlice())
-	for _, p := range psis {
-		sh.Fields = append(sh.Fields, p.InteriorSlice())
-	}
-	return ck.save(d, sh)
-}
-
-// saveEigen snapshots the standalone eigensolver state after iteration
-// it: this band group's states and the previous Ritz values.
-func (ck *Checkpointer) saveEigen(d *Dist, it, m int, psis []*grid.Grid, prev []float64) error {
-	lo, hi := d.BandRange(m)
-	sh := &shard{Kind: shardKindEigen, Iteration: it, Global: d.Decomp.Global,
-		Off: d.Offset(), Local: d.LocalDims(),
-		States: m, BandLo: lo, BandHi: hi, Scalars: append([]float64(nil), prev...)}
 	for _, p := range psis {
 		sh.Fields = append(sh.Fields, p.InteriorSlice())
 	}
@@ -700,15 +686,6 @@ type SCFRestart struct {
 	Veff      *grid.Grid
 }
 
-// EigenRestart is a restored standalone-eigensolver state for
-// EigenSolver.Resume.
-type EigenRestart struct {
-	Iteration int
-	States    int
-	Prev      []float64
-	Psis      []*grid.Grid
-}
-
 // copyShardBox copies the intersection of a shard's box with this
 // rank's sub-domain from the shard field into the local grid.
 func copyShardBox(dst *grid.Grid, dstOff topology.Coord, sh *shard, field []float64,
@@ -723,98 +700,65 @@ func copyShardBox(dst *grid.Grid, dstOff topology.Coord, sh *shard, field []floa
 	}
 }
 
-// restore re-tiles a committed step's shards onto the Dist: every rank
-// reads the manifest and, shard by shard, copies the intersection of
-// the old sub-domain boxes with its new one (and of the old band
-// slices with its new one) — gather-free, exactly like a
-// grid.Redistribute whose source layout happens to live in the store.
-// kind selects SCF or eigen shards; the per-state destination grids are
-// allocated here.
-func restore(d *Dist, st Store, step, kind int) (*shard, []*grid.Grid, []*grid.Grid, error) {
+// RestoreSCF re-tiles a committed SCF checkpoint onto the Dist's
+// process grid and band layout — the same layout it was written from,
+// a shrunken survivor grid, or a grown one. Every rank reads the
+// manifest and, shard by shard, copies the intersection of the old
+// sub-domain boxes with its new one (and of the old band slices with
+// its new one) — gather-free, exactly like a grid.Redistribute whose
+// source layout happens to live in the store.
+func RestoreSCF(d *Dist, st Store, step int) (*SCFRestart, error) {
 	sp := d.Cart.TraceRank().Begin("ckpt.restore", trace.KindRegion)
 	defer sp.End()
 	man, err := readManifest(st, step)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	if man.Kind != kind {
-		return nil, nil, nil, fmt.Errorf("gpaw: checkpoint step %d is kind %d, want %d", step, man.Kind, kind)
+	if man.Kind != shardKindSCF {
+		return nil, fmt.Errorf("gpaw: checkpoint step %d is kind %d, want %d", step, man.Kind, shardKindSCF)
 	}
 	if topology.Dims(man.Global) != d.Decomp.Global {
-		return nil, nil, nil, fmt.Errorf("gpaw: checkpoint global %v != decomposed global %v", man.Global, d.Decomp.Global)
+		return nil, fmt.Errorf("gpaw: checkpoint global %v != decomposed global %v", man.Global, d.Decomp.Global)
 	}
-	m := man.States
-	myLo, myHi := d.BandRange(m)
-	psis := make([]*grid.Grid, myHi-myLo)
-	for i := range psis {
-		psis[i] = d.NewLocalGrid()
+	if man.Ranks < 1 {
+		return nil, fmt.Errorf("gpaw: checkpoint step %d has no shards", step)
 	}
-	nFixed := 0
-	if kind == shardKindSCF {
-		nFixed = 2
+	myLo, myHi := d.BandRange(man.States)
+	rs := &SCFRestart{States: man.States, N: d.NewLocalGrid(), Veff: d.NewLocalGrid(),
+		Psis: make([]*grid.Grid, myHi-myLo)}
+	for i := range rs.Psis {
+		rs.Psis[i] = d.NewLocalGrid()
 	}
-	fixed := make([]*grid.Grid, nFixed)
-	for i := range fixed {
-		fixed[i] = d.NewLocalGrid()
-	}
-	var meta *shard
 	for r := 0; r < man.Ranks; r++ {
 		data, err := st.GetShard(step, r)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		if len(data) < 16 {
-			return nil, nil, nil, fmt.Errorf("%w: step %d shard %d: %d bytes", ErrCheckpointCorrupt, step, r, len(data))
+			return nil, fmt.Errorf("%w: step %d shard %d: %d bytes", ErrCheckpointCorrupt, step, r, len(data))
 		}
 		if r < len(man.Sums) {
 			sum := crc64.Checksum(data[:len(data)-8], crcTable)
 			if fmt.Sprintf("%016x", sum) != man.Sums[r] {
-				return nil, nil, nil, fmt.Errorf("%w: step %d shard %d checksum mismatch", ErrCheckpointCorrupt, step, r)
+				return nil, fmt.Errorf("%w: step %d shard %d checksum mismatch", ErrCheckpointCorrupt, step, r)
 			}
 		}
 		sh, err := decodeShard(data)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		if meta == nil {
-			meta = sh
+		if r == 0 {
+			rs.Iteration, rs.Eig = sh.Iteration, sh.Scalars
 		}
 		lo, dims, ok := grid.IntersectBox(sh.Off, sh.Local, d.Offset(), d.LocalDims())
 		if !ok {
 			continue
 		}
-		for i := range fixed {
-			copyShardBox(fixed[i], d.Offset(), sh, sh.Fields[i], lo, dims)
-		}
+		copyShardBox(rs.N, d.Offset(), sh, sh.Fields[0], lo, dims)
+		copyShardBox(rs.Veff, d.Offset(), sh, sh.Fields[1], lo, dims)
 		for st := max(sh.BandLo, myLo); st < min(sh.BandHi, myHi); st++ {
-			copyShardBox(psis[st-myLo], d.Offset(), sh, sh.Fields[nFixed+(st-sh.BandLo)], lo, dims)
+			copyShardBox(rs.Psis[st-myLo], d.Offset(), sh, sh.Fields[2+(st-sh.BandLo)], lo, dims)
 		}
 	}
-	if meta == nil {
-		return nil, nil, nil, fmt.Errorf("gpaw: checkpoint step %d has no shards", step)
-	}
-	return meta, fixed, psis, nil
-}
-
-// RestoreSCF re-tiles a committed SCF checkpoint onto the Dist's
-// process grid and band layout — the same layout it was written from,
-// a shrunken survivor grid, or a grown one.
-func RestoreSCF(d *Dist, st Store, step int) (*SCFRestart, error) {
-	meta, fixed, psis, err := restore(d, st, step, shardKindSCF)
-	if err != nil {
-		return nil, err
-	}
-	return &SCFRestart{Iteration: meta.Iteration, States: meta.States,
-		Eig: meta.Scalars, Psis: psis, N: fixed[0], Veff: fixed[1]}, nil
-}
-
-// RestoreEigen re-tiles a committed eigensolver checkpoint onto the
-// Dist.
-func RestoreEigen(d *Dist, st Store, step int) (*EigenRestart, error) {
-	meta, _, psis, err := restore(d, st, step, shardKindEigen)
-	if err != nil {
-		return nil, err
-	}
-	return &EigenRestart{Iteration: meta.Iteration, States: meta.States,
-		Prev: meta.Scalars, Psis: psis}, nil
+	return rs, nil
 }

@@ -164,11 +164,15 @@ type Dist struct {
 	exBuf   []*grid.Grid
 
 	// redIn, redOut and redVals are reduceAccs' transport and result
-	// scratch, sized on first use; sym is bandSymMatrix's and states the
-	// eigen iteration's second state set.
+	// scratch, sized on first use (acc: a stack accumulator handed to the
+	// pool would escape, an allocation per reduction); sym is
+	// bandSymMatrix's, states the eigen pass's second state set and
+	// fields the work grids of the Poisson solve and the SCF step.
 	redIn, redOut, redVals []float64
+	acc                    detsum.Acc // the scalar reductions' accumulator
 	sym                    symScratch
 	states                 stateScratch
+	fields                 fieldScratch
 
 	// pointNs is the modeled per-point sweep cost in virtual ns charged
 	// through mpi.Comm.Compute (0: charging off). It already includes
@@ -271,12 +275,6 @@ func (d *Dist) chargeSweep(g *grid.Grid, r stencil.Region) {
 // Close releases the rank's worker pool.
 func (d *Dist) Close() { d.eng.Close() }
 
-// Pool returns the rank's worker pool (nil for the flat approaches).
-func (d *Dist) Pool() *stencil.Pool { return d.pool }
-
-// Coord returns this rank's Cartesian coordinate.
-func (d *Dist) Coord() topology.Coord { return d.coord }
-
 // Offset returns the global offset of this rank's sub-domain.
 func (d *Dist) Offset() topology.Coord { return d.off }
 
@@ -293,9 +291,24 @@ func (d *Dist) ScatterReplicated(global *grid.Grid) *grid.Grid {
 	return d.Decomp.Scatter(global, d.coord)
 }
 
-// Exchange fills the halos of the given local grids from the
-// neighbouring ranks using the configured protocol.
-func (d *Dist) Exchange(gs ...*grid.Grid) { d.eng.Exchange(gs) }
+// fieldScratch holds the Dist-owned work grids of one SCF step, so a
+// warmed step allocates none: conjugate gradients' right-hand side,
+// residual, direction and operator image, and the SCF's unmixed density
+// and Hartree potential. Like the state set they are born on first use
+// and touched only from the rank's master goroutine.
+type fieldScratch struct {
+	cgB, cgR, cgP, cgAp *grid.Grid
+	density, hartree    *grid.Grid
+}
+
+// scratchGrid returns the local work grid kept in *slot, born on first
+// use: interior unspecified, halo as its last exchange left it.
+func (d *Dist) scratchGrid(slot **grid.Grid) *grid.Grid {
+	if *slot == nil {
+		*slot = d.NewLocalGrid()
+	}
+	return *slot
+}
 
 // Overlapped reports whether the hot solver loops run the split-phase
 // overlapped protocol: every approach but FlatOriginal on a domain grid
@@ -370,36 +383,27 @@ func (d *Dist) reduceAcc(a *detsum.Acc) float64 {
 // Sum returns the global interior sum, with the bits of the exact sum
 // over the undecomposed grid.
 func (d *Dist) Sum(g *grid.Grid) float64 {
-	var a detsum.Acc
-	d.pool.SumAcc(g, &a)
-	return d.reduceAcc(&a)
+	d.acc.Reset()
+	d.pool.SumAcc(g, &d.acc)
+	return d.reduceAcc(&d.acc)
 }
 
 // Dot returns the global inner product <a, b>.
 func (d *Dist) Dot(a, b *grid.Grid) float64 {
-	var acc detsum.Acc
-	d.pool.DotAcc(a, b, &acc)
-	return d.reduceAcc(&acc)
+	d.acc.Reset()
+	d.pool.DotAcc(a, b, &d.acc)
+	return d.reduceAcc(&d.acc)
 }
 
 // Norm2 returns the global L2 norm.
 func (d *Dist) Norm2(g *grid.Grid) float64 { return math.Sqrt(d.Dot(g, g)) }
 
-// DotNorm returns the global <a, b> and <a, a> in one local pooled
-// sweep and one reduction.
-func (d *Dist) DotNorm(a, b *grid.Grid) (dot, sumsq float64) {
-	var dotAcc, sqAcc detsum.Acc
-	d.pool.DotNormAcc(a, b, &dotAcc, &sqAcc)
-	vals := d.reduceAccs([]*detsum.Acc{&dotAcc, &sqAcc})
-	return vals[0], vals[1]
-}
-
 // AxpyDot performs g += a*x locally and returns the global updated
 // <g, g> in the same sweep.
 func (d *Dist) AxpyDot(g *grid.Grid, a float64, x *grid.Grid) float64 {
-	var acc detsum.Acc
-	d.pool.AxpyDotAcc(g, a, x, &acc)
-	return d.reduceAcc(&acc)
+	d.acc.Reset()
+	d.pool.AxpyDotAcc(g, a, x, &d.acc)
+	return d.reduceAcc(&d.acc)
 }
 
 // removeMean subtracts the global interior mean (projects out the

@@ -428,7 +428,7 @@ func TestSolverErrorsReportResidual(t *testing.T) {
 }
 
 // TestDistReductionDeterminism is the deterministic-reduction satellite:
-// distributed DotNorm/Allreduce sums must be independent of message
+// distributed Dot/Sum/Allreduce sums must be independent of message
 // arrival order — ranks are delayed by random amounts before reducing —
 // and must match the serial reduction exactly, repeatedly.
 func TestDistReductionDeterminism(t *testing.T) {
@@ -452,7 +452,7 @@ func TestDistReductionDeterminism(t *testing.T) {
 				time.Sleep(time.Duration(rng.Intn(3000)) * time.Microsecond)
 				la := d.ScatterReplicated(a)
 				lb := d.ScatterReplicated(b)
-				dot, sq := d.DotNorm(la, lb)
+				dot, sq := d.Dot(la, lb), d.Dot(la, la)
 				sum := d.Sum(la)
 				if dot != wantDot || sq != wantSq || sum != wantSum {
 					t.Errorf("procs %v trial %d: (dot,sq,sum)=(%.17g,%.17g,%.17g) != serial (%.17g,%.17g,%.17g)",

@@ -129,23 +129,33 @@ func TestHamiltonianExpectationAndBound(t *testing.T) {
 	}
 }
 
+// TestOrthonormalize: the subspace step takes any linearly independent
+// states — the filter's output is neither orthogonal nor normalized —
+// and leaves orthonormal Ritz vectors whose Rayleigh quotients are the
+// returned Ritz values.
 func TestOrthonormalize(t *testing.T) {
-	for _, halo := range []int{2, 0} { // orthonormalization reads no halo, so grids without one work too
-		psis := InitGuess(4, [3]int{10, 10, 10}, halo)
-		if err := Orthonormalize(psis); err != nil {
-			t.Fatal(err)
-		}
-		for i := range psis {
-			for j := range psis {
-				got := psis[i].Dot(psis[j])
-				want := 0.0
-				if i == j {
-					want = 1
-				}
-				if math.Abs(got-want) > 1e-10 {
-					t.Fatalf("halo %d: <%d|%d> = %g, want %g", halo, i, j, got, want)
-				}
+	ham := NewHamiltonian(0.5, HarmonicPotential(topology.Dims{10, 10, 10}, 0.5, 1), Dirichlet)
+	psis := InitGuess(4, [3]int{10, 10, 10}, 2)
+	eig, err := ham.RayleighRitz(len(psis), psis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range psis {
+		for j := range psis {
+			got := psis[i].Dot(psis[j])
+			want := 0.0
+			if i == j {
+				want = 1
 			}
+			if math.Abs(got-want) > 1e-10 {
+				t.Fatalf("<%d|%d> = %g, want %g", i, j, got, want)
+			}
+		}
+		if e := ham.Expectation(psis[i]); math.Abs(e-eig[i]) > 1e-10 {
+			t.Fatalf("state %d: <H> = %g, Ritz value %g", i, e, eig[i])
+		}
+		if i > 0 && eig[i] < eig[i-1] {
+			t.Fatalf("Ritz values not ascending: %v", eig)
 		}
 	}
 }
@@ -154,7 +164,7 @@ func TestOrthonormalizeRejectsDependentStates(t *testing.T) {
 	a := grid.New(6, 6, 6, 2)
 	a.Fill(1)
 	b := a.Clone()
-	if err := Orthonormalize([]*grid.Grid{a, b}); err == nil {
+	if _, err := NewHamiltonian(0.5, nil, Dirichlet).RayleighRitz(2, []*grid.Grid{a, b}); err == nil {
 		t.Fatal("linearly dependent states accepted")
 	}
 }
@@ -169,8 +179,8 @@ func TestParticleInBoxEigenvalues(t *testing.T) {
 	L := float64(n+1) * h
 	ham := NewHamiltonian(h, nil, Dirichlet)
 	es := NewEigenSolver(ham)
-	es.MaxIter = 4000
-	psis := InitGuess(2, [3]int{n, n, n}, 2)
+	es.MaxIter = 10 // the damped step this solver replaced took 799 iterations
+	psis := InitGuess(2+guardStates, [3]int{n, n, n}, 2)
 	eig, err := es.Solve(len(psis), psis)
 	if err != nil {
 		t.Fatal(err)
@@ -187,20 +197,26 @@ func TestParticleInBoxEigenvalues(t *testing.T) {
 	}
 }
 
-func TestHarmonicOscillatorLevels(t *testing.T) {
-	// 3-D harmonic oscillator: E = ω(n + 3/2). Grid must contain a few
-	// sigma; ω=1, sigma=1.
+// harmonicLevels solves the 20^3 harmonic oscillator for four states and
+// the guard to the given tolerance.
+func harmonicLevels(t *testing.T, tol float64) []float64 {
+	t.Helper()
 	dims := topology.Dims{20, 20, 20}
 	h := 0.55
-	v := HarmonicPotential(dims, h, 1)
-	ham := NewHamiltonian(h, v, Dirichlet)
-	es := NewEigenSolver(ham)
-	es.MaxIter = 6000
-	psis := InitGuess(4, [3]int{dims[0], dims[1], dims[2]}, 2)
+	es := NewEigenSolver(NewHamiltonian(h, HarmonicPotential(dims, h, 1), Dirichlet))
+	es.Tol = tol
+	psis := InitGuess(4+guardStates, [3]int{dims[0], dims[1], dims[2]}, 2)
 	eig, err := es.Solve(len(psis), psis)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return eig[:4]
+}
+
+func TestHarmonicOscillatorLevels(t *testing.T) {
+	// 3-D harmonic oscillator: E = ω(n + 3/2). Grid must contain a few
+	// sigma; ω=1, sigma=1.
+	eig := harmonicLevels(t, 1e-8)
 	if math.Abs(eig[0]-1.5) > 0.05 {
 		t.Fatalf("ground state %g, want 1.5", eig[0])
 	}
@@ -208,6 +224,42 @@ func TestHarmonicOscillatorLevels(t *testing.T) {
 		if math.Abs(eig[i]-2.5) > 0.12 {
 			t.Fatalf("excited state %d = %g, want 2.5", i, eig[i])
 		}
+	}
+	// The eigenvalue-change criterion must not stop short of the answer
+	// (the damped step did: 3.2e-7 off at this Tol, the p-triplet split):
+	// the triplet is degenerate and every level agrees with a run
+	// converged a thousand times tighter.
+	tight := harmonicLevels(t, 1e-11)
+	for i := range eig {
+		if d := math.Abs(eig[i] - tight[i]); d > 1e-7 {
+			t.Errorf("level %d at Tol 1e-8 is %g from its Tol 1e-11 value", i, d)
+		}
+	}
+	if d := eig[3] - eig[1]; d > 1e-7 {
+		t.Errorf("p-triplet split by %g", d)
+	}
+}
+
+// TestEigenSolverSingleState: a block of one has no guard to bound the
+// filter with — the damped interval's edge sits on the state itself, so
+// the filter's gain over the rest of the spectrum shrinks as the state
+// converges — and still reaches the level a guarded solve finds, slowly.
+func TestEigenSolverSingleState(t *testing.T) {
+	dims := [3]int{10, 10, 10}
+	ham := NewHamiltonian(0.5, nil, Dirichlet)
+	guarded := NewEigenSolver(ham)
+	want, err := guarded.Solve(1+guardStates, InitGuess(1+guardStates, dims, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	es := NewEigenSolver(ham)
+	es.Tol, es.MaxIter = 1e-7, 2000
+	eig, err := es.Solve(1, InitGuess(1, dims, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := math.Abs(eig[0] - want[0]); d > 1e-4 {
+		t.Fatalf("unguarded ground state %.9f is %g from the guarded solve's %.9f", eig[0], d, want[0])
 	}
 }
 
@@ -253,6 +305,49 @@ func TestSCFHarmonicTrapConverges(t *testing.T) {
 	}
 	if res.Iterations < 2 {
 		t.Fatal("suspiciously fast SCF convergence")
+	}
+}
+
+// TestSCFEnergyNearFixedPoint: one filter pass per step must not leave
+// the loop short of self-consistency — on the repository benchmark's
+// input (24^3, h 0.6, the trap capped at 8 Ha, 8 electrons; rebuilt here,
+// benchmark/ is a module of its own) the energy at the benchmark's Tol
+// 1e-4 lies within 2e-4 Ha of the same run at Tol 1e-8, for both
+// boundary conditions, and inside the benchmark's golden window
+// (benchmark/golden.json ± 5e-4) with 1e-4 to spare. The goldens were
+// recorded from the damped-step solver and sit 3.8e-4 / 3.5e-4 below
+// the fixed point, so the upper edge is the near one.
+func TestSCFEnergyNearFixedPoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four 24^3 SCF runs in short mode")
+	}
+	const goldenDirichlet, goldenPeriodic = 41.415515929038115, 36.652868621180936
+	dims := topology.Dims{24, 24, 24}
+	vext := grid.NewDims(dims, 2)
+	vext.FillFunc(func(i, j, k int) float64 {
+		x, y, z := (float64(i)-11.5)*0.6, (float64(j)-11.5)*0.6, (float64(k)-11.5)*0.6
+		return math.Min(8, 0.5*(x*x+y*y+z*z))
+	})
+	for _, c := range []struct {
+		bc     Boundary
+		golden float64
+	}{{Dirichlet, goldenDirichlet}, {Periodic, goldenPeriodic}} {
+		energy := func(tol float64) float64 {
+			scf := NewSCF(System{Dims: dims, Spacing: 0.6, BC: c.bc, Vext: vext, Electrons: 8})
+			scf.Tol, scf.MaxIter = tol, 100
+			res, err := scf.Run()
+			if err != nil {
+				t.Fatalf("%v Tol %g: %v", c.bc, tol, err)
+			}
+			return res.TotalEnergy
+		}
+		loose, tight := energy(1e-4), energy(1e-8)
+		if d := math.Abs(loose - tight); d > 2e-4 {
+			t.Errorf("%v: energy %.9f at Tol 1e-4 is %g Ha from the Tol 1e-8 value %.9f", c.bc, loose, d, tight)
+		}
+		if d := math.Abs(loose - c.golden); d > 4e-4 {
+			t.Errorf("%v: energy %.9f at Tol 1e-4 is %g Ha from the benchmark golden %.9f (window 5e-4)", c.bc, loose, d, c.golden)
+		}
 	}
 }
 

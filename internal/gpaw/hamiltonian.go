@@ -53,7 +53,7 @@ func (h *Hamiltonian) bound(g *grid.Grid) *Hamiltonian {
 // Apply computes dst = H psi in one fused sweep (kinetic stencil plus
 // potential term) behind one halo exchange of psi.
 func (h *Hamiltonian) Apply(dst, psi *grid.Grid) {
-	h.bound(psi).applyStates([]*grid.Grid{dst}, []*grid.Grid{psi}, 1, 0)
+	h.bound(psi).applyStates([]*grid.Grid{dst}, []*grid.Grid{psi}, nil, 1, 0, 0)
 }
 
 // Expectation returns <psi|H|psi> / <psi|psi>.
@@ -64,18 +64,23 @@ func (h *Hamiltonian) Expectation(psi *grid.Grid) float64 {
 	return h.D.Dot(psi, hp) / h.D.Dot(psi, psi)
 }
 
-// applyStates computes dsts[i] = beta*psis[i] + alpha*(H psis[i]) for
-// every state, with halo exchange and compute structured by the Dist's
+// applyStates computes dsts[i] = beta*psis[i] + alpha*(H psis[i]) +
+// gamma*prevs[i] for every state (prevs nil: no third term; prevs may
+// be dsts), with halo exchange and compute structured by the Dist's
 // approach (batched exchange, per-thread communication or per-grid
-// fork-join). Overlapped contexts run each state's fused step split-
-// phase: the deep interior sweeps while the batch's halo messages are
-// in flight, the boundary shell after they land. The eigensolver's
-// damped power step and RayleighRitz (bands.go) apply H through it, so
+// fork-join) and no reduction. Overlapped contexts run each state's
+// fused step split-phase: the deep interior sweeps while the batch's
+// halo messages are in flight, the boundary shell after they land. The
+// Chebyshev filter's steps and RayleighRitz's H·psi go through it, so
 // the overlap covers the bands x domain layout too.
-func (h *Hamiltonian) applyStates(dsts, psis []*grid.Grid, alpha, beta float64) {
+func (h *Hamiltonian) applyStates(dsts, psis, prevs []*grid.Grid, alpha, beta, gamma float64) {
 	defer h.D.Cart.TraceRank().Region("eigen.apply").End()
 	h.D.forEachExchanged(psis, func(gi int, rg stencil.Region, p *stencil.Pool) {
-		h.T.Over(rg).ApplyStep(p, dsts[gi], psis[gi], h.V, alpha, beta)
+		var prev *grid.Grid
+		if prevs != nil {
+			prev = prevs[gi]
+		}
+		h.T.Over(rg).ApplyRecurrence(p, dsts[gi], psis[gi], h.V, prev, alpha, beta, gamma)
 	})
 }
 
@@ -118,9 +123,10 @@ func maxPotential(v *grid.Grid) float64 {
 	return vmax
 }
 
-// SpectralBound returns an upper bound on H's largest eigenvalue, used
-// to pick stable step sizes for the eigensolver: the kinetic bound (sum
-// of |coefficients|) plus the global potential maximum.
+// SpectralBound returns an upper bound on H's largest eigenvalue — the
+// upper edge of the interval the eigensolver's Chebyshev filter damps:
+// the kinetic bound (sum of |coefficients|) plus the global potential
+// maximum.
 func (h *Hamiltonian) SpectralBound() float64 {
 	bound := kineticBound(h.T)
 	if h.V != nil {

@@ -105,15 +105,22 @@ func (ps *Poisson) bound(g *grid.Grid) *Poisson {
 // Laplacian. The sign is folded into the operator coefficients and
 // every iteration is four fused sweeps — exchange + apply-with-dot,
 // axpy, axpy-with-norm, axpy-with-scale — about half the memory passes
-// of SolveCGReference, with exact global reductions.
+// of SolveCGReference, with exact global reductions, on work grids the
+// Dist owns.
 func (ps *Poisson) SolveCG(phi, rhs *grid.Grid) (int, float64, error) {
-	ps = ps.bound(phi)
+	return ps.bound(phi).solveNegated(phi, rhs, -1)
+}
+
+// solveNegated is SolveCG's body on the symmetric positive
+// (semi-)definite problem (-∇²) phi = scale*src; ps has a context.
+func (ps *Poisson) solveNegated(phi, src *grid.Grid, scale float64) (int, float64, error) {
 	d := ps.D
 	defer d.Cart.TraceRank().Region("poisson.cg").End()
-	// Solve (-∇²) phi = -rhs, which is symmetric positive (semi-)definite.
 	neg := ps.Op.Scaled(-1)
-	b := rhs.Clone()
-	d.pool.Scale(b, -1)
+	f := &d.fields
+	b := d.scratchGrid(&f.cgB)
+	d.pool.Copy(b, src)
+	d.pool.Scale(b, scale)
 	if d.BC == Periodic {
 		d.removeMean(b)
 	}
@@ -122,8 +129,7 @@ func (ps *Poisson) SolveCG(phi, rhs *grid.Grid) (int, float64, error) {
 		phi.Fill(0)
 		return 0, 0, nil
 	}
-	r := grid.NewDims(phi.Dims(), phi.H)
-	ap := grid.NewDims(phi.Dims(), phi.H)
+	r, ap, p := d.scratchGrid(&f.cgR), d.scratchGrid(&f.cgAp), d.scratchGrid(&f.cgP)
 	var acc detsum.Acc
 	d.withOverlap(d.eng, phi, func(rg stencil.Region) {
 		neg.Over(rg).ApplyResidualAcc(d.pool, r, b, phi, &acc)
@@ -131,7 +137,7 @@ func (ps *Poisson) SolveCG(phi, rhs *grid.Grid) (int, float64, error) {
 	if d.BC == Periodic {
 		d.removeMean(r)
 	}
-	p := r.Clone()
+	d.pool.Copy(p, r)
 	rsold := d.Dot(r, r)
 	for it := 1; it <= ps.MaxIter; it++ {
 		// ap = A p and <p, Ap>, the deep interior computed while p's
@@ -224,13 +230,18 @@ func removeMeanSerial(g *grid.Grid) {
 // HartreePotential solves ∇²v = -4πn for the given density and returns
 // v (zero-mean for periodic boundaries).
 func (ps *Poisson) HartreePotential(n *grid.Grid) (*grid.Grid, error) {
-	ps = ps.bound(n)
-	defer ps.D.Cart.TraceRank().Region("poisson.hartree").End()
-	rhs := n.Clone()
-	ps.D.pool.Scale(rhs, -4*math.Pi)
 	v := grid.NewDims(n.Dims(), n.H)
-	if _, _, err := ps.SolveCG(v, rhs); err != nil {
+	if err := ps.bound(n).hartreeInto(v, n); err != nil {
 		return nil, err
 	}
 	return v, nil
+}
+
+// hartreeInto is HartreePotential into a caller-owned v, from a zero
+// initial guess; ps has a context.
+func (ps *Poisson) hartreeInto(v, n *grid.Grid) error {
+	defer ps.D.Cart.TraceRank().Region("poisson.hartree").End()
+	v.Fill(0)
+	_, _, err := ps.solveNegated(v, n, 4*math.Pi)
+	return err
 }

@@ -56,10 +56,13 @@ func xAlpha(n float64) float64 {
 }
 
 // SCF runs a simple self-consistent loop with Hartree and local-density
-// exchange (Slater Xα): diagonalize H[n], rebuild n, mix, repeat. It is
-// deliberately small — enough to generate the "thousands of
-// wave-functions, one density" workload shape the paper describes —
-// not a production DFT code. Sys describes the global system (Vext is
+// exchange (Slater Xα): one Chebyshev-filtered subspace pass on H[n]
+// (eigen.go) — the states follow the potential as it converges instead
+// of being re-solved inside every step — then rebuild n, mix, repeat.
+// Besides the occupied states it carries guardStates unoccupied ones,
+// which bound the filter. It is deliberately small — enough to generate
+// the "thousands of wave-functions, one density" workload shape the
+// paper describes — not a production DFT code. Sys describes the global system (Vext is
 // the global external potential, replicated on every rank); the
 // result's grids are this rank's local sub-domains while eigenvalues,
 // energies, iteration counts and residuals are identical on every rank
@@ -73,8 +76,8 @@ type SCF struct {
 	Tol     float64 // density residual target
 	MaxIter int
 	// Ckpt, when set, snapshots the SCF state (density, effective
-	// potential, this band group's states, eigenvalues, iteration
-	// counter) every Ckpt.Every iterations; see checkpoint.go.
+	// potential, this band group's states and all Ritz values, guard's
+	// included, iteration counter) every Ckpt.Every iterations.
 	Ckpt *Checkpointer
 	// OnIteration, when set, is called on every rank at the top of each
 	// SCF iteration, before any communication of that iteration. The
@@ -102,25 +105,31 @@ func NewDistSCF(d *Dist, sys System) *SCF {
 	return s
 }
 
-// states returns the number of doubly occupied orbitals.
-func (s *SCF) states() int { return (s.Sys.Electrons + 1) / 2 }
+// occupied returns the number of occupied orbitals; states the number
+// the loop carries, the eigensolver's guard included.
+func (s *SCF) occupied() int { return (s.Sys.Electrons + 1) / 2 }
+func (s *SCF) states() int   { return s.occupied() + guardStates }
 
 // buildDensity assembles n(r) = Σ_i f_i |ψ_i|² normalized to the
-// electron count, one fused accumulate-the-square sweep per state.
-// States circulate through the band communicator in ascending global
-// order so every rank accumulates occ·|ψ|² in the same state order,
-// then the normalization sum reduces exactly over the domain. The
-// returned density is replicated across band groups.
+// electron count in the Dist's density scratch, one fused
+// accumulate-the-square sweep per occupied state. States circulate
+// through the band communicator in ascending global order so every rank
+// accumulates occ·|ψ|² in the same state order, then the normalization
+// sum reduces exactly over the domain. The returned density is
+// replicated across band groups and valid until the next call.
 func (s *SCF) buildDensity(m int, psis []*grid.Grid) *grid.Grid {
 	d := s.D
 	defer d.Cart.TraceRank().Region("scf.density").End()
-	n := grid.NewDims(d.local, d.Decomp.Halo)
+	n := d.scratchGrid(&d.fields.density)
+	n.Fill(0)
 	dV := s.Sys.Spacing * s.Sys.Spacing * s.Sys.Spacing
 	remaining := float64(s.Sys.Electrons)
 	d.forEachBandState(m, psis, func(_ int, src *grid.Grid) {
 		occ := math.Min(2, remaining)
 		remaining -= occ
-		n.AccumSquared(occ, src)
+		if occ > 0 {
+			n.AccumSquared(occ, src)
+		}
 	})
 	// Wave-functions are dot-product normalized; scale so that
 	// ∫n dV = electrons.
@@ -149,7 +158,7 @@ func (s *SCF) Resume(rs *SCFRestart) (*SCFResult, error) {
 		return nil, fmt.Errorf("gpaw: nil SCF restart state")
 	}
 	if rs.States != s.states() {
-		return nil, fmt.Errorf("gpaw: checkpoint has %d states, system wants %d", rs.States, s.states())
+		return nil, fmt.Errorf("gpaw: checkpoint has %d states, system wants %d (guard included)", rs.States, s.states())
 	}
 	if rs.Iteration >= s.MaxIter {
 		return nil, fmt.Errorf("gpaw: checkpoint at iteration %d leaves no iterations below MaxIter %d", rs.Iteration, s.MaxIter)
@@ -208,12 +217,10 @@ func (s *SCF) run(rs *SCFRestart) (*SCFResult, error) {
 					return nil, fmt.Errorf("gpaw: scf iteration %d: %w", it, err)
 				}
 			}
-			h := NewDistHamiltonian(d, s.Sys.Spacing, veff)
-			es := NewEigenSolver(h)
-			es.Tol = 1e-7
-			es.MaxIter = 600
+			// One pass per step, the filter bounded by the previous step's
+			// Ritz values (nil on a fresh run's first step).
 			var err error
-			eig, err = es.Solve(m, psis)
+			eig, err = NewDistHamiltonian(d, s.Sys.Spacing, veff).filterPass(m, psis, eig)
 			if err != nil {
 				var sdc *pblas.ErrSDCDetected
 				if errors.As(err, &sdc) && s.Guard != nil {
@@ -229,7 +236,7 @@ func (s *SCF) run(rs *SCFRestart) (*SCFResult, error) {
 			newN := s.buildDensity(m, psis)
 			var residual float64
 			if n == nil {
-				n = newN
+				n = newN.Clone()
 				residual = math.Inf(1)
 			} else {
 				var acc detsum.Acc
@@ -241,30 +248,31 @@ func (s *SCF) run(rs *SCFRestart) (*SCFResult, error) {
 					return nil, fmt.Errorf("gpaw: scf iteration %d: %w", it, err)
 				}
 			}
-			vh, err := poisson.HartreePotential(n)
-			if err != nil {
+			vh := d.scratchGrid(&d.fields.hartree)
+			if err := poisson.hartreeInto(vh, n); err != nil {
 				return nil, fmt.Errorf("gpaw: scf iteration %d hartree: %w", it, err)
 			}
 			updateVeff(veff, vextLocal, vh, n)
 			// Snapshot after the mix and potential update: (psis, n, veff,
 			// eig, it) is the complete SCF state — the Hartree solve holds
-			// no cross-iteration state. Saved before the convergence
-			// branch, which is taken identically on every rank.
+			// none, the next step's filter needs eig. Saved before the
+			// convergence branch, which is taken identically on every rank.
 			if s.Ckpt.due(it) {
 				if err := s.Ckpt.saveSCF(s, it, m, eig, psis, n, veff); err != nil {
 					return nil, fmt.Errorf("gpaw: scf iteration %d checkpoint: %w", it, err)
 				}
 			}
-			if residual < s.Tol {
-				return &SCFResult{Eigenvalues: eig, TotalEnergy: bandEnergy(eig, s.Sys.Electrons),
-					Density: n, VHartree: vh, Iterations: it, Residual: residual}, nil
+			if residual >= s.Tol && it < s.MaxIter {
+				return nil, nil
 			}
-			if it == s.MaxIter {
-				return &SCFResult{Eigenvalues: eig, TotalEnergy: bandEnergy(eig, s.Sys.Electrons),
-						Density: n, VHartree: vh, Iterations: it, Residual: residual},
-					fmt.Errorf("gpaw: SCF did not reach %g (residual %g)", s.Tol, residual)
+			// The result owns its fields: vh is Dist scratch.
+			occ := eig[:s.occupied()]
+			res := &SCFResult{Eigenvalues: occ, TotalEnergy: bandEnergy(occ, s.Sys.Electrons),
+				Density: n, VHartree: vh.Clone(), Iterations: it, Residual: residual}
+			if residual >= s.Tol {
+				return res, fmt.Errorf("gpaw: SCF did not reach %g (residual %g)", s.Tol, residual)
 			}
-			return nil, nil
+			return res, nil
 		}()
 		if res != nil || err != nil {
 			return res, err
@@ -275,19 +283,18 @@ func (s *SCF) run(rs *SCFRestart) (*SCFResult, error) {
 
 // mixDensityAcc linearly mixes newN into n (n += mix*(newN - n)) and
 // accumulates the squared L2 norm of the density change into acc — one
-// sweep over flat rows, the change staged in a cache-resident row for
-// the row reduction; the caller folds the per-rank partials into the
-// exact global norm.
+// sweep over flat rows, the change staged in newN's own rows (newN is
+// scratch the next buildDensity refills) for the row reduction; the
+// caller folds the per-rank partials into the exact global norm.
 func mixDensityAcc(n, newN *grid.Grid, mix float64, acc *detsum.Acc) {
 	nd, md := n.Data(), newN.Data()
-	diff := make([]float64, n.Nz)
 	for i := 0; i < n.Nx; i++ {
 		for j := 0; j < n.Ny; j++ {
 			a := n.Index(i, j, 0)
 			b := newN.Index(i, j, 0)
-			nrow, mrow := nd[a:a+n.Nz], md[b:b+n.Nz]
-			for k, mv := range mrow {
-				diff[k] = mv - nrow[k]
+			nrow, diff := nd[a:a+n.Nz], md[b:b+n.Nz]
+			for k := range diff {
+				diff[k] -= nrow[k]
 			}
 			acc.AddMulSlice(diff, diff)
 			for k, dv := range diff {

@@ -10,54 +10,52 @@ import (
 	"repro/internal/topology"
 )
 
-// eigenIterationAllocs is the number of heap allocations one warmed
-// eigen iteration (damped step + orthonormalize + RayleighRitz) makes on
-// a one-rank Dist with a one-worker pool at m = 4: the m x m matrices of
-// linalg/pblas (rows allocated one by one), the trace-free mpi.Self
-// collectives and the closures handed to Pool.Exec. It is a ceiling, not
-// a target — what the test pins is that the count is small and constant
-// and that none of it is a grid.
-const eigenIterationAllocs = 128
+// scfIterationAllocs is the number of heap allocations one warmed SCF
+// iteration makes on a one-rank Dist with a one-worker pool at m = 4 + 1
+// states: the m x m matrices of linalg/pblas (rows allocated one by
+// one), the operators NewDistHamiltonian and the CG solve derive, the
+// trace-free mpi.Self collectives, the closures handed to Pool.Exec and
+// the engine, and a z-row of stencil scratch per sweep. It is a
+// ceiling, not a target — what the test pins is that the count is small
+// and constant and that none of it is a grid.
+const scfIterationAllocs = 2000
 
-// TestEigenIterationAllocatesNoGrids pins the eigen loop's allocation
-// contract: once one iteration has grown the Dist's scratch, the next
-// ones allocate a small constant number of small objects and not one
-// grid — the per-iteration bytes stay below a single state's storage.
+// TestEigenIterationAllocatesNoGrids pins the SCF loop's allocation
+// contract: once the first iterations have grown the Dist's scratch, a
+// whole iteration — filter pass, subspace step, density, mix, Hartree
+// solve, potential update — allocates a bounded number of small objects
+// and not one grid: its bytes stay below a single state's storage.
 func TestEigenIterationAllocatesNoGrids(t *testing.T) {
 	dims := topology.Dims{24, 24, 24}
-	const m = 4
 	d := selfDist(dims, 2, Dirichlet)
-	d.pool = nil // one worker: AllocsPerRun counts this goroutine only
-	h := NewDistHamiltonian(d, 0.6, HarmonicPotential(dims, 0.6, 1))
-	psis := InitGuess(m, [3]int{dims[0], dims[1], dims[2]}, 2)
-	tau := 1 / h.SpectralBound()
-	iteration := func() {
-		outs := d.scratchStates(psis)
-		h.applyStates(outs, psis, -tau, 1)
-		swapStates(psis, outs)
-		if err := d.orthonormalize(m, psis); err != nil {
-			t.Fatal(err)
+	d.pool = nil // one worker: every allocation is this goroutine's
+	sys := scfSystem(dims, 0.6)
+	sys.Electrons = 8
+	scf := NewDistSCF(d, sys)
+	scf.Tol, scf.MaxIter = 0, 6 // never converges: six full iterations
+	// marks[it] is the heap odometer at the top of iteration it, so
+	// iteration it allocated marks[it+1] - marks[it].
+	marks := make([]runtime.MemStats, 0, scf.MaxIter) // sized up front: growing it would count
+	scf.OnIteration = func(int) {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		marks = append(marks, ms)
+	}
+	if res, _ := scf.Run(); res == nil || res.Iterations != scf.MaxIter {
+		t.Fatalf("SCF did not run its %d iterations: %+v", scf.MaxIter, res)
+	}
+	oneGrid := uint64(8 * len(d.NewLocalGrid().Data()))
+	for it := 3; it < len(marks); it++ { // iterations 1 and 2 grow the scratch
+		bytes := marks[it].TotalAlloc - marks[it-1].TotalAlloc
+		allocs := marks[it].Mallocs - marks[it-1].Mallocs
+		if bytes >= oneGrid {
+			t.Errorf("warmed SCF iteration %d allocated %d bytes, a grid is %d: some grid.New ran", it, bytes, oneGrid)
 		}
-		if _, err := h.RayleighRitz(m, psis); err != nil {
-			t.Fatal(err)
+		if allocs > scfIterationAllocs {
+			t.Errorf("warmed SCF iteration %d makes %d allocations, want <= %d", it, allocs, scfIterationAllocs)
 		}
+		t.Logf("warmed SCF iteration %d: %d allocations, %d bytes (one state grid: %d bytes)", it, allocs, bytes, oneGrid)
 	}
-	iteration() // grows the scratch
-
-	allocs := testing.AllocsPerRun(5, iteration)
-	if allocs > eigenIterationAllocs {
-		t.Errorf("warmed eigen iteration makes %.0f allocations, want <= %d", allocs, eigenIterationAllocs)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	iteration()
-	runtime.ReadMemStats(&after)
-	oneGrid := uint64(8 * len(psis[0].Data()))
-	if got := after.TotalAlloc - before.TotalAlloc; got >= oneGrid {
-		t.Errorf("warmed eigen iteration allocated %d bytes, a grid is %d: some grid.New ran", got, oneGrid)
-	}
-	t.Logf("warmed eigen iteration: %.0f allocations, %d bytes (one state grid: %d bytes)",
-		allocs, after.TotalAlloc-before.TotalAlloc, oneGrid)
 }
 
 // solveBits runs the eigensolver for m states on d and returns, on world
@@ -67,7 +65,6 @@ func solveBits(t *testing.T, d *Dist, m int, global topology.Dims) []uint64 {
 	const h = 0.5
 	es := NewEigenSolver(NewDistHamiltonian(d, h, d.ScatterReplicated(HarmonicPotential(global, h, 1))))
 	es.Tol = 1e-6
-	es.MaxIter = 400
 	psis := d.InitGuessBand(m, [3]int{global[0], global[1], global[2]})
 	eig, err := es.Solve(m, psis)
 	if err != nil {
@@ -113,23 +110,6 @@ func TestEigenScratchIsPerDist(t *testing.T) {
 	if again := solveBits(t, d, a.m, a.global); !slices.Equal(first, wantA) || !slices.Equal(again, wantA) {
 		t.Errorf("one Dist reused across state counts deviates from a fresh context")
 	}
-	// One context reused across state shapes: orthonormalization reads no
-	// halo, so the same one-rank Dist takes halo-2 and halo-0 states.
-	for _, halo := range []int{2, 0, 2} {
-		psis, ref := InitGuess(3, [3]int{8, 8, 8}, halo), InitGuess(3, [3]int{8, 8, 8}, halo)
-		if err := d.orthonormalize(3, psis); err != nil {
-			t.Fatal(err)
-		}
-		if err := Orthonormalize(ref); err != nil {
-			t.Fatal(err)
-		}
-		for i := range psis {
-			if psis[i].H != halo || psis[i].MaxAbsDiff(ref[i]) != 0 {
-				t.Errorf("halo %d: state %d deviates after reusing a Dist across state shapes", halo, i)
-			}
-		}
-	}
-
 	// Several layouts in one process, each rank with scratch of its own:
 	// 2 band groups x 2 domain ranks of problem A, 1 x 2 of the re-tiled
 	// problem B, then A again on another tiling.

@@ -27,7 +27,7 @@ import (
 // set runs under the calibrated network model.
 func runDistTraced(t *testing.T, tr *trace.Tracer, cfg DistConfig, body func(d *Dist)) {
 	t.Helper()
-	w := testWorld(cfg.Procs.Count(), modeFor(cfg.Approach))
+	w := testWorld(max(cfg.Bands, 1)*cfg.Procs.Count(), modeFor(cfg.Approach))
 	if cfg.NetCompute {
 		w.SetNetModel(calibratedModel(cfg))
 	}
@@ -320,6 +320,68 @@ func TestSweepSpanVocabulary(t *testing.T) {
 					t.Errorf("%v noOverlap=%v rank %d: %d CG iterations recorded %d sweep spans %v..., want %d of the form %v...",
 						a, noOverlap, r, iters, len(seq)-1, seq[:min(4, len(seq))], len(want)-1, want[:2])
 				}
+			}
+		}
+	}
+}
+
+// TestEigenSpanVocabulary pins the eigensolver's span names and counts
+// the benchmark ledger reads (gpaw.eigen_apply_count, bands_*_ms,
+// eigen_solve_ms): every SCF step is one eigen.solve holding
+// filterDegree + 1 eigen.apply — the filter's reduction-free sweeps and
+// the subspace step's H·psi — and one bands.rayleighritz, with one more
+// of each of the last two on the first step (the subspace step on the raw
+// guess that yields the first Ritz values), and no per-sweep
+// orthonormalization anywhere — on one rank and on 2 band groups x 2x1x1.
+func TestEigenSpanVocabulary(t *testing.T) {
+	global := topology.Dims{8, 8, 8}
+	sys := scfSystem(global, 0.7)
+	sys.Electrons = 8
+	for _, l := range []struct {
+		bands int
+		procs topology.Dims
+	}{{1, topology.Dims{1, 1, 1}}, {2, topology.Dims{2, 1, 1}}} {
+		ranks := l.bands * l.procs.Count()
+		tr := trace.New(ranks, 1<<16)
+		iters := 0
+		runDistTraced(t, tr, DistConfig{
+			Global: global, Procs: l.procs, Bands: l.bands, Halo: 2, BC: Dirichlet,
+			Approach: core.FlatOptimized, Threads: 1, Batch: 2,
+		}, func(d *Dist) {
+			scf := NewDistSCF(d, sys)
+			scf.Tol = 1e-4
+			res, err := scf.Run()
+			if err != nil {
+				panic(err)
+			}
+			if d.World.Rank() == 0 {
+				iters = res.Iterations
+			}
+		})
+		for r := 0; r < ranks; r++ {
+			// Events arrive in completion order: a step's spans precede
+			// its scf.iteration.
+			step, count := 1, map[string]int{}
+			for _, e := range tr.RankEvents(r) {
+				if e.Name != "scf.iteration" {
+					count[e.Name]++
+					continue
+				}
+				first := 0
+				if step == 1 {
+					first = 1
+				}
+				for name, want := range map[string]int{"eigen.solve": 1, "eigen.apply": filterDegree + 1 + first,
+					"bands.rayleighritz": 1 + first, "bands.orthonormalize": 0} {
+					if count[name] != want {
+						t.Errorf("bands %d procs %v rank %d step %d: %d %s spans, want %d",
+							l.bands, l.procs, r, step, count[name], name, want)
+					}
+				}
+				step, count = step+1, map[string]int{}
+			}
+			if step-1 != iters {
+				t.Errorf("bands %d procs %v rank %d: %d scf.iteration spans for %d iterations", l.bands, l.procs, r, step-1, iters)
 			}
 		}
 	}

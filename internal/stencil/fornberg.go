@@ -31,7 +31,8 @@
 //     ApplyDotAcc      dst = op(src), acc += <src,dst>      2 streams (16 B/pt)
 //     ApplyResidualAcc r = b - op(phi), acc += |r|^2        3 streams (24 B/pt)
 //     ApplySmooth      dst = phi + c*(rhs - op(phi))        3 streams (24 B/pt)
-//     ApplyStep        dst = beta*src + alpha*(op+v)(src)   2-3 streams
+//     ApplyRecurrence  dst = beta*src + alpha*(op+v)(src)   2-4 streams
+//     .                      + gamma*prev   (ApplyStep: no prev)
 //
 //     The unfused chains these replace cost 7-9 streams; a fused CG
 //     iteration moves roughly half the bytes of its unfused counterpart

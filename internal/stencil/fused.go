@@ -198,33 +198,49 @@ func (op *Operator) applySmoothBlock(dst, phi, rhs *grid.Grid, taps []tap, row [
 	}
 }
 
-// ApplyStep computes dst = beta*src + alpha*((op(src)) + v.*src) in one
-// sweep, with v optional (nil): the fused Kohn-Sham workhorse. With
-// alpha=1, beta=0 it is a Hamiltonian application dst = (op+v)(src);
-// with alpha=-tau, beta=1 it is the eigensolver's damped power step
-// dst = src - tau*H(src). 3 streams with v, 2 without. dst must not
-// alias src or v.
-func (op *Operator) ApplyStep(p *Pool, dst, src, v *grid.Grid, alpha, beta float64) {
+// ApplyRecurrence computes dst = beta*src + alpha*(op(src) + v.*src) +
+// gamma*prev in one sweep, with v and prev optional (nil): the fused
+// Kohn-Sham workhorse, and one step of a three-term recurrence in
+// H = op+v (the Chebyshev filter's T_{k+1} = 2(H-c)/e T_k - T_{k-1},
+// src = T_k, prev = T_{k-1}), so a degree-k filter is k of these sweeps
+// and no other pass. 2 streams, +1 each for v and prev. Every product is
+// rounded before it is added (the conversions keep an FMA-capable
+// architecture from fusing). dst must not alias src or v; it may be
+// prev, which is read point by point before dst is written.
+func (op *Operator) ApplyRecurrence(p *Pool, dst, src, v, prev *grid.Grid, alpha, beta, gamma float64) {
 	streams := 2
+	op.checkFused("ApplyRecurrence", src, dst)
 	if v != nil {
-		op.checkFused("ApplyStep", src, dst, v)
-		streams = 3
-	} else {
-		op.checkFused("ApplyStep", src, dst)
+		op.checkFused("ApplyRecurrence", src, v)
+		streams++
+	}
+	if prev != nil {
+		op.checkFused("ApplyRecurrence", src, prev)
+		streams++
 	}
 	taps := op.gridTaps(src)
 	op.sweep(p, src, streams, src.Nz, func(_ int, row []float64, b Block) {
-		op.applyStepBlock(dst, src, v, taps, row, alpha, beta, b)
+		op.applyStepBlock(dst, src, v, prev, taps, row, alpha, beta, gamma, b)
 	})
 }
 
-// applyStepBlock is ApplyStep over one block; row as above.
-func (op *Operator) applyStepBlock(dst, src, v *grid.Grid, taps []tap, row []float64, alpha, beta float64, blk Block) {
+// ApplyStep is ApplyRecurrence without the prev term: dst = beta*src +
+// alpha*(op+v)(src). With alpha=1, beta=0 it is a Hamiltonian
+// application dst = (op+v)(src).
+func (op *Operator) ApplyStep(p *Pool, dst, src, v *grid.Grid, alpha, beta float64) {
+	op.ApplyRecurrence(p, dst, src, v, nil, alpha, beta, 0)
+}
+
+// applyStepBlock is ApplyRecurrence over one block; row as above.
+func (op *Operator) applyStepBlock(dst, src, v, prev *grid.Grid, taps []tap, row []float64, alpha, beta, gamma float64, blk Block) {
 	in := src.Data()
 	out := dst.Data()
-	var vd []float64
+	var vd, pd []float64
 	if v != nil {
 		vd = v.Data()
+	}
+	if prev != nil {
+		pd = prev.Data()
 	}
 	n := blk.Z1 - blk.Z0
 	buf := row[:n]
@@ -235,20 +251,25 @@ func (op *Operator) applyStepBlock(dst, src, v *grid.Grid, taps []tap, row []flo
 			if v != nil {
 				vrow := v.Index(i, j, blk.Z0)
 				for k := 0; k < n; k++ {
-					buf[k] += vd[vrow+k] * in[srow+k]
+					buf[k] += float64(vd[vrow+k] * in[srow+k])
 				}
 			}
 			drow := dst.Index(i, j, blk.Z0)
 			switch {
+			case prev != nil:
+				prow := prev.Index(i, j, blk.Z0)
+				for k := 0; k < n; k++ {
+					out[drow+k] = float64(beta*in[srow+k]) + float64(alpha*buf[k]) + float64(gamma*pd[prow+k])
+				}
 			case beta == 0 && alpha == 1:
 				copy(out[drow:drow+n], buf)
 			case beta == 1:
 				for k := 0; k < n; k++ {
-					out[drow+k] = in[srow+k] + alpha*buf[k]
+					out[drow+k] = in[srow+k] + float64(alpha*buf[k])
 				}
 			default:
 				for k := 0; k < n; k++ {
-					out[drow+k] = beta*in[srow+k] + alpha*buf[k]
+					out[drow+k] = float64(beta*in[srow+k]) + float64(alpha*buf[k])
 				}
 			}
 		}

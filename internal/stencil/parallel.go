@@ -233,11 +233,22 @@ func (p *Pool) Sum(g *grid.Grid) float64 {
 	return acc.Round()
 }
 
+// execAcc is Exec for a reduction: body adds its share's terms into the
+// accumulator it is handed — acc itself when one goroutine runs the
+// whole range, else a per-worker partial merged into acc afterwards.
+func (p *Pool) execAcc(n int, acc *detsum.Acc, body func(a *detsum.Acc, lo, hi int)) {
+	if p.Workers() == 1 {
+		body(acc, 0, n)
+		return
+	}
+	accs := make([]detsum.Acc, p.Workers())
+	p.Exec(n, func(w, lo, hi int) { body(&accs[w], lo, hi) })
+	mergeAccs(acc, accs)
+}
+
 // SumAcc accumulates the interior sum into acc across the pool.
 func (p *Pool) SumAcc(g *grid.Grid, acc *detsum.Acc) {
-	accs := make([]detsum.Acc, p.Workers())
-	p.Exec(g.Nx, func(w, i0, i1 int) { g.SumAccRange(i0, i1, &accs[w]) })
-	mergeAccs(acc, accs)
+	p.execAcc(g.Nx, acc, func(a *detsum.Acc, i0, i1 int) { g.SumAccRange(i0, i1, a) })
 }
 
 // Dot returns <g, o>, reduced exactly.
@@ -249,20 +260,7 @@ func (p *Pool) Dot(g, o *grid.Grid) float64 {
 
 // DotAcc accumulates <g, o> into acc across the pool.
 func (p *Pool) DotAcc(g, o *grid.Grid, acc *detsum.Acc) {
-	accs := make([]detsum.Acc, p.Workers())
-	p.Exec(g.Nx, func(w, i0, i1 int) { g.DotAccRange(o, i0, i1, &accs[w]) })
-	mergeAccs(acc, accs)
-}
-
-// DotNormAcc accumulates <g, o> into dotAcc and <g, g> into sqAcc in
-// one sweep across the pool.
-func (p *Pool) DotNormAcc(g, o *grid.Grid, dotAcc, sqAcc *detsum.Acc) {
-	w := p.Workers()
-	dots := make([]detsum.Acc, w)
-	sqs := make([]detsum.Acc, w)
-	p.Exec(g.Nx, func(w, i0, i1 int) { g.DotNormAccRange(o, i0, i1, &dots[w], &sqs[w]) })
-	mergeAccs(dotAcc, dots)
-	mergeAccs(sqAcc, sqs)
+	p.execAcc(g.Nx, acc, func(a *detsum.Acc, i0, i1 int) { g.DotAccRange(o, i0, i1, a) })
 }
 
 // AxpyDot computes g += a*x and returns the updated <g, g> in the same
@@ -275,7 +273,5 @@ func (p *Pool) AxpyDot(g *grid.Grid, a float64, x *grid.Grid) float64 {
 
 // AxpyDotAcc is AxpyDot accumulating the updated <g, g> into acc.
 func (p *Pool) AxpyDotAcc(g *grid.Grid, a float64, x *grid.Grid, acc *detsum.Acc) {
-	accs := make([]detsum.Acc, p.Workers())
-	p.Exec(g.Nx, func(w, i0, i1 int) { g.AxpyDotAccRange(a, x, i0, i1, &accs[w]) })
-	mergeAccs(acc, accs)
+	p.execAcc(g.Nx, acc, func(part *detsum.Acc, i0, i1 int) { g.AxpyDotAccRange(a, x, i0, i1, part) })
 }

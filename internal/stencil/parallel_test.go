@@ -248,6 +248,13 @@ func TestApplyStepMatchesUnfused(t *testing.T) {
 	if d := want.MaxAbsDiff(dst); d > 1e-15 {
 		t.Fatalf("ApplyStep(2, 0.5, nil) deviates by %g", d)
 	}
+	// The recurrence term, accumulated into dst itself (prev == dst),
+	// added last as the kernel does.
+	want.Axpy(-0.3, dst)
+	op.ApplyRecurrence(p, dst, src, nil, dst, 2, 0.5, -0.3)
+	if d := want.MaxAbsDiff(dst); d > 1e-15 {
+		t.Fatalf("ApplyRecurrence(2, 0.5, -0.3) into its own prev deviates by %g", d)
+	}
 }
 
 func TestPoolReductionsDeterministic(t *testing.T) {

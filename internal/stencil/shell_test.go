@@ -164,6 +164,10 @@ func TestRegionsMatchFullBitwise(t *testing.T) {
 		{"ApplyStep(nil,-0.02,1)", func(op *Operator, p *Pool, dst *grid.Grid, in operands, _ *detsum.Acc) {
 			op.ApplyStep(p, dst, in.src, nil, -0.02, 1)
 		}},
+		// The three-term recurrence, prev a separate grid.
+		{"ApplyRecurrence(v,prev)", func(op *Operator, p *Pool, dst *grid.Grid, in operands, _ *detsum.Acc) {
+			op.ApplyRecurrence(p, dst, in.src, in.v, in.rhs, 0.5, -0.25, -0.75)
+		}},
 	}
 	op := Laplacian(2, 0.6)
 	shapes := [][3]int{{12, 10, 8}, {4, 12, 12}, {12, 3, 12}, {12, 12, 2}, {3, 3, 3}, {5, 4, 9}, {1, 1, 1}}
