@@ -96,15 +96,15 @@
 //     recovered energies, eigenvalues, iteration counts and fields
 //     bit-identical to the fault-free run (chaos_test.go kills every
 //     combination of victim and checkpointed iteration to prove it).
-//   - internal/pblas — a miniature ScaLAPACK backing the band layer:
+//   - internal/pblas — a SUMMA/Cholesky library the benchmark ledger
+//     probes (pblas.summa_us, pblas.cholesky_us) and no solver calls:
 //     block-cyclic distributed matrices over a 2D process grid built
 //     from mpi.Comm.Split row/column sub-communicators, SUMMA matrix
-//     multiplication, blocked Cholesky, triangular solve/inversion and
-//     a symmetric eigensolver, each bit-identical to its replicated
-//     internal/linalg counterpart for every grid shape and block size
-//     (ascending-k panel broadcasts reproduce the serial rounding
-//     sequence exactly; the pblas.* ledger rows of benchmark/run.sh
-//     track the layer's timings).
+//     multiplication and a blocked Cholesky, each bit-identical to its
+//     replicated internal/linalg counterpart for every grid shape and
+//     block size (ascending-k panel broadcasts reproduce the serial
+//     rounding sequence exactly). The solver's m x m subspace step runs
+//     replicated internal/linalg on every rank.
 //   - internal/detsum — exact, order-independent float64 summation: a
 //     Kulisch-style superaccumulator of 68 int64 bins into which each
 //     value's mantissa is deposited by integer shifts and adds, a row at

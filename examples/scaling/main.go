@@ -221,9 +221,9 @@ func main() {
 
 	// Band parallelization: the second axis. Eight wave-functions in a
 	// harmonic trap (and the filter's guard state) are split across band
-	// groups; subspace assembly, the generalized Rayleigh-Ritz step and
-	// the rotation run band-parallel with the dense algebra distributed
-	// block-cyclically via internal/pblas.
+	// groups: the grid-sized work — subspace assembly, rotation — runs
+	// band-parallel, and the m x m algebra between them (Cholesky,
+	// inversion, diagonalization) runs replicated on every rank.
 	fmt.Println("\nband-parallel eigensolver, 12^3 harmonic trap, 8 states + guard,")
 	fmt.Println("bands x domain layouts (flat optimized):")
 	fmt.Printf("%8s %8s %8s %24s %12s\n", "ranks", "bands", "domain", "eig[0] (Ha)", "time")
@@ -270,7 +270,7 @@ func main() {
 	}
 	fmt.Println("\nevery bands x domain layout prints the same eigenvalue to the")
 	fmt.Println("last bit: subspace matrices assemble through exact reductions and")
-	fmt.Println("the dense algebra runs distributed in internal/pblas")
+	fmt.Println("every rank repeats the same small dense algebra on the same bits")
 
 	// Fault tolerance with the whole lifecycle visible — a rank
 	// voluntarily dies at a chosen SCF iteration, the survivors get a

@@ -1,52 +1,41 @@
 package gpaw
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/detsum"
 	"repro/internal/grid"
 	"repro/internal/linalg"
-	"repro/internal/pblas"
+	"repro/internal/mpi"
 	"repro/internal/topology"
 )
 
 // Band parallelization: the second axis of the bands x domain 2D layout.
 //
 // Distributing the real-space grids over a Cartesian process grid alone
-// leaves every wave-function on every rank, so the dense subspace
-// operations — overlap/Hamiltonian assembly, generalized Rayleigh–Ritz,
-// rotation — replicate O(m²) work and O(m) storage on
-// every rank. This file adds GPAW's band parallelization on top: the m
-// wave-functions are divided into contiguous slices across `Bands` rank
-// groups, each group runs its own domain decomposition (and halo-exchange
-// engine) over the same global grid, and the subspace operations become
-// distributed:
+// leaves every wave-function on every rank. GPAW's band parallelization
+// divides the m wave-functions into contiguous slices across `Bands`
+// rank groups; each group runs its own domain decomposition (and
+// halo-exchange engine) over the same global grid, and the band axis
+// distributes the grid-sized work of the subspace step:
 //
 //   - subspace matrices are assembled by circulating band blocks through
 //     the band communicator in ascending order; each group computes the
-//     rows it owns from local sub-domain dot products (rounded once per
-//     element, detsum-exact), reduces them over its domain communicator
-//     in rank order, and the rows are merged across band groups verbatim;
-//   - the m x m dense algebra (Cholesky, triangular inversion, symmetric
-//     diagonalization) runs in internal/pblas on a 2D process grid built
-//     over the band communicator;
-//   - the O(m²) rotation Ψ ← Ψ·C runs as a distributed GEMM over
-//     grid-vector blocks: source blocks are broadcast through the band
-//     communicator in ascending order, so every output point accumulates
-//     its m terms in exactly lincombInto's order.
+//     rows it owns from local sub-domain dot products (detsum-exact),
+//     reduces them over its domain communicator in rank order, and the
+//     rows are merged across band groups verbatim — every rank ends up
+//     holding bit-identical m x m matrices;
+//   - the rotation Ψ ← Ψ·C runs as a distributed GEMM over grid-vector
+//     blocks: source blocks are broadcast through the band communicator
+//     in ascending order, so every output point accumulates its m terms
+//     in exactly lincombInto's order.
 //
-// Because every floating-point reduction is either detsum-exact or an
-// ascending-order accumulation identical to the one-group kernel, all
-// results — eigenvalues, wave-functions, SCF energies — are bit-identical
-// for every bands x domain layout (one rank included), every process
-// grid shape and every programming approach.
-
-// subspaceBlock is the block size of the block-cyclic subspace matrices.
-// Any value yields bit-identical results (asserted in internal/pblas);
-// 2 keeps several blocks per rank at typical band counts so the cyclic
-// layout is genuinely exercised.
-const subspaceBlock = 2
+// The m x m algebra between the two is replicated: every rank runs
+// internal/linalg on its bit-identical replica and derives the
+// bit-identical rotation with no communication (microseconds at tens of
+// bands: the ledger's linalg.subspace_us). All results are therefore
+// bit-identical for every bands x domain layout (one rank included),
+// every process grid shape and every programming approach.
 
 // BandRange returns the half-open global state range [lo, hi) owned by
 // this rank's band group when m states are distributed.
@@ -282,7 +271,7 @@ func (d *Dist) bandSymMatrix(m int, outs []linalg.Matrix, left []*grid.Grid, rig
 		in[k*mm+i*m+j] = vals[v]
 		in[nval+k*mm+i*m+j] = 1
 	}
-	d.BandComm.AllreduceFunc(in, merged, pblas.MergeMasked)
+	d.BandComm.AllreduceFunc(in, merged, mpi.MergeMasked)
 	for k, out := range outs {
 		for i := 0; i < m; i++ {
 			for j := i; j < m; j++ {
@@ -343,12 +332,12 @@ func (d *Dist) bandRotate(m int, psis []*grid.Grid, c linalg.Matrix) {
 // orthogonal nor normalized, by the orthonormal Ritz vectors of H in
 // their span. H is applied to the slice behind the approach's exchange
 // protocol; S = <psi_i|psi_j> and <psi_i|H|psi_j> are assembled
-// band-parallel in one reduction; S is Cholesky-factored and the factor
-// inverted by internal/pblas on the band process grid; L⁻¹HL⁻ᵀ is
-// diagonalized to QΛQᵀ; one distributed GEMM rotates the states by
-// L⁻ᵀQ. Returns all m Ritz values ascending (bit-identical on every rank
-// and layout); an error means linearly dependent states or a
-// diagonalization that failed to converge.
+// band-parallel in one reduction, bit-identical on every rank; there
+// internal/linalg Cholesky-factors S (checksum-verified under ABFT),
+// inverts the factor and diagonalizes L⁻¹HL⁻ᵀ to QΛQᵀ; one distributed
+// GEMM rotates the states by L⁻ᵀQ. Returns all m Ritz values ascending
+// (bit-identical on every rank and layout); an error means linearly
+// dependent states, a failed diagonalization or detected corruption.
 //
 //gpaw:hotpath
 func (h *Hamiltonian) RayleighRitz(m int, psis []*grid.Grid) ([]float64, error) {
@@ -365,27 +354,19 @@ func (h *Hamiltonian) RayleighRitz(m int, psis []*grid.Grid) ([]float64, error) 
 	s, hm := linalg.NewMatrix(m, m), linalg.NewMatrix(m, m)
 	//lint:ignore hotpathalloc the two-matrix argument lists: one per subspace step
 	d.bandSymMatrix(m, []linalg.Matrix{s, hm}, psis, psis, hp)
-	cholesky := pblas.Cholesky
-	if d.ABFT {
-		cholesky = pblas.CholeskyChecked
-	}
-	l, err := cholesky(pblas.FromReplicated(d.BGrid, s, subspaceBlock, subspaceBlock))
+	l, err := linalg.Cholesky(s)
 	if err != nil {
-		var sdc *pblas.ErrSDCDetected
-		if errors.As(err, &sdc) {
-			return nil, err
-		}
 		//lint:ignore hotpathalloc error path: the solve is over
 		return nil, fmt.Errorf("gpaw: overlap not positive definite (linearly dependent states): %w", err)
 	}
-	dlinv, err := pblas.InvertLower(l)
-	if err != nil {
-		return nil, err
+	if d.ABFT {
+		if err := d.checkCholesky(s, l); err != nil {
+			return nil, err
+		}
 	}
-	// The m x m reduction runs replicated — every rank holds
-	// bit-identical factors. The upper triangle of the result, symmetric
-	// up to rounding, is taken as the matrix.
-	linv := dlinv.Replicate()
+	// The upper triangle of the reduced matrix, symmetric up to rounding,
+	// is taken as the matrix.
+	linv := linalg.InvertLower(l)
 	linvT := linalg.Transpose(linv)
 	red := linalg.MatMul(linalg.MatMul(linv, hm), linvT)
 	for i := range red {
@@ -393,12 +374,12 @@ func (h *Hamiltonian) RayleighRitz(m int, psis []*grid.Grid) ([]float64, error) 
 			red[j][i] = red[i][j]
 		}
 	}
-	eig, q, err := pblas.SymEig(pblas.FromReplicated(d.BGrid, red, subspaceBlock, subspaceBlock))
+	eig, q, err := linalg.SymEig(red)
 	if err != nil {
 		//lint:ignore hotpathalloc error path: the solve is over
 		return nil, fmt.Errorf("gpaw: subspace diagonalization: %w", err)
 	}
-	d.bandRotate(m, psis, linalg.MatMul(linvT, q.Replicate()))
+	d.bandRotate(m, psis, linalg.MatMul(linvT, q))
 	return eig, nil
 }
 

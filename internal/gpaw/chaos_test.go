@@ -2,6 +2,8 @@ package gpaw
 
 import (
 	"errors"
+	"fmt"
+	"hash/crc64"
 	"testing"
 
 	"repro/internal/core"
@@ -263,8 +265,8 @@ func TestCheckpointStores(t *testing.T) {
 		if err := st.Commit(3, []byte(`{"version":1,"kind":1,"step":3,"ranks":1,"states":1,"global":[4,4,4],"sums":[]}`)); err != nil {
 			t.Fatal(err)
 		}
-		if step, ok, _ := LatestStep(st); !ok || step != 3 {
-			t.Errorf("%T: latest step (%d,%v), want (3,true)", st, step, ok)
+		if steps, _ := st.Steps(); len(steps) != 1 || steps[0] != 3 {
+			t.Errorf("%T: committed steps %v, want [3]", st, steps)
 		}
 		back, err := st.GetShard(3, 0)
 		if err != nil {
@@ -282,6 +284,43 @@ func TestCheckpointStores(t *testing.T) {
 		bad[len(bad)/2] ^= 0x40
 		if _, err := decodeShard(bad); !errors.Is(err, ErrCheckpointCorrupt) {
 			t.Errorf("%T: corrupted shard decoded: %v", st, err)
+		}
+		// Step 3's manifest lists no checksum for its one shard: the
+		// reader must not take that as "nothing to verify".
+		d := selfDist(sh.Global, 2, Dirichlet)
+		manifestFor := func(step, states int, data []byte) []byte {
+			return []byte(fmt.Sprintf(`{"version":1,"kind":1,"step":%d,"ranks":1,"states":%d,"global":[4,4,4],"sums":["%016x"]}`,
+				step, states, crc64.Checksum(data[:len(data)-8], crcTable)))
+		}
+		// Step 4 is the same shard under an honest manifest; step 5 a
+		// CRC-valid shard whose field count disagrees with its band slice;
+		// step 6 the honest shard under a manifest claiming two states.
+		short := *sh
+		short.Fields = sh.Fields[:2]
+		for step, c := range map[int]struct {
+			states int
+			data   []byte
+		}{4: {1, data}, 5: {1, short.encode()}, 6: {2, data}} {
+			if err := st.PutShard(step, 0, c.data); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Commit(step, manifestFor(step, c.states, c.data)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for step, corrupt := range map[int]bool{3: true, 4: false, 5: true, 6: true} {
+			verr := ValidateStep(st, step)
+			rs, rerr := RestoreSCF(d, st, step)
+			if corrupt != errors.Is(verr, ErrCheckpointCorrupt) || corrupt != errors.Is(rerr, ErrCheckpointCorrupt) ||
+				!corrupt && (verr != nil || rerr != nil) {
+				t.Errorf("%T step %d: ValidateStep = %v, RestoreSCF = %v, want ErrCheckpointCorrupt: %v", st, step, verr, rerr, corrupt)
+			}
+			if !corrupt && (rs == nil || rs.Iteration != 3 || rs.N.InteriorSlice()[7] != 42) {
+				t.Errorf("%T step %d: restore of the honest generation mangled the state", st, step)
+			}
+		}
+		if step, fellBack, ok, _ := LatestGoodStep(st); !ok || step != 4 || !fellBack {
+			t.Errorf("%T: latest good step (%d, fellBack %v, %v), want (4, true, true)", st, step, fellBack, ok)
 		}
 	}
 }

@@ -290,18 +290,6 @@ func (s *DirStore) Steps() ([]int, error) {
 	return steps, nil
 }
 
-// LatestStep returns the newest committed checkpoint step, if any.
-func LatestStep(st Store) (int, bool, error) {
-	steps, err := st.Steps()
-	if err != nil {
-		return 0, false, err
-	}
-	if len(steps) == 0 {
-		return 0, false, nil
-	}
-	return steps[len(steps)-1], true, nil
-}
-
 // StepDropper is the optional Store extension the Checkpointer's
 // retention policy uses to prune old generations. Both MemStore and
 // DirStore implement it; a store without it simply keeps everything.
@@ -319,21 +307,8 @@ func ValidateStep(st Store, step int) error {
 		return err
 	}
 	for r := 0; r < man.Ranks; r++ {
-		data, err := st.GetShard(step, r)
-		if err != nil {
-			return fmt.Errorf("gpaw: checkpoint step %d shard %d: %w", step, r, err)
-		}
-		if len(data) < 16 {
-			return fmt.Errorf("%w: step %d shard %d: %d bytes", ErrCheckpointCorrupt, step, r, len(data))
-		}
-		if r < len(man.Sums) {
-			sum := crc64.Checksum(data[:len(data)-8], crcTable)
-			if fmt.Sprintf("%016x", sum) != man.Sums[r] {
-				return fmt.Errorf("%w: step %d shard %d checksum mismatch", ErrCheckpointCorrupt, step, r)
-			}
-		}
-		if _, err := decodeShard(data); err != nil {
-			return fmt.Errorf("step %d shard %d: %w", step, r, err)
+		if _, err := readShard(st, man, step, r); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -539,6 +514,12 @@ func decodeShard(data []byte) (*shard, error) {
 			return nil, fmt.Errorf("%w: field %d has %d values for box %v", ErrCheckpointCorrupt, i, len(f), sh.Local)
 		}
 	}
+	// RestoreSCF indexes density, veff, a field per state of the band slice.
+	if sh.BandLo < 0 || sh.BandLo > sh.BandHi || sh.BandHi > sh.States ||
+		len(sh.Fields) != 2+sh.BandHi-sh.BandLo || len(sh.Scalars) != sh.States {
+		return nil, fmt.Errorf("%w: %d fields and %d scalars for band slice [%d, %d) of %d states",
+			ErrCheckpointCorrupt, len(sh.Fields), len(sh.Scalars), sh.BandLo, sh.BandHi, sh.States)
+	}
 	return sh, nil
 }
 
@@ -565,7 +546,31 @@ func readManifest(st Store, step int) (*manifest, error) {
 	if m.Version != shardVersion {
 		return nil, fmt.Errorf("%w: manifest version %d", ErrCheckpointCorrupt, m.Version)
 	}
+	if len(m.Sums) != m.Ranks {
+		return nil, fmt.Errorf("%w: manifest lists %d checksums for %d shards", ErrCheckpointCorrupt, len(m.Sums), m.Ranks)
+	}
 	return &m, nil
+}
+
+// readShard reads shard r of a committed step, decodes it (verifying its
+// trailing CRC64) and holds checksum and state count to the manifest's.
+func readShard(st Store, man *manifest, step, r int) (*shard, error) {
+	data, err := st.GetShard(step, r)
+	if err != nil {
+		return nil, fmt.Errorf("gpaw: checkpoint step %d shard %d: %w", step, r, err)
+	}
+	sh, err := decodeShard(data)
+	if err != nil {
+		return nil, fmt.Errorf("step %d shard %d: %w", step, r, err)
+	}
+	if fmt.Sprintf("%016x", binary.LittleEndian.Uint64(data[len(data)-8:])) != man.Sums[r] {
+		return nil, fmt.Errorf("%w: step %d shard %d checksum mismatch", ErrCheckpointCorrupt, step, r)
+	}
+	if sh.States != man.States {
+		return nil, fmt.Errorf("%w: step %d shard %d holds %d states, manifest %d",
+			ErrCheckpointCorrupt, step, r, sh.States, man.States)
+	}
+	return sh, nil
 }
 
 // --- checkpointer ---------------------------------------------------
@@ -730,20 +735,7 @@ func RestoreSCF(d *Dist, st Store, step int) (*SCFRestart, error) {
 		rs.Psis[i] = d.NewLocalGrid()
 	}
 	for r := 0; r < man.Ranks; r++ {
-		data, err := st.GetShard(step, r)
-		if err != nil {
-			return nil, err
-		}
-		if len(data) < 16 {
-			return nil, fmt.Errorf("%w: step %d shard %d: %d bytes", ErrCheckpointCorrupt, step, r, len(data))
-		}
-		if r < len(man.Sums) {
-			sum := crc64.Checksum(data[:len(data)-8], crcTable)
-			if fmt.Sprintf("%016x", sum) != man.Sums[r] {
-				return nil, fmt.Errorf("%w: step %d shard %d checksum mismatch", ErrCheckpointCorrupt, step, r)
-			}
-		}
-		sh, err := decodeShard(data)
+		sh, err := readShard(st, man, step, r)
 		if err != nil {
 			return nil, err
 		}

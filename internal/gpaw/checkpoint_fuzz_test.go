@@ -8,8 +8,8 @@ import (
 	"repro/internal/topology"
 )
 
-// fuzzShardBytes builds a small valid encoded shard for seeding.
-func fuzzShardBytes() []byte {
+// fuzzShard builds a small valid shard for seeding.
+func fuzzShard() *shard {
 	sh := &shard{
 		Kind: shardKindSCF, Iteration: 3,
 		Global: topology.Dims{4, 4, 4}, Off: topology.Coord{0, 0, 0},
@@ -23,7 +23,31 @@ func fuzzShardBytes() []byte {
 			sh.Fields[i][j] = float64(i*10 + j)
 		}
 	}
-	return sh.encode()
+	return sh
+}
+
+// fuzzShardBytes is fuzzShard, encoded.
+func fuzzShardBytes() []byte { return fuzzShard().encode() }
+
+// misshapenShards returns CRC-valid encodings whose field or scalar
+// count disagrees with the band slice they declare — the shapes
+// RestoreSCF would index out of range.
+func misshapenShards() map[string][]byte {
+	out := map[string][]byte{}
+	for name, bend := range map[string]func(sh *shard){
+		"a field short of its band slice": func(sh *shard) { sh.Fields = sh.Fields[:2] },
+		"no fields at all":                func(sh *shard) { sh.Fields = nil },
+		"a field too many":                func(sh *shard) { sh.Fields = append(sh.Fields, sh.Fields[0]) },
+		"band slice reversed":             func(sh *shard) { sh.BandLo, sh.BandHi = 1, 0 },
+		"band slice below zero":           func(sh *shard) { sh.BandLo, sh.Fields = -1, append(sh.Fields, sh.Fields[0]) },
+		"band slice past the states":      func(sh *shard) { sh.BandHi, sh.Fields = 2, append(sh.Fields, sh.Fields[0]) },
+		"a Ritz value short":              func(sh *shard) { sh.Scalars = nil },
+	} {
+		sh := fuzzShard()
+		bend(sh)
+		out[name] = sh.encode()
+	}
+	return out
 }
 
 // FuzzDecodeShard hardens the checkpoint codec against hostile bytes:
@@ -50,6 +74,9 @@ func FuzzDecodeShard(f *testing.F) {
 	binary.LittleEndian.PutUint64(huge[:], 1<<61)
 	forged = append(forged, huge[:]...)
 	f.Add(forged)
+	for _, data := range misshapenShards() {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Size cap keeps minimization of interesting inputs fast; the
 		// length-prefix hardening is about forged lengths, not big
@@ -65,12 +92,18 @@ func FuzzDecodeShard(f *testing.F) {
 			return
 		}
 		// A successful decode must be internally consistent: every
-		// field sized to the declared box.
+		// field sized to the declared box, and the fields and scalars
+		// RestoreSCF indexes by band slice and state all present.
 		want := sh.Local.Count()
 		for i, fl := range sh.Fields {
 			if len(fl) != want {
 				t.Fatalf("decoded field %d has %d values for box %v", i, len(fl), sh.Local)
 			}
+		}
+		if sh.BandLo < 0 || sh.BandLo > sh.BandHi || sh.BandHi > sh.States ||
+			len(sh.Fields) != 2+sh.BandHi-sh.BandLo || len(sh.Scalars) != sh.States {
+			t.Fatalf("decoded %d fields, %d scalars for band slice [%d, %d) of %d states",
+				len(sh.Fields), len(sh.Scalars), sh.BandLo, sh.BandHi, sh.States)
 		}
 	})
 }
@@ -90,5 +123,12 @@ func TestDecodeShardRejectsForgedLengths(t *testing.T) {
 	// Same for a forged field count.
 	if _, err := decodeShard(valid[:16]); !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Fatalf("decode of truncated shard = %v, want ErrCheckpointCorrupt", err)
+	}
+	// And for counts that are honest about the bytes but not about the
+	// band slice: CRC-valid, well-framed, wrong shape.
+	for name, data := range misshapenShards() {
+		if _, err := decodeShard(data); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Errorf("decode of a shard with %s = %v, want ErrCheckpointCorrupt", name, err)
+		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/detsum"
 	"repro/internal/grid"
 	"repro/internal/mpi"
-	"repro/internal/pblas"
 	"repro/internal/stencil"
 	"repro/internal/topology"
 )
@@ -80,11 +79,10 @@ type DistConfig struct {
 	Threads  int // compute threads per rank for the hybrid approaches
 	Batch    int // grids per halo-exchange message batch
 
-	// ABFT arms algorithm-based fault tolerance: the dense subspace
-	// kernels run their Huang–Abraham checksum verification
-	// (pblas.CholeskyChecked and friends) and NewDistSCF installs an
-	// SDCGuard, so silent data corruption surfaces as a typed
-	// *pblas.ErrSDCDetected the fault-tolerant driver rolls back on.
+	// ABFT arms algorithm-based fault tolerance: the subspace step holds
+	// its Cholesky factor to a Huang–Abraham checksum (checkCholesky) and
+	// NewDistSCF installs an SDCGuard, so silent data corruption surfaces
+	// as a typed *ErrSDCDetected the fault-tolerant driver rolls back on.
 	// Verification only reads results — bit-identity is unaffected.
 	ABFT bool
 
@@ -117,11 +115,7 @@ type DistConfig struct {
 // cfg.Map as the strategy. Callable before any world exists — the
 // model must be armed before ranks start.
 func NetCoords(cfg DistConfig, net topology.Network) []topology.Coord {
-	bands := cfg.Bands
-	if bands < 1 {
-		bands = 1
-	}
-	return topology.MapBands(bands, cfg.Procs, net, cfg.Map)
+	return topology.MapBands(max(cfg.Bands, 1), cfg.Procs, net, cfg.Map)
 }
 
 // Dist ties one MPI rank into a distributed real-space calculation: the
@@ -136,7 +130,7 @@ type Dist struct {
 	Decomp   *grid.Decomp
 	BC       Boundary
 	Approach core.Approach
-	// ABFT mirrors DistConfig.ABFT: checksum-verified dense kernels.
+	// ABFT mirrors DistConfig.ABFT: checksum-verified subspace step.
 	ABFT bool
 
 	// World is the full bands x domain communicator NewDist was given.
@@ -146,9 +140,6 @@ type Dist struct {
 	// BandComm connects the ranks holding this domain sub-domain across
 	// all band groups (size Bands, rank = band group index).
 	BandComm *mpi.Comm
-	// BGrid is the 2D process grid over BandComm that internal/pblas
-	// distributes the dense subspace algebra on.
-	BGrid *pblas.Grid2D
 
 	eng   *core.Engine
 	pool  *stencil.Pool
@@ -188,11 +179,7 @@ type Dist struct {
 // domain communicator keeps the Cartesian rank order of the
 // domain-only layout.
 func NewDist(comm *mpi.Comm, cfg DistConfig) (*Dist, error) {
-	bands := cfg.Bands
-	if bands < 1 {
-		bands = 1
-	}
-	nproc := cfg.Procs.Count()
+	bands, nproc := max(cfg.Bands, 1), cfg.Procs.Count()
 	if bands*nproc != comm.Size() {
 		return nil, fmt.Errorf("gpaw: bands x domain layout %d x %v needs %d ranks, have %d",
 			bands, cfg.Procs, bands*nproc, comm.Size())
@@ -204,19 +191,9 @@ func NewDist(comm *mpi.Comm, cfg DistConfig) (*Dist, error) {
 	band := comm.Rank() / nproc
 	domainComm := comm.Split(band, comm.Rank())
 	bandComm := comm.Split(comm.Rank()%nproc, comm.Rank())
-	pr, pc := pblas.Squarish(bands)
-	bgrid, err := pblas.NewGrid2D(bandComm, pr, pc)
-	if err != nil {
-		return nil, err
-	}
 	periodic := cfg.BC == Periodic
 	cart := domainComm.CartCreate(cfg.Procs, [3]bool{periodic, periodic, periodic}, true)
-	if cfg.Threads < 1 {
-		cfg.Threads = 1
-	}
-	if cfg.Batch < 1 {
-		cfg.Batch = 1
-	}
+	cfg.Threads, cfg.Batch = max(cfg.Threads, 1), max(cfg.Batch, 1)
 	// The engine's operator only shapes the exchange (face thickness =
 	// its radius); solvers pass their own operators to the kernels.
 	shape := stencil.Laplacian(cfg.Halo, 1)
@@ -225,7 +202,7 @@ func NewDist(comm *mpi.Comm, cfg DistConfig) (*Dist, error) {
 		return nil, err
 	}
 	d := &Dist{Cart: cart, Decomp: dec, BC: cfg.BC, Approach: cfg.Approach, ABFT: cfg.ABFT,
-		World: comm, Bands: bands, Band: band, BandComm: bandComm, BGrid: bgrid,
+		World: comm, Bands: bands, Band: band, BandComm: bandComm,
 		eng: eng, pool: eng.WorkerPool(),
 		overlap: !cfg.NoOverlap && cfg.Approach != core.FlatOriginal && nproc > 1}
 	d.coord = cart.Coords(cart.Rank())

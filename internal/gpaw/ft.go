@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/mpi"
-	"repro/internal/pblas"
 	"repro/internal/topology"
 )
 
@@ -139,7 +138,7 @@ func ftOutcome(c *mpi.Comm, m int, res *SCFResult, err error) (*SCFResult, error
 		buf[3] = res.Residual
 		copy(buf[4:], res.Eigenvalues)
 	} else {
-		var sdc *pblas.ErrSDCDetected
+		var sdc *ErrSDCDetected
 		if errors.As(err, &sdc) {
 			buf[0] = 3
 			buf[1] = float64(sdc.Index)
@@ -164,7 +163,7 @@ func ftOutcome(c *mpi.Comm, m int, res *SCFResult, err error) (*SCFResult, error
 		}
 		return out, nil
 	case 3:
-		return nil, &pblas.ErrSDCDetected{Op: "ft.peer", Index: int(buf[1]), Got: buf[2], Want: buf[3]}
+		return nil, &ErrSDCDetected{Op: "ft.peer", Index: int(buf[1]), Got: buf[2], Want: buf[3]}
 	default:
 		if err == nil {
 			err = fmt.Errorf("gpaw: distributed SCF failed on the active ranks")
@@ -247,7 +246,7 @@ func RunSCFFT(comm *mpi.Comm, cfg DistConfig, sys System, ft FTConfig) (*SCFResu
 			return ftOutcome(c, m, res, err)
 		})
 
-		var sdc *pblas.ErrSDCDetected
+		var sdc *ErrSDCDetected
 		if err != nil && errors.As(err, &sdc) {
 			if !ft.Recover || (ft.MaxRecoveries > 0 && recoveries >= ft.MaxRecoveries) {
 				return nil, err

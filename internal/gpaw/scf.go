@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/detsum"
 	"repro/internal/grid"
-	"repro/internal/pblas"
 	"repro/internal/topology"
 )
 
@@ -222,7 +221,7 @@ func (s *SCF) run(rs *SCFRestart) (*SCFResult, error) {
 			var err error
 			eig, err = NewDistHamiltonian(d, s.Sys.Spacing, veff).filterPass(m, psis, eig)
 			if err != nil {
-				var sdc *pblas.ErrSDCDetected
+				var sdc *ErrSDCDetected
 				if errors.As(err, &sdc) && s.Guard != nil {
 					s.Guard.NoteABFT(d, sdc)
 				}

@@ -12,8 +12,8 @@ import (
 
 // scfIterationAllocs is the number of heap allocations one warmed SCF
 // iteration makes on a one-rank Dist with a one-worker pool at m = 4 + 1
-// states: the m x m matrices of linalg/pblas (rows allocated one by
-// one), the operators NewDistHamiltonian and the CG solve derive, the
+// states: the m x m matrices of linalg, the operators
+// NewDistHamiltonian and the CG solve derive, the
 // trace-free mpi.Self collectives, the closures handed to Pool.Exec and
 // the engine, and a z-row of stencil scratch per sweep. It is a
 // ceiling, not a target — what the test pins is that the count is small

@@ -1,17 +1,18 @@
 package gpaw
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/grid"
+	"repro/internal/linalg"
 	"repro/internal/mpi"
-	"repro/internal/pblas"
 )
 
-// Silent-data-corruption defense for the distributed SCF loop. The ABFT
-// checksums of internal/pblas guard the dense subspace kernels; this
-// guard covers the grid fields and the solver's own invariants with
-// cheap sanity monitors:
+// Silent-data-corruption defense for the distributed SCF loop. An ABFT
+// (algorithm-based fault tolerance) checksum guards the subspace step's
+// Cholesky factor (checkCholesky); the SDCGuard covers the grid fields
+// and the solver's own invariants with cheap sanity monitors:
 //
 //   - a field-finiteness scan over the wave-functions, density and
 //     effective potential at the top of every iteration (NaN, Inf, or a
@@ -22,29 +23,92 @@ import (
 //   - an eigenvalue finiteness check after each subspace solve.
 //
 // Every verdict is reached identically on every rank: the field scan
-// reduces a corruption indicator over the full communicator, and the
-// residual and eigenvalues are already bit-identical everywhere (exact
-// reductions), so all ranks return the same typed *pblas.ErrSDCDetected
-// and the fault-tolerant driver can roll the whole world back to the
-// last good checkpoint together.
+// and the factor checksum reduce a corruption indicator over the full
+// communicator, and the residual and eigenvalues are already
+// bit-identical everywhere (exact reductions), so all ranks return the
+// same typed *ErrSDCDetected and the fault-tolerant driver can roll the
+// whole world back to the last good checkpoint together.
 
-// sdcMagnitudeLimit flags field values no converging SCF state reaches;
-// a flipped exponent bit lands many orders of magnitude past it.
-const sdcMagnitudeLimit = 1e50
+// ErrSDCDetected reports silent data corruption caught by the ABFT
+// checksum or a sanity monitor: Op names the check, Index the first
+// offending matrix row or the SCF iteration, Got/Want the mismatching
+// values. Recovery rolls back to the last good checkpoint (errors.As).
+type ErrSDCDetected struct {
+	Op        string
+	Index     int
+	Got, Want float64
+}
+
+func (e *ErrSDCDetected) Error() string {
+	return fmt.Sprintf("gpaw: silent data corruption detected by %s at index %d: %g != %g",
+		e.Op, e.Index, e.Got, e.Want)
+}
+
+const (
+	// sdcMagnitudeLimit flags field values no converging SCF state
+	// reaches; a flipped exponent bit lands many orders past it.
+	sdcMagnitudeLimit = 1e50
+	// sdcMaxGrowth bounds the residual growth between iterations (genuine
+	// residuals wobble by small factors) after sdcWarmup leading ones.
+	sdcMaxGrowth, sdcWarmup = 1e6, 3
+	// abftTol separates checksum rounding skew (~m·eps) from corruption:
+	// a flipped high mantissa or exponent bit is many orders larger.
+	abftTol = 1e-6
+)
+
+// testHookCholeskyFactor, when set by a test, runs on every rank between
+// the subspace step's factorization and its verification with the live
+// factor — the window a memory flip has to land in.
+var testHookCholeskyFactor func(d *Dist, l linalg.Matrix)
+
+// checksumMismatch returns the first row at which two checksum columns
+// differ by more than abftTol relative (a NaN differs), or -1.
+func checksumMismatch(got, want linalg.Matrix) int {
+	for i := range got {
+		g, w := got[i][0], want[i][0]
+		if d := g - w; math.IsNaN(d) || math.Abs(d) > abftTol*(1+math.Abs(g)+math.Abs(w)) {
+			return i
+		}
+	}
+	return -1
+}
+
+// choleskyChecksums returns, as m x 1 columns, both sides of the
+// Huang–Abraham identity of a Cholesky factor l of s: L·(Lᵀe) = S·e.
+func choleskyChecksums(s, l linalg.Matrix) (got, want linalg.Matrix) {
+	e := linalg.NewMatrix(len(s), 1)
+	for i := range e {
+		e[i][0] = 1
+	}
+	return linalg.MatMul(l, linalg.MatMul(linalg.Transpose(l), e)), linalg.MatMul(s, e)
+}
+
+// checkCholesky is the subspace step's ABFT verification of the factor l
+// of the overlap s, both replicated; it only reads, so no result bit
+// depends on it. Rotted memory fails one rank's copy alone, so the local
+// verdict (first offending row + 1, 0 when clean) is max-reduced over
+// the full communicator, as checkFields does: every rank returns the
+// same typed error and none walks on into a collective its peers left.
+func (d *Dist) checkCholesky(s, l linalg.Matrix) error {
+	if testHookCholeskyFactor != nil {
+		testHookCholeskyFactor(d, l)
+	}
+	got, want := choleskyChecksums(s, l)
+	in := [1]float64{float64(checksumMismatch(got, want) + 1)}
+	var out [1]float64
+	d.World.Allreduce(mpi.OpMax, in[:], out[:])
+	if out[0] == 0 {
+		return nil
+	}
+	i := int(out[0]) - 1
+	return &ErrSDCDetected{Op: "cholesky.rowsum", Index: i, Got: got[i][0], Want: want[i][0]}
+}
 
 // SDCGuard monitors one rank's view of a distributed SCF run for silent
 // data corruption. Install via SCF.Guard (NewDistSCF arms one
 // automatically when the Dist was built with DistConfig.ABFT). The
-// zero value uses the defaults; a guard belongs to a single run.
+// zero value is ready to use; a guard belongs to a single run.
 type SDCGuard struct {
-	// MaxGrowth bounds the tolerated residual growth factor between
-	// consecutive iterations (<= 0: 1e6). Genuine SCF residuals wobble
-	// by small factors; corrupted state jumps by many orders.
-	MaxGrowth float64
-	// Warmup is the number of leading iterations exempt from the
-	// monotonicity monitor while the residual finds its scale
-	// (<= 0: 3).
-	Warmup int
 	// Tamper, when set, runs before each iteration's field scan with
 	// the live SCF state — the hook the corruption-injection harness
 	// flips bits through. Production runs leave it nil.
@@ -56,32 +120,18 @@ type SDCGuard struct {
 	prev float64 // last accepted residual (0 until first)
 }
 
-func (g *SDCGuard) maxGrowth() float64 {
-	if g.MaxGrowth > 0 {
-		return g.MaxGrowth
-	}
-	return 1e6
-}
-
-func (g *SDCGuard) warmup() int {
-	if g.Warmup > 0 {
-		return g.Warmup
-	}
-	return 3
-}
-
 // detect raises a corruption verdict: counts it, drops a timeline mark
 // and returns the typed error the rollback machinery matches on.
 func (g *SDCGuard) detect(d *Dist, op string, it int, got, want float64) error {
 	g.Detections++
 	d.Cart.TraceRank().Mark("sdc.detect", -1, -1, int64(it))
-	return &pblas.ErrSDCDetected{Op: op, Index: it, Got: got, Want: want}
+	return &ErrSDCDetected{Op: op, Index: it, Got: got, Want: want}
 }
 
-// NoteABFT records a corruption verdict raised by the pblas ABFT layer
-// (the error already carries the detection site) on this guard's
-// counter and timeline.
-func (g *SDCGuard) NoteABFT(d *Dist, sdc *pblas.ErrSDCDetected) {
+// NoteABFT records a corruption verdict raised by the subspace step's
+// ABFT check (the error already carries the detection site) on this
+// guard's counter and timeline.
+func (g *SDCGuard) NoteABFT(d *Dist, sdc *ErrSDCDetected) {
 	g.Detections++
 	d.Cart.TraceRank().Mark("sdc.detect", -1, -1, int64(sdc.Index))
 }
@@ -145,8 +195,8 @@ func (g *SDCGuard) checkEig(d *Dist, it int, eig []float64) error {
 
 // checkResidual runs the monotonicity monitor on the (globally
 // identical) density residual. A NaN residual is corruption outright;
-// growth past MaxGrowth x the last accepted residual after the warmup
-// iterations is corruption of the mixed state.
+// growth past sdcMaxGrowth x the last accepted residual after the
+// sdcWarmup leading iterations is corruption of the mixed state.
 func (g *SDCGuard) checkResidual(d *Dist, it int, residual float64) error {
 	if math.IsNaN(residual) {
 		return g.detect(d, "scf.residual", it, residual, g.prev)
@@ -159,7 +209,7 @@ func (g *SDCGuard) checkResidual(d *Dist, it int, residual float64) error {
 		}
 		return nil
 	}
-	if it > g.warmup() && g.prev > 0 && residual > g.maxGrowth()*g.prev {
+	if it > sdcWarmup && g.prev > 0 && residual > sdcMaxGrowth*g.prev {
 		return g.detect(d, "scf.residual", it, residual, g.prev)
 	}
 	g.prev = residual

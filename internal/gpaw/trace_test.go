@@ -333,14 +333,29 @@ func TestSweepSpanVocabulary(t *testing.T) {
 // of each of the last two on the first step (the subspace step on the raw
 // guess that yields the first Ritz values), and no per-sweep
 // orthonormalization anywhere — on one rank and on 2 band groups x 2x1x1.
+// It also pins the subspace step's communication: the m x m algebra runs
+// replicated, so no pblas.* span exists and the collectives inside a
+// bands.rayleighritz are those of the grid-sized work alone.
 func TestEigenSpanVocabulary(t *testing.T) {
 	global := topology.Dims{8, 8, 8}
 	sys := scfSystem(global, 0.7)
-	sys.Electrons = 8
+	sys.Electrons = 8 // m = 4 occupied + 1 guard = 5 states
 	for _, l := range []struct {
 		bands int
 		procs topology.Dims
-	}{{1, topology.Dims{1, 1, 1}}, {2, topology.Dims{2, 1, 1}}} {
+		// rrCollectives is the number of KindCollective events inside one
+		// bands.rayleighritz (an allreduce is three: mpi.allreduce and the
+		// mpi.reduce + mpi.bcast it is made of). A change to the subspace
+		// step's communication has to restate it.
+		rrCollectives int
+	}{
+		// bandSymMatrix's one domain reduction.
+		{1, topology.Dims{1, 1, 1}, 3},
+		// The domain reduction, the one band merge, and a circulation
+		// broadcast per state for S's and H's right-hand sets and for the
+		// rotation: 3 + 3 + 3m.
+		{2, topology.Dims{2, 1, 1}, 21},
+	} {
 		ranks := l.bands * l.procs.Count()
 		tr := trace.New(ranks, 1<<16)
 		iters := 0
@@ -360,9 +375,25 @@ func TestEigenSpanVocabulary(t *testing.T) {
 		})
 		for r := 0; r < ranks; r++ {
 			// Events arrive in completion order: a step's spans precede
-			// its scf.iteration.
+			// its scf.iteration, a region's contents precede the region.
+			events := tr.RankEvents(r)
 			step, count := 1, map[string]int{}
-			for _, e := range tr.RankEvents(r) {
+			for i, e := range events {
+				if strings.HasPrefix(e.Name, "pblas.") {
+					t.Errorf("bands %d procs %v rank %d: span %s in an SCF trace", l.bands, l.procs, r, e.Name)
+				}
+				if e.Name == "bands.rayleighritz" {
+					coll := 0
+					for j := i - 1; j >= 0 && events[j].Start >= e.Start; j-- {
+						if events[j].Kind == trace.KindCollective {
+							coll++
+						}
+					}
+					if coll != l.rrCollectives {
+						t.Errorf("bands %d procs %v rank %d step %d: %d collective events inside bands.rayleighritz, want %d",
+							l.bands, l.procs, r, step, coll, l.rrCollectives)
+					}
+				}
 				if e.Name != "scf.iteration" {
 					count[e.Name]++
 					continue

@@ -10,8 +10,8 @@ import (
 // testWorld is the world every test of this package runs its ranks on:
 // each blocking wait is bounded, so a deadlock fails as a
 // *mpi.TimeoutError carrying the pending-receive dump within a minute
-// instead of as a go test kill. (Modeled and paced delay do not count
-// toward the limit.)
+// instead of as a go test kill. (Modeled delay is virtual and takes no
+// wall time.)
 func testWorld(n int, mode mpi.ThreadMode) *mpi.World {
 	w := mpi.NewWorld(n, mode)
 	w.SetOpTimeout(60 * time.Second)

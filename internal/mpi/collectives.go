@@ -56,6 +56,21 @@ func (o Op) apply(dst, src []float64) {
 	}
 }
 
+// MergeMasked is the AllreduceFunc merge that gathers values verbatim:
+// acc and contrib are both laid out as [values..., mask...], and slots
+// flagged in the contribution's mask overwrite acc's value. Every slot
+// is owned by exactly one rank, so the rank-ordered merge is a pure
+// copy — no floating-point arithmetic touches the values in flight.
+func MergeMasked(acc, contrib []float64) {
+	half := len(acc) / 2
+	for i := 0; i < half; i++ {
+		if contrib[half+i] != 0 {
+			acc[i] = contrib[i]
+			acc[half+i] = 1
+		}
+	}
+}
+
 // Barrier blocks until every rank of the communicator has entered it.
 // Implemented as a dissemination barrier over point-to-point messages.
 func (c *Comm) Barrier() {

@@ -30,10 +30,9 @@
 // the internal/bgpsim Figure-2 fit — bgpsim.Params.NetParams converts,
 // bgpsim.NetModelFor builds a ready model — and rank→node placement
 // comes from internal/topology's mapping strategies. Virtual clocks
-// advance without sleeping (RunModeled returns the makespan); NetModel.
-// Paced turns the delays into real sleeps, which SetOpTimeout excludes
-// from its deadlines. The model reorders time only, never data or
-// matching, so results are bit-identical with the model on or off.
+// advance without sleeping (RunModeled returns the makespan). The model
+// reorders time only, never data or matching, so results are
+// bit-identical with the model on or off.
 package mpi
 
 import (
@@ -142,13 +141,6 @@ type World struct {
 	net     *NetModel
 	clocks  []rankClock
 	netBase time.Time
-	// pacedNs is the world-wide total of wall time slept to pace modeled
-	// delay and pacing the number of ranks currently inside such a
-	// sleep; blocking-wait timeouts exclude both the completed total and
-	// any sleep still in flight (see Request.Wait), so SetOpTimeout
-	// counts only genuine wall time, never modeled delivery delay.
-	pacedNs atomic.Int64
-	pacing  atomic.Int32
 
 	// Tracing state (see trace.go and internal/trace). trcOn gates every
 	// emission site behind one atomic load, exactly like ftOn and netOn:
@@ -665,8 +657,7 @@ probe:
 	}
 	box.mu.Unlock()
 	// A probe observes the message, so the observer's clock advances to
-	// its modeled arrival — outside the mailbox lock, because paced mode
-	// sleeps the jump.
+	// its modeled arrival.
 	if c.world.netOn.Load() {
 		c.world.advanceTo(c.group[c.rank], arriveAt)
 	}

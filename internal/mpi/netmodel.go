@@ -41,12 +41,6 @@ import (
 // memory instead: IntraNodeLatency + n / IntraNodeBandwidth. A rank's
 // message to itself (the engine's self-send on undivided dimensions)
 // is free — it would not exist on a real machine.
-//
-// Paced mode converts the virtual delays into real time.Sleep calls so
-// wall-clock measurements feel the model too; the world-wide paced
-// sleep total is tracked so SetOpTimeout deadlines exclude modeled
-// delay (see Request.Wait) and fault-injection timeouts never misfire
-// on a slow-but-healthy modeled network.
 
 // NetParams are the delivery-cost constants of the model, all in
 // seconds and bytes/s. They mirror the calibrated fields of
@@ -92,14 +86,6 @@ type NetModel struct {
 	// topology.MapGrid / MapBands). nil places every pair of distinct
 	// ranks one hop apart.
 	Coords []topology.Coord
-	// Paced converts virtual delays into real time.Sleep calls, so wall
-	// clocks measure the modeled network. The default (false) keeps all
-	// delay virtual: the run finishes at memory speed and the modeled
-	// times are read back with VirtualTime/MaxVirtualTime.
-	Paced bool
-	// PaceScale scales paced sleeps (wall seconds per virtual second);
-	// 0 means 1. Ignored unless Paced.
-	PaceScale float64
 	// NoComputeWall disables the wall-clock compute accrual between MPI
 	// calls. The virtual clocks then advance only by modeled message
 	// costs and explicit Comm.Compute charges, which makes the virtual
@@ -275,22 +261,15 @@ func (w *World) chargePost(rank int) {
 
 // advanceTo jumps a rank's virtual clock forward to a message's arrival
 // stamp (no-op if the clock is already past it: the delivery was hidden
-// behind compute). In paced mode the jump is also slept in wall time,
-// with the slept total recorded so operation timeouts can exclude it.
+// behind compute).
 func (w *World) advanceTo(rank int, arrive int64) {
 	if arrive == 0 {
 		return
 	}
 	ck := &w.clocks[rank]
 	ck.mu.Lock()
-	d := arrive - ck.virt
-	if d <= 0 {
-		ck.mu.Unlock()
-		return
-	}
-	ck.virt = arrive
+	ck.virt = max(ck.virt, arrive)
 	ck.mu.Unlock()
-	w.paceSleep(d)
 }
 
 // virtReached reports whether a rank's clock has caught up with an
@@ -307,33 +286,10 @@ func (w *World) virtReached(rank int, arrive int64) bool {
 	return v >= arrive
 }
 
-// paceSleep sleeps d virtual ns of modeled delay in wall time when the
-// model is paced. The slept total is added to pacedNs *before* the
-// sleep so a concurrently-blocked Wait extends its timeout deadline
-// first and can never misfire while the delay is being served.
-func (w *World) paceSleep(d int64) {
-	if !w.net.Paced || d <= 0 {
-		return
-	}
-	scale := w.net.PaceScale
-	if scale <= 0 {
-		scale = 1
-	}
-	sleep := time.Duration(float64(d) * scale)
-	if sleep <= 0 {
-		return
-	}
-	w.pacedNs.Add(int64(sleep))
-	w.pacing.Add(1)
-	time.Sleep(sleep)
-	w.pacing.Add(-1)
-}
-
 // Compute charges d of modeled compute to the calling rank's virtual
-// clock (and sleeps it in paced mode). With NoComputeWall this is the
-// only way compute enters the model; internal/gpaw's NetCompute option
-// charges the per-point stencil cost of every fused sweep through it.
-// No-op when no model is armed.
+// clock. With NoComputeWall this is the only way compute enters the
+// model; internal/gpaw's NetCompute option charges the per-point stencil
+// cost of every fused sweep through it. No-op when no model is armed.
 func (c *Comm) Compute(d time.Duration) {
 	w := c.world
 	if d <= 0 || !w.netOn.Load() {
@@ -343,5 +299,4 @@ func (c *Comm) Compute(d time.Duration) {
 	ck.mu.Lock()
 	ck.virt += int64(d)
 	ck.mu.Unlock()
-	w.paceSleep(int64(d))
 }

@@ -240,50 +240,6 @@ func TestModeledTestGatesOnVirtualArrival(t *testing.T) {
 	}
 }
 
-// TestPacedModelSleepsRealTime: in paced mode a modeled delay is served
-// as genuine wall time.
-func TestPacedModelSleepsRealTime(t *testing.T) {
-	p := testParams()
-	p.MsgLatency = 5e-3 // 5 ms, unmistakably measurable
-	m := &NetModel{Params: p, Paced: true, NoComputeWall: true}
-	start := time.Now()
-	_, err := RunModeled(2, ThreadSingle, m, func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 7, make([]float64, 8))
-		} else {
-			c.Recv(0, 7, make([]float64, 8))
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wall := time.Since(start); wall < 4*time.Millisecond {
-		t.Errorf("paced run took %v wall, want >= ~5ms of modeled latency", wall)
-	}
-}
-
-// TestOpTimeoutExcludesPacedDelay: a 30 ms op timeout must not misfire
-// on a receive that is late only because the paced model is serving
-// ~120 ms of modeled compute+latency on the sender side.
-func TestOpTimeoutExcludesPacedDelay(t *testing.T) {
-	p := testParams()
-	m := &NetModel{Params: p, Paced: true, NoComputeWall: true}
-	w := NewWorld(2, ThreadSingle)
-	w.SetNetModel(m)
-	w.SetOpTimeout(30 * time.Millisecond)
-	err := w.runRanks(func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Compute(120 * time.Millisecond) // paced: real sleep
-			c.Send(1, 7, make([]float64, 8))
-		} else {
-			c.Recv(0, 7, make([]float64, 8))
-		}
-	})
-	if err != nil {
-		t.Fatalf("timeout misfired while paced delay was being served: %v", err)
-	}
-}
-
 // TestOpTimeoutStillFiresUnderModel: the model must not defeat the
 // deadlock backstop — a receive nobody will ever match still times out.
 func TestOpTimeoutStillFiresUnderModel(t *testing.T) {

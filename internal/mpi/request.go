@@ -143,10 +143,8 @@ func (r *Request) completeErr(src, tag, n int, err error) {
 // exceeding it panics with a *TimeoutError carrying the world-wide
 // pending-receive dump instead of blocking forever. Under a network
 // model, Wait additionally advances the waiter's virtual clock to the
-// message's modeled arrival time (sleeping the jump in paced mode), and
-// the operation timeout counts only genuine wall time: paced modeled
-// delay served anywhere in the world extends the deadline, so a slow
-// modeled network can never masquerade as a deadlock.
+// message's modeled arrival time; that jump takes no wall time, so a
+// slow modeled network can never masquerade as a deadlock.
 //
 //gpaw:hotpath
 func (r *Request) Wait() (src, tag, n int) {
@@ -182,22 +180,10 @@ func (r *Request) wait() (src, tag, n int) {
 	if !r.done && r.w != nil {
 		if to := time.Duration(r.w.opTimeout.Load()); to > 0 {
 			wld := r.w
-			start := time.Now()
-			paced0 := wld.pacedNs.Load()
+			deadline := time.Now().Add(to)
 			for !r.done {
-				// The deadline floats forward by however much paced model
-				// delay has been served world-wide since this wait began.
-				deadline := start.Add(to + time.Duration(wld.pacedNs.Load()-paced0))
 				now := time.Now()
 				if !now.Before(deadline) {
-					if wld.pacing.Load() > 0 {
-						// Some rank is mid-sleep serving modeled delay (a
-						// sleep that may have begun before this wait did, so
-						// the pacedNs baseline missed it). The network is
-						// slow, not dead: re-baseline and keep waiting.
-						start, paced0 = now, wld.pacedNs.Load()
-						continue
-					}
 					//lint:ignore hotpathalloc deadlock-diagnostic path: allocating the error as the world dies is fine
 					te := &TimeoutError{After: to, Rank: r.owner, Peer: r.prSrc, Tag: r.prTag}
 					r.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/linalg"
+	"repro/internal/mpi"
 )
 
 // DistMatrix is an M x N dense matrix distributed block-cyclically over
@@ -111,23 +112,6 @@ func (a *DistMatrix) Clone() *DistMatrix {
 	return out
 }
 
-// MergeMasked folds an ownership-masked contribution into acc: both are
-// laid out as [values..., mask...], and slots flagged in the
-// contribution's mask overwrite acc's value verbatim. Because every slot
-// is owned by exactly one rank, the rank-ordered merge is a pure copy —
-// no floating-point arithmetic touches the values in flight. The band
-// layer in internal/gpaw shares this convention for merging finished
-// subspace-matrix rows across band groups.
-func MergeMasked(acc, contrib []float64) {
-	half := len(acc) / 2
-	for i := 0; i < half; i++ {
-		if contrib[half+i] != 0 {
-			acc[i] = contrib[i]
-			acc[half+i] = 1
-		}
-	}
-}
-
 // Replicate gathers the distributed matrix into a replicated
 // linalg.Matrix on every rank. Values travel verbatim (ownership-masked
 // merge), so the replica is bit-identical to the distributed content.
@@ -143,7 +127,7 @@ func (a *DistMatrix) Replicate() linalg.Matrix {
 		}
 	}
 	out := make([]float64, 2*mn)
-	a.G.Comm.AllreduceFunc(in, out, MergeMasked)
+	a.G.Comm.AllreduceFunc(in, out, mpi.MergeMasked)
 	rep := linalg.NewMatrix(a.M, a.N)
 	for i := 0; i < a.M; i++ {
 		copy(rep[i], out[i*a.N:(i+1)*a.N])

@@ -1,22 +1,20 @@
-// Package pblas is a miniature ScaLAPACK: block-cyclic distributed dense
-// linear algebra over a 2D process grid, built from mpi.Comm.Split
-// row/column sub-communicators. It provides the dense subspace
-// operations the band-parallel eigensolver needs — SUMMA matrix
-// multiplication, blocked right-looking Cholesky, blocked triangular
-// solve / lower-triangular inversion, and a symmetric eigensolver —
-// each bit-identical to its replicated internal/linalg counterpart for
-// every grid shape and block size.
+// Package pblas is a small SUMMA/Cholesky library: block-cyclic
+// distributed dense matrices over a 2D process grid built from
+// mpi.Comm.Split row/column sub-communicators, a SUMMA matrix product
+// and a blocked right-looking Cholesky, each bit-identical to its
+// replicated internal/linalg counterpart for every grid shape and block
+// size. No solver calls it — the subspace step of internal/gpaw runs
+// replicated internal/linalg on every rank — its callers are the
+// benchmark ledger's pblas.summa_us / pblas.cholesky_us probes and its
+// own tests (differentials against linalg, SUMMA placement under the
+// calibrated network model).
 //
 // Determinism contract: pblas contains no floating-point reduction whose
-// grouping depends on the distribution. The k-dimension of every
-// matrix product and every triangular update is traversed in ascending
+// grouping depends on the distribution. The k-dimension of the matrix
+// product and of every triangular update is traversed in ascending
 // global order through panel broadcasts, so each output element sees the
 // exact addition sequence of the serial algorithm; gathers move rounded
-// values verbatim (ownership-masked merges, never summation). Where the
-// surrounding solver stack does need cross-rank summation (assembling
-// subspace matrices from per-domain partial dot products), it routes
-// through internal/detsum accumulators merged in rank order — pblas
-// consumes the already-exact results.
+// values verbatim (mpi.MergeMasked, never summation).
 package pblas
 
 import (

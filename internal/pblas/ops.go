@@ -4,14 +4,14 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/linalg"
+	"repro/internal/mpi"
 	"repro/internal/trace"
 )
 
 // region opens a named trace span on the grid's communicator — the
-// dense subspace algebra shows up on the timeline under pblas.* names
-// alongside its own broadcasts. End the returned span with .End(); the
-// nil path (tracing off) costs one atomic load.
+// kernels show up on the timeline under pblas.* names alongside their
+// own broadcasts. End the returned span with .End(); the nil path
+// (tracing off) costs one atomic load.
 func (g *Grid2D) region(name string) trace.Span {
 	//lint:ignore tracepair thin forwarder: the constant-name contract binds its call sites, which tracepair checks because this returns trace.Span
 	return g.Comm.TraceRank().Region(name)
@@ -116,7 +116,7 @@ func replicateDiag(a *DistMatrix) []float64 {
 		}
 	}
 	out := make([]float64, 2*n)
-	a.G.Comm.AllreduceFunc(in, out, MergeMasked)
+	a.G.Comm.AllreduceFunc(in, out, mpi.MergeMasked)
 	return out[:n]
 }
 
@@ -259,119 +259,4 @@ func Cholesky(a *DistMatrix) (*DistMatrix, error) {
 		}
 	}
 	return l, nil
-}
-
-// ForwardSolve solves L*X = B for a lower-triangular distributed L by
-// blocked forward substitution: broadcast the diagonal block, solve the
-// block row on its owning process row, broadcast the solved rows down
-// process columns and the L panel across process rows, subtract the
-// rank-bw update from the rows below, advance. B's row blocking must
-// match L's. Element for element the subtraction chain is the serial
-// ForwardSolve's ascending-k order, so the result is bit-identical to
-// column-by-column linalg.ForwardSolve on the replicated operands.
-func ForwardSolve(l, bm *DistMatrix) (*DistMatrix, error) {
-	if l.G != bm.G {
-		return nil, fmt.Errorf("pblas: forward solve operands on different grids")
-	}
-	if l.M != l.N || l.MB != l.NB {
-		return nil, fmt.Errorf("pblas: forward solve needs square L with square blocks")
-	}
-	if bm.M != l.N || bm.MB != l.MB {
-		return nil, fmt.Errorf("pblas: forward solve rhs %dx%d (MB %d) mismatches L of order %d (MB %d)",
-			bm.M, bm.N, bm.MB, l.N, l.MB)
-	}
-	g := l.G
-	defer g.region("pblas.trsm").End()
-	n, b := l.N, l.MB
-	x := bm.Clone()
-	nblocks := (n + b - 1) / b
-	for kb := 0; kb < nblocks; kb++ {
-		bw := blockWidth(n, b, kb)
-		pr0, pc0 := kb%g.Pr, kb%g.Pc
-		// 1. Broadcast the diagonal block to every rank.
-		lkk := make([]float64, bw*bw)
-		if g.Myrow == pr0 && g.Mycol == pc0 {
-			lrB, lcB := l.LocalRow(kb*b), l.LocalCol(kb*b)
-			for i := 0; i < bw; i++ {
-				copy(lkk[i*bw:(i+1)*bw], l.Local[lrB+i][lcB:lcB+bw])
-			}
-		}
-		g.Comm.Bcast(pr0*g.Pc+pc0, lkk)
-		// 2. Solve the block row on process row pr0 for its local columns.
-		xk := make([]float64, bw*x.ln)
-		if g.Myrow == pr0 {
-			lrB := x.LocalRow(kb * b)
-			for lc := 0; lc < x.ln; lc++ {
-				for r := 0; r < bw; r++ {
-					sum := x.Local[lrB+r][lc]
-					for t := 0; t < r; t++ {
-						//lint:ignore detsumcheck forward substitution in ascending t order within one diagonal block on one rank — fixed-order by construction
-						sum -= lkk[r*bw+t] * x.Local[lrB+t][lc]
-					}
-					x.Local[lrB+r][lc] = sum / lkk[r*bw+r]
-				}
-			}
-			for r := 0; r < bw; r++ {
-				for lc := 0; lc < x.ln; lc++ {
-					xk[r*x.ln+lc] = x.Local[lrB+r][lc]
-				}
-			}
-		}
-		// 3. Broadcast the solved block rows down each process column.
-		g.Col.Bcast(pr0, xk)
-		// 4. Row-broadcast my L panel below the diagonal block.
-		lrStart := l.localRowsBelow(kb + 1)
-		panRows := l.lm - lrStart
-		panel := make([]float64, panRows*bw)
-		if g.Mycol == pc0 {
-			lcB := l.LocalCol(kb * b)
-			for r := 0; r < panRows; r++ {
-				copy(panel[r*bw:(r+1)*bw], l.Local[lrStart+r][lcB:lcB+bw])
-			}
-		}
-		g.Row.Bcast(pc0, panel)
-		// 5. Trailing update: rows below subtract L[i][kb-block] * X[kb].
-		for r := 0; r < panRows; r++ {
-			lr := lrStart + r
-			for lc := 0; lc < x.ln; lc++ {
-				v := x.Local[lr][lc]
-				for t := 0; t < bw; t++ {
-					//lint:ignore detsumcheck trailing substitution update walks the broadcast panel in ascending t order — matches the replicated solve's rounding sequence
-					v -= panel[r*bw+t] * xk[t*x.ln+lc]
-				}
-				x.Local[lr][lc] = v
-			}
-		}
-	}
-	return x, nil
-}
-
-// InvertLower returns the inverse of a lower-triangular distributed
-// matrix by forward-solving against the identity — the distributed twin
-// of linalg.InvertLower, bit-identical column for column.
-func InvertLower(l *DistMatrix) (*DistMatrix, error) {
-	return ForwardSolve(l, FromReplicated(l.G, linalg.Identity(l.N), l.MB, l.NB))
-}
-
-// SymEig diagonalizes a symmetric distributed matrix, returning
-// eigenvalues ascending and the eigenvectors as the columns of a
-// distributed matrix. For the subspace dimensions this package serves
-// (tens of bands) it uses the gather–diagonalize–scatter strategy:
-// the matrix is replicated verbatim, every rank runs the deterministic
-// Jacobi solver of linalg.SymEig redundantly on bit-identical input —
-// producing bit-identical eigenpairs with linalg's canonical order and
-// sign convention — and the eigenvector matrix is scattered back into
-// block-cyclic form. The differential tests assert this distributed
-// path against the replicated solver bitwise.
-func SymEig(a *DistMatrix) (eig []float64, vecs *DistMatrix, err error) {
-	if a.M != a.N {
-		return nil, nil, fmt.Errorf("pblas: SymEig of %dx%d matrix", a.M, a.N)
-	}
-	defer a.G.region("pblas.symeig").End()
-	rep := a.Replicate()
-	eig, v, err := linalg.SymEig(rep)
-	if err != nil {
-		return nil, nil, err
-	}
-	return eig, FromReplicated(a.G, v, a.MB, a.NB), nil
 }

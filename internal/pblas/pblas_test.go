@@ -232,115 +232,3 @@ func TestCholeskyNotPD(t *testing.T) {
 		}
 	})
 }
-
-// TestForwardSolveInvertDifferential: ForwardSolve against a multi-RHS
-// matrix and InvertLower both match their serial counterparts bitwise.
-func TestForwardSolveInvertDifferential(t *testing.T) {
-	for _, bs := range blockSizes {
-		bs := bs
-		onGrids(t, func(t *testing.T, g *Grid2D) {
-			rng := rand.New(rand.NewSource(int64(3000 + bs)))
-			n, nrhs := 12, 5
-			a := randSPD(rng, n)
-			lser, err := linalg.Cholesky(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b := randMatrix(rng, n, nrhs)
-			// Serial reference: column-by-column forward solve.
-			want := linalg.NewMatrix(n, nrhs)
-			for col := 0; col < nrhs; col++ {
-				rhs := make([]float64, n)
-				for i := 0; i < n; i++ {
-					rhs[i] = b[i][col]
-				}
-				x := linalg.ForwardSolve(lser, rhs)
-				for i := 0; i < n; i++ {
-					want[i][col] = x[i]
-				}
-			}
-			dl := FromReplicated(g, lser, bs, bs)
-			dx, err := ForwardSolve(dl, FromReplicated(g, b, bs, bs))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := dx.Replicate(); !bitEqual(got, want) {
-				t.Errorf("grid %dx%d block %d: ForwardSolve deviates", g.Pr, g.Pc, bs)
-			}
-			wantInv := linalg.InvertLower(lser)
-			dinv, err := InvertLower(dl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := dinv.Replicate(); !bitEqual(got, wantInv) {
-				t.Errorf("grid %dx%d block %d: InvertLower deviates", g.Pr, g.Pc, bs)
-			}
-		})
-	}
-}
-
-// TestSymEigDifferential: the distributed eigensolver reproduces
-// linalg.SymEig bitwise — eigenvalues and the scattered/re-replicated
-// eigenvector matrix.
-func TestSymEigDifferential(t *testing.T) {
-	for _, bs := range []int{1, 2, 5} {
-		bs := bs
-		onGrids(t, func(t *testing.T, g *Grid2D) {
-			rng := rand.New(rand.NewSource(int64(4000 + bs)))
-			for _, n := range []int{2, 7, 12} {
-				b := randMatrix(rng, n, n)
-				a := linalg.MatMul(b, linalg.Transpose(b))
-				wantEig, wantVecs, err := linalg.SymEig(a)
-				if err != nil {
-					t.Fatal(err)
-				}
-				eig, dv, err := SymEig(FromReplicated(g, a, bs, bs))
-				if err != nil {
-					t.Fatalf("grid %dx%d block %d n=%d: %v", g.Pr, g.Pc, bs, n, err)
-				}
-				for i := range eig {
-					if math.Float64bits(eig[i]) != math.Float64bits(wantEig[i]) {
-						t.Errorf("grid %dx%d block %d n=%d: eigenvalue %d deviates", g.Pr, g.Pc, bs, n, i)
-					}
-				}
-				if got := dv.Replicate(); !bitEqual(got, wantVecs) {
-					t.Errorf("grid %dx%d block %d n=%d: eigenvectors deviate", g.Pr, g.Pc, bs, n)
-				}
-			}
-		})
-	}
-}
-
-// TestCholeskySolveChain exercises the composed path the band solver
-// uses — Cholesky, invert, rotate via SUMMA — against the serial chain.
-func TestCholeskySolveChain(t *testing.T) {
-	onGrids(t, func(t *testing.T, g *Grid2D) {
-		rng := rand.New(rand.NewSource(99))
-		n := 10
-		s := randSPD(rng, n)
-		lser, err := linalg.Cholesky(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cser := linalg.Transpose(linalg.InvertLower(lser))
-		// S * C, the shape of the orthonormalization rotation feed.
-		want := linalg.MatMul(s, cser)
-		ds := FromReplicated(g, s, 2, 2)
-		dl, err := Cholesky(ds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dinv, err := InvertLower(dl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dc := FromReplicated(g, linalg.Transpose(dinv.Replicate()), 2, 2)
-		prod, err := MatMul(ds, dc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := prod.Replicate(); !bitEqual(got, want) {
-			t.Errorf("grid %dx%d: composed Cholesky/invert/SUMMA chain deviates", g.Pr, g.Pc)
-		}
-	})
-}

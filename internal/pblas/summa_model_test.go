@@ -54,11 +54,14 @@ func summaOn(t *testing.T, w *mpi.World, a, b linalg.Matrix, pr, pc, blockSize i
 }
 
 // modeledWorld is a testWorld under the calibrated BG/P model with the
-// pr x pc grid placed by mapping m; NoComputeWall makes its makespans
+// pr x pc grid (row-major: rank r at grid coordinate (r/pc, r%pc))
+// placed by mapping m as a 1 x pr x pc box, so MapCart keeps grid rows
+// and columns torus-contiguous — SUMMA's row and column broadcasts
+// become nearest-neighbour pipelines. NoComputeWall makes the makespans
 // exact.
 func modeledWorld(pr, pc int, m topology.Mapping) *mpi.World {
 	nm := bgpsim.NetModelFor(pr * pc)
-	nm.Coords = MapGrid2D(pr, pc, nm.Net, m)
+	nm.Coords = topology.MapGrid(topology.Dims{1, pr, pc}, nm.Net, m)
 	nm.NoComputeWall = true
 	w := testWorld(pr * pc)
 	w.SetNetModel(nm)
