@@ -115,7 +115,11 @@ type DistConfig struct {
 // cfg.Map as the strategy. Callable before any world exists — the
 // model must be armed before ranks start.
 func NetCoords(cfg DistConfig, net topology.Network) []topology.Coord {
-	return topology.MapBands(max(cfg.Bands, 1), cfg.Procs, net, cfg.Map)
+	bands := cfg.Bands
+	if bands < 1 {
+		bands = 1
+	}
+	return topology.MapBands(bands, cfg.Procs, net, cfg.Map)
 }
 
 // Dist ties one MPI rank into a distributed real-space calculation: the
@@ -179,7 +183,11 @@ type Dist struct {
 // domain communicator keeps the Cartesian rank order of the
 // domain-only layout.
 func NewDist(comm *mpi.Comm, cfg DistConfig) (*Dist, error) {
-	bands, nproc := max(cfg.Bands, 1), cfg.Procs.Count()
+	bands := cfg.Bands
+	if bands < 1 {
+		bands = 1
+	}
+	nproc := cfg.Procs.Count()
 	if bands*nproc != comm.Size() {
 		return nil, fmt.Errorf("gpaw: bands x domain layout %d x %v needs %d ranks, have %d",
 			bands, cfg.Procs, bands*nproc, comm.Size())
@@ -193,7 +201,12 @@ func NewDist(comm *mpi.Comm, cfg DistConfig) (*Dist, error) {
 	bandComm := comm.Split(comm.Rank()%nproc, comm.Rank())
 	periodic := cfg.BC == Periodic
 	cart := domainComm.CartCreate(cfg.Procs, [3]bool{periodic, periodic, periodic}, true)
-	cfg.Threads, cfg.Batch = max(cfg.Threads, 1), max(cfg.Batch, 1)
+	if cfg.Threads < 1 {
+		cfg.Threads = 1
+	}
+	if cfg.Batch < 1 {
+		cfg.Batch = 1
+	}
 	// The engine's operator only shapes the exchange (face thickness =
 	// its radius); solvers pass their own operators to the kernels.
 	shape := stencil.Laplacian(cfg.Halo, 1)
