@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -205,7 +206,12 @@ func TestCheckpointRestartBitIdentical(t *testing.T) {
 		t.Fatalf("%d committed steps, want one per iteration (%d)", len(steps), want.Iterations)
 	}
 
+	// Mid-run, and late enough that the Hartree solve being resumed is
+	// warm-started from a potential several steps old.
 	resume := steps[len(steps)/2]
+	if resume < 5 {
+		t.Fatalf("resume from step %d of %d: want a step >= 5, where the warm start is live", resume, want.Iterations)
+	}
 	for _, tc := range []struct {
 		ranks int
 		procs topology.Dims
@@ -237,6 +243,7 @@ func TestCheckpointRestartBitIdentical(t *testing.T) {
 					want.TotalEnergy, want.Iterations, want.Residual)
 			}
 			checkIdentical(t, d, res.Density, want.Density, "resumed density", tc.procs, core.FlatOptimized)
+			checkIdentical(t, d, res.VHartree, want.VHartree, "resumed vH", tc.procs, core.FlatOptimized)
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +269,7 @@ func TestCheckpointStores(t *testing.T) {
 		if steps, _ := st.Steps(); len(steps) != 0 {
 			t.Errorf("%T: uncommitted step visible: %v", st, steps)
 		}
-		if err := st.Commit(3, []byte(`{"version":1,"kind":1,"step":3,"ranks":1,"states":1,"global":[4,4,4],"sums":[]}`)); err != nil {
+		if err := st.Commit(3, []byte(`{"version":2,"kind":1,"step":3,"ranks":1,"states":1,"global":[4,4,4],"sums":[]}`)); err != nil {
 			t.Fatal(err)
 		}
 		if steps, _ := st.Steps(); len(steps) != 1 || steps[0] != 3 {
@@ -288,27 +295,32 @@ func TestCheckpointStores(t *testing.T) {
 		// Step 3's manifest lists no checksum for its one shard: the
 		// reader must not take that as "nothing to verify".
 		d := selfDist(sh.Global, 2, Dirichlet)
-		manifestFor := func(step, states int, data []byte) []byte {
-			return []byte(fmt.Sprintf(`{"version":1,"kind":1,"step":%d,"ranks":1,"states":%d,"global":[4,4,4],"sums":["%016x"]}`,
-				step, states, crc64.Checksum(data[:len(data)-8], crcTable)))
+		manifestFor := func(version, step, states int, data []byte) []byte {
+			return []byte(fmt.Sprintf(`{"version":%d,"kind":1,"step":%d,"ranks":1,"states":%d,"global":[4,4,4],"sums":["%016x"]}`,
+				version, step, states, crc64.Checksum(data[:len(data)-8], crcTable)))
 		}
 		// Step 4 is the same shard under an honest manifest; step 5 a
 		// CRC-valid shard whose field count disagrees with its band slice;
-		// step 6 the honest shard under a manifest claiming two states.
+		// step 6 the honest shard under a manifest claiming two states;
+		// step 7 under a version-1 manifest, whose field 1 would be the
+		// effective potential, not the Hartree one.
 		short := *sh
 		short.Fields = sh.Fields[:2]
 		for step, c := range map[int]struct {
-			states int
-			data   []byte
-		}{4: {1, data}, 5: {1, short.encode()}, 6: {2, data}} {
+			version, states int
+			data            []byte
+		}{4: {2, 1, data}, 5: {2, 1, short.encode()}, 6: {2, 2, data}, 7: {1, 1, data}} {
 			if err := st.PutShard(step, 0, c.data); err != nil {
 				t.Fatal(err)
 			}
-			if err := st.Commit(step, manifestFor(step, c.states, c.data)); err != nil {
+			if err := st.Commit(step, manifestFor(c.version, step, c.states, c.data)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for step, corrupt := range map[int]bool{3: true, 4: false, 5: true, 6: true} {
+		if err := ValidateStep(st, 7); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+			t.Errorf("%T: version-1 manifest: %v, want unsupported version 1", st, err)
+		}
+		for step, corrupt := range map[int]bool{3: true, 4: false, 5: true, 6: true, 7: true} {
 			verr := ValidateStep(st, step)
 			rs, rerr := RestoreSCF(d, st, step)
 			if corrupt != errors.Is(verr, ErrCheckpointCorrupt) || corrupt != errors.Is(rerr, ErrCheckpointCorrupt) ||

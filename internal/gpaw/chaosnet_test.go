@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/grid"
 	"repro/internal/mpi"
 	"repro/internal/topology"
 )
@@ -349,9 +350,12 @@ func TestABFTSCFCleanBitIdentical(t *testing.T) {
 }
 
 // TestSDCRollbackDifferential: a bit flip injected into live solver
-// state must be detected by the SDC guard on every rank, rolled back to
-// the last good checkpoint by the FT driver, and the completed run must
-// be bitwise identical to the fault-free serial reference.
+// state — a wave-function, or the Hartree potential the loop carries
+// from step to step as the next solve's initial guess (a NaN there would
+// never leave the conjugate gradients) — on one rank must be detected by
+// the SDC guard on every rank, rolled back to the last good checkpoint
+// by the FT driver, and the completed run must be bitwise identical to
+// the fault-free serial reference.
 func TestSDCRollbackDifferential(t *testing.T) {
 	global := topology.Dims{8, 8, 8}
 	sys := scfSystem(global, 0.7)
@@ -359,48 +363,67 @@ func TestSDCRollbackDifferential(t *testing.T) {
 	if want.Iterations < 3 {
 		t.Skipf("reference run converged in %d iterations; injection at iteration 3 needs more", want.Iterations)
 	}
-	procs := scfLayoutsFor(4)[0]
-	store := NewMemStore()
-	if err := runRanks(4, mpi.ThreadSingle, func(c *mpi.Comm) {
-		inj := NewBitRotInjector(3)
-		var guards []*SDCGuard
-		ft := FTConfig{Store: store, Every: 1, Keep: 4, Recover: true,
-			Configure: func(s *SCF) {
-				s.Tol = 1e-4
-				if c.Rank() == 1 {
-					s.Guard.Tamper = inj
-				}
-				guards = append(guards, s.Guard)
-			}}
-		cfg := DistConfig{Global: global, Procs: procs, Halo: 2, BC: sys.BC,
-			Approach: core.FlatOptimized, Threads: 1, Batch: 2, ABFT: true}
-		res, err := RunSCFFT(c, cfg, sys, ft)
-		if err != nil {
-			panic(err)
-		}
-		if res.TotalEnergy != want.TotalEnergy || res.Iterations != want.Iterations ||
-			res.Residual != want.Residual {
-			t.Errorf("SDC rollback: (E,it,res)=(%.17g,%d,%.17g), serial (%.17g,%d,%.17g)",
-				res.TotalEnergy, res.Iterations, res.Residual,
-				want.TotalEnergy, want.Iterations, want.Residual)
-		}
-		for i := range res.Eigenvalues {
-			if res.Eigenvalues[i] != want.Eigenvalues[i] {
-				t.Errorf("SDC rollback: eig %d = %.17g, serial %.17g", i, res.Eigenvalues[i], want.Eigenvalues[i])
+	type tamper = func(it int, psis []*grid.Grid, n, vh, veff *grid.Grid)
+	// rotHartree flips the top exponent bit of one v_H value, once.
+	rotHartree := func() tamper {
+		fired := false
+		return func(it int, _ []*grid.Grid, _, vh, _ *grid.Grid) {
+			if !fired && it == 3 {
+				fired = true
+				vh.Set(1, 1, 1, flipBit(vh.At(1, 1, 1), 62))
 			}
 		}
-		// The corruption verdict is reached by a reduced indicator, so
-		// EVERY rank must have recorded the detection, not just the
-		// tampered one.
-		total := 0
-		for _, g := range guards {
-			total += g.Detections
+	}
+	for _, tc := range []struct {
+		what   string
+		procs  topology.Dims
+		tamper func() tamper
+	}{
+		{"wave-function", scfLayoutsFor(4)[0], func() tamper { return NewBitRotInjector(3) }},
+		{"Hartree potential", topology.Dims{2, 2, 1}, rotHartree},
+	} {
+		store := NewMemStore()
+		if err := runRanks(4, mpi.ThreadSingle, func(c *mpi.Comm) {
+			inj := tc.tamper()
+			var guards []*SDCGuard
+			ft := FTConfig{Store: store, Every: 1, Keep: 4, Recover: true,
+				Configure: func(s *SCF) {
+					s.Tol = 1e-4
+					if c.Rank() == 1 {
+						s.Guard.Tamper = inj
+					}
+					guards = append(guards, s.Guard)
+				}}
+			cfg := DistConfig{Global: global, Procs: tc.procs, Halo: 2, BC: sys.BC,
+				Approach: core.FlatOptimized, Threads: 1, Batch: 2, ABFT: true}
+			res, err := RunSCFFT(c, cfg, sys, ft)
+			if err != nil {
+				panic(err)
+			}
+			if res.TotalEnergy != want.TotalEnergy || res.Iterations != want.Iterations ||
+				res.Residual != want.Residual {
+				t.Errorf("%s rollback: (E,it,res)=(%.17g,%d,%.17g), serial (%.17g,%d,%.17g)",
+					tc.what, res.TotalEnergy, res.Iterations, res.Residual,
+					want.TotalEnergy, want.Iterations, want.Residual)
+			}
+			for i := range res.Eigenvalues {
+				if res.Eigenvalues[i] != want.Eigenvalues[i] {
+					t.Errorf("%s rollback: eig %d = %.17g, serial %.17g", tc.what, i, res.Eigenvalues[i], want.Eigenvalues[i])
+				}
+			}
+			// The corruption verdict is reached by a reduced indicator, so
+			// EVERY rank must have recorded the detection, not just the
+			// tampered one.
+			total := 0
+			for _, g := range guards {
+				total += g.Detections
+			}
+			if total == 0 {
+				t.Errorf("rank %d: bit-rot injected into the %s went undetected", c.Rank(), tc.what)
+			}
+		}); err != nil {
+			t.Fatal(err)
 		}
-		if total == 0 {
-			t.Errorf("rank %d: injected bit-rot went undetected", c.Rank())
-		}
-	}); err != nil {
-		t.Fatal(err)
 	}
 }
 

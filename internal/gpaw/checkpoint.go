@@ -22,7 +22,7 @@ import (
 // Checkpoint/restart. Long SCF runs at Blue Gene scale survive node
 // loss the way production GPAW deployments do: by periodically writing
 // restart state and resuming from it. The design here is gather-free —
-// every rank writes its own shard of the state (density, effective
+// every rank writes its own shard of the state (density, Hartree
 // potential, its band slice of the wave-functions, the iteration
 // counter), so checkpointing costs no global communication beyond one
 // scalar gather for the commit record. Shards are self-describing
@@ -334,8 +334,11 @@ func LatestGoodStep(st Store) (step int, fellBack, ok bool, err error) {
 // --- shard codec ----------------------------------------------------
 
 const (
-	shardMagic   = uint64(0x4750434b5f763100) // "GPCK_v1\0"
-	shardVersion = 1
+	shardMagic = uint64(0x4750434b5f763100) // "GPCK_v1\0"
+	// shardVersion 2: field 1 is the Hartree potential the next solve
+	// starts from. Version 1 held the effective potential there — read
+	// as a warm start it would silently cost iterations, so it is refused.
+	shardVersion = 2
 
 	shardKindSCF = 1 // the one kind of state checkpointed: the SCF loop's
 )
@@ -348,7 +351,7 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // shard is the decoded form of one rank's checkpoint piece. Fields are
 // grid interiors in x-major order over the Local box at Off:
-// [density, veff, psi(BandLo) .. psi(BandHi-1)].
+// [density, v_H, psi(BandLo) .. psi(BandHi-1)].
 type shard struct {
 	Kind      int
 	Iteration int
@@ -514,7 +517,7 @@ func decodeShard(data []byte) (*shard, error) {
 			return nil, fmt.Errorf("%w: field %d has %d values for box %v", ErrCheckpointCorrupt, i, len(f), sh.Local)
 		}
 	}
-	// RestoreSCF indexes density, veff, a field per state of the band slice.
+	// RestoreSCF indexes density, v_H, a field per state of the band slice.
 	if sh.BandLo < 0 || sh.BandLo > sh.BandHi || sh.BandHi > sh.States ||
 		len(sh.Fields) != 2+sh.BandHi-sh.BandLo || len(sh.Scalars) != sh.States {
 		return nil, fmt.Errorf("%w: %d fields and %d scalars for band slice [%d, %d) of %d states",
@@ -544,7 +547,7 @@ func readManifest(st Store, step int) (*manifest, error) {
 		return nil, fmt.Errorf("%w: manifest: %v", ErrCheckpointCorrupt, err)
 	}
 	if m.Version != shardVersion {
-		return nil, fmt.Errorf("%w: manifest version %d", ErrCheckpointCorrupt, m.Version)
+		return nil, fmt.Errorf("%w: manifest: unsupported version %d", ErrCheckpointCorrupt, m.Version)
 	}
 	if len(m.Sums) != m.Ranks {
 		return nil, fmt.Errorf("%w: manifest lists %d checksums for %d shards", ErrCheckpointCorrupt, len(m.Sums), m.Ranks)
@@ -661,17 +664,19 @@ func (ck *Checkpointer) prune() {
 	}
 }
 
-// saveSCF snapshots the SCF state after iteration it: mixed density,
-// effective potential (the mixer's full state under linear mixing),
-// this band group's wave-function slice, all m Ritz values (they bound
-// the next iteration's filter) and the counter.
-func (ck *Checkpointer) saveSCF(s *SCF, it, m int, eig []float64, psis []*grid.Grid, n, veff *grid.Grid) error {
+// saveSCF snapshots the SCF state after iteration it: mixed density (the
+// mixer's full state under linear mixing), Hartree potential (the next
+// solve's initial guess; the effective potential is a pointwise
+// function of the two and the external one, rebuilt at resume), this
+// band group's wave-function slice, all m Ritz values (they bound the
+// next iteration's filter) and the counter.
+func (ck *Checkpointer) saveSCF(s *SCF, it, m int, eig []float64, psis []*grid.Grid, n, vh *grid.Grid) error {
 	d := s.D
 	lo, hi := d.BandRange(m)
 	sh := &shard{Kind: shardKindSCF, Iteration: it, Global: d.Decomp.Global,
 		Off: d.Offset(), Local: d.LocalDims(), Spacing: s.Sys.Spacing, BC: int(s.Sys.BC),
 		States: m, BandLo: lo, BandHi: hi, Scalars: append([]float64(nil), eig...)}
-	sh.Fields = append(sh.Fields, n.InteriorSlice(), veff.InteriorSlice())
+	sh.Fields = append(sh.Fields, n.InteriorSlice(), vh.InteriorSlice())
 	for _, p := range psis {
 		sh.Fields = append(sh.Fields, p.InteriorSlice())
 	}
@@ -688,7 +693,7 @@ type SCFRestart struct {
 	Eig       []float64
 	Psis      []*grid.Grid
 	N         *grid.Grid
-	Veff      *grid.Grid
+	VHartree  *grid.Grid
 }
 
 // copyShardBox copies the intersection of a shard's box with this
@@ -729,7 +734,7 @@ func RestoreSCF(d *Dist, st Store, step int) (*SCFRestart, error) {
 		return nil, fmt.Errorf("gpaw: checkpoint step %d has no shards", step)
 	}
 	myLo, myHi := d.BandRange(man.States)
-	rs := &SCFRestart{States: man.States, N: d.NewLocalGrid(), Veff: d.NewLocalGrid(),
+	rs := &SCFRestart{States: man.States, N: d.NewLocalGrid(), VHartree: d.NewLocalGrid(),
 		Psis: make([]*grid.Grid, myHi-myLo)}
 	for i := range rs.Psis {
 		rs.Psis[i] = d.NewLocalGrid()
@@ -747,7 +752,7 @@ func RestoreSCF(d *Dist, st Store, step int) (*SCFRestart, error) {
 			continue
 		}
 		copyShardBox(rs.N, d.Offset(), sh, sh.Fields[0], lo, dims)
-		copyShardBox(rs.Veff, d.Offset(), sh, sh.Fields[1], lo, dims)
+		copyShardBox(rs.VHartree, d.Offset(), sh, sh.Fields[1], lo, dims)
 		for st := max(sh.BandLo, myLo); st < min(sh.BandHi, myHi); st++ {
 			copyShardBox(rs.Psis[st-myLo], d.Offset(), sh, sh.Fields[2+(st-sh.BandLo)], lo, dims)
 		}

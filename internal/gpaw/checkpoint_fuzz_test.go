@@ -3,6 +3,8 @@ package gpaw
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc64"
+	"strings"
 	"testing"
 
 	"repro/internal/topology"
@@ -28,6 +30,17 @@ func fuzzShard() *shard {
 
 // fuzzShardBytes is fuzzShard, encoded.
 func fuzzShardBytes() []byte { return fuzzShard().encode() }
+
+// versionOneShard is fuzzShard as the version-1 codec framed it: the
+// same bytes with the version word set back and the CRC recomputed.
+// Field 1 of such a shard is the effective potential, not the Hartree
+// one, so the decoder must refuse it rather than warm-start from it.
+func versionOneShard() []byte {
+	data := fuzzShardBytes()
+	binary.LittleEndian.PutUint64(data[8:], 1)
+	binary.LittleEndian.PutUint64(data[len(data)-8:], crc64.Checksum(data[:len(data)-8], crcTable))
+	return data
+}
 
 // misshapenShards returns CRC-valid encodings whose field or scalar
 // count disagrees with the band slice they declare — the shapes
@@ -77,6 +90,7 @@ func FuzzDecodeShard(f *testing.F) {
 	for _, data := range misshapenShards() {
 		f.Add(data)
 	}
+	f.Add(versionOneShard())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Size cap keeps minimization of interesting inputs fast; the
 		// length-prefix hardening is about forged lengths, not big
@@ -123,6 +137,10 @@ func TestDecodeShardRejectsForgedLengths(t *testing.T) {
 	// Same for a forged field count.
 	if _, err := decodeShard(valid[:16]); !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Fatalf("decode of truncated shard = %v, want ErrCheckpointCorrupt", err)
+	}
+	// A well-formed shard of the previous format version names it.
+	if _, err := decodeShard(versionOneShard()); !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("decode of a version-1 shard = %v, want ErrCheckpointCorrupt: unsupported version 1", err)
 	}
 	// And for counts that are honest about the bytes but not about the
 	// band slice: CRC-valid, well-framed, wrong shape.

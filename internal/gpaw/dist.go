@@ -15,7 +15,7 @@ import (
 )
 
 // This file is the context every solver of this package runs on: the
-// Poisson solvers, the multigrid V-cycle, the eigensolver and the SCF
+// Poisson solver and its multigrid V-cycle, the eigensolver and the SCF
 // loop run rank-parallel over an MPI Cartesian process grid, with each
 // rank additionally running the shared-memory worker pool inside it —
 // the paper's hybrid execution model lifted from a single stencil apply
@@ -161,13 +161,18 @@ type Dist struct {
 	// redIn, redOut and redVals are reduceAccs' transport and result
 	// scratch, sized on first use (acc: a stack accumulator handed to the
 	// pool would escape, an allocation per reduction); sym is
-	// bandSymMatrix's, states the eigen pass's second state set and
-	// fields the work grids of the Poisson solve and the SCF step.
+	// bandSymMatrix's, states the eigen pass's second state set, fields
+	// the work grids of the Poisson solve and the SCF step, and mg the
+	// solve's V-cycle hierarchy (Dist.hierarchy) — all born on first use,
+	// none in NewDist. cgIters counts the conjugate-gradient iterations
+	// run on this Dist.
 	redIn, redOut, redVals []float64
 	acc                    detsum.Acc // the scalar reductions' accumulator
 	sym                    symScratch
 	states                 stateScratch
 	fields                 fieldScratch
+	mg                     *multigrid
+	cgIters                int
 
 	// pointNs is the modeled per-point sweep cost in virtual ns charged
 	// through mpi.Comm.Compute (0: charging off). It already includes
@@ -283,12 +288,13 @@ func (d *Dist) ScatterReplicated(global *grid.Grid) *grid.Grid {
 
 // fieldScratch holds the Dist-owned work grids of one SCF step, so a
 // warmed step allocates none: conjugate gradients' right-hand side,
-// residual, direction and operator image, and the SCF's unmixed density
-// and Hartree potential. Like the state set they are born on first use
-// and touched only from the rank's master goroutine.
+// residual, direction and operator image (the preconditioned residual
+// is the hierarchy's), and the SCF's unmixed density. Like the state set
+// they are born on first use and touched only from the rank's master
+// goroutine.
 type fieldScratch struct {
 	cgB, cgR, cgP, cgAp *grid.Grid
-	density, hartree    *grid.Grid
+	density             *grid.Grid
 }
 
 // scratchGrid returns the local work grid kept in *slot, born on first

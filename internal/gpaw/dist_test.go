@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -164,23 +165,19 @@ func TestDistPoissonCGDifferential(t *testing.T) {
 	}
 }
 
-// TestDistMultigridDifferential: the V-cycle hierarchy — including the
-// redistribution of coarse levels onto shrunken grids — must reproduce
-// the serial multigrid bitwise.
+// TestDistMultigridDifferential: the V-cycle — including the
+// redistribution of coarse levels onto shrunken grids — applied once as
+// the preconditioner must reproduce the one-rank cycle bitwise.
 func TestDistMultigridDifferential(t *testing.T) {
 	global := topology.Dims{16, 16, 16}
 	h := 0.35
 	rhs := poissonRHS(global)
 	for _, bc := range []Boundary{Dirichlet, Periodic} {
-		mgS, err := NewMultigrid(global, h, bc)
+		mgS, err := selfDist(global, 2, bc).hierarchy(h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantPhi := grid.NewDims(global, 2)
-		wantCyc, wantRes, err := mgS.Solve(wantPhi, rhs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		wantZ := mgS.precondition(rhs)
 		// (4,1,1): levels 16->8 stay on the full grid and aligned, 4^3
 		// redistributes onto (2,1,1) with ranks 2-3 parked. (1,1,8):
 		// shrinks from the first coarsening, twice ((1,1,4) then
@@ -188,20 +185,12 @@ func TestDistMultigridDifferential(t *testing.T) {
 		for _, procs := range []topology.Dims{{1, 1, 1}, {2, 1, 1}, {1, 1, 2}, {2, 2, 1}, {4, 1, 1}, {1, 1, 8}} {
 			for _, a := range []core.Approach{core.FlatOptimized, core.HybridMasterOnly} {
 				runDist(t, global, procs, bc, a, func(d *Dist) {
-					mg, err := NewDistMultigrid(d, h)
+					mg, err := d.hierarchy(h)
 					if err != nil {
 						panic(err)
 					}
-					phi := d.NewLocalGrid()
-					cyc, res, err := mg.Solve(phi, d.ScatterReplicated(rhs))
-					if err != nil {
-						panic(err)
-					}
-					if cyc != wantCyc || res != wantRes {
-						t.Errorf("%v MG procs %v approach %v: (cyc,res)=(%d,%.17g), serial (%d,%.17g)",
-							bc, procs, a, cyc, res, wantCyc, wantRes)
-					}
-					checkIdentical(t, d, phi, wantPhi, "multigrid "+bc.String(), procs, a)
+					z := mg.precondition(d.ScatterReplicated(rhs))
+					checkIdentical(t, d, z, wantZ, "V-cycle "+bc.String(), procs, a)
 				})
 			}
 		}
@@ -224,15 +213,21 @@ func TestDistMultigridShrinksDeepLevels(t *testing.T) {
 	}
 	for _, tc := range cases {
 		runDist(t, global, tc.procs, Dirichlet, core.FlatOptimized, func(d *Dist) {
-			mg, err := NewDistMultigrid(d, 0.35)
+			mg, err := d.hierarchy(0.35)
 			if err != nil {
 				panic(err)
 			}
-			if mg.Levels() != 3 {
-				t.Errorf("procs %v: %d levels, want 3", tc.procs, mg.Levels())
+			if len(mg.levels) != 3 {
+				t.Errorf("procs %v: %d levels, want 3", tc.procs, len(mg.levels))
 			}
-			if mg.ShrunkFrom() != tc.from {
-				t.Errorf("procs %v: shrunk from level %d, want %d", tc.procs, mg.ShrunkFrom(), tc.from)
+			// The first level on a smaller or re-split process grid (every
+			// rank derives the whole chain, parked ones included).
+			from := slices.IndexFunc(mg.levels, func(lv *mgLevel) bool { return lv.shrunk })
+			if from < 0 {
+				from = len(mg.levels)
+			}
+			if from != tc.from {
+				t.Errorf("procs %v: shrunk from level %d, want %d", tc.procs, from, tc.from)
 			}
 		})
 	}
@@ -395,34 +390,12 @@ func TestSolverErrorsReportResidual(t *testing.T) {
 	cgMsg := serialErr("CG", func(ps *Poisson, phi *grid.Grid) (int, float64, error) { return ps.SolveCG(phi, rhs) })
 	serialErr("CGReference", func(ps *Poisson, phi *grid.Grid) (int, float64, error) { return ps.SolveCGReference(phi, rhs) })
 
-	mgS, err := NewMultigrid(global, h, Dirichlet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgS.MaxCycles = 1
-	mgS.Tol = 1e-14
-	phi := grid.NewDims(global, 2)
-	_, _, err = mgS.Solve(phi, rhs)
-	if err == nil || !strings.Contains(err.Error(), wantSub) {
-		t.Fatalf("multigrid error %v lacks %q", err, wantSub)
-	}
-	mgMsg := err.Error()
-
 	runDist(t, global, topology.Dims{1, 1, 2}, Dirichlet, core.FlatOptimized, func(d *Dist) {
 		dps := NewDistPoisson(d, h)
 		dps.MaxIter = 2
 		lphi := d.NewLocalGrid()
 		if _, _, err := dps.SolveCG(lphi, d.ScatterReplicated(rhs)); err == nil || err.Error() != cgMsg {
 			t.Errorf("distributed CG error %v != serial %q", err, cgMsg)
-		}
-		mg, err := NewDistMultigrid(d, h)
-		if err != nil {
-			panic(err)
-		}
-		mg.MaxCycles = 1
-		mg.Tol = 1e-14
-		if _, _, err := mg.Solve(d.NewLocalGrid(), d.ScatterReplicated(rhs)); err == nil || err.Error() != mgMsg {
-			t.Errorf("distributed multigrid error %v != serial %q", err, mgMsg)
 		}
 	})
 }

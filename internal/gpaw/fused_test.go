@@ -22,8 +22,9 @@ func fusedProblem(n int) (rhs *grid.Grid) {
 	return rhs
 }
 
-// TestFusedCGMatchesReference: the fused conjugate-gradient path must
-// converge to the same solution as the unfused reference formulation.
+// TestFusedCGMatchesReference: the fused, preconditioned
+// conjugate-gradient path must converge to the same solution as the
+// unfused, unpreconditioned reference formulation, in fewer iterations.
 func TestFusedCGMatchesReference(t *testing.T) {
 	rhs := fusedProblem(14)
 	ps := NewPoisson(0.35, Dirichlet)
@@ -41,10 +42,8 @@ func TestFusedCGMatchesReference(t *testing.T) {
 	if d := phiRef.MaxAbsDiff(phiFused); d > 1e-6 {
 		t.Fatalf("fused CG deviates from reference by %g", d)
 	}
-	// Same algorithm, same tolerance: iteration counts must agree up to
-	// rounding-induced wiggle.
-	if diff := itRef - itFused; diff < -3 || diff > 3 {
-		t.Fatalf("iteration counts diverged: reference %d, fused %d", itRef, itFused)
+	if itFused >= itRef {
+		t.Fatalf("preconditioning did not cut the iterations: reference %d, fused %d", itRef, itFused)
 	}
 }
 
@@ -70,54 +69,51 @@ func TestFusedCGWorkerCountInvariant(t *testing.T) {
 }
 
 // TestFusedCGReducesTraffic is the acceptance assertion for the fused
-// execution engine: a fused CG iteration must make measurably fewer
-// full-grid memory passes than the unfused reference iteration
-// (roughly 11 streams vs 19 for the Dirichlet problem).
+// execution engine and the preconditioner together: a whole solve —
+// V-cycles included — must make measurably fewer full-grid memory
+// passes than the unfused, unpreconditioned reference solve, at the
+// benchmark's 24^3.
 func TestFusedCGReducesTraffic(t *testing.T) {
-	rhs := fusedProblem(14)
+	rhs := fusedProblem(24)
 	ps := NewPoisson(0.35, Dirichlet)
 
-	phi := grid.New(14, 14, 14, 2)
+	phi := grid.New(24, 24, 24, 2)
 	grid.ResetTraffic()
 	itRef, _, err := ps.SolveCGReference(phi, rhs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refPerIter := float64(grid.TrafficPoints()) / float64(itRef)
+	ref := float64(grid.TrafficPoints())
 
-	phi = grid.New(14, 14, 14, 2)
+	phi = grid.New(24, 24, 24, 2)
 	grid.ResetTraffic()
 	itFused, _, err := ps.SolveCG(phi, rhs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fusedPerIter := float64(grid.TrafficPoints()) / float64(itFused)
+	fused := float64(grid.TrafficPoints())
 	grid.ResetTraffic()
 
-	t.Logf("grid passes per CG iteration: reference %.1f, fused %.1f (x%.2f)",
-		refPerIter/float64(rhs.Points()), fusedPerIter/float64(rhs.Points()),
-		refPerIter/fusedPerIter)
-	if fusedPerIter >= 0.75*refPerIter {
-		t.Fatalf("fused CG iteration moves %.0f point-streams, reference %.0f; want < 75%%",
-			fusedPerIter, refPerIter)
+	t.Logf("grid passes per solve: reference %.0f in %d iterations, fused %.0f in %d (x%.2f)",
+		ref/float64(rhs.Points()), itRef, fused/float64(rhs.Points()), itFused, ref/fused)
+	if fused >= 0.75*ref {
+		t.Fatalf("fused solve moves %.0f point-streams, reference %.0f; want < 75%%", fused, ref)
 	}
 }
 
-// TestMultigridPoolInvariant: the pooled multigrid solver must produce
-// identical results for every worker count.
+// TestMultigridPoolInvariant: the pooled V-cycle must produce identical
+// results for every worker count.
 func TestMultigridPoolInvariant(t *testing.T) {
 	rhs := fusedProblem(16)
 	var ref *grid.Grid
 	for _, w := range []int{1, 4} {
-		phi := grid.New(16, 16, 16, 2)
+		var phi *grid.Grid
 		withWorkers(t, 16, w, func(d *Dist) {
-			mg, err := NewDistMultigrid(d, 0.35)
+			mg, err := d.hierarchy(0.35)
 			if err != nil {
 				panic(err)
 			}
-			if _, _, err := mg.Solve(phi, rhs); err != nil {
-				panic(err)
-			}
+			phi = mg.precondition(rhs)
 		})
 		if ref == nil {
 			ref = phi

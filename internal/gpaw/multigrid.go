@@ -1,9 +1,6 @@
 package gpaw
 
 import (
-	"fmt"
-	"math"
-
 	"repro/internal/core"
 	"repro/internal/detsum"
 	"repro/internal/grid"
@@ -51,35 +48,42 @@ type mgLevel struct {
 	down, up *grid.RedistPlan // parent layout <-> transfer layout (parent-active ranks)
 }
 
-// Multigrid is a geometric V-cycle Poisson solver — the method GPAW's
-// production Poisson solver uses — on the sub-domains of a Dist. No SCF
-// path, example or benchmark workload calls it yet: it (with
-// ApplySmooth, grid.Doubled / NewDecompOrFallback / RedistPlan) is kept
-// because ROADMAP item 3 makes it the Hartree solver, and the
-// differential and golden tests hold its bits until then. Each
-// level rediscretizes the Laplacian at twice the spacing;
-// full-weighting restriction moves residuals down, piecewise-constant
-// prolongation moves corrections up, and damped Jacobi smooths at every
-// level, ping-ponging between two buffers with the fused ApplySmooth
-// kernel (one sweep per relaxation instead of four). Coarsening halves
-// every extent; when a level's sub-domains would become thinner than
-// the halo (grid.NewDecompOrFallback shrinks the process grid) or the
-// fine/coarse splits stop aligning for local transfer, the level is
-// redistributed onto the surviving ranks' sub-communicator
-// (mpi.Comm.Split + grid.RedistPlan) and the V-cycle continues there
-// while the remaining ranks park at the blocking return transfer until
-// prolongation. No level ever funnels through rank 0, and all-level
-// arithmetic is bit-identical for every process grid.
-type Multigrid struct {
-	D          *Dist
-	Tol        float64
-	MaxCycles  int
-	PreSmooth  int
-	PostSmooth int
+// multigrid is the geometric V-cycle the Hartree solve preconditions its
+// conjugate gradients with (multigrid is the method GPAW's production
+// Poisson solver uses), on the sub-domains of the Dist that owns it
+// (Dist.hierarchy). One cycle from a zero guess is z = M⁻¹r for the
+// negated Laplacian: reduction-free, halo-overlapped sweeps only. Each
+// level rediscretizes the operator at twice the spacing; full-weighting
+// restriction moves residuals down, its adjoint (up to scale)
+// piecewise-constant prolongation moves corrections up, damped Jacobi
+// (the fused ApplySmooth kernel) smooths mgSmooth times before and
+// after, and mgCoarsest relaxations stand in for the coarsest solve —
+// equal counts of a self-adjoint smoother, so M⁻¹ is symmetric positive
+// definite, as conjugate gradients require. Coarsening halves every
+// extent while all stay even and above 4 points; a grid that cannot
+// coarsen has the one level, and its cycle is that relaxation. When a
+// level's sub-domains would become thinner than the halo
+// (grid.NewDecompOrFallback shrinks the process grid) or the fine/coarse
+// splits stop aligning for local transfer, the level is redistributed
+// onto the surviving ranks' sub-communicator (mpi.Comm.Split +
+// grid.RedistPlan) and the V-cycle continues there while the remaining
+// ranks park at the blocking return transfer until prolongation. No
+// level funnels through rank 0, and all-level arithmetic is
+// bit-identical for every process grid.
+type multigrid struct {
+	D *Dist
 
-	levels     []*mgLevel
-	shrunkFrom int // first level on a smaller/re-split process grid; len(levels) if none
+	levels  []*mgLevel
+	discard detsum.Acc // sink of the residual norms the cycle has no use for
 }
+
+// Sweep counts of one cycle. 1 + 1 smoothing doubled the conjugate-
+// gradient iterations of the 24^3 Hartree solve; 60 coarsest sweeps
+// bought nothing over 8.
+const (
+	mgSmooth   = 3
+	mgCoarsest = 8
+)
 
 // splitsAligned reports whether every rank's fine split is exactly
 // twice its coarse split in every dimension — the condition for
@@ -98,22 +102,21 @@ func splitsAligned(fine, coarse, procs topology.Dims) bool {
 	return true
 }
 
-// NewMultigrid builds the hierarchy for an undecomposed grid of the
-// given extents and spacing: phi and rhs are whole grids.
-func NewMultigrid(dims topology.Dims, h float64, bc Boundary) (*Multigrid, error) {
-	return NewDistMultigrid(selfDist(dims, 2, bc), h)
-}
-
-// NewDistMultigrid builds the hierarchy for the Dist's global grid at
-// spacing h. Every dimension is halved while all extents stay even and
-// above 4 points. Every rank of the Dist's domain communicator must
-// call it (the level sub-communicators are built collectively).
-func NewDistMultigrid(d *Dist, h float64) (*Multigrid, error) {
-	mg := &Multigrid{D: d, Tol: 1e-8, MaxCycles: 60, PreSmooth: 3, PostSmooth: 3}
+// hierarchy returns the Dist's multigrid for its global grid at spacing
+// h, building it on the first call (and again if h changes): level
+// grids, engines and sub-communicators are scratch of the solve, not of
+// NewDist. The building call is collective over the domain communicator.
+func (d *Dist) hierarchy(h float64) (*multigrid, error) {
+	if d.mg != nil && d.mg.levels[0].h == h {
+		return d.mg, nil
+	}
+	mg := &multigrid{D: d}
 	dims := d.Decomp.Global
 	spacing := h
 	for {
-		mg.levels = append(mg.levels, &mgLevel{op: stencil.Laplacian(2, spacing), h: spacing, dims: dims})
+		// Negated, like the conjugate gradients around the cycle: the
+		// levels relax the positive (semi-)definite -∇².
+		mg.levels = append(mg.levels, &mgLevel{op: stencil.Laplacian(2, spacing).Scaled(-1), h: spacing, dims: dims})
 		if dims[0]%2 != 0 || dims[1]%2 != 0 || dims[2]%2 != 0 ||
 			dims[0] <= 4 || dims[1] <= 4 || dims[2] <= 4 {
 			break
@@ -121,12 +124,8 @@ func NewDistMultigrid(d *Dist, h float64) (*Multigrid, error) {
 		dims = topology.Dims{dims[0] / 2, dims[1] / 2, dims[2] / 2}
 		spacing *= 2
 	}
-	if len(mg.levels) < 2 {
-		return nil, fmt.Errorf("gpaw: grid %v too small or odd for multigrid", d.Decomp.Global)
-	}
 	halo := d.Decomp.Halo
 	periodic := d.BC == Periodic
-	mg.shrunkFrom = len(mg.levels)
 	for l, lv := range mg.levels {
 		if l == 0 {
 			lv.procs, lv.dec = d.Decomp.Procs, d.Decomp
@@ -151,9 +150,6 @@ func NewDistMultigrid(d *Dist, h float64) (*Multigrid, error) {
 				lv.active = true
 			} else {
 				lv.shrunk = true
-				if l < mg.shrunkFrom {
-					mg.shrunkFrom = l
-				}
 				lv.xferDec = dec.Doubled(0)
 				if !prev.active {
 					continue
@@ -188,54 +184,40 @@ func NewDistMultigrid(d *Dist, h float64) (*Multigrid, error) {
 		lv.eng = eng
 		c := lv.dec.LocalDims(lv.cart.Coords(lv.cart.Rank()))
 		lv.phi = grid.NewDims(c, halo)
-		lv.rhs = grid.NewDims(c, halo)
 		lv.res = grid.NewDims(c, halo)
+		if l > 0 { // the top level's right-hand side is the caller's
+			lv.rhs = grid.NewDims(c, halo)
+		}
 	}
+	d.mg = mg
 	return mg, nil
 }
 
-// Levels returns the depth of the hierarchy.
-func (mg *Multigrid) Levels() int { return len(mg.levels) }
-
-// ShrunkFrom returns the first level index that runs on a process grid
-// different from the solver's — redistributed onto fewer ranks (or
-// re-split for transfer alignment) with the remaining ranks parked —
-// or Levels() when every level keeps the full process grid.
-func (mg *Multigrid) ShrunkFrom() int { return mg.shrunkFrom }
-
-// smooth runs n damped Jacobi sweeps of A phi = rhs on one level. Each
-// sweep is one fused pass (dst = phi + c*(rhs - A phi)) ping-ponging
-// between phi and the level's residual scratch; an odd sweep count ends
-// with a copy back into phi. Each sweep's deep interior overlaps the
+// smooth runs n damped Jacobi sweeps of A x = rhs on one level, each one
+// fused pass (y = x + c*(rhs - A x)) whose deep interior overlaps the
 // level's halo exchange (the level engines always post asynchronously;
-// the overlap split follows the context).
-func (mg *Multigrid) smooth(lv *mgLevel, phi, rhs *grid.Grid, n int) {
+// the overlap split follows the context), ping-ponging between x and y.
+// It returns the grid holding the result and the other one. With
+// fromZero the iterate is zero whatever x holds: the first sweep is then
+// y = c*rhs and needs neither a stencil nor an exchange.
+func (mg *multigrid) smooth(lv *mgLevel, x, y, rhs *grid.Grid, n int, fromZero bool) (*grid.Grid, *grid.Grid) {
 	const omega = 0.8
 	c := omega / lv.op.Center
 	d := mg.D
 	defer d.Cart.TraceRank().Region("mg.smooth").End()
-	src, dst := phi, lv.res
+	// One closure for all n sweeps: it reads x/y when withOverlap calls
+	// it, before the swap.
+	sweep := func(rg stencil.Region) { lv.op.Over(rg).ApplySmooth(d.pool, y, x, rhs, c) }
 	for s := 0; s < n; s++ {
-		// The callback runs inside withOverlap, before the swap, so it
-		// sees this sweep's src/dst.
-		d.withOverlap(lv.eng, src, func(rg stencil.Region) {
-			lv.op.Over(rg).ApplySmooth(d.pool, dst, src, rhs, c)
-		})
-		src, dst = dst, src
+		if s == 0 && fromZero {
+			d.pool.Copy(y, rhs)
+			d.pool.Scale(y, c)
+		} else {
+			d.withOverlap(lv.eng, x, sweep)
+		}
+		x, y = y, x
 	}
-	if src != phi {
-		mg.D.pool.Copy(phi, src)
-	}
-}
-
-// residualInto computes res = rhs - A phi on one level in one fused
-// sweep and accumulates |res|^2 locally into acc (callers reduce when
-// they need the global norm; the V-cycle discards it).
-func (mg *Multigrid) residualInto(lv *mgLevel, res, phi, rhs *grid.Grid, acc *detsum.Acc) {
-	d := mg.D
-	d.withOverlap(lv.eng, phi, func(rg stencil.Region) {
-		lv.op.Over(rg).ApplyResidualAcc(d.pool, res, rhs, phi, acc)
-	})
+	return x, y
 }
 
 // restrictFull full-weights fine into coarse (fine dims are exactly
@@ -268,11 +250,15 @@ func restrictFull(p *stencil.Pool, fine, coarse *grid.Grid) {
 	grid.NoteTraffic(fine.Points()+coarse.Points(), 1)
 }
 
-// prolongInto adds the piecewise-constant interpolation of coarse onto
-// fine (the adjoint of full weighting up to scale); with the smoothing
-// sweeps around it, constant prolongation is sufficient and cheap. The
-// sweep is split over fine x planes.
-func prolongInto(p *stencil.Pool, coarse, fine *grid.Grid) {
+// prolong adds (add) or writes the piecewise-constant interpolation of
+// coarse onto fine — the adjoint of full weighting up to scale; with the
+// smoothing sweeps around it, constant prolongation is sufficient and
+// cheap. Shrunken levels write: they materialize the coarse correction
+// in the doubled transfer layout before redistributing it, and the
+// eventual phi += correction then adds exactly the coarse value the
+// adding form adds — same addend, same bits (a zero-fill-then-add would
+// turn a -0 correction into +0). The sweep is split over fine x planes.
+func prolong(p *stencil.Pool, coarse, fine *grid.Grid, add bool) {
 	d := fine.Dims()
 	fd := fine.Data()
 	cd := coarse.Data()
@@ -282,31 +268,11 @@ func prolongInto(p *stencil.Pool, coarse, fine *grid.Grid) {
 				frow := fine.Index(i, j, 0)
 				crow := coarse.Index(i/2, j/2, 0)
 				for k := 0; k < d[2]; k++ {
-					fd[frow+k] += cd[crow+k/2]
-				}
-			}
-		}
-	})
-	grid.NoteTraffic(2*fine.Points()+coarse.Points(), 1)
-}
-
-// prolongSet writes (rather than adds) the piecewise-constant
-// interpolation of coarse into fine. Shrunken levels use it to
-// materialize a coarse correction in the doubled transfer layout
-// before redistributing it; the eventual phi += correction then adds
-// exactly the coarse value prolongInto would have added — same addend,
-// same bits (a zero-fill-then-add would turn a -0 correction into +0).
-func prolongSet(p *stencil.Pool, coarse, fine *grid.Grid) {
-	d := fine.Dims()
-	fd := fine.Data()
-	cd := coarse.Data()
-	p.Exec(d[0], func(_, i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			for j := 0; j < d[1]; j++ {
-				frow := fine.Index(i, j, 0)
-				crow := coarse.Index(i/2, j/2, 0)
-				for k := 0; k < d[2]; k++ {
-					fd[frow+k] = cd[crow+k/2]
+					if add {
+						fd[frow+k] += cd[crow+k/2]
+					} else {
+						fd[frow+k] = cd[crow+k/2]
+					}
 				}
 			}
 		}
@@ -314,19 +280,24 @@ func prolongSet(p *stencil.Pool, coarse, fine *grid.Grid) {
 	grid.NoteTraffic(fine.Points()+coarse.Points(), 1)
 }
 
-// vcycle performs one V-cycle from level l for A phi = rhs. It is
-// entered only by ranks active at level l.
-func (mg *Multigrid) vcycle(l int, phi, rhs *grid.Grid) {
+// vcycle sets phi to one V-cycle from a zero guess for A phi = rhs on
+// level l (what phi held is ignored). It is entered only by ranks
+// active at level l. The iterate ping-pongs between phi and the level's
+// res: after the pre-smoothing it is in x with y free for the residual,
+// and mgSmooth + mgSmooth more sweeps — like the even mgCoarsest — leave
+// it in phi.
+func (mg *multigrid) vcycle(l int, phi, rhs *grid.Grid) {
 	d := mg.D
 	defer d.Cart.TraceRank().Region("mg.vcycle").End()
 	lv := mg.levels[l]
 	if l == len(mg.levels)-1 {
-		mg.smooth(lv, phi, rhs, 60) // coarsest: relax hard
+		mg.smooth(lv, phi, lv.res, rhs, mgCoarsest, true)
 		return
 	}
-	mg.smooth(lv, phi, rhs, mg.PreSmooth)
-	var discard detsum.Acc
-	mg.residualInto(lv, lv.res, phi, rhs, &discard)
+	x, y := mg.smooth(lv, phi, lv.res, rhs, mgSmooth, true)
+	d.withOverlap(lv.eng, x, func(rg stencil.Region) {
+		lv.op.Over(rg).ApplyResidualAcc(d.pool, y, rhs, x, &mg.discard)
+	})
 	next := mg.levels[l+1]
 	if next.shrunk {
 		// Level redistribution: move the residual into the doubled
@@ -335,59 +306,34 @@ func (mg *Multigrid) vcycle(l int, phi, rhs *grid.Grid) {
 		// Ranks outside the shrunken grid send their residual pieces and
 		// park on the return transfer's blocking receives until the
 		// coarse correction arrives.
-		next.down.Run(lv.comm, lv.res, next.xfer, redistDownTag)
+		next.down.Run(lv.comm, y, next.xfer, redistDownTag)
 		if next.active {
 			restrictFull(d.pool, next.xfer, next.rhs)
-			next.phi.Zero()
 			mg.vcycle(l+1, next.phi, next.rhs)
-			prolongSet(d.pool, next.phi, next.xfer)
+			prolong(d.pool, next.phi, next.xfer, false)
 		}
-		next.up.Run(lv.comm, next.xfer, lv.res, redistUpTag)
-		// phi += correction: the addend is bit-identical to the coarse
-		// value prolongInto adds at the same global index.
-		d.pool.Axpy(phi, 1, lv.res)
+		next.up.Run(lv.comm, next.xfer, y, redistUpTag)
+		// x += correction: the addend is bit-identical to the coarse
+		// value the adding prolongation adds at the same global index.
+		d.pool.Axpy(x, 1, y)
 	} else {
-		restrictFull(d.pool, lv.res, next.rhs)
-		next.phi.Zero()
+		restrictFull(d.pool, y, next.rhs)
 		mg.vcycle(l+1, next.phi, next.rhs)
-		prolongInto(d.pool, next.phi, phi)
+		prolong(d.pool, next.phi, x, true)
 	}
-	mg.smooth(lv, phi, rhs, mg.PostSmooth)
+	mg.smooth(lv, x, y, rhs, mgSmooth, false)
 }
 
-// Solve iterates V-cycles until the relative residual of ∇²phi = rhs
-// drops below Tol, returning cycles used and the final relative
-// residual.
-func (mg *Multigrid) Solve(phi, rhs *grid.Grid) (int, float64, error) {
-	d := mg.D
-	defer d.Cart.TraceRank().Region("mg.solve").End()
-	top := mg.levels[0]
-	if phi.Dims() != d.local || rhs.Dims() != d.local {
-		return 0, 0, fmt.Errorf("gpaw: multigrid built for %v, got %v", d.local, phi.Dims())
+// precondition returns z = M⁻¹r: one V-cycle from a zero guess on
+// (-∇²) z = r, the mean removed on periodic grids (r is mean-free there,
+// so the projection keeps M⁻¹ symmetric). z is the top level's own
+// grid, valid until the next call. Collective over the domain
+// communicator, but free of reductions on Dirichlet grids.
+func (mg *multigrid) precondition(r *grid.Grid) *grid.Grid {
+	z := mg.levels[0].phi
+	mg.vcycle(0, z, r)
+	if mg.D.BC == Periodic {
+		mg.D.removeMean(z)
 	}
-	b := rhs.Clone()
-	if d.BC == Periodic {
-		d.removeMean(b)
-	}
-	norm0 := d.Norm2(b)
-	if norm0 == 0 {
-		phi.Fill(0)
-		return 0, 0, nil
-	}
-	relNorm := func() float64 {
-		var acc detsum.Acc
-		mg.residualInto(top, top.res, phi, b, &acc)
-		return math.Sqrt(d.reduceAcc(&acc)) / norm0
-	}
-	for cyc := 1; cyc <= mg.MaxCycles; cyc++ {
-		mg.vcycle(0, phi, b)
-		if d.BC == Periodic {
-			d.removeMean(phi)
-		}
-		if rel := relNorm(); rel < mg.Tol {
-			return cyc, rel, nil
-		}
-	}
-	rel := relNorm()
-	return mg.MaxCycles, rel, errNotConverged("multigrid", rel)
+	return z
 }

@@ -8,9 +8,9 @@
 // There is one solver stack. Every solver runs on a Dist — one rank's
 // share of a bands x domain layout over an MPI communicator (dist.go) —
 // and a serial calculation is the one-rank instance: the constructors
-// that take no Dist (NewPoisson, NewMultigrid, NewHamiltonian, NewSCF)
-// run the same code on a one-rank context over mpi.Self, on the calling
-// goroutine and the process-wide worker pool. Only the unfused
+// that take no Dist (NewPoisson, NewHamiltonian, NewSCF) run the same
+// code on a one-rank context over mpi.Self, on the calling goroutine and
+// the process-wide worker pool. Only the unfused, unpreconditioned
 // SolveCGReference is a separate formulation, kept as the oracle the
 // fused solver is tested against.
 //
@@ -60,26 +60,30 @@ func fillHalos(g *grid.Grid, bc Boundary) {
 }
 
 // Poisson solves ∇²φ = rhs on the local sub-domains of a Dist with a
-// finite-difference Laplacian, by conjugate gradients. For the periodic
-// problem the right-hand side must integrate to zero (the solver
-// removes the mean defensively) and the solution is fixed to zero mean.
-// Iterates are bit-identical for every rank count, process grid and
-// thread count.
+// finite-difference Laplacian, by conjugate gradients preconditioned
+// with one multigrid V-cycle, starting from whatever φ holds. For the
+// periodic problem the right-hand side must integrate to zero (the
+// solver removes the mean defensively) and the solution is fixed to
+// zero mean. Iterates are bit-identical for every rank count, process
+// grid and thread count.
 type Poisson struct {
 	// D is the distributed context. It is nil on a NewPoisson solver:
-	// each solve then runs on a one-rank context covering its grids.
+	// each solve then runs on a one-rank context covering its grids, kept
+	// between solves of one shape (one goroutine at a time, then).
 	D       *Dist
 	Op      *stencil.Operator
 	Tol     float64 // relative residual target
 	MaxIter int
 
-	bc Boundary // D.BC, or the one-rank context's when D is nil
+	h    float64  // grid spacing: the preconditioner rediscretizes per level
+	bc   Boundary // D.BC, or the one-rank context's when D is nil
+	self *Dist    // the one-rank context of the last solve when D is nil
 }
 
 // NewPoisson builds an undecomposed solver with the paper's radius-2
 // Laplacian: phi and rhs are whole grids.
 func NewPoisson(h float64, bc Boundary) *Poisson {
-	return &Poisson{Op: stencil.Laplacian(2, h), Tol: 1e-8, MaxIter: 10000, bc: bc}
+	return &Poisson{Op: stencil.Laplacian(2, h), Tol: 1e-8, MaxIter: 10000, h: h, bc: bc}
 }
 
 // NewDistPoisson builds the solver on d with the same defaults: phi and
@@ -90,23 +94,29 @@ func NewDistPoisson(d *Dist, h float64) *Poisson {
 	return ps
 }
 
-// bound returns ps itself when it has a context, else a copy on a
-// one-rank context covering g.
+// bound returns ps itself when it has a context, else a copy on the
+// one-rank context covering g — the last solve's when the shape is
+// unchanged, so its scratch and hierarchy are built once.
 func (ps *Poisson) bound(g *grid.Grid) *Poisson {
 	if ps.D != nil {
 		return ps
 	}
+	if ps.self == nil || ps.self.local != g.Dims() || ps.self.Decomp.Halo != g.H {
+		ps.self = selfDist(g.Dims(), g.H, ps.bc)
+	}
 	b := *ps
-	b.D = selfDist(g.Dims(), g.H, ps.bc)
+	b.D = ps.self
 	return &b
 }
 
-// SolveCG runs conjugate gradients on the negated (positive-definite)
-// Laplacian. The sign is folded into the operator coefficients and
-// every iteration is four fused sweeps — exchange + apply-with-dot,
-// axpy, axpy-with-norm, axpy-with-scale — about half the memory passes
-// of SolveCGReference, with exact global reductions, on work grids the
-// Dist owns.
+// SolveCG runs preconditioned conjugate gradients on the negated
+// (positive-definite) Laplacian from the initial guess phi holds. The
+// sign is folded into the operator coefficients; an iteration is one
+// V-cycle (multigrid: reduction-free) and four fused sweeps — exchange +
+// apply-with-dot, axpy, axpy-with-norm, axpy-with-scale — with three
+// exact global reductions (a fourth on periodic grids: the mean of z),
+// on work grids the Dist owns. It returns the iterations run and the
+// relative residual reached.
 func (ps *Poisson) SolveCG(phi, rhs *grid.Grid) (int, float64, error) {
 	return ps.bound(phi).solveNegated(phi, rhs, -1)
 }
@@ -116,6 +126,10 @@ func (ps *Poisson) SolveCG(phi, rhs *grid.Grid) (int, float64, error) {
 func (ps *Poisson) solveNegated(phi, src *grid.Grid, scale float64) (int, float64, error) {
 	d := ps.D
 	defer d.Cart.TraceRank().Region("poisson.cg").End()
+	mg, err := d.hierarchy(ps.h)
+	if err != nil {
+		return 0, 0, err
+	}
 	neg := ps.Op.Scaled(-1)
 	f := &d.fields
 	b := d.scratchGrid(&f.cgB)
@@ -134,44 +148,48 @@ func (ps *Poisson) solveNegated(phi, src *grid.Grid, scale float64) (int, float6
 	d.withOverlap(d.eng, phi, func(rg stencil.Region) {
 		neg.Over(rg).ApplyResidualAcc(d.pool, r, b, phi, &acc)
 	})
-	if d.BC == Periodic {
-		d.removeMean(r)
-	}
-	d.pool.Copy(p, r)
-	rsold := d.Dot(r, r)
-	for it := 1; it <= ps.MaxIter; it++ {
+	// On periodic grids b is mean-free and A maps onto mean-free fields,
+	// so r is mean-free up to rounding; z is projected every iteration,
+	// which keeps p — hence phi's update — in the same subspace.
+	rr := d.reduceAcc(&acc)
+	var rzold float64
+	for it := 0; ; it++ {
+		rel := math.Sqrt(rr) / norm0
+		if rel < ps.Tol {
+			if d.BC == Periodic {
+				d.removeMean(phi)
+			}
+			return it, rel, nil
+		}
+		if it == ps.MaxIter {
+			return it, rel, errNotConverged("CG", rel)
+		}
+		d.cgIters++
+		z := mg.precondition(r)
+		rz := d.Dot(r, z)
+		if it == 0 {
+			d.pool.Copy(p, z)
+		} else {
+			d.pool.AxpyScale(p, 1, z, rz/rzold) // p = z + beta*p in one sweep
+		}
+		rzold = rz
 		// ap = A p and <p, Ap>, the deep interior computed while p's
 		// halo messages are in flight.
 		acc.Reset()
 		d.withOverlap(d.eng, p, func(rg stencil.Region) {
 			neg.Over(rg).ApplyDotAcc(d.pool, ap, p, &acc)
 		})
-		pap := d.reduceAcc(&acc)
-		alpha := rsold / pap
+		alpha := rz / d.reduceAcc(&acc)
 		d.pool.Axpy(phi, alpha, p)
-		rs := d.AxpyDot(r, -alpha, ap) // r -= alpha*Ap and <r, r> in one sweep
-		if d.BC == Periodic {
-			d.removeMean(r)
-			rs = d.Dot(r, r)
-		}
-		if math.Sqrt(rs)/norm0 < ps.Tol {
-			if d.BC == Periodic {
-				d.removeMean(phi)
-			}
-			return it, math.Sqrt(rs) / norm0, nil
-		}
-		d.pool.AxpyScale(p, 1, r, rs/rsold) // p = r + beta*p in one sweep
-		rsold = rs
+		rr = d.AxpyDot(r, -alpha, ap) // r -= alpha*Ap and <r, r> in one sweep
 	}
-	return ps.MaxIter, math.Sqrt(rsold) / norm0, errNotConverged("CG", math.Sqrt(rsold)/norm0)
 }
 
-// SolveCGReference is the unfused conjugate-gradient formulation the
-// fused SolveCG replaces: separate Apply, Scale, Axpy and Dot passes
-// per iteration over an undecomposed grid, with local halo fills and no
-// context. It is kept as the independent numerical reference for
-// equivalence tests and as the baseline for the memory-traffic
-// benchmarks.
+// SolveCGReference is the plain conjugate-gradient formulation SolveCG
+// replaces — no preconditioner, separate Apply, Scale, Axpy and Dot
+// passes per iteration over an undecomposed grid, with local halo fills
+// and no context. It is kept as the independent numerical reference for
+// equivalence tests and as the baseline for the memory-traffic test.
 func (ps *Poisson) SolveCGReference(phi, rhs *grid.Grid) (int, float64, error) {
 	b := rhs.Clone()
 	b.Scale(-1)
@@ -237,11 +255,11 @@ func (ps *Poisson) HartreePotential(n *grid.Grid) (*grid.Grid, error) {
 	return v, nil
 }
 
-// hartreeInto is HartreePotential into a caller-owned v, from a zero
-// initial guess; ps has a context.
+// hartreeInto is HartreePotential into a caller-owned v, from the guess
+// v holds — the SCF hands back the previous step's potential; ps has a
+// context.
 func (ps *Poisson) hartreeInto(v, n *grid.Grid) error {
 	defer ps.D.Cart.TraceRank().Region("poisson.hartree").End()
-	v.Fill(0)
 	_, _, err := ps.solveNegated(v, n, 4*math.Pi)
 	return err
 }

@@ -74,7 +74,7 @@ type SCF struct {
 	Mix     float64 // linear density mixing factor
 	Tol     float64 // density residual target
 	MaxIter int
-	// Ckpt, when set, snapshots the SCF state (density, effective
+	// Ckpt, when set, snapshots the SCF state (density, Hartree
 	// potential, this band group's states and all Ritz values, guard's
 	// included, iteration counter) every Ckpt.Every iterations.
 	Ckpt *Checkpointer
@@ -189,16 +189,20 @@ func (s *SCF) run(rs *SCFRestart) (*SCFResult, error) {
 	poisson.Tol = 1e-8
 	vextLocal := d.ScatterReplicated(s.Sys.Vext)
 
+	// The Hartree potential is state of the loop, not scratch of a step:
+	// every solve starts from the previous step's (zero on a fresh run).
 	var psis []*grid.Grid
-	var n, veff *grid.Grid
+	var n, vh *grid.Grid
 	var eig []float64
+	veff := vextLocal.Clone()
 	start := 0
 	if rs != nil {
-		psis, n, veff, eig = rs.Psis, rs.N, rs.Veff, rs.Eig
+		psis, n, vh, eig = rs.Psis, rs.N, rs.VHartree, rs.Eig
 		start = rs.Iteration
+		updateVeff(veff, vextLocal, vh, n)
 	} else {
 		psis = d.InitGuessBand(m, [3]int{s.Sys.Dims[0], s.Sys.Dims[1], s.Sys.Dims[2]})
-		veff = vextLocal.Clone()
+		vh = d.NewLocalGrid()
 	}
 	for it := start + 1; it <= s.MaxIter; it++ {
 		// One traced region per SCF iteration; the closure gives the span
@@ -210,9 +214,9 @@ func (s *SCF) run(rs *SCFRestart) (*SCFResult, error) {
 			}
 			if s.Guard != nil {
 				if s.Guard.Tamper != nil {
-					s.Guard.Tamper(it, psis, n, veff)
+					s.Guard.Tamper(it, psis, n, vh, veff)
 				}
-				if err := s.Guard.checkFields(d, it, psis, n, veff); err != nil {
+				if err := s.Guard.checkFields(d, it, psis, n, vh, veff); err != nil {
 					return nil, fmt.Errorf("gpaw: scf iteration %d: %w", it, err)
 				}
 			}
@@ -247,27 +251,26 @@ func (s *SCF) run(rs *SCFRestart) (*SCFResult, error) {
 					return nil, fmt.Errorf("gpaw: scf iteration %d: %w", it, err)
 				}
 			}
-			vh := d.scratchGrid(&d.fields.hartree)
 			if err := poisson.hartreeInto(vh, n); err != nil {
 				return nil, fmt.Errorf("gpaw: scf iteration %d hartree: %w", it, err)
 			}
 			updateVeff(veff, vextLocal, vh, n)
-			// Snapshot after the mix and potential update: (psis, n, veff,
-			// eig, it) is the complete SCF state — the Hartree solve holds
-			// none, the next step's filter needs eig. Saved before the
+			// Snapshot after the mix and potential update: (psis, n, vh,
+			// eig, it) is the complete SCF state — the next Hartree solve
+			// starts from vh, the next filter needs eig, and veff is a
+			// pointwise function of (vext, vh, n). Saved before the
 			// convergence branch, which is taken identically on every rank.
 			if s.Ckpt.due(it) {
-				if err := s.Ckpt.saveSCF(s, it, m, eig, psis, n, veff); err != nil {
+				if err := s.Ckpt.saveSCF(s, it, m, eig, psis, n, vh); err != nil {
 					return nil, fmt.Errorf("gpaw: scf iteration %d checkpoint: %w", it, err)
 				}
 			}
 			if residual >= s.Tol && it < s.MaxIter {
 				return nil, nil
 			}
-			// The result owns its fields: vh is Dist scratch.
 			occ := eig[:s.occupied()]
 			res := &SCFResult{Eigenvalues: occ, TotalEnergy: bandEnergy(occ, s.Sys.Electrons),
-				Density: n, VHartree: vh.Clone(), Iterations: it, Residual: residual}
+				Density: n, VHartree: vh, Iterations: it, Residual: residual}
 			if residual >= s.Tol {
 				return res, fmt.Errorf("gpaw: SCF did not reach %g (residual %g)", s.Tol, residual)
 			}

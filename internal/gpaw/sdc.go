@@ -14,9 +14,12 @@ import (
 // Cholesky factor (checkCholesky); the SDCGuard covers the grid fields
 // and the solver's own invariants with cheap sanity monitors:
 //
-//   - a field-finiteness scan over the wave-functions, density and
-//     effective potential at the top of every iteration (NaN, Inf, or a
-//     magnitude no physical field reaches flags corruption);
+//   - a field-finiteness scan over the wave-functions, density, Hartree
+//     and effective potential at the top of every iteration (NaN, Inf, or
+//     a magnitude no physical field reaches flags corruption; the
+//     Hartree potential is carried from step to step as the next solve's
+//     initial guess, so a NaN planted in it would never leave the
+//     conjugate gradients);
 //   - a residual-monotonicity monitor — mixing with a fixed fraction
 //     cannot grow the density residual by many orders of magnitude
 //     between iterations unless state was corrupted;
@@ -112,7 +115,7 @@ type SDCGuard struct {
 	// Tamper, when set, runs before each iteration's field scan with
 	// the live SCF state — the hook the corruption-injection harness
 	// flips bits through. Production runs leave it nil.
-	Tamper func(it int, psis []*grid.Grid, n, veff *grid.Grid)
+	Tamper func(it int, psis []*grid.Grid, n, vh, veff *grid.Grid)
 	// Detections counts corruption verdicts this guard has raised
 	// (including ABFT detections it was told about via NoteABFT).
 	Detections int
@@ -159,7 +162,7 @@ func badField(g *grid.Grid) bool {
 // checkFields scans the live SCF state for corruption. The local
 // verdict is reduced (max) over the full communicator so every rank —
 // including ones whose local state is clean — takes the same branch.
-func (g *SDCGuard) checkFields(d *Dist, it int, psis []*grid.Grid, n, veff *grid.Grid) error {
+func (g *SDCGuard) checkFields(d *Dist, it int, psis []*grid.Grid, n, vh, veff *grid.Grid) error {
 	bad := 0.0
 	for _, p := range psis {
 		if badField(p) {
@@ -167,7 +170,7 @@ func (g *SDCGuard) checkFields(d *Dist, it int, psis []*grid.Grid, n, veff *grid
 			break
 		}
 	}
-	if bad == 0 && (badField(n) || badField(veff)) {
+	if bad == 0 && (badField(n) || badField(vh) || badField(veff)) {
 		bad = 1
 	}
 	var in, out [1]float64
@@ -223,9 +226,9 @@ func (g *SDCGuard) checkResidual(d *Dist, it int, residual float64) error {
 // — before the tainted state can reach a checkpoint. Install on a
 // single rank's guard; the hook survives rollback re-attempts without
 // re-firing.
-func NewBitRotInjector(iter int) func(it int, psis []*grid.Grid, n, veff *grid.Grid) {
+func NewBitRotInjector(iter int) func(it int, psis []*grid.Grid, n, vh, veff *grid.Grid) {
 	fired := false
-	return func(it int, psis []*grid.Grid, n, veff *grid.Grid) {
+	return func(it int, psis []*grid.Grid, n, vh, veff *grid.Grid) {
 		if fired || it != iter || len(psis) == 0 || psis[0] == nil {
 			return
 		}

@@ -272,10 +272,16 @@ func TestTracedFaultRecovery(t *testing.T) {
 // TestSweepSpanVocabulary pins the span names the benchmark ledger
 // counts on (benchmark/ledger.go derives gpaw.cg_iters from the
 // compute.interior / compute.sweep spans that complete before each
-// poisson.cg span): a CG solve of n iterations makes n+1 single-grid
-// sweeps, and every sweep must record exactly one compute.interior
-// followed by its compute.shell when overlapped — and exactly one
-// compute.sweep when not — on every rank, for every approach.
+// poisson.cg span — since the solve is preconditioned that is a count
+// of fused sweeps, every level of every V-cycle included, not of
+// iterations): a solve of n iterations on an L-level hierarchy makes
+// 1 + n·(1 + 2·mgSmooth·(L−1) + mgCoarsest − 1) single-grid sweeps on a
+// rank active at every level (each level's first relaxation starts from
+// zero and needs no sweep; its residual does), and every sweep must
+// record exactly one
+// compute.interior followed by its compute.shell when overlapped — and
+// exactly one compute.sweep when not — on every rank, for every
+// approach.
 func TestSweepSpanVocabulary(t *testing.T) {
 	global := topology.Dims{16, 16, 16}
 	procs := topology.Dims{1, 2, 2}
@@ -307,8 +313,11 @@ func TestSweepSpanVocabulary(t *testing.T) {
 						seq = append(seq, e.Name)
 					}
 				}
+				// 16^3 over 1x2x2 coarsens to 8^3 and 4^3 on the full
+				// process grid: three levels, every rank active on all.
+				sweeps := 1 + iters*(1+2*mgSmooth*2+mgCoarsest-1)
 				var want []string
-				for s := 0; s <= iters; s++ {
+				for s := 0; s < sweeps; s++ {
 					if overlapped {
 						want = append(want, "compute.interior", "compute.shell")
 					} else {

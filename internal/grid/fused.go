@@ -51,7 +51,7 @@ func (g *Grid) AxpyRange(a float64, x *Grid, i0, i1 int) {
 			dst := g.index(i, j, 0)
 			src := x.index(i, j, 0)
 			for k := 0; k < g.Nz; k++ {
-				g.data[dst+k] += a * x.data[src+k]
+				g.data[dst+k] += float64(a * x.data[src+k])
 			}
 		}
 	}
@@ -73,7 +73,7 @@ func (g *Grid) AxpyScaleRange(a float64, x *Grid, s float64, i0, i1 int) {
 			dst := g.index(i, j, 0)
 			src := x.index(i, j, 0)
 			for k := 0; k < g.Nz; k++ {
-				g.data[dst+k] = s*g.data[dst+k] + a*x.data[src+k]
+				g.data[dst+k] = float64(s*g.data[dst+k]) + float64(a*x.data[src+k])
 			}
 		}
 	}

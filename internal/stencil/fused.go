@@ -169,7 +169,8 @@ func (op *Operator) applyResidualBlock(r, b, phi *grid.Grid, taps []tap, row []f
 
 // ApplySmooth computes dst = phi + c*(rhs - op(phi)) in one sweep
 // (3 streams) — a damped Jacobi relaxation step with c = omega/diag.
-// dst must not alias phi; it may alias rhs.
+// The product is rounded before it is added (no fused multiply-add on
+// any architecture). dst must not alias phi; it may alias rhs.
 func (op *Operator) ApplySmooth(p *Pool, dst, phi, rhs *grid.Grid, c float64) {
 	op.checkFused("ApplySmooth", phi, dst, rhs)
 	taps := op.gridTaps(phi)
@@ -192,7 +193,7 @@ func (op *Operator) applySmoothBlock(dst, phi, rhs *grid.Grid, taps []tap, row [
 			drow := dst.Index(i, j, blk.Z0)
 			brow := rhs.Index(i, j, blk.Z0)
 			for k := 0; k < n; k++ {
-				out[drow+k] = in[srow+k] + c*(bd[brow+k]-buf[k])
+				out[drow+k] = in[srow+k] + float64(c*(bd[brow+k]-buf[k]))
 			}
 		}
 	}

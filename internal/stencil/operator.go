@@ -2,6 +2,7 @@ package stencil
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/grid"
 )
@@ -24,15 +25,24 @@ type Operator struct {
 
 	// region is the part of every sweep this view covers; views holds
 	// the operator's three views, indexed by Region and sharing the
-	// coefficient slices, so Over never allocates.
-	region Region
-	views  *[3]Operator
+	// coefficient slices, so Over never allocates; lastTaps, shared the
+	// same way, keeps the taps of the grid layout last swept.
+	region   Region
+	views    *[3]Operator
+	lastTaps *atomic.Pointer[layoutTaps]
+}
+
+// layoutTaps is an operator's taps for one grid layout.
+type layoutTaps struct {
+	sx, sy int
+	taps   []tap
 }
 
 // withViews returns the Full view of a new operator with op's
 // coefficients.
 func (op Operator) withViews() *Operator {
 	v := new([3]Operator)
+	op.lastTaps = new(atomic.Pointer[layoutTaps])
 	for r := range v {
 		v[r] = op
 		v[r].region, v[r].views = Region(r), v
@@ -113,8 +123,11 @@ type tap struct {
 }
 
 // taps flattens the per-axis nonzero coefficients for a grid with the
-// given x and y strides (z stride is 1).
+// given x and y strides (z stride is 1). Callers only read the result.
 func (op *Operator) taps(sx, sy int) []tap {
+	if c := op.lastTaps.Load(); c != nil && c.sx == sx && c.sy == sy {
+		return c.taps
+	}
 	r := op.R
 	taps := make([]tap, 0, 6*r)
 	for o := -r; o <= r; o++ {
@@ -141,6 +154,7 @@ func (op *Operator) taps(sx, sy int) []tap {
 			taps = append(taps, tap{o, c})
 		}
 	}
+	op.lastTaps.Store(&layoutTaps{sx, sy, taps})
 	return taps
 }
 
