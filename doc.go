@@ -56,7 +56,11 @@
 //     bit-identical to the Full sweep.
 //   - internal/gpaw, internal/linalg — a miniature real-space DFT stack
 //     (Poisson, Kohn–Sham eigensolver, SCF) providing the workload
-//     context GPAW gives the kernel. The eigensolver is
+//     context GPAW gives the kernel. The Hartree solve is conjugate
+//     gradients preconditioned with one multigrid V-cycle — the paper's
+//     operation: reduction-free, halo-overlapped sweeps — and started
+//     from the potential the SCF carries from step to step. The
+//     eigensolver is
 //     Chebyshev-filtered subspace iteration: a pass is a degree-8
 //     polynomial of H applied to every state — eight back-to-back
 //     halo-overlapped H·psi sweeps with no reduction between them —
@@ -69,9 +73,9 @@
 //     overlap protocol, realizing the paper's four programming
 //     approaches at the solver level (per-rank worker pools inside MPI
 //     ranks); a serial run is the one-rank instance, which NewPoisson,
-//     NewMultigrid, NewHamiltonian and NewSCF build over mpi.Self. The
-//     hot iteration loops — Poisson CG, the multigrid smoother and
-//     residual, the eigensolver's Hamiltonian application including the
+//     NewHamiltonian and NewSCF build over mpi.Self. The hot iteration
+//     loops — Poisson CG, its V-cycle's smoother and residual, the
+//     eigensolver's Hamiltonian application including the
 //     band-parallel path — run split-phase in every approach except
 //     flat original, which keeps the serialized exchange as the
 //     differential baseline; overlapped and serialized runs are
@@ -116,8 +120,8 @@
 //     and process-grid shape — the determinism contract the cross-rank
 //     differential test harness (internal/gpaw/dist_test.go) asserts:
 //     SCF total energies are equal bit for bit on 1/2/4/8 ranks for all
-//     four approaches, and equal to the frozen results of the former
-//     serial solver stack (internal/gpaw/testdata/serial_golden.json).
+//     four approaches, and equal to the recorded bits of
+//     internal/gpaw/testdata/serial_golden.json.
 //   - internal/bench — replays of the paper's evaluation on the
 //     internal/bgpsim model: Table I, Figures 2, 5, 6, 7 and the
 //     ablations, printed by cmd/gpawsim. The live runtime is measured

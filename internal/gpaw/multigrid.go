@@ -82,7 +82,7 @@ type multigrid struct {
 // bought nothing over 8.
 const (
 	mgSmooth   = 3
-	mgCoarsest = 8
+	mgCoarsest = 8 // even, so the coarsest relaxation ends in phi (vcycle)
 )
 
 // splitsAligned reports whether every rank's fine split is exactly
