@@ -36,7 +36,13 @@
 //   - internal/bgpsim — a calibrated discrete-event model of Blue
 //     Gene/P (Table I constants, torus links, DMA, mesh partitions)
 //     that replays the protocols at up to 16 384 cores and regenerates
-//     every figure of the paper's evaluation.
+//     every figure of the paper's evaluation. It and the live runtime's
+//     virtual-time network model (mpi.World.SetNetModel) are one cost
+//     model: one parameter set (mpi.NetParams, embedded in
+//     bgpsim.Params) and one pricing of an inter-node message,
+//     mpi.NetParams.Inject — a serialized DMA slot, then the message's
+//     own outgoing link of six, then latency per hop — so on a torus
+//     the two agree to the nanosecond on the paper's exchange.
 //   - internal/grid, internal/stencil — real-space grids with halos and
 //     the 13-point finite-difference operator (Fornberg coefficients),
 //     plus the shared-memory parallel execution engine: a persistent

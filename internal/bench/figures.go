@@ -102,9 +102,8 @@ func Figure2(opt Options) *Experiment {
 	for _, s := range sizes {
 		e.AddRow(fmt.Sprintf("%d", s), fmt.Sprintf("%.1f", p.Bandwidth(s)/1e6))
 	}
-	asym := p.EffLinkBandwidth() / 1e6
 	e.AddNote("asymptote %.0f MB/s; half bandwidth at ~%.0f bytes (paper: ~10^3 bytes, saturation above 10^5)",
-		asym, p.MsgLatency*p.EffLinkBandwidth())
+		p.LinkBandwidth/1e6, p.MsgLatency*p.LinkBandwidth)
 	return e
 }
 

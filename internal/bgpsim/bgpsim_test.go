@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mpi"
 	"repro/internal/topology"
 )
 
@@ -34,7 +35,7 @@ func TestTableIConstants(t *testing.T) {
 
 func TestBandwidthCurveMatchesFigure2(t *testing.T) {
 	p := DefaultParams()
-	asym := p.EffLinkBandwidth()
+	asym := p.LinkBandwidth
 	// Asymptote in the 350-400 MB/s range the measured curve approaches.
 	if asym < 350e6 || asym > 400e6 {
 		t.Fatalf("asymptotic bandwidth %g outside Figure 2 range", asym)
@@ -64,20 +65,19 @@ func TestBandwidthCurveMatchesFigure2(t *testing.T) {
 	}
 }
 
+// TestMessageTimeClosedForm: one message on an idle node costs DMA +
+// wire + latency (each rounded to whole ns), and every extra hop
+// HopLatency more.
 func TestMessageTimeClosedForm(t *testing.T) {
 	p := DefaultParams()
 	n := int64(100000)
-	want := p.DMAPerMsg + float64(n)/p.EffLinkBandwidth() + p.MsgLatency
-	if got := p.MessageTime(n, 1); math.Abs(got-want) > 1e-15 {
-		t.Fatalf("MessageTime = %g, want %g", got, want)
+	msg := func(hops int) int64 { return p.Inject(&mpi.Injection{}, 0, n, 0, 1, hops, false) }
+	want := (p.DMAPerMsg + float64(n)/p.LinkBandwidth + p.MsgLatency) * 1e9
+	if got := float64(msg(1)); math.Abs(got-want) > 1.5 {
+		t.Fatalf("message time = %g ns, want %g", got, want)
 	}
-	// Extra hops add HopLatency each.
-	if d := p.MessageTime(n, 4) - p.MessageTime(n, 1); math.Abs(d-3*p.HopLatency) > 1e-15 {
-		t.Fatalf("hop latency delta = %g", d)
-	}
-	// Hops below 1 clamp.
-	if p.MessageTime(n, 0) != p.MessageTime(n, 1) {
-		t.Fatal("hop clamp failed")
+	if d := msg(4) - msg(1); d != 300 {
+		t.Fatalf("3 extra hops add %d ns, want 3 x HopLatency = 300", d)
 	}
 }
 
@@ -105,20 +105,14 @@ func TestPointTimeRegimes(t *testing.T) {
 func TestMemoryConstraints(t *testing.T) {
 	// Figure 5's constraint: 32 grids of 144^3 (with input and output
 	// copies) fit one node's 2 GB for the single-core baseline, 64 grids
-	// do not.
+	// do not; virtual mode gives each core a quarter of the node.
 	per := int64(144*144*144*8) * 2 // src + dst
-	if !MemoryNodeOK(32 * per) {
-		t.Fatal("32 grids of 144^3 should fit a 2 GB node")
+	node, core := int64(MemoryBytes), int64(MemoryBytes/CoresPerNode)
+	if 32*per > node || 64*per <= node {
+		t.Fatal("a 2 GB node should hold 32 grids of 144^3, not 64")
 	}
-	if MemoryNodeOK(64 * per) {
-		t.Fatal("64 grids of 144^3 should not fit a 2 GB node")
-	}
-	// Virtual mode gives each core a quarter of the node.
-	if !MemoryPerCoreOK(8 * per) {
-		t.Fatal("8 grids per core should fit 512 MB")
-	}
-	if MemoryPerCoreOK(16 * per) {
-		t.Fatal("16 grids per core should not fit 512 MB")
+	if 8*per > core || 16*per <= core {
+		t.Fatal("a 512 MB core should hold 8 grids of 144^3, not 16")
 	}
 }
 
@@ -494,46 +488,5 @@ func TestBestIntraDims(t *testing.T) {
 	// Impossible placement: 4 ranks per node on a 3x1x1 grid.
 	if _, err := bestIntraDims(4, topology.Dims{3, 1, 1}, topology.Dims{192, 8, 8}); err == nil {
 		t.Fatal("unmappable intra dims accepted")
-	}
-}
-
-func TestTreeLevels(t *testing.T) {
-	cases := map[int]int{1: 0, 2: 1, 4: 2, 512: 9, 4096: 12, 3000: 12}
-	for n, want := range cases {
-		if got := TreeLevels(n); got != want {
-			t.Fatalf("TreeLevels(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
-func TestCollectiveNetworkModel(t *testing.T) {
-	p := DefaultParams()
-	// Allreduce time grows with payload and (logarithmically) with nodes.
-	small := p.AllreduceTime(64, 512)
-	big := p.AllreduceTime(1<<20, 512)
-	if big <= small {
-		t.Fatal("larger payload should take longer")
-	}
-	few := p.AllreduceTime(1024, 64)
-	many := p.AllreduceTime(1024, 4096)
-	if many <= few {
-		t.Fatal("more nodes should add tree levels")
-	}
-	// The hardware barrier is node-count independent and tiny.
-	if p.BarrierTime(4096) != p.BarrierTime(512) {
-		t.Fatal("hardware barrier should not depend on node count")
-	}
-	if p.BarrierTime(1) != 0 {
-		t.Fatal("single-node barrier is free")
-	}
-	if p.BarrierTime(4096) > 10e-6 {
-		t.Fatal("hardware barrier should be microseconds")
-	}
-	// Orthogonalization collective for 2816 states over 4096 nodes:
-	// a 2816^2 matrix is ~63 MB; the tree moves it in well under a
-	// second — small next to the FD compute, as the paper expects.
-	tOrtho := p.OrthogonalizationCollectiveTime(2816, 4096)
-	if tOrtho <= 0 || tOrtho > 1 {
-		t.Fatalf("orthogonalization collective = %g s", tOrtho)
 	}
 }

@@ -1,8 +1,9 @@
 package bgpsim
 
 import (
-	"fmt"
+	"math"
 
+	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -42,54 +43,25 @@ type layout struct {
 }
 
 // node is the simulated representative node: cores are implicit in the
-// rank/thread processes; links, DMA and the MULTIPLE-mode lock are
-// explicit FIFO resources.
+// rank/thread processes; the DMA engine and six links are one
+// mpi.Injection (in virtual ns), the intra-node engine and the
+// MULTIPLE-mode lock explicit FIFO resources.
 type node struct {
 	k     *sim.Kernel
 	prm   Params
 	lay   layout
 	ranks []*simRank
-	out   [3][2]*sim.Resource // outgoing link per dimension and direction
-	dma   *sim.Resource
-	intra *sim.Resource // shared-memory transfer engine
-	lock  *sim.Resource // MPI MULTIPLE serialization
+	inj   mpi.Injection
+	intra sim.Resource // shared-memory transfer engine
+	lock  sim.Resource // MPI MULTIPLE serialization
 
 	// accounting
-	interBytes *sim.Counter // bytes leaving the node on torus links
-	intraBytes *sim.Counter // MPI bytes moved node-internally
-	messages   *sim.Counter // messages sent by the node's ranks
+	interBytes sim.Counter // bytes leaving the node on torus links
+	intraBytes sim.Counter // MPI bytes moved node-internally
+	messages   sim.Counter // messages sent by the node's ranks
 	largest    int64
 	smallest   int64
 	useful     float64 // accumulated per-core useful compute time
-}
-
-func newNode(k *sim.Kernel, prm Params, lay layout) *node {
-	nd := &node{k: k, prm: prm, lay: lay,
-		dma:        sim.NewResource("dma"),
-		intra:      sim.NewResource("intra"),
-		lock:       sim.NewResource("mpilock"),
-		interBytes: sim.NewCounter("interBytes"),
-		intraBytes: sim.NewCounter("intraBytes"),
-		messages:   sim.NewCounter("messages"),
-	}
-	for d := 0; d < 3; d++ {
-		for s := 0; s < 2; s++ {
-			nd.out[d][s] = sim.NewResource(fmt.Sprintf("link%d%d", d, s))
-		}
-	}
-	return nd
-}
-
-// linkService returns the wire serialization time of n bytes on a torus
-// link, applying the mesh pass-through penalty when active.
-func (nd *node) linkService(n int64, dim int) float64 {
-	bw := nd.prm.EffLinkBandwidth()
-	if nd.prm.MeshSharePenalty && !nd.lay.net.Torus && nd.lay.nodeGrid[dim] > 2 {
-		// In a mesh, the periodic wrap flow of the dimension passes
-		// through every link of the row, effectively sharing bandwidth.
-		bw /= 2
-	}
-	return float64(n) / bw
 }
 
 // simRank is one simulated MPI rank (flat) or thread (hybrid) on the
@@ -118,7 +90,7 @@ func (r *simRank) post(p *sim.Proc) {
 	if r.multiple {
 		// The MULTIPLE lock serializes concurrent library calls
 		// node-wide and burns CPU while held.
-		p.Use(r.nd.lock, r.nd.prm.MultipleLock)
+		p.Use(&r.nd.lock, r.nd.prm.MultipleLock)
 	}
 	p.Hold(r.nd.prm.PostCost)
 }
@@ -130,9 +102,9 @@ func (r *simRank) copyCost(p *sim.Proc, n int64) {
 }
 
 // sendFace models sending one halo message of n bytes toward `side` of
-// dimension dim. It charges posting cost on the calling process,
-// reserves DMA and link (or intra-node) capacity, computes the arrival
-// time, and fulfils the completion slot of the mirrored receiver — the
+// dimension dim. It charges posting cost on the calling process, prices
+// the message with NetParams.Inject (or the intra-node engine) and
+// fulfils the completion slot of the mirrored receiver — the
 // node-local rank standing in for the actual destination under
 // translational symmetry.
 func (r *simRank) sendFace(p *sim.Proc, dim int, side int, n int64) {
@@ -163,15 +135,17 @@ func (r *simRank) sendFace(p *sim.Proc, dim int, side int, n int64) {
 
 	var arrive float64
 	if inter {
-		dmaDone := nd.dma.Reserve(p.Now(), nd.prm.DMAPerMsg)
-		linkDone := nd.out[dim][side].Reserve(dmaDone, nd.linkService(n, dim))
 		hops := 1
 		if wrappedNode && side == 0 {
 			// The representative corner node's Low direction is the
 			// periodic wrap: Dims-1 hops across the mesh.
 			hops = lay.net.WrapHops(dim)
 		}
-		arrive = linkDone + nd.prm.MsgLatency + float64(hops-1)*nd.prm.HopLatency
+		// In a mesh, the periodic wrap flow of the dimension passes
+		// through every link of the row, sharing its bandwidth.
+		shared := !lay.net.Torus && lay.nodeGrid[dim] > 2
+		at := int64(math.Round(p.Now() * 1e9))
+		arrive = float64(nd.prm.Inject(&nd.inj, at, n, dim, side, hops, shared)) / 1e9
 		nd.interBytes.Add(float64(n))
 	} else {
 		done := nd.intra.Reserve(p.Now(), float64(n)/nd.prm.IntraNodeBandwidth)

@@ -14,6 +14,14 @@
 // (hybrid multiple). All other points — core-count sweeps, batch-size
 // sweeps, approach orderings, crossovers — are predictions of the model.
 //
+// The message-cost constants are mpi.NetParams, embedded in Params, and
+// an inter-node halo message is priced by mpi.NetParams.Inject — DMA
+// slot, then the outgoing link of its direction, then latency — the
+// routine the live transport's network model calls for every send. On
+// a torus the two engines therefore agree to the nanosecond on the
+// paper's exchange (TestLiveTransportMatchesReplay); NetModelFor builds
+// the live model from the same calibration.
+//
 // # Symmetric-node simulation
 //
 // With periodic boundaries, a torus partition, and a uniform
@@ -30,7 +38,10 @@
 // with pass-through traffic.
 package bgpsim
 
-import "repro/internal/topology"
+import (
+	"repro/internal/mpi"
+	"repro/internal/topology"
+)
 
 // Machine constants from Table I of the paper.
 const (
@@ -56,35 +67,14 @@ const (
 	NumLinks = 6
 )
 
-// Params are the calibrated free parameters of the cost model.
+// Params are the calibrated free parameters of the cost model: the
+// message-cost constants the live transport shares (mpi.NetParams,
+// priced by its Inject) and what only the replay uses.
 type Params struct {
-	// PacketEfficiency is the payload fraction of a torus packet (256-
-	// byte packets with protocol overhead); it sets the asymptote of the
-	// Figure 2 curve at LinkBandwidth*PacketEfficiency ~ 372 MB/s.
-	PacketEfficiency float64
-	// MsgLatency is the one-way end-to-end latency of a nearest-
-	// neighbour message (software + network). It locates the knee of
-	// Figure 2: half bandwidth at MsgLatency * effective link bandwidth
-	// ~ 1 KB.
-	MsgLatency float64
-	// HopLatency is the extra latency per additional torus hop.
-	HopLatency float64
-	// PostCost is CPU time to post one non-blocking send or receive.
-	PostCost float64
-	// MultipleLock is the extra serialized CPU cost per MPI call in
-	// MULTIPLE thread mode (the lock the paper mentions in III.A).
-	MultipleLock float64
-	// DMAPerMsg is the DMA injection engine's per-message processing
-	// time; the engine serializes injections node-wide.
-	DMAPerMsg float64
+	mpi.NetParams
 	// CopyBandwidth is one core's streaming copy bandwidth, used for
 	// halo pack/unpack (read + write counted separately).
 	CopyBandwidth float64
-	// IntraNodeBandwidth is the shared-memory MPI transfer bandwidth
-	// between ranks co-located on a node in virtual mode.
-	IntraNodeBandwidth float64
-	// IntraNodeLatency is the latency of an intra-node MPI message.
-	IntraNodeLatency float64
 	// KernelEff is the fraction of per-core peak the stencil kernel
 	// achieves when compute-bound (PowerPC 450 without hand-tuned SIMD).
 	KernelEff float64
@@ -93,34 +83,29 @@ type Params struct {
 	ForkJoin float64
 	// JoinOnce is the cost of the single final join in hybrid multiple.
 	JoinOnce float64
-	// MeshSharePenalty halves effective link bandwidth in mesh
-	// partitions (< 512 nodes) where wrap-around flows pass through
-	// every link of a dimension (true enables the penalty).
-	MeshSharePenalty bool
 }
 
 // DefaultParams returns the calibrated model (README.md, "Calibrated
-// network model on the live transport", describes the Figure-2 fit).
+// network model", describes the Figure-2 fit).
 func DefaultParams() Params {
 	return Params{
-		PacketEfficiency:   0.875, // 256-byte packets, 32 bytes overhead
-		MsgLatency:         2.3e-6,
-		HopLatency:         0.1e-6,
-		PostCost:           0.3e-6,
-		MultipleLock:       1.2e-6,
-		DMAPerMsg:          0.15e-6,
-		CopyBandwidth:      2.2e9,
-		IntraNodeBandwidth: 3.0e9,
-		IntraNodeLatency:   0.9e-6,
-		KernelEff:          0.20,
-		ForkJoin:           5.0e-6,
-		JoinOnce:           6.0e-6,
-		MeshSharePenalty:   true,
+		NetParams: mpi.NetParams{
+			MsgLatency:         2.3e-6,
+			HopLatency:         0.1e-6,
+			PostCost:           0.3e-6,
+			MultipleLock:       1.2e-6,
+			DMAPerMsg:          0.15e-6,
+			LinkBandwidth:      LinkBandwidth * 0.875, // 256-byte packets, 32 bytes overhead: ~372 MB/s
+			IntraNodeLatency:   0.9e-6,
+			IntraNodeBandwidth: 3.0e9,
+			MeshSharePenalty:   true,
+		},
+		CopyBandwidth: 2.2e9,
+		KernelEff:     0.20,
+		ForkJoin:      5.0e-6,
+		JoinOnce:      6.0e-6,
 	}
 }
-
-// EffLinkBandwidth is the asymptotic per-link payload bandwidth.
-func (p Params) EffLinkBandwidth() float64 { return LinkBandwidth * p.PacketEfficiency }
 
 // PointTime returns the per-point stencil time on one core when
 // `active` cores compute concurrently on the node: the maximum of the
@@ -140,37 +125,30 @@ func (p Params) PointTime(flopsPerPoint, bytesPerPoint, active int) float64 {
 	return flop
 }
 
-// MessageTime returns the modelled end-to-end time of one nearest-
-// neighbour message of n bytes, excluding sender CPU costs: DMA
-// injection, wire serialization and latency. Used by the Figure 2
-// experiment and as a closed-form cross-check of the event simulation.
-func (p Params) MessageTime(n int64, hops int) float64 {
-	if hops < 1 {
-		hops = 1
-	}
-	return p.DMAPerMsg + float64(n)/p.EffLinkBandwidth() + p.MsgLatency + float64(hops-1)*p.HopLatency
-}
-
 // Bandwidth returns the modelled point-to-point bandwidth (bytes/s) for
 // message size n between neighbouring nodes — the quantity Figure 2
 // plots — including the sender's posting cost, as an MPI-level
-// benchmark would measure.
+// benchmark would measure: one injection on an idle node.
 func (p Params) Bandwidth(n int64) float64 {
-	t := p.PostCost + p.MessageTime(n, 1)
-	return float64(n) / t
+	return float64(n) / (p.PostCost + float64(p.Inject(&mpi.Injection{}, 0, n, 0, 1, 1, false))/1e9)
 }
-
-// MemoryPerCoreOK reports whether a per-core working set of the given
-// bytes fits the 512 MB available to a core in virtual mode.
-func MemoryPerCoreOK(bytes int64) bool { return bytes <= MemoryBytes/CoresPerNode }
-
-// MemoryNodeOK reports whether a working set fits one node's 2 GB. The
-// paper's Figure 5 job is capped at 32 grids because a single core (SMP
-// mode, whole node memory) cannot hold more 144^3 input+output pairs.
-func MemoryNodeOK(bytes int64) bool { return bytes <= MemoryBytes }
 
 // Partition returns the node-count-determined network (torus at >= 512
 // nodes, mesh below), with dims matching the given node grid.
 func Partition(nodeDims topology.Dims) topology.Network {
 	return topology.Network{Dims: nodeDims, Torus: nodeDims.Count() >= topology.TorusThresholdNodes}
+}
+
+// NetModelFor returns the default calibrated network model for an
+// n-rank world: DefaultParams over the Blue Gene/P partition shape for
+// n nodes (torus at >= 512), one rank per node in row-major order.
+// Callers wanting a different placement overwrite Coords (see
+// topology.MapGrid / MapBands) before arming the model.
+func NetModelFor(n int) *mpi.NetModel {
+	net := topology.PartitionFor(n)
+	return &mpi.NetModel{
+		Params: DefaultParams().NetParams,
+		Net:    net,
+		Coords: topology.MapGrid(net.Dims, net, topology.MapLinear),
+	}
 }

@@ -182,7 +182,7 @@ func Simulate(w Workload, cfg Config) (Result, error) {
 	}
 
 	k := sim.NewKernel()
-	nd := newNode(k, prm, lay)
+	nd := &node{k: k, prm: prm, lay: lay}
 
 	active := cfg.Cores
 	if active > CoresPerNode {
@@ -240,7 +240,7 @@ func Simulate(w Workload, cfg Config) (Result, error) {
 
 	for _, sh := range shares {
 		sh := sh
-		k.Spawn(fmt.Sprintf("rank%d", sh.r.idx), func(p *sim.Proc) {
+		k.Spawn(func(p *sim.Proc) {
 			runProtocol(p, nd, sh.r, sh.grids, cfg, opts, tpp, localPoints, faceBytes, commDim)
 		})
 	}

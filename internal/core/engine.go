@@ -48,12 +48,11 @@ type Engine struct {
 	scratchFree []*applyScratch
 }
 
-// Stats accumulates per-rank communication accounting: message and
-// exchange counts, traffic volume, and — since the observability layer
-// — wait-time and split-phase compute timings. All durations are in
-// nanoseconds of the engine's profiling clock: the rank's modeled
-// virtual clock when a network model is armed (deterministic under
-// NoComputeWall), wall time otherwise.
+// Stats accumulates per-rank halo traffic: message and exchange counts
+// and volume. Wait and split-phase compute timings are accounted once,
+// by the armed tracer (trace.Rank.AddWait/AddSplit, read back through
+// trace.Profile); the lossy transport's reliability counters by
+// mpi.World.NetRelStats.
 type Stats struct {
 	MessagesSent int64
 	BytesSent    int64
@@ -61,44 +60,9 @@ type Stats struct {
 	SmallestMsg  int64
 	Exchanges    int64 // halo exchanges performed (grids x applications)
 
-	// Waits counts completed exchange waits. WaitNs is the time spent
-	// actually blocked in them (the visible wait); HiddenWaitNs is the
-	// post-to-finish window of split-phase exchanges — in-flight time
-	// the rank spent computing instead of blocking. The overlap
-	// efficiency of a run is HiddenWaitNs / (HiddenWaitNs + WaitNs).
-	Waits        int64
-	WaitNs       int64
-	HiddenWaitNs int64
-
-	// InteriorNs and ShellNs time the split-phase compute callbacks:
-	// deep-interior work overlapped with the halo flight, and
-	// halo-reading shell work after it lands. Zero for the blocking
-	// (finish-then-compute) protocols.
-	InteriorNs int64
-	ShellNs    int64
-
-	// NetRetransmits, NetDupSuppressed and NetCRCRejected mirror this
-	// rank's lossy-transport reliability counters (mpi.RelStats) when
-	// message faults are armed: retransmissions sent, duplicate frames
-	// suppressed at the receiver, frames rejected by the CRC32C check.
-	// Zero in clean runs and when the chaos layer is disarmed.
-	NetRetransmits   int64
-	NetDupSuppressed int64
-	NetCRCRejected   int64
-
 	// anyMsg distinguishes "no messages yet" from a genuine smallest
 	// message of 0 bytes, so SmallestMsg is not misreported.
 	anyMsg bool
-}
-
-// OverlapEfficiency returns HiddenWaitNs / (HiddenWaitNs + WaitNs) —
-// the fraction of halo latency hidden behind interior compute. Zero
-// when no exchange has completed.
-func (s Stats) OverlapEfficiency() float64 {
-	if t := s.HiddenWaitNs + s.WaitNs; t > 0 {
-		return float64(s.HiddenWaitNs) / float64(t)
-	}
-	return 0
 }
 
 // noteSent records one sent message under the stats lock.
@@ -113,30 +77,6 @@ func (e *Engine) noteExchanges(n int64) {
 	e.statsMu.Lock()
 	e.stats.Exchanges += n
 	e.statsMu.Unlock()
-}
-
-// noteWait records one completed exchange wait: hidden in-flight time
-// and visible blocked time.
-func (e *Engine) noteWait(hidden, visible int64) {
-	e.statsMu.Lock()
-	e.stats.Waits++
-	if hidden > 0 {
-		e.stats.HiddenWaitNs += hidden
-	}
-	if visible > 0 {
-		e.stats.WaitNs += visible
-	}
-	e.statsMu.Unlock()
-}
-
-// noteSplit records split-phase compute time in the stats and the
-// armed tracer's counters.
-func (e *Engine) noteSplit(interior, shell int64) {
-	e.statsMu.Lock()
-	e.stats.InteriorNs += interior
-	e.stats.ShellNs += shell
-	e.statsMu.Unlock()
-	e.cart.TraceRank().AddSplit(interior, shell)
 }
 
 // noteMsg folds one sent message into the counters. (This replaces the
@@ -207,20 +147,11 @@ func (e *Engine) LocalDims() topology.Dims { return e.local }
 // Coord returns this rank's Cartesian coordinate.
 func (e *Engine) Coord() topology.Coord { return e.coord }
 
-// Stats returns the accumulated communication statistics. When the
-// lossy-transport chaos layer is armed, the snapshot also carries this
-// rank's reliability counters.
+// Stats returns the accumulated communication statistics.
 func (e *Engine) Stats() Stats {
 	e.statsMu.Lock()
-	s := e.stats
-	e.statsMu.Unlock()
-	if w := e.cart.World(); w.ChaosArmed() {
-		rs := w.NetRelStats(e.cart.WorldRank())
-		s.NetRetransmits = rs.Retransmits
-		s.NetDupSuppressed = rs.DupSuppressed
-		s.NetCRCRejected = rs.CRCRejected
-	}
-	return s
+	defer e.statsMu.Unlock()
+	return e.stats
 }
 
 // ResetStats clears the accumulated statistics.
@@ -408,7 +339,6 @@ func (e *Engine) finishExchange(st *exchangeState, src []*grid.Grid) {
 		hidden = t0 - st.postedNs
 		st.postedNs = 0
 	}
-	e.noteWait(hidden, t1-t0)
 	rk.AddWait(hidden, t1-t0)
 }
 
@@ -450,7 +380,6 @@ func (e *Engine) exchangeSerialized(st *exchangeState, src []*grid.Grid, tagBase
 		mpi.Waitall(st.reqs...)
 		t1 := e.nowNs()
 		sp.End()
-		e.noteWait(0, t1-t0)
 		rk.AddWait(0, t1-t0)
 		mpi.Reclaim(st.reqs...)
 		// Install this dimension's halos before the next dimension runs
@@ -479,8 +408,8 @@ func (e *Engine) exchangeSerialized(st *exchangeState, src []*grid.Grid, tagBase
 //     messages are still in flight — it may touch every point that does
 //     not read a halo (the paper's communication/computation overlap) —
 //     and compute(b, Shell) runs after the batch's halos are installed,
-//     both timed into the stats and traced as compute.interior /
-//     compute.shell regions;
+//     both timed and traced as compute.interior / compute.shell
+//     regions;
 //   - otherwise compute(b, Full) runs, untimed, after the halos are
 //     installed: the original finish-then-compute protocol.
 //
@@ -557,8 +486,9 @@ func (e *Engine) runBatches(src []*grid.Grid, tagBase, off int, overlap bool, co
 	}
 }
 
-// phase runs one split-phase compute callback, timed into the stats and
-// traced as a compute.interior or compute.shell region.
+// phase runs one split-phase compute callback, timed into the armed
+// tracer's split counters and traced as a compute.interior or
+// compute.shell region.
 func (e *Engine) phase(compute func(b Batch, r stencil.Region), b Batch, r stencil.Region) {
 	rk := e.cart.TraceRank()
 	var sp trace.Span
@@ -572,9 +502,9 @@ func (e *Engine) phase(compute func(b Batch, r stencil.Region), b Batch, r stenc
 	d := e.nowNs() - t0
 	sp.End()
 	if r == stencil.Interior {
-		e.noteSplit(d, 0)
+		rk.AddSplit(d, 0)
 	} else {
-		e.noteSplit(0, d)
+		rk.AddSplit(0, d)
 	}
 }
 

@@ -20,13 +20,37 @@ func spin() float64 {
 	return s
 }
 
+// tracedRun runs body on a two-rank world with a tracer armed and
+// returns the wall-clock profile.
+func tracedRun(t *testing.T, body func(c *mpi.Comm)) *trace.Profile {
+	t.Helper()
+	tr := trace.New(2, 1024)
+	w := testWorld(2, mpi.ThreadSingle)
+	w.SetTracer(tr)
+	if err := w.Run(body); err != nil {
+		t.Fatal(err)
+	}
+	return tr.Profile(trace.Wall)
+}
+
+// haloWaits counts the profile's completed exchange waits.
+func haloWaits(p *trace.Profile) int64 {
+	for _, ps := range p.Phases {
+		if ps.Name == "halo.wait" {
+			return ps.Count
+		}
+	}
+	return 0
+}
+
 // TestStatsWaitsAndSplitTimings drives the split-phase protocol on two
-// ranks and checks the extended Stats fields: wait counts, hidden and
-// visible wait time, and interior/shell compute timings.
+// ranks and checks the wait and split accounting the traced profile
+// holds — wait counts, hidden and visible wait time, interior/shell
+// compute timings — and the engine's traffic counters.
 func TestStatsWaitsAndSplitTimings(t *testing.T) {
 	global := topology.Dims{8, 8, 8}
 	procs := topology.Dims{1, 1, 2}
-	err := runRanks(2, mpi.ThreadSingle, func(c *mpi.Comm) {
+	p := tracedRun(t, func(c *mpi.Comm) {
 		sink := 0.0
 		eng := overlapEngine(c, global, procs, true, OptionsFor(FlatOptimized, 1, 1))
 		defer eng.Close()
@@ -34,26 +58,22 @@ func TestStatsWaitsAndSplitTimings(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			eng.Run(FlatOptimized, gs, true, func(Batch, stencil.Region) { sink += spin() })
 		}
-		s := eng.Stats()
-		if s.Waits == 0 {
-			t.Error("split-phase run recorded no waits")
-		}
-		if s.HiddenWaitNs <= 0 {
-			t.Errorf("split-phase run hid no wait time: %+v", s)
-		}
-		if s.InteriorNs <= 0 || s.ShellNs <= 0 {
-			t.Errorf("split-phase compute untimed: interior=%d shell=%d", s.InteriorNs, s.ShellNs)
-		}
-		if eff := s.OverlapEfficiency(); eff <= 0 || eff > 1 {
-			t.Errorf("overlap efficiency %v outside (0,1]", eff)
-		}
-		if s.MessagesSent == 0 || s.BytesSent == 0 {
+		if s := eng.Stats(); s.MessagesSent == 0 || s.BytesSent == 0 {
 			t.Errorf("traffic counters empty: %+v", s)
 		}
 		_ = sink
 	})
-	if err != nil {
-		t.Fatal(err)
+	if haloWaits(p) == 0 {
+		t.Error("split-phase run recorded no waits")
+	}
+	if p.HiddenWaitNs <= 0 {
+		t.Errorf("split-phase run hid no wait time: %+v", p)
+	}
+	if p.InteriorNs <= 0 || p.ShellNs <= 0 {
+		t.Errorf("split-phase compute untimed: interior=%d shell=%d", p.InteriorNs, p.ShellNs)
+	}
+	if eff := p.OverlapEfficiency; eff <= 0 || eff > 1 {
+		t.Errorf("overlap efficiency %v outside (0,1]", eff)
 	}
 }
 
@@ -63,24 +83,19 @@ func TestStatsWaitsAndSplitTimings(t *testing.T) {
 func TestStatsSerializedHidesNothing(t *testing.T) {
 	global := topology.Dims{8, 8, 8}
 	procs := topology.Dims{1, 1, 2}
-	err := runRanks(2, mpi.ThreadSingle, func(c *mpi.Comm) {
+	p := tracedRun(t, func(c *mpi.Comm) {
 		eng := overlapEngine(c, global, procs, true, OptionsFor(FlatOriginal, 1, 1))
 		defer eng.Close()
-		gs := []*grid.Grid{eng.NewLocalGrid()}
-		eng.Exchange(gs)
-		s := eng.Stats()
-		if s.HiddenWaitNs != 0 {
-			t.Errorf("serialized exchange reported hidden wait %d", s.HiddenWaitNs)
-		}
-		if s.Waits == 0 {
-			t.Error("serialized exchange recorded no waits")
-		}
-		if s.OverlapEfficiency() != 0 {
-			t.Errorf("serialized overlap efficiency = %v, want 0", s.OverlapEfficiency())
-		}
+		eng.Exchange([]*grid.Grid{eng.NewLocalGrid()})
 	})
-	if err != nil {
-		t.Fatal(err)
+	if p.HiddenWaitNs != 0 {
+		t.Errorf("serialized exchange reported hidden wait %d", p.HiddenWaitNs)
+	}
+	if haloWaits(p) == 0 {
+		t.Error("serialized exchange recorded no waits")
+	}
+	if p.OverlapEfficiency != 0 {
+		t.Errorf("serialized overlap efficiency = %v, want 0", p.OverlapEfficiency)
 	}
 }
 

@@ -128,8 +128,8 @@ func TestChaosNetSCFDifferential(t *testing.T) {
 }
 
 // TestChaosNetCleanRunCountersZero: without armed message faults the
-// reliability counters — including the copies surfaced through the
-// engine's Stats — stay exactly zero.
+// reliability counters — the world's totals and every rank's own —
+// stay exactly zero.
 func TestChaosNetCleanRunCountersZero(t *testing.T) {
 	global := topology.Dims{8, 8, 8}
 	sys := scfSystem(global, 0.7)
@@ -149,17 +149,17 @@ func TestChaosNetCleanRunCountersZero(t *testing.T) {
 		if tot := c.World().NetRelTotals(); tot != (mpi.RelStats{}) {
 			t.Errorf("rank %d: clean run has nonzero reliability counters: %+v", c.Rank(), tot)
 		}
-		st := d.eng.Stats()
-		if st.NetRetransmits != 0 || st.NetDupSuppressed != 0 || st.NetCRCRejected != 0 {
-			t.Errorf("rank %d: clean run surfaced nonzero net counters in engine stats: %+v", c.Rank(), st)
+		if rs := c.World().NetRelStats(c.Rank()); rs != (mpi.RelStats{}) {
+			t.Errorf("rank %d: clean run has nonzero own reliability counters: %+v", c.Rank(), rs)
 		}
 	}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestChaosNetEngineStatsSurface: under a dropping link the retransmit
-// counter must surface through core.Engine.Stats on at least one rank.
+// TestChaosNetEngineStatsSurface: under a lossy link the retransmit,
+// duplicate-suppression and CRC-rejection counters must surface through
+// World.NetRelStats, summed over the ranks.
 func TestChaosNetEngineStatsSurface(t *testing.T) {
 	global := topology.Dims{8, 8, 8}
 	sys := scfSystem(global, 0.7)
@@ -178,12 +178,12 @@ func TestChaosNetEngineStatsSurface(t *testing.T) {
 			panic(err)
 		}
 		c.Barrier()
-		st := d.eng.Stats()
-		in := []float64{float64(st.NetRetransmits), float64(st.NetDupSuppressed), float64(st.NetCRCRejected)}
+		rs := c.World().NetRelStats(c.Rank())
+		in := []float64{float64(rs.Retransmits), float64(rs.DupSuppressed), float64(rs.CRCRejected)}
 		out := make([]float64, len(in))
 		c.Allreduce(mpi.OpSum, in, out)
 		if c.Rank() == 0 && (out[0] == 0 || out[1] == 0 || out[2] == 0) {
-			t.Errorf("engine stats under faults: retransmits=%g dupSuppressed=%g crcRejected=%g, want all nonzero",
+			t.Errorf("reliability counters under faults: retransmits=%g dupSuppressed=%g crcRejected=%g, want all nonzero",
 				out[0], out[1], out[2])
 		}
 	}); err != nil {

@@ -23,11 +23,12 @@
 // shared-memory run cannot show communication/computation overlap or
 // rank-placement effects. World.SetNetModel layers a virtual-time cost
 // model over the unchanged transport (see netmodel.go): every message
-// pays sender post cost, serialized DMA injection, wire time at the
-// effective link bandwidth and per-hop latency over the torus/mesh
-// distance between the endpoints' node coordinates, with a cheap
-// intra-node path and free self-sends. The constants (NetParams) are
-// the internal/bgpsim Figure-2 fit — bgpsim.Params.NetParams converts,
+// pays sender post cost, serialized DMA injection, wire time on the
+// first link of its route (the six links of a node run in parallel)
+// and per-hop latency over the torus/mesh distance between the
+// endpoints' node coordinates, with a cheap intra-node path and free
+// self-sends. NetParams.Inject is that pricing, shared with the
+// internal/bgpsim replay; the constants are bgpsim's Figure-2 fit —
 // bgpsim.NetModelFor builds a ready model — and rank→node placement
 // comes from internal/topology's mapping strategies. Virtual clocks
 // advance without sleeping (RunModeled returns the makespan). The model

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -18,66 +19,104 @@ import (
 // as before — so solver results are bit-identical with the model on or
 // off (the model only reorders time, never data). What the model adds
 // is bookkeeping: every rank carries a virtual clock, every message an
-// arrival stamp computed from the calibrated bgpsim parameters and the
-// torus hop distance between the communicating ranks' node coordinates,
+// arrival stamp computed from the calibrated NetParams and the torus
+// route between the communicating ranks' node coordinates,
 // and every Wait advances the receiver's clock to the stamp. Between
 // MPI calls a rank's clock accrues its real (wall) compute time, or —
 // for fully deterministic pure-model studies — only the explicit
 // charges made through Comm.Compute (NoComputeWall).
 //
-// Cost of one remote message of n bytes from src to dst, mirroring
-// bgpsim.Params.MessageTime:
+// Cost of one remote message of n bytes from src to dst. The sender's
+// CPU pays PostCost (+ MultipleLock in MULTIPLE mode); the rest is
+// NetParams.Inject, the one pricing of an inter-node send, shared with
+// the internal/bgpsim replay:
 //
-//	sender CPU:  PostCost (+ MultipleLock in MULTIPLE mode)
-//	injection:   starts at max(sender clock, sender DMA free time);
-//	             the DMA engine serializes a rank's injections, so a
-//	             burst of sends (a halo exchange) queues on the link
-//	wire:        DMAPerMsg + n / EffLinkBandwidth
-//	             (mesh partitions with MeshSharePenalty halve the
-//	             bandwidth of >1-hop paths: wrap flows share links)
-//	latency:     MsgLatency + (hops-1) * HopLatency
+//	DMA:      DMAPerMsg, serialized through the sender's DMA engine
+//	link:     n / LinkBandwidth on the route's first link (dim, side),
+//	          serialized per link — the six links of a node run in
+//	          parallel, so an exchange posted in all three dimensions
+//	          at once overlaps its wire times (section V); halved
+//	          bandwidth when the caller marks the link shared and
+//	          MeshSharePenalty is on
+//	arrival:  link done + MsgLatency + (hops-1) * HopLatency
+//
+// Here the link is the first hop of dimension-ordered routing from the
+// sender's node coordinate to the receiver's, and a link is shared on a
+// mesh partition when the path is longer than one hop (wrap flows pass
+// through). Without Coords every message leaves on one link, one hop.
 //
 // Ranks mapped to the same node coordinate exchange through shared
 // memory instead: IntraNodeLatency + n / IntraNodeBandwidth. A rank's
 // message to itself (the engine's self-send on undivided dimensions)
-// is free — it would not exist on a real machine.
+// is free — it would not exist on a real machine. Each rank owns its
+// injection state: goroutine ranks cannot share one node's DMA engine
+// deterministically, so the calibrated workloads map one rank per node.
 
-// NetParams are the delivery-cost constants of the model, all in
-// seconds and bytes/s. They mirror the calibrated fields of
-// bgpsim.Params (whose NetParams method converts; mpi cannot import
-// bgpsim, which sits above internal/core in the dependency order).
+// NetParams are the Blue Gene/P message-cost constants — the Figure-2
+// fit, defined here once (bgpsim.Params embeds them; bgpsim.DefaultParams
+// holds the calibrated values) — all in seconds and bytes/s.
 type NetParams struct {
 	// MsgLatency is the one-way end-to-end latency of a nearest-
-	// neighbour message (software + network).
+	// neighbour message (software + network). It locates the knee of
+	// Figure 2: half bandwidth at MsgLatency * LinkBandwidth ~ 1 KB.
 	MsgLatency float64
 	// HopLatency is the extra latency per additional torus hop.
 	HopLatency float64
 	// PostCost is CPU time to post one send or receive.
 	PostCost float64
 	// MultipleLock is the extra serialized CPU cost per MPI call in
-	// MULTIPLE thread mode.
+	// MULTIPLE thread mode (the lock the paper mentions in III.A).
 	MultipleLock float64
-	// DMAPerMsg is the injection engine's per-message processing time;
-	// the engine serializes a rank's injections.
+	// DMAPerMsg is the DMA injection engine's per-message processing
+	// time; the engine serializes a node's injections.
 	DMAPerMsg float64
-	// LinkBandwidth is the effective per-link payload bandwidth
-	// (raw bandwidth times packet efficiency).
+	// LinkBandwidth is the effective per-link payload bandwidth: the
+	// raw torus link bandwidth times the payload fraction of a packet.
+	// It is the asymptote of the Figure 2 curve.
 	LinkBandwidth float64
 	// IntraNodeLatency and IntraNodeBandwidth cost messages between
-	// ranks mapped to the same node coordinate (shared memory).
+	// ranks co-located on a node (shared memory, virtual mode).
 	IntraNodeLatency   float64
 	IntraNodeBandwidth float64
-	// MeshSharePenalty halves the effective bandwidth of >1-hop paths
-	// on mesh (non-torus) partitions, where wrap-around flows share
-	// every link of a dimension with pass-through traffic.
+	// MeshSharePenalty halves the bandwidth of links Inject is told are
+	// shared: on mesh (non-torus) partitions, wrap-around flows pass
+	// through every link of a dimension.
 	MeshSharePenalty bool
+}
+
+// Injection is the FIFO state of one node's injection path: the DMA
+// engine every outgoing message passes, then one of its six torus links
+// (per dimension and side), each free from the virtual ns stored here.
+// The zero value is an idle node at time zero.
+type Injection struct {
+	dma  int64
+	link [3][2]int64
+}
+
+// Inject prices one inter-node message of n bytes handed to q's DMA
+// engine at virtual time at (ns) and leaving on link (dim, side), side 1
+// the positive direction: the DMA serializes every message, each link
+// serializes its own wire time (halved bandwidth when shared and
+// MeshSharePenalty is on), and the message arrives MsgLatency plus
+// (hops-1) HopLatency after its last byte left. It returns the arrival
+// time in virtual ns. Both the live transport (World.sendCost) and the
+// bgpsim replay price their inter-node sends with it.
+func (p *NetParams) Inject(q *Injection, at, bytes int64, dim, side, hops int, shared bool) int64 {
+	q.dma = max(at, q.dma) + secNs(p.DMAPerMsg)
+	bw := p.LinkBandwidth
+	if shared && p.MeshSharePenalty {
+		bw /= 2
+	}
+	link := &q.link[dim][side]
+	*link = max(q.dma, *link) + secNs(float64(bytes)/bw)
+	return *link + secNs(p.MsgLatency+float64(hops-1)*p.HopLatency)
 }
 
 // NetModel configures a World's calibrated network model. Install it
 // with World.SetNetModel before any traffic, or use RunModeled.
 type NetModel struct {
 	// Params are the calibrated BG/P cost-model constants (the Figure-2
-	// fit; see bgpsim.Params.NetParams).
+	// fit; see bgpsim.DefaultParams).
 	Params NetParams
 	// Net is the interconnect the ranks are mapped onto (a torus at
 	// >= 512 nodes, a mesh below, per topology.PartitionFor).
@@ -94,13 +133,13 @@ type NetModel struct {
 }
 
 // rankClock is one rank's model state: its virtual clock, the wall
-// stamp of its last MPI-call boundary (for compute accrual) and the
-// virtual time its DMA/link injection path is busy until.
+// stamp of its last MPI-call boundary (for compute accrual) and its
+// node's injection path.
 type rankClock struct {
 	mu       sync.Mutex
 	virt     int64 // virtual ns since world start
 	lastWall int64 // wall ns (since netBase) of the last MPI boundary; 0 = unstamped
-	dmaFree  int64 // virtual ns until which this rank's injection path is busy
+	inj      Injection
 }
 
 // SetNetModel arms the world's network model. It must be called before
@@ -190,8 +229,8 @@ func (w *World) netExit(rank int) {
 	ck.mu.Unlock()
 }
 
-// secNs converts model seconds to integer virtual ns.
-func secNs(s float64) int64 { return int64(s * 1e9) }
+// secNs converts model seconds to the nearest integer virtual ns.
+func secNs(s float64) int64 { return int64(math.Round(s * 1e9)) }
 
 // sendCost charges the sender's CPU and injection path for one message
 // of elems float64 values to world rank dst and returns the virtual
@@ -209,17 +248,15 @@ func (w *World) sendCost(src, dst, elems int) int64 {
 	if w.mode == ThreadMultiple {
 		post += secNs(p.MultipleLock)
 	}
-	hops := 1
+	hops, dim, side := 1, 0, 0
 	sameNode := false
 	if m.Coords != nil {
 		a, b := m.Coords[src], m.Coords[dst]
 		if a == b {
 			sameNode = true
 		} else {
-			hops = m.Net.Hops(a, b)
-			if hops < 1 {
-				hops = 1
-			}
+			hops = max(m.Net.Hops(a, b), 1)
+			dim, side = m.Net.FirstHop(a, b)
 		}
 	}
 	ck := &w.clocks[src]
@@ -231,19 +268,9 @@ func (w *World) sendCost(src, dst, elems int) int64 {
 		// link contention.
 		return ck.virt + secNs(p.IntraNodeLatency+float64(bytes)/p.IntraNodeBandwidth)
 	}
-	inj := ck.virt
-	if ck.dmaFree > inj {
-		inj = ck.dmaFree
-	}
-	bw := p.LinkBandwidth
-	if p.MeshSharePenalty && !m.Net.Torus && hops > 1 {
-		// Mesh partitions: multi-hop paths share links with pass-through
-		// traffic (section V of the paper), halving effective bandwidth.
-		bw /= 2
-	}
-	wire := secNs(p.DMAPerMsg + float64(bytes)/bw)
-	ck.dmaFree = inj + wire
-	return inj + wire + secNs(p.MsgLatency+float64(hops-1)*p.HopLatency)
+	// Mesh partitions: multi-hop paths share links with pass-through
+	// traffic (section V of the paper).
+	return p.Inject(&ck.inj, ck.virt, bytes, dim, side, hops, !m.Net.Torus && hops > 1)
 }
 
 // chargePost charges a rank's CPU for posting a receive.

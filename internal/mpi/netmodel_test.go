@@ -130,38 +130,75 @@ func TestModeledSelfSendFree(t *testing.T) {
 }
 
 // TestModeledInjectionSerializes: a burst of sends queues on the
-// sender's DMA/link path, so the k-th message arrives roughly k wire
-// times after the first — the contention the halo-exchange benchmarks
-// are exposed to.
+// sender's DMA engine and on each link it uses, so a burst down one
+// link pays every wire time in turn, while a burst to six distinct
+// directions — a halo exchange posted in all three dimensions at once —
+// pays only the serial DMA slots and overlaps its wire times.
 func TestModeledInjectionSerializes(t *testing.T) {
-	m := &NetModel{Params: testParams(), NoComputeWall: true}
-	const msgs = 4
-	var last time.Duration
-	_, err := RunModeled(2, ThreadSingle, m, func(c *Comm) {
-		if c.Rank() == 0 {
-			for i := 0; i < msgs; i++ {
-				c.Send(1, 7+i, make([]float64, 125))
+	t.Run("one link", func(t *testing.T) {
+		m := &NetModel{Params: testParams(), NoComputeWall: true}
+		const msgs = 4
+		var last time.Duration
+		_, err := RunModeled(2, ThreadSingle, m, func(c *Comm) {
+			if c.Rank() == 0 {
+				for i := 0; i < msgs; i++ {
+					c.Send(1, 7+i, make([]float64, 125))
+				}
+			} else {
+				for i := 0; i < msgs; i++ {
+					c.Recv(0, 7+i, make([]float64, 125))
+				}
+				last = c.World().VirtualTime(1)
 			}
-		} else {
-			for i := 0; i < msgs; i++ {
-				c.Recv(0, 7+i, make([]float64, 125))
-			}
-			last = c.World().VirtualTime(1)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Without Coords every message takes one link. Message i
+		// (0-based) is posted by 1000*(i+1), leaves the DMA 500 later and
+		// then needs the link for 1000; the link is free again exactly
+		// then, so message i arrives at 1000*(i+1) + 500 + 1000 + 10000.
+		// Last arrival: 4000 + 11500 = 15500.
+		if want := 15500 * time.Nanosecond; last != want {
+			t.Errorf("4th message arrival = %v, want %v (DMA and link serialization)", last, want)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sender posts: 4 x 1000. Injection of message i starts at
-	// max(virt, dmaFree): wire = 1500 each, so the last message leaves
-	// the DMA at 4000 + hmm; post charges interleave with injections.
-	// Message i (0-based) injects at max(1000*(i+1), dmaFree_i) and
-	// dmaFree accumulates 1500 per message: arrivals are
-	// 1000+1500+10000, then injections at 2500, 4000, 5500 (+1500 wire,
-	// +10000 latency). Last arrival: 5500+1500+10000 = 17000.
-	if want := 17 * time.Microsecond; last != want {
-		t.Errorf("4th message arrival = %v, want %v (DMA serialization)", last, want)
-	}
+	t.Run("six links", func(t *testing.T) {
+		// Rank 0 at the centre of a 3^3 torus, ranks 1..6 its neighbours
+		// in -x, +x, -y, +y, -z, +z. The DMA slot (3000) is longer than
+		// a post (1000) so its serialization shows; the wire (4000 B at
+		// 1 ns/B) is longer still, and must not serialize.
+		p := testParams()
+		p.DMAPerMsg = 3e-6
+		coords := []topology.Coord{{1, 1, 1}, {0, 1, 1}, {2, 1, 1}, {1, 0, 1}, {1, 2, 1}, {1, 1, 0}, {1, 1, 2}}
+		m := &NetModel{Params: p, Net: topology.NewNetwork(topology.Dims{3, 3, 3}, true),
+			Coords: coords, NoComputeWall: true}
+		got := make([]time.Duration, len(coords))
+		_, err := RunModeled(len(coords), ThreadSingle, m, func(c *Comm) {
+			if c.Rank() == 0 {
+				for dst := 1; dst < c.Size(); dst++ {
+					c.Send(dst, 7, make([]float64, 500))
+				}
+				return
+			}
+			c.Recv(0, 7, make([]float64, 500))
+			got[c.Rank()] = c.World().VirtualTime(c.Rank())
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Message i leaves the DMA at 4000 + 3000*i (the first waits
+		// for its post, the rest for the DMA), crosses its own link in
+		// 4000 and lands 10000 later: arrivals are spaced by the DMA
+		// slot, not by the wire time (down one link they would land at
+		// 18000, 22000, 26000, …).
+		for dst := 1; dst < len(coords); dst++ {
+			want := time.Duration(18000+3000*(dst-1)) * time.Nanosecond
+			if got[dst] != want {
+				t.Errorf("message to rank %d arrived at %v, want %v", dst, got[dst], want)
+			}
+		}
+	})
 }
 
 // TestModeledVirtualTimeDeterministic: with NoComputeWall the virtual

@@ -5,14 +5,11 @@
 // clock. Events scheduled for the same instant fire in the order they were
 // scheduled, which makes every simulation run fully deterministic.
 //
-// Two programming styles are supported:
-//
-//   - Callback style: schedule closures with At/After.
-//   - Process style: Spawn goroutine-backed processes that block with
-//     Proc.Hold, Proc.WaitSignal, and acquire Resource capacity in FIFO
-//     order. Exactly one process runs at a time; control is handed back
-//     and forth between the kernel and the running process, so no locking
-//     is needed inside process bodies.
+// Processes are goroutine-backed bodies started with Spawn that block
+// with Proc.Hold, Proc.HoldUntil and Proc.WaitSignal, and acquire
+// Resource capacity in FIFO order. Exactly one process runs at a time;
+// control is handed back and forth between the kernel and the running
+// process, so no locking is needed inside process bodies.
 //
 // Time is measured in seconds as float64. Simulations in this repository
 // span microseconds to minutes, well inside float64's exact range for the
@@ -27,15 +24,11 @@ import (
 // Kernel is a discrete-event simulator instance. The zero value is not
 // usable; create kernels with NewKernel.
 type Kernel struct {
-	now    float64
-	queue  eventHeap
-	seq    int64
-	nprocs int // live (spawned, not yet finished) processes
+	now   float64
+	queue eventHeap
+	seq   int64
 
 	yield chan struct{} // handed a token whenever a process parks or exits
-
-	// Stopped reports whether Stop was called.
-	stopped bool
 }
 
 // NewKernel returns a kernel with the clock at zero and no pending events.
@@ -85,36 +78,13 @@ func (k *Kernel) At(t float64, fn func()) {
 // After schedules fn to run d seconds from now. Negative d panics.
 func (k *Kernel) After(d float64, fn func()) { k.At(k.now+d, fn) }
 
-// Stop makes Run return after the currently firing event completes.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Run fires events in timestamp order until the event queue is empty or
-// Stop is called, and returns the final simulated time.
+// Run fires events in timestamp order until the event queue is empty,
+// and returns the final simulated time.
 func (k *Kernel) Run() float64 {
-	for len(k.queue) > 0 && !k.stopped {
+	for len(k.queue) > 0 {
 		e := heap.Pop(&k.queue).(event)
 		k.now = e.at
 		e.fn()
 	}
 	return k.now
 }
-
-// RunUntil fires events with timestamps <= t, then sets the clock to t if
-// it has not advanced that far already. It returns the simulated time.
-func (k *Kernel) RunUntil(t float64) float64 {
-	for len(k.queue) > 0 && !k.stopped {
-		if k.queue[0].at > t {
-			break
-		}
-		e := heap.Pop(&k.queue).(event)
-		k.now = e.at
-		e.fn()
-	}
-	if k.now < t {
-		k.now = t
-	}
-	return k.now
-}
-
-// Pending returns the number of scheduled events not yet fired.
-func (k *Kernel) Pending() int { return len(k.queue) }

@@ -8,32 +8,22 @@ import "fmt"
 // point control returns to the kernel's event loop.
 type Proc struct {
 	k      *Kernel
-	name   string
 	resume chan struct{}
 }
-
-// Name returns the name given to Spawn, for diagnostics.
-func (p *Proc) Name() string { return p.name }
-
-// Kernel returns the kernel this process belongs to.
-func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now returns the current simulated time.
 func (p *Proc) Now() float64 { return p.k.now }
 
 // Spawn creates a process that will begin executing body at the current
 // simulated time (after already-scheduled events for this instant fire).
-func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{})}
-	k.nprocs++
+func (k *Kernel) Spawn(body func(p *Proc)) {
+	p := &Proc{k: k, resume: make(chan struct{})}
 	go func() {
 		<-p.resume // wait for the kernel to start us
 		body(p)
-		k.nprocs--
 		k.yield <- struct{}{} // final handoff: we are done
 	}()
 	k.After(0, func() { p.run() })
-	return p
 }
 
 // run transfers control to the process and waits for it to park or exit.
@@ -72,11 +62,9 @@ func (p *Proc) HoldUntil(t float64) {
 
 // Signal is a broadcast wakeup point for processes. The zero value is
 // ready to use. Fire wakes every waiter; waiters that start waiting after
-// a Fire wait for the next one. A counter distinguishes "fired while I
-// was waiting" so no wakeup is ever lost.
+// a Fire wait for the next one.
 type Signal struct {
 	waiters []*Proc
-	fires   int64
 }
 
 // WaitSignal blocks the process until s.Fire is called.
@@ -88,17 +76,9 @@ func (p *Proc) WaitSignal(s *Signal) {
 // Fire wakes all processes currently waiting on s, in wait order, at the
 // current simulated time.
 func (s *Signal) Fire(k *Kernel) {
-	s.fires++
 	ws := s.waiters
 	s.waiters = nil
 	for _, w := range ws {
-		w := w
 		k.After(0, func() { w.run() })
 	}
 }
-
-// NumWaiting returns how many processes are blocked on the signal.
-func (s *Signal) NumWaiting() int { return len(s.waiters) }
-
-// Fires returns how many times the signal has fired.
-func (s *Signal) Fires() int64 { return s.fires }

@@ -1,9 +1,9 @@
 package sim
 
-// Resource models a FIFO server with a single service channel: a network
-// link, a DMA injection engine, a lock, or a CPU core. Work items are
-// served strictly in arrival order; each occupies the resource for its
-// service duration.
+// Resource models a FIFO server with a single service channel: a
+// shared-memory transfer engine or a lock. Work items are served
+// strictly in arrival order; each occupies the resource for its service
+// duration. The zero value is free at time zero.
 //
 // Because service is non-preemptive FIFO, the completion time of a
 // request arriving at time t with service duration d is
@@ -15,35 +15,15 @@ package sim
 // returned finish time. This keeps simulations with millions of message
 // events cheap (no goroutine parking per message).
 type Resource struct {
-	name string
-
 	availableAt float64 // earliest time the server is free
-
-	// accounting
-	busy     float64 // total busy (service) time
-	requests int64   // number of service requests
 }
-
-// NewResource returns a named FIFO resource that is free at time zero.
-func NewResource(name string) *Resource {
-	return &Resource{name: name}
-}
-
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
 
 // Reserve enqueues a service request of duration d arriving at time `at`
 // and returns the time service completes. It never blocks; callers that
 // need to wait use Proc.HoldUntil on the result.
 func (r *Resource) Reserve(at, d float64) (finish float64) {
-	start := at
-	if r.availableAt > start {
-		start = r.availableAt
-	}
-	finish = start + d
+	finish = max(at, r.availableAt) + d
 	r.availableAt = finish
-	r.busy += d
-	r.requests++
 	return finish
 }
 
@@ -56,63 +36,14 @@ func (p *Proc) Use(r *Resource, d float64) float64 {
 	return finish
 }
 
-// AvailableAt returns the earliest instant the resource is free.
-func (r *Resource) AvailableAt() float64 { return r.availableAt }
-
-// BusyTime returns the cumulative service time performed by the resource.
-func (r *Resource) BusyTime() float64 { return r.busy }
-
-// Requests returns the number of service requests issued to the resource.
-func (r *Resource) Requests() int64 { return r.requests }
-
-// Utilization returns BusyTime divided by the elapsed horizon, clamped to
-// [0, 1]. The horizon is typically Kernel.Now() at the end of a run.
-func (r *Resource) Utilization(horizon float64) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	u := r.busy / horizon
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
-// Reset clears scheduling state and accounting, making the resource free
-// at time zero again.
-func (r *Resource) Reset() {
-	r.availableAt = 0
-	r.busy = 0
-	r.requests = 0
-}
-
-// Counter accumulates a named quantity (bytes, messages, ...) during a
-// simulation.
+// Counter accumulates a quantity (bytes, messages, ...) during a
+// simulation. The zero value is ready to use.
 type Counter struct {
-	name  string
 	total float64
-	n     int64
 }
 
-// NewCounter returns a named counter starting at zero.
-func NewCounter(name string) *Counter { return &Counter{name: name} }
-
-// Add accumulates v and bumps the observation count.
-func (c *Counter) Add(v float64) { c.total += v; c.n++ }
+// Add accumulates v.
+func (c *Counter) Add(v float64) { c.total += v }
 
 // Total returns the accumulated sum.
 func (c *Counter) Total() float64 { return c.total }
-
-// Count returns the number of Add calls.
-func (c *Counter) Count() int64 { return c.n }
-
-// Mean returns Total/Count, or zero for an empty counter.
-func (c *Counter) Mean() float64 {
-	if c.n == 0 {
-		return 0
-	}
-	return c.total / float64(c.n)
-}
-
-// Name returns the counter name.
-func (c *Counter) Name() string { return c.name }

@@ -1,6 +1,6 @@
 // Package topology models the geometry used throughout the reproduction:
 // 3-D torus and mesh interconnects (Blue Gene/P style), Cartesian
-// process grids, dimension-ordered routing distances, and the
+// process grids, dimension-ordered routing distances and first hops, and the
 // surface-minimizing 3-D domain decompositions GPAW applies to its
 // real-space grids.
 package topology
@@ -107,6 +107,30 @@ func (n Network) Hops(a, b Coord) int {
 		total += dist
 	}
 	return total
+}
+
+// FirstHop returns the outgoing link a dimension-ordered route from a to
+// b leaves on: the first dimension in which the coordinates differ, and
+// side 1 for the positive direction or 0 for the negative one. A torus
+// takes the shorter way around, the positive one on a tie; a mesh has
+// only the direct way. Equal coordinates return (0, 0).
+func (n Network) FirstHop(a, b Coord) (dim, side int) {
+	for d := 0; d < 3; d++ {
+		delta := b[d] - a[d]
+		if delta == 0 {
+			continue
+		}
+		up := delta > 0
+		if n.Torus {
+			steps := (delta + n.Dims[d]) % n.Dims[d] // hops going the positive way
+			up = 2*steps <= n.Dims[d]
+		}
+		if up {
+			return d, 1
+		}
+		return d, 0
+	}
+	return 0, 0
 }
 
 // WrapHops returns the hop count a periodic-boundary message must travel

@@ -120,6 +120,33 @@ func TestHopsSymmetric(t *testing.T) {
 	}
 }
 
+func TestFirstHop(t *testing.T) {
+	torus := NewNetwork(Dims{8, 8, 8}, true)
+	mesh := NewNetwork(Dims{8, 8, 8}, false)
+	cases := []struct {
+		name      string
+		net       Network
+		a, b      Coord
+		dim, side int
+	}{
+		{"torus direct +x", torus, Coord{1, 5, 5}, Coord{3, 0, 0}, 0, 1},
+		{"torus wrap -x is shorter", torus, Coord{0, 0, 0}, Coord{7, 0, 0}, 0, 0},
+		{"torus wrap +z is shorter", torus, Coord{2, 2, 7}, Coord{2, 2, 1}, 2, 1},
+		{"torus tie goes positive", torus, Coord{0, 6, 0}, Coord{0, 2, 0}, 1, 1},
+		{"torus tie goes positive from below", torus, Coord{0, 2, 0}, Coord{0, 6, 0}, 1, 1},
+		{"mesh keeps the sign", mesh, Coord{0, 0, 0}, Coord{7, 0, 0}, 0, 1},
+		{"mesh negative", mesh, Coord{0, 0, 7}, Coord{0, 0, 0}, 2, 0},
+		{"x routes before y", mesh, Coord{4, 4, 4}, Coord{3, 7, 0}, 0, 0},
+		{"equal coordinates", torus, Coord{3, 3, 3}, Coord{3, 3, 3}, 0, 0},
+	}
+	for _, c := range cases {
+		if dim, side := c.net.FirstHop(c.a, c.b); dim != c.dim || side != c.side {
+			t.Errorf("%s: FirstHop(%v, %v) = (%d, %d), want (%d, %d)",
+				c.name, c.a, c.b, dim, side, c.dim, c.side)
+		}
+	}
+}
+
 func TestWrapHops(t *testing.T) {
 	torus := NewNetwork(Dims{8, 8, 8}, true)
 	mesh := NewNetwork(Dims{8, 4, 1}, false)
