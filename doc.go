@@ -15,14 +15,20 @@
 //     interior while the messages travel, completes the exchange and
 //     calls it again on the one-radius boundary shell
 //     (communication/computation overlap, the paper's headline
-//     optimization). Exchange state is pooled on the engine and
-//     requests are recycled into the mpi world, making the steady-state
-//     loop allocation-free (asserted by TestOverlapExchangeZeroAlloc).
+//     optimization). Exchange state is pooled on the engine, requests
+//     are recycled into the mpi world and faces that arrive early wait
+//     in pooled mailbox buffers, so the steady-state loop is
+//     allocation-free whichever side arrives first: receives posted
+//     before their faces (TestOverlapExchangeZeroAlloc, one rank's
+//     self-sends) and faces arriving before their receives
+//     (TestSkewedExchangeAllocationFree, eight ranks with one delayed).
 //   - internal/mpi — that runtime: goroutine ranks, MPI matching
 //     semantics, collectives, Cartesian topologies, thread modes,
-//     non-blocking requests with Wait/Waitall/Test polling and a
+//     non-blocking requests with Wait/Waitall/Test polling, a
 //     zero-copy fast path that delivers a send straight into an
-//     already-posted receive buffer. The runtime carries a ULFM-style
+//     already-posted receive buffer, and pooled eager buffers for a
+//     send that arrives first; warmed collectives allocate nothing per
+//     call (TestCollectivesAllocationFree). The runtime carries a ULFM-style
 //     failure model (fault.go): RunWithFaults injects deterministic,
 //     seedable rank kills (FaultPlan: die after the k-th operation,
 //     optional seeded delay jitter); a death revokes the communication

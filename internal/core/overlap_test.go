@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/grid"
 	"repro/internal/mpi"
@@ -221,5 +223,59 @@ func TestOverlapExchangeZeroAlloc(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSkewedExchangeAllocationFree is the zero-allocation contract with
+// the other arrival order: on a 2x2x2 periodic grid, rank 0 sleeps
+// before each exchange, so its neighbours' faces arrive before its
+// receives are posted and wait in the mailbox's pooled envelopes. A
+// warmed exchange must make no allocation anywhere in the world. The
+// barrier in front of each exchange keeps ranks far from rank 0 from
+// running exchanges ahead. Pools still grow until they cover the
+// largest backlog the scheduler produces, so warm-up is measured rather
+// than assumed: of several windows of exchanges, one must allocate
+// nothing (an allocation per exchange would show in all of them).
+func TestSkewedExchangeAllocationFree(t *testing.T) {
+	global := topology.Dims{8, 8, 8}
+	procs := topology.Dims{2, 2, 2}
+	const windows, perWindow = 8, 20
+	var mallocs [windows]uint64
+	err := runRanks(procs.Count(), mpi.ThreadSingle, func(c *mpi.Comm) {
+		eng := overlapEngine(c, global, procs, true, OptionsFor(FlatOptimized, 1, 1))
+		defer eng.Close()
+		gs := []*grid.Grid{eng.NewLocalGrid()}
+		exchange := func() {
+			c.Barrier()
+			if c.Rank() == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			eng.Run(FlatOptimized, gs, true, noCompute)
+		}
+		for i := 0; i < 4; i++ {
+			exchange()
+		}
+		var before, after runtime.MemStats
+		for w := range mallocs {
+			c.Barrier()
+			if c.Rank() == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			for i := 0; i < perWindow; i++ {
+				exchange()
+			}
+			c.Barrier()
+			if c.Rank() == 0 {
+				runtime.ReadMemStats(&after)
+				mallocs[w] = after.Mallocs - before.Mallocs
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("world-wide mallocs per window of %d skewed exchanges: %v", perWindow, mallocs)
+	if slices.Min(mallocs[:]) != 0 {
+		t.Errorf("no window of %d skewed exchanges on 8 ranks was allocation-free: %v", perWindow, mallocs)
 	}
 }

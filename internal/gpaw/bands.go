@@ -83,7 +83,7 @@ func (d *Dist) bcastBandState(owner int, src, buf *grid.Grid, flat []float64) *g
 		return src
 	}
 	if owner == d.Band {
-		copy(flat, src.InteriorSlice())
+		src.CopyInterior(flat)
 		d.BandComm.Bcast(owner, flat)
 		return src
 	}

@@ -161,15 +161,24 @@ func (g *Grid) Axpy(a float64, x *Grid) { g.AxpyRange(a, x, 0, g.Nx) }
 // order, for transport between ranks.
 func (g *Grid) InteriorSlice() []float64 {
 	out := make([]float64, g.Points())
+	g.CopyInterior(out)
+	return out
+}
+
+// CopyInterior copies the interior into dst in x-major order, the
+// layout of InteriorSlice. dst must hold at least Points() values.
+func (g *Grid) CopyInterior(dst []float64) {
+	if len(dst) < g.Points() {
+		panic(fmt.Sprintf("grid: CopyInterior into %d values for %d points", len(dst), g.Points()))
+	}
 	pos := 0
 	for i := 0; i < g.Nx; i++ {
 		for j := 0; j < g.Ny; j++ {
 			row := g.index(i, j, 0)
-			copy(out[pos:pos+g.Nz], g.data[row:row+g.Nz])
+			copy(dst[pos:pos+g.Nz], g.data[row:row+g.Nz])
 			pos += g.Nz
 		}
 	}
-	return out
 }
 
 // SetInterior fills the interior from a flat x-major slice produced by

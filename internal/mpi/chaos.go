@@ -483,7 +483,6 @@ func (w *World) chaosDeliver(toW int, fr *chaosFrame) {
 	if box.aborted {
 		return
 	}
-	box.seq++
 	for i, pr := range box.posted {
 		if pr == nil || pr.epoch != fr.epoch {
 			continue
@@ -500,7 +499,9 @@ func (w *World) chaosDeliver(toW int, fr *chaosFrame) {
 			return
 		}
 	}
-	env := &envelope{src: fr.commSrc, tag: fr.tag, data: fr.data, seq: box.seq,
+	// The frame's own buffer travels in an unpooled envelope: a duplicate
+	// of the frame may still be checked against it.
+	env := &envelope{src: fr.commSrc, tag: fr.tag, data: fr.data,
 		epoch: fr.epoch, arriveAt: fr.arriveAt, fail: fr.fail}
 	box.arrived = append(box.arrived, env)
 	box.cond.Broadcast()

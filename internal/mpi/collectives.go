@@ -72,7 +72,10 @@ func MergeMasked(acc, contrib []float64) {
 }
 
 // Barrier blocks until every rank of the communicator has entered it.
-// Implemented as a dissemination barrier over point-to-point messages.
+// Implemented as a dissemination barrier of empty point-to-point
+// messages.
+//
+//gpaw:hotpath
 func (c *Comm) Barrier() {
 	c.enter()
 	defer c.exit()
@@ -82,21 +85,20 @@ func (c *Comm) Barrier() {
 	tag := c.collTag(c.coll)
 	c.coll++
 	p := len(c.group)
-	if p == 1 {
-		return
-	}
-	var token [1]float64
 	for round := 1; round < p; round *= 2 {
 		to := (c.rank + round) % p
 		from := (c.rank - round + p) % p
-		req := c.irecv(from, tag, token[:])
-		c.sendInternal(to, tag, token[:0])
+		req := c.irecv(from, tag, nil)
+		c.sendInternal(to, tag, nil)
 		req.Wait()
+		Reclaim(req)
 	}
 }
 
 // Bcast copies buf from root to every rank (binomial tree). All ranks
 // must pass equal-length buffers.
+//
+//gpaw:hotpath
 func (c *Comm) Bcast(root int, buf []float64) {
 	c.enter()
 	defer c.exit()
@@ -117,7 +119,7 @@ func (c *Comm) Bcast(root int, buf []float64) {
 		for mask < p {
 			if vrank&mask != 0 {
 				parent := ((vrank - mask) + root) % p
-				c.irecv(parent, tag, buf).Wait()
+				c.recv(parent, tag, buf)
 				break
 			}
 			mask <<= 1
@@ -159,6 +161,8 @@ func (c *Comm) Reduce(root int, op Op, in, out []float64) {
 // regardless of scheduling — the property the solver stack's exact
 // accumulator reductions (internal/detsum) are built on. out is only
 // written at root; in and out must not alias.
+//
+//gpaw:hotpath
 func (c *Comm) ReduceFunc(root int, in, out []float64, merge func(acc, contrib []float64)) {
 	c.enter()
 	defer c.exit()
@@ -174,26 +178,30 @@ func (c *Comm) ReduceFunc(root int, in, out []float64, merge func(acc, contrib [
 	if len(out) < len(in) {
 		panic("mpi: ReduceFunc output shorter than input")
 	}
-	// The root's own contribution reaches the fold by copy only: handing
-	// in to merge, an indirect call, would move every caller's in to the
+	if cap(c.red) < len(in) {
+		//lint:ignore hotpathalloc grow-once scratch: the communicator's largest reduction sizes it, every later one reuses it
+		c.red = make([]float64, len(in))
+	}
+	// Rank 0's contribution lands in acc; every later one lands in the
+	// scratch and is merged at once, so the fold runs in ascending rank
+	// order while receives are still being posted in that order. The
+	// root's own contribution reaches the fold by copy only: handing in
+	// to merge, an indirect call, would move every caller's in to the
 	// heap.
-	parts := make([][]float64, len(c.group))
-	for r := range parts {
-		if r == root {
-			continue
+	acc, part := out[:len(in)], c.red[:len(in)]
+	for r := range c.group {
+		dst := part
+		if r == 0 {
+			dst = acc
 		}
-		parts[r] = make([]float64, len(in))
-		c.irecv(r, tag, parts[r]).Wait()
-	}
-	acc := out[:len(in)]
-	if root == 0 {
-		copy(acc, in)
-	} else {
-		parts[root] = append([]float64(nil), in...)
-		copy(acc, parts[0])
-	}
-	for r := 1; r < len(parts); r++ {
-		merge(acc, parts[r])
+		if r == root {
+			copy(dst, in)
+		} else {
+			c.recv(r, tag, dst)
+		}
+		if r > 0 {
+			merge(acc, part)
+		}
 	}
 }
 
@@ -218,15 +226,17 @@ func (c *Comm) Allreduce(op Op, in, out []float64) {
 
 // AllreduceSum is a convenience wrapper reducing a single value.
 func (c *Comm) AllreduceSum(v float64) float64 {
-	in := [1]float64{v}
-	var out [1]float64
-	c.Allreduce(OpSum, in[:], out[:])
-	return out[0]
+	s := c.sum[:]
+	s[0] = v
+	c.Allreduce(OpSum, s[:1], s[1:])
+	return s[1]
 }
 
 // Gather collects each rank's equal-length contribution at root, laid out
 // in rank order. out must be len(in)*Size() at root; it is ignored
 // elsewhere.
+//
+//gpaw:hotpath
 func (c *Comm) Gather(root int, in, out []float64) {
 	c.enter()
 	defer c.exit()
@@ -244,7 +254,7 @@ func (c *Comm) Gather(root int, in, out []float64) {
 			if r == root {
 				continue
 			}
-			c.irecv(r, tag, out[r*len(in):(r+1)*len(in)]).Wait()
+			c.recv(r, tag, out[r*len(in):(r+1)*len(in)])
 		}
 		return
 	}
@@ -289,39 +299,46 @@ func (c *Comm) Split(color, key int) *Comm {
 	// Index of my color among the sorted distinct non-negative colors:
 	// every rank sees the same allgathered pairs, so the index — and the
 	// derived context — agree across the new communicator's members.
-	colorIndex := 0
-	seen := map[int]bool{}
+	// A color counts at its first occurrence only.
+	colorIndex, members := 0, 0
 	for r := 0; r < len(c.group); r++ {
 		col := int(out[2*r])
-		if col >= 0 && col < color && !seen[col] {
-			seen[col] = true
+		if col == color {
+			members++
+		}
+		if col < 0 || col >= color {
+			continue
+		}
+		first := true
+		for q := 0; q < r && first; q++ {
+			first = int(out[2*q]) != col
+		}
+		if first {
 			colorIndex++
 		}
 	}
 	ctx := c.ctx*(1<<16) + (c.splits%(1<<8))*(1<<8) + uint64(colorIndex+1)%(1<<8)
-	type member struct{ color, key, oldRank int }
-	var mine []member
+	// Old ranks of my color, insertion-sorted by key; scanning old ranks
+	// in ascending order keeps equal keys in old-rank order.
+	keyOf := func(r int) int { return int(out[2*r+1]) }
+	group := make([]int, 0, members)
 	for r := 0; r < len(c.group); r++ {
-		col := int(out[2*r])
-		if col != color {
+		if int(out[2*r]) != color {
 			continue
 		}
-		mine = append(mine, member{col, int(out[2*r+1]), r})
-	}
-	// Sort by (key, oldRank) — insertion sort; communicators are small.
-	for i := 1; i < len(mine); i++ {
-		for j := i; j > 0 && (mine[j].key < mine[j-1].key ||
-			(mine[j].key == mine[j-1].key && mine[j].oldRank < mine[j-1].oldRank)); j-- {
-			mine[j], mine[j-1] = mine[j-1], mine[j]
+		i := len(group)
+		group = append(group, r)
+		for ; i > 0 && keyOf(group[i-1]) > keyOf(r); i-- {
+			group[i] = group[i-1]
 		}
+		group[i] = r
 	}
-	group := make([]int, len(mine))
 	newRank := -1
-	for i, m := range mine {
-		group[i] = c.group[m.oldRank]
-		if m.oldRank == c.rank {
+	for i, r := range group {
+		if r == c.rank {
 			newRank = i
 		}
+		group[i] = c.group[r]
 	}
 	return &Comm{world: c.world, rank: newRank, group: group, active: c.active, ctx: ctx, epoch: c.epoch}
 }

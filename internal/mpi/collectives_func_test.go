@@ -1,29 +1,32 @@
 package mpi
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 )
 
 // TestReduceFuncRankOrder: the merge must always fold contributions in
-// ascending rank order, regardless of message arrival order. The merge
-// is deliberately non-commutative (decimal concatenation), and ranks
-// sleep random amounts so arrivals are scrambled.
+// ascending rank order, regardless of message arrival order and of which
+// rank is the root. The merge is deliberately non-commutative (decimal
+// concatenation), and ranks sleep random amounts so arrivals are
+// scrambled.
 func TestReduceFuncRankOrder(t *testing.T) {
 	const p = 6
 	for trial := 0; trial < 8; trial++ {
 		seed := int64(trial)
+		root := trial % p
 		err := Run(p, ThreadSingle, func(c *Comm) {
 			rng := rand.New(rand.NewSource(seed*131 + int64(c.Rank())))
 			time.Sleep(time.Duration(rng.Intn(2000)) * time.Microsecond)
 			in := []float64{float64(c.Rank() + 1)}
 			out := make([]float64, 1)
-			c.ReduceFunc(0, in, out, func(acc, contrib []float64) {
+			c.ReduceFunc(root, in, out, func(acc, contrib []float64) {
 				acc[0] = acc[0]*10 + contrib[0]
 			})
-			if c.Rank() == 0 && out[0] != 123456 {
-				panic("rank-ordered fold broken")
+			if c.Rank() == root && out[0] != 123456 {
+				panic(fmt.Sprintf("rank-ordered fold to root %d reads %g", root, out[0]))
 			}
 		})
 		if err != nil {

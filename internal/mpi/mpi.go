@@ -4,6 +4,17 @@
 // copied through per-rank mailboxes with MPI's matching rules
 // (source + tag, FIFO non-overtaking per (source, tag) pair).
 //
+// Delivery is eager and allocation-free in steady state whichever side
+// arrives first. A send that finds its receive posted copies straight
+// into the posted buffer. A send that arrives first is copied into an
+// envelope from the destination mailbox's free list, bucketed by
+// power-of-two capacity; the receive that matches it copies the payload
+// out under the mailbox lock and returns the envelope to the list. A
+// mailbox keeps at most maxPooledBytes (8 MiB) of payload capacity
+// pooled, and envelopes beyond that are left to the garbage collector. Collectives
+// reuse per-communicator scratch, and every receive they post returns
+// its request to the world's pool.
+//
 // The surface mirrors the MPI subset GPAW's finite-difference engine
 // needs: blocking and non-blocking point-to-point, request objects with
 // Wait/Waitall/Test, communicator split, Cartesian topologies
@@ -38,6 +49,7 @@ package mpi
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,8 +86,7 @@ type envelope struct {
 	src   int // sender's rank in the destination communicator
 	tag   int
 	data  []float64
-	seq   uint64 // arrival order stamp, for deterministic matching
-	epoch int    // fault-tolerance epoch the message belongs to
+	epoch int // fault-tolerance epoch the message belongs to
 	// arriveAt is the modeled virtual arrival time under the network
 	// model (see netmodel.go); 0 when no model is armed or the message
 	// is a free self-send.
@@ -84,7 +95,19 @@ type envelope struct {
 	// sublayer (see chaos.go): the matching receive completes with this
 	// typed error instead of a payload.
 	fail error
+	// pooled marks an envelope the mailbox recycles; its data has a
+	// power-of-two capacity. Chaos frames and messages beyond the largest
+	// size class keep buffers of their own.
+	pooled bool
 }
+
+// A mailbox pools envelopes in size classes 0 .. poolClasses-1, class k
+// holding 1<<k values, and keeps at most maxPooledBytes of payload
+// capacity pooled: one envelope of the largest class fills it.
+const (
+	poolClasses    = 21
+	maxPooledBytes = 8 << (poolClasses - 1)
+)
 
 // mailbox holds a rank's unmatched arrived messages and posted
 // receives. Posted receives are the Request objects themselves (their
@@ -95,8 +118,59 @@ type mailbox struct {
 	cond    *sync.Cond
 	arrived []*envelope
 	posted  []*Request
-	seq     uint64
 	aborted bool
+	// free[k] holds consumed envelopes whose data has capacity 1<<k;
+	// pooledBytes is their total capacity in bytes.
+	free        [poolClasses][]*envelope
+	pooledBytes int
+}
+
+// sizeClass returns the smallest k with 1<<k >= n.
+func sizeClass(n int) int {
+	if n <= 1 {
+		return 0
+	}
+	return bits.Len(uint(n - 1))
+}
+
+// getEnvelope returns a pooled envelope whose data has length n, from
+// the free list when one of n's size class is there. Caller holds m.mu
+// and sets every other field.
+//
+//gpaw:hotpath
+func (m *mailbox) getEnvelope(n int) *envelope {
+	k := sizeClass(n)
+	if k >= poolClasses {
+		// Never pooled, so not rounded up either.
+		//lint:ignore hotpathalloc a message larger than the pool cap gets a buffer of its own
+		return &envelope{data: make([]float64, n)}
+	}
+	if free := m.free[k]; len(free) > 0 {
+		env := free[len(free)-1]
+		free[len(free)-1] = nil
+		m.free[k] = free[:len(free)-1]
+		m.pooledBytes -= 8 << k
+		env.data = env.data[:n]
+		return env
+	}
+	//lint:ignore hotpathalloc pool miss: the envelope returns to the free list once a receive consumes it, so a repeating pattern stops missing
+	return &envelope{data: make([]float64, n, 1<<k), pooled: true}
+}
+
+// putEnvelope returns a consumed envelope to the free list unless it is
+// not a pooled one or the list already holds maxPooledBytes. Caller
+// holds m.mu and must not touch env afterwards.
+//
+//gpaw:hotpath
+func (m *mailbox) putEnvelope(env *envelope) {
+	b := 8 * cap(env.data)
+	if !env.pooled || m.pooledBytes+b > maxPooledBytes {
+		return
+	}
+	m.pooledBytes += b
+	k := sizeClass(cap(env.data))
+	//lint:ignore hotpathalloc free-list growth: its capacity is warm once the message pattern repeats
+	m.free[k] = append(m.free[k], env)
 }
 
 func newMailbox() *mailbox {
@@ -257,6 +331,13 @@ type Comm struct {
 	// agreeSeq counts Agree calls, like coll for collectives: all ranks
 	// call Agree in the same order, so the local counters line up.
 	agreeSeq uint64
+
+	// Collective scratch, so no collective allocates per call: red
+	// receives ReduceFunc's contributions at the root (grown once to the
+	// largest reduction), sum holds AllreduceSum's operands, which a
+	// posted receive would otherwise move to the heap.
+	red []float64
+	sum [2]float64
 }
 
 // Rank returns the caller's rank within the communicator.
@@ -427,12 +508,9 @@ func (c *Comm) sendDeliver(to, tag int, data []float64) {
 	box := c.world.boxes[toW]
 	box.mu.Lock()
 	defer box.mu.Unlock()
-	box.seq++
 	// Try to match a posted receive first, in post order. The match
-	// delivers straight from the sender's buffer into the posted one —
-	// no envelope, no intermediate copy, no allocation — which makes the
-	// split-phase exchange loops (receives posted up front, sends
-	// following) allocation-free in steady state. Epochs must agree so a
+	// delivers straight from the sender's buffer into the posted one, with
+	// no envelope and no intermediate copy. Epochs must agree so a
 	// pre-failure send can never complete a post-recovery receive.
 	for i, pr := range box.posted {
 		if pr == nil || pr.epoch != c.epoch {
@@ -449,9 +527,11 @@ func (c *Comm) sendDeliver(to, tag int, data []float64) {
 			return
 		}
 	}
-	//lint:ignore hotpathalloc unmatched-send fallback: the guarded split-phase loops pre-post every receive, so steady state always takes the posted-match path above
-	env := &envelope{src: c.rank, tag: tag, data: append([]float64(nil), data...), seq: box.seq, epoch: c.epoch, arriveAt: arriveAt}
-	//lint:ignore hotpathalloc same cold fallback as the envelope above
+	// No receive posted yet: queue an eager copy in a pooled envelope.
+	env := box.getEnvelope(len(data))
+	copy(env.data, data)
+	env.src, env.tag, env.epoch, env.arriveAt = c.rank, tag, c.epoch, arriveAt
+	//lint:ignore hotpathalloc arrived-list growth: its capacity is warm once the message pattern repeats
 	box.arrived = append(box.arrived, env)
 	box.cond.Broadcast()
 }
@@ -485,11 +565,23 @@ func completeRecv(pr *Request, src, tag int, data []float64, arriveAt int64) {
 // Recv blocks until a message matching (from, tag) arrives, copies it
 // into buf, and returns the source rank, tag and value count. from may be
 // AnySource and tag may be AnyTag.
+//
+//gpaw:hotpath
 func (c *Comm) Recv(from, tag int, buf []float64) (src, gotTag, n int) {
 	c.enter()
 	defer c.exit()
+	return c.recv(from, tag, buf)
+}
+
+// recv is a blocking receive that returns its request to the world
+// pool: the form every blocking receive of the package takes.
+//
+//gpaw:hotpath
+func (c *Comm) recv(from, tag int, buf []float64) (src, gotTag, n int) {
 	req := c.irecv(from, tag, buf)
-	return req.Wait()
+	src, gotTag, n = req.Wait()
+	Reclaim(req)
+	return src, gotTag, n
 }
 
 // Isend initiates a non-blocking send and returns its request. With the
@@ -544,16 +636,21 @@ func (c *Comm) irecv(from, tag int, buf []float64) *Request {
 			continue
 		}
 		if (from == AnySource || from == env.src) && (tag == AnyTag || tag == env.tag) {
-			//lint:ignore hotpathalloc in-place removal from the arrived list — never grows the backing array
-			box.arrived = append(box.arrived[:i], box.arrived[i+1:]...)
-			box.mu.Unlock()
+			last := len(box.arrived) - 1
+			copy(box.arrived[i:], box.arrived[i+1:])
+			box.arrived[last] = nil
+			box.arrived = box.arrived[:last]
 			if env.fail != nil {
 				// Poisoned delivery from the chaos reliability sublayer:
 				// the receive completes with the typed error.
 				req.completeErr(env.src, env.tag, 0, env.fail)
-				return req
+			} else {
+				// Copy out under the mailbox lock: once the envelope is back
+				// on the free list, the next unmatched send may reuse it.
+				completeRecv(req, env.src, env.tag, env.data, env.arriveAt)
+				box.putEnvelope(env)
 			}
-			completeRecv(req, env.src, env.tag, env.data, env.arriveAt)
+			box.mu.Unlock()
 			return req
 		}
 	}
@@ -613,6 +710,7 @@ func (c *Comm) Sendrecv(to, sendTag int, sendBuf []float64, from, recvTag int, r
 	req := c.irecv(from, recvTag, recvBuf)
 	c.send(to, sendTag, sendBuf)
 	_, _, n = req.Wait()
+	Reclaim(req)
 	return n
 }
 

@@ -51,6 +51,19 @@ type Request struct {
 	// w is the world whose free pool the request returns to on Reclaim
 	// (nil for requests constructed outside a world, e.g. in tests).
 	w *World
+
+	// watch is the op-timeout watchdog, made by the first timed wait and
+	// reused by later ones, so it lives as long as the pooled request.
+	watch *time.Timer
+}
+
+// wake is the watchdog's callback: a broadcast that lets a timed wait
+// re-check its deadline. A late call after reuse is a spurious wakeup,
+// which every wait loop tolerates.
+func (r *Request) wake() {
+	r.mu.Lock()
+	r.cond.Broadcast()
+	r.mu.Unlock()
 }
 
 func newRequest() *Request {
@@ -192,14 +205,14 @@ func (r *Request) wait() (src, tag, n int) {
 				}
 				// The timer only wakes the waiter so the deadline check
 				// runs; the request itself stays pending.
-				//lint:ignore hotpathalloc watchdog timer exists only when an op timeout is configured (debugging runs), never in the guarded steady state
-				timer := time.AfterFunc(deadline.Sub(now), func() {
-					r.mu.Lock()
-					r.cond.Broadcast()
-					r.mu.Unlock()
-				})
+				if r.watch == nil {
+					//lint:ignore hotpathalloc once per request object: a pooled request keeps its watchdog timer
+					r.watch = time.AfterFunc(deadline.Sub(now), r.wake)
+				} else {
+					r.watch.Reset(deadline.Sub(now))
+				}
 				r.cond.Wait()
-				timer.Stop()
+				r.watch.Stop()
 			}
 		}
 	}

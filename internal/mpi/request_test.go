@@ -149,3 +149,29 @@ func TestReclaimedRecvIsAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUnexpectedRecvIsAllocationFree is the other order: the send
+// arrives before its receive is posted, so the payload waits in an
+// envelope. Once the mailbox's free list is warm, a send/post/wait/
+// Reclaim cycle performs no allocation either.
+func TestUnexpectedRecvIsAllocationFree(t *testing.T) {
+	err := Run(1, ThreadSingle, func(c *Comm) {
+		buf := make([]float64, 8)
+		data := make([]float64, 8)
+		cycle := func() {
+			c.Send(0, 3, data)
+			req := c.Irecv(0, 3, buf)
+			req.Wait()
+			Reclaim(req)
+		}
+		for i := 0; i < 4; i++ {
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+			t.Errorf("steady-state unexpected-recv cycle allocates %.1f objects/op, want 0", allocs)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
