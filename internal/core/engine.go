@@ -298,15 +298,18 @@ func (e *Engine) postDim(st *exchangeState, src []*grid.Grid, tagBase, bi, dim i
 		//lint:ignore hotpathalloc request list of the recycled exchangeState, reset to [:0] each exchange — capacity is warm in steady state
 		st.reqs = append(st.reqs, e.cart.Irecv(e.nbr[dim][side], faceTag(tagBase, bi, dim, side), st.recv[dim][side]))
 	}
+	// A side without a neighbour never gets a buffer, so it stays nil
+	// and PackFaces skips it.
+	low, high := st.send[dim][grid.Low], st.send[dim][grid.High]
+	for gi := st.b.Lo; gi < st.b.Hi; gi++ {
+		src[gi].PackFaces(dim, e.op.R, low, high)
+		low, high = advance(low, faceLen), advance(high, faceLen)
+	}
 	for _, side := range [...]grid.Side{grid.Low, grid.High} {
 		if e.nbr[dim][side] == mpi.ProcNull {
 			continue
 		}
 		buf := st.send[dim][side]
-		pos := 0
-		for gi := st.b.Lo; gi < st.b.Hi; gi++ {
-			pos += src[gi].PackFace(dim, side, e.op.R, buf[pos:])
-		}
 		// My (dim, side) face fills the neighbour's opposite halo. Send
 		// rather than Isend: the eager transport completes a buffered
 		// send immediately either way, and skipping the request object
@@ -315,6 +318,15 @@ func (e *Engine) postDim(st *exchangeState, src []*grid.Grid, tagBase, bi, dim i
 		e.cart.Send(e.nbr[dim][side], tag, buf)
 		e.noteSent(int64(len(buf) * 8))
 	}
+}
+
+// advance drops the first n values of a face buffer; an absent side
+// (nil) stays nil.
+func advance(buf []float64, n int) []float64 {
+	if buf == nil {
+		return nil
+	}
+	return buf[n:]
 }
 
 // finishExchange waits for the batch's transfers and installs received
@@ -347,22 +359,24 @@ func (e *Engine) finishExchange(st *exchangeState, src []*grid.Grid) {
 //gpaw:hotpath
 func (e *Engine) unpack(st *exchangeState, src []*grid.Grid) {
 	for dim := 0; dim < 3; dim++ {
-		faceLen := src[st.b.Lo].FaceLen(dim, e.op.R)
-		for _, side := range [...]grid.Side{grid.Low, grid.High} {
-			if e.nbr[dim][side] == mpi.ProcNull {
-				// Dirichlet boundary: halos were zeroed at allocation and
-				// stay zero.
-				continue
-			}
-			buf := st.recv[dim][side]
-			pos := 0
-			for gi := st.b.Lo; gi < st.b.Hi; gi++ {
-				src[gi].UnpackHalo(dim, side, e.op.R, buf[pos:pos+faceLen])
-				pos += faceLen
-			}
-		}
+		e.unpackDim(st, src, dim)
 	}
 	e.noteExchanges(int64(st.b.Size()))
+}
+
+// unpackDim copies one dimension's received face buffers into the halos
+// of the batch. A side without a neighbour has no buffer (nil) and is
+// skipped: a Dirichlet boundary's halos were zeroed at allocation and
+// stay zero.
+//
+//gpaw:hotpath
+func (e *Engine) unpackDim(st *exchangeState, src []*grid.Grid, dim int) {
+	faceLen := src[st.b.Lo].FaceLen(dim, e.op.R)
+	low, high := st.recv[dim][grid.Low], st.recv[dim][grid.High]
+	for gi := st.b.Lo; gi < st.b.Hi; gi++ {
+		src[gi].UnpackHalos(dim, e.op.R, low, high)
+		low, high = advance(low, faceLen), advance(high, faceLen)
+	}
 }
 
 // exchangeSerialized performs the original GPAW pattern for one batch:
@@ -384,18 +398,7 @@ func (e *Engine) exchangeSerialized(st *exchangeState, src []*grid.Grid, tagBase
 		mpi.Reclaim(st.reqs...)
 		// Install this dimension's halos before the next dimension runs
 		// (the serialized pattern's defining property).
-		faceLen := src[st.b.Lo].FaceLen(dim, e.op.R)
-		for _, side := range [...]grid.Side{grid.Low, grid.High} {
-			if e.nbr[dim][side] == mpi.ProcNull {
-				continue
-			}
-			buf := st.recv[dim][side]
-			pos := 0
-			for gi := st.b.Lo; gi < st.b.Hi; gi++ {
-				src[gi].UnpackHalo(dim, side, e.op.R, buf[pos:pos+faceLen])
-				pos += faceLen
-			}
-		}
+		e.unpackDim(st, src, dim)
 	}
 	e.noteExchanges(int64(st.b.Size()))
 }

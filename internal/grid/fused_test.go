@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -102,6 +103,57 @@ func TestPackUnpackSelfIdentity(t *testing.T) {
 					t.Fatalf("halo (%d,%d,%d) = %g, want %g", g.Nx+a, j, k, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestPackFacesMatchOneSided: the two-sided pass over a dimension packs
+// and unpacks exactly what two one-sided calls do, and two passes with
+// one side nil compose to the two-sided one — for every dimension,
+// every thickness up to the halo, and thin extents (Nz == t, Nz == 1).
+func TestPackFacesMatchOneSided(t *testing.T) {
+	for _, e := range [][4]int{{5, 4, 6, 3}, {4, 3, 2, 2}, {3, 4, 1, 2}} {
+		nx, ny, nz, h := e[0], e[1], e[2], e[3]
+		src := filledGrid(nx, ny, nz, h)
+		for dim := 0; dim < 3; dim++ {
+			for thick := 1; thick <= h && thick <= src.extent(dim); thick++ {
+				name := func(what string) string {
+					return fmt.Sprintf("%dx%dx%d H=%d dim %d t %d: %s", nx, ny, nz, h, dim, thick, what)
+				}
+				n := src.FaceLen(dim, thick)
+				low, high := make([]float64, n), make([]float64, n)
+				if got := src.PackFaces(dim, thick, low, high); got != n {
+					t.Fatalf("%s = %d, want %d", name("PackFaces"), got, n)
+				}
+				wantLow, wantHigh := make([]float64, n), make([]float64, n)
+				src.PackFace(dim, Low, thick, wantLow)
+				src.PackFace(dim, High, thick, wantHigh)
+				sameBits(t, name("packed Low"), low, wantLow)
+				sameBits(t, name("packed High"), high, wantHigh)
+				onlyHigh := make([]float64, n)
+				src.PackFaces(dim, thick, nil, onlyHigh)
+				sameBits(t, name("packed High alone"), onlyHigh, high)
+
+				two, one, halves := New(nx, ny, nz, h), New(nx, ny, nz, h), New(nx, ny, nz, h)
+				if got := two.UnpackHalos(dim, thick, low, high); got != n {
+					t.Fatalf("%s = %d, want %d", name("UnpackHalos"), got, n)
+				}
+				one.UnpackHalo(dim, Low, thick, low)
+				one.UnpackHalo(dim, High, thick, high)
+				halves.UnpackHalos(dim, thick, low, nil)
+				halves.UnpackHalos(dim, thick, nil, high)
+				sameBits(t, name("unpacked vs one-sided"), two.data, one.data)
+				sameBits(t, name("unpacked vs halves"), two.data, halves.data)
+			}
+		}
+	}
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: [%d] = %g, want %g", what, i, got[i], want[i])
 		}
 	}
 }

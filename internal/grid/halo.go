@@ -54,70 +54,112 @@ func (g *Grid) extent(dim int) int {
 // data a neighbouring process needs to fill its halo. buf must have at
 // least FaceLen(dim, t) capacity.
 func (g *Grid) PackFace(dim int, side Side, t int, buf []float64) int {
-	if t > g.extent(dim) {
-		panic(fmt.Sprintf("grid: face thickness %d exceeds extent %d", t, g.extent(dim)))
+	if side == Low {
+		return g.PackFaces(dim, t, buf, nil)
 	}
-	lo := 0
-	if side == High {
-		lo = g.extent(dim) - t
-	}
-	return g.copySlab(dim, lo, t, buf, true)
+	return g.PackFaces(dim, t, nil, buf)
 }
 
 // UnpackHalo copies buf into the halo slab of thickness t on the given
 // face. This installs surface points received from a neighbour.
 func (g *Grid) UnpackHalo(dim int, side Side, t int, buf []float64) int {
-	if t > g.H {
-		panic(fmt.Sprintf("grid: face thickness %d exceeds halo %d", t, g.H))
+	if side == Low {
+		return g.UnpackHalos(dim, t, buf, nil)
 	}
-	lo := -t
-	if side == High {
-		lo = g.extent(dim)
-	}
-	return g.copySlab(dim, lo, t, buf, false)
+	return g.UnpackHalos(dim, t, nil, buf)
 }
 
-// copySlab moves a slab of thickness t starting at index lo of dimension
-// dim between the grid and buf. pack=true copies grid->buf, else
-// buf->grid. The slab spans the full interior extent of the other two
-// dimensions. Returns the number of values moved.
+// PackFaces is PackFace for both faces of dimension dim in one walk over
+// the grid: the Low slab goes to low and the High slab to high, a nil
+// side is skipped. It returns the number of values written per side.
+//
+//gpaw:hotpath
+func (g *Grid) PackFaces(dim, t int, low, high []float64) int {
+	if n := g.extent(dim); t > n {
+		//lint:ignore hotpathalloc panic path: formatting the message as we die is fine
+		panic(fmt.Sprintf("grid: face thickness %d exceeds extent %d", t, n))
+	}
+	return g.moveFaces(dim, t, 0, g.extent(dim)-t, low, high, true)
+}
+
+// UnpackHalos is UnpackHalo for both faces of dimension dim in one walk
+// over the grid: low fills the Low halo and high the High halo, a nil
+// side is skipped. It returns the number of values read per side.
+//
+//gpaw:hotpath
+func (g *Grid) UnpackHalos(dim, t int, low, high []float64) int {
+	if t > g.H {
+		//lint:ignore hotpathalloc panic path: formatting the message as we die is fine
+		panic(fmt.Sprintf("grid: face thickness %d exceeds halo %d", t, g.H))
+	}
+	return g.moveFaces(dim, t, -t, g.extent(dim), low, high, false)
+}
+
+// moveFaces moves the slabs of thickness t at indices lo and hi of
+// dimension dim, each spanning the interior of the other two, between
+// the grid and low/high (grid to buffer when pack), skipping a nil side.
+// Returns the number of values moved per side.
 //
 // Exchanging dimensions serially (x, then y, then z) with interior-only
 // slabs leaves grid corners unfilled; the distributed engine in
 // internal/core fills corners the same way GPAW does — the stencil never
 // reads corner halos, because each axis term only reaches through faces.
-func (g *Grid) copySlab(dim, lo, t int, buf []float64, pack bool) int {
-	x0, x1 := 0, g.Nx
-	y0, y1 := 0, g.Ny
-	z0, z1 := 0, g.Nz
+func (g *Grid) moveFaces(dim, t, lo, hi int, low, high []float64, pack bool) int {
+	need := g.FaceLen(dim, t)
+	if (low != nil && len(low) < need) || (high != nil && len(high) < need) {
+		panic(fmt.Sprintf("grid: buffer lens %d, %d < slab size %d", len(low), len(high), need))
+	}
+	// A slab is nx x ny rows of n contiguous values, row (a, b) starting
+	// at base + a*sx + b*sy; the High slab sits shift values further on.
+	nx, ny, n := g.Nx, g.Ny, g.Nz
+	var base, shift int
 	switch dim {
 	case 0:
-		x0, x1 = lo, lo+t
+		nx, base, shift = t, g.index(lo, 0, 0), (hi-lo)*g.sx
 	case 1:
-		y0, y1 = lo, lo+t
-	case 2:
-		z0, z1 = lo, lo+t
+		ny, base, shift = t, g.index(0, lo, 0), (hi-lo)*g.sy
 	default:
-		panic(fmt.Sprintf("grid: bad dimension %d", dim))
-	}
-	need := (x1 - x0) * (y1 - y0) * (z1 - z0)
-	if len(buf) < need {
-		panic(fmt.Sprintf("grid: buffer len %d < slab size %d", len(buf), need))
+		n, base, shift = t, g.index(0, 0, lo), hi-lo
 	}
 	pos := 0
-	for i := x0; i < x1; i++ {
-		for j := y0; j < y1; j++ {
-			row := g.index(i, j, z0)
-			n := z1 - z0
-			if pack {
-				copy(buf[pos:pos+n], g.data[row:row+n])
-			} else {
-				copy(g.data[row:row+n], buf[pos:pos+n])
+	for a := 0; a < nx; a++ {
+		for b := 0; b < ny; b++ {
+			row := base + a*g.sx + b*g.sy
+			if low != nil {
+				moveRow(low[pos:pos+n], g.data[row:], pack, dim == 2)
+			}
+			if high != nil {
+				moveRow(high[pos:pos+n], g.data[row+shift:], pack, dim == 2)
 			}
 			pos += n
 		}
 	}
 	return pos
+}
+
+// moveRow moves len(f) values between the face buffer f and the start of
+// the grid row d: f = d when pack, else d = f. A short row (dimension
+// 2's, only the slab's thickness long) moves in an element loop, where a
+// memmove call would cost more than the move; the full z-rows of the
+// other dimensions copy.
+func moveRow(f, d []float64, pack, short bool) {
+	d = d[:len(f)]
+	// bce:begin
+	switch {
+	case !short && pack:
+		copy(f, d)
+	case !short:
+		copy(d, f)
+	case pack:
+		for k := range f {
+			f[k] = d[k]
+		}
+	default:
+		for k := range d {
+			d[k] = f[k]
+		}
+	}
+	// bce:end
 }
 
 // FillHalosPeriodic installs periodic boundary halos from the grid's own

@@ -325,8 +325,16 @@ func (c *Comm) chaosSend(toW, tag int, data []float64, arriveAt int64) {
 	for attempt := 0; ; attempt++ {
 		if w.ftOn.Load() {
 			// Rank failure preempts retransmission: a dead peer (or a
-			// revoked epoch) is not a lossy link.
-			w.checkPeer(c.epoch, toW)
+			// revoked epoch) is not a lossy link. The frame already holds
+			// the pair's sequence number, so it is released poisoned in
+			// that place first: the receiver's resequencer would otherwise
+			// wait for the number forever and hold back every later frame
+			// on the pair, the post-recovery traffic included.
+			if err := w.peerFailure(c.epoch, toW); err != nil {
+				fr.fail, fr.data = err, nil
+				cs.inject(w, pair, srcW, toW, fr)
+				panic(err)
+			}
 		}
 		if attempt > f.MaxRetries {
 			cs.failDelivery(w, pair, srcW, toW, fr, attempt)

@@ -281,6 +281,65 @@ func TestChaosRankFailurePreemptsRetry(t *testing.T) {
 	}
 }
 
+func TestChaosRevokedSendReleasesSequenceNumber(t *testing.T) {
+	// A send has taken its pair sequence number when an epoch revoked
+	// during its retransmission backoff stops it. Traffic on the same
+	// world pair after Shrink must still arrive: the receiver's
+	// resequencer may not wait for the stopped frame's number forever.
+	const drop, burst = 0.5, 12
+	seed := int64(0)
+	for ; ; seed++ {
+		// The first frame 0 -> 1 drops on burst attempts in a row (the
+		// rank death lands in that window); the next three get through
+		// within a few attempts.
+		f := MsgFaults{Seed: seed, Drop: drop}
+		ok := true
+		for a := 0; a < burst && ok; a++ {
+			ok = f.roll(fateDrop, 0, 1, 0, a) < drop
+		}
+		for seq := uint64(1); seq <= 3 && ok; seq++ {
+			ok = f.roll(fateDrop, 0, 1, seq, 0) >= drop || f.roll(fateDrop, 0, 1, seq, 1) >= drop
+		}
+		if ok {
+			break
+		}
+	}
+	w := NewWorld(3, ThreadSingle)
+	w.SetOpTimeout(10 * time.Second)
+	w.SetMsgFaults(&MsgFaults{Seed: seed, Drop: drop, RetryBase: time.Millisecond})
+	err := w.Run(func(c *Comm) {
+		switch c.Rank() {
+		case 0:
+			if recoverFailure(func() { c.Send(1, 7, []float64{-1}) }) == nil {
+				panic("send completed across the revoked epoch")
+			}
+		case 2:
+			for w.chaos.counters[0].dropped.Load() == 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			c.Fail()
+		}
+		for !w.isDead(2) {
+			time.Sleep(100 * time.Microsecond)
+		}
+		nc := c.Shrink(c.Agree())
+		for i := 1; i <= 3; i++ {
+			if nc.Rank() == 0 {
+				nc.Send(1, 7, []float64{float64(i)})
+				continue
+			}
+			buf := []float64{0}
+			nc.Recv(0, 7, buf)
+			if buf[0] != float64(i) {
+				panic(fmt.Sprintf("post-recovery message %d carried %v", i, buf[0]))
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestChaosCollectivesUnderFaults(t *testing.T) {
 	// The tree collectives route through the same transport; a lossy
 	// link must not perturb any of them (Barrier's empty payload

@@ -261,13 +261,22 @@ func (c *Comm) faultPoint() {
 // peer (given as a world rank), revoking the epoch first so every other
 // survivor unwinds too. Must not be called with a mailbox lock held.
 func (w *World) checkPeer(epoch int, peer int) {
+	if err := w.peerFailure(epoch, peer); err != nil {
+		panic(err)
+	}
+}
+
+// peerFailure is checkPeer returning the failure instead of raising it,
+// for callers that must clean up before they unwind.
+func (w *World) peerFailure(epoch int, peer int) error {
 	if int64(epoch) <= w.revokedEpoch.Load() {
-		panic(w.failure())
+		return w.failure()
 	}
 	if w.isDead(peer) {
 		w.revoke(int64(epoch), peer)
-		panic(&ErrRankFailed{Rank: peer})
+		return &ErrRankFailed{Rank: peer}
 	}
+	return nil
 }
 
 // Fail kills the calling rank at once, as if its node were lost — the

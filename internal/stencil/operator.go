@@ -167,31 +167,43 @@ func (op *Operator) gridTaps(g *grid.Grid) []tap {
 // stencilRow evaluates the stencil along one contiguous z-row: out[k] =
 // center*in[s0+k] + taps for k in [0, n). Every kernel in the package —
 // serial, parallel and fused — funnels through this routine, so all of
-// them produce bit-identical stencil values by construction.
+// them produce bit-identical stencil values by construction. Every
+// product is rounded before it is added (the conversions keep an
+// FMA-capable architecture from fusing).
+//
+//gpaw:hotpath
 func stencilRow(out, in []float64, s0, n int, center float64, taps []tap) {
 	switch len(taps) {
 	case 12:
-		// Fast path for the paper's radius-2 operator: unrolled
-		// 13-point kernel (center + 12 taps).
-		t := taps
-		for k := 0; k < n; k++ {
-			s := s0 + k
-			v := center * in[s]
-			v += t[0].c*in[s+t[0].off] + t[1].c*in[s+t[1].off] +
-				t[2].c*in[s+t[2].off] + t[3].c*in[s+t[3].off]
-			v += t[4].c*in[s+t[4].off] + t[5].c*in[s+t[5].off] +
-				t[6].c*in[s+t[6].off] + t[7].c*in[s+t[7].off]
-			v += t[8].c*in[s+t[8].off] + t[9].c*in[s+t[9].off] +
-				t[10].c*in[s+t[10].off] + t[11].c*in[s+t[11].off]
+		// The paper's 13-point operator, unrolled over one re-sliced row
+		// per tap so the loop carries no bounds check: the centre
+		// product, then three groups of four taps in tap order.
+		c0, c1, c2, c3 := taps[0].c, taps[1].c, taps[2].c, taps[3].c
+		c4, c5, c6, c7 := taps[4].c, taps[5].c, taps[6].c, taps[7].c
+		c8, c9, c10, c11 := taps[8].c, taps[9].c, taps[10].c, taps[11].c
+		out, x := out[:n], in[s0:][:n]
+		x0, x1 := in[s0+taps[0].off:][:n], in[s0+taps[1].off:][:n]
+		x2, x3 := in[s0+taps[2].off:][:n], in[s0+taps[3].off:][:n]
+		x4, x5 := in[s0+taps[4].off:][:n], in[s0+taps[5].off:][:n]
+		x6, x7 := in[s0+taps[6].off:][:n], in[s0+taps[7].off:][:n]
+		x8, x9 := in[s0+taps[8].off:][:n], in[s0+taps[9].off:][:n]
+		x10, x11 := in[s0+taps[10].off:][:n], in[s0+taps[11].off:][:n]
+		// bce:begin
+		for k := range out {
+			v := float64(center * x[k])
+			v += float64(c0*x0[k]) + float64(c1*x1[k]) + float64(c2*x2[k]) + float64(c3*x3[k])
+			v += float64(c4*x4[k]) + float64(c5*x5[k]) + float64(c6*x6[k]) + float64(c7*x7[k])
+			v += float64(c8*x8[k]) + float64(c9*x9[k]) + float64(c10*x10[k]) + float64(c11*x11[k])
 			out[k] = v
 		}
+		// bce:end
 	default:
 		for k := 0; k < n; k++ {
 			s := s0 + k
-			v := center * in[s]
+			v := float64(center * in[s])
 			for _, tp := range taps {
 				//lint:ignore detsumcheck rank-local stencil application in fixed tap order; this exact rounding sequence IS the bit-identity contract
-				v += tp.c * in[s+tp.off]
+				v += float64(tp.c * in[s+tp.off])
 			}
 			out[k] = v
 		}

@@ -1,7 +1,9 @@
 package stencil
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -312,15 +314,103 @@ func TestGeneralRadiusKernelMatchesUnrolled(t *testing.T) {
 	}
 }
 
-func BenchmarkApply13Point64(b *testing.B) {
-	op := Laplacian(2, 1)
-	src := grid.New(64, 64, 64, 2)
-	dst := grid.New(64, 64, 64, 2)
-	src.FillFunc(func(i, j, k int) float64 { return float64(i + j + k) })
-	src.FillHalosPeriodic()
-	b.SetBytes(int64(src.Points() * op.BytesPerPoint()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		op.Apply(dst, src)
+// stencilRowOracle is stencilRow in indexed form, every tap read as
+// in[s+off]: the centre product, then for radius 2 three groups of four
+// taps in tap order, else one tap at a time. Products are rounded before
+// they are added, so the oracle is the same on every architecture.
+func stencilRowOracle(out, in []float64, s0, n int, center float64, taps []tap) {
+	for k := 0; k < n; k++ {
+		s := s0 + k
+		v := float64(center * in[s])
+		if t := taps; len(t) == 12 {
+			v += float64(t[0].c*in[s+t[0].off]) + float64(t[1].c*in[s+t[1].off]) +
+				float64(t[2].c*in[s+t[2].off]) + float64(t[3].c*in[s+t[3].off])
+			v += float64(t[4].c*in[s+t[4].off]) + float64(t[5].c*in[s+t[5].off]) +
+				float64(t[6].c*in[s+t[6].off]) + float64(t[7].c*in[s+t[7].off])
+			v += float64(t[8].c*in[s+t[8].off]) + float64(t[9].c*in[s+t[9].off]) +
+				float64(t[10].c*in[s+t[10].off]) + float64(t[11].c*in[s+t[11].off])
+		} else {
+			for _, tp := range t {
+				v += float64(tp.c * in[s+tp.off])
+			}
+		}
+		out[k] = v
+	}
+}
+
+// TestStencilRowMatchesOracle holds the row kernel to the indexed
+// oracle bit for bit: random coefficients and rows mixing ordinary
+// values, ±0 and subnormals, every row length the sweeps produce from
+// empty to 48, radii 1-3 (the unrolled radius-2 path and the generic
+// one) and several grid layouts.
+func TestStencilRowMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	value := func() float64 {
+		switch rng.IntN(6) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		case 2:
+			return (rng.Float64() - 0.5) * 1e4 * math.SmallestNonzeroFloat64
+		default:
+			return (rng.Float64() - 0.5) * math.Pow(10, float64(rng.IntN(9)-4))
+		}
+	}
+	coeffs := func(r int) []float64 {
+		c := make([]float64, 2*r+1)
+		for i := range c {
+			c[i] = value()
+			if c[i] == 0 {
+				c[i] = rng.Float64() + 0.5 // keep every tap
+			}
+		}
+		return c
+	}
+	for _, r := range []int{1, 2, 3} {
+		op := NewOperator(r, coeffs(r), coeffs(r), coeffs(r))
+		// Layouts as (y rows, z row length) of the padded grid: tiny
+		// overlapping strides, a flat slab, 24^3 with halo 3 and 48^3
+		// with halo 2.
+		for _, l := range [][2]int{{4, 3}, {24, 6}, {30, 30}, {52, 52}} {
+			sx, sy := l[0]*l[1], l[1]
+			taps := op.taps(sx, sy)
+			for _, n := range []int{0, 1, 2, 3, 24, 48} {
+				s0 := r * sx
+				in := make([]float64, s0+n+r*sx)
+				for i := range in {
+					in[i] = value()
+				}
+				got, want := make([]float64, n), make([]float64, n)
+				stencilRow(got, in, s0, n, op.Center, taps)
+				stencilRowOracle(want, in, s0, n, op.Center, taps)
+				for k := range want {
+					if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+						t.Fatalf("r=%d layout %v n=%d: out[%d] = %g (%#x), oracle %g (%#x)",
+							r, l, n, k, got[k], math.Float64bits(got[k]), want[k], math.Float64bits(want[k]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkApply reports the serial 13-point kernel's cost per point at
+// the local extents the benchmark's workloads sweep: 24^3 (the SCF
+// system), 48^3 (fd_batch's grids) and 64^3.
+func BenchmarkApply(b *testing.B) {
+	for _, n := range []int{24, 48, 64} {
+		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {
+			op := Laplacian(2, 1)
+			src := grid.New(n, n, n, 2)
+			dst := grid.New(n, n, n, 2)
+			src.FillFunc(func(i, j, k int) float64 { return float64(i + j + k) })
+			src.FillHalosPeriodic()
+			b.SetBytes(int64(src.Points() * op.BytesPerPoint()))
+			for b.Loop() {
+				op.Apply(dst, src)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(src.Points()), "ns/pt")
+		})
 	}
 }
