@@ -1,7 +1,7 @@
 // Command gpawlint is the repo's static-analysis multichecker. It
 // bundles the five invariant analyzers from internal/analysis
 // (detsumcheck, hotpathalloc, tracepair, requestleak, rankfailerr)
-// with the stock-style copylocks pass, and runs in two modes:
+// and runs in two modes:
 //
 //	gpawlint ./...             # standalone: load, analyze, report
 //	go vet -vettool=$(which gpawlint) ./...   # unit-checker protocol
@@ -34,7 +34,7 @@ import (
 
 // version participates in go vet's build-cache key: bump it whenever
 // analyzer behavior changes so cached clean results are invalidated.
-const version = "v9.1.1"
+const version = "v9.2.0"
 
 func main() {
 	args := os.Args[1:]

@@ -60,7 +60,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // All returns every analyzer in the suite, in stable order: the five
-// repo-specific invariant passes plus the bundled stock-style passes.
+// repo-specific invariant passes.
 func All() []*Analyzer {
 	return []*Analyzer{
 		DetsumCheck,
@@ -68,7 +68,6 @@ func All() []*Analyzer {
 		TracePair,
 		RequestLeak,
 		RankFailErr,
-		CopyLocks,
 	}
 }
 

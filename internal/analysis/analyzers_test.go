@@ -42,10 +42,6 @@ func TestRankFailErrTestdata(t *testing.T) {
 	runTestdata(t, "rankfailerr", "repro/internal/ft", []*Analyzer{RankFailErr})
 }
 
-func TestCopyLocksTestdata(t *testing.T) {
-	runTestdata(t, "copylocks", "repro/internal/cl", []*Analyzer{CopyLocks})
-}
-
 // TestSeededDefects runs the whole suite over deliberately broken
 // copies of real solver code under a guarded import path, proving each
 // analyzer catches its seed (the want comments name the analyzers).

@@ -48,9 +48,9 @@
 //     by matching the rendered message, whose wording is not part of
 //     the failure contract.
 //
-// The bundled copylocks pass reimplements the stock vet check for the
-// shapes this runtime uses (mailbox structs, sync-bearing engines
-// passed by value).
+// Lock values copied by value (mailbox structs, sync-bearing engines)
+// are left to stock vet's copylocks check, which CI runs as
+// `go vet ./...`.
 //
 // # Suppression
 //

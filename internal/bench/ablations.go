@@ -26,28 +26,16 @@ func AblationLatencyHiding(opt Options) *Experiment {
 	}
 	w, cores := ablationWorkload()
 	prm := opt.params()
-	run := func(exch core.ExchangeMode, db bool, batch int) float64 {
-		cfg := bgpsim.Config{Cores: cores, Approach: core.FlatOptimized, BatchSize: batch,
-			BatchRamp: batch > 1, Params: prm}
-		if exch == core.ExchangeSerialized {
-			cfg.Approach = core.FlatOriginal
-		} else if !db {
-			// Async without double buffering: emulate by disabling the
-			// pipeline via batch-equals-total (single exposed batch) —
-			// instead use a dedicated flag through params? The simulator
-			// derives protocol from the approach; FlatOptimized always
-			// double-buffers. We approximate async-without-overlap by
-			// setting the batch to the whole job, leaving nothing to
-			// pipeline.
-			cfg.BatchSize = w.NumGrids
-			cfg.BatchRamp = false
-		}
-		return simulate(w, cfg).Time
+	run := func(a core.Approach, batch int) float64 {
+		return simulate(w, bgpsim.Config{Cores: cores, Approach: a, BatchSize: batch,
+			BatchRamp: batch > 1 && batch < w.NumGrids, Params: prm}).Time
 	}
-	orig := run(core.ExchangeSerialized, false, 1)
-	asyncOnly := run(core.ExchangeAsync, false, 1)
-	asyncDB := run(core.ExchangeAsync, true, 1)
-	full := run(core.ExchangeAsync, true, 16)
+	orig := run(core.FlatOriginal, 1)
+	// Async without double buffering: one unramped batch holding every
+	// grid leaves nothing to pipeline, so the whole exchange is exposed.
+	asyncOnly := run(core.FlatOptimized, w.NumGrids)
+	asyncDB := run(core.FlatOptimized, 1)
+	full := run(core.FlatOptimized, 16)
 	e.AddRow("serialized blocking (original)", fmt.Sprintf("%.3f", orig), "1.00x")
 	e.AddRow("async all-dims, no overlap", fmt.Sprintf("%.3f", asyncOnly), fmt.Sprintf("%.2fx", orig/asyncOnly))
 	e.AddRow("async + double buffering", fmt.Sprintf("%.3f", asyncDB), fmt.Sprintf("%.2fx", orig/asyncDB))

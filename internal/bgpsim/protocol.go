@@ -267,7 +267,7 @@ func Simulate(w Workload, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// runProtocol enacts one application of the configured exchange +
+// runProtocol enacts one application of the approach's exchange +
 // compute protocol for one rank or thread owning `grids` grids.
 func runProtocol(p *sim.Proc, nd *node, r *simRank, grids int,
 	cfg Config, opts core.Options, tpp float64, localPoints int,
@@ -358,19 +358,14 @@ func runProtocol(p *sim.Proc, nd *node, r *simRank, grids int,
 		}
 	}
 
-	switch {
-	case opts.Exchange == core.ExchangeSerialized:
+	// The approach is the schedule, as in core.Engine: flat original
+	// exchanges serialized, every other approach double-buffers.
+	if cfg.Approach == core.FlatOriginal {
 		for _, b := range batches {
 			serialized(b.Size())
 			computeBatch(b.Size())
 		}
-	case !opts.DoubleBuffer:
-		for _, b := range batches {
-			start(b.Size())
-			finish(b.Size())
-			computeBatch(b.Size())
-		}
-	default:
+	} else {
 		start(batches[0].Size())
 		for bi := range batches {
 			if bi+1 < len(batches) {

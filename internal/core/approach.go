@@ -3,7 +3,9 @@
 // asynchronous halo exchange in all three dimensions at once, double
 // buffering across real-space grids, message batching with ramp-up, and
 // the four programming approaches compared in the paper (flat original,
-// flat optimized, hybrid multiple, hybrid master-only).
+// flat optimized, hybrid multiple, hybrid master-only). An Engine is
+// built for one approach, and that approach alone selects its exchange
+// schedule; there are no separate exchange switches.
 //
 // The engine runs on the in-process MPI runtime (internal/mpi) and does
 // real arithmetic; all four approaches are verified to produce results
@@ -60,34 +62,13 @@ func (a Approach) String() string {
 // threads, rather than one process per core.
 func (a Approach) Hybrid() bool { return a == HybridMultiple || a == HybridMasterOnly }
 
-// ExchangeMode selects how surface points are exchanged.
-type ExchangeMode int
-
-const (
-	// ExchangeSerialized exchanges dimension by dimension, completing
-	// each dimension before starting the next (the original GPAW
-	// pattern, section IV.A).
-	ExchangeSerialized ExchangeMode = iota
-	// ExchangeAsync initiates the exchange in all three dimensions at
-	// once and waits for all of them (section V), exploiting all six
-	// torus links simultaneously.
-	ExchangeAsync
-)
-
-// String implements fmt.Stringer.
-func (m ExchangeMode) String() string {
-	if m == ExchangeSerialized {
-		return "serialized"
-	}
-	return "async"
-}
-
-// Options configures the optimizations applied by an Engine.
+// Options configures an Engine. The approach alone fixes the halo
+// exchange schedule: FlatOriginal exchanges dimension by dimension,
+// blocking on each (section IV.A); every other approach starts all three
+// dimensions at once and double-buffers across batches (section V).
 type Options struct {
-	// Exchange selects serialized or async halo exchange.
-	Exchange ExchangeMode
-	// DoubleBuffer overlaps batch k+1's exchange with batch k's compute.
-	DoubleBuffer bool
+	// Approach is the programming approach the engine is built for.
+	Approach Approach
 	// BatchSize is the number of grids whose surface points are packed
 	// into each message; 1 disables batching.
 	BatchSize int
@@ -108,13 +89,11 @@ func OptionsFor(a Approach, batch, threads int) Options {
 	}
 	switch a {
 	case FlatOriginal:
-		return Options{Exchange: ExchangeSerialized, DoubleBuffer: false, BatchSize: 1, Threads: 1}
+		return Options{Approach: a, BatchSize: 1, Threads: 1}
 	case FlatOptimized:
-		return Options{Exchange: ExchangeAsync, DoubleBuffer: true, BatchSize: batch, Threads: 1}
-	case HybridMultiple:
-		return Options{Exchange: ExchangeAsync, DoubleBuffer: true, BatchSize: batch, Threads: threads}
-	case HybridMasterOnly:
-		return Options{Exchange: ExchangeAsync, DoubleBuffer: true, BatchSize: batch, Threads: threads}
+		return Options{Approach: a, BatchSize: batch, Threads: 1}
+	case HybridMultiple, HybridMasterOnly:
+		return Options{Approach: a, BatchSize: batch, Threads: threads}
 	}
 	panic(fmt.Sprintf("core: unknown approach %d", int(a)))
 }

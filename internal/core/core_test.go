@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/grid"
@@ -31,26 +32,23 @@ func TestApproachStringsAndHybrid(t *testing.T) {
 	if Approach(99).String() == "" {
 		t.Fatal("unknown approach should still format")
 	}
-	if ExchangeSerialized.String() != "serialized" || ExchangeAsync.String() != "async" {
-		t.Fatal("ExchangeMode.String broken")
-	}
 }
 
 func TestOptionsForMatchesPaper(t *testing.T) {
 	o := OptionsFor(FlatOriginal, 8, 4)
-	if o.Exchange != ExchangeSerialized || o.DoubleBuffer || o.BatchSize != 1 {
+	if o.Approach != FlatOriginal || o.BatchSize != 1 || o.Threads != 1 {
 		t.Fatalf("FlatOriginal options = %+v", o)
 	}
 	o = OptionsFor(FlatOptimized, 8, 4)
-	if o.Exchange != ExchangeAsync || !o.DoubleBuffer || o.BatchSize != 8 || o.Threads != 1 {
+	if o.Approach != FlatOptimized || o.BatchSize != 8 || o.Threads != 1 {
 		t.Fatalf("FlatOptimized options = %+v", o)
 	}
 	o = OptionsFor(HybridMultiple, 8, 4)
-	if o.Threads != 4 || o.BatchSize != 8 {
+	if o.Approach != HybridMultiple || o.Threads != 4 || o.BatchSize != 8 {
 		t.Fatalf("HybridMultiple options = %+v", o)
 	}
 	o = OptionsFor(HybridMasterOnly, 0, 4)
-	if o.BatchSize != 1 {
+	if o.Approach != HybridMasterOnly || o.BatchSize != 1 {
 		t.Fatalf("batch clamp failed: %+v", o)
 	}
 }
@@ -376,6 +374,31 @@ func TestHybridMultipleRequiresMultipleMode(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("hybrid multiple in SINGLE mode not rejected")
+	}
+}
+
+// TestApplyRejectsForeignApproach: an engine runs the schedule of the
+// approach it was built for, so Apply under any other approach panics
+// instead of silently running the wrong one.
+func TestApplyRejectsForeignApproach(t *testing.T) {
+	err := runRanks(1, mpi.ThreadSingle, func(c *mpi.Comm) {
+		cart := c.CartCreate(topology.Dims{1, 1, 1}, [3]bool{true, true, true}, false)
+		d := grid.MustDecomp(topology.Dims{8, 8, 8}, topology.Dims{1, 1, 1}, 2)
+		eng, err := NewEngine(cart, d, stencil.Laplacian(2, 1), true, OptionsFor(FlatOriginal, 1, 1))
+		if err != nil {
+			panic(err)
+		}
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "engine built for Flat original") {
+				panic(fmt.Sprintf("Apply(FlatOptimized) on a flat original engine recovered %v", r))
+			}
+		}()
+		src := []*grid.Grid{eng.NewLocalGrid()}
+		dst := []*grid.Grid{eng.NewLocalGrid()}
+		eng.Apply(FlatOptimized, dst, src)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -57,12 +57,7 @@ type Stats struct {
 	MessagesSent int64
 	BytesSent    int64
 	LargestMsg   int64
-	SmallestMsg  int64
 	Exchanges    int64 // halo exchanges performed (grids x applications)
-
-	// anyMsg distinguishes "no messages yet" from a genuine smallest
-	// message of 0 bytes, so SmallestMsg is not misreported.
-	anyMsg bool
 }
 
 // noteSent records one sent message under the stats lock.
@@ -79,17 +74,12 @@ func (e *Engine) noteExchanges(n int64) {
 	e.statsMu.Unlock()
 }
 
-// noteMsg folds one sent message into the counters. (This replaces the
-// old bare note(bytes) path, which recorded traffic only.)
+// noteMsg folds one sent message into the counters.
 func (s *Stats) noteMsg(bytes int64) {
 	s.MessagesSent++
 	s.BytesSent += bytes
 	if bytes > s.LargestMsg {
 		s.LargestMsg = bytes
-	}
-	if !s.anyMsg || bytes < s.SmallestMsg {
-		s.SmallestMsg = bytes
-		s.anyMsg = true
 	}
 }
 
@@ -261,7 +251,7 @@ func faceTag(tagBase, bi, dim int, side grid.Side) int {
 }
 
 // startExchange packs the batch's surface points and posts the receives
-// and sends for every dimension at once. Used by the async protocols.
+// and sends for every dimension at once (section V).
 //
 //gpaw:hotpath
 func (e *Engine) startExchange(st *exchangeState, src []*grid.Grid, tagBase, bi int) {
@@ -403,9 +393,9 @@ func (e *Engine) exchangeSerialized(st *exchangeState, src []*grid.Grid, tagBase
 	e.noteExchanges(int64(st.b.Size()))
 }
 
-// runBatches is the engine's one protocol loop. It runs the configured
-// exchange (serialized or async, batched, double-buffered) over one
-// thread's share of the grids and computes each batch around it:
+// runBatches is the engine's one protocol loop. It runs the approach's
+// exchange schedule over one thread's share of the grids and computes
+// each batch around it:
 //
 //   - overlapped, compute(b, Interior) runs while the batch's halo
 //     messages are still in flight — it may touch every point that does
@@ -416,11 +406,12 @@ func (e *Engine) exchangeSerialized(st *exchangeState, src []*grid.Grid, tagBase
 //   - otherwise compute(b, Full) runs, untimed, after the halos are
 //     installed: the original finish-then-compute protocol.
 //
-// In serialized mode (the flat original baseline) there is no
-// non-blocking window, so an overlapped run's Interior and Shell both
-// follow the blocking exchange. tagBase keeps concurrent threads'
-// messages disjoint; off shifts the batches compute sees, so a thread's
-// share is reported in indices of the caller's whole slice.
+// Flat original exchanges serialized, so there is no non-blocking window
+// and an overlapped run's Interior and Shell both follow the blocking
+// exchange. Every other approach double-buffers the async exchange.
+// tagBase keeps concurrent threads' messages disjoint; off shifts the
+// batches compute sees, so a thread's share is reported in indices of
+// the caller's whole slice.
 func (e *Engine) runBatches(src []*grid.Grid, tagBase, off int, overlap bool, compute func(b Batch, r stencil.Region)) {
 	if len(src) == 0 {
 		return
@@ -446,24 +437,12 @@ func (e *Engine) runBatches(src []*grid.Grid, tagBase, off int, overlap bool, co
 		}
 	}
 
-	if e.opts.Exchange == ExchangeSerialized {
+	if e.opts.Approach == FlatOriginal {
 		st := &sc.states[0]
 		for bi, b := range batches {
 			st.b = b
 			e.exchangeSerialized(st, src, tagBase, bi)
 			inFlight(b)
-			landed(b)
-		}
-		return
-	}
-
-	if !e.opts.DoubleBuffer {
-		st := &sc.states[0]
-		for bi, b := range batches {
-			st.b = b
-			e.startExchange(st, src, tagBase, bi)
-			inFlight(b)
-			e.finishExchange(st, src)
 			landed(b)
 		}
 		return
@@ -519,14 +498,13 @@ func tagStride(n int) int { return 6 * (n + 2) }
 // it to split local compute while the engine handles communication.
 func (e *Engine) WorkerPool() *stencil.Pool { return e.pool }
 
-// Run executes the engine's configured exchange protocol (serialized or
-// async, batched, double-buffered) over src and invokes compute for
-// each batch of grid indices around the completion of its exchange: as
-// compute(b, Full) once the batch's halos are installed, or, with
-// overlap, as compute(b, Interior) while its halo messages are in
-// flight (it must not read halos) and compute(b, Shell) after they
-// land. It is the one entry point behind which the solver layer runs
-// its fused kernels on the paper's protocol.
+// Run executes the exchange schedule of the engine's approach over src
+// and invokes compute for each batch of grid indices around the
+// completion of its exchange: as compute(b, Full) once the batch's halos
+// are installed, or, with overlap, as compute(b, Interior) while its
+// halo messages are in flight (it must not read halos) and
+// compute(b, Shell) after they land. It is the one entry point behind
+// which the solver layer runs its fused kernels on the paper's protocol.
 //
 // The approach decides who communicates. Hybrid multiple divides src
 // among the engine's worker pool and every worker runs the whole
@@ -536,8 +514,8 @@ func (e *Engine) WorkerPool() *stencil.Pool { return e.pool }
 // be in MULTIPLE thread mode. Every other approach runs the protocol on
 // the calling goroutine (for hybrid master-only, compute fork-joins
 // each grid across the pool itself, so SINGLE thread mode suffices).
-func (e *Engine) Run(a Approach, src []*grid.Grid, overlap bool, compute func(b Batch, r stencil.Region)) {
-	if a != HybridMultiple {
+func (e *Engine) Run(src []*grid.Grid, overlap bool, compute func(b Batch, r stencil.Region)) {
+	if e.opts.Approach != HybridMultiple {
 		e.runBatches(src, 0, 0, overlap, compute)
 		return
 	}
@@ -552,7 +530,7 @@ func (e *Engine) Run(a Approach, src []*grid.Grid, overlap bool, compute func(b 
 
 // Exchange fills the halos of every grid from the neighbouring ranks
 // (and from the grid itself across periodic wraps in undivided
-// dimensions) using the engine's configured protocol on the calling
+// dimensions) using the engine's exchange schedule on the calling
 // goroutine, without any computation. Corner halos are not filled — the
 // axis-aligned stencils never read them, matching GPAW.
 //
@@ -561,17 +539,22 @@ func (e *Engine) Exchange(grids []*grid.Grid) {
 	e.runBatches(grids, 0, 0, false, func(Batch, stencil.Region) {})
 }
 
-// Apply performs one application of the operator to every grid with
-// approach a: dst[i] = op(src[i]) behind the protocol of Run. Hybrid
-// master-only splits each grid's computation across the worker pool
-// with a fork-join per grid, so its synchronization cost grows with the
-// number of grids (the paper's explanation for that approach's inferior
-// scaling).
+// Apply performs one application of the operator to every grid:
+// dst[i] = op(src[i]) behind the protocol of Run. Hybrid master-only
+// splits each grid's computation across the worker pool with a fork-join
+// per grid, so its synchronization cost grows with the number of grids
+// (the paper's explanation for that approach's inferior scaling).
+//
+// a must be the engine's approach; it remains a parameter only because
+// the benchmark module (benchmark/) still passes it.
 func (e *Engine) Apply(a Approach, dst, src []*grid.Grid) {
+	if a != e.opts.Approach {
+		panic(fmt.Sprintf("core: Apply as %v on an engine built for %v", a, e.opts.Approach))
+	}
 	if len(dst) != len(src) {
 		panic("core: dst/src length mismatch")
 	}
-	e.Run(a, src, false, func(b Batch, _ stencil.Region) {
+	e.Run(src, false, func(b Batch, _ stencil.Region) {
 		for gi := b.Lo; gi < b.Hi; gi++ {
 			if a == HybridMasterOnly {
 				e.op.ApplyParallel(e.pool, dst[gi], src[gi])

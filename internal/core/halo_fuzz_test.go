@@ -64,12 +64,13 @@ func TestHaloExchangeFuzz(t *testing.T) {
 		procs := layouts[rng.Intn(len(layouts))]
 		periodic := rng.Intn(2) == 0
 		nGrids := 1 + rng.Intn(3)
+		// Exchange runs on the calling goroutine for every approach, so
+		// hybrid multiple needs no MULTIPLE-mode world here.
 		opts := Options{
-			Exchange:     ExchangeMode(rng.Intn(2)),
-			DoubleBuffer: rng.Intn(2) == 0,
-			BatchSize:    1 + rng.Intn(3),
-			BatchRamp:    rng.Intn(2) == 0,
-			Threads:      1,
+			Approach:  Approaches[rng.Intn(len(Approaches))],
+			BatchSize: 1 + rng.Intn(3),
+			BatchRamp: rng.Intn(2) == 0,
+			Threads:   1,
 		}
 		op := stencil.Laplacian(halo, 1)
 		dec := grid.MustDecomp(global, procs, halo)

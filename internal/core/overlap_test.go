@@ -73,7 +73,7 @@ func TestOverlappedRunMatchesExchange(t *testing.T) {
 					want := mk()
 					eng.Exchange(want)
 					got := mk()
-					eng.Run(FlatOptimized, got, true, noCompute)
+					eng.Run(got, true, noCompute)
 					for gi := range got {
 						// Compare the full allocation, halos included.
 						wd, gd := want[gi].Data(), got[gi].Data()
@@ -118,7 +118,7 @@ func TestSplitExchangeInteriorDuringFlight(t *testing.T) {
 				fillLocal(dec, eng.Coord(), []*grid.Grid{src2})
 				posted := append([]float64(nil), src2.Data()...)
 				got := eng.NewLocalGrid()
-				eng.Run(FlatOptimized, []*grid.Grid{src2}, true, func(_ Batch, r stencil.Region) {
+				eng.Run([]*grid.Grid{src2}, true, func(_ Batch, r stencil.Region) {
 					if r == stencil.Interior && !slices.Equal(src2.Data(), posted) {
 						t.Errorf("procs %v periodic %v: halos installed before the interior compute", procs, periodic)
 					}
@@ -160,7 +160,7 @@ func TestRunCoversAllBatches(t *testing.T) {
 				}
 				var mu sync.Mutex
 				var seen [n][3]int // per grid: visits by region
-				eng.Run(a, gs, overlap, func(b Batch, r stencil.Region) {
+				eng.Run(gs, overlap, func(b Batch, r stencil.Region) {
 					mu.Lock()
 					defer mu.Unlock()
 					for gi := b.Lo; gi < b.Hi; gi++ {
@@ -205,11 +205,11 @@ func TestOverlapExchangeZeroAlloc(t *testing.T) {
 		// Warm up the engine scratch pool, the mpi request pool and the
 		// mailbox slices.
 		for i := 0; i < 4; i++ {
-			eng.Run(FlatOptimized, gs, true, noCompute)
+			eng.Run(gs, true, noCompute)
 			eng.Exchange(gs)
 		}
 		if allocs := testing.AllocsPerRun(100, func() {
-			eng.Run(FlatOptimized, gs, true, noCompute)
+			eng.Run(gs, true, noCompute)
 		}); allocs != 0 {
 			t.Errorf("split-phase exchange allocates %.1f objects/iteration, want 0", allocs)
 		}
@@ -250,7 +250,7 @@ func TestSkewedExchangeAllocationFree(t *testing.T) {
 			if c.Rank() == 0 {
 				time.Sleep(time.Millisecond)
 			}
-			eng.Run(FlatOptimized, gs, true, noCompute)
+			eng.Run(gs, true, noCompute)
 		}
 		for i := 0; i < 4; i++ {
 			exchange()

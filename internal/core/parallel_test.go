@@ -26,28 +26,3 @@ func TestAllApproachesAllWorkerCounts(t *testing.T) {
 		}
 	}
 }
-
-// TestStatsSmallestMsgZeroByte: a genuine 0-byte first message must be
-// reported as the smallest, and later larger messages must not displace
-// it (regression test for the SmallestMsg == 0 sentinel).
-func TestStatsSmallestMsgZeroByte(t *testing.T) {
-	var s Stats
-	s.noteMsg(0)
-	if s.SmallestMsg != 0 || s.MessagesSent != 1 {
-		t.Fatalf("after 0-byte note: smallest = %d, messages = %d", s.SmallestMsg, s.MessagesSent)
-	}
-	s.noteMsg(64)
-	if s.SmallestMsg != 0 {
-		t.Fatalf("64-byte message displaced the 0-byte smallest: %d", s.SmallestMsg)
-	}
-	if s.LargestMsg != 64 {
-		t.Fatalf("largest = %d, want 64", s.LargestMsg)
-	}
-
-	var s2 Stats
-	s2.noteMsg(128)
-	s2.noteMsg(32)
-	if s2.SmallestMsg != 32 || s2.LargestMsg != 128 {
-		t.Fatalf("smallest/largest = %d/%d, want 32/128", s2.SmallestMsg, s2.LargestMsg)
-	}
-}

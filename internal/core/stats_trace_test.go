@@ -56,7 +56,7 @@ func TestStatsWaitsAndSplitTimings(t *testing.T) {
 		defer eng.Close()
 		gs := []*grid.Grid{eng.NewLocalGrid()}
 		for i := 0; i < 3; i++ {
-			eng.Run(FlatOptimized, gs, true, func(Batch, stencil.Region) { sink += spin() })
+			eng.Run(gs, true, func(Batch, stencil.Region) { sink += spin() })
 		}
 		if s := eng.Stats(); s.MessagesSent == 0 || s.BytesSent == 0 {
 			t.Errorf("traffic counters empty: %+v", s)
@@ -111,7 +111,7 @@ func TestEngineTraceEvents(t *testing.T) {
 		eng := overlapEngine(c, global, procs, true, OptionsFor(FlatOptimized, 1, 1))
 		defer eng.Close()
 		gs := []*grid.Grid{eng.NewLocalGrid()}
-		eng.Run(FlatOptimized, gs, true, noCompute)
+		eng.Run(gs, true, noCompute)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -326,7 +326,7 @@ func (d *Dist) Stats() core.Stats { return d.eng.Stats() }
 // because the multigrid levels own engines of their own.
 func (d *Dist) withOverlap(eng *core.Engine, g *grid.Grid, sweep func(r stencil.Region)) {
 	d.exBuf = append(d.exBuf[:0], g)
-	eng.Run(d.Approach, d.exBuf, d.overlap, func(_ core.Batch, r stencil.Region) {
+	eng.Run(d.exBuf, d.overlap, func(_ core.Batch, r stencil.Region) {
 		if r == stencil.Full {
 			defer d.Cart.TraceRank().Region("compute.sweep").End()
 		}
@@ -437,7 +437,7 @@ func (d *Dist) GatherGlobal(local *grid.Grid) *grid.Grid {
 
 // --- per-approach wave-function processing -------------------------
 
-// forEachExchanged runs the configured exchange protocol over the
+// forEachExchanged runs the approach's exchange protocol over the
 // states and invokes sweep for each state and region: Full once the
 // state's halos are installed, or — overlapped — Interior while its
 // batch's halo messages are in flight (it must not read halos) and
@@ -451,7 +451,7 @@ func (d *Dist) forEachExchanged(states []*grid.Grid, sweep func(gi int, r stenci
 	if d.Approach == core.HybridMasterOnly {
 		p = d.pool
 	}
-	d.eng.Run(d.Approach, states, d.overlap, func(b core.Batch, r stencil.Region) {
+	d.eng.Run(states, d.overlap, func(b core.Batch, r stencil.Region) {
 		for gi := b.Lo; gi < b.Hi; gi++ {
 			sweep(gi, r, p)
 			d.chargeSweep(states[gi], r)

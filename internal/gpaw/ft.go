@@ -3,6 +3,7 @@ package gpaw
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/grid"
 	"repro/internal/mpi"
@@ -272,7 +273,7 @@ func RunSCFFT(comm *mpi.Comm, cfg DistConfig, sys System, ft FTConfig) (*SCFResu
 			view := c.Agree()
 			for {
 				next := c.Agree()
-				if equalInts(view, next) {
+				if slices.Equal(view, next) {
 					break
 				}
 				view = next
@@ -318,16 +319,4 @@ func latestRestart(d *Dist, st Store, s *SCF) (*SCFRestart, error) {
 		return nil, nil
 	}
 	return RestoreSCF(d, st, int(pick[0]))
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -177,7 +177,7 @@ func (d *Dist) hierarchy(h float64) (*multigrid, error) {
 			}
 		}
 		eng, err := core.NewEngine(lv.cart, lv.dec, lv.op, periodic,
-			core.Options{Exchange: core.ExchangeAsync, BatchSize: 1, Threads: 1})
+			core.OptionsFor(d.Approach, 1, 1))
 		if err != nil {
 			return nil, err
 		}
@@ -195,8 +195,8 @@ func (d *Dist) hierarchy(h float64) (*multigrid, error) {
 
 // smooth runs n damped Jacobi sweeps of A x = rhs on one level, each one
 // fused pass (y = x + c*(rhs - A x)) whose deep interior overlaps the
-// level's halo exchange (the level engines always post asynchronously;
-// the overlap split follows the context), ping-ponging between x and y.
+// level's halo exchange (the level engines follow the Dist's approach,
+// as does the overlap split), ping-ponging between x and y.
 // It returns the grid holding the result and the other one. With
 // fromZero the iterate is zero whatever x holds: the first sweep is then
 // y = c*rhs and needs neither a stencil nor an exchange.

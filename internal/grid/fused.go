@@ -111,35 +111,6 @@ func dotStreams(g, o *Grid) int {
 	return 2
 }
 
-// DotNorm returns <g, o> and <g, g> in a single sweep, fusing the
-// Dot+Norm2 pairs solvers use for convergence checks.
-func (g *Grid) DotNorm(o *Grid) (dot, sumsq float64) {
-	return g.DotNormRange(o, 0, g.Nx)
-}
-
-// DotNormRange is DotNorm over interior planes [i0, i1).
-func (g *Grid) DotNormRange(o *Grid, i0, i1 int) (dot, sumsq float64) {
-	var dotAcc, sqAcc detsum.Acc
-	g.DotNormAccRange(o, i0, i1, &dotAcc, &sqAcc)
-	return dotAcc.Round(), sqAcc.Round()
-}
-
-// DotNormAccRange accumulates <g, o> into dotAcc and <g, g> into sqAcc
-// over interior planes [i0, i1) in one sweep.
-func (g *Grid) DotNormAccRange(o *Grid, i0, i1 int, dotAcc, sqAcc *detsum.Acc) {
-	g.checkSame("DotNorm", o)
-	for i := i0; i < i1; i++ {
-		for j := 0; j < g.Ny; j++ {
-			a := g.index(i, j, 0)
-			b := o.index(i, j, 0)
-			row := g.data[a : a+g.Nz]
-			dotAcc.AddMulSlice(row, o.data[b:b+g.Nz])
-			sqAcc.AddMulSlice(row, row)
-		}
-	}
-	g.noteTraffic(i1-i0, dotStreams(g, o))
-}
-
 // AxpyDot performs g += a*x and returns the updated <g, g> in the same
 // sweep — CG's residual update and convergence check fused into one
 // pass.

@@ -172,19 +172,6 @@ func TestAxpyScaleMatchesChain(t *testing.T) {
 	}
 }
 
-func TestDotNormMatchesSeparate(t *testing.T) {
-	g := filledGrid(7, 6, 5, 1)
-	o := filledGrid(7, 6, 5, 1)
-	o.Scale(-0.8)
-	dot, sumsq := g.DotNorm(o)
-	if dot != g.Dot(o) {
-		t.Fatalf("DotNorm dot %g != Dot %g", dot, g.Dot(o))
-	}
-	if sumsq != g.Dot(g) {
-		t.Fatalf("DotNorm sumsq %g != <g,g> %g", sumsq, g.Dot(g))
-	}
-}
-
 func TestAxpyDotMatchesChain(t *testing.T) {
 	g := filledGrid(7, 6, 5, 1)
 	x := filledGrid(7, 6, 5, 1)
