@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/grid"
 	"repro/internal/mpi"
@@ -49,9 +48,10 @@ type Engine struct {
 }
 
 // Stats accumulates per-rank halo traffic: message and exchange counts
-// and volume. Wait and split-phase compute timings are accounted once,
-// by the armed tracer (trace.Rank.AddWait/AddSplit, read back through
-// trace.Profile); the lossy transport's reliability counters by
+// and volume. The engine reads no clock: how long it waited and
+// computed is what its halo.post/halo.wait and compute.interior/
+// compute.shell spans measure, and trace.Profile aggregates them under
+// one clock. The lossy transport's reliability counters are
 // mpi.World.NetRelStats.
 type Stats struct {
 	MessagesSent int64
@@ -81,21 +81,6 @@ func (s *Stats) noteMsg(bytes int64) {
 	if bytes > s.LargestMsg {
 		s.LargestMsg = bytes
 	}
-}
-
-// engineEpoch bases the engine's wall profiling clock; only
-// differences of nowNs readings are meaningful.
-var engineEpoch = time.Now()
-
-// nowNs reads the engine's profiling clock: the calling rank's modeled
-// virtual clock when a network model is armed (deterministic under
-// NoComputeWall), monotonic wall nanoseconds otherwise.
-func (e *Engine) nowNs() int64 {
-	w := e.cart.World()
-	if w.NetArmed() {
-		return int64(w.VirtualTime(e.cart.WorldRank()))
-	}
-	return int64(time.Since(engineEpoch))
 }
 
 // NewEngine builds the per-rank engine. The cart's dims must match the
@@ -204,10 +189,10 @@ type exchangeState struct {
 	recv [3][2][]float64
 	reqs []*mpi.Request
 	b    Batch
-	// postedNs stamps (on the engine's profiling clock) when the
-	// non-blocking exchange finished posting; finishExchange derives
-	// the hidden wait from it. Zero for blocking exchanges.
-	postedNs int64
+	// tag names the non-blocking exchange on the trace: its halo.post
+	// and halo.wait spans carry it, which is how trace.Profile pairs
+	// them.
+	tag int
 }
 
 // applyScratch is the reusable state of one protocol invocation: the
@@ -255,13 +240,13 @@ func faceTag(tagBase, bi, dim int, side grid.Side) int {
 //
 //gpaw:hotpath
 func (e *Engine) startExchange(st *exchangeState, src []*grid.Grid, tagBase, bi int) {
-	sp := e.cart.TraceRank().Begin("halo.post", trace.KindExchange)
+	st.tag = faceTag(tagBase, bi, 0, grid.Low)
+	sp := e.cart.TraceRank().BeginComm(trace.HaloPost, trace.KindExchange, -1, st.tag, 0)
 	st.reqs = st.reqs[:0]
 	for dim := 0; dim < 3; dim++ {
 		e.postDim(st, src, tagBase, bi, dim)
 	}
 	sp.End()
-	st.postedNs = e.nowNs()
 }
 
 // postDim posts the receives and sends of one dimension for the batch.
@@ -321,27 +306,19 @@ func advance(buf []float64, n int) []float64 {
 
 // finishExchange waits for the batch's transfers and installs received
 // surface points into the grids' halos. Completed receive requests are
-// reclaimed into the world pool for reuse by the next batch.
+// reclaimed into the world pool for reuse by the next batch. The
+// halo.wait span carries the exchange's tag: the time since its
+// halo.post ended is latency the rank could hide behind compute, the
+// span itself what it could not.
 //
 //gpaw:hotpath
 func (e *Engine) finishExchange(st *exchangeState, src []*grid.Grid) {
-	rk := e.cart.TraceRank()
-	t0 := e.nowNs()
-	sp := rk.Begin("halo.wait", trace.KindWait)
+	sp := e.cart.TraceRank().BeginComm(trace.HaloWait, trace.KindWait, -1, st.tag, 0)
 	mpi.Waitall(st.reqs...)
-	t1 := e.nowNs()
 	sp.End()
 	e.unpack(st, src)
 	mpi.Reclaim(st.reqs...)
 	st.reqs = st.reqs[:0]
-	// The post-to-finish window is latency the rank could hide behind
-	// compute; the Waitall span is what it could not.
-	var hidden int64
-	if st.postedNs > 0 {
-		hidden = t0 - st.postedNs
-		st.postedNs = 0
-	}
-	rk.AddWait(hidden, t1-t0)
 }
 
 // unpack copies every received face buffer into the halos of the batch.
@@ -377,14 +354,12 @@ func (e *Engine) exchangeSerialized(st *exchangeState, src []*grid.Grid, tagBase
 	for dim := 0; dim < 3; dim++ {
 		st.reqs = st.reqs[:0]
 		e.postDim(st, src, tagBase, bi, dim)
-		// The serialized pattern has no non-blocking window: every wait
-		// is visible, which is exactly what its profile should show.
-		t0 := e.nowNs()
-		sp := rk.Begin("halo.wait", trace.KindWait)
+		// The serialized pattern has no non-blocking window: its waits
+		// carry no tag, pair with no halo.post, and count as visible
+		// only, which is exactly what its profile should show.
+		sp := rk.Begin(trace.HaloWait, trace.KindWait)
 		mpi.Waitall(st.reqs...)
-		t1 := e.nowNs()
 		sp.End()
-		rk.AddWait(0, t1-t0)
 		mpi.Reclaim(st.reqs...)
 		// Install this dimension's halos before the next dimension runs
 		// (the serialized pattern's defining property).
@@ -401,8 +376,7 @@ func (e *Engine) exchangeSerialized(st *exchangeState, src []*grid.Grid, tagBase
 //     messages are still in flight — it may touch every point that does
 //     not read a halo (the paper's communication/computation overlap) —
 //     and compute(b, Shell) runs after the batch's halos are installed,
-//     both timed and traced as compute.interior / compute.shell
-//     regions;
+//     traced as compute.interior / compute.shell regions;
 //   - otherwise compute(b, Full) runs, untimed, after the halos are
 //     installed: the original finish-then-compute protocol.
 //
@@ -468,26 +442,18 @@ func (e *Engine) runBatches(src []*grid.Grid, tagBase, off int, overlap bool, co
 	}
 }
 
-// phase runs one split-phase compute callback, timed into the armed
-// tracer's split counters and traced as a compute.interior or
-// compute.shell region.
+// phase runs one split-phase compute callback inside a compute.interior
+// or compute.shell region.
 func (e *Engine) phase(compute func(b Batch, r stencil.Region), b Batch, r stencil.Region) {
 	rk := e.cart.TraceRank()
 	var sp trace.Span
 	if r == stencil.Interior {
-		sp = rk.Begin("compute.interior", trace.KindRegion)
+		sp = rk.Region(trace.ComputeInterior)
 	} else {
-		sp = rk.Begin("compute.shell", trace.KindRegion)
+		sp = rk.Region(trace.ComputeShell)
 	}
-	t0 := e.nowNs()
 	compute(b, r)
-	d := e.nowNs() - t0
 	sp.End()
-	if r == stencil.Interior {
-		rk.AddSplit(d, 0)
-	} else {
-		rk.AddSplit(0, d)
-	}
 }
 
 // tagStride returns the tag-space width reserved per thread for n grids.

@@ -57,11 +57,13 @@ type Result struct {
 // TestField is the deterministic initial condition used for verification
 // and benchmarks: a smooth, per-grid-distinct function of the global
 // coordinates, so any decomposition must reproduce identical values.
+// Every product is rounded through float64(...) so no architecture fuses
+// it into an add: the field's bits are the same everywhere.
 func TestField(g, x, y, z int) float64 {
-	return math.Sin(0.10*float64(x)+0.05*float64(g)) +
-		math.Cos(0.07*float64(y)-0.03*float64(g)) +
+	return math.Sin(float64(0.10*float64(x))+float64(0.05*float64(g))) +
+		math.Cos(float64(0.07*float64(y))-float64(0.03*float64(g))) +
 		math.Sin(0.13*float64(z)) +
-		0.25*math.Cos(0.11*float64(x+y+z))
+		float64(0.25*math.Cos(0.11*float64(x+y+z)))
 }
 
 // Run executes the job on the in-process runtime and returns timing,

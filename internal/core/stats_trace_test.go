@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/grid"
 	"repro/internal/mpi"
@@ -127,7 +128,87 @@ func TestEngineTraceEvents(t *testing.T) {
 			}
 		}
 	}
-	if tr.OverlapEfficiency() <= 0 {
-		t.Errorf("traced split-phase run reports overlap efficiency %v, want > 0", tr.OverlapEfficiency())
+	if eff := tr.Profile(trace.Wall).OverlapEfficiency; eff <= 0 {
+		t.Errorf("traced split-phase run reports overlap efficiency %v, want > 0", eff)
+	}
+}
+
+// TestProfileReadsOneClock runs the double-buffered split-phase protocol
+// under a network model whose virtual clocks advance only by message
+// costs and explicit compute charges, and checks that each clock's
+// profile is made of that clock's span times alone: the wait and split
+// rows equal the halo.wait / compute.interior / compute.shell totals,
+// and the hidden wait equals an in-order pairing of each rank's posts
+// and waits. Under the virtual clock the interior charges are what the
+// messages hid behind, so they bound the hidden wait from below.
+func TestProfileReadsOneClock(t *testing.T) {
+	const ranks, grids, charge = 2, 3, 50 * time.Microsecond
+	global := topology.Dims{8, 8, 8}
+	procs := topology.Dims{1, 1, ranks}
+	tr := trace.New(ranks, 1024)
+	w := testWorld(ranks, mpi.ThreadSingle)
+	w.SetNetModel(&mpi.NetModel{
+		Params: mpi.NetParams{
+			MsgLatency: 5e-6, PostCost: 1e-7, DMAPerMsg: 1e-7, LinkBandwidth: 1e9,
+		},
+		NoComputeWall: true,
+	})
+	w.SetTracer(tr)
+	err := w.Run(func(c *mpi.Comm) {
+		eng := overlapEngine(c, global, procs, true, OptionsFor(FlatOptimized, 1, 1))
+		defer eng.Close()
+		gs := make([]*grid.Grid, grids)
+		for i := range gs {
+			gs[i] = eng.NewLocalGrid()
+		}
+		eng.Run(gs, true, func(_ Batch, r stencil.Region) {
+			if r == stencil.Interior {
+				c.Compute(charge)
+			}
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, clock := range []trace.Clock{trace.Virtual, trace.Wall} {
+		p := tr.Profile(clock)
+		total := func(name string) int64 {
+			for _, ps := range p.Phases {
+				if ps.Name == name {
+					return ps.TotalNs
+				}
+			}
+			return 0
+		}
+		if p.VisibleWaitNs != total(trace.HaloWait) || p.InteriorNs != total(trace.ComputeInterior) ||
+			p.ShellNs != total(trace.ComputeShell) {
+			t.Errorf("%v clock: visible/interior/shell %d/%d/%d, span totals %d/%d/%d", clock,
+				p.VisibleWaitNs, p.InteriorNs, p.ShellNs,
+				total(trace.HaloWait), total(trace.ComputeInterior), total(trace.ComputeShell))
+		}
+		var hidden int64
+		for r := 0; r < ranks; r++ {
+			var ends []int64
+			for _, e := range tr.RankEvents(r) {
+				s, d := e.Start, e.Dur
+				if clock == trace.Virtual {
+					s, d = e.VStart, e.VDur
+				}
+				switch e.Name {
+				case trace.HaloPost:
+					ends = append(ends, s+d)
+				case trace.HaloWait:
+					hidden += s - ends[0]
+					ends = ends[1:]
+				}
+			}
+		}
+		if p.HiddenWaitNs != hidden {
+			t.Errorf("%v clock: hidden wait %d, in-order pairing of the spans gives %d", clock, p.HiddenWaitNs, hidden)
+		}
+	}
+	if p := tr.Profile(trace.Virtual); p.HiddenWaitNs < ranks*grids*int64(charge) {
+		t.Errorf("virtual hidden wait %d ns, below the %d ns of interior compute the messages flew under",
+			p.HiddenWaitNs, ranks*grids*int64(charge))
 	}
 }

@@ -55,10 +55,6 @@ func (w *World) Tracer() *trace.Tracer {
 	return w.tracer
 }
 
-// NetArmed reports whether a network model is installed — the cue for
-// profile consumers to prefer the virtual clock.
-func (w *World) NetArmed() bool { return w.netOn.Load() }
-
 // Run spawns the world's ranks executing body and waits for them all —
 // Run/RunWithFaults/RunModeled as a method, for worlds that need
 // arming (SetNetModel, SetTracer, SetFaultPlan) before the ranks
@@ -81,7 +77,7 @@ func (c *Comm) WorldRank() int { return c.group[c.rank] }
 
 // TraceRank returns the caller's per-rank trace handle, or nil when
 // tracing is off — the hook the halo-exchange engine and the solvers
-// use to add compute regions and overlap accounting to the timeline.
+// use to add compute regions and halo-exchange phases to the timeline.
 // The nil path is one atomic load; all handle methods no-op on nil.
 func (c *Comm) TraceRank() *trace.Rank { return c.traceRank() }
 

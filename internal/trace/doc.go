@@ -25,9 +25,12 @@
 //     bit-for-bit on any machine, and a simulated 64- or 4096-rank run
 //     yields a readable, causally ordered trace.
 //   - Safe under -race and fault injection. Per-rank rings are mutex
-//     guarded (MULTIPLE-mode threads of one rank share a ring), and
-//     aggregate counters are atomics; a rank dying mid-span merely
-//     leaves that span unclosed.
+//     guarded (MULTIPLE-mode threads of one rank share a ring); a rank
+//     dying mid-span merely leaves that span unclosed.
+//   - One clock per view. The recorder keeps events and nothing else:
+//     every number an export reports is read off the events under the
+//     clock the caller picks, so a wall profile of a modeled run holds
+//     wall times only and a virtual one virtual times only.
 //   - Must not perturb results. Tracing reads clocks and copies
 //     structs; it never reorders communication or arithmetic, and the
 //     test suite asserts traced and untraced solver outputs are
@@ -40,7 +43,8 @@
 //   - Profile aggregates per-phase statistics — count, total/max/self
 //     time, bytes, %comm vs %compute — and the overlap efficiency
 //     (hidden wait / total wait) that quantifies how much of the halo
-//     latency the split-phase solvers actually hid; Table renders it,
+//     latency the split-phase solvers actually hid, derived from the
+//     halo-exchange engine's halo.post/halo.wait spans; Table renders it,
 //     JSON serializes it as an expvar-style snapshot for a service to
 //     poll.
 //   - WriteTimeline renders a small indented per-rank span tree for

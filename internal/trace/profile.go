@@ -48,6 +48,7 @@ type PhaseStat struct {
 // Profile is the aggregated per-phase view of a trace plus the
 // solver-level overlap accounting — the expvar-style snapshot a
 // service can serialize with JSON and a human can render with Table.
+// Every number in it is read off the recorded events under one clock.
 type Profile struct {
 	Clock   string `json:"clock"`
 	Ranks   int    `json:"ranks"`
@@ -57,12 +58,15 @@ type Profile struct {
 	// (send/wait/collective/exchange) versus compute regions.
 	CommNs    int64 `json:"comm_ns"`
 	ComputeNs int64 `json:"compute_ns"`
-	// Wait accounting from the halo-exchange engine: hidden is the
-	// in-flight time overlapped with interior compute, visible the
-	// time actually blocked at the finishing wait.
+	// Wait accounting of the halo-exchange engine: visible is the time
+	// blocked in halo.wait spans; hidden is, per exchange, the time from
+	// the end of its halo.post to the start of its halo.wait — in flight
+	// while the rank computed. A wait with no post (the serialized
+	// exchange) hid nothing.
 	HiddenWaitNs  int64 `json:"hidden_wait_ns"`
 	VisibleWaitNs int64 `json:"visible_wait_ns"`
-	// Split-phase compute timings (deep interior vs boundary shell).
+	// Split-phase compute: the total time of the compute.interior and
+	// compute.shell regions.
 	InteriorNs int64 `json:"interior_ns"`
 	ShellNs    int64 `json:"shell_ns"`
 	// OverlapEfficiency = hidden / (hidden + visible) wait: the
@@ -70,20 +74,6 @@ type Profile struct {
 	// interior compute. Zero when nothing was in flight.
 	OverlapEfficiency float64     `json:"overlap_efficiency"`
 	Phases            []PhaseStat `json:"phases"`
-}
-
-// OverlapEfficiency computes hidden/(hidden+visible) wait over all
-// ranks' counters, without building a full profile.
-func (t *Tracer) OverlapEfficiency() float64 {
-	var hidden, visible int64
-	for i := range t.ranks {
-		hidden += t.ranks[i].hiddenWaitNs.Load()
-		visible += t.ranks[i].visibleWaitNs.Load()
-	}
-	if hidden+visible <= 0 {
-		return 0
-	}
-	return float64(hidden) / float64(hidden+visible)
 }
 
 // selfTimes returns, for one rank's events (in recording order), each
@@ -135,18 +125,39 @@ func selfTimes(events []Event, clock Clock) []int64 {
 	return self
 }
 
+// splitPhase folds one of a rank's events, at (start, dur) under the
+// profile's clock, into the split-phase accounting. posted holds, per
+// tag, the end of the rank's halo.post still waiting for its
+// halo.wait. Events arrive in completion order, so a post is always
+// seen before its wait, and the engine keeps at most one exchange per
+// tag in flight on a rank (double-buffered batches and hybrid-multiple
+// workers use disjoint tags). A wait whose post the ring dropped counts
+// as visible only.
+func (p *Profile) splitPhase(e *Event, start, dur int64, posted map[int]int64) {
+	switch e.Name {
+	case HaloPost:
+		posted[e.Tag] = start + dur
+	case HaloWait:
+		p.VisibleWaitNs += dur
+		if end, ok := posted[e.Tag]; ok {
+			p.HiddenWaitNs += max(start-end, 0)
+			delete(posted, e.Tag)
+		}
+	case ComputeInterior:
+		p.InteriorNs += dur
+	case ComputeShell:
+		p.ShellNs += dur
+	}
+}
+
 // Profile aggregates the trace under the given clock.
 func (t *Tracer) Profile(clock Clock) *Profile {
 	p := &Profile{Clock: clock.String(), Ranks: len(t.ranks)}
 	byPhase := map[[2]string]*PhaseStat{}
 	for r := range t.ranks {
-		rs := &t.ranks[r]
-		p.HiddenWaitNs += rs.hiddenWaitNs.Load()
-		p.VisibleWaitNs += rs.visibleWaitNs.Load()
-		p.InteriorNs += rs.interiorNs.Load()
-		p.ShellNs += rs.shellNs.Load()
 		events := t.RankEvents(r)
 		self := selfTimes(events, clock)
+		posted := map[int]int64{}
 		p.Events += int64(len(events))
 		for i := range events {
 			e := &events[i]
@@ -156,7 +167,7 @@ func (t *Tracer) Profile(clock Clock) *Profile {
 				ps = &PhaseStat{Name: e.Name, Kind: e.Kind.String()}
 				byPhase[key] = ps
 			}
-			_, d := clock.pick(e)
+			s, d := clock.pick(e)
 			if d < 0 {
 				d = 0
 			}
@@ -174,6 +185,7 @@ func (t *Tracer) Profile(clock Clock) *Profile {
 					p.ComputeNs += self[i]
 				}
 			}
+			p.splitPhase(e, s, d, posted)
 		}
 	}
 	p.Dropped = t.Dropped()

@@ -69,12 +69,23 @@ type Event struct {
 	Bytes  int64
 }
 
-// Rank is one rank's emission handle: its ring buffer plus aggregate
-// counters. The mutex guards the ring (MULTIPLE-mode threads of a rank
-// share it); counters are atomics so they can be read while ranks run.
-// All emission methods no-op on a nil receiver — producers fetch the
-// handle through an atomic gate that returns nil when tracing is off,
-// so the disabled path costs one atomic load and a nil check.
+// Span names of the halo-exchange engine's split-phase protocol
+// (internal/core). Profile derives its overlap accounting from these
+// spans alone, under the clock it is asked for: a halo.wait completes
+// the exchange whose halo.post carried the same tag, and the time
+// between the two is latency the rank hid behind compute.
+const (
+	HaloPost        = "halo.post"
+	HaloWait        = "halo.wait"
+	ComputeInterior = "compute.interior"
+	ComputeShell    = "compute.shell"
+)
+
+// Rank is one rank's emission handle: its ring buffer. The mutex guards
+// the ring (MULTIPLE-mode threads of a rank share it). All emission
+// methods no-op on a nil receiver — producers fetch the handle through
+// an atomic gate that returns nil when tracing is off, so the disabled
+// path costs one atomic load and a nil check.
 type Rank struct {
 	t   *Tracer
 	idx int
@@ -83,11 +94,6 @@ type Rank struct {
 	ev      []Event
 	head, n int
 	dropped int64
-
-	hiddenWaitNs  atomic.Int64
-	visibleWaitNs atomic.Int64
-	interiorNs    atomic.Int64
-	shellNs       atomic.Int64
 }
 
 // Tracer records events for a fixed set of ranks into per-rank ring
@@ -202,22 +208,6 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// Reset discards all recorded events and counters, keeping the ring
-// memory; the epoch is not rebased, so clocks stay comparable across
-// a reset.
-func (t *Tracer) Reset() {
-	for i := range t.ranks {
-		r := &t.ranks[i]
-		r.mu.Lock()
-		r.head, r.n, r.dropped = 0, 0, 0
-		r.mu.Unlock()
-		r.hiddenWaitNs.Store(0)
-		r.visibleWaitNs.Store(0)
-		r.interiorNs.Store(0)
-		r.shellNs.Store(0)
-	}
-}
-
 // push appends an event to the ring, overwriting the oldest when full.
 //
 //gpaw:hotpath
@@ -310,39 +300,4 @@ func (r *Rank) Mark(name string, peer, tag int, bytes int64) {
 	w, v := r.t.now(r.idx)
 	r.push(Event{Name: name, Kind: KindMark, Rank: r.idx,
 		Start: w, VStart: v, Peer: peer, Tag: tag, Bytes: bytes})
-}
-
-// AddWait accumulates one completed exchange's hidden (in flight while
-// the rank computed) and visible (blocked in the finishing wait)
-// nanoseconds; the ratio hidden/(hidden+visible) is the profile's
-// overlap efficiency.
-//
-//gpaw:hotpath
-func (r *Rank) AddWait(hidden, visible int64) {
-	if r == nil {
-		return
-	}
-	if hidden > 0 {
-		r.hiddenWaitNs.Add(hidden)
-	}
-	if visible > 0 {
-		r.visibleWaitNs.Add(visible)
-	}
-}
-
-// AddSplit accumulates split-phase compute time: deep-interior work
-// done while the halo was in flight, and boundary-shell work done
-// after it landed.
-//
-//gpaw:hotpath
-func (r *Rank) AddSplit(interior, shell int64) {
-	if r == nil {
-		return
-	}
-	if interior > 0 {
-		r.interiorNs.Add(interior)
-	}
-	if shell > 0 {
-		r.shellNs.Add(shell)
-	}
 }

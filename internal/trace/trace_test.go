@@ -43,8 +43,6 @@ func TestNilAndDisabled(t *testing.T) {
 	rk.BeginComm("x", KindSend, 1, 2, 3).End()
 	rk.Region("x").End()
 	rk.Mark("x", -1, -1, 0)
-	rk.AddWait(1, 2)
-	rk.AddSplit(3, 4)
 
 	tr := New(2, 16)
 	tr.Disable()
@@ -74,8 +72,6 @@ func TestZeroAllocEmission(t *testing.T) {
 		s.End()
 		rk.Region("compute").End()
 		rk.Mark("mark", -1, -1, 0)
-		rk.AddWait(10, 5)
-		rk.AddSplit(20, 2)
 	})
 	if allocs != 0 {
 		t.Fatalf("recording allocated %.1f times per run, want 0", allocs)
@@ -125,20 +121,54 @@ func TestSelfTimeZeroDurationTies(t *testing.T) {
 	}
 }
 
-// TestOverlapEfficiency checks the counter math.
+// TestOverlapEfficiency checks the split-phase accounting Profile reads
+// off the engine's spans: a halo.wait pairs with the halo.post of its
+// tag even when double-buffered exchanges or two workers' exchanges
+// interleave on one track, an untagged (serialized) wait and a second
+// wait of a consumed tag hide nothing, and each clock reads only its
+// own timestamps.
 func TestOverlapEfficiency(t *testing.T) {
-	tr := New(2, 16)
-	if e := tr.OverlapEfficiency(); e != 0 {
-		t.Fatalf("empty tracer efficiency = %v, want 0", e)
+	tr := New(2, 32)
+	if p := tr.Profile(Wall); p.OverlapEfficiency != 0 || p.HiddenWaitNs != 0 {
+		t.Fatalf("empty tracer profile: %+v", p)
 	}
-	tr.Rank(0).AddWait(75, 25)
-	tr.Rank(1).AddWait(25, 75)
-	if e := tr.OverlapEfficiency(); e != 0.5 {
-		t.Fatalf("efficiency = %v, want 0.5", e)
+	// Virtual timestamps as given, wall ones ten times larger; pushed in
+	// completion order, as spans record.
+	ev := func(r int, name string, kind Kind, tag int, start, dur int64) {
+		tr.Rank(r).push(Event{Name: name, Kind: kind, Peer: -1, Tag: tag,
+			Start: 10 * start, Dur: 10 * dur, VStart: start, VDur: dur})
 	}
-	p := tr.Profile(Wall)
-	if p.OverlapEfficiency != 0.5 || p.HiddenWaitNs != 100 || p.VisibleWaitNs != 100 {
-		t.Fatalf("profile wait accounting wrong: %+v", p)
+	// Rank 0, one worker double-buffering batches tagged 0 and 6, then a
+	// serialized exchange.
+	ev(0, HaloPost, KindExchange, 0, 0, 5)
+	ev(0, HaloPost, KindExchange, 6, 5, 5)
+	ev(0, ComputeInterior, KindRegion, -1, 10, 30)
+	ev(0, HaloWait, KindWait, 0, 40, 10) // hidden 40-5
+	ev(0, ComputeShell, KindRegion, -1, 50, 10)
+	ev(0, ComputeInterior, KindRegion, -1, 60, 20)
+	ev(0, HaloWait, KindWait, 6, 80, 10) // hidden 80-10
+	ev(0, HaloWait, KindWait, -1, 90, 10)
+	// Rank 1, two hybrid-multiple workers (tag bases 0 and 100).
+	ev(1, HaloPost, KindExchange, 0, 0, 5)
+	ev(1, HaloPost, KindExchange, 100, 2, 5)
+	ev(1, HaloWait, KindWait, 100, 20, 5) // hidden 20-7
+	ev(1, HaloWait, KindWait, 0, 30, 5)   // hidden 30-5
+	ev(1, HaloWait, KindWait, 0, 40, 5)   // its post is consumed
+	const hidden, visible, interior, shell = 35 + 70 + 13 + 25, 30 + 15, 50, 10
+	for _, c := range []struct {
+		clock Clock
+		scale int64
+	}{{Virtual, 1}, {Wall, 10}} {
+		p := tr.Profile(c.clock)
+		if p.HiddenWaitNs != c.scale*hidden || p.VisibleWaitNs != c.scale*visible ||
+			p.InteriorNs != c.scale*interior || p.ShellNs != c.scale*shell {
+			t.Errorf("%v clock: hidden/visible/interior/shell = %d/%d/%d/%d, want %d/%d/%d/%d", c.clock,
+				p.HiddenWaitNs, p.VisibleWaitNs, p.InteriorNs, p.ShellNs,
+				c.scale*hidden, c.scale*visible, c.scale*interior, c.scale*shell)
+		}
+		if want := float64(hidden) / float64(hidden+visible); p.OverlapEfficiency != want {
+			t.Errorf("%v clock: efficiency = %v, want %v", c.clock, p.OverlapEfficiency, want)
+		}
 	}
 }
 
@@ -226,7 +256,6 @@ func TestConcurrentEmission(t *testing.T) {
 			rk := tr.Rank(g % 2)
 			for i := 0; i < 500; i++ {
 				s := rk.BeginComm("mpi.send", KindSend, g, i, 64)
-				rk.AddWait(1, 1)
 				s.End()
 			}
 		}(g)
@@ -237,8 +266,4 @@ func TestConcurrentEmission(t *testing.T) {
 		t.Fatalf("events+dropped = %d, want 2000", total)
 	}
 	_ = tr.Profile(Wall)
-	tr.Reset()
-	if len(tr.Events()) != 0 || tr.Dropped() != 0 {
-		t.Fatal("Reset left state behind")
-	}
 }
