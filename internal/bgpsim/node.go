@@ -59,9 +59,7 @@ type node struct {
 	interBytes sim.Counter // bytes leaving the node on torus links
 	intraBytes sim.Counter // MPI bytes moved node-internally
 	messages   sim.Counter // messages sent by the node's ranks
-	largest    int64
-	smallest   int64
-	useful     float64 // accumulated per-core useful compute time
+	useful     float64     // accumulated per-core useful compute time
 }
 
 // simRank is one simulated MPI rank (flat) or thread (hybrid) on the
@@ -153,12 +151,6 @@ func (r *simRank) sendFace(p *sim.Proc, dim int, side int, n int64) {
 		nd.intraBytes.Add(float64(n))
 	}
 	nd.messages.Add(1)
-	if n > nd.largest {
-		nd.largest = n
-	}
-	if nd.smallest == 0 || n < nd.smallest {
-		nd.smallest = n
-	}
 	// A message sent toward High lands in the receiver's Low halo and
 	// vice versa.
 	haloSide := 1 - side

@@ -60,8 +60,6 @@ type Result struct {
 	IntraNodeBytes float64
 	// Messages is the number of MPI messages sent by one node.
 	Messages float64
-	// LargestMsg/SmallestMsg bound observed message sizes in bytes.
-	LargestMsg, SmallestMsg int64
 	// ComputePerCore is the useful compute seconds per core.
 	ComputePerCore float64
 	// Layout echoes the decomposition used.
@@ -256,8 +254,6 @@ func Simulate(w Workload, cfg Config) (Result, error) {
 		InterNodeBytes: nd.interBytes.Total() * apps,
 		IntraNodeBytes: nd.intraBytes.Total() * apps,
 		Messages:       nd.messages.Total() * apps,
-		LargestMsg:     nd.largest,
-		SmallestMsg:    nd.smallest,
 		ComputePerCore: nd.useful / float64(active) * apps,
 		RankGrid:       lay.rankGrid,
 		NodeGrid:       lay.nodeGrid,

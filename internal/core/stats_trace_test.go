@@ -142,34 +142,12 @@ func TestEngineTraceEvents(t *testing.T) {
 // and waits. Under the virtual clock the interior charges are what the
 // messages hid behind, so they bound the hidden wait from below.
 func TestProfileReadsOneClock(t *testing.T) {
-	const ranks, grids, charge = 2, 3, 50 * time.Microsecond
-	global := topology.Dims{8, 8, 8}
-	procs := topology.Dims{1, 1, ranks}
-	tr := trace.New(ranks, 1024)
-	w := testWorld(ranks, mpi.ThreadSingle)
-	w.SetNetModel(&mpi.NetModel{
+	tr := splitPhaseRun(t, &mpi.NetModel{
 		Params: mpi.NetParams{
 			MsgLatency: 5e-6, PostCost: 1e-7, DMAPerMsg: 1e-7, LinkBandwidth: 1e9,
 		},
 		NoComputeWall: true,
 	})
-	w.SetTracer(tr)
-	err := w.Run(func(c *mpi.Comm) {
-		eng := overlapEngine(c, global, procs, true, OptionsFor(FlatOptimized, 1, 1))
-		defer eng.Close()
-		gs := make([]*grid.Grid, grids)
-		for i := range gs {
-			gs[i] = eng.NewLocalGrid()
-		}
-		eng.Run(gs, true, func(_ Batch, r stencil.Region) {
-			if r == stencil.Interior {
-				c.Compute(charge)
-			}
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, clock := range []trace.Clock{trace.Virtual, trace.Wall} {
 		p := tr.Profile(clock)
 		total := func(name string) int64 {
@@ -187,7 +165,7 @@ func TestProfileReadsOneClock(t *testing.T) {
 				total(trace.HaloWait), total(trace.ComputeInterior), total(trace.ComputeShell))
 		}
 		var hidden int64
-		for r := 0; r < ranks; r++ {
+		for r := 0; r < splitRanks; r++ {
 			var ends []int64
 			for _, e := range tr.RankEvents(r) {
 				s, d := e.Start, e.Dur
@@ -207,8 +185,62 @@ func TestProfileReadsOneClock(t *testing.T) {
 			t.Errorf("%v clock: hidden wait %d, in-order pairing of the spans gives %d", clock, p.HiddenWaitNs, hidden)
 		}
 	}
-	if p := tr.Profile(trace.Virtual); p.HiddenWaitNs < ranks*grids*int64(charge) {
+	if p := tr.Profile(trace.Virtual); p.HiddenWaitNs < splitRanks*splitGrids*int64(splitCharge) {
 		t.Errorf("virtual hidden wait %d ns, below the %d ns of interior compute the messages flew under",
-			p.HiddenWaitNs, ranks*grids*int64(charge))
+			p.HiddenWaitNs, splitRanks*splitGrids*int64(splitCharge))
 	}
+}
+
+// TestProfileUnmodeledVirtualEmpty runs the same protocol with no
+// network model: the virtual clock never ran, so the virtual profile's
+// wait and split rows are zero, while the wall profile still times the
+// compute halves.
+func TestProfileUnmodeledVirtualEmpty(t *testing.T) {
+	tr := splitPhaseRun(t, nil)
+	if p := tr.Profile(trace.Virtual); p.HiddenWaitNs != 0 || p.VisibleWaitNs != 0 ||
+		p.InteriorNs != 0 || p.ShellNs != 0 {
+		t.Errorf("unmodeled virtual profile: hidden/visible/interior/shell %d/%d/%d/%d, want all 0",
+			p.HiddenWaitNs, p.VisibleWaitNs, p.InteriorNs, p.ShellNs)
+	}
+	if p := tr.Profile(trace.Wall); p.InteriorNs <= 0 || p.ShellNs <= 0 {
+		t.Errorf("unmodeled wall profile: interior/shell %d/%d, want > 0", p.InteriorNs, p.ShellNs)
+	}
+}
+
+const splitRanks, splitGrids, splitCharge = 2, 3, 50 * time.Microsecond
+
+// splitPhaseRun runs splitGrids grids through the double-buffered
+// split-phase protocol on splitRanks traced ranks, under model when it
+// is non-nil, charging splitCharge of modeled compute per interior and
+// spinning in both compute halves, and returns the tracer.
+func splitPhaseRun(t *testing.T, model *mpi.NetModel) *trace.Tracer {
+	t.Helper()
+	global := topology.Dims{8, 8, 8}
+	procs := topology.Dims{1, 1, splitRanks}
+	tr := trace.New(splitRanks, 1024)
+	w := testWorld(splitRanks, mpi.ThreadSingle)
+	if model != nil {
+		w.SetNetModel(model)
+	}
+	w.SetTracer(tr)
+	err := w.Run(func(c *mpi.Comm) {
+		eng := overlapEngine(c, global, procs, true, OptionsFor(FlatOptimized, 1, 1))
+		defer eng.Close()
+		gs := make([]*grid.Grid, splitGrids)
+		for i := range gs {
+			gs[i] = eng.NewLocalGrid()
+		}
+		sink := 0.0
+		eng.Run(gs, true, func(_ Batch, r stencil.Region) {
+			if r == stencil.Interior {
+				c.Compute(splitCharge)
+			}
+			sink += spin()
+		})
+		_ = sink
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }

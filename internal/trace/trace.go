@@ -208,6 +208,18 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
+// Reset discards all recorded events and the drop count, keeping the
+// ring memory; the epoch is not rebased, so clocks stay comparable
+// across a reset.
+func (t *Tracer) Reset() {
+	for i := range t.ranks {
+		r := &t.ranks[i]
+		r.mu.Lock()
+		r.head, r.n, r.dropped = 0, 0, 0
+		r.mu.Unlock()
+	}
+}
+
 // push appends an event to the ring, overwriting the oldest when full.
 //
 //gpaw:hotpath

@@ -125,7 +125,8 @@ func TestSelfTimeZeroDurationTies(t *testing.T) {
 // off the engine's spans: a halo.wait pairs with the halo.post of its
 // tag even when double-buffered exchanges or two workers' exchanges
 // interleave on one track, an untagged (serialized) wait and a second
-// wait of a consumed tag hide nothing, and each clock reads only its
+// wait of a consumed tag hide nothing, a post left without its wait is
+// superseded by the next post of its tag, and each clock reads only its
 // own timestamps.
 func TestOverlapEfficiency(t *testing.T) {
 	tr := New(2, 32)
@@ -154,7 +155,12 @@ func TestOverlapEfficiency(t *testing.T) {
 	ev(1, HaloWait, KindWait, 100, 20, 5) // hidden 20-7
 	ev(1, HaloWait, KindWait, 0, 30, 5)   // hidden 30-5
 	ev(1, HaloWait, KindWait, 0, 40, 5)   // its post is consumed
-	const hidden, visible, interior, shell = 35 + 70 + 13 + 25, 30 + 15, 50, 10
+	// An orphan post (its wait never ran), then a fresh post and wait on
+	// the same tag: the wait pairs with the fresh post.
+	ev(1, HaloPost, KindExchange, 200, 50, 5)
+	ev(1, HaloPost, KindExchange, 200, 100, 5)
+	ev(1, HaloWait, KindWait, 200, 110, 5) // hidden 110-105
+	const hidden, visible, interior, shell = 35 + 70 + 13 + 25 + 5, 30 + 15 + 5, 50, 10
 	for _, c := range []struct {
 		clock Clock
 		scale int64
@@ -266,4 +272,8 @@ func TestConcurrentEmission(t *testing.T) {
 		t.Fatalf("events+dropped = %d, want 2000", total)
 	}
 	_ = tr.Profile(Wall)
+	tr.Reset()
+	if len(tr.Events()) != 0 || tr.Dropped() != 0 {
+		t.Fatal("Reset left state behind")
+	}
 }
