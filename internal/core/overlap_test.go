@@ -233,14 +233,16 @@ func TestOverlapExchangeZeroAlloc(t *testing.T) {
 // warmed exchange must make no allocation anywhere in the world. The
 // barrier in front of each exchange keeps ranks far from rank 0 from
 // running exchanges ahead. Pools still grow until they cover the
-// largest backlog the scheduler produces, so warm-up is measured rather
-// than assumed: of several windows of exchanges, one must allocate
-// nothing (an allocation per exchange would show in all of them).
+// largest backlog the scheduler produces, and on a loaded host the
+// runtime's own bookkeeping lands a few stray mallocs in a window, so
+// warm-up is measured rather than assumed: windows of exchanges run
+// until one allocates nothing, up to a cap. An allocation per exchange
+// would show in every window, and the cap fails it.
 func TestSkewedExchangeAllocationFree(t *testing.T) {
 	global := topology.Dims{8, 8, 8}
 	procs := topology.Dims{2, 2, 2}
-	const windows, perWindow = 8, 20
-	var mallocs [windows]uint64
+	const maxWindows, perWindow = 64, 20
+	mallocs := make([]uint64, 0, maxWindows) // rank 0's record, sized up front
 	err := runRanks(procs.Count(), mpi.ThreadSingle, func(c *mpi.Comm) {
 		eng := overlapEngine(c, global, procs, true, OptionsFor(FlatOptimized, 1, 1))
 		defer eng.Close()
@@ -256,7 +258,10 @@ func TestSkewedExchangeAllocationFree(t *testing.T) {
 			exchange()
 		}
 		var before, after runtime.MemStats
-		for w := range mallocs {
+		// done is rank 0's verdict on the window just measured, broadcast
+		// outside the window so every rank stops after the same one.
+		done := []float64{0}
+		for w := 0; w < maxWindows && done[0] == 0; w++ {
 			c.Barrier()
 			if c.Rank() == 0 {
 				runtime.ReadMemStats(&before)
@@ -267,15 +272,19 @@ func TestSkewedExchangeAllocationFree(t *testing.T) {
 			c.Barrier()
 			if c.Rank() == 0 {
 				runtime.ReadMemStats(&after)
-				mallocs[w] = after.Mallocs - before.Mallocs
+				mallocs = append(mallocs, after.Mallocs-before.Mallocs)
+				if after.Mallocs == before.Mallocs {
+					done[0] = 1
+				}
 			}
+			c.Bcast(0, done)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("world-wide mallocs per window of %d skewed exchanges: %v", perWindow, mallocs)
-	if slices.Min(mallocs[:]) != 0 {
-		t.Errorf("no window of %d skewed exchanges on 8 ranks was allocation-free: %v", perWindow, mallocs)
+	if slices.Min(mallocs) != 0 {
+		t.Errorf("none of %d windows of %d skewed exchanges on 8 ranks was allocation-free: %v", len(mallocs), perWindow, mallocs)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/grid"
 	"repro/internal/mpi"
 	"repro/internal/topology"
 )
@@ -174,7 +175,11 @@ func TestChaosNoRecoveryTypedError(t *testing.T) {
 
 // TestCheckpointRestartBitIdentical: a checkpoint written on one
 // process grid resumes on another — fewer ranks (shrink) and more
-// ranks (grow) — with results bitwise identical to the serial run.
+// ranks (grow) — with results bitwise identical to the serial run. It
+// resumes from a step whose Pulay ring is still filling (step 3: two
+// pairs of three) and from one whose ring has wrapped (step 5: the
+// oldest pair was dropped for the newest, and the Hartree solve being
+// resumed is warm-started from a potential several steps old).
 func TestCheckpointRestartBitIdentical(t *testing.T) {
 	global := topology.Dims{8, 8, 8}
 	sys := scfSystem(global, 0.7)
@@ -205,47 +210,51 @@ func TestCheckpointRestartBitIdentical(t *testing.T) {
 	if len(steps) != want.Iterations {
 		t.Fatalf("%d committed steps, want one per iteration (%d)", len(steps), want.Iterations)
 	}
-
-	// Mid-run, and late enough that the Hartree solve being resumed is
-	// warm-started from a potential several steps old.
-	resume := steps[len(steps)/2]
-	if resume < 5 {
-		t.Fatalf("resume from step %d of %d: want a step >= 5, where the warm start is live", resume, want.Iterations)
-	}
-	for _, tc := range []struct {
-		ranks int
-		procs topology.Dims
-	}{
-		{2, topology.Dims{1, 1, 2}}, // shrink
-		{8, topology.Dims{2, 2, 2}}, // grow
+	for _, resume := range []struct{ step, hist int }{
+		{pulayHistory, pulayHistory - 1}, // a partial ring
+		{pulayHistory + 2, pulayHistory}, // a wrapped ring
 	} {
-		if err := runRanks(tc.ranks, mpi.ThreadSingle, func(c *mpi.Comm) {
-			d, err := NewDist(c, DistConfig{Global: global, Procs: tc.procs, Halo: 2, BC: sys.BC,
-				Approach: core.FlatOptimized, Threads: 1, Batch: 2})
-			if err != nil {
-				panic(err)
+		if resume.step >= want.Iterations {
+			t.Fatalf("resume from step %d of %d: nothing left to run", resume.step, want.Iterations)
+		}
+		for _, tc := range []struct {
+			ranks int
+			procs topology.Dims
+		}{
+			{2, topology.Dims{1, 1, 2}}, // shrink
+			{8, topology.Dims{2, 2, 2}}, // grow
+		} {
+			if err := runRanks(tc.ranks, mpi.ThreadSingle, func(c *mpi.Comm) {
+				d, err := NewDist(c, DistConfig{Global: global, Procs: tc.procs, Halo: 2, BC: sys.BC,
+					Approach: core.FlatOptimized, Threads: 1, Batch: 2})
+				if err != nil {
+					panic(err)
+				}
+				defer d.Close()
+				rs, err := RestoreSCF(d, store, resume.step)
+				if err != nil {
+					panic(err)
+				}
+				if rs.mix.hist != resume.hist {
+					t.Errorf("step %d restored %d mixer pairs, want %d", resume.step, rs.mix.hist, resume.hist)
+				}
+				s := NewDistSCF(d, sys)
+				s.Tol = 1e-4
+				res, err := s.Resume(rs)
+				if err != nil {
+					panic(err)
+				}
+				if res.TotalEnergy != want.TotalEnergy || res.Iterations != want.Iterations ||
+					res.Residual != want.Residual {
+					t.Errorf("resume on %v from step %d: (E,it,res)=(%.17g,%d,%.17g), serial (%.17g,%d,%.17g)",
+						tc.procs, resume.step, res.TotalEnergy, res.Iterations, res.Residual,
+						want.TotalEnergy, want.Iterations, want.Residual)
+				}
+				checkIdentical(t, d, res.Density, want.Density, "resumed density", tc.procs, core.FlatOptimized)
+				checkIdentical(t, d, res.VHartree, want.VHartree, "resumed vH", tc.procs, core.FlatOptimized)
+			}); err != nil {
+				t.Fatal(err)
 			}
-			defer d.Close()
-			rs, err := RestoreSCF(d, store, resume)
-			if err != nil {
-				panic(err)
-			}
-			s := NewDistSCF(d, sys)
-			s.Tol = 1e-4
-			res, err := s.Resume(rs)
-			if err != nil {
-				panic(err)
-			}
-			if res.TotalEnergy != want.TotalEnergy || res.Iterations != want.Iterations ||
-				res.Residual != want.Residual {
-				t.Errorf("resume on %v from step %d: (E,it,res)=(%.17g,%d,%.17g), serial (%.17g,%d,%.17g)",
-					tc.procs, resume, res.TotalEnergy, res.Iterations, res.Residual,
-					want.TotalEnergy, want.Iterations, want.Residual)
-			}
-			checkIdentical(t, d, res.Density, want.Density, "resumed density", tc.procs, core.FlatOptimized)
-			checkIdentical(t, d, res.VHartree, want.VHartree, "resumed vH", tc.procs, core.FlatOptimized)
-		}); err != nil {
-			t.Fatal(err)
 		}
 	}
 }
@@ -258,10 +267,11 @@ func TestCheckpointStores(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, st := range []Store{NewMemStore(), dir} {
-		sh := &shard{Kind: shardKindSCF, Iteration: 3, Global: topology.Dims{4, 4, 4},
-			Local: topology.Dims{4, 4, 4}, Spacing: 0.5, States: 1, BandHi: 1,
-			Scalars: []float64{1.5}, Fields: [][]float64{make([]float64, 64), make([]float64, 64), make([]float64, 64)}}
-		sh.Fields[0][7] = 42
+		box := topology.Dims{4, 4, 4}
+		sh := &shard{Kind: shardKindSCF, Iteration: 3, Global: box,
+			Local: box, Spacing: 0.5, States: 1, BandHi: 1,
+			Scalars: []float64{1.5}, Fields: []*grid.Grid{grid.NewDims(box, 2), grid.NewDims(box, 0), grid.NewDims(box, 1)}}
+		sh.Fields[0].Set(0, 1, 3, 42) // interior point 7 in x-major order
 		data := sh.encode()
 		if err := st.PutShard(3, 0, data); err != nil {
 			t.Fatal(err)
@@ -269,7 +279,7 @@ func TestCheckpointStores(t *testing.T) {
 		if steps, _ := st.Steps(); len(steps) != 0 {
 			t.Errorf("%T: uncommitted step visible: %v", st, steps)
 		}
-		if err := st.Commit(3, []byte(`{"version":2,"kind":1,"step":3,"ranks":1,"states":1,"global":[4,4,4],"sums":[]}`)); err != nil {
+		if err := st.Commit(3, []byte(`{"version":3,"kind":1,"step":3,"ranks":1,"states":1,"global":[4,4,4],"sums":[]}`)); err != nil {
 			t.Fatal(err)
 		}
 		if steps, _ := st.Steps(); len(steps) != 1 || steps[0] != 3 {
@@ -283,7 +293,7 @@ func TestCheckpointStores(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%T: decode round trip: %v", st, err)
 		}
-		if got.Iteration != 3 || got.Fields[0][7] != 42 || got.Scalars[0] != 1.5 {
+		if got.Iteration != 3 || got.Fields[0].Data()[7] != 42 || got.Scalars[0] != 1.5 {
 			t.Errorf("%T: round trip mangled the shard", st)
 		}
 		// Flip one payload byte: the CRC must catch it.
@@ -303,13 +313,14 @@ func TestCheckpointStores(t *testing.T) {
 		// CRC-valid shard whose field count disagrees with its band slice;
 		// step 6 the honest shard under a manifest claiming two states;
 		// step 7 under a version-1 manifest, whose field 1 would be the
-		// effective potential, not the Hartree one.
+		// effective potential, not the Hartree one; step 8 under a
+		// version-2 manifest, which carries no mixer history.
 		short := *sh
 		short.Fields = sh.Fields[:2]
 		for step, c := range map[int]struct {
 			version, states int
 			data            []byte
-		}{4: {2, 1, data}, 5: {2, 1, short.encode()}, 6: {2, 2, data}, 7: {1, 1, data}} {
+		}{4: {3, 1, data}, 5: {3, 1, short.encode()}, 6: {3, 2, data}, 7: {1, 1, data}, 8: {2, 1, data}} {
 			if err := st.PutShard(step, 0, c.data); err != nil {
 				t.Fatal(err)
 			}
@@ -317,10 +328,12 @@ func TestCheckpointStores(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := ValidateStep(st, 7); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
-			t.Errorf("%T: version-1 manifest: %v, want unsupported version 1", st, err)
+		for step, v := range map[int]int{7: 1, 8: 2} {
+			if err := ValidateStep(st, step); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", v)) {
+				t.Errorf("%T: version-%d manifest: %v, want unsupported version %d", st, v, err, v)
+			}
 		}
-		for step, corrupt := range map[int]bool{3: true, 4: false, 5: true, 6: true, 7: true} {
+		for step, corrupt := range map[int]bool{3: true, 4: false, 5: true, 6: true, 7: true, 8: true} {
 			verr := ValidateStep(st, step)
 			rs, rerr := RestoreSCF(d, st, step)
 			if corrupt != errors.Is(verr, ErrCheckpointCorrupt) || corrupt != errors.Is(rerr, ErrCheckpointCorrupt) ||

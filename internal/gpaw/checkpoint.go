@@ -335,12 +335,15 @@ func LatestGoodStep(st Store) (step int, fellBack, ok bool, err error) {
 
 const (
 	shardMagic = uint64(0x4750434b5f763100) // "GPCK_v1\0"
-	// shardVersion 2: field 1 is the Hartree potential the next solve
-	// starts from. Version 1 held the effective potential there — read
-	// as a warm start it would silently cost iterations, so it is refused.
-	shardVersion = 2
+	// shardVersion 3: the shard carries the Pulay mixer's ring after the
+	// states. Version 2 held no history — resumed, it would restart the
+	// mixer and leave the undisturbed run's bits — and version 1 held the
+	// effective potential where the Hartree one now is; both are refused.
+	shardVersion = 3
 
 	shardKindSCF = 1 // the one kind of state checkpointed: the SCF loop's
+
+	shardHeaderWords = 20 // magic through the scalar count, before the scalars
 )
 
 // ErrCheckpointCorrupt wraps checksum and format failures detected when
@@ -349,9 +352,10 @@ var ErrCheckpointCorrupt = errors.New("gpaw: corrupt checkpoint shard")
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
-// shard is the decoded form of one rank's checkpoint piece. Fields are
-// grid interiors in x-major order over the Local box at Off:
-// [density, v_H, psi(BandLo) .. psi(BandHi-1)].
+// shard is one rank's checkpoint piece. Fields are grids whose interiors
+// cover the Local box at Off (decoded ones are halo-free):
+// [density, v_H, psi(BandLo) .. psi(BandHi-1), n_in,0 .. n_in,Hist-1,
+// R_0 .. R_Hist-1].
 type shard struct {
 	Kind      int
 	Iteration int
@@ -363,24 +367,59 @@ type shard struct {
 	States    int // m, the global state count (the eigensolver's guard included)
 	BandLo    int // this shard's band slice [BandLo, BandHi)
 	BandHi    int
-	Scalars   []float64 // the m Ritz values of the iteration, which bound the next one's filter
-	Fields    [][]float64
+	Hist      int // the Pulay mixer's live pairs, oldest first
+	// Scalars are the m Ritz values of the iteration, which bound the
+	// next one's filter, then the mixer's Hist x Hist Gram matrix by rows.
+	Scalars []float64
+	Fields  []*grid.Grid
 }
 
-type shardWriter struct{ buf []byte }
+// wantFields and wantScalars are the counts a shard's band slice and
+// history call for.
+func (sh *shard) wantFields() int  { return 2 + sh.BandHi - sh.BandLo + 2*sh.Hist }
+func (sh *shard) wantScalars() int { return sh.States + sh.Hist*sh.Hist }
 
-func (w *shardWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.buf = append(w.buf, b[:]...)
-}
-func (w *shardWriter) i64(v int)     { w.u64(uint64(v)) }
-func (w *shardWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
-func (w *shardWriter) f64s(v []float64) {
-	w.i64(len(v))
-	for _, x := range v {
-		w.f64(x)
+// encode serializes the shard with a trailing CRC64 of everything
+// before it into one buffer sized up front, each field written straight
+// from its grid's interior rows.
+func (sh *shard) encode() []byte {
+	words := shardHeaderWords + len(sh.Scalars) + 1 + 1
+	for _, f := range sh.Fields {
+		words += 1 + f.Points()
 	}
+	buf := make([]byte, 0, 8*words)
+	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
+	i64 := func(v int) { u64(uint64(v)) }
+	u64(shardMagic)
+	i64(shardVersion)
+	i64(sh.Kind)
+	i64(sh.Iteration)
+	for _, box := range [][3]int{sh.Global, sh.Off, sh.Local} {
+		for _, v := range box {
+			i64(v)
+		}
+	}
+	u64(math.Float64bits(sh.Spacing))
+	for _, v := range []int{sh.BC, sh.States, sh.BandLo, sh.BandHi, sh.Hist, len(sh.Scalars)} {
+		i64(v)
+	}
+	for _, x := range sh.Scalars {
+		u64(math.Float64bits(x))
+	}
+	i64(len(sh.Fields))
+	for _, f := range sh.Fields {
+		i64(f.Points())
+		data := f.Data()
+		for i := 0; i < f.Nx; i++ {
+			for j := 0; j < f.Ny; j++ {
+				row := f.Index(i, j, 0)
+				for _, x := range data[row : row+f.Nz] {
+					u64(math.Float64bits(x))
+				}
+			}
+		}
+	}
+	return binary.LittleEndian.AppendUint64(buf, crc64.Checksum(buf, crcTable))
 }
 
 type shardReader struct {
@@ -403,58 +442,38 @@ func (r *shardReader) u64() uint64 {
 }
 func (r *shardReader) i64() int     { return int(r.u64()) }
 func (r *shardReader) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *shardReader) f64s() []float64 {
+
+// length reads a vector length and bounds it by the bytes actually
+// remaining BEFORE any allocation — compared divided rather than
+// multiplied, because 8*n overflows for adversarial lengths (n ~ 1<<61
+// wraps negative, passes a naive r.pos+8*n check, and the allocation
+// would OOM on garbage input).
+func (r *shardReader) length() int {
 	n := r.i64()
-	// The length is bounded by the bytes actually remaining BEFORE any
-	// allocation — and compared divided rather than multiplied, because
-	// 8*n overflows for adversarial lengths (n ~ 1<<61 wraps negative,
-	// passes a naive r.pos+8*n check, and the make() below would OOM on
-	// garbage input).
-	if r.err != nil || n < 0 || n > (len(r.buf)-r.pos)/8 {
-		if r.err == nil {
-			r.err = fmt.Errorf("%w: implausible vector length %d", ErrCheckpointCorrupt, n)
-		}
-		return nil
+	if r.err == nil && (n < 0 || n > (len(r.buf)-r.pos)/8) {
+		r.err = fmt.Errorf("%w: implausible vector length %d", ErrCheckpointCorrupt, n)
 	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = r.f64()
+	if r.err != nil {
+		return 0
 	}
-	return v
+	return n
 }
 
-// encode serializes the shard with a trailing CRC64 of everything
-// before it.
-func (sh *shard) encode() []byte {
-	w := &shardWriter{}
-	w.u64(shardMagic)
-	w.i64(shardVersion)
-	w.i64(sh.Kind)
-	w.i64(sh.Iteration)
-	for d := 0; d < 3; d++ {
-		w.i64(sh.Global[d])
+// f64s reads n values into dst, or into a new slice when dst is nil.
+func (r *shardReader) f64s(n int, dst []float64) []float64 {
+	if dst == nil {
+		dst = make([]float64, n)
 	}
-	for d := 0; d < 3; d++ {
-		w.i64(sh.Off[d])
+	for i := range dst {
+		dst[i] = r.f64()
 	}
-	for d := 0; d < 3; d++ {
-		w.i64(sh.Local[d])
-	}
-	w.f64(sh.Spacing)
-	w.i64(sh.BC)
-	w.i64(sh.States)
-	w.i64(sh.BandLo)
-	w.i64(sh.BandHi)
-	w.f64s(sh.Scalars)
-	w.i64(len(sh.Fields))
-	for _, f := range sh.Fields {
-		w.f64s(f)
-	}
-	w.u64(crc64.Checksum(w.buf, crcTable))
-	return w.buf
+	return dst
 }
 
-// decodeShard parses and checksum-verifies an encoded shard.
+// decodeShard parses and checksum-verifies an encoded shard. The header
+// is held to its band slice and history before any field is read, and
+// every field to the box, so a decoded shard is exactly what RestoreSCF
+// indexes.
 func decodeShard(data []byte) (*shard, error) {
 	if len(data) < 16 {
 		return nil, fmt.Errorf("%w: %d bytes", ErrCheckpointCorrupt, len(data))
@@ -485,10 +504,16 @@ func decodeShard(data []byte) (*shard, error) {
 	sh.States = r.i64()
 	sh.BandLo = r.i64()
 	sh.BandHi = r.i64()
-	sh.Scalars = r.f64s()
+	sh.Hist = r.i64()
+	sh.Scalars = r.f64s(r.length(), nil)
 	nf := r.i64()
 	if r.err != nil {
 		return nil, r.err
+	}
+	for d := 0; d < 3; d++ {
+		if sh.Local[d] < 1 || sh.Local[d] > 1<<20 {
+			return nil, fmt.Errorf("%w: implausible box %v", ErrCheckpointCorrupt, sh.Local)
+		}
 	}
 	// Each field needs at least its 8-byte length prefix, so the count
 	// is bounded by the bytes remaining — a garbage count can never
@@ -496,32 +521,30 @@ func decodeShard(data []byte) (*shard, error) {
 	if nf < 0 || nf > (len(body)-r.pos)/8 {
 		return nil, fmt.Errorf("%w: implausible field count %d", ErrCheckpointCorrupt, nf)
 	}
-	sh.Fields = make([][]float64, nf)
+	// RestoreSCF indexes density, v_H, a field per state of the band
+	// slice and a pair per kept mixer step.
+	if sh.BandLo < 0 || sh.BandLo > sh.BandHi || sh.BandHi > sh.States || sh.Hist < 0 || sh.Hist > pulayHistory ||
+		nf != sh.wantFields() || len(sh.Scalars) != sh.wantScalars() {
+		return nil, fmt.Errorf("%w: %d fields and %d scalars for band slice [%d, %d) of %d states and %d mixer pairs",
+			ErrCheckpointCorrupt, nf, len(sh.Scalars), sh.BandLo, sh.BandHi, sh.States, sh.Hist)
+	}
+	want := sh.Local.Count()
+	sh.Fields = make([]*grid.Grid, nf)
 	for i := range sh.Fields {
-		sh.Fields[i] = r.f64s()
+		if n := r.length(); r.err == nil && n != want {
+			return nil, fmt.Errorf("%w: field %d has %d values for box %v", ErrCheckpointCorrupt, i, n, sh.Local)
+		}
+		if r.err != nil {
+			return nil, r.err
+		}
+		sh.Fields[i] = grid.NewDims(sh.Local, 0)
+		r.f64s(want, sh.Fields[i].Data())
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
 	if r.pos != len(body) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCheckpointCorrupt, len(body)-r.pos)
-	}
-	for d := 0; d < 3; d++ {
-		if sh.Local[d] < 0 || sh.Local[d] > 1<<20 {
-			return nil, fmt.Errorf("%w: implausible box %v", ErrCheckpointCorrupt, sh.Local)
-		}
-	}
-	want := sh.Local.Count()
-	for i, f := range sh.Fields {
-		if len(f) != want {
-			return nil, fmt.Errorf("%w: field %d has %d values for box %v", ErrCheckpointCorrupt, i, len(f), sh.Local)
-		}
-	}
-	// RestoreSCF indexes density, v_H, a field per state of the band slice.
-	if sh.BandLo < 0 || sh.BandLo > sh.BandHi || sh.BandHi > sh.States ||
-		len(sh.Fields) != 2+sh.BandHi-sh.BandLo || len(sh.Scalars) != sh.States {
-		return nil, fmt.Errorf("%w: %d fields and %d scalars for band slice [%d, %d) of %d states",
-			ErrCheckpointCorrupt, len(sh.Fields), len(sh.Scalars), sh.BandLo, sh.BandHi, sh.States)
 	}
 	return sh, nil
 }
@@ -533,6 +556,7 @@ type manifest struct {
 	Step    int      `json:"step"`
 	Ranks   int      `json:"ranks"`
 	States  int      `json:"states"`
+	Hist    int      `json:"hist"`
 	Global  [3]int   `json:"global"`
 	Sums    []string `json:"sums"` // per-rank shard CRC64, hex
 }
@@ -569,9 +593,9 @@ func readShard(st Store, man *manifest, step, r int) (*shard, error) {
 	if fmt.Sprintf("%016x", binary.LittleEndian.Uint64(data[len(data)-8:])) != man.Sums[r] {
 		return nil, fmt.Errorf("%w: step %d shard %d checksum mismatch", ErrCheckpointCorrupt, step, r)
 	}
-	if sh.States != man.States {
-		return nil, fmt.Errorf("%w: step %d shard %d holds %d states, manifest %d",
-			ErrCheckpointCorrupt, step, r, sh.States, man.States)
+	if sh.States != man.States || sh.Hist != man.Hist {
+		return nil, fmt.Errorf("%w: step %d shard %d holds %d states and %d mixer pairs, manifest %d and %d",
+			ErrCheckpointCorrupt, step, r, sh.States, sh.Hist, man.States, man.Hist)
 	}
 	return sh, nil
 }
@@ -625,7 +649,7 @@ func (ck *Checkpointer) save(d *Dist, sh *shard) error {
 		return nil
 	}
 	man := manifest{Version: shardVersion, Kind: sh.Kind, Step: step, Ranks: d.World.Size(),
-		States: sh.States, Global: [3]int{sh.Global[0], sh.Global[1], sh.Global[2]}}
+		States: sh.States, Hist: sh.Hist, Global: [3]int{sh.Global[0], sh.Global[1], sh.Global[2]}}
 	for _, b := range out {
 		man.Sums = append(man.Sums, fmt.Sprintf("%016x", math.Float64bits(b)))
 	}
@@ -664,22 +688,25 @@ func (ck *Checkpointer) prune() {
 	}
 }
 
-// saveSCF snapshots the SCF state after iteration it: mixed density (the
-// mixer's full state under linear mixing), Hartree potential (the next
-// solve's initial guess; the effective potential is a pointwise
-// function of the two and the external one, rebuilt at resume), this
-// band group's wave-function slice, all m Ritz values (they bound the
-// next iteration's filter) and the counter.
-func (ck *Checkpointer) saveSCF(s *SCF, it, m int, eig []float64, psis []*grid.Grid, n, vh *grid.Grid) error {
+// saveSCF snapshots the SCF state after iteration it: mixed density,
+// Hartree potential (the next solve's initial guess; the effective
+// potential is a pointwise function of the two and the external one,
+// rebuilt at resume), this band group's wave-function slice, all m Ritz
+// values (they bound the next iteration's filter), the Pulay mixer's
+// ring and Gram matrix, and the counter.
+func (ck *Checkpointer) saveSCF(s *SCF, it, m int, eig []float64, psis []*grid.Grid, n, vh *grid.Grid, mix *pulayMixer) error {
 	d := s.D
 	lo, hi := d.BandRange(m)
+	h := mix.hist
 	sh := &shard{Kind: shardKindSCF, Iteration: it, Global: d.Decomp.Global,
 		Off: d.Offset(), Local: d.LocalDims(), Spacing: s.Sys.Spacing, BC: int(s.Sys.BC),
-		States: m, BandLo: lo, BandHi: hi, Scalars: append([]float64(nil), eig...)}
-	sh.Fields = append(sh.Fields, n.InteriorSlice(), vh.InteriorSlice())
-	for _, p := range psis {
-		sh.Fields = append(sh.Fields, p.InteriorSlice())
+		States: m, BandLo: lo, BandHi: hi, Hist: h,
+		Scalars: make([]float64, 0, m+h*h), Fields: make([]*grid.Grid, 0, 2+len(psis)+2*h)}
+	sh.Scalars = append(sh.Scalars, eig...)
+	for i := range h {
+		sh.Scalars = append(sh.Scalars, mix.gram[i][:h]...)
 	}
+	sh.Fields = append(append(append(append(sh.Fields, n, vh), psis...), mix.in[:h]...), mix.res[:h]...)
 	return ck.save(d, sh)
 }
 
@@ -694,18 +721,18 @@ type SCFRestart struct {
 	Psis      []*grid.Grid
 	N         *grid.Grid
 	VHartree  *grid.Grid
+	mix       pulayMixer
 }
 
 // copyShardBox copies the intersection of a shard's box with this
 // rank's sub-domain from the shard field into the local grid.
-func copyShardBox(dst *grid.Grid, dstOff topology.Coord, sh *shard, field []float64,
+func copyShardBox(dst *grid.Grid, dstOff topology.Coord, sh *shard, field *grid.Grid,
 	lo topology.Coord, dims topology.Dims) {
 	for i := 0; i < dims[0]; i++ {
 		for j := 0; j < dims[1]; j++ {
-			srcPos := ((lo[0]-sh.Off[0]+i)*sh.Local[1]+(lo[1]-sh.Off[1]+j))*sh.Local[2] + (lo[2] - sh.Off[2])
-			li, lj, lk := lo[0]-dstOff[0]+i, lo[1]-dstOff[1]+j, lo[2]-dstOff[2]
-			row := dst.Index(li, lj, lk)
-			copy(dst.Data()[row:row+dims[2]], field[srcPos:srcPos+dims[2]])
+			src := field.Index(lo[0]-sh.Off[0]+i, lo[1]-sh.Off[1]+j, lo[2]-sh.Off[2])
+			row := dst.Index(lo[0]-dstOff[0]+i, lo[1]-dstOff[1]+j, lo[2]-dstOff[2])
+			copy(dst.Data()[row:row+dims[2]], field.Data()[src:src+dims[2]])
 		}
 	}
 }
@@ -739,13 +766,18 @@ func RestoreSCF(d *Dist, st Store, step int) (*SCFRestart, error) {
 	for i := range rs.Psis {
 		rs.Psis[i] = d.NewLocalGrid()
 	}
+	mix := &rs.mix
 	for r := 0; r < man.Ranks; r++ {
 		sh, err := readShard(st, man, step, r)
 		if err != nil {
 			return nil, err
 		}
 		if r == 0 {
-			rs.Iteration, rs.Eig = sh.Iteration, sh.Scalars
+			rs.Iteration, rs.Eig, mix.hist = sh.Iteration, sh.Scalars[:sh.States], sh.Hist
+			for h := range mix.hist {
+				mix.in[h], mix.res[h] = grid.NewDims(d.local, 0), grid.NewDims(d.local, 0)
+				copy(mix.gram[h][:mix.hist], sh.Scalars[sh.States+h*mix.hist:])
+			}
 		}
 		lo, dims, ok := grid.IntersectBox(sh.Off, sh.Local, d.Offset(), d.LocalDims())
 		if !ok {
@@ -755,6 +787,11 @@ func RestoreSCF(d *Dist, st Store, step int) (*SCFRestart, error) {
 		copyShardBox(rs.VHartree, d.Offset(), sh, sh.Fields[1], lo, dims)
 		for st := max(sh.BandLo, myLo); st < min(sh.BandHi, myHi); st++ {
 			copyShardBox(rs.Psis[st-myLo], d.Offset(), sh, sh.Fields[2+(st-sh.BandLo)], lo, dims)
+		}
+		ring := sh.Fields[2+sh.BandHi-sh.BandLo:]
+		for h := range mix.hist {
+			copyShardBox(mix.in[h], d.Offset(), sh, ring[h], lo, dims)
+			copyShardBox(mix.res[h], d.Offset(), sh, ring[mix.hist+h], lo, dims)
 		}
 	}
 	return rs, nil

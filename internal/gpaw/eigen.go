@@ -112,7 +112,7 @@ func (h *Hamiltonian) filterPass(m int, psis []*grid.Grid, eig []float64) ([]flo
 		}
 	}
 	lo, hi := eig[m-1], h.SpectralBound()
-	e, c := (hi-lo)/2, (hi+lo)/2
+	e, c := (hi-lo)/2, float64((hi+lo)/2) // the halving is a product by 0.5: keep it out of eig[0] - c
 	sigma1 := e / (eig[0] - c)
 	sigma := sigma1
 	x, y := psis, h.D.scratchStates(len(psis))
@@ -216,10 +216,10 @@ func guessValue(s int, dims [3]int, i, j, k int) float64 {
 	x := float64(i+1) / float64(dims[0]+1)
 	y := float64(j+1) / float64(dims[1]+1)
 	z := float64(k+1) / float64(dims[2]+1)
-	return math.Sin(math.Pi*x*float64(1+s%3))*
+	return float64(math.Sin(math.Pi*x*float64(1+s%3))*
 		math.Sin(math.Pi*y*float64(1+(s/3)%3))*
-		math.Sin(math.Pi*z*float64(1+(s/9)%3)) +
-		0.01*math.Cos(float64(s)+x+2*y+3*z)
+		math.Sin(math.Pi*z*float64(1+(s/9)%3))) +
+		float64(0.01*math.Cos(float64(s)+x+float64(2*y)+float64(3*z)))
 }
 
 // InitGuess fills m whole wave-function grids with deterministic,

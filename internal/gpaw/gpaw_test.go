@@ -314,16 +314,18 @@ func TestSCFHarmonicTrapConverges(t *testing.T) {
 // benchmark/ is a module of its own) the energy at the benchmark's Tol
 // 1e-4 lies within 2e-4 Ha of the same run at Tol 1e-8, for both
 // boundary conditions, and inside the benchmark's golden window
-// (benchmark/golden.json ± 5e-4) with 1e-4 to spare. The goldens were
+// (benchmark/golden.json ± 5e-4) with 5e-5 to spare. The goldens were
 // recorded from the damped-step solver and sit 3.8e-4 / 3.5e-4 below
-// the fixed point, so the upper edge is the near one.
+// the fixed point, so the upper edge is the near one: Pulay mixing
+// stops 3.95e-4 (Dirichlet) above the golden.
 //
 // The same runs pin the Hartree solve's warm start: each step's
 // conjugate gradients begin at the previous step's potential, so the
-// iterations per step fall as the density settles (non-increasing after
-// step 3) and the whole run takes at most 200 (Dirichlet) / 170
-// (periodic) — a cold start from zero takes about 10 per step, the
-// unpreconditioned solver took 2162 / 2106.
+// whole run takes at most 100 iterations per boundary condition — 88
+// over 11 (Dirichlet) and 13 (periodic) Pulay steps, where a cold start
+// from zero takes about 10 per step. Pulay's steps do not move the
+// density monotonically, so neither do the per-step counts (periodic
+// step 6 takes 8 after 7); only the total is bounded.
 func TestSCFEnergyNearFixedPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four 24^3 SCF runs in short mode")
@@ -339,7 +341,7 @@ func TestSCFEnergyNearFixedPoint(t *testing.T) {
 		bc      Boundary
 		golden  float64
 		maxIter int
-	}{{Dirichlet, goldenDirichlet, 200}, {Periodic, goldenPeriodic, 170}} {
+	}{{Dirichlet, goldenDirichlet, 100}, {Periodic, goldenPeriodic, 100}} {
 		// perStep[i] is the conjugate-gradient count of SCF step i+1.
 		energy := func(tol float64) (e float64, perStep []int) {
 			d := selfDist(dims, 2, c.bc)
@@ -361,11 +363,8 @@ func TestSCFEnergyNearFixedPoint(t *testing.T) {
 		loose, perStep := energy(1e-4)
 		tight, _ := energy(1e-8)
 		total := 0
-		for i, n := range perStep {
+		for _, n := range perStep {
 			total += n
-			if i >= 3 && n > perStep[i-1] {
-				t.Errorf("%v: step %d took %d Hartree iterations after %d: the warm start is not live", c.bc, i+1, n, perStep[i-1])
-			}
 		}
 		t.Logf("%v: energy %.9f, %d Hartree iterations over %d SCF steps: %v", c.bc, loose, total, len(perStep), perStep)
 		if total > c.maxIter {
@@ -374,7 +373,7 @@ func TestSCFEnergyNearFixedPoint(t *testing.T) {
 		if d := math.Abs(loose - tight); d > 2e-4 {
 			t.Errorf("%v: energy %.9f at Tol 1e-4 is %g Ha from the Tol 1e-8 value %.9f", c.bc, loose, d, tight)
 		}
-		if d := math.Abs(loose - c.golden); d > 4e-4 {
+		if d := math.Abs(loose - c.golden); d > 4.5e-4 {
 			t.Errorf("%v: energy %.9f at Tol 1e-4 is %g Ha from the benchmark golden %.9f (window 5e-4)", c.bc, loose, d, c.golden)
 		}
 	}

@@ -230,7 +230,7 @@ func ForwardSolve(l Matrix, b []float64) []float64 {
 	for i := 0; i < n; i++ {
 		sum := b[i]
 		for k := 0; k < i; k++ {
-			sum -= l[i][k] * x[k]
+			sum -= float64(l[i][k] * x[k])
 		}
 		x[i] = sum / l[i][i]
 	}
@@ -244,7 +244,7 @@ func BackSolve(l Matrix, b []float64) []float64 {
 	for i := n - 1; i >= 0; i-- {
 		sum := b[i]
 		for k := i + 1; k < n; k++ {
-			sum -= l[k][i] * x[k]
+			sum -= float64(l[k][i] * x[k])
 		}
 		x[i] = sum / l[i][i]
 	}
