@@ -531,11 +531,12 @@ func decodeShard(data []byte) (*shard, error) {
 	want := sh.Local.Count()
 	sh.Fields = make([]*grid.Grid, nf)
 	for i := range sh.Fields {
-		if n := r.length(); r.err == nil && n != want {
-			return nil, fmt.Errorf("%w: field %d has %d values for box %v", ErrCheckpointCorrupt, i, n, sh.Local)
-		}
+		n := r.length()
 		if r.err != nil {
 			return nil, r.err
+		}
+		if n != want {
+			return nil, fmt.Errorf("%w: field %d has %d values for box %v", ErrCheckpointCorrupt, i, n, sh.Local)
 		}
 		sh.Fields[i] = grid.NewDims(sh.Local, 0)
 		r.f64s(want, sh.Fields[i].Data())
@@ -706,7 +707,10 @@ func (ck *Checkpointer) saveSCF(s *SCF, it, m int, eig []float64, psis []*grid.G
 	for i := range h {
 		sh.Scalars = append(sh.Scalars, mix.gram[i][:h]...)
 	}
-	sh.Fields = append(append(append(append(sh.Fields, n, vh), psis...), mix.in[:h]...), mix.res[:h]...)
+	sh.Fields = append(sh.Fields, n, vh)
+	sh.Fields = append(sh.Fields, psis...)
+	sh.Fields = append(sh.Fields, mix.in[:h]...)
+	sh.Fields = append(sh.Fields, mix.res[:h]...)
 	return ck.save(d, sh)
 }
 

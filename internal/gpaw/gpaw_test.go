@@ -379,6 +379,41 @@ func TestSCFEnergyNearFixedPoint(t *testing.T) {
 	}
 }
 
+// TestPulayWeights: on a positive definite Gram matrix the weights are
+// the constrained least-squares solution; on a singular one the mixer
+// drops its oldest pairs until the rest factor, shifting the Gram
+// matrix with them (G is replicated, so every rank drops the same).
+func TestPulayWeights(t *testing.T) {
+	near := func(got []float64, want ...float64) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if math.Abs(got[i]-want[i]) > 1e-15 {
+				return false
+			}
+		}
+		return true
+	}
+	// R0 = (1, 0), R1 = (0, 2): ‖α0 R0 + α1 R1‖ under α0 + α1 = 1 is
+	// least at (4/5, 1/5).
+	p := pulayMixer{hist: 2, gram: [pulayHistory][pulayHistory]float64{{1, 0}, {0, 4}}}
+	if a := p.weights(); !near(a, 0.8, 0.2) || p.hist != 2 {
+		t.Errorf("weights %v over %d pairs, want [0.8 0.2] over 2", a, p.hist)
+	}
+	// R0 = R1 = (1, 0), R2 = (0, 1): the oldest pair goes, the other two
+	// weigh equally.
+	p = pulayMixer{hist: 3, gram: [pulayHistory][pulayHistory]float64{{1, 1, 0}, {1, 1, 0}, {0, 0, 1}}}
+	if a := p.weights(); !near(a, 0.5, 0.5) || p.hist != 2 || p.gram[0][0] != 1 || p.gram[0][1] != 0 || p.gram[1][1] != 1 {
+		t.Errorf("weights %v over %d pairs, Gram %v: want [0.5 0.5] over the newest 2", a, p.hist, p.gram)
+	}
+	// Three equal residuals: only the newest is left, a linear step.
+	p = pulayMixer{hist: 3, gram: [pulayHistory][pulayHistory]float64{{2, 2, 2}, {2, 2, 2}, {2, 2, 2}}}
+	if a := p.weights(); !near(a, 1) || p.hist != 1 {
+		t.Errorf("weights %v over %d pairs, want [1] over 1", a, p.hist)
+	}
+}
+
 func TestSCFValidation(t *testing.T) {
 	scf := NewSCF(System{Electrons: 0})
 	if _, err := scf.Run(); err == nil {

@@ -20,9 +20,9 @@ import (
 //     Hartree potential is carried from step to step as the next solve's
 //     initial guess, so a NaN planted in it would never leave the
 //     conjugate gradients);
-//   - a residual-monotonicity monitor — mixing with a fixed fraction
-//     cannot grow the density residual by many orders of magnitude
-//     between iterations unless state was corrupted;
+//   - a residual-growth monitor — Pulay mixing lets the density
+//     residual wobble between iterations, but not grow by many orders of
+//     magnitude unless state was corrupted;
 //   - an eigenvalue finiteness check after each subspace solve.
 //
 // Every verdict is reached identically on every rank: the field scan
