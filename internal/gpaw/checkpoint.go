@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -342,8 +343,6 @@ const (
 	shardVersion = 3
 
 	shardKindSCF = 1 // the one kind of state checkpointed: the SCF loop's
-
-	shardHeaderWords = 20 // magic through the scalar count, before the scalars
 )
 
 // ErrCheckpointCorrupt wraps checksum and format failures detected when
@@ -380,14 +379,10 @@ func (sh *shard) wantFields() int  { return 2 + sh.BandHi - sh.BandLo + 2*sh.His
 func (sh *shard) wantScalars() int { return sh.States + sh.Hist*sh.Hist }
 
 // encode serializes the shard with a trailing CRC64 of everything
-// before it into one buffer sized up front, each field written straight
-// from its grid's interior rows.
+// before it. After the header the buffer grows once to hold the rest, and
+// each field is written straight from its grid's interior rows.
 func (sh *shard) encode() []byte {
-	words := shardHeaderWords + len(sh.Scalars) + 1 + 1
-	for _, f := range sh.Fields {
-		words += 1 + f.Points()
-	}
-	buf := make([]byte, 0, 8*words)
+	var buf []byte
 	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	i64 := func(v int) { u64(uint64(v)) }
 	u64(shardMagic)
@@ -403,6 +398,11 @@ func (sh *shard) encode() []byte {
 	for _, v := range []int{sh.BC, sh.States, sh.BandLo, sh.BandHi, sh.Hist, len(sh.Scalars)} {
 		i64(v)
 	}
+	rest := len(sh.Scalars) + 2 // the field count and the CRC
+	for _, f := range sh.Fields {
+		rest += 1 + f.Points()
+	}
+	buf = slices.Grow(buf, 8*rest)
 	for _, x := range sh.Scalars {
 		u64(math.Float64bits(x))
 	}
