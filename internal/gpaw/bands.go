@@ -33,9 +33,11 @@ import (
 // The m x m algebra between the two is replicated: every rank runs
 // internal/linalg on its bit-identical replica and derives the
 // bit-identical rotation with no communication (microseconds at tens of
-// bands: the ledger's linalg.subspace_us). All results are therefore
-// bit-identical for every bands x domain layout (one rank included),
-// every process grid shape and every programming approach.
+// bands: the ledger's linalg.subspace_us). The Hartree solve is not
+// repeated: band group 0 solves and broadcasts v_H (SCF.hartree). All
+// results are therefore bit-identical for every bands x domain layout
+// (one rank included), every process grid shape and every programming
+// approach.
 
 // BandRange returns the half-open global state range [lo, hi) owned by
 // this rank's band group when m states are distributed.

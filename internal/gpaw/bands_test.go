@@ -1,8 +1,10 @@
 package gpaw
 
 import (
+	"errors"
 	"math"
 	"os"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -245,6 +247,126 @@ func TestBandSCFDifferential(t *testing.T) {
 					checkIdentical(t, d, res.VHartree, want.VHartree, "band SCF vH", procs, a)
 				})
 			}
+		}
+	}
+}
+
+// TestBandHartreeSolvedOnce: only band group 0 solves the Hartree
+// equation. The other groups receive v_H by broadcast (the band SCF
+// differential holds its bits), never build the multigrid hierarchy and
+// run no CG iteration, while band group 0 runs exactly the iterations of
+// the one-rank run.
+func TestBandHartreeSolvedOnce(t *testing.T) {
+	global := topology.Dims{8, 8, 8}
+	sys := scfSystem(global, 0.7)
+	run := func(d *Dist) {
+		s := NewDistSCF(d, sys)
+		s.Tol = 1e-4
+		if _, err := s.Run(); err != nil {
+			panic(err)
+		}
+	}
+	var want int
+	runBand(t, global, topology.Dims{1, 1, 1}, 1, sys.BC, core.FlatOptimized, func(d *Dist) {
+		run(d)
+		want = d.cgIters
+	})
+	if want == 0 {
+		t.Fatal("the one-rank run counted no CG iteration")
+	}
+	for _, l := range []struct {
+		bands int
+		procs topology.Dims
+	}{{2, topology.Dims{2, 1, 1}}, {4, topology.Dims{1, 1, 2}}} {
+		runBand(t, global, l.procs, l.bands, sys.BC, core.FlatOptimized, func(d *Dist) {
+			run(d)
+			if d.Band != 0 && (d.mg != nil || d.cgIters != 0) {
+				t.Errorf("bands %d, band group %d: built a hierarchy (%v) and ran %d CG iterations, want none",
+					l.bands, d.Band, d.mg != nil, d.cgIters)
+			}
+			if d.Band == 0 && d.cgIters != want {
+				t.Errorf("bands %d, band group 0: %d CG iterations, one-rank run %d", l.bands, d.cgIters, want)
+			}
+		})
+	}
+}
+
+// TestBandHartreeNotConvergedEverywhere: when band group 0's Hartree
+// solve does not converge, every rank of every band group returns the
+// same non-convergence error — the broadcast carries the verdict and
+// the residual — and none is left waiting for a potential.
+func TestBandHartreeNotConvergedEverywhere(t *testing.T) {
+	global := topology.Dims{8, 8, 8}
+	sys := scfSystem(global, 0.7)
+	testHookHartree = func(_ *Dist, ps *Poisson) { ps.MaxIter = 1 }
+	defer func() { testHookHartree = nil }()
+	const bands = 2
+	procs := topology.Dims{2, 1, 1}
+	errs := make([]error, bands*procs.Count())
+	runBand(t, global, procs, bands, sys.BC, core.FlatOptimized, func(d *Dist) {
+		_, errs[d.World.Rank()] = NewDistSCF(d, sys).Run()
+	})
+	for r, err := range errs {
+		var nc *notConvergedError
+		if !errors.As(err, &nc) {
+			t.Errorf("rank %d: error %v, want a non-convergence error", r, err)
+		} else if err.Error() != errs[0].Error() {
+			t.Errorf("rank %d: error %q, rank 0 %q", r, err, errs[0])
+		}
+	}
+}
+
+// TestBandHartreeRankFailureTyped: a band-group-0 rank killed by a
+// FaultPlan inside the Hartree solve fails every survivor of both band
+// groups with a typed rank failure, never a TimeoutError — the group
+// waiting on the v_H broadcast unwinds with the rest.
+func TestBandHartreeRankFailureTyped(t *testing.T) {
+	global := topology.Dims{8, 8, 8}
+	sys := scfSystem(global, 0.7)
+	const bands, victim, killIt = 2, 1, 2
+	procs := topology.Dims{2, 1, 1}
+	p := bands * procs.Count()
+	// phase[r] is 2·it from the top of SCF iteration it and 2·it+1 from
+	// the start of its Hartree solve on; each rank writes its own slot.
+	var phase []int
+	testHookHartree = func(d *Dist, _ *Poisson) { phase[d.World.Rank()]++ }
+	defer func() { testHookHartree = nil }()
+	run := func(afterOps int) []error {
+		phase = make([]int, p)
+		errs := make([]error, p)
+		plan := &mpi.FaultPlan{Kills: []mpi.Kill{{Rank: victim, AfterOps: afterOps}}}
+		if err := runRanksWithFaults(p, mpi.ThreadSingle, plan, func(c *mpi.Comm) {
+			ft := FTConfig{Configure: func(s *SCF) {
+				s.Tol = 1e-4
+				s.OnIteration = func(it int) { phase[c.Rank()] = 2 * it }
+			}}
+			cfg := DistConfig{Global: global, Procs: procs, Bands: bands, Halo: 2, BC: sys.BC,
+				Approach: core.FlatOptimized, Threads: 1, Batch: 2}
+			_, errs[c.Rank()] = RunSCFFT(c, cfg, sys, ft)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return errs
+	}
+	// Operation counts are deterministic, so bisection finds the kill
+	// counts at which the victim dies entering iteration killIt's solve
+	// and leaving it; the test kills halfway between.
+	reached := func(ph int) int {
+		return sort.Search(1<<20, func(ops int) bool { run(ops); return phase[victim] >= ph })
+	}
+	enter, leave := reached(2*killIt+1), reached(2*killIt+2)
+	t.Logf("victim's operations %d..%d are iteration %d's Hartree solve", enter, leave-1, killIt)
+	errs := run((enter + leave) / 2)
+	if phase[victim] != 2*killIt+1 {
+		t.Fatalf("victim died in phase %d, want inside iteration %d's Hartree solve", phase[victim], killIt)
+	}
+	for r, err := range errs {
+		if r == victim {
+			continue
+		}
+		var rf *mpi.ErrRankFailed
+		if !errors.As(err, &rf) || rf.Rank != victim {
+			t.Errorf("rank %d (band group %d): error %v, want rank %d's failure", r, r/procs.Count(), err, victim)
 		}
 	}
 }

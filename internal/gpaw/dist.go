@@ -289,12 +289,13 @@ func (d *Dist) ScatterReplicated(global *grid.Grid) *grid.Grid {
 // fieldScratch holds the Dist-owned work grids of one SCF step, so a
 // warmed step allocates none: conjugate gradients' right-hand side,
 // residual, direction and operator image (the preconditioned residual
-// is the hierarchy's), and the SCF's unmixed density. Like the state set
-// they are born on first use and touched only from the rank's master
-// goroutine.
+// is the hierarchy's), the SCF's unmixed density and the flat transport
+// of its v_H band broadcast. Like the state set they are born on first
+// use and touched only from the rank's master goroutine.
 type fieldScratch struct {
 	cgB, cgR, cgP, cgAp *grid.Grid
 	density             *grid.Grid
+	vhFlat              []float64
 }
 
 // scratchGrid returns the local work grid kept in *slot, born on first

@@ -252,7 +252,7 @@ func (s *SCF) run(rs *SCFRestart) (*SCFResult, error) {
 					return nil, fmt.Errorf("gpaw: scf iteration %d: %w", it, err)
 				}
 			}
-			if err := poisson.hartreeInto(vh, n); err != nil {
+			if err := s.hartree(poisson, vh, n); err != nil {
 				return nil, fmt.Errorf("gpaw: scf iteration %d hartree: %w", it, err)
 			}
 			updateVeff(veff, vextLocal, vh, n)
@@ -283,6 +283,65 @@ func (s *SCF) run(rs *SCFRestart) (*SCFResult, error) {
 		}
 	}
 	return nil, fmt.Errorf("gpaw: unreachable")
+}
+
+// testHookHartree, when set by a test, runs on band group 0's ranks
+// just before each SCF Hartree solve, with the solver about to run it.
+var testHookHartree func(d *Dist, ps *Poisson)
+
+// Status words of the v_H band broadcast.
+const (
+	hartreeSolved       = 0
+	hartreeNotConverged = 1 // the relative residual follows
+	hartreeFailed       = 2
+)
+
+// hartree solves for the Hartree potential of n into vh, warm-started
+// from the potential vh holds. The density is bit-identical in every
+// band group, so only band group 0 (rank 0 of the band communicator)
+// solves; one broadcast over the band communicator hands the other
+// groups v_H's interior behind a status word and the relative residual,
+// so every rank returns the same error and none waits on a solve that
+// failed. The other groups never build the solve's multigrid hierarchy
+// or its work grids. With one band group it is the solve alone.
+//
+//gpaw:hotpath
+func (s *SCF) hartree(ps *Poisson, vh, n *grid.Grid) error {
+	d := s.D
+	var err error
+	if d.Band == 0 {
+		if testHookHartree != nil {
+			testHookHartree(d, ps)
+		}
+		if err = ps.hartreeInto(vh, n); d.Bands == 1 {
+			return err
+		}
+	}
+	buf := grow(&d.fields.vhFlat, 2+vh.Points())
+	if d.Band == 0 {
+		buf[0], buf[1] = hartreeSolved, 0
+		if err != nil {
+			buf[0] = hartreeFailed
+			var nc *notConvergedError
+			if errors.As(err, &nc) {
+				buf[0], buf[1] = hartreeNotConverged, nc.rel
+			}
+		} else {
+			vh.CopyInterior(buf[2:])
+		}
+	}
+	d.BandComm.Bcast(0, buf)
+	if d.Band == 0 {
+		return err
+	}
+	switch buf[0] {
+	case hartreeNotConverged:
+		return errNotConverged("CG", buf[1])
+	case hartreeFailed:
+		return errors.New("gpaw: band group 0's Hartree solve failed")
+	}
+	vh.SetInterior(buf[2:])
+	return nil
 }
 
 // pulayHistory is K, the number of (input density, residual) pairs the

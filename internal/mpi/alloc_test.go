@@ -60,7 +60,7 @@ func TestPooledEnvelopesNeverAlias(t *testing.T) {
 	const rounds = 6
 	for _, p := range []int{4, 8} {
 		for seed := int64(0); seed < 3; seed++ {
-			w := NewWorld(p, ThreadSingle)
+			w := testWorld(p, ThreadSingle)
 			phase := newRendezvous(p)
 			err := w.Run(func(c *Comm) {
 				rng := rand.New(rand.NewSource(seed*1009 + int64(c.Rank())))
@@ -173,7 +173,7 @@ func TestCollectivesAllocationFree(t *testing.T) {
 	names := []string{"AllreduceFunc (detsum transport)", "Bcast", "Barrier", "Gather", "AllreduceSum"}
 	perCall := make([]float64, len(names))
 	fence := newRendezvous(p)
-	err := Run(p, ThreadSingle, func(c *Comm) {
+	err := runRanks(p, ThreadSingle, func(c *Comm) {
 		var acc detsum.Acc
 		acc.AddSlice([]float64{float64(c.Rank()), 0.1})
 		tin := acc.Transport(nil)

@@ -17,7 +17,7 @@ import (
 func chaosTraffic(t *testing.T, p int, f *MsgFaults) ([]float64, RelStats) {
 	t.Helper()
 	digests := make([]float64, p)
-	w := NewWorld(p, ThreadSingle)
+	w := testWorld(p, ThreadSingle)
 	if f != nil {
 		w.SetMsgFaults(f)
 	}
@@ -141,7 +141,7 @@ func TestChaosBudgetExhaustionTypedError(t *testing.T) {
 	// recovered in the rank bodies, never a hang. (Run wraps rank panics
 	// as flat errors, so the typed assertion must happen inside the
 	// rank.)
-	w := NewWorld(2, ThreadSingle)
+	w := testWorld(2, ThreadSingle)
 	w.SetMsgFaults(&MsgFaults{Seed: 1, Drop: 1.0, MaxRetries: 3, RetryBase: time.Microsecond})
 	var mu sync.Mutex
 	typed := map[int]*ErrDeliveryFailed{}
@@ -206,7 +206,7 @@ func TestChaosComposesWithNetModel(t *testing.T) {
 	const p = 4
 	want, _ := chaosTraffic(t, p, nil)
 	digests := make([]float64, p)
-	w := NewWorld(p, ThreadSingle)
+	w := testWorld(p, ThreadSingle)
 	w.SetNetModel(&NetModel{Params: testParams()})
 	w.SetMsgFaults(&MsgFaults{Seed: 5, Drop: 0.15, Reorder: 0.15, DelayProb: 0.3})
 	err := w.Run(func(c *Comm) {
@@ -261,7 +261,7 @@ func TestChaosRankFailurePreemptsRetry(t *testing.T) {
 		Msg: &MsgFaults{Seed: 3, Drop: 1.0, MaxRetries: 1 << 20, RetryBase: 20 * time.Microsecond},
 	}
 	done := make(chan *ErrRankFailed, 1)
-	err := RunWithFaults(2, ThreadSingle, plan, func(c *Comm) {
+	err := runRanksWithFaults(2, ThreadSingle, plan, func(c *Comm) {
 		if c.Rank() == 0 {
 			rf := recoverFailure(func() {
 				c.Send(1, 4, []float64{1}) // retransmits until rank 1 dies
@@ -346,7 +346,7 @@ func TestChaosCollectivesUnderFaults(t *testing.T) {
 	// included — frames with no bits to flip).
 	const p = 8
 	for _, seed := range []int64{11, 12, 13} {
-		w := NewWorld(p, ThreadSingle)
+		w := testWorld(p, ThreadSingle)
 		w.SetMsgFaults(&MsgFaults{Seed: seed, Drop: 0.2, Dup: 0.2, Reorder: 0.2, Corrupt: 0.2})
 		sums := make([]float64, p)
 		err := w.Run(func(c *Comm) {
@@ -378,7 +378,7 @@ func TestChaosCollectivesUnderFaults(t *testing.T) {
 func TestChaosProbeSeesPoisonedEnvelope(t *testing.T) {
 	// A Probe blocked on a message whose delivery budget was exhausted
 	// must panic with the typed error, never hang.
-	w := NewWorld(2, ThreadSingle)
+	w := testWorld(2, ThreadSingle)
 	w.SetMsgFaults(&MsgFaults{Seed: 2, Drop: 1.0, MaxRetries: 2, RetryBase: time.Microsecond})
 	var mu sync.Mutex
 	typed := map[int]bool{}

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/trace"
 )
@@ -33,6 +34,9 @@ const (
 	OpMin
 )
 
+// apply folds src into dst. Under OpMax and OpMin a NaN wins from
+// whichever rank holds it, so the result does not depend on the merge
+// order: a plain comparison never promotes a NaN over a number.
 func (o Op) apply(dst, src []float64) {
 	switch o {
 	case OpSum:
@@ -41,13 +45,13 @@ func (o Op) apply(dst, src []float64) {
 		}
 	case OpMax:
 		for i := range dst {
-			if src[i] > dst[i] {
+			if src[i] > dst[i] || math.IsNaN(src[i]) {
 				dst[i] = src[i]
 			}
 		}
 	case OpMin:
 		for i := range dst {
-			if src[i] < dst[i] {
+			if src[i] < dst[i] || math.IsNaN(src[i]) {
 				dst[i] = src[i]
 			}
 		}

@@ -17,7 +17,7 @@ func TestReduceFuncRankOrder(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		seed := int64(trial)
 		root := trial % p
-		err := Run(p, ThreadSingle, func(c *Comm) {
+		err := runRanks(p, ThreadSingle, func(c *Comm) {
 			rng := rand.New(rand.NewSource(seed*131 + int64(c.Rank())))
 			time.Sleep(time.Duration(rng.Intn(2000)) * time.Microsecond)
 			in := []float64{float64(c.Rank() + 1)}
@@ -39,7 +39,7 @@ func TestReduceFuncRankOrder(t *testing.T) {
 // merged vector.
 func TestAllreduceFuncAllRanksAgree(t *testing.T) {
 	const p = 5
-	err := Run(p, ThreadSingle, func(c *Comm) {
+	err := runRanks(p, ThreadSingle, func(c *Comm) {
 		in := []float64{float64(c.Rank()), float64(c.Rank() * c.Rank())}
 		out := make([]float64, 2)
 		c.AllreduceFunc(in, out, func(acc, contrib []float64) {

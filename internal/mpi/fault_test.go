@@ -32,7 +32,7 @@ func TestFaultPlanKillsAtOpCount(t *testing.T) {
 	plan := &FaultPlan{Seed: 1, Kills: []Kill{{Rank: 1, AfterOps: 3}}}
 	var mu sync.Mutex
 	seen := map[int]int{}
-	err := RunWithFaults(p, ThreadSingle, plan, func(c *Comm) {
+	err := runRanksWithFaults(p, ThreadSingle, plan, func(c *Comm) {
 		rf := recoverFailure(func() {
 			for i := 0; i < 100; i++ {
 				c.Barrier()
@@ -71,7 +71,7 @@ func TestFaultPlanDeterministicOpCount(t *testing.T) {
 	counts := func() []int {
 		done := make([]int, 3)
 		plan := &FaultPlan{Seed: 7, Kills: []Kill{{Rank: 2, AfterOps: 10}}}
-		err := RunWithFaults(3, ThreadSingle, plan, func(c *Comm) {
+		err := runRanksWithFaults(3, ThreadSingle, plan, func(c *Comm) {
 			recoverFailure(func() {
 				for i := 0; i < 50; i++ {
 					c.Barrier()
@@ -102,7 +102,7 @@ func TestBlockedRecvUnblockedByDeath(t *testing.T) {
 	// rank 1 dies, the blocked receive must complete with the typed
 	// failure instead of hanging.
 	plan := &FaultPlan{Kills: []Kill{{Rank: 1, AfterOps: 1}}}
-	err := RunWithFaults(2, ThreadSingle, plan, func(c *Comm) {
+	err := runRanksWithFaults(2, ThreadSingle, plan, func(c *Comm) {
 		if c.Rank() == 0 {
 			rf := recoverFailure(func() {
 				buf := make([]float64, 1)
@@ -124,7 +124,7 @@ func TestBlockedRecvUnblockedByDeath(t *testing.T) {
 
 func TestSendToDeadPeerFails(t *testing.T) {
 	plan := &FaultPlan{Kills: []Kill{{Rank: 1, AfterOps: 0}}}
-	err := RunWithFaults(2, ThreadSingle, plan, func(c *Comm) {
+	err := runRanksWithFaults(2, ThreadSingle, plan, func(c *Comm) {
 		if c.Rank() == 1 {
 			c.Send(0, 1, []float64{1}) // dies here (op 1 > threshold 0)
 			return
@@ -150,7 +150,7 @@ func TestVoluntaryFailAndShrink(t *testing.T) {
 	var mu sync.Mutex
 	sums := map[int]float64{}
 	views := map[int]string{}
-	err := Run(p, ThreadSingle, func(c *Comm) {
+	err := runRanks(p, ThreadSingle, func(c *Comm) {
 		if c.Rank() == 1 {
 			c.Barrier()
 			c.Fail()
@@ -193,7 +193,7 @@ func TestAgreeConsistentUnderRacingKills(t *testing.T) {
 		Kills: []Kill{{Rank: 2, AfterOps: 4}, {Rank: 5, AfterOps: 9}}}
 	var mu sync.Mutex
 	views := map[int]string{}
-	err := RunWithFaults(p, ThreadSingle, plan, func(c *Comm) {
+	err := runRanksWithFaults(p, ThreadSingle, plan, func(c *Comm) {
 		recoverFailure(func() {
 			for i := 0; i < 100; i++ {
 				c.Barrier()
@@ -243,7 +243,7 @@ func TestAgreeConsistentUnderRacingKills(t *testing.T) {
 func TestShrinkPurgesStaleTraffic(t *testing.T) {
 	// A message sent before a failure must never satisfy a receive
 	// posted after recovery, even with identical source rank and tag.
-	err := Run(3, ThreadSingle, func(c *Comm) {
+	err := runRanks(3, ThreadSingle, func(c *Comm) {
 		if c.Rank() == 2 {
 			c.Fail()
 		}
@@ -279,7 +279,7 @@ func TestShrinkPurgesStaleTraffic(t *testing.T) {
 func TestDelayJitterPreservesResults(t *testing.T) {
 	// Jitter shakes schedules without changing any result.
 	plan := &FaultPlan{Seed: 11, MaxDelay: 100 * time.Microsecond}
-	err := RunWithFaults(4, ThreadSingle, plan, func(c *Comm) {
+	err := runRanksWithFaults(4, ThreadSingle, plan, func(c *Comm) {
 		sum := c.AllreduceSum(float64(c.Rank()))
 		if sum != 6 {
 			panic(fmt.Sprintf("allreduce under jitter = %v, want 6", sum))
@@ -353,7 +353,7 @@ func TestPipeFailsOnDeadStage(t *testing.T) {
 	// A relay chain of plain Send/Recv: a dead upstream stage must
 	// surface as the typed failure in downstream Recv calls.
 	plan := &FaultPlan{Kills: []Kill{{Rank: 0, AfterOps: 2}}}
-	err := RunWithFaults(3, ThreadSingle, plan, func(c *Comm) {
+	err := runRanksWithFaults(3, ThreadSingle, plan, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 1, []float64{1})
 			c.Send(1, 1, []float64{2})

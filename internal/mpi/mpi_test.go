@@ -10,7 +10,7 @@ import (
 )
 
 func TestSendRecvBasic(t *testing.T) {
-	err := Run(2, ThreadSingle, func(c *Comm) {
+	err := runRanks(2, ThreadSingle, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 7, []float64{1, 2, 3})
 		} else {
@@ -32,7 +32,7 @@ func TestSendRecvBasic(t *testing.T) {
 func TestSendBeforeRecvAndAfter(t *testing.T) {
 	// Both orders must work: eager send before the recv is posted, and
 	// recv posted before the send happens.
-	err := Run(2, ThreadSingle, func(c *Comm) {
+	err := runRanks(2, ThreadSingle, func(c *Comm) {
 		buf := make([]float64, 1)
 		if c.Rank() == 0 {
 			c.Send(1, 1, []float64{42}) // early send
@@ -56,7 +56,7 @@ func TestSendBeforeRecvAndAfter(t *testing.T) {
 func TestNonOvertakingSameSourceTag(t *testing.T) {
 	// Messages with the same (source, tag) must arrive in send order.
 	const n = 50
-	err := Run(2, ThreadSingle, func(c *Comm) {
+	err := runRanks(2, ThreadSingle, func(c *Comm) {
 		if c.Rank() == 0 {
 			for i := 0; i < n; i++ {
 				c.Send(1, 5, []float64{float64(i)})
@@ -78,7 +78,7 @@ func TestNonOvertakingSameSourceTag(t *testing.T) {
 
 func TestTagSelectivity(t *testing.T) {
 	// A recv for tag B must not match an earlier message with tag A.
-	err := Run(2, ThreadSingle, func(c *Comm) {
+	err := runRanks(2, ThreadSingle, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 1, []float64{100})
 			c.Send(1, 2, []float64{200})
@@ -100,7 +100,7 @@ func TestTagSelectivity(t *testing.T) {
 }
 
 func TestAnySourceAnyTag(t *testing.T) {
-	err := Run(3, ThreadSingle, func(c *Comm) {
+	err := runRanks(3, ThreadSingle, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
 			buf := make([]float64, 1)
@@ -127,7 +127,7 @@ func TestAnySourceAnyTag(t *testing.T) {
 }
 
 func TestIsendIrecvWaitall(t *testing.T) {
-	err := Run(2, ThreadSingle, func(c *Comm) {
+	err := runRanks(2, ThreadSingle, func(c *Comm) {
 		other := 1 - c.Rank()
 		recvBufs := make([][]float64, 6)
 		reqs := make([]*Request, 0, 12)
@@ -158,7 +158,7 @@ func TestWaitallNilEntries(t *testing.T) {
 }
 
 func TestRequestTest(t *testing.T) {
-	err := Run(2, ThreadSingle, func(c *Comm) {
+	err := runRanks(2, ThreadSingle, func(c *Comm) {
 		if c.Rank() == 0 {
 			buf := make([]float64, 1)
 			req := c.Irecv(1, 0, buf)
@@ -178,7 +178,7 @@ func TestRequestTest(t *testing.T) {
 }
 
 func TestSendrecvExchange(t *testing.T) {
-	err := Run(2, ThreadSingle, func(c *Comm) {
+	err := runRanks(2, ThreadSingle, func(c *Comm) {
 		other := 1 - c.Rank()
 		out := []float64{float64(c.Rank() + 1)}
 		in := make([]float64, 1)
@@ -193,7 +193,7 @@ func TestSendrecvExchange(t *testing.T) {
 }
 
 func TestProbe(t *testing.T) {
-	err := Run(2, ThreadSingle, func(c *Comm) {
+	err := runRanks(2, ThreadSingle, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 3, []float64{1, 2, 3, 4, 5})
 		} else {
@@ -211,7 +211,7 @@ func TestProbe(t *testing.T) {
 }
 
 func TestTruncationPanics(t *testing.T) {
-	err := Run(2, ThreadSingle, func(c *Comm) {
+	err := runRanks(2, ThreadSingle, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 0, []float64{1, 2, 3})
 		} else {
@@ -225,7 +225,7 @@ func TestTruncationPanics(t *testing.T) {
 }
 
 func TestNegativeUserTagPanics(t *testing.T) {
-	err := Run(1, ThreadSingle, func(c *Comm) {
+	err := runRanks(1, ThreadSingle, func(c *Comm) {
 		c.Send(0, -5, []float64{1})
 	})
 	if err == nil {
@@ -234,7 +234,7 @@ func TestNegativeUserTagPanics(t *testing.T) {
 }
 
 func TestRankOutOfRangePanics(t *testing.T) {
-	err := Run(2, ThreadSingle, func(c *Comm) {
+	err := runRanks(2, ThreadSingle, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(5, 0, []float64{1})
 		}
@@ -248,7 +248,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 	const p = 7
 	var mu sync.Mutex
 	phase := make(map[int]int)
-	err := Run(p, ThreadSingle, func(c *Comm) {
+	err := runRanks(p, ThreadSingle, func(c *Comm) {
 		for it := 0; it < 5; it++ {
 			mu.Lock()
 			phase[c.Rank()] = it
@@ -272,7 +272,7 @@ func TestBcastFromEveryRoot(t *testing.T) {
 	for p := 1; p <= 9; p++ {
 		for root := 0; root < p; root++ {
 			root := root
-			err := Run(p, ThreadSingle, func(c *Comm) {
+			err := runRanks(p, ThreadSingle, func(c *Comm) {
 				buf := make([]float64, 3)
 				if c.Rank() == root {
 					buf[0], buf[1], buf[2] = 1, 2, 3
@@ -291,7 +291,7 @@ func TestBcastFromEveryRoot(t *testing.T) {
 
 func TestReduceSumDeterministicOrder(t *testing.T) {
 	const p = 6
-	err := Run(p, ThreadSingle, func(c *Comm) {
+	err := runRanks(p, ThreadSingle, func(c *Comm) {
 		in := []float64{float64(c.Rank() + 1), float64(c.Rank() * 10)}
 		out := make([]float64, 2)
 		c.Reduce(2, OpSum, in, out)
@@ -307,7 +307,7 @@ func TestReduceSumDeterministicOrder(t *testing.T) {
 }
 
 func TestReduceMaxMin(t *testing.T) {
-	err := Run(4, ThreadSingle, func(c *Comm) {
+	err := runRanks(4, ThreadSingle, func(c *Comm) {
 		in := []float64{float64(c.Rank())}
 		out := make([]float64, 1)
 		c.Allreduce(OpMax, in, out)
@@ -324,9 +324,37 @@ func TestReduceMaxMin(t *testing.T) {
 	}
 }
 
+// TestReduceMaxMinNaNFromAnyRank: a NaN wins OpMax and OpMin whichever
+// rank holds it, so a verdict reduced with them (SpectralBound, the SDC
+// checks) cannot lose a NaN to the merge order.
+func TestReduceMaxMinNaNFromAnyRank(t *testing.T) {
+	const p = 5
+	for nanRank := 0; nanRank < p; nanRank++ {
+		for _, op := range []Op{OpMax, OpMin} {
+			err := runRanks(p, ThreadSingle, func(c *Comm) {
+				in := []float64{float64(c.Rank()), -1}
+				if c.Rank() == nanRank {
+					in[0] = math.NaN()
+				}
+				out := make([]float64, 2)
+				c.Allreduce(op, in, out)
+				if !math.IsNaN(out[0]) {
+					panic(fmt.Sprintf("op %d, NaN on rank %d: rank %d reduced %g", op, nanRank, c.Rank(), out[0]))
+				}
+				if out[1] != -1 {
+					panic(fmt.Sprintf("op %d: NaN-free slot reduced to %g", op, out[1]))
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 func TestAllreduceSum(t *testing.T) {
 	const p = 5
-	err := Run(p, ThreadSingle, func(c *Comm) {
+	err := runRanks(p, ThreadSingle, func(c *Comm) {
 		got := c.AllreduceSum(float64(c.Rank()))
 		if got != 10 {
 			panic(fmt.Sprintf("allreduce sum = %g", got))
@@ -339,7 +367,7 @@ func TestAllreduceSum(t *testing.T) {
 
 func TestGatherAllgather(t *testing.T) {
 	const p = 4
-	err := Run(p, ThreadSingle, func(c *Comm) {
+	err := runRanks(p, ThreadSingle, func(c *Comm) {
 		in := []float64{float64(c.Rank()), float64(c.Rank() * c.Rank())}
 		out := make([]float64, 2*p)
 		c.Allgather(in, out)
@@ -356,7 +384,7 @@ func TestGatherAllgather(t *testing.T) {
 
 func TestSplitByParity(t *testing.T) {
 	const p = 6
-	err := Run(p, ThreadSingle, func(c *Comm) {
+	err := runRanks(p, ThreadSingle, func(c *Comm) {
 		sub := c.Split(c.Rank()%2, c.Rank())
 		if sub.Size() != 3 {
 			panic(fmt.Sprintf("split size = %d", sub.Size()))
@@ -378,7 +406,7 @@ func TestSplitByParity(t *testing.T) {
 
 func TestSplitKeyOrdersRanks(t *testing.T) {
 	const p = 4
-	err := Run(p, ThreadSingle, func(c *Comm) {
+	err := runRanks(p, ThreadSingle, func(c *Comm) {
 		// Reverse rank order via key.
 		sub := c.Split(0, -c.Rank())
 		if sub.Rank() != p-1-c.Rank() {
@@ -392,7 +420,7 @@ func TestSplitKeyOrdersRanks(t *testing.T) {
 
 func TestCartCreateShiftPeriodic(t *testing.T) {
 	dims := topology.Dims{2, 3, 2}
-	err := Run(12, ThreadSingle, func(c *Comm) {
+	err := runRanks(12, ThreadSingle, func(c *Comm) {
 		ct := c.CartCreate(dims, [3]bool{true, true, true}, true)
 		coord := ct.Coords(c.Rank())
 		if ct.RankOf(coord) != c.Rank() {
@@ -416,7 +444,7 @@ func TestCartCreateShiftPeriodic(t *testing.T) {
 
 func TestCartShiftNonPeriodicEdges(t *testing.T) {
 	dims := topology.Dims{3, 1, 1}
-	err := Run(3, ThreadSingle, func(c *Comm) {
+	err := runRanks(3, ThreadSingle, func(c *Comm) {
 		ct := c.CartCreate(dims, [3]bool{false, false, false}, false)
 		src, dst := ct.Shift(0, 1)
 		switch c.Rank() {
@@ -436,7 +464,7 @@ func TestCartShiftNonPeriodicEdges(t *testing.T) {
 }
 
 func TestCartCreateSizeMismatchPanics(t *testing.T) {
-	err := Run(4, ThreadSingle, func(c *Comm) {
+	err := runRanks(4, ThreadSingle, func(c *Comm) {
 		c.CartCreate(topology.Dims{3, 1, 1}, [3]bool{}, false)
 	})
 	if err == nil {
@@ -449,7 +477,7 @@ func TestThreadMultipleConcurrentTraffic(t *testing.T) {
 	// distinct tags, like the hybrid-multiple approach does per grid.
 	const threads = 4
 	const msgs = 25
-	err := Run(2, ThreadMultiple, func(c *Comm) {
+	err := runRanks(2, ThreadMultiple, func(c *Comm) {
 		other := 1 - c.Rank()
 		var wg sync.WaitGroup
 		for th := 0; th < threads; th++ {
@@ -479,7 +507,7 @@ func TestThreadSingleDetectsConcurrentCalls(t *testing.T) {
 	// Hammer a SINGLE-mode communicator from two goroutines; the misuse
 	// detector must fire. (This is a programming error a real MPI would
 	// turn into corruption; we turn it into a detected panic.)
-	err := Run(2, ThreadSingle, func(c *Comm) {
+	err := runRanks(2, ThreadSingle, func(c *Comm) {
 		if c.Rank() != 0 {
 			// Absorb whatever arrives; also in a racy way.
 			return
@@ -504,7 +532,7 @@ func TestThreadSingleDetectsConcurrentCalls(t *testing.T) {
 }
 
 func TestRunPropagatesPanic(t *testing.T) {
-	err := Run(3, ThreadSingle, func(c *Comm) {
+	err := runRanks(3, ThreadSingle, func(c *Comm) {
 		if c.Rank() == 1 {
 			panic("boom")
 		}
@@ -534,7 +562,7 @@ func TestAllreduceMatchesSequential(t *testing.T) {
 	// communicator sizes.
 	for p := 1; p <= 8; p++ {
 		p := p
-		err := Run(p, ThreadSingle, func(c *Comm) {
+		err := runRanks(p, ThreadSingle, func(c *Comm) {
 			v := math.Sqrt(float64(c.Rank() + 1))
 			got := c.AllreduceSum(v)
 			want := 0.0

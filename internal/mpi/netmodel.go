@@ -109,7 +109,7 @@ func (p *NetParams) Inject(q *Injection, at, bytes int64, dim, side, hops int, s
 	}
 	link := &q.link[dim][side]
 	*link = max(q.dma, *link) + secNs(float64(bytes)/bw)
-	return *link + secNs(p.MsgLatency+float64(hops-1)*p.HopLatency)
+	return *link + secNs(p.MsgLatency+float64(float64(hops-1)*p.HopLatency))
 }
 
 // NetModel configures a World's calibrated network model. Install it

@@ -33,7 +33,7 @@ func TestModeledPingClosedForm(t *testing.T) {
 	m := &NetModel{Params: testParams(), NoComputeWall: true}
 	data := make([]float64, 125) // 1000 bytes
 	var sender, receiver time.Duration
-	_, err := RunModeled(2, ThreadSingle, m, func(c *Comm) {
+	_, err := runRanksModeled(2, ThreadSingle, m, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 7, data)
 			sender = c.World().VirtualTime(0)
@@ -64,7 +64,7 @@ func TestModeledHopSensitivity(t *testing.T) {
 		m := &NetModel{Params: testParams(), Net: net,
 			Coords: []topology.Coord{{0, 0, 0}, far}, NoComputeWall: true}
 		var got time.Duration
-		_, err := RunModeled(2, ThreadSingle, m, func(c *Comm) {
+		_, err := runRanksModeled(2, ThreadSingle, m, func(c *Comm) {
 			if c.Rank() == 0 {
 				c.Send(1, 7, make([]float64, 125))
 			} else {
@@ -92,7 +92,7 @@ func TestModeledSameNodeUsesIntraNodePath(t *testing.T) {
 	m := &NetModel{Params: testParams(), Net: net,
 		Coords: []topology.Coord{{0, 0, 0}, {0, 0, 0}}, NoComputeWall: true}
 	var got time.Duration
-	_, err := RunModeled(2, ThreadSingle, m, func(c *Comm) {
+	_, err := runRanksModeled(2, ThreadSingle, m, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 7, make([]float64, 125))
 		} else {
@@ -116,7 +116,7 @@ func TestModeledSameNodeUsesIntraNodePath(t *testing.T) {
 func TestModeledSelfSendFree(t *testing.T) {
 	m := &NetModel{Params: testParams(), NoComputeWall: true}
 	var got time.Duration
-	_, err := RunModeled(1, ThreadSingle, m, func(c *Comm) {
+	_, err := runRanksModeled(1, ThreadSingle, m, func(c *Comm) {
 		c.Send(0, 7, make([]float64, 4096))
 		c.Recv(0, 7, make([]float64, 4096))
 		got = c.World().VirtualTime(0)
@@ -139,7 +139,7 @@ func TestModeledInjectionSerializes(t *testing.T) {
 		m := &NetModel{Params: testParams(), NoComputeWall: true}
 		const msgs = 4
 		var last time.Duration
-		_, err := RunModeled(2, ThreadSingle, m, func(c *Comm) {
+		_, err := runRanksModeled(2, ThreadSingle, m, func(c *Comm) {
 			if c.Rank() == 0 {
 				for i := 0; i < msgs; i++ {
 					c.Send(1, 7+i, make([]float64, 125))
@@ -174,7 +174,7 @@ func TestModeledInjectionSerializes(t *testing.T) {
 		m := &NetModel{Params: p, Net: topology.NewNetwork(topology.Dims{3, 3, 3}, true),
 			Coords: coords, NoComputeWall: true}
 		got := make([]time.Duration, len(coords))
-		_, err := RunModeled(len(coords), ThreadSingle, m, func(c *Comm) {
+		_, err := runRanksModeled(len(coords), ThreadSingle, m, func(c *Comm) {
 			if c.Rank() == 0 {
 				for dst := 1; dst < c.Size(); dst++ {
 					c.Send(dst, 7, make([]float64, 500))
@@ -209,7 +209,7 @@ func TestModeledVirtualTimeDeterministic(t *testing.T) {
 		net := topology.PartitionFor(8)
 		m := &NetModel{Params: testParams(), Net: net,
 			Coords: topology.MapGrid(net.Dims, net, topology.MapLinear), NoComputeWall: true}
-		d, err := RunModeled(8, ThreadSingle, m, func(c *Comm) {
+		d, err := runRanksModeled(8, ThreadSingle, m, func(c *Comm) {
 			n := c.Size()
 			buf := make([]float64, 64)
 			// Ring exchange, then an Allreduce, then a Barrier.
@@ -243,7 +243,7 @@ func TestModeledVirtualTimeDeterministic(t *testing.T) {
 func TestModeledTestGatesOnVirtualArrival(t *testing.T) {
 	m := &NetModel{Params: testParams(), NoComputeWall: true}
 	var sawEarly, sawLate atomic.Bool
-	_, err := RunModeled(2, ThreadSingle, m, func(c *Comm) {
+	_, err := runRanksModeled(2, ThreadSingle, m, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 7, make([]float64, 125))
 			return
@@ -303,7 +303,7 @@ func TestOpTimeoutStillFiresUnderModel(t *testing.T) {
 // virtual time on every rank.
 func TestModeledCollectivesCovered(t *testing.T) {
 	m := &NetModel{Params: testParams(), NoComputeWall: true}
-	mk, err := RunModeled(4, ThreadSingle, m, func(c *Comm) {
+	mk, err := runRanksModeled(4, ThreadSingle, m, func(c *Comm) {
 		c.Barrier()
 	})
 	if err != nil {
@@ -317,7 +317,7 @@ func TestModeledCollectivesCovered(t *testing.T) {
 // TestEagerBehaviorUnchangedWithoutModel: a world that never arms the
 // model reports zero virtual time and runs exactly as before.
 func TestEagerBehaviorUnchangedWithoutModel(t *testing.T) {
-	err := Run(2, ThreadSingle, func(c *Comm) {
+	err := runRanks(2, ThreadSingle, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 7, []float64{1, 2, 3})
 		} else {

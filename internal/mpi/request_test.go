@@ -9,7 +9,7 @@ import (
 // send and receive requests passed as individual arguments and as a
 // spread slice, interleaved with nils.
 func TestWaitallVariadic(t *testing.T) {
-	err := Run(2, ThreadSingle, func(c *Comm) {
+	err := runRanks(2, ThreadSingle, func(c *Comm) {
 		other := 1 - c.Rank()
 		a := make([]float64, 2)
 		b := make([]float64, 2)
@@ -38,7 +38,7 @@ func TestWaitallVariadic(t *testing.T) {
 // handle leans on.
 func TestRequestTestPoll(t *testing.T) {
 	release := make(chan struct{})
-	err := Run(2, ThreadSingle, func(c *Comm) {
+	err := runRanks(2, ThreadSingle, func(c *Comm) {
 		if c.Rank() == 0 {
 			buf := make([]float64, 1)
 			req := c.Irecv(1, 7, buf)
@@ -67,7 +67,7 @@ func TestRequestTestPoll(t *testing.T) {
 // outstanding, true once all completed, nil entries ignored.
 func TestTestall(t *testing.T) {
 	release := make(chan struct{})
-	err := Run(2, ThreadSingle, func(c *Comm) {
+	err := runRanks(2, ThreadSingle, func(c *Comm) {
 		if c.Rank() == 0 {
 			a := make([]float64, 1)
 			b := make([]float64, 1)
@@ -101,7 +101,7 @@ func TestTestall(t *testing.T) {
 // world pool and behave like fresh ones; the message data stays correct
 // across many reuse generations.
 func TestReclaimReusesRequests(t *testing.T) {
-	err := Run(2, ThreadSingle, func(c *Comm) {
+	err := runRanks(2, ThreadSingle, func(c *Comm) {
 		other := 1 - c.Rank()
 		buf := make([]float64, 1)
 		for i := 0; i < 200; i++ {
@@ -125,7 +125,7 @@ func TestReclaimReusesRequests(t *testing.T) {
 // post/send/wait cycle performs no allocation at all — no envelope, no
 // request, no pending-receive bookkeeping.
 func TestReclaimedRecvIsAllocationFree(t *testing.T) {
-	err := Run(1, ThreadSingle, func(c *Comm) {
+	err := runRanks(1, ThreadSingle, func(c *Comm) {
 		buf := make([]float64, 8)
 		data := make([]float64, 8)
 		// Warm the request pool and the mailbox slices.
@@ -155,7 +155,7 @@ func TestReclaimedRecvIsAllocationFree(t *testing.T) {
 // envelope. Once the mailbox's free list is warm, a send/post/wait/
 // Reclaim cycle performs no allocation either.
 func TestUnexpectedRecvIsAllocationFree(t *testing.T) {
-	err := Run(1, ThreadSingle, func(c *Comm) {
+	err := runRanks(1, ThreadSingle, func(c *Comm) {
 		buf := make([]float64, 8)
 		data := make([]float64, 8)
 		cycle := func() {

@@ -16,7 +16,7 @@ func TestSplitColorGrouping(t *testing.T) {
 	const n = 6
 	var sizes [n]int32
 	var ranks [n]int32
-	err := Run(n, ThreadSingle, func(c *Comm) {
+	err := runRanks(n, ThreadSingle, func(c *Comm) {
 		// Colors 0,0,1,1,2,2 by pairs.
 		sub := c.Split(c.Rank()/2, 0)
 		if sub == nil {
@@ -51,7 +51,7 @@ func TestSplitColorGrouping(t *testing.T) {
 func TestSplitKeyOrdering(t *testing.T) {
 	const n = 4
 	var newRanks [n]int32
-	err := Run(n, ThreadSingle, func(c *Comm) {
+	err := runRanks(n, ThreadSingle, func(c *Comm) {
 		sub := c.Split(0, -c.Rank()) // negative keys are legal; only order matters
 		atomic.StoreInt32(&newRanks[c.Rank()], int32(sub.Rank()))
 	})
@@ -69,7 +69,7 @@ func TestSplitKeyOrdering(t *testing.T) {
 // and the remaining ranks form a correctly sized communicator.
 func TestSplitNegativeColor(t *testing.T) {
 	const n = 4
-	err := Run(n, ThreadSingle, func(c *Comm) {
+	err := runRanks(n, ThreadSingle, func(c *Comm) {
 		color := 0
 		if c.Rank()%2 == 1 {
 			color = -1
@@ -105,7 +105,7 @@ func TestSplitNegativeColor(t *testing.T) {
 // parent's envelope.
 func TestSplitContextIsolation(t *testing.T) {
 	const n = 4
-	err := Run(n, ThreadSingle, func(c *Comm) {
+	err := runRanks(n, ThreadSingle, func(c *Comm) {
 		sub := c.Split(0, 0) // same membership, distinct context
 		parentBuf := []float64{0}
 		childBuf := []float64{0}
@@ -134,7 +134,7 @@ func TestSplitContextIsolation(t *testing.T) {
 // sub-communicators, with collectives live at every level.
 func TestSplitNestedGrids(t *testing.T) {
 	const n = 8 // 2 groups x (2x2 grid)
-	err := Run(n, ThreadSingle, func(c *Comm) {
+	err := runRanks(n, ThreadSingle, func(c *Comm) {
 		group := c.Split(c.Rank()/4, c.Rank()) // two groups of 4
 		row := group.Split(group.Rank()/2, group.Rank()%2)
 		col := group.Split(group.Rank()%2, group.Rank()/2)

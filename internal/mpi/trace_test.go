@@ -12,7 +12,7 @@ import (
 func TestTracedOpsEmitEvents(t *testing.T) {
 	const P = 4
 	tr := trace.New(P, 1024)
-	w := NewWorld(P, ThreadSingle)
+	w := testWorld(P, ThreadSingle)
 	w.SetNetModel(&NetModel{Params: testParams(), NoComputeWall: true})
 	w.SetTracer(tr)
 	err := w.Run(func(c *Comm) {
@@ -69,7 +69,7 @@ func TestTracedOpsEmitEvents(t *testing.T) {
 func TestTracerDisabledRecordsNothing(t *testing.T) {
 	tr := trace.New(2, 64)
 	tr.Disable()
-	w := NewWorld(2, ThreadSingle)
+	w := testWorld(2, ThreadSingle)
 	w.SetTracer(tr)
 	err := w.Run(func(c *Comm) {
 		buf := make([]float64, 1)
@@ -93,7 +93,7 @@ func TestTracerDisabledRecordsNothing(t *testing.T) {
 func TestTracedFaultEvents(t *testing.T) {
 	const P = 3
 	tr := trace.New(P, 512)
-	w := NewWorld(P, ThreadSingle)
+	w := testWorld(P, ThreadSingle)
 	w.SetTracer(tr)
 	w.SetFaultPlan(&FaultPlan{Kills: []Kill{{Rank: 2, AfterOps: 0}}})
 	err := w.Run(func(c *Comm) {
