@@ -181,7 +181,8 @@ func (g *Grid) AddScalarRange(v float64, i0, i1 int) {
 }
 
 // AccumSquared adds a*x*x pointwise to g — the density accumulation
-// n += occ*|psi|^2 of the SCF loop in one sweep.
+// n += occ*|psi|^2 of the SCF loop in one sweep. The product is rounded
+// before it is added, so an FMA-capable architecture gets amd64's bits.
 func (g *Grid) AccumSquared(a float64, x *Grid) {
 	g.AccumSquaredRange(a, x, 0, g.Nx)
 }
@@ -195,7 +196,7 @@ func (g *Grid) AccumSquaredRange(a float64, x *Grid, i0, i1 int) {
 			src := x.index(i, j, 0)
 			for k := 0; k < g.Nz; k++ {
 				v := x.data[src+k]
-				g.data[dst+k] += a * v * v
+				g.data[dst+k] += float64(a * v * v)
 			}
 		}
 	}

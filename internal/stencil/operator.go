@@ -177,7 +177,9 @@ func stencilRow(out, in []float64, s0, n int, center float64, taps []tap) {
 	case 12:
 		// The paper's 13-point operator, unrolled over one re-sliced row
 		// per tap so the loop carries no bounds check: the centre
-		// product, then three groups of four taps in tap order.
+		// product, then three groups of four taps in tap order. Where
+		// rowSIMD holds, rowAVX2 computes the first n &^ 3 points with
+		// the same rounding sequence, and the re-slices bound its reads.
 		c0, c1, c2, c3 := taps[0].c, taps[1].c, taps[2].c, taps[3].c
 		c4, c5, c6, c7 := taps[4].c, taps[5].c, taps[6].c, taps[7].c
 		c8, c9, c10, c11 := taps[8].c, taps[9].c, taps[10].c, taps[11].c
@@ -188,8 +190,13 @@ func stencilRow(out, in []float64, s0, n int, center float64, taps []tap) {
 		x6, x7 := in[s0+taps[6].off:][:n], in[s0+taps[7].off:][:n]
 		x8, x9 := in[s0+taps[8].off:][:n], in[s0+taps[9].off:][:n]
 		x10, x11 := in[s0+taps[10].off:][:n], in[s0+taps[11].off:][:n]
+		k0 := 0
+		if rowSIMD && n >= 4 {
+			k0 = n &^ 3
+			rowAVX2(&out[0], &x[0], k0, center, &taps[0])
+		}
 		// bce:begin
-		for k := range out {
+		for k := uint(k0); k < uint(len(out)); k++ {
 			v := float64(center * x[k])
 			v += float64(c0*x0[k]) + float64(c1*x1[k]) + float64(c2*x2[k]) + float64(c3*x3[k])
 			v += float64(c4*x4[k]) + float64(c5*x5[k]) + float64(c6*x6[k]) + float64(c7*x7[k])

@@ -397,20 +397,25 @@ func TestStencilRowMatchesOracle(t *testing.T) {
 
 // BenchmarkApply reports the serial 13-point kernel's cost per point at
 // the local extents the benchmark's workloads sweep: 24^3 (the SCF
-// system), 48^3 (fd_batch's grids) and 64^3.
+// system), 48^3 (fd_batch's grids) and 64^3, with the AVX2 row body
+// (simd, skipped on a host without AVX2) and with the Go loop alone
+// (scalar).
 func BenchmarkApply(b *testing.B) {
 	for _, n := range []int{24, 48, 64} {
-		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {
-			op := Laplacian(2, 1)
-			src := grid.New(n, n, n, 2)
-			dst := grid.New(n, n, n, 2)
-			src.FillFunc(func(i, j, k int) float64 { return float64(i + j + k) })
-			src.FillHalosPeriodic()
-			b.SetBytes(int64(src.Points() * op.BytesPerPoint()))
-			for b.Loop() {
-				op.Apply(dst, src)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(src.Points()), "ns/pt")
-		})
+		for _, simd := range []bool{true, false} {
+			b.Run(fmt.Sprintf("%d/%s", n, rowBodyName(simd)), func(b *testing.B) {
+				setRowSIMD(b, simd)
+				op := Laplacian(2, 1)
+				src := grid.New(n, n, n, 2)
+				dst := grid.New(n, n, n, 2)
+				src.FillFunc(func(i, j, k int) float64 { return float64(i + j + k) })
+				src.FillHalosPeriodic()
+				b.SetBytes(int64(src.Points() * op.BytesPerPoint()))
+				for b.Loop() {
+					op.Apply(dst, src)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(src.Points()), "ns/pt")
+			})
+		}
 	}
 }
