@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Fails if the compiler keeps a bounds check between a `// bce:begin` and
 # a `// bce:end` marker in internal/stencil or internal/grid: the
-# radius-2 row kernel (stencilRow) and the face-row moves of the halo
+# radius-2 Go row loop (stencilRow) and the face-row moves of the halo
 # pack/unpack (moveRow) are meant to run check-free. The compiler's
 # -d=ssa/check_bce report lists every check it keeps, by file and line.
 set -euo pipefail

@@ -205,14 +205,17 @@ func (w *World) nowNs() int64 { return int64(time.Since(w.netBase)) }
 
 // netEnter marks an MPI-call boundary: the wall time the rank spent
 // outside the library since the last boundary is accrued to its virtual
-// clock as compute (unless NoComputeWall). Every MPI entry point calls
-// it, and Wait/Test call it themselves so time spent blocked inside the
-// library is never mistaken for compute.
+// clock as compute. Every MPI entry point calls it, and Wait/Test call
+// it themselves so time spent blocked inside the library is never
+// mistaken for compute. Under NoComputeWall it reads no clock.
 func (w *World) netEnter(rank int) {
+	if w.net.NoComputeWall {
+		return
+	}
 	now := w.nowNs()
 	ck := &w.clocks[rank]
 	ck.mu.Lock()
-	if ck.lastWall != 0 && !w.net.NoComputeWall {
+	if ck.lastWall != 0 {
 		ck.virt += now - ck.lastWall
 	}
 	ck.lastWall = now
@@ -222,6 +225,9 @@ func (w *World) netEnter(rank int) {
 // netExit stamps the boundary on the way out of the library, so the
 // next netEnter accrues only genuine outside-the-library time.
 func (w *World) netExit(rank int) {
+	if w.net.NoComputeWall {
+		return
+	}
 	now := w.nowNs()
 	ck := &w.clocks[rank]
 	ck.mu.Lock()

@@ -335,3 +335,56 @@ func TestEagerBehaviorUnchangedWithoutModel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// hostTimeClocks runs ranks 0 and 1 each sending two messages, to ranks
+// 2 and 3; rank 0 sleeps 20 ms between its sends. It returns the four
+// virtual clocks.
+func hostTimeClocks(t *testing.T, noComputeWall bool) [4]time.Duration {
+	t.Helper()
+	w := testWorld(4, ThreadSingle)
+	w.SetNetModel(&NetModel{Params: testParams(), NoComputeWall: noComputeWall})
+	err := w.Run(func(c *Comm) {
+		switch r := c.Rank(); r {
+		case 0, 1:
+			c.Send(r+2, 5, make([]float64, 16))
+			if r == 0 {
+				time.Sleep(20 * time.Millisecond)
+			}
+			c.Send(r+2, 5, make([]float64, 16))
+		default:
+			buf := make([]float64, 16)
+			c.Recv(r-2, 5, buf)
+			c.Recv(r-2, 5, buf)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v [4]time.Duration
+	for r := range v {
+		v[r] = w.VirtualTime(r)
+	}
+	return v
+}
+
+// TestNoComputeWallIgnoresHostTime: under NoComputeWall a rank's host
+// time between MPI calls never reaches its virtual clock, so the rank
+// that slept and its receiver end exactly where the pair that did not
+// sleep ends.
+func TestNoComputeWallIgnoresHostTime(t *testing.T) {
+	v := hostTimeClocks(t, true)
+	if v[0] != v[1] || v[2] != v[3] {
+		t.Errorf("virtual clocks %v: the sleeping sender (0) and its receiver (2) differ from ranks 1 and 3", v)
+	}
+	if v[0] <= 0 {
+		t.Errorf("sender virtual time %v, want the PostCost charges", v[0])
+	}
+}
+
+// TestComputeWallAccruesHostTime is its counterpart: without
+// NoComputeWall the sleep between the two sends is accrued as compute.
+func TestComputeWallAccruesHostTime(t *testing.T) {
+	if v := hostTimeClocks(t, false); v[0] < 20*time.Millisecond {
+		t.Errorf("sleeping sender's virtual time %v, want >= 20ms of accrued host time", v[0])
+	}
+}

@@ -14,8 +14,8 @@
 // moves 16 bytes of DRAM traffic per point for 25 flops (2 streams — read
 // the source once, neighbour reuse served by cache, write the
 // destination) and takes ≈ 4.7–7.0 ns per point as a Go loop on one core
-// of a 2-vCPU Xeon host, ≈ 2.6–3.4 with the 4-wide AVX2 body amd64 hosts
-// run (BenchmarkApply at 48^3/64^3), where the host streams an axpy at
+// of a 2-vCPU Xeon host, ≈ 1.7–2.1 with the AVX2 block body amd64 hosts
+// run (BenchmarkApply at 24^3–64^3), where the host streams an axpy at
 // ≈ 1.1 ns per element (grid.axpy_ns_per_elem). Still, every separate
 // Apply/Scale/Axpy/Dot pass of a solver costs a full traversal of
 // grid-sized arrays, so the package provides, besides the plain operator:

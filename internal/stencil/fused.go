@@ -12,8 +12,8 @@ import (
 // grid exactly once, cutting the memory passes of a solver iteration
 // roughly in half versus chains of Apply/Scale/Axpy/Dot (see the
 // package comment for the stream model). All kernels evaluate the
-// stencil through stencilRow into a cache-resident row buffer, so their
-// stencil values are bit-identical to Apply's.
+// stencil one row at a time through stencilBlock into a cache-resident
+// row buffer, so their stencil values are bit-identical to Apply's.
 //
 // Reductions accumulate per-worker detsum.Acc partials merged exactly,
 // so every result is independent of the pool's worker count and of any
@@ -113,14 +113,14 @@ func (op *Operator) sweepAcc(p *Pool, g *grid.Grid, streams, rowLen int, acc *de
 // the plain operator's 2 streams — CG's p·Ap comes for free.
 func (op *Operator) ApplyDotAcc(p *Pool, dst, src *grid.Grid, acc *detsum.Acc) {
 	op.checkFused("ApplyDot", src, dst)
-	taps := op.gridTaps(src)
+	lt := op.gridTaps(src)
 	op.sweepAcc(p, src, 2, 0, acc, func(a *detsum.Acc, _ []float64, b Block) {
-		op.applyDotBlock(dst, src, taps, a, b)
+		op.applyDotBlock(dst, src, lt, a, b)
 	})
 }
 
 // applyDotBlock is ApplyDotAcc over one block.
-func (op *Operator) applyDotBlock(dst, src *grid.Grid, taps []tap, a *detsum.Acc, blk Block) {
+func (op *Operator) applyDotBlock(dst, src *grid.Grid, lt *layoutTaps, a *detsum.Acc, blk Block) {
 	in := src.Data()
 	out := dst.Data()
 	n := blk.Z1 - blk.Z0
@@ -128,7 +128,7 @@ func (op *Operator) applyDotBlock(dst, src *grid.Grid, taps []tap, a *detsum.Acc
 		for j := blk.Y0; j < blk.Y1; j++ {
 			srow := src.Index(i, j, blk.Z0)
 			drow := dst.Index(i, j, blk.Z0)
-			stencilRow(out[drow:drow+n], in, srow, n, op.Center, taps)
+			stencilBlock(out, in, drow, srow, 1, 1, n, 0, 0, 0, 0, op.Center, lt)
 			a.AddMulSlice(in[srow:srow+n], out[drow:drow+n])
 		}
 	}
@@ -139,15 +139,15 @@ func (op *Operator) applyDotBlock(dst, src *grid.Grid, taps []tap, a *detsum.Acc
 // alias b; it must not alias phi.
 func (op *Operator) ApplyResidualAcc(p *Pool, r, b, phi *grid.Grid, acc *detsum.Acc) {
 	op.checkFused("ApplyResidual", phi, r, b)
-	taps := op.gridTaps(phi)
+	lt := op.gridTaps(phi)
 	op.sweepAcc(p, phi, 3, phi.Nz, acc, func(a *detsum.Acc, row []float64, blk Block) {
-		op.applyResidualBlock(r, b, phi, taps, row, a, blk)
+		op.applyResidualBlock(r, b, phi, lt, row, a, blk)
 	})
 }
 
 // applyResidualBlock is ApplyResidualAcc over one block; row holds at
 // least Z1-Z0 values of scratch.
-func (op *Operator) applyResidualBlock(r, b, phi *grid.Grid, taps []tap, row []float64, a *detsum.Acc, blk Block) {
+func (op *Operator) applyResidualBlock(r, b, phi *grid.Grid, lt *layoutTaps, row []float64, a *detsum.Acc, blk Block) {
 	in := phi.Data()
 	rd := r.Data()
 	bd := b.Data()
@@ -155,7 +155,7 @@ func (op *Operator) applyResidualBlock(r, b, phi *grid.Grid, taps []tap, row []f
 	buf := row[:n]
 	for i := blk.X0; i < blk.X1; i++ {
 		for j := blk.Y0; j < blk.Y1; j++ {
-			stencilRow(buf, in, phi.Index(i, j, blk.Z0), n, op.Center, taps)
+			stencilBlock(buf, in, 0, phi.Index(i, j, blk.Z0), 1, 1, n, 0, 0, 0, 0, op.Center, lt)
 			rrow := r.Index(i, j, blk.Z0)
 			brow := b.Index(i, j, blk.Z0)
 			res := rd[rrow : rrow+n]
@@ -173,14 +173,14 @@ func (op *Operator) applyResidualBlock(r, b, phi *grid.Grid, taps []tap, row []f
 // any architecture). dst must not alias phi; it may alias rhs.
 func (op *Operator) ApplySmooth(p *Pool, dst, phi, rhs *grid.Grid, c float64) {
 	op.checkFused("ApplySmooth", phi, dst, rhs)
-	taps := op.gridTaps(phi)
+	lt := op.gridTaps(phi)
 	op.sweep(p, phi, 3, phi.Nz, func(_ int, row []float64, b Block) {
-		op.applySmoothBlock(dst, phi, rhs, taps, row, c, b)
+		op.applySmoothBlock(dst, phi, rhs, lt, row, c, b)
 	})
 }
 
 // applySmoothBlock is ApplySmooth over one block; row as above.
-func (op *Operator) applySmoothBlock(dst, phi, rhs *grid.Grid, taps []tap, row []float64, c float64, blk Block) {
+func (op *Operator) applySmoothBlock(dst, phi, rhs *grid.Grid, lt *layoutTaps, row []float64, c float64, blk Block) {
 	in := phi.Data()
 	out := dst.Data()
 	bd := rhs.Data()
@@ -189,7 +189,7 @@ func (op *Operator) applySmoothBlock(dst, phi, rhs *grid.Grid, taps []tap, row [
 	for i := blk.X0; i < blk.X1; i++ {
 		for j := blk.Y0; j < blk.Y1; j++ {
 			srow := phi.Index(i, j, blk.Z0)
-			stencilRow(buf, in, srow, n, op.Center, taps)
+			stencilBlock(buf, in, 0, srow, 1, 1, n, 0, 0, 0, 0, op.Center, lt)
 			drow := dst.Index(i, j, blk.Z0)
 			brow := rhs.Index(i, j, blk.Z0)
 			for k := 0; k < n; k++ {
@@ -219,9 +219,9 @@ func (op *Operator) ApplyRecurrence(p *Pool, dst, src, v, prev *grid.Grid, alpha
 		op.checkFused("ApplyRecurrence", src, prev)
 		streams++
 	}
-	taps := op.gridTaps(src)
+	lt := op.gridTaps(src)
 	op.sweep(p, src, streams, src.Nz, func(_ int, row []float64, b Block) {
-		op.applyStepBlock(dst, src, v, prev, taps, row, alpha, beta, gamma, b)
+		op.applyStepBlock(dst, src, v, prev, lt, row, alpha, beta, gamma, b)
 	})
 }
 
@@ -233,7 +233,7 @@ func (op *Operator) ApplyStep(p *Pool, dst, src, v *grid.Grid, alpha, beta float
 }
 
 // applyStepBlock is ApplyRecurrence over one block; row as above.
-func (op *Operator) applyStepBlock(dst, src, v, prev *grid.Grid, taps []tap, row []float64, alpha, beta, gamma float64, blk Block) {
+func (op *Operator) applyStepBlock(dst, src, v, prev *grid.Grid, lt *layoutTaps, row []float64, alpha, beta, gamma float64, blk Block) {
 	in := src.Data()
 	out := dst.Data()
 	var vd, pd []float64
@@ -248,7 +248,7 @@ func (op *Operator) applyStepBlock(dst, src, v, prev *grid.Grid, taps []tap, row
 	for i := blk.X0; i < blk.X1; i++ {
 		for j := blk.Y0; j < blk.Y1; j++ {
 			srow := src.Index(i, j, blk.Z0)
-			stencilRow(buf, in, srow, n, op.Center, taps)
+			stencilBlock(buf, in, 0, srow, 1, 1, n, 0, 0, 0, 0, op.Center, lt)
 			if v != nil {
 				vrow := v.Index(i, j, blk.Z0)
 				for k := 0; k < n; k++ {

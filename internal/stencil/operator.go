@@ -32,10 +32,13 @@ type Operator struct {
 	lastTaps *atomic.Pointer[layoutTaps]
 }
 
-// layoutTaps is an operator's taps for one grid layout.
+// layoutTaps is an operator's taps for one grid layout and the span of
+// their offsets, the centre's 0 included: a point at s reads in[s+minOff]
+// through in[s+maxOff].
 type layoutTaps struct {
-	sx, sy int
-	taps   []tap
+	sx, sy         int
+	taps           []tap
+	minOff, maxOff int
 }
 
 // withViews returns the Full view of a new operator with op's
@@ -111,8 +114,8 @@ func (op *Operator) BytesPerPoint() int { return 16 }
 // must be at least R.
 func (op *Operator) Apply(dst, src *grid.Grid) {
 	op.checkFused("Apply", src, dst)
-	taps := op.gridTaps(src)
-	op.sweep(nil, src, 2, 0, func(_ int, _ []float64, b Block) { op.applyBlock(dst, src, taps, b) })
+	lt := op.gridTaps(src)
+	op.sweep(nil, src, 2, 0, func(_ int, _ []float64, b Block) { op.applyBlock(dst, src, lt, b) })
 }
 
 // tap is one nonzero off-center stencil coefficient, flattened into a
@@ -122,11 +125,11 @@ type tap struct {
 	c   float64
 }
 
-// taps flattens the per-axis nonzero coefficients for a grid with the
+// layout flattens the per-axis nonzero coefficients for a grid with the
 // given x and y strides (z stride is 1). Callers only read the result.
-func (op *Operator) taps(sx, sy int) []tap {
+func (op *Operator) layout(sx, sy int) *layoutTaps {
 	if c := op.lastTaps.Load(); c != nil && c.sx == sx && c.sy == sy {
-		return c.taps
+		return c
 	}
 	r := op.R
 	taps := make([]tap, 0, 6*r)
@@ -154,22 +157,54 @@ func (op *Operator) taps(sx, sy int) []tap {
 			taps = append(taps, tap{o, c})
 		}
 	}
-	op.lastTaps.Store(&layoutTaps{sx, sy, taps})
-	return taps
+	lt := &layoutTaps{sx: sx, sy: sy, taps: taps}
+	for _, tp := range taps {
+		lt.minOff, lt.maxOff = min(lt.minOff, tp.off), max(lt.maxOff, tp.off)
+	}
+	op.lastTaps.Store(lt)
+	return lt
 }
 
 // gridTaps builds the taps for a grid's memory layout.
-func (op *Operator) gridTaps(g *grid.Grid) []tap {
+func (op *Operator) gridTaps(g *grid.Grid) *layoutTaps {
 	sx, sy := g.Strides()
-	return op.taps(sx, sy)
+	return op.layout(sx, sy)
+}
+
+// stencilBlock evaluates the stencil over nx planes of ny contiguous
+// z-rows of n points: row (i, j) reads in from s0 + i*isx + j*isy and
+// is written to out from d0 + i*osx + j*osy. Every kernel in the
+// package — serial, parallel and fused — funnels through this routine,
+// so all of them produce bit-identical stencil values by construction.
+// It checks the block's lowest and highest access in each slice once
+// and panics before writing if one falls outside; then the 12-tap
+// stencil runs in blockAVX2 where rowSIMD holds, and every other case
+// in stencilRow's Go loop row by row, with the same rounding sequence.
+//
+//gpaw:hotpath
+func stencilBlock(out, in []float64, d0, s0, nx, ny, n, isx, isy, osx, osy int, center float64, lt *layoutTaps) {
+	if nx <= 0 || ny <= 0 || n <= 0 {
+		return
+	}
+	if min(isx, isy, osx, osy) < 0 || s0+lt.minOff < 0 || s0+(nx-1)*isx+(ny-1)*isy+n-1+lt.maxOff >= len(in) ||
+		d0 < 0 || d0+(nx-1)*osx+(ny-1)*osy+n-1 >= len(out) {
+		panic("stencil: block reaches outside its slices")
+	}
+	if rowSIMD && len(lt.taps) == 12 {
+		blockAVX2(&out[d0], &in[s0], nx, ny, n, isx, isy, osx, osy, center, &lt.taps[0])
+		return
+	}
+	for i := 0; i < nx; i++ {
+		for j := 0; j < ny; j++ {
+			stencilRow(out[d0+i*osx+j*osy:], in, s0+i*isx+j*isy, n, center, lt.taps)
+		}
+	}
 }
 
 // stencilRow evaluates the stencil along one contiguous z-row: out[k] =
-// center*in[s0+k] + taps for k in [0, n). Every kernel in the package —
-// serial, parallel and fused — funnels through this routine, so all of
-// them produce bit-identical stencil values by construction. Every
-// product is rounded before it is added (the conversions keep an
-// FMA-capable architecture from fusing).
+// center*in[s0+k] + taps for k in [0, n). Every product is rounded
+// before it is added (the conversions keep an FMA-capable architecture
+// from fusing).
 //
 //gpaw:hotpath
 func stencilRow(out, in []float64, s0, n int, center float64, taps []tap) {
@@ -178,8 +213,8 @@ func stencilRow(out, in []float64, s0, n int, center float64, taps []tap) {
 		// The paper's 13-point operator, unrolled over one re-sliced row
 		// per tap so the loop carries no bounds check: the centre
 		// product, then three groups of four taps in tap order. Where
-		// rowSIMD holds, rowAVX2 computes the first n &^ 3 points with
-		// the same rounding sequence, and the re-slices bound its reads.
+		// rowSIMD holds, blockAVX2 computes the whole row with the same
+		// rounding sequence, and the re-slices bound its reads.
 		c0, c1, c2, c3 := taps[0].c, taps[1].c, taps[2].c, taps[3].c
 		c4, c5, c6, c7 := taps[4].c, taps[5].c, taps[6].c, taps[7].c
 		c8, c9, c10, c11 := taps[8].c, taps[9].c, taps[10].c, taps[11].c
@@ -190,13 +225,12 @@ func stencilRow(out, in []float64, s0, n int, center float64, taps []tap) {
 		x6, x7 := in[s0+taps[6].off:][:n], in[s0+taps[7].off:][:n]
 		x8, x9 := in[s0+taps[8].off:][:n], in[s0+taps[9].off:][:n]
 		x10, x11 := in[s0+taps[10].off:][:n], in[s0+taps[11].off:][:n]
-		k0 := 0
-		if rowSIMD && n >= 4 {
-			k0 = n &^ 3
-			rowAVX2(&out[0], &x[0], k0, center, &taps[0])
+		if rowSIMD && n > 0 {
+			blockAVX2(&out[0], &x[0], 1, 1, n, 0, 0, 0, 0, center, &taps[0])
+			return
 		}
 		// bce:begin
-		for k := uint(k0); k < uint(len(out)); k++ {
+		for k := uint(0); k < uint(len(out)); k++ {
 			v := float64(center * x[k])
 			v += float64(c0*x0[k]) + float64(c1*x1[k]) + float64(c2*x2[k]) + float64(c3*x3[k])
 			v += float64(c4*x4[k]) + float64(c5*x5[k]) + float64(c6*x6[k]) + float64(c7*x7[k])
@@ -220,18 +254,11 @@ func stencilRow(out, in []float64, s0, n int, center float64, taps []tap) {
 // applyBlock computes dst = op(src) over one block. It is the innermost
 // building block of both the plane-split and the cache-blocked
 // traversals.
-func (op *Operator) applyBlock(dst, src *grid.Grid, taps []tap, b Block) {
-	in := src.Data()
-	out := dst.Data()
-	center := op.Center
-	n := b.Z1 - b.Z0
-	for i := b.X0; i < b.X1; i++ {
-		for j := b.Y0; j < b.Y1; j++ {
-			srow := src.Index(i, j, b.Z0)
-			drow := dst.Index(i, j, b.Z0)
-			stencilRow(out[drow:drow+n], in, srow, n, center, taps)
-		}
-	}
+func (op *Operator) applyBlock(dst, src *grid.Grid, lt *layoutTaps, b Block) {
+	isx, isy := src.Strides()
+	osx, osy := dst.Strides()
+	stencilBlock(dst.Data(), src.Data(), dst.Index(b.X0, b.Y0, b.Z0), src.Index(b.X0, b.Y0, b.Z0),
+		b.X1-b.X0, b.Y1-b.Y0, b.Z1-b.Z0, isx, isy, osx, osy, op.Center, lt)
 }
 
 // ApplyPeriodicReference fills src's halos periodically and applies the

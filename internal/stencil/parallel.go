@@ -174,13 +174,13 @@ const (
 // worker count.
 func (op *Operator) ApplyParallel(p *Pool, dst, src *grid.Grid) {
 	op.checkFused("ApplyParallel", src, dst)
-	taps := op.gridTaps(src)
+	lt := op.gridTaps(src)
 	op.sweep(p, src, 2, 0, func(_ int, _ []float64, b Block) {
 		for j0 := b.Y0; j0 < b.Y1; j0 += tileJ {
 			j1 := min(j0+tileJ, b.Y1)
 			for k0 := b.Z0; k0 < b.Z1; k0 += tileK {
 				k1 := min(k0+tileK, b.Z1)
-				op.applyBlock(dst, src, taps, Block{b.X0, b.X1, j0, j1, k0, k1})
+				op.applyBlock(dst, src, lt, Block{b.X0, b.X1, j0, j1, k0, k1})
 			}
 		}
 	})

@@ -29,21 +29,45 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func rowAVX2(out, x *float64, n int, center float64, taps *tap)
+// func blockAVX2(out, x *float64, nx, ny, n, isx, isy, osx, osy int, center float64, taps *tap)
 //
-// Four points per iteration with stencilRow's rounding sequence, every
-// product rounded (no fused multiply-add): the centre product, then per
-// group of four taps ((p_a + p_b) + p_c) + p_d added to it. Each
-// instruction takes its first source where the compiled Go loop does -
-// the grid value before the coefficient, the newer sum before the older
-// - so even NaN payloads agree. Y3 holds the centre, Y4-Y15 the 12
-// coefficients; tap offsets are reloaded per group.
-TEXT ·rowAVX2(SB), NOSPLIT, $0-40
+// stencilRow's 12-tap loop over nx planes of ny rows of n >= 1 points:
+// row (i, j) reads from x + i*isx + j*isy and writes out + i*osx +
+// j*osy. Four points per iteration, then the n & 3 tail one point at a
+// time, both with stencilRow's rounding sequence, every product rounded
+// (no fused multiply-add): the centre product, then per group of four
+// taps ((p_a + p_b) + p_c) + p_d added to it. Each instruction takes its
+// first source where the compiled Go loop does - the grid value before
+// the coefficient, the newer sum before the older - so even NaN
+// payloads agree. Y3 holds the centre, Y4-Y15 the 12 coefficients (the
+// tail uses their low lanes); tap offsets are reloaded per group. R12
+// and R13 step from a row's end to the next row's start, R14 and R15
+// from a plane's end to the next plane's start. The Go caller has
+// checked that every access lies inside its slice.
+TEXT ·blockAVX2(SB), NOSPLIT, $0-88
 	MOVQ         out+0(FP), DI
 	MOVQ         x+8(FP), SI
-	MOVQ         n+16(FP), CX
-	VBROADCASTSD center+24(FP), Y3
-	MOVQ         taps+32(FP), DX
+	MOVQ         nx+16(FP), AX
+	MOVQ         n+32(FP), R8
+	MOVQ         ny+24(FP), R9
+	MOVQ         isy+48(FP), R12
+	SUBQ         R8, R12
+	SHLQ         $3, R12
+	MOVQ         osy+64(FP), R13
+	SUBQ         R8, R13
+	SHLQ         $3, R13
+	MOVQ         R9, R14
+	IMULQ        isy+48(FP), R14
+	NEGQ         R14
+	ADDQ         isx+40(FP), R14
+	SHLQ         $3, R14
+	MOVQ         R9, R15
+	IMULQ        osy+64(FP), R15
+	NEGQ         R15
+	ADDQ         osx+56(FP), R15
+	SHLQ         $3, R15
+	VBROADCASTSD center+72(FP), Y3
+	MOVQ         taps+80(FP), DX
 	VBROADCASTSD 8(DX), Y4
 	VBROADCASTSD 24(DX), Y5
 	VBROADCASTSD 40(DX), Y6
@@ -56,10 +80,16 @@ TEXT ·rowAVX2(SB), NOSPLIT, $0-40
 	VBROADCASTSD 152(DX), Y13
 	VBROADCASTSD 168(DX), Y14
 	VBROADCASTSD 184(DX), Y15
-	TESTQ        CX, CX
-	JLE          done
 
-loop:
+plane:
+	MOVQ ny+24(FP), BX
+
+row:
+	MOVQ n+32(FP), CX
+	SUBQ $4, CX
+	JLT  tail
+
+vec:
 	VMOVUPD (SI), Y0
 	VMULPD  Y3, Y0, Y0
 
@@ -118,8 +148,82 @@ loop:
 	ADDQ    $32, SI
 	ADDQ    $32, DI
 	SUBQ    $4, CX
-	JGT     loop
+	JGE     vec
 
-done:
+tail:
+	ADDQ $4, CX
+	JLE  next
+
+one:
+	VMOVSD (SI), X0
+	VMULSD X3, X0, X0
+
+	MOVQ   0(DX), R8
+	MOVQ   16(DX), R9
+	MOVQ   32(DX), R10
+	MOVQ   48(DX), R11
+	VMOVSD (SI)(R8*8), X1
+	VMULSD X4, X1, X1
+	VMOVSD (SI)(R9*8), X2
+	VMULSD X5, X2, X2
+	VADDSD X1, X2, X1
+	VMOVSD (SI)(R10*8), X2
+	VMULSD X6, X2, X2
+	VADDSD X1, X2, X1
+	VMOVSD (SI)(R11*8), X2
+	VMULSD X7, X2, X2
+	VADDSD X1, X2, X1
+	VADDSD X0, X1, X0
+
+	MOVQ   64(DX), R8
+	MOVQ   80(DX), R9
+	MOVQ   96(DX), R10
+	MOVQ   112(DX), R11
+	VMOVSD (SI)(R8*8), X1
+	VMULSD X8, X1, X1
+	VMOVSD (SI)(R9*8), X2
+	VMULSD X9, X2, X2
+	VADDSD X1, X2, X1
+	VMOVSD (SI)(R10*8), X2
+	VMULSD X10, X2, X2
+	VADDSD X1, X2, X1
+	VMOVSD (SI)(R11*8), X2
+	VMULSD X11, X2, X2
+	VADDSD X1, X2, X1
+	VADDSD X0, X1, X0
+
+	MOVQ   128(DX), R8
+	MOVQ   144(DX), R9
+	MOVQ   160(DX), R10
+	MOVQ   176(DX), R11
+	VMOVSD (SI)(R8*8), X1
+	VMULSD X12, X1, X1
+	VMOVSD (SI)(R9*8), X2
+	VMULSD X13, X2, X2
+	VADDSD X1, X2, X1
+	VMOVSD (SI)(R10*8), X2
+	VMULSD X14, X2, X2
+	VADDSD X1, X2, X1
+	VMOVSD (SI)(R11*8), X2
+	VMULSD X15, X2, X2
+	VADDSD X1, X2, X1
+	VADDSD X0, X1, X0
+
+	VMOVSD X0, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, DI
+	SUBQ   $1, CX
+	JGT    one
+
+next:
+	ADDQ R12, SI
+	ADDQ R13, DI
+	SUBQ $1, BX
+	JGT  row
+	ADDQ R14, SI
+	ADDQ R15, DI
+	SUBQ $1, AX
+	JGT  plane
+
 	VZEROUPPER
 	RET

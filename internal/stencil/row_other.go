@@ -2,7 +2,9 @@
 
 package stencil
 
-// rowSIMD is false: off amd64 the 12-tap row runs the Go loop alone.
+// rowSIMD is false: off amd64 the 12-tap stencil runs the Go loop alone.
 var rowSIMD = false
 
-func rowAVX2(out, x *float64, n int, center float64, taps *tap) { panic("stencil: no SIMD row body") }
+func blockAVX2(out, x *float64, nx, ny, n, isx, isy, osx, osy int, center float64, taps *tap) {
+	panic("stencil: no SIMD block body")
+}

@@ -30,6 +30,9 @@ func setRowSIMD(tb testing.TB, simd bool) {
 	tb.Cleanup(func() { rowSIMD = hostRowSIMD })
 }
 
+// taps returns op's taps for a layout with strides (sx, sy, 1).
+func (op *Operator) taps(sx, sy int) []tap { return op.layout(sx, sy).taps }
+
 // TestRowBodyMatchesScalar holds the dispatching stencilRow to the Go
 // loop alone, bit for bit, at every row length 0-67 (vector bodies
 // with every tail, and rows too short for one vector), on random
@@ -91,17 +94,20 @@ func TestRowBodyMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestRowBodySweepsMatch runs every kernel that calls stencilRow with
-// each row body and compares the results bit for bit, on 24^3 and on a
-// 5x7x13 grid whose rows of 13 are three vectors and a one-point tail.
+// TestRowBodySweepsMatch runs every kernel with each stencil body, over
+// the Full, Interior and Shell views, and compares the results bit for
+// bit: on 24^3, on a 5x7x13 grid whose rows of 13 are three vectors
+// and a one-point tail, on the 12x6x6 local block of the 64-rank SCF
+// workload (rows of 6: one vector and a two-point tail) and on a
+// 3x40x10 grid that ApplyParallel splits into two y tiles.
 func TestRowBodySweepsMatch(t *testing.T) {
 	if !hostRowSIMD {
 		t.Skip("host has no AVX2 with OS-enabled YMM state: only the scalar row body runs")
 	}
-	t.Log("comparing the AVX2 row body with the scalar loop")
+	t.Log("comparing the AVX2 body with the scalar loop")
 	p := NewPool(2)
 	defer p.Close()
-	for _, e := range [][3]int{{24, 24, 24}, {5, 7, 13}} {
+	for _, e := range [][3]int{{24, 24, 24}, {5, 7, 13}, {12, 6, 6}, {3, 40, 10}} {
 		field := func(seed int) *grid.Grid {
 			g := grid.New(e[0], e[1], e[2], 2)
 			g.FillFunc(func(i, j, k int) float64 { return math.Sin(float64(seed + 3*i + 5*j + 7*k)) })
@@ -110,35 +116,197 @@ func TestRowBodySweepsMatch(t *testing.T) {
 		}
 		src, aux, prev := field(1), field(2), field(3)
 		op := Laplacian(2, 0.4)
-		// run applies every kernel with one row body and returns each
-		// output grid and the two reductions.
-		run := func(simd bool) (outs []*grid.Grid, sums []float64) {
+		// run applies every kernel over every view with one body and
+		// returns each output grid's values and each reduction, keyed
+		// by view and kernel.
+		run := func(simd bool) (outs map[string][]float64, sums map[string]float64) {
 			rowSIMD = simd
 			defer func() { rowSIMD = hostRowSIMD }()
-			out := func() *grid.Grid { g := grid.New(e[0], e[1], e[2], 2); outs = append(outs, g); return g }
-			op.Apply(out(), src)
-			op.ApplySmooth(p, out(), src, aux, 0.11)
-			op.ApplyRecurrence(p, out(), src, aux, prev, 0.7, -0.2, 0.3)
-			var dot, res detsum.Acc
-			op.ApplyDotAcc(p, out(), src, &dot)
-			op.ApplyResidualAcc(p, out(), aux, src, &res)
-			return outs, []float64{dot.Round(), res.Round()}
+			outs, sums = map[string][]float64{}, map[string]float64{}
+			for r, view := range []string{"Full", "Interior", "Shell"} {
+				v := op.Over(Region(r))
+				out := func(kernel string) *grid.Grid {
+					g := grid.New(e[0], e[1], e[2], 2)
+					outs[view+" "+kernel] = g.Data()
+					return g
+				}
+				v.Apply(out("Apply"), src)
+				v.ApplyParallel(p, out("ApplyParallel"), src)
+				v.ApplySmooth(p, out("ApplySmooth"), src, aux, 0.11)
+				v.ApplyRecurrence(p, out("ApplyRecurrence"), src, aux, prev, 0.7, -0.2, 0.3)
+				var dot, res detsum.Acc
+				v.ApplyDotAcc(p, out("ApplyDotAcc"), src, &dot)
+				v.ApplyResidualAcc(p, out("ApplyResidualAcc"), aux, src, &res)
+				sums[view+" ApplyDotAcc"], sums[view+" ApplyResidualAcc"] = dot.Round(), res.Round()
+			}
+			return outs, sums
 		}
 		simdOuts, simdSums := run(true)
 		scalarOuts, scalarSums := run(false)
-		names := []string{"Apply", "ApplySmooth", "ApplyRecurrence", "ApplyDotAcc", "ApplyResidualAcc"}
-		for i, name := range names {
-			a, b := simdOuts[i].Data(), scalarOuts[i].Data()
+		for name, a := range simdOuts {
+			b := scalarOuts[name]
 			for k := range a {
 				if math.Float64bits(a[k]) != math.Float64bits(b[k]) {
 					t.Fatalf("%v %s: value %d is %g with the SIMD body, %g scalar", e, name, k, a[k], b[k])
 				}
 			}
 		}
-		for i, name := range names[3:] {
-			if math.Float64bits(simdSums[i]) != math.Float64bits(scalarSums[i]) {
-				t.Fatalf("%v %s: sum %g with the SIMD body, %g scalar", e, name, simdSums[i], scalarSums[i])
+		for name, a := range simdSums {
+			if b := scalarSums[name]; math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%v %s: sum %g with the SIMD body, %g scalar", e, name, a, b)
 			}
 		}
+	}
+}
+
+// blockLayout is where a block lies in a source and a destination
+// slice: their lengths, the block's first source and destination
+// indices and both stride pairs.
+type blockLayout struct {
+	lin, lout, s0, d0, isx, isy, osx, osy int
+}
+
+// newBlockLayout lays out the whole interior of an nx x ny x n grid
+// with halo hin as the source and with halo hout as the destination.
+func newBlockLayout(nx, ny, n, hin, hout int) blockLayout {
+	isy, osy := n+2*hin, n+2*hout
+	isx, osx := (ny+2*hin)*isy, (ny+2*hout)*osy
+	return blockLayout{
+		lin: (nx + 2*hin) * isx, lout: (nx + 2*hout) * osx,
+		s0: hin * (isx + isy + 1), d0: hout * (osx + osy + 1),
+		isx: isx, isy: isy, osx: osx, osy: osy,
+	}
+}
+
+// TestBlockBodyMatchesScalar holds the block entry to stencilRow's Go
+// loop run row by row, bit for bit, on every block of 1-4 planes of
+// 1-4 rows of 0-67 points, with source and destination halos that
+// differ (so do their strides), on random coefficients and inputs that
+// mix ordinary values, ±0, ±Inf, quiet and signalling NaNs with random
+// payloads, and subnormals. Every destination value outside the block
+// must keep its sentinel.
+func TestBlockBodyMatchesScalar(t *testing.T) {
+	t.Logf("dispatching body: %s", rowBodyName(hostRowSIMD))
+	rng := rand.New(rand.NewPCG(5, 6))
+	value := func() float64 {
+		switch rng.IntN(12) {
+		case 0:
+			return math.Copysign(0, float64(rng.IntN(2))-0.5)
+		case 1:
+			return math.Inf(rng.IntN(2)*2 - 1)
+		case 2:
+			return math.Float64frombits(0x7ff0000000000000 | rng.Uint64()&0x800fffffffffffff | 1)
+		case 3:
+			return (rng.Float64() - 0.5) * 1e4 * math.SmallestNonzeroFloat64
+		default:
+			return (rng.Float64() - 0.5) * math.Pow(10, float64(rng.IntN(9)-4))
+		}
+	}
+	coeffs := func() []float64 {
+		c := make([]float64, 5)
+		for i := range c {
+			c[i] = (rng.Float64() + 0.25) * math.Pow(10, float64(rng.IntN(7)-3))
+		}
+		if rng.IntN(4) == 0 {
+			c[rng.IntN(5)] = value() // rarely ±Inf, NaN or subnormal; a zero drops its tap
+		}
+		return c
+	}
+	const sentinel = 0x7ff8dead0000beef
+	for trial := 0; trial < 3; trial++ {
+		op := NewOperator(2, coeffs(), coeffs(), coeffs())
+		hin, hout := 2+rng.IntN(2), rng.IntN(4)
+		for nx := 1; nx <= 4; nx++ {
+			for ny := 1; ny <= 4; ny++ {
+				for n := 0; n < 68; n++ {
+					l := newBlockLayout(nx, ny, n, hin, hout)
+					lt := op.layout(l.isx, l.isy)
+					in := make([]float64, l.lin)
+					for i := range in {
+						in[i] = value()
+					}
+					got, want := make([]float64, l.lout), make([]float64, l.lout)
+					for i := range got {
+						got[i], want[i] = math.Float64frombits(sentinel), math.Float64frombits(sentinel)
+					}
+					stencilBlock(got, in, l.d0, l.s0, nx, ny, n, l.isx, l.isy, l.osx, l.osy, op.Center, lt)
+					rowSIMD = false
+					for i := 0; i < nx; i++ {
+						for j := 0; j < ny; j++ {
+							d := l.d0 + i*l.osx + j*l.osy
+							stencilRow(want[d:d+n], in, l.s0+i*l.isx+j*l.isy, n, op.Center, lt.taps)
+						}
+					}
+					rowSIMD = hostRowSIMD
+					for k := range want {
+						if g, w := math.Float64bits(got[k]), math.Float64bits(want[k]); g != w {
+							t.Fatalf("%d taps, %dx%dx%d block, halos %d->%d: out[%d] = %#x, scalar %#x",
+								len(lt.taps), nx, ny, n, hin, hout, k, g, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBlockBoundsPanics: a block whose lowest or highest read, or
+// lowest or highest write, falls outside its slice panics in Go before
+// either body runs, leaving the destination untouched; the same block
+// exactly fitting its slices runs.
+func TestBlockBoundsPanics(t *testing.T) {
+	for _, simd := range []bool{true, false} {
+		t.Run(rowBodyName(simd), func(t *testing.T) {
+			setRowSIMD(t, simd)
+			op := Laplacian(2, 0.5)
+			const nx, ny, n = 3, 2, 7
+			l := newBlockLayout(nx, ny, n, 2, 1)
+			lt := op.layout(l.isx, l.isy)
+			// Trim in to the block's reach: reads run from s0+minOff to
+			// s0+span+maxOff, writes from d0 to d0+wspan.
+			span := (nx-1)*l.isx + (ny-1)*l.isy + n - 1
+			wspan := (nx-1)*l.osx + (ny-1)*l.osy + n - 1
+			full := make([]float64, l.lin)
+			for i := range full {
+				full[i] = float64(i % 17)
+			}
+			in := full[l.s0+lt.minOff : l.s0+span+lt.maxOff+1]
+			s0 := -lt.minOff
+			for _, c := range []struct {
+				name       string
+				s0, d0     int
+				trimIn     int
+				trimOut    int
+				wantsPanic bool
+			}{
+				{"exact fit", s0, 0, 0, 0, false},
+				{"lowest read", s0 - 1, 0, 0, 0, true},
+				{"highest read", s0, 0, 1, 0, true},
+				{"lowest write", s0, -1, 0, 0, true},
+				{"highest write", s0, 0, 0, 1, true},
+			} {
+				out := make([]float64, wspan+1)
+				for i := range out {
+					out[i] = -1
+				}
+				panicked := func() (p bool) {
+					defer func() { p = recover() != nil }()
+					stencilBlock(out[:len(out)-c.trimOut], in[:len(in)-c.trimIn], c.d0, c.s0,
+						nx, ny, n, l.isx, l.isy, l.osx, l.osy, op.Center, lt)
+					return false
+				}()
+				if panicked != c.wantsPanic {
+					t.Fatalf("%s: panicked = %v, want %v", c.name, panicked, c.wantsPanic)
+				}
+				if !c.wantsPanic {
+					continue
+				}
+				for i, v := range out {
+					if v != -1 {
+						t.Fatalf("%s: out[%d] = %g written before the panic", c.name, i, v)
+					}
+				}
+			}
+		})
 	}
 }

@@ -397,7 +397,7 @@ func TestStencilRowMatchesOracle(t *testing.T) {
 
 // BenchmarkApply reports the serial 13-point kernel's cost per point at
 // the local extents the benchmark's workloads sweep: 24^3 (the SCF
-// system), 48^3 (fd_batch's grids) and 64^3, with the AVX2 row body
+// system), 48^3 (fd_batch's grids) and 64^3, with the AVX2 block body
 // (simd, skipped on a host without AVX2) and with the Go loop alone
 // (scalar).
 func BenchmarkApply(b *testing.B) {
