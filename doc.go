@@ -121,11 +121,15 @@
 //     block size (ascending-k panel broadcasts reproduce the serial
 //     rounding sequence exactly). The solver's m x m subspace step runs
 //     replicated internal/linalg on every rank.
-//   - internal/detsum — exact, order-independent float64 summation: a
-//     Kulisch-style superaccumulator of 68 int64 bins into which each
-//     value's mantissa is deposited by integer shifts and adds, a row at
-//     a time (AddSlice/AddMulSlice; the detsum.* ledger rows of
-//     `bash benchmark/run.sh --trace 1` price it against a plain dot).
+//   - internal/detsum — exact, order-independent float64 summation on
+//     two levels: a Kulisch-style superaccumulator of 68 int64 bins into
+//     which each value's mantissa is deposited by integer shifts and
+//     adds, a row at a time (AddSlice/AddMulSlice), and in front of it,
+//     for dots of 1024 products or more (MulRows), a per-exponent front
+//     end that adds each product's mantissa to its exponent's int64
+//     chunk and drains the chunks into the 68 bins (the detsum.* ledger
+//     rows of `bash benchmark/run.sh --trace 1` price it against a plain
+//     dot).
 //     Every reduction in the
 //     solver stack accumulates through it, which makes dot products,
 //     norms and sums bit-identical for every thread count, rank count

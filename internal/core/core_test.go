@@ -173,6 +173,61 @@ func TestDirichletBoundary(t *testing.T) {
 	verifyJob(t, j)
 }
 
+// TestExchangeWithoutNeighbourLeavesHalos: on non-periodic layouts, an
+// Exchange fills exactly the halos that face a neighbour. A dimension
+// with no neighbour on either side (every dimension of one rank, y and
+// z of a 2x1x1 split) leaves its sentinel halo values untouched, and
+// the 2x1x1 split's one-sided x edge fills its inner halo and keeps its
+// outer one — under the serialized and the asynchronous exchange alike.
+func TestExchangeWithoutNeighbourLeavesHalos(t *testing.T) {
+	const sentinel = -7.25
+	global := topology.Dims{8, 6, 6}
+	for _, approach := range []Approach{FlatOriginal, FlatOptimized} {
+		for _, procs := range []topology.Dims{{1, 1, 1}, {2, 1, 1}} {
+			err := runRanks(procs[0], mpi.ThreadSingle, func(c *mpi.Comm) {
+				eng := overlapEngine(c, global, procs, false, OptionsFor(approach, 2, 1))
+				gs := []*grid.Grid{eng.NewLocalGrid(), eng.NewLocalGrid()}
+				for _, g := range gs {
+					d := g.Data() // interior and halos
+					for k := range d {
+						d[k] = sentinel
+					}
+				}
+				fillLocal(eng.decomp, eng.coord, gs)
+				eng.Exchange(gs)
+				off := eng.decomp.Offset(eng.coord)
+				for gi, g := range gs {
+					for i := -2; i < g.Nx+2; i++ {
+						for j := -2; j < g.Ny+2; j++ {
+							for k := -2; k < g.Nz+2; k++ {
+								in := [3]bool{i >= 0 && i < g.Nx, j >= 0 && j < g.Ny, k >= 0 && k < g.Nz}
+								gx := off[0] + i
+								// Only a face halo across x, inside the global
+								// domain, has a neighbour to fill it.
+								filled := !in[0] && in[1] && in[2] && gx >= 0 && gx < global[0]
+								want := sentinel
+								switch {
+								case in[0] && in[1] && in[2]:
+									continue
+								case filled:
+									want = float64(gi*1000000+gx*10000+(off[1]+j)*100+(off[2]+k)) + 0.5
+								}
+								if got := g.At(i, j, k); got != want {
+									panic(fmt.Sprintf("%v %v rank %d grid %d halo (%d,%d,%d) = %g, want %g",
+										approach, procs, c.Rank(), gi, i, j, k, got, want))
+								}
+							}
+						}
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 func TestBatchSizeInvariance(t *testing.T) {
 	// Results must be identical for every batch size (batching only
 	// changes message packing).

@@ -249,10 +249,20 @@ func (e *Engine) startExchange(st *exchangeState, src []*grid.Grid, tagBase, bi 
 	sp.End()
 }
 
+// isolated reports whether dimension dim has no neighbour on either
+// side (a non-periodic dimension the process grid does not divide):
+// its exchange moves nothing, so it walks no face and posts nothing.
+func (e *Engine) isolated(dim int) bool {
+	return e.nbr[dim][grid.Low] == mpi.ProcNull && e.nbr[dim][grid.High] == mpi.ProcNull
+}
+
 // postDim posts the receives and sends of one dimension for the batch.
 //
 //gpaw:hotpath
 func (e *Engine) postDim(st *exchangeState, src []*grid.Grid, tagBase, bi, dim int) {
+	if e.isolated(dim) {
+		return
+	}
 	faceLen := src[st.b.Lo].FaceLen(dim, e.op.R)
 	n := st.b.Size() * faceLen
 	for _, side := range [...]grid.Side{grid.Low, grid.High} {
@@ -338,6 +348,9 @@ func (e *Engine) unpack(st *exchangeState, src []*grid.Grid) {
 //
 //gpaw:hotpath
 func (e *Engine) unpackDim(st *exchangeState, src []*grid.Grid, dim int) {
+	if e.isolated(dim) {
+		return
+	}
 	faceLen := src[st.b.Lo].FaceLen(dim, e.op.R)
 	low, high := st.recv[dim][grid.Low], st.recv[dim][grid.High]
 	for gi := st.b.Lo; gi < st.b.Hi; gi++ {

@@ -2,6 +2,7 @@ package detsum
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -481,17 +482,50 @@ func BenchmarkAdd(b *testing.B) {
 	_ = a.Round()
 }
 
+// BenchmarkAddMulSlice feeds 4096 products in rows of 6, 24 and 48 (the
+// z-rows of a coarse multigrid level, the 24^3 SCF grid and a 48^3
+// grid) through a front cleared before and drained after them, as
+// MulRows does (front), and through Acc.AddMulSlice (acc). Random data
+// spreads the products over a few dozen exponents; smooth data, a
+// slowly varying field squared, puts long runs of them on one.
 func BenchmarkAddMulSlice(b *testing.B) {
+	const terms = 4096
 	rng := rand.New(rand.NewSource(1))
-	xs, ys := make([]float64, 4096), make([]float64, 4096)
+	xs, ys, sm := make([]float64, terms), make([]float64, terms), make([]float64, terms)
 	for i := range xs {
 		xs[i], ys[i] = rng.NormFloat64(), rng.NormFloat64()
+		sm[i] = 1 + 0.25*math.Sin(float64(i)/200)
 	}
-	var a Acc
-	b.SetBytes(8 * 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.AddMulSlice(xs, ys)
+	for _, d := range []struct {
+		name string
+		x, y []float64
+	}{{"random", xs, ys}, {"smooth", sm, sm}} {
+		name, x, y := d.name, d.x, d.y
+		for _, n := range []int{6, 24, 48} {
+			b.Run(fmt.Sprintf("%s/row%d/front", name, n), func(b *testing.B) {
+				var a Acc
+				b.SetBytes(8 * terms)
+				for b.Loop() {
+					var f front // cleared per sweep, as in MulRows
+					for lo := 0; lo < terms; lo += n {
+						hi := min(lo+n, terms)
+						f.addMulSlice(&a, x[lo:hi], y[lo:hi])
+					}
+					f.drain(&a)
+				}
+				_ = a.Round()
+			})
+			b.Run(fmt.Sprintf("%s/row%d/acc", name, n), func(b *testing.B) {
+				var a Acc
+				b.SetBytes(8 * terms)
+				for b.Loop() {
+					for lo := 0; lo < terms; lo += n {
+						hi := min(lo+n, terms)
+						a.AddMulSlice(x[lo:hi], y[lo:hi])
+					}
+				}
+				_ = a.Round()
+			})
+		}
 	}
-	_ = a.Round()
 }

@@ -21,7 +21,8 @@ import (
 // the contract that lets the distributed solvers in internal/gpaw be
 // bit-identical to the serial ones. Every reduction has an Acc-range
 // form feeding a caller-owned accumulator; the plain forms round the
-// accumulator to float64.
+// accumulator to float64. The dots hand their rows to Acc.MulRows,
+// which puts a long sweep through a per-exponent front end.
 
 // checkSame panics unless o has g's interior extents.
 func (g *Grid) checkSame(op string, o *Grid) {
@@ -92,13 +93,11 @@ func (g *Grid) DotRange(o *Grid, i0, i1 int) float64 {
 // [i0, i1) into acc.
 func (g *Grid) DotAccRange(o *Grid, i0, i1 int, acc *detsum.Acc) {
 	g.checkSame("Dot", o)
-	for i := i0; i < i1; i++ {
-		for j := 0; j < g.Ny; j++ {
-			a := g.index(i, j, 0)
-			b := o.index(i, j, 0)
-			acc.AddMulSlice(g.data[a:a+g.Nz], o.data[b:b+g.Nz])
-		}
-	}
+	acc.MulRows(i1-i0, g.Ny, g.Nz, func(i, j int) ([]float64, []float64) {
+		a := g.index(i0+i, j, 0)
+		b := o.index(i0+i, j, 0)
+		return g.data[a : a+g.Nz], o.data[b : b+g.Nz]
+	})
 	g.noteTraffic(i1-i0, dotStreams(g, o))
 }
 
@@ -130,17 +129,15 @@ func (g *Grid) AxpyDotRange(a float64, x *Grid, i0, i1 int) float64 {
 // accumulates the updated <g, g> into acc in the same sweep.
 func (g *Grid) AxpyDotAccRange(a float64, x *Grid, i0, i1 int, acc *detsum.Acc) {
 	g.checkSame("AxpyDot", x)
-	for i := i0; i < i1; i++ {
-		for j := 0; j < g.Ny; j++ {
-			dst := g.index(i, j, 0)
-			src := x.index(i, j, 0)
-			row, xrow := g.data[dst:dst+g.Nz], x.data[src:src+g.Nz]
-			for k, xv := range xrow {
-				row[k] += float64(a * xv)
-			}
-			acc.AddMulSlice(row, row)
+	acc.MulRows(i1-i0, g.Ny, g.Nz, func(i, j int) ([]float64, []float64) {
+		dst := g.index(i0+i, j, 0)
+		src := x.index(i0+i, j, 0)
+		row, xrow := g.data[dst:dst+g.Nz], x.data[src:src+g.Nz]
+		for k, xv := range xrow {
+			row[k] += float64(a * xv)
 		}
-	}
+		return row, row
+	})
 	g.noteTraffic(i1-i0, 3)
 }
 

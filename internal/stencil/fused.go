@@ -13,12 +13,18 @@ import (
 // roughly in half versus chains of Apply/Scale/Axpy/Dot (see the
 // package comment for the stream model). All kernels evaluate the
 // stencil one row at a time through stencilBlock into a cache-resident
-// row buffer, so their stencil values are bit-identical to Apply's.
+// row buffer, so their stencil values are bit-identical to Apply's. The
+// elementwise rest of each row (the epilogue) loops over operands
+// re-sliced to the row's length, so it carries no bounds check (CI
+// holds the bce:begin/bce:end regions to that).
 //
 // Reductions accumulate per-worker detsum.Acc partials merged exactly,
 // so every result is independent of the pool's worker count and of any
 // distributed-memory partitioning of the same elements (see
-// internal/detsum).
+// internal/detsum). The reducing kernels hand their rows to
+// Acc.MulRows, which takes a block of 1024 points or more through the
+// per-exponent front end and a smaller one straight into the Acc, with
+// the same bits either way.
 //
 // Aliasing: the grid the stencil reads (src/phi) must not alias any
 // output grid — the stencil reads neighbouring planes that a fused
@@ -124,14 +130,12 @@ func (op *Operator) applyDotBlock(dst, src *grid.Grid, lt *layoutTaps, a *detsum
 	in := src.Data()
 	out := dst.Data()
 	n := blk.Z1 - blk.Z0
-	for i := blk.X0; i < blk.X1; i++ {
-		for j := blk.Y0; j < blk.Y1; j++ {
-			srow := src.Index(i, j, blk.Z0)
-			drow := dst.Index(i, j, blk.Z0)
-			stencilBlock(out, in, drow, srow, 1, 1, n, 0, 0, 0, 0, op.Center, lt)
-			a.AddMulSlice(in[srow:srow+n], out[drow:drow+n])
-		}
-	}
+	a.MulRows(blk.X1-blk.X0, blk.Y1-blk.Y0, n, func(i, j int) ([]float64, []float64) {
+		srow := src.Index(blk.X0+i, blk.Y0+j, blk.Z0)
+		drow := dst.Index(blk.X0+i, blk.Y0+j, blk.Z0)
+		stencilBlock(out, in, drow, srow, 1, 1, n, 0, 0, 0, 0, op.Center, lt)
+		return in[srow : srow+n], out[drow : drow+n]
+	})
 }
 
 // ApplyResidualAcc computes r = b - op(phi) and accumulates |r|^2 into
@@ -152,19 +156,18 @@ func (op *Operator) applyResidualBlock(r, b, phi *grid.Grid, lt *layoutTaps, row
 	rd := r.Data()
 	bd := b.Data()
 	n := blk.Z1 - blk.Z0
-	buf := row[:n]
-	for i := blk.X0; i < blk.X1; i++ {
-		for j := blk.Y0; j < blk.Y1; j++ {
-			stencilBlock(buf, in, 0, phi.Index(i, j, blk.Z0), 1, 1, n, 0, 0, 0, 0, op.Center, lt)
-			rrow := r.Index(i, j, blk.Z0)
-			brow := b.Index(i, j, blk.Z0)
-			res := rd[rrow : rrow+n]
-			for k, bv := range bd[brow : brow+n] {
-				res[k] = bv - buf[k]
-			}
-			a.AddMulSlice(res, res)
+	a.MulRows(blk.X1-blk.X0, blk.Y1-blk.Y0, n, func(i, j int) ([]float64, []float64) {
+		i, j = blk.X0+i, blk.Y0+j
+		buf := row[:n]
+		stencilBlock(buf, in, 0, phi.Index(i, j, blk.Z0), 1, 1, n, 0, 0, 0, 0, op.Center, lt)
+		res, bv := rd[r.Index(i, j, blk.Z0):][:n], bd[b.Index(i, j, blk.Z0):][:n]
+		// bce:begin
+		for k, s := range buf {
+			res[k] = bv[k] - s
 		}
-	}
+		// bce:end
+		return res, res
+	})
 }
 
 // ApplySmooth computes dst = phi + c*(rhs - op(phi)) in one sweep
@@ -190,13 +193,22 @@ func (op *Operator) applySmoothBlock(dst, phi, rhs *grid.Grid, lt *layoutTaps, r
 		for j := blk.Y0; j < blk.Y1; j++ {
 			srow := phi.Index(i, j, blk.Z0)
 			stencilBlock(buf, in, 0, srow, 1, 1, n, 0, 0, 0, 0, op.Center, lt)
-			drow := dst.Index(i, j, blk.Z0)
-			brow := rhs.Index(i, j, blk.Z0)
-			for k := 0; k < n; k++ {
-				out[drow+k] = in[srow+k] + float64(c*(bd[brow+k]-buf[k]))
-			}
+			smoothRow(out[dst.Index(i, j, blk.Z0):][:n], buf, in[srow:][:n], bd[rhs.Index(i, j, blk.Z0):][:n], c)
 		}
 	}
+}
+
+// smoothRow is ApplySmooth's epilogue on one row of len(o) points, with
+// s the stencil value of phi: o = phi + c*(rhs - s). A leaf, like
+// stepRow.
+func smoothRow(o, s, phi, rhs []float64, c float64) {
+	n := len(o)
+	s, phi, rhs = s[:n], phi[:n], rhs[:n]
+	// bce:begin
+	for k, sk := range s {
+		o[k] = phi[k] + float64(c*(rhs[k]-sk))
+	}
+	// bce:end
 }
 
 // ApplyRecurrence computes dst = beta*src + alpha*(op(src) + v.*src) +
@@ -249,30 +261,68 @@ func (op *Operator) applyStepBlock(dst, src, v, prev *grid.Grid, lt *layoutTaps,
 		for j := blk.Y0; j < blk.Y1; j++ {
 			srow := src.Index(i, j, blk.Z0)
 			stencilBlock(buf, in, 0, srow, 1, 1, n, 0, 0, 0, 0, op.Center, lt)
+			var vx, p []float64
 			if v != nil {
-				vrow := v.Index(i, j, blk.Z0)
-				for k := 0; k < n; k++ {
-					buf[k] += float64(vd[vrow+k] * in[srow+k])
-				}
+				vx = vd[v.Index(i, j, blk.Z0):][:n]
 			}
-			drow := dst.Index(i, j, blk.Z0)
-			switch {
-			case prev != nil:
-				prow := prev.Index(i, j, blk.Z0)
-				for k := 0; k < n; k++ {
-					out[drow+k] = float64(beta*in[srow+k]) + float64(alpha*buf[k]) + float64(gamma*pd[prow+k])
-				}
-			case beta == 0 && alpha == 1:
-				copy(out[drow:drow+n], buf)
-			case beta == 1:
-				for k := 0; k < n; k++ {
-					out[drow+k] = in[srow+k] + float64(alpha*buf[k])
-				}
-			default:
-				for k := 0; k < n; k++ {
-					out[drow+k] = float64(beta*in[srow+k]) + float64(alpha*buf[k])
-				}
+			if prev != nil {
+				p = pd[prev.Index(i, j, blk.Z0):][:n]
 			}
+			stepRow(out[dst.Index(i, j, blk.Z0):][:n], buf, in[srow:][:n], vx, p, alpha, beta, gamma)
 		}
 	}
+}
+
+// stepRow is ApplyRecurrence's epilogue on one row of len(o) points:
+// with s the stencil value and x the source, t = s + v*x (s alone when
+// vx is nil), then o = beta*x + alpha*t + gamma*p (no gamma term when p
+// is nil; o = t itself when beta = 0 and alpha = 1, o = x + alpha*t
+// when beta = 1). p may be o: each p[k] is read before o[k] is written.
+// A leaf of its own, so the block walk's state stays out of the
+// registers the loop needs.
+func stepRow(o, s, x, vx, p []float64, alpha, beta, gamma float64) {
+	n := len(o)
+	s, x = s[:n], x[:n]
+	// An absent operand stands in as x, never read, so that every
+	// operand is re-sliced to n and the loops carry no bounds check.
+	addV, recur := vx != nil, p != nil
+	if !addV {
+		vx = x
+	}
+	if !recur {
+		p = x
+	}
+	vx, p = vx[:n], p[:n]
+	// bce:begin
+	switch {
+	case recur:
+		for k, t := range s {
+			if addV {
+				t += float64(vx[k] * x[k])
+			}
+			o[k] = float64(beta*x[k]) + float64(alpha*t) + float64(gamma*p[k])
+		}
+	case beta == 0 && alpha == 1:
+		for k, t := range s {
+			if addV {
+				t += float64(vx[k] * x[k])
+			}
+			o[k] = t
+		}
+	case beta == 1:
+		for k, t := range s {
+			if addV {
+				t += float64(vx[k] * x[k])
+			}
+			o[k] = x[k] + float64(alpha*t)
+		}
+	default:
+		for k, t := range s {
+			if addV {
+				t += float64(vx[k] * x[k])
+			}
+			o[k] = float64(beta*x[k]) + float64(alpha*t)
+		}
+	}
+	// bce:end
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/detsum"
 	"repro/internal/grid"
 )
 
@@ -413,6 +414,46 @@ func BenchmarkApply(b *testing.B) {
 				b.SetBytes(int64(src.Points() * op.BytesPerPoint()))
 				for b.Loop() {
 					op.Apply(dst, src)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(src.Points()), "ns/pt")
+			})
+		}
+	}
+}
+
+// BenchmarkFused reports the fused kernels' cost per point on one
+// goroutine at a coarse multigrid level's extent (12x6x6, whose
+// ApplyResidualAcc sweep feeds its dot straight into the Acc) and at
+// the SCF grid's 24^3 (whose sweep goes through the front end):
+// ApplyStep is a Hamiltonian application, ApplyRecurrence a Chebyshev
+// filter step, ApplySmooth a Jacobi relaxation, ApplyResidualAcc the
+// residual with its exact norm.
+func BenchmarkFused(b *testing.B) {
+	op := Laplacian(2, 0.6)
+	for _, d := range [][3]int{{12, 6, 6}, {24, 24, 24}} {
+		grids := make([]*grid.Grid, 4)
+		for i := range grids {
+			grids[i] = grid.New(d[0], d[1], d[2], 2)
+			grids[i].FillFunc(func(x, y, z int) float64 { return math.Sin(float64(x + 2*y + 3*z + i)) })
+			grids[i].FillHalosPeriodic()
+		}
+		src, v, prev, dst := grids[0], grids[1], grids[2], grids[3]
+		kernels := []struct {
+			name string
+			run  func()
+		}{
+			{"step", func() { op.ApplyStep(nil, dst, src, v, 1, 0) }},
+			{"recurrence", func() { op.ApplyRecurrence(nil, dst, src, v, prev, 0.7, -0.3, -1) }},
+			{"smooth", func() { op.ApplySmooth(nil, dst, src, v, 0.1) }},
+			{"residual", func() {
+				var acc detsum.Acc
+				op.ApplyResidualAcc(nil, dst, v, src, &acc)
+			}},
+		}
+		for _, k := range kernels {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", d[0], d[1], d[2], k.name), func(b *testing.B) {
+				for b.Loop() {
+					k.run()
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(src.Points()), "ns/pt")
 			})
