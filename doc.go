@@ -125,7 +125,7 @@
 //     two levels: a Kulisch-style superaccumulator of 68 int64 bins into
 //     which each value's mantissa is deposited by integer shifts and
 //     adds, a row at a time (AddSlice/AddMulSlice), and in front of it,
-//     for dots of 1024 products or more (MulRows), a per-exponent front
+//     for the dot sweeps (MulRows), a per-exponent front
 //     end that adds each product's mantissa to its exponent's int64
 //     chunk and drains the chunks into the 68 bins (the detsum.* ledger
 //     rows of `bash benchmark/run.sh --trace 1` price it against a plain

@@ -27,15 +27,13 @@
 // bounds checks are paid once per row.
 //
 // Long exact dots run on two levels, after R. M. Neal's small and large
-// superaccumulators (arXiv:1505.05571). MulRows hands a sweep of at
-// least frontMin products to a per-exponent front end: one int64 chunk
-// per biased exponent, to which each product adds its signed mantissa
-// in one integer add, drained into the 68-bin register every 1024 terms
-// (before any chunk can overflow) and at the end of the sweep. The
-// register ends up holding the same exact sum, and so the same bins and
-// the same Round, as AddMulSlice over the same products. A shorter
-// sweep goes straight to AddMulSlice: the smallest would not repay
-// clearing the front end's 16 KB.
+// superaccumulators (arXiv:1505.05571). MulRows hands a sweep to a
+// per-exponent front end: one int64 chunk per biased exponent, to which
+// each product adds its signed mantissa in one integer add, drained
+// into the 68-bin register every 1024 terms (before any chunk can
+// overflow) and at the end of the sweep. The register ends up holding
+// the same exact sum, and so the same bins and the same Round, as
+// AddMulSlice over the same products.
 //
 // Accumulators serialize to a flat []float64 (Transport/MergeTransport)
 // so they travel through the mpi runtime unchanged and merge on the

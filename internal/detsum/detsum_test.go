@@ -529,3 +529,42 @@ func BenchmarkAddMulSlice(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMulRows times one whole sweep through a front, as MulRows
+// runs it (clear, add, drain), and through AddMulSlice, at block sizes
+// the SCF workloads sweep: a 3^3 coarse level, 3x6x6 and 6^3 blocks,
+// and 2, 3 and 12 planes of 12x12. On a short sweep the front's fixed
+// cost, clearing 16 KB of chunks and the drain, outweighs its cheaper
+// adds.
+func BenchmarkMulRows(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, s := range [][3]int{{3, 3, 3}, {3, 6, 6}, {6, 6, 6}, {2, 12, 12}, {3, 12, 12}, {12, 12, 12}} {
+		nx, ny, n := s[0], s[1], s[2]
+		x, y := make([]float64, nx*ny*n), make([]float64, nx*ny*n)
+		for i := range x {
+			x[i], y[i] = rng.NormFloat64(), rng.NormFloat64()
+		}
+		row := func(i, j int) ([]float64, []float64) {
+			o := (i*ny + j) * n
+			return x[o : o+n], y[o : o+n]
+		}
+		b.Run(fmt.Sprintf("n%d/front", len(x)), func(b *testing.B) {
+			var a Acc
+			for b.Loop() {
+				a.MulRows(nx, ny, row)
+			}
+			_ = a.Round()
+		})
+		b.Run(fmt.Sprintf("n%d/acc", len(x)), func(b *testing.B) {
+			var a Acc
+			for b.Loop() {
+				for i := range nx {
+					for j := range ny {
+						a.AddMulSlice(row(i, j))
+					}
+				}
+			}
+			_ = a.Round()
+		})
+	}
+}

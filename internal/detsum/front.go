@@ -10,22 +10,13 @@ const (
 	// term adds a mantissa below 2^53 in magnitude to one chunk, so 1024
 	// of them keep every chunk below 2^63; a 1025th could overflow it.
 	frontTerms = 1 << 10
-	// frontMin is the sweep length, in products, from which MulRows goes
-	// through a front. On a hot cache a front repays clearing its 16 KB
-	// from roughly 150-200 products on (rows of 3 to 12), and the small
-	// sweeps of coarse multigrid levels lose to the clear. The cutoff
-	// keeps a margin above that: the sweeps in between, such as a
-	// 64-rank layout's 432-point blocks, ran no faster end to end
-	// through a front. Every sweep over a 24^3 grid, or a worker's share
-	// of one, is above it.
-	frontMin = 1 << 10
 )
 
 // front is the large superaccumulator of R. M. Neal's two-level exact
 // summation (arXiv:1505.05571) in front of an Acc: one int64 chunk per
 // biased exponent, so adding a term is one integer add of its signed
-// 53-bit mantissa, with no shift and no bin split. Chunk 0 holds zero
-// and the subnormals, which sit at exponent 1 as in split. Every
+// 53-bit mantissa, with no shift and no bin split. Zero and the
+// subnormals go to chunk 1, which has their weight, as in split. Every
 // frontTerms terms, and at the end of a sweep, drain deposits each
 // non-zero chunk into the Acc. The Acc then holds the same exact sum,
 // so the same carry-normalized bins, as AddMulSlice over the same terms
@@ -58,7 +49,10 @@ func (f *front) addMulSlice(a *Acc, x, y []float64) {
 }
 
 // addMulRow is addMulSlice for a row that fits in the current drain
-// window. The decode is split's, indexed by the biased exponent.
+// window. split decodes each product; its offset, less expShift, is the
+// chunk index: the biased exponent, or 1 for zero and the subnormals.
+// The masks change no index; they only let the compiler drop the bounds
+// check and the shift's range check.
 func (f *front) addMulRow(a *Acc, x, y []float64) {
 	f.n += len(x)
 	blocks := f.blocks
@@ -71,12 +65,10 @@ func (f *front) addMulRow(a *Acc, x, y []float64) {
 			a.spec += v
 			continue
 		}
-		be := bits >> 52 & 0x7ff
-		normal := (be + 0x7ff) >> 11
-		sgn := int64(bits) >> 63
-		mant := int64(bits&(1<<52-1) | normal<<52)
-		f.chunk[be] += (mant ^ sgn) - sgn
-		blocks |= 1 << (be >> 6 & 31)
+		mant, off := split(bits)
+		e := (off - expShift) & (numExps - 1)
+		f.chunk[e] += mant
+		blocks |= 1 << (e >> 6 & 31)
 	}
 	// bce:end
 	f.blocks = blocks
@@ -93,7 +85,7 @@ func (f *front) drain(a *Acc) {
 		}
 		for e := 64 * b; e < 64*b+64; e++ {
 			if c := f.chunk[e]; c != 0 {
-				a.deposit64(c, uint64(max(e, 1))+expShift)
+				a.deposit64(c, uint64(e)+expShift)
 				f.chunk[e] = 0
 				k++
 			}
@@ -120,32 +112,17 @@ func (a *Acc) deposit64(v int64, off uint64) {
 	a.bins[k+3] += hi >> 32
 }
 
-// MulRows accumulates the rounded products of nx*ny row pairs of n
-// values each, the rows of one reducing sweep: row(i, j) returns the
-// pair of plane i in [0, nx) and row j in [0, ny), computing it first
-// if it must (a stencil row, an axpy), and the rows are visited plane
-// by plane in order. A sweep of at least frontMin products feeds a
-// front on this call's stack, drained into a at the end; a shorter one
-// feeds AddMulSlice row by row. a ends up with the same exact sum
-// either way.
-func (a *Acc) MulRows(nx, ny, n int, row func(i, j int) (x, y []float64)) {
-	if nx*ny*n >= frontMin {
-		a.mulRowsFront(nx, ny, row)
-		return
-	}
-	for i := 0; i < nx; i++ {
-		for j := 0; j < ny; j++ {
-			a.AddMulSlice(row(i, j))
-		}
-	}
-}
-
-// mulRowsFront is MulRows through a front, kept in a frame of its own
-// so that a short sweep neither clears nor reserves one.
-func (a *Acc) mulRowsFront(nx, ny int, row func(i, j int) (x, y []float64)) {
+// MulRows accumulates the rounded products of nx*ny row pairs, the
+// rows of one reducing sweep: row(i, j) returns the pair of plane i in
+// [0, nx) and row j in [0, ny), computing it first if it must (a stencil
+// row, an axpy), and the rows are visited plane by plane in order. The
+// products feed a front on this call's stack, drained into a at the
+// end, so a ends up with the same exact sum as AddMulSlice over the
+// same rows would leave it with.
+func (a *Acc) MulRows(nx, ny int, row func(i, j int) (x, y []float64)) {
 	var f front
-	for i := 0; i < nx; i++ {
-		for j := 0; j < ny; j++ {
+	for i := range nx {
+		for j := range ny {
 			x, y := row(i, j)
 			f.addMulSlice(a, x, y)
 		}

@@ -79,21 +79,20 @@ func FuzzFrontEndMatchesAcc(f *testing.F) {
 	})
 }
 
-// TestMulRowsCutoff: a sweep of exactly frontMin products goes through
-// a front — its unit products all land in one chunk, so the Acc sees a
-// single deposit — and a sweep one product shorter feeds AddMulSlice, a
-// deposit per product. Both visit their rows plane by plane, in order,
-// and allocate nothing.
-func TestMulRowsCutoff(t *testing.T) {
-	ones := repeated(1, 64)
+// TestMulRows: MulRows visits its rows plane by plane, in order, puts
+// every sweep through a front — its unit products all land in one
+// chunk, so the Acc sees one deposit per drain, at every 1024 terms and
+// at the end — and allocates nothing, on short sweeps as on long ones.
+func TestMulRows(t *testing.T) {
 	for _, tc := range []struct {
 		nx, ny, n, deposits int
 	}{
-		{4, 8, 32, 1},             // 1024 = frontMin
-		{3, 11, 31, frontMin - 1}, // 1023
-		{1, 1, frontMin, 1},       // one row at the cutoff
-		{1, 2, 1536, 3},           // drained mid-row twice, then at the end
-		{1, 1, frontMin - 1, frontMin - 1},
+		{1, 1, 1, 1},
+		{3, 3, 3, 1},    // a 3^3 coarse level
+		{4, 8, 32, 1},   // 1024 terms, one drain window
+		{1, 1, 1025, 2}, // one term past the window
+		{1, 2, 1536, 3}, // drained mid-row twice, then at the end
+		{0, 4, 8, 0},    // an empty sweep drains nothing
 	} {
 		var a Acc
 		var seen []int
@@ -102,7 +101,7 @@ func TestMulRowsCutoff(t *testing.T) {
 			x := repeated(1, tc.n)
 			return x, x
 		}
-		a.MulRows(tc.nx, tc.ny, tc.n, row)
+		a.MulRows(tc.nx, tc.ny, row)
 		terms := tc.nx * tc.ny * tc.n
 		if a.n != tc.deposits {
 			t.Errorf("%dx%dx%d: %d deposits, want %d", tc.nx, tc.ny, tc.n, a.n, tc.deposits)
@@ -116,10 +115,11 @@ func TestMulRowsCutoff(t *testing.T) {
 			}
 		}
 	}
+	ones := repeated(1, 64)
 	var a Acc
-	for _, nx := range []int{16, 15} { // 1024 and 960 products
+	for _, nx := range []int{16, 1} { // 1024 and 64 products
 		if allocs := testing.AllocsPerRun(10, func() {
-			a.MulRows(nx, 1, 64, func(int, int) ([]float64, []float64) { return ones, ones })
+			a.MulRows(nx, 1, func(int, int) ([]float64, []float64) { return ones, ones })
 		}); allocs != 0 {
 			t.Errorf("MulRows over %d products allocates %g times", nx*64, allocs)
 		}

@@ -93,7 +93,7 @@ func (g *Grid) DotRange(o *Grid, i0, i1 int) float64 {
 // [i0, i1) into acc.
 func (g *Grid) DotAccRange(o *Grid, i0, i1 int, acc *detsum.Acc) {
 	g.checkSame("Dot", o)
-	acc.MulRows(i1-i0, g.Ny, g.Nz, func(i, j int) ([]float64, []float64) {
+	acc.MulRows(i1-i0, g.Ny, func(i, j int) ([]float64, []float64) {
 		a := g.index(i0+i, j, 0)
 		b := o.index(i0+i, j, 0)
 		return g.data[a : a+g.Nz], o.data[b : b+g.Nz]
@@ -129,7 +129,7 @@ func (g *Grid) AxpyDotRange(a float64, x *Grid, i0, i1 int) float64 {
 // accumulates the updated <g, g> into acc in the same sweep.
 func (g *Grid) AxpyDotAccRange(a float64, x *Grid, i0, i1 int, acc *detsum.Acc) {
 	g.checkSame("AxpyDot", x)
-	acc.MulRows(i1-i0, g.Ny, g.Nz, func(i, j int) ([]float64, []float64) {
+	acc.MulRows(i1-i0, g.Ny, func(i, j int) ([]float64, []float64) {
 		dst := g.index(i0+i, j, 0)
 		src := x.index(i0+i, j, 0)
 		row, xrow := g.data[dst:dst+g.Nz], x.data[src:src+g.Nz]

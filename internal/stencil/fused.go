@@ -22,9 +22,8 @@ import (
 // so every result is independent of the pool's worker count and of any
 // distributed-memory partitioning of the same elements (see
 // internal/detsum). The reducing kernels hand their rows to
-// Acc.MulRows, which takes a block of 1024 points or more through the
-// per-exponent front end and a smaller one straight into the Acc, with
-// the same bits either way.
+// Acc.MulRows, which takes each block through the per-exponent front
+// end, with the same bits as feeding the Acc row by row.
 //
 // Aliasing: the grid the stencil reads (src/phi) must not alias any
 // output grid — the stencil reads neighbouring planes that a fused
@@ -130,7 +129,7 @@ func (op *Operator) applyDotBlock(dst, src *grid.Grid, lt *layoutTaps, a *detsum
 	in := src.Data()
 	out := dst.Data()
 	n := blk.Z1 - blk.Z0
-	a.MulRows(blk.X1-blk.X0, blk.Y1-blk.Y0, n, func(i, j int) ([]float64, []float64) {
+	a.MulRows(blk.X1-blk.X0, blk.Y1-blk.Y0, func(i, j int) ([]float64, []float64) {
 		srow := src.Index(blk.X0+i, blk.Y0+j, blk.Z0)
 		drow := dst.Index(blk.X0+i, blk.Y0+j, blk.Z0)
 		stencilBlock(out, in, drow, srow, 1, 1, n, 0, 0, 0, 0, op.Center, lt)
@@ -156,7 +155,7 @@ func (op *Operator) applyResidualBlock(r, b, phi *grid.Grid, lt *layoutTaps, row
 	rd := r.Data()
 	bd := b.Data()
 	n := blk.Z1 - blk.Z0
-	a.MulRows(blk.X1-blk.X0, blk.Y1-blk.Y0, n, func(i, j int) ([]float64, []float64) {
+	a.MulRows(blk.X1-blk.X0, blk.Y1-blk.Y0, func(i, j int) ([]float64, []float64) {
 		i, j = blk.X0+i, blk.Y0+j
 		buf := row[:n]
 		stencilBlock(buf, in, 0, phi.Index(i, j, blk.Z0), 1, 1, n, 0, 0, 0, 0, op.Center, lt)
