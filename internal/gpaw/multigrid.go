@@ -2,7 +2,6 @@ package gpaw
 
 import (
 	"repro/internal/core"
-	"repro/internal/detsum"
 	"repro/internal/grid"
 	"repro/internal/mpi"
 	"repro/internal/stencil"
@@ -73,8 +72,7 @@ type mgLevel struct {
 type multigrid struct {
 	D *Dist
 
-	levels  []*mgLevel
-	discard detsum.Acc // sink of the residual norms the cycle has no use for
+	levels []*mgLevel
 }
 
 // Sweep counts of one cycle. 1 + 1 smoothing doubled the conjugate-
@@ -296,7 +294,7 @@ func (mg *multigrid) vcycle(l int, phi, rhs *grid.Grid) {
 	}
 	x, y := mg.smooth(lv, phi, lv.res, rhs, mgSmooth, true)
 	d.withOverlap(lv.eng, x, func(rg stencil.Region) {
-		lv.op.Over(rg).ApplyResidualAcc(d.pool, y, rhs, x, &mg.discard)
+		lv.op.Over(rg).ApplyResidualAcc(d.pool, y, rhs, x, nil)
 	})
 	next := mg.levels[l+1]
 	if next.shrunk {

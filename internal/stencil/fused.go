@@ -11,19 +11,25 @@ import (
 // solver performs right after it. Each kernel reads and writes every
 // grid exactly once, cutting the memory passes of a solver iteration
 // roughly in half versus chains of Apply/Scale/Axpy/Dot (see the
-// package comment for the stream model). All kernels evaluate the
-// stencil one row at a time through stencilBlock into a cache-resident
-// row buffer, so their stencil values are bit-identical to Apply's. The
-// elementwise rest of each row (the epilogue) loops over operands
-// re-sliced to the row's length, so it carries no bounds check (CI
-// holds the bce:begin/bce:end regions to that).
+// package comment for the stream model). Every kernel hands each of its
+// blocks to fusedBlock with an epilogue — what to do with a stencil
+// value s before it is stored — so its stencil values are bit-identical
+// to Apply's. On an AVX2 host the 12-tap stencil and the epilogue run
+// the whole block in one blockAVX2 call, four points in registers
+// between the stencil and the store; elsewhere stencilRow fills a
+// z-row of scratch and the epilogue's row loop (residualRow, smoothRow,
+// stepRow) runs over operands re-sliced to the row's length, so it
+// carries no bounds check (CI holds the bce:begin/bce:end regions to
+// that). Both paths round the same operations in the same order.
 //
 // Reductions accumulate per-worker detsum.Acc partials merged exactly,
 // so every result is independent of the pool's worker count and of any
 // distributed-memory partitioning of the same elements (see
-// internal/detsum). The reducing kernels hand their rows to
-// Acc.MulRows, which takes each block through the per-exponent front
-// end, with the same bits as feeding the Acc row by row.
+// internal/detsum). The reducing kernels store a block one x plane at
+// a time and hand each plane's rows to Acc.MulRows right after it,
+// while the plane is in cache; MulRows takes them through the
+// per-exponent front end, with the same bits as feeding the Acc row by
+// row.
 //
 // Aliasing: the grid the stencil reads (src/phi) must not alias any
 // output grid — the stencil reads neighbouring planes that a fused
@@ -70,8 +76,8 @@ func (op *Operator) Scaled(s float64) *Operator {
 // planes of their box across the pool, body receiving the worker index
 // and its share; the Shell is O(surface) work, so its up to six blocks
 // run on the calling goroutine as worker 0. row is rowLen values of
-// scratch (one z-row for the kernels that stage the stencil value, 0
-// for those that do not) private to the goroutine running body.
+// scratch (layoutTaps.scratch: one z-row where the Go path stages the
+// stencil value, else 0) private to the goroutine running body.
 func (op *Operator) sweep(p *Pool, g *grid.Grid, streams, rowLen int, body func(w int, row []float64, b Block)) {
 	grid.NoteTraffic(op.region.Points(g.Nx, g.Ny, g.Nz, op.R), streams)
 	box := Block{0, g.Nx, 0, g.Ny, 0, g.Nz}
@@ -101,15 +107,42 @@ func (op *Operator) sweep(p *Pool, g *grid.Grid, streams, rowLen int, body func(
 // goroutine runs the whole region, else a per-worker partial merged
 // into acc afterwards. The sums are exact, so acc ends up with the same
 // bits however the points were split, across workers or across the
-// Interior and Shell views accumulating into one acc.
+// Interior and Shell views accumulating into one acc. A nil acc takes
+// no terms: body is handed nil, and the sweep is sweep's.
 func (op *Operator) sweepAcc(p *Pool, g *grid.Grid, streams, rowLen int, acc *detsum.Acc, body func(a *detsum.Acc, row []float64, b Block)) {
-	if op.region == Shell || p.Workers() == 1 {
-		op.sweep(nil, g, streams, rowLen, func(_ int, row []float64, b Block) { body(acc, row, b) })
+	if acc == nil || op.region == Shell || p.Workers() == 1 {
+		op.sweep(p, g, streams, rowLen, func(_ int, row []float64, b Block) { body(acc, row, b) })
 		return
 	}
 	accs := make([]detsum.Acc, p.Workers())
 	op.sweep(p, g, streams, rowLen, func(w int, row []float64, b Block) { body(&accs[w], row, b) })
 	mergeAccs(acc, accs)
+}
+
+// block runs fusedBlock over block b of the grids: the stencil of in,
+// ep applied, stored in out; a and p are ep's operands (nil where it
+// has none).
+func (op *Operator) block(out, in, a, p *grid.Grid, lt *layoutTaps, ep epilogue, row []float64, b Block) {
+	fusedBlock(gridSpan(out, b), gridSpan(in, b), gridSpan(a, b), gridSpan(p, b),
+		b.X1-b.X0, b.Y1-b.Y0, b.Z1-b.Z0, op.Center, lt, ep, row)
+}
+
+// fillMulRows runs fill over block b plane by plane and accumulates the
+// products of x's and y's rows over each plane into a right after it,
+// while the plane is in cache; a nil a takes none, and fill runs over
+// the whole block at once.
+func fillMulRows(a *detsum.Acc, x, y *grid.Grid, b Block, fill func(Block)) {
+	if a == nil {
+		fill(b)
+		return
+	}
+	xs, ys, n := gridSpan(x, b), gridSpan(y, b), b.Z1-b.Z0
+	a.MulRows(b.X1-b.X0, b.Y1-b.Y0, func(i, j int) ([]float64, []float64) {
+		if j == 0 {
+			fill(Block{b.X0 + i, b.X0 + i + 1, b.Y0, b.Y1, b.Z0, b.Z1})
+		}
+		return xs.row(i, j, n), ys.row(i, j, n)
+	})
 }
 
 // ApplyDotAcc computes dst = op(src) and accumulates <src, dst> into
@@ -120,52 +153,21 @@ func (op *Operator) ApplyDotAcc(p *Pool, dst, src *grid.Grid, acc *detsum.Acc) {
 	op.checkFused("ApplyDot", src, dst)
 	lt := op.gridTaps(src)
 	op.sweepAcc(p, src, 2, 0, acc, func(a *detsum.Acc, _ []float64, b Block) {
-		op.applyDotBlock(dst, src, lt, a, b)
-	})
-}
-
-// applyDotBlock is ApplyDotAcc over one block.
-func (op *Operator) applyDotBlock(dst, src *grid.Grid, lt *layoutTaps, a *detsum.Acc, blk Block) {
-	in := src.Data()
-	out := dst.Data()
-	n := blk.Z1 - blk.Z0
-	a.MulRows(blk.X1-blk.X0, blk.Y1-blk.Y0, func(i, j int) ([]float64, []float64) {
-		srow := src.Index(blk.X0+i, blk.Y0+j, blk.Z0)
-		drow := dst.Index(blk.X0+i, blk.Y0+j, blk.Z0)
-		stencilBlock(out, in, drow, srow, 1, 1, n, 0, 0, 0, 0, op.Center, lt)
-		return in[srow : srow+n], out[drow : drow+n]
+		fillMulRows(a, src, dst, b, func(pl Block) { op.applyBlock(dst, src, lt, pl) })
 	})
 }
 
 // ApplyResidualAcc computes r = b - op(phi) and accumulates |r|^2 into
-// acc in one sweep (3 streams, versus 9 for Apply+Scale+Axpy+Dot). r may
+// acc in one sweep (3 streams, versus 9 for Apply+Scale+Axpy+Dot); a
+// nil acc computes r alone, for callers with no use for the norm. r may
 // alias b; it must not alias phi.
 func (op *Operator) ApplyResidualAcc(p *Pool, r, b, phi *grid.Grid, acc *detsum.Acc) {
 	op.checkFused("ApplyResidual", phi, r, b)
 	lt := op.gridTaps(phi)
-	op.sweepAcc(p, phi, 3, phi.Nz, acc, func(a *detsum.Acc, row []float64, blk Block) {
-		op.applyResidualBlock(r, b, phi, lt, row, a, blk)
-	})
-}
-
-// applyResidualBlock is ApplyResidualAcc over one block; row holds at
-// least Z1-Z0 values of scratch.
-func (op *Operator) applyResidualBlock(r, b, phi *grid.Grid, lt *layoutTaps, row []float64, a *detsum.Acc, blk Block) {
-	in := phi.Data()
-	rd := r.Data()
-	bd := b.Data()
-	n := blk.Z1 - blk.Z0
-	a.MulRows(blk.X1-blk.X0, blk.Y1-blk.Y0, func(i, j int) ([]float64, []float64) {
-		i, j = blk.X0+i, blk.Y0+j
-		buf := row[:n]
-		stencilBlock(buf, in, 0, phi.Index(i, j, blk.Z0), 1, 1, n, 0, 0, 0, 0, op.Center, lt)
-		res, bv := rd[r.Index(i, j, blk.Z0):][:n], bd[b.Index(i, j, blk.Z0):][:n]
-		// bce:begin
-		for k, s := range buf {
-			res[k] = bv[k] - s
-		}
-		// bce:end
-		return res, res
+	op.sweepAcc(p, phi, 3, lt.scratch(phi.Nz), acc, func(a *detsum.Acc, row []float64, blk Block) {
+		fillMulRows(a, r, r, blk, func(pl Block) {
+			op.block(r, phi, b, nil, lt, epilogue{kind: epResidual}, row, pl)
+		})
 	})
 }
 
@@ -176,38 +178,10 @@ func (op *Operator) applyResidualBlock(r, b, phi *grid.Grid, lt *layoutTaps, row
 func (op *Operator) ApplySmooth(p *Pool, dst, phi, rhs *grid.Grid, c float64) {
 	op.checkFused("ApplySmooth", phi, dst, rhs)
 	lt := op.gridTaps(phi)
-	op.sweep(p, phi, 3, phi.Nz, func(_ int, row []float64, b Block) {
-		op.applySmoothBlock(dst, phi, rhs, lt, row, c, b)
+	ep := epilogue{kind: epSmooth, alpha: c}
+	op.sweep(p, phi, 3, lt.scratch(phi.Nz), func(_ int, row []float64, b Block) {
+		op.block(dst, phi, rhs, nil, lt, ep, row, b)
 	})
-}
-
-// applySmoothBlock is ApplySmooth over one block; row as above.
-func (op *Operator) applySmoothBlock(dst, phi, rhs *grid.Grid, lt *layoutTaps, row []float64, c float64, blk Block) {
-	in := phi.Data()
-	out := dst.Data()
-	bd := rhs.Data()
-	n := blk.Z1 - blk.Z0
-	buf := row[:n]
-	for i := blk.X0; i < blk.X1; i++ {
-		for j := blk.Y0; j < blk.Y1; j++ {
-			srow := phi.Index(i, j, blk.Z0)
-			stencilBlock(buf, in, 0, srow, 1, 1, n, 0, 0, 0, 0, op.Center, lt)
-			smoothRow(out[dst.Index(i, j, blk.Z0):][:n], buf, in[srow:][:n], bd[rhs.Index(i, j, blk.Z0):][:n], c)
-		}
-	}
-}
-
-// smoothRow is ApplySmooth's epilogue on one row of len(o) points, with
-// s the stencil value of phi: o = phi + c*(rhs - s). A leaf, like
-// stepRow.
-func smoothRow(o, s, phi, rhs []float64, c float64) {
-	n := len(o)
-	s, phi, rhs = s[:n], phi[:n], rhs[:n]
-	// bce:begin
-	for k, sk := range s {
-		o[k] = phi[k] + float64(c*(rhs[k]-sk))
-	}
-	// bce:end
 }
 
 // ApplyRecurrence computes dst = beta*src + alpha*(op(src) + v.*src) +
@@ -231,8 +205,9 @@ func (op *Operator) ApplyRecurrence(p *Pool, dst, src, v, prev *grid.Grid, alpha
 		streams++
 	}
 	lt := op.gridTaps(src)
-	op.sweep(p, src, streams, src.Nz, func(_ int, row []float64, b Block) {
-		op.applyStepBlock(dst, src, v, prev, lt, row, alpha, beta, gamma, b)
+	ep := stepEpilogue(v != nil, prev != nil, alpha, beta, gamma)
+	op.sweep(p, src, streams, lt.scratch(src.Nz), func(_ int, row []float64, b Block) {
+		op.block(dst, src, v, prev, lt, ep, row, b)
 	})
 }
 
@@ -243,72 +218,123 @@ func (op *Operator) ApplyStep(p *Pool, dst, src, v *grid.Grid, alpha, beta float
 	op.ApplyRecurrence(p, dst, src, v, nil, alpha, beta, 0)
 }
 
-// applyStepBlock is ApplyRecurrence over one block; row as above.
-func (op *Operator) applyStepBlock(dst, src, v, prev *grid.Grid, lt *layoutTaps, row []float64, alpha, beta, gamma float64, blk Block) {
-	in := src.Data()
-	out := dst.Data()
-	var vd, pd []float64
-	if v != nil {
-		vd = v.Data()
+// Epilogue kinds. blockAVX2 reads them as constants too.
+const (
+	epStore    = iota // s, or t for a step with beta = 0 and alpha = 1
+	epResidual        // b - s, b the operand a
+	epSmooth          // phi + c*(rhs - s), rhs the operand a, c in alpha
+	epAxpy            // x + alpha*t
+	epAxpby           // beta*x + alpha*t
+	epRecur           // beta*x + alpha*t + gamma*p
+)
+
+// epilogue is what a fused kernel does with each stencil value s of a
+// block before it stores it, its kind and constants: x is the
+// stencil's source, a and p the block's elementwise operands. A step
+// (epStore with addV, epAxpy, epAxpby, epRecur) first forms t = s +
+// v*x, v the operand a, when addV holds, and t = s otherwise. The zero
+// epilogue stores s.
+type epilogue struct {
+	kind               int
+	addV               bool
+	alpha, beta, gamma float64
+}
+
+// stepEpilogue is ApplyRecurrence's epilogue: o = beta*x + alpha*t +
+// gamma*p, its gamma term only with prev, and o = t itself when beta =
+// 0 and alpha = 1, o = x + alpha*t when beta = 1.
+func stepEpilogue(addV, prev bool, alpha, beta, gamma float64) epilogue {
+	kind := epAxpby
+	switch {
+	case prev:
+		kind = epRecur
+	case beta == 0 && alpha == 1:
+		kind = epStore
+	case beta == 1:
+		kind = epAxpy
 	}
-	if prev != nil {
-		pd = prev.Data()
-	}
-	n := blk.Z1 - blk.Z0
-	buf := row[:n]
-	for i := blk.X0; i < blk.X1; i++ {
-		for j := blk.Y0; j < blk.Y1; j++ {
-			srow := src.Index(i, j, blk.Z0)
-			stencilBlock(buf, in, 0, srow, 1, 1, n, 0, 0, 0, 0, op.Center, lt)
-			var vx, p []float64
-			if v != nil {
-				vx = vd[v.Index(i, j, blk.Z0):][:n]
-			}
-			if prev != nil {
-				p = pd[prev.Index(i, j, blk.Z0):][:n]
-			}
-			stepRow(out[dst.Index(i, j, blk.Z0):][:n], buf, in[srow:][:n], vx, p, alpha, beta, gamma)
+	return epilogue{kind: kind, addV: addV, alpha: alpha, beta: beta, gamma: gamma}
+}
+
+// readsA reports whether ep reads the operand a.
+func (ep epilogue) readsA() bool { return ep.addV || ep.kind == epResidual || ep.kind == epSmooth }
+
+// row is ep on one row of len(o) points on the Go path: s the stencil
+// values, x the source's, a and p the operands' (nil where absent).
+func (ep epilogue) row(o, s, x, a, p []float64) {
+	switch ep.kind {
+	case epResidual:
+		residualRow(o, a, s)
+	case epSmooth:
+		smoothRow(o, s, x, a, ep.alpha)
+	default:
+		if !ep.addV {
+			a = nil
 		}
+		stepRow(o, s, x, a, p, ep.kind, ep.alpha, ep.beta, ep.gamma)
 	}
 }
 
-// stepRow is ApplyRecurrence's epilogue on one row of len(o) points:
-// with s the stencil value and x the source, t = s + v*x (s alone when
-// vx is nil), then o = beta*x + alpha*t + gamma*p (no gamma term when p
-// is nil; o = t itself when beta = 0 and alpha = 1, o = x + alpha*t
-// when beta = 1). p may be o: each p[k] is read before o[k] is written.
-// A leaf of its own, so the block walk's state stays out of the
-// registers the loop needs.
-func stepRow(o, s, x, vx, p []float64, alpha, beta, gamma float64) {
+// residualRow is ApplyResidualAcc's epilogue on one row of len(o)
+// points: o = b - s. o may be b. A leaf, like stepRow.
+func residualRow(o, b, s []float64) {
+	n := len(o)
+	b, s = b[:n], s[:n]
+	// bce:begin
+	for k, sk := range s {
+		o[k] = b[k] - sk
+	}
+	// bce:end
+}
+
+// smoothRow is ApplySmooth's epilogue on one row of len(o) points, with
+// s the stencil value of phi: o = phi + c*(rhs - s). A leaf, like
+// stepRow.
+func smoothRow(o, s, phi, rhs []float64, c float64) {
+	n := len(o)
+	s, phi, rhs = s[:n], phi[:n], rhs[:n]
+	// bce:begin
+	for k, sk := range s {
+		o[k] = phi[k] + float64(c*(rhs[k]-sk))
+	}
+	// bce:end
+}
+
+// stepRow is a step's epilogue (epStore, epAxpy, epAxpby, epRecur) on
+// one row of len(o) points: with s the stencil value and x the source,
+// t = s + v*x (s alone when vx is nil), then o by kind. p may be o:
+// each p[k] is read before o[k] is written. A leaf of its own, so the
+// block walk's state stays out of the registers the loop needs.
+func stepRow(o, s, x, vx, p []float64, kind int, alpha, beta, gamma float64) {
 	n := len(o)
 	s, x = s[:n], x[:n]
 	// An absent operand stands in as x, never read, so that every
 	// operand is re-sliced to n and the loops carry no bounds check.
-	addV, recur := vx != nil, p != nil
+	addV := vx != nil
 	if !addV {
 		vx = x
 	}
-	if !recur {
+	if p == nil {
 		p = x
 	}
 	vx, p = vx[:n], p[:n]
 	// bce:begin
-	switch {
-	case recur:
+	switch kind {
+	case epRecur:
 		for k, t := range s {
 			if addV {
 				t += float64(vx[k] * x[k])
 			}
 			o[k] = float64(beta*x[k]) + float64(alpha*t) + float64(gamma*p[k])
 		}
-	case beta == 0 && alpha == 1:
+	case epStore:
 		for k, t := range s {
 			if addV {
 				t += float64(vx[k] * x[k])
 			}
 			o[k] = t
 		}
-	case beta == 1:
+	case epAxpy:
 		for k, t := range s {
 			if addV {
 				t += float64(vx[k] * x[k])

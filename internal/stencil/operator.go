@@ -171,32 +171,114 @@ func (op *Operator) gridTaps(g *grid.Grid) *layoutTaps {
 	return op.layout(sx, sy)
 }
 
+// span is where a block lies in one slice: the index of its first
+// point and the slice's plane and row strides (the z stride is 1). The
+// zero span stands for an absent operand.
+type span struct {
+	data       []float64
+	i0, sx, sy int
+}
+
+// gridSpan is where block b lies in g's data; the zero span for a nil
+// g.
+func gridSpan(g *grid.Grid, b Block) span {
+	if g == nil {
+		return span{}
+	}
+	sx, sy := g.Strides()
+	return span{g.Data(), g.Index(b.X0, b.Y0, b.Z0), sx, sy}
+}
+
+// at returns the index of row (i, j)'s first point.
+func (s span) at(i, j int) int { return s.i0 + i*s.sx + j*s.sy }
+
+// row returns row (i, j)'s n values, nil for an absent operand.
+func (s span) row(i, j, n int) []float64 {
+	if s.data == nil {
+		return nil
+	}
+	return s.data[s.at(i, j):][:n]
+}
+
+// holds reports whether every point of an nx x ny x n block, widened
+// to the offsets [lo, hi] around it, lies inside s's slice.
+func (s span) holds(nx, ny, n, lo, hi int) bool {
+	return min(s.sx, s.sy) >= 0 && s.i0+lo >= 0 && s.at(nx-1, ny-1)+n-1+hi < len(s.data)
+}
+
+// avx is s for blockAVX2 over a block of ny rows of n points; the zero
+// avxOperand for an absent operand.
+func (s span) avx(ny, n int) avxOperand {
+	if s.data == nil {
+		return avxOperand{}
+	}
+	return avxOperand{&s.data[s.i0], 8 * (s.sy - n), 8 * (s.sx - ny*s.sy)}
+}
+
+// avxOperand is one slice's block for blockAVX2: the address of its
+// first point, and the bytes its pointer steps from a row's end to the
+// next row's start and from a plane's end to the next plane's start.
+type avxOperand struct {
+	p          *float64
+	row, plane int
+}
+
+// simd reports whether blockAVX2 runs the stencil for these taps.
+func (lt *layoutTaps) simd() bool { return rowSIMD && len(lt.taps) == 12 }
+
+// scratch returns how many values of z-row scratch a fused kernel's
+// block needs for rows of n points: none where blockAVX2 runs it, one
+// row on the Go path, which stages each row's stencil values.
+func (lt *layoutTaps) scratch(n int) int {
+	if lt.simd() {
+		return 0
+	}
+	return n
+}
+
 // stencilBlock evaluates the stencil over nx planes of ny contiguous
 // z-rows of n points: row (i, j) reads in from s0 + i*isx + j*isy and
-// is written to out from d0 + i*osx + j*osy. Every kernel in the
-// package — serial, parallel and fused — funnels through this routine,
-// so all of them produce bit-identical stencil values by construction.
-// It checks the block's lowest and highest access in each slice once
-// and panics before writing if one falls outside; then the 12-tap
-// stencil runs in blockAVX2 where rowSIMD holds, and every other case
-// in stencilRow's Go loop row by row, with the same rounding sequence.
+// is written to out from d0 + i*osx + j*osy. It is fusedBlock with the
+// store-only epilogue.
+func stencilBlock(out, in []float64, d0, s0, nx, ny, n, isx, isy, osx, osy int, center float64, lt *layoutTaps) {
+	fusedBlock(span{out, d0, osx, osy}, span{in, s0, isx, isy}, span{}, span{}, nx, ny, n, center, lt, epilogue{}, nil)
+}
+
+// fusedBlock evaluates the stencil of in over an nx x ny x n block and
+// stores ep applied to each value in out; a and p are ep's elementwise
+// operands (see epilogue), each with its own layout. Every kernel in
+// the package — serial, parallel and fused — funnels through this
+// routine, so all of them produce bit-identical stencil values by
+// construction. It checks the block's lowest and highest access in
+// each slice it reads or writes once and panics before writing if one
+// falls outside; then the 12-tap stencil runs the whole block in
+// blockAVX2 where rowSIMD holds, and every other case runs stencilRow's
+// Go loop and the epilogue's row loop row by row, with the same
+// rounding sequence. row is at least lt.scratch(n) values of scratch.
 //
 //gpaw:hotpath
-func stencilBlock(out, in []float64, d0, s0, nx, ny, n, isx, isy, osx, osy int, center float64, lt *layoutTaps) {
+func fusedBlock(out, in, a, p span, nx, ny, n int, center float64, lt *layoutTaps, ep epilogue, row []float64) {
 	if nx <= 0 || ny <= 0 || n <= 0 {
 		return
 	}
-	if min(isx, isy, osx, osy) < 0 || s0+lt.minOff < 0 || s0+(nx-1)*isx+(ny-1)*isy+n-1+lt.maxOff >= len(in) ||
-		d0 < 0 || d0+(nx-1)*osx+(ny-1)*osy+n-1 >= len(out) {
+	if !in.holds(nx, ny, n, lt.minOff, lt.maxOff) || !out.holds(nx, ny, n, 0, 0) ||
+		ep.readsA() && !a.holds(nx, ny, n, 0, 0) || ep.kind == epRecur && !p.holds(nx, ny, n, 0, 0) {
 		panic("stencil: block reaches outside its slices")
 	}
-	if rowSIMD && len(lt.taps) == 12 {
-		blockAVX2(&out[d0], &in[s0], nx, ny, n, isx, isy, osx, osy, center, &lt.taps[0])
+	if lt.simd() {
+		blockAVX2(out.avx(ny, n), in.avx(ny, n), a.avx(ny, n), p.avx(ny, n), nx, ny, n, center, &lt.taps[0], ep)
 		return
 	}
 	for i := 0; i < nx; i++ {
 		for j := 0; j < ny; j++ {
-			stencilRow(out[d0+i*osx+j*osy:], in, s0+i*isx+j*isy, n, center, lt.taps)
+			o, s0 := out.row(i, j, n), in.at(i, j)
+			if ep.kind == epStore && !ep.addV {
+				stencilRow(o, in.data, s0, n, center, lt.taps)
+				continue
+			}
+			s := row[:n]
+			stencilRow(s, in.data, s0, n, center, lt.taps)
+			ep.row(o, s, in.data[s0:][:n], a.row(i, j, n), p.row(i, j, n))
 		}
 	}
 }
@@ -226,7 +308,7 @@ func stencilRow(out, in []float64, s0, n int, center float64, taps []tap) {
 		x8, x9 := in[s0+taps[8].off:][:n], in[s0+taps[9].off:][:n]
 		x10, x11 := in[s0+taps[10].off:][:n], in[s0+taps[11].off:][:n]
 		if rowSIMD && n > 0 {
-			blockAVX2(&out[0], &x[0], 1, 1, n, 0, 0, 0, 0, center, &taps[0])
+			blockAVX2(avxOperand{p: &out[0]}, avxOperand{p: &x[0]}, avxOperand{}, avxOperand{}, 1, 1, n, center, &taps[0], epilogue{})
 			return
 		}
 		// bce:begin

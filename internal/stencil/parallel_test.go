@@ -1,6 +1,7 @@
 package stencil
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -191,6 +192,39 @@ func TestApplyResidualMatchesUnfused(t *testing.T) {
 			t.Fatalf("|r|^2 not deterministic across worker counts")
 		}
 		prev = sumsq
+		p.Close()
+	}
+}
+
+// TestApplyResidualNilAcc: a nil accumulator (the V-cycle's, which has
+// no use for the norm) leaves r with the same bits as a real one, on
+// every view and worker count, with b a separate grid and with r = b.
+func TestApplyResidualNilAcc(t *testing.T) {
+	op, src, _, b := fusedCase(t)
+	for _, w := range []int{1, 3} {
+		p := NewPool(w)
+		for rg, view := range []string{"Full", "Interior", "Shell"} {
+			v := op.Over(Region(rg))
+			for _, inPlace := range []bool{false, true} {
+				residual := func(acc *detsum.Acc) []float64 {
+					r := grid.New(10, 9, 8, 2)
+					rhs := b
+					if inPlace {
+						r.CopyInteriorRange(b, 0, r.Nx)
+						rhs = r
+					}
+					v.ApplyResidualAcc(p, r, rhs, src, acc)
+					return r.Data()
+				}
+				var acc detsum.Acc
+				want, got := residual(&acc), residual(nil)
+				for k := range want {
+					if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+						t.Fatalf("workers=%d %s r=b %v: r[%d] = %g with a nil acc, %g with one", w, view, inPlace, k, got[k], want[k])
+					}
+				}
+			}
+		}
 		p.Close()
 	}
 }

@@ -6,9 +6,10 @@ var rowSIMD = hasAVX2()
 
 func hasAVX2() bool
 
-// blockAVX2 is stencilRow's 12-tap loop over nx planes of ny rows of
-// n >= 1 points, x = &in[s0], out = &out[d0], with separate input and
-// output strides; the caller has bounded every address it touches.
+// blockAVX2 is fusedBlock's 12-tap path: the stencil of x over nx
+// planes of ny rows of n >= 1 points, ep applied to each value before
+// it is stored at out, a and p ep's operands. The caller has bounded
+// every address it touches.
 //
 //go:noescape
-func blockAVX2(out, x *float64, nx, ny, n, isx, isy, osx, osy int, center float64, taps *tap)
+func blockAVX2(out, x, a, p avxOperand, nx, ny, n int, center float64, taps *tap, ep epilogue)

@@ -1,4 +1,5 @@
 #include "textflag.h"
+#include "go_asm.h"
 
 // func hasAVX2() bool
 //
@@ -29,45 +30,53 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func blockAVX2(out, x *float64, nx, ny, n, isx, isy, osx, osy int, center float64, taps *tap)
+// func blockAVX2(out, x, a, p avxOperand, nx, ny, n int, center float64, taps *tap, ep epilogue)
 //
-// stencilRow's 12-tap loop over nx planes of ny rows of n >= 1 points:
-// row (i, j) reads from x + i*isx + j*isy and writes out + i*osx +
-// j*osy. Four points per iteration, then the n & 3 tail one point at a
-// time, both with stencilRow's rounding sequence, every product rounded
-// (no fused multiply-add): the centre product, then per group of four
-// taps ((p_a + p_b) + p_c) + p_d added to it. Each instruction takes its
+// stencilRow's 12-tap loop over nx planes of ny rows of n >= 1 points,
+// with ep applied to each stencil value s before it is stored at out:
+// the epilogue rows of fused.go (stepRow, smoothRow, residualRow) on
+// four points at a time. x is the stencil's source and the x of the
+// epilogues, a is v (ep.addV), rhs (smooth) or b (residual), p is
+// prev (recurrence). Each pointer advances along its row; at a row's
+// end it adds its row step, at a plane's end its plane step (bytes).
+// a and p are kept as their distance from x's pointer (R12, R13), which
+// changes only at a row's or a plane's end, by their steps less x's
+// (the prologue turns a's and p's steps into that, in their argument
+// slots).
+//
+// Four points per iteration, then the n & 3 tail one point at a time,
+// both with stencilRow's rounding sequence, every product rounded (no
+// fused multiply-add): the centre product, then per group of four taps
+// ((p_a + p_b) + p_c) + p_d added to it. Each instruction takes its
 // first source where the compiled Go loop does - the grid value before
-// the coefficient, the newer sum before the older - so even NaN
-// payloads agree. Y3 holds the centre, Y4-Y15 the 12 coefficients (the
-// tail uses their low lanes); tap offsets are reloaded per group. R12
-// and R13 step from a row's end to the next row's start, R14 and R15
-// from a plane's end to the next plane's start. The Go caller has
-// checked that every access lies inside its slice.
-TEXT ·blockAVX2(SB), NOSPLIT, $0-88
-	MOVQ         out+0(FP), DI
-	MOVQ         x+8(FP), SI
-	MOVQ         nx+16(FP), AX
-	MOVQ         n+32(FP), R8
-	MOVQ         ny+24(FP), R9
-	MOVQ         isy+48(FP), R12
-	SUBQ         R8, R12
-	SHLQ         $3, R12
-	MOVQ         osy+64(FP), R13
-	SUBQ         R8, R13
-	SHLQ         $3, R13
-	MOVQ         R9, R14
-	IMULQ        isy+48(FP), R14
-	NEGQ         R14
-	ADDQ         isx+40(FP), R14
-	SHLQ         $3, R14
-	MOVQ         R9, R15
-	IMULQ        osy+64(FP), R15
-	NEGQ         R15
-	ADDQ         osx+56(FP), R15
+// the coefficient, the newer sum before the older, in the epilogues the
+// order the compiled row loops use - so even NaN payloads agree. a and
+// p are read before out is stored, so either may be out itself. Y3
+// holds the centre, Y4-Y15 the 12 coefficients (the tail uses their
+// low lanes); tap offsets are reloaded per group, the epilogue's
+// constants per use. R14 holds ep.kind, R15 ep.kind | ep.addV<<3: zero
+// for the plain store, whose loops never enter an epilogue. The
+// Go caller has checked that every access lies inside its slice.
+TEXT ·blockAVX2(SB), NOSPLIT, $0-176
+	MOVQ         out_p+0(FP), DI
+	MOVQ         x_p+24(FP), SI
+	MOVQ         a_p+48(FP), R12
+	SUBQ         SI, R12
+	MOVQ         p_p+72(FP), R13
+	SUBQ         SI, R13
+	MOVQ         x_row+32(FP), AX
+	SUBQ         AX, a_row+56(FP)
+	SUBQ         AX, p_row+80(FP)
+	MOVQ         x_plane+40(FP), AX
+	SUBQ         AX, a_plane+64(FP)
+	SUBQ         AX, p_plane+88(FP)
+	MOVQ         nx+96(FP), AX
+	MOVQ         ep_kind+136(FP), R14
+	MOVBQZX      ep_addV+144(FP), R15
 	SHLQ         $3, R15
-	VBROADCASTSD center+72(FP), Y3
-	MOVQ         taps+80(FP), DX
+	ORQ          R14, R15
+	VBROADCASTSD center+120(FP), Y3
+	MOVQ         taps+128(FP), DX
 	VBROADCASTSD 8(DX), Y4
 	VBROADCASTSD 24(DX), Y5
 	VBROADCASTSD 40(DX), Y6
@@ -82,10 +91,10 @@ TEXT ·blockAVX2(SB), NOSPLIT, $0-88
 	VBROADCASTSD 184(DX), Y15
 
 plane:
-	MOVQ ny+24(FP), BX
+	MOVQ ny+104(FP), BX
 
 row:
-	MOVQ n+32(FP), CX
+	MOVQ n+112(FP), CX
 	SUBQ $4, CX
 	JLT  tail
 
@@ -144,6 +153,11 @@ vec:
 	VADDPD  Y1, Y2, Y1
 	VADDPD  Y0, Y1, Y0
 
+	// Y0 = s. Anything but the plain store runs its epilogue out of line.
+	TESTQ R15, R15
+	JNE   vepi
+
+vstore:
 	VMOVUPD Y0, (DI)
 	ADDQ    $32, SI
 	ADDQ    $32, DI
@@ -209,6 +223,10 @@ one:
 	VADDSD X1, X2, X1
 	VADDSD X0, X1, X0
 
+	TESTQ R15, R15
+	JNE   sepi
+
+sstore:
 	VMOVSD X0, (DI)
 	ADDQ   $8, SI
 	ADDQ   $8, DI
@@ -216,14 +234,105 @@ one:
 	JGT    one
 
 next:
-	ADDQ R12, SI
-	ADDQ R13, DI
+	ADDQ out_row+8(FP), DI
+	ADDQ x_row+32(FP), SI
+	ADDQ a_row+56(FP), R12
+	ADDQ p_row+80(FP), R13
 	SUBQ $1, BX
 	JGT  row
-	ADDQ R14, SI
-	ADDQ R15, DI
+	ADDQ out_plane+16(FP), DI
+	ADDQ x_plane+40(FP), SI
+	ADDQ a_plane+64(FP), R12
+	ADDQ p_plane+88(FP), R13
 	SUBQ $1, AX
 	JGT  plane
 
 	VZEROUPPER
 	RET
+
+// The epilogues, out of line: on Y0 = s in the vector loop, on X0 = s in
+// the tail. First t = s + v*x where ep.addV holds (R15 differs from
+// R14), then the kind's operation; each returns to its store.
+vepi:
+	CMPQ    R15, R14
+	JEQ     vkind
+	VMOVUPD (SI)(R12*1), Y1
+	VMULPD  (SI), Y1, Y1
+	VADDPD  Y1, Y0, Y0
+
+vkind:
+	CMPQ         R14, $const_epAxpy
+	JLT          vlow
+	VBROADCASTSD ep_alpha+152(FP), Y1
+	VMULPD       Y1, Y0, Y0
+	JNE          vaxpby
+	VADDPD       (SI), Y0, Y0     // alpha*t + x
+	JMP          vstore
+
+vaxpby:
+	VMOVUPD      (SI), Y1
+	VBROADCASTSD ep_beta+160(FP), Y2
+	VMULPD       Y2, Y1, Y1
+	VADDPD       Y1, Y0, Y0       // alpha*t + beta*x
+	CMPQ         R14, $const_epRecur
+	JNE          vstore
+	VMOVUPD      (SI)(R13*1), Y1
+	VBROADCASTSD ep_gamma+168(FP), Y2
+	VMULPD       Y2, Y1, Y1
+	VADDPD       Y1, Y0, Y0       // + gamma*p
+	JMP          vstore
+
+vlow:
+	CMPQ         R14, $const_epResidual
+	JLT          vstore           // store s, or t
+	VMOVUPD      (SI)(R12*1), Y1
+	JNE          vsmooth
+	VSUBPD       Y0, Y1, Y0       // b - s
+	JMP          vstore
+
+vsmooth:
+	VSUBPD       Y0, Y1, Y1
+	VBROADCASTSD ep_alpha+152(FP), Y2
+	VMULPD       Y2, Y1, Y1
+	VADDPD       (SI), Y1, Y0     // c*(rhs - s) + phi
+	JMP          vstore
+
+sepi:
+	CMPQ   R15, R14
+	JEQ    skind
+	VMOVSD (SI)(R12*1), X1
+	VMULSD (SI), X1, X1
+	VADDSD X1, X0, X0
+
+skind:
+	CMPQ   R14, $const_epAxpy
+	JLT    slow
+	VMULSD ep_alpha+152(FP), X0, X0
+	JNE    saxpby
+	VADDSD (SI), X0, X0
+	JMP    sstore
+
+saxpby:
+	VMOVSD (SI), X1
+	VMULSD ep_beta+160(FP), X1, X1
+	VADDSD X1, X0, X0
+	CMPQ   R14, $const_epRecur
+	JNE    sstore
+	VMOVSD (SI)(R13*1), X1
+	VMULSD ep_gamma+168(FP), X1, X1
+	VADDSD X1, X0, X0
+	JMP    sstore
+
+slow:
+	CMPQ   R14, $const_epResidual
+	JLT    sstore
+	VMOVSD (SI)(R12*1), X1
+	JNE    ssmooth
+	VSUBSD X0, X1, X0
+	JMP    sstore
+
+ssmooth:
+	VSUBSD X0, X1, X1
+	VMULSD ep_alpha+152(FP), X1, X1
+	VADDSD (SI), X1, X0
+	JMP    sstore

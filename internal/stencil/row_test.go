@@ -1,6 +1,7 @@
 package stencil
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -308,5 +309,133 @@ func TestBlockBoundsPanics(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFusedBodyMatchesScalar holds every fused kernel's block, run by
+// blockAVX2 with its epilogue in registers, to the Go path (stencilRow
+// into scratch, then the epilogue's row loop), bit for bit: the plain
+// store, the residual, the smoother and every step case with and
+// without v and prev, with alpha, beta, gamma and c drawn from 0, -0, 1
+// and random values, on blocks of 1-3 planes of 1-3 rows of 0-13
+// points (every n % 4 and rows too short for a vector). The operands'
+// halos are 0 or 2 independently of the source's and the destination's,
+// prev is the destination and r is b in some blocks, and the values mix
+// ordinary numbers, ±0, ±Inf, quiet and signalling NaNs with random
+// payloads, and subnormals. Every destination value outside the block
+// must keep its sentinel. The assembly copies the operand order of the
+// normally compiled Go loops; under the race detector, whose build
+// orders some operands differently, two NaNs agree whatever their
+// payloads.
+func TestFusedBodyMatchesScalar(t *testing.T) {
+	t.Logf("dispatching body: %s", rowBodyName(hostRowSIMD))
+	rng := rand.New(rand.NewPCG(7, 8))
+	value := func() float64 {
+		switch rng.IntN(12) {
+		case 0:
+			return math.Copysign(0, float64(rng.IntN(2))-0.5)
+		case 1:
+			return math.Inf(rng.IntN(2)*2 - 1)
+		case 2:
+			return math.Float64frombits(0x7ff0000000000000 | rng.Uint64()&0x800fffffffffffff | 1)
+		case 3:
+			return (rng.Float64() - 0.5) * 1e4 * math.SmallestNonzeroFloat64
+		default:
+			return (rng.Float64() - 0.5) * math.Pow(10, float64(rng.IntN(9)-4))
+		}
+	}
+	constant := func(i int) float64 {
+		return [...]float64{0, math.Copysign(0, -1), 1, (rng.Float64() - 0.5) * 4}[i]
+	}
+	// The epilogues: the plain store, the residual, the smoother for
+	// each c, and ApplyRecurrence's for every (v, prev) and every alpha
+	// and beta, which selects the step case.
+	type variant struct {
+		name string
+		ep   epilogue
+	}
+	variants := []variant{{"store", epilogue{}}, {"residual", epilogue{kind: epResidual}}}
+	for c := range 4 {
+		variants = append(variants, variant{fmt.Sprintf("smooth c#%d", c), epilogue{kind: epSmooth, alpha: constant(c)}})
+	}
+	for _, addV := range []bool{false, true} {
+		for _, prev := range []bool{false, true} {
+			for ia := range 4 {
+				for ib := range 4 {
+					ep := stepEpilogue(addV, prev, constant(ia), constant(ib), constant(rng.IntN(4)))
+					variants = append(variants, variant{fmt.Sprintf("step kind %d v=%v prev=%v alpha#%d beta#%d", ep.kind, addV, prev, ia, ib), ep})
+				}
+			}
+		}
+	}
+	kinds := map[int]bool{}
+	for _, v := range variants {
+		kinds[v.ep.kind] = true
+	}
+	if len(kinds) != epRecur+1 {
+		t.Fatalf("variants cover %d epilogue kinds, want %d", len(kinds), epRecur+1)
+	}
+	op := Laplacian(2, 0.7)
+	const sentinel = 0x7ff8dead0000beef
+	fill := func(n int, sentinels bool) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			if sentinels {
+				s[i] = math.Float64frombits(sentinel)
+			} else {
+				s[i] = value()
+			}
+		}
+		return s
+	}
+	for _, v := range variants {
+		for nx := 1; nx <= 3; nx++ {
+			for ny := 1; ny <= 3; ny++ {
+				for n := 0; n < 14; n++ {
+					// The source's halo covers the stencil; the
+					// destination's and each operand's are 0 or 2.
+					l := newBlockLayout(nx, ny, n, 2+rng.IntN(2), 2*rng.IntN(2))
+					la, lp := newBlockLayout(nx, ny, n, 2, 2*rng.IntN(2)), newBlockLayout(nx, ny, n, 2, 2*rng.IntN(2))
+					lt := op.layout(l.isx, l.isy)
+					in, a, p := fill(l.lin, false), fill(la.lout, false), fill(lp.lout, false)
+					out := fill(l.lout, true)
+					aliased := rng.IntN(4) == 0 && (v.ep.kind == epResidual || v.ep.kind == epRecur)
+					if aliased {
+						// r is b, or prev is dst: the operand's values
+						// start in the destination's block.
+						for i := range nx {
+							for j := range ny {
+								copy(out[l.d0+i*l.osx+j*l.osy:][:n], fill(n, false))
+							}
+						}
+					}
+					run := func(simd bool) []float64 {
+						rowSIMD = simd
+						defer func() { rowSIMD = hostRowSIMD }()
+						o := append([]float64(nil), out...)
+						os := span{o, l.d0, l.osx, l.osy}
+						as, ps := span{a, la.d0, la.osx, la.osy}, span{p, lp.d0, lp.osx, lp.osy}
+						switch {
+						case aliased && v.ep.kind == epResidual:
+							as = os
+						case aliased:
+							ps = os
+						}
+						fusedBlock(os, span{in, l.s0, l.isx, l.isy}, as, ps, nx, ny, n, op.Center, lt, v.ep, make([]float64, n))
+						return o
+					}
+					got, want := run(hostRowSIMD), run(false)
+					for k := range want {
+						if raceBuild && math.IsNaN(got[k]) && math.IsNaN(want[k]) {
+							continue
+						}
+						if g, w := math.Float64bits(got[k]), math.Float64bits(want[k]); g != w {
+							t.Fatalf("%s, %dx%dx%d block, aliased %v: out[%d] = %#x, scalar %#x",
+								v.name, nx, ny, n, aliased, k, g, w)
+						}
+					}
+				}
+			}
+		}
 	}
 }

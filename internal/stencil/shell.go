@@ -19,7 +19,7 @@ import "fmt"
 // cover every sweep point exactly once (fuzzed in shell_test.go).
 //
 // Determinism. Interior followed by Shell is bit-identical to Full:
-// every point's stencil value funnels through the same stencilBlock
+// every point's stencil value funnels through the same fusedBlock
 // arithmetic, elementwise outputs are written once by whichever region
 // owns the point, and reductions accumulate into detsum.Acc — exact and
 // order-independent — so summing interior and shell partials equals

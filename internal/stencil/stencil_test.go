@@ -422,12 +422,13 @@ func BenchmarkApply(b *testing.B) {
 }
 
 // BenchmarkFused reports the fused kernels' cost per point on one
-// goroutine at a coarse multigrid level's extent (12x6x6, whose
-// ApplyResidualAcc sweep feeds its dot straight into the Acc) and at
-// the SCF grid's 24^3 (whose sweep goes through the front end):
-// ApplyStep is a Hamiltonian application, ApplyRecurrence a Chebyshev
-// filter step, ApplySmooth a Jacobi relaxation, ApplyResidualAcc the
-// residual with its exact norm.
+// goroutine at a coarse multigrid level's extent (12x6x6) and at the
+// SCF grid's 24^3: ApplyStep is a Hamiltonian application,
+// ApplyRecurrence a Chebyshev filter step, ApplySmooth a Jacobi
+// relaxation, ApplyResidualAcc the residual with its exact norm,
+// ApplyDotAcc CG's A·p with <p, Ap>; each with the AVX2 block kernel
+// (simd, skipped on a host without AVX2) and with the Go row loops
+// (scalar).
 func BenchmarkFused(b *testing.B) {
 	op := Laplacian(2, 0.6)
 	for _, d := range [][3]int{{12, 6, 6}, {24, 24, 24}} {
@@ -449,14 +450,21 @@ func BenchmarkFused(b *testing.B) {
 				var acc detsum.Acc
 				op.ApplyResidualAcc(nil, dst, v, src, &acc)
 			}},
+			{"dot", func() {
+				var acc detsum.Acc
+				op.ApplyDotAcc(nil, dst, src, &acc)
+			}},
 		}
 		for _, k := range kernels {
-			b.Run(fmt.Sprintf("%dx%dx%d/%s", d[0], d[1], d[2], k.name), func(b *testing.B) {
-				for b.Loop() {
-					k.run()
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(src.Points()), "ns/pt")
-			})
+			for _, simd := range []bool{true, false} {
+				b.Run(fmt.Sprintf("%dx%dx%d/%s/%s", d[0], d[1], d[2], k.name, rowBodyName(simd)), func(b *testing.B) {
+					setRowSIMD(b, simd)
+					for b.Loop() {
+						k.run()
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(src.Points()), "ns/pt")
+				})
+			}
 		}
 	}
 }
