@@ -9,6 +9,14 @@ import (
 	"repro/internal/topology"
 )
 
+// Expectation returns <psi|H|psi> / <psi|psi>.
+func (h *Hamiltonian) Expectation(psi *grid.Grid) float64 {
+	h = h.bound(psi)
+	hp := grid.NewDims(psi.Dims(), psi.H)
+	h.Apply(hp, psi)
+	return h.D.Dot(psi, hp) / h.D.Dot(psi, psi)
+}
+
 func TestBoundaryString(t *testing.T) {
 	if Periodic.String() != "periodic" || Dirichlet.String() != "dirichlet" {
 		t.Fatal("Boundary.String broken")

@@ -56,14 +56,6 @@ func (h *Hamiltonian) Apply(dst, psi *grid.Grid) {
 	h.bound(psi).applyStates([]*grid.Grid{dst}, []*grid.Grid{psi}, nil, 1, 0, 0)
 }
 
-// Expectation returns <psi|H|psi> / <psi|psi>.
-func (h *Hamiltonian) Expectation(psi *grid.Grid) float64 {
-	h = h.bound(psi)
-	hp := grid.NewDims(psi.Dims(), psi.H)
-	h.Apply(hp, psi)
-	return h.D.Dot(psi, hp) / h.D.Dot(psi, psi)
-}
-
 // applyStates computes dsts[i] = beta*psis[i] + alpha*(H psis[i]) +
 // gamma*prevs[i] for every state (prevs nil: no third term; prevs may
 // be dsts), with halo exchange and compute structured by the Dist's

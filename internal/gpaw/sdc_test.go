@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/grid"
 	"repro/internal/linalg"
 	"repro/internal/mpi"
 	"repro/internal/topology"
@@ -14,6 +15,26 @@ import (
 // flipBit returns v with one bit of its IEEE-754 representation flipped.
 func flipBit(v float64, bit uint) float64 {
 	return math.Float64frombits(math.Float64bits(v) ^ 1<<bit)
+}
+
+// NewBitRotInjector returns a one-shot Tamper hook that flips bit 62 of
+// the first interior element of the first held state at the given
+// iteration. Bit 62 is the top exponent bit, so the value explodes far
+// past sdcMagnitudeLimit and the same iteration's field scan catches it
+// — before the tainted state can reach a checkpoint. Install on a
+// single rank's guard; the hook survives rollback re-attempts without
+// re-firing.
+func NewBitRotInjector(iter int) func(it int, psis []*grid.Grid, n, vh, veff *grid.Grid) {
+	fired := false
+	return func(it int, psis []*grid.Grid, n, vh, veff *grid.Grid) {
+		if fired || it != iter || len(psis) == 0 || psis[0] == nil {
+			return
+		}
+		fired = true
+		g := psis[0]
+		v := g.At(0, 0, 0)
+		g.Set(0, 0, 0, math.Float64frombits(math.Float64bits(v)^(1<<62)))
+	}
 }
 
 // TestLinalgChecksumIdentity: the identity the ABFT check rests on.

@@ -258,9 +258,6 @@ func (w *World) SetMsgFaults(f *MsgFaults) {
 	w.chaosOn.Store(true)
 }
 
-// ChaosArmed reports whether message-level fault injection is armed.
-func (w *World) ChaosArmed() bool { return w.chaosOn.Load() }
-
 // NetRelStats snapshots one world rank's reliability counters (zeros
 // when no message faults are armed).
 func (w *World) NetRelStats(rank int) RelStats {

@@ -70,11 +70,6 @@ func (w *World) SetFaultPlan(plan *FaultPlan) {
 	}
 }
 
-// WorldRank returns the caller's rank in the underlying world —
-// stable across communicator splits and shrinks, and the rank whose
-// trace track and virtual clock this communicator's operations use.
-func (c *Comm) WorldRank() int { return c.group[c.rank] }
-
 // TraceRank returns the caller's per-rank trace handle, or nil when
 // tracing is off — the hook the halo-exchange engine and the solvers
 // use to add compute regions and halo-exchange phases to the timeline.
