@@ -70,9 +70,10 @@
 //     (Poisson, Kohn–Sham eigensolver, SCF) providing the workload
 //     context GPAW gives the kernel. The Hartree solve is conjugate
 //     gradients preconditioned with one multigrid V-cycle — the paper's
-//     operation: reduction-free, halo-overlapped sweeps — and started
-//     from the potential the SCF carries from step to step. The
-//     eigensolver is
+//     operation: reduction-free, halo-overlapped sweeps — started
+//     from the potential the SCF carries from step to step and run only
+//     as far as the density has converged: to 0.01 × the step's density
+//     residual, clamped to [1e-8, 1e-2]. The eigensolver is
 //     Chebyshev-filtered subspace iteration: a pass is a degree-8
 //     polynomial of H applied to every state — eight back-to-back
 //     halo-overlapped H·psi sweeps with no reduction between them —

@@ -2,6 +2,7 @@ package gpaw
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"sort"
@@ -288,6 +289,106 @@ func TestBandHartreeSolvedOnce(t *testing.T) {
 				t.Errorf("bands %d, band group 0: %d CG iterations, one-rank run %d", l.bands, d.cgIters, want)
 			}
 		})
+	}
+}
+
+// TestHartreeToleranceFollowsResidual: each SCF step solves the Hartree
+// equation to hartreeTolFactor times that step's density residual,
+// clamped to [hartreeTolFloor, hartreeTolCeil] — the ceiling on a fresh
+// run's first step, whose residual is +Inf, and the floor once the loop
+// nears an SCF Tol of 1e-8. The residual is a replicated exact
+// reduction, so the serial run, a 2 bands x 2x2x1 run (every band group
+// 0 rank) and a run resumed from a checkpoint on another layout solve to
+// the same tolerances bit for bit. Each step's residual is read back as
+// the result residual of a serial run stopped at that step.
+func TestHartreeToleranceFollowsResidual(t *testing.T) {
+	global := topology.Dims{8, 8, 8}
+	sys := scfSystem(global, 0.7)
+	const resumeStep = 3
+	// tols[r] is the tolerance sequence world rank r's hook saw.
+	var tols [][]float64
+	testHookHartree = func(d *Dist, ps *Poisson) {
+		r := d.World.Rank()
+		tols[r] = append(tols[r], ps.Tol)
+	}
+	defer func() { testHookHartree = nil }()
+	// scf builds the driver on d, serial (NewSCF's one-rank context) when
+	// d is nil.
+	scf := func(d *Dist, maxIter int) *SCF {
+		s := NewSCF(sys)
+		s.D, s.Tol, s.MaxIter = d, 1e-8, maxIter
+		return s
+	}
+
+	store := NewMemStore()
+	tols = make([][]float64, 1)
+	s := scf(nil, 100)
+	s.Ckpt = &Checkpointer{Store: store, Every: 1}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, steps := tols[0], res.Iterations
+	if len(want) != steps {
+		t.Fatalf("%d Hartree solves over %d SCF steps", len(want), steps)
+	}
+	if want[0] != hartreeTolCeil {
+		t.Errorf("step 1 solved to %g, want the ceiling %g", want[0], hartreeTolCeil)
+	}
+	for it := 2; it <= steps; it++ {
+		// Stopped short of SCF Tol, the run returns its result and an error.
+		res, err := scf(nil, it).Run()
+		if res == nil {
+			t.Fatalf("run stopped at step %d: %v", it, err)
+		}
+		tol := math.Min(math.Max(hartreeTolFactor*res.Residual, hartreeTolFloor), hartreeTolCeil)
+		if want[it-1] != tol {
+			t.Errorf("step %d solved to %g, want clamp(%g · residual %g) = %g", it, want[it-1], hartreeTolFactor, res.Residual, tol)
+		}
+	}
+	if last := want[steps-1]; last != hartreeTolFloor {
+		t.Errorf("last of %d steps solved to %g at SCF Tol 1e-8, want the floor %g", steps, last, hartreeTolFloor)
+	}
+	t.Logf("Hartree tolerances over %d steps: %g", steps, want)
+
+	same := func(what string, got []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Errorf("%s: %d solves, serial %d", what, len(got), len(want))
+			return
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("%s: step %d solved to %g, serial %g", what, i+1, got[i], want[i])
+			}
+		}
+	}
+	const bands = 2
+	procs := topology.Dims{2, 2, 1}
+	tols = make([][]float64, bands*procs.Count())
+	runBand(t, global, procs, bands, sys.BC, core.FlatOptimized, func(d *Dist) {
+		if _, err := scf(d, 100).Run(); err != nil {
+			panic(err)
+		}
+	})
+	for r := range procs.Count() { // band group 0's world ranks
+		same(fmt.Sprintf("2 bands x %v, rank %d", procs, r), tols[r])
+	}
+
+	resumeProcs := topology.Dims{1, 1, 2}
+	tols = make([][]float64, resumeProcs.Count())
+	runBand(t, global, resumeProcs, 1, sys.BC, core.FlatOptimized, func(d *Dist) {
+		rs, err := RestoreSCF(d, store, resumeStep)
+		if err != nil {
+			panic(err)
+		}
+		if _, err := scf(d, 100).Resume(rs); err != nil {
+			panic(err)
+		}
+	})
+	for r := range tols {
+		same(fmt.Sprintf("resumed from step %d on %v, rank %d", resumeStep, resumeProcs, r),
+			append(append([]float64(nil), want[:resumeStep]...), tols[r]...))
 	}
 }
 

@@ -327,13 +327,15 @@ func TestSCFHarmonicTrapConverges(t *testing.T) {
 // the fixed point, so the upper edge is the near one: Pulay mixing
 // stops 3.95e-4 (Dirichlet) above the golden.
 //
-// The same runs pin the Hartree solve's warm start: each step's
-// conjugate gradients begin at the previous step's potential, so the
-// whole run takes at most 100 iterations per boundary condition — 88
-// over 11 (Dirichlet) and 13 (periodic) Pulay steps, where a cold start
-// from zero takes about 10 per step. Pulay's steps do not move the
-// density monotonically, so neither do the per-step counts (periodic
-// step 6 takes 8 after 7); only the total is bounded.
+// The same runs pin the Hartree solve's cost: each step's conjugate
+// gradients begin at the previous step's potential and stop at
+// hartreeTolFactor times the step's density residual, so the whole run
+// takes at most 40 iterations per boundary condition — 26 over 11
+// (Dirichlet) and 13 (periodic) Pulay steps, 1–4 per step, where solving
+// every step to a fixed 1e-8 took 88 and a cold start from zero takes
+// about 10 per step. Pulay's steps do not move the density
+// monotonically, so neither do the per-step counts; only the total is
+// bounded.
 func TestSCFEnergyNearFixedPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four 24^3 SCF runs in short mode")
@@ -349,7 +351,7 @@ func TestSCFEnergyNearFixedPoint(t *testing.T) {
 		bc      Boundary
 		golden  float64
 		maxIter int
-	}{{Dirichlet, goldenDirichlet, 100}, {Periodic, goldenPeriodic, 100}} {
+	}{{Dirichlet, goldenDirichlet, 40}, {Periodic, goldenPeriodic, 40}} {
 		// perStep[i] is the conjugate-gradient count of SCF step i+1.
 		energy := func(tol float64) (e float64, perStep []int) {
 			d := selfDist(dims, 2, c.bc)

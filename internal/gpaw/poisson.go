@@ -72,7 +72,7 @@ type Poisson struct {
 	// between solves of one shape (one goroutine at a time, then).
 	D       *Dist
 	Op      *stencil.Operator
-	Tol     float64 // relative residual target
+	Tol     float64 // relative residual target; the SCF sets it per solve
 	MaxIter int
 
 	h    float64  // grid spacing: the preconditioner rediscretizes per level

@@ -59,7 +59,9 @@ func xAlpha(n float64) float64 {
 // exchange (Slater Xα): one Chebyshev-filtered subspace pass on H[n]
 // (eigen.go) — the states follow the potential as it converges instead
 // of being re-solved inside every step — then rebuild n, Pulay-mix it
-// with the last pulayHistory steps' densities, repeat.
+// with the last pulayHistory steps' densities, solve for its Hartree
+// potential to a tolerance the mix's density residual sets
+// (hartreeTol), repeat.
 // Besides the occupied states it carries guardStates unoccupied ones,
 // which bound the filter. It is deliberately small — enough to generate
 // the "thousands of wave-functions, one density" workload shape the
@@ -188,7 +190,6 @@ func (s *SCF) run(rs *SCFRestart) (*SCFResult, error) {
 	d := s.D
 	m := s.states()
 	poisson := NewDistPoisson(d, s.Sys.Spacing)
-	poisson.Tol = 1e-8
 	vextLocal := d.ScatterReplicated(s.Sys.Vext)
 
 	// The Hartree potential is state of the loop, not scratch of a step:
@@ -252,6 +253,7 @@ func (s *SCF) run(rs *SCFRestart) (*SCFResult, error) {
 					return nil, fmt.Errorf("gpaw: scf iteration %d: %w", it, err)
 				}
 			}
+			poisson.Tol = hartreeTol(residual)
 			if err := s.hartree(poisson, vh, n); err != nil {
 				return nil, fmt.Errorf("gpaw: scf iteration %d hartree: %w", it, err)
 			}
@@ -283,6 +285,28 @@ func (s *SCF) run(rs *SCFRestart) (*SCFResult, error) {
 		}
 	}
 	return nil, fmt.Errorf("gpaw: unreachable")
+}
+
+// The Hartree solve of an SCF step runs to a relative residual of
+// hartreeTolFactor times the step's density residual, clamped to
+// [hartreeTolFloor, hartreeTolCeil]: v_H need be no more exact than the
+// density it came from, which the loop has converged only that far.
+const (
+	hartreeTolFactor = 0.01
+	hartreeTolFloor  = 1e-8
+	hartreeTolCeil   = 1e-2
+)
+
+// hartreeTol returns the Hartree solve's tolerance after a mix with the
+// given density residual (+Inf on a fresh run's first step, which takes
+// the ceiling). The residual is a replicated exact reduction, so every
+// rank and layout solves to the same tolerance.
+func hartreeTol(residual float64) float64 {
+	tol := hartreeTolFactor * residual
+	if !(tol > hartreeTolFloor) { // a NaN residual takes the floor too
+		return hartreeTolFloor
+	}
+	return math.Min(tol, hartreeTolCeil)
 }
 
 // testHookHartree, when set by a test, runs on band group 0's ranks
