@@ -4,8 +4,9 @@
 # internal/detsum: the radius-2 Go row loop (stencilRow), the fused
 # kernels' row epilogues (residual, smoothing and recurrence rows), the
 # face-row moves of the halo pack/unpack (moveRow) and the exact-dot
-# front end's term loop are meant to run check-free. The compiler's
-# -d=ssa/check_bce report lists every check it keeps, by file and line.
+# block kernel's Go loops (productsGo, extractGo) are meant to run
+# check-free. The compiler's -d=ssa/check_bce report lists every check
+# it keeps, by file and line.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/../.."
 report=$(go build -gcflags=-d=ssa/check_bce ./internal/stencil ./internal/grid ./internal/detsum 2>&1)
@@ -24,7 +25,7 @@ for f in internal/stencil/*.go internal/grid/*.go internal/detsum/*.go; do
 done
 # Without markers the check would pass by checking nothing.
 if [ "$regions" -lt 6 ]; then
-	echo "found $regions bce:begin/bce:end regions, want the stencil row kernel, the three fused epilogues, the face-row move and the front end's term loop" >&2
+	echo "found $regions bce:begin/bce:end regions, want the stencil row kernel, the three fused epilogues, the face-row move and the block kernel's two loops" >&2
 	status=1
 fi
 exit $status

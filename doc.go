@@ -96,7 +96,7 @@
 //     boundaries x threads). No solver path funnels through a single
 //     node: multigrid levels too coarse for the full process grid are
 //     redistributed onto shrunken sub-communicator grids
-//     (grid.NewDecompOrFallback shapes + grid.Redistribute) with the
+//     (grid.NewDecompOrFallback shapes + grid.RedistPlan) with the
 //     remaining ranks parked until prolongation. Band parallelization
 //     (bands.go) adds the second axis of GPAW's Blue Gene/P scaling: a
 //     bands x domain 2D layout splits the wave-functions across band
@@ -122,15 +122,15 @@
 //     block size (ascending-k panel broadcasts reproduce the serial
 //     rounding sequence exactly). The solver's m x m subspace step runs
 //     replicated internal/linalg on every rank.
-//   - internal/detsum — exact, order-independent float64 summation on
-//     two levels: a Kulisch-style superaccumulator of 68 int64 bins into
-//     which each value's mantissa is deposited by integer shifts and
-//     adds, a row at a time (AddSlice/AddMulSlice), and in front of it,
-//     for the dot sweeps (MulRows), a per-exponent front
-//     end that adds each product's mantissa to its exponent's int64
-//     chunk and drains the chunks into the 68 bins (the detsum.* ledger
-//     rows of `bash benchmark/run.sh --trace 1` price it against a plain
-//     dot).
+//   - internal/detsum — exact, order-independent float64 summation: a
+//     Kulisch-style superaccumulator of 68 int64 bins into which each
+//     value's mantissa is deposited by integer shifts and adds, a row at
+//     a time (AddSlice/AddMulSlice). The dot sweeps (MulRows) buffer
+//     their products in blocks of 512 and split each block into a few
+//     exact float64 sums by error-free extraction (Rump, Ogita and
+//     Oishi, SIAM J. Sci. Comput. 31(1), 2008; AVX2 on amd64), which
+//     alone are deposited (the detsum.* ledger rows of
+//     `bash benchmark/run.sh --trace 1` price it against a plain dot).
 //     Every reduction in the
 //     solver stack accumulates through it, which makes dot products,
 //     norms and sums bit-identical for every thread count, rank count

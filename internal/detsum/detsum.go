@@ -26,14 +26,16 @@
 // single values: the deposit is the same, the per-call overhead and the
 // bounds checks are paid once per row.
 //
-// Long exact dots run on two levels, after R. M. Neal's small and large
-// superaccumulators (arXiv:1505.05571). MulRows hands a sweep to a
-// per-exponent front end: one int64 chunk per biased exponent, to which
-// each product adds its signed mantissa in one integer add, drained
-// into the 68-bin register every 1024 terms (before any chunk can
-// overflow) and at the end of the sweep. The register ends up holding
-// the same exact sum, and so the same bins and the same Round, as
-// AddMulSlice over the same products.
+// Dot sweeps (MulRows) never decode a product. They buffer a sweep's
+// rounded products in blocks of 512 and peel each block into a few
+// exact float64 sums by error-free extraction (Rump, Ogita and Oishi,
+// "Accurate floating-point summation, part I", SIAM J. Sci. Comput.
+// 31(1), 2008): with σ a power of two well above the block's largest
+// magnitude, q = (σ+p)-σ and p-q are exact, and the q's of a level sum
+// exactly in any order, so plain vector adds (AVX2 on amd64) do the
+// work and only the level sums, usually two or three per block, are
+// deposited. Exact sums are unique, so the register ends up with the
+// same bins, and the same Round, as AddMulSlice over the same products.
 //
 // Accumulators serialize to a flat []float64 (Transport/MergeTransport)
 // so they travel through the mpi runtime unchanged and merge on the
@@ -178,8 +180,7 @@ func (a *Acc) AddMulSlice(x, y []float64) {
 
 // deposited counts k deposits toward the carry threshold and carries
 // when it is reached. The row kernels size their rows so that the count
-// lands on the threshold, never past it; a front's drain may pass it by
-// fewer than numExps deposits, which the bins' headroom absorbs.
+// lands on the threshold, never past it.
 func (a *Acc) deposited(k int) {
 	a.n += k
 	if a.n >= carryEvery {

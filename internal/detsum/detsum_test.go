@@ -484,10 +484,10 @@ func BenchmarkAdd(b *testing.B) {
 
 // BenchmarkAddMulSlice feeds 4096 products in rows of 6, 24 and 48 (the
 // z-rows of a coarse multigrid level, the 24^3 SCF grid and a 48^3
-// grid) through a front cleared before and drained after them, as
-// MulRows does (front), and through Acc.AddMulSlice (acc). Random data
-// spreads the products over a few dozen exponents; smooth data, a
-// slowly varying field squared, puts long runs of them on one.
+// grid) through a block flushed after them, as MulRows does (block),
+// and through Acc.AddMulSlice (acc). Random data spreads the products
+// over a few dozen exponents, so a block takes two or three levels;
+// smooth data, a slowly varying field squared, keeps them within one.
 func BenchmarkAddMulSlice(b *testing.B) {
 	const terms = 4096
 	rng := rand.New(rand.NewSource(1))
@@ -502,16 +502,16 @@ func BenchmarkAddMulSlice(b *testing.B) {
 	}{{"random", xs, ys}, {"smooth", sm, sm}} {
 		name, x, y := d.name, d.x, d.y
 		for _, n := range []int{6, 24, 48} {
-			b.Run(fmt.Sprintf("%s/row%d/front", name, n), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/row%d/block", name, n), func(b *testing.B) {
 				var a Acc
+				var blk block
 				b.SetBytes(8 * terms)
 				for b.Loop() {
-					var f front // cleared per sweep, as in MulRows
 					for lo := 0; lo < terms; lo += n {
 						hi := min(lo+n, terms)
-						f.addMulSlice(&a, x[lo:hi], y[lo:hi])
+						blk.addMulSlice(&a, x[lo:hi], y[lo:hi])
 					}
-					f.drain(&a)
+					blk.flush(&a)
 				}
 				_ = a.Round()
 			})
@@ -530,12 +530,10 @@ func BenchmarkAddMulSlice(b *testing.B) {
 	}
 }
 
-// BenchmarkMulRows times one whole sweep through a front, as MulRows
-// runs it (clear, add, drain), and through AddMulSlice, at block sizes
-// the SCF workloads sweep: a 3^3 coarse level, 3x6x6 and 6^3 blocks,
-// and 2, 3 and 12 planes of 12x12. On a short sweep the front's fixed
-// cost, clearing 16 KB of chunks and the drain, outweighs its cheaper
-// adds.
+// BenchmarkMulRows times one whole sweep through MulRows (block) and
+// through AddMulSlice (acc), at block sizes the SCF workloads sweep: a
+// 3^3 coarse level, 3x6x6 and 6^3 blocks, and 2, 3 and 12 planes of
+// 12x12.
 func BenchmarkMulRows(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, s := range [][3]int{{3, 3, 3}, {3, 6, 6}, {6, 6, 6}, {2, 12, 12}, {3, 12, 12}, {12, 12, 12}} {
@@ -548,7 +546,7 @@ func BenchmarkMulRows(b *testing.B) {
 			o := (i*ny + j) * n
 			return x[o : o+n], y[o : o+n]
 		}
-		b.Run(fmt.Sprintf("n%d/front", len(x)), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n%d/block", len(x)), func(b *testing.B) {
 			var a Acc
 			for b.Loop() {
 				a.MulRows(nx, ny, row)

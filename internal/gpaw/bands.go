@@ -59,17 +59,14 @@ func (d *Dist) bandOwnerOf(m, st int) int {
 
 // InitGuessBand fills this band group's slice of the m global seed
 // states at this rank's sub-domain, through the deterministic
-// global-index field guessValue — so solver runs start from
+// global-index field of fillGuess — so solver runs start from
 // bit-identical states for every layout.
 func (d *Dist) InitGuessBand(m int, dims [3]int) []*grid.Grid {
 	lo, hi := d.BandRange(m)
 	psis := make([]*grid.Grid, hi-lo)
 	for st := lo; st < hi; st++ {
 		g := d.NewLocalGrid()
-		st := st
-		g.FillFunc(func(i, j, k int) float64 {
-			return guessValue(st, dims, d.off[0]+i, d.off[1]+j, d.off[2]+k)
-		})
+		fillGuess(g, st, dims, d.off)
 		psis[st-lo] = g
 	}
 	return psis
@@ -383,40 +380,4 @@ func (h *Hamiltonian) RayleighRitz(m int, psis []*grid.Grid) ([]float64, error) 
 	}
 	d.bandRotate(m, psis, linalg.MatMul(linvT, q))
 	return eig, nil
-}
-
-// GatherBandStates assembles all m global wave-functions on world rank 0
-// (band group 0, domain rank 0), returning nil elsewhere: each owner
-// group gathers its states over its domain communicator, then the group
-// leaders relay interiors to group 0 through the band communicator. The
-// differential harness uses it to compare states across layouts bitwise.
-func (d *Dist) GatherBandStates(m int, psis []*grid.Grid) []*grid.Grid {
-	lo, _ := d.BandRange(m)
-	var out []*grid.Grid
-	if d.Cart.Rank() == 0 && d.Band == 0 {
-		out = make([]*grid.Grid, m)
-	}
-	for st := 0; st < m; st++ {
-		owner := d.bandOwnerOf(m, st)
-		var g *grid.Grid
-		if owner == d.Band {
-			g = d.GatherGlobal(psis[st-lo])
-		}
-		if d.Cart.Rank() != 0 {
-			continue
-		}
-		switch {
-		case d.Band == owner && owner == 0:
-			out[st] = g
-		case d.Band == owner:
-			d.BandComm.Send(0, distTag+2, g.InteriorSlice())
-		case d.Band == 0:
-			buf := make([]float64, d.Decomp.Global.Count())
-			d.BandComm.Recv(owner, distTag+2, buf)
-			gg := grid.NewDims(d.Decomp.Global, d.Decomp.Halo)
-			gg.SetInterior(buf)
-			out[st] = gg
-		}
-	}
-	return out
 }

@@ -550,3 +550,39 @@ func TestBandSmoke(t *testing.T) {
 		})
 	}
 }
+
+// GatherBandStates assembles all m global wave-functions on world rank 0
+// (band group 0, domain rank 0), returning nil elsewhere: each owner
+// group gathers its states over its domain communicator, then the group
+// leaders relay interiors to group 0 through the band communicator. The
+// differential harness uses it to compare states across layouts bitwise.
+func (d *Dist) GatherBandStates(m int, psis []*grid.Grid) []*grid.Grid {
+	lo, _ := d.BandRange(m)
+	var out []*grid.Grid
+	if d.Cart.Rank() == 0 && d.Band == 0 {
+		out = make([]*grid.Grid, m)
+	}
+	for st := 0; st < m; st++ {
+		owner := d.bandOwnerOf(m, st)
+		var g *grid.Grid
+		if owner == d.Band {
+			g = d.GatherGlobal(psis[st-lo])
+		}
+		if d.Cart.Rank() != 0 {
+			continue
+		}
+		switch {
+		case d.Band == owner && owner == 0:
+			out[st] = g
+		case d.Band == owner:
+			d.BandComm.Send(0, distTag+2, g.InteriorSlice())
+		case d.Band == 0:
+			buf := make([]float64, d.Decomp.Global.Count())
+			d.BandComm.Recv(owner, distTag+2, buf)
+			gg := grid.NewDims(d.Decomp.Global, d.Decomp.Halo)
+			gg.SetInterior(buf)
+			out[st] = gg
+		}
+	}
+	return out
+}

@@ -307,12 +307,6 @@ func (d *Dist) scratchGrid(slot **grid.Grid) *grid.Grid {
 	return *slot
 }
 
-// Overlapped reports whether the hot solver loops run the split-phase
-// overlapped protocol: every approach but FlatOriginal on a domain grid
-// of more than one rank, unless DistConfig.NoOverlap forced the
-// serialized baseline.
-func (d *Dist) Overlapped() bool { return d.overlap }
-
 // Stats returns the engine's accumulated communication statistics.
 func (d *Dist) Stats() core.Stats { return d.eng.Stats() }
 
@@ -414,8 +408,8 @@ func (d *Dist) removeMean(g *grid.Grid) {
 // --- gather / scatter / broadcast ----------------------------------
 
 // GatherGlobal assembles the global grid from every rank's local
-// interior on rank 0 (returns nil elsewhere) — what GatherBandStates and
-// the differential tests use to compare fields across decompositions.
+// interior on rank 0 (returns nil elsewhere) — what the differential
+// tests use to compare fields across decompositions.
 func (d *Dist) GatherGlobal(local *grid.Grid) *grid.Grid {
 	if d.Cart.Rank() != 0 {
 		d.Cart.Send(0, distTag, local.InteriorSlice())

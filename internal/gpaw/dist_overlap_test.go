@@ -197,3 +197,9 @@ func TestOverlapEigenAndSCFBitIdentical(t *testing.T) {
 		t.Errorf("SCF overlap (E,res,it)=(%.17g,%.17g,%d) != serialized (%.17g,%.17g,%d)", oe, or, oi, se, sr, si)
 	}
 }
+
+// Overlapped reports whether the hot solver loops run the split-phase
+// overlapped protocol: every approach but FlatOriginal on a domain grid
+// of more than one rank, unless DistConfig.NoOverlap forced the
+// serialized baseline.
+func (d *Dist) Overlapped() bool { return d.overlap }

@@ -311,6 +311,66 @@ func TestDistSCFDifferential(t *testing.T) {
 	}
 }
 
+// guessValue is the seed field of fillGuess evaluated at global index
+// (i, j, k) of a dims-sized grid, every sine computed on the spot: the
+// oracle the tabulated fill is held to.
+func guessValue(s int, dims [3]int, i, j, k int) float64 {
+	x := float64(i+1) / float64(dims[0]+1)
+	y := float64(j+1) / float64(dims[1]+1)
+	z := float64(k+1) / float64(dims[2]+1)
+	return float64(math.Sin(math.Pi*x*float64(1+s%3))*
+		math.Sin(math.Pi*y*float64(1+(s/3)%3))*
+		math.Sin(math.Pi*z*float64(1+(s/9)%3))) +
+		float64(0.01*math.Cos(float64(s)+x+float64(2*y)+float64(3*z)))
+}
+
+// TestInitGuessMatchesGuessValue holds InitGuess, and InitGuessBand on
+// every rank of a 2x1x1 domain split under two band groups, to
+// guessValue bit for bit, over states that reach every mode and on a
+// grid too long for fillGuess's stack tables.
+func TestInitGuessMatchesGuessValue(t *testing.T) {
+	const m = 19
+	check := func(what string, s int, dims [3]int, g *grid.Grid, off topology.Coord) {
+		t.Helper()
+		for i := range g.Nx {
+			for j := range g.Ny {
+				for k := range g.Nz {
+					w := guessValue(s, dims, off[0]+i, off[1]+j, off[2]+k)
+					if got := g.At(i, j, k); math.Float64bits(got) != math.Float64bits(w) {
+						t.Fatalf("%s state %d at (%d, %d, %d): %x, guessValue %x",
+							what, s, off[0]+i, off[1]+j, off[2]+k, math.Float64bits(got), math.Float64bits(w))
+					}
+				}
+			}
+		}
+	}
+	dims := [3]int{7, 5, 6}
+	for s, g := range InitGuess(m, dims, 2) {
+		check("InitGuess", s, dims, g, topology.Coord{})
+	}
+	long := [3]int{150, 30, 20}
+	for s, g := range InitGuess(2, long, 2) {
+		check("InitGuess", s, long, g, topology.Coord{})
+	}
+	err := runRanks(4, mpi.ThreadSingle, func(c *mpi.Comm) {
+		d, err := NewDist(c, DistConfig{
+			Global: topology.Dims(dims), Procs: topology.Dims{2, 1, 1}, Halo: 2,
+			Approach: core.FlatOptimized, Bands: 2,
+		})
+		if err != nil {
+			panic(err)
+		}
+		defer d.Close()
+		lo, _ := d.BandRange(m)
+		for n, g := range d.InitGuessBand(m, dims) {
+			check("InitGuessBand", lo+n, dims, g, d.Offset())
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDistEigenDifferential covers the eigensolver directly (more
 // states than the SCF run uses) across approaches.
 func TestDistEigenDifferential(t *testing.T) {

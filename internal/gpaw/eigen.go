@@ -207,19 +207,40 @@ func foldRow(row []float64, off int, ts []lincombTerm) {
 	}
 }
 
-// guessValue is the deterministic seed field of InitGuess evaluated at
-// global index (i, j, k) of a dims-sized grid: mixed low-order modes
-// plus a per-state phase. Every rank fills its sub-domain through this
-// function at global indices, so initial states are bit-identical for
+// fillGuess fills g, whose interior starts at global index off of a
+// dims-sized grid, with seed state s: mixed low-order modes plus a
+// per-state phase,
+//
+//	sin(π·x·(1+s%3))·sin(π·y·(1+s/3%3))·sin(π·z·(1+s/9%3)) + 0.01·cos(s+x+2y+3z)
+//
+// at x = (i+1)/(dims[0]+1) and likewise y and z. Each sine depends on
+// one axis, so it is tabulated once per axis; the product and the
+// cosine are formed per point in that order. A point's value depends
+// only on its global index, so initial states are bit-identical for
 // every decomposition.
-func guessValue(s int, dims [3]int, i, j, k int) float64 {
-	x := float64(i+1) / float64(dims[0]+1)
-	y := float64(j+1) / float64(dims[1]+1)
-	z := float64(k+1) / float64(dims[2]+1)
-	return float64(math.Sin(math.Pi*x*float64(1+s%3))*
-		math.Sin(math.Pi*y*float64(1+(s/3)%3))*
-		math.Sin(math.Pi*z*float64(1+(s/9)%3))) +
-		float64(0.01*math.Cos(float64(s)+x+float64(2*y)+float64(3*z)))
+func fillGuess(g *grid.Grid, s int, dims [3]int, off [3]int) {
+	coord := func(a, i int) float64 { return float64(off[a]+i+1) / float64(dims[a]+1) }
+	n := [3]int{g.Nx, g.Ny, g.Nz}
+	mode := [3]int{1 + s%3, 1 + (s/3)%3, 1 + (s/9)%3}
+	// The tables sit on the stack for local grids of up to 192 points
+	// along the three axes together.
+	var buf [192]float64
+	table := buf[:]
+	if k := n[0] + n[1] + n[2]; k > len(buf) {
+		table = make([]float64, k)
+	}
+	var sine [3][]float64
+	for a := range 3 {
+		sine[a], table = table[:n[a]], table[n[a]:]
+		for i := range sine[a] {
+			sine[a][i] = math.Sin(math.Pi * coord(a, i) * float64(mode[a]))
+		}
+	}
+	g.FillFunc(func(i, j, k int) float64 {
+		x, y, z := coord(0, i), coord(1, j), coord(2, k)
+		return float64(sine[0][i]*sine[1][j]*sine[2][k]) +
+			float64(0.01*math.Cos(float64(s)+x+float64(2*y)+float64(3*z)))
+	})
 }
 
 // InitGuess fills m whole wave-function grids with deterministic,
@@ -228,8 +249,7 @@ func InitGuess(m int, dims [3]int, halo int) []*grid.Grid {
 	psis := make([]*grid.Grid, m)
 	for s := 0; s < m; s++ {
 		g := grid.New(dims[0], dims[1], dims[2], halo)
-		s := s
-		g.FillFunc(func(i, j, k int) float64 { return guessValue(s, dims, i, j, k) })
+		fillGuess(g, s, dims, [3]int{})
 		psis[s] = g
 	}
 	return psis

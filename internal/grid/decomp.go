@@ -61,7 +61,7 @@ func NewDecomp(global, procs topology.Dims, halo int) (*Decomp, error) {
 // It returns the decomposition, the process grid actually used, and
 // whether a fallback was applied. Ranks outside the fallback grid own
 // no points; the multigrid redistributes the level onto the surviving
-// ranks' sub-communicator (Redistribute) and parks the rest.
+// ranks' sub-communicator (RedistPlan) and parks the rest.
 func NewDecompOrFallback(global, procs topology.Dims, halo int) (*Decomp, topology.Dims, bool, error) {
 	fell := false
 	used := procs

@@ -22,7 +22,8 @@ import (
 // bit-identical to the serial ones. Every reduction has an Acc-range
 // form feeding a caller-owned accumulator; the plain forms round the
 // accumulator to float64. The dots hand their rows to Acc.MulRows,
-// which puts a long sweep through a per-exponent front end.
+// which sums a sweep's products by error-free extraction in blocks
+// (Rump, Ogita and Oishi, 2008).
 
 // checkSame panics unless o has g's interior extents.
 func (g *Grid) checkSame(op string, o *Grid) {

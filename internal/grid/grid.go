@@ -103,12 +103,6 @@ func (g *Grid) FillFunc(f func(i, j, k int) float64) {
 	g.noteTraffic(g.Nx, 1)
 }
 
-// Zero clears the whole allocation, halos included.
-func (g *Grid) Zero() {
-	clear(g.data)
-	g.noteTraffic(g.Nx, 1)
-}
-
 // Clone returns a deep copy of the grid, halos included.
 func (g *Grid) Clone() *Grid {
 	out := New(g.Nx, g.Ny, g.Nz, g.H)

@@ -22,7 +22,7 @@ import (
 // Every value is moved by plain copy, so redistribution is exact: a
 // round trip A -> B -> A reproduces the original bits.
 
-// Comm is the point-to-point transport Redistribute needs. *mpi.Comm
+// Comm is the point-to-point transport a RedistPlan runs on. *mpi.Comm
 // satisfies it; the indirection keeps this package free of a runtime
 // dependency.
 type Comm interface {
@@ -182,12 +182,4 @@ func (p *RedistPlan) Run(c Comm, srcGrid, dstGrid *Grid, tag int) {
 		c.Recv(r.peer, tag, r.buf)
 		copyBox(dstGrid, localBox(r.lo, p.dstOff), r.dims, r.buf, false)
 	}
-}
-
-// Redistribute is the one-shot form: move srcGrid (decomposed by src)
-// into dstGrid (decomposed by dst) over the communicator. Callers that
-// redistribute repeatedly should hold a RedistPlan instead and reuse
-// its buffers.
-func Redistribute(c Comm, src, dst *Decomp, srcGrid, dstGrid *Grid, tag int) {
-	NewRedistPlan(c.Rank(), src, dst).Run(c, srcGrid, dstGrid, tag)
 }

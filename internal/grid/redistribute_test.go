@@ -158,3 +158,11 @@ func TestDecompDoubled(t *testing.T) {
 		t.Errorf("expected misaligned balanced split, got identical offsets")
 	}
 }
+
+// Redistribute is the one-shot form: move srcGrid (decomposed by src)
+// into dstGrid (decomposed by dst) over the communicator. Callers that
+// redistribute repeatedly should hold a RedistPlan instead and reuse
+// its buffers.
+func Redistribute(c Comm, src, dst *Decomp, srcGrid, dstGrid *Grid, tag int) {
+	NewRedistPlan(c.Rank(), src, dst).Run(c, srcGrid, dstGrid, tag)
+}

@@ -184,11 +184,6 @@ type RelStats struct {
 	DupSuppressed, CRCRejected, OutOfOrder                   int64
 }
 
-// Injected returns the total number of injected message faults.
-func (s RelStats) Injected() int64 {
-	return s.Dropped + s.Duplicated + s.Corrupted + s.Delayed + s.Reordered
-}
-
 func (c *relCounters) snapshot() RelStats {
 	return RelStats{
 		Sent: c.sent.Load(), Dropped: c.dropped.Load(), Duplicated: c.duplicated.Load(),

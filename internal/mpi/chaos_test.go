@@ -407,3 +407,8 @@ func TestChaosProbeSeesPoisonedEnvelope(t *testing.T) {
 		t.Fatalf("typed failures seen = %v, want both ranks", typed)
 	}
 }
+
+// Injected returns the total number of injected message faults.
+func (s RelStats) Injected() int64 {
+	return s.Dropped + s.Duplicated + s.Corrupted + s.Delayed + s.Reordered
+}

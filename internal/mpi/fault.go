@@ -289,10 +289,6 @@ func (c *Comm) Fail() {
 	panic(rankKilled{me})
 }
 
-// Alive reports whether the calling rank is still a live member of the
-// world (false once it has been killed by fault injection).
-func (c *Comm) Alive() bool { return !c.world.isDead(c.group[c.rank]) }
-
 // agreeRound is the shared state of one agreement; all members of the
 // communicator rendezvous on it keyed by (context id, per-rank call
 // sequence).

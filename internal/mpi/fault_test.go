@@ -422,3 +422,7 @@ func TestRecvPostedAcrossFirstDeathFails(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Alive reports whether the calling rank is still a live member of the
+// world (false once it has been killed by fault injection).
+func (c *Comm) Alive() bool { return !c.world.isDead(c.group[c.rank]) }

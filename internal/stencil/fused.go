@@ -27,9 +27,9 @@ import (
 // distributed-memory partitioning of the same elements (see
 // internal/detsum). The reducing kernels store a block one x plane at
 // a time and hand each plane's rows to Acc.MulRows right after it,
-// while the plane is in cache; MulRows takes them through the
-// per-exponent front end, with the same bits as feeding the Acc row by
-// row.
+// while the plane is in cache; MulRows sums their products by
+// error-free extraction in blocks (Rump, Ogita and Oishi, 2008), with
+// the same bits as feeding the Acc row by row.
 //
 // Aliasing: the grid the stencil reads (src/phi) must not alias any
 // output grid — the stencil reads neighbouring planes that a fused

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/cpu"
 	"repro/internal/grid"
 )
 
@@ -222,6 +223,10 @@ type avxOperand struct {
 	p          *float64
 	row, plane int
 }
+
+// rowSIMD selects blockAVX2 for the 12-tap stencil: it holds on amd64
+// hosts with AVX2, and off amd64 the Go loop runs alone.
+var rowSIMD = cpu.AVX2
 
 // simd reports whether blockAVX2 runs the stencil for these taps.
 func (lt *layoutTaps) simd() bool { return rowSIMD && len(lt.taps) == 12 }
