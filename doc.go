@@ -100,8 +100,9 @@
 //     remaining ranks parked until prolongation. Band parallelization
 //     (bands.go) adds the second axis of GPAW's Blue Gene/P scaling: a
 //     bands x domain 2D layout splits the wave-functions across band
-//     groups, subspace matrices assemble by circulating state blocks
-//     through the band communicator, and the eigensolver/SCF reproduce
+//     groups, each group broadcasts its whole slice through the band
+//     communicator once per gather and owns the subspace-matrix columns
+//     and rotated states of its slice, and the eigensolver/SCF reproduce
 //     the one-rank results bit for bit for every bands x domain split
 //     (internal/gpaw/bands_test.go). The solver layer is fault
 //     tolerant: the SCF writes gather-free, versioned,

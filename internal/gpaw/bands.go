@@ -19,42 +19,34 @@ import (
 // halo-exchange engine) over the same global grid, and the band axis
 // distributes the grid-sized work of the subspace step:
 //
-//   - subspace matrices are assembled by circulating band blocks through
-//     the band communicator in ascending order; each group computes the
-//     rows it owns from local sub-domain dot products (detsum-exact),
-//     reduces them over its domain communicator in rank order, and the
-//     rows are merged across band groups verbatim — every rank ends up
-//     holding bit-identical m x m matrices;
-//   - the rotation Ψ ← Ψ·C runs as a distributed GEMM over grid-vector
-//     blocks: source blocks are broadcast through the band communicator
-//     in ascending order, so every output point accumulates its m terms
-//     in exactly lincombInto's order.
+//   - gatherBands gives every group all m states: each group broadcasts
+//     its whole slice through the band communicator once, in ascending
+//     group order, so a subspace step moves one message per group, not
+//     one per state;
+//   - each group owns the columns of its slice: it computes the pairs
+//     (i <= j) of the subspace matrices for its columns j from local
+//     sub-domain dot products of the gathered states with its own
+//     (detsum-exact), reduces them over its domain communicator in rank
+//     order, and the columns are merged across band groups verbatim —
+//     every rank ends up holding bit-identical m x m matrices;
+//   - the rotation Ψ ← Ψ·C writes each owned column as one linear
+//     combination of the gathered states, accumulating every output
+//     point's m terms in lincombInto's order.
 //
 // The m x m algebra between the two is replicated: every rank runs
 // internal/linalg on its bit-identical replica and derives the
 // bit-identical rotation with no communication (microseconds at tens of
 // bands: the ledger's linalg.subspace_us). The Hartree solve is not
-// repeated: band group 0 solves and broadcasts v_H (SCF.hartree). All
-// results are therefore bit-identical for every bands x domain layout
-// (one rank included), every process grid shape and every programming
-// approach.
+// repeated: band group 0 solves and broadcasts v_H (SCF.hartree). One
+// band group runs the same code with the gather the identity, so all
+// results are bit-identical for every bands x domain layout (one rank
+// included), every process grid shape and every programming approach.
 
 // BandRange returns the half-open global state range [lo, hi) owned by
 // this rank's band group when m states are distributed.
 func (d *Dist) BandRange(m int) (lo, hi int) {
 	s, l := topology.Split(m, d.Bands, d.Band)
 	return s, s + l
-}
-
-// bandOwnerOf returns the band group owning global state st.
-func (d *Dist) bandOwnerOf(m, st int) int {
-	for b := 0; b < d.Bands; b++ {
-		s, l := topology.Split(m, d.Bands, b)
-		if st >= s && st < s+l {
-			return b
-		}
-	}
-	panic(fmt.Sprintf("gpaw: state %d outside %d states", st, m))
 }
 
 // InitGuessBand fills this band group's slice of the m global seed
@@ -72,49 +64,49 @@ func (d *Dist) InitGuessBand(m int, dims [3]int) []*grid.Grid {
 	return psis
 }
 
-// bcastBandState circulates one state's interior through the band
-// communicator: the owner group's member broadcasts src's interior, and
-// every other group installs it into buf. Returns the grid holding the
-// state (src on the owner, buf elsewhere). With one band group it is
-// the identity on src.
-func (d *Dist) bcastBandState(owner int, src, buf *grid.Grid, flat []float64) *grid.Grid {
-	if d.Bands == 1 {
-		return src
-	}
-	if owner == d.Band {
-		src.CopyInterior(flat)
-		d.BandComm.Bcast(owner, flat)
-		return src
-	}
-	d.BandComm.Bcast(owner, flat)
-	buf.SetInterior(flat)
-	return buf
-}
-
-// forEachBandState visits the m global states in ascending order,
-// handing f each state's local sub-domain field: the owner group's
-// slice entry directly, other groups a broadcast copy (which f must
-// not retain past the call) landed in the Dist's circulation buffer.
-// The ascending circulation order is the determinism contract every
-// consumer — subspace assembly, rotation, density build — rests on.
+// gatherBands returns the m global states in ascending order, of
+// which local is this band group's slice. Each band group broadcasts
+// its whole slice through the band communicator once, in ascending
+// group order (an empty slice sends nothing); the owned entries are
+// local's grids themselves, the others halo-free grids the Dist
+// allocates once and reuses, valid until the next gather. With one band
+// group it returns local.
 //
 //gpaw:hotpath
-func (d *Dist) forEachBandState(m int, local []*grid.Grid, f func(gi int, src *grid.Grid)) {
-	lo, _ := d.BandRange(m)
+func (d *Dist) gatherBands(m int, local []*grid.Grid) []*grid.Grid {
+	if d.Bands == 1 {
+		return local
+	}
 	sc := &d.states
-	if d.Bands > 1 && sc.buf == nil {
-		sc.buf = grid.NewDims(d.local, 0)
-		//lint:ignore hotpathalloc grow-once scratch: the first circulation sizes it, every later one reuses it
-		sc.flat = make([]float64, sc.buf.Points())
-	}
-	for gi := 0; gi < m; gi++ {
-		owner := d.bandOwnerOf(m, gi)
-		var own *grid.Grid
-		if owner == d.Band {
-			own = local[gi-lo]
+	all, got := grow(&sc.all, m), grow(&sc.got, m)
+	pts := d.local.Count()
+	for b := 0; b < d.Bands; b++ {
+		lo, n := topology.Split(m, d.Bands, b)
+		if n == 0 {
+			continue
 		}
-		f(gi, d.bcastBandState(owner, own, sc.buf, sc.flat))
+		flat := grow(&sc.flat, n*pts)
+		if b == d.Band {
+			for i, g := range local {
+				g.CopyInterior(flat[i*pts:])
+				all[lo+i] = g
+			}
+			d.BandComm.Bcast(b, flat)
+			continue
+		}
+		d.BandComm.Bcast(b, flat)
+		for i := 0; i < n; i++ {
+			g := got[lo+i]
+			if g == nil {
+				//lint:ignore hotpathalloc grow-once scratch: the first gather allocates it, every later one reuses it
+				g = grid.NewDims(d.local, 0)
+				got[lo+i] = g
+			}
+			g.SetInterior(flat[i*pts : (i+1)*pts])
+			all[lo+i] = g
+		}
 	}
+	return all
 }
 
 // stateScratch is the eigen pass's working storage, owned by the Dist
@@ -127,8 +119,11 @@ func (d *Dist) forEachBandState(m int, local []*grid.Grid, f func(gi int, src *g
 type stateScratch struct {
 	set []*grid.Grid // one local grid per local state
 
-	buf  *grid.Grid // forEachBandState's landing grid (Bands > 1)
-	flat []float64  // and its flat broadcast transport
+	// gatherBands' storage (Bands > 1): the gathered set, the halo-free
+	// grids other groups' states land in (by global index, allocated at
+	// the first landing) and the flat broadcast transport.
+	all, got []*grid.Grid
+	flat     []float64
 }
 
 // scratchStates returns n local scratch grids, allocating only the ones
@@ -163,8 +158,6 @@ type symScratch struct {
 	pairs      [][3]int
 	accs       []detsum.Acc
 	ptrs       []*detsum.Acc
-	used       []bool
-	slots      []int
 	in, merged []float64
 }
 
@@ -180,97 +173,55 @@ func grow[T any](s *[]T, n int) []T {
 }
 
 // bandSymMatrix assembles, for every right-hand state set rights[k],
-// the full m x m symmetric matrix outs[k][i][j] = <left_i, rights[k]_j>
-// (j >= i computed, mirrored) when each band group holds only its slice
-// of the sets — all of them in one domain reduction and one band merge,
+// the full m x m symmetric matrix outs[k][i][j] = <all_i, rights[k]_j>
+// (j >= i computed, mirrored), where all is the gathered left-hand set
+// (gatherBands) and each band group holds only its slice of the right-
+// hand sets — all of them in one domain reduction and one band merge,
 // so the overlap and Hamiltonian matrices of a subspace step cost the
-// collectives of one. Blocks of the right-hand states circulate through
-// the band communicator in ascending order; the pair (i, j) is computed
-// by the owner of i from local sub-domain dots accumulated into detsum
-// accumulators, reduced exactly over the domain communicator in rank
-// order, and the finished rows are merged across band groups verbatim.
-// Every entry has the same bits for every layout.
+// collectives of one. Each group computes the pairs of the columns j it
+// owns, one pool split over every pair of every matrix, from local
+// sub-domain dots accumulated into detsum accumulators; they are
+// reduced exactly over the domain communicator and the finished columns
+// are merged across band groups verbatim. Every entry has the same bits
+// for every layout.
 //
 //gpaw:hotpath
-func (d *Dist) bandSymMatrix(m int, outs []linalg.Matrix, left []*grid.Grid, rights ...[]*grid.Grid) {
+func (d *Dist) bandSymMatrix(m int, outs []linalg.Matrix, all []*grid.Grid, rights ...[]*grid.Grid) {
 	sc := &d.sym
 	lo, hi := d.BandRange(m)
-	if d.Bands == 1 {
-		// Domain-only layout: one pool split over the m(m+1)/2 pairs of
-		// every matrix keeps every worker busy (every state is local, no
-		// circulation needed). Same per-pair arithmetic and reduction order
-		// as the circulate path, so the entries are bit-identical either way.
-		np := len(rights) * m * (m + 1) / 2
-		pairs, accs, ptrs := grow(&sc.pairs, np), grow(&sc.accs, np), grow(&sc.ptrs, np)
-		clear(accs)
-		n := 0
-		for k := range rights {
-			for i := 0; i < m; i++ {
-				for j := i; j < m; j, n = j+1, n+1 {
-					pairs[n], ptrs[n] = [3]int{k, i, j}, &accs[n]
-				}
-			}
-		}
-		//lint:ignore hotpathalloc the fork-join closure Pool.Exec takes: one per assembly, not per pair
-		d.pool.Exec(np, func(_, plo, phi int) {
-			for n := plo; n < phi; n++ {
-				l := left[pairs[n][1]]
-				l.DotAccRange(rights[pairs[n][0]][pairs[n][2]], 0, l.Nx, &accs[n])
-			}
-		})
-		vals := d.reduceAccs(ptrs)
-		for n, pr := range pairs {
-			out := outs[pr[0]]
-			out[pr[1]][pr[2]], out[pr[2]][pr[1]] = vals[n], vals[n]
-		}
-		return
-	}
-	// Slot (k, ii, j) of the owned rows: matrix k, local row ii, column j.
-	nown, mm := hi-lo, m*m
-	nslot := len(rights) * nown * m
-	accs, used := grow(&sc.accs, nslot), grow(&sc.used, nslot)
+	// Pair (k, i, j): matrix k, row i <= owned column j.
+	np := len(rights) * (hi*(hi+1) - lo*(lo+1)) / 2
+	pairs, accs, ptrs := grow(&sc.pairs, np), grow(&sc.accs, np), grow(&sc.ptrs, np)
 	clear(accs)
-	clear(used)
-	for k, right := range rights {
-		base := k * nown * m
-		//lint:ignore hotpathalloc the visitor forEachBandState takes: one per matrix
-		d.forEachBandState(m, right, func(j int, src *grid.Grid) {
-			// Pairs (i, j) with i in my range and i <= j.
-			count := min(j+1, hi) - lo
-			if count <= 0 {
-				return
-			}
-			//lint:ignore hotpathalloc the fork-join closure Pool.Exec takes: one per circulated state
-			d.pool.Exec(count, func(_, ilo, ihi int) {
-				for ii := ilo; ii < ihi; ii++ {
-					left[ii].DotAccRange(src, 0, left[ii].Nx, &accs[base+ii*m+j])
-				}
-			})
-			for ii := 0; ii < count; ii++ {
-				used[base+ii*m+j] = true
-			}
-		})
-	}
-	// Exact domain reduction of every owned pair, in a fixed order.
-	ptrs, slots := grow(&sc.ptrs, nslot), grow(&sc.slots, nslot)
 	n := 0
-	for s := range accs {
-		if used[s] {
-			ptrs[n], slots[n] = &accs[s], s
-			n++
+	for k := range rights {
+		for j := lo; j < hi; j++ {
+			for i := 0; i <= j; i, n = i+1, n+1 {
+				pairs[n], ptrs[n] = [3]int{k, i, j}, &accs[n]
+			}
 		}
 	}
-	vals := d.reduceAccs(ptrs[:n])
-	// Merge the finished rows across band groups verbatim and mirror.
-	nval := len(rights) * mm
-	in, merged := grow(&sc.in, 2*nval), grow(&sc.merged, 2*nval)
+	//lint:ignore hotpathalloc the fork-join closure Pool.Exec takes: one per assembly, not per pair
+	d.pool.Exec(np, func(_, plo, phi int) {
+		for n := plo; n < phi; n++ {
+			k, i, j := pairs[n][0], pairs[n][1], pairs[n][2]
+			all[i].DotAccRange(rights[k][j-lo], 0, all[i].Nx, &accs[n])
+		}
+	})
+	vals := d.reduceAccs(ptrs)
+	// Merge the finished columns across band groups verbatim and mirror.
+	mm, nval := m*m, len(rights)*m*m
+	in := grow(&sc.in, 2*nval)
 	clear(in)
-	for v, s := range slots[:n] {
-		k, i, j := s/(nown*m), lo+s%(nown*m)/m, s%m
-		in[k*mm+i*m+j] = vals[v]
-		in[nval+k*mm+i*m+j] = 1
+	for n, pr := range pairs {
+		s := pr[0]*mm + pr[1]*m + pr[2]
+		in[s], in[nval+s] = vals[n], 1
 	}
-	d.BandComm.AllreduceFunc(in, merged, mpi.MergeMasked)
+	merged := in
+	if d.Bands > 1 {
+		merged = grow(&sc.merged, 2*nval)
+		d.BandComm.AllreduceFunc(in, merged, mpi.MergeMasked)
+	}
 	for k, out := range outs {
 		for i := 0; i < m; i++ {
 			for j := i; j < m; j++ {
@@ -282,46 +233,24 @@ func (d *Dist) bandSymMatrix(m int, outs []linalg.Matrix, left []*grid.Grid, rig
 
 // bandRotate replaces the band slice psis (global states [lo, hi)) by
 // the columns [lo, hi) of Ψ·C, where C is the replicated m x m rotation
-// and Ψ is the band-distributed state set — the distributed GEMM over
-// grid-vector blocks. The rotated states are written into the Dist's
+// and all is Ψ gathered (gatherBands) — the distributed GEMM over
+// grid-vector blocks. Each owned column is one fused linear-combination
+// sweep over the gathered states' rows (lincombInto: zero, then
+// += c_i * src_i for ascending i, skipping exact-zero coefficients), the
+// columns divided across the pool, so the rotated states are
+// bit-identical for every band count. They are written into the Dist's
 // scratch set and swapped into psis (the *grid.Grid objects are
 // replaced, as EigenSolver.Solve documents), so no state is copied.
-// With one band group every output state is one fused
-// linear-combination sweep over the old states' rows, the states
-// divided across the pool. Otherwise source states are broadcast
-// through the band communicator in ascending global order, so every
-// output point accumulates its terms in exactly lincombInto's order
-// (zero, then += c_i * src_i for ascending i, skipping exact-zero
-// coefficients) and the rotated states are bit-identical for every
-// band count.
 //
 //gpaw:hotpath
-func (d *Dist) bandRotate(m int, psis []*grid.Grid, c linalg.Matrix) {
+func (d *Dist) bandRotate(m int, psis, all []*grid.Grid, c linalg.Matrix) {
+	lo, _ := d.BandRange(m)
 	news := d.scratchStates(len(psis))
-	if d.Bands == 1 {
-		//lint:ignore hotpathalloc the fork-join closure Pool.Exec takes: one per rotation, not per state
-		d.pool.Exec(m, func(_, lo, hi int) {
-			for j := lo; j < hi; j++ {
-				lincombInto(news[j], c, j, psis)
-			}
-		})
-		swapStates(psis, news)
-		return
-	}
-	lo, hi := d.BandRange(m)
-	for _, g := range news {
-		g.Fill(0)
-	}
-	//lint:ignore hotpathalloc the visitor forEachBandState takes: one per rotation
-	d.forEachBandState(m, psis, func(gi int, src *grid.Grid) {
-		//lint:ignore hotpathalloc the fork-join closure Pool.Exec takes: one per circulated state
-		d.pool.Exec(hi-lo, func(_, jlo, jhi int) {
-			for jj := jlo; jj < jhi; jj++ {
-				if ct := c[gi][lo+jj]; ct != 0 {
-					news[jj].Axpy(ct, src)
-				}
-			}
-		})
+	//lint:ignore hotpathalloc the fork-join closure Pool.Exec takes: one per rotation, not per state
+	d.pool.Exec(len(psis), func(_, jlo, jhi int) {
+		for jj := jlo; jj < jhi; jj++ {
+			lincombInto(news[jj], c, lo+jj, all)
+		}
 	})
 	swapStates(psis, news)
 }
@@ -347,12 +276,14 @@ func (h *Hamiltonian) RayleighRitz(m int, psis []*grid.Grid) ([]float64, error) 
 	defer d.Cart.TraceRank().Region("bands.rayleighritz").End()
 	// H·psi lands in the scratch set: only interiors are written here and
 	// read by the subspace assembly, after which the set is free again
-	// for bandRotate's targets.
+	// for bandRotate's targets. Only psi is gathered, once for both the
+	// assembly and the rotation; H·psi never leaves its band group.
 	hp := d.scratchStates(len(psis))
 	h.applyStates(hp, psis, nil, 1, 0, 0)
+	all := d.gatherBands(m, psis)
 	s, hm := linalg.NewMatrix(m, m), linalg.NewMatrix(m, m)
 	//lint:ignore hotpathalloc the two-matrix argument lists: one per subspace step
-	d.bandSymMatrix(m, []linalg.Matrix{s, hm}, psis, psis, hp)
+	d.bandSymMatrix(m, []linalg.Matrix{s, hm}, all, psis, hp)
 	l, err := linalg.Cholesky(s)
 	if err != nil {
 		//lint:ignore hotpathalloc error path: the solve is over
@@ -378,6 +309,6 @@ func (h *Hamiltonian) RayleighRitz(m int, psis []*grid.Grid) ([]float64, error) 
 		//lint:ignore hotpathalloc error path: the solve is over
 		return nil, fmt.Errorf("gpaw: subspace diagonalization: %w", err)
 	}
-	d.bandRotate(m, psis, linalg.MatMul(linvT, q))
+	d.bandRotate(m, psis, all, linalg.MatMul(linvT, q))
 	return eig, nil
 }

@@ -73,10 +73,18 @@ func runBand(t *testing.T, global, procs topology.Dims, bands int, bc Boundary, 
 }
 
 // TestBandSymMatrixRotate pins the band-parallel primitives in
-// isolation: the circulating subspace-matrix assembly and the
-// distributed-GEMM rotation must match plain undecomposed dot products
-// and the one-group rotate bitwise on a 2 x 2 bands x domain layout.
+// isolation: the gather, the column-owned subspace-matrix assembly and
+// the rotation must match plain undecomposed dot products and the
+// one-group rotate bitwise on bands x 2 layouts with m = 5, whose band
+// slices are 3/2, 2/2/1, 2/1/1/1 and, at 6 groups, five single states
+// and one group that owns none.
 func TestBandSymMatrixRotate(t *testing.T) {
+	for _, bands := range []int{2, 3, 4, 6} {
+		t.Run(fmt.Sprintf("bands=%d", bands), func(t *testing.T) { testBandSymMatrixRotate(t, bands) })
+	}
+}
+
+func testBandSymMatrixRotate(t *testing.T, bands int) {
 	global := topology.Dims{8, 6, 8}
 	dims := [3]int{8, 6, 8}
 	const m = 5
@@ -100,8 +108,8 @@ func TestBandSymMatrixRotate(t *testing.T) {
 	for i := range rotSerial {
 		rotSerial[i] = serial[i].Clone()
 	}
-	selfDist(global, 2, Dirichlet).bandRotate(m, rotSerial, c)
-	runBand(t, global, topology.Dims{1, 1, 2}, 2, Dirichlet, core.FlatOptimized, func(d *Dist) {
+	selfDist(global, 2, Dirichlet).bandRotate(m, rotSerial, rotSerial, c)
+	runBand(t, global, topology.Dims{1, 1, 2}, bands, Dirichlet, core.FlatOptimized, func(d *Dist) {
 		psis := d.InitGuessBand(m, dims)
 		// Two right-hand sets in one assembly; the second is the first
 		// doubled, which doubles every dot product exactly.
@@ -109,8 +117,9 @@ func TestBandSymMatrixRotate(t *testing.T) {
 		for _, g := range twice {
 			g.Scale(2)
 		}
+		all := d.gatherBands(m, psis)
 		got, got2 := linalg.NewMatrix(m, m), linalg.NewMatrix(m, m)
-		d.bandSymMatrix(m, []linalg.Matrix{got, got2}, psis, psis, twice)
+		d.bandSymMatrix(m, []linalg.Matrix{got, got2}, all, psis, twice)
 		if diff := linalg.MaxAbsDiff(got, want); diff != 0 {
 			t.Errorf("bandSymMatrix deviates from undecomposed dot products by %g", diff)
 		}
@@ -121,7 +130,7 @@ func TestBandSymMatrixRotate(t *testing.T) {
 				}
 			}
 		}
-		d.bandRotate(m, psis, c)
+		d.bandRotate(m, psis, all, c)
 		lo, _ := d.BandRange(m)
 		for s, psi := range psis {
 			g := d.GatherGlobal(psi)
@@ -585,4 +594,15 @@ func (d *Dist) GatherBandStates(m int, psis []*grid.Grid) []*grid.Grid {
 		}
 	}
 	return out
+}
+
+// bandOwnerOf returns the band group owning global state st.
+func (d *Dist) bandOwnerOf(m, st int) int {
+	for b := 0; b < d.Bands; b++ {
+		s, l := topology.Split(m, d.Bands, b)
+		if st >= s && st < s+l {
+			return b
+		}
+	}
+	panic(fmt.Sprintf("gpaw: state %d outside %d states", st, m))
 }

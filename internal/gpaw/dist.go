@@ -160,8 +160,10 @@ type Dist struct {
 
 	// redIn, redOut and redVals are reduceAccs' transport and result
 	// scratch, sized on first use (acc: a stack accumulator handed to the
-	// pool would escape, an allocation per reduction); sym is
-	// bandSymMatrix's, states the eigen pass's second state set, fields
+	// pool would escape, an allocation per reduction); sym holds
+	// bandSymMatrix's pairs of the owned columns and its merge buffers,
+	// states the eigen pass's second state set and gatherBands' halo-free
+	// grids for other groups' states with their flat transport, fields
 	// the work grids of the Poisson solve and the SCF step, and mg the
 	// solve's V-cycle hierarchy (Dist.hierarchy) — all born on first use,
 	// none in NewDist. cgIters counts the conjugate-gradient iterations

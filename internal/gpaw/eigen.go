@@ -136,17 +136,17 @@ func (h *Hamiltonian) filterPass(m int, psis []*grid.Grid, eig []float64) ([]flo
 // output ceil(terms/4) times. Zero coefficients are skipped. Every
 // product is rounded before it is added (the explicit conversion keeps
 // an FMA-capable architecture from fusing the two). The sources share
-// dst's extents and halo, so dst's row offsets address their storage
-// directly.
+// dst's extents; each may have its own halo, so each term addresses its
+// rows through its own offsets.
 func lincombInto(dst *grid.Grid, c linalg.Matrix, col int, srcs []*grid.Grid) {
-	var stack [16]lincombTerm // no heap allocation up to 16 states per group
+	var stack [16]lincombTerm // no heap allocation up to 16 states
 	terms := stack[:0]
 	for i, src := range srcs {
-		if src.Nx != dst.Nx || src.Ny != dst.Ny || src.Nz != dst.Nz || src.H != dst.H {
+		if src.Nx != dst.Nx || src.Ny != dst.Ny || src.Nz != dst.Nz {
 			panic("gpaw: lincombInto layout mismatch")
 		}
 		if c[i][col] != 0 {
-			terms = append(terms, lincombTerm{src.Data(), c[i][col]})
+			terms = append(terms, lincombTerm{src, c[i][col]})
 		}
 	}
 	out := dst.Data()
@@ -156,48 +156,54 @@ func lincombInto(dst *grid.Grid, c linalg.Matrix, col int, srcs []*grid.Grid) {
 			row := out[off : off+dst.Nz]
 			clear(row)
 			for t := 0; t < len(terms); t += 4 {
-				foldRow(row, off, terms[t:min(t+4, len(terms))])
+				foldRow(row, i, j, terms[t:min(t+4, len(terms))])
 			}
 		}
 	}
 	grid.NoteTraffic(dst.Points(), len(terms)+1)
 }
 
-// lincombTerm is one source of a linear combination: a grid's storage
-// and its coefficient.
+// lincombTerm is one source of a linear combination: a grid and its
+// coefficient.
 type lincombTerm struct {
-	data []float64
-	c    float64
+	src *grid.Grid
+	c   float64
+}
+
+// row returns the term's n values of interior row (i, j).
+func (t lincombTerm) row(i, j, n int) []float64 {
+	off := t.src.Index(i, j, 0)
+	return t.src.Data()[off : off+n]
 }
 
 // foldRow adds the one to four terms ts, in order, to every point of
-// row, which sits at offset off of each term's storage.
-func foldRow(row []float64, off int, ts []lincombTerm) {
+// row, interior row (i, j) of the destination.
+func foldRow(row []float64, i, j int, ts []lincombTerm) {
 	n := len(row)
-	c0, s0 := ts[0].c, ts[0].data[off:off+n]
+	c0, s0 := ts[0].c, ts[0].row(i, j, n)
 	switch len(ts) {
 	case 1:
 		for k, v := range row {
 			row[k] = v + float64(c0*s0[k])
 		}
 	case 2:
-		c1, s1 := ts[1].c, ts[1].data[off:off+n]
+		c1, s1 := ts[1].c, ts[1].row(i, j, n)
 		for k, v := range row {
 			v += float64(c0 * s0[k])
 			row[k] = v + float64(c1*s1[k])
 		}
 	case 3:
-		c1, s1 := ts[1].c, ts[1].data[off:off+n]
-		c2, s2 := ts[2].c, ts[2].data[off:off+n]
+		c1, s1 := ts[1].c, ts[1].row(i, j, n)
+		c2, s2 := ts[2].c, ts[2].row(i, j, n)
 		for k, v := range row {
 			v += float64(c0 * s0[k])
 			v += float64(c1 * s1[k])
 			row[k] = v + float64(c2*s2[k])
 		}
 	case 4:
-		c1, s1 := ts[1].c, ts[1].data[off:off+n]
-		c2, s2 := ts[2].c, ts[2].data[off:off+n]
-		c3, s3 := ts[3].c, ts[3].data[off:off+n]
+		c1, s1 := ts[1].c, ts[1].row(i, j, n)
+		c2, s2 := ts[2].c, ts[2].row(i, j, n)
+		c3, s3 := ts[3].c, ts[3].row(i, j, n)
 		for k, v := range row {
 			v += float64(c0 * s0[k])
 			v += float64(c1 * s1[k])

@@ -115,11 +115,12 @@ func (s *SCF) states() int   { return s.occupied() + guardStates }
 
 // buildDensity assembles n(r) = Σ_i f_i |ψ_i|² normalized to the
 // electron count in the Dist's density scratch, one fused
-// accumulate-the-square sweep per occupied state. States circulate
-// through the band communicator in ascending global order so every rank
-// accumulates occ·|ψ|² in the same state order, then the normalization
-// sum reduces exactly over the domain. The returned density is
-// replicated across band groups and valid until the next call.
+// accumulate-the-square sweep per occupied state. The band slices are
+// gathered (gatherBands: one broadcast per band group) and every rank
+// accumulates occ·|ψ|² over the gathered set in ascending global order,
+// then the normalization sum reduces exactly over the domain. The
+// returned density is replicated across band groups and valid until
+// the next call.
 func (s *SCF) buildDensity(m int, psis []*grid.Grid) *grid.Grid {
 	d := s.D
 	defer d.Cart.TraceRank().Region("scf.density").End()
@@ -127,13 +128,14 @@ func (s *SCF) buildDensity(m int, psis []*grid.Grid) *grid.Grid {
 	n.Fill(0)
 	dV := s.Sys.Spacing * s.Sys.Spacing * s.Sys.Spacing
 	remaining := float64(s.Sys.Electrons)
-	d.forEachBandState(m, psis, func(_ int, src *grid.Grid) {
+	for _, src := range d.gatherBands(m, psis) {
 		occ := math.Min(2, remaining)
+		//lint:ignore detsumcheck occupation bookkeeping folds in fixed state order over the gathered states — deterministic on every rank
 		remaining -= occ
 		if occ > 0 {
 			n.AccumSquared(occ, src)
 		}
-	})
+	}
 	// Wave-functions are dot-product normalized; scale so that
 	// ∫n dV = electrons.
 	total := d.Sum(n) * dV

@@ -360,10 +360,9 @@ func TestEigenSpanVocabulary(t *testing.T) {
 	}{
 		// bandSymMatrix's one domain reduction.
 		{1, topology.Dims{1, 1, 1}, 3},
-		// The domain reduction, the one band merge, and a circulation
-		// broadcast per state for S's and H's right-hand sets and for the
-		// rotation: 3 + 3 + 3m.
-		{2, topology.Dims{2, 1, 1}, 21},
+		// The domain reduction, the one band merge, and the gather's one
+		// broadcast per band group: 3 + 3 + 2.
+		{2, topology.Dims{2, 1, 1}, 8},
 	} {
 		ranks := l.bands * l.procs.Count()
 		tr := trace.New(ranks, 1<<16)

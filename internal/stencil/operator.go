@@ -241,14 +241,6 @@ func (lt *layoutTaps) scratch(n int) int {
 	return n
 }
 
-// stencilBlock evaluates the stencil over nx planes of ny contiguous
-// z-rows of n points: row (i, j) reads in from s0 + i*isx + j*isy and
-// is written to out from d0 + i*osx + j*osy. It is fusedBlock with the
-// store-only epilogue.
-func stencilBlock(out, in []float64, d0, s0, nx, ny, n, isx, isy, osx, osy int, center float64, lt *layoutTaps) {
-	fusedBlock(span{out, d0, osx, osy}, span{in, s0, isx, isy}, span{}, span{}, nx, ny, n, center, lt, epilogue{}, nil)
-}
-
 // fusedBlock evaluates the stencil of in over an nx x ny x n block and
 // stores ep applied to each value in out; a and p are ep's elementwise
 // operands (see epilogue), each with its own layout. Every kernel in
@@ -299,9 +291,8 @@ func stencilRow(out, in []float64, s0, n int, center float64, taps []tap) {
 	case 12:
 		// The paper's 13-point operator, unrolled over one re-sliced row
 		// per tap so the loop carries no bounds check: the centre
-		// product, then three groups of four taps in tap order. Where
-		// rowSIMD holds, blockAVX2 computes the whole row with the same
-		// rounding sequence, and the re-slices bound its reads.
+		// product, then three groups of four taps in tap order — the
+		// rounding sequence blockAVX2 reproduces.
 		c0, c1, c2, c3 := taps[0].c, taps[1].c, taps[2].c, taps[3].c
 		c4, c5, c6, c7 := taps[4].c, taps[5].c, taps[6].c, taps[7].c
 		c8, c9, c10, c11 := taps[8].c, taps[9].c, taps[10].c, taps[11].c
@@ -312,10 +303,6 @@ func stencilRow(out, in []float64, s0, n int, center float64, taps []tap) {
 		x6, x7 := in[s0+taps[6].off:][:n], in[s0+taps[7].off:][:n]
 		x8, x9 := in[s0+taps[8].off:][:n], in[s0+taps[9].off:][:n]
 		x10, x11 := in[s0+taps[10].off:][:n], in[s0+taps[11].off:][:n]
-		if rowSIMD && n > 0 {
-			blockAVX2(avxOperand{p: &out[0]}, avxOperand{p: &x[0]}, avxOperand{}, avxOperand{}, 1, 1, n, center, &taps[0], epilogue{})
-			return
-		}
 		// bce:begin
 		for k := uint(0); k < uint(len(out)); k++ {
 			v := float64(center * x[k])
@@ -342,10 +329,7 @@ func stencilRow(out, in []float64, s0, n int, center float64, taps []tap) {
 // building block of both the plane-split and the cache-blocked
 // traversals.
 func (op *Operator) applyBlock(dst, src *grid.Grid, lt *layoutTaps, b Block) {
-	isx, isy := src.Strides()
-	osx, osy := dst.Strides()
-	stencilBlock(dst.Data(), src.Data(), dst.Index(b.X0, b.Y0, b.Z0), src.Index(b.X0, b.Y0, b.Z0),
-		b.X1-b.X0, b.Y1-b.Y0, b.Z1-b.Z0, isx, isy, osx, osy, op.Center, lt)
+	op.block(dst, src, nil, nil, lt, epilogue{}, nil, b)
 }
 
 // ApplyPeriodicReference fills src's halos periodically and applies the

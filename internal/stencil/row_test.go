@@ -34,67 +34,6 @@ func setRowSIMD(tb testing.TB, simd bool) {
 // taps returns op's taps for a layout with strides (sx, sy, 1).
 func (op *Operator) taps(sx, sy int) []tap { return op.layout(sx, sy).taps }
 
-// TestRowBodyMatchesScalar holds the dispatching stencilRow to the Go
-// loop alone, bit for bit, at every row length 0-67 (vector bodies
-// with every tail, and rows too short for one vector), on random
-// layouts and coefficients, with inputs (and a few coefficients)
-// mixing ordinary values, ±0, ±Inf, quiet and signalling NaNs with
-// random payloads, and subnormals.
-func TestRowBodyMatchesScalar(t *testing.T) {
-	t.Logf("dispatching body: %s", rowBodyName(hostRowSIMD))
-	rng := rand.New(rand.NewPCG(3, 4))
-	value := func() float64 {
-		switch rng.IntN(12) {
-		case 0:
-			return math.Copysign(0, float64(rng.IntN(2))-0.5)
-		case 1:
-			return math.Inf(rng.IntN(2)*2 - 1)
-		case 2:
-			// Any exponent-all-ones pattern with a nonzero mantissa:
-			// quiet or signalling, either sign, random payload.
-			return math.Float64frombits(0x7ff0000000000000 | rng.Uint64()&0x800fffffffffffff | 1)
-		case 3:
-			return (rng.Float64() - 0.5) * 1e4 * math.SmallestNonzeroFloat64
-		default:
-			return (rng.Float64() - 0.5) * math.Pow(10, float64(rng.IntN(9)-4))
-		}
-	}
-	coeff := func() float64 {
-		if rng.IntN(40) == 0 {
-			return value() // rarely ±Inf, NaN or subnormal; a zero drops its tap
-		}
-		c := (rng.Float64() + 0.25) * math.Pow(10, float64(rng.IntN(7)-3))
-		if rng.IntN(2) == 0 {
-			c = -c
-		}
-		return c
-	}
-	coeffs := func() []float64 { return []float64{coeff(), coeff(), coeff(), coeff(), coeff()} }
-	for trial := 0; trial < 40; trial++ {
-		op := NewOperator(2, coeffs(), coeffs(), coeffs())
-		sy := 1 + rng.IntN(80)
-		sx := sy * (1 + rng.IntN(40))
-		taps := op.taps(sx, sy)
-		for n := 0; n < 68; n++ {
-			s0 := 2*sx + rng.IntN(5)
-			in := make([]float64, s0+n+2*sx)
-			for i := range in {
-				in[i] = value()
-			}
-			got, want := make([]float64, n), make([]float64, n)
-			stencilRow(got, in, s0, n, op.Center, taps)
-			rowSIMD = false
-			stencilRow(want, in, s0, n, op.Center, taps)
-			rowSIMD = hostRowSIMD
-			for k := range want {
-				if g, w := math.Float64bits(got[k]), math.Float64bits(want[k]); g != w {
-					t.Fatalf("strides (%d, %d) n=%d: out[%d] = %#x, scalar %#x", sx, sy, n, k, g, w)
-				}
-			}
-		}
-	}
-}
-
 // TestRowBodySweepsMatch runs every kernel with each stencil body, over
 // the Full, Interior and Shell views, and compares the results bit for
 // bit: on 24^3, on a 5x7x13 grid whose rows of 13 are three vectors
@@ -179,13 +118,22 @@ func newBlockLayout(nx, ny, n, hin, hout int) blockLayout {
 	}
 }
 
+// storeBlock runs fusedBlock with the store-only epilogue over the
+// nx x ny x n block that l places in in and out.
+func storeBlock(out, in []float64, l blockLayout, nx, ny, n int, center float64, lt *layoutTaps) {
+	fusedBlock(span{out, l.d0, l.osx, l.osy}, span{in, l.s0, l.isx, l.isy}, span{}, span{},
+		nx, ny, n, center, lt, epilogue{}, nil)
+}
+
 // TestBlockBodyMatchesScalar holds the block entry to stencilRow's Go
-// loop run row by row, bit for bit, on every block of 1-4 planes of
-// 1-4 rows of 0-67 points, with source and destination halos that
-// differ (so do their strides), on random coefficients and inputs that
-// mix ordinary values, ±0, ±Inf, quiet and signalling NaNs with random
-// payloads, and subnormals. Every destination value outside the block
-// must keep its sentinel.
+// loop run row by row, bit for bit, at every row length 0-67 (vector
+// bodies with every tail, and rows too short for one vector): on every
+// block of 1-4 planes of 1-4 rows with source and destination halos
+// that differ (so do their strides), and on single rows at random
+// strides. Coefficients are random, a few of them ±0, ±Inf, NaN or
+// subnormal; inputs mix ordinary values, ±0, ±Inf, quiet and
+// signalling NaNs with random payloads, and subnormals. Every
+// destination value outside the block must keep its sentinel.
 func TestBlockBodyMatchesScalar(t *testing.T) {
 	t.Logf("dispatching body: %s", rowBodyName(hostRowSIMD))
 	rng := rand.New(rand.NewPCG(5, 6))
@@ -196,6 +144,8 @@ func TestBlockBodyMatchesScalar(t *testing.T) {
 		case 1:
 			return math.Inf(rng.IntN(2)*2 - 1)
 		case 2:
+			// Any exponent-all-ones pattern with a nonzero mantissa:
+			// quiet or signalling, either sign, random payload.
 			return math.Float64frombits(0x7ff0000000000000 | rng.Uint64()&0x800fffffffffffff | 1)
 		case 3:
 			return (rng.Float64() - 0.5) * 1e4 * math.SmallestNonzeroFloat64
@@ -203,50 +153,61 @@ func TestBlockBodyMatchesScalar(t *testing.T) {
 			return (rng.Float64() - 0.5) * math.Pow(10, float64(rng.IntN(9)-4))
 		}
 	}
-	coeffs := func() []float64 {
-		c := make([]float64, 5)
-		for i := range c {
-			c[i] = (rng.Float64() + 0.25) * math.Pow(10, float64(rng.IntN(7)-3))
+	coeff := func() float64 {
+		if rng.IntN(40) == 0 {
+			return value() // rarely ±Inf, NaN or subnormal; a zero drops its tap
 		}
-		if rng.IntN(4) == 0 {
-			c[rng.IntN(5)] = value() // rarely ±Inf, NaN or subnormal; a zero drops its tap
+		c := (rng.Float64() + 0.25) * math.Pow(10, float64(rng.IntN(7)-3))
+		if rng.IntN(2) == 0 {
+			c = -c
 		}
 		return c
 	}
+	coeffs := func() []float64 { return []float64{coeff(), coeff(), coeff(), coeff(), coeff()} }
 	const sentinel = 0x7ff8dead0000beef
+	check := func(op *Operator, l blockLayout, nx, ny, n int) {
+		lt := op.layout(l.isx, l.isy)
+		in := make([]float64, l.lin)
+		for i := range in {
+			in[i] = value()
+		}
+		got, want := make([]float64, l.lout), make([]float64, l.lout)
+		for i := range got {
+			got[i], want[i] = math.Float64frombits(sentinel), math.Float64frombits(sentinel)
+		}
+		storeBlock(got, in, l, nx, ny, n, op.Center, lt)
+		for i := 0; i < nx; i++ {
+			for j := 0; j < ny; j++ {
+				d := l.d0 + i*l.osx + j*l.osy
+				stencilRow(want[d:d+n], in, l.s0+i*l.isx+j*l.isy, n, op.Center, lt.taps)
+			}
+		}
+		for k := range want {
+			if g, w := math.Float64bits(got[k]), math.Float64bits(want[k]); g != w {
+				t.Fatalf("%d taps, %dx%dx%d block, strides (%d, %d) -> (%d, %d): out[%d] = %#x, scalar %#x",
+					len(lt.taps), nx, ny, n, l.isx, l.isy, l.osx, l.osy, k, g, w)
+			}
+		}
+	}
 	for trial := 0; trial < 3; trial++ {
 		op := NewOperator(2, coeffs(), coeffs(), coeffs())
 		hin, hout := 2+rng.IntN(2), rng.IntN(4)
 		for nx := 1; nx <= 4; nx++ {
 			for ny := 1; ny <= 4; ny++ {
 				for n := 0; n < 68; n++ {
-					l := newBlockLayout(nx, ny, n, hin, hout)
-					lt := op.layout(l.isx, l.isy)
-					in := make([]float64, l.lin)
-					for i := range in {
-						in[i] = value()
-					}
-					got, want := make([]float64, l.lout), make([]float64, l.lout)
-					for i := range got {
-						got[i], want[i] = math.Float64frombits(sentinel), math.Float64frombits(sentinel)
-					}
-					stencilBlock(got, in, l.d0, l.s0, nx, ny, n, l.isx, l.isy, l.osx, l.osy, op.Center, lt)
-					rowSIMD = false
-					for i := 0; i < nx; i++ {
-						for j := 0; j < ny; j++ {
-							d := l.d0 + i*l.osx + j*l.osy
-							stencilRow(want[d:d+n], in, l.s0+i*l.isx+j*l.isy, n, op.Center, lt.taps)
-						}
-					}
-					rowSIMD = hostRowSIMD
-					for k := range want {
-						if g, w := math.Float64bits(got[k]), math.Float64bits(want[k]); g != w {
-							t.Fatalf("%d taps, %dx%dx%d block, halos %d->%d: out[%d] = %#x, scalar %#x",
-								len(lt.taps), nx, ny, n, hin, hout, k, g, w)
-						}
-					}
+					check(op, newBlockLayout(nx, ny, n, hin, hout), nx, ny, n)
 				}
 			}
+		}
+	}
+	// Single rows whose source strides need not come from any grid.
+	for trial := 0; trial < 40; trial++ {
+		op := NewOperator(2, coeffs(), coeffs(), coeffs())
+		sy := 1 + rng.IntN(80)
+		sx := sy * (1 + rng.IntN(40))
+		for n := 0; n < 68; n++ {
+			s0 := 2*sx + rng.IntN(5)
+			check(op, blockLayout{lin: s0 + n + 2*sx, lout: n, s0: s0, isx: sx, isy: sy}, 1, 1, n)
 		}
 	}
 }
@@ -292,8 +253,9 @@ func TestBlockBoundsPanics(t *testing.T) {
 				}
 				panicked := func() (p bool) {
 					defer func() { p = recover() != nil }()
-					stencilBlock(out[:len(out)-c.trimOut], in[:len(in)-c.trimIn], c.d0, c.s0,
-						nx, ny, n, l.isx, l.isy, l.osx, l.osy, op.Center, lt)
+					at := l
+					at.s0, at.d0 = c.s0, c.d0
+					storeBlock(out[:len(out)-c.trimOut], in[:len(in)-c.trimIn], at, nx, ny, n, op.Center, lt)
 					return false
 				}()
 				if panicked != c.wantsPanic {
