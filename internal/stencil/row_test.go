@@ -125,89 +125,113 @@ func storeBlock(out, in []float64, l blockLayout, nx, ny, n int, center float64,
 		nx, ny, n, center, lt, epilogue{}, nil)
 }
 
+// bodyCheck draws random operators and inputs from rng and holds the
+// block entry to stencilRow's Go loop run row by row, bit for bit.
+// Coefficients are random, a few of them ±0, ±Inf, NaN or subnormal;
+// inputs mix ordinary values, ±0, ±Inf, quiet and signalling NaNs with
+// random payloads, and subnormals. Every destination value outside the
+// block must keep its sentinel.
+type bodyCheck struct {
+	t   *testing.T
+	rng *rand.Rand
+}
+
+func (c bodyCheck) value() float64 {
+	switch c.rng.IntN(12) {
+	case 0:
+		return math.Copysign(0, float64(c.rng.IntN(2))-0.5)
+	case 1:
+		return math.Inf(c.rng.IntN(2)*2 - 1)
+	case 2:
+		// Any exponent-all-ones pattern with a nonzero mantissa:
+		// quiet or signalling, either sign, random payload.
+		return math.Float64frombits(0x7ff0000000000000 | c.rng.Uint64()&0x800fffffffffffff | 1)
+	case 3:
+		return (c.rng.Float64() - 0.5) * 1e4 * math.SmallestNonzeroFloat64
+	default:
+		return (c.rng.Float64() - 0.5) * math.Pow(10, float64(c.rng.IntN(9)-4))
+	}
+}
+
+func (c bodyCheck) coeff() float64 {
+	if c.rng.IntN(40) == 0 {
+		return c.value() // rarely ±Inf, NaN or subnormal; a zero drops its tap
+	}
+	v := (c.rng.Float64() + 0.25) * math.Pow(10, float64(c.rng.IntN(7)-3))
+	if c.rng.IntN(2) == 0 {
+		v = -v
+	}
+	return v
+}
+
+// operator returns a radius-2 operator with random coefficients.
+func (c bodyCheck) operator() *Operator {
+	coeffs := func() []float64 { return []float64{c.coeff(), c.coeff(), c.coeff(), c.coeff(), c.coeff()} }
+	return NewOperator(2, coeffs(), coeffs(), coeffs())
+}
+
+// block checks op over the nx x ny x n block that l places.
+func (c bodyCheck) block(op *Operator, l blockLayout, nx, ny, n int) {
+	c.t.Helper()
+	const sentinel = 0x7ff8dead0000beef
+	lt := op.layout(l.isx, l.isy)
+	in := make([]float64, l.lin)
+	for i := range in {
+		in[i] = c.value()
+	}
+	got, want := make([]float64, l.lout), make([]float64, l.lout)
+	for i := range got {
+		got[i], want[i] = math.Float64frombits(sentinel), math.Float64frombits(sentinel)
+	}
+	storeBlock(got, in, l, nx, ny, n, op.Center, lt)
+	for i := 0; i < nx; i++ {
+		for j := 0; j < ny; j++ {
+			d := l.d0 + i*l.osx + j*l.osy
+			stencilRow(want[d:d+n], in, l.s0+i*l.isx+j*l.isy, n, op.Center, lt.taps)
+		}
+	}
+	for k := range want {
+		if g, w := math.Float64bits(got[k]), math.Float64bits(want[k]); g != w {
+			c.t.Fatalf("%d taps, %dx%dx%d block, strides (%d, %d) -> (%d, %d): out[%d] = %#x, scalar %#x",
+				len(lt.taps), nx, ny, n, l.isx, l.isy, l.osx, l.osy, k, g, w)
+		}
+	}
+}
+
+// TestRowBodyMatchesScalar holds the block entry on single rows to
+// stencilRow's Go loop (see bodyCheck) at every row length 0-67 (vector
+// bodies with every tail, and rows too short for one vector), on
+// source strides that need not come from any grid.
+func TestRowBodyMatchesScalar(t *testing.T) {
+	t.Logf("dispatching body: %s", rowBodyName(hostRowSIMD))
+	c := bodyCheck{t, rand.New(rand.NewPCG(3, 4))}
+	for trial := 0; trial < 40; trial++ {
+		op := c.operator()
+		sy := 1 + c.rng.IntN(80)
+		sx := sy * (1 + c.rng.IntN(40))
+		for n := 0; n < 68; n++ {
+			s0 := 2*sx + c.rng.IntN(5)
+			c.block(op, blockLayout{lin: s0 + n + 2*sx, lout: n, s0: s0, isx: sx, isy: sy}, 1, 1, n)
+		}
+	}
+}
+
 // TestBlockBodyMatchesScalar holds the block entry to stencilRow's Go
-// loop run row by row, bit for bit, at every row length 0-67 (vector
-// bodies with every tail, and rows too short for one vector): on every
-// block of 1-4 planes of 1-4 rows with source and destination halos
-// that differ (so do their strides), and on single rows at random
-// strides. Coefficients are random, a few of them ±0, ±Inf, NaN or
-// subnormal; inputs mix ordinary values, ±0, ±Inf, quiet and
-// signalling NaNs with random payloads, and subnormals. Every
-// destination value outside the block must keep its sentinel.
+// loop (see bodyCheck) on every block of 1-4 planes of 1-4 rows of 0-67
+// points, with source and destination halos that differ (so do their
+// strides).
 func TestBlockBodyMatchesScalar(t *testing.T) {
 	t.Logf("dispatching body: %s", rowBodyName(hostRowSIMD))
-	rng := rand.New(rand.NewPCG(5, 6))
-	value := func() float64 {
-		switch rng.IntN(12) {
-		case 0:
-			return math.Copysign(0, float64(rng.IntN(2))-0.5)
-		case 1:
-			return math.Inf(rng.IntN(2)*2 - 1)
-		case 2:
-			// Any exponent-all-ones pattern with a nonzero mantissa:
-			// quiet or signalling, either sign, random payload.
-			return math.Float64frombits(0x7ff0000000000000 | rng.Uint64()&0x800fffffffffffff | 1)
-		case 3:
-			return (rng.Float64() - 0.5) * 1e4 * math.SmallestNonzeroFloat64
-		default:
-			return (rng.Float64() - 0.5) * math.Pow(10, float64(rng.IntN(9)-4))
-		}
-	}
-	coeff := func() float64 {
-		if rng.IntN(40) == 0 {
-			return value() // rarely ±Inf, NaN or subnormal; a zero drops its tap
-		}
-		c := (rng.Float64() + 0.25) * math.Pow(10, float64(rng.IntN(7)-3))
-		if rng.IntN(2) == 0 {
-			c = -c
-		}
-		return c
-	}
-	coeffs := func() []float64 { return []float64{coeff(), coeff(), coeff(), coeff(), coeff()} }
-	const sentinel = 0x7ff8dead0000beef
-	check := func(op *Operator, l blockLayout, nx, ny, n int) {
-		lt := op.layout(l.isx, l.isy)
-		in := make([]float64, l.lin)
-		for i := range in {
-			in[i] = value()
-		}
-		got, want := make([]float64, l.lout), make([]float64, l.lout)
-		for i := range got {
-			got[i], want[i] = math.Float64frombits(sentinel), math.Float64frombits(sentinel)
-		}
-		storeBlock(got, in, l, nx, ny, n, op.Center, lt)
-		for i := 0; i < nx; i++ {
-			for j := 0; j < ny; j++ {
-				d := l.d0 + i*l.osx + j*l.osy
-				stencilRow(want[d:d+n], in, l.s0+i*l.isx+j*l.isy, n, op.Center, lt.taps)
-			}
-		}
-		for k := range want {
-			if g, w := math.Float64bits(got[k]), math.Float64bits(want[k]); g != w {
-				t.Fatalf("%d taps, %dx%dx%d block, strides (%d, %d) -> (%d, %d): out[%d] = %#x, scalar %#x",
-					len(lt.taps), nx, ny, n, l.isx, l.isy, l.osx, l.osy, k, g, w)
-			}
-		}
-	}
+	c := bodyCheck{t, rand.New(rand.NewPCG(5, 6))}
 	for trial := 0; trial < 3; trial++ {
-		op := NewOperator(2, coeffs(), coeffs(), coeffs())
-		hin, hout := 2+rng.IntN(2), rng.IntN(4)
+		op := c.operator()
+		hin, hout := 2+c.rng.IntN(2), c.rng.IntN(4)
 		for nx := 1; nx <= 4; nx++ {
 			for ny := 1; ny <= 4; ny++ {
 				for n := 0; n < 68; n++ {
-					check(op, newBlockLayout(nx, ny, n, hin, hout), nx, ny, n)
+					c.block(op, newBlockLayout(nx, ny, n, hin, hout), nx, ny, n)
 				}
 			}
-		}
-	}
-	// Single rows whose source strides need not come from any grid.
-	for trial := 0; trial < 40; trial++ {
-		op := NewOperator(2, coeffs(), coeffs(), coeffs())
-		sy := 1 + rng.IntN(80)
-		sx := sy * (1 + rng.IntN(40))
-		for n := 0; n < 68; n++ {
-			s0 := 2*sx + rng.IntN(5)
-			check(op, blockLayout{lin: s0 + n + 2*sx, lout: n, s0: s0, isx: sx, isy: sy}, 1, 1, n)
 		}
 	}
 }
