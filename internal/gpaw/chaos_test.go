@@ -272,14 +272,14 @@ func TestCheckpointStores(t *testing.T) {
 			Local: box, Spacing: 0.5, States: 1, BandHi: 1,
 			Scalars: []float64{1.5}, Fields: []*grid.Grid{grid.NewDims(box, 2), grid.NewDims(box, 0), grid.NewDims(box, 1)}}
 		sh.Fields[0].Set(0, 1, 3, 42) // interior point 7 in x-major order
-		data := sh.encode()
+		data := sh.encode(nil)
 		if err := st.PutShard(3, 0, data); err != nil {
 			t.Fatal(err)
 		}
 		if steps, _ := st.Steps(); len(steps) != 0 {
 			t.Errorf("%T: uncommitted step visible: %v", st, steps)
 		}
-		if err := st.Commit(3, []byte(`{"version":3,"kind":1,"step":3,"ranks":1,"states":1,"global":[4,4,4],"sums":[]}`)); err != nil {
+		if err := st.Commit(3, []byte(`{"version":4,"kind":1,"step":3,"ranks":1,"states":1,"global":[4,4,4],"shards":[]}`)); err != nil {
 			t.Fatal(err)
 		}
 		if steps, _ := st.Steps(); len(steps) != 1 || steps[0] != 3 {
@@ -289,51 +289,56 @@ func TestCheckpointStores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := decodeShard(back)
+		got, err := parseShard(back)
 		if err != nil {
 			t.Fatalf("%T: decode round trip: %v", st, err)
 		}
-		if got.Iteration != 3 || got.Fields[0].Data()[7] != 42 || got.Scalars[0] != 1.5 {
+		if got.Iteration != 3 || shardField(got, 0)[7] != 42 || shardScalars(got)[0] != 1.5 {
 			t.Errorf("%T: round trip mangled the shard", st)
 		}
 		// Flip one payload byte: the CRC must catch it.
 		bad := append([]byte(nil), back...)
 		bad[len(bad)/2] ^= 0x40
-		if _, err := decodeShard(bad); !errors.Is(err, ErrCheckpointCorrupt) {
+		if _, err := parseShard(bad); !errors.Is(err, ErrCheckpointCorrupt) {
 			t.Errorf("%T: corrupted shard decoded: %v", st, err)
 		}
-		// Step 3's manifest lists no checksum for its one shard: the
-		// reader must not take that as "nothing to verify".
+		// Step 3's manifest lists no entry for its one shard: the reader
+		// must not take that as "nothing to verify".
 		d := selfDist(sh.Global, 2, Dirichlet)
-		manifestFor := func(version, step, states int, data []byte) []byte {
-			return []byte(fmt.Sprintf(`{"version":%d,"kind":1,"step":%d,"ranks":1,"states":%d,"global":[4,4,4],"sums":["%016x"]}`,
-				version, step, states, crc64.Checksum(data[:len(data)-8], crcTable)))
+		manifestFor := func(version, step, states int, bands string, data []byte) []byte {
+			return []byte(fmt.Sprintf(`{"version":%d,"kind":1,"step":%d,"ranks":1,"states":%d,"global":[4,4,4],`+
+				`"shards":[{"off":[0,0,0],"local":[4,4,4],"bands":%s,"sum":"%016x"}]}`,
+				version, step, states, bands, crc64.Checksum(data[:len(data)-8], crcTable)))
 		}
 		// Step 4 is the same shard under an honest manifest; step 5 a
 		// CRC-valid shard whose field count disagrees with its band slice;
 		// step 6 the honest shard under a manifest claiming two states;
 		// step 7 under a version-1 manifest, whose field 1 would be the
 		// effective potential, not the Hartree one; step 8 under a
-		// version-2 manifest, which carries no mixer history.
+		// version-2 manifest, which carries no mixer history; step 9 under
+		// a version-3 manifest, which lists no boxes; step 10 under an
+		// entry naming another band slice.
 		short := *sh
 		short.Fields = sh.Fields[:2]
 		for step, c := range map[int]struct {
 			version, states int
+			bands           string
 			data            []byte
-		}{4: {3, 1, data}, 5: {3, 1, short.encode()}, 6: {3, 2, data}, 7: {1, 1, data}, 8: {2, 1, data}} {
+		}{4: {4, 1, "[0,1]", data}, 5: {4, 1, "[0,1]", short.encode(nil)}, 6: {4, 2, "[0,1]", data},
+			7: {1, 1, "[0,1]", data}, 8: {2, 1, "[0,1]", data}, 9: {3, 1, "[0,1]", data}, 10: {4, 1, "[0,0]", data}} {
 			if err := st.PutShard(step, 0, c.data); err != nil {
 				t.Fatal(err)
 			}
-			if err := st.Commit(step, manifestFor(c.version, step, c.states, c.data)); err != nil {
+			if err := st.Commit(step, manifestFor(c.version, step, c.states, c.bands, c.data)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for step, v := range map[int]int{7: 1, 8: 2} {
+		for step, v := range map[int]int{7: 1, 8: 2, 9: 3} {
 			if err := ValidateStep(st, step); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", v)) {
 				t.Errorf("%T: version-%d manifest: %v, want unsupported version %d", st, v, err, v)
 			}
 		}
-		for step, corrupt := range map[int]bool{3: true, 4: false, 5: true, 6: true, 7: true, 8: true} {
+		for step, corrupt := range map[int]bool{3: true, 4: false, 5: true, 6: true, 7: true, 8: true, 9: true, 10: true} {
 			verr := ValidateStep(st, step)
 			rs, rerr := RestoreSCF(d, st, step)
 			if corrupt != errors.Is(verr, ErrCheckpointCorrupt) || corrupt != errors.Is(rerr, ErrCheckpointCorrupt) ||

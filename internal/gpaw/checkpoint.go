@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -16,6 +17,7 @@ import (
 	"sync"
 
 	"repro/internal/grid"
+	"repro/internal/mpi"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -24,16 +26,21 @@ import (
 // loss the way production GPAW deployments do: by periodically writing
 // restart state and resuming from it. The design here is gather-free —
 // every rank writes its own shard of the state (density, Hartree
-// potential, its band slice of the wave-functions, the iteration
-// counter), so checkpointing costs no global communication beyond one
-// scalar gather for the commit record. Shards are self-describing
-// (global extents, sub-domain box, band range), versioned and CRC-
-// checksummed, so a restart may re-tile them onto ANY process grid and
-// band layout — in particular onto the shrunken survivor grid after a
-// rank failure. Restarted runs are bit-identical to undisturbed ones
-// because every reduction in the solver stack goes through the exact
-// internal/detsum transports: the recomputed iterations cannot drift,
-// whatever the new decomposition.
+// potential, its band slice of the wave-functions, the Pulay mixer's
+// ring, the iteration counter), so checkpointing costs no global
+// communication beyond one small gather for the commit record. Shards
+// are self-describing (global extents, sub-domain box, band range),
+// versioned and CRC-checksummed, and the manifest lists every shard's
+// box and band slice beside its checksum, so a restart may re-tile them
+// onto ANY process grid and band layout — in particular onto the
+// shrunken survivor grid after a rank failure — with each rank fetching
+// only the shards that overlap its own sub-domain and band slice, and
+// copying their rows straight from the bytes into its grids. Every rank
+// then agrees on one verdict, so a bad shard that only some ranks read
+// fails all of them alike. Restarted runs are bit-identical to
+// undisturbed ones because every reduction in the solver stack goes
+// through the exact internal/detsum transports: the recomputed
+// iterations cannot drift, whatever the new decomposition.
 //
 // A checkpoint step becomes valid only when its manifest commits
 // (two-phase: shards first, then the manifest naming their checksums),
@@ -45,7 +52,8 @@ import (
 // rank); DirStore is the on-disk form. Implementations must be safe for
 // concurrent use by all ranks.
 type Store interface {
-	// PutShard stores one rank's shard of a checkpoint step.
+	// PutShard stores one rank's shard of a checkpoint step. The caller
+	// reuses data once PutShard returns, so a store keeps a copy.
 	PutShard(step, rank int, data []byte) error
 	// GetShard retrieves one shard.
 	GetShard(step, rank int) ([]byte, error)
@@ -159,6 +167,8 @@ func (s *MemStore) Corrupt(step, rank int, byteIdx int) error {
 // a half-valid checkpoint behind.
 type DirStore struct {
 	dir string
+	// synced, when set, sees every directory the store fsyncs.
+	synced func(dir string)
 }
 
 // NewDirStore opens (creating if needed) an on-disk checkpoint store.
@@ -193,8 +203,11 @@ func writeFileSync(path string, data []byte) error {
 }
 
 // syncDir fsyncs a directory so metadata operations inside it (created
-// files, renames) are durable.
-func syncDir(dir string) error {
+// files and directories, renames, removals) are durable.
+func (s *DirStore) syncDir(dir string) error {
+	if s.synced != nil {
+		s.synced(dir)
+	}
 	f, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -206,19 +219,36 @@ func syncDir(dir string) error {
 	return err
 }
 
+// makeStepDir creates a step's directory if it is missing. The call that
+// creates it fsyncs the store directory, which holds the new entry: a
+// step directory that exists only in the page cache would take its
+// shards and manifest with it on power loss, however well they were
+// synced themselves.
+func (s *DirStore) makeStepDir(step int) (string, error) {
+	dir := s.stepDir(step)
+	err := os.Mkdir(dir, 0o755)
+	if errors.Is(err, fs.ErrExist) {
+		return dir, nil
+	}
+	if err != nil {
+		return "", err
+	}
+	return dir, s.syncDir(s.dir)
+}
+
 // PutShard implements Store. The shard is fsynced on write: the commit
 // protocol assumes every shard of a step is durable before the manifest
 // publishes the step, so the shard write itself must not linger in the
 // page cache.
 func (s *DirStore) PutShard(step, rank int, data []byte) error {
-	dir := s.stepDir(step)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	dir, err := s.makeStepDir(step)
+	if err != nil {
 		return err
 	}
 	if err := writeFileSync(filepath.Join(dir, fmt.Sprintf("shard-%04d.ckpt", rank)), data); err != nil {
 		return err
 	}
-	return syncDir(dir)
+	return s.syncDir(dir)
 }
 
 // GetShard implements Store.
@@ -233,8 +263,8 @@ func (s *DirStore) GetShard(step, rank int) ([]byte, error) {
 // the directory after it (the rename itself is metadata that must
 // reach the journal for the step to exist at all post-crash).
 func (s *DirStore) Commit(step int, manifest []byte) error {
-	dir := s.stepDir(step)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	dir, err := s.makeStepDir(step)
+	if err != nil {
 		return err
 	}
 	tmp := filepath.Join(dir, "MANIFEST.json.tmp")
@@ -244,7 +274,7 @@ func (s *DirStore) Commit(step int, manifest []byte) error {
 	if err := os.Rename(tmp, filepath.Join(dir, "MANIFEST.json")); err != nil {
 		return err
 	}
-	return syncDir(dir)
+	return s.syncDir(dir)
 }
 
 // Manifest implements Store.
@@ -254,16 +284,20 @@ func (s *DirStore) Manifest(step int) ([]byte, error) {
 
 // Drop implements StepDropper. The manifest is removed first, so a
 // crash mid-drop leaves an uncommitted (invisible) step rather than a
-// committed one with missing shards.
+// committed one with missing shards; the store directory is synced
+// last, so the removal of the step's directory is durable too.
 func (s *DirStore) Drop(step int) error {
 	dir := s.stepDir(step)
 	if err := os.Remove(filepath.Join(dir, "MANIFEST.json")); err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	if err := syncDir(dir); err != nil {
+	if err := s.syncDir(dir); err != nil {
 		return err
 	}
-	return os.RemoveAll(dir)
+	if err := os.RemoveAll(dir); err != nil {
+		return err
+	}
+	return s.syncDir(s.dir)
 }
 
 // Steps implements Store.
@@ -298,16 +332,19 @@ type StepDropper interface {
 	Drop(step int) error
 }
 
-// ValidateStep deep-checks one committed step: the manifest must parse
-// and every shard must exist, match its recorded CRC64 and decode. This
-// is what lets recovery distinguish a bit-rotted generation from a good
-// one before committing to a restore.
+// ValidateStep deep-checks one committed step without restoring it: the
+// manifest must parse, and every shard it lists must exist, match its
+// recorded CRC64, carry the header its manifest entry names and be
+// framed to its lengths. It runs RestoreSCF's reader in verify-only
+// mode, so it allocates nothing beyond what the store hands back — no
+// field grid. This is what lets recovery distinguish a bit-rotted
+// generation from a good one before committing to a restore.
 func ValidateStep(st Store, step int) error {
 	man, err := readManifest(st, step)
 	if err != nil {
 		return err
 	}
-	for r := 0; r < man.Ranks; r++ {
+	for r := range man.Shards {
 		if _, err := readShard(st, man, step, r); err != nil {
 			return err
 		}
@@ -336,23 +373,35 @@ func LatestGoodStep(st Store) (step int, fellBack, ok bool, err error) {
 
 const (
 	shardMagic = uint64(0x4750434b5f763100) // "GPCK_v1\0"
-	// shardVersion 3: the shard carries the Pulay mixer's ring after the
-	// states. Version 2 held no history — resumed, it would restart the
-	// mixer and leave the undisturbed run's bits — and version 1 held the
-	// effective potential where the Hartree one now is; both are refused.
-	shardVersion = 3
+	// shardVersion 4: the manifest lists every shard's box and band slice
+	// beside its checksum, so a restoring rank picks the shards it
+	// re-tiles before reading any. Version 3 manifests list checksums
+	// alone; version 2 shards hold no mixer history — resumed, they would
+	// restart the mixer and leave the undisturbed run's bits — and
+	// version 1 ones the effective potential where the Hartree one now is.
+	// All three are refused.
+	shardVersion = 4
 
 	shardKindSCF = 1 // the one kind of state checkpointed: the SCF loop's
+
+	// shardHeaderWords counts the words ahead of the scalars: magic,
+	// version, kind, iteration, the three boxes, the spacing, BC, the
+	// state count, the band slice, the history and the scalar count.
+	shardHeaderWords = 20
 )
 
 // ErrCheckpointCorrupt wraps checksum and format failures detected when
 // reading a shard back.
 var ErrCheckpointCorrupt = errors.New("gpaw: corrupt checkpoint shard")
 
+// ErrCheckpointUnreadable wraps a store's failure to hand back a
+// committed step's manifest or one of its shards.
+var ErrCheckpointUnreadable = errors.New("gpaw: unreadable checkpoint")
+
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
-// shard is one rank's checkpoint piece. Fields are grids whose interiors
-// cover the Local box at Off (decoded ones are halo-free):
+// shard is one rank's checkpoint piece as saveSCF assembles it. Fields
+// are grids whose interiors cover the Local box at Off:
 // [density, v_H, psi(BandLo) .. psi(BandHi-1), n_in,0 .. n_in,Hist-1,
 // R_0 .. R_Hist-1].
 type shard struct {
@@ -378,11 +427,16 @@ type shard struct {
 func (sh *shard) wantFields() int  { return 2 + sh.BandHi - sh.BandLo + 2*sh.Hist }
 func (sh *shard) wantScalars() int { return sh.States + sh.Hist*sh.Hist }
 
-// encode serializes the shard with a trailing CRC64 of everything
-// before it. After the header the buffer grows once to hold the rest, and
-// each field is written straight from its grid's interior rows.
-func (sh *shard) encode() []byte {
-	var buf []byte
+// encode serializes the shard into dst's storage, trailed by a CRC64 of
+// everything before it, and returns the encoding. The buffer grows at
+// most once, and each field is written straight from its grid's interior
+// rows.
+func (sh *shard) encode(dst []byte) []byte {
+	words := shardHeaderWords + len(sh.Scalars) + 2 // the field count and the CRC
+	for _, f := range sh.Fields {
+		words += 1 + f.Points()
+	}
+	buf := slices.Grow(dst[:0], 8*words)
 	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	i64 := func(v int) { u64(uint64(v)) }
 	u64(shardMagic)
@@ -398,11 +452,6 @@ func (sh *shard) encode() []byte {
 	for _, v := range []int{sh.BC, sh.States, sh.BandLo, sh.BandHi, sh.Hist, len(sh.Scalars)} {
 		i64(v)
 	}
-	rest := len(sh.Scalars) + 2 // the field count and the CRC
-	for _, f := range sh.Fields {
-		rest += 1 + f.Points()
-	}
-	buf = slices.Grow(buf, 8*rest)
 	for _, x := range sh.Scalars {
 		u64(math.Float64bits(x))
 	}
@@ -412,14 +461,30 @@ func (sh *shard) encode() []byte {
 		data := f.Data()
 		for i := 0; i < f.Nx; i++ {
 			for j := 0; j < f.Ny; j++ {
-				row := f.Index(i, j, 0)
-				for _, x := range data[row : row+f.Nz] {
-					u64(math.Float64bits(x))
-				}
+				row, at := f.Index(i, j, 0), len(buf)
+				buf = buf[:at+8*f.Nz]
+				putRow(buf[at:], data[row:row+f.Nz])
 			}
 		}
 	}
 	return binary.LittleEndian.AppendUint64(buf, crc64.Checksum(buf, crcTable))
+}
+
+// putRow and getRow move a row of values to and from its little-endian
+// encoding, which holds 8 bytes per value, with no bounds check per
+// value.
+func putRow(dst []byte, src []float64) {
+	for i := 0; i < len(src) && len(dst) >= 8; i++ {
+		binary.LittleEndian.PutUint64(dst[:8], math.Float64bits(src[i]))
+		dst = dst[8:]
+	}
+}
+
+func getRow(dst []float64, src []byte) {
+	for i := 0; i < len(dst) && len(src) >= 8; i++ {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[:8]))
+		src = src[8:]
+	}
 }
 
 type shardReader struct {
@@ -444,10 +509,9 @@ func (r *shardReader) i64() int     { return int(r.u64()) }
 func (r *shardReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
 // length reads a vector length and bounds it by the bytes actually
-// remaining BEFORE any allocation — compared divided rather than
-// multiplied, because 8*n overflows for adversarial lengths (n ~ 1<<61
-// wraps negative, passes a naive r.pos+8*n check, and the allocation
-// would OOM on garbage input).
+// remaining — compared divided rather than multiplied, because 8*n
+// overflows for adversarial lengths (n ~ 1<<61 wraps negative and would
+// pass a naive r.pos+8*n check).
 func (r *shardReader) length() int {
 	n := r.i64()
 	if r.err == nil && (n < 0 || n > (len(r.buf)-r.pos)/8) {
@@ -459,22 +523,34 @@ func (r *shardReader) length() int {
 	return n
 }
 
-// f64s reads n values into dst, or into a new slice when dst is nil.
-func (r *shardReader) f64s(n int, dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, n)
-	}
-	for i := range dst {
-		dst[i] = r.f64()
-	}
-	return dst
+// shardView is an encoded shard read in place: checksum-verified, its
+// header parsed and its framing checked, its scalars and fields left in
+// the bytes they arrived in.
+type shardView struct {
+	shard         // the header; Scalars and Fields stay nil
+	data   []byte // the encoding, CRC trailer included
+	scalar int    // byte offset of the first scalar
+	field  int    // byte offset of field 0's length prefix
 }
 
-// decodeShard parses and checksum-verifies an encoded shard. The header
-// is held to its band slice and history before any field is read, and
-// every field to the box, so a decoded shard is exactly what RestoreSCF
-// indexes.
-func decodeShard(data []byte) (*shard, error) {
+// sum returns the shard's recorded CRC64.
+func (v *shardView) sum() uint64 { return binary.LittleEndian.Uint64(v.data[len(v.data)-8:]) }
+
+// scalars decodes len(dst) scalars, from the first-th on, into dst.
+func (v *shardView) scalars(dst []float64, first int) { getRow(dst, v.data[v.scalar+8*first:]) }
+
+// fieldBytes returns field i's values, x-major over the shard's box.
+func (v *shardView) fieldBytes(i int) []byte {
+	n := 8 * v.Local.Count()
+	at := v.field + i*(8+n) + 8
+	return v.data[at : at+n]
+}
+
+// parseShard checksum-verifies an encoded shard and reads its header and
+// framing, allocating nothing for its contents. The header is held to
+// its band slice and history, and the framing to the box, before any
+// offset is trusted, so a parsed view is exactly what RestoreSCF indexes.
+func parseShard(data []byte) (*shardView, error) {
 	if len(data) < 16 {
 		return nil, fmt.Errorf("%w: %d bytes", ErrCheckpointCorrupt, len(data))
 	}
@@ -482,90 +558,87 @@ func decodeShard(data []byte) (*shard, error) {
 	if got := crc64.Checksum(body, crcTable); got != sum {
 		return nil, fmt.Errorf("%w: checksum %016x != recorded %016x", ErrCheckpointCorrupt, got, sum)
 	}
-	r := &shardReader{buf: body}
+	r := shardReader{buf: body}
 	if m := r.u64(); m != shardMagic {
 		return nil, fmt.Errorf("%w: bad magic %016x", ErrCheckpointCorrupt, m)
 	}
 	if v := r.i64(); v != shardVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCheckpointCorrupt, v)
 	}
-	sh := &shard{Kind: r.i64(), Iteration: r.i64()}
+	v := &shardView{data: data}
+	v.Kind, v.Iteration = r.i64(), r.i64()
 	for d := 0; d < 3; d++ {
-		sh.Global[d] = r.i64()
+		v.Global[d] = r.i64()
 	}
 	for d := 0; d < 3; d++ {
-		sh.Off[d] = r.i64()
+		v.Off[d] = r.i64()
 	}
 	for d := 0; d < 3; d++ {
-		sh.Local[d] = r.i64()
+		v.Local[d] = r.i64()
 	}
-	sh.Spacing = r.f64()
-	sh.BC = r.i64()
-	sh.States = r.i64()
-	sh.BandLo = r.i64()
-	sh.BandHi = r.i64()
-	sh.Hist = r.i64()
-	sh.Scalars = r.f64s(r.length(), nil)
+	v.Spacing = r.f64()
+	v.BC, v.States, v.BandLo, v.BandHi, v.Hist = r.i64(), r.i64(), r.i64(), r.i64(), r.i64()
+	ns := r.length()
+	v.scalar = r.pos
+	r.pos += 8 * ns
 	nf := r.i64()
 	if r.err != nil {
 		return nil, r.err
 	}
 	for d := 0; d < 3; d++ {
-		if sh.Local[d] < 1 || sh.Local[d] > 1<<20 {
-			return nil, fmt.Errorf("%w: implausible box %v", ErrCheckpointCorrupt, sh.Local)
+		if v.Local[d] < 1 || v.Local[d] > 1<<20 {
+			return nil, fmt.Errorf("%w: implausible box %v", ErrCheckpointCorrupt, v.Local)
 		}
-	}
-	// Each field needs at least its 8-byte length prefix, so the count
-	// is bounded by the bytes remaining — a garbage count can never
-	// drive the allocation below past the input's own size.
-	if nf < 0 || nf > (len(body)-r.pos)/8 {
-		return nil, fmt.Errorf("%w: implausible field count %d", ErrCheckpointCorrupt, nf)
 	}
 	// RestoreSCF indexes density, v_H, a field per state of the band
 	// slice and a pair per kept mixer step.
-	if sh.BandLo < 0 || sh.BandLo > sh.BandHi || sh.BandHi > sh.States || sh.Hist < 0 || sh.Hist > pulayHistory ||
-		nf != sh.wantFields() || len(sh.Scalars) != sh.wantScalars() {
+	if v.BandLo < 0 || v.BandLo > v.BandHi || v.BandHi > v.States || v.Hist < 0 || v.Hist > pulayHistory ||
+		nf != v.wantFields() || ns != v.wantScalars() {
 		return nil, fmt.Errorf("%w: %d fields and %d scalars for band slice [%d, %d) of %d states and %d mixer pairs",
-			ErrCheckpointCorrupt, nf, len(sh.Scalars), sh.BandLo, sh.BandHi, sh.States, sh.Hist)
+			ErrCheckpointCorrupt, nf, ns, v.BandLo, v.BandHi, v.States, v.Hist)
 	}
-	want := sh.Local.Count()
-	sh.Fields = make([]*grid.Grid, nf)
-	for i := range sh.Fields {
-		n := r.length()
-		if r.err != nil {
-			return nil, r.err
+	// Each field is a length prefix and the box's values, and the fields
+	// fill the rest of the body exactly. The sizes are compared divided,
+	// so no product of forged counts can overflow.
+	n, rest := v.Local.Count(), len(body)-r.pos
+	if nf < 1 || n+1 > rest/8/nf || 8*nf*(n+1) != rest {
+		return nil, fmt.Errorf("%w: %d bytes for %d fields of box %v", ErrCheckpointCorrupt, rest, nf, v.Local)
+	}
+	v.field = r.pos
+	for i := range nf {
+		if got := int(binary.LittleEndian.Uint64(body[v.field+8*i*(n+1):])); got != n {
+			return nil, fmt.Errorf("%w: field %d has %d values for box %v", ErrCheckpointCorrupt, i, got, v.Local)
 		}
-		if n != want {
-			return nil, fmt.Errorf("%w: field %d has %d values for box %v", ErrCheckpointCorrupt, i, n, sh.Local)
-		}
-		sh.Fields[i] = grid.NewDims(sh.Local, 0)
-		r.f64s(want, sh.Fields[i].Data())
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.pos != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCheckpointCorrupt, len(body)-r.pos)
-	}
-	return sh, nil
+	return v, nil
 }
 
-// manifest is the commit record of a checkpoint step.
+// manifest is the commit record of a checkpoint step. It lists what each
+// rank's shard covers beside its checksum, so a restoring rank can pick
+// the shards it re-tiles before reading any.
 type manifest struct {
-	Version int      `json:"version"`
-	Kind    int      `json:"kind"`
-	Step    int      `json:"step"`
-	Ranks   int      `json:"ranks"`
-	States  int      `json:"states"`
-	Hist    int      `json:"hist"`
-	Global  [3]int   `json:"global"`
-	Sums    []string `json:"sums"` // per-rank shard CRC64, hex
+	Version int             `json:"version"`
+	Kind    int             `json:"kind"`
+	Step    int             `json:"step"`
+	Ranks   int             `json:"ranks"`
+	States  int             `json:"states"`
+	Hist    int             `json:"hist"`
+	Global  [3]int          `json:"global"`
+	Shards  []manifestShard `json:"shards"` // by writing rank
+}
+
+// manifestShard is one shard's entry in its step's manifest.
+type manifestShard struct {
+	Off   topology.Coord `json:"off"`
+	Local topology.Dims  `json:"local"`
+	Bands [2]int         `json:"bands"` // the band slice [lo, hi)
+	Sum   string         `json:"sum"`   // CRC64, hex
 }
 
 func readManifest(st Store, step int) (*manifest, error) {
 	raw, err := st.Manifest(step)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: step %d manifest: %w", ErrCheckpointUnreadable, step, err)
 	}
 	var m manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
@@ -574,41 +647,49 @@ func readManifest(st Store, step int) (*manifest, error) {
 	if m.Version != shardVersion {
 		return nil, fmt.Errorf("%w: manifest: unsupported version %d", ErrCheckpointCorrupt, m.Version)
 	}
-	if len(m.Sums) != m.Ranks {
-		return nil, fmt.Errorf("%w: manifest lists %d checksums for %d shards", ErrCheckpointCorrupt, len(m.Sums), m.Ranks)
+	if len(m.Shards) != m.Ranks {
+		return nil, fmt.Errorf("%w: manifest lists %d entries for %d shards", ErrCheckpointCorrupt, len(m.Shards), m.Ranks)
 	}
 	return &m, nil
 }
 
-// readShard reads shard r of a committed step, decodes it (verifying its
-// trailing CRC64) and holds checksum and state count to the manifest's.
-func readShard(st Store, man *manifest, step, r int) (*shard, error) {
+// readShard fetches shard r of a committed step and holds it to the
+// manifest: its CRC64 to the recorded one, its box and band slice to the
+// shard's entry, and its kind, extents, state count and history to the
+// step's. The fields stay in the bytes the store returned.
+func readShard(st Store, man *manifest, step, r int) (*shardView, error) {
 	data, err := st.GetShard(step, r)
 	if err != nil {
-		return nil, fmt.Errorf("gpaw: checkpoint step %d shard %d: %w", step, r, err)
+		return nil, fmt.Errorf("%w: step %d shard %d: %w", ErrCheckpointUnreadable, step, r, err)
 	}
-	sh, err := decodeShard(data)
+	v, err := parseShard(data)
 	if err != nil {
 		return nil, fmt.Errorf("step %d shard %d: %w", step, r, err)
 	}
-	if fmt.Sprintf("%016x", binary.LittleEndian.Uint64(data[len(data)-8:])) != man.Sums[r] {
+	e := &man.Shards[r]
+	if sum, err := strconv.ParseUint(e.Sum, 16, 64); err != nil || sum != v.sum() {
 		return nil, fmt.Errorf("%w: step %d shard %d checksum mismatch", ErrCheckpointCorrupt, step, r)
 	}
-	if sh.States != man.States || sh.Hist != man.Hist {
-		return nil, fmt.Errorf("%w: step %d shard %d holds %d states and %d mixer pairs, manifest %d and %d",
-			ErrCheckpointCorrupt, step, r, sh.States, sh.Hist, man.States, man.Hist)
+	if v.Off != e.Off || v.Local != e.Local || v.BandLo != e.Bands[0] || v.BandHi != e.Bands[1] {
+		return nil, fmt.Errorf("%w: step %d shard %d covers %v at %v, band slice [%d, %d); its manifest entry %v at %v, [%d, %d)",
+			ErrCheckpointCorrupt, step, r, v.Local, v.Off, v.BandLo, v.BandHi, e.Local, e.Off, e.Bands[0], e.Bands[1])
 	}
-	return sh, nil
+	if v.Kind != man.Kind || v.Global != topology.Dims(man.Global) || v.States != man.States || v.Hist != man.Hist {
+		return nil, fmt.Errorf("%w: step %d shard %d is kind %d over %v with %d states and %d mixer pairs, manifest kind %d over %v with %d and %d",
+			ErrCheckpointCorrupt, step, r, v.Kind, v.Global, v.States, v.Hist, man.Kind, man.Global, man.States, man.Hist)
+	}
+	return v, nil
 }
 
 // --- checkpointer ---------------------------------------------------
 
 // Checkpointer periodically snapshots solver state into a Store: every
 // Every-th iteration (<= 1 means every iteration), each rank writes its
-// own shard, the shard checksums gather to world rank 0 over the exact
-// bit-transport, and rank 0 commits the manifest. The gather doubles as
-// the completion barrier: by the time rank 0 holds all checksums, every
-// shard of the step is in the store.
+// own shard, the shards' manifest entries gather to world rank 0 over
+// the exact bit-transport, and rank 0 commits the manifest. The gather
+// doubles as the completion barrier: by the time rank 0 holds every
+// entry, every shard of the step is in the store. A Checkpointer belongs
+// to one rank: it encodes every save into the same buffer.
 type Checkpointer struct {
 	Store Store
 	Every int
@@ -618,6 +699,8 @@ type Checkpointer struct {
 	// rejected by CRC validation. Pruning needs the Store to implement
 	// StepDropper; stores without it keep everything.
 	Keep int
+
+	buf []byte // the last save's encoding, reused by the next
 }
 
 // due reports whether iteration it should be checkpointed.
@@ -628,31 +711,43 @@ func (ck *Checkpointer) due(it int) bool {
 	return ck.Every <= 1 || it%ck.Every == 0
 }
 
+// manifestWords is one shard's manifest entry on the commit gather: the
+// CRC64, the box's offset and extents, the band slice.
+const manifestWords = 1 + 3 + 3 + 2
+
 // save writes one rank's shard and commits the step's manifest at world
-// rank 0. The checksum travels through the float64 collective transport
-// bit-exactly (Float64frombits/Float64bits round-trip every uint64).
+// rank 0. The checksum is the encoding's trailer; it travels through the
+// float64 collective transport bit-exactly (Float64frombits/Float64bits
+// round-trip every uint64), and the box and band slice beside it as
+// integral values.
 func (ck *Checkpointer) save(d *Dist, sh *shard) error {
 	sp := d.Cart.TraceRank().Begin("ckpt.save", trace.KindRegion)
 	defer sp.End()
-	data := sh.encode()
-	step := sh.Iteration
+	ck.buf = sh.encode(ck.buf)
+	data, step := ck.buf, sh.Iteration
 	if err := ck.Store.PutShard(step, d.World.Rank(), data); err != nil {
 		return fmt.Errorf("gpaw: checkpoint step %d: %w", step, err)
 	}
-	sum := crc64.Checksum(data[:len(data)-8], crcTable)
-	in := [1]float64{math.Float64frombits(sum)}
+	in := [manifestWords]float64{math.Float64frombits(binary.LittleEndian.Uint64(data[len(data)-8:])),
+		float64(sh.Off[0]), float64(sh.Off[1]), float64(sh.Off[2]),
+		float64(sh.Local[0]), float64(sh.Local[1]), float64(sh.Local[2]),
+		float64(sh.BandLo), float64(sh.BandHi)}
 	var out []float64
 	if d.World.Rank() == 0 {
-		out = make([]float64, d.World.Size())
+		out = make([]float64, manifestWords*d.World.Size())
 	}
 	d.World.Gather(0, in[:], out)
 	if d.World.Rank() != 0 {
 		return nil
 	}
 	man := manifest{Version: shardVersion, Kind: sh.Kind, Step: step, Ranks: d.World.Size(),
-		States: sh.States, Hist: sh.Hist, Global: [3]int{sh.Global[0], sh.Global[1], sh.Global[2]}}
-	for _, b := range out {
-		man.Sums = append(man.Sums, fmt.Sprintf("%016x", math.Float64bits(b)))
+		States: sh.States, Hist: sh.Hist, Global: sh.Global}
+	for w := range slices.Chunk(out, manifestWords) {
+		e := manifestShard{Sum: fmt.Sprintf("%016x", math.Float64bits(w[0])), Bands: [2]int{int(w[7]), int(w[8])}}
+		for k := range 3 {
+			e.Off[k], e.Local[k] = int(w[1+k]), int(w[4+k])
+		}
+		man.Shards = append(man.Shards, e)
 	}
 	raw, err := json.Marshal(&man)
 	if err != nil {
@@ -728,15 +823,56 @@ type SCFRestart struct {
 	mix       pulayMixer
 }
 
-// copyShardBox copies the intersection of a shard's box with this
-// rank's sub-domain from the shard field into the local grid.
-func copyShardBox(dst *grid.Grid, dstOff topology.Coord, sh *shard, field *grid.Grid,
-	lo topology.Coord, dims topology.Dims) {
+// fetch is one shard a restoring rank reads. common marks the first
+// fetched shard of its box, which supplies the fields every band group
+// holds: density, v_H and the mixer ring.
+type fetch struct {
+	rank   int
+	common bool
+}
+
+// fetchSet returns, in rank order, the shards a rank whose sub-domain is
+// local at off and whose band slice is [lo, hi) re-tiles: every shard
+// whose box meets the sub-domain and whose band slice meets [lo, hi),
+// and, for a box where no shard's band slice does, that box's first
+// shard alone.
+func (man *manifest) fetchSet(off topology.Coord, local topology.Dims, lo, hi int) []fetch {
+	meets := func(q int) bool { return max(man.Shards[q].Bands[0], lo) < min(man.Shards[q].Bands[1], hi) }
+	var out []fetch
+	for r, e := range man.Shards {
+		if _, _, ok := grid.IntersectBox(e.Off, e.Local, off, local); !ok {
+			continue
+		}
+		sameBox := func(q int) bool { return man.Shards[q].Off == e.Off && man.Shards[q].Local == e.Local }
+		if !meets(r) {
+			// Fetched only as the first shard of a box no band slice meets.
+			first := true
+			for q := range man.Shards {
+				first = first && !(sameBox(q) && (q < r || meets(q)))
+			}
+			if !first {
+				continue
+			}
+		}
+		common := true
+		for _, f := range out {
+			common = common && !sameBox(f.rank)
+		}
+		out = append(out, fetch{r, common})
+	}
+	return out
+}
+
+// copyShardBox copies field f of a shard over the intersection (lo,
+// dims) of the shard's box with the sub-domain at dstOff into dst, row
+// by row straight from the encoded bytes.
+func copyShardBox(dst *grid.Grid, dstOff topology.Coord, v *shardView, f int, lo topology.Coord, dims topology.Dims) {
+	src, data := v.fieldBytes(f), dst.Data()
 	for i := 0; i < dims[0]; i++ {
 		for j := 0; j < dims[1]; j++ {
-			src := field.Index(lo[0]-sh.Off[0]+i, lo[1]-sh.Off[1]+j, lo[2]-sh.Off[2])
+			at := ((lo[0]-v.Off[0]+i)*v.Local[1]+lo[1]-v.Off[1]+j)*v.Local[2] + lo[2] - v.Off[2]
 			row := dst.Index(lo[0]-dstOff[0]+i, lo[1]-dstOff[1]+j, lo[2]-dstOff[2])
-			copy(dst.Data()[row:row+dims[2]], field.Data()[src:src+dims[2]])
+			getRow(data[row:row+dims[2]], src[8*at:])
 		}
 	}
 }
@@ -744,13 +880,45 @@ func copyShardBox(dst *grid.Grid, dstOff topology.Coord, sh *shard, field *grid.
 // RestoreSCF re-tiles a committed SCF checkpoint onto the Dist's
 // process grid and band layout — the same layout it was written from,
 // a shrunken survivor grid, or a grown one. Every rank reads the
-// manifest and, shard by shard, copies the intersection of the old
-// sub-domain boxes with its new one (and of the old band slices with
-// its new one) — gather-free, exactly like a grid.Redistribute whose
-// source layout happens to live in the store.
+// manifest and fetches only the shards it re-tiles: those whose box
+// meets its sub-domain and whose band slice meets its own, and for a box
+// where no band slice does, that box's first shard, for the density,
+// v_H and mixer ring every band group holds. It checks each against the
+// manifest and copies the intersection with its sub-domain straight from
+// the bytes into its grids — gather-free, exactly like a
+// grid.Redistribute whose source layout happens to live in the store.
+//
+// Each rank sees only the faults of the shards it fetched, so the ranks
+// end with one agreement over d.World: if any rank found a shard
+// corrupt, every rank fails with ErrCheckpointCorrupt; otherwise, if any
+// rank failed (a shard the store could not hand back), every rank fails,
+// with ErrCheckpointUnreadable. A rank that saw a fault itself returns
+// its own error.
 func RestoreSCF(d *Dist, st Store, step int) (*SCFRestart, error) {
 	sp := d.Cart.TraceRank().Begin("ckpt.restore", trace.KindRegion)
 	defer sp.End()
+	rs, err := restoreSCF(d, st, step)
+	// The status word: 0 restored, 1 failed, 2 found a shard corrupt.
+	var v [2]float64
+	if errors.Is(err, ErrCheckpointCorrupt) {
+		v[0] = 2
+	} else if err != nil {
+		v[0] = 1
+	}
+	d.World.Allreduce(mpi.OpMax, v[:1], v[1:])
+	switch {
+	case err != nil:
+		return nil, err
+	case v[1] == 2:
+		return nil, fmt.Errorf("%w: step %d: a shard another rank read failed verification", ErrCheckpointCorrupt, step)
+	case v[1] != 0:
+		return nil, fmt.Errorf("%w: step %d: another rank could not restore its shards", ErrCheckpointUnreadable, step)
+	}
+	return rs, nil
+}
+
+// restoreSCF is one rank's part of RestoreSCF, up to the agreement.
+func restoreSCF(d *Dist, st Store, step int) (*SCFRestart, error) {
 	man, err := readManifest(st, step)
 	if err != nil {
 		return nil, err
@@ -764,38 +932,44 @@ func RestoreSCF(d *Dist, st Store, step int) (*SCFRestart, error) {
 	if man.Ranks < 1 {
 		return nil, fmt.Errorf("gpaw: checkpoint step %d has no shards", step)
 	}
+	off, local := d.Offset(), d.LocalDims()
 	myLo, myHi := d.BandRange(man.States)
+	fetches := man.fetchSet(off, local, myLo, myHi)
+	if len(fetches) == 0 {
+		return nil, fmt.Errorf("%w: step %d: no shard covers the sub-domain %v at %v", ErrCheckpointCorrupt, step, local, off)
+	}
 	rs := &SCFRestart{States: man.States, N: d.NewLocalGrid(), VHartree: d.NewLocalGrid(),
 		Psis: make([]*grid.Grid, myHi-myLo)}
 	for i := range rs.Psis {
 		rs.Psis[i] = d.NewLocalGrid()
 	}
 	mix := &rs.mix
-	for r := 0; r < man.Ranks; r++ {
-		sh, err := readShard(st, man, step, r)
+	for k, f := range fetches {
+		v, err := readShard(st, man, step, f.rank)
 		if err != nil {
 			return nil, err
 		}
-		if r == 0 {
-			rs.Iteration, rs.Eig, mix.hist = sh.Iteration, sh.Scalars[:sh.States], sh.Hist
+		if k == 0 {
+			rs.Iteration, rs.Eig, mix.hist = v.Iteration, make([]float64, v.States), v.Hist
+			v.scalars(rs.Eig, 0)
 			for h := range mix.hist {
-				mix.in[h], mix.res[h] = grid.NewDims(d.local, 0), grid.NewDims(d.local, 0)
-				copy(mix.gram[h][:mix.hist], sh.Scalars[sh.States+h*mix.hist:])
+				mix.in[h], mix.res[h] = grid.NewDims(local, 0), grid.NewDims(local, 0)
+				v.scalars(mix.gram[h][:mix.hist], v.States+h*mix.hist)
 			}
 		}
-		lo, dims, ok := grid.IntersectBox(sh.Off, sh.Local, d.Offset(), d.LocalDims())
-		if !ok {
+		lo, dims, _ := grid.IntersectBox(v.Off, v.Local, off, local)
+		for s := max(v.BandLo, myLo); s < min(v.BandHi, myHi); s++ {
+			copyShardBox(rs.Psis[s-myLo], off, v, 2+s-v.BandLo, lo, dims)
+		}
+		if !f.common {
 			continue
 		}
-		copyShardBox(rs.N, d.Offset(), sh, sh.Fields[0], lo, dims)
-		copyShardBox(rs.VHartree, d.Offset(), sh, sh.Fields[1], lo, dims)
-		for st := max(sh.BandLo, myLo); st < min(sh.BandHi, myHi); st++ {
-			copyShardBox(rs.Psis[st-myLo], d.Offset(), sh, sh.Fields[2+(st-sh.BandLo)], lo, dims)
-		}
-		ring := sh.Fields[2+sh.BandHi-sh.BandLo:]
+		copyShardBox(rs.N, off, v, 0, lo, dims)
+		copyShardBox(rs.VHartree, off, v, 1, lo, dims)
+		ring := 2 + v.BandHi - v.BandLo
 		for h := range mix.hist {
-			copyShardBox(mix.in[h], d.Offset(), sh, ring[h], lo, dims)
-			copyShardBox(mix.res[h], d.Offset(), sh, ring[mix.hist+h], lo, dims)
+			copyShardBox(mix.in[h], off, v, ring+h, lo, dims)
+			copyShardBox(mix.res[h], off, v, ring+mix.hist+h, lo, dims)
 		}
 	}
 	return rs, nil

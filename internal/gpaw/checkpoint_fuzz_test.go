@@ -36,13 +36,52 @@ func fuzzShard(hist int) *shard {
 }
 
 // fuzzShardBytes is fuzzShard with two mixer pairs, encoded.
-func fuzzShardBytes() []byte { return fuzzShard(2).encode() }
+func fuzzShardBytes() []byte { return fuzzShard(2).encode(nil) }
+
+// fuzzManifest is the manifest of a one-shard step whose entry names
+// fuzzShard(2)'s box and band slice. The entry's checksum is data's own
+// trailer, so what readShard holds data to is the header.
+func fuzzManifest(data []byte) *manifest {
+	sh := fuzzShard(2)
+	e := manifestShard{Off: sh.Off, Local: sh.Local, Bands: [2]int{sh.BandLo, sh.BandHi}}
+	if len(data) >= 8 {
+		e.Sum = fmt.Sprintf("%016x", binary.LittleEndian.Uint64(data[len(data)-8:]))
+	}
+	return &manifest{Version: shardVersion, Kind: sh.Kind, Step: 1, Ranks: 1, States: sh.States, Hist: sh.Hist,
+		Global: sh.Global, Shards: []manifestShard{e}}
+}
+
+// entryMismatchShards returns honest encodings that fuzzManifest's entry
+// does not describe: the box moved, and the band slice moved.
+func entryMismatchShards() map[string][]byte {
+	moved := fuzzShard(2)
+	moved.Off = topology.Coord{2, 0, 0}
+	banded := fuzzShard(2)
+	banded.States, banded.BandLo, banded.BandHi = 2, 1, 2
+	banded.Scalars = slices.Insert(banded.Scalars, 0, -0.75)
+	return map[string][]byte{"another box": moved.encode(nil), "another band slice": banded.encode(nil)}
+}
+
+// shardField decodes field i of a parsed shard, x-major over its box.
+func shardField(v *shardView, i int) []float64 {
+	out := make([]float64, v.Local.Count())
+	getRow(out, v.fieldBytes(i))
+	return out
+}
+
+// shardScalars decodes every scalar of a parsed shard.
+func shardScalars(v *shardView) []float64 {
+	out := make([]float64, v.wantScalars())
+	v.scalars(out, 0)
+	return out
+}
 
 // oldVersionShard is fuzzShard as an older codec framed it: the same
 // bytes with the version word set back and the CRC recomputed. Field 1
 // of a version-1 shard is the effective potential, not the Hartree one,
-// and a version-2 shard carries no mixer history, so the decoder must
-// refuse both rather than resume from them.
+// a version-2 shard carries no mixer history and a version-3 step's
+// manifest lists no boxes, so the decoder must refuse all three rather
+// than resume from them.
 func oldVersionShard(version int) []byte {
 	data := fuzzShardBytes()
 	binary.LittleEndian.PutUint64(data[8:], uint64(version))
@@ -77,17 +116,19 @@ func misshapenShards() map[string][]byte {
 	} {
 		sh := fuzzShard(2)
 		bend(sh)
-		out[name] = sh.encode()
+		out[name] = sh.encode(nil)
 	}
 	return out
 }
 
-// FuzzDecodeShard hardens the checkpoint codec against hostile bytes:
+// FuzzDecodeShard hardens the checkpoint reader against hostile bytes:
 // truncated, bit-flipped or garbage input must come back as a typed
-// ErrCheckpointCorrupt — never a panic, and never an allocation driven
-// by a forged length prefix (the codec bounds every vector length and
-// field count by the bytes actually present, so a 1<<61 length can at
-// worst reject, not OOM).
+// ErrCheckpointCorrupt — never a panic, and never an offset driven by a
+// forged length prefix (the reader bounds every vector length and field
+// count by the bytes actually present, so a 1<<61 length can at worst
+// reject, not index out of range). The same bytes, read as the one shard
+// of a step whose manifest entry names fuzzShard's box and band slice,
+// must be refused the same way unless their header matches the entry.
 func FuzzDecodeShard(f *testing.F) {
 	valid := fuzzShardBytes()
 	f.Add(valid)
@@ -110,8 +151,12 @@ func FuzzDecodeShard(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add(oldVersionShard(1))
-	f.Add(fuzzShard(0).encode()) // a first-iteration shard: no history yet
+	f.Add(fuzzShard(0).encode(nil)) // a first-iteration shard: no history yet
 	f.Add(oldVersionShard(2))
+	f.Add(oldVersionShard(3))
+	for _, data := range entryMismatchShards() {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Size cap keeps minimization of interesting inputs fast; the
 		// length-prefix hardening is about forged lengths, not big
@@ -119,25 +164,40 @@ func FuzzDecodeShard(f *testing.F) {
 		if len(data) > 1<<16 {
 			return
 		}
-		sh, err := decodeShard(data)
+		if v, err := parseShard(data); err != nil {
+			if !errors.Is(err, ErrCheckpointCorrupt) {
+				t.Fatalf("untyped parse error: %v", err)
+			}
+		} else {
+			// A parsed shard must be internally consistent: the fields
+			// and scalars RestoreSCF indexes by band slice and state all
+			// present, every field sized to the declared box.
+			if v.BandLo < 0 || v.BandLo > v.BandHi || v.BandHi > v.States || v.Hist < 0 || v.Hist > pulayHistory {
+				t.Fatalf("parsed band slice [%d, %d) of %d states and %d mixer pairs", v.BandLo, v.BandHi, v.States, v.Hist)
+			}
+			for i := range 2 + v.BandHi - v.BandLo + 2*v.Hist {
+				if n := len(v.fieldBytes(i)); n != 8*v.Local.Count() {
+					t.Fatalf("parsed field %d holds %d bytes for box %v", i, n, v.Local)
+				}
+			}
+			shardScalars(v)
+		}
+		st := NewMemStore()
+		if err := st.PutShard(1, 0, data); err != nil {
+			t.Fatal(err)
+		}
+		man := fuzzManifest(data)
+		v, err := readShard(st, man, 1, 0)
 		if err != nil {
 			if !errors.Is(err, ErrCheckpointCorrupt) {
-				t.Fatalf("untyped decode error: %v", err)
+				t.Fatalf("untyped read error: %v", err)
 			}
 			return
 		}
-		// A successful decode must be internally consistent: every
-		// field sized to the declared box, and the fields and scalars
-		// RestoreSCF indexes by band slice and state all present.
-		for i, fl := range sh.Fields {
-			if fl.Dims() != sh.Local {
-				t.Fatalf("decoded field %d covers %v for box %v", i, fl.Dims(), sh.Local)
-			}
-		}
-		if sh.BandLo < 0 || sh.BandLo > sh.BandHi || sh.BandHi > sh.States || sh.Hist < 0 || sh.Hist > pulayHistory ||
-			len(sh.Fields) != 2+sh.BandHi-sh.BandLo+2*sh.Hist || len(sh.Scalars) != sh.States+sh.Hist*sh.Hist {
-			t.Fatalf("decoded %d fields, %d scalars for band slice [%d, %d) of %d states and %d mixer pairs",
-				len(sh.Fields), len(sh.Scalars), sh.BandLo, sh.BandHi, sh.States, sh.Hist)
+		if e := man.Shards[0]; v.Off != e.Off || v.Local != e.Local || v.BandLo != e.Bands[0] || v.BandHi != e.Bands[1] ||
+			v.States != man.States || v.Hist != man.Hist {
+			t.Fatalf("read shard %v at %v, band slice [%d, %d) of %d states, %d pairs under entry %+v",
+				v.Local, v.Off, v.BandLo, v.BandHi, v.States, v.Hist, e)
 		}
 	})
 }
@@ -151,40 +211,56 @@ func TestDecodeShardRejectsForgedLengths(t *testing.T) {
 	var huge [8]byte
 	binary.LittleEndian.PutUint64(huge[:], 1<<61)
 	data = append(data, huge[:]...)
-	if _, err := decodeShard(data); !errors.Is(err, ErrCheckpointCorrupt) {
-		t.Fatalf("decode of forged length = %v, want ErrCheckpointCorrupt", err)
+	if _, err := parseShard(data); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("parse of forged length = %v, want ErrCheckpointCorrupt", err)
 	}
 	// Same for a forged field count.
-	if _, err := decodeShard(valid[:16]); !errors.Is(err, ErrCheckpointCorrupt) {
-		t.Fatalf("decode of truncated shard = %v, want ErrCheckpointCorrupt", err)
+	if _, err := parseShard(valid[:16]); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("parse of truncated shard = %v, want ErrCheckpointCorrupt", err)
 	}
 	// A well-formed shard of a previous format version names it.
-	for _, v := range []int{1, 2} {
-		if _, err := decodeShard(oldVersionShard(v)); !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", v)) {
-			t.Fatalf("decode of a version-%d shard = %v, want ErrCheckpointCorrupt: unsupported version %d", v, err, v)
+	for _, v := range []int{1, 2, 3} {
+		if _, err := parseShard(oldVersionShard(v)); !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", v)) {
+			t.Fatalf("parse of a version-%d shard = %v, want ErrCheckpointCorrupt: unsupported version %d", v, err, v)
 		}
 	}
-	// And the honest shards round-trip, history included.
-	for _, hist := range []int{0, 2} {
+	// And the honest shards round-trip, history included, into a reused
+	// buffer too.
+	var buf []byte
+	for _, hist := range []int{0, 2, 1} {
 		sh := fuzzShard(hist)
-		got, err := decodeShard(sh.encode())
+		buf = sh.encode(buf)
+		got, err := parseShard(buf)
 		if err != nil {
-			t.Fatalf("decode of a valid shard with %d mixer pairs: %v", hist, err)
+			t.Fatalf("parse of a valid shard with %d mixer pairs: %v", hist, err)
 		}
-		for i, f := range got.Fields {
-			if !slices.Equal(f.Data(), sh.Fields[i].InteriorSlice()) {
+		for i, f := range sh.Fields {
+			if !slices.Equal(shardField(got, i), f.InteriorSlice()) {
 				t.Errorf("%d mixer pairs: field %d did not round-trip", hist, i)
 			}
 		}
-		if !slices.Equal(got.Scalars, sh.Scalars) || got.Hist != hist {
-			t.Errorf("%d mixer pairs: scalars %v (hist %d), want %v", hist, got.Scalars, got.Hist, sh.Scalars)
+		if !slices.Equal(shardScalars(got), sh.Scalars) || got.Hist != hist {
+			t.Errorf("%d mixer pairs: scalars %v (hist %d), want %v", hist, shardScalars(got), got.Hist, sh.Scalars)
 		}
 	}
 	// And for counts that are honest about the bytes but not about the
 	// band slice: CRC-valid, well-framed, wrong shape.
 	for name, data := range misshapenShards() {
-		if _, err := decodeShard(data); !errors.Is(err, ErrCheckpointCorrupt) {
-			t.Errorf("decode of a shard with %s = %v, want ErrCheckpointCorrupt", name, err)
+		if _, err := parseShard(data); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Errorf("parse of a shard with %s = %v, want ErrCheckpointCorrupt", name, err)
+		}
+	}
+	// And for honest shards their manifest entry does not describe.
+	for name, data := range entryMismatchShards() {
+		st := NewMemStore()
+		if err := st.PutShard(1, 0, data); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := parseShard(data); err != nil {
+			t.Fatalf("parse of the shard with %s: %v", name, err)
+		}
+		if _, err := readShard(st, fuzzManifest(data), 1, 0); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Errorf("read of a shard with %s = %v, want ErrCheckpointCorrupt", name, err)
 		}
 	}
 }
