@@ -107,8 +107,10 @@
 //     (internal/gpaw/bands_test.go). The solver layer is fault
 //     tolerant: the SCF writes gather-free, versioned,
 //     CRC64-checksummed checkpoints (checkpoint.go — one shard per
-//     rank, manifest committed atomically, restore re-tiles onto any
-//     process grid or band layout), and RunSCFFT (ft.go) turns a rank
+//     rank, a manifest listing every shard's box and band slice
+//     committed atomically; restore re-tiles onto any process grid or
+//     band layout, each rank fetching only the shards that meet its
+//     own, and ends in one world-agreed verdict), and RunSCFFT (ft.go) turns a rank
 //     failure into Agree/Shrink recovery onto the survivor grid with
 //     resume from the last checkpoint; exact reductions make the
 //     recovered energies, eigenvalues, iteration counts and fields
