@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"slices"
 	"strings"
 	"testing"
 
@@ -334,23 +335,24 @@ func TestCheckpointStores(t *testing.T) {
 			}
 		}
 		for step, v := range map[int]int{7: 1, 8: 2, 9: 3} {
-			if err := ValidateStep(st, step); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", v)) {
+			if _, err := RestoreSCF(d, st, step); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", v)) {
 				t.Errorf("%T: version-%d manifest: %v, want unsupported version %d", st, v, err, v)
 			}
 		}
 		for step, corrupt := range map[int]bool{3: true, 4: false, 5: true, 6: true, 7: true, 8: true, 9: true, 10: true} {
-			verr := ValidateStep(st, step)
-			rs, rerr := RestoreSCF(d, st, step)
-			if corrupt != errors.Is(verr, ErrCheckpointCorrupt) || corrupt != errors.Is(rerr, ErrCheckpointCorrupt) ||
-				!corrupt && (verr != nil || rerr != nil) {
-				t.Errorf("%T step %d: ValidateStep = %v, RestoreSCF = %v, want ErrCheckpointCorrupt: %v", st, step, verr, rerr, corrupt)
+			rs, err := RestoreSCF(d, st, step)
+			if corrupt != errors.Is(err, ErrCheckpointCorrupt) || !corrupt && err != nil {
+				t.Errorf("%T step %d: RestoreSCF = %v, want ErrCheckpointCorrupt: %v", st, step, err, corrupt)
 			}
 			if !corrupt && (rs == nil || rs.Iteration != 3 || rs.N.InteriorSlice()[7] != 42) {
 				t.Errorf("%T step %d: restore of the honest generation mangled the state", st, step)
 			}
 		}
-		if step, fellBack, ok, _ := LatestGoodStep(st); !ok || step != 4 || !fellBack {
-			t.Errorf("%T: latest good step (%d, fellBack %v, %v), want (4, true, true)", st, step, fellBack, ok)
+		// Recovery walks back from step 10 past every corrupt generation
+		// to step 4; steps 7-9 fail at the manifest, before any shard.
+		walk := &countingStore{Store: st}
+		if rs, err := latestRestart(d, walk, 60); err != nil || rs == nil || !slices.Equal(walk.steps, []int{10, 6, 5, 4}) {
+			t.Errorf("%T: recovery read shards of steps %v (%v), want [10 6 5 4]", st, walk.steps, err)
 		}
 	}
 }

@@ -17,35 +17,29 @@ import (
 	"sync"
 
 	"repro/internal/grid"
-	"repro/internal/mpi"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
 // Checkpoint/restart. Long SCF runs at Blue Gene scale survive node
 // loss the way production GPAW deployments do: by periodically writing
-// restart state and resuming from it. The design here is gather-free —
-// every rank writes its own shard of the state (density, Hartree
-// potential, its band slice of the wave-functions, the Pulay mixer's
-// ring, the iteration counter), so checkpointing costs no global
-// communication beyond one small gather for the commit record. Shards
-// are self-describing (global extents, sub-domain box, band range),
-// versioned and CRC-checksummed, and the manifest lists every shard's
-// box and band slice beside its checksum, so a restart may re-tile them
-// onto ANY process grid and band layout — in particular onto the
-// shrunken survivor grid after a rank failure — with each rank fetching
-// only the shards that overlap its own sub-domain and band slice, and
-// copying their rows straight from the bytes into its grids. Every rank
-// then agrees on one verdict, so a bad shard that only some ranks read
-// fails all of them alike. Restarted runs are bit-identical to
-// undisturbed ones because every reduction in the solver stack goes
-// through the exact internal/detsum transports: the recomputed
-// iterations cannot drift, whatever the new decomposition.
-//
-// A checkpoint step becomes valid only when its manifest commits
-// (two-phase: shards first, then the manifest naming their checksums),
-// so a step interrupted by the very failure it is meant to survive is
-// simply invisible to recovery.
+// restart state and resuming from it. Every rank writes its own shard of
+// the state (density, Hartree potential, its band slice of the
+// wave-functions, the Pulay mixer's ring, the iteration counter); one
+// small gather to world rank 0 builds the step's manifest, which lists
+// every shard's box, band slice and CRC64. A step becomes valid only
+// when its manifest commits, after every shard is stored, so a step
+// interrupted by the very failure it is meant to survive is invisible to
+// recovery. A restart re-tiles the shards onto ANY process grid and band
+// layout (in particular the shrunken survivor grid after a rank failure):
+// each rank fetches only the shards that overlap its sub-domain and band
+// slice and copies their rows straight from the bytes into its grids.
+// A save and a restore each end in one world verdict (Dist.verdict), so
+// a store fault or a bad shard that one rank met fails every rank with
+// the same typed error. Restarted runs are bit-identical to undisturbed
+// ones because every reduction in the solver stack goes through the
+// exact internal/detsum transports: the recomputed iterations cannot
+// drift, whatever the new decomposition.
 
 // Store is the persistence layer a Checkpointer writes through. MemStore
 // stands in for a shared parallel filesystem in tests (it outlives any
@@ -55,7 +49,8 @@ type Store interface {
 	// PutShard stores one rank's shard of a checkpoint step. The caller
 	// reuses data once PutShard returns, so a store keeps a copy.
 	PutShard(step, rank int, data []byte) error
-	// GetShard retrieves one shard.
+	// GetShard retrieves one shard. The caller only reads the bytes, so
+	// a store may hand back the ones it holds.
 	GetShard(step, rank int) ([]byte, error)
 	// Commit finalizes a step by storing its manifest; a step without a
 	// manifest is invisible to Steps and recovery.
@@ -96,7 +91,7 @@ func (s *MemStore) GetShard(step, rank int) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("gpaw: checkpoint step %d shard %d not found", step, rank)
 	}
-	return append([]byte(nil), d...), nil
+	return d, nil
 }
 
 // Commit implements Store.
@@ -144,8 +139,9 @@ func (s *MemStore) Drop(step int) error {
 	return nil
 }
 
-// Corrupt flips one byte of a stored shard — injected bit-rot for
-// chaos tests of the retention/fallback machinery.
+// Corrupt stores a copy of a shard with one byte flipped — injected
+// bit-rot for chaos tests of the retention/fallback machinery. Bytes
+// GetShard already handed out stay as they were.
 func (s *MemStore) Corrupt(step, rank int, byteIdx int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -153,7 +149,9 @@ func (s *MemStore) Corrupt(step, rank int, byteIdx int) error {
 	if !ok {
 		return fmt.Errorf("gpaw: checkpoint step %d shard %d not found", step, rank)
 	}
+	d = slices.Clone(d)
 	d[byteIdx%len(d)] ^= 0x40
+	s.shards[[2]int{step, rank}] = d
 	return nil
 }
 
@@ -332,43 +330,6 @@ type StepDropper interface {
 	Drop(step int) error
 }
 
-// ValidateStep deep-checks one committed step without restoring it: the
-// manifest must parse, and every shard it lists must exist, match its
-// recorded CRC64, carry the header its manifest entry names and be
-// framed to its lengths. It runs RestoreSCF's reader in verify-only
-// mode, so it allocates nothing beyond what the store hands back — no
-// field grid. This is what lets recovery distinguish a bit-rotted
-// generation from a good one before committing to a restore.
-func ValidateStep(st Store, step int) error {
-	man, err := readManifest(st, step)
-	if err != nil {
-		return err
-	}
-	for r := range man.Shards {
-		if _, err := readShard(st, man, step, r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LatestGoodStep returns the newest committed step that passes full
-// CRC64 validation, walking back a generation at a time past bit-rotted
-// or truncated ones. fellBack reports whether any newer generation was
-// rejected — the signal behind the ckpt.fallback trace event.
-func LatestGoodStep(st Store) (step int, fellBack, ok bool, err error) {
-	steps, err := st.Steps()
-	if err != nil {
-		return 0, false, false, err
-	}
-	for i := len(steps) - 1; i >= 0; i-- {
-		if ValidateStep(st, steps[i]) == nil {
-			return steps[i], i != len(steps)-1, true, nil
-		}
-	}
-	return 0, len(steps) > 0, false, nil
-}
-
 // --- shard codec ----------------------------------------------------
 
 const (
@@ -395,8 +356,13 @@ const (
 var ErrCheckpointCorrupt = errors.New("gpaw: corrupt checkpoint shard")
 
 // ErrCheckpointUnreadable wraps a store's failure to hand back a
-// committed step's manifest or one of its shards.
+// committed step's manifest or one of its shards, or to list the
+// committed steps.
 var ErrCheckpointUnreadable = errors.New("gpaw: unreadable checkpoint")
+
+// ErrCheckpointUnwritable wraps a store's failure to take a rank's shard
+// of a step or to commit the step's manifest.
+var ErrCheckpointUnwritable = errors.New("gpaw: unwritable checkpoint")
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
@@ -685,11 +651,11 @@ func readShard(st Store, man *manifest, step, r int) (*shardView, error) {
 
 // Checkpointer periodically snapshots solver state into a Store: every
 // Every-th iteration (<= 1 means every iteration), each rank writes its
-// own shard, the shards' manifest entries gather to world rank 0 over
-// the exact bit-transport, and rank 0 commits the manifest. The gather
-// doubles as the completion barrier: by the time rank 0 holds every
-// entry, every shard of the step is in the store. A Checkpointer belongs
-// to one rank: it encodes every save into the same buffer.
+// own shard, and its store status and manifest entry gather to world
+// rank 0 — the completion barrier — which commits the manifest only if
+// every shard was stored. One world verdict then fails every rank's save
+// with ErrCheckpointUnwritable if any store call failed. A Checkpointer
+// belongs to one rank: it encodes every save into the same buffer.
 type Checkpointer struct {
 	Store Store
 	Every int
@@ -711,50 +677,69 @@ func (ck *Checkpointer) due(it int) bool {
 	return ck.Every <= 1 || it%ck.Every == 0
 }
 
-// manifestWords is one shard's manifest entry on the commit gather: the
-// CRC64, the box's offset and extents, the band slice.
-const manifestWords = 1 + 3 + 3 + 2
+// commitWords is one shard's part of the commit gather: its store status
+// (0 stored), the CRC64, the box's offset and extents, the band slice.
+const commitWords = 1 + 1 + 3 + 3 + 2
 
 // save writes one rank's shard and commits the step's manifest at world
 // rank 0. The checksum is the encoding's trailer; it travels through the
 // float64 collective transport bit-exactly (Float64frombits/Float64bits
-// round-trip every uint64), and the box and band slice beside it as
-// integral values.
+// round-trip every uint64), and the status, box and band slice beside it
+// as integral values.
 func (ck *Checkpointer) save(d *Dist, sh *shard) error {
 	sp := d.Cart.TraceRank().Begin("ckpt.save", trace.KindRegion)
 	defer sp.End()
 	ck.buf = sh.encode(ck.buf)
-	data, step := ck.buf, sh.Iteration
-	if err := ck.Store.PutShard(step, d.World.Rank(), data); err != nil {
-		return fmt.Errorf("gpaw: checkpoint step %d: %w", step, err)
-	}
-	in := [manifestWords]float64{math.Float64frombits(binary.LittleEndian.Uint64(data[len(data)-8:])),
+	data, step, rank := ck.buf, sh.Iteration, d.World.Rank()
+	err := ck.Store.PutShard(step, rank, data)
+	in := [commitWords]float64{0, math.Float64frombits(binary.LittleEndian.Uint64(data[len(data)-8:])),
 		float64(sh.Off[0]), float64(sh.Off[1]), float64(sh.Off[2]),
 		float64(sh.Local[0]), float64(sh.Local[1]), float64(sh.Local[2]),
 		float64(sh.BandLo), float64(sh.BandHi)}
+	if err != nil {
+		in[0], err = 1, fmt.Errorf("shard %d: %w", rank, err)
+	}
 	var out []float64
-	if d.World.Rank() == 0 {
-		out = make([]float64, manifestWords*d.World.Size())
+	if rank == 0 {
+		out = make([]float64, commitWords*d.World.Size())
 	}
 	d.World.Gather(0, in[:], out)
-	if d.World.Rank() != 0 {
+	if rank == 0 && err == nil {
+		if err = ck.commit(sh, out); err != nil {
+			in[0] = 1
+		}
+	}
+	if d.verdict(int(in[0])) == 0 {
 		return nil
 	}
-	man := manifest{Version: shardVersion, Kind: sh.Kind, Step: step, Ranks: d.World.Size(),
+	if err == nil {
+		err = errors.New("another rank's shard or the commit failed")
+	}
+	return fmt.Errorf("%w: step %d: %w", ErrCheckpointUnwritable, step, err)
+}
+
+// commit builds the step's manifest from the gathered words and, if
+// every shard was stored, commits it and prunes. It runs at world rank 0.
+func (ck *Checkpointer) commit(sh *shard, words []float64) error {
+	man := manifest{Version: shardVersion, Kind: sh.Kind, Step: sh.Iteration, Ranks: len(words) / commitWords,
 		States: sh.States, Hist: sh.Hist, Global: sh.Global}
-	for w := range slices.Chunk(out, manifestWords) {
-		e := manifestShard{Sum: fmt.Sprintf("%016x", math.Float64bits(w[0])), Bands: [2]int{int(w[7]), int(w[8])}}
+	for r := range man.Ranks {
+		w := words[r*commitWords:][:commitWords]
+		if w[0] != 0 {
+			return fmt.Errorf("rank %d's shard was not stored", r)
+		}
+		e := manifestShard{Sum: fmt.Sprintf("%016x", math.Float64bits(w[1])), Bands: [2]int{int(w[8]), int(w[9])}}
 		for k := range 3 {
-			e.Off[k], e.Local[k] = int(w[1+k]), int(w[4+k])
+			e.Off[k], e.Local[k] = int(w[2+k]), int(w[5+k])
 		}
 		man.Shards = append(man.Shards, e)
 	}
 	raw, err := json.Marshal(&man)
-	if err != nil {
-		return err
+	if err == nil {
+		err = ck.Store.Commit(sh.Iteration, raw)
 	}
-	if err := ck.Store.Commit(step, raw); err != nil {
-		return fmt.Errorf("gpaw: checkpoint step %d commit: %w", step, err)
+	if err != nil {
+		return fmt.Errorf("commit: %w", err)
 	}
 	ck.prune()
 	return nil
@@ -889,32 +874,37 @@ func copyShardBox(dst *grid.Grid, dstOff topology.Coord, v *shardView, f int, lo
 // grid.Redistribute whose source layout happens to live in the store.
 //
 // Each rank sees only the faults of the shards it fetched, so the ranks
-// end with one agreement over d.World: if any rank found a shard
-// corrupt, every rank fails with ErrCheckpointCorrupt; otherwise, if any
-// rank failed (a shard the store could not hand back), every rank fails,
-// with ErrCheckpointUnreadable. A rank that saw a fault itself returns
-// its own error.
+// end with one world verdict, and every rank fails alike: first if any
+// rank found a step it cannot take (another kind or system), else with
+// ErrCheckpointCorrupt if any found a shard corrupt, else with
+// ErrCheckpointUnreadable if any could not read the manifest or a shard.
+// A rank returns its own error if it is of the agreed class, so every
+// rank's error is of that class.
 func RestoreSCF(d *Dist, st Store, step int) (*SCFRestart, error) {
 	sp := d.Cart.TraceRank().Begin("ckpt.restore", trace.KindRegion)
 	defer sp.End()
 	rs, err := restoreSCF(d, st, step)
-	// The status word: 0 restored, 1 failed, 2 found a shard corrupt.
-	var v [2]float64
-	if errors.Is(err, ErrCheckpointCorrupt) {
-		v[0] = 2
-	} else if err != nil {
-		v[0] = 1
-	}
-	d.World.Allreduce(mpi.OpMax, v[:1], v[1:])
+	// The status code, the graver the larger: 0 restored, 1 unreadable,
+	// 2 corrupt, 3 a step this Dist cannot take.
+	code := 3
 	switch {
-	case err != nil:
-		return nil, err
-	case v[1] == 2:
-		return nil, fmt.Errorf("%w: step %d: a shard another rank read failed verification", ErrCheckpointCorrupt, step)
-	case v[1] != 0:
-		return nil, fmt.Errorf("%w: step %d: another rank could not restore its shards", ErrCheckpointUnreadable, step)
+	case err == nil:
+		code = 0
+	case errors.Is(err, ErrCheckpointCorrupt):
+		code = 2
+	case errors.Is(err, ErrCheckpointUnreadable):
+		code = 1
 	}
-	return rs, nil
+	switch d.verdict(code) {
+	case code:
+		return rs, err
+	case 2:
+		return nil, fmt.Errorf("%w: step %d: a shard another rank read failed verification", ErrCheckpointCorrupt, step)
+	case 1:
+		return nil, fmt.Errorf("%w: step %d: another rank could not read its shards", ErrCheckpointUnreadable, step)
+	default:
+		return nil, fmt.Errorf("gpaw: checkpoint step %d: another rank cannot take it", step)
+	}
 }
 
 // restoreSCF is one rank's part of RestoreSCF, up to the agreement.
@@ -928,9 +918,6 @@ func restoreSCF(d *Dist, st Store, step int) (*SCFRestart, error) {
 	}
 	if topology.Dims(man.Global) != d.Decomp.Global {
 		return nil, fmt.Errorf("gpaw: checkpoint global %v != decomposed global %v", man.Global, d.Decomp.Global)
-	}
-	if man.Ranks < 1 {
-		return nil, fmt.Errorf("gpaw: checkpoint step %d has no shards", step)
 	}
 	off, local := d.Offset(), d.LocalDims()
 	myLo, myHi := d.BandRange(man.States)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -15,14 +14,12 @@ import (
 )
 
 // countingStore is one rank's view of a shared Store: it records the
-// shards GetShard hands back and the bytes holding them (their
-// capacity: what the store allocated), and, when fail is set, fails
-// every GetShard with it.
+// shard and the step of every shard GetShard hands back and, when fail
+// is set, fails every GetShard with it.
 type countingStore struct {
 	Store
-	fetched []int
-	bytes   int
-	fail    error
+	fetched, steps []int
+	fail           error
 }
 
 func (s *countingStore) GetShard(step, rank int) ([]byte, error) {
@@ -30,9 +27,124 @@ func (s *countingStore) GetShard(step, rank int) ([]byte, error) {
 		return nil, s.fail
 	}
 	data, err := s.Store.GetShard(step, rank)
-	s.fetched = append(s.fetched, rank)
-	s.bytes += cap(data)
+	s.fetched, s.steps = append(s.fetched, rank), append(s.steps, step)
 	return data, err
+}
+
+// errStoreFault is the failure faultyStore injects.
+var errStoreFault = errors.New("injected store failure")
+
+// faultyStore is a shared Store that fails with errStoreFault the
+// PutShard of rank putRank's shard (-1: none), every Commit when commit
+// is set, and every Steps when steps is set.
+type faultyStore struct {
+	Store
+	putRank       int
+	commit, steps bool
+}
+
+func (s *faultyStore) PutShard(step, rank int, data []byte) error {
+	if rank == s.putRank {
+		return errStoreFault
+	}
+	return s.Store.PutShard(step, rank, data)
+}
+
+func (s *faultyStore) Commit(step int, manifest []byte) error {
+	if s.commit {
+		return errStoreFault
+	}
+	return s.Store.Commit(step, manifest)
+}
+
+func (s *faultyStore) Steps() ([]int, error) {
+	if s.steps {
+		return nil, errStoreFault
+	}
+	return s.Store.Steps()
+}
+
+// agreedErrors runs body on every rank of an n-rank world whose blocking
+// operations time out after 10 s and returns each rank's error. A rank
+// that panics or blocks (a *mpi.TimeoutError panics) fails the test.
+func agreedErrors(t *testing.T, n int, body func(c *mpi.Comm) error) []error {
+	t.Helper()
+	errs := make([]error, n)
+	w := mpi.NewWorld(n, mpi.ThreadSingle)
+	w.SetOpTimeout(10 * time.Second)
+	if err := w.Run(func(c *mpi.Comm) { errs[c.Rank()] = body(c) }); err != nil {
+		t.Fatalf("a rank panicked or blocked: %v", err)
+	}
+	return errs
+}
+
+// checkAgreed holds every rank's error to the typed one want, and the
+// error of rank own (-1: none) also to errStoreFault.
+func checkAgreed(t *testing.T, what string, errs []error, want error, own int) {
+	t.Helper()
+	for r, err := range errs {
+		var to *mpi.TimeoutError
+		if !errors.Is(err, want) || errors.As(err, &to) || (r == own) != errors.Is(err, errStoreFault) {
+			t.Errorf("%s: rank %d returned %v, want %v", what, r, err, want)
+		}
+	}
+}
+
+// TestSaveVerdictAgreed: a shard the store refuses on any one rank, or
+// a commit refused at world rank 0, fails every rank's save with
+// ErrCheckpointUnwritable — none is left waiting in the commit gather or
+// walks on into the next iteration — and commits nothing.
+func TestSaveVerdictAgreed(t *testing.T) {
+	global := topology.Dims{8, 8, 8}
+	sys := scfSystem(global, 0.7)
+	const ranks = 2
+	for _, tc := range []struct {
+		what string
+		st   faultyStore
+		own  int // the rank that sees the store fail
+	}{
+		{"rank 0's shard refused", faultyStore{putRank: 0}, 0},
+		{"rank 1's shard refused", faultyStore{putRank: 1}, 1},
+		{"the commit refused", faultyStore{putRank: -1, commit: true}, 0},
+	} {
+		mem := NewMemStore()
+		tc.st.Store = mem
+		errs := agreedErrors(t, ranks, func(c *mpi.Comm) error {
+			d, err := NewDist(c, DistConfig{Global: global, Procs: topology.Dims{1, 1, ranks}, Halo: 2, BC: sys.BC,
+				Approach: core.FlatOptimized, Threads: 1, Batch: 2})
+			if err != nil {
+				return err
+			}
+			defer d.Close()
+			s := NewDistSCF(d, sys)
+			s.Tol = 1e-4
+			s.Ckpt = &Checkpointer{Store: &tc.st, Every: 1}
+			_, err = s.Run()
+			return err
+		})
+		checkAgreed(t, tc.what, errs, ErrCheckpointUnwritable, tc.own)
+		if steps, _ := mem.Steps(); len(steps) != 0 {
+			t.Errorf("%s: steps %v committed, want none", tc.what, steps)
+		}
+	}
+}
+
+// TestStepsFailureAgreed: a store that cannot list its committed steps
+// to world rank 0 fails every rank's recovery with
+// ErrCheckpointUnreadable; no rank reads rank 0's outcome broadcast as
+// its step pick.
+func TestStepsFailureAgreed(t *testing.T) {
+	global := topology.Dims{8, 8, 8}
+	sys := scfSystem(global, 0.7)
+	st := &faultyStore{Store: NewMemStore(), putRank: -1, steps: true}
+	errs := agreedErrors(t, 2, func(c *mpi.Comm) error {
+		cfg := DistConfig{Global: global, Procs: topology.Dims{1, 1, 2}, Halo: 2, BC: sys.BC,
+			Approach: core.FlatOptimized, Threads: 1, Batch: 2}
+		_, err := RunSCFFT(c, cfg, sys, FTConfig{Store: st, Every: 1, Recover: true,
+			Configure: func(s *SCF) { s.Tol = 1e-4 }})
+		return err
+	})
+	checkAgreed(t, "Steps failing", errs, ErrCheckpointUnreadable, 0)
 }
 
 // bandCheckpoint runs the SCF of sys on 2 bands x 2x2x1 ranks,
@@ -190,29 +302,39 @@ func TestRestoreVerdictAgreed(t *testing.T) {
 	}
 }
 
-// TestValidateStepAllocatesNoGrids: validating a step reads every shard
-// in place, so it allocates what the store hands back and a small
-// constant for the manifest and the shard views — no field grid.
-func TestValidateStepAllocatesNoGrids(t *testing.T) {
+// TestRestoreErrorClassAgreed: every rank's error is of the agreed
+// class, which recovery's fall-back reads. With shard 0 corrupt, a rank
+// whose own store fails returns ErrCheckpointCorrupt like the others, not
+// its own ErrCheckpointUnreadable — whichever rank it is.
+func TestRestoreErrorClassAgreed(t *testing.T) {
 	global := topology.Dims{8, 8, 8}
-	store := bandCheckpoint(t, scfSystem(global, 0.7))
-	const step, slack = 3, 8 << 10
-	st := &countingStore{Store: store}
-	if err := ValidateStep(st, step); err != nil { // warm the path
+	sys := scfSystem(global, 0.7)
+	store := bandCheckpoint(t, sys)
+	const step = 3
+	if err := store.Corrupt(step, 0, 1000); err != nil {
 		t.Fatal(err)
 	}
-	st.bytes = 0
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err := ValidateStep(st, step)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alloc := int(after.TotalAlloc - before.TotalAlloc)
-	t.Logf("ValidateStep allocated %d bytes for %d shard bytes", alloc, st.bytes)
-	if alloc > st.bytes+slack {
-		t.Errorf("ValidateStep allocated %d bytes, want at most the %d shard bytes plus %d", alloc, st.bytes, slack)
+	procs := topology.Dims{1, 2, 2}
+	for failRank := range procs.Count() {
+		errs := agreedErrors(t, procs.Count(), func(c *mpi.Comm) error {
+			d, err := NewDist(c, DistConfig{Global: global, Procs: procs, Halo: 2, BC: sys.BC,
+				Approach: core.FlatOptimized, Threads: 1, Batch: 2})
+			if err != nil {
+				return err
+			}
+			defer d.Close()
+			st := &countingStore{Store: store}
+			if c.Rank() == failRank {
+				st.fail = errStoreFault
+			}
+			_, err = RestoreSCF(d, st, step)
+			return err
+		})
+		for r, err := range errs {
+			if !errors.Is(err, ErrCheckpointCorrupt) || errors.Is(err, ErrCheckpointUnreadable) {
+				t.Errorf("rank %d's store failing, shard 0 corrupt: rank %d returned %v, want ErrCheckpointCorrupt alone", failRank, r, err)
+			}
+		}
 	}
 }
 

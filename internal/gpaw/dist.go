@@ -373,6 +373,17 @@ func (d *Dist) reduceAcc(a *detsum.Acc) float64 {
 	return d.reduceAccs(one[:])[0]
 }
 
+// verdict returns the world maximum of a rank-local status code (0: no
+// fault; graver faults, larger codes): the one agreement through which
+// a fault one rank saw sends every rank down the same branch with the
+// same typed error, and none waits in a collective its peers left.
+func (d *Dist) verdict(code int) int {
+	in := [1]float64{float64(code)}
+	var out [1]float64
+	d.World.Allreduce(mpi.OpMax, in[:], out[:])
+	return int(out[0])
+}
+
 // Sum returns the global interior sum, with the bits of the exact sum
 // over the undecomposed grid.
 func (d *Dist) Sum(g *grid.Grid) float64 {
@@ -405,31 +416,6 @@ func (d *Dist) AxpyDot(g *grid.Grid, a float64, x *grid.Grid) float64 {
 func (d *Dist) removeMean(g *grid.Grid) {
 	mean := d.Sum(g) / float64(d.Decomp.Global.Count())
 	d.pool.AddScalar(g, -mean)
-}
-
-// --- gather / scatter / broadcast ----------------------------------
-
-// GatherGlobal assembles the global grid from every rank's local
-// interior on rank 0 (returns nil elsewhere) — what the differential
-// tests use to compare fields across decompositions.
-func (d *Dist) GatherGlobal(local *grid.Grid) *grid.Grid {
-	if d.Cart.Rank() != 0 {
-		d.Cart.Send(0, distTag, local.InteriorSlice())
-		return nil
-	}
-	dec := d.Decomp
-	g := grid.NewDims(dec.Global, local.H)
-	dec.Gather(g, d.coord, local)
-	buf := make([]float64, dec.MaxLocalPoints())
-	for r := 1; r < d.Cart.Size(); r++ {
-		rc := dec.Procs.Coord(r)
-		n := dec.LocalDims(rc).Count()
-		d.Cart.Recv(r, distTag, buf[:n])
-		lg := grid.NewDims(dec.LocalDims(rc), 0)
-		lg.SetInterior(buf[:n])
-		dec.Gather(g, rc, lg)
-	}
-	return g
 }
 
 // --- per-approach wave-function processing -------------------------

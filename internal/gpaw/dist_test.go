@@ -23,6 +23,29 @@ import (
 // fields, iteration counts, residuals, eigenvalues, SCF total energies —
 // must be bit-identical to the serial solver.
 
+// GatherGlobal assembles the global grid from every rank's local
+// interior on rank 0 (returns nil elsewhere) — what the differential
+// tests compare fields across decompositions with.
+func (d *Dist) GatherGlobal(local *grid.Grid) *grid.Grid {
+	if d.Cart.Rank() != 0 {
+		d.Cart.Send(0, distTag, local.InteriorSlice())
+		return nil
+	}
+	dec := d.Decomp
+	g := grid.NewDims(dec.Global, local.H)
+	dec.Gather(g, d.coord, local)
+	buf := make([]float64, dec.MaxLocalPoints())
+	for r := 1; r < d.Cart.Size(); r++ {
+		rc := dec.Procs.Coord(r)
+		n := dec.LocalDims(rc).Count()
+		d.Cart.Recv(r, distTag, buf[:n])
+		lg := grid.NewDims(dec.LocalDims(rc), 0)
+		lg.SetInterior(buf[:n])
+		dec.Gather(g, rc, lg)
+	}
+	return g
+}
+
 // layoutsFor returns the process-grid shapes exercised at p ranks.
 // shapes needing an extent of at least minExtent per decomposed
 // dimension are produced for grids that can host them; small grids use

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 
 	"repro/internal/grid"
 	"repro/internal/mpi"
@@ -36,17 +37,12 @@ type FTConfig struct {
 	// Rollback needs at least 2 so a corrupted newest generation still
 	// leaves a valid one to fall back to.
 	Keep int
-	// Recover enables shrink-to-survivors recovery. When false, a rank
-	// failure is returned to the caller as a *mpi.ErrRankFailed on
-	// every survivor.
+	// Recover enables shrink-to-survivors recovery, for as long as at
+	// least one rank survives. When false, a rank failure is returned to
+	// the caller as a *mpi.ErrRankFailed on every survivor.
 	Recover bool
-	// MaxRecoveries bounds how many failures are absorbed before the
-	// error is returned (<= 0: unbounded — recovery continues as long
-	// as at least one rank survives).
-	MaxRecoveries int
 	// Configure, when set, is applied to each attempt's SCF before
-	// it runs — the hook for tolerances, mixing, iteration hooks
-	// (SCF.OnIteration) and such.
+	// it runs — the hook for tolerances and iteration hooks (SCF.OnIteration).
 	Configure func(*SCF)
 	// OnResult, when set, runs on every active rank of the successful
 	// attempt with its Dist and local result before parked ranks are
@@ -187,7 +183,6 @@ func ftOutcome(c *mpi.Comm, m int, res *SCFResult, err error) (*SCFResult, error
 func RunSCFFT(comm *mpi.Comm, cfg DistConfig, sys System, ft FTConfig) (*SCFResult, error) {
 	m := (sys.Electrons + 1) / 2
 	c := comm
-	recoveries := 0
 	procs, bands := cfg.Procs, cfg.Bands
 	if bands < 1 {
 		bands = 1
@@ -229,7 +224,7 @@ func RunSCFFT(comm *mpi.Comm, cfg DistConfig, sys System, ft FTConfig) (*SCFResu
 				if ft.Configure != nil {
 					ft.Configure(s)
 				}
-				rs, err := latestRestart(d, ft.Store, s)
+				rs, err := latestRestart(d, ft.Store, s.MaxIter)
 				if err != nil {
 					return nil, err
 				}
@@ -248,24 +243,15 @@ func RunSCFFT(comm *mpi.Comm, cfg DistConfig, sys System, ft FTConfig) (*SCFResu
 		})
 
 		var sdc *ErrSDCDetected
-		if err != nil && errors.As(err, &sdc) {
-			if !ft.Recover || (ft.MaxRecoveries > 0 && recoveries >= ft.MaxRecoveries) {
-				return nil, err
-			}
-			recoveries++
-			// Silent corruption: the membership is intact, so no Agree or
-			// Shrink — every rank re-enters the attempt loop on the same
-			// layout and latestRestart rolls the whole world back to the
-			// newest checkpoint that still validates.
-			c.TraceRank().Mark("ft.recover", -1, -1, int64(c.Size()))
-			continue
-		}
 		var rf *mpi.ErrRankFailed
-		if err != nil && errors.As(err, &rf) {
-			if !ft.Recover || (ft.MaxRecoveries > 0 && recoveries >= ft.MaxRecoveries) {
-				return nil, err
-			}
-			recoveries++
+		lost := errors.As(err, &rf)
+		if !ft.Recover || !lost && !errors.As(err, &sdc) {
+			return res, err
+		}
+		// Silent corruption leaves the membership intact: every rank
+		// re-enters the attempt loop on the same layout, and latestRestart
+		// rolls the whole world back together. A lost rank shrinks it.
+		if lost {
 			// Stabilize the membership view: Agree freezes each round's
 			// result world-wide, so repeating until two consecutive
 			// rounds match leaves every survivor with the same view even
@@ -281,42 +267,49 @@ func RunSCFFT(comm *mpi.Comm, cfg DistConfig, sys System, ft FTConfig) (*SCFResu
 			c = c.Shrink(view)
 			procs, _ = chooseProcs(cfg.Global, c.Size(), cfg.Halo)
 			bands = 1
-			// Recovery milestone on the timeline: bytes carries the
-			// survivor count of the shrunken world.
-			c.TraceRank().Mark("ft.recover", -1, -1, int64(c.Size()))
-			continue
 		}
-		return res, err
+		// Recovery milestone on the timeline: bytes carries the size of
+		// the world that retries.
+		c.TraceRank().Mark("ft.recover", -1, -1, int64(c.Size()))
 	}
 }
 
-// latestRestart resolves the newest VALID committed checkpoint onto d,
-// with active rank 0 choosing the step so every rank restores the same
-// one. Generations whose manifest or shard checksums fail validation
-// (bit-rot on the store) are skipped — the restore falls back to the
-// newest generation that still verifies, dropping a ckpt.fallback mark
-// on the timeline. Returns nil when there is nothing to resume from.
-func latestRestart(d *Dist, st Store, s *SCF) (*SCFRestart, error) {
+// latestRestart restores onto d the newest committed step before
+// iteration maxIter that RestoreSCF can restore, or returns nil. World
+// rank 0 lists the steps and broadcasts each candidate, newest first. A
+// step whose agreed verdict is corrupt or unreadable is passed over with
+// a ckpt.fallback mark; any other failure ends recovery. Only agreed
+// values steer the walk, so every rank walks back together.
+func latestRestart(d *Dist, st Store, maxIter int) (*SCFRestart, error) {
 	if st == nil {
 		return nil, nil
 	}
-	var pick [1]float64
+	var steps []int
+	var listErr error
 	if d.World.Rank() == 0 {
-		step, fellBack, ok, err := LatestGoodStep(st)
-		if err != nil {
-			return nil, err
+		steps, listErr = st.Steps()
+		steps = steps[:sort.SearchInts(steps, maxIter)]
+	}
+	for i := len(steps) - 1; ; i-- {
+		pick := [1]float64{-1} // a step; -1: none left; -2: the listing failed
+		if listErr != nil {
+			pick[0] = -2
+		} else if i >= 0 {
+			pick[0] = float64(steps[i])
 		}
-		if !ok || step >= s.MaxIter {
-			step = -1
-		}
-		if fellBack {
+		d.World.Bcast(0, pick[:])
+		switch step := int(pick[0]); step {
+		case -2:
+			return nil, errors.Join(fmt.Errorf("%w: world rank 0 could not list the committed steps", ErrCheckpointUnreadable), listErr)
+		case -1:
+			return nil, nil
+		default:
+			// RestoreSCF's error is of the agreed class on every rank.
+			rs, err := RestoreSCF(d, st, step)
+			if !errors.Is(err, ErrCheckpointCorrupt) && !errors.Is(err, ErrCheckpointUnreadable) {
+				return rs, err
+			}
 			d.Cart.TraceRank().Mark("ckpt.fallback", -1, -1, int64(step))
 		}
-		pick[0] = float64(step)
 	}
-	d.World.Bcast(0, pick[:])
-	if pick[0] < 0 {
-		return nil, nil
-	}
-	return RestoreSCF(d, st, int(pick[0]))
 }

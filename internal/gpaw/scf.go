@@ -75,7 +75,6 @@ type SCF struct {
 	// then builds a one-rank context covering Sys.Dims.
 	D       *Dist
 	Sys     System
-	Mix     float64 // Pulay mixing's β: the step taken along each kept residual
 	Tol     float64 // density residual target
 	MaxIter int
 	// Ckpt, when set, snapshots the SCF state (density, Hartree
@@ -94,7 +93,7 @@ type SCF struct {
 
 // NewSCF builds an undecomposed SCF driver with conservative defaults.
 func NewSCF(sys System) *SCF {
-	return &SCF{Sys: sys, Mix: 0.5, Tol: 1e-6, MaxIter: 60}
+	return &SCF{Sys: sys, Tol: 1e-6, MaxIter: 60}
 }
 
 // NewDistSCF builds the driver on d with the same defaults; every rank
@@ -248,7 +247,7 @@ func (s *SCF) run(rs *SCFRestart) (*SCFResult, error) {
 				n = newN.Clone()
 				residual = math.Inf(1)
 			} else {
-				residual = mixer.mix(d, n, newN, s.Mix)
+				residual = mixer.mix(d, n, newN)
 			}
 			if s.Guard != nil {
 				if err := s.Guard.checkResidual(d, it, residual); err != nil {
@@ -371,11 +370,15 @@ func (s *SCF) hartree(ps *Poisson, vh, n *grid.Grid) error {
 }
 
 // pulayHistory is K, the number of (input density, residual) pairs the
-// Pulay mixer keeps. With β 0.5 the benchmark system converges in 11
+// Pulay mixer keeps, and pulayBeta is β, the step it takes along each
+// kept residual. With β 0.5 the benchmark system converges in 11
 // (Dirichlet) and 13 (periodic) steps at K 3; GPAW's K 5 is no faster
 // there, and K 2 stops 4.9e-5 short of the benchmark's energy window
 // edge.
-const pulayHistory = 3
+const (
+	pulayHistory = 3
+	pulayBeta    = 0.5
+)
 
 // pulayMixer is the state of Pulay (DIIS) density mixing: the last
 // pulayHistory input densities n_in,i and their residuals
@@ -401,7 +404,7 @@ type pulayMixer struct {
 // replicated K × K solve and a second pointwise sweep forms the mix, so
 // every rank and layout computes the same bits. With one pair, α = 1 and
 // the step is linear mixing.
-func (p *pulayMixer) mix(d *Dist, n, out *grid.Grid, beta float64) float64 {
+func (p *pulayMixer) mix(d *Dist, n, out *grid.Grid) float64 {
 	for i := range p.in {
 		if p.in[i] == nil {
 			p.in[i], p.res[i] = grid.NewDims(d.local, 0), grid.NewDims(d.local, 0)
@@ -447,12 +450,12 @@ func (p *pulayMixer) mix(d *Dist, n, out *grid.Grid, beta float64) float64 {
 				in, r := p.in[h].Data()[pos:pos+nz], p.res[h].Data()[pos:pos+nz]
 				if h == 0 {
 					for z := range nrow {
-						nrow[z] = float64(al * (in[z] + float64(beta*r[z])))
+						nrow[z] = float64(al * (in[z] + float64(pulayBeta*r[z])))
 					}
 					continue
 				}
 				for z := range nrow {
-					nrow[z] += float64(al * (in[z] + float64(beta*r[z])))
+					nrow[z] += float64(al * (in[z] + float64(pulayBeta*r[z])))
 				}
 			}
 			pos += nz

@@ -3,10 +3,10 @@ package gpaw
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/grid"
 	"repro/internal/linalg"
-	"repro/internal/mpi"
 )
 
 // Silent-data-corruption defense for the distributed SCF loop. An ABFT
@@ -25,12 +25,12 @@ import (
 //     magnitude unless state was corrupted;
 //   - an eigenvalue finiteness check after each subspace solve.
 //
-// Every verdict is reached identically on every rank: the field scan
-// and the factor checksum reduce a corruption indicator over the full
-// communicator, and the residual and eigenvalues are already
-// bit-identical everywhere (exact reductions), so all ranks return the
-// same typed *ErrSDCDetected and the fault-tolerant driver can roll the
-// whole world back to the last good checkpoint together.
+// Every verdict is the same on every rank: the field scan and the
+// factor check take the world verdict (Dist.verdict) of their local
+// indicators, and the residual and eigenvalues are bit-identical
+// everywhere (exact reductions), so all ranks return the same typed
+// *ErrSDCDetected and the fault-tolerant driver rolls the whole world
+// back together.
 
 // ErrSDCDetected reports silent data corruption caught by the ABFT
 // checksum or a sanity monitor: Op names the check, Index the first
@@ -59,10 +59,14 @@ const (
 	abftTol = 1e-6
 )
 
-// testHookCholeskyFactor, when set by a test, runs on every rank between
-// the subspace step's factorization and its verification with the live
-// factor — the window a memory flip has to land in.
-var testHookCholeskyFactor func(d *Dist, l linalg.Matrix)
+// testHookOverlap and testHookCholeskyFactor, when set by a test, run
+// on every rank with the live overlap before the subspace step's
+// factorization and with the live factor between the factorization and
+// its verification — the windows a memory flip has to land in.
+var (
+	testHookOverlap        func(d *Dist, s linalg.Matrix)
+	testHookCholeskyFactor func(d *Dist, l linalg.Matrix)
+)
 
 // checksumMismatch returns the first row at which two checksum columns
 // differ by more than abftTol relative (a NaN differs), or -1.
@@ -87,24 +91,34 @@ func choleskyChecksums(s, l linalg.Matrix) (got, want linalg.Matrix) {
 }
 
 // checkCholesky is the subspace step's ABFT verification of the factor l
-// of the overlap s, both replicated; it only reads, so no result bit
-// depends on it. Rotted memory fails one rank's copy alone, so the local
-// verdict (first offending row + 1, 0 when clean) is max-reduced over
-// the full communicator, as checkFields does: every rank returns the
-// same typed error and none walks on into a collective its peers left.
+// of the overlap s, both replicated (l is nil when the factorization
+// failed); it only reads, so no result bit depends on it. Rotted memory
+// fails one rank's copy alone, so the local status (first offending row
+// + 1, m + 1 for a failed factorization, 0 when clean) takes the world
+// verdict and every rank returns the same typed error. A factorization
+// that failed on every rank is no corruption: the check passes and the
+// caller reports s as not positive definite.
 func (d *Dist) checkCholesky(s, l linalg.Matrix) error {
-	if testHookCholeskyFactor != nil {
-		testHookCholeskyFactor(d, l)
+	m, code := len(s), len(s)+1
+	var got, want linalg.Matrix
+	if l != nil {
+		if testHookCholeskyFactor != nil {
+			testHookCholeskyFactor(d, l)
+		}
+		got, want = choleskyChecksums(s, l)
+		code = checksumMismatch(got, want) + 1
 	}
-	got, want := choleskyChecksums(s, l)
-	in := [1]float64{float64(checksumMismatch(got, want) + 1)}
-	var out [1]float64
-	d.World.Allreduce(mpi.OpMax, in[:], out[:])
-	if out[0] == 0 {
+	v := d.verdict(code)
+	if v > m && d.verdict(m+1-code) == 0 {
+		v = 0 // no rank factored s
+	}
+	switch {
+	case v == 0:
 		return nil
+	case v <= m:
+		return &ErrSDCDetected{Op: "cholesky.rowsum", Index: v - 1, Got: got[v-1][0], Want: want[v-1][0]}
 	}
-	i := int(out[0]) - 1
-	return &ErrSDCDetected{Op: "cholesky.rowsum", Index: i, Got: got[i][0], Want: want[i][0]}
+	return &ErrSDCDetected{Op: "cholesky.factor", Index: m, Got: 0, Want: 1}
 }
 
 // SDCGuard monitors one rank's view of a distributed SCF run for silent
@@ -159,27 +173,16 @@ func badField(g *grid.Grid) bool {
 	return false
 }
 
-// checkFields scans the live SCF state for corruption. The local
-// verdict is reduced (max) over the full communicator so every rank —
-// including ones whose local state is clean — takes the same branch.
+// checkFields scans the live SCF state for corruption. Its local
+// indicator takes the world verdict, so every rank — including ones
+// whose local state is clean — takes the rollback branch or none does.
 func (g *SDCGuard) checkFields(d *Dist, it int, psis []*grid.Grid, n, vh, veff *grid.Grid) error {
-	bad := 0.0
-	for _, p := range psis {
-		if badField(p) {
-			bad = 1
-			break
-		}
-	}
-	if bad == 0 && (badField(n) || badField(vh) || badField(veff)) {
+	bad := 0
+	if badField(n) || badField(vh) || badField(veff) || slices.ContainsFunc(psis, badField) {
 		bad = 1
 	}
-	var in, out [1]float64
-	in[0] = bad
-	// 0/1 indicator under max: identical on every rank by construction,
-	// so the rollback branch is taken world-wide or not at all.
-	d.World.Allreduce(mpi.OpMax, in[:], out[:])
-	if out[0] != 0 {
-		return g.detect(d, "scf.fields", it, out[0], 0)
+	if d.verdict(bad) != 0 {
+		return g.detect(d, "scf.fields", it, 1, 0)
 	}
 	return nil
 }

@@ -1,8 +1,11 @@
 package gpaw
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -139,6 +142,46 @@ func TestABFTVerdictWorldAgreed(t *testing.T) {
 		}
 		if lastIt[r] != 2 {
 			t.Errorf("rank %d: detection in iteration %d, want 2 on every rank", r, lastIt[r])
+		}
+	}
+}
+
+// TestABFTFactorVerdictAgreed: an overlap made non-positive-definite on
+// ONE rank before the subspace step's factorization is corruption, and
+// every rank reports it as the same typed *ErrSDCDetected; an overlap
+// non-positive-definite on every rank is the states' own linear
+// dependence, which every rank reports as such. Either way no rank is
+// left waiting in the agreement.
+func TestABFTFactorVerdictAgreed(t *testing.T) {
+	global := topology.Dims{8, 8, 8}
+	sys := scfSystem(global, 0.7)
+	const ranks, victim = 4, 1
+	defer func() { testHookOverlap = nil }()
+	for _, everywhere := range []bool{false, true} {
+		testHookOverlap = func(d *Dist, s linalg.Matrix) {
+			if everywhere || d.World.Rank() == victim {
+				s[0][0] = -1
+			}
+		}
+		errs := agreedErrors(t, ranks, func(c *mpi.Comm) error {
+			d, err := NewDist(c, DistConfig{Global: global, Procs: topology.Dims{2, 2, 1}, Halo: 2, BC: sys.BC,
+				Approach: core.FlatOptimized, Threads: 1, Batch: 2, ABFT: true})
+			if err != nil {
+				return err
+			}
+			defer d.Close()
+			s := NewDistSCF(d, sys)
+			s.Tol = 1e-4
+			_, err = s.Run()
+			return err
+		})
+		for r, err := range errs {
+			var sdc *ErrSDCDetected
+			if isSDC := errors.As(err, &sdc); isSDC == everywhere || everywhere && !strings.Contains(fmt.Sprint(err), "not positive definite") {
+				t.Errorf("S non-positive-definite on every rank %v: rank %d returned %v", everywhere, r, err)
+			} else if isSDC && sdc.Op != "cholesky.factor" {
+				t.Errorf("rank %d: detection by %s, want cholesky.factor", r, sdc.Op)
+			}
 		}
 	}
 }

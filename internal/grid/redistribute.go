@@ -53,18 +53,13 @@ type RedistPlan struct {
 	self           *xfer // overlap with my own dst sub-domain: direct copy
 }
 
-// intersectBox returns the overlap of two boxes given by lower corner
-// and extents.
-func intersectBox(aLo topology.Coord, aDim topology.Dims, bLo topology.Coord, bDim topology.Dims) (lo topology.Coord, dims topology.Dims, ok bool) {
+// IntersectBox returns the overlap of two boxes given by lower corner
+// and extents — the intersection redistribution plans are built from,
+// and checkpoint restore re-tiles stored sub-domain boxes by.
+func IntersectBox(aLo topology.Coord, aDim topology.Dims, bLo topology.Coord, bDim topology.Dims) (lo topology.Coord, dims topology.Dims, ok bool) {
 	for d := 0; d < 3; d++ {
-		l := aLo[d]
-		if bLo[d] > l {
-			l = bLo[d]
-		}
-		h := aLo[d] + aDim[d]
-		if bh := bLo[d] + bDim[d]; bh < h {
-			h = bh
-		}
+		l := max(aLo[d], bLo[d])
+		h := min(aLo[d]+aDim[d], bLo[d]+bDim[d])
 		if h <= l {
 			return lo, dims, false
 		}
@@ -72,14 +67,6 @@ func intersectBox(aLo topology.Coord, aDim topology.Dims, bLo topology.Coord, bD
 		dims[d] = h - l
 	}
 	return lo, dims, true
-}
-
-// IntersectBox returns the overlap of two boxes given by lower corner
-// and extents — the same intersection redistribution plans are built
-// from, exported for callers that re-tile externally stored sub-domain
-// boxes (checkpoint restore).
-func IntersectBox(aLo topology.Coord, aDim topology.Dims, bLo topology.Coord, bDim topology.Dims) (lo topology.Coord, dims topology.Dims, ok bool) {
-	return intersectBox(aLo, aDim, bLo, bDim)
 }
 
 // NewRedistPlan builds the schedule for the given rank. src and dst
@@ -96,7 +83,7 @@ func NewRedistPlan(rank int, src, dst *Decomp) *RedistPlan {
 		sdim := src.LocalDims(sc)
 		for rd := 0; rd < dst.NumProcs(); rd++ {
 			dc := dst.Procs.Coord(rd)
-			lo, dims, ok := intersectBox(p.srcOff, sdim, dst.Offset(dc), dst.LocalDims(dc))
+			lo, dims, ok := IntersectBox(p.srcOff, sdim, dst.Offset(dc), dst.LocalDims(dc))
 			if !ok {
 				continue
 			}
@@ -117,7 +104,7 @@ func NewRedistPlan(rank int, src, dst *Decomp) *RedistPlan {
 				continue // covered by the direct self copy
 			}
 			sc := src.Procs.Coord(rs)
-			lo, dims, ok := intersectBox(src.Offset(sc), src.LocalDims(sc), p.dstOff, ddim)
+			lo, dims, ok := IntersectBox(src.Offset(sc), src.LocalDims(sc), p.dstOff, ddim)
 			if !ok {
 				continue
 			}
