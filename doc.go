@@ -15,12 +15,15 @@
 //     interior while the messages travel, completes the exchange and
 //     calls it again on the one-radius boundary shell
 //     (communication/computation overlap, the paper's headline
-//     optimization). Exchange state is pooled on the engine, requests
-//     are recycled into the mpi world and faces that arrive early wait
-//     in pooled mailbox buffers, so the steady-state loop is
-//     allocation-free whichever side arrives first: receives posted
-//     before their faces (TestOverlapExchangeZeroAlloc, one rank's
-//     self-sends) and faces arriving before their receives
+//     optimization). A periodic dimension the process grid does not
+//     divide sends nothing: each grid wraps its own faces into its
+//     halos when the exchange completes (grid.WrapHalos). Exchange
+//     state is pooled on the engine, requests are recycled into the mpi
+//     world and faces that arrive early wait in pooled mailbox buffers,
+//     so the steady-state loop is allocation-free whichever side
+//     arrives first: receives posted before their faces
+//     (TestOverlapExchangeZeroAlloc, two ranks trading x faces) and
+//     faces arriving before their receives
 //     (TestSkewedExchangeAllocationFree, eight ranks with one delayed).
 //   - internal/mpi — that runtime: goroutine ranks, MPI matching
 //     semantics, collectives, Cartesian topologies, thread modes,

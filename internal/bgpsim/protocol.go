@@ -293,7 +293,8 @@ func runProtocol(p *sim.Proc, nd *node, r *simRank, grids int,
 		}
 	}
 	localWrap := func(n int) {
-		// Undivided periodic dimensions wrap locally: one copy per face.
+		// Undivided periodic dimensions wrap locally: one copy per face,
+		// as the live engine does (core.Engine.unpackDim, grid.WrapHalos).
 		for d := 0; d < 3; d++ {
 			if commDim[d] {
 				continue

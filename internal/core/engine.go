@@ -256,11 +256,21 @@ func (e *Engine) isolated(dim int) bool {
 	return e.nbr[dim][grid.Low] == mpi.ProcNull && e.nbr[dim][grid.High] == mpi.ProcNull
 }
 
+// wraps reports whether this rank is its own neighbour on both sides of
+// dimension dim (a periodic dimension the process grid does not divide):
+// its exchange sends nothing, and unpackDim wraps the grids' own
+// opposite faces into their halos.
+func (e *Engine) wraps(dim int) bool {
+	me := e.cart.Rank()
+	return e.nbr[dim][grid.Low] == me && e.nbr[dim][grid.High] == me
+}
+
 // postDim posts the receives and sends of one dimension for the batch.
+// An isolated or wrapped dimension posts nothing.
 //
 //gpaw:hotpath
 func (e *Engine) postDim(st *exchangeState, src []*grid.Grid, tagBase, bi, dim int) {
-	if e.isolated(dim) {
+	if e.isolated(dim) || e.wraps(dim) {
 		return
 	}
 	faceLen := src[st.b.Lo].FaceLen(dim, e.op.R)
@@ -278,8 +288,7 @@ func (e *Engine) postDim(st *exchangeState, src []*grid.Grid, tagBase, bi, dim i
 		st.recv[dim][side] = st.recv[dim][side][:n]
 		st.send[dim][side] = st.send[dim][side][:n]
 		// Post the receive for my (dim, side) halo first so an eager
-		// send (including a self-send when the dimension is undivided)
-		// finds it waiting.
+		// send finds it waiting.
 		//lint:ignore hotpathalloc request list of the recycled exchangeState, reset to [:0] each exchange — capacity is warm in steady state
 		st.reqs = append(st.reqs, e.cart.Irecv(e.nbr[dim][side], faceTag(tagBase, bi, dim, side), st.recv[dim][side]))
 	}
@@ -344,11 +353,19 @@ func (e *Engine) unpack(st *exchangeState, src []*grid.Grid) {
 // unpackDim copies one dimension's received face buffers into the halos
 // of the batch. A side without a neighbour has no buffer (nil) and is
 // skipped: a Dirichlet boundary's halos were zeroed at allocation and
-// stay zero.
+// stay zero. A wrapped dimension received nothing: each grid's halos
+// are copied from its own opposite faces here, so they stay untouched
+// while the rest of the exchange is in flight.
 //
 //gpaw:hotpath
 func (e *Engine) unpackDim(st *exchangeState, src []*grid.Grid, dim int) {
 	if e.isolated(dim) {
+		return
+	}
+	if e.wraps(dim) {
+		for gi := st.b.Lo; gi < st.b.Hi; gi++ {
+			src[gi].WrapHalos(dim, e.op.R)
+		}
 		return
 	}
 	faceLen := src[st.b.Lo].FaceLen(dim, e.op.R)
@@ -508,10 +525,11 @@ func (e *Engine) Run(src []*grid.Grid, overlap bool, compute func(b Batch, r ste
 }
 
 // Exchange fills the halos of every grid from the neighbouring ranks
-// (and from the grid itself across periodic wraps in undivided
-// dimensions) using the engine's exchange schedule on the calling
-// goroutine, without any computation. Corner halos are not filled — the
-// axis-aligned stencils never read them, matching GPAW.
+// using the engine's exchange schedule on the calling goroutine, without
+// any computation. A periodic dimension the process grid does not divide
+// sends no message: each grid wraps its own faces into its halos. Corner
+// halos are not filled — the axis-aligned stencils never read them,
+// matching GPAW.
 //
 //gpaw:hotpath
 func (e *Engine) Exchange(grids []*grid.Grid) {

@@ -188,41 +188,59 @@ func TestRunCoversAllBatches(t *testing.T) {
 }
 
 // TestOverlapExchangeZeroAlloc is the hoisted-buffer regression test:
-// once warmed up, an overlapped Run must perform no allocation at all.
-// One periodic rank exercises the full pack/send/recv/unpack path
-// through self-messages in every dimension, and every receive is
-// posted before its matching send, so the transport's direct-delivery
-// fast path and the engine's pooled state make the loop allocation-free
-// in steady state.
+// once warmed up, an overlapped Run and a blocking Exchange make no
+// allocation anywhere in the world. On two ranks over 2x1x1 periodic
+// the x faces really travel; rank 1 starts each exchange late, so rank
+// 0's receives are posted before their faces arrive and the transport
+// delivers straight into them (TestSkewedExchangeAllocationFree has
+// faces arriving first). testing.AllocsPerRun on rank 0 reads the
+// process-wide malloc counter while rank 1 runs the same exchanges. On
+// one rank over 1x1x1 periodic every dimension wraps in place: the
+// loop sends no message and allocates nothing.
 func TestOverlapExchangeZeroAlloc(t *testing.T) {
 	global := topology.Dims{8, 8, 8}
-	procs := topology.Dims{1, 1, 1}
-	err := runRanks(1, mpi.ThreadSingle, func(c *mpi.Comm) {
-		eng := overlapEngine(c, global, procs, true, OptionsFor(FlatOptimized, 1, 1))
-		defer eng.Close()
-		g := eng.NewLocalGrid()
-		gs := []*grid.Grid{g}
-		// Warm up the engine scratch pool, the mpi request pool and the
-		// mailbox slices.
-		for i := 0; i < 4; i++ {
-			eng.Run(gs, true, noCompute)
-			eng.Exchange(gs)
+	const runs = 100
+	for _, procs := range []topology.Dims{{2, 1, 1}, {1, 1, 1}} {
+		err := runRanks(procs.Count(), mpi.ThreadSingle, func(c *mpi.Comm) {
+			eng := overlapEngine(c, global, procs, true, OptionsFor(FlatOptimized, 1, 1))
+			defer eng.Close()
+			gs := []*grid.Grid{eng.NewLocalGrid()}
+			// Warm up the engine scratch pool, the mpi request pool and the
+			// mailbox slices.
+			for i := 0; i < 4; i++ {
+				eng.Run(gs, true, noCompute)
+				eng.Exchange(gs)
+			}
+			for _, ex := range []struct {
+				what string
+				f    func()
+			}{
+				{"split-phase", func() { eng.Run(gs, true, noCompute) }},
+				// The blocking path shares the hoisted state and must be
+				// allocation-free too.
+				{"blocking", func() { eng.Exchange(gs) }},
+			} {
+				if c.Rank() != 0 {
+					// AllocsPerRun makes one warm-up call before its runs.
+					for i := 0; i < runs+1; i++ {
+						time.Sleep(50 * time.Microsecond)
+						ex.f()
+					}
+					continue
+				}
+				if allocs := testing.AllocsPerRun(runs, ex.f); allocs != 0 {
+					t.Errorf("procs %v: %s exchange allocates %.1f objects/iteration, want 0", procs, ex.what, allocs)
+				}
+			}
+			if procs.Count() == 1 {
+				if s := eng.Stats(); s.MessagesSent != 0 {
+					t.Errorf("procs %v: %d messages sent, want 0", procs, s.MessagesSent)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("procs %v: %v", procs, err)
 		}
-		if allocs := testing.AllocsPerRun(100, func() {
-			eng.Run(gs, true, noCompute)
-		}); allocs != 0 {
-			t.Errorf("split-phase exchange allocates %.1f objects/iteration, want 0", allocs)
-		}
-		// The blocking path shares the hoisted state and must be
-		// allocation-free too.
-		if allocs := testing.AllocsPerRun(100, func() {
-			eng.Exchange(gs)
-		}); allocs != 0 {
-			t.Errorf("blocking exchange allocates %.1f objects/iteration, want 0", allocs)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

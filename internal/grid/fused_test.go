@@ -149,6 +149,85 @@ func TestPackFacesMatchOneSided(t *testing.T) {
 	}
 }
 
+// TestWrapHalosMatchFillHalosPeriodic: the grid-to-grid wrap of one
+// dimension installs exactly FillHalosPeriodic's values in that
+// dimension's face halos, t deep, and touches no other cell: not the
+// interior, not the corners, not the halo layers beyond t — for every
+// dimension, t < H, t == H and extent == t (Nz == t == H, Nz == t < H).
+// It allocates nothing, and a slab thicker than the extent or the halo
+// panics as PackFaces and UnpackHalos do.
+func TestWrapHalosMatchFillHalosPeriodic(t *testing.T) {
+	for _, e := range [][4]int{{5, 4, 6, 3}, {4, 3, 2, 2}, {3, 4, 1, 2}} {
+		nx, ny, nz, h := e[0], e[1], e[2], e[3]
+		ref := filledGrid(nx, ny, nz, h)
+		ref.FillHalosPeriodic()
+		ext := [3]int{nx, ny, nz}
+		for dim := 0; dim < 3; dim++ {
+			for thick := 1; thick <= h && thick <= ext[dim]; thick++ {
+				g := filledGrid(nx, ny, nz, h)
+				eachCell(ext, h, func(c [3]int) {
+					if !inside(c, ext, -1) {
+						g.Set(c[0], c[1], c[2], -1) // a halo the wrap misses shows
+					}
+				})
+				before := g.Clone()
+				g.WrapHalos(dim, thick)
+				eachCell(ext, h, func(c [3]int) {
+					want := before.At(c[0], c[1], c[2])
+					if faceHalo(c, ext, dim, thick) {
+						want = ref.At(c[0], c[1], c[2])
+					}
+					if got := g.At(c[0], c[1], c[2]); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%dx%dx%d H=%d dim %d t %d: cell %v = %g, want %g", nx, ny, nz, h, dim, thick, c, got, want)
+					}
+				})
+				if allocs := testing.AllocsPerRun(10, func() { g.WrapHalos(dim, thick) }); allocs != 0 {
+					t.Errorf("%dx%dx%d dim %d t %d: WrapHalos allocates %.1f objects", nx, ny, nz, dim, thick, allocs)
+				}
+			}
+		}
+	}
+	for _, bad := range []struct{ dim, t int }{{2, 2}, {0, 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("WrapHalos(%d, %d) on 4x4x1 H=2 did not panic", bad.dim, bad.t)
+				}
+			}()
+			New(4, 4, 1, 2).WrapHalos(bad.dim, bad.t)
+		}()
+	}
+}
+
+// eachCell calls f on every cell, halos included, of a grid with
+// interior extents ext and halo h.
+func eachCell(ext [3]int, h int, f func(c [3]int)) {
+	for i := -h; i < ext[0]+h; i++ {
+		for j := -h; j < ext[1]+h; j++ {
+			for k := -h; k < ext[2]+h; k++ {
+				f([3]int{i, j, k})
+			}
+		}
+	}
+}
+
+// inside reports whether cell c lies in the interior in every dimension
+// other than skip (pass -1 to check all three).
+func inside(c, ext [3]int, skip int) bool {
+	for d := 0; d < 3; d++ {
+		if d != skip && (c[d] < 0 || c[d] >= ext[d]) {
+			return false
+		}
+	}
+	return true
+}
+
+// faceHalo reports whether cell c lies in dimension dim's face halos,
+// at most t deep.
+func faceHalo(c, ext [3]int, dim, t int) bool {
+	return inside(c, ext, dim) && ((c[dim] >= -t && c[dim] < 0) || (c[dim] >= ext[dim] && c[dim] < ext[dim]+t))
+}
+
 func sameBits(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	for i := range want {

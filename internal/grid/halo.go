@@ -75,11 +75,8 @@ func (g *Grid) UnpackHalo(dim int, side Side, t int, buf []float64) int {
 //
 //gpaw:hotpath
 func (g *Grid) PackFaces(dim, t int, low, high []float64) int {
-	if n := g.extent(dim); t > n {
-		//lint:ignore hotpathalloc panic path: formatting the message as we die is fine
-		panic(fmt.Sprintf("grid: face thickness %d exceeds extent %d", t, n))
-	}
-	return g.moveFaces(dim, t, 0, g.extent(dim)-t, low, high, true)
+	g.checkFaces(dim, t)
+	return g.moveFaces(dim, t, 0, g.extent(dim)-t, low, high, toBuffers)
 }
 
 // UnpackHalos is UnpackHalo for both faces of dimension dim in one walk
@@ -88,48 +85,95 @@ func (g *Grid) PackFaces(dim, t int, low, high []float64) int {
 //
 //gpaw:hotpath
 func (g *Grid) UnpackHalos(dim, t int, low, high []float64) int {
+	g.checkHalos(t)
+	return g.moveFaces(dim, t, -t, g.extent(dim), low, high, fromBuffers)
+}
+
+// WrapHalos fills both halos of thickness t of dimension dim from the
+// grid's own opposite interior slabs, each spanning the interior of the
+// other two dimensions: the Low halo from the High face, the High halo
+// from the Low face. It is the exchange of a periodic dimension the
+// process grid does not divide — PackFaces and UnpackHalos with the
+// buffers crossed — as one grid-to-grid copy per face.
+//
+//gpaw:hotpath
+func (g *Grid) WrapHalos(dim, t int) {
+	g.checkFaces(dim, t)
+	g.checkHalos(t)
+	g.moveFaces(dim, t, -t, g.extent(dim), nil, nil, wrap)
+}
+
+// checkFaces panics unless the interior of dimension dim is at least t
+// thick.
+func (g *Grid) checkFaces(dim, t int) {
+	if n := g.extent(dim); t > n {
+		panic(fmt.Sprintf("grid: face thickness %d exceeds extent %d", t, n))
+	}
+}
+
+// checkHalos panics unless the halo is at least t thick.
+func (g *Grid) checkHalos(t int) {
 	if t > g.H {
-		//lint:ignore hotpathalloc panic path: formatting the message as we die is fine
 		panic(fmt.Sprintf("grid: face thickness %d exceeds halo %d", t, g.H))
 	}
-	return g.moveFaces(dim, t, -t, g.extent(dim), low, high, false)
 }
+
+// faceMove is the direction in which moveFaces moves its two slabs.
+type faceMove int
+
+const (
+	toBuffers   faceMove = iota // grid slabs to the low/high buffers
+	fromBuffers                 // low/high buffers to the grid slabs
+	wrap                        // each halo slab from the opposite interior slab
+)
 
 // moveFaces moves the slabs of thickness t at indices lo and hi of
 // dimension dim, each spanning the interior of the other two, between
-// the grid and low/high (grid to buffer when pack), skipping a nil side.
-// Returns the number of values moved per side.
+// the grid and low/high, skipping a nil side. With wrap the buffers are
+// unused and the slabs are halos (lo = -t, hi = extent): each row is
+// copied from the grid row one extent further in, so the Low halo takes
+// the High face and the High halo the Low face. Returns the number of
+// values moved per side.
 //
 // Exchanging dimensions serially (x, then y, then z) with interior-only
 // slabs leaves grid corners unfilled; the distributed engine in
 // internal/core fills corners the same way GPAW does — the stencil never
 // reads corner halos, because each axis term only reaches through faces.
-func (g *Grid) moveFaces(dim, t, lo, hi int, low, high []float64, pack bool) int {
+func (g *Grid) moveFaces(dim, t, lo, hi int, low, high []float64, mv faceMove) int {
 	need := g.FaceLen(dim, t)
 	if (low != nil && len(low) < need) || (high != nil && len(high) < need) {
 		panic(fmt.Sprintf("grid: buffer lens %d, %d < slab size %d", len(low), len(high), need))
 	}
 	// A slab is nx x ny rows of n contiguous values, row (a, b) starting
 	// at base + a*sx + b*sy; the High slab sits shift values further on.
+	// A wrapped Low halo row copies the row span values on, a wrapped
+	// High halo row the row span values back.
 	nx, ny, n := g.Nx, g.Ny, g.Nz
-	var base, shift int
+	var base, shift, span int
 	switch dim {
 	case 0:
-		nx, base, shift = t, g.index(lo, 0, 0), (hi-lo)*g.sx
+		nx, base, shift, span = t, g.index(lo, 0, 0), (hi-lo)*g.sx, g.Nx*g.sx
 	case 1:
-		ny, base, shift = t, g.index(0, lo, 0), (hi-lo)*g.sy
+		ny, base, shift, span = t, g.index(0, lo, 0), (hi-lo)*g.sy, g.Ny*g.sy
 	default:
-		n, base, shift = t, g.index(0, 0, lo), hi-lo
+		n, base, shift, span = t, g.index(0, 0, lo), hi-lo, g.Nz
 	}
+	short, pack := dim == 2, mv == toBuffers
 	pos := 0
 	for a := 0; a < nx; a++ {
 		for b := 0; b < ny; b++ {
 			row := base + a*g.sx + b*g.sy
-			if low != nil {
-				moveRow(low[pos:pos+n], g.data[row:], pack, dim == 2)
-			}
-			if high != nil {
-				moveRow(high[pos:pos+n], g.data[row+shift:], pack, dim == 2)
+			if mv == wrap {
+				moveRow(g.data[row+span:row+span+n], g.data[row:], false, short)
+				up := row + shift - span
+				moveRow(g.data[up:up+n], g.data[row+shift:], false, short)
+			} else {
+				if low != nil {
+					moveRow(low[pos:pos+n], g.data[row:], pack, short)
+				}
+				if high != nil {
+					moveRow(high[pos:pos+n], g.data[row+shift:], pack, short)
+				}
 			}
 			pos += n
 		}
@@ -137,9 +181,10 @@ func (g *Grid) moveFaces(dim, t, lo, hi int, low, high []float64, pack bool) int
 	return pos
 }
 
-// moveRow moves len(f) values between the face buffer f and the start of
-// the grid row d: f = d when pack, else d = f. A short row (dimension
-// 2's, only the slab's thickness long) moves in an element loop, where a
+// moveRow moves len(f) values between f and the start of the grid row
+// d: f = d when pack, else d = f. f is a face buffer's row, or with a
+// wrap the grid row the halo row d copies. A short row (dimension 2's,
+// only the slab's thickness long) moves in an element loop, where a
 // memmove call would cost more than the move; the full z-rows of the
 // other dimensions copy.
 func moveRow(f, d []float64, pack, short bool) {

@@ -32,7 +32,8 @@ type Comm interface {
 }
 
 // xfer is one message of a redistribution: the global box exchanged
-// with one peer, plus its reusable packing buffer.
+// with one peer, plus its reusable packing buffer (nil for the rank's
+// overlap with itself, which copies grid to grid).
 type xfer struct {
 	peer int
 	lo   topology.Coord // global lower corner of the box
@@ -87,11 +88,12 @@ func NewRedistPlan(rank int, src, dst *Decomp) *RedistPlan {
 			if !ok {
 				continue
 			}
-			x := xfer{peer: rd, lo: lo, dims: dims, buf: make([]float64, dims.Count())}
+			x := xfer{peer: rd, lo: lo, dims: dims}
 			if rd == rank {
 				p.self = &x
 				continue
 			}
+			x.buf = make([]float64, dims.Count())
 			p.sends = append(p.sends, x)
 		}
 	}
@@ -131,6 +133,19 @@ func copyBox(g *Grid, lo topology.Coord, dims topology.Dims, buf []float64, pack
 	}
 }
 
+// copyRows copies the interior box [srcLo, srcLo+dims) of src onto
+// [dstLo, dstLo+dims) of dst (local coordinates of each), row by row
+// with no buffer in between.
+func copyRows(dst *Grid, dstLo topology.Coord, src *Grid, srcLo topology.Coord, dims topology.Dims) {
+	for i := 0; i < dims[0]; i++ {
+		for j := 0; j < dims[1]; j++ {
+			d := dst.index(dstLo[0]+i, dstLo[1]+j, dstLo[2])
+			s := src.index(srcLo[0]+i, srcLo[1]+j, srcLo[2])
+			copy(dst.data[d:d+dims[2]], src.data[s:s+dims[2]])
+		}
+	}
+}
+
 // localBox converts a global box corner to coordinates local to the
 // sub-domain at offset off.
 func localBox(lo, off topology.Coord) topology.Coord {
@@ -161,8 +176,7 @@ func (p *RedistPlan) Run(c Comm, srcGrid, dstGrid *Grid, tag int) {
 		c.Send(s.peer, tag, s.buf)
 	}
 	if p.self != nil {
-		copyBox(srcGrid, localBox(p.self.lo, p.srcOff), p.self.dims, p.self.buf, true)
-		copyBox(dstGrid, localBox(p.self.lo, p.dstOff), p.self.dims, p.self.buf, false)
+		copyRows(dstGrid, localBox(p.self.lo, p.dstOff), srcGrid, localBox(p.self.lo, p.srcOff), p.self.dims)
 	}
 	for i := range p.recvs {
 		r := &p.recvs[i]

@@ -47,8 +47,7 @@ import (
 //
 // Ranks mapped to the same node coordinate exchange through shared
 // memory instead: IntraNodeLatency + n / IntraNodeBandwidth. A rank's
-// message to itself (the engine's self-send on undivided dimensions)
-// is free — it would not exist on a real machine. Each rank owns its
+// message to itself is free — it would not exist on a real machine. Each rank owns its
 // injection state: goroutine ranks cannot share one node's DMA engine
 // deterministically, so the calibrated workloads map one rank per node.
 
