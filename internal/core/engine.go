@@ -325,7 +325,7 @@ func advance(buf []float64, n int) []float64 {
 
 // finishExchange waits for the batch's transfers and installs received
 // surface points into the grids' halos. Completed receive requests are
-// reclaimed into the world pool for reuse by the next batch. The
+// reclaimed into the rank's own mailbox for reuse by the next batch. The
 // halo.wait span carries the exchange's tag: the time since its
 // halo.post ended is latency the rank could hide behind compute, the
 // span itself what it could not.

@@ -489,7 +489,6 @@ func (w *World) chaosDeliver(toW int, fr *chaosFrame) {
 		}
 		if (pr.prSrc == AnySource || pr.prSrc == fr.commSrc) && (pr.prTag == AnyTag || pr.prTag == fr.tag) {
 			box.posted[i] = nil
-			w.untrack(pr) // before completion, as in sendDeliver
 			if fr.fail != nil {
 				pr.completeErr(fr.commSrc, fr.tag, 0, fr.fail)
 			} else {

@@ -185,9 +185,9 @@ func (w *World) die(rank int) {
 }
 
 // revoke poisons every epoch up to and including the given one: all
-// pending requests complete with a failure error and every blocked
-// waiter (mailbox conds, agreement rounds) is woken so it re-checks the
-// failure state. Survivors therefore always unwind with a typed error —
+// receives posted in those epochs complete with a failure error and
+// every blocked waiter (mailbox conds, agreement rounds) is woken so it
+// re-checks the failure state. Survivors therefore always unwind with a typed error —
 // the "never a hang" half of the failure model. culprit is the world
 // rank whose death triggered the revocation.
 //
@@ -199,27 +199,21 @@ func (w *World) revoke(epoch int64, culprit int) {
 			break
 		}
 	}
-	w.reqMu.Lock()
-	reqs := make([]*Request, 0, len(w.pending))
-	for r := range w.pending {
-		reqs = append(reqs, r)
-	}
-	w.pending = make(map[*Request]struct{})
-	w.reqMu.Unlock()
-	for _, r := range reqs {
+	// The epoch is stored before the sweep takes any mailbox lock, so a
+	// receive posted after the sweep passed its mailbox sees it (irecv).
+	// Receives of later epochs are spared: survivors that already shrank
+	// may post them while the sweep is still on its way to their mailbox.
+	w.walkPosted(func(r *Request) error {
+		if int64(r.epoch) > epoch {
+			return nil
+		}
 		if r.owner == culprit {
 			// The dying rank's own threads unwind as part of the death,
 			// not as witnesses of a peer failure.
-			r.completeErr(AnySource, AnyTag, 0, rankKilled{culprit})
-		} else {
-			r.completeErr(AnySource, AnyTag, 0, &ErrRankFailed{Rank: culprit})
+			return rankKilled{culprit}
 		}
-	}
-	for _, b := range w.boxes {
-		b.mu.Lock()
-		b.cond.Broadcast()
-		b.mu.Unlock()
-	}
+		return &ErrRankFailed{Rank: culprit}
+	}, func(b *mailbox) { b.cond.Broadcast() })
 	w.agreeMu.Lock()
 	if w.agreeCond != nil {
 		w.agreeCond.Broadcast()
@@ -480,15 +474,15 @@ func (e *TimeoutError) Error() string {
 	return b.String()
 }
 
-// PendingOps snapshots every outstanding receive in the world, sorted
-// for stable diagnostics.
+// PendingOps snapshots every outstanding receive in the world — the
+// posted receives no message has matched yet — sorted for stable
+// diagnostics.
 func (w *World) PendingOps() []PendingOp {
-	w.reqMu.Lock()
-	ops := make([]PendingOp, 0, len(w.pending))
-	for r := range w.pending {
+	var ops []PendingOp
+	w.walkPosted(func(r *Request) error {
 		ops = append(ops, PendingOp{Rank: r.owner, Peer: r.prSrc, Tag: r.prTag})
-	}
-	w.reqMu.Unlock()
+		return nil
+	}, nil)
 	sort.Slice(ops, func(i, j int) bool {
 		if ops[i].Rank != ops[j].Rank {
 			return ops[i].Rank < ops[j].Rank

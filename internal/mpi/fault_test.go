@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -426,3 +427,183 @@ func TestRecvPostedAcrossFirstDeathFails(t *testing.T) {
 // Alive reports whether the calling rank is still a live member of the
 // world (false once it has been killed by fault injection).
 func (c *Comm) Alive() bool { return !c.world.isDead(c.group[c.rank]) }
+
+// waitFor polls cond until it holds or d has passed and reports which.
+// Tests use it to order a rank's action after state other ranks reach
+// inside the runtime (a posted receive, an aborted mailbox).
+func waitFor(d time.Duration, cond func() bool) bool {
+	for deadline := time.Now().Add(d); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// countPending counts the world's pending receives owned by world rank r.
+func countPending(w *World, r int) int {
+	n := 0
+	for _, op := range w.PendingOps() {
+		if op.Rank == r {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRankPanicUnblocksPeers drives the abort path: rank 0 panics while
+// rank 1 is blocked in Recv, rank 2 in Waitall and rank 3 in a
+// collective, and rank 4 posts its receive only once its mailbox is
+// aborted. Run must report the panic and every peer must unwind with
+// errAborted — the sweep of posted receives frees the first three, the
+// aborted check at post time the fourth. The op timeout turns a
+// stranded peer into a wrong panic value instead of a hang.
+func TestRankPanicUnblocksPeers(t *testing.T) {
+	const n = 5
+	w := NewWorld(n, ThreadSingle)
+	w.SetOpTimeout(5 * time.Second)
+	got := make([]any, n)
+	err := w.Run(func(c *Comm) {
+		me := c.Rank()
+		if me == 0 {
+			blocked := func() bool {
+				return countPending(w, 1) == 1 && countPending(w, 2) == 2 && countPending(w, 3) >= 1
+			}
+			if !waitFor(5*time.Second, blocked) {
+				t.Errorf("peers never blocked: pending %v", w.PendingOps())
+			}
+			panic("boom")
+		}
+		defer func() { got[me] = recover() }()
+		buf := make([]float64, 1)
+		switch me {
+		case 1:
+			c.Recv(0, 1, buf)
+		case 2:
+			Waitall(c.Irecv(0, 2, buf), c.Irecv(0, 3, make([]float64, 1)))
+		case 3:
+			c.Barrier()
+		case 4:
+			box := w.boxes[4]
+			aborted := func() bool {
+				box.mu.Lock()
+				defer box.mu.Unlock()
+				return box.aborted
+			}
+			if !waitFor(5*time.Second, aborted) {
+				t.Error("rank 4's mailbox never aborted")
+			}
+			c.Recv(0, 4, buf)
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "rank 0 panicked") {
+		t.Fatalf("Run returned %v, want the rank 0 panic", err)
+	}
+	for r := 1; r < n; r++ {
+		if got[r] != errAborted {
+			t.Errorf("rank %d unwound with %v, want errAborted", r, got[r])
+		}
+	}
+}
+
+// TestPendingOpsListsOnlyUnmatched pins what the pending dump lists:
+// exactly the posted receives no message has matched yet, across
+// ranks. A matched receive leaves the list at once, an unexpected
+// message never enters it, a quiescent world lists nothing, and no
+// receive stays listed after a revocation.
+func TestPendingOpsListsOnlyUnmatched(t *testing.T) {
+	const n = 3
+	// phase returns a one-shot rendezvous of the n rank goroutines,
+	// outside the runtime so it posts no receives of its own.
+	phase := func() func() {
+		var wg sync.WaitGroup
+		wg.Add(n)
+		return func() { wg.Done(); wg.Wait() }
+	}
+	posted, checked, drained := phase(), phase(), phase()
+	w := testWorld(n, ThreadSingle)
+	expect := func(stage string, want ...PendingOp) {
+		t.Helper()
+		if got := w.PendingOps(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: pending %v, want %v", stage, got, want)
+		}
+	}
+	err := w.Run(func(c *Comm) {
+		buf := make([]float64, 1)
+		switch c.Rank() {
+		case 0:
+			posted()
+			expect("posted", PendingOp{1, 0, 5}, PendingOp{1, 2, 6}, PendingOp{2, AnySource, 7})
+			c.Send(1, 5, []float64{5})
+			expect("one matched", PendingOp{1, 2, 6}, PendingOp{2, AnySource, 7})
+			c.Send(2, 8, []float64{8}) // unexpected: waits in an envelope
+			expect("unexpected arrived", PendingOp{1, 2, 6}, PendingOp{2, AnySource, 7})
+			checked()
+			c.Send(2, 7, []float64{7})
+			drained()
+			expect("quiescent")
+		case 1:
+			a, b := c.Irecv(0, 5, buf), c.Irecv(2, 6, make([]float64, 1))
+			posted()
+			checked()
+			Waitall(a, b)
+			Reclaim(a, b)
+			drained()
+		case 2:
+			r := c.Irecv(AnySource, 7, buf)
+			posted()
+			checked()
+			c.Send(1, 6, []float64{6})
+			r.Wait()
+			Reclaim(r)
+			c.Recv(0, 8, buf)
+			drained()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	w = testWorld(n, ThreadSingle)
+	err = w.Run(func(c *Comm) {
+		if c.Rank() == 0 {
+			blocked := func() bool { return len(w.PendingOps()) == 2 }
+			if !waitFor(5*time.Second, blocked) {
+				t.Errorf("survivors never blocked: pending %v", w.PendingOps())
+			}
+			c.Fail()
+		}
+		if rf := recoverFailure(func() { c.Recv(0, c.Rank(), make([]float64, 1)) }); rf == nil || rf.Rank != 0 {
+			t.Errorf("rank %d: failure = %v, want rank 0", c.Rank(), rf)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect("revoked")
+}
+
+// TestRevokeSparesLaterEpochs: a revocation fails the receives posted in
+// the epochs it poisons and no others. Survivors that already shrank
+// post receives of the next epoch while a slow sweep of the old one may
+// still be on its way to their mailboxes; such a receive must not fail
+// with the death its communicator has already recovered from.
+func TestRevokeSparesLaterEpochs(t *testing.T) {
+	w := NewWorld(2, ThreadSingle)
+	var active int32
+	at := func(epoch int) *Comm {
+		return &Comm{world: w, group: []int{0, 1}, active: &active, ctx: uint64(epoch), epoch: epoch}
+	}
+	old := at(0).irecv(1, 5, make([]float64, 1))
+	later := at(1).irecv(1, 6, make([]float64, 1))
+	w.revoke(0, 1)
+	if rf := recoverFailure(func() { old.Wait() }); rf == nil || rf.Rank != 1 {
+		t.Errorf("epoch-0 receive: failure = %v, want rank 1", rf)
+	}
+	if later.Test() {
+		t.Error("the revocation of epoch 0 completed an epoch-1 receive")
+	}
+	if got, want := fmt.Sprint(w.PendingOps()), fmt.Sprint([]PendingOp{{0, 1, 6}}); got != want {
+		t.Errorf("pending %s, want %s", got, want)
+	}
+}

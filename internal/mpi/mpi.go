@@ -13,7 +13,7 @@
 // mailbox keeps at most maxPooledBytes (8 MiB) of payload capacity
 // pooled, and envelopes beyond that are left to the garbage collector. Collectives
 // reuse per-communicator scratch, and every receive they post returns
-// its request to the world's pool.
+// its request to its own rank's mailbox.
 //
 // The surface mirrors the MPI subset GPAW's finite-difference engine
 // needs: blocking and non-blocking point-to-point, request objects with
@@ -109,15 +109,19 @@ const (
 	maxPooledBytes = 8 << (poolClasses - 1)
 )
 
-// mailbox holds a rank's unmatched arrived messages and posted
-// receives. Posted receives are the Request objects themselves (their
-// prSrc/prTag/buf matching fields are guarded by the mailbox lock), so
-// posting a receive costs no extra allocation.
+// mailbox holds a rank's unmatched arrived messages, its posted
+// receives and its free requests. Posted receives are the Request
+// objects themselves (their prSrc/prTag/buf matching fields are guarded
+// by the mailbox lock), so posting a receive costs no extra allocation;
+// the non-nil entries of posted are exactly the rank's receives that no
+// message has matched yet. reqFree holds the rank's completed requests
+// handed back by Reclaim.
 type mailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	arrived []*envelope
 	posted  []*Request
+	reqFree []*Request
 	aborted bool
 	// free[k] holds consumed envelopes whose data has capacity 1<<k;
 	// pooledBytes is their total capacity in bytes.
@@ -186,11 +190,6 @@ type World struct {
 	mode  ThreadMode
 	boxes []*mailbox
 
-	reqMu   sync.Mutex
-	pending map[*Request]struct{}
-	reqFree []*Request // completed requests handed back by Reclaim
-	aborted bool
-
 	// Fault-tolerance state (see fault.go). ftOn gates every hot-path
 	// check behind one atomic load, so worlds that never arm faults pay
 	// nothing beyond it.
@@ -235,7 +234,7 @@ func NewWorld(n int, mode ThreadMode) *World {
 	if n < 1 {
 		panic(fmt.Sprintf("mpi: world of %d ranks", n))
 	}
-	w := &World{size: n, mode: mode, pending: make(map[*Request]struct{})}
+	w := &World{size: n, mode: mode}
 	w.boxes = make([]*mailbox, n)
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
@@ -245,47 +244,41 @@ func NewWorld(n int, mode ThreadMode) *World {
 	return w
 }
 
-// track registers a live receive request so a world abort can unblock
-// its waiter.
-func (w *World) track(r *Request) {
-	w.reqMu.Lock()
-	aborted := w.aborted
-	w.pending[r] = struct{}{}
-	w.reqMu.Unlock()
-	if aborted {
-		r.completeErr(AnySource, AnyTag, 0, errAborted)
-	}
-}
-
-// untrack removes a completed request.
-func (w *World) untrack(r *Request) {
-	w.reqMu.Lock()
-	delete(w.pending, r)
-	w.reqMu.Unlock()
-}
-
 // errAborted is delivered to every blocked request when a rank panics,
 // so the remaining ranks unwind instead of deadlocking.
 var errAborted = fmt.Errorf("mpi: world aborted after a rank failure")
 
-// abort completes every pending request with an error and wakes all
-// mailbox waiters. Called once when any rank panics.
+// abort completes every posted receive with errAborted, marks every
+// mailbox aborted so later posts fail at once, and wakes all mailbox
+// waiters. Called once when any rank panics.
 func (w *World) abort() {
-	w.reqMu.Lock()
-	w.aborted = true
-	reqs := make([]*Request, 0, len(w.pending))
-	for r := range w.pending {
-		reqs = append(reqs, r)
-	}
-	w.pending = make(map[*Request]struct{})
-	w.reqMu.Unlock()
-	for _, r := range reqs {
-		r.completeErr(AnySource, AnyTag, 0, errAborted)
-	}
-	for _, b := range w.boxes {
-		b.mu.Lock()
+	w.walkPosted(func(*Request) error { return errAborted }, func(b *mailbox) {
 		b.aborted = true
 		b.cond.Broadcast()
+	})
+}
+
+// walkPosted visits every mailbox in rank order under its lock: visit
+// runs on each receive posted there that no message has matched yet,
+// and a receive for which it returns an error leaves the list and
+// completes with that error (the request lock taken inside the mailbox
+// lock, as completeRecv takes it). after, when non-nil, then runs on the
+// mailbox in the same hold. Must not be called with a mailbox lock held.
+func (w *World) walkPosted(visit func(*Request) error, after func(*mailbox)) {
+	for _, b := range w.boxes {
+		b.mu.Lock()
+		for i, r := range b.posted {
+			if r == nil {
+				continue
+			}
+			if err := visit(r); err != nil {
+				b.posted[i] = nil
+				r.completeErr(AnySource, AnyTag, 0, err)
+			}
+		}
+		if after != nil {
+			after(b)
+		}
 		b.mu.Unlock()
 	}
 }
@@ -518,10 +511,6 @@ func (c *Comm) sendDeliver(to, tag int, data []float64) {
 		}
 		if (pr.prSrc == AnySource || pr.prSrc == c.rank) && (pr.prTag == AnyTag || pr.prTag == tag) {
 			box.posted[i] = nil
-			// Untrack before completing: once complete, the waiter may
-			// reclaim the request and another rank re-track it, and a late
-			// untrack would erase that live entry.
-			c.world.untrack(pr)
 			completeRecv(pr, c.rank, tag, data, arriveAt)
 			box.cond.Broadcast()
 			return
@@ -573,8 +562,8 @@ func (c *Comm) Recv(from, tag int, buf []float64) (src, gotTag, n int) {
 	return c.recv(from, tag, buf)
 }
 
-// recv is a blocking receive that returns its request to the world
-// pool: the form every blocking receive of the package takes.
+// recv is a blocking receive that returns its request to the rank's
+// mailbox: the form every blocking receive of the package takes.
 //
 //gpaw:hotpath
 func (c *Comm) recv(from, tag int, buf []float64) (src, gotTag, n int) {
@@ -593,8 +582,12 @@ func (c *Comm) Isend(to, tag int, data []float64) *Request {
 	c.enter()
 	defer c.exit()
 	c.send(to, tag, data)
-	r := c.world.getRequest()
-	r.owner = c.group[c.rank]
+	me := c.group[c.rank]
+	box := c.world.boxes[me]
+	box.mu.Lock()
+	r := box.getRequest(c.world)
+	box.mu.Unlock()
+	r.owner = me
 	r.complete(c.rank, tag, len(data))
 	return r
 }
@@ -621,12 +614,13 @@ func (c *Comm) irecv(from, tag int, buf []float64) *Request {
 	if c.world.netOn.Load() {
 		c.world.chargePost(c.group[c.rank])
 	}
-	box := c.world.boxes[c.worldRank(c.rank)]
-	req := c.world.getRequest()
-	req.prSrc, req.prTag, req.buf = from, tag, buf
-	req.owner = c.group[c.rank]
-	req.epoch = c.epoch
+	me := c.group[c.rank]
+	box := c.world.boxes[me]
 	box.mu.Lock()
+	req := box.getRequest(c.world)
+	req.prSrc, req.prTag, req.buf = from, tag, buf
+	req.owner = me
+	req.epoch = c.epoch
 	// Match the earliest arrived envelope (FIFO per source/tag is
 	// guaranteed because arrived is scanned in arrival order). Epochs
 	// must agree: a message stranded by a failed epoch is never
@@ -654,16 +648,24 @@ func (c *Comm) irecv(from, tag int, buf []float64) *Request {
 			return req
 		}
 	}
+	if box.aborted {
+		box.mu.Unlock()
+		req.completeErr(AnySource, AnyTag, 0, errAborted)
+		return req
+	}
 	//lint:ignore hotpathalloc posted-receive list of the warm mailbox; capacity is stable once the exchange pattern repeats
 	box.posted = append(box.posted, req)
 	idx := len(box.posted) - 1
-	c.world.track(req)
-	// Fault checks must come after the request is tracked: a revocation
-	// that raced ahead of the post has already swept the pending set, so
-	// re-checking here guarantees the request can never be stranded. ftOn
-	// is loaded here, not on entry: an un-planned world arms it at the
-	// first death (die stores it before revoke sweeps), which may fall
-	// between this call's entry and the track above.
+	// Fault checks come after the post, in the same hold of the mailbox
+	// lock, so a revocation can never strand the request: revoke stores
+	// revokedEpoch before it takes any mailbox lock and then sweeps each
+	// posted list under that list's lock. Either its sweep of this
+	// mailbox comes after this hold and finds the request, or it came
+	// before and the check below sees the epoch. abort's sweep and the
+	// aborted check above pair the same way. ftOn is loaded here, not on
+	// entry: an un-planned world arms it at the first death (die stores
+	// it before revoke sweeps), which may fall between this call's entry
+	// and the post above.
 	var failErr error
 	var deadPeer = -1
 	if c.world.ftOn.Load() {
@@ -693,7 +695,6 @@ func (c *Comm) irecv(from, tag int, buf []float64) *Request {
 	}
 	box.mu.Unlock()
 	if failErr != nil {
-		c.world.untrack(req)
 		if deadPeer >= 0 {
 			c.world.revoke(int64(c.epoch), deadPeer)
 		}

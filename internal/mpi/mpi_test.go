@@ -474,7 +474,9 @@ func TestCartCreateSizeMismatchPanics(t *testing.T) {
 
 func TestThreadMultipleConcurrentTraffic(t *testing.T) {
 	// Four "threads" per rank each exchange with the peer rank using
-	// distinct tags, like the hybrid-multiple approach does per grid.
+	// distinct tags, like the hybrid-multiple approach does per grid,
+	// and reclaim their requests, so the threads of a rank share its
+	// mailbox's request pool.
 	const threads = 4
 	const msgs = 25
 	err := runRanks(2, ThreadMultiple, func(c *Comm) {
@@ -488,11 +490,12 @@ func TestThreadMultipleConcurrentTraffic(t *testing.T) {
 				buf := make([]float64, 1)
 				for i := 0; i < msgs; i++ {
 					req := c.Irecv(other, th, buf)
-					c.Isend(other, th, []float64{float64(th*1000 + i)}).Wait()
-					req.Wait()
+					sreq := c.Isend(other, th, []float64{float64(th*1000 + i)})
+					Waitall(sreq, req)
 					if buf[0] != float64(th*1000+i) {
 						panic(fmt.Sprintf("thread %d msg %d got %g", th, i, buf[0]))
 					}
+					Reclaim(sreq, req)
 				}
 			}()
 		}

@@ -16,8 +16,8 @@ import (
 // in the waiter's goroutine — the MPI convention that receive-side
 // errors belong to the receiver.
 //
-// Completed requests may optionally be handed back to their world's
-// free pool with Reclaim, so steady-state communication loops (the halo
+// Completed requests may optionally be handed back to their own rank's
+// mailbox with Reclaim, so steady-state communication loops (the halo
 // exchange of internal/core) run without per-message allocation.
 type Request struct {
 	mu   sync.Mutex
@@ -48,8 +48,9 @@ type Request struct {
 	owner int
 	epoch int
 
-	// w is the world whose free pool the request returns to on Reclaim
-	// (nil for requests constructed outside a world, e.g. in tests).
+	// w is the world whose mailbox of rank owner takes the request back
+	// on Reclaim (nil for requests constructed outside a world, e.g. in
+	// tests).
 	w *World
 
 	// watch is the op-timeout watchdog, made by the first timed wait and
@@ -72,22 +73,19 @@ func newRequest() *Request {
 	return r
 }
 
-// getRequest pops a reusable request from the world's free pool, or
-// allocates one. The returned request is reset and exclusively owned by
-// the caller.
+// getRequest pops a reusable request from the mailbox's free list, or
+// allocates one for world w. Caller holds m.mu. The returned request is
+// reset and exclusively owned by the caller.
 //
 //gpaw:hotpath
-func (w *World) getRequest() *Request {
-	w.reqMu.Lock()
-	if n := len(w.reqFree); n > 0 {
-		r := w.reqFree[n-1]
-		w.reqFree[n-1] = nil
-		w.reqFree = w.reqFree[:n-1]
-		w.reqMu.Unlock()
+func (m *mailbox) getRequest(w *World) *Request {
+	if n := len(m.reqFree); n > 0 {
+		r := m.reqFree[n-1]
+		m.reqFree[n-1] = nil
+		m.reqFree = m.reqFree[:n-1]
 		r.reset()
 		return r
 	}
-	w.reqMu.Unlock()
 	r := newRequest()
 	r.w = w
 	return r
@@ -108,13 +106,14 @@ func (r *Request) reset() {
 	r.mu.Unlock()
 }
 
-// Reclaim returns completed requests to their world's free pool for
-// reuse by later Isend/Irecv calls. A request must only be reclaimed
-// after Wait (or Waitall) returned it, and must not be touched
-// afterwards — a later operation on the same communicator may hand the
-// object out again. Nil entries are ignored. Reclaiming is optional
-// (unreclaimed requests are simply garbage collected); hot exchange
-// loops use it to stay allocation-free in steady state.
+// Reclaim returns completed requests to the free list of the mailbox of
+// the rank that made them, for reuse by that rank's later Isend/Irecv
+// calls. A request must only be reclaimed after Wait (or Waitall)
+// returned it, and must not be touched afterwards — a later operation
+// of the same rank may hand the object out again. Nil entries are
+// ignored. Reclaiming is optional (unreclaimed requests are simply
+// garbage collected); hot exchange loops use it to stay allocation-free
+// in steady state.
 //
 //gpaw:hotpath
 func Reclaim(reqs ...*Request) {
@@ -123,11 +122,11 @@ func Reclaim(reqs ...*Request) {
 			continue
 		}
 		r.buf = nil // do not retain the receive buffer past reclaim
-		w := r.w
-		w.reqMu.Lock()
-		//lint:ignore hotpathalloc append into the world free pool; capacity is warm after the first reclaim cycle
-		w.reqFree = append(w.reqFree, r)
-		w.reqMu.Unlock()
+		box := r.w.boxes[r.owner]
+		box.mu.Lock()
+		//lint:ignore hotpathalloc append into the rank's free list; capacity is warm after the first reclaim cycle
+		box.reqFree = append(box.reqFree, r)
+		box.mu.Unlock()
 	}
 }
 

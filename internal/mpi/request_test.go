@@ -3,6 +3,8 @@ package mpi
 import (
 	"testing"
 	"time"
+
+	"repro/internal/topology"
 )
 
 // TestWaitallVariadic: the variadic Waitall completes a mixed set of
@@ -97,8 +99,8 @@ func TestTestall(t *testing.T) {
 	}
 }
 
-// TestReclaimReusesRequests: reclaimed requests come back out of the
-// world pool and behave like fresh ones; the message data stays correct
+// TestReclaimReusesRequests: reclaimed requests come back out of their
+// rank's mailbox and behave like fresh ones; the message data stays correct
 // across many reuse generations.
 func TestReclaimReusesRequests(t *testing.T) {
 	err := runRanks(2, ThreadSingle, func(c *Comm) {
@@ -174,4 +176,52 @@ func TestUnexpectedRecvIsAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkHaloMessageRate is the transport's per-message cost on the
+// halo pattern: 64 ThreadSingle ranks on a 4×4×4 periodic Cart each
+// post six receives, send six faces of 144 values, Waitall and Reclaim,
+// once per iteration. Reports wall time per message across the world.
+func BenchmarkHaloMessageRate(b *testing.B) {
+	const faces, face = 6, 144
+	ready := make(chan struct{})
+	err := NewWorld(64, ThreadSingle).Run(func(c *Comm) {
+		ct := c.CartCreate(topology.Dims{4, 4, 4}, [3]bool{true, true, true}, false)
+		var from, to [faces]int
+		for d := 0; d < 3; d++ {
+			from[2*d], to[2*d] = ct.Shift(d, 1)
+			from[2*d+1], to[2*d+1] = ct.Shift(d, -1)
+		}
+		send := make([]float64, face)
+		recv := make([][]float64, faces)
+		for i := range recv {
+			recv[i] = make([]float64, face)
+		}
+		reqs := make([]*Request, faces)
+		round := func() {
+			for i := range reqs {
+				reqs[i] = c.Irecv(from[i], i, recv[i])
+			}
+			for i := range to {
+				c.Send(to[i], i, send)
+			}
+			Waitall(reqs...)
+			Reclaim(reqs...)
+		}
+		round() // warm the request and envelope pools
+		c.Barrier()
+		if c.Rank() == 0 {
+			b.ResetTimer()
+			close(ready)
+		}
+		<-ready
+		for i := 0; i < b.N; i++ {
+			round()
+		}
+	})
+	b.StopTimer()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64*faces), "ns/msg")
 }
