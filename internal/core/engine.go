@@ -509,14 +509,19 @@ func (e *Engine) WorkerPool() *stencil.Pool { return e.pool }
 // whose cost does not grow with the number of grids, and the world must
 // be in MULTIPLE thread mode. Every other approach runs the protocol on
 // the calling goroutine (for hybrid master-only, compute fork-joins
-// each grid across the pool itself, so SINGLE thread mode suffices).
+// each grid across the pool itself, so SINGLE thread mode suffices), as
+// does hybrid multiple with one worker. compute leaks to the fan-out's
+// workers, so a caller that runs Run every iteration hands it one func
+// built once (internal/gpaw's Dist.compute): the protocol loop itself
+// allocates nothing in steady state, and with one worker neither does
+// Run.
 func (e *Engine) Run(src []*grid.Grid, overlap bool, compute func(b Batch, r stencil.Region)) {
-	if e.opts.Approach != HybridMultiple {
+	if e.opts.Approach == HybridMultiple && e.cart.World().Mode() != mpi.ThreadMultiple {
+		panic("core: hybrid multiple requires a MULTIPLE-mode world")
+	}
+	if e.opts.Approach != HybridMultiple || e.pool.Workers() == 1 {
 		e.runBatches(src, 0, 0, overlap, compute)
 		return
-	}
-	if e.cart.World().Mode() != mpi.ThreadMultiple {
-		panic("core: hybrid multiple requires a MULTIPLE-mode world")
 	}
 	stride := tagStride(len(src))
 	e.pool.Exec(len(src), func(w, lo, hi int) {

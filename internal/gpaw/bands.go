@@ -158,6 +158,7 @@ type symScratch struct {
 	pairs      [][3]int
 	accs       []detsum.Acc
 	ptrs       []*detsum.Acc
+	rights     [][]*grid.Grid
 	in, merged []float64
 }
 
@@ -201,13 +202,11 @@ func (d *Dist) bandSymMatrix(m int, outs []linalg.Matrix, all []*grid.Grid, righ
 			}
 		}
 	}
-	//lint:ignore hotpathalloc the fork-join closure Pool.Exec takes: one per assembly, not per pair
-	d.pool.Exec(np, func(_, plo, phi int) {
-		for n := plo; n < phi; n++ {
-			k, i, j := pairs[n][0], pairs[n][1], pairs[n][2]
-			all[i].DotAccRange(rights[k][j-lo], 0, all[i].Nx, &accs[n])
-		}
-	})
+	// The task keeps a copy of the right-hand sets: the argument list
+	// itself stays the caller's.
+	sets := grow(&sc.rights, len(rights))
+	copy(sets, rights)
+	d.exec(np, poolTask{kind: taskPairs, lo: lo, all: all, rights: sets})
 	vals := d.reduceAccs(ptrs)
 	// Merge the finished columns across band groups verbatim and mirror.
 	mm, nval := m*m, len(rights)*m*m
@@ -246,13 +245,34 @@ func (d *Dist) bandSymMatrix(m int, outs []linalg.Matrix, all []*grid.Grid, righ
 func (d *Dist) bandRotate(m int, psis, all []*grid.Grid, c linalg.Matrix) {
 	lo, _ := d.BandRange(m)
 	news := d.scratchStates(len(psis))
-	//lint:ignore hotpathalloc the fork-join closure Pool.Exec takes: one per rotation, not per state
-	d.pool.Exec(len(psis), func(_, jlo, jhi int) {
-		for jj := jlo; jj < jhi; jj++ {
-			lincombInto(news[jj], c, lo+jj, all)
-		}
-	})
+	d.exec(len(psis), poolTask{kind: taskRotate, lo: lo, all: all, out: news, c: c})
 	swapStates(psis, news)
+}
+
+// subspaceScratch is RayleighRitz's m x m storage, owned by the Dist
+// and sized on first use for the subspace order (again when it
+// changes): the overlap and Hamiltonian matrices, the factor, its
+// inverse and that inverse's transpose, the reduced matrix, its
+// eigenvectors, a product's intermediate, linalg's workspace, and two
+// Ritz-value slices the steps alternate between.
+type subspaceScratch struct {
+	m                          int
+	sh                         [2]linalg.Matrix // S, H
+	l, linv, linvT, red, q, ab linalg.Matrix
+	ws                         *linalg.Work
+	eig                        [2][]float64
+	last                       int // eig[last] holds the latest step's values
+}
+
+// subspace returns the Dist's subspace storage for order m.
+func (d *Dist) subspace(m int) *subspaceScratch {
+	if d.sub == nil || d.sub.m != m {
+		mat := func() linalg.Matrix { return linalg.NewMatrix(m, m) }
+		d.sub = &subspaceScratch{m: m, sh: [2]linalg.Matrix{mat(), mat()},
+			l: mat(), linv: mat(), linvT: mat(), red: mat(), q: mat(), ab: mat(),
+			ws: linalg.NewWork(m), eig: [2][]float64{make([]float64, m), make([]float64, m)}}
+	}
+	return d.sub
 }
 
 // RayleighRitz is the subspace step: it replaces the m global states,
@@ -263,9 +283,13 @@ func (d *Dist) bandRotate(m int, psis, all []*grid.Grid, c linalg.Matrix) {
 // band-parallel in one reduction, bit-identical on every rank; there
 // internal/linalg Cholesky-factors S (checksum-verified under ABFT),
 // inverts the factor and diagonalizes L⁻¹HL⁻ᵀ to QΛQᵀ; one distributed
-// GEMM rotates the states by L⁻ᵀQ. Returns all m Ritz values ascending
-// (bit-identical on every rank and layout); an error means linearly
-// dependent states, a failed diagonalization or detected corruption.
+// GEMM rotates the states by L⁻ᵀQ. All of the m x m algebra runs in
+// the Dist's subspace storage. It returns all m Ritz values ascending
+// (bit-identical on every rank and layout), in that storage too: they
+// stay valid through the next subspace step on the Dist and are
+// overwritten by the one after it, so a caller holding the previous
+// step's values can compare the two. An error means linearly dependent
+// states, a failed diagonalization or detected corruption.
 //
 //gpaw:hotpath
 func (h *Hamiltonian) RayleighRitz(m int, psis []*grid.Grid) ([]float64, error) {
@@ -281,14 +305,18 @@ func (h *Hamiltonian) RayleighRitz(m int, psis []*grid.Grid) ([]float64, error) 
 	hp := d.scratchStates(len(psis))
 	h.applyStates(hp, psis, nil, 1, 0, 0)
 	all := d.gatherBands(m, psis)
-	s, hm := linalg.NewMatrix(m, m), linalg.NewMatrix(m, m)
-	//lint:ignore hotpathalloc the two-matrix argument lists: one per subspace step
-	d.bandSymMatrix(m, []linalg.Matrix{s, hm}, all, psis, hp)
+	sc := d.subspace(m)
+	s, hm := sc.sh[0], sc.sh[1]
+	d.bandSymMatrix(m, sc.sh[:], all, psis, hp)
 	if testHookOverlap != nil {
 		testHookOverlap(d, s)
 	}
-	l, err := linalg.Cholesky(s)
+	err := linalg.CholeskyInto(sc.l, s)
 	if d.ABFT {
+		l := sc.l
+		if err != nil {
+			l = nil
+		}
 		if err := d.checkCholesky(s, l); err != nil {
 			return nil, err
 		}
@@ -299,19 +327,20 @@ func (h *Hamiltonian) RayleighRitz(m int, psis []*grid.Grid) ([]float64, error) 
 	}
 	// The upper triangle of the reduced matrix, symmetric up to rounding,
 	// is taken as the matrix.
-	linv := linalg.InvertLower(l)
-	linvT := linalg.Transpose(linv)
-	red := linalg.MatMul(linalg.MatMul(linv, hm), linvT)
+	linalg.InvertLowerInto(sc.linv, sc.l, sc.ws)
+	linalg.TransposeInto(sc.linvT, sc.linv)
+	red := linalg.MatMulInto(sc.red, linalg.MatMulInto(sc.ab, sc.linv, hm), sc.linvT)
 	for i := range red {
 		for j := i + 1; j < m; j++ {
 			red[j][i] = red[i][j]
 		}
 	}
-	eig, q, err := linalg.SymEig(red)
-	if err != nil {
+	sc.last ^= 1
+	eig := sc.eig[sc.last]
+	if err := linalg.SymEigInto(eig, sc.q, red, sc.ws); err != nil {
 		//lint:ignore hotpathalloc error path: the solve is over
 		return nil, fmt.Errorf("gpaw: subspace diagonalization: %w", err)
 	}
-	d.bandRotate(m, psis, all, linalg.MatMul(linvT, q))
+	d.bandRotate(m, psis, all, linalg.MatMulInto(sc.ab, sc.linvT, sc.q))
 	return eig, nil
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/detsum"
 	"repro/internal/grid"
+	"repro/internal/linalg"
 	"repro/internal/mpi"
 	"repro/internal/stencil"
 	"repro/internal/topology"
@@ -152,28 +153,43 @@ type Dist struct {
 	local topology.Dims
 
 	// overlap selects the split-phase protocol for the hot solver loops
-	// (see the package comment); exBuf is the hoisted single-grid slice
-	// of withOverlap, so per-iteration exchanges allocate nothing. It is
-	// only touched from the solver's master goroutine.
+	// (see the package comment).
 	overlap bool
-	exBuf   []*grid.Grid
+
+	// sw is the fused sweep in progress behind the engine (Dist.run)
+	// and sweepFn the one compute callback every such sweep hands
+	// Engine.Run, Dist.compute; task is the fan-out in progress on the
+	// pool (Dist.exec) and taskFn its one func, Dist.runTask. Both funcs
+	// are built on first use: a closure per call would escape (through
+	// Run's hybrid-multiple fan-out and into Pool.Exec's workers) and
+	// cost an allocation each. one holds withOverlap's destination and
+	// source. All are touched only from the rank's master goroutine.
+	sw      sweep
+	sweepFn func(core.Batch, stencil.Region)
+	task    poolTask
+	taskFn  func(worker, lo, hi int)
+	one     [2]*grid.Grid
 
 	// redIn, redOut and redVals are reduceAccs' transport and result
-	// scratch, sized on first use (acc: a stack accumulator handed to the
-	// pool would escape, an allocation per reduction); sym holds
+	// scratch, sized on first use, and acc the scalar reductions' (and
+	// the Poisson solve's fused ones') accumulator; sym holds
 	// bandSymMatrix's pairs of the owned columns and its merge buffers,
 	// states the eigen pass's second state set and gatherBands' halo-free
 	// grids for other groups' states with their flat transport, fields
-	// the work grids of the Poisson solve and the SCF step, and mg the
-	// solve's V-cycle hierarchy (Dist.hierarchy) — all born on first use,
-	// none in NewDist. cgIters counts the conjugate-gradient iterations
-	// run on this Dist.
+	// the work grids of the Poisson solve and the SCF step, mg the
+	// solve's V-cycle hierarchy (Dist.hierarchy), sub the subspace
+	// step's m x m storage (Dist.subspace) and neg the Poisson solve's
+	// negated operator (Dist.negated) — all born on first use, none in
+	// NewDist. cgIters counts the conjugate-gradient iterations run on
+	// this Dist.
 	redIn, redOut, redVals []float64
-	acc                    detsum.Acc // the scalar reductions' accumulator
+	acc                    detsum.Acc
 	sym                    symScratch
 	states                 stateScratch
 	fields                 fieldScratch
 	mg                     *multigrid
+	sub                    *subspaceScratch
+	neg, negOf             *stencil.Operator // neg = -negOf
 	cgIters                int
 
 	// pointNs is the modeled per-point sweep cost in virtual ns charged
@@ -312,28 +328,154 @@ func (d *Dist) scratchGrid(slot **grid.Grid) *grid.Grid {
 // Stats returns the engine's accumulated communication statistics.
 func (d *Dist) Stats() core.Stats { return d.eng.Stats() }
 
-// withOverlap runs one halo exchange of g plus one fused sweep through
-// eng with the configured structure: sweep is called with the region to
-// cover, on the calling goroutine. Overlapped, that is Interior while
-// the halo messages travel and Shell once they have landed; on the
-// serialized baseline it is Full after the blocking exchange, traced as
-// a compute.sweep region. Both orders produce bit-identical results
-// (exact reductions, identical per-point arithmetic); only the
-// communication/computation schedule differs. eng is a parameter
-// because the multigrid levels own engines of their own.
-func (d *Dist) withOverlap(eng *core.Engine, g *grid.Grid, sweep func(r stencil.Region)) {
-	d.exBuf = append(d.exBuf[:0], g)
-	eng.Run(d.exBuf, d.overlap, func(_ core.Batch, r stencil.Region) {
-		if r == stencil.Full {
-			defer d.Cart.TraceRank().Region("compute.sweep").End()
+// Kinds of sweep.
+const (
+	sweepRecurrence = iota // dst = beta*src + alpha*(op+a)(src) + gamma*prev
+	sweepSmooth            // dst = src + alpha*(a - op(src))
+	sweepResidual          // dst = a - op(src), |dst|² into acc
+	sweepDot               // dst = op(src), <src, dst> into acc
+)
+
+// sweep is one fused kernel behind the halo exchange, as data: its
+// kind and operator, and per exchanged state gi the destination dst[gi]
+// of the kernel applied to src[gi] (with prev[gi] when prev is set).
+// a is the kernel's elementwise operand (the potential, the right-hand
+// side or b; nil for none), alpha, beta and gamma its constants, acc a
+// reduction's accumulator, pool the pool each state's sweep splits
+// across, and traced makes a Full sweep a compute.sweep region.
+type sweep struct {
+	kind               int
+	op                 *stencil.Operator
+	dst, src, prev     []*grid.Grid
+	a                  *grid.Grid
+	alpha, beta, gamma float64
+	acc                *detsum.Acc
+	pool               *stencil.Pool
+	traced             bool
+}
+
+// run runs sw over its states through eng with the configured
+// structure (see Engine.Run), sw.src being the states exchanged.
+//
+//gpaw:hotpath
+func (d *Dist) run(eng *core.Engine, sw sweep) {
+	if d.sweepFn == nil {
+		d.sweepFn = d.compute
+	}
+	d.sw = sw
+	eng.Run(sw.src, d.overlap, d.sweepFn)
+	d.sw = sweep{}
+}
+
+// compute is the engine's compute callback of every sweep: d.sw over
+// the states of batch b and region r, each sweep's modeled compute
+// charged after it. The charge lands inside the engine's (or the
+// sweep's) region and, for Interior, before the exchange's wait: under
+// a network model the modeled arrival hides behind modeled compute —
+// the overlap the calibrated benchmarks measure.
+//
+//gpaw:hotpath
+func (d *Dist) compute(b core.Batch, r stencil.Region) {
+	sw := &d.sw
+	if r == stencil.Full && sw.traced {
+		defer d.Cart.TraceRank().Region("compute.sweep").End()
+	}
+	op := sw.op.Over(r)
+	for gi := b.Lo; gi < b.Hi; gi++ {
+		dst, src := sw.dst[gi], sw.src[gi]
+		switch sw.kind {
+		case sweepRecurrence:
+			var prev *grid.Grid
+			if sw.prev != nil {
+				prev = sw.prev[gi]
+			}
+			op.ApplyRecurrence(sw.pool, dst, src, sw.a, prev, sw.alpha, sw.beta, sw.gamma)
+		case sweepSmooth:
+			op.ApplySmooth(sw.pool, dst, src, sw.a, sw.alpha)
+		case sweepResidual:
+			op.ApplyResidualAcc(sw.pool, dst, sw.a, src, sw.acc)
+		case sweepDot:
+			op.ApplyDotAcc(sw.pool, dst, src, sw.acc)
 		}
-		sweep(r)
-		// The charge lands inside the engine's (or the sweep's) region
-		// and, for Interior, before the exchange's wait: under a network
-		// model the modeled arrival hides behind modeled compute — the
-		// overlap the calibrated benchmarks measure.
-		d.chargeSweep(g, r)
-	})
+		d.chargeSweep(src, r)
+	}
+}
+
+// withOverlap runs sw on one grid — one halo exchange of src through
+// eng plus the fused sweep of it into dst — with the configured
+// structure, the sweep split across the Dist's pool. Overlapped, it
+// covers Interior while the halo messages travel and Shell once they
+// have landed; on the serialized baseline it covers Full after the
+// blocking exchange, traced as a compute.sweep region. Both orders
+// produce bit-identical results (exact reductions, identical per-point
+// arithmetic); only the communication/computation schedule differs.
+// eng is a parameter because the multigrid levels own engines of their
+// own.
+//
+//gpaw:hotpath
+func (d *Dist) withOverlap(eng *core.Engine, dst, src *grid.Grid, sw sweep) {
+	d.one = [2]*grid.Grid{dst, src}
+	sw.dst, sw.src, sw.pool, sw.traced = d.one[:1], d.one[1:], d.pool, true
+	d.run(eng, sw)
+}
+
+// exec runs t over [0, n) on the rank's pool (Pool.Exec) through the
+// Dist's one task func, so a fan-out allocates nothing of its own.
+//
+//gpaw:hotpath
+func (d *Dist) exec(n int, t poolTask) {
+	if d.taskFn == nil {
+		d.taskFn = d.runTask
+	}
+	d.task = t
+	d.pool.Exec(n, d.taskFn)
+	d.task = poolTask{}
+}
+
+// Kinds of poolTask.
+const (
+	taskPairs    = iota // bandSymMatrix's pair dots
+	taskRotate          // bandRotate's linear combinations
+	taskRestrict        // full weighting of from into to
+	taskProlong         // prolongation of from onto to
+)
+
+// poolTask is one fan-out of the rank's pool as data: its kind and
+// operands. lo is the first owned global state, all the gathered
+// states, rights the right-hand sets of a pair assembly (its pairs and
+// accumulators are the Dist's symScratch), out and c a rotation's
+// targets and matrix; from and to a level transfer's grids, add whether
+// a prolongation adds.
+type poolTask struct {
+	kind     int
+	lo       int
+	all      []*grid.Grid
+	rights   [][]*grid.Grid
+	out      []*grid.Grid
+	c        linalg.Matrix
+	from, to *grid.Grid
+	add      bool
+}
+
+// runTask runs the share [lo, hi) of d.task.
+func (d *Dist) runTask(_, lo, hi int) {
+	t := &d.task
+	switch t.kind {
+	case taskPairs:
+		sc := &d.sym
+		for n := lo; n < hi; n++ {
+			k, i, j := sc.pairs[n][0], sc.pairs[n][1], sc.pairs[n][2]
+			t.all[i].DotAccRange(t.rights[k][j-t.lo], 0, t.all[i].Nx, &sc.accs[n])
+		}
+	case taskRotate:
+		for jj := lo; jj < hi; jj++ {
+			lincombInto(t.out[jj], t.c, t.lo+jj, t.all)
+		}
+	case taskRestrict:
+		restrictPlanes(t.from, t.to, lo, hi)
+	case taskProlong:
+		prolongPlanes(t.from, t.to, t.add, lo, hi)
+	}
 }
 
 // --- deterministic global reductions -------------------------------
@@ -377,12 +519,7 @@ func (d *Dist) reduceAcc(a *detsum.Acc) float64 {
 // fault; graver faults, larger codes): the one agreement through which
 // a fault one rank saw sends every rank down the same branch with the
 // same typed error, and none waits in a collective its peers left.
-func (d *Dist) verdict(code int) int {
-	in := [1]float64{float64(code)}
-	var out [1]float64
-	d.World.Allreduce(mpi.OpMax, in[:], out[:])
-	return int(out[0])
-}
+func (d *Dist) verdict(code int) int { return int(d.World.AllreduceMax(float64(code))) }
 
 // Sum returns the global interior sum, with the bits of the exact sum
 // over the undecomposed grid.
@@ -420,26 +557,22 @@ func (d *Dist) removeMean(g *grid.Grid) {
 
 // --- per-approach wave-function processing -------------------------
 
-// forEachExchanged runs the approach's exchange protocol over the
-// states and invokes sweep for each state and region: Full once the
-// state's halos are installed, or — overlapped — Interior while its
-// batch's halo messages are in flight (it must not read halos) and
-// Shell after they land. Hybrid multiple divides states among pool
-// workers, each communicating for its own share; every other approach
-// communicates on the caller. sweep receives the pool to split a single
-// state's compute across (nil except for hybrid master-only, whose
-// defining property is the per-grid fork-join).
-func (d *Dist) forEachExchanged(states []*grid.Grid, sweep func(gi int, r stencil.Region, p *stencil.Pool)) {
-	var p *stencil.Pool
+// forEachExchanged runs sw over its states sw.src behind the approach's
+// exchange protocol: for each state, Full once its halos are installed,
+// or — overlapped — Interior while its batch's halo messages are in
+// flight and Shell after they land. Hybrid multiple divides states
+// among pool workers, each communicating for its own share; every other
+// approach communicates on the caller. A single state's compute splits
+// across the pool only for hybrid master-only, whose defining property
+// is the per-grid fork-join.
+//
+//gpaw:hotpath
+func (d *Dist) forEachExchanged(sw sweep) {
+	sw.pool = nil
 	if d.Approach == core.HybridMasterOnly {
-		p = d.pool
+		sw.pool = d.pool
 	}
-	d.eng.Run(states, d.overlap, func(b core.Batch, r stencil.Region) {
-		for gi := b.Lo; gi < b.Hi; gi++ {
-			sweep(gi, r, p)
-			d.chargeSweep(states[gi], r)
-		}
-	})
+	d.run(d.eng, sw)
 }
 
 // DistSCF is the name SCF carried while a separate serial loop existed;

@@ -3,6 +3,7 @@ package gpaw
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/grid"
 	"repro/internal/linalg"
@@ -83,16 +84,17 @@ func (es *EigenSolver) Solve(m int, psis []*grid.Grid) ([]float64, error) {
 			}
 		}
 		if lastDelta < es.Tol {
-			return eig, nil
+			return slices.Clone(eig), nil
 		}
 	}
-	return eig, errEigenNotConverged(es.MaxIter, lastDelta)
+	return slices.Clone(eig), errEigenNotConverged(es.MaxIter, lastDelta)
 }
 
 // filterPass is one pass on h's context: filter the m states (psis is
 // this band group's slice) with the interval and normalisation point
 // the previous pass's Ritz values eig give, then one subspace step; it
-// returns the new Ritz values. A nil eig means raw guesses: a subspace
+// returns the new Ritz values, in the Dist's storage beside eig's
+// (RayleighRitz). A nil eig means raw guesses: a subspace
 // step on them as they are supplies the first Ritz values.
 //
 // The filter replaces every psi by p(H) psi, p the Chebyshev polynomial

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/grid"
-	"repro/internal/mpi"
 	"repro/internal/stencil"
 )
 
@@ -65,15 +64,12 @@ func (h *Hamiltonian) Apply(dst, psi *grid.Grid) {
 // halo messages are in flight, the boundary shell after they land. The
 // Chebyshev filter's steps and RayleighRitz's H·psi go through it, so
 // the overlap covers the bands x domain layout too.
+//
+//gpaw:hotpath
 func (h *Hamiltonian) applyStates(dsts, psis, prevs []*grid.Grid, alpha, beta, gamma float64) {
 	defer h.D.Cart.TraceRank().Region("eigen.apply").End()
-	h.D.forEachExchanged(psis, func(gi int, rg stencil.Region, p *stencil.Pool) {
-		var prev *grid.Grid
-		if prevs != nil {
-			prev = prevs[gi]
-		}
-		h.T.Over(rg).ApplyRecurrence(p, dsts[gi], psis[gi], h.V, prev, alpha, beta, gamma)
-	})
+	h.D.forEachExchanged(sweep{kind: sweepRecurrence, op: h.T, dst: dsts, src: psis, prev: prevs,
+		a: h.V, alpha: alpha, beta: beta, gamma: gamma})
 }
 
 // kineticBound returns the kinetic part of the spectral bound: the sum
@@ -122,10 +118,7 @@ func maxPotential(v *grid.Grid) float64 {
 func (h *Hamiltonian) SpectralBound() float64 {
 	bound := kineticBound(h.T)
 	if h.V != nil {
-		in := [1]float64{maxPotential(h.V)}
-		var out [1]float64
-		h.bound(h.V).D.Cart.Allreduce(mpi.OpMax, in[:], out[:])
-		bound += out[0]
+		bound += h.bound(h.V).D.Cart.AllreduceMax(maxPotential(h.V))
 	}
 	return bound
 }

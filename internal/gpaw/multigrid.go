@@ -198,84 +198,85 @@ func (d *Dist) hierarchy(h float64) (*multigrid, error) {
 // It returns the grid holding the result and the other one. With
 // fromZero the iterate is zero whatever x holds: the first sweep is then
 // y = c*rhs and needs neither a stencil nor an exchange.
+//
+//gpaw:hotpath
 func (mg *multigrid) smooth(lv *mgLevel, x, y, rhs *grid.Grid, n int, fromZero bool) (*grid.Grid, *grid.Grid) {
 	const omega = 0.8
 	c := omega / lv.op.Center
 	d := mg.D
 	defer d.Cart.TraceRank().Region("mg.smooth").End()
-	// One closure for all n sweeps: it reads x/y when withOverlap calls
-	// it, before the swap.
-	sweep := func(rg stencil.Region) { lv.op.Over(rg).ApplySmooth(d.pool, y, x, rhs, c) }
 	for s := 0; s < n; s++ {
 		if s == 0 && fromZero {
 			d.pool.Copy(y, rhs)
 			d.pool.Scale(y, c)
 		} else {
-			d.withOverlap(lv.eng, x, sweep)
+			d.withOverlap(lv.eng, y, x, sweep{kind: sweepSmooth, op: lv.op, a: rhs, alpha: c})
 		}
 		x, y = y, x
 	}
 	return x, y
 }
 
-// restrictFull full-weights fine into coarse (fine dims are exactly
-// twice coarse dims). The 2x2x2 cell average is the 3-D full-weighting
-// operator for cell-centred grids; the sweep is split over coarse x
-// planes.
-func restrictFull(p *stencil.Pool, fine, coarse *grid.Grid) {
+// restrictPlanes full-weights fine into coarse planes [i0, i1) (fine
+// dims are exactly twice coarse dims). The 2x2x2 cell average is the
+// 3-D full-weighting operator for cell-centred grids.
+func restrictPlanes(fine, coarse *grid.Grid, i0, i1 int) {
 	d := coarse.Dims()
 	fd := fine.Data()
 	cd := coarse.Data()
-	p.Exec(d[0], func(_, i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			for j := 0; j < d[1]; j++ {
-				crow := coarse.Index(i, j, 0)
-				f00 := fine.Index(2*i, 2*j, 0)
-				f01 := fine.Index(2*i, 2*j+1, 0)
-				f10 := fine.Index(2*i+1, 2*j, 0)
-				f11 := fine.Index(2*i+1, 2*j+1, 0)
-				for k := 0; k < d[2]; k++ {
-					k2 := 2 * k
-					sum := fd[f00+k2] + fd[f00+k2+1] +
-						fd[f01+k2] + fd[f01+k2+1] +
-						fd[f10+k2] + fd[f10+k2+1] +
-						fd[f11+k2] + fd[f11+k2+1]
-					cd[crow+k] = sum / 8
-				}
+	for i := i0; i < i1; i++ {
+		for j := 0; j < d[1]; j++ {
+			crow := coarse.Index(i, j, 0)
+			f00 := fine.Index(2*i, 2*j, 0)
+			f01 := fine.Index(2*i, 2*j+1, 0)
+			f10 := fine.Index(2*i+1, 2*j, 0)
+			f11 := fine.Index(2*i+1, 2*j+1, 0)
+			for k := 0; k < d[2]; k++ {
+				k2 := 2 * k
+				sum := fd[f00+k2] + fd[f00+k2+1] +
+					fd[f01+k2] + fd[f01+k2+1] +
+					fd[f10+k2] + fd[f10+k2+1] +
+					fd[f11+k2] + fd[f11+k2+1]
+				cd[crow+k] = sum / 8
 			}
 		}
-	})
-	grid.NoteTraffic(fine.Points()+coarse.Points(), 1)
+	}
 }
 
-// prolong adds (add) or writes the piecewise-constant interpolation of
-// coarse onto fine — the adjoint of full weighting up to scale; with the
-// smoothing sweeps around it, constant prolongation is sufficient and
-// cheap. Shrunken levels write: they materialize the coarse correction
-// in the doubled transfer layout before redistributing it, and the
-// eventual phi += correction then adds exactly the coarse value the
-// adding form adds — same addend, same bits (a zero-fill-then-add would
-// turn a -0 correction into +0). The sweep is split over fine x planes.
-func prolong(p *stencil.Pool, coarse, fine *grid.Grid, add bool) {
+// prolongPlanes adds (add) or writes the piecewise-constant
+// interpolation of coarse onto fine planes [i0, i1) — the adjoint of
+// full weighting up to scale; with the smoothing sweeps around it,
+// constant prolongation is sufficient and cheap. Shrunken levels write:
+// they materialize the coarse correction in the doubled transfer layout
+// before redistributing it, and the eventual phi += correction then
+// adds exactly the coarse value the adding form adds — same addend,
+// same bits (a zero-fill-then-add would turn a -0 correction into +0).
+func prolongPlanes(coarse, fine *grid.Grid, add bool, i0, i1 int) {
 	d := fine.Dims()
 	fd := fine.Data()
 	cd := coarse.Data()
-	p.Exec(d[0], func(_, i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			for j := 0; j < d[1]; j++ {
-				frow := fine.Index(i, j, 0)
-				crow := coarse.Index(i/2, j/2, 0)
-				for k := 0; k < d[2]; k++ {
-					if add {
-						fd[frow+k] += cd[crow+k/2]
-					} else {
-						fd[frow+k] = cd[crow+k/2]
-					}
+	for i := i0; i < i1; i++ {
+		for j := 0; j < d[1]; j++ {
+			frow := fine.Index(i, j, 0)
+			crow := coarse.Index(i/2, j/2, 0)
+			for k := 0; k < d[2]; k++ {
+				if add {
+					fd[frow+k] += cd[crow+k/2]
+				} else {
+					fd[frow+k] = cd[crow+k/2]
 				}
 			}
 		}
-	})
-	grid.NoteTraffic(fine.Points()+coarse.Points(), 1)
+	}
+}
+
+// transfer runs the level transfer t (taskRestrict or taskProlong)
+// across the pool, split over the x planes of its destination.
+//
+//gpaw:hotpath
+func (d *Dist) transfer(t poolTask) {
+	d.exec(t.to.Nx, t)
+	grid.NoteTraffic(t.from.Points()+t.to.Points(), 1)
 }
 
 // vcycle sets phi to one V-cycle from a zero guess for A phi = rhs on
@@ -284,6 +285,8 @@ func prolong(p *stencil.Pool, coarse, fine *grid.Grid, add bool) {
 // res: after the pre-smoothing it is in x with y free for the residual,
 // and mgSmooth + mgSmooth more sweeps — like the even mgCoarsest — leave
 // it in phi.
+//
+//gpaw:hotpath
 func (mg *multigrid) vcycle(l int, phi, rhs *grid.Grid) {
 	d := mg.D
 	defer d.Cart.TraceRank().Region("mg.vcycle").End()
@@ -293,9 +296,7 @@ func (mg *multigrid) vcycle(l int, phi, rhs *grid.Grid) {
 		return
 	}
 	x, y := mg.smooth(lv, phi, lv.res, rhs, mgSmooth, true)
-	d.withOverlap(lv.eng, x, func(rg stencil.Region) {
-		lv.op.Over(rg).ApplyResidualAcc(d.pool, y, rhs, x, nil)
-	})
+	d.withOverlap(lv.eng, y, x, sweep{kind: sweepResidual, op: lv.op, a: rhs})
 	next := mg.levels[l+1]
 	if next.shrunk {
 		// Level redistribution: move the residual into the doubled
@@ -306,18 +307,18 @@ func (mg *multigrid) vcycle(l int, phi, rhs *grid.Grid) {
 		// coarse correction arrives.
 		next.down.Run(lv.comm, y, next.xfer, redistDownTag)
 		if next.active {
-			restrictFull(d.pool, next.xfer, next.rhs)
+			d.transfer(poolTask{kind: taskRestrict, from: next.xfer, to: next.rhs})
 			mg.vcycle(l+1, next.phi, next.rhs)
-			prolong(d.pool, next.phi, next.xfer, false)
+			d.transfer(poolTask{kind: taskProlong, from: next.phi, to: next.xfer})
 		}
 		next.up.Run(lv.comm, next.xfer, y, redistUpTag)
 		// x += correction: the addend is bit-identical to the coarse
 		// value the adding prolongation adds at the same global index.
 		d.pool.Axpy(x, 1, y)
 	} else {
-		restrictFull(d.pool, y, next.rhs)
+		d.transfer(poolTask{kind: taskRestrict, from: y, to: next.rhs})
 		mg.vcycle(l+1, next.phi, next.rhs)
-		prolong(d.pool, next.phi, x, true)
+		d.transfer(poolTask{kind: taskProlong, from: next.phi, to: x, add: true})
 	}
 	mg.smooth(lv, x, y, rhs, mgSmooth, false)
 }

@@ -26,7 +26,6 @@ package gpaw
 import (
 	"math"
 
-	"repro/internal/detsum"
 	"repro/internal/grid"
 	"repro/internal/stencil"
 )
@@ -121,6 +120,15 @@ func (ps *Poisson) SolveCG(phi, rhs *grid.Grid) (int, float64, error) {
 	return ps.bound(phi).solveNegated(phi, rhs, -1)
 }
 
+// negated returns -op, derived on the first call for op and kept, so a
+// Dist's solves share one negated operator.
+func (d *Dist) negated(op *stencil.Operator) *stencil.Operator {
+	if d.negOf != op {
+		d.neg, d.negOf = op.Scaled(-1), op
+	}
+	return d.neg
+}
+
 // solveNegated is SolveCG's body on the symmetric positive
 // (semi-)definite problem (-∇²) phi = scale*src; ps has a context.
 func (ps *Poisson) solveNegated(phi, src *grid.Grid, scale float64) (int, float64, error) {
@@ -130,7 +138,7 @@ func (ps *Poisson) solveNegated(phi, src *grid.Grid, scale float64) (int, float6
 	if err != nil {
 		return 0, 0, err
 	}
-	neg := ps.Op.Scaled(-1)
+	neg := d.negated(ps.Op)
 	f := &d.fields
 	b := d.scratchGrid(&f.cgB)
 	d.pool.Copy(b, src)
@@ -144,14 +152,12 @@ func (ps *Poisson) solveNegated(phi, src *grid.Grid, scale float64) (int, float6
 		return 0, 0, nil
 	}
 	r, ap, p := d.scratchGrid(&f.cgR), d.scratchGrid(&f.cgAp), d.scratchGrid(&f.cgP)
-	var acc detsum.Acc
-	d.withOverlap(d.eng, phi, func(rg stencil.Region) {
-		neg.Over(rg).ApplyResidualAcc(d.pool, r, b, phi, &acc)
-	})
+	d.acc.Reset()
+	d.withOverlap(d.eng, r, phi, sweep{kind: sweepResidual, op: neg, a: b, acc: &d.acc})
 	// On periodic grids b is mean-free and A maps onto mean-free fields,
 	// so r is mean-free up to rounding; z is projected every iteration,
 	// which keeps p — hence phi's update — in the same subspace.
-	rr := d.reduceAcc(&acc)
+	rr := d.reduceAcc(&d.acc)
 	var rzold float64
 	for it := 0; ; it++ {
 		rel := math.Sqrt(rr) / norm0
@@ -175,11 +181,9 @@ func (ps *Poisson) solveNegated(phi, src *grid.Grid, scale float64) (int, float6
 		rzold = rz
 		// ap = A p and <p, Ap>, the deep interior computed while p's
 		// halo messages are in flight.
-		acc.Reset()
-		d.withOverlap(d.eng, p, func(rg stencil.Region) {
-			neg.Over(rg).ApplyDotAcc(d.pool, ap, p, &acc)
-		})
-		alpha := rz / d.reduceAcc(&acc)
+		d.acc.Reset()
+		d.withOverlap(d.eng, ap, p, sweep{kind: sweepDot, op: neg, acc: &d.acc})
+		alpha := rz / d.reduceAcc(&d.acc)
 		d.pool.Axpy(phi, alpha, p)
 		rr = d.AxpyDot(r, -alpha, ap) // r -= alpha*Ap and <r, r> in one sweep
 	}

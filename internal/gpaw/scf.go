@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/detsum"
 	"repro/internal/grid"
@@ -200,6 +201,9 @@ func (s *SCF) run(rs *SCFRestart) (*SCFResult, error) {
 	var eig []float64
 	var mixer pulayMixer
 	veff := vextLocal.Clone()
+	// H reads veff, which updateVeff rewrites in place each step: one
+	// Hamiltonian serves the whole loop.
+	ham := NewDistHamiltonian(d, s.Sys.Spacing, veff)
 	start := 0
 	if rs != nil {
 		psis, n, vh, eig, mixer = rs.Psis, rs.N, rs.VHartree, rs.Eig, rs.mix
@@ -228,7 +232,7 @@ func (s *SCF) run(rs *SCFRestart) (*SCFResult, error) {
 			// One pass per step, the filter bounded by the previous step's
 			// Ritz values (nil on a fresh run's first step).
 			var err error
-			eig, err = NewDistHamiltonian(d, s.Sys.Spacing, veff).filterPass(m, psis, eig)
+			eig, err = ham.filterPass(m, psis, eig)
 			if err != nil {
 				var sdc *ErrSDCDetected
 				if errors.As(err, &sdc) && s.Guard != nil {
@@ -273,7 +277,7 @@ func (s *SCF) run(rs *SCFRestart) (*SCFResult, error) {
 			if residual >= s.Tol && it < s.MaxIter {
 				return nil, nil
 			}
-			occ := eig[:s.occupied()]
+			occ := slices.Clone(eig[:s.occupied()]) // eig is the Dist's subspace storage
 			res := &SCFResult{Eigenvalues: occ, TotalEnergy: bandEnergy(occ, s.Sys.Electrons),
 				Density: n, VHartree: vh, Iterations: it, Residual: residual}
 			if residual >= s.Tol {
@@ -393,6 +397,12 @@ type pulayMixer struct {
 	gram    [pulayHistory][pulayHistory]float64
 	accs    [pulayHistory]detsum.Acc
 	accp    [pulayHistory]*detsum.Acc
+
+	// weights' storage: the rows of G and of its factor as linalg
+	// matrices over gram and fac, and the weights.
+	grows, lrows [pulayHistory][]float64
+	fac          [pulayHistory][pulayHistory]float64
+	alpha        [pulayHistory]float64
 }
 
 // mix takes the input density n and the density out = n_out it produced,
@@ -404,6 +414,8 @@ type pulayMixer struct {
 // replicated K × K solve and a second pointwise sweep forms the mix, so
 // every rank and layout computes the same bits. With one pair, α = 1 and
 // the step is linear mixing.
+//
+//gpaw:hotpath
 func (p *pulayMixer) mix(d *Dist, n, out *grid.Grid) float64 {
 	for i := range p.in {
 		if p.in[i] == nil {
@@ -469,19 +481,23 @@ func (p *pulayMixer) mix(d *Dist, n, out *grid.Grid) float64 {
 // α = G⁻¹1 / 1ᵀG⁻¹1, the combination that minimises ‖Σ α_i R_i‖ under
 // Σ α_i = 1. G is Cholesky-factored; while it is not positive definite
 // the oldest pair is dropped. G is replicated, so every rank drops the
-// same pairs.
+// same pairs. The weights are the mixer's storage, valid until the next
+// call.
+//
+//gpaw:hotpath
 func (p *pulayMixer) weights() []float64 {
 	for p.hist > 1 {
-		g := linalg.NewMatrix(p.hist, p.hist)
-		for i := range g {
-			copy(g[i], p.gram[i][:p.hist])
+		k := p.hist
+		for i := range k {
+			p.grows[i], p.lrows[i] = p.gram[i][:k], p.fac[i][:k]
 		}
-		if l, err := linalg.Cholesky(g); err == nil {
-			ones := make([]float64, p.hist)
-			for i := range ones {
-				ones[i] = 1
+		l := linalg.Matrix(p.lrows[:k])
+		if err := linalg.CholeskyInto(l, p.grows[:k]); err == nil {
+			alpha := p.alpha[:k]
+			for i := range alpha {
+				alpha[i] = 1
 			}
-			alpha := linalg.BackSolve(l, linalg.ForwardSolve(l, ones))
+			linalg.BackSolveInto(alpha, l, linalg.ForwardSolveInto(alpha, l, alpha))
 			sum := 0.0
 			for _, a := range alpha {
 				//lint:ignore detsumcheck at most pulayHistory replicated weights, folded in history order on every rank
@@ -494,7 +510,8 @@ func (p *pulayMixer) weights() []float64 {
 		}
 		p.dropOldest()
 	}
-	return []float64{1}
+	p.alpha[0] = 1
+	return p.alpha[:1]
 }
 
 // dropOldest forgets the oldest pair, rotating its grids to the free end

@@ -1,38 +1,51 @@
 package gpaw
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mpi"
+	"repro/internal/stencil"
 	"repro/internal/topology"
 )
 
-// scfIterationAllocs is the number of heap allocations one warmed SCF
-// iteration makes on a one-rank Dist with a one-worker pool at m = 4 + 1
-// states: the m x m matrices of linalg, the operators
-// NewDistHamiltonian and the CG solve derive, the closures handed to
-// Pool.Exec and the engine, and a z-row of stencil scratch per sweep —
-// some 45 sweeps of the filter pass and, at about 9 preconditioned
-// iterations of 30 V-cycle sweeps each, 290 of the Hartree solve. The
-// mpi.Self collectives allocate nothing. It measures 1731 on amd64; the
-// ceiling leaves a margin — what the test pins is that the count is
-// small and constant and that none of it is a grid.
-const scfIterationAllocs = 1900
+// scfIterationAllocs is the number of heap allocations a warmed SCF
+// iteration may make on a one-worker Dist: none. Every fused sweep runs
+// from data on the calling goroutine (stencil's sweep and sweepRange),
+// the engine and the pool get the Dist's one compute and task funcs,
+// the Hamiltonian and the negated Poisson operator are built once per
+// run, the m x m algebra runs in the Dist's subspace storage and the
+// Pulay weights in the mixer's, and the one-value reductions use the
+// communicator's scratch.
+const scfIterationAllocs = 0
 
 // TestEigenIterationAllocatesNoGrids pins the SCF loop's allocation
 // contract: once the first iterations have grown the Dist's scratch, a
 // whole iteration — filter pass, subspace step, density, mix, Hartree
-// solve with its V-cycles, potential update — allocates a bounded number
-// of small objects and not one grid: its bytes stay below a single
-// state's storage. The V-cycle hierarchy is part of that scratch: the
-// first solve builds it, NewDist does not.
+// solve with its V-cycles, potential update — allocates nothing on a
+// one-worker pool. The V-cycle hierarchy is part of that scratch: the
+// first solve builds it, NewDist does not. With a two-worker pool the
+// fan-outs allocate (Pool.Exec's closures, per-worker partials); the
+// test logs that count and holds it below a single state's storage.
 func TestEigenIterationAllocatesNoGrids(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { testEigenIterationAllocs(t, workers) })
+	}
+}
+
+func testEigenIterationAllocs(t *testing.T, workers int) {
 	dims := topology.Dims{24, 24, 24}
 	d := selfDist(dims, 2, Dirichlet)
 	d.pool = nil // one worker: every allocation is this goroutine's
+	if workers > 1 {
+		d.pool = stencil.NewPool(workers)
+		defer d.pool.Close()
+	}
 	sys := scfSystem(dims, 0.6)
 	sys.Electrons = 8
 	scf := NewDistSCF(d, sys)
@@ -58,10 +71,99 @@ func TestEigenIterationAllocatesNoGrids(t *testing.T) {
 		if bytes >= oneGrid {
 			t.Errorf("warmed SCF iteration %d allocated %d bytes, a grid is %d: some grid.New ran", it, bytes, oneGrid)
 		}
-		if allocs > scfIterationAllocs {
+		if workers == 1 && allocs > scfIterationAllocs {
 			t.Errorf("warmed SCF iteration %d makes %d allocations, want <= %d", it, allocs, scfIterationAllocs)
 		}
 		t.Logf("warmed SCF iteration %d: %d allocations, %d bytes (one state grid: %d bytes)", it, allocs, bytes, oneGrid)
+	}
+}
+
+// TestDistSCFIterationAllocatesNothing holds a whole band x domain world
+// to the one-worker contract: on 2 band groups x 2x1x1 ranks with
+// one-worker pools, every approach's warmed SCF iteration — halo
+// exchanges, band gathers and broadcasts, reductions and the v_H
+// broadcast included — allocates nothing anywhere in the process. The
+// ranks meet at the top of each iteration in a rendezvous outside the
+// MPI runtime, where the odometer is read with every rank parked, so
+// the difference of two readings is one iteration's allocations of all
+// four ranks. Garbage the SCF loop makes would show in every iteration;
+// what the transport's pools grow while they reach the high-water mark
+// of a rarer skew (envelopes, requests and their timeout timers) and
+// what the Go runtime allocates for itself (the first collection's
+// workers) show in a few only, so the test asks that some warmed
+// iteration reads 0 and logs the rest, as the transport's own skewed
+// exchange test does.
+func TestDistSCFIterationAllocatesNothing(t *testing.T) {
+	const bands, iters = 2, 12
+	global, procs := topology.Dims{12, 8, 8}, topology.Dims{2, 1, 1}
+	for _, a := range core.Approaches {
+		ranks := bands * procs.Count()
+		marks := make([]runtime.MemStats, 0, iters) // sized up front: growing it would count
+		meet := newRendezvous(ranks)
+		err := runRanks(ranks, modeFor(a), func(c *mpi.Comm) {
+			d, err := NewDist(c, DistConfig{Global: global, Procs: procs, Bands: bands, Halo: 2,
+				BC: Dirichlet, Approach: a, Threads: 1, Batch: 2})
+			if err != nil {
+				panic(err)
+			}
+			defer d.Close()
+			sys := scfSystem(global, 0.5)
+			sys.Electrons = 6
+			scf := NewDistSCF(d, sys)
+			scf.Tol, scf.MaxIter = 0, iters // never converges
+			scf.OnIteration = func(int) {
+				meet.wait()
+				if c.Rank() == 0 {
+					var ms runtime.MemStats
+					runtime.ReadMemStats(&ms)
+					marks = append(marks, ms)
+				}
+				meet.wait()
+			}
+			if res, _ := scf.Run(); res == nil || res.Iterations != iters {
+				panic(fmt.Sprintf("SCF did not run its %d iterations", iters))
+			}
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", a, err)
+		}
+		var counts []uint64
+		for it := 3; it < len(marks); it++ { // iterations 1 and 2 grow the scratch
+			counts = append(counts, marks[it].Mallocs-marks[it-1].Mallocs)
+		}
+		if slices.Min(counts) > scfIterationAllocs {
+			t.Errorf("%v: every warmed SCF iteration allocates across the world: %v from iteration 3", a, counts)
+		}
+		t.Logf("%v: world-wide allocations per warmed SCF iteration from iteration 3: %v", a, counts)
+	}
+}
+
+// rendezvous is a reusable meeting point of n goroutines outside the
+// MPI runtime: wait returns once all n have called it.
+type rendezvous struct {
+	mu      sync.Mutex
+	cond    sync.Cond
+	n, here int
+	round   int
+}
+
+func newRendezvous(n int) *rendezvous {
+	r := &rendezvous{n: n}
+	r.cond.L = &r.mu
+	return r
+}
+
+func (r *rendezvous) wait() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	round := r.round
+	if r.here++; r.here == r.n {
+		r.here, r.round = 0, round+1
+		r.cond.Broadcast()
+		return
+	}
+	for round == r.round {
+		r.cond.Wait()
 	}
 }
 

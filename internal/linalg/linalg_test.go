@@ -32,13 +32,13 @@ func randomSPD(rng *rand.Rand, n int) Matrix {
 	return a
 }
 
-func TestIdentityAndClone(t *testing.T) {
-	i3 := Identity(3)
-	c := i3.Clone()
-	c[0][0] = 5
-	if i3[0][0] != 1 {
-		t.Fatal("Clone aliases original")
+// identity returns the n x n identity.
+func identity(n int) Matrix {
+	a := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		a[i][i] = 1
 	}
+	return a
 }
 
 func TestMatMulKnown(t *testing.T) {
@@ -127,7 +127,7 @@ func TestSymEigReconstruction(t *testing.T) {
 		}
 		// Columns orthonormal: VᵀV = I.
 		vv := MatMul(Transpose(v), v)
-		if MaxAbsDiff(vv, Identity(n)) > 1e-10 {
+		if MaxAbsDiff(vv, identity(n)) > 1e-10 {
 			t.Fatal("eigenvectors not orthonormal")
 		}
 	}
@@ -196,8 +196,8 @@ func TestTriangularSolves(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	// Solve A x = b via L (Lᵀ x) = b.
-	y := ForwardSolve(l, b)
-	x := BackSolve(l, y)
+	y := ForwardSolveInto(make([]float64, 6), l, b)
+	x := BackSolveInto(make([]float64, 6), l, y)
 	// Check residual.
 	for i := 0; i < 6; i++ {
 		sum := 0.0
@@ -219,8 +219,8 @@ func TestInvertLower(t *testing.T) {
 	}
 	inv := InvertLower(l)
 	prod := MatMul(l, inv)
-	if MaxAbsDiff(prod, Identity(5)) > 1e-10 {
-		t.Fatalf("L*L^-1 != I (err %g)", MaxAbsDiff(prod, Identity(5)))
+	if MaxAbsDiff(prod, identity(5)) > 1e-10 {
+		t.Fatalf("L*L^-1 != I (err %g)", MaxAbsDiff(prod, identity(5)))
 	}
 }
 
@@ -238,7 +238,7 @@ func TestSymEigTieBreakStable(t *testing.T) {
 			t.Fatalf("eig = %v", eig)
 		}
 	}
-	if MaxAbsDiff(vecs, Identity(3)) != 0 {
+	if MaxAbsDiff(vecs, identity(3)) != 0 {
 		t.Fatalf("degenerate eigenvectors reordered: %v", vecs)
 	}
 }
@@ -288,5 +288,53 @@ func TestSymEigNonConvergence(t *testing.T) {
 	a := Matrix{{0, 1}, {-1, 0}}
 	if _, _, err := SymEig(a); err == nil {
 		t.Fatal("want non-convergence error for skew-symmetric input")
+	}
+}
+
+// TestIntoFormsReuseTheirStorage: with outputs and a Work sized once,
+// every routine of the subspace step runs without a heap allocation,
+// over outputs holding a previous call's values, with the bits of the
+// allocating forms.
+func TestIntoFormsReuseTheirStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n = 5
+	s, h := randomSPD(rng, n), randomSym(rng, n)
+	l, inv, invT, prod, vecs := NewMatrix(n, n), NewMatrix(n, n), NewMatrix(n, n), NewMatrix(n, n), NewMatrix(n, n)
+	eig, x := make([]float64, n), make([]float64, n)
+	ws := NewWork(n)
+	step := func() {
+		if err := CholeskyInto(l, s); err != nil {
+			t.Fatal(err)
+		}
+		InvertLowerInto(inv, l, ws)
+		TransposeInto(invT, inv)
+		MatMulInto(prod, inv, h)
+		if err := SymEigInto(eig, vecs, h, ws); err != nil {
+			t.Fatal(err)
+		}
+		copy(x, eig)
+		BackSolveInto(x, l, ForwardSolveInto(x, l, x))
+	}
+	if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+		t.Errorf("the Into forms made %v allocations per step, want 0", allocs)
+	}
+	wantL, _ := Cholesky(s)
+	wantInv := InvertLower(wantL)
+	wantEig, wantVecs, _ := SymEig(h)
+	wantX := BackSolveInto(make([]float64, n), wantL, ForwardSolveInto(make([]float64, n), wantL, wantEig))
+	same := func(a, b Matrix) bool {
+		for i := range a {
+			for j := range a[i] {
+				if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if !same(l, wantL) || !same(inv, wantInv) || !same(invT, Transpose(wantInv)) ||
+		!same(prod, MatMul(wantInv, h)) || !same(vecs, wantVecs) ||
+		!same(Matrix{eig, x}, Matrix{wantEig, wantX}) {
+		t.Error("an Into form deviates from its allocating form")
 	}
 }

@@ -229,10 +229,16 @@ func (c *Comm) Allreduce(op Op, in, out []float64) {
 }
 
 // AllreduceSum is a convenience wrapper reducing a single value.
-func (c *Comm) AllreduceSum(v float64) float64 {
+func (c *Comm) AllreduceSum(v float64) float64 { return c.allreduce1(OpSum, v) }
+
+// AllreduceMax returns the maximum of v over the communicator.
+func (c *Comm) AllreduceMax(v float64) float64 { return c.allreduce1(OpMax, v) }
+
+// allreduce1 reduces one value through the communicator's scratch.
+func (c *Comm) allreduce1(op Op, v float64) float64 {
 	s := c.sum[:]
 	s[0] = v
-	c.Allreduce(OpSum, s[:1], s[1:])
+	c.Allreduce(op, s[:1], s[1:])
 	return s[1]
 }
 

@@ -327,8 +327,9 @@ type Comm struct {
 
 	// Collective scratch, so no collective allocates per call: red
 	// receives ReduceFunc's contributions at the root (grown once to the
-	// largest reduction), sum holds AllreduceSum's operands, which a
-	// posted receive would otherwise move to the heap.
+	// largest reduction), sum holds the one-value reductions' operands
+	// (AllreduceSum, AllreduceMax), which a posted receive would
+	// otherwise move to the heap.
 	red []float64
 	sum [2]float64
 }

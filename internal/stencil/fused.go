@@ -16,11 +16,15 @@ import (
 // value s before it is stored — so its stencil values are bit-identical
 // to Apply's. On an AVX2 host the 12-tap stencil and the epilogue run
 // the whole block in one blockAVX2 call, four points in registers
-// between the stencil and the store; elsewhere stencilRow fills a
-// z-row of scratch and the epilogue's row loop (residualRow, smoothRow,
-// stepRow) runs over operands re-sliced to the row's length, so it
-// carries no bounds check (CI holds the bce:begin/bce:end regions to
-// that). Both paths round the same operations in the same order.
+// between the stencil and the store; elsewhere stencilRow fills up to
+// rowChunk values of a z-row on fusedBlock's stack and the epilogue's
+// row loop (residualRow, smoothRow, stepRow) runs over operands
+// re-sliced to that length, so it carries no bounds check (CI holds the
+// bce:begin/bce:end regions to that). Both paths round the same
+// operations in the same order.
+//
+// A kernel call is data (kernel), not a closure: on a one-worker pool
+// it runs on the caller and allocates nothing.
 //
 // Reductions accumulate per-worker detsum.Acc partials merged exactly,
 // so every result is independent of the pool's worker count and of any
@@ -38,14 +42,14 @@ import (
 
 // checkFused panics unless every grid matches the stencil source's
 // extents and the source halo covers the radius.
-func (op *Operator) checkFused(kernel string, src *grid.Grid, others ...*grid.Grid) {
+func (op *Operator) checkFused(name string, src *grid.Grid, others ...*grid.Grid) {
 	for _, g := range others {
 		if g.Nx != src.Nx || g.Ny != src.Ny || g.Nz != src.Nz {
-			panic(fmt.Sprintf("stencil: %s extent mismatch", kernel))
+			panic(fmt.Sprintf("stencil: %s extent mismatch", name))
 		}
 	}
 	if src.H < op.R {
-		panic(fmt.Sprintf("stencil: %s source halo %d < stencil radius %d", kernel, src.H, op.R))
+		panic(fmt.Sprintf("stencil: %s source halo %d < stencil radius %d", name, src.H, op.R))
 	}
 }
 
@@ -71,14 +75,38 @@ func (op *Operator) Scaled(s float64) *Operator {
 	}.withViews()
 }
 
-// sweep runs body over op's region of a sweep over g and accounts
-// streams memory streams per point. Full and Interior split the x
-// planes of their box across the pool, body receiving the worker index
-// and its share; the Shell is O(surface) work, so its up to six blocks
-// run on the calling goroutine as worker 0. row is rowLen values of
-// scratch (layoutTaps.scratch: one z-row where the Go path stages the
-// stencil value, else 0) private to the goroutine running body.
-func (op *Operator) sweep(p *Pool, g *grid.Grid, streams, rowLen int, body func(w int, row []float64, b Block)) {
+// kernel is one fused sweep as data: the grids and constants a kernel
+// method was called with. out is ep applied to the stencil of in, a and
+// p are ep's operands (nil where it has none), and a reducing kernel
+// sets x: it accumulates <x, out>. tiled walks each block in cache
+// tiles (ApplyParallel). Being data, not a closure, a kernel runs on
+// the caller without a heap allocation.
+type kernel struct {
+	out, in, a, p, x *grid.Grid
+	center           float64
+	lt               *layoutTaps
+	ep               epilogue
+	tiled            bool
+}
+
+// kernel returns the store-only kernel out = op(in), ready for a
+// caller to set its epilogue and operands.
+func (op *Operator) kernel(out, in *grid.Grid) kernel {
+	return kernel{out: out, in: in, center: op.Center, lt: op.gridTaps(in)}
+}
+
+// sweep runs k over op's region of a sweep over k.in, adding a reducing
+// kernel's terms into acc (a nil acc takes none), and accounts streams
+// memory streams per point. The Shell is O(surface) work: its up to six
+// blocks run on the caller. Full and Interior run on the caller too
+// when p has one worker (a nil pool included): that path hands no
+// closure to anyone and allocates nothing, which
+// TestFusedKernelsAllocationFree pins for every kernel and region.
+// With more workers the box's x planes are split across them (fanOut).
+//
+//gpaw:hotpath
+func (op *Operator) sweep(p *Pool, k kernel, streams int, acc *detsum.Acc) {
+	g := k.in
 	grid.NoteTraffic(op.region.Points(g.Nx, g.Ny, g.Nz, op.R), streams)
 	box := Block{0, g.Nx, 0, g.Ny, 0, g.Nz}
 	switch op.region {
@@ -86,102 +114,105 @@ func (op *Operator) sweep(p *Pool, g *grid.Grid, streams, rowLen int, body func(
 		box = InteriorBlock(g.Nx, g.Ny, g.Nz, op.R)
 	case Shell:
 		var blocks [6]Block
-		row := make([]float64, rowLen)
 		for _, b := range AppendShellBlocks(blocks[:0], g.Nx, g.Ny, g.Nz, op.R) {
-			body(0, row, b)
+			k.run(acc, b)
 		}
 		return
 	}
-	if box.Empty() {
-		return
+	switch {
+	case box.Empty():
+	case p.Workers() == 1:
+		k.run(acc, box)
+	default:
+		p.fanOut(k, box, acc)
 	}
-	p.Exec(box.X1-box.X0, func(w, lo, hi int) {
+}
+
+// fanOut is a sweep's multi-worker path: box's x planes split across
+// p's workers, each adding its terms into a per-worker partial merged
+// into acc (execAcc). The sums are exact, so acc ends up with the same
+// bits however the points were split, across workers or across the
+// Interior and Shell views accumulating into one acc. Its closure and
+// partials are what a multi-worker sweep allocates.
+func (p *Pool) fanOut(k kernel, box Block, acc *detsum.Acc) {
+	p.execAcc(box.X1-box.X0, acc, func(a *detsum.Acc, lo, hi int) {
 		sub := box
 		sub.X0, sub.X1 = box.X0+lo, box.X0+hi
-		body(w, make([]float64, rowLen), sub)
+		k.run(a, sub)
 	})
 }
 
-// sweepAcc is sweep for the kernels that reduce: body adds its block's
-// terms into the accumulator it is handed — acc itself when one
-// goroutine runs the whole region, else a per-worker partial merged
-// into acc afterwards. The sums are exact, so acc ends up with the same
-// bits however the points were split, across workers or across the
-// Interior and Shell views accumulating into one acc. A nil acc takes
-// no terms: body is handed nil, and the sweep is sweep's.
-func (op *Operator) sweepAcc(p *Pool, g *grid.Grid, streams, rowLen int, acc *detsum.Acc, body func(a *detsum.Acc, row []float64, b Block)) {
-	if acc == nil || op.region == Shell || p.Workers() == 1 {
-		op.sweep(p, g, streams, rowLen, func(_ int, row []float64, b Block) { body(acc, row, b) })
-		return
-	}
-	accs := make([]detsum.Acc, p.Workers())
-	op.sweep(p, g, streams, rowLen, func(w int, row []float64, b Block) { body(&accs[w], row, b) })
-	mergeAccs(acc, accs)
-}
-
-// block runs fusedBlock over block b of the grids: the stencil of in,
-// ep applied, stored in out; a and p are ep's operands (nil where it
-// has none).
-func (op *Operator) block(out, in, a, p *grid.Grid, lt *layoutTaps, ep epilogue, row []float64, b Block) {
-	fusedBlock(gridSpan(out, b), gridSpan(in, b), gridSpan(a, b), gridSpan(p, b),
-		b.X1-b.X0, b.Y1-b.Y0, b.Z1-b.Z0, op.Center, lt, ep, row)
-}
-
-// fillMulRows runs fill over block b plane by plane and accumulates the
-// products of x's and y's rows over each plane into a right after it,
-// while the plane is in cache; a nil a takes none, and fill runs over
-// the whole block at once.
-func fillMulRows(a *detsum.Acc, x, y *grid.Grid, b Block, fill func(Block)) {
+// run computes block b of k's sweep. Handed an accumulator, a reducing
+// kernel stores the block one x plane at a time and accumulates the
+// products of each plane's rows of x and out into a right after it,
+// while the plane is in cache.
+func (k *kernel) run(a *detsum.Acc, b Block) {
 	if a == nil {
-		fill(b)
+		k.fill(b)
 		return
 	}
-	xs, ys, n := gridSpan(x, b), gridSpan(y, b), b.Z1-b.Z0
+	xs, ys, n := gridSpan(k.x, b), gridSpan(k.out, b), b.Z1-b.Z0
 	a.MulRows(b.X1-b.X0, b.Y1-b.Y0, func(i, j int) ([]float64, []float64) {
 		if j == 0 {
-			fill(Block{b.X0 + i, b.X0 + i + 1, b.Y0, b.Y1, b.Z0, b.Z1})
+			k.fill(Block{b.X0 + i, b.X0 + i + 1, b.Y0, b.Y1, b.Z0, b.Z1})
 		}
-		return xs.row(i, j, n), ys.row(i, j, n)
+		return xs.row(i, j, 0, n), ys.row(i, j, 0, n)
 	})
+}
+
+// fill runs fusedBlock over block b of k's grids: as one block, or
+// tile by tile when k is tiled.
+func (k *kernel) fill(b Block) {
+	tj, tk := b.Y1-b.Y0, b.Z1-b.Z0
+	if k.tiled {
+		tj, tk = tileJ, tileK
+	}
+	for j0 := b.Y0; j0 < b.Y1; j0 += tj {
+		for k0 := b.Z0; k0 < b.Z1; k0 += tk {
+			t := Block{b.X0, b.X1, j0, min(j0+tj, b.Y1), k0, min(k0+tk, b.Z1)}
+			fusedBlock(gridSpan(k.out, t), gridSpan(k.in, t), gridSpan(k.a, t), gridSpan(k.p, t),
+				t.X1-t.X0, t.Y1-t.Y0, t.Z1-t.Z0, k.center, k.lt, k.ep)
+		}
+	}
 }
 
 // ApplyDotAcc computes dst = op(src) and accumulates <src, dst> into
 // acc in the same sweep, for callers that fold partial sums across MPI
 // ranks. The reduction reuses cache-hot values, so the kernel stays at
 // the plain operator's 2 streams — CG's p·Ap comes for free.
+//
+//gpaw:hotpath
 func (op *Operator) ApplyDotAcc(p *Pool, dst, src *grid.Grid, acc *detsum.Acc) {
 	op.checkFused("ApplyDot", src, dst)
-	lt := op.gridTaps(src)
-	op.sweepAcc(p, src, 2, 0, acc, func(a *detsum.Acc, _ []float64, b Block) {
-		fillMulRows(a, src, dst, b, func(pl Block) { op.applyBlock(dst, src, lt, pl) })
-	})
+	k := op.kernel(dst, src)
+	k.x = src
+	op.sweep(p, k, 2, acc)
 }
 
 // ApplyResidualAcc computes r = b - op(phi) and accumulates |r|^2 into
 // acc in one sweep (3 streams, versus 9 for Apply+Scale+Axpy+Dot); a
 // nil acc computes r alone, for callers with no use for the norm. r may
 // alias b; it must not alias phi.
+//
+//gpaw:hotpath
 func (op *Operator) ApplyResidualAcc(p *Pool, r, b, phi *grid.Grid, acc *detsum.Acc) {
 	op.checkFused("ApplyResidual", phi, r, b)
-	lt := op.gridTaps(phi)
-	op.sweepAcc(p, phi, 3, lt.scratch(phi.Nz), acc, func(a *detsum.Acc, row []float64, blk Block) {
-		fillMulRows(a, r, r, blk, func(pl Block) {
-			op.block(r, phi, b, nil, lt, epilogue{kind: epResidual}, row, pl)
-		})
-	})
+	k := op.kernel(r, phi)
+	k.a, k.x, k.ep = b, r, epilogue{kind: epResidual}
+	op.sweep(p, k, 3, acc)
 }
 
 // ApplySmooth computes dst = phi + c*(rhs - op(phi)) in one sweep
 // (3 streams) — a damped Jacobi relaxation step with c = omega/diag.
 // The product is rounded before it is added (no fused multiply-add on
 // any architecture). dst must not alias phi; it may alias rhs.
+//
+//gpaw:hotpath
 func (op *Operator) ApplySmooth(p *Pool, dst, phi, rhs *grid.Grid, c float64) {
 	op.checkFused("ApplySmooth", phi, dst, rhs)
-	lt := op.gridTaps(phi)
-	ep := epilogue{kind: epSmooth, alpha: c}
-	op.sweep(p, phi, 3, lt.scratch(phi.Nz), func(_ int, row []float64, b Block) {
-		op.block(dst, phi, rhs, nil, lt, ep, row, b)
-	})
+	k := op.kernel(dst, phi)
+	k.a, k.ep = rhs, epilogue{kind: epSmooth, alpha: c}
+	op.sweep(p, k, 3, nil)
 }
 
 // ApplyRecurrence computes dst = beta*src + alpha*(op(src) + v.*src) +
@@ -193,6 +224,8 @@ func (op *Operator) ApplySmooth(p *Pool, dst, phi, rhs *grid.Grid, c float64) {
 // rounded before it is added (the conversions keep an FMA-capable
 // architecture from fusing). dst must not alias src or v; it may be
 // prev, which is read point by point before dst is written.
+//
+//gpaw:hotpath
 func (op *Operator) ApplyRecurrence(p *Pool, dst, src, v, prev *grid.Grid, alpha, beta, gamma float64) {
 	streams := 2
 	op.checkFused("ApplyRecurrence", src, dst)
@@ -204,11 +237,9 @@ func (op *Operator) ApplyRecurrence(p *Pool, dst, src, v, prev *grid.Grid, alpha
 		op.checkFused("ApplyRecurrence", src, prev)
 		streams++
 	}
-	lt := op.gridTaps(src)
-	ep := stepEpilogue(v != nil, prev != nil, alpha, beta, gamma)
-	op.sweep(p, src, streams, lt.scratch(src.Nz), func(_ int, row []float64, b Block) {
-		op.block(dst, src, v, prev, lt, ep, row, b)
-	})
+	k := op.kernel(dst, src)
+	k.a, k.p, k.ep = v, prev, stepEpilogue(v != nil, prev != nil, alpha, beta, gamma)
+	op.sweep(p, k, streams, nil)
 }
 
 // ApplyStep is ApplyRecurrence without the prev term: dst = beta*src +

@@ -115,8 +115,7 @@ func (op *Operator) BytesPerPoint() int { return 16 }
 // must be at least R.
 func (op *Operator) Apply(dst, src *grid.Grid) {
 	op.checkFused("Apply", src, dst)
-	lt := op.gridTaps(src)
-	op.sweep(nil, src, 2, 0, func(_ int, _ []float64, b Block) { op.applyBlock(dst, src, lt, b) })
+	op.sweep(nil, op.kernel(dst, src), 2, nil)
 }
 
 // tap is one nonzero off-center stencil coefficient, flattened into a
@@ -193,12 +192,13 @@ func gridSpan(g *grid.Grid, b Block) span {
 // at returns the index of row (i, j)'s first point.
 func (s span) at(i, j int) int { return s.i0 + i*s.sx + j*s.sy }
 
-// row returns row (i, j)'s n values, nil for an absent operand.
-func (s span) row(i, j, n int) []float64 {
+// row returns n values of row (i, j) from its point k on, nil for an
+// absent operand.
+func (s span) row(i, j, k, n int) []float64 {
 	if s.data == nil {
 		return nil
 	}
-	return s.data[s.at(i, j):][:n]
+	return s.data[s.at(i, j)+k:][:n]
 }
 
 // holds reports whether every point of an nx x ny x n block, widened
@@ -231,15 +231,10 @@ var rowSIMD = cpu.AVX2
 // simd reports whether blockAVX2 runs the stencil for these taps.
 func (lt *layoutTaps) simd() bool { return rowSIMD && len(lt.taps) == 12 }
 
-// scratch returns how many values of z-row scratch a fused kernel's
-// block needs for rows of n points: none where blockAVX2 runs it, one
-// row on the Go path, which stages each row's stencil values.
-func (lt *layoutTaps) scratch(n int) int {
-	if lt.simd() {
-		return 0
-	}
-	return n
-}
+// rowChunk is how many stencil values the Go path stages at a time:
+// fusedBlock keeps them in an array on its own stack, so no sweep needs
+// scratch of its own; a longer row is run in chunks of this length.
+const rowChunk = 128
 
 // fusedBlock evaluates the stencil of in over an nx x ny x n block and
 // stores ep applied to each value in out; a and p are ep's elementwise
@@ -250,11 +245,11 @@ func (lt *layoutTaps) scratch(n int) int {
 // each slice it reads or writes once and panics before writing if one
 // falls outside; then the 12-tap stencil runs the whole block in
 // blockAVX2 where rowSIMD holds, and every other case runs stencilRow's
-// Go loop and the epilogue's row loop row by row, with the same
-// rounding sequence. row is at least lt.scratch(n) values of scratch.
+// Go loop and the epilogue's row loop row by row, rowChunk points at a
+// time, with the same rounding sequence.
 //
 //gpaw:hotpath
-func fusedBlock(out, in, a, p span, nx, ny, n int, center float64, lt *layoutTaps, ep epilogue, row []float64) {
+func fusedBlock(out, in, a, p span, nx, ny, n int, center float64, lt *layoutTaps, ep epilogue) {
 	if nx <= 0 || ny <= 0 || n <= 0 {
 		return
 	}
@@ -266,16 +261,20 @@ func fusedBlock(out, in, a, p span, nx, ny, n int, center float64, lt *layoutTap
 		blockAVX2(out.avx(ny, n), in.avx(ny, n), a.avx(ny, n), p.avx(ny, n), nx, ny, n, center, &lt.taps[0], ep)
 		return
 	}
+	var row [rowChunk]float64
 	for i := 0; i < nx; i++ {
 		for j := 0; j < ny; j++ {
-			o, s0 := out.row(i, j, n), in.at(i, j)
+			s0 := in.at(i, j)
 			if ep.kind == epStore && !ep.addV {
-				stencilRow(o, in.data, s0, n, center, lt.taps)
+				stencilRow(out.row(i, j, 0, n), in.data, s0, n, center, lt.taps)
 				continue
 			}
-			s := row[:n]
-			stencilRow(s, in.data, s0, n, center, lt.taps)
-			ep.row(o, s, in.data[s0:][:n], a.row(i, j, n), p.row(i, j, n))
+			for k := 0; k < n; k += rowChunk {
+				c := min(rowChunk, n-k)
+				s := row[:c]
+				stencilRow(s, in.data, s0+k, c, center, lt.taps)
+				ep.row(out.row(i, j, k, c), s, in.data[s0+k:][:c], a.row(i, j, k, c), p.row(i, j, k, c))
+			}
 		}
 	}
 }
@@ -323,13 +322,6 @@ func stencilRow(out, in []float64, s0, n int, center float64, taps []tap) {
 			out[k] = v
 		}
 	}
-}
-
-// applyBlock computes dst = op(src) over one block. It is the innermost
-// building block of both the plane-split and the cache-blocked
-// traversals.
-func (op *Operator) applyBlock(dst, src *grid.Grid, lt *layoutTaps, b Block) {
-	op.block(dst, src, nil, nil, lt, epilogue{}, nil, b)
 }
 
 // ApplyPeriodicReference fills src's halos periodically and applies the

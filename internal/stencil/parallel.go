@@ -105,6 +105,15 @@ func (p *Pool) Close() {
 // every share has finished (first panic wins), so a failure inside a
 // worker goroutine — an MPI rank-failure error in a hybrid solver, say
 // — unwinds the calling rank instead of crashing the process.
+//
+// fn leaks to the worker goroutines, so a closure literal handed to
+// Exec is heap-allocated wherever it is written, even when the pool
+// turns out to have one worker. The package's hot paths therefore never
+// reach Exec on a one-worker pool: the fused kernels (sweep) and the
+// BLAS-1 drivers (sweepRange) run such a pool's whole range on the
+// caller, from data rather than a closure, and allocate nothing there.
+// Callers with a long-lived context hand Exec one func built once
+// instead (internal/gpaw's Dist.exec).
 func (p *Pool) Exec(n int, fn func(worker, lo, hi int)) {
 	w := p.Workers()
 	if w <= 1 || n <= 1 {
@@ -174,16 +183,9 @@ const (
 // worker count.
 func (op *Operator) ApplyParallel(p *Pool, dst, src *grid.Grid) {
 	op.checkFused("ApplyParallel", src, dst)
-	lt := op.gridTaps(src)
-	op.sweep(p, src, 2, 0, func(_ int, _ []float64, b Block) {
-		for j0 := b.Y0; j0 < b.Y1; j0 += tileJ {
-			j1 := min(j0+tileJ, b.Y1)
-			for k0 := b.Z0; k0 < b.Z1; k0 += tileK {
-				k1 := min(k0+tileK, b.Z1)
-				op.applyBlock(dst, src, lt, Block{b.X0, b.X1, j0, j1, k0, k1})
-			}
-		}
-	})
+	k := op.kernel(dst, src)
+	k.tiled = true
+	op.sweep(p, k, 2, nil)
 }
 
 // The drivers below run the grid package's range-based BLAS-1 sweeps
@@ -191,39 +193,112 @@ func (op *Operator) ApplyParallel(p *Pool, dst, src *grid.Grid) {
 // detsum.Acc per worker and merge them exactly, so their results are
 // bit-identical to the serial grid methods for every worker count —
 // and, because the exact merge is partition-independent, to any MPI
-// rank decomposition of the same element set.
+// rank decomposition of the same element set. On a one-worker pool they
+// allocate nothing (TestFusedKernelsAllocationFree).
+
+// Kinds of rangeOp.
+const (
+	opAxpy = iota
+	opAxpyScale
+	opScale
+	opAddScalar
+	opCopy
+	opSum
+	opDot
+	opAxpyDot
+)
+
+// rangeOp is one BLAS-1 driver's sweep as data: its kind, the grid g it
+// writes or reduces, the second operand x and the constants a and s.
+type rangeOp struct {
+	kind int
+	g, x *grid.Grid
+	a, s float64
+}
+
+// run sweeps x planes [i0, i1) of r.g, adding a reduction's terms into
+// acc.
+func (r rangeOp) run(acc *detsum.Acc, i0, i1 int) {
+	switch r.kind {
+	case opAxpy:
+		r.g.AxpyRange(r.a, r.x, i0, i1)
+	case opAxpyScale:
+		r.g.AxpyScaleRange(r.a, r.x, r.s, i0, i1)
+	case opScale:
+		r.g.ScaleRange(r.a, i0, i1)
+	case opAddScalar:
+		r.g.AddScalarRange(r.a, i0, i1)
+	case opCopy:
+		r.g.CopyInteriorRange(r.x, i0, i1)
+	case opSum:
+		r.g.SumAccRange(i0, i1, acc)
+	case opDot:
+		r.g.DotAccRange(r.x, i0, i1, acc)
+	case opAxpyDot:
+		r.g.AxpyDotAccRange(r.a, r.x, i0, i1, acc)
+	}
+}
+
+// sweepRange runs r over every x plane of r.g: on the caller when p has
+// one worker, else split across the workers (execAcc).
+//
+//gpaw:hotpath
+func (p *Pool) sweepRange(r rangeOp, acc *detsum.Acc) {
+	if p.Workers() == 1 {
+		r.run(acc, 0, r.g.Nx)
+		return
+	}
+	p.execAcc(r.g.Nx, acc, r.run)
+}
+
+// execAcc is Exec for a sweep that may reduce: body adds its share's
+// terms into the accumulator it is handed, a per-worker partial merged
+// into acc afterwards. A nil acc takes no terms: body is handed nil.
+func (p *Pool) execAcc(n int, acc *detsum.Acc, body func(a *detsum.Acc, lo, hi int)) {
+	if acc == nil {
+		p.Exec(n, func(_, lo, hi int) { body(nil, lo, hi) })
+		return
+	}
+	accs := make([]detsum.Acc, p.Workers())
+	p.Exec(n, func(w, lo, hi int) { body(&accs[w], lo, hi) })
+	for w := range accs {
+		acc.Merge(&accs[w])
+	}
+}
 
 // Axpy computes g += a*x across the pool.
+//
+//gpaw:hotpath
 func (p *Pool) Axpy(g *grid.Grid, a float64, x *grid.Grid) {
-	p.Exec(g.Nx, func(_, i0, i1 int) { g.AxpyRange(a, x, i0, i1) })
+	p.sweepRange(rangeOp{kind: opAxpy, g: g, x: x, a: a}, nil)
 }
 
 // AxpyScale computes g = s*g + a*x across the pool.
+//
+//gpaw:hotpath
 func (p *Pool) AxpyScale(g *grid.Grid, a float64, x *grid.Grid, s float64) {
-	p.Exec(g.Nx, func(_, i0, i1 int) { g.AxpyScaleRange(a, x, s, i0, i1) })
+	p.sweepRange(rangeOp{kind: opAxpyScale, g: g, x: x, a: a, s: s}, nil)
 }
 
 // Scale computes g *= a across the pool.
+//
+//gpaw:hotpath
 func (p *Pool) Scale(g *grid.Grid, a float64) {
-	p.Exec(g.Nx, func(_, i0, i1 int) { g.ScaleRange(a, i0, i1) })
+	p.sweepRange(rangeOp{kind: opScale, g: g, a: a}, nil)
 }
 
 // AddScalar adds v to every interior point across the pool.
+//
+//gpaw:hotpath
 func (p *Pool) AddScalar(g *grid.Grid, v float64) {
-	p.Exec(g.Nx, func(_, i0, i1 int) { g.AddScalarRange(v, i0, i1) })
+	p.sweepRange(rangeOp{kind: opAddScalar, g: g, a: v}, nil)
 }
 
 // Copy copies src's interior into g across the pool.
+//
+//gpaw:hotpath
 func (p *Pool) Copy(g, src *grid.Grid) {
-	p.Exec(g.Nx, func(_, i0, i1 int) { g.CopyInteriorRange(src, i0, i1) })
-}
-
-// mergeAccs folds per-worker accumulators into out. The merge is exact,
-// so the result is independent of the worker partitioning.
-func mergeAccs(out *detsum.Acc, accs []detsum.Acc) {
-	for w := range accs {
-		out.Merge(&accs[w])
-	}
+	p.sweepRange(rangeOp{kind: opCopy, g: g, x: src}, nil)
 }
 
 // Sum returns the interior sum, reduced exactly.
@@ -233,22 +308,11 @@ func (p *Pool) Sum(g *grid.Grid) float64 {
 	return acc.Round()
 }
 
-// execAcc is Exec for a reduction: body adds its share's terms into the
-// accumulator it is handed — acc itself when one goroutine runs the
-// whole range, else a per-worker partial merged into acc afterwards.
-func (p *Pool) execAcc(n int, acc *detsum.Acc, body func(a *detsum.Acc, lo, hi int)) {
-	if p.Workers() == 1 {
-		body(acc, 0, n)
-		return
-	}
-	accs := make([]detsum.Acc, p.Workers())
-	p.Exec(n, func(w, lo, hi int) { body(&accs[w], lo, hi) })
-	mergeAccs(acc, accs)
-}
-
 // SumAcc accumulates the interior sum into acc across the pool.
+//
+//gpaw:hotpath
 func (p *Pool) SumAcc(g *grid.Grid, acc *detsum.Acc) {
-	p.execAcc(g.Nx, acc, func(a *detsum.Acc, i0, i1 int) { g.SumAccRange(i0, i1, a) })
+	p.sweepRange(rangeOp{kind: opSum, g: g}, acc)
 }
 
 // Dot returns <g, o>, reduced exactly.
@@ -259,12 +323,16 @@ func (p *Pool) Dot(g, o *grid.Grid) float64 {
 }
 
 // DotAcc accumulates <g, o> into acc across the pool.
+//
+//gpaw:hotpath
 func (p *Pool) DotAcc(g, o *grid.Grid, acc *detsum.Acc) {
-	p.execAcc(g.Nx, acc, func(a *detsum.Acc, i0, i1 int) { g.DotAccRange(o, i0, i1, a) })
+	p.sweepRange(rangeOp{kind: opDot, g: g, x: o}, acc)
 }
 
 // AxpyDot computes g += a*x and returns the updated <g, g> in the same
 // sweep, reduced exactly.
+//
+//gpaw:hotpath
 func (p *Pool) AxpyDot(g *grid.Grid, a float64, x *grid.Grid) float64 {
 	var acc detsum.Acc
 	p.AxpyDotAcc(g, a, x, &acc)
@@ -272,6 +340,8 @@ func (p *Pool) AxpyDot(g *grid.Grid, a float64, x *grid.Grid) float64 {
 }
 
 // AxpyDotAcc is AxpyDot accumulating the updated <g, g> into acc.
+//
+//gpaw:hotpath
 func (p *Pool) AxpyDotAcc(g *grid.Grid, a float64, x *grid.Grid, acc *detsum.Acc) {
-	p.execAcc(g.Nx, acc, func(part *detsum.Acc, i0, i1 int) { g.AxpyDotAccRange(a, x, i0, i1, part) })
+	p.sweepRange(rangeOp{kind: opAxpyDot, g: g, x: x, a: a}, acc)
 }

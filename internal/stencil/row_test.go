@@ -122,7 +122,7 @@ func newBlockLayout(nx, ny, n, hin, hout int) blockLayout {
 // nx x ny x n block that l places in in and out.
 func storeBlock(out, in []float64, l blockLayout, nx, ny, n int, center float64, lt *layoutTaps) {
 	fusedBlock(span{out, l.d0, l.osx, l.osy}, span{in, l.s0, l.isx, l.isy}, span{}, span{},
-		nx, ny, n, center, lt, epilogue{}, nil)
+		nx, ny, n, center, lt, epilogue{})
 }
 
 // bodyCheck draws random operators and inputs from rng and holds the
@@ -374,10 +374,16 @@ func TestFusedBodyMatchesScalar(t *testing.T) {
 		}
 		return s
 	}
+	// Row lengths: every tail, and rows the Go path stages in several
+	// chunks of rowChunk.
+	lengths := []int{rowChunk + 3, 2*rowChunk + 1}
+	for n := range 14 {
+		lengths = append(lengths, n)
+	}
 	for _, v := range variants {
 		for nx := 1; nx <= 3; nx++ {
 			for ny := 1; ny <= 3; ny++ {
-				for n := 0; n < 14; n++ {
+				for _, n := range lengths {
 					// The source's halo covers the stencil; the
 					// destination's and each operand's are 0 or 2.
 					l := newBlockLayout(nx, ny, n, 2+rng.IntN(2), 2*rng.IntN(2))
@@ -407,7 +413,7 @@ func TestFusedBodyMatchesScalar(t *testing.T) {
 						case aliased:
 							ps = os
 						}
-						fusedBlock(os, span{in, l.s0, l.isx, l.isy}, as, ps, nx, ny, n, op.Center, lt, v.ep, make([]float64, n))
+						fusedBlock(os, span{in, l.s0, l.isx, l.isy}, as, ps, nx, ny, n, op.Center, lt, v.ep)
 						return o
 					}
 					got, want := run(hostRowSIMD), run(false)
