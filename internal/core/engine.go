@@ -32,6 +32,11 @@ type Engine struct {
 	// whole grids across its workers, hybrid master-only splits each
 	// grid's planes.
 	pool *stencil.Pool
+	// multi is the hybrid-multiple fan-out of the Run in progress, and
+	// multiFn the one func (built in NewEngine) through which the pool
+	// runs its shares, so Run hands the pool no closure of its own.
+	multi   multiRun
+	multiFn func(w, lo, hi int)
 
 	// statsMu guards stats: hybrid multiple runs the communication
 	// protocol on several pool workers at once.
@@ -108,6 +113,7 @@ func NewEngine(cart *mpi.Cart, d *grid.Decomp, op *stencil.Operator, periodic bo
 	}
 	if opts.Threads > 1 {
 		e.pool = stencil.NewPool(opts.Threads)
+		e.multiFn = e.runShare
 	}
 	return e, nil
 }
@@ -510,11 +516,13 @@ func (e *Engine) WorkerPool() *stencil.Pool { return e.pool }
 // be in MULTIPLE thread mode. Every other approach runs the protocol on
 // the calling goroutine (for hybrid master-only, compute fork-joins
 // each grid across the pool itself, so SINGLE thread mode suffices), as
-// does hybrid multiple with one worker. compute leaks to the fan-out's
-// workers, so a caller that runs Run every iteration hands it one func
-// built once (internal/gpaw's Dist.compute): the protocol loop itself
-// allocates nothing in steady state, and with one worker neither does
-// Run.
+// does hybrid multiple with one worker. compute is kept on the engine
+// while hybrid multiple's shares run, so a caller that runs Run every
+// iteration hands it one func built once (internal/gpaw's
+// Dist.compute): then a warmed Run allocates nothing on any approach
+// and worker count.
+//
+//gpaw:hotpath
 func (e *Engine) Run(src []*grid.Grid, overlap bool, compute func(b Batch, r stencil.Region)) {
 	if e.opts.Approach == HybridMultiple && e.cart.World().Mode() != mpi.ThreadMultiple {
 		panic("core: hybrid multiple requires a MULTIPLE-mode world")
@@ -523,10 +531,23 @@ func (e *Engine) Run(src []*grid.Grid, overlap bool, compute func(b Batch, r ste
 		e.runBatches(src, 0, 0, overlap, compute)
 		return
 	}
-	stride := tagStride(len(src))
-	e.pool.Exec(len(src), func(w, lo, hi int) {
-		e.runBatches(src[lo:hi], w*stride, lo, overlap, compute)
-	})
+	e.multi = multiRun{src: src, overlap: overlap, compute: compute}
+	e.pool.Exec(len(src), e.multiFn)
+	e.multi = multiRun{}
+}
+
+// multiRun is the arguments of a hybrid-multiple Run.
+type multiRun struct {
+	src     []*grid.Grid
+	overlap bool
+	compute func(b Batch, r stencil.Region)
+}
+
+// runShare runs the protocol of hybrid-multiple share w, grids [lo, hi)
+// of e.multi, in share w's own tag space.
+func (e *Engine) runShare(w, lo, hi int) {
+	m := &e.multi
+	e.runBatches(m.src[lo:hi], w*tagStride(len(m.src)), lo, m.overlap, m.compute)
 }
 
 // Exchange fills the halos of every grid from the neighbouring ranks

@@ -244,6 +244,48 @@ func TestOverlapExchangeZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestHybridMultipleRunZeroAlloc holds hybrid multiple's Run to the
+// same contract on a two-worker pool: its fan-out is Engine's one func
+// built in NewEngine and the pool's job slot, so a warmed Run of four
+// grids — each worker exchanging and computing its own two, the
+// compute an Apply per grid — allocates nothing, on two ranks (2x1x1)
+// and on one.
+func TestHybridMultipleRunZeroAlloc(t *testing.T) {
+	global := topology.Dims{8, 8, 8}
+	const runs = 100
+	for _, procs := range []topology.Dims{{2, 1, 1}, {1, 1, 1}} {
+		err := runRanks(procs.Count(), mpi.ThreadMultiple, func(c *mpi.Comm) {
+			eng := overlapEngine(c, global, procs, true, OptionsFor(HybridMultiple, 1, 2))
+			defer eng.Close()
+			src := []*grid.Grid{eng.NewLocalGrid(), eng.NewLocalGrid(), eng.NewLocalGrid(), eng.NewLocalGrid()}
+			dst := []*grid.Grid{eng.NewLocalGrid(), eng.NewLocalGrid(), eng.NewLocalGrid(), eng.NewLocalGrid()}
+			compute := func(b Batch, r stencil.Region) {
+				for gi := b.Lo; gi < b.Hi; gi++ {
+					eng.op.Over(r).Apply(dst[gi], src[gi])
+				}
+			}
+			run := func() { eng.Run(src, true, compute) }
+			for i := 0; i < 4; i++ {
+				run()
+			}
+			if c.Rank() != 0 {
+				// AllocsPerRun makes one warm-up call before its runs.
+				for i := 0; i < runs+1; i++ {
+					time.Sleep(50 * time.Microsecond)
+					run()
+				}
+				return
+			}
+			if allocs := testing.AllocsPerRun(runs, run); allocs != 0 {
+				t.Errorf("procs %v: hybrid multiple Run allocates %.1f objects/iteration, want 0", procs, allocs)
+			}
+		})
+		if err != nil {
+			t.Fatalf("procs %v: %v", procs, err)
+		}
+	}
+}
+
 // TestSkewedExchangeAllocationFree is the zero-allocation contract with
 // the other arrival order: on a 2x2x2 periodic grid, rank 0 sleeps
 // before each exchange, so its neighbours' faces arrive before its

@@ -160,9 +160,9 @@ type Dist struct {
 	// and sweepFn the one compute callback every such sweep hands
 	// Engine.Run, Dist.compute; task is the fan-out in progress on the
 	// pool (Dist.exec) and taskFn its one func, Dist.runTask. Both funcs
-	// are built on first use: a closure per call would escape (through
-	// Run's hybrid-multiple fan-out and into Pool.Exec's workers) and
-	// cost an allocation each. one holds withOverlap's destination and
+	// are built on first use: a closure per call would escape (into the
+	// engine's hybrid-multiple fan-out and the pool's job slot) and cost
+	// an allocation each. one holds withOverlap's destination and
 	// source. All are touched only from the rank's master goroutine.
 	sw      sweep
 	sweepFn func(core.Batch, stencil.Region)
@@ -420,7 +420,8 @@ func (d *Dist) withOverlap(eng *core.Engine, dst, src *grid.Grid, sw sweep) {
 }
 
 // exec runs t over [0, n) on the rank's pool (Pool.Exec) through the
-// Dist's one task func, so a fan-out allocates nothing of its own.
+// Dist's one task func, described in Dist scratch, so the fan-out
+// allocates nothing on any worker count.
 //
 //gpaw:hotpath
 func (d *Dist) exec(n int, t poolTask) {

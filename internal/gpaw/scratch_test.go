@@ -15,9 +15,10 @@ import (
 )
 
 // scfIterationAllocs is the number of heap allocations a warmed SCF
-// iteration may make on a one-worker Dist: none. Every fused sweep runs
-// from data on the calling goroutine (stencil's sweep and sweepRange),
-// the engine and the pool get the Dist's one compute and task funcs,
+// iteration may make on any worker count: none. Every fused sweep is
+// data (stencil's kernel and rangeOp), run on the calling goroutine or
+// posted to the pool's job slot, the engine and the pool get the
+// Dist's one compute and task funcs,
 // the Hamiltonian and the negated Poisson operator are built once per
 // run, the m x m algebra runs in the Dist's subspace storage and the
 // Pulay weights in the mixer's, and the one-value reductions use the
@@ -27,11 +28,10 @@ const scfIterationAllocs = 0
 // TestEigenIterationAllocatesNoGrids pins the SCF loop's allocation
 // contract: once the first iterations have grown the Dist's scratch, a
 // whole iteration — filter pass, subspace step, density, mix, Hartree
-// solve with its V-cycles, potential update — allocates nothing on a
-// one-worker pool. The V-cycle hierarchy is part of that scratch: the
-// first solve builds it, NewDist does not. With a two-worker pool the
-// fan-outs allocate (Pool.Exec's closures, per-worker partials); the
-// test logs that count and holds it below a single state's storage.
+// solve with its V-cycles, potential update — allocates nothing, on a
+// one-worker pool and on a two-worker one, whose fan-outs are posted
+// to the pool's job slot as data. The V-cycle hierarchy is part of
+// that scratch: the first solve builds it, NewDist does not.
 func TestEigenIterationAllocatesNoGrids(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { testEigenIterationAllocs(t, workers) })
@@ -46,13 +46,40 @@ func testEigenIterationAllocs(t *testing.T, workers int) {
 		d.pool = stencil.NewPool(workers)
 		defer d.pool.Close()
 	}
-	sys := scfSystem(dims, 0.6)
-	sys.Electrons = 8
-	scf := NewDistSCF(d, sys)
-	scf.Tol, scf.MaxIter = 0, 6 // never converges: six full iterations
 	if d.mg != nil {
 		t.Fatal("NewDist built the multigrid hierarchy; the first solve should")
 	}
+	// The Go runtime now and then allocates for its own scheduler: a
+	// thread's bookkeeping when it wakes a goroutine and every thread
+	// is busy (warmThreads starts them up front), or a parking record
+	// (a sudog, 96 bytes) after a collection has emptied the runtime's
+	// cache of them. That lands in a rare iteration, an allocation of
+	// the SCF loop in every one. So each run gets three attempts, a
+	// fresh SCF each, to read 0 in every warmed iteration.
+	const attempts = 3
+	warmThreads(runtime.GOMAXPROCS(0) + workers)
+	for a := 1; ; a++ {
+		counts := warmedIterationAllocs(t, d)
+		t.Logf("attempt %d: allocations per warmed SCF iteration from iteration 3: %v", a, counts)
+		if slices.Max(counts) <= scfIterationAllocs {
+			return
+		}
+		if a == attempts {
+			t.Fatalf("warmed SCF iterations make %v allocations in the last of %d attempts, want <= %d each",
+				counts, attempts, scfIterationAllocs)
+		}
+	}
+}
+
+// warmedIterationAllocs runs six SCF iterations of a fresh SCF on d and
+// returns the heap allocations of each from the third on, failing t if
+// one of them allocated a state grid's worth of bytes.
+func warmedIterationAllocs(t *testing.T, d *Dist) []uint64 {
+	t.Helper()
+	sys := scfSystem(d.Decomp.Global, 0.6)
+	sys.Electrons = 8
+	scf := NewDistSCF(d, sys)
+	scf.Tol, scf.MaxIter = 0, 6 // never converges: six full iterations
 	// marks[it] is the heap odometer at the top of iteration it, so
 	// iteration it allocated marks[it+1] - marks[it].
 	marks := make([]runtime.MemStats, 0, scf.MaxIter) // sized up front: growing it would count
@@ -65,17 +92,42 @@ func testEigenIterationAllocs(t *testing.T, workers int) {
 		t.Fatalf("SCF did not run its %d iterations: %+v", scf.MaxIter, res)
 	}
 	oneGrid := uint64(8 * len(d.NewLocalGrid().Data()))
+	var counts []uint64
 	for it := 3; it < len(marks); it++ { // iterations 1 and 2 grow the scratch
 		bytes := marks[it].TotalAlloc - marks[it-1].TotalAlloc
-		allocs := marks[it].Mallocs - marks[it-1].Mallocs
 		if bytes >= oneGrid {
 			t.Errorf("warmed SCF iteration %d allocated %d bytes, a grid is %d: some grid.New ran", it, bytes, oneGrid)
 		}
-		if workers == 1 && allocs > scfIterationAllocs {
-			t.Errorf("warmed SCF iteration %d makes %d allocations, want <= %d", it, allocs, scfIterationAllocs)
-		}
-		t.Logf("warmed SCF iteration %d: %d allocations, %d bytes (one state grid: %d bytes)", it, allocs, bytes, oneGrid)
+		counts = append(counts, marks[it].Mallocs-marks[it-1].Mallocs)
 	}
+	return counts
+}
+
+// warmThreads leaves n idle OS threads with the Go runtime. A fan-out
+// that wakes a worker while every thread is busy makes the runtime
+// start one more, and a new thread's bookkeeping (its M, signal stack
+// and profiling buffers: 5 objects, ≈ 5 KB) counts in the heap
+// odometer of whichever iteration it lands in. The runtime keeps idle
+// threads for reuse, so starting them up front leaves the count to
+// the SCF loop's own.
+func warmThreads(n int) {
+	var locked, exited sync.WaitGroup
+	release := make(chan struct{})
+	locked.Add(n)
+	exited.Add(n)
+	for range n {
+		go func() {
+			defer exited.Done()
+			// Locked, each goroutine parks on a thread of its own.
+			runtime.LockOSThread()
+			locked.Done()
+			<-release
+			runtime.UnlockOSThread()
+		}()
+	}
+	locked.Wait()
+	close(release)
+	exited.Wait()
 }
 
 // TestDistSCFIterationAllocatesNothing holds a whole band x domain world

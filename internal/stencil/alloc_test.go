@@ -6,12 +6,14 @@ import (
 	"repro/internal/detsum"
 )
 
-// TestFusedKernelsAllocationFree pins the one-worker contract of sweep
-// and sweepRange: on a nil pool every fused kernel, over each of the
-// Full, Interior and Shell views and with each stencil body, and every
-// BLAS-1 driver runs on the caller without a single heap allocation.
-// A closure handed to Pool.Exec, or a z-row of scratch per sweep, shows
-// here as one allocation per call.
+// TestFusedKernelsAllocationFree pins the allocation contract of sweep
+// and sweepRange: every fused kernel, over each of the Full, Interior
+// and Shell views and with each stencil body, and every BLAS-1 driver
+// allocates nothing per call, on a nil pool (the caller runs the whole
+// sweep) and on two- and four-worker pools (the sweep is posted to the
+// pool's job slot as data, its partials the pool's own). A closure
+// handed to Pool.Exec, a partial accumulator per fan-out, or a z-row of
+// scratch per sweep shows here as allocations per call.
 func TestFusedKernelsAllocationFree(t *testing.T) {
 	src, dst := testGrid(12, 6, 6)
 	v, prev := shellOperand(12, 6, 6, 0.5), shellOperand(12, 6, 6, -1)
@@ -19,48 +21,58 @@ func TestFusedKernelsAllocationFree(t *testing.T) {
 	var acc detsum.Acc
 	kernels := []struct {
 		name string
-		run  func(op *Operator)
+		run  func(op *Operator, p *Pool)
 	}{
-		{"Apply", func(op *Operator) { op.Apply(dst, src) }},
-		{"ApplyRecurrence", func(op *Operator) { op.ApplyRecurrence(nil, dst, src, nil, nil, 0.5, 0.25, 0) }},
-		{"ApplyRecurrence v", func(op *Operator) { op.ApplyRecurrence(nil, dst, src, v, nil, 0.5, 0.25, 0) }},
-		{"ApplyRecurrence prev", func(op *Operator) { op.ApplyRecurrence(nil, dst, src, nil, prev, 0.5, 0.25, -1) }},
-		{"ApplyRecurrence v prev", func(op *Operator) { op.ApplyRecurrence(nil, dst, src, v, prev, 0.5, 0.25, -1) }},
-		{"ApplySmooth", func(op *Operator) { op.ApplySmooth(nil, dst, src, v, 0.1) }},
-		{"ApplyResidualAcc", func(op *Operator) { op.ApplyResidualAcc(nil, dst, v, src, &acc) }},
-		{"ApplyResidualAcc nil acc", func(op *Operator) { op.ApplyResidualAcc(nil, dst, v, src, nil) }},
-		{"ApplyDotAcc", func(op *Operator) { op.ApplyDotAcc(nil, dst, src, &acc) }},
+		{"Apply", func(op *Operator, p *Pool) { op.Apply(dst, src) }},
+		{"ApplyParallel", func(op *Operator, p *Pool) { op.ApplyParallel(p, dst, src) }},
+		{"ApplyRecurrence", func(op *Operator, p *Pool) { op.ApplyRecurrence(p, dst, src, nil, nil, 0.5, 0.25, 0) }},
+		{"ApplyRecurrence v", func(op *Operator, p *Pool) { op.ApplyRecurrence(p, dst, src, v, nil, 0.5, 0.25, 0) }},
+		{"ApplyRecurrence prev", func(op *Operator, p *Pool) { op.ApplyRecurrence(p, dst, src, nil, prev, 0.5, 0.25, -1) }},
+		{"ApplyRecurrence v prev", func(op *Operator, p *Pool) { op.ApplyRecurrence(p, dst, src, v, prev, 0.5, 0.25, -1) }},
+		{"ApplySmooth", func(op *Operator, p *Pool) { op.ApplySmooth(p, dst, src, v, 0.1) }},
+		{"ApplyResidualAcc", func(op *Operator, p *Pool) { op.ApplyResidualAcc(p, dst, v, src, &acc) }},
+		{"ApplyResidualAcc nil acc", func(op *Operator, p *Pool) { op.ApplyResidualAcc(p, dst, v, src, nil) }},
+		{"ApplyDotAcc", func(op *Operator, p *Pool) { op.ApplyDotAcc(p, dst, src, &acc) }},
 	}
+	pools := []*Pool{nil, NewPool(2), NewPool(4)}
+	defer func() {
+		for _, p := range pools {
+			p.Close()
+		}
+	}()
 	for _, simd := range []bool{true, false} {
 		t.Run(rowBodyName(simd), func(t *testing.T) {
 			setRowSIMD(t, simd)
-			for _, k := range kernels {
-				for _, r := range []Region{Full, Interior, Shell} {
-					view := op.Over(r)
-					if n := testing.AllocsPerRun(20, func() { k.run(view) }); n != 0 {
-						t.Errorf("%s over region %d: %v allocations per call, want 0", k.name, r, n)
+			for _, p := range pools {
+				for _, k := range kernels {
+					for _, r := range []Region{Full, Interior, Shell} {
+						view := op.Over(r)
+						if n := testing.AllocsPerRun(20, func() { k.run(view, p) }); n != 0 {
+							t.Errorf("%s over region %d on %d workers: %v allocations per call, want 0", k.name, r, p.Workers(), n)
+						}
 					}
 				}
 			}
 		})
 	}
-	var p *Pool
-	drivers := []struct {
-		name string
-		run  func()
-	}{
-		{"Axpy", func() { p.Axpy(dst, 0.5, src) }},
-		{"AxpyScale", func() { p.AxpyScale(dst, 0.5, src, 0.25) }},
-		{"Scale", func() { p.Scale(dst, 0.5) }},
-		{"AddScalar", func() { p.AddScalar(dst, 0.5) }},
-		{"Copy", func() { p.Copy(dst, src) }},
-		{"SumAcc", func() { p.SumAcc(dst, &acc) }},
-		{"DotAcc", func() { p.DotAcc(dst, src, &acc) }},
-		{"AxpyDot", func() { _ = p.AxpyDot(dst, 0.5, src) }},
-	}
-	for _, d := range drivers {
-		if n := testing.AllocsPerRun(20, d.run); n != 0 {
-			t.Errorf("Pool.%s on a nil pool: %v allocations per call, want 0", d.name, n)
+	for _, p := range pools {
+		drivers := []struct {
+			name string
+			run  func()
+		}{
+			{"Axpy", func() { p.Axpy(dst, 0.5, src) }},
+			{"AxpyScale", func() { p.AxpyScale(dst, 0.5, src, 0.25) }},
+			{"Scale", func() { p.Scale(dst, 0.5) }},
+			{"AddScalar", func() { p.AddScalar(dst, 0.5) }},
+			{"Copy", func() { p.Copy(dst, src) }},
+			{"SumAcc", func() { p.SumAcc(dst, &acc) }},
+			{"DotAcc", func() { p.DotAcc(dst, src, &acc) }},
+			{"AxpyDot", func() { _ = p.AxpyDot(dst, 0.5, src) }},
+		}
+		for _, d := range drivers {
+			if n := testing.AllocsPerRun(20, d.run); n != 0 {
+				t.Errorf("Pool.%s on %d workers: %v allocations per call, want 0", d.name, p.Workers(), n)
+			}
 		}
 	}
 }

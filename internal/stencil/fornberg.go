@@ -20,13 +20,15 @@
 // Apply/Scale/Axpy/Dot pass of a solver costs a full traversal of
 // grid-sized arrays, so the package provides, besides the plain operator:
 //
-//   - parallel.go — a Pool of persistent worker goroutines with an
-//     Exec(n, fn) range-splitting primitive. ApplyParallel splits the
-//     outer x planes across workers and walks cache-sized (j, k) tiles
-//     within each share, so the five in-flight stencil planes stay
-//     resident while streaming. Pool also drives the grid package's
-//     range-based BLAS-1 sweeps and computes reductions from per-plane
-//     partials, making every result independent of the worker count.
+//   - parallel.go — a Pool of persistent worker goroutines that claim
+//     the shares of a fan-out posted to the pool's one job slot as data
+//     (a kernel, a BLAS-1 rangeOp, or Exec's fn), so a warmed fan-out
+//     allocates nothing. ApplyParallel splits the outer x planes across
+//     workers and walks cache-sized (j, k) tiles within each share, so
+//     the five in-flight stencil planes stay resident while streaming.
+//     Pool also drives the grid package's range-based BLAS-1 sweeps and
+//     computes reductions from per-share partials merged exactly,
+//     making every result independent of the worker count.
 //
 //   - fused.go — kernels that combine a stencil application with the
 //     BLAS-1 work solvers do immediately after it, in one sweep:

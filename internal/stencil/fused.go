@@ -24,9 +24,10 @@ import (
 // operations in the same order.
 //
 // A kernel call is data (kernel), not a closure: on a one-worker pool
-// it runs on the caller and allocates nothing.
+// it runs on the caller, on more workers it is posted to the pool's job
+// slot, and it allocates nothing either way.
 //
-// Reductions accumulate per-worker detsum.Acc partials merged exactly,
+// Reductions accumulate per-share detsum.Acc partials merged exactly,
 // so every result is independent of the pool's worker count and of any
 // distributed-memory partitioning of the same elements (see
 // internal/detsum). The reducing kernels store a block one x plane at
@@ -99,10 +100,10 @@ func (op *Operator) kernel(out, in *grid.Grid) kernel {
 // kernel's terms into acc (a nil acc takes none), and accounts streams
 // memory streams per point. The Shell is O(surface) work: its up to six
 // blocks run on the caller. Full and Interior run on the caller too
-// when p has one worker (a nil pool included): that path hands no
-// closure to anyone and allocates nothing, which
-// TestFusedKernelsAllocationFree pins for every kernel and region.
-// With more workers the box's x planes are split across them (fanOut).
+// when p has one worker (a nil pool included). With more workers the
+// box's x planes are split across them (fanOut). Neither path hands a
+// closure to anyone or allocates, which TestFusedKernelsAllocationFree
+// pins for every kernel and region on one, two and four workers.
 //
 //gpaw:hotpath
 func (op *Operator) sweep(p *Pool, k kernel, streams int, acc *detsum.Acc) {
@@ -129,17 +130,14 @@ func (op *Operator) sweep(p *Pool, k kernel, streams int, acc *detsum.Acc) {
 }
 
 // fanOut is a sweep's multi-worker path: box's x planes split across
-// p's workers, each adding its terms into a per-worker partial merged
-// into acc (execAcc). The sums are exact, so acc ends up with the same
-// bits however the points were split, across workers or across the
-// Interior and Shell views accumulating into one acc. Its closure and
-// partials are what a multi-worker sweep allocates.
+// p's workers, each share adding its terms into its own partial, merged
+// into acc in share order (fork). The sums are exact, so acc ends up
+// with the same bits however the points were split, across workers or
+// across the Interior and Shell views accumulating into one acc. The
+// sweep is posted as data, so a warmed fan-out allocates nothing.
 func (p *Pool) fanOut(k kernel, box Block, acc *detsum.Acc) {
-	p.execAcc(box.X1-box.X0, acc, func(a *detsum.Acc, lo, hi int) {
-		sub := box
-		sub.X0, sub.X1 = box.X0+lo, box.X0+hi
-		k.run(a, sub)
-	})
+	j := job{kind: jobKernel, n: box.X1 - box.X0, k: k, box: box}
+	p.fork(&j, acc)
 }
 
 // run computes block b of k's sweep. Handed an accumulator, a reducing

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/detsum"
 	"repro/internal/grid"
@@ -13,9 +14,13 @@ import (
 // Pool is a set of persistent worker goroutines for shared-memory
 // parallel grid sweeps — the in-process analogue of the paper's
 // one-process-per-node, one-thread-per-core hybrid approaches. Workers
-// are started once and reused for every Exec, so the per-operation
-// synchronization cost is a channel handoff and a join rather than
-// goroutine creation.
+// are started once and park between fan-outs. A fan-out is data, not a
+// closure: the caller writes it into the pool's one job slot (a fused
+// kernel and its block, a BLAS-1 rangeOp, or an Exec fn), wakes the
+// workers that are parked, and every participant, the caller included,
+// claims shares from one atomic counter. The caller then waits only for
+// the shares a worker claimed, so a worker that has not woken delays
+// nothing, and a warmed fan-out allocates nothing.
 //
 // A nil *Pool is valid everywhere and runs serially on the caller, so
 // solver code takes a pool unconditionally.
@@ -24,18 +29,75 @@ type Pool struct {
 	state   *poolState
 }
 
-// poolState is shared between the Pool handle, its workers and the GC
-// cleanup, so an unreferenced Pool's workers exit even without an
-// explicit Close.
+// poolState is the job slot and its claiming protocol, shared between
+// the Pool handle, its workers and the GC cleanup, so an unreferenced
+// Pool's workers exit even without an explicit Close.
 type poolState struct {
-	tasks chan func()
-	once  sync.Once
+	// slot is held by the fan-out that owns job. A fan-out that finds
+	// it held (nested or concurrent) runs every share on its caller.
+	slot sync.Mutex
+	job  job
+	// next is job's generation<<32 | its next unclaimed share. A claim
+	// is a compare-and-swap on it, so a late worker's claim against a
+	// finished job's generation fails.
+	next atomic.Uint64
+	// left counts job's unfinished shares; whoever finishes the last one
+	// signals done.
+	left atomic.Int32
+	// partials[i] takes share i's terms of a reducing job, whoever runs
+	// it; len(partials) is the pool's worker count.
+	partials []detsum.Acc
+	panicked atomic.Pointer[any] // the first panic of one of job's shares
+	wake     chan struct{}       // unbuffered: a send succeeds only on a parked worker
+	done     chan struct{}       // buffered: the finish of job's last share
+	once     sync.Once
 }
 
-func (s *poolState) close() { s.once.Do(func() { close(s.tasks) }) }
+func (s *poolState) close() { s.once.Do(func() { close(s.wake) }) }
+
+// Kinds of job.
+const (
+	jobFn     = iota // Exec's fn
+	jobKernel        // a fused kernel over box (fanOut)
+	jobRange         // a BLAS-1 driver's rangeOp (sweepRange)
+)
+
+// job is one fan-out as data: n items split into the pool's shares by
+// topology.Split, share i running fn(i, lo, hi), kernel k over planes
+// [lo, hi) of box, or r over planes [lo, hi). reduce marks a job whose
+// shares take terms into accumulators. The caller's own accumulator
+// stays out of it, so a job in the slot does not make it escape.
+type job struct {
+	kind   int
+	n      int
+	reduce bool
+	fn     func(worker, lo, hi int)
+	k      kernel
+	box    Block
+	r      rangeOp
+}
+
+// share runs share i of j's split into workers shares, adding a
+// reduction's terms into acc. An empty share does nothing.
+func (j *job) share(workers, i int, acc *detsum.Acc) {
+	lo, ln := topology.Split(j.n, workers, i)
+	if ln == 0 {
+		return
+	}
+	switch j.kind {
+	case jobKernel:
+		b := j.box
+		b.X0, b.X1 = j.box.X0+lo, j.box.X0+lo+ln
+		j.k.run(acc, b)
+	case jobRange:
+		j.r.run(acc, lo, lo+ln)
+	default:
+		j.fn(i, lo, lo+ln)
+	}
+}
 
 // NewPool starts a pool with the given number of workers (>= 1). The
-// calling goroutine acts as worker 0 during Exec, so workers-1
+// calling goroutine takes part in every fan-out, so workers-1
 // goroutines are spawned.
 func NewPool(workers int) *Pool {
 	if workers < 1 {
@@ -45,22 +107,27 @@ func NewPool(workers int) *Pool {
 	if workers == 1 {
 		return p
 	}
-	// Unbuffered: a handoff succeeds only when a worker is parked at
-	// the receive, so a nested or concurrent Exec can never strand a
-	// task in a buffer no idle worker will drain.
-	st := &poolState{tasks: make(chan func())}
+	st := &poolState{
+		partials: make([]detsum.Acc, workers),
+		wake:     make(chan struct{}),
+		done:     make(chan struct{}, 1),
+	}
 	p.state = st
 	for w := 1; w < workers; w++ {
-		go func() {
-			for f := range st.tasks {
-				f()
-			}
-		}()
+		go st.work()
 	}
 	// Backstop: if the pool is dropped without Close, release the
 	// workers when the handle becomes unreachable.
 	runtime.AddCleanup(p, func(s *poolState) { s.close() }, st)
 	return p
+}
+
+// work is a worker's loop: parked at wake, then claiming shares of the
+// job posted under the generation it finds.
+func (s *poolState) work() {
+	for range s.wake {
+		s.claim(uint32(s.next.Load() >> 32))
+	}
 }
 
 var (
@@ -92,78 +159,127 @@ func (p *Pool) Close() {
 }
 
 // Exec splits the index range [0, n) across the pool's workers with
-// topology.Split and runs fn(worker, lo, hi) for every non-empty share,
-// returning when all shares are done. The caller executes worker 0's
-// share. A share whose handoff finds no idle worker (nested or
-// concurrent Exec, or a worker not yet parked at the receive) is
-// deferred and run on the caller after every other share has been
-// dispatched, so one missed handoff never delays the rest and a nested
-// Exec cannot deadlock — the partitioning, and therefore any per-share
-// result, is unchanged either way.
+// topology.Split and runs fn(i, lo, hi) for every non-empty share i,
+// returning when all shares are done. Share i keeps index i whichever
+// goroutine runs it, the caller or a worker. A nested or concurrent
+// Exec, which finds the pool's job slot taken, runs every share on its
+// own caller in ascending order, so it cannot deadlock; the
+// partitioning, and therefore any per-share result, is the same either
+// way.
 //
 // A panic in any share is captured and re-raised on the caller after
 // every share has finished (first panic wins), so a failure inside a
 // worker goroutine — an MPI rank-failure error in a hybrid solver, say
-// — unwinds the calling rank instead of crashing the process.
+// — unwinds the calling rank instead of crashing the process, and the
+// pool stays usable.
 //
-// fn leaks to the worker goroutines, so a closure literal handed to
-// Exec is heap-allocated wherever it is written, even when the pool
-// turns out to have one worker. The package's hot paths therefore never
-// reach Exec on a one-worker pool: the fused kernels (sweep) and the
-// BLAS-1 drivers (sweepRange) run such a pool's whole range on the
-// caller, from data rather than a closure, and allocate nothing there.
-// Callers with a long-lived context hand Exec one func built once
-// instead (internal/gpaw's Dist.exec).
+// fn is stored in the pool's job slot, so a closure literal handed to
+// Exec escapes to the heap wherever it is written. The package's own
+// sweeps (the fused kernels and the BLAS-1 drivers) post their fan-outs
+// as data instead and allocate nothing on any worker count; callers
+// with a long-lived context hand Exec one func built once
+// (internal/gpaw's Dist.exec, internal/core's Engine.Run).
+//
+//gpaw:hotpath
 func (p *Pool) Exec(n int, fn func(worker, lo, hi int)) {
-	w := p.Workers()
-	if w <= 1 || n <= 1 {
+	if p.Workers() <= 1 || n <= 1 {
 		if n > 0 {
 			fn(0, 0, n)
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	var panicMu sync.Mutex
-	var panicked any
-	run := func(worker, lo, hi int) {
-		defer func() {
-			if r := recover(); r != nil {
-				panicMu.Lock()
-				if panicked == nil {
-					panicked = r
-				}
-				panicMu.Unlock()
-			}
-		}()
-		fn(worker, lo, hi)
+	j := job{kind: jobFn, n: n, fn: fn}
+	p.fork(&j, nil)
+}
+
+// fork runs j across the pool (which has more than one worker) and
+// merges a reducing job's partials into acc in share order. It takes
+// the job slot, or, finding it taken, runs every share of j on the
+// caller with their terms straight into acc: the sums are exact, so
+// the bits are the same.
+//
+//gpaw:hotpath
+func (p *Pool) fork(j *job, acc *detsum.Acc) {
+	s := p.state
+	if !s.slot.TryLock() {
+		for i := range p.workers {
+			j.share(p.workers, i, acc)
+		}
+		return
 	}
-	var deferred []func()
-	for i := 1; i < w; i++ {
-		lo, ln := topology.Split(n, w, i)
-		if ln == 0 {
-			continue
+	j.reduce = acc != nil
+	s.job = *j
+	if j.reduce {
+		for i := range s.partials {
+			s.partials[i].Reset()
 		}
-		i, lo, hi := i, lo, lo+ln
-		wg.Add(1)
-		task := func() {
-			defer wg.Done()
-			run(i, lo, hi)
-		}
+	}
+	s.left.Store(int32(p.workers))
+	gen := uint32(s.next.Load()>>32) + 1
+	s.next.Store(uint64(gen) << 32)
+	// Wake at most one parked worker per other non-empty share; the
+	// first send that finds none parked ends the wake-up.
+wake:
+	for range min(j.n, p.workers) - 1 {
 		select {
-		case p.state.tasks <- task:
+		case s.wake <- struct{}{}:
 		default:
-			deferred = append(deferred, task)
+			break wake
 		}
 	}
-	if lo, ln := topology.Split(n, w, 0); ln > 0 {
-		run(0, lo, lo+ln)
+	s.claim(gen)
+	<-s.done
+	s.job = job{}
+	pv := s.panicked.Swap(nil)
+	s.slot.Unlock()
+	if pv != nil {
+		panic(*pv)
 	}
-	for _, task := range deferred {
-		task()
+	if acc != nil {
+		for i := range s.partials {
+			acc.Merge(&s.partials[i])
+		}
 	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
+}
+
+// claim runs shares of generation gen's job until none is left to
+// claim. Whoever finishes the job's last share, the caller included,
+// signals done.
+//
+//gpaw:hotpath
+func (s *poolState) claim(gen uint32) {
+	for {
+		c := s.next.Load()
+		i := int(uint32(c))
+		if uint32(c>>32) != gen || i >= len(s.partials) {
+			return
+		}
+		if s.next.CompareAndSwap(c, c+1) {
+			s.run(i)
+		}
+	}
+}
+
+// run runs share i of the job, a reduction's terms into partial i.
+// finish counts it done even if it panics or exits its goroutine.
+func (s *poolState) run(i int) {
+	defer s.finish()
+	var acc *detsum.Acc
+	if s.job.reduce {
+		acc = &s.partials[i]
+	}
+	s.job.share(len(s.partials), i, acc)
+}
+
+// finish is run's deferred epilogue: it keeps the job's first panic for
+// the caller, and the finish of the job's last share signals done.
+func (s *poolState) finish() {
+	if r := recover(); r != nil {
+		v := r
+		s.panicked.CompareAndSwap(nil, &v)
+	}
+	if s.left.Add(-1) == 0 {
+		s.done <- struct{}{}
 	}
 }
 
@@ -240,7 +356,7 @@ func (r rangeOp) run(acc *detsum.Acc, i0, i1 int) {
 }
 
 // sweepRange runs r over every x plane of r.g: on the caller when p has
-// one worker, else split across the workers (execAcc).
+// one worker, else split across the workers (fork).
 //
 //gpaw:hotpath
 func (p *Pool) sweepRange(r rangeOp, acc *detsum.Acc) {
@@ -248,22 +364,8 @@ func (p *Pool) sweepRange(r rangeOp, acc *detsum.Acc) {
 		r.run(acc, 0, r.g.Nx)
 		return
 	}
-	p.execAcc(r.g.Nx, acc, r.run)
-}
-
-// execAcc is Exec for a sweep that may reduce: body adds its share's
-// terms into the accumulator it is handed, a per-worker partial merged
-// into acc afterwards. A nil acc takes no terms: body is handed nil.
-func (p *Pool) execAcc(n int, acc *detsum.Acc, body func(a *detsum.Acc, lo, hi int)) {
-	if acc == nil {
-		p.Exec(n, func(_, lo, hi int) { body(nil, lo, hi) })
-		return
-	}
-	accs := make([]detsum.Acc, p.Workers())
-	p.Exec(n, func(w, lo, hi int) { body(&accs[w], lo, hi) })
-	for w := range accs {
-		acc.Merge(&accs[w])
-	}
+	j := job{kind: jobRange, n: r.g.Nx, r: r}
+	p.fork(&j, acc)
 }
 
 // Axpy computes g += a*x across the pool.

@@ -1,12 +1,16 @@
 package stencil
 
 import (
+	"fmt"
 	"math"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/detsum"
 	"repro/internal/grid"
+	"repro/internal/topology"
 )
 
 // testGrid builds a deterministic source grid with periodic halos
@@ -84,6 +88,127 @@ func TestPoolNestedExecDoesNotDeadlock(t *testing.T) {
 	})
 	if total.Load() != 32 {
 		t.Fatalf("nested exec covered %d of 32", total.Load())
+	}
+}
+
+// TestPoolExecSharesRunOnce pins the claiming protocol: over many
+// back-to-back fan-outs, whoever claims a share, every share of every
+// Exec runs exactly once, with its topology.Split bounds and its own
+// share index. Four goroutines calling Exec on one pool at once (all
+// but one find the job slot taken and run on their callers) still
+// cover their ranges exactly once each.
+func TestPoolExecSharesRunOnce(t *testing.T) {
+	for _, w := range []int{2, 4} {
+		p := NewPool(w)
+		const execs = 10000
+		var n int
+		hits := make([]atomic.Int32, w)
+		var bad atomic.Int32
+		fn := func(worker, lo, hi int) {
+			if worker < 0 || worker >= w {
+				bad.Add(1)
+				return
+			}
+			if l, ln := topology.Split(n, w, worker); lo != l || hi != l+ln {
+				bad.Add(1)
+			}
+			hits[worker].Add(1)
+			if worker == 0 {
+				runtime.Gosched() // let the workers claim the other shares
+			}
+		}
+		for e := 0; e < execs; e++ {
+			n = 2 + e%(3*w) // fewer items than workers, as many, and more
+			p.Exec(n, fn)
+			for i := range hits {
+				want := int32(0)
+				if _, ln := topology.Split(n, w, i); ln > 0 {
+					want = 1
+				}
+				if got := hits[i].Swap(0); got != want {
+					t.Fatalf("workers=%d exec %d (n=%d): share %d ran %d times, want %d", w, e, n, i, got, want)
+				}
+			}
+			if bad.Load() != 0 {
+				t.Fatalf("workers=%d exec %d (n=%d): a share ran with the wrong index or bounds", w, e, n)
+			}
+		}
+
+		const callers, items, rounds = 4, 101, 200
+		var covered [callers][items]atomic.Int32
+		var wg sync.WaitGroup
+		for c := range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fn := func(_, lo, hi int) {
+					for i := lo; i < hi; i++ {
+						covered[c][i].Add(1)
+					}
+				}
+				for range rounds {
+					p.Exec(items, fn)
+				}
+			}()
+		}
+		wg.Wait()
+		for c := range covered {
+			for i := range covered[c] {
+				if got := covered[c][i].Load(); got != rounds {
+					t.Fatalf("workers=%d: concurrent caller %d covered item %d %d times in %d Execs", w, c, i, got, rounds)
+				}
+			}
+		}
+		p.Close()
+	}
+}
+
+// TestPoolPanicPropagates: a panic in the first or the last share is
+// re-raised on Exec's caller, whoever ran the share, and the pool stays
+// usable: the next Exec covers its whole range.
+func TestPoolPanicPropagates(t *testing.T) {
+	for _, w := range []int{2, 4} {
+		p := NewPool(w)
+		for _, share := range []int{0, w - 1} {
+			for rep := 0; rep < 50; rep++ {
+				got := func() (r any) {
+					defer func() { r = recover() }()
+					p.Exec(4*w, func(worker, _, _ int) {
+						if worker == share {
+							panic(share)
+						}
+					})
+					return nil
+				}()
+				if got != share {
+					t.Fatalf("workers=%d: a panic in share %d re-raised %v on the caller", w, share, got)
+				}
+				var covered atomic.Int64
+				p.Exec(4*w, func(_, lo, hi int) { covered.Add(int64(hi - lo)) })
+				if covered.Load() != int64(4*w) {
+					t.Fatalf("workers=%d: after a panic in share %d the next Exec covered %d of %d", w, share, covered.Load(), 4*w)
+				}
+			}
+		}
+		p.Close()
+	}
+}
+
+// BenchmarkPoolExec prices one fork-join of an almost empty body: the
+// wake-up, the claims and the join of a fan-out, which every sweep on
+// a multi-worker pool pays.
+func BenchmarkPoolExec(b *testing.B) {
+	for _, w := range []int{2, 4} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			p := NewPool(w)
+			defer p.Close()
+			sums := make([]int, w)
+			fn := func(worker, lo, hi int) { sums[worker] += hi - lo }
+			b.ReportAllocs()
+			for b.Loop() {
+				p.Exec(64, fn)
+			}
+		})
 	}
 }
 
