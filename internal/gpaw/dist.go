@@ -421,7 +421,7 @@ func (d *Dist) withOverlap(eng *core.Engine, dst, src *grid.Grid, sw sweep) {
 
 // exec runs t over [0, n) on the rank's pool (Pool.Exec) through the
 // Dist's one task func, described in Dist scratch, so the fan-out
-// allocates nothing on any worker count.
+// allocates nothing (measured on one, two and four workers).
 //
 //gpaw:hotpath
 func (d *Dist) exec(n int, t poolTask) {

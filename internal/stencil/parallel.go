@@ -37,10 +37,11 @@ type poolState struct {
 	// it held (nested or concurrent) runs every share on its caller.
 	slot sync.Mutex
 	job  job
-	// next is job's generation<<32 | its next unclaimed share. A claim
-	// is a compare-and-swap on it, so a late worker's claim against a
-	// finished job's generation fails.
-	next atomic.Uint64
+	// next is job's next unclaimed share. Between jobs it sits at or
+	// above the worker count, and fork resets it only after writing job,
+	// so a claim that reads a share below the count holds a share of the
+	// live job, whenever its worker woke.
+	next atomic.Int32
 	// left counts job's unfinished shares; whoever finishes the last one
 	// signals done.
 	left atomic.Int32
@@ -112,6 +113,7 @@ func NewPool(workers int) *Pool {
 		wake:     make(chan struct{}),
 		done:     make(chan struct{}, 1),
 	}
+	st.next.Store(int32(workers))
 	p.state = st
 	for w := 1; w < workers; w++ {
 		go st.work()
@@ -123,10 +125,10 @@ func NewPool(workers int) *Pool {
 }
 
 // work is a worker's loop: parked at wake, then claiming shares of the
-// job posted under the generation it finds.
+// live job.
 func (s *poolState) work() {
 	for range s.wake {
-		s.claim(uint32(s.next.Load() >> 32))
+		s.claim()
 	}
 }
 
@@ -176,8 +178,9 @@ func (p *Pool) Close() {
 // fn is stored in the pool's job slot, so a closure literal handed to
 // Exec escapes to the heap wherever it is written. The package's own
 // sweeps (the fused kernels and the BLAS-1 drivers) post their fan-outs
-// as data instead and allocate nothing on any worker count; callers
-// with a long-lived context hand Exec one func built once
+// as data instead and allocate nothing (TestFusedKernelsAllocationFree,
+// on one, two and four workers); callers with a long-lived context hand
+// Exec one func built once
 // (internal/gpaw's Dist.exec, internal/core's Engine.Run).
 //
 //gpaw:hotpath
@@ -215,8 +218,7 @@ func (p *Pool) fork(j *job, acc *detsum.Acc) {
 		}
 	}
 	s.left.Store(int32(p.workers))
-	gen := uint32(s.next.Load()>>32) + 1
-	s.next.Store(uint64(gen) << 32)
+	s.next.Store(0)
 	// Wake at most one parked worker per other non-empty share; the
 	// first send that finds none parked ends the wake-up.
 wake:
@@ -227,7 +229,7 @@ wake:
 			break wake
 		}
 	}
-	s.claim(gen)
+	s.claim()
 	<-s.done
 	s.job = job{}
 	pv := s.panicked.Swap(nil)
@@ -242,21 +244,18 @@ wake:
 	}
 }
 
-// claim runs shares of generation gen's job until none is left to
-// claim. Whoever finishes the job's last share, the caller included,
-// signals done.
+// claim runs shares of the live job until none is left to claim.
+// Whoever finishes the job's last share, the caller included, signals
+// done.
 //
 //gpaw:hotpath
-func (s *poolState) claim(gen uint32) {
+func (s *poolState) claim() {
 	for {
-		c := s.next.Load()
-		i := int(uint32(c))
-		if uint32(c>>32) != gen || i >= len(s.partials) {
+		i := int(s.next.Add(1)) - 1
+		if i >= len(s.partials) {
 			return
 		}
-		if s.next.CompareAndSwap(c, c+1) {
-			s.run(i)
-		}
+		s.run(i)
 	}
 }
 
