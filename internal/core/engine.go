@@ -32,11 +32,10 @@ type Engine struct {
 	// whole grids across its workers, hybrid master-only splits each
 	// grid's planes.
 	pool *stencil.Pool
-	// multi is the hybrid-multiple fan-out of the Run in progress, and
-	// multiFn the one func (built in NewEngine) through which the pool
-	// runs its shares, so Run hands the pool no closure of its own.
-	multi   multiRun
-	multiFn func(w, lo, hi int)
+	// multi is the hybrid-multiple fan-out of the Run in progress: the
+	// pool runs its shares through a pointer to it, so Run hands the
+	// pool no closure of its own.
+	multi multiRun
 
 	// statsMu guards stats: hybrid multiple runs the communication
 	// protocol on several pool workers at once.
@@ -113,7 +112,6 @@ func NewEngine(cart *mpi.Cart, d *grid.Decomp, op *stencil.Operator, periodic bo
 	}
 	if opts.Threads > 1 {
 		e.pool = stencil.NewPool(opts.Threads)
-		e.multiFn = e.runShare
 	}
 	return e, nil
 }
@@ -531,23 +529,24 @@ func (e *Engine) Run(src []*grid.Grid, overlap bool, compute func(b Batch, r ste
 		e.runBatches(src, 0, 0, overlap, compute)
 		return
 	}
-	e.multi = multiRun{src: src, overlap: overlap, compute: compute}
-	e.pool.Exec(len(src), e.multiFn)
+	e.multi = multiRun{e: e, src: src, overlap: overlap, compute: compute}
+	e.pool.Exec(len(src), &e.multi)
 	e.multi = multiRun{}
 }
 
-// multiRun is the arguments of a hybrid-multiple Run.
+// multiRun is a hybrid-multiple Run as a pool Task: its engine and
+// arguments.
 type multiRun struct {
+	e       *Engine
 	src     []*grid.Grid
 	overlap bool
 	compute func(b Batch, r stencil.Region)
 }
 
-// runShare runs the protocol of hybrid-multiple share w, grids [lo, hi)
-// of e.multi, in share w's own tag space.
-func (e *Engine) runShare(w, lo, hi int) {
-	m := &e.multi
-	e.runBatches(m.src[lo:hi], w*tagStride(len(m.src)), lo, m.overlap, m.compute)
+// Share runs the protocol of share w, grids [lo, hi) of m.src, in share
+// w's own tag space.
+func (m *multiRun) Share(w, lo, hi int) {
+	m.e.runBatches(m.src[lo:hi], w*tagStride(len(m.src)), lo, m.overlap, m.compute)
 }
 
 // Exchange fills the halos of every grid from the neighbouring ranks

@@ -158,8 +158,19 @@ type symScratch struct {
 	pairs      [][3]int
 	accs       []detsum.Acc
 	ptrs       []*detsum.Acc
+	lo         int
+	all        []*grid.Grid
 	rights     [][]*grid.Grid
 	in, merged []float64
+}
+
+// Share computes the pair dots [lo, hi) of the assembly in progress:
+// pair (k, i, j) is <all_i, rights[k]_j>, j an owned column from sc.lo.
+func (sc *symScratch) Share(_, lo, hi int) {
+	for n := lo; n < hi; n++ {
+		k, i, j := sc.pairs[n][0], sc.pairs[n][1], sc.pairs[n][2]
+		sc.all[i].DotAccRange(sc.rights[k][j-sc.lo], 0, sc.all[i].Nx, &sc.accs[n])
+	}
 }
 
 // grow returns *s resized to n elements, reallocating only when its
@@ -204,9 +215,9 @@ func (d *Dist) bandSymMatrix(m int, outs []linalg.Matrix, all []*grid.Grid, righ
 	}
 	// The task keeps a copy of the right-hand sets: the argument list
 	// itself stays the caller's.
-	sets := grow(&sc.rights, len(rights))
-	copy(sets, rights)
-	d.exec(np, poolTask{kind: taskPairs, lo: lo, all: all, rights: sets})
+	copy(grow(&sc.rights, len(rights)), rights)
+	sc.lo, sc.all = lo, all
+	d.pool.Exec(np, sc)
 	vals := d.reduceAccs(ptrs)
 	// Merge the finished columns across band groups verbatim and mirror.
 	mm, nval := m*m, len(rights)*m*m
@@ -245,8 +256,23 @@ func (d *Dist) bandSymMatrix(m int, outs []linalg.Matrix, all []*grid.Grid, righ
 func (d *Dist) bandRotate(m int, psis, all []*grid.Grid, c linalg.Matrix) {
 	lo, _ := d.BandRange(m)
 	news := d.scratchStates(len(psis))
-	d.exec(len(psis), poolTask{kind: taskRotate, lo: lo, all: all, out: news, c: c})
+	d.rot = rotation{lo: lo, all: all, out: news, c: c}
+	d.pool.Exec(len(psis), &d.rot)
 	swapStates(psis, news)
+}
+
+// rotation is bandRotate's pool Task: column jj of the rotated band
+// slice, out[jj], is the combination of all with column lo+jj of c.
+type rotation struct {
+	lo       int
+	all, out []*grid.Grid
+	c        linalg.Matrix
+}
+
+func (r *rotation) Share(_, lo, hi int) {
+	for jj := lo; jj < hi; jj++ {
+		lincombInto(r.out[jj], r.c, r.lo+jj, r.all)
+	}
 }
 
 // subspaceScratch is RayleighRitz's m x m storage, owned by the Dist

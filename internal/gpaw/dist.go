@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/detsum"
 	"repro/internal/grid"
-	"repro/internal/linalg"
 	"repro/internal/mpi"
 	"repro/internal/stencil"
 	"repro/internal/topology"
@@ -158,17 +157,17 @@ type Dist struct {
 
 	// sw is the fused sweep in progress behind the engine (Dist.run)
 	// and sweepFn the one compute callback every such sweep hands
-	// Engine.Run, Dist.compute; task is the fan-out in progress on the
-	// pool (Dist.exec) and taskFn its one func, Dist.runTask. Both funcs
-	// are built on first use: a closure per call would escape (into the
-	// engine's hybrid-multiple fan-out and the pool's job slot) and cost
-	// an allocation each. one holds withOverlap's destination and
-	// source. All are touched only from the rank's master goroutine.
+	// Engine.Run, Dist.compute, built on first use: a closure per call
+	// would escape into the engine's hybrid-multiple fan-out and cost an
+	// allocation. one holds withOverlap's destination and source; rot
+	// and move are the pool Tasks of bandRotate and of the V-cycle's
+	// level transfers. All are touched only from the rank's master
+	// goroutine.
 	sw      sweep
 	sweepFn func(core.Batch, stencil.Region)
-	task    poolTask
-	taskFn  func(worker, lo, hi int)
 	one     [2]*grid.Grid
+	rot     rotation
+	move    levelTransfer
 
 	// redIn, redOut and redVals are reduceAccs' transport and result
 	// scratch, sized on first use, and acc the scalar reductions' (and
@@ -328,30 +327,18 @@ func (d *Dist) scratchGrid(slot **grid.Grid) *grid.Grid {
 // Stats returns the engine's accumulated communication statistics.
 func (d *Dist) Stats() core.Stats { return d.eng.Stats() }
 
-// Kinds of sweep.
-const (
-	sweepRecurrence = iota // dst = beta*src + alpha*(op+a)(src) + gamma*prev
-	sweepSmooth            // dst = src + alpha*(a - op(src))
-	sweepResidual          // dst = a - op(src), |dst|² into acc
-	sweepDot               // dst = op(src), <src, dst> into acc
-)
-
-// sweep is one fused kernel behind the halo exchange, as data: its
-// kind and operator, and per exchanged state gi the destination dst[gi]
-// of the kernel applied to src[gi] (with prev[gi] when prev is set).
-// a is the kernel's elementwise operand (the potential, the right-hand
-// side or b; nil for none), alpha, beta and gamma its constants, acc a
-// reduction's accumulator, pool the pool each state's sweep splits
-// across, and traced makes a Full sweep a compute.sweep region.
+// sweep is one fused kernel behind the halo exchange, as data: the
+// kernel k, built on the Full operator, and per exchanged state gi the
+// destination dst[gi] of k applied to src[gi] (with prev[gi] when prev
+// is set). acc is a reduction's accumulator, pool the pool each state's
+// sweep splits across, and traced makes a Full sweep a compute.sweep
+// region.
 type sweep struct {
-	kind               int
-	op                 *stencil.Operator
-	dst, src, prev     []*grid.Grid
-	a                  *grid.Grid
-	alpha, beta, gamma float64
-	acc                *detsum.Acc
-	pool               *stencil.Pool
-	traced             bool
+	k              stencil.Kernel
+	dst, src, prev []*grid.Grid
+	acc            *detsum.Acc
+	pool           *stencil.Pool
+	traced         bool
 }
 
 // run runs sw over its states through eng with the configured
@@ -367,12 +354,13 @@ func (d *Dist) run(eng *core.Engine, sw sweep) {
 	d.sw = sweep{}
 }
 
-// compute is the engine's compute callback of every sweep: d.sw over
-// the states of batch b and region r, each sweep's modeled compute
-// charged after it. The charge lands inside the engine's (or the
-// sweep's) region and, for Interior, before the exchange's wait: under
-// a network model the modeled arrival hides behind modeled compute —
-// the overlap the calibrated benchmarks measure.
+// compute is the engine's compute callback of every sweep: d.sw's
+// kernel narrowed to region r over the states of batch b, each sweep's
+// modeled compute charged after it. The charge lands inside the
+// engine's (or the sweep's) region and, for Interior, before the
+// exchange's wait: under a network model the modeled arrival hides
+// behind modeled compute — the overlap the calibrated benchmarks
+// measure.
 //
 //gpaw:hotpath
 func (d *Dist) compute(b core.Batch, r stencil.Region) {
@@ -380,24 +368,14 @@ func (d *Dist) compute(b core.Batch, r stencil.Region) {
 	if r == stencil.Full && sw.traced {
 		defer d.Cart.TraceRank().Region("compute.sweep").End()
 	}
-	op := sw.op.Over(r)
+	k := sw.k.Over(r)
 	for gi := b.Lo; gi < b.Hi; gi++ {
-		dst, src := sw.dst[gi], sw.src[gi]
-		switch sw.kind {
-		case sweepRecurrence:
-			var prev *grid.Grid
-			if sw.prev != nil {
-				prev = sw.prev[gi]
-			}
-			op.ApplyRecurrence(sw.pool, dst, src, sw.a, prev, sw.alpha, sw.beta, sw.gamma)
-		case sweepSmooth:
-			op.ApplySmooth(sw.pool, dst, src, sw.a, sw.alpha)
-		case sweepResidual:
-			op.ApplyResidualAcc(sw.pool, dst, sw.a, src, sw.acc)
-		case sweepDot:
-			op.ApplyDotAcc(sw.pool, dst, src, sw.acc)
+		var prev *grid.Grid
+		if sw.prev != nil {
+			prev = sw.prev[gi]
 		}
-		d.chargeSweep(src, r)
+		k.Apply(sw.pool, sw.dst[gi], sw.src[gi], prev, sw.acc)
+		d.chargeSweep(sw.src[gi], r)
 	}
 }
 
@@ -417,66 +395,6 @@ func (d *Dist) withOverlap(eng *core.Engine, dst, src *grid.Grid, sw sweep) {
 	d.one = [2]*grid.Grid{dst, src}
 	sw.dst, sw.src, sw.pool, sw.traced = d.one[:1], d.one[1:], d.pool, true
 	d.run(eng, sw)
-}
-
-// exec runs t over [0, n) on the rank's pool (Pool.Exec) through the
-// Dist's one task func, described in Dist scratch, so the fan-out
-// allocates nothing (measured on one, two and four workers).
-//
-//gpaw:hotpath
-func (d *Dist) exec(n int, t poolTask) {
-	if d.taskFn == nil {
-		d.taskFn = d.runTask
-	}
-	d.task = t
-	d.pool.Exec(n, d.taskFn)
-	d.task = poolTask{}
-}
-
-// Kinds of poolTask.
-const (
-	taskPairs    = iota // bandSymMatrix's pair dots
-	taskRotate          // bandRotate's linear combinations
-	taskRestrict        // full weighting of from into to
-	taskProlong         // prolongation of from onto to
-)
-
-// poolTask is one fan-out of the rank's pool as data: its kind and
-// operands. lo is the first owned global state, all the gathered
-// states, rights the right-hand sets of a pair assembly (its pairs and
-// accumulators are the Dist's symScratch), out and c a rotation's
-// targets and matrix; from and to a level transfer's grids, add whether
-// a prolongation adds.
-type poolTask struct {
-	kind     int
-	lo       int
-	all      []*grid.Grid
-	rights   [][]*grid.Grid
-	out      []*grid.Grid
-	c        linalg.Matrix
-	from, to *grid.Grid
-	add      bool
-}
-
-// runTask runs the share [lo, hi) of d.task.
-func (d *Dist) runTask(_, lo, hi int) {
-	t := &d.task
-	switch t.kind {
-	case taskPairs:
-		sc := &d.sym
-		for n := lo; n < hi; n++ {
-			k, i, j := sc.pairs[n][0], sc.pairs[n][1], sc.pairs[n][2]
-			t.all[i].DotAccRange(t.rights[k][j-t.lo], 0, t.all[i].Nx, &sc.accs[n])
-		}
-	case taskRotate:
-		for jj := lo; jj < hi; jj++ {
-			lincombInto(t.out[jj], t.c, t.lo+jj, t.all)
-		}
-	case taskRestrict:
-		restrictPlanes(t.from, t.to, lo, hi)
-	case taskProlong:
-		prolongPlanes(t.from, t.to, t.add, lo, hi)
-	}
 }
 
 // --- deterministic global reductions -------------------------------

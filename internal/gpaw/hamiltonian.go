@@ -68,8 +68,7 @@ func (h *Hamiltonian) Apply(dst, psi *grid.Grid) {
 //gpaw:hotpath
 func (h *Hamiltonian) applyStates(dsts, psis, prevs []*grid.Grid, alpha, beta, gamma float64) {
 	defer h.D.Cart.TraceRank().Region("eigen.apply").End()
-	h.D.forEachExchanged(sweep{kind: sweepRecurrence, op: h.T, dst: dsts, src: psis, prev: prevs,
-		a: h.V, alpha: alpha, beta: beta, gamma: gamma})
+	h.D.forEachExchanged(sweep{k: h.T.Step(h.V, alpha, beta, gamma), dst: dsts, src: psis, prev: prevs})
 }
 
 // kineticBound returns the kinetic part of the spectral bound: the sum

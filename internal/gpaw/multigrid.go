@@ -55,7 +55,7 @@ type mgLevel struct {
 // level rediscretizes the operator at twice the spacing; full-weighting
 // restriction moves residuals down, its adjoint (up to scale)
 // piecewise-constant prolongation moves corrections up, damped Jacobi
-// (the fused ApplySmooth kernel) smooths mgSmooth times before and
+// (the fused Smooth kernel) smooths mgSmooth times before and
 // after, and mgCoarsest relaxations stand in for the coarsest solve —
 // equal counts of a self-adjoint smoother, so M⁻¹ is symmetric positive
 // definite, as conjugate gradients require. Coarsening halves every
@@ -210,7 +210,7 @@ func (mg *multigrid) smooth(lv *mgLevel, x, y, rhs *grid.Grid, n int, fromZero b
 			d.pool.Copy(y, rhs)
 			d.pool.Scale(y, c)
 		} else {
-			d.withOverlap(lv.eng, y, x, sweep{kind: sweepSmooth, op: lv.op, a: rhs, alpha: c})
+			d.withOverlap(lv.eng, y, x, sweep{k: lv.op.Smooth(rhs, c)})
 		}
 		x, y = y, x
 	}
@@ -270,12 +270,28 @@ func prolongPlanes(coarse, fine *grid.Grid, add bool, i0, i1 int) {
 	}
 }
 
-// transfer runs the level transfer t (taskRestrict or taskProlong)
-// across the pool, split over the x planes of its destination.
+// levelTransfer is a level transfer as a pool Task: full weighting of
+// from into to, or with prolong the prolongation of from onto to
+// (adding when add holds), split over the x planes of to.
+type levelTransfer struct {
+	from, to     *grid.Grid
+	prolong, add bool
+}
+
+func (t *levelTransfer) Share(_, lo, hi int) {
+	if t.prolong {
+		prolongPlanes(t.from, t.to, t.add, lo, hi)
+	} else {
+		restrictPlanes(t.from, t.to, lo, hi)
+	}
+}
+
+// transfer runs the level transfer t across the pool.
 //
 //gpaw:hotpath
-func (d *Dist) transfer(t poolTask) {
-	d.exec(t.to.Nx, t)
+func (d *Dist) transfer(t levelTransfer) {
+	d.move = t
+	d.pool.Exec(t.to.Nx, &d.move)
 	grid.NoteTraffic(t.from.Points()+t.to.Points(), 1)
 }
 
@@ -296,7 +312,7 @@ func (mg *multigrid) vcycle(l int, phi, rhs *grid.Grid) {
 		return
 	}
 	x, y := mg.smooth(lv, phi, lv.res, rhs, mgSmooth, true)
-	d.withOverlap(lv.eng, y, x, sweep{kind: sweepResidual, op: lv.op, a: rhs})
+	d.withOverlap(lv.eng, y, x, sweep{k: lv.op.Residual(rhs)})
 	next := mg.levels[l+1]
 	if next.shrunk {
 		// Level redistribution: move the residual into the doubled
@@ -307,18 +323,18 @@ func (mg *multigrid) vcycle(l int, phi, rhs *grid.Grid) {
 		// coarse correction arrives.
 		next.down.Run(lv.comm, y, next.xfer, redistDownTag)
 		if next.active {
-			d.transfer(poolTask{kind: taskRestrict, from: next.xfer, to: next.rhs})
+			d.transfer(levelTransfer{from: next.xfer, to: next.rhs})
 			mg.vcycle(l+1, next.phi, next.rhs)
-			d.transfer(poolTask{kind: taskProlong, from: next.phi, to: next.xfer})
+			d.transfer(levelTransfer{from: next.phi, to: next.xfer, prolong: true})
 		}
 		next.up.Run(lv.comm, next.xfer, y, redistUpTag)
 		// x += correction: the addend is bit-identical to the coarse
 		// value the adding prolongation adds at the same global index.
 		d.pool.Axpy(x, 1, y)
 	} else {
-		d.transfer(poolTask{kind: taskRestrict, from: y, to: next.rhs})
+		d.transfer(levelTransfer{from: y, to: next.rhs})
 		mg.vcycle(l+1, next.phi, next.rhs)
-		d.transfer(poolTask{kind: taskProlong, from: next.phi, to: x, add: true})
+		d.transfer(levelTransfer{from: next.phi, to: x, prolong: true, add: true})
 	}
 	mg.smooth(lv, x, y, rhs, mgSmooth, false)
 }

@@ -153,7 +153,7 @@ func (ps *Poisson) solveNegated(phi, src *grid.Grid, scale float64) (int, float6
 	}
 	r, ap, p := d.scratchGrid(&f.cgR), d.scratchGrid(&f.cgAp), d.scratchGrid(&f.cgP)
 	d.acc.Reset()
-	d.withOverlap(d.eng, r, phi, sweep{kind: sweepResidual, op: neg, a: b, acc: &d.acc})
+	d.withOverlap(d.eng, r, phi, sweep{k: neg.Residual(b), acc: &d.acc})
 	// On periodic grids b is mean-free and A maps onto mean-free fields,
 	// so r is mean-free up to rounding; z is projected every iteration,
 	// which keeps p — hence phi's update — in the same subspace.
@@ -182,7 +182,7 @@ func (ps *Poisson) solveNegated(phi, src *grid.Grid, scale float64) (int, float6
 		// ap = A p and <p, Ap>, the deep interior computed while p's
 		// halo messages are in flight.
 		d.acc.Reset()
-		d.withOverlap(d.eng, ap, p, sweep{kind: sweepDot, op: neg, acc: &d.acc})
+		d.withOverlap(d.eng, ap, p, sweep{k: neg.Dot(), acc: &d.acc})
 		alpha := rz / d.reduceAcc(&d.acc)
 		d.pool.Axpy(phi, alpha, p)
 		rr = d.AxpyDot(r, -alpha, ap) // r -= alpha*Ap and <r, r> in one sweep

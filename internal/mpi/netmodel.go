@@ -23,8 +23,8 @@ import (
 // route between the communicating ranks' node coordinates,
 // and every Wait advances the receiver's clock to the stamp. Between
 // MPI calls a rank's clock accrues its real (wall) compute time, or —
-// for fully deterministic pure-model studies — only the explicit
-// charges made through Comm.Compute (NoComputeWall).
+// for pure-model studies — only the explicit charges made through
+// Comm.Compute (NoComputeWall, which says when that is deterministic).
 //
 // Cost of one remote message of n bytes from src to dst. The sender's
 // CPU pays PostCost (+ MultipleLock in MULTIPLE mode); the rest is
@@ -124,10 +124,10 @@ type NetModel struct {
 	// topology.MapGrid / MapBands). nil places every pair of distinct
 	// ranks one hop apart.
 	Coords []topology.Coord
-	// NoComputeWall disables the wall-clock compute accrual between MPI
-	// calls. The virtual clocks then advance only by modeled message
-	// costs and explicit Comm.Compute charges, which makes the virtual
-	// times fully deterministic — the mode the scaling benchmarks use.
+	// NoComputeWall limits the clocks to modeled message costs and
+	// Comm.Compute charges (no wall-clock accrual): deterministic, as the
+	// scaling benchmarks need, in SINGLE-mode worlds and one-worker ranks
+	// only; a hybrid-multiple rank's workers share its one rankClock.
 	NoComputeWall bool
 }
 

@@ -6,14 +6,15 @@ import (
 	"repro/internal/detsum"
 )
 
-// TestFusedKernelsAllocationFree pins the allocation contract of sweep
-// and sweepRange: every fused kernel, over each of the Full, Interior
-// and Shell views and with each stencil body, and every BLAS-1 driver
-// allocates nothing per call, on a nil pool (the caller runs the whole
-// sweep) and on two- and four-worker pools (the sweep is posted to the
-// pool's job slot as data, its partials the pool's own). A closure
-// handed to Pool.Exec, a partial accumulator per fan-out, or a z-row of
-// scratch per sweep shows here as allocations per call.
+// TestFusedKernelsAllocationFree pins the allocation contract of
+// Kernel.Apply, sweepRange and Exec: every fused kernel, over each of
+// the Full, Interior and Shell views and with each stencil body, every
+// BLAS-1 driver and an Exec of a pointer Task allocate nothing per
+// call, on a nil pool (the caller runs the whole sweep) and on two- and
+// four-worker pools (the sweep is posted to the pool's job slot as
+// data, its partials the pool's own). A partial accumulator per
+// fan-out, a boxed Task, or a z-row of scratch per sweep shows here as
+// allocations per call.
 func TestFusedKernelsAllocationFree(t *testing.T) {
 	src, dst := testGrid(12, 6, 6)
 	v, prev := shellOperand(12, 6, 6, 0.5), shellOperand(12, 6, 6, -1)
@@ -25,14 +26,15 @@ func TestFusedKernelsAllocationFree(t *testing.T) {
 	}{
 		{"Apply", func(op *Operator, p *Pool) { op.Apply(dst, src) }},
 		{"ApplyParallel", func(op *Operator, p *Pool) { op.ApplyParallel(p, dst, src) }},
-		{"ApplyRecurrence", func(op *Operator, p *Pool) { op.ApplyRecurrence(p, dst, src, nil, nil, 0.5, 0.25, 0) }},
-		{"ApplyRecurrence v", func(op *Operator, p *Pool) { op.ApplyRecurrence(p, dst, src, v, nil, 0.5, 0.25, 0) }},
-		{"ApplyRecurrence prev", func(op *Operator, p *Pool) { op.ApplyRecurrence(p, dst, src, nil, prev, 0.5, 0.25, -1) }},
-		{"ApplyRecurrence v prev", func(op *Operator, p *Pool) { op.ApplyRecurrence(p, dst, src, v, prev, 0.5, 0.25, -1) }},
-		{"ApplySmooth", func(op *Operator, p *Pool) { op.ApplySmooth(p, dst, src, v, 0.1) }},
-		{"ApplyResidualAcc", func(op *Operator, p *Pool) { op.ApplyResidualAcc(p, dst, v, src, &acc) }},
-		{"ApplyResidualAcc nil acc", func(op *Operator, p *Pool) { op.ApplyResidualAcc(p, dst, v, src, nil) }},
-		{"ApplyDotAcc", func(op *Operator, p *Pool) { op.ApplyDotAcc(p, dst, src, &acc) }},
+		{"Step", func(op *Operator, p *Pool) { op.Step(nil, 0.5, 0.25, 0).Apply(p, dst, src, nil, nil) }},
+		{"Step v", func(op *Operator, p *Pool) { op.Step(v, 0.5, 0.25, 0).Apply(p, dst, src, nil, nil) }},
+		{"Step prev", func(op *Operator, p *Pool) { op.Step(nil, 0.5, 0.25, -1).Apply(p, dst, src, prev, nil) }},
+		{"Step v prev", func(op *Operator, p *Pool) { op.Step(v, 0.5, 0.25, -1).Apply(p, dst, src, prev, nil) }},
+		{"Smooth", func(op *Operator, p *Pool) { op.Smooth(v, 0.1).Apply(p, dst, src, nil, nil) }},
+		{"Residual", func(op *Operator, p *Pool) { op.Residual(v).Apply(p, dst, src, nil, &acc) }},
+		{"Residual nil acc", func(op *Operator, p *Pool) { op.Residual(v).Apply(p, dst, src, nil, nil) }},
+		{"Dot", func(op *Operator, p *Pool) { op.Dot().Apply(p, dst, src, nil, &acc) }},
+		{"Dot narrowed by Kernel.Over", func(op *Operator, p *Pool) { op.Over(Full).Dot().Over(op.region).Apply(p, dst, src, nil, &acc) }},
 	}
 	pools := []*Pool{nil, NewPool(2), NewPool(4)}
 	defer func() {
@@ -56,6 +58,7 @@ func TestFusedKernelsAllocationFree(t *testing.T) {
 		})
 	}
 	for _, p := range pools {
+		var task shareTask
 		drivers := []struct {
 			name string
 			run  func()
@@ -68,6 +71,7 @@ func TestFusedKernelsAllocationFree(t *testing.T) {
 			{"SumAcc", func() { p.SumAcc(dst, &acc) }},
 			{"DotAcc", func() { p.DotAcc(dst, src, &acc) }},
 			{"AxpyDot", func() { _ = p.AxpyDot(dst, 0.5, src) }},
+			{"Exec", func() { p.Exec(12, &task) }},
 		}
 		for _, d := range drivers {
 			if n := testing.AllocsPerRun(20, d.run); n != 0 {
@@ -76,3 +80,9 @@ func TestFusedKernelsAllocationFree(t *testing.T) {
 		}
 	}
 }
+
+// shareTask is a Task that counts the items of each share: each share
+// writes only its own slot, so it needs no lock.
+type shareTask [4]int
+
+func (t *shareTask) Share(i, lo, hi int) { t[i] += hi - lo }

@@ -22,33 +22,36 @@
 //
 //   - parallel.go — a Pool of persistent worker goroutines that claim
 //     the shares of a fan-out posted to the pool's one job slot as data
-//     (a kernel, a BLAS-1 rangeOp, or Exec's fn), so a warmed fan-out
-//     allocates nothing. ApplyParallel splits the outer x planes across
-//     workers and walks cache-sized (j, k) tiles within each share, so
-//     the five in-flight stencil planes stay resident while streaming.
+//     (a Kernel's sweep, a BLAS-1 rangeOp, or Exec's Task), so a warmed
+//     fan-out allocates nothing. ApplyParallel splits the outer x
+//     planes across workers and walks cache-sized (j, k) tiles within
+//     each share, so the five in-flight stencil planes stay resident
+//     while streaming.
 //     Pool also drives the grid package's range-based BLAS-1 sweeps and
 //     computes reductions from per-share partials merged exactly,
 //     making every result independent of the worker count.
 //
-//   - fused.go — kernels that combine a stencil application with the
-//     BLAS-1 work solvers do immediately after it, in one sweep:
+//   - fused.go — Kernel, one value per fusion of a stencil application
+//     with the BLAS-1 work solvers do immediately after it, in one
+//     sweep; Kernel.Apply runs it on one state:
 //
-//     ApplyDotAcc      dst = op(src), acc += <src,dst>      2 streams (16 B/pt)
-//     ApplyResidualAcc r = b - op(phi), acc += |r|^2        3 streams (24 B/pt)
-//     ApplySmooth      dst = phi + c*(rhs - op(phi))        3 streams (24 B/pt)
-//     ApplyRecurrence  dst = beta*src + alpha*(op+v)(src)   2-4 streams
-//     .                      + gamma*prev   (ApplyStep: no prev)
+//     op.Dot()               dst = op(src), acc += <src,dst>      2 streams (16 B/pt)
+//     op.Residual(b)         r = b - op(phi), acc += |r|^2        3 streams (24 B/pt)
+//     op.Smooth(rhs, c)      dst = phi + c*(rhs - op(phi))        3 streams (24 B/pt)
+//     op.Step(v, α, β, γ)    dst = β*src + α*(op+v)(src)          2-4 streams
+//     .                            + γ*prev   (prev nil: no term)
 //
 //     The unfused chains these replace cost 7-9 streams; a fused CG
 //     iteration moves roughly half the bytes of its unfused counterpart
 //     (gpaw's TestFusedCGReducesTraffic). grid.TrafficPoints observes
 //     the stream counts.
 //
-//   - shell.go — a sweep is (fusion, region): every kernel is written
-//     once and covers the Region of the Operator view it is called on
-//     (Operator.Over) — Full, the halo-free deep Interior, or the
-//     boundary Shell — so a solver overlaps a halo exchange with the
-//     Interior and finishes with the Shell, bit-identical to Full.
+//   - shell.go — a sweep is (fusion, region): every Kernel is written
+//     once and covers the Region of the Operator view it was built on
+//     or narrowed to (Operator.Over, Kernel.Over) — Full, the halo-free
+//     deep Interior, or the boundary Shell — so a solver overlaps a halo
+//     exchange with the Interior and finishes with the Shell,
+//     bit-identical to Full.
 //
 // All kernels — serial, parallel, fused — evaluate the stencil through
 // one shared row routine, so their stencil values are bit-identical

@@ -1,8 +1,6 @@
 package stencil
 
 import (
-	"fmt"
-
 	"repro/internal/detsum"
 	"repro/internal/grid"
 )
@@ -23,9 +21,9 @@ import (
 // bce:begin/bce:end regions to that). Both paths round the same
 // operations in the same order.
 //
-// A kernel call is data (kernel), not a closure: on a one-worker pool
-// it runs on the caller, on more workers it is posted to the pool's job
-// slot, and it allocates nothing either way.
+// A fusion is a value (Kernel), not a closure: applied on a one-worker
+// pool it runs on the caller, on more workers it is posted to the
+// pool's job slot, and it allocates nothing either way.
 //
 // Reductions accumulate per-share detsum.Acc partials merged exactly,
 // so every result is independent of the pool's worker count and of any
@@ -40,19 +38,6 @@ import (
 // output grid — the stencil reads neighbouring planes that a fused
 // in-place write would corrupt. Pure elementwise operands (b, rhs, v, y)
 // may alias the output only where noted.
-
-// checkFused panics unless every grid matches the stencil source's
-// extents and the source halo covers the radius.
-func (op *Operator) checkFused(name string, src *grid.Grid, others ...*grid.Grid) {
-	for _, g := range others {
-		if g.Nx != src.Nx || g.Ny != src.Ny || g.Nz != src.Nz {
-			panic(fmt.Sprintf("stencil: %s extent mismatch", name))
-		}
-	}
-	if src.H < op.R {
-		panic(fmt.Sprintf("stencil: %s source halo %d < stencil radius %d", name, src.H, op.R))
-	}
-}
 
 // Scaled returns the operator with every coefficient multiplied by s.
 // Applying Scaled(-1) is bitwise equal to applying op and negating the
@@ -76,13 +61,137 @@ func (op *Operator) Scaled(s float64) *Operator {
 	}.withViews()
 }
 
-// kernel is one fused sweep as data: the grids and constants a kernel
-// method was called with. out is ep applied to the stencil of in, a and
-// p are ep's operands (nil where it has none), and a reducing kernel
-// sets x: it accumulates <x, out>. tiled walks each block in cache
-// tiles (ApplyParallel). Being data, not a closure, a kernel runs on
-// the caller without a heap allocation.
-type kernel struct {
+// Kernel is one fused sweep, unbound: the operator view it covers,
+// the epilogue applied to each stencil value, its elementwise operand a
+// (nil for none) and what it reduces. Build one with Dot, Residual,
+// Smooth or Step, narrow it with Over, run it with Apply. Being a value,
+// a Kernel is built once per solver call and applied to every state.
+type Kernel struct {
+	op     *Operator
+	ep     epilogue
+	a      *grid.Grid
+	reduce int
+	tiled  bool // walk each block in cache tiles (ApplyParallel)
+}
+
+// What a Kernel accumulates into Apply's acc.
+const (
+	reduceNone = iota
+	reduceSrc  // <src, dst>
+	reduceDst  // <dst, dst>
+)
+
+// Dot is dst = op(src) with <src, dst> accumulated in the same sweep,
+// for callers that fold partial sums across MPI ranks. The reduction
+// reuses cache-hot values, so the kernel stays at the plain operator's
+// 2 streams — CG's p·Ap comes for free.
+func (op *Operator) Dot() Kernel { return Kernel{op: op, reduce: reduceSrc} }
+
+// Residual is r = b - op(phi) with |r|^2 accumulated (3 streams, versus
+// 9 for Apply+Scale+Axpy+Dot); a nil acc computes r alone. r may alias
+// b; it must not alias phi.
+func (op *Operator) Residual(b *grid.Grid) Kernel {
+	return Kernel{op: op, ep: epilogue{kind: epResidual}, a: b, reduce: reduceDst}
+}
+
+// Smooth is dst = phi + c*(rhs - op(phi)) in one sweep (3 streams) — a
+// damped Jacobi relaxation step with c = omega/diag. The product is
+// rounded before it is added (no fused multiply-add on any
+// architecture). dst must not alias phi; it may alias rhs.
+func (op *Operator) Smooth(rhs *grid.Grid, c float64) Kernel {
+	return Kernel{op: op, ep: epilogue{kind: epSmooth, alpha: c}, a: rhs}
+}
+
+// Step is dst = beta*src + alpha*(op(src) + v.*src) + gamma*prev in one
+// sweep, v optional (nil) and the gamma term present only when Apply is
+// handed a prev: the fused Kohn-Sham workhorse, and one step of a
+// three-term recurrence in H = op+v (the Chebyshev filter's T_{k+1} =
+// 2(H-c)/e T_k - T_{k-1}, src = T_k, prev = T_{k-1}), so a degree-k
+// filter is k of these sweeps and no other pass. 2 streams, +1 each for
+// v and prev. Every product is rounded before it is added. dst must not
+// alias src or v; it may be prev, which is read point by point before
+// dst is written. With alpha = 1, beta = 0 and no prev it is a
+// Hamiltonian application dst = (op+v)(src).
+func (op *Operator) Step(v *grid.Grid, alpha, beta, gamma float64) Kernel {
+	return Kernel{op: op, ep: stepEpilogue(v != nil, false, alpha, beta, gamma), a: v}
+}
+
+// Over returns k narrowed to region r of its operator (Operator.Over).
+func (k Kernel) Over(r Region) Kernel {
+	k.op = k.op.Over(r)
+	return k
+}
+
+// Apply runs k over its region of one state: dst from src, with prev a
+// Step's third term (nil for none; no other kernel takes one), adding a
+// reducing kernel's terms into acc (a nil acc takes none). The grids
+// must share src's extents, and src's halo must cover the radius. The
+// Shell is O(surface) work: its up to six blocks run on the caller.
+// Full and Interior run on the caller too when p has one worker (a nil
+// pool included); with more, the box's x planes are posted to p's job
+// slot as data, each share adding its terms into its own partial, merged
+// into acc in share order, so acc ends up with the same bits however the
+// points were split. Neither path allocates, which
+// TestFusedKernelsAllocationFree pins for every kernel and region on
+// one, two and four workers.
+//
+//gpaw:hotpath
+func (k Kernel) Apply(p *Pool, dst, src, prev *grid.Grid, acc *detsum.Acc) {
+	op, streams := k.op, 2
+	if k.ep.readsA() {
+		streams++
+	}
+	if prev != nil {
+		if k.reduce != reduceNone || k.ep.kind == epSmooth {
+			panic("stencil: prev handed to a kernel that is not a Step")
+		}
+		k.ep.kind = epRecur
+		streams++
+	}
+	for _, g := range [...]*grid.Grid{dst, k.a, prev} {
+		if g != nil && (g.Nx != src.Nx || g.Ny != src.Ny || g.Nz != src.Nz) {
+			panic("stencil: kernel grid extent mismatch")
+		}
+	}
+	if src.H < op.R {
+		panic("stencil: kernel source halo thinner than the stencil radius")
+	}
+	s := sweep{out: dst, in: src, a: k.a, p: prev, center: op.Center, lt: op.gridTaps(src), ep: k.ep, tiled: k.tiled}
+	switch k.reduce {
+	case reduceSrc:
+		s.x = src
+	case reduceDst:
+		s.x = dst
+	default:
+		acc = nil
+	}
+	grid.NoteTraffic(op.region.Points(src.Nx, src.Ny, src.Nz, op.R), streams)
+	box := Block{0, src.Nx, 0, src.Ny, 0, src.Nz}
+	switch op.region {
+	case Interior:
+		box = InteriorBlock(src.Nx, src.Ny, src.Nz, op.R)
+	case Shell:
+		var blocks [6]Block
+		for _, b := range AppendShellBlocks(blocks[:0], src.Nx, src.Ny, src.Nz, op.R) {
+			s.run(acc, b)
+		}
+		return
+	}
+	switch {
+	case box.Empty():
+	case p.Workers() == 1:
+		s.run(acc, box)
+	default:
+		j := job{kind: jobSweep, n: box.X1 - box.X0, s: s, box: box}
+		p.fork(&j, acc)
+	}
+}
+
+// sweep is a Kernel bound to one state's grids, as the pool's job slot
+// holds it: out is ep applied to the stencil of in, a and p are ep's
+// operands (nil where it has none), and a reducing sweep sets x: it
+// accumulates <x, out>.
+type sweep struct {
 	out, in, a, p, x *grid.Grid
 	center           float64
 	lt               *layoutTaps
@@ -90,161 +199,48 @@ type kernel struct {
 	tiled            bool
 }
 
-// kernel returns the store-only kernel out = op(in), ready for a
-// caller to set its epilogue and operands.
-func (op *Operator) kernel(out, in *grid.Grid) kernel {
-	return kernel{out: out, in: in, center: op.Center, lt: op.gridTaps(in)}
-}
-
-// sweep runs k over op's region of a sweep over k.in, adding a reducing
-// kernel's terms into acc (a nil acc takes none), and accounts streams
-// memory streams per point. The Shell is O(surface) work: its up to six
-// blocks run on the caller. Full and Interior run on the caller too
-// when p has one worker (a nil pool included). With more workers the
-// box's x planes are split across them (fanOut). Neither path hands a
-// closure to anyone or allocates, which TestFusedKernelsAllocationFree
-// pins for every kernel and region on one, two and four workers.
-//
-//gpaw:hotpath
-func (op *Operator) sweep(p *Pool, k kernel, streams int, acc *detsum.Acc) {
-	g := k.in
-	grid.NoteTraffic(op.region.Points(g.Nx, g.Ny, g.Nz, op.R), streams)
-	box := Block{0, g.Nx, 0, g.Ny, 0, g.Nz}
-	switch op.region {
-	case Interior:
-		box = InteriorBlock(g.Nx, g.Ny, g.Nz, op.R)
-	case Shell:
-		var blocks [6]Block
-		for _, b := range AppendShellBlocks(blocks[:0], g.Nx, g.Ny, g.Nz, op.R) {
-			k.run(acc, b)
-		}
-		return
-	}
-	switch {
-	case box.Empty():
-	case p.Workers() == 1:
-		k.run(acc, box)
-	default:
-		p.fanOut(k, box, acc)
-	}
-}
-
-// fanOut is a sweep's multi-worker path: box's x planes split across
-// p's workers, each share adding its terms into its own partial, merged
-// into acc in share order (fork). The sums are exact, so acc ends up
-// with the same bits however the points were split, across workers or
-// across the Interior and Shell views accumulating into one acc. The
-// sweep is posted as data, so a warmed fan-out allocates nothing.
-func (p *Pool) fanOut(k kernel, box Block, acc *detsum.Acc) {
-	j := job{kind: jobKernel, n: box.X1 - box.X0, k: k, box: box}
-	p.fork(&j, acc)
-}
-
-// run computes block b of k's sweep. Handed an accumulator, a reducing
-// kernel stores the block one x plane at a time and accumulates the
-// products of each plane's rows of x and out into a right after it,
-// while the plane is in cache.
-func (k *kernel) run(a *detsum.Acc, b Block) {
+// run computes block b of s. Handed an accumulator, a reducing sweep
+// stores the block one x plane at a time and accumulates the products
+// of each plane's rows of x and out into a right after it, while the
+// plane is in cache.
+func (s *sweep) run(a *detsum.Acc, b Block) {
 	if a == nil {
-		k.fill(b)
+		s.fill(b)
 		return
 	}
-	xs, ys, n := gridSpan(k.x, b), gridSpan(k.out, b), b.Z1-b.Z0
+	xs, ys, n := gridSpan(s.x, b), gridSpan(s.out, b), b.Z1-b.Z0
 	a.MulRows(b.X1-b.X0, b.Y1-b.Y0, func(i, j int) ([]float64, []float64) {
 		if j == 0 {
-			k.fill(Block{b.X0 + i, b.X0 + i + 1, b.Y0, b.Y1, b.Z0, b.Z1})
+			s.fill(Block{b.X0 + i, b.X0 + i + 1, b.Y0, b.Y1, b.Z0, b.Z1})
 		}
 		return xs.row(i, j, 0, n), ys.row(i, j, 0, n)
 	})
 }
 
-// fill runs fusedBlock over block b of k's grids: as one block, or
-// tile by tile when k is tiled.
-func (k *kernel) fill(b Block) {
+// fill runs fusedBlock over block b of s's grids: as one block, or
+// tile by tile when s is tiled.
+func (s *sweep) fill(b Block) {
 	tj, tk := b.Y1-b.Y0, b.Z1-b.Z0
-	if k.tiled {
+	if s.tiled {
 		tj, tk = tileJ, tileK
 	}
 	for j0 := b.Y0; j0 < b.Y1; j0 += tj {
 		for k0 := b.Z0; k0 < b.Z1; k0 += tk {
 			t := Block{b.X0, b.X1, j0, min(j0+tj, b.Y1), k0, min(k0+tk, b.Z1)}
-			fusedBlock(gridSpan(k.out, t), gridSpan(k.in, t), gridSpan(k.a, t), gridSpan(k.p, t),
-				t.X1-t.X0, t.Y1-t.Y0, t.Z1-t.Z0, k.center, k.lt, k.ep)
+			fusedBlock(gridSpan(s.out, t), gridSpan(s.in, t), gridSpan(s.a, t), gridSpan(s.p, t),
+				t.X1-t.X0, t.Y1-t.Y0, t.Z1-t.Z0, s.center, s.lt, s.ep)
 		}
 	}
 }
 
-// ApplyDotAcc computes dst = op(src) and accumulates <src, dst> into
-// acc in the same sweep, for callers that fold partial sums across MPI
-// ranks. The reduction reuses cache-hot values, so the kernel stays at
-// the plain operator's 2 streams — CG's p·Ap comes for free.
-//
-//gpaw:hotpath
+// ApplyDotAcc is op.Dot() on one state.
 func (op *Operator) ApplyDotAcc(p *Pool, dst, src *grid.Grid, acc *detsum.Acc) {
-	op.checkFused("ApplyDot", src, dst)
-	k := op.kernel(dst, src)
-	k.x = src
-	op.sweep(p, k, 2, acc)
+	op.Dot().Apply(p, dst, src, nil, acc)
 }
 
-// ApplyResidualAcc computes r = b - op(phi) and accumulates |r|^2 into
-// acc in one sweep (3 streams, versus 9 for Apply+Scale+Axpy+Dot); a
-// nil acc computes r alone, for callers with no use for the norm. r may
-// alias b; it must not alias phi.
-//
-//gpaw:hotpath
-func (op *Operator) ApplyResidualAcc(p *Pool, r, b, phi *grid.Grid, acc *detsum.Acc) {
-	op.checkFused("ApplyResidual", phi, r, b)
-	k := op.kernel(r, phi)
-	k.a, k.x, k.ep = b, r, epilogue{kind: epResidual}
-	op.sweep(p, k, 3, acc)
-}
-
-// ApplySmooth computes dst = phi + c*(rhs - op(phi)) in one sweep
-// (3 streams) — a damped Jacobi relaxation step with c = omega/diag.
-// The product is rounded before it is added (no fused multiply-add on
-// any architecture). dst must not alias phi; it may alias rhs.
-//
-//gpaw:hotpath
-func (op *Operator) ApplySmooth(p *Pool, dst, phi, rhs *grid.Grid, c float64) {
-	op.checkFused("ApplySmooth", phi, dst, rhs)
-	k := op.kernel(dst, phi)
-	k.a, k.ep = rhs, epilogue{kind: epSmooth, alpha: c}
-	op.sweep(p, k, 3, nil)
-}
-
-// ApplyRecurrence computes dst = beta*src + alpha*(op(src) + v.*src) +
-// gamma*prev in one sweep, with v and prev optional (nil): the fused
-// Kohn-Sham workhorse, and one step of a three-term recurrence in
-// H = op+v (the Chebyshev filter's T_{k+1} = 2(H-c)/e T_k - T_{k-1},
-// src = T_k, prev = T_{k-1}), so a degree-k filter is k of these sweeps
-// and no other pass. 2 streams, +1 each for v and prev. Every product is
-// rounded before it is added (the conversions keep an FMA-capable
-// architecture from fusing). dst must not alias src or v; it may be
-// prev, which is read point by point before dst is written.
-//
-//gpaw:hotpath
-func (op *Operator) ApplyRecurrence(p *Pool, dst, src, v, prev *grid.Grid, alpha, beta, gamma float64) {
-	streams := 2
-	op.checkFused("ApplyRecurrence", src, dst)
-	if v != nil {
-		op.checkFused("ApplyRecurrence", src, v)
-		streams++
-	}
-	if prev != nil {
-		op.checkFused("ApplyRecurrence", src, prev)
-		streams++
-	}
-	k := op.kernel(dst, src)
-	k.a, k.p, k.ep = v, prev, stepEpilogue(v != nil, prev != nil, alpha, beta, gamma)
-	op.sweep(p, k, streams, nil)
-}
-
-// ApplyStep is ApplyRecurrence without the prev term: dst = beta*src +
-// alpha*(op+v)(src). With alpha=1, beta=0 it is a Hamiltonian
-// application dst = (op+v)(src).
+// ApplyStep is op.Step without the prev term on one state.
 func (op *Operator) ApplyStep(p *Pool, dst, src, v *grid.Grid, alpha, beta float64) {
-	op.ApplyRecurrence(p, dst, src, v, nil, alpha, beta, 0)
+	op.Step(v, alpha, beta, 0).Apply(p, dst, src, nil, nil)
 }
 
 // Epilogue kinds. blockAVX2 reads them as constants too.
@@ -269,7 +265,7 @@ type epilogue struct {
 	alpha, beta, gamma float64
 }
 
-// stepEpilogue is ApplyRecurrence's epilogue: o = beta*x + alpha*t +
+// stepEpilogue is a Step's epilogue: o = beta*x + alpha*t +
 // gamma*p, its gamma term only with prev, and o = t itself when beta =
 // 0 and alpha = 1, o = x + alpha*t when beta = 1.
 func stepEpilogue(addV, prev bool, alpha, beta, gamma float64) epilogue {
@@ -304,7 +300,7 @@ func (ep epilogue) row(o, s, x, a, p []float64) {
 	}
 }
 
-// residualRow is ApplyResidualAcc's epilogue on one row of len(o)
+// residualRow is Residual's epilogue on one row of len(o)
 // points: o = b - s. o may be b. A leaf, like stepRow.
 func residualRow(o, b, s []float64) {
 	n := len(o)
@@ -316,7 +312,7 @@ func residualRow(o, b, s []float64) {
 	// bce:end
 }
 
-// smoothRow is ApplySmooth's epilogue on one row of len(o) points, with
+// smoothRow is Smooth's epilogue on one row of len(o) points, with
 // s the stencil value of phi: o = phi + c*(rhs - s). A leaf, like
 // stepRow.
 func smoothRow(o, s, phi, rhs []float64, c float64) {

@@ -100,11 +100,11 @@ func (op *Operator) FlopsPerPoint() int { return 2*op.Points() - 1 }
 // BytesPerPoint returns the main-memory traffic per output point for a
 // streaming implementation of the plain operator: one read of the input
 // and one write of the output (neighbour reuse is served by cache),
-// 2 streams x 8 bytes. Fused variants move more streams per sweep but
-// far fewer per solver iteration: ApplyDot stays at 2 streams (16 B)
-// because the reduction reuses cache-hot values; ApplyResidual and
-// ApplySmooth are 3 streams (24 B). The unfused chains they replace
-// cost 7-9 streams. See the package comment for the full traffic model.
+// 2 streams x 8 bytes. Fused kernels move more streams per sweep but
+// far fewer per solver iteration: Dot stays at 2 streams (16 B)
+// because the reduction reuses cache-hot values; Residual and Smooth
+// are 3 streams (24 B). The unfused chains they replace cost 7-9
+// streams. See the package comment for the full traffic model.
 func (op *Operator) BytesPerPoint() int { return 16 }
 
 // Apply computes dst = op(src) over op's region on the calling
@@ -114,8 +114,7 @@ func (op *Operator) BytesPerPoint() int { return 16 }
 // exchange). dst and src must have identical interiors and src's halo
 // must be at least R.
 func (op *Operator) Apply(dst, src *grid.Grid) {
-	op.checkFused("Apply", src, dst)
-	op.sweep(nil, op.kernel(dst, src), 2, nil)
+	Kernel{op: op}.Apply(nil, dst, src, nil, nil)
 }
 
 // tap is one nonzero off-center stencil coefficient, flattened into a

@@ -16,7 +16,7 @@ import (
 // one-process-per-node, one-thread-per-core hybrid approaches. Workers
 // are started once and park between fan-outs. A fan-out is data, not a
 // closure: the caller writes it into the pool's one job slot (a fused
-// kernel and its block, a BLAS-1 rangeOp, or an Exec fn), wakes the
+// sweep and its block, a BLAS-1 rangeOp, or an Exec Task), wakes the
 // workers that are parked, and every participant, the caller included,
 // claims shares from one atomic counter. The caller then waits only for
 // the shares a worker claimed, so a worker that has not woken delays
@@ -58,22 +58,23 @@ func (s *poolState) close() { s.once.Do(func() { close(s.wake) }) }
 
 // Kinds of job.
 const (
-	jobFn     = iota // Exec's fn
-	jobKernel        // a fused kernel over box (fanOut)
-	jobRange         // a BLAS-1 driver's rangeOp (sweepRange)
+	jobTask  = iota // Exec's Task
+	jobSweep        // a Kernel's sweep over box (Kernel.Apply)
+	jobRange        // a BLAS-1 driver's rangeOp (sweepRange)
 )
 
 // job is one fan-out as data: n items split into the pool's shares by
-// topology.Split, share i running fn(i, lo, hi), kernel k over planes
-// [lo, hi) of box, or r over planes [lo, hi). reduce marks a job whose
-// shares take terms into accumulators. The caller's own accumulator
-// stays out of it, so a job in the slot does not make it escape.
+// topology.Split, share i running t.Share(i, lo, hi), sweep s over
+// planes [lo, hi) of box, or r over planes [lo, hi). reduce marks a job
+// whose shares take terms into accumulators. The caller's own
+// accumulator stays out of it, so a job in the slot does not make it
+// escape.
 type job struct {
 	kind   int
 	n      int
 	reduce bool
-	fn     func(worker, lo, hi int)
-	k      kernel
+	t      Task
+	s      sweep
 	box    Block
 	r      rangeOp
 }
@@ -86,14 +87,14 @@ func (j *job) share(workers, i int, acc *detsum.Acc) {
 		return
 	}
 	switch j.kind {
-	case jobKernel:
+	case jobSweep:
 		b := j.box
 		b.X0, b.X1 = j.box.X0+lo, j.box.X0+lo+ln
-		j.k.run(acc, b)
+		j.s.run(acc, b)
 	case jobRange:
 		j.r.run(acc, lo, lo+ln)
 	default:
-		j.fn(i, lo, lo+ln)
+		j.t.Share(i, lo, lo+ln)
 	}
 }
 
@@ -160,8 +161,13 @@ func (p *Pool) Close() {
 	}
 }
 
+// Task is one fan-out of Exec: Share(i, lo, hi) runs share i, the items
+// [lo, hi). A pointer to long-lived storage satisfies it without an
+// allocation per fan-out.
+type Task interface{ Share(i, lo, hi int) }
+
 // Exec splits the index range [0, n) across the pool's workers with
-// topology.Split and runs fn(i, lo, hi) for every non-empty share i,
+// topology.Split and runs t.Share(i, lo, hi) for every non-empty share i,
 // returning when all shares are done. Share i keeps index i whichever
 // goroutine runs it, the caller or a worker. A nested or concurrent
 // Exec, which finds the pool's job slot taken, runs every share on its
@@ -175,23 +181,20 @@ func (p *Pool) Close() {
 // — unwinds the calling rank instead of crashing the process, and the
 // pool stays usable.
 //
-// fn is stored in the pool's job slot, so a closure literal handed to
-// Exec escapes to the heap wherever it is written. The package's own
-// sweeps (the fused kernels and the BLAS-1 drivers) post their fan-outs
-// as data instead and allocate nothing (TestFusedKernelsAllocationFree,
-// on one, two and four workers); callers with a long-lived context hand
-// Exec one func built once
-// (internal/gpaw's Dist.exec, internal/core's Engine.Run).
+// t is stored in the pool's job slot, so it escapes to the heap: a
+// pointer into storage the caller keeps (internal/gpaw's Dist scratch,
+// internal/core's Engine) costs no allocation, which
+// TestFusedKernelsAllocationFree pins on one, two and four workers.
 //
 //gpaw:hotpath
-func (p *Pool) Exec(n int, fn func(worker, lo, hi int)) {
+func (p *Pool) Exec(n int, t Task) {
 	if p.Workers() <= 1 || n <= 1 {
 		if n > 0 {
-			fn(0, 0, n)
+			t.Share(0, 0, n)
 		}
 		return
 	}
-	j := job{kind: jobFn, n: n, fn: fn}
+	j := job{kind: jobTask, n: n, t: t}
 	p.fork(&j, nil)
 }
 
@@ -297,10 +300,7 @@ const (
 // exactly as for Apply; the result is bit-identical to Apply for every
 // worker count.
 func (op *Operator) ApplyParallel(p *Pool, dst, src *grid.Grid) {
-	op.checkFused("ApplyParallel", src, dst)
-	k := op.kernel(dst, src)
-	k.tiled = true
-	op.sweep(p, k, 2, nil)
+	Kernel{op: op, tiled: true}.Apply(p, dst, src, nil, nil)
 }
 
 // The drivers below run the grid package's range-based BLAS-1 sweeps

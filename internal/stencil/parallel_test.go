@@ -25,12 +25,18 @@ func testGrid(nx, ny, nz int) (src, dst *grid.Grid) {
 	return src, dst
 }
 
+// taskFunc adapts a func to Task, for tests whose fan-outs are
+// closures.
+type taskFunc func(i, lo, hi int)
+
+func (f taskFunc) Share(i, lo, hi int) { f(i, lo, hi) }
+
 func TestPoolExecCoversRange(t *testing.T) {
 	for _, w := range []int{1, 2, 3, 8} {
 		p := NewPool(w)
 		var count atomic.Int64
 		covered := make([]atomic.Int32, 37)
-		p.Exec(37, func(worker, lo, hi int) {
+		p.Exec(37, taskFunc(func(worker, lo, hi int) {
 			if worker < 0 || worker >= w {
 				t.Errorf("worker %d out of range", worker)
 			}
@@ -38,7 +44,7 @@ func TestPoolExecCoversRange(t *testing.T) {
 				covered[i].Add(1)
 				count.Add(1)
 			}
-		})
+		}))
 		if count.Load() != 37 {
 			t.Fatalf("workers=%d: covered %d of 37 items", w, count.Load())
 		}
@@ -54,24 +60,24 @@ func TestPoolExecCoversRange(t *testing.T) {
 func TestPoolExecEmptyAndNil(t *testing.T) {
 	var nilPool *Pool
 	ran := 0
-	nilPool.Exec(5, func(_, lo, hi int) { ran += hi - lo })
+	nilPool.Exec(5, taskFunc(func(_, lo, hi int) { ran += hi - lo }))
 	if ran != 5 {
 		t.Fatalf("nil pool covered %d of 5", ran)
 	}
-	nilPool.Exec(0, func(_, _, _ int) { t.Fatal("fn called for n=0") })
+	nilPool.Exec(0, taskFunc(func(_, _, _ int) { t.Fatal("fn called for n=0") }))
 	if nilPool.Workers() != 1 {
 		t.Fatalf("nil pool workers = %d", nilPool.Workers())
 	}
 	p := NewPool(4)
 	defer p.Close()
-	p.Exec(0, func(_, _, _ int) { t.Error("fn called for n=0") })
+	p.Exec(0, taskFunc(func(_, _, _ int) { t.Error("fn called for n=0") }))
 	// More workers than items: every item still covered exactly once.
 	got := make([]int, 2)
-	p.Exec(2, func(_, lo, hi int) {
+	p.Exec(2, taskFunc(func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			got[i]++
 		}
-	})
+	}))
 	if got[0] != 1 || got[1] != 1 {
 		t.Fatalf("short range coverage = %v", got)
 	}
@@ -81,11 +87,11 @@ func TestPoolNestedExecDoesNotDeadlock(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 	var total atomic.Int64
-	p.Exec(4, func(_, lo, hi int) {
+	p.Exec(4, taskFunc(func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			p.Exec(8, func(_, l, h int) { total.Add(int64(h - l)) })
+			p.Exec(8, taskFunc(func(_, l, h int) { total.Add(int64(h - l)) }))
 		}
-	})
+	}))
 	if total.Load() != 32 {
 		t.Fatalf("nested exec covered %d of 32", total.Load())
 	}
@@ -104,7 +110,7 @@ func TestPoolExecSharesRunOnce(t *testing.T) {
 		var n int
 		hits := make([]atomic.Int32, w)
 		var bad atomic.Int32
-		fn := func(worker, lo, hi int) {
+		fn := taskFunc(func(worker, lo, hi int) {
 			if worker < 0 || worker >= w {
 				bad.Add(1)
 				return
@@ -116,7 +122,7 @@ func TestPoolExecSharesRunOnce(t *testing.T) {
 			if worker == 0 {
 				runtime.Gosched() // let the workers claim the other shares
 			}
-		}
+		})
 		for e := 0; e < execs; e++ {
 			n = 2 + e%(3*w) // fewer items than workers, as many, and more
 			p.Exec(n, fn)
@@ -141,11 +147,11 @@ func TestPoolExecSharesRunOnce(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				fn := func(_, lo, hi int) {
+				fn := taskFunc(func(_, lo, hi int) {
 					for i := lo; i < hi; i++ {
 						covered[c][i].Add(1)
 					}
-				}
+				})
 				for range rounds {
 					p.Exec(items, fn)
 				}
@@ -173,18 +179,18 @@ func TestPoolPanicPropagates(t *testing.T) {
 			for rep := 0; rep < 50; rep++ {
 				got := func() (r any) {
 					defer func() { r = recover() }()
-					p.Exec(4*w, func(worker, _, _ int) {
+					p.Exec(4*w, taskFunc(func(worker, _, _ int) {
 						if worker == share {
 							panic(share)
 						}
-					})
+					}))
 					return nil
 				}()
 				if got != share {
 					t.Fatalf("workers=%d: a panic in share %d re-raised %v on the caller", w, share, got)
 				}
 				var covered atomic.Int64
-				p.Exec(4*w, func(_, lo, hi int) { covered.Add(int64(hi - lo)) })
+				p.Exec(4*w, taskFunc(func(_, lo, hi int) { covered.Add(int64(hi - lo)) }))
 				if covered.Load() != int64(4*w) {
 					t.Fatalf("workers=%d: after a panic in share %d the next Exec covered %d of %d", w, share, covered.Load(), 4*w)
 				}
@@ -203,7 +209,7 @@ func BenchmarkPoolExec(b *testing.B) {
 			p := NewPool(w)
 			defer p.Close()
 			sums := make([]int, w)
-			fn := func(worker, lo, hi int) { sums[worker] += hi - lo }
+			fn := taskFunc(func(worker, lo, hi int) { sums[worker] += hi - lo })
 			b.ReportAllocs()
 			for b.Loop() {
 				p.Exec(64, fn)
@@ -305,7 +311,7 @@ func TestApplyResidualMatchesUnfused(t *testing.T) {
 		p := NewPool(w)
 		r := grid.New(10, 9, 8, 2)
 		var acc detsum.Acc
-		op.ApplyResidualAcc(p, r, b, src, &acc)
+		op.Residual(b).Apply(p, r, src, nil, &acc)
 		sumsq := acc.Round()
 		if d := ref.MaxAbsDiff(r); d != 0 {
 			t.Fatalf("workers=%d: fused residual deviates by %g", w, d)
@@ -338,7 +344,7 @@ func TestApplyResidualNilAcc(t *testing.T) {
 						r.CopyInteriorRange(b, 0, r.Nx)
 						rhs = r
 					}
-					v.ApplyResidualAcc(p, r, rhs, src, acc)
+					v.Residual(rhs).Apply(p, r, src, nil, acc)
 					return r.Data()
 				}
 				var acc detsum.Acc
@@ -366,7 +372,7 @@ func TestApplySmoothMatchesUnfused(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 	dst := grid.New(10, 9, 8, 2)
-	op.ApplySmooth(p, dst, src, rhs, c)
+	op.Smooth(rhs, c).Apply(p, dst, src, nil, nil)
 	if d := want.MaxAbsDiff(dst); d > 1e-15 {
 		t.Fatalf("fused smooth deviates by %g", d)
 	}
@@ -410,9 +416,9 @@ func TestApplyStepMatchesUnfused(t *testing.T) {
 	// The recurrence term, accumulated into dst itself (prev == dst),
 	// added last as the kernel does.
 	want.Axpy(-0.3, dst)
-	op.ApplyRecurrence(p, dst, src, nil, dst, 2, 0.5, -0.3)
+	op.Step(nil, 2, 0.5, -0.3).Apply(p, dst, src, dst, nil)
 	if d := want.MaxAbsDiff(dst); d > 1e-15 {
-		t.Fatalf("ApplyRecurrence(2, 0.5, -0.3) into its own prev deviates by %g", d)
+		t.Fatalf("Step(nil, 2, 0.5, -0.3) into its own prev deviates by %g", d)
 	}
 }
 
@@ -499,7 +505,7 @@ func TestTrafficCounterStreams(t *testing.T) {
 
 	grid.ResetTraffic()
 	b := grid.New(8, 8, 8, 2)
-	op.ApplyResidualAcc(nil, dst, b, src, new(detsum.Acc))
+	op.Residual(b).Apply(nil, dst, src, nil, new(detsum.Acc))
 	if got := grid.TrafficPoints(); got != 3*pts {
 		t.Fatalf("ApplyResidual traffic = %d, want %d", got, 3*pts)
 	}

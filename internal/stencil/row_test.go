@@ -72,12 +72,12 @@ func TestRowBodySweepsMatch(t *testing.T) {
 				}
 				v.Apply(out("Apply"), src)
 				v.ApplyParallel(p, out("ApplyParallel"), src)
-				v.ApplySmooth(p, out("ApplySmooth"), src, aux, 0.11)
-				v.ApplyRecurrence(p, out("ApplyRecurrence"), src, aux, prev, 0.7, -0.2, 0.3)
+				v.Smooth(aux, 0.11).Apply(p, out("Smooth"), src, nil, nil)
+				v.Step(aux, 0.7, -0.2, 0.3).Apply(p, out("Step prev"), src, prev, nil)
 				var dot, res detsum.Acc
-				v.ApplyDotAcc(p, out("ApplyDotAcc"), src, &dot)
-				v.ApplyResidualAcc(p, out("ApplyResidualAcc"), aux, src, &res)
-				sums[view+" ApplyDotAcc"], sums[view+" ApplyResidualAcc"] = dot.Round(), res.Round()
+				v.Dot().Apply(p, out("Dot"), src, nil, &dot)
+				v.Residual(aux).Apply(p, out("Residual"), src, nil, &res)
+				sums[view+" Dot"], sums[view+" Residual"] = dot.Round(), res.Round()
 			}
 			return outs, sums
 		}

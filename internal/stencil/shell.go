@@ -6,8 +6,9 @@ import "fmt"
 // every sweep can be split into a deep-interior part that reads no halo
 // cell — computable while halo messages are still in flight — and a
 // one-stencil-radius boundary shell computed after the exchange
-// completes. A kernel is written once; the Operator view it is called
-// on (Operator.Over) says which region it covers.
+// completes. A kernel is written once; the Operator view it is built
+// on or narrowed to (Operator.Over, Kernel.Over) says which region it
+// covers.
 //
 // Geometry. A point (i, j, k) of an Nx x Ny x Nz sweep reads halos iff
 // it lies within R of some face (the operator's taps are axis-aligned,

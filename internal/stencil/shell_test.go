@@ -124,49 +124,35 @@ func shellOperand(nx, ny, nz int, seed float64) *grid.Grid {
 	return g
 }
 
-// TestRegionsMatchFullBitwise: for every fusion, the Interior view
-// followed by the Shell view must reproduce the Full sweep bitwise —
+// TestRegionsMatchFullBitwise: for every fusion, the Interior sweep
+// followed by the Shell sweep must reproduce the Full sweep bitwise —
 // outputs and Acc sums — and account the same memory traffic, across
 // worker counts and the degenerate extents (n < 2R) where the interior
-// is thin or empty.
+// is thin or empty. Each kernel is narrowed both ways: built on the
+// op.Over(r) view, and built on the Full operator and narrowed with
+// Kernel.Over(r), as internal/gpaw does.
 func TestRegionsMatchFullBitwise(t *testing.T) {
 	type operands struct{ src, rhs, v *grid.Grid }
+	// Each fusion builds its kernel on the operator it is handed and
+	// names the prev grid it is applied with (nil for none).
 	fusions := []struct {
-		name string
-		run  func(op *Operator, p *Pool, dst *grid.Grid, in operands, acc *detsum.Acc)
+		name   string
+		kernel func(op *Operator, in operands) (Kernel, *grid.Grid)
 	}{
-		{"Apply", func(op *Operator, _ *Pool, dst *grid.Grid, in operands, _ *detsum.Acc) {
-			op.Apply(dst, in.src)
-		}},
-		{"ApplyParallel", func(op *Operator, p *Pool, dst *grid.Grid, in operands, _ *detsum.Acc) {
-			op.ApplyParallel(p, dst, in.src)
-		}},
-		{"ApplyDotAcc", func(op *Operator, p *Pool, dst *grid.Grid, in operands, acc *detsum.Acc) {
-			op.ApplyDotAcc(p, dst, in.src, acc)
-		}},
-		{"ApplyResidualAcc", func(op *Operator, p *Pool, dst *grid.Grid, in operands, acc *detsum.Acc) {
-			op.ApplyResidualAcc(p, dst, in.rhs, in.src, acc)
-		}},
-		{"ApplySmooth", func(op *Operator, p *Pool, dst *grid.Grid, in operands, _ *detsum.Acc) {
-			op.ApplySmooth(p, dst, in.src, in.rhs, 0.31)
-		}},
-		// ApplyStep with and without a potential, over its three
-		// coefficient fast paths.
-		{"ApplyStep(v,1,0)", func(op *Operator, p *Pool, dst *grid.Grid, in operands, _ *detsum.Acc) {
-			op.ApplyStep(p, dst, in.src, in.v, 1, 0)
-		}},
-		{"ApplyStep(v,-0.01,1)", func(op *Operator, p *Pool, dst *grid.Grid, in operands, _ *detsum.Acc) {
-			op.ApplyStep(p, dst, in.src, in.v, -0.01, 1)
-		}},
-		{"ApplyStep(v,0.5,-0.25)", func(op *Operator, p *Pool, dst *grid.Grid, in operands, _ *detsum.Acc) {
-			op.ApplyStep(p, dst, in.src, in.v, 0.5, -0.25)
-		}},
-		{"ApplyStep(nil,-0.02,1)", func(op *Operator, p *Pool, dst *grid.Grid, in operands, _ *detsum.Acc) {
-			op.ApplyStep(p, dst, in.src, nil, -0.02, 1)
-		}},
+		{"Apply", func(op *Operator, _ operands) (Kernel, *grid.Grid) { return Kernel{op: op}, nil }},
+		{"ApplyParallel", func(op *Operator, _ operands) (Kernel, *grid.Grid) { return Kernel{op: op, tiled: true}, nil }},
+		{"Dot", func(op *Operator, _ operands) (Kernel, *grid.Grid) { return op.Dot(), nil }},
+		{"Residual", func(op *Operator, in operands) (Kernel, *grid.Grid) { return op.Residual(in.rhs), nil }},
+		{"Smooth", func(op *Operator, in operands) (Kernel, *grid.Grid) { return op.Smooth(in.rhs, 0.31), nil }},
+		// Step with and without a potential, over its three coefficient
+		// fast paths.
+		{"Step(v,1,0)", func(op *Operator, in operands) (Kernel, *grid.Grid) { return op.Step(in.v, 1, 0, 0), nil }},
+		{"Step(v,-0.01,1)", func(op *Operator, in operands) (Kernel, *grid.Grid) { return op.Step(in.v, -0.01, 1, 0), nil }},
+		{"Step(v,0.5,-0.25)", func(op *Operator, in operands) (Kernel, *grid.Grid) { return op.Step(in.v, 0.5, -0.25, 0), nil }},
+		{"Step(nil,-0.02,1)", func(op *Operator, _ operands) (Kernel, *grid.Grid) { return op.Step(nil, -0.02, 1, 0), nil }},
 		// The three-term recurrence, prev a separate grid.
-		{"ApplyRecurrence(v,prev)", func(op *Operator, p *Pool, dst *grid.Grid, in operands, _ *detsum.Acc) {
-			op.ApplyRecurrence(p, dst, in.src, in.v, in.rhs, 0.5, -0.25, -0.75)
+		{"Step(v,prev)", func(op *Operator, in operands) (Kernel, *grid.Grid) {
+			return op.Step(in.v, 0.5, -0.25, -0.75), in.rhs
 		}},
 	}
 	op := Laplacian(2, 0.6)
@@ -178,27 +164,37 @@ func TestRegionsMatchFullBitwise(t *testing.T) {
 		for _, w := range []int{1, 3} {
 			p := NewPool(w)
 			for _, f := range fusions {
-				var fullAcc, splitAcc detsum.Acc
+				var fullAcc detsum.Acc
 				full := grid.New(nx, ny, nz, 2)
 				grid.ResetTraffic()
-				f.run(op, p, full, in, &fullAcc)
+				k, prev := f.kernel(op, in)
+				k.Apply(p, full, in.src, prev, &fullAcc)
 				fullTraffic := grid.TrafficPoints()
 
-				// The split output starts from a value no kernel produces,
-				// so a point neither view writes shows up.
-				split := grid.New(nx, ny, nz, 2)
-				split.Fill(1e300)
-				grid.ResetTraffic()
-				f.run(op.Over(Interior), p, split, in, &splitAcc)
-				f.run(op.Over(Shell), p, split, in, &splitAcc)
-				if d := split.MaxAbsDiff(full); d != 0 {
-					t.Errorf("%v w=%d %s: Interior+Shell output deviates from Full by %g", sh, w, f.name, d)
-				}
-				if got, want := splitAcc.Round(), fullAcc.Round(); got != want {
-					t.Errorf("%v w=%d %s: Interior+Shell sum %.17g, Full %.17g", sh, w, f.name, got, want)
-				}
-				if got := grid.TrafficPoints(); got != fullTraffic {
-					t.Errorf("%v w=%d %s: Interior+Shell traffic %d, Full %d", sh, w, f.name, got, fullTraffic)
+				for _, order := range []string{"op.Over", "Kernel.Over"} {
+					// The split output starts from a value no kernel
+					// produces, so a point neither region writes shows up.
+					var splitAcc detsum.Acc
+					split := grid.New(nx, ny, nz, 2)
+					split.Fill(1e300)
+					grid.ResetTraffic()
+					for _, r := range []Region{Interior, Shell} {
+						k, prev := f.kernel(op.Over(r), in)
+						if order == "Kernel.Over" {
+							k, prev = f.kernel(op, in)
+							k = k.Over(r)
+						}
+						k.Apply(p, split, in.src, prev, &splitAcc)
+					}
+					if d := split.MaxAbsDiff(full); d != 0 {
+						t.Errorf("%v w=%d %s by %s: Interior+Shell output deviates from Full by %g", sh, w, f.name, order, d)
+					}
+					if got, want := splitAcc.Round(), fullAcc.Round(); got != want {
+						t.Errorf("%v w=%d %s by %s: Interior+Shell sum %.17g, Full %.17g", sh, w, f.name, order, got, want)
+					}
+					if got := grid.TrafficPoints(); got != fullTraffic {
+						t.Errorf("%v w=%d %s by %s: Interior+Shell traffic %d, Full %d", sh, w, f.name, order, got, fullTraffic)
+					}
 				}
 			}
 			p.Close()

@@ -423,10 +423,10 @@ func BenchmarkApply(b *testing.B) {
 
 // BenchmarkFused reports the fused kernels' cost per point on one
 // goroutine at a coarse multigrid level's extent (12x6x6) and at the
-// SCF grid's 24^3: ApplyStep is a Hamiltonian application,
-// ApplyRecurrence a Chebyshev filter step, ApplySmooth a Jacobi
-// relaxation, ApplyResidualAcc the residual with its exact norm,
-// ApplyDotAcc CG's A·p with <p, Ap>; each with the AVX2 block kernel
+// SCF grid's 24^3: a Step without prev is a Hamiltonian application,
+// with prev a Chebyshev filter step, Smooth a Jacobi relaxation,
+// Residual the residual with its exact norm, Dot CG's A·p with
+// <p, Ap>; each with the AVX2 block kernel
 // (simd, skipped on a host without AVX2) and with the Go row loops
 // (scalar).
 func BenchmarkFused(b *testing.B) {
@@ -444,11 +444,11 @@ func BenchmarkFused(b *testing.B) {
 			run  func()
 		}{
 			{"step", func() { op.ApplyStep(nil, dst, src, v, 1, 0) }},
-			{"recurrence", func() { op.ApplyRecurrence(nil, dst, src, v, prev, 0.7, -0.3, -1) }},
-			{"smooth", func() { op.ApplySmooth(nil, dst, src, v, 0.1) }},
+			{"recurrence", func() { op.Step(v, 0.7, -0.3, -1).Apply(nil, dst, src, prev, nil) }},
+			{"smooth", func() { op.Smooth(v, 0.1).Apply(nil, dst, src, nil, nil) }},
 			{"residual", func() {
 				var acc detsum.Acc
-				op.ApplyResidualAcc(nil, dst, v, src, &acc)
+				op.Residual(v).Apply(nil, dst, src, nil, &acc)
 			}},
 			{"dot", func() {
 				var acc detsum.Acc
