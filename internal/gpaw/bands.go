@@ -169,7 +169,7 @@ type symScratch struct {
 func (sc *symScratch) Share(_, lo, hi int) {
 	for n := lo; n < hi; n++ {
 		k, i, j := sc.pairs[n][0], sc.pairs[n][1], sc.pairs[n][2]
-		sc.all[i].DotAccRange(sc.rights[k][j-sc.lo], 0, sc.all[i].Nx, &sc.accs[n])
+		sc.all[i].DotAcc(sc.rights[k][j-sc.lo], &sc.accs[n])
 	}
 }
 

@@ -444,14 +444,14 @@ func (d *Dist) verdict(code int) int { return int(d.World.AllreduceMax(float64(c
 // over the undecomposed grid.
 func (d *Dist) Sum(g *grid.Grid) float64 {
 	d.acc.Reset()
-	d.pool.SumAcc(g, &d.acc)
+	g.SumAcc(&d.acc)
 	return d.reduceAcc(&d.acc)
 }
 
 // Dot returns the global inner product <a, b>.
 func (d *Dist) Dot(a, b *grid.Grid) float64 {
 	d.acc.Reset()
-	d.pool.DotAcc(a, b, &d.acc)
+	a.DotAcc(b, &d.acc)
 	return d.reduceAcc(&d.acc)
 }
 
@@ -462,16 +462,16 @@ func (d *Dist) Norm2(g *grid.Grid) float64 { return math.Sqrt(d.Dot(g, g)) }
 // <g, g> in the same sweep.
 func (d *Dist) AxpyDot(g *grid.Grid, a float64, x *grid.Grid) float64 {
 	d.acc.Reset()
-	d.pool.AxpyDotAcc(g, a, x, &d.acc)
+	g.AxpyDotAcc(a, x, &d.acc)
 	return d.reduceAcc(&d.acc)
 }
 
 // removeMean subtracts the global interior mean (projects out the
-// constant nullspace of the periodic Laplacian) with two pooled sweeps
+// constant nullspace of the periodic Laplacian) with two sweeps
 // and one exact reduction.
 func (d *Dist) removeMean(g *grid.Grid) {
 	mean := d.Sum(g) / float64(d.Decomp.Global.Count())
-	d.pool.AddScalar(g, -mean)
+	g.AddScalar(-mean)
 }
 
 // --- per-approach wave-function processing -------------------------

@@ -47,8 +47,8 @@ func TestFusedCGMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFusedCGWorkerCountInvariant: pooled reductions are per-plane
-// deterministic, so the fused solver's result must be identical for
+// TestFusedCGWorkerCountInvariant: the fused kernels' pooled reductions
+// are exact, so the fused solver's result must be identical for
 // every worker count.
 func TestFusedCGWorkerCountInvariant(t *testing.T) {
 	rhs := fusedProblem(12)

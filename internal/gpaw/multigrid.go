@@ -207,8 +207,8 @@ func (mg *multigrid) smooth(lv *mgLevel, x, y, rhs *grid.Grid, n int, fromZero b
 	defer d.Cart.TraceRank().Region("mg.smooth").End()
 	for s := 0; s < n; s++ {
 		if s == 0 && fromZero {
-			d.pool.Copy(y, rhs)
-			d.pool.Scale(y, c)
+			y.CopyInteriorFrom(rhs)
+			y.Scale(c)
 		} else {
 			d.withOverlap(lv.eng, y, x, sweep{k: lv.op.Smooth(rhs, c)})
 		}
@@ -330,7 +330,7 @@ func (mg *multigrid) vcycle(l int, phi, rhs *grid.Grid) {
 		next.up.Run(lv.comm, next.xfer, y, redistUpTag)
 		// x += correction: the addend is bit-identical to the coarse
 		// value the adding prolongation adds at the same global index.
-		d.pool.Axpy(x, 1, y)
+		x.Axpy(1, y)
 	} else {
 		d.transfer(levelTransfer{from: y, to: next.rhs})
 		mg.vcycle(l+1, next.phi, next.rhs)

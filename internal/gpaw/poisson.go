@@ -141,8 +141,8 @@ func (ps *Poisson) solveNegated(phi, src *grid.Grid, scale float64) (int, float6
 	neg := d.negated(ps.Op)
 	f := &d.fields
 	b := d.scratchGrid(&f.cgB)
-	d.pool.Copy(b, src)
-	d.pool.Scale(b, scale)
+	b.CopyInteriorFrom(src)
+	b.Scale(scale)
 	if d.BC == Periodic {
 		d.removeMean(b)
 	}
@@ -174,9 +174,9 @@ func (ps *Poisson) solveNegated(phi, src *grid.Grid, scale float64) (int, float6
 		z := mg.precondition(r)
 		rz := d.Dot(r, z)
 		if it == 0 {
-			d.pool.Copy(p, z)
+			p.CopyInteriorFrom(z)
 		} else {
-			d.pool.AxpyScale(p, 1, z, rz/rzold) // p = z + beta*p in one sweep
+			p.AxpyScale(1, z, rz/rzold) // p = z + beta*p in one sweep
 		}
 		rzold = rz
 		// ap = A p and <p, Ap>, the deep interior computed while p's
@@ -184,7 +184,7 @@ func (ps *Poisson) solveNegated(phi, src *grid.Grid, scale float64) (int, float6
 		d.acc.Reset()
 		d.withOverlap(d.eng, ap, p, sweep{k: neg.Dot(), acc: &d.acc})
 		alpha := rz / d.reduceAcc(&d.acc)
-		d.pool.Axpy(phi, alpha, p)
+		phi.Axpy(alpha, p)
 		rr = d.AxpyDot(r, -alpha, ap) // r -= alpha*Ap and <r, r> in one sweep
 	}
 }

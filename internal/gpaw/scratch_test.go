@@ -17,9 +17,10 @@ import (
 
 // scfIterationAllocs is the number of heap allocations a warmed SCF
 // iteration may make on one, two and four workers: none. Every fused
-// sweep is data (stencil's kernel and rangeOp), run on the calling
-// goroutine or posted to the pool's job slot, the engine and the pool
-// get the Dist's one compute and task funcs,
+// sweep is data (a stencil Kernel), run on the calling goroutine or
+// posted to the pool's job slot, every one-grid BLAS-1 pass runs on its
+// caller, the engine gets the Dist's one compute func and the pool
+// pointer Tasks into Dist scratch,
 // the Hamiltonian and the negated Poisson operator are built once per
 // run, the m x m algebra runs in the Dist's subspace storage and the
 // Pulay weights in the mixer's, and the one-value reductions use the

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"repro/internal/detsum"
 )
 
 func filledGrid(nx, ny, nz, halo int) *Grid {
@@ -291,21 +293,31 @@ func TestAddScalarAndAccumSquared(t *testing.T) {
 	}
 }
 
-func TestRangePrimitivesCompose(t *testing.T) {
-	g := filledGrid(9, 4, 5, 1)
-	x := filledGrid(9, 4, 5, 1)
-	x.Scale(2)
-	want := g.Clone()
-	want.Axpy(0.4, x)
-	got := g.Clone()
-	got.AxpyRange(0.4, x, 0, 3)
-	got.AxpyRange(0.4, x, 3, 7)
-	got.AxpyRange(0.4, x, 7, 9)
-	if d := want.MaxAbsDiff(got); d != 0 {
-		t.Fatal("AxpyRange pieces disagree with whole Axpy")
+// TestBlasFormsAllocationFree holds every whole-grid form the solvers
+// call to zero allocations per call: the SCF loop's and the Hartree
+// solve's one-grid passes run on their caller, and a closure or a
+// partial accumulator that escaped would show here.
+func TestBlasFormsAllocationFree(t *testing.T) {
+	g := filledGrid(12, 6, 6, 2)
+	x := filledGrid(12, 6, 6, 1)
+	var acc detsum.Acc
+	forms := []struct {
+		name string
+		run  func()
+	}{
+		{"SumAcc", func() { g.SumAcc(&acc) }},
+		{"DotAcc", func() { g.DotAcc(x, &acc) }},
+		{"AxpyDotAcc", func() { g.AxpyDotAcc(1e-3, x, &acc) }},
+		{"Axpy", func() { g.Axpy(1e-3, x) }},
+		{"AxpyScale", func() { g.AxpyScale(1e-3, x, 0.5) }},
+		{"Scale", func() { g.Scale(2) }},
+		{"AddScalar", func() { g.AddScalar(0.5) }},
+		{"CopyInteriorFrom", func() { g.CopyInteriorFrom(x) }},
 	}
-	if s := g.SumRange(0, 4) + g.SumRange(4, 9); math.Abs(s-g.Sum()) > 1e-12*math.Abs(g.Sum()) {
-		t.Fatalf("SumRange pieces %g far from Sum %g", s, g.Sum())
+	for _, f := range forms {
+		if n := testing.AllocsPerRun(20, f.run); n != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", f.name, n)
+		}
 	}
 }
 

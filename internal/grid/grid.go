@@ -111,12 +111,6 @@ func (g *Grid) Clone() *Grid {
 	return out
 }
 
-// CopyInteriorFrom copies src's interior into g's interior. The interiors
-// must have identical extents; halos may differ.
-func (g *Grid) CopyInteriorFrom(src *Grid) {
-	g.CopyInteriorRange(src, 0, g.Nx)
-}
-
 // MaxAbsDiff returns the largest absolute interior difference between two
 // grids of identical extents.
 func (g *Grid) MaxAbsDiff(o *Grid) float64 {
@@ -139,17 +133,8 @@ func (g *Grid) MaxAbsDiff(o *Grid) float64 {
 	return max
 }
 
-// Dot returns the interior inner product <g, o>.
-func (g *Grid) Dot(o *Grid) float64 { return g.DotRange(o, 0, g.Nx) }
-
 // Norm2 returns the interior L2 norm.
 func (g *Grid) Norm2() float64 { return math.Sqrt(g.Dot(g)) }
-
-// Scale multiplies every interior point by a.
-func (g *Grid) Scale(a float64) { g.ScaleRange(a, 0, g.Nx) }
-
-// Axpy adds a*x to g's interior: g += a*x.
-func (g *Grid) Axpy(a float64, x *Grid) { g.AxpyRange(a, x, 0, g.Nx) }
 
 // InteriorSlice copies the interior into a new flat slice in x-major
 // order, for transport between ranks.
@@ -190,6 +175,3 @@ func (g *Grid) SetInterior(src []float64) {
 		}
 	}
 }
-
-// Sum returns the sum over interior points.
-func (g *Grid) Sum() float64 { return g.SumRange(0, g.Nx) }

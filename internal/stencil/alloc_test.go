@@ -7,14 +7,13 @@ import (
 )
 
 // TestFusedKernelsAllocationFree pins the allocation contract of
-// Kernel.Apply, sweepRange and Exec: every fused kernel, over each of
-// the Full, Interior and Shell views and with each stencil body, every
-// BLAS-1 driver and an Exec of a pointer Task allocate nothing per
-// call, on a nil pool (the caller runs the whole sweep) and on two- and
-// four-worker pools (the sweep is posted to the pool's job slot as
-// data, its partials the pool's own). A partial accumulator per
-// fan-out, a boxed Task, or a z-row of scratch per sweep shows here as
-// allocations per call.
+// Kernel.Apply and Exec: every fused kernel, over each of the Full,
+// Interior and Shell views and with each stencil body, and an Exec of a
+// pointer Task allocate nothing per call, on a nil pool (the caller
+// runs the whole sweep) and on two- and four-worker pools (the sweep is
+// posted to the pool's job slot as data, its partials the pool's own).
+// A partial accumulator per fan-out, a boxed Task, or a z-row of
+// scratch per sweep shows here as allocations per call.
 func TestFusedKernelsAllocationFree(t *testing.T) {
 	src, dst := testGrid(12, 6, 6)
 	v, prev := shellOperand(12, 6, 6, 0.5), shellOperand(12, 6, 6, -1)
@@ -59,24 +58,8 @@ func TestFusedKernelsAllocationFree(t *testing.T) {
 	}
 	for _, p := range pools {
 		var task shareTask
-		drivers := []struct {
-			name string
-			run  func()
-		}{
-			{"Axpy", func() { p.Axpy(dst, 0.5, src) }},
-			{"AxpyScale", func() { p.AxpyScale(dst, 0.5, src, 0.25) }},
-			{"Scale", func() { p.Scale(dst, 0.5) }},
-			{"AddScalar", func() { p.AddScalar(dst, 0.5) }},
-			{"Copy", func() { p.Copy(dst, src) }},
-			{"SumAcc", func() { p.SumAcc(dst, &acc) }},
-			{"DotAcc", func() { p.DotAcc(dst, src, &acc) }},
-			{"AxpyDot", func() { _ = p.AxpyDot(dst, 0.5, src) }},
-			{"Exec", func() { p.Exec(12, &task) }},
-		}
-		for _, d := range drivers {
-			if n := testing.AllocsPerRun(20, d.run); n != 0 {
-				t.Errorf("Pool.%s on %d workers: %v allocations per call, want 0", d.name, p.Workers(), n)
-			}
+		if n := testing.AllocsPerRun(20, func() { p.Exec(12, &task) }); n != 0 {
+			t.Errorf("Pool.Exec on %d workers: %v allocations per call, want 0", p.Workers(), n)
 		}
 	}
 }

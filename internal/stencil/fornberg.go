@@ -22,14 +22,14 @@
 //
 //   - parallel.go — a Pool of persistent worker goroutines that claim
 //     the shares of a fan-out posted to the pool's one job slot as data
-//     (a Kernel's sweep, a BLAS-1 rangeOp, or Exec's Task), so a warmed
-//     fan-out allocates nothing. ApplyParallel splits the outer x
-//     planes across workers and walks cache-sized (j, k) tiles within
-//     each share, so the five in-flight stencil planes stay resident
-//     while streaming.
-//     Pool also drives the grid package's range-based BLAS-1 sweeps and
-//     computes reductions from per-share partials merged exactly,
-//     making every result independent of the worker count.
+//     (a Kernel's sweep or Exec's Task), so a warmed fan-out allocates
+//     nothing. ApplyParallel splits the outer x planes across workers
+//     and walks cache-sized (j, k) tiles within each share, so the five
+//     in-flight stencil planes stay resident while streaming. A fused
+//     kernel's reduction is merged exactly from per-share partials,
+//     making every result independent of the worker count. The grid
+//     package's one-grid BLAS-1 passes are too short to pay a fork-join
+//     and run on their caller.
 //
 //   - fused.go — Kernel, one value per fusion of a stencil application
 //     with the BLAS-1 work solvers do immediately after it, in one

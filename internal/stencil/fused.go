@@ -182,7 +182,7 @@ func (k Kernel) Apply(p *Pool, dst, src, prev *grid.Grid, acc *detsum.Acc) {
 	case p.Workers() == 1:
 		s.run(acc, box)
 	default:
-		j := job{kind: jobSweep, n: box.X1 - box.X0, s: s, box: box}
+		j := job{n: box.X1 - box.X0, s: s, box: box}
 		p.fork(&j, acc)
 	}
 }

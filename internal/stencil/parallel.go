@@ -16,11 +16,15 @@ import (
 // one-process-per-node, one-thread-per-core hybrid approaches. Workers
 // are started once and park between fan-outs. A fan-out is data, not a
 // closure: the caller writes it into the pool's one job slot (a fused
-// sweep and its block, a BLAS-1 rangeOp, or an Exec Task), wakes the
-// workers that are parked, and every participant, the caller included,
-// claims shares from one atomic counter. The caller then waits only for
-// the shares a worker claimed, so a worker that has not woken delays
-// nothing, and a warmed fan-out allocates nothing.
+// sweep and its block, or an Exec Task), wakes the workers that are
+// parked, and every participant, the caller included, claims shares
+// from one atomic counter. The caller then waits only for the shares a
+// worker claimed, so a worker that has not woken delays nothing, and a
+// warmed fan-out allocates nothing.
+//
+// The pool splits only work that pays a fork-join: stencil sweeps and
+// Exec Tasks (gpaw's pair dots, rotation and level transfers). An
+// elementwise pass over one grid (grid's BLAS-1 forms) runs on its caller.
 //
 // A nil *Pool is valid everywhere and runs serially on the caller, so
 // solver code takes a pool unconditionally.
@@ -56,27 +60,18 @@ type poolState struct {
 
 func (s *poolState) close() { s.once.Do(func() { close(s.wake) }) }
 
-// Kinds of job.
-const (
-	jobTask  = iota // Exec's Task
-	jobSweep        // a Kernel's sweep over box (Kernel.Apply)
-	jobRange        // a BLAS-1 driver's rangeOp (sweepRange)
-)
-
 // job is one fan-out as data: n items split into the pool's shares by
-// topology.Split, share i running t.Share(i, lo, hi), sweep s over
-// planes [lo, hi) of box, or r over planes [lo, hi). reduce marks a job
+// topology.Split, share i running Exec's t.Share(i, lo, hi) or, with no
+// t, a Kernel's sweep s over planes [lo, hi) of box. reduce marks a job
 // whose shares take terms into accumulators. The caller's own
 // accumulator stays out of it, so a job in the slot does not make it
 // escape.
 type job struct {
-	kind   int
 	n      int
 	reduce bool
 	t      Task
 	s      sweep
 	box    Block
-	r      rangeOp
 }
 
 // share runs share i of j's split into workers shares, adding a
@@ -86,16 +81,13 @@ func (j *job) share(workers, i int, acc *detsum.Acc) {
 	if ln == 0 {
 		return
 	}
-	switch j.kind {
-	case jobSweep:
-		b := j.box
-		b.X0, b.X1 = j.box.X0+lo, j.box.X0+lo+ln
-		j.s.run(acc, b)
-	case jobRange:
-		j.r.run(acc, lo, lo+ln)
-	default:
+	if j.t != nil {
 		j.t.Share(i, lo, lo+ln)
+		return
 	}
+	b := j.box
+	b.X0, b.X1 = j.box.X0+lo, j.box.X0+lo+ln
+	j.s.run(acc, b)
 }
 
 // NewPool starts a pool with the given number of workers (>= 1). The
@@ -194,7 +186,7 @@ func (p *Pool) Exec(n int, t Task) {
 		}
 		return
 	}
-	j := job{kind: jobTask, n: n, t: t}
+	j := job{n: n, t: t}
 	p.fork(&j, nil)
 }
 
@@ -301,148 +293,4 @@ const (
 // worker count.
 func (op *Operator) ApplyParallel(p *Pool, dst, src *grid.Grid) {
 	Kernel{op: op, tiled: true}.Apply(p, dst, src, nil, nil)
-}
-
-// The drivers below run the grid package's range-based BLAS-1 sweeps
-// across the pool. Reductions (Sum, Dot, AxpyDot) accumulate one
-// detsum.Acc per worker and merge them exactly, so their results are
-// bit-identical to the serial grid methods for every worker count —
-// and, because the exact merge is partition-independent, to any MPI
-// rank decomposition of the same element set. On a one-worker pool they
-// allocate nothing (TestFusedKernelsAllocationFree).
-
-// Kinds of rangeOp.
-const (
-	opAxpy = iota
-	opAxpyScale
-	opScale
-	opAddScalar
-	opCopy
-	opSum
-	opDot
-	opAxpyDot
-)
-
-// rangeOp is one BLAS-1 driver's sweep as data: its kind, the grid g it
-// writes or reduces, the second operand x and the constants a and s.
-type rangeOp struct {
-	kind int
-	g, x *grid.Grid
-	a, s float64
-}
-
-// run sweeps x planes [i0, i1) of r.g, adding a reduction's terms into
-// acc.
-func (r rangeOp) run(acc *detsum.Acc, i0, i1 int) {
-	switch r.kind {
-	case opAxpy:
-		r.g.AxpyRange(r.a, r.x, i0, i1)
-	case opAxpyScale:
-		r.g.AxpyScaleRange(r.a, r.x, r.s, i0, i1)
-	case opScale:
-		r.g.ScaleRange(r.a, i0, i1)
-	case opAddScalar:
-		r.g.AddScalarRange(r.a, i0, i1)
-	case opCopy:
-		r.g.CopyInteriorRange(r.x, i0, i1)
-	case opSum:
-		r.g.SumAccRange(i0, i1, acc)
-	case opDot:
-		r.g.DotAccRange(r.x, i0, i1, acc)
-	case opAxpyDot:
-		r.g.AxpyDotAccRange(r.a, r.x, i0, i1, acc)
-	}
-}
-
-// sweepRange runs r over every x plane of r.g: on the caller when p has
-// one worker, else split across the workers (fork).
-//
-//gpaw:hotpath
-func (p *Pool) sweepRange(r rangeOp, acc *detsum.Acc) {
-	if p.Workers() == 1 {
-		r.run(acc, 0, r.g.Nx)
-		return
-	}
-	j := job{kind: jobRange, n: r.g.Nx, r: r}
-	p.fork(&j, acc)
-}
-
-// Axpy computes g += a*x across the pool.
-//
-//gpaw:hotpath
-func (p *Pool) Axpy(g *grid.Grid, a float64, x *grid.Grid) {
-	p.sweepRange(rangeOp{kind: opAxpy, g: g, x: x, a: a}, nil)
-}
-
-// AxpyScale computes g = s*g + a*x across the pool.
-//
-//gpaw:hotpath
-func (p *Pool) AxpyScale(g *grid.Grid, a float64, x *grid.Grid, s float64) {
-	p.sweepRange(rangeOp{kind: opAxpyScale, g: g, x: x, a: a, s: s}, nil)
-}
-
-// Scale computes g *= a across the pool.
-//
-//gpaw:hotpath
-func (p *Pool) Scale(g *grid.Grid, a float64) {
-	p.sweepRange(rangeOp{kind: opScale, g: g, a: a}, nil)
-}
-
-// AddScalar adds v to every interior point across the pool.
-//
-//gpaw:hotpath
-func (p *Pool) AddScalar(g *grid.Grid, v float64) {
-	p.sweepRange(rangeOp{kind: opAddScalar, g: g, a: v}, nil)
-}
-
-// Copy copies src's interior into g across the pool.
-//
-//gpaw:hotpath
-func (p *Pool) Copy(g, src *grid.Grid) {
-	p.sweepRange(rangeOp{kind: opCopy, g: g, x: src}, nil)
-}
-
-// Sum returns the interior sum, reduced exactly.
-func (p *Pool) Sum(g *grid.Grid) float64 {
-	var acc detsum.Acc
-	p.SumAcc(g, &acc)
-	return acc.Round()
-}
-
-// SumAcc accumulates the interior sum into acc across the pool.
-//
-//gpaw:hotpath
-func (p *Pool) SumAcc(g *grid.Grid, acc *detsum.Acc) {
-	p.sweepRange(rangeOp{kind: opSum, g: g}, acc)
-}
-
-// Dot returns <g, o>, reduced exactly.
-func (p *Pool) Dot(g, o *grid.Grid) float64 {
-	var acc detsum.Acc
-	p.DotAcc(g, o, &acc)
-	return acc.Round()
-}
-
-// DotAcc accumulates <g, o> into acc across the pool.
-//
-//gpaw:hotpath
-func (p *Pool) DotAcc(g, o *grid.Grid, acc *detsum.Acc) {
-	p.sweepRange(rangeOp{kind: opDot, g: g, x: o}, acc)
-}
-
-// AxpyDot computes g += a*x and returns the updated <g, g> in the same
-// sweep, reduced exactly.
-//
-//gpaw:hotpath
-func (p *Pool) AxpyDot(g *grid.Grid, a float64, x *grid.Grid) float64 {
-	var acc detsum.Acc
-	p.AxpyDotAcc(g, a, x, &acc)
-	return acc.Round()
-}
-
-// AxpyDotAcc is AxpyDot accumulating the updated <g, g> into acc.
-//
-//gpaw:hotpath
-func (p *Pool) AxpyDotAcc(g *grid.Grid, a float64, x *grid.Grid, acc *detsum.Acc) {
-	p.sweepRange(rangeOp{kind: opAxpyDot, g: g, x: x, a: a}, acc)
 }

@@ -341,7 +341,7 @@ func TestApplyResidualNilAcc(t *testing.T) {
 					r := grid.New(10, 9, 8, 2)
 					rhs := b
 					if inPlace {
-						r.CopyInteriorRange(b, 0, r.Nx)
+						r.CopyInteriorFrom(b)
 						rhs = r
 					}
 					v.Residual(rhs).Apply(p, r, src, nil, acc)
@@ -419,76 +419,6 @@ func TestApplyStepMatchesUnfused(t *testing.T) {
 	op.Step(nil, 2, 0.5, -0.3).Apply(p, dst, src, dst, nil)
 	if d := want.MaxAbsDiff(dst); d > 1e-15 {
 		t.Fatalf("Step(nil, 2, 0.5, -0.3) into its own prev deviates by %g", d)
-	}
-}
-
-func TestPoolReductionsDeterministic(t *testing.T) {
-	g, _ := testGrid(17, 7, 9)
-	o, _ := testGrid(17, 7, 9)
-	o.Scale(0.5)
-	var dots, sums []float64
-	for _, w := range []int{1, 2, 4, 8} {
-		p := NewPool(w)
-		dots = append(dots, p.Dot(g, o))
-		sums = append(sums, p.Sum(g))
-		p.Close()
-	}
-	for i := 1; i < len(dots); i++ {
-		if dots[i] != dots[0] || sums[i] != sums[0] {
-			t.Fatalf("pool reductions vary with worker count: %v %v", dots, sums)
-		}
-	}
-	if rel := abs(dots[0]-g.Dot(o)) / abs(g.Dot(o)); rel > 1e-14 {
-		t.Fatalf("pool dot %g far from serial %g", dots[0], g.Dot(o))
-	}
-}
-
-func TestPoolBlasDriversMatchSerial(t *testing.T) {
-	base, _ := testGrid(12, 8, 10)
-	x, _ := testGrid(12, 8, 10)
-	x.Scale(0.3)
-	p := NewPool(4)
-	defer p.Close()
-
-	want := base.Clone()
-	want.Axpy(0.7, x)
-	got := base.Clone()
-	p.Axpy(got, 0.7, x)
-	if d := want.MaxAbsDiff(got); d != 0 {
-		t.Fatal("pool Axpy deviates")
-	}
-
-	want = base.Clone()
-	want.AxpyScale(1.5, x, -0.25)
-	got = base.Clone()
-	p.AxpyScale(got, 1.5, x, -0.25)
-	if d := want.MaxAbsDiff(got); d != 0 {
-		t.Fatal("pool AxpyScale deviates")
-	}
-
-	want = base.Clone()
-	want.AddScalar(1.25)
-	got = base.Clone()
-	p.AddScalar(got, 1.25)
-	if d := want.MaxAbsDiff(got); d != 0 {
-		t.Fatal("pool AddScalar deviates")
-	}
-
-	got = grid.New(12, 8, 10, 2)
-	p.Copy(got, base)
-	if d := base.MaxAbsDiff(got); d != 0 {
-		t.Fatal("pool Copy deviates")
-	}
-
-	wantSq := base.Clone()
-	sq1 := wantSq.AxpyDot(-0.4, x)
-	got = base.Clone()
-	sq2 := p.AxpyDot(got, -0.4, x)
-	if d := wantSq.MaxAbsDiff(got); d != 0 {
-		t.Fatal("pool AxpyDot deviates")
-	}
-	if rel := abs(sq1-sq2) / abs(sq1); rel > 1e-14 {
-		t.Fatalf("AxpyDot norms differ: %g vs %g", sq1, sq2)
 	}
 }
 
