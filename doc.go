@@ -40,8 +40,9 @@
 //     hanging; survivors converge on the membership with Comm.Agree
 //     (world-frozen round results) and rebuild with Comm.Shrink, whose
 //     epoch-stamped matching walls off all pre-failure traffic. A
-//     configurable operation timeout (World.SetOpTimeout) backstops the
-//     detector with a world-wide pending-receive dump.
+//     configurable operation timeout (World.SetOpTimeout) bounds every
+//     blocking receive and probe, backstopping the detector with a
+//     world-wide pending-receive dump.
 //   - internal/bgpsim — a calibrated discrete-event model of Blue
 //     Gene/P (Table I constants, torus links, DMA, mesh partitions)
 //     that replays the protocols at up to 16 384 cores and regenerates

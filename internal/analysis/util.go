@@ -55,21 +55,6 @@ func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {
 	return nil
 }
 
-// calleeIn reports whether call invokes a function or method with one
-// of the given names defined in a package with the given name.
-func calleeIn(info *types.Info, call *ast.CallExpr, pkgName string, names ...string) bool {
-	obj := calleeObj(info, call)
-	if obj == nil || obj.Pkg() == nil || obj.Pkg().Name() != pkgName {
-		return false
-	}
-	for _, n := range names {
-		if obj.Name() == n {
-			return true
-		}
-	}
-	return false
-}
-
 // methodRecv returns the receiver expression of a method call, or
 // nil for plain function calls.
 func methodRecv(call *ast.CallExpr) ast.Expr {

@@ -459,51 +459,13 @@ func (cs *chaosState) inject(w *World, pair *chaosPair, srcW, toW int, fr *chaos
 		rctr.outOfOrder.Add(1)
 		return
 	}
-	w.chaosDeliver(toW, fr)
-	pair.nextSeq++
-	for {
-		next, ok := pair.pending[pair.nextSeq]
-		if !ok {
-			break
-		}
+	// Release the frame, then every pending frame it unblocks, in order.
+	// The mailbox copies each payload, as it copies an eager send's.
+	for ; fr != nil; fr = pair.pending[pair.nextSeq] {
 		delete(pair.pending, pair.nextSeq)
-		w.chaosDeliver(toW, next)
+		w.boxes[toW].deliver(fr.commSrc, fr.tag, fr.epoch, fr.data, fr.arriveAt, fr.fail)
 		pair.nextSeq++
 	}
-}
-
-// chaosDeliver places one in-sequence frame into the destination
-// mailbox with sendDeliver's matching rules: posted receive first
-// (poisoned frames complete it with their typed error), envelope
-// fallback otherwise. Runs under the owning pair's lock.
-func (w *World) chaosDeliver(toW int, fr *chaosFrame) {
-	box := w.boxes[toW]
-	box.mu.Lock()
-	defer box.mu.Unlock()
-	if box.aborted {
-		return
-	}
-	for i, pr := range box.posted {
-		if pr == nil || pr.epoch != fr.epoch {
-			continue
-		}
-		if (pr.prSrc == AnySource || pr.prSrc == fr.commSrc) && (pr.prTag == AnyTag || pr.prTag == fr.tag) {
-			box.posted[i] = nil
-			if fr.fail != nil {
-				pr.completeErr(fr.commSrc, fr.tag, 0, fr.fail)
-			} else {
-				completeRecv(pr, fr.commSrc, fr.tag, fr.data, fr.arriveAt)
-			}
-			box.cond.Broadcast()
-			return
-		}
-	}
-	// The frame's own buffer travels in an unpooled envelope: a duplicate
-	// of the frame may still be checked against it.
-	env := &envelope{src: fr.commSrc, tag: fr.tag, data: fr.data,
-		epoch: fr.epoch, arriveAt: fr.arriveAt, fail: fr.fail}
-	box.arrived = append(box.arrived, env)
-	box.cond.Broadcast()
 }
 
 // failDelivery surfaces retransmission-budget exhaustion: the frame is

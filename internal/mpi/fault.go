@@ -449,8 +449,8 @@ type PendingOp struct {
 	Rank, Peer, Tag int
 }
 
-// TimeoutError reports a blocking Wait/Recv/Waitall that exceeded the
-// world's operation timeout, with a dump of every receive that was
+// TimeoutError reports a blocking Wait/Recv/Waitall/Probe that exceeded
+// the world's operation timeout, with a dump of every receive that was
 // still pending world-wide at that moment — a deadlock turned into an
 // actionable error.
 type TimeoutError struct {
@@ -496,9 +496,19 @@ func (w *World) PendingOps() []PendingOp {
 }
 
 // SetOpTimeout bounds every subsequent blocking Wait (and therefore
-// Recv, Waitall and the collectives built on them): a wait exceeding d
-// panics with a *TimeoutError carrying the world-wide pending-receive
-// dump instead of deadlocking forever. Zero disables the timeout (the
-// default). Intended for tests and long-running services, not as a
-// failure detector — fault injection has its own, exact detection path.
+// Recv, Waitall and the collectives built on them) and Probe: a wait
+// exceeding d panics with a *TimeoutError carrying the world-wide
+// pending-receive dump instead of deadlocking forever. Zero disables
+// the timeout (the default). Intended for tests and long-running
+// services, not as a failure detector — fault injection has its own,
+// exact detection path.
 func (w *World) SetOpTimeout(d time.Duration) { w.opTimeout.Store(int64(d)) }
+
+// opDeadline is the deadline of a wait starting now under the op
+// timeout, or zero when none is set.
+func (w *World) opDeadline() time.Time {
+	if to := w.opTimeout.Load(); to > 0 {
+		return time.Now().Add(time.Duration(to))
+	}
+	return time.Time{}
+}

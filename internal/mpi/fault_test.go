@@ -333,6 +333,100 @@ func TestOpTimeoutDumpsPending(t *testing.T) {
 	}
 }
 
+// TestOpTimeoutBoundsProbe: a probe for a message that is never sent
+// is bounded by the op timeout like a receive, failing with a
+// *TimeoutError that names the probing rank, the peer and the tag. The
+// test's own deadline turns an unbounded probe into a failure, not a
+// hang.
+func TestOpTimeoutBoundsProbe(t *testing.T) {
+	w := NewWorld(2, ThreadSingle)
+	w.SetOpTimeout(50 * time.Millisecond)
+	var got *TimeoutError
+	done := make(chan error, 1)
+	go func() {
+		done <- w.Run(func(c *Comm) {
+			if c.Rank() == 1 {
+				return // never sends
+			}
+			defer func() {
+				te, ok := recover().(*TimeoutError)
+				if !ok {
+					panic("probe did not time out")
+				}
+				got = te
+			}()
+			c.Probe(1, 41)
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("Probe still blocked after 3s under a 50ms op timeout")
+	}
+	if got.Rank != 0 || got.Peer != 1 || got.Tag != 41 {
+		t.Fatalf("probe timed out at rank %d <- %d tag %d, want 0 <- 1 tag 41", got.Rank, got.Peer, got.Tag)
+	}
+}
+
+// TestOpTimeoutSharedMailbox: the threads of a MULTIPLE-mode rank share
+// its mailbox's one op-timeout timer. Four threads block on receives of
+// their own; a peer satisfies three of them in reverse post order, and
+// those complete with their payloads while the fourth alone times out,
+// naming its own peer and tag.
+func TestOpTimeoutSharedMailbox(t *testing.T) {
+	const timeout = 500 * time.Millisecond
+	w := NewWorld(3, ThreadMultiple)
+	w.SetOpTimeout(timeout)
+	var got [4]float64
+	var ended [4]any
+	err := w.Run(func(c *Comm) {
+		switch c.Rank() {
+		case 0:
+			var wg sync.WaitGroup
+			for k := range 4 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer func() { ended[k] = recover() }()
+					peer := 1
+					if k == 3 {
+						peer = 2 // rank 2 never sends
+					}
+					buf := make([]float64, 1)
+					c.Recv(peer, 10+k, buf)
+					got[k] = buf[0]
+				}()
+			}
+			wg.Wait()
+		case 1:
+			if !waitFor(timeout/2, func() bool { return countPending(w, 0) == 4 }) {
+				t.Errorf("rank 0 never posted its four receives: pending %v", w.PendingOps())
+			}
+			for tag := 12; tag >= 10; tag-- {
+				c.Send(0, tag, []float64{float64(100 + tag)})
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range 3 {
+		if ended[k] != nil || got[k] != float64(110+k) {
+			t.Errorf("receive of tag %d ended with %v and payload %v, want payload %d", 10+k, ended[k], got[k], 110+k)
+		}
+	}
+	te, ok := ended[3].(*TimeoutError)
+	if !ok {
+		t.Fatalf("unsatisfied receive ended with %v, want a *TimeoutError", ended[3])
+	}
+	if te.Rank != 0 || te.Peer != 2 || te.Tag != 13 || len(te.Pending) != 1 {
+		t.Fatalf("timeout at rank %d <- %d tag %d with pending %v, want 0 <- 2 tag 13 alone", te.Rank, te.Peer, te.Tag, te.Pending)
+	}
+}
+
 func TestErrRankFailedErrorsAs(t *testing.T) {
 	var err error = fmt.Errorf("wrapped: %w", &ErrRankFailed{Rank: 3})
 	var rf *ErrRankFailed

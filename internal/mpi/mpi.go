@@ -95,10 +95,6 @@ type envelope struct {
 	// sublayer (see chaos.go): the matching receive completes with this
 	// typed error instead of a payload.
 	fail error
-	// pooled marks an envelope the mailbox recycles; its data has a
-	// power-of-two capacity. Chaos frames and messages beyond the largest
-	// size class keep buffers of their own.
-	pooled bool
 }
 
 // A mailbox pools envelopes in size classes 0 .. poolClasses-1, class k
@@ -110,12 +106,13 @@ const (
 )
 
 // mailbox holds a rank's unmatched arrived messages, its posted
-// receives and its free requests. Posted receives are the Request
-// objects themselves (their prSrc/prTag/buf matching fields are guarded
-// by the mailbox lock), so posting a receive costs no extra allocation;
-// the non-nil entries of posted are exactly the rank's receives that no
-// message has matched yet. reqFree holds the rank's completed requests
-// handed back by Reclaim.
+// receives and its free requests. Its lock guards all of them and the
+// state of every request the rank made; every blocked wait and probe
+// of the rank sleeps on its condition variable. Posted receives are the
+// Request objects themselves, so posting a receive costs no extra
+// allocation; the non-nil entries of posted are exactly the rank's
+// receives that no message has matched yet. reqFree holds the rank's
+// completed requests handed back by Reclaim.
 type mailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -127,6 +124,11 @@ type mailbox struct {
 	// pooledBytes is their total capacity in bytes.
 	free        [poolClasses][]*envelope
 	pooledBytes int
+	// watch is the op-timeout timer of every timed waiter, made by the
+	// mailbox's first timed wait; armed is the deadline it is set for
+	// (zero once it has fired).
+	watch *time.Timer
+	armed time.Time
 }
 
 // sizeClass returns the smallest k with 1<<k >= n.
@@ -145,7 +147,7 @@ func sizeClass(n int) int {
 func (m *mailbox) getEnvelope(n int) *envelope {
 	k := sizeClass(n)
 	if k >= poolClasses {
-		// Never pooled, so not rounded up either.
+		// Never pooled (putEnvelope's byte cap refuses it), so not rounded up.
 		//lint:ignore hotpathalloc a message larger than the pool cap gets a buffer of its own
 		return &envelope{data: make([]float64, n)}
 	}
@@ -158,17 +160,17 @@ func (m *mailbox) getEnvelope(n int) *envelope {
 		return env
 	}
 	//lint:ignore hotpathalloc pool miss: the envelope returns to the free list once a receive consumes it, so a repeating pattern stops missing
-	return &envelope{data: make([]float64, n, 1<<k), pooled: true}
+	return &envelope{data: make([]float64, n, 1<<k)}
 }
 
-// putEnvelope returns a consumed envelope to the free list unless it is
-// not a pooled one or the list already holds maxPooledBytes. Caller
-// holds m.mu and must not touch env afterwards.
+// putEnvelope returns a consumed envelope to the free list unless the
+// list would then hold more than maxPooledBytes. Caller holds m.mu and
+// must not touch env afterwards.
 //
 //gpaw:hotpath
 func (m *mailbox) putEnvelope(env *envelope) {
 	b := 8 * cap(env.data)
-	if !env.pooled || m.pooledBytes+b > maxPooledBytes {
+	if m.pooledBytes+b > maxPooledBytes {
 		return
 	}
 	m.pooledBytes += b
@@ -181,6 +183,91 @@ func newMailbox() *mailbox {
 	m := &mailbox{}
 	m.cond = sync.NewCond(&m.mu)
 	return m
+}
+
+// matches reports whether a receive for (from, wantTag) accepts a
+// message from src with tag; from may be AnySource, wantTag AnyTag.
+func matches(from, wantTag, src, tag int) bool {
+	return (from == AnySource || from == src) && (wantTag == AnyTag || wantTag == tag)
+}
+
+// find returns the index of the earliest arrived envelope of the epoch
+// that a receive for (from, tag) matches, or -1. Arrival order makes
+// matching FIFO per (source, tag). Caller holds m.mu.
+//
+//gpaw:hotpath
+func (m *mailbox) find(from, tag, epoch int) int {
+	for i, env := range m.arrived {
+		if env.epoch == epoch && matches(from, tag, env.src, env.tag) {
+			return i
+		}
+	}
+	return -1
+}
+
+// deliver hands one message to the mailbox, eager sends and chaos
+// frames alike: the earliest posted receive of the epoch that matches
+// completes straight from data, with no intermediate copy; otherwise an
+// eager copy waits in a pooled envelope. Epochs must agree, so a
+// pre-failure send can never complete a post-recovery receive. A
+// non-nil fail is a poisoned chaos delivery: its receive completes with
+// that error. An aborted mailbox drops the message.
+//
+//gpaw:hotpath
+func (m *mailbox) deliver(src, tag, epoch int, data []float64, arriveAt int64, fail error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.aborted {
+		return
+	}
+	defer m.cond.Broadcast()
+	for i, pr := range m.posted {
+		if pr != nil && pr.epoch == epoch && matches(pr.prSrc, pr.prTag, src, tag) {
+			m.posted[i] = nil
+			completeRecv(pr, src, tag, data, arriveAt, fail)
+			return
+		}
+	}
+	env := m.getEnvelope(len(data))
+	copy(env.data, data)
+	env.src, env.tag, env.epoch, env.arriveAt, env.fail = src, tag, epoch, arriveAt, fail
+	//lint:ignore hotpathalloc arrived-list growth: its capacity is warm once the message pattern repeats
+	m.arrived = append(m.arrived, env)
+}
+
+// sleep blocks the caller, which holds m.mu, on the mailbox's condition
+// variable until the next delivery, completion, abort, revocation or
+// timer tick; the caller re-checks what it waits for. A zero deadline
+// waits without bound. Past its deadline sleep releases m.mu and panics
+// with a *TimeoutError for the world rank waiting on (peer, tag). The
+// mailbox's one timer stays set for the earliest deadline of its
+// waiters: a waiter re-arms it when it is unset or set later.
+func (m *mailbox) sleep(w *World, rank, peer, tag int, deadline time.Time) {
+	if !deadline.IsZero() {
+		now := time.Now()
+		if !now.Before(deadline) {
+			m.mu.Unlock()
+			panic(&TimeoutError{After: time.Duration(w.opTimeout.Load()), Rank: rank, Peer: peer, Tag: tag, Pending: w.PendingOps()})
+		}
+		if m.armed.IsZero() || deadline.Before(m.armed) {
+			if m.watch == nil {
+				m.watch = time.AfterFunc(deadline.Sub(now), m.tick)
+			} else {
+				m.watch.Reset(deadline.Sub(now))
+			}
+			m.armed = deadline
+		}
+	}
+	m.cond.Wait()
+}
+
+// tick is the timer's callback: every waiter wakes to check its
+// deadline, and the earliest left re-arms the timer.
+func (m *mailbox) tick() {
+	m.mu.Lock()
+	m.armed = time.Time{}
+	m.cond.Broadcast()
+	m.mu.Unlock()
 }
 
 // World is a set of ranks that can exchange messages. It corresponds to
@@ -261,9 +348,10 @@ func (w *World) abort() {
 // walkPosted visits every mailbox in rank order under its lock: visit
 // runs on each receive posted there that no message has matched yet,
 // and a receive for which it returns an error leaves the list and
-// completes with that error (the request lock taken inside the mailbox
-// lock, as completeRecv takes it). after, when non-nil, then runs on the
-// mailbox in the same hold. Must not be called with a mailbox lock held.
+// completes with that error under the same lock, the one lock that
+// guards the request. after, when non-nil, then runs on the mailbox in
+// the same hold and wakes its waiters. Must not be called with a
+// mailbox lock held.
 func (w *World) walkPosted(visit func(*Request) error, after func(*mailbox)) {
 	for _, b := range w.boxes {
 		b.mu.Lock()
@@ -499,57 +587,23 @@ func (c *Comm) sendDeliver(to, tag int, data []float64) {
 		c.chaosSend(toW, tag, data, arriveAt)
 		return
 	}
-	box := c.world.boxes[toW]
-	box.mu.Lock()
-	defer box.mu.Unlock()
-	// Try to match a posted receive first, in post order. The match
-	// delivers straight from the sender's buffer into the posted one, with
-	// no envelope and no intermediate copy. Epochs must agree so a
-	// pre-failure send can never complete a post-recovery receive.
-	for i, pr := range box.posted {
-		if pr == nil || pr.epoch != c.epoch {
-			continue
-		}
-		if (pr.prSrc == AnySource || pr.prSrc == c.rank) && (pr.prTag == AnyTag || pr.prTag == tag) {
-			box.posted[i] = nil
-			completeRecv(pr, c.rank, tag, data, arriveAt)
-			box.cond.Broadcast()
-			return
-		}
-	}
-	// No receive posted yet: queue an eager copy in a pooled envelope.
-	env := box.getEnvelope(len(data))
-	copy(env.data, data)
-	env.src, env.tag, env.epoch, env.arriveAt = c.rank, tag, c.epoch, arriveAt
-	//lint:ignore hotpathalloc arrived-list growth: its capacity is warm once the message pattern repeats
-	box.arrived = append(box.arrived, env)
-	box.cond.Broadcast()
+	c.world.boxes[toW].deliver(c.rank, tag, c.epoch, data, arriveAt, nil)
 }
 
-// completeRecv copies the message payload into the posted buffer and
-// completes the request. Caller holds the mailbox lock. A message larger
-// than the posted buffer is a truncation error, surfaced as a panic at
-// the receiver's Wait (never in the sender's goroutine, which may be a
-// different rank). The copy happens under the request lock after the
-// done check, so a request already completed by a failure revocation
-// can never have its abandoned buffer written.
-func completeRecv(pr *Request, src, tag int, data []float64, arriveAt int64) {
-	pr.mu.Lock()
-	if pr.done {
-		pr.mu.Unlock()
-		return
+// completeRecv copies a message payload into the posted buffer and
+// completes the request; a non-nil fail completes it with that error
+// instead. Caller holds the owner's mailbox lock and wakes its waiters.
+// A message larger than the posted buffer is a truncation error,
+// surfaced as a panic at the receiver's Wait (never in the sender's
+// goroutine, which may be a different rank). Callers complete only a
+// request they take out of posted (or never posted) in the same hold,
+// so a request a revocation completed never has its buffer written.
+func completeRecv(pr *Request, src, tag int, data []float64, arriveAt int64, fail error) {
+	if fail == nil && len(data) > len(pr.buf) {
+		fail = fmt.Errorf("mpi: message of %d values truncated into buffer of %d", len(data), len(pr.buf))
 	}
-	n := copy(pr.buf, data)
-	var err error
-	if len(data) > len(pr.buf) {
-		err = fmt.Errorf("mpi: message of %d values truncated into buffer of %d", len(data), len(pr.buf))
-	}
-	pr.done = true
-	pr.src, pr.tag, pr.n = src, tag, n
+	pr.completeErr(src, tag, copy(pr.buf, data), fail)
 	pr.arriveAt = arriveAt
-	pr.err = err
-	pr.mu.Unlock()
-	pr.cond.Broadcast()
 }
 
 // Recv blocks until a message matching (from, tag) arrives, copies it
@@ -587,9 +641,9 @@ func (c *Comm) Isend(to, tag int, data []float64) *Request {
 	box := c.world.boxes[me]
 	box.mu.Lock()
 	r := box.getRequest(c.world)
-	box.mu.Unlock()
 	r.owner = me
-	r.complete(c.rank, tag, len(data))
+	r.completeErr(c.rank, tag, len(data), nil)
+	box.mu.Unlock()
 	return r
 }
 
@@ -622,36 +676,22 @@ func (c *Comm) irecv(from, tag int, buf []float64) *Request {
 	req.prSrc, req.prTag, req.buf = from, tag, buf
 	req.owner = me
 	req.epoch = c.epoch
-	// Match the earliest arrived envelope (FIFO per source/tag is
-	// guaranteed because arrived is scanned in arrival order). Epochs
-	// must agree: a message stranded by a failed epoch is never
-	// delivered into a recovered one.
-	for i, env := range box.arrived {
-		if env == nil || env.epoch != c.epoch {
-			continue
-		}
-		if (from == AnySource || from == env.src) && (tag == AnyTag || tag == env.tag) {
-			last := len(box.arrived) - 1
-			copy(box.arrived[i:], box.arrived[i+1:])
-			box.arrived[last] = nil
-			box.arrived = box.arrived[:last]
-			if env.fail != nil {
-				// Poisoned delivery from the chaos reliability sublayer:
-				// the receive completes with the typed error.
-				req.completeErr(env.src, env.tag, 0, env.fail)
-			} else {
-				// Copy out under the mailbox lock: once the envelope is back
-				// on the free list, the next unmatched send may reuse it.
-				completeRecv(req, env.src, env.tag, env.data, env.arriveAt)
-				box.putEnvelope(env)
-			}
-			box.mu.Unlock()
-			return req
-		}
+	if i := box.find(from, tag, c.epoch); i >= 0 {
+		env := box.arrived[i]
+		last := len(box.arrived) - 1
+		copy(box.arrived[i:], box.arrived[i+1:])
+		box.arrived[last] = nil
+		box.arrived = box.arrived[:last]
+		// Copy out under the mailbox lock: once the envelope is back on
+		// the free list, the next unmatched send may reuse it.
+		completeRecv(req, env.src, env.tag, env.data, env.arriveAt, env.fail)
+		box.putEnvelope(env)
+		box.mu.Unlock()
+		return req
 	}
 	if box.aborted {
-		box.mu.Unlock()
 		req.completeErr(AnySource, AnyTag, 0, errAborted)
+		box.mu.Unlock()
 		return req
 	}
 	//lint:ignore hotpathalloc posted-receive list of the warm mailbox; capacity is stable once the exchange pattern repeats
@@ -681,6 +721,7 @@ func (c *Comm) irecv(from, tag int, buf []float64) *Request {
 		}
 		if failErr != nil {
 			box.posted[idx] = nil
+			req.completeErr(AnySource, AnyTag, 0, failErr)
 		}
 	}
 	// Garbage-collect matched slots occasionally to bound growth.
@@ -695,11 +736,8 @@ func (c *Comm) irecv(from, tag int, buf []float64) *Request {
 		box.posted = live
 	}
 	box.mu.Unlock()
-	if failErr != nil {
-		if deadPeer >= 0 {
-			c.world.revoke(int64(c.epoch), deadPeer)
-		}
-		req.completeErr(AnySource, AnyTag, 0, failErr)
+	if deadPeer >= 0 {
+		c.world.revoke(int64(c.epoch), deadPeer)
 	}
 	return req
 }
@@ -717,21 +755,24 @@ func (c *Comm) Sendrecv(to, sendTag int, sendBuf []float64, from, recvTag int, r
 }
 
 // Probe blocks until a matching message is available without receiving
-// it, returning its source, tag, and length.
+// it, returning its source, tag, and length. Like Wait, it is bounded
+// by the world's op timeout (World.SetOpTimeout).
 func (c *Comm) Probe(from, tag int) (src, gotTag, n int) {
 	c.enter()
 	defer c.exit()
-	box := c.world.boxes[c.worldRank(c.rank)]
+	me := c.group[c.rank]
+	box := c.world.boxes[me]
+	deadline := c.world.opDeadline()
+	var fail error
 	var arriveAt int64
 	box.mu.Lock()
-probe:
 	for {
 		if box.aborted {
 			box.mu.Unlock()
 			panic(errAborted)
 		}
 		if c.world.ftOn.Load() {
-			if me := c.group[c.rank]; c.world.isDead(me) {
+			if c.world.isDead(me) {
 				box.mu.Unlock()
 				panic(rankKilled{me})
 			}
@@ -740,27 +781,21 @@ probe:
 				panic(c.world.failure())
 			}
 		}
-		for _, env := range box.arrived {
-			if env == nil || env.epoch != c.epoch {
-				continue
-			}
-			if (from == AnySource || from == env.src) && (tag == AnyTag || tag == env.tag) {
-				if env.fail != nil {
-					box.mu.Unlock()
-					panic(env.fail)
-				}
-				src, gotTag, n = env.src, env.tag, len(env.data)
-				arriveAt = env.arriveAt
-				break probe
-			}
+		if i := box.find(from, tag, c.epoch); i >= 0 {
+			env := box.arrived[i]
+			src, gotTag, n, fail, arriveAt = env.src, env.tag, len(env.data), env.fail, env.arriveAt
+			break
 		}
-		box.cond.Wait()
+		box.sleep(c.world, me, from, tag, deadline)
 	}
 	box.mu.Unlock()
+	if fail != nil {
+		panic(fail)
+	}
 	// A probe observes the message, so the observer's clock advances to
 	// its modeled arrival.
 	if c.world.netOn.Load() {
-		c.world.advanceTo(c.group[c.rank], arriveAt)
+		c.world.advanceTo(me, arriveAt)
 	}
 	return src, gotTag, n
 }

@@ -250,11 +250,13 @@ func TestModeledTestGatesOnVirtualArrival(t *testing.T) {
 		}
 		r := c.Irecv(0, 7, make([]float64, 125))
 		// Wait for the physical (eager) delivery so the gate is the only
-		// thing standing between Test and true.
+		// thing standing between Test and true. The owner's mailbox lock
+		// guards the request's state.
+		box := c.world.boxes[r.owner]
 		for {
-			r.mu.Lock()
+			box.mu.Lock()
 			done := r.done
-			r.mu.Unlock()
+			box.mu.Unlock()
 			if done {
 				break
 			}

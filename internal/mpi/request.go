@@ -1,15 +1,13 @@
 package mpi
 
-import (
-	"sync"
-	"time"
-
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // Request tracks the completion of a non-blocking operation, like
 // MPI_Request. Requests are created by Isend/Irecv and completed by the
 // runtime; Wait blocks until completion and Test polls without blocking.
+// A request has no lock of its own: the mailbox lock of the rank that
+// made it guards all of its state, and its waiter sleeps on that
+// mailbox's condition variable.
 //
 // Errors detected at delivery time (message truncation, world abort
 // after a rank panic) are stored on the request and surfaced as a panic
@@ -20,8 +18,6 @@ import (
 // mailbox with Reclaim, so steady-state communication loops (the halo
 // exchange of internal/core) run without per-message allocation.
 type Request struct {
-	mu   sync.Mutex
-	cond *sync.Cond
 	done bool
 	src  int
 	tag  int
@@ -35,9 +31,8 @@ type Request struct {
 	// has caught up with it.
 	arriveAt int64
 
-	// Posted-receive matching state, guarded by the owning mailbox's
-	// lock while the request sits in mailbox.posted (the role the
-	// separate pendingRecv struct used to play).
+	// Posted-receive matching state: the source, tag and buffer a
+	// message must match while the request sits in mailbox.posted.
 	prSrc, prTag int
 	buf          []float64
 
@@ -48,29 +43,9 @@ type Request struct {
 	owner int
 	epoch int
 
-	// w is the world whose mailbox of rank owner takes the request back
-	// on Reclaim (nil for requests constructed outside a world, e.g. in
-	// tests).
+	// w is the world whose mailbox of rank owner guards the request and
+	// takes it back on Reclaim.
 	w *World
-
-	// watch is the op-timeout watchdog, made by the first timed wait and
-	// reused by later ones, so it lives as long as the pooled request.
-	watch *time.Timer
-}
-
-// wake is the watchdog's callback: a broadcast that lets a timed wait
-// re-check its deadline. A late call after reuse is a spurious wakeup,
-// which every wait loop tolerates.
-func (r *Request) wake() {
-	r.mu.Lock()
-	r.cond.Broadcast()
-	r.mu.Unlock()
-}
-
-func newRequest() *Request {
-	r := &Request{}
-	r.cond = sync.NewCond(&r.mu)
-	return r
 }
 
 // getRequest pops a reusable request from the mailbox's free list, or
@@ -86,16 +61,15 @@ func (m *mailbox) getRequest(w *World) *Request {
 		r.reset()
 		return r
 	}
-	r := newRequest()
-	r.w = w
-	return r
+	//lint:ignore hotpathalloc pool miss: Reclaim returns the request to the rank's free list, so a repeating pattern stops missing
+	return &Request{w: w}
 }
 
-// reset prepares a pooled request for reuse.
+// reset prepares a pooled request for reuse. Caller holds its mailbox
+// lock.
 //
 //gpaw:hotpath
 func (r *Request) reset() {
-	r.mu.Lock()
 	r.done = false
 	r.src, r.tag, r.n = 0, 0, 0
 	r.arriveAt = 0
@@ -103,7 +77,6 @@ func (r *Request) reset() {
 	r.prSrc, r.prTag = 0, 0
 	r.buf = nil
 	r.owner, r.epoch = 0, 0
-	r.mu.Unlock()
 }
 
 // Reclaim returns completed requests to the free list of the mailbox of
@@ -118,34 +91,24 @@ func (r *Request) reset() {
 //gpaw:hotpath
 func Reclaim(reqs ...*Request) {
 	for _, r := range reqs {
-		if r == nil || r.w == nil {
+		if r == nil {
 			continue
 		}
-		r.buf = nil // do not retain the receive buffer past reclaim
 		box := r.w.boxes[r.owner]
 		box.mu.Lock()
+		r.buf = nil // do not retain the receive buffer past reclaim
 		//lint:ignore hotpathalloc append into the rank's free list; capacity is warm after the first reclaim cycle
 		box.reqFree = append(box.reqFree, r)
 		box.mu.Unlock()
 	}
 }
 
-// complete marks the request done with the given status and wakes
-// waiters.
-func (r *Request) complete(src, tag, n int) { r.completeErr(src, tag, n, nil) }
-
 // completeErr marks the request done, possibly with a delivery error.
+// Caller holds the owner's mailbox lock and wakes its waiters.
 func (r *Request) completeErr(src, tag, n int, err error) {
-	r.mu.Lock()
-	if r.done {
-		r.mu.Unlock()
-		return
-	}
 	r.done = true
 	r.src, r.tag, r.n = src, tag, n
 	r.err = err
-	r.mu.Unlock()
-	r.cond.Broadcast()
 }
 
 // Wait blocks until the operation completes and returns the message
@@ -163,7 +126,7 @@ func (r *Request) Wait() (src, tag, n int) {
 	// Traced waits become timeline spans whose virtual duration covers
 	// the clock jump to the message's modeled arrival; the peer, tag
 	// and size are only known at completion, so they are stamped then.
-	if w := r.w; w != nil && w.trcOn.Load() {
+	if w := r.w; w.trcOn.Load() {
 		if rk := w.traceRankFor(r.owner); rk != nil {
 			sp := rk.BeginComm("mpi.wait", trace.KindWait, -1, -1, 0)
 			src, tag, n = r.wait()
@@ -180,52 +143,27 @@ func (r *Request) wait() (src, tag, n int) {
 	// standalone requests, outside any Comm entry point), so it does its
 	// own compute accrual — otherwise wall time spent blocked here would
 	// be mistaken for compute by the next accrual.
-	var w *World
-	var owner int
-	r.mu.Lock()
-	if r.w != nil && r.w.netOn.Load() {
-		w, owner = r.w, r.owner
-		r.mu.Unlock()
+	w, owner := r.w, r.owner
+	modeled := w.netOn.Load()
+	if modeled {
 		w.netEnter(owner)
-		r.mu.Lock()
 	}
-	if !r.done && r.w != nil {
-		if to := time.Duration(r.w.opTimeout.Load()); to > 0 {
-			wld := r.w
-			deadline := time.Now().Add(to)
-			for !r.done {
-				now := time.Now()
-				if !now.Before(deadline) {
-					//lint:ignore hotpathalloc deadlock-diagnostic path: allocating the error as the world dies is fine
-					te := &TimeoutError{After: to, Rank: r.owner, Peer: r.prSrc, Tag: r.prTag}
-					r.mu.Unlock()
-					te.Pending = wld.PendingOps()
-					panic(te)
-				}
-				// The timer only wakes the waiter so the deadline check
-				// runs; the request itself stays pending.
-				if r.watch == nil {
-					//lint:ignore hotpathalloc once per request object: a pooled request keeps its watchdog timer
-					r.watch = time.AfterFunc(deadline.Sub(now), r.wake)
-				} else {
-					r.watch.Reset(deadline.Sub(now))
-				}
-				r.cond.Wait()
-				r.watch.Stop()
-			}
+	box := w.boxes[owner]
+	box.mu.Lock()
+	if !r.done {
+		deadline := w.opDeadline()
+		for !r.done {
+			box.sleep(w, owner, r.prSrc, r.prTag, deadline)
 		}
 	}
-	for !r.done {
-		r.cond.Wait()
-	}
 	if r.err != nil {
-		r.mu.Unlock()
+		box.mu.Unlock()
 		panic(r.err)
 	}
 	src, tag, n = r.src, r.tag, r.n
 	arrive := r.arriveAt
-	r.mu.Unlock()
-	if w != nil {
+	box.mu.Unlock()
+	if modeled {
 		w.advanceTo(owner, arrive)
 		w.netExit(owner)
 	}
@@ -243,28 +181,20 @@ func (r *Request) wait() (src, tag, n int) {
 //
 //gpaw:hotpath
 func (r *Request) Test() bool {
-	var w *World
-	var owner int
-	r.mu.Lock()
-	if r.w != nil && r.w.netOn.Load() {
-		w, owner = r.w, r.owner
-	}
+	w, owner := r.w, r.owner
+	box := w.boxes[owner]
+	box.mu.Lock()
 	done, arrive, err := r.done, r.arriveAt, r.err
-	r.mu.Unlock()
-	if w != nil {
-		// Polling is an MPI-call boundary too: accrue the compute done
-		// since the last boundary, so an overlap loop that polls between
-		// interior work items advances its clock toward the arrival.
-		w.netEnter(owner)
-		defer w.netExit(owner)
+	box.mu.Unlock()
+	if !w.netOn.Load() {
+		return done
 	}
-	if !done {
-		return false
-	}
-	if w == nil || err != nil {
-		return true
-	}
-	return w.virtReached(owner, arrive)
+	// Polling is an MPI-call boundary too: accrue the compute done since
+	// the last boundary, so an overlap loop that polls between interior
+	// work items advances its clock toward the arrival.
+	w.netEnter(owner)
+	defer w.netExit(owner)
+	return done && (err != nil || w.virtReached(owner, arrive))
 }
 
 // Waitall blocks until every request completes. Nil entries are
