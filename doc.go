@@ -32,7 +32,7 @@
 //     already-posted receive buffer, and pooled eager buffers for a
 //     send that arrives first; warmed collectives allocate nothing per
 //     call (TestCollectivesAllocationFree). The runtime carries a ULFM-style
-//     failure model (fault.go): RunWithFaults injects deterministic,
+//     failure model (fault.go): World.SetFaultPlan injects deterministic,
 //     seedable rank kills (FaultPlan: die after the k-th operation,
 //     optional seeded delay jitter); a death revokes the communication
 //     epoch so every survivor's pending or future operation on the
@@ -109,12 +109,13 @@
 //     and rotated states of its slice, and the eigensolver/SCF reproduce
 //     the one-rank results bit for bit for every bands x domain split
 //     (internal/gpaw/bands_test.go). The solver layer is fault
-//     tolerant: the SCF writes gather-free, versioned,
-//     CRC64-checksummed checkpoints (checkpoint.go — one shard per
-//     rank, a manifest listing every shard's box and band slice
-//     committed atomically; restore re-tiles onto any process grid or
-//     band layout, each rank fetching only the shards that meet its
-//     own, and ends in one world-agreed verdict), and RunSCFFT (ft.go) turns a rank
+//     tolerant: the SCF writes gather-free, CRC64-checksummed
+//     checkpoints (checkpoint.go — one data-only shard per rank and one
+//     manifest per step, the step's only header, committed atomically:
+//     the system, every shard's box, band slice and CRC64, and a CRC64
+//     of its own; restore re-tiles onto any process grid or band
+//     layout, each rank fetching only the shards that meet its own,
+//     and ends in one world-agreed verdict), and RunSCFFT (ft.go) turns a rank
 //     failure into Agree/Shrink recovery onto the survivor grid with
 //     resume from the last checkpoint; exact reductions make the
 //     recovered energies, eigenvalues, iteration counts and fields

@@ -72,7 +72,7 @@ func viaAcc(xs []float64) float64 {
 // solver code uses; no raw accumulation.
 func fillAcc(a *detsum.Acc, xs, ys []float64) {
 	for i := range xs {
-		a.AddMul(xs[i], ys[i])
+		a.Add(xs[i] * ys[i])
 	}
 }
 

@@ -126,11 +126,6 @@ func (a *Acc) Add(v float64) {
 	a.deposited(1)
 }
 
-// AddMul accumulates the rounded product x*y — the element step of a
-// deterministic dot product. The product is rounded once, identically
-// for every partitioning, and then accumulated exactly.
-func (a *Acc) AddMul(x, y float64) { a.Add(float64(x * y)) }
-
 // AddSlice accumulates every element of x: Add over a row, with the
 // carry threshold checked once per row rather than once per element.
 func (a *Acc) AddSlice(x []float64) {

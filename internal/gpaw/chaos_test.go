@@ -269,90 +269,80 @@ func TestCheckpointStores(t *testing.T) {
 	}
 	for _, st := range []Store{NewMemStore(), dir} {
 		box := topology.Dims{4, 4, 4}
-		sh := &shard{Kind: shardKindSCF, Iteration: 3, Global: box,
-			Local: box, Spacing: 0.5, States: 1, BandHi: 1,
-			Scalars: []float64{1.5}, Fields: []*grid.Grid{grid.NewDims(box, 2), grid.NewDims(box, 0), grid.NewDims(box, 1)}}
-		sh.Fields[0].Set(0, 1, 3, 42) // interior point 7 in x-major order
-		data := sh.encode(nil)
+		fields := []*grid.Grid{grid.NewDims(box, 2), grid.NewDims(box, 0), grid.NewDims(box, 1)}
+		fields[0].Set(0, 1, 3, 42) // interior point 7 in x-major order
+		data := appendShard(nil, []float64{1.5}, fields)
+		// honest is the manifest of a one-shard step holding data.
+		honest := func(step int, data []byte) *manifest {
+			return &manifest{Step: step, States: 1, Global: box, Spacing: 0.5, BC: Dirichlet,
+				Shards: []manifestShard{{Local: box, Bands: [2]int{0, 1}, Sum: crc64.Checksum(data, crcTable)}}}
+		}
 		if err := st.PutShard(3, 0, data); err != nil {
 			t.Fatal(err)
 		}
 		if steps, _ := st.Steps(); len(steps) != 0 {
 			t.Errorf("%T: uncommitted step visible: %v", st, steps)
 		}
-		if err := st.Commit(3, []byte(`{"version":4,"kind":1,"step":3,"ranks":1,"states":1,"global":[4,4,4],"shards":[]}`)); err != nil {
+		// Step 3's manifest lists no entry for its one shard: the reader
+		// must not take that as "nothing to verify".
+		empty := honest(3, data)
+		empty.Shards = nil
+		if err := st.Commit(3, empty.encode()); err != nil {
 			t.Fatal(err)
 		}
 		if steps, _ := st.Steps(); len(steps) != 1 || steps[0] != 3 {
 			t.Errorf("%T: committed steps %v, want [3]", st, steps)
 		}
-		back, err := st.GetShard(3, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := parseShard(back)
-		if err != nil {
-			t.Fatalf("%T: decode round trip: %v", st, err)
-		}
-		if got.Iteration != 3 || shardField(got, 0)[7] != 42 || shardScalars(got)[0] != 1.5 {
-			t.Errorf("%T: round trip mangled the shard", st)
-		}
-		// Flip one payload byte: the CRC must catch it.
-		bad := append([]byte(nil), back...)
-		bad[len(bad)/2] ^= 0x40
-		if _, err := parseShard(bad); !errors.Is(err, ErrCheckpointCorrupt) {
-			t.Errorf("%T: corrupted shard decoded: %v", st, err)
-		}
-		// Step 3's manifest lists no entry for its one shard: the reader
-		// must not take that as "nothing to verify".
-		d := selfDist(sh.Global, 2, Dirichlet)
-		manifestFor := func(version, step, states int, bands string, data []byte) []byte {
-			return []byte(fmt.Sprintf(`{"version":%d,"kind":1,"step":%d,"ranks":1,"states":%d,"global":[4,4,4],`+
-				`"shards":[{"off":[0,0,0],"local":[4,4,4],"bands":%s,"sum":"%016x"}]}`,
-				version, step, states, bands, crc64.Checksum(data[:len(data)-8], crcTable)))
+		if back, err := st.GetShard(3, 0); err != nil || !slices.Equal(back, data) {
+			t.Errorf("%T: round trip mangled the shard (%v)", st, err)
 		}
 		// Step 4 is the same shard under an honest manifest; step 5 a
-		// CRC-valid shard whose field count disagrees with its band slice;
-		// step 6 the honest shard under a manifest claiming two states;
-		// step 7 under a version-1 manifest, whose field 1 would be the
-		// effective potential, not the Hartree one; step 8 under a
-		// version-2 manifest, which carries no mixer history; step 9 under
-		// a version-3 manifest, which lists no boxes; step 10 under an
-		// entry naming another band slice.
-		short := *sh
-		short.Fields = sh.Fields[:2]
-		for step, c := range map[int]struct {
-			version, states int
-			bands           string
-			data            []byte
-		}{4: {4, 1, "[0,1]", data}, 5: {4, 1, "[0,1]", short.encode(nil)}, 6: {4, 2, "[0,1]", data},
-			7: {1, 1, "[0,1]", data}, 8: {2, 1, "[0,1]", data}, 9: {3, 1, "[0,1]", data}, 10: {4, 1, "[0,0]", data}} {
+		// shard a field short of its band slice; step 6 the honest shard
+		// under a manifest claiming two states; steps 7-9 under manifests
+		// naming versions 2-4; step 10 under an entry naming another band
+		// slice; step 11 under the JSON manifest version 4 wrote; step 12
+		// a shard with one byte flipped under its honest manifest.
+		d := selfDist(box, 2, Dirichlet)
+		short := appendShard(nil, []float64{1.5}, fields[:2])
+		flipped := slices.Clone(data)
+		flipped[len(flipped)/2] ^= 0x40
+		twoStates, otherSlice := honest(6, data), honest(10, data)
+		twoStates.States, otherSlice.Shards[0].Bands = 2, [2]int{0, 0}
+		steps := map[int]struct{ data, man []byte }{4: {data, honest(4, data).encode()},
+			5: {short, honest(5, short).encode()}, 6: {data, twoStates.encode()}, 10: {data, otherSlice.encode()},
+			11: {data, jsonManifest(4)}, 12: {flipped, honest(12, data).encode()}}
+		for step := 7; step <= 9; step++ {
+			steps[step] = struct{ data, man []byte }{data, reframed(honest(step, data).encode(), 1, uint64(step-5))}
+		}
+		for step, c := range steps {
 			if err := st.PutShard(step, 0, c.data); err != nil {
 				t.Fatal(err)
 			}
-			if err := st.Commit(step, manifestFor(c.version, step, c.states, c.bands, c.data)); err != nil {
+			if err := st.Commit(step, c.man); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for step, v := range map[int]int{7: 1, 8: 2, 9: 3} {
-			if _, err := RestoreSCF(d, st, step); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", v)) {
-				t.Errorf("%T: version-%d manifest: %v, want unsupported version %d", st, v, err, v)
+		for step := 7; step <= 9; step++ {
+			if _, err := RestoreSCF(d, st, step); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", step-5)) {
+				t.Errorf("%T: version-%d manifest: %v, want unsupported version %d", st, step-5, err, step-5)
 			}
 		}
-		for step, corrupt := range map[int]bool{3: true, 4: false, 5: true, 6: true, 7: true, 8: true, 9: true, 10: true} {
+		for step := 3; step <= 12; step++ {
+			corrupt := step != 4
 			rs, err := RestoreSCF(d, st, step)
 			if corrupt != errors.Is(err, ErrCheckpointCorrupt) || !corrupt && err != nil {
 				t.Errorf("%T step %d: RestoreSCF = %v, want ErrCheckpointCorrupt: %v", st, step, err, corrupt)
 			}
-			if !corrupt && (rs == nil || rs.Iteration != 3 || rs.N.InteriorSlice()[7] != 42) {
+			if !corrupt && (rs == nil || rs.Iteration != 4 || rs.N.InteriorSlice()[7] != 42 || rs.Eig[0] != 1.5) {
 				t.Errorf("%T step %d: restore of the honest generation mangled the state", st, step)
 			}
 		}
-		// Recovery walks back from step 10 past every corrupt generation
-		// to step 4; steps 7-9 fail at the manifest, before any shard.
+		// Recovery walks back from step 12 past every corrupt generation
+		// to step 4; steps 7-9 and 11 fail at the manifest, before any
+		// shard.
 		walk := &countingStore{Store: st}
-		if rs, err := latestRestart(d, walk, 60); err != nil || rs == nil || !slices.Equal(walk.steps, []int{10, 6, 5, 4}) {
-			t.Errorf("%T: recovery read shards of steps %v (%v), want [10 6 5 4]", st, walk.steps, err)
+		if rs, err := latestRestart(d, walk, 60); err != nil || rs == nil || !slices.Equal(walk.steps, []int{12, 10, 6, 5, 4}) {
+			t.Errorf("%T: recovery read shards of steps %v (%v), want [12 10 6 5 4]", st, walk.steps, err)
 		}
 	}
 }

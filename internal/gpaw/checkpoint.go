@@ -2,7 +2,6 @@ package gpaw
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc64"
@@ -25,10 +24,12 @@ import (
 // loss the way production GPAW deployments do: by periodically writing
 // restart state and resuming from it. Every rank writes its own shard of
 // the state (density, Hartree potential, its band slice of the
-// wave-functions, the Pulay mixer's ring, the iteration counter); one
-// small gather to world rank 0 builds the step's manifest, which lists
-// every shard's box, band slice and CRC64. A step becomes valid only
-// when its manifest commits, after every shard is stored, so a step
+// wave-functions, the Pulay mixer's ring); a shard is data alone. One
+// small gather to world rank 0 builds the step's manifest, the step's
+// only header: the iteration, the state count, the mixer history, the
+// system (grid, spacing, boundary) and every shard's box, band slice and
+// CRC64, trailed by a CRC64 of its own. A step becomes valid only when
+// its manifest commits, after every shard is stored, so a step
 // interrupted by the very failure it is meant to survive is invisible to
 // recovery. A restart re-tiles the shards onto ANY process grid and band
 // layout (in particular the shrunken survivor grid after a rank failure):
@@ -59,6 +60,14 @@ type Store interface {
 	Manifest(step int) ([]byte, error)
 	// Steps lists the committed steps in ascending order.
 	Steps() ([]int, error)
+	StepDropper
+}
+
+// StepDropper removes a step, its manifest first, so the step is
+// invisible before any of its shards goes: the Checkpointer's retention
+// policy prunes old generations through it.
+type StepDropper interface {
+	Drop(step int) error
 }
 
 // MemStore is an in-memory Store shared by all ranks of an in-process
@@ -158,7 +167,7 @@ func (s *MemStore) Corrupt(step, rank int, byteIdx int) error {
 // DirStore persists checkpoints under a directory:
 //
 //	<dir>/step-NNNNNN/shard-NNNN.ckpt
-//	<dir>/step-NNNNNN/MANIFEST.json
+//	<dir>/step-NNNNNN/MANIFEST
 //
 // The manifest is written to a temporary file and renamed, so a step is
 // either fully committed or absent — an interrupted run can never leave
@@ -265,11 +274,11 @@ func (s *DirStore) Commit(step int, manifest []byte) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, "MANIFEST.json.tmp")
+	tmp := filepath.Join(dir, "MANIFEST.tmp")
 	if err := writeFileSync(tmp, manifest); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, "MANIFEST.json")); err != nil {
+	if err := os.Rename(tmp, filepath.Join(dir, "MANIFEST")); err != nil {
 		return err
 	}
 	return s.syncDir(dir)
@@ -277,7 +286,7 @@ func (s *DirStore) Commit(step int, manifest []byte) error {
 
 // Manifest implements Store.
 func (s *DirStore) Manifest(step int) ([]byte, error) {
-	return os.ReadFile(filepath.Join(s.stepDir(step), "MANIFEST.json"))
+	return os.ReadFile(filepath.Join(s.stepDir(step), "MANIFEST"))
 }
 
 // Drop implements StepDropper. The manifest is removed first, so a
@@ -286,7 +295,7 @@ func (s *DirStore) Manifest(step int) ([]byte, error) {
 // last, so the removal of the step's directory is durable too.
 func (s *DirStore) Drop(step int) error {
 	dir := s.stepDir(step)
-	if err := os.Remove(filepath.Join(dir, "MANIFEST.json")); err != nil && !os.IsNotExist(err) {
+	if err := os.Remove(filepath.Join(dir, "MANIFEST")); err != nil && !os.IsNotExist(err) {
 		return err
 	}
 	if err := s.syncDir(dir); err != nil {
@@ -314,7 +323,7 @@ func (s *DirStore) Steps() ([]int, error) {
 		if err != nil {
 			continue
 		}
-		if _, err := os.Stat(filepath.Join(s.dir, name, "MANIFEST.json")); err != nil {
+		if _, err := os.Stat(filepath.Join(s.dir, name, "MANIFEST")); err != nil {
 			continue // uncommitted step: invisible
 		}
 		steps = append(steps, st)
@@ -323,36 +332,33 @@ func (s *DirStore) Steps() ([]int, error) {
 	return steps, nil
 }
 
-// StepDropper is the optional Store extension the Checkpointer's
-// retention policy uses to prune old generations. Both MemStore and
-// DirStore implement it; a store without it simply keeps everything.
-type StepDropper interface {
-	Drop(step int) error
-}
+// --- format ---------------------------------------------------------
 
-// --- shard codec ----------------------------------------------------
-
+// A step's manifest is little-endian 64-bit words:
+//
+//	magic, version, step, states m, mixer history h,
+//	the global grid (3), the spacing (float64 bits), the boundary,
+//	per writing rank: its box's offset (3) and extents (3), its band
+//	slice [lo, hi) and its shard's CRC64,
+//	a CRC64 of every word before it.
+//
+// A shard is its payload alone, in the same words: the m Ritz values
+// (they bound the next iteration's filter) and the mixer's h x h Gram
+// matrix by rows, then the interior rows of each field, x-major over the
+// box: density, v_H, psi(lo) .. psi(hi-1), n_in,0 .. n_in,h-1,
+// R_0 .. R_h-1. Its byte count and its CRC64 in the manifest frame it.
 const (
-	shardMagic = uint64(0x4750434b5f763100) // "GPCK_v1\0"
-	// shardVersion 4: the manifest lists every shard's box and band slice
-	// beside its checksum, so a restoring rank picks the shards it
-	// re-tiles before reading any. Version 3 manifests list checksums
-	// alone; version 2 shards hold no mixer history — resumed, they would
-	// restart the mixer and leave the undisturbed run's bits — and
-	// version 1 ones the effective potential where the Hartree one now is.
-	// All three are refused.
-	shardVersion = 4
+	manifestMagic = 0x4750434b5f763100 // "GPCK_v1\0"
+	// manifestVersion 5: the manifest is the step's only header. Earlier
+	// versions, whose shards carried headers, are refused.
+	manifestVersion = 5
 
-	shardKindSCF = 1 // the one kind of state checkpointed: the SCF loop's
-
-	// shardHeaderWords counts the words ahead of the scalars: magic,
-	// version, kind, iteration, the three boxes, the spacing, BC, the
-	// state count, the band slice, the history and the scalar count.
-	shardHeaderWords = 20
+	manifestHeadWords  = 10 // magic through boundary
+	manifestEntryWords = 9  // box offset and extents, band slice, CRC64
 )
 
 // ErrCheckpointCorrupt wraps checksum and format failures detected when
-// reading a shard back.
+// reading a manifest or a shard back.
 var ErrCheckpointCorrupt = errors.New("gpaw: corrupt checkpoint shard")
 
 // ErrCheckpointUnreadable wraps a store's failure to hand back a
@@ -366,84 +372,125 @@ var ErrCheckpointUnwritable = errors.New("gpaw: unwritable checkpoint")
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
-// shard is one rank's checkpoint piece as saveSCF assembles it. Fields
-// are grids whose interiors cover the Local box at Off:
-// [density, v_H, psi(BandLo) .. psi(BandHi-1), n_in,0 .. n_in,Hist-1,
-// R_0 .. R_Hist-1].
-type shard struct {
-	Kind      int
-	Iteration int
-	Global    topology.Dims
-	Off       topology.Coord
-	Local     topology.Dims
-	Spacing   float64
-	BC        int
-	States    int // m, the global state count (the eigensolver's guard included)
-	BandLo    int // this shard's band slice [BandLo, BandHi)
-	BandHi    int
-	Hist      int // the Pulay mixer's live pairs, oldest first
-	// Scalars are the m Ritz values of the iteration, which bound the
-	// next one's filter, then the mixer's Hist x Hist Gram matrix by rows.
-	Scalars []float64
-	Fields  []*grid.Grid
+// manifest is the commit record of a checkpoint step and its only
+// header: the shape of the SCF state, the system it belongs to, and what
+// each rank's shard covers beside its checksum, so a restoring rank can
+// pick the shards it re-tiles before reading any.
+type manifest struct {
+	Step    int // the SCF iteration
+	States  int // m, the global state count (the eigensolver's guard included)
+	Hist    int // the Pulay mixer's live pairs, oldest first
+	Global  topology.Dims
+	Spacing float64
+	BC      Boundary
+	Shards  []manifestShard // by writing rank
 }
 
-// wantFields and wantScalars are the counts a shard's band slice and
-// history call for.
-func (sh *shard) wantFields() int  { return 2 + sh.BandHi - sh.BandLo + 2*sh.Hist }
-func (sh *shard) wantScalars() int { return sh.States + sh.Hist*sh.Hist }
+// manifestShard is one shard's entry in its step's manifest.
+type manifestShard struct {
+	Off   topology.Coord
+	Local topology.Dims
+	Bands [2]int // the band slice [lo, hi)
+	Sum   uint64 // the shard's CRC64
+}
 
-// encode serializes the shard into dst's storage, trailed by a CRC64 of
-// everything before it, and returns the encoding. The buffer grows at
-// most once, and each field is written straight from its grid's interior
-// rows.
-func (sh *shard) encode(dst []byte) []byte {
-	words := shardHeaderWords + len(sh.Scalars) + 2 // the field count and the CRC
-	for _, f := range sh.Fields {
-		words += 1 + f.Points()
-	}
-	buf := slices.Grow(dst[:0], 8*words)
-	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
-	i64 := func(v int) { u64(uint64(v)) }
-	u64(shardMagic)
-	i64(shardVersion)
-	i64(sh.Kind)
-	i64(sh.Iteration)
-	for _, box := range [][3]int{sh.Global, sh.Off, sh.Local} {
-		for _, v := range box {
-			i64(v)
+// encode returns the manifest's encoding, CRC64 trailer included.
+func (man *manifest) encode() []byte {
+	buf := make([]byte, 0, 8*(manifestHeadWords+manifestEntryWords*len(man.Shards)+1))
+	put := func(vs ...int) {
+		for _, v := range vs {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 		}
 	}
-	u64(math.Float64bits(sh.Spacing))
-	for _, v := range []int{sh.BC, sh.States, sh.BandLo, sh.BandHi, sh.Hist, len(sh.Scalars)} {
-		i64(v)
-	}
-	for _, x := range sh.Scalars {
-		u64(math.Float64bits(x))
-	}
-	i64(len(sh.Fields))
-	for _, f := range sh.Fields {
-		i64(f.Points())
-		data := f.Data()
-		for i := 0; i < f.Nx; i++ {
-			for j := 0; j < f.Ny; j++ {
-				row, at := f.Index(i, j, 0), len(buf)
-				buf = buf[:at+8*f.Nz]
-				putRow(buf[at:], data[row:row+f.Nz])
-			}
-		}
+	put(manifestMagic, manifestVersion, man.Step, man.States, man.Hist, man.Global[0], man.Global[1], man.Global[2],
+		int(math.Float64bits(man.Spacing)), int(man.BC))
+	for _, e := range man.Shards {
+		put(e.Off[0], e.Off[1], e.Off[2], e.Local[0], e.Local[1], e.Local[2], e.Bands[0], e.Bands[1], int(e.Sum))
 	}
 	return binary.LittleEndian.AppendUint64(buf, crc64.Checksum(buf, crcTable))
 }
 
-// putRow and getRow move a row of values to and from its little-endian
-// encoding, which holds 8 bytes per value, with no bounds check per
-// value.
-func putRow(dst []byte, src []float64) {
+// decodeManifest checksum-verifies an encoded manifest and reads it. The
+// step is held to a plausible grid, state count and history, and every
+// entry to a box inside the grid and a band slice inside the states, so
+// a decoded manifest frames its shards exactly as readShard trusts them.
+func decodeManifest(raw []byte) (*manifest, error) {
+	n := len(raw)/8 - manifestHeadWords - 1 // the entries' words
+	if len(raw)%8 != 0 || n < manifestEntryWords || n%manifestEntryWords != 0 {
+		return nil, fmt.Errorf("%w: manifest of %d bytes", ErrCheckpointCorrupt, len(raw))
+	}
+	body := raw[:len(raw)-8]
+	if got, sum := crc64.Checksum(body, crcTable), binary.LittleEndian.Uint64(raw[len(body):]); got != sum {
+		return nil, fmt.Errorf("%w: manifest checksum %016x != recorded %016x", ErrCheckpointCorrupt, got, sum)
+	}
+	word := func() int {
+		v := int(binary.LittleEndian.Uint64(body))
+		body = body[8:]
+		return v
+	}
+	if m := word(); m != manifestMagic {
+		return nil, fmt.Errorf("%w: manifest: bad magic %016x", ErrCheckpointCorrupt, uint64(m))
+	}
+	if v := word(); v != manifestVersion {
+		return nil, fmt.Errorf("%w: manifest: unsupported version %d", ErrCheckpointCorrupt, v)
+	}
+	man := &manifest{Step: word(), States: word(), Hist: word(), Global: topology.Dims{word(), word(), word()},
+		Spacing: math.Float64frombits(uint64(word())), BC: Boundary(word()), Shards: make([]manifestShard, n/manifestEntryWords)}
+	ok := man.States >= 1 && man.Hist >= 0 && man.Hist <= pulayHistory
+	for d := range 3 {
+		ok = ok && man.Global[d] >= 1 && man.Global[d] <= 1<<20
+	}
+	if !ok {
+		return nil, fmt.Errorf("%w: manifest of %d states and %d mixer pairs over %v", ErrCheckpointCorrupt, man.States, man.Hist, man.Global)
+	}
+	for r := range man.Shards {
+		e := &man.Shards[r]
+		e.Off, e.Local = topology.Coord{word(), word(), word()}, topology.Dims{word(), word(), word()}
+		e.Bands, e.Sum = [2]int{word(), word()}, uint64(word())
+		ok := 0 <= e.Bands[0] && e.Bands[0] <= e.Bands[1] && e.Bands[1] <= man.States
+		for d := range 3 {
+			ok = ok && e.Off[d] >= 0 && e.Local[d] >= 1 && e.Local[d] <= man.Global[d]-e.Off[d]
+		}
+		if !ok {
+			return nil, fmt.Errorf("%w: manifest entry %d covers %v at %v, band slice [%d, %d), in %v with %d states",
+				ErrCheckpointCorrupt, r, e.Local, e.Off, e.Bands[0], e.Bands[1], man.Global, man.States)
+		}
+	}
+	return man, nil
+}
+
+// appendShard appends a shard's payload to buf: the scalars, then each
+// field's interior rows, x-major over its box. buf grows at most once.
+func appendShard(buf []byte, scalars []float64, fields []*grid.Grid) []byte {
+	words := len(scalars)
+	for _, f := range fields {
+		words += f.Points()
+	}
+	buf = appendRow(slices.Grow(buf, 8*words), scalars)
+	for _, f := range fields {
+		data := f.Data()
+		for i := 0; i < f.Nx; i++ {
+			for j := 0; j < f.Ny; j++ {
+				row := f.Index(i, j, 0)
+				buf = appendRow(buf, data[row:row+f.Nz])
+			}
+		}
+	}
+	return buf
+}
+
+// appendRow appends src's little-endian encoding, 8 bytes per value, to
+// buf, which must have the room. getRow decodes one. Neither checks
+// bounds per value.
+func appendRow(buf []byte, src []float64) []byte {
+	at := len(buf)
+	buf = buf[:at+8*len(src)]
+	dst := buf[at:]
 	for i := 0; i < len(src) && len(dst) >= 8; i++ {
 		binary.LittleEndian.PutUint64(dst[:8], math.Float64bits(src[i]))
 		dst = dst[8:]
 	}
+	return buf
 }
 
 func getRow(dst []float64, src []byte) {
@@ -453,152 +500,22 @@ func getRow(dst []float64, src []byte) {
 	}
 }
 
-type shardReader struct {
-	buf []byte
-	pos int
-	err error
-}
-
-func (r *shardReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.pos+8 > len(r.buf) {
-		r.err = fmt.Errorf("%w: truncated at byte %d", ErrCheckpointCorrupt, r.pos)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.pos:])
-	r.pos += 8
-	return v
-}
-func (r *shardReader) i64() int     { return int(r.u64()) }
-func (r *shardReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-// length reads a vector length and bounds it by the bytes actually
-// remaining — compared divided rather than multiplied, because 8*n
-// overflows for adversarial lengths (n ~ 1<<61 wraps negative and would
-// pass a naive r.pos+8*n check).
-func (r *shardReader) length() int {
-	n := r.i64()
-	if r.err == nil && (n < 0 || n > (len(r.buf)-r.pos)/8) {
-		r.err = fmt.Errorf("%w: implausible vector length %d", ErrCheckpointCorrupt, n)
-	}
-	if r.err != nil {
-		return 0
-	}
-	return n
-}
-
-// shardView is an encoded shard read in place: checksum-verified, its
-// header parsed and its framing checked, its scalars and fields left in
-// the bytes they arrived in.
+// shardView is a verified shard read in place under its manifest entry:
+// its scalars and fields left in the bytes they arrived in.
 type shardView struct {
-	shard         // the header; Scalars and Fields stay nil
-	data   []byte // the encoding, CRC trailer included
-	scalar int    // byte offset of the first scalar
-	field  int    // byte offset of field 0's length prefix
+	manifestShard
+	data []byte
+	ns   int // the scalars ahead of the fields
 }
-
-// sum returns the shard's recorded CRC64.
-func (v *shardView) sum() uint64 { return binary.LittleEndian.Uint64(v.data[len(v.data)-8:]) }
 
 // scalars decodes len(dst) scalars, from the first-th on, into dst.
-func (v *shardView) scalars(dst []float64, first int) { getRow(dst, v.data[v.scalar+8*first:]) }
+func (v *shardView) scalars(dst []float64, first int) { getRow(dst, v.data[8*first:]) }
 
 // fieldBytes returns field i's values, x-major over the shard's box.
 func (v *shardView) fieldBytes(i int) []byte {
 	n := 8 * v.Local.Count()
-	at := v.field + i*(8+n) + 8
+	at := 8*v.ns + i*n
 	return v.data[at : at+n]
-}
-
-// parseShard checksum-verifies an encoded shard and reads its header and
-// framing, allocating nothing for its contents. The header is held to
-// its band slice and history, and the framing to the box, before any
-// offset is trusted, so a parsed view is exactly what RestoreSCF indexes.
-func parseShard(data []byte) (*shardView, error) {
-	if len(data) < 16 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrCheckpointCorrupt, len(data))
-	}
-	body, sum := data[:len(data)-8], binary.LittleEndian.Uint64(data[len(data)-8:])
-	if got := crc64.Checksum(body, crcTable); got != sum {
-		return nil, fmt.Errorf("%w: checksum %016x != recorded %016x", ErrCheckpointCorrupt, got, sum)
-	}
-	r := shardReader{buf: body}
-	if m := r.u64(); m != shardMagic {
-		return nil, fmt.Errorf("%w: bad magic %016x", ErrCheckpointCorrupt, m)
-	}
-	if v := r.i64(); v != shardVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCheckpointCorrupt, v)
-	}
-	v := &shardView{data: data}
-	v.Kind, v.Iteration = r.i64(), r.i64()
-	for d := 0; d < 3; d++ {
-		v.Global[d] = r.i64()
-	}
-	for d := 0; d < 3; d++ {
-		v.Off[d] = r.i64()
-	}
-	for d := 0; d < 3; d++ {
-		v.Local[d] = r.i64()
-	}
-	v.Spacing = r.f64()
-	v.BC, v.States, v.BandLo, v.BandHi, v.Hist = r.i64(), r.i64(), r.i64(), r.i64(), r.i64()
-	ns := r.length()
-	v.scalar = r.pos
-	r.pos += 8 * ns
-	nf := r.i64()
-	if r.err != nil {
-		return nil, r.err
-	}
-	for d := 0; d < 3; d++ {
-		if v.Local[d] < 1 || v.Local[d] > 1<<20 {
-			return nil, fmt.Errorf("%w: implausible box %v", ErrCheckpointCorrupt, v.Local)
-		}
-	}
-	// RestoreSCF indexes density, v_H, a field per state of the band
-	// slice and a pair per kept mixer step.
-	if v.BandLo < 0 || v.BandLo > v.BandHi || v.BandHi > v.States || v.Hist < 0 || v.Hist > pulayHistory ||
-		nf != v.wantFields() || ns != v.wantScalars() {
-		return nil, fmt.Errorf("%w: %d fields and %d scalars for band slice [%d, %d) of %d states and %d mixer pairs",
-			ErrCheckpointCorrupt, nf, ns, v.BandLo, v.BandHi, v.States, v.Hist)
-	}
-	// Each field is a length prefix and the box's values, and the fields
-	// fill the rest of the body exactly. The sizes are compared divided,
-	// so no product of forged counts can overflow.
-	n, rest := v.Local.Count(), len(body)-r.pos
-	if nf < 1 || n+1 > rest/8/nf || 8*nf*(n+1) != rest {
-		return nil, fmt.Errorf("%w: %d bytes for %d fields of box %v", ErrCheckpointCorrupt, rest, nf, v.Local)
-	}
-	v.field = r.pos
-	for i := range nf {
-		if got := int(binary.LittleEndian.Uint64(body[v.field+8*i*(n+1):])); got != n {
-			return nil, fmt.Errorf("%w: field %d has %d values for box %v", ErrCheckpointCorrupt, i, got, v.Local)
-		}
-	}
-	return v, nil
-}
-
-// manifest is the commit record of a checkpoint step. It lists what each
-// rank's shard covers beside its checksum, so a restoring rank can pick
-// the shards it re-tiles before reading any.
-type manifest struct {
-	Version int             `json:"version"`
-	Kind    int             `json:"kind"`
-	Step    int             `json:"step"`
-	Ranks   int             `json:"ranks"`
-	States  int             `json:"states"`
-	Hist    int             `json:"hist"`
-	Global  [3]int          `json:"global"`
-	Shards  []manifestShard `json:"shards"` // by writing rank
-}
-
-// manifestShard is one shard's entry in its step's manifest.
-type manifestShard struct {
-	Off   topology.Coord `json:"off"`
-	Local topology.Dims  `json:"local"`
-	Bands [2]int         `json:"bands"` // the band slice [lo, hi)
-	Sum   string         `json:"sum"`   // CRC64, hex
 }
 
 func readManifest(st Store, step int) (*manifest, error) {
@@ -606,43 +523,36 @@ func readManifest(st Store, step int) (*manifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: step %d manifest: %w", ErrCheckpointUnreadable, step, err)
 	}
-	var m manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("%w: manifest: %v", ErrCheckpointCorrupt, err)
+	man, err := decodeManifest(raw)
+	if err != nil {
+		return nil, fmt.Errorf("step %d: %w", step, err)
 	}
-	if m.Version != shardVersion {
-		return nil, fmt.Errorf("%w: manifest: unsupported version %d", ErrCheckpointCorrupt, m.Version)
+	if man.Step != step {
+		return nil, fmt.Errorf("%w: step %d's manifest is step %d's", ErrCheckpointCorrupt, step, man.Step)
 	}
-	if len(m.Shards) != m.Ranks {
-		return nil, fmt.Errorf("%w: manifest lists %d entries for %d shards", ErrCheckpointCorrupt, len(m.Shards), m.Ranks)
-	}
-	return &m, nil
+	return man, nil
 }
 
-// readShard fetches shard r of a committed step and holds it to the
-// manifest: its CRC64 to the recorded one, its box and band slice to the
-// shard's entry, and its kind, extents, state count and history to the
-// step's. The fields stay in the bytes the store returned.
+// readShard fetches shard r of a committed step and holds it to its
+// manifest entry: its byte count to exactly the scalars and fields the
+// step's states and history and the entry's box and band slice call for,
+// its CRC64 to the recorded one. The fields stay in the bytes the store
+// returned.
 func readShard(st Store, man *manifest, step, r int) (*shardView, error) {
 	data, err := st.GetShard(step, r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: step %d shard %d: %w", ErrCheckpointUnreadable, step, r, err)
 	}
-	v, err := parseShard(data)
-	if err != nil {
-		return nil, fmt.Errorf("step %d shard %d: %w", step, r, err)
+	v := &shardView{manifestShard: man.Shards[r], data: data, ns: man.States + man.Hist*man.Hist}
+	// The sizes are compared divided, and the state count before the
+	// scalar count it is part of, so no forged count can overflow.
+	words, n, nf := len(data)/8, v.Local.Count(), 2+v.Bands[1]-v.Bands[0]+2*man.Hist
+	if len(data)%8 != 0 || man.States > words-man.Hist*man.Hist || (words-v.ns)%n != 0 || (words-v.ns)/n != nf {
+		return nil, fmt.Errorf("%w: step %d shard %d holds %d bytes, not %d states, %d mixer pairs and %d fields of box %v",
+			ErrCheckpointCorrupt, step, r, len(data), man.States, man.Hist, nf, v.Local)
 	}
-	e := &man.Shards[r]
-	if sum, err := strconv.ParseUint(e.Sum, 16, 64); err != nil || sum != v.sum() {
-		return nil, fmt.Errorf("%w: step %d shard %d checksum mismatch", ErrCheckpointCorrupt, step, r)
-	}
-	if v.Off != e.Off || v.Local != e.Local || v.BandLo != e.Bands[0] || v.BandHi != e.Bands[1] {
-		return nil, fmt.Errorf("%w: step %d shard %d covers %v at %v, band slice [%d, %d); its manifest entry %v at %v, [%d, %d)",
-			ErrCheckpointCorrupt, step, r, v.Local, v.Off, v.BandLo, v.BandHi, e.Local, e.Off, e.Bands[0], e.Bands[1])
-	}
-	if v.Kind != man.Kind || v.Global != topology.Dims(man.Global) || v.States != man.States || v.Hist != man.Hist {
-		return nil, fmt.Errorf("%w: step %d shard %d is kind %d over %v with %d states and %d mixer pairs, manifest kind %d over %v with %d and %d",
-			ErrCheckpointCorrupt, step, r, v.Kind, v.Global, v.States, v.Hist, man.Kind, man.Global, man.States, man.Hist)
+	if got := crc64.Checksum(data, crcTable); got != v.Sum {
+		return nil, fmt.Errorf("%w: step %d shard %d checksum %016x != recorded %016x", ErrCheckpointCorrupt, step, r, got, v.Sum)
 	}
 	return v, nil
 }
@@ -662,8 +572,7 @@ type Checkpointer struct {
 	// Keep bounds retention to the newest Keep committed generations
 	// (<= 0 keeps everything). Retention must be > 1 for rollback to
 	// have somewhere to fall back to when the newest generation is
-	// rejected by CRC validation. Pruning needs the Store to implement
-	// StepDropper; stores without it keep everything.
+	// rejected by CRC validation.
 	Keep int
 
 	buf []byte // the last save's encoding, reused by the next
@@ -681,21 +590,20 @@ func (ck *Checkpointer) due(it int) bool {
 // (0 stored), the CRC64, the box's offset and extents, the band slice.
 const commitWords = 1 + 1 + 3 + 3 + 2
 
-// save writes one rank's shard and commits the step's manifest at world
-// rank 0. The checksum is the encoding's trailer; it travels through the
+// save writes one rank's shard, ck.buf, and commits the step's manifest,
+// man with its entries, at world rank 0. The checksum travels through the
 // float64 collective transport bit-exactly (Float64frombits/Float64bits
 // round-trip every uint64), and the status, box and band slice beside it
 // as integral values.
-func (ck *Checkpointer) save(d *Dist, sh *shard) error {
+func (ck *Checkpointer) save(d *Dist, man *manifest, lo, hi int) error {
 	sp := d.Cart.TraceRank().Begin("ckpt.save", trace.KindRegion)
 	defer sp.End()
-	ck.buf = sh.encode(ck.buf)
-	data, step, rank := ck.buf, sh.Iteration, d.World.Rank()
-	err := ck.Store.PutShard(step, rank, data)
-	in := [commitWords]float64{0, math.Float64frombits(binary.LittleEndian.Uint64(data[len(data)-8:])),
-		float64(sh.Off[0]), float64(sh.Off[1]), float64(sh.Off[2]),
-		float64(sh.Local[0]), float64(sh.Local[1]), float64(sh.Local[2]),
-		float64(sh.BandLo), float64(sh.BandHi)}
+	rank, off, local := d.World.Rank(), d.Offset(), d.LocalDims()
+	err := ck.Store.PutShard(man.Step, rank, ck.buf)
+	in := [commitWords]float64{0, math.Float64frombits(crc64.Checksum(ck.buf, crcTable)),
+		float64(off[0]), float64(off[1]), float64(off[2]),
+		float64(local[0]), float64(local[1]), float64(local[2]),
+		float64(lo), float64(hi)}
 	if err != nil {
 		in[0], err = 1, fmt.Errorf("shard %d: %w", rank, err)
 	}
@@ -705,7 +613,7 @@ func (ck *Checkpointer) save(d *Dist, sh *shard) error {
 	}
 	d.World.Gather(0, in[:], out)
 	if rank == 0 && err == nil {
-		if err = ck.commit(sh, out); err != nil {
+		if err = ck.commit(man, out); err != nil {
 			in[0] = 1
 		}
 	}
@@ -715,30 +623,25 @@ func (ck *Checkpointer) save(d *Dist, sh *shard) error {
 	if err == nil {
 		err = errors.New("another rank's shard or the commit failed")
 	}
-	return fmt.Errorf("%w: step %d: %w", ErrCheckpointUnwritable, step, err)
+	return fmt.Errorf("%w: step %d: %w", ErrCheckpointUnwritable, man.Step, err)
 }
 
-// commit builds the step's manifest from the gathered words and, if
+// commit lists the gathered words as the manifest's entries and, if
 // every shard was stored, commits it and prunes. It runs at world rank 0.
-func (ck *Checkpointer) commit(sh *shard, words []float64) error {
-	man := manifest{Version: shardVersion, Kind: sh.Kind, Step: sh.Iteration, Ranks: len(words) / commitWords,
-		States: sh.States, Hist: sh.Hist, Global: sh.Global}
-	for r := range man.Ranks {
+func (ck *Checkpointer) commit(man *manifest, words []float64) error {
+	man.Shards = make([]manifestShard, len(words)/commitWords)
+	for r := range man.Shards {
 		w := words[r*commitWords:][:commitWords]
 		if w[0] != 0 {
 			return fmt.Errorf("rank %d's shard was not stored", r)
 		}
-		e := manifestShard{Sum: fmt.Sprintf("%016x", math.Float64bits(w[1])), Bands: [2]int{int(w[8]), int(w[9])}}
+		e := &man.Shards[r]
+		e.Sum, e.Bands = math.Float64bits(w[1]), [2]int{int(w[8]), int(w[9])}
 		for k := range 3 {
 			e.Off[k], e.Local[k] = int(w[2+k]), int(w[5+k])
 		}
-		man.Shards = append(man.Shards, e)
 	}
-	raw, err := json.Marshal(&man)
-	if err == nil {
-		err = ck.Store.Commit(sh.Iteration, raw)
-	}
-	if err != nil {
+	if err := ck.Store.Commit(man.Step, man.encode()); err != nil {
 		return fmt.Errorf("commit: %w", err)
 	}
 	ck.prune()
@@ -753,19 +656,14 @@ func (ck *Checkpointer) prune() {
 	if ck.Keep <= 0 {
 		return
 	}
-	dr, ok := ck.Store.(StepDropper)
-	if !ok {
-		return
-	}
 	steps, err := ck.Store.Steps()
 	if err != nil {
 		return
 	}
-	for len(steps) > ck.Keep {
+	for _, st := range steps[:max(0, len(steps)-ck.Keep)] {
 		// Best-effort: a failed drop leaves an extra generation, which
 		// is safe.
-		_ = dr.Drop(steps[0])
-		steps = steps[1:]
+		_ = ck.Store.Drop(st)
 	}
 }
 
@@ -773,25 +671,20 @@ func (ck *Checkpointer) prune() {
 // Hartree potential (the next solve's initial guess; the effective
 // potential is a pointwise function of the two and the external one,
 // rebuilt at resume), this band group's wave-function slice, all m Ritz
-// values (they bound the next iteration's filter), the Pulay mixer's
-// ring and Gram matrix, and the counter.
+// values, and the Pulay mixer's ring and Gram matrix.
 func (ck *Checkpointer) saveSCF(s *SCF, it, m int, eig []float64, psis []*grid.Grid, n, vh *grid.Grid, mix *pulayMixer) error {
 	d := s.D
 	lo, hi := d.BandRange(m)
 	h := mix.hist
-	sh := &shard{Kind: shardKindSCF, Iteration: it, Global: d.Decomp.Global,
-		Off: d.Offset(), Local: d.LocalDims(), Spacing: s.Sys.Spacing, BC: int(s.Sys.BC),
-		States: m, BandLo: lo, BandHi: hi, Hist: h,
-		Scalars: make([]float64, 0, m+h*h), Fields: make([]*grid.Grid, 0, 2+len(psis)+2*h)}
-	sh.Scalars = append(sh.Scalars, eig...)
+	scalars := make([]float64, 0, m+h*h)
+	scalars = append(scalars, eig...)
 	for i := range h {
-		sh.Scalars = append(sh.Scalars, mix.gram[i][:h]...)
+		scalars = append(scalars, mix.gram[i][:h]...)
 	}
-	sh.Fields = append(sh.Fields, n, vh)
-	sh.Fields = append(sh.Fields, psis...)
-	sh.Fields = append(sh.Fields, mix.in[:h]...)
-	sh.Fields = append(sh.Fields, mix.res[:h]...)
-	return ck.save(d, sh)
+	fields := make([]*grid.Grid, 0, 2+len(psis)+2*h)
+	fields = append(append(append(append(fields, n, vh), psis...), mix.in[:h]...), mix.res[:h]...)
+	ck.buf = appendShard(ck.buf[:0], scalars, fields)
+	return ck.save(d, &manifest{Step: it, States: m, Hist: h, Global: d.Decomp.Global, Spacing: s.Sys.Spacing, BC: s.Sys.BC}, lo, hi)
 }
 
 // --- restore --------------------------------------------------------
@@ -806,6 +699,7 @@ type SCFRestart struct {
 	N         *grid.Grid
 	VHartree  *grid.Grid
 	mix       pulayMixer
+	spacing   float64 // the system's, which Resume holds its own to
 }
 
 // fetch is one shard a restoring rank reads. common marks the first
@@ -868,18 +762,18 @@ func copyShardBox(dst *grid.Grid, dstOff topology.Coord, v *shardView, f int, lo
 // manifest and fetches only the shards it re-tiles: those whose box
 // meets its sub-domain and whose band slice meets its own, and for a box
 // where no band slice does, that box's first shard, for the density,
-// v_H and mixer ring every band group holds. It checks each against the
-// manifest and copies the intersection with its sub-domain straight from
-// the bytes into its grids — gather-free, exactly like a
+// v_H and mixer ring every band group holds. It checks each against its
+// manifest entry and copies the intersection with its sub-domain
+// straight from the bytes into its grids — gather-free, exactly like a
 // grid.Redistribute whose source layout happens to live in the store.
 //
 // Each rank sees only the faults of the shards it fetched, so the ranks
 // end with one world verdict, and every rank fails alike: first if any
-// rank found a step it cannot take (another kind or system), else with
-// ErrCheckpointCorrupt if any found a shard corrupt, else with
-// ErrCheckpointUnreadable if any could not read the manifest or a shard.
-// A rank returns its own error if it is of the agreed class, so every
-// rank's error is of that class.
+// rank found a step it cannot take (another grid or boundary), else with
+// ErrCheckpointCorrupt if any found the manifest or a shard corrupt,
+// else with ErrCheckpointUnreadable if any could not read the manifest
+// or a shard. A rank returns its own error if it is of the agreed class,
+// so every rank's error is of that class.
 func RestoreSCF(d *Dist, st Store, step int) (*SCFRestart, error) {
 	sp := d.Cart.TraceRank().Begin("ckpt.restore", trace.KindRegion)
 	defer sp.End()
@@ -913,11 +807,9 @@ func restoreSCF(d *Dist, st Store, step int) (*SCFRestart, error) {
 	if err != nil {
 		return nil, err
 	}
-	if man.Kind != shardKindSCF {
-		return nil, fmt.Errorf("gpaw: checkpoint step %d is kind %d, want %d", step, man.Kind, shardKindSCF)
-	}
-	if topology.Dims(man.Global) != d.Decomp.Global {
-		return nil, fmt.Errorf("gpaw: checkpoint global %v != decomposed global %v", man.Global, d.Decomp.Global)
+	if man.Global != d.Decomp.Global || man.BC != d.BC {
+		return nil, fmt.Errorf("gpaw: checkpoint step %d is of a %v %v grid, this Dist of a %v %v one",
+			step, man.BC, man.Global, d.BC, d.Decomp.Global)
 	}
 	off, local := d.Offset(), d.LocalDims()
 	myLo, myHi := d.BandRange(man.States)
@@ -925,35 +817,37 @@ func restoreSCF(d *Dist, st Store, step int) (*SCFRestart, error) {
 	if len(fetches) == 0 {
 		return nil, fmt.Errorf("%w: step %d: no shard covers the sub-domain %v at %v", ErrCheckpointCorrupt, step, local, off)
 	}
-	rs := &SCFRestart{States: man.States, N: d.NewLocalGrid(), VHartree: d.NewLocalGrid(),
-		Psis: make([]*grid.Grid, myHi-myLo)}
+	rs := &SCFRestart{Iteration: man.Step, States: man.States, Eig: make([]float64, man.States),
+		N: d.NewLocalGrid(), VHartree: d.NewLocalGrid(), Psis: make([]*grid.Grid, myHi-myLo), spacing: man.Spacing}
 	for i := range rs.Psis {
 		rs.Psis[i] = d.NewLocalGrid()
 	}
 	mix := &rs.mix
+	mix.hist = man.Hist
+	for h := range mix.hist {
+		mix.in[h], mix.res[h] = grid.NewDims(local, 0), grid.NewDims(local, 0)
+	}
 	for k, f := range fetches {
 		v, err := readShard(st, man, step, f.rank)
 		if err != nil {
 			return nil, err
 		}
 		if k == 0 {
-			rs.Iteration, rs.Eig, mix.hist = v.Iteration, make([]float64, v.States), v.Hist
 			v.scalars(rs.Eig, 0)
 			for h := range mix.hist {
-				mix.in[h], mix.res[h] = grid.NewDims(local, 0), grid.NewDims(local, 0)
-				v.scalars(mix.gram[h][:mix.hist], v.States+h*mix.hist)
+				v.scalars(mix.gram[h][:mix.hist], man.States+h*mix.hist)
 			}
 		}
 		lo, dims, _ := grid.IntersectBox(v.Off, v.Local, off, local)
-		for s := max(v.BandLo, myLo); s < min(v.BandHi, myHi); s++ {
-			copyShardBox(rs.Psis[s-myLo], off, v, 2+s-v.BandLo, lo, dims)
+		for s := max(v.Bands[0], myLo); s < min(v.Bands[1], myHi); s++ {
+			copyShardBox(rs.Psis[s-myLo], off, v, 2+s-v.Bands[0], lo, dims)
 		}
 		if !f.common {
 			continue
 		}
 		copyShardBox(rs.N, off, v, 0, lo, dims)
 		copyShardBox(rs.VHartree, off, v, 1, lo, dims)
-		ring := 2 + v.BandHi - v.BandLo
+		ring := 2 + v.Bands[1] - v.Bands[0]
 		for h := range mix.hist {
 			copyShardBox(mix.in[h], off, v, ring+h, lo, dims)
 			copyShardBox(mix.res[h], off, v, ring+mix.hist+h, lo, dims)

@@ -213,6 +213,38 @@ func TestRestoreReadsOnlyItsShards(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesOtherSystem: a checkpoint of a Dirichlet run at
+// h = 0.7 is a step that a periodic Dist of the same grid cannot take —
+// every rank refuses it, in the agreed class that is neither corrupt nor
+// unreadable — and Resume of a system at h = 1.4 refuses it too.
+func TestResumeRefusesOtherSystem(t *testing.T) {
+	global := topology.Dims{8, 8, 8}
+	store := bandCheckpoint(t, scfSystem(global, 0.7))
+	const step = 3
+	errs := agreedErrors(t, 4, func(c *mpi.Comm) error {
+		d, err := NewDist(c, DistConfig{Global: global, Procs: topology.Dims{1, 2, 2}, Halo: 2, BC: Periodic,
+			Approach: core.FlatOptimized, Threads: 1, Batch: 2})
+		if err != nil {
+			return err
+		}
+		defer d.Close()
+		_, err = RestoreSCF(d, store, step)
+		return err
+	})
+	for r, err := range errs {
+		if err == nil || errors.Is(err, ErrCheckpointCorrupt) || errors.Is(err, ErrCheckpointUnreadable) {
+			t.Errorf("periodic restore of a Dirichlet step: rank %d returned %v, want a step it cannot take", r, err)
+		}
+	}
+	rs, err := RestoreSCF(selfDist(global, 2, Dirichlet), store, step)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSCF(scfSystem(global, 1.4)).Resume(rs); err == nil {
+		t.Error("resume at h = 1.4 of a checkpoint at h = 0.7 succeeded")
+	}
+}
+
 // TestFetchSet pins the choice on a manifest of two boxes, each written
 // by two band groups: a band slice takes the shards whose slices meet
 // it, and an empty one takes each box's first shard, for the fields

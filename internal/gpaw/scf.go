@@ -165,6 +165,9 @@ func (s *SCF) Resume(rs *SCFRestart) (*SCFResult, error) {
 	if rs.States != s.states() {
 		return nil, fmt.Errorf("gpaw: checkpoint has %d states, system wants %d (guard included)", rs.States, s.states())
 	}
+	if rs.spacing != s.Sys.Spacing {
+		return nil, fmt.Errorf("gpaw: checkpoint is at spacing %g, system at %g", rs.spacing, s.Sys.Spacing)
+	}
 	if rs.Iteration >= s.MaxIter {
 		return nil, fmt.Errorf("gpaw: checkpoint at iteration %d leaves no iterations below MaxIter %d", rs.Iteration, s.MaxIter)
 	}

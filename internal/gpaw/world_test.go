@@ -23,7 +23,7 @@ func runRanks(n int, mode mpi.ThreadMode, body func(c *mpi.Comm)) error {
 	return testWorld(n, mode).Run(body)
 }
 
-// runRanksWithFaults is mpi.RunWithFaults on a testWorld.
+// runRanksWithFaults runs body on a testWorld with plan armed.
 func runRanksWithFaults(n int, mode mpi.ThreadMode, plan *mpi.FaultPlan, body func(c *mpi.Comm)) error {
 	w := testWorld(n, mode)
 	w.SetFaultPlan(plan)

@@ -83,11 +83,12 @@ type Kill struct {
 	AfterOps int
 }
 
-// FaultPlan is a deterministic, seedable fault schedule for
-// RunWithFaults. Kills are exact (operation-count triggered, so a plan
-// replays identically run to run); MaxDelay > 0 additionally injects a
-// seeded pseudo-random delay before every operation, shaking out
-// schedule-dependent bugs without changing any result.
+// FaultPlan is a deterministic, seedable fault schedule, armed on a
+// world by World.SetFaultPlan. Kills are exact (operation-count
+// triggered, so a plan replays identically run to run); MaxDelay > 0
+// additionally injects a seeded pseudo-random delay before every
+// operation, shaking out schedule-dependent bugs without changing any
+// result.
 type FaultPlan struct {
 	Seed     int64
 	MaxDelay time.Duration
@@ -144,13 +145,6 @@ func (w *World) isDead(rank int) bool {
 	d := w.dead != nil && w.dead[rank]
 	w.deadMu.Unlock()
 	return d
-}
-
-// Failed returns the world ranks that have died, in death order.
-func (w *World) Failed() []int {
-	w.deadMu.Lock()
-	defer w.deadMu.Unlock()
-	return append([]int(nil), w.deadList...)
 }
 
 // failure returns the representative error for the current revocation:

@@ -463,28 +463,18 @@ func (c *Comm) exit() {
 // Run spawns n goroutine ranks executing body and waits for all of them.
 // A panic in any rank is recovered and returned as an error (first one
 // wins); remaining ranks may deadlock-free finish or be abandoned — the
-// world must not be reused after an error.
+// world must not be reused after an error. A rank killed by a fault plan
+// (World.SetFaultPlan) or by Comm.Fail exits quietly rather than failing
+// the world: surviving ranks observe the death as *ErrRankFailed panics
+// and decide for themselves whether to recover (Agree/Shrink) or unwind;
+// only an unrecovered panic reaching Run is reported as the returned
+// error.
 func Run(n int, mode ThreadMode, body func(c *Comm)) error {
-	return RunWithFaults(n, mode, nil, body)
-}
-
-// RunWithFaults is Run with a fault-injection plan armed (nil behaves
-// exactly like Run). A rank killed by the plan — or by Comm.Fail —
-// exits quietly rather than failing the world: surviving ranks observe
-// the death as *ErrRankFailed panics and decide for themselves whether
-// to recover (Agree/Shrink) or unwind; only an unrecovered panic
-// reaching Run is reported as the returned error.
-func RunWithFaults(n int, mode ThreadMode, plan *FaultPlan, body func(c *Comm)) error {
-	w := NewWorld(n, mode)
-	if plan != nil {
-		w.installPlan(plan)
-	}
-	return w.runRanks(body)
+	return NewWorld(n, mode).runRanks(body)
 }
 
 // runRanks spawns one goroutine per rank of the (possibly pre-armed)
-// world and waits for all of them — the engine behind Run, RunWithFaults
-// and RunModeled.
+// world and waits for all of them — the engine behind Run and World.Run.
 func (w *World) runRanks(body func(c *Comm)) error {
 	n := w.size
 	var wg sync.WaitGroup

@@ -47,23 +47,15 @@ func (w *World) SetTracer(t *trace.Tracer) {
 	w.trcOn.Store(true)
 }
 
-// Tracer returns the armed tracer, or nil.
-func (w *World) Tracer() *trace.Tracer {
-	if !w.trcOn.Load() {
-		return nil
-	}
-	return w.tracer
-}
-
 // Run spawns the world's ranks executing body and waits for them all —
-// Run/RunWithFaults/RunModeled as a method, for worlds that need
+// Run as a method, for worlds that need
 // arming (SetNetModel, SetTracer, SetFaultPlan) before the ranks
 // start. The world must be fresh: no prior traffic.
 func (w *World) Run(body func(c *Comm)) error { return w.runRanks(body) }
 
-// SetFaultPlan arms a fault-injection plan on the world (what
-// RunWithFaults does internally), so plans compose with SetNetModel
-// and SetTracer through World.Run. nil is a no-op.
+// SetFaultPlan arms a fault-injection plan on the world, so plans
+// compose with SetNetModel and SetTracer through World.Run. nil is a
+// no-op.
 func (w *World) SetFaultPlan(plan *FaultPlan) {
 	if plan != nil {
 		w.installPlan(plan)

@@ -18,7 +18,7 @@ func runRanks(n int, mode ThreadMode, body func(c *Comm)) error {
 	return testWorld(n, mode).Run(body)
 }
 
-// runRanksWithFaults is RunWithFaults on a testWorld.
+// runRanksWithFaults runs body on a testWorld with plan armed.
 func runRanksWithFaults(n int, mode ThreadMode, plan *FaultPlan, body func(c *Comm)) error {
 	w := testWorld(n, mode)
 	w.SetFaultPlan(plan)
