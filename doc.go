@@ -112,12 +112,15 @@
 //     tolerant: the SCF writes gather-free, CRC64-checksummed
 //     checkpoints (checkpoint.go — one data-only shard per rank and one
 //     manifest per step, the step's only header, committed atomically:
-//     the system, every shard's box, band slice and CRC64, and a CRC64
-//     of its own; restore re-tiles onto any process grid or band
-//     layout, each rank fetching only the shards that meet its own,
-//     and ends in one world-agreed verdict), and RunSCFFT (ft.go) turns a rank
-//     failure into Agree/Shrink recovery onto the survivor grid with
-//     resume from the last checkpoint; exact reductions make the
+//     the system, the writers' process grid and band groups, which
+//     place every shard's box (grid.Decomp) and band slice
+//     (topology.Split), every shard's CRC64, and a CRC64 of its own;
+//     restore re-tiles onto any process grid or band layout, each rank
+//     fetching only the shards that meet its own, and ends in one
+//     world-agreed verdict), and RunSCFFT (ft.go) turns a rank failure
+//     into Agree/Shrink recovery onto the survivor grid, the
+//     topology.DecomposeGrid layout of the largest survivor count the
+//     halo allows, with resume from the last checkpoint; exact reductions make the
 //     recovered energies, eigenvalues, iteration counts and fields
 //     bit-identical to the fault-free run (chaos_test.go kills every
 //     combination of victim and checkpointed iteration to prove it).

@@ -274,8 +274,8 @@ func TestCheckpointStores(t *testing.T) {
 		data := appendShard(nil, []float64{1.5}, fields)
 		// honest is the manifest of a one-shard step holding data.
 		honest := func(step int, data []byte) *manifest {
-			return &manifest{Step: step, States: 1, Global: box, Spacing: 0.5, BC: Dirichlet,
-				Shards: []manifestShard{{Local: box, Bands: [2]int{0, 1}, Sum: crc64.Checksum(data, crcTable)}}}
+			return &manifest{Step: step, States: 1, Spacing: 0.5, BC: Dirichlet, Layout: grid.MustDecomp(box, topology.Dims{1, 1, 1}, 0),
+				Bands: 1, Sums: []uint64{crc64.Checksum(data, crcTable)}}
 		}
 		if err := st.PutShard(3, 0, data); err != nil {
 			t.Fatal(err)
@@ -283,10 +283,10 @@ func TestCheckpointStores(t *testing.T) {
 		if steps, _ := st.Steps(); len(steps) != 0 {
 			t.Errorf("%T: uncommitted step visible: %v", st, steps)
 		}
-		// Step 3's manifest lists no entry for its one shard: the reader
-		// must not take that as "nothing to verify".
+		// Step 3's manifest lists no checksum for its one shard: the
+		// reader must not take that as "nothing to verify".
 		empty := honest(3, data)
-		empty.Shards = nil
+		empty.Sums = nil
 		if err := st.Commit(3, empty.encode()); err != nil {
 			t.Fatal(err)
 		}
@@ -299,17 +299,17 @@ func TestCheckpointStores(t *testing.T) {
 		// Step 4 is the same shard under an honest manifest; step 5 a
 		// shard a field short of its band slice; step 6 the honest shard
 		// under a manifest claiming two states; steps 7-9 under manifests
-		// naming versions 2-4; step 10 under an entry naming another band
-		// slice; step 11 under the JSON manifest version 4 wrote; step 12
+		// naming versions 2-4; step 10 under a layout of two band groups
+		// over its one shard; step 11 under the JSON manifest version 4 wrote; step 12
 		// a shard with one byte flipped under its honest manifest.
 		d := selfDist(box, 2, Dirichlet)
 		short := appendShard(nil, []float64{1.5}, fields[:2])
 		flipped := slices.Clone(data)
 		flipped[len(flipped)/2] ^= 0x40
-		twoStates, otherSlice := honest(6, data), honest(10, data)
-		twoStates.States, otherSlice.Shards[0].Bands = 2, [2]int{0, 0}
+		twoStates, twoBands := honest(6, data), honest(10, data)
+		twoStates.States, twoBands.Bands = 2, 2
 		steps := map[int]struct{ data, man []byte }{4: {data, honest(4, data).encode()},
-			5: {short, honest(5, short).encode()}, 6: {data, twoStates.encode()}, 10: {data, otherSlice.encode()},
+			5: {short, honest(5, short).encode()}, 6: {data, twoStates.encode()}, 10: {data, twoBands.encode()},
 			11: {data, jsonManifest(4)}, 12: {flipped, honest(12, data).encode()}}
 		for step := 7; step <= 9; step++ {
 			steps[step] = struct{ data, man []byte }{data, reframed(honest(step, data).encode(), 1, uint64(step-5))}
@@ -338,11 +338,10 @@ func TestCheckpointStores(t *testing.T) {
 			}
 		}
 		// Recovery walks back from step 12 past every corrupt generation
-		// to step 4; steps 7-9 and 11 fail at the manifest, before any
-		// shard.
+		// to step 4; steps 7-11 fail at the manifest, before any shard.
 		walk := &countingStore{Store: st}
-		if rs, err := latestRestart(d, walk, 60); err != nil || rs == nil || !slices.Equal(walk.steps, []int{12, 10, 6, 5, 4}) {
-			t.Errorf("%T: recovery read shards of steps %v (%v), want [12 10 6 5 4]", st, walk.steps, err)
+		if rs, err := latestRestart(d, walk, 60); err != nil || rs == nil || !slices.Equal(walk.steps, []int{12, 6, 5, 4}) {
+			t.Errorf("%T: recovery read shards of steps %v (%v), want [12 6 5 4]", st, walk.steps, err)
 		}
 	}
 }

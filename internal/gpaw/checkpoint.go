@@ -27,11 +27,11 @@ import (
 // wave-functions, the Pulay mixer's ring); a shard is data alone. One
 // small gather to world rank 0 builds the step's manifest, the step's
 // only header: the iteration, the state count, the mixer history, the
-// system (grid, spacing, boundary) and every shard's box, band slice and
-// CRC64, trailed by a CRC64 of its own. A step becomes valid only when
-// its manifest commits, after every shard is stored, so a step
-// interrupted by the very failure it is meant to survive is invisible to
-// recovery. A restart re-tiles the shards onto ANY process grid and band
+// system (grid, spacing, boundary), the writers' layout, which places
+// every shard, and every shard's CRC64, trailed by a CRC64 of its own.
+// A step becomes valid only when its manifest commits, after every
+// shard is stored, so a step interrupted by the very failure it is
+// meant to survive is invisible to recovery. A restart re-tiles the shards onto ANY process grid and band
 // layout (in particular the shrunken survivor grid after a rank failure):
 // each rank fetches only the shards that overlap its sub-domain and band
 // slice and copies their rows straight from the bytes into its grids.
@@ -338,9 +338,14 @@ func (s *DirStore) Steps() ([]int, error) {
 //
 //	magic, version, step, states m, mixer history h,
 //	the global grid (3), the spacing (float64 bits), the boundary,
-//	per writing rank: its box's offset (3) and extents (3), its band
-//	slice [lo, hi) and its shard's CRC64,
+//	the writers' domain process grid (3), of P ranks, and band groups B,
+//	per writing rank, B x P of them, its shard's CRC64,
 //	a CRC64 of every word before it.
+//
+// Writing rank r is domain rank r mod P of band group r div P, as
+// NewDist lays ranks out. Its shard covers the grid.Decomp box of
+// coordinate r mod P and the band slice topology.Split(m, B, r div P),
+// so the boxes tile the grid and the slices the states by construction.
 //
 // A shard is its payload alone, in the same words: the m Ritz values
 // (they bound the next iteration's filter) and the mixer's h x h Gram
@@ -349,12 +354,12 @@ func (s *DirStore) Steps() ([]int, error) {
 // R_0 .. R_h-1. Its byte count and its CRC64 in the manifest frame it.
 const (
 	manifestMagic = 0x4750434b5f763100 // "GPCK_v1\0"
-	// manifestVersion 5: the manifest is the step's only header. Earlier
-	// versions, whose shards carried headers, are refused.
-	manifestVersion = 5
+	// manifestVersion 6: the manifest places the shards by the writers'
+	// layout. Earlier versions, which listed each shard's box and band
+	// slice or kept headers in the shards, are refused.
+	manifestVersion = 6
 
-	manifestHeadWords  = 10 // magic through boundary
-	manifestEntryWords = 9  // box offset and extents, band slice, CRC64
+	manifestHeadWords = 14 // magic through band groups
 )
 
 // ErrCheckpointCorrupt wraps checksum and format failures detected when
@@ -373,88 +378,86 @@ var ErrCheckpointUnwritable = errors.New("gpaw: unwritable checkpoint")
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // manifest is the commit record of a checkpoint step and its only
-// header: the shape of the SCF state, the system it belongs to, and what
-// each rank's shard covers beside its checksum, so a restoring rank can
-// pick the shards it re-tiles before reading any.
+// header: the shape of the SCF state, the system it belongs to, the
+// layout that wrote it and each shard's checksum, so a restoring rank
+// can pick the shards it re-tiles before reading any.
 type manifest struct {
 	Step    int // the SCF iteration
 	States  int // m, the global state count (the eigensolver's guard included)
 	Hist    int // the Pulay mixer's live pairs, oldest first
-	Global  topology.Dims
 	Spacing float64
 	BC      Boundary
-	Shards  []manifestShard // by writing rank
+	Layout  *grid.Decomp // the global grid over the writers' domain process grid
+	Bands   int          // the writers' band groups
+	Sums    []uint64     // each shard's CRC64, by writing rank
 }
 
-// manifestShard is one shard's entry in its step's manifest.
-type manifestShard struct {
-	Off   topology.Coord
-	Local topology.Dims
-	Bands [2]int // the band slice [lo, hi)
-	Sum   uint64 // the shard's CRC64
+// shard returns the box (offset and extents) and the band slice [lo,
+// hi) of writing rank r's shard.
+func (man *manifest) shard(r int) (off topology.Coord, local topology.Dims, lo, hi int) {
+	p := man.Layout.NumProcs()
+	c := man.Layout.Procs.Coord(r % p)
+	lo, n := topology.Split(man.States, man.Bands, r/p)
+	return man.Layout.Offset(c), man.Layout.LocalDims(c), lo, lo + n
 }
 
 // encode returns the manifest's encoding, CRC64 trailer included.
 func (man *manifest) encode() []byte {
-	buf := make([]byte, 0, 8*(manifestHeadWords+manifestEntryWords*len(man.Shards)+1))
-	put := func(vs ...int) {
-		for _, v := range vs {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-		}
+	buf := make([]byte, 0, 8*(manifestHeadWords+len(man.Sums)+1))
+	g, p := man.Layout.Global, man.Layout.Procs
+	for _, v := range [manifestHeadWords]int{manifestMagic, manifestVersion, man.Step, man.States, man.Hist,
+		g[0], g[1], g[2], int(math.Float64bits(man.Spacing)), int(man.BC), p[0], p[1], p[2], man.Bands} {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
-	put(manifestMagic, manifestVersion, man.Step, man.States, man.Hist, man.Global[0], man.Global[1], man.Global[2],
-		int(math.Float64bits(man.Spacing)), int(man.BC))
-	for _, e := range man.Shards {
-		put(e.Off[0], e.Off[1], e.Off[2], e.Local[0], e.Local[1], e.Local[2], e.Bands[0], e.Bands[1], int(e.Sum))
+	for _, sum := range man.Sums {
+		buf = binary.LittleEndian.AppendUint64(buf, sum)
 	}
 	return binary.LittleEndian.AppendUint64(buf, crc64.Checksum(buf, crcTable))
 }
 
 // decodeManifest checksum-verifies an encoded manifest and reads it. The
-// step is held to a plausible grid, state count and history, and every
-// entry to a box inside the grid and a band slice inside the states, so
-// a decoded manifest frames its shards exactly as readShard trusts them.
+// step is held to a plausible grid, state count and history, a process
+// grid grid.NewDecomp accepts for it and one checksum per writing rank,
+// so a decoded manifest frames its shards exactly as readShard trusts
+// them.
 func decodeManifest(raw []byte) (*manifest, error) {
-	n := len(raw)/8 - manifestHeadWords - 1 // the entries' words
-	if len(raw)%8 != 0 || n < manifestEntryWords || n%manifestEntryWords != 0 {
+	n := len(raw)/8 - manifestHeadWords - 1 // the checksums
+	if len(raw)%8 != 0 || n < 1 {
 		return nil, fmt.Errorf("%w: manifest of %d bytes", ErrCheckpointCorrupt, len(raw))
 	}
 	body := raw[:len(raw)-8]
 	if got, sum := crc64.Checksum(body, crcTable), binary.LittleEndian.Uint64(raw[len(body):]); got != sum {
 		return nil, fmt.Errorf("%w: manifest checksum %016x != recorded %016x", ErrCheckpointCorrupt, got, sum)
 	}
-	word := func() int {
-		v := int(binary.LittleEndian.Uint64(body))
-		body = body[8:]
-		return v
-	}
-	if m := word(); m != manifestMagic {
+	word := func(i int) int { return int(binary.LittleEndian.Uint64(raw[8*i:])) }
+	if m := word(0); m != manifestMagic {
 		return nil, fmt.Errorf("%w: manifest: bad magic %016x", ErrCheckpointCorrupt, uint64(m))
 	}
-	if v := word(); v != manifestVersion {
+	if v := word(1); v != manifestVersion {
 		return nil, fmt.Errorf("%w: manifest: unsupported version %d", ErrCheckpointCorrupt, v)
 	}
-	man := &manifest{Step: word(), States: word(), Hist: word(), Global: topology.Dims{word(), word(), word()},
-		Spacing: math.Float64frombits(uint64(word())), BC: Boundary(word()), Shards: make([]manifestShard, n/manifestEntryWords)}
-	ok := man.States >= 1 && man.Hist >= 0 && man.Hist <= pulayHistory
+	man := &manifest{Step: word(2), States: word(3), Hist: word(4), Spacing: math.Float64frombits(uint64(word(8))),
+		BC: Boundary(word(9)), Bands: word(13), Sums: make([]uint64, n)}
+	global, procs := topology.Dims{word(5), word(6), word(7)}, topology.Dims{word(10), word(11), word(12)}
+	ok := man.States >= 1 && man.Hist >= 0 && man.Hist <= pulayHistory && man.Bands >= 1
 	for d := range 3 {
-		ok = ok && man.Global[d] >= 1 && man.Global[d] <= 1<<20
+		ok = ok && global[d] >= 1 && global[d] <= 1<<20
 	}
 	if !ok {
-		return nil, fmt.Errorf("%w: manifest of %d states and %d mixer pairs over %v", ErrCheckpointCorrupt, man.States, man.Hist, man.Global)
+		return nil, fmt.Errorf("%w: manifest of %d states, %d mixer pairs and %d band groups over %v",
+			ErrCheckpointCorrupt, man.States, man.Hist, man.Bands, global)
 	}
-	for r := range man.Shards {
-		e := &man.Shards[r]
-		e.Off, e.Local = topology.Coord{word(), word(), word()}, topology.Dims{word(), word(), word()}
-		e.Bands, e.Sum = [2]int{word(), word()}, uint64(word())
-		ok := 0 <= e.Bands[0] && e.Bands[0] <= e.Bands[1] && e.Bands[1] <= man.States
-		for d := range 3 {
-			ok = ok && e.Off[d] >= 0 && e.Local[d] >= 1 && e.Local[d] <= man.Global[d]-e.Off[d]
-		}
-		if !ok {
-			return nil, fmt.Errorf("%w: manifest entry %d covers %v at %v, band slice [%d, %d), in %v with %d states",
-				ErrCheckpointCorrupt, r, e.Local, e.Off, e.Bands[0], e.Bands[1], man.Global, man.States)
-		}
+	var err error
+	if man.Layout, err = grid.NewDecomp(global, procs, 1); err != nil {
+		return nil, fmt.Errorf("%w: manifest: %w", ErrCheckpointCorrupt, err)
+	}
+	// Compared divided, so no forged band-group count can overflow.
+	if p := procs.Count(); n%p != 0 || n/p != man.Bands {
+		return nil, fmt.Errorf("%w: manifest of %d checksums for %d band groups over %v ranks",
+			ErrCheckpointCorrupt, n, man.Bands, procs)
+	}
+	for r := range man.Sums {
+		man.Sums[r] = uint64(word(manifestHeadWords + r))
 	}
 	return man, nil
 }
@@ -500,12 +503,14 @@ func getRow(dst []float64, src []byte) {
 	}
 }
 
-// shardView is a verified shard read in place under its manifest entry:
+// shardView is a verified shard read in place: its box and band slice,
 // its scalars and fields left in the bytes they arrived in.
 type shardView struct {
-	manifestShard
-	data []byte
-	ns   int // the scalars ahead of the fields
+	off    topology.Coord
+	local  topology.Dims
+	lo, hi int // the band slice
+	data   []byte
+	ns     int // the scalars ahead of the fields
 }
 
 // scalars decodes len(dst) scalars, from the first-th on, into dst.
@@ -513,7 +518,7 @@ func (v *shardView) scalars(dst []float64, first int) { getRow(dst, v.data[8*fir
 
 // fieldBytes returns field i's values, x-major over the shard's box.
 func (v *shardView) fieldBytes(i int) []byte {
-	n := 8 * v.Local.Count()
+	n := 8 * v.local.Count()
 	at := 8*v.ns + i*n
 	return v.data[at : at+n]
 }
@@ -534,25 +539,26 @@ func readManifest(st Store, step int) (*manifest, error) {
 }
 
 // readShard fetches shard r of a committed step and holds it to its
-// manifest entry: its byte count to exactly the scalars and fields the
-// step's states and history and the entry's box and band slice call for,
-// its CRC64 to the recorded one. The fields stay in the bytes the store
+// manifest: its byte count to exactly the scalars and fields the step's
+// states and history and the shard's box and band slice call for, its
+// CRC64 to the recorded one. The fields stay in the bytes the store
 // returned.
 func readShard(st Store, man *manifest, step, r int) (*shardView, error) {
 	data, err := st.GetShard(step, r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: step %d shard %d: %w", ErrCheckpointUnreadable, step, r, err)
 	}
-	v := &shardView{manifestShard: man.Shards[r], data: data, ns: man.States + man.Hist*man.Hist}
+	v := &shardView{data: data, ns: man.States + man.Hist*man.Hist}
+	v.off, v.local, v.lo, v.hi = man.shard(r)
 	// The sizes are compared divided, and the state count before the
 	// scalar count it is part of, so no forged count can overflow.
-	words, n, nf := len(data)/8, v.Local.Count(), 2+v.Bands[1]-v.Bands[0]+2*man.Hist
+	words, n, nf := len(data)/8, v.local.Count(), 2+v.hi-v.lo+2*man.Hist
 	if len(data)%8 != 0 || man.States > words-man.Hist*man.Hist || (words-v.ns)%n != 0 || (words-v.ns)/n != nf {
 		return nil, fmt.Errorf("%w: step %d shard %d holds %d bytes, not %d states, %d mixer pairs and %d fields of box %v",
-			ErrCheckpointCorrupt, step, r, len(data), man.States, man.Hist, nf, v.Local)
+			ErrCheckpointCorrupt, step, r, len(data), man.States, man.Hist, nf, v.local)
 	}
-	if got := crc64.Checksum(data, crcTable); got != v.Sum {
-		return nil, fmt.Errorf("%w: step %d shard %d checksum %016x != recorded %016x", ErrCheckpointCorrupt, step, r, got, v.Sum)
+	if got := crc64.Checksum(data, crcTable); got != man.Sums[r] {
+		return nil, fmt.Errorf("%w: step %d shard %d checksum %016x != recorded %016x", ErrCheckpointCorrupt, step, r, got, man.Sums[r])
 	}
 	return v, nil
 }
@@ -561,7 +567,7 @@ func readShard(st Store, man *manifest, step, r int) (*shardView, error) {
 
 // Checkpointer periodically snapshots solver state into a Store: every
 // Every-th iteration (<= 1 means every iteration), each rank writes its
-// own shard, and its store status and manifest entry gather to world
+// own shard, and its store status and shard checksum gather to world
 // rank 0 — the completion barrier — which commits the manifest only if
 // every shard was stored. One world verdict then fails every rank's save
 // with ErrCheckpointUnwritable if any store call failed. A Checkpointer
@@ -586,30 +592,23 @@ func (ck *Checkpointer) due(it int) bool {
 	return ck.Every <= 1 || it%ck.Every == 0
 }
 
-// commitWords is one shard's part of the commit gather: its store status
-// (0 stored), the CRC64, the box's offset and extents, the band slice.
-const commitWords = 1 + 1 + 3 + 3 + 2
-
 // save writes one rank's shard, ck.buf, and commits the step's manifest,
-// man with its entries, at world rank 0. The checksum travels through the
-// float64 collective transport bit-exactly (Float64frombits/Float64bits
-// round-trip every uint64), and the status, box and band slice beside it
-// as integral values.
-func (ck *Checkpointer) save(d *Dist, man *manifest, lo, hi int) error {
+// man with every shard's checksum, at world rank 0. Each rank gathers
+// two words there: its store status (0 stored) and its shard's CRC64,
+// which travels through the float64 collective transport bit-exactly
+// (Float64frombits/Float64bits round-trip every uint64).
+func (ck *Checkpointer) save(d *Dist, man *manifest) error {
 	sp := d.Cart.TraceRank().Begin("ckpt.save", trace.KindRegion)
 	defer sp.End()
-	rank, off, local := d.World.Rank(), d.Offset(), d.LocalDims()
+	rank := d.World.Rank()
 	err := ck.Store.PutShard(man.Step, rank, ck.buf)
-	in := [commitWords]float64{0, math.Float64frombits(crc64.Checksum(ck.buf, crcTable)),
-		float64(off[0]), float64(off[1]), float64(off[2]),
-		float64(local[0]), float64(local[1]), float64(local[2]),
-		float64(lo), float64(hi)}
+	in := [2]float64{0, math.Float64frombits(crc64.Checksum(ck.buf, crcTable))}
 	if err != nil {
 		in[0], err = 1, fmt.Errorf("shard %d: %w", rank, err)
 	}
 	var out []float64
 	if rank == 0 {
-		out = make([]float64, commitWords*d.World.Size())
+		out = make([]float64, 2*d.World.Size())
 	}
 	d.World.Gather(0, in[:], out)
 	if rank == 0 && err == nil {
@@ -626,20 +625,15 @@ func (ck *Checkpointer) save(d *Dist, man *manifest, lo, hi int) error {
 	return fmt.Errorf("%w: step %d: %w", ErrCheckpointUnwritable, man.Step, err)
 }
 
-// commit lists the gathered words as the manifest's entries and, if
-// every shard was stored, commits it and prunes. It runs at world rank 0.
+// commit lists the gathered checksums in the manifest and, if every
+// shard was stored, commits it and prunes. It runs at world rank 0.
 func (ck *Checkpointer) commit(man *manifest, words []float64) error {
-	man.Shards = make([]manifestShard, len(words)/commitWords)
-	for r := range man.Shards {
-		w := words[r*commitWords:][:commitWords]
-		if w[0] != 0 {
+	man.Sums = make([]uint64, len(words)/2)
+	for r := range man.Sums {
+		if words[2*r] != 0 {
 			return fmt.Errorf("rank %d's shard was not stored", r)
 		}
-		e := &man.Shards[r]
-		e.Sum, e.Bands = math.Float64bits(w[1]), [2]int{int(w[8]), int(w[9])}
-		for k := range 3 {
-			e.Off[k], e.Local[k] = int(w[2+k]), int(w[5+k])
-		}
+		man.Sums[r] = math.Float64bits(words[2*r+1])
 	}
 	if err := ck.Store.Commit(man.Step, man.encode()); err != nil {
 		return fmt.Errorf("commit: %w", err)
@@ -674,7 +668,6 @@ func (ck *Checkpointer) prune() {
 // values, and the Pulay mixer's ring and Gram matrix.
 func (ck *Checkpointer) saveSCF(s *SCF, it, m int, eig []float64, psis []*grid.Grid, n, vh *grid.Grid, mix *pulayMixer) error {
 	d := s.D
-	lo, hi := d.BandRange(m)
 	h := mix.hist
 	scalars := make([]float64, 0, m+h*h)
 	scalars = append(scalars, eig...)
@@ -684,7 +677,8 @@ func (ck *Checkpointer) saveSCF(s *SCF, it, m int, eig []float64, psis []*grid.G
 	fields := make([]*grid.Grid, 0, 2+len(psis)+2*h)
 	fields = append(append(append(append(fields, n, vh), psis...), mix.in[:h]...), mix.res[:h]...)
 	ck.buf = appendShard(ck.buf[:0], scalars, fields)
-	return ck.save(d, &manifest{Step: it, States: m, Hist: h, Global: d.Decomp.Global, Spacing: s.Sys.Spacing, BC: s.Sys.BC}, lo, hi)
+	return ck.save(d, &manifest{Step: it, States: m, Hist: h, Spacing: s.Sys.Spacing, BC: s.Sys.BC,
+		Layout: d.Decomp, Bands: d.Bands})
 }
 
 // --- restore --------------------------------------------------------
@@ -710,34 +704,28 @@ type fetch struct {
 	common bool
 }
 
-// fetchSet returns, in rank order, the shards a rank whose sub-domain is
-// local at off and whose band slice is [lo, hi) re-tiles: every shard
-// whose box meets the sub-domain and whose band slice meets [lo, hi),
-// and, for a box where no shard's band slice does, that box's first
-// shard alone.
+// fetchSet returns the shards a rank whose sub-domain is local at off
+// and whose band slice is [lo, hi) re-tiles, box by box in the writers'
+// domain rank order: for every writers' box that meets the sub-domain,
+// the shards of the band groups whose slices meet [lo, hi), or, if none
+// does, the box's band-group-0 shard alone.
 func (man *manifest) fetchSet(off topology.Coord, local topology.Dims, lo, hi int) []fetch {
-	meets := func(q int) bool { return max(man.Shards[q].Bands[0], lo) < min(man.Shards[q].Bands[1], hi) }
+	p := man.Layout.NumProcs()
 	var out []fetch
-	for r, e := range man.Shards {
-		if _, _, ok := grid.IntersectBox(e.Off, e.Local, off, local); !ok {
+	for q := range p {
+		bo, bl, _, _ := man.shard(q)
+		if _, _, ok := grid.IntersectBox(bo, bl, off, local); !ok {
 			continue
 		}
-		sameBox := func(q int) bool { return man.Shards[q].Off == e.Off && man.Shards[q].Local == e.Local }
-		if !meets(r) {
-			// Fetched only as the first shard of a box no band slice meets.
-			first := true
-			for q := range man.Shards {
-				first = first && !(sameBox(q) && (q < r || meets(q)))
-			}
-			if !first {
-				continue
+		first := len(out)
+		for r := q; r < p*man.Bands; r += p {
+			if _, _, s, e := man.shard(r); max(s, lo) < min(e, hi) {
+				out = append(out, fetch{r, len(out) == first})
 			}
 		}
-		common := true
-		for _, f := range out {
-			common = common && !sameBox(f.rank)
+		if len(out) == first {
+			out = append(out, fetch{q, true})
 		}
-		out = append(out, fetch{r, common})
 	}
 	return out
 }
@@ -749,7 +737,7 @@ func copyShardBox(dst *grid.Grid, dstOff topology.Coord, v *shardView, f int, lo
 	src, data := v.fieldBytes(f), dst.Data()
 	for i := 0; i < dims[0]; i++ {
 		for j := 0; j < dims[1]; j++ {
-			at := ((lo[0]-v.Off[0]+i)*v.Local[1]+lo[1]-v.Off[1]+j)*v.Local[2] + lo[2] - v.Off[2]
+			at := ((lo[0]-v.off[0]+i)*v.local[1]+lo[1]-v.off[1]+j)*v.local[2] + lo[2] - v.off[2]
 			row := dst.Index(lo[0]-dstOff[0]+i, lo[1]-dstOff[1]+j, lo[2]-dstOff[2])
 			getRow(data[row:row+dims[2]], src[8*at:])
 		}
@@ -761,9 +749,9 @@ func copyShardBox(dst *grid.Grid, dstOff topology.Coord, v *shardView, f int, lo
 // a shrunken survivor grid, or a grown one. Every rank reads the
 // manifest and fetches only the shards it re-tiles: those whose box
 // meets its sub-domain and whose band slice meets its own, and for a box
-// where no band slice does, that box's first shard, for the density,
-// v_H and mixer ring every band group holds. It checks each against its
-// manifest entry and copies the intersection with its sub-domain
+// where no band slice does, that box's band-group-0 shard, for the
+// density, v_H and mixer ring every band group holds. It checks each
+// against the manifest and copies the intersection with its sub-domain
 // straight from the bytes into its grids — gather-free, exactly like a
 // grid.Redistribute whose source layout happens to live in the store.
 //
@@ -807,16 +795,12 @@ func restoreSCF(d *Dist, st Store, step int) (*SCFRestart, error) {
 	if err != nil {
 		return nil, err
 	}
-	if man.Global != d.Decomp.Global || man.BC != d.BC {
+	if man.Layout.Global != d.Decomp.Global || man.BC != d.BC {
 		return nil, fmt.Errorf("gpaw: checkpoint step %d is of a %v %v grid, this Dist of a %v %v one",
-			step, man.BC, man.Global, d.BC, d.Decomp.Global)
+			step, man.BC, man.Layout.Global, d.BC, d.Decomp.Global)
 	}
 	off, local := d.Offset(), d.LocalDims()
 	myLo, myHi := d.BandRange(man.States)
-	fetches := man.fetchSet(off, local, myLo, myHi)
-	if len(fetches) == 0 {
-		return nil, fmt.Errorf("%w: step %d: no shard covers the sub-domain %v at %v", ErrCheckpointCorrupt, step, local, off)
-	}
 	rs := &SCFRestart{Iteration: man.Step, States: man.States, Eig: make([]float64, man.States),
 		N: d.NewLocalGrid(), VHartree: d.NewLocalGrid(), Psis: make([]*grid.Grid, myHi-myLo), spacing: man.Spacing}
 	for i := range rs.Psis {
@@ -827,7 +811,7 @@ func restoreSCF(d *Dist, st Store, step int) (*SCFRestart, error) {
 	for h := range mix.hist {
 		mix.in[h], mix.res[h] = grid.NewDims(local, 0), grid.NewDims(local, 0)
 	}
-	for k, f := range fetches {
+	for k, f := range man.fetchSet(off, local, myLo, myHi) {
 		v, err := readShard(st, man, step, f.rank)
 		if err != nil {
 			return nil, err
@@ -838,16 +822,16 @@ func restoreSCF(d *Dist, st Store, step int) (*SCFRestart, error) {
 				v.scalars(mix.gram[h][:mix.hist], man.States+h*mix.hist)
 			}
 		}
-		lo, dims, _ := grid.IntersectBox(v.Off, v.Local, off, local)
-		for s := max(v.Bands[0], myLo); s < min(v.Bands[1], myHi); s++ {
-			copyShardBox(rs.Psis[s-myLo], off, v, 2+s-v.Bands[0], lo, dims)
+		lo, dims, _ := grid.IntersectBox(v.off, v.local, off, local)
+		for s := max(v.lo, myLo); s < min(v.hi, myHi); s++ {
+			copyShardBox(rs.Psis[s-myLo], off, v, 2+s-v.lo, lo, dims)
 		}
 		if !f.common {
 			continue
 		}
 		copyShardBox(rs.N, off, v, 0, lo, dims)
 		copyShardBox(rs.VHartree, off, v, 1, lo, dims)
-		ring := 2 + v.Bands[1] - v.Bands[0]
+		ring := 2 + v.hi - v.lo
 		for h := range mix.hist {
 			copyShardBox(mix.in[h], off, v, ring+h, lo, dims)
 			copyShardBox(mix.res[h], off, v, ring+mix.hist+h, lo, dims)

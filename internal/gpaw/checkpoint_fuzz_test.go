@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc64"
 	"maps"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -32,12 +33,13 @@ func fuzzShard(hist int) ([]float64, []*grid.Grid) {
 }
 
 // fuzzStep is fuzzShard encoded, with the manifest of its one-shard
-// step: the entry names the shard's box and band slice and its CRC64.
+// step: one writer over the shard's 2x2x2 grid, and the shard's CRC64.
 func fuzzStep(hist int) (*manifest, []byte) {
 	sc, fs := fuzzShard(hist)
 	data := appendShard(nil, sc, fs)
-	return &manifest{Step: 3, States: 1, Hist: hist, Global: topology.Dims{4, 4, 4}, Spacing: 0.25, BC: Dirichlet,
-		Shards: []manifestShard{{Local: topology.Dims{2, 2, 2}, Bands: [2]int{0, 1}, Sum: crc64.Checksum(data, crcTable)}}}, data
+	return &manifest{Step: 3, States: 1, Hist: hist, Spacing: 0.25, BC: Dirichlet,
+		Layout: grid.MustDecomp(topology.Dims{2, 2, 2}, topology.Dims{1, 1, 1}, 0), Bands: 1,
+		Sums: []uint64{crc64.Checksum(data, crcTable)}}, data
 }
 
 // fuzzManifestBytes is fuzzStep(2)'s manifest, encoded.
@@ -61,36 +63,54 @@ func jsonManifest(version int) []byte {
 		`"shards":[{"off":[0,0,0],"local":[2,2,2],"bands":[0,1],"sum":"0123456789abcdef"}]}`, version)
 }
 
+// v5Manifest is fuzzStep(2)'s manifest as version 5 wrote it: the head
+// without the writers' layout, then the shard's box, band slice and
+// CRC64.
+func v5Manifest() []byte {
+	man, _ := fuzzStep(2)
+	var buf []byte
+	for _, w := range []uint64{manifestMagic, 5, 3, 1, 2, 2, 2, 2, math.Float64bits(0.25), uint64(Dirichlet),
+		0, 0, 0, 2, 2, 2, 0, 1, man.Sums[0]} {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
+	}
+	return binary.LittleEndian.AppendUint64(buf, crc64.Checksum(buf, crcTable))
+}
+
 // misshapenManifests returns CRC-valid manifests a decoder must refuse:
-// counts that do not fit the grid, the states or the mixer ring, and
-// framings with no whole entry.
+// counts that do not fit the grid, the states or the mixer ring, process
+// grids the grid cannot be split over, checksums that are not one per
+// writing rank, and the version before this one.
 func misshapenManifests() map[string][]byte {
 	out := map[string][]byte{}
+	// layout sets a layout NewDecomp may refuse, which encode writes as is.
+	layout := func(man *manifest, global, procs topology.Dims) {
+		man.Layout = &grid.Decomp{Global: global, Procs: procs}
+	}
 	for name, bend := range map[string]func(man *manifest){
-		"band slice reversed":        func(man *manifest) { man.Shards[0].Bands = [2]int{1, 0} },
-		"band slice below zero":      func(man *manifest) { man.Shards[0].Bands = [2]int{-1, 1} },
-		"band slice past the states": func(man *manifest) { man.Shards[0].Bands = [2]int{0, 2} },
-		"history past the ring":      func(man *manifest) { man.Hist = pulayHistory + 1 },
-		"negative history":           func(man *manifest) { man.Hist = -1 },
-		"no states":                  func(man *manifest) { man.States, man.Shards[0].Bands = 0, [2]int{0, 0} },
-		"a box past the grid":        func(man *manifest) { man.Shards[0].Off = topology.Coord{3, 0, 0} },
-		"a box below the grid":       func(man *manifest) { man.Shards[0].Off = topology.Coord{0, -1, 0} },
-		"an empty box":               func(man *manifest) { man.Shards[0].Local = topology.Dims{2, 0, 2} },
-		"a grid of 1<<61 points":     func(man *manifest) { man.Global = topology.Dims{1 << 61, 1, 1} },
-		"no entries":                 func(man *manifest) { man.Shards = nil },
+		"history past the ring":          func(man *manifest) { man.Hist = pulayHistory + 1 },
+		"negative history":               func(man *manifest) { man.Hist = -1 },
+		"no states":                      func(man *manifest) { man.States = 0 },
+		"a grid of 1<<61 points":         func(man *manifest) { layout(man, topology.Dims{1 << 61, 1, 1}, topology.Dims{1, 1, 1}) },
+		"a process grid dimension of 0":  func(man *manifest) { layout(man, topology.Dims{2, 2, 2}, topology.Dims{1, 0, 1}) },
+		"a process grid past the grid":   func(man *manifest) { layout(man, topology.Dims{2, 2, 2}, topology.Dims{3, 1, 1}) },
+		"no band groups":                 func(man *manifest) { man.Bands = 0 },
+		"two band groups over one shard": func(man *manifest) { man.Bands = 2 },
+		"one checksum too few":           func(man *manifest) { man.Sums = nil },
+		"one checksum too many":          func(man *manifest) { man.Sums = append(man.Sums, man.Sums[0]) },
 	} {
 		man, _ := fuzzStep(2)
 		bend(man)
 		out[name] = man.encode()
 	}
+	out["version 5"] = v5Manifest()
 	raw := fuzzManifestBytes()
-	short := slices.Clone(raw[:len(raw)-16])
-	out["an entry a word short"] = binary.LittleEndian.AppendUint64(short, crc64.Checksum(short, crcTable))
+	short := slices.Clone(raw[:len(raw)-12])
+	out["a checksum half a word short"] = binary.LittleEndian.AppendUint64(short, crc64.Checksum(short, crcTable))
 	return out
 }
 
 // misshapenShards returns shards whose byte count disagrees with what
-// fuzzStep(2)'s manifest entry calls for — the shapes RestoreSCF would
+// fuzzStep(2)'s manifest calls for — the shapes RestoreSCF would
 // index out of range — each under the manifest that records its CRC64.
 func misshapenShards() map[string][]byte {
 	out := map[string][]byte{}
@@ -112,12 +132,12 @@ func misshapenShards() map[string][]byte {
 }
 
 // readFuzzShard stores data as rank 0's shard of fuzzStep(2)'s step and
-// reads it back under that step's manifest, its entry's CRC64 set to
-// data's own, so what readShard holds the bytes to is their count.
+// reads it back under that step's manifest, its CRC64 set to data's own,
+// so what readShard holds the bytes to is their count.
 func readFuzzShard(t *testing.T, data []byte) (*manifest, *shardView, error) {
 	t.Helper()
 	man, _ := fuzzStep(2)
-	man.Shards[0].Sum = crc64.Checksum(data, crcTable)
+	man.Sums[0] = crc64.Checksum(data, crcTable)
 	st := NewMemStore()
 	if err := st.PutShard(man.Step, 0, data); err != nil {
 		t.Fatal(err)
@@ -128,7 +148,7 @@ func readFuzzShard(t *testing.T, data []byte) (*manifest, *shardView, error) {
 
 // shardField decodes field i of a read shard, x-major over its box.
 func shardField(v *shardView, i int) []float64 {
-	out := make([]float64, v.Local.Count())
+	out := make([]float64, v.local.Count())
 	getRow(out, v.fieldBytes(i))
 	return out
 }
@@ -136,11 +156,11 @@ func shardField(v *shardView, i int) []float64 {
 // FuzzDecodeShard hardens the checkpoint readers against hostile bytes.
 // Read as a manifest, truncated, bit-flipped or garbage input must come
 // back as a typed ErrCheckpointCorrupt — never a panic — and a decoded
-// manifest must hold every entry inside its grid and states. Read as
-// rank 0's shard of an honest one-shard step, the same bytes must be
-// refused the same way unless they hold exactly the scalars and fields
-// the entry calls for, and every slice of a view read must lie inside
-// them. No forged count can drive an offset: the readers bound each by
+// manifest must hold one checksum per writing rank and place every shard
+// inside its grid and states. Read as rank 0's shard of an honest
+// one-shard step, the same bytes must be refused the same way unless
+// they hold exactly the scalars and fields the manifest calls for, and
+// every slice of a view read must lie inside them. No forged count can drive an offset: the readers bound each by
 // division against the bytes present, so a 1<<61 count can at worst
 // reject, not index out of range.
 func FuzzDecodeShard(f *testing.F) {
@@ -185,17 +205,20 @@ func FuzzDecodeShard(f *testing.F) {
 				t.Fatalf("untyped manifest error: %v", err)
 			}
 		} else {
-			if man.States < 1 || man.Hist < 0 || man.Hist > pulayHistory || len(man.Shards) == 0 {
-				t.Fatalf("decoded %d states and %d mixer pairs in %d entries", man.States, man.Hist, len(man.Shards))
+			if man.States < 1 || man.Hist < 0 || man.Hist > pulayHistory || man.Bands < 1 ||
+				len(man.Sums) != man.Bands*man.Layout.NumProcs() {
+				t.Fatalf("decoded %d states, %d mixer pairs and %d checksums for %d band groups over %v",
+					man.States, man.Hist, len(man.Sums), man.Bands, man.Layout.Procs)
 			}
-			for r, e := range man.Shards {
+			for r := range man.Sums {
+				off, local, lo, hi := man.shard(r)
 				for d := range 3 {
-					if e.Off[d] < 0 || e.Local[d] < 1 || e.Off[d]+e.Local[d] > man.Global[d] {
-						t.Fatalf("decoded entry %d: box %v at %v in %v", r, e.Local, e.Off, man.Global)
+					if off[d] < 0 || local[d] < 1 || off[d]+local[d] > man.Layout.Global[d] {
+						t.Fatalf("decoded shard %d: box %v at %v in %v", r, local, off, man.Layout.Global)
 					}
 				}
-				if e.Bands[0] < 0 || e.Bands[0] > e.Bands[1] || e.Bands[1] > man.States {
-					t.Fatalf("decoded entry %d: band slice %v of %d states", r, e.Bands, man.States)
+				if lo < 0 || lo > hi || hi > man.States {
+					t.Fatalf("decoded shard %d: band slice [%d, %d) of %d states", r, lo, hi, man.States)
 				}
 			}
 		}
@@ -206,9 +229,9 @@ func FuzzDecodeShard(f *testing.F) {
 			}
 			return
 		}
-		nf, n := 2+v.Bands[1]-v.Bands[0]+2*man.Hist, v.Local.Count()
+		nf, n := 2+v.hi-v.lo+2*man.Hist, v.local.Count()
 		if len(data) != 8*(man.States+man.Hist*man.Hist+nf*n) {
-			t.Fatalf("read a shard of %d bytes for %d scalars and %d fields of box %v", len(data), v.ns, nf, v.Local)
+			t.Fatalf("read a shard of %d bytes for %d scalars and %d fields of box %v", len(data), v.ns, nf, v.local)
 		}
 		scalars := make([]float64, v.ns)
 		v.scalars(scalars, 0)
@@ -224,13 +247,13 @@ func TestDecodeShardRejectsForgedLengths(t *testing.T) {
 	man, valid := fuzzStep(2)
 	raw := man.encode()
 	// A forged 1<<61 count is refused typed, not used: as the state
-	// count by the shard's byte count, as a box extent or the grid by the
-	// manifest.
+	// count by the shard's byte count, as the grid, a process grid
+	// extent or the band groups by the manifest.
 	if _, _, err := readFuzzShard(t, valid); err != nil {
 		t.Fatalf("read of the honest shard: %v", err)
 	}
 	forged := map[string][]byte{"state count": reframed(raw, 3, 1<<61), "grid": reframed(raw, 5, 1<<61),
-		"box extent": reframed(raw, manifestHeadWords+3, 1<<61), "band slice": reframed(raw, manifestHeadWords+7, 1<<61)}
+		"process grid extent": reframed(raw, 10, 1<<61), "band group count": reframed(raw, 13, 1<<61)}
 	for what, enc := range forged {
 		m, err := decodeManifest(enc)
 		if err == nil {
@@ -263,16 +286,20 @@ func TestDecodeShardRejectsForgedLengths(t *testing.T) {
 			t.Fatalf("shard with bit %d flipped: %v, want ErrCheckpointCorrupt", i, err)
 		}
 	}
-	// A manifest of an older version, JSON as versions 1-4 wrote it or
-	// framed as version 5 is with another version word, is refused; the
-	// framed one names its version.
-	for v := 1; v <= 4; v++ {
-		if _, err := decodeManifest(jsonManifest(v)); !errors.Is(err, ErrCheckpointCorrupt) {
-			t.Errorf("a JSON version-%d manifest: %v, want ErrCheckpointCorrupt", v, err)
-		}
+	// A manifest of an older version, JSON as versions 1-4 wrote it,
+	// framed as version 5 wrote it, or framed as version 6 is with another
+	// version word, is refused; a framed one names its version.
+	if _, err := decodeManifest(v5Manifest()); !errors.Is(err, ErrCheckpointCorrupt) ||
+		!strings.Contains(err.Error(), "unsupported version 5") {
+		t.Errorf("a version-5 manifest: %v, want ErrCheckpointCorrupt: unsupported version 5", err)
+	}
+	for v := 1; v <= 5; v++ {
 		if _, err := decodeManifest(reframed(raw, 1, uint64(v))); !errors.Is(err, ErrCheckpointCorrupt) ||
 			!strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", v)) {
 			t.Errorf("a version-%d manifest: %v, want ErrCheckpointCorrupt: unsupported version %d", v, err, v)
+		}
+		if _, err := decodeManifest(jsonManifest(v)); v < 5 && !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Errorf("a JSON version-%d manifest: %v, want ErrCheckpointCorrupt", v, err)
 		}
 	}
 	// CRC-valid manifests whose counts do not fit are refused.
@@ -290,14 +317,13 @@ func TestDecodeShardRejectsForgedLengths(t *testing.T) {
 	}
 	// An honest shard stored under another rank's key is refused by its
 	// CRC64, though its byte count fits.
-	two := &manifest{Step: 3, States: 1, Global: topology.Dims{4, 2, 2}}
+	two := &manifest{Step: 3, States: 1, Layout: grid.MustDecomp(topology.Dims{4, 2, 2}, topology.Dims{2, 1, 1}, 0), Bands: 1}
 	st = NewMemStore()
 	for r := range 2 {
 		sc, fs := fuzzShard(0)
 		fs[0].Set(0, 0, 0, float64(r))
 		data := appendShard(nil, sc, fs)
-		two.Shards = append(two.Shards, manifestShard{Off: topology.Coord{2 * r, 0, 0}, Local: topology.Dims{2, 2, 2},
-			Bands: [2]int{0, 1}, Sum: crc64.Checksum(data, crcTable)})
+		two.Sums = append(two.Sums, crc64.Checksum(data, crcTable))
 		if err := st.PutShard(3, 1-r, data); err != nil {
 			t.Fatal(err)
 		}
@@ -312,13 +338,14 @@ func TestDecodeShardRejectsForgedLengths(t *testing.T) {
 		man, _ := fuzzStep(hist)
 		sc, fs := fuzzShard(hist)
 		buf = appendShard(buf[:0], sc, fs)
-		man.Shards[0].Sum = crc64.Checksum(buf, crcTable)
+		man.Sums[0] = crc64.Checksum(buf, crcTable)
 		got, err := decodeManifest(man.encode())
 		if err != nil {
 			t.Fatalf("decode of a valid manifest with %d mixer pairs: %v", hist, err)
 		}
-		if got.Step != man.Step || got.States != man.States || got.Hist != hist || got.Global != man.Global ||
-			got.Spacing != man.Spacing || got.BC != man.BC || !slices.Equal(got.Shards, man.Shards) {
+		if got.Step != man.Step || got.States != man.States || got.Hist != hist || got.Layout.Global != man.Layout.Global ||
+			got.Layout.Procs != man.Layout.Procs ||
+			got.Spacing != man.Spacing || got.BC != man.BC || got.Bands != man.Bands || !slices.Equal(got.Sums, man.Sums) {
 			t.Errorf("%d mixer pairs: manifest %+v, want %+v", hist, got, man)
 		}
 		st := NewMemStore()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/grid"
 	"repro/internal/mpi"
 	"repro/internal/topology"
 )
@@ -246,21 +247,19 @@ func TestResumeRefusesOtherSystem(t *testing.T) {
 }
 
 // TestFetchSet pins the choice on a manifest of two boxes, each written
-// by two band groups: a band slice takes the shards whose slices meet
-// it, and an empty one takes each box's first shard, for the fields
-// every band group holds.
+// by two band groups: a band slice takes, box by box, the shards whose
+// slices meet it, and an empty one takes each box's band-group-0 shard,
+// for the fields every band group holds.
 func TestFetchSet(t *testing.T) {
-	entry := func(x, lo, hi int) manifestShard {
-		return manifestShard{Off: topology.Coord{x, 0, 0}, Local: topology.Dims{4, 8, 8}, Bands: [2]int{lo, hi}}
-	}
-	man := &manifest{Shards: []manifestShard{entry(0, 0, 1), entry(4, 0, 1), entry(0, 1, 2), entry(4, 1, 2)}}
+	man := &manifest{States: 2, Layout: grid.MustDecomp(topology.Dims{8, 8, 8}, topology.Dims{2, 1, 1}, 0), Bands: 2,
+		Sums: make([]uint64, 4)}
 	for _, tc := range []struct {
 		off    topology.Coord
 		local  topology.Dims
 		lo, hi int
 		want   []fetch
 	}{
-		{topology.Coord{0, 0, 0}, topology.Dims{8, 8, 4}, 0, 2, []fetch{{0, true}, {1, true}, {2, false}, {3, false}}},
+		{topology.Coord{0, 0, 0}, topology.Dims{8, 8, 4}, 0, 2, []fetch{{0, true}, {2, false}, {1, true}, {3, false}}},
 		{topology.Coord{0, 0, 0}, topology.Dims{8, 8, 4}, 1, 2, []fetch{{2, true}, {3, true}}},
 		{topology.Coord{4, 0, 0}, topology.Dims{4, 8, 8}, 0, 1, []fetch{{1, true}}},
 		{topology.Coord{0, 0, 0}, topology.Dims{8, 8, 4}, 2, 2, []fetch{{0, true}, {1, true}}},

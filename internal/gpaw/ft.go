@@ -52,51 +52,17 @@ type FTConfig struct {
 }
 
 // chooseProcs picks the process grid for n ranks deterministically:
-// the largest usable rank count p <= n with a decomposition of global
-// that grid.NewDecomp accepts, and among p's factor triples the one
-// minimizing the longest grid edge (ties broken lexicographically).
-// Every survivor computes the same grid from the same n.
+// the topology.DecomposeGrid layout of the largest rank count p <= n
+// whose layout grid.NewDecomp accepts for global. Every survivor
+// computes the same grid from the same n.
 func chooseProcs(global topology.Dims, n, halo int) (topology.Dims, int) {
-	for p := n; p >= 1; p-- {
-		var best topology.Dims
-		found := false
-		for px := 1; px <= p; px++ {
-			if p%px != 0 {
-				continue
-			}
-			rem := p / px
-			for py := 1; py <= rem; py++ {
-				if rem%py != 0 {
-					continue
-				}
-				procs := topology.Dims{px, py, rem / py}
-				if _, err := grid.NewDecomp(global, procs, halo); err != nil {
-					continue
-				}
-				if !found || betterProcs(procs, best) {
-					best, found = procs, true
-				}
-			}
-		}
-		if found {
-			return best, p
+	for p := n; p > 1; p-- {
+		procs := topology.DecomposeGrid(p, global)
+		if _, err := grid.NewDecomp(global, procs, halo); err == nil {
+			return procs, p
 		}
 	}
 	return topology.Dims{1, 1, 1}, 1
-}
-
-func betterProcs(a, b topology.Dims) bool {
-	am := max(a[0], a[1], a[2])
-	bm := max(b[0], b[1], b[2])
-	if am != bm {
-		return am < bm
-	}
-	for d := 0; d < 3; d++ {
-		if a[d] != b[d] {
-			return a[d] < b[d]
-		}
-	}
-	return false
 }
 
 // scfAttempt runs one SCF attempt on the active communicator,
@@ -173,7 +139,9 @@ func ftOutcome(c *mpi.Comm, m int, res *SCFResult, err error) (*SCFResult, error
 // communicator. The first attempt uses cfg's process grid and band
 // layout as given (cfg.Bands * cfg.Procs.Count() must equal the
 // communicator size); after a failure the survivors re-decompose with
-// chooseProcs and a single band group. Ranks beyond the shrunken
+// chooseProcs — the surface-minimizing topology.DecomposeGrid layout,
+// on fewer ranks where that one is too thin for the halo — and a
+// single band group. Ranks beyond the shrunken
 // process grid park in the outcome broadcast and return the successful
 // attempt's scalar results (their grid fields are nil — they own no
 // sub-domain of the final layout).

@@ -144,31 +144,10 @@ func (n Network) WrapHops(d int) int {
 	return n.Dims[d] - 1
 }
 
-// BalancedDims factors n into three near-equal dimensions (x >= y >= z
-// ordering is not guaranteed; the result minimizes the sum of dims, i.e.
-// the most cubic shape). Used for BGP partition shapes.
-func BalancedDims(n int) Dims {
-	best := Dims{n, 1, 1}
-	bestScore := math.MaxFloat64
-	for x := 1; x <= n; x++ {
-		if n%x != 0 {
-			continue
-		}
-		rest := n / x
-		for y := 1; y <= rest; y++ {
-			if rest%y != 0 {
-				continue
-			}
-			z := rest / y
-			score := float64(x + y + z)
-			if score < bestScore {
-				bestScore = score
-				best = Dims{x, y, z}
-			}
-		}
-	}
-	return best
-}
+// BalancedDims factors n into the most cubic three dimensions: the
+// DecomposeGrid split of a unit cube, whose sub-domain surface is
+// proportional to the sum of the dims. Used for BGP partition shapes.
+func BalancedDims(n int) Dims { return DecomposeGrid(n, Dims{1, 1, 1}) }
 
 // DecomposeGrid factors p processes into a 3-D process grid that
 // minimizes the aggregate halo surface for a global grid of extent g.
@@ -200,8 +179,10 @@ func DecomposeGrid(p int, g Dims) Dims {
 			sz := float64(g[2]) / float64(z)
 			// Aggregate outward surface of one sub-domain; the total over
 			// all sub-domains is p times this, so minimizing per-domain
-			// surface minimizes the aggregate.
-			surface := 2 * (sx*sy + sy*sz + sx*sz)
+			// surface minimizes the aggregate. Each product is rounded
+			// before it is added, so no target's fused multiply-add moves
+			// a partition shape or a recovery layout.
+			surface := 2 * (float64(sx*sy) + float64(sy*sz) + float64(sx*sz))
 			if surface < bestSurface-1e-12 {
 				bestSurface = surface
 				best = Dims{x, y, z}
@@ -229,16 +210,6 @@ func SubdomainSize(g Dims, pd Dims, c Coord) Dims {
 	var out Dims
 	for d := 0; d < 3; d++ {
 		_, out[d] = Split(g[d], pd[d], c[d])
-	}
-	return out
-}
-
-// SubdomainOffset returns the global offset of the sub-grid for the
-// process at coordinate c.
-func SubdomainOffset(g Dims, pd Dims, c Coord) Coord {
-	var out Coord
-	for d := 0; d < 3; d++ {
-		out[d], _ = Split(g[d], pd[d], c[d])
 	}
 	return out
 }
