@@ -127,7 +127,8 @@
 //   - internal/pblas — a SUMMA/Cholesky library the benchmark ledger
 //     probes (pblas.summa_us, pblas.cholesky_us) and no solver calls:
 //     block-cyclic distributed matrices over a 2D process grid built
-//     from mpi.Comm.Split row/column sub-communicators, SUMMA matrix
+//     from mpi.Comm.Split row/column sub-communicators (worked out
+//     locally, with no message), SUMMA matrix
 //     multiplication and a blocked Cholesky, each bit-identical to its
 //     replicated internal/linalg counterpart for every grid shape and
 //     block size (ascending-k panel broadcasts reproduce the serial

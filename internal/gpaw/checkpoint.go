@@ -148,22 +148,6 @@ func (s *MemStore) Drop(step int) error {
 	return nil
 }
 
-// Corrupt stores a copy of a shard with one byte flipped — injected
-// bit-rot for chaos tests of the retention/fallback machinery. Bytes
-// GetShard already handed out stay as they were.
-func (s *MemStore) Corrupt(step, rank int, byteIdx int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.shards[[2]int{step, rank}]
-	if !ok {
-		return fmt.Errorf("gpaw: checkpoint step %d shard %d not found", step, rank)
-	}
-	d = slices.Clone(d)
-	d[byteIdx%len(d)] ^= 0x40
-	s.shards[[2]int{step, rank}] = d
-	return nil
-}
-
 // DirStore persists checkpoints under a directory:
 //
 //	<dir>/step-NNNNNN/shard-NNNN.ckpt

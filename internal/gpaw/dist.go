@@ -219,8 +219,8 @@ func NewDist(comm *mpi.Comm, cfg DistConfig) (*Dist, error) {
 		return nil, err
 	}
 	band := comm.Rank() / nproc
-	domainComm := comm.Split(band, comm.Rank())
-	bandComm := comm.Split(comm.Rank()%nproc, comm.Rank())
+	domainComm := comm.Split(func(r int) int { return r / nproc })
+	bandComm := comm.Split(func(r int) int { return r % nproc })
 	periodic := cfg.BC == Periodic
 	cart := domainComm.CartCreate(cfg.Procs, [3]bool{periodic, periodic, periodic}, true)
 	if cfg.Threads < 1 {

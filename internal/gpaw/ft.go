@@ -159,11 +159,7 @@ func RunSCFFT(comm *mpi.Comm, cfg DistConfig, sys System, ft FTConfig) (*SCFResu
 		active := bands * procs.Count()
 		sub := c
 		if active < c.Size() {
-			color := 0
-			if c.Rank() >= active {
-				color = -1
-			}
-			sub = c.Split(color, c.Rank())
+			sub = c.Split(firstRanks(active))
 		} else if active > c.Size() {
 			return nil, fmt.Errorf("gpaw: layout %d x %v needs %d ranks, have %d", bands, procs, active, c.Size())
 		}

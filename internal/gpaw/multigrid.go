@@ -100,10 +100,23 @@ func splitsAligned(fine, coarse, procs topology.Dims) bool {
 	return true
 }
 
+// firstRanks is the mpi.Comm.Split coloring that keeps ranks 0..k-1 (color
+// 0) and drops the rest: the shrunk multigrid levels and the recovery
+// layouts both run on a communicator's first ranks.
+func firstRanks(k int) func(r int) int {
+	return func(r int) int {
+		if r < k {
+			return 0
+		}
+		return -1
+	}
+}
+
 // hierarchy returns the Dist's multigrid for its global grid at spacing
 // h, building it on the first call (and again if h changes): level
 // grids, engines and sub-communicators are scratch of the solve, not of
-// NewDist. The building call is collective over the domain communicator.
+// NewDist. The building call sends no message, but every rank of the
+// domain communicator makes it, so that their Split counts agree.
 func (d *Dist) hierarchy(h float64) (*multigrid, error) {
 	if d.mg != nil && d.mg.levels[0].h == h {
 		return d.mg, nil
@@ -152,16 +165,12 @@ func (d *Dist) hierarchy(h float64) (*multigrid, error) {
 				if !prev.active {
 					continue
 				}
-				// Collective over the parent level's communicator: its
-				// first used.Count() ranks survive onto this level,
-				// keeping their rank numbers (Split ordered by old
-				// rank), so the coarse Cartesian coordinates are the
-				// row-major coordinates of the same ranks.
-				color := -1
-				if prev.comm.Rank() < used.Count() {
-					color = 0
-				}
-				sub := prev.comm.Split(color, prev.comm.Rank())
+				// The parent level's first used.Count() ranks survive
+				// onto this level, keeping their rank numbers (Split
+				// numbers by old rank), so the coarse Cartesian
+				// coordinates are the row-major coordinates of the same
+				// ranks.
+				sub := prev.comm.Split(firstRanks(used.Count()))
 				lv.down = grid.NewRedistPlan(prev.comm.Rank(), prev.dec, lv.xferDec)
 				lv.up = grid.NewRedistPlan(prev.comm.Rank(), lv.xferDec, prev.dec)
 				if sub == nil {

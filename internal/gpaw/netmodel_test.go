@@ -8,6 +8,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/mpi"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 // Transport differential: the calibrated network model only reorders
@@ -147,4 +148,51 @@ func TestMappingSensitivity(t *testing.T) {
 	}
 	t.Logf("64-rank CG virtual makespan: cart %v, shuffle %v (%.2fx)", cart, shuffle,
 		float64(shuffle)/float64(cart))
+}
+
+// TestNewDistSendsNothing: building the distributed context and its
+// multigrid hierarchy on the modelled 2 × (2×4×4) world posts no message
+// — every communicator, the shrunk levels' included, comes from a Split
+// computed locally — so every rank's virtual clock stays at 0 and no
+// rank traces a send or a collective.
+func TestNewDistSendsNothing(t *testing.T) {
+	cfg := DistConfig{Global: topology.Dims{24, 24, 24}, Procs: topology.Dims{2, 4, 4}, Bands: 2,
+		Halo: 2, BC: Dirichlet, Approach: core.FlatOptimized, Threads: 1, Batch: 2,
+		Map: topology.MapCart, NetCompute: true}
+	n := cfg.Bands * cfg.Procs.Count()
+	tr := trace.New(n, 4096)
+	w := testWorld(n, mpi.ThreadSingle)
+	w.SetNetModel(calibratedModel(cfg))
+	w.SetTracer(tr)
+	shrunk := make([]bool, n)
+	err := w.Run(func(c *mpi.Comm) {
+		d, err := NewDist(c, cfg)
+		if err != nil {
+			panic(err)
+		}
+		defer d.Close()
+		mg, err := d.hierarchy(0.3)
+		if err != nil {
+			panic(err)
+		}
+		for _, lv := range mg.levels {
+			shrunk[c.Rank()] = shrunk[c.Rank()] || lv.shrunk
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < n; r++ {
+		if v := w.VirtualTime(r); v != 0 {
+			t.Errorf("rank %d: virtual clock %v after setup, want 0", r, v)
+		}
+		for _, ev := range tr.RankEvents(r) {
+			if ev.Kind == trace.KindSend || ev.Kind == trace.KindCollective {
+				t.Errorf("rank %d: setup traced %s %q", r, ev.Kind, ev.Name)
+			}
+		}
+		if !shrunk[r] {
+			t.Errorf("rank %d: no multigrid level shrank, so the hierarchy made no Split", r)
+		}
+	}
 }

@@ -38,10 +38,11 @@ func runRanksModeled(n int, mode mpi.ThreadMode, m *mpi.NetModel, body func(c *m
 	return w.MaxVirtualTime(), err
 }
 
-// calibratedModel is the BG/P network model for a domain-only cfg, its
-// ranks placed by cfg.Map; NoComputeWall makes virtual makespans exact.
+// calibratedModel is the BG/P network model for cfg's bands x domain
+// world, its ranks placed by cfg.Map; NoComputeWall makes virtual
+// makespans exact.
 func calibratedModel(cfg DistConfig) *mpi.NetModel {
-	m := bgpsim.NetModelFor(cfg.Procs.Count())
+	m := bgpsim.NetModelFor(max(cfg.Bands, 1) * cfg.Procs.Count())
 	m.Coords = NetCoords(cfg, m.Net)
 	m.NoComputeWall = true
 	return m

@@ -271,84 +271,55 @@ func (c *Comm) Gather(root int, in, out []float64) {
 	c.sendInternal(root, tag, in)
 }
 
-// Allgather is Gather to rank 0 followed by Bcast of the concatenation.
-func (c *Comm) Allgather(in, out []float64) {
-	if len(out) < len(in)*len(c.group) {
-		panic("mpi: Allgather output too short")
-	}
-	if rk := c.traceRank(); rk != nil {
-		defer rk.BeginComm("mpi.allgather", trace.KindCollective, -1, -1, int64(len(in))*8).End()
-	}
-	c.Gather(0, in, out)
-	c.Bcast(0, out[:len(in)*len(c.group)])
-}
-
-// Split partitions the communicator by color, ordering the new ranks by
-// key then by old rank (MPI_Comm_split). Every rank must call it; ranks
-// with the same color end up in the same new communicator. A negative
-// color plays the role of MPI_UNDEFINED: the rank participates in the
-// exchange but joins no new communicator and receives nil.
+// Split partitions the communicator by color (MPI_Comm_split with the
+// old rank as key): colorOf maps every rank of c to its color, and ranks
+// with the same color form one new communicator, numbered in old-rank
+// order. A negative color plays the role of MPI_UNDEFINED: that rank
+// joins no new communicator and receives nil. Split sends nothing:
+// colorOf must give the same answers on every calling rank, and each
+// caller builds its communicator from colorOf alone, in O(Size + color)
+// local work. A caller need not wait for any other rank, but the ranks
+// of one color must make the same sequence of Split calls on c, so that
+// their split counts agree.
 //
 // The child communicator's context id is derived deterministically from
 // (parent context, parent split count, index of the color among the
 // sorted distinct non-negative colors), so every member computes the
-// same id locally and collectives on sibling or nested communicators
-// occupy disjoint tag spaces. The encoding packs 8 bits of split count
-// and 8 bits of color index per level, which is collision-free for the
+// same id and collectives on sibling or nested communicators occupy
+// disjoint tag spaces. The encoding packs 8 bits of split count and 8
+// bits of color index per level, which is collision-free for the
 // shallow communicator trees the solver stack builds (world -> domain /
 // band -> process-grid row/column).
-func (c *Comm) Split(color, key int) *Comm {
-	// Exchange (color, key) pairs via Allgather.
-	in := []float64{float64(color), float64(key)}
-	out := make([]float64, 2*len(c.group))
-	c.Allgather(in, out)
+func (c *Comm) Split(colorOf func(r int) int) *Comm {
 	c.splits++
+	color := colorOf(c.rank)
 	if color < 0 {
 		return nil
 	}
-	// Index of my color among the sorted distinct non-negative colors:
-	// every rank sees the same allgathered pairs, so the index — and the
-	// derived context — agree across the new communicator's members.
-	// A color counts at its first occurrence only.
+	// The color's index is the number of distinct non-negative colors
+	// below it, each marked once in a bitset over [0, color).
+	seen := make([]uint64, (color+63)/64)
 	colorIndex, members := 0, 0
-	for r := 0; r < len(c.group); r++ {
-		col := int(out[2*r])
-		if col == color {
+	for r := range c.group {
+		switch col := colorOf(r); {
+		case col == color:
 			members++
-		}
-		if col < 0 || col >= color {
-			continue
-		}
-		first := true
-		for q := 0; q < r && first; q++ {
-			first = int(out[2*q]) != col
-		}
-		if first {
+		case col >= 0 && col < color && seen[col/64]&(1<<(col%64)) == 0:
+			seen[col/64] |= 1 << (col % 64)
 			colorIndex++
 		}
 	}
 	ctx := c.ctx*(1<<16) + (c.splits%(1<<8))*(1<<8) + uint64(colorIndex+1)%(1<<8)
-	// Old ranks of my color, insertion-sorted by key; scanning old ranks
-	// in ascending order keeps equal keys in old-rank order.
-	keyOf := func(r int) int { return int(out[2*r+1]) }
 	group := make([]int, 0, members)
-	for r := 0; r < len(c.group); r++ {
-		if int(out[2*r]) != color {
+	newRank := 0
+	for r, wr := range c.group {
+		if colorOf(r) != color {
 			continue
 		}
-		i := len(group)
-		group = append(group, r)
-		for ; i > 0 && keyOf(group[i-1]) > keyOf(r); i-- {
-			group[i] = group[i-1]
-		}
-		group[i] = r
-	}
-	newRank := -1
-	for i, r := range group {
 		if r == c.rank {
-			newRank = i
+			newRank = len(group)
 		}
-		group[i] = c.group[r]
+		group = append(group, wr)
 	}
 	return &Comm{world: c.world, rank: newRank, group: group, active: c.active, ctx: ctx, epoch: c.epoch}
 }

@@ -17,9 +17,10 @@
 //
 // The surface mirrors the MPI subset GPAW's finite-difference engine
 // needs: blocking and non-blocking point-to-point, request objects with
-// Wait/Waitall/Test, communicator split, Cartesian topologies
+// Wait/Waitall/Test, communicator split (computed locally from a
+// rank-to-color function, so it sends nothing), Cartesian topologies
 // (MPI_Cart_create / MPI_Cart_shift), and the collectives used by the
-// surrounding DFT code (Barrier, Bcast, Reduce, Allreduce, Allgather).
+// surrounding DFT code (Barrier, Bcast, Reduce, Allreduce, Gather).
 //
 // Thread support levels follow MPI-2: SINGLE (only one thread may call
 // into the library; violations are detected and panic, standing in for
@@ -394,13 +395,13 @@ type Comm struct {
 	// can never cross-match, even when a fast rank races ahead into a
 	// sibling communicator's collectives. The world communicator has
 	// ctx 0; Split derives children's contexts deterministically, so
-	// every member of a communicator agrees on its ctx without extra
+	// every member of a communicator agrees on its ctx without any
 	// communication.
 	ctx uint64
-	// splits counts Split calls on this communicator. MPI requires all
-	// ranks of a communicator to call Split collectively in the same
-	// order, so the local counter agrees across ranks and feeds the
-	// deterministic child-context derivation.
+	// splits counts Split calls on this communicator. The ranks of one
+	// color make the same sequence of Split calls, so the local counter
+	// agrees across a child's members and feeds the deterministic
+	// child-context derivation.
 	splits uint64
 
 	// epoch is the fault-tolerance epoch the communicator belongs to.

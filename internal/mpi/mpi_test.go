@@ -365,15 +365,19 @@ func TestAllreduceSum(t *testing.T) {
 	}
 }
 
-func TestGatherAllgather(t *testing.T) {
-	const p = 4
+func TestGather(t *testing.T) {
+	const p, root = 4, 2
 	err := runRanks(p, ThreadSingle, func(c *Comm) {
 		in := []float64{float64(c.Rank()), float64(c.Rank() * c.Rank())}
 		out := make([]float64, 2*p)
-		c.Allgather(in, out)
+		c.Gather(root, in, out)
 		for r := 0; r < p; r++ {
-			if out[2*r] != float64(r) || out[2*r+1] != float64(r*r) {
-				panic(fmt.Sprintf("allgather slot %d = %v", r, out[2*r:2*r+2]))
+			want := [2]float64{float64(r), float64(r * r)}
+			if c.Rank() != root {
+				want = [2]float64{} // out is ignored off the root
+			}
+			if out[2*r] != want[0] || out[2*r+1] != want[1] {
+				panic(fmt.Sprintf("rank %d: gather slot %d = %v, want %v", c.Rank(), r, out[2*r:2*r+2], want))
 			}
 		}
 	})
@@ -385,7 +389,7 @@ func TestGatherAllgather(t *testing.T) {
 func TestSplitByParity(t *testing.T) {
 	const p = 6
 	err := runRanks(p, ThreadSingle, func(c *Comm) {
-		sub := c.Split(c.Rank()%2, c.Rank())
+		sub := c.Split(func(r int) int { return r % 2 })
 		if sub.Size() != 3 {
 			panic(fmt.Sprintf("split size = %d", sub.Size()))
 		}
@@ -397,20 +401,6 @@ func TestSplitByParity(t *testing.T) {
 		}
 		if got != want {
 			panic(fmt.Sprintf("subcomm sum = %g, want %g", got, want))
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitKeyOrdersRanks(t *testing.T) {
-	const p = 4
-	err := runRanks(p, ThreadSingle, func(c *Comm) {
-		// Reverse rank order via key.
-		sub := c.Split(0, -c.Rank())
-		if sub.Rank() != p-1-c.Rank() {
-			panic(fmt.Sprintf("world rank %d got sub rank %d", c.Rank(), sub.Rank()))
 		}
 	})
 	if err != nil {

@@ -1,24 +1,142 @@
 package mpi
 
 import (
+	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // Direct unit tests for Comm.Split, which the band-parallel solver layer
 // makes load-bearing: the bands x domain 2D layout and the pblas process
 // grids are all built from Split row/col/band sub-communicators.
 
+// TestSplitSendsNothing: Split is local. Only rank 0 of a 4-rank world
+// calls it while the other ranks return at once — a collective would
+// strand rank 0 — and rank 0 still gets its pair communicator's size,
+// rank and context. Under the network model every rank's virtual clock
+// stays at 0.
+func TestSplitSendsNothing(t *testing.T) {
+	w := testWorld(4, ThreadSingle)
+	w.SetOpTimeout(5 * time.Second)
+	w.SetNetModel(&NetModel{Params: testParams(), NoComputeWall: true})
+	err := w.Run(func(c *Comm) {
+		if c.Rank() != 0 {
+			return
+		}
+		sub := c.Split(func(r int) int { return r / 2 })
+		if sub.Size() != 2 || sub.Rank() != 0 || sub.ctx != 1<<8+1 {
+			t.Errorf("size %d rank %d ctx %#x, want 2, 0 and 0x101", sub.Size(), sub.Rank(), sub.ctx)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 4; r++ {
+		if v := w.VirtualTime(r); v != 0 {
+			t.Errorf("rank %d: virtual clock %v, want 0", r, v)
+		}
+	}
+}
+
+// TestSplitMatchesLayouts holds every member's size, rank, group and
+// context to closed forms for the colorings the solver stack uses:
+// NewDist's band groups and band columns, the first k ranks (shrunk
+// multigrid levels, fault recovery) and pblas's grid rows and columns,
+// and for sparse colors with a rank left out. Split s (0-based) on the world gets context (s+1)·2⁸ + index + 1.
+func TestSplitMatchesLayouts(t *testing.T) {
+	span := func(first, n, stride int) []int {
+		g := make([]int, n)
+		for i := range g {
+			g[i] = first + i*stride
+		}
+		return g
+	}
+	ctxOf := func(s, index int) uint64 { return uint64(s+1)<<8 + uint64(index+1) }
+	// want gives world rank r's new rank, group (world ranks, nil when
+	// Split returns nil) and context.
+	type split struct {
+		colorOf func(r int) int
+		want    func(r int) (rank int, group []int, ctx uint64)
+	}
+	type layout struct {
+		name   string
+		n      int
+		splits []split
+	}
+	// rowsCols is NewDist's and pblas's pair of colorings on an n-rank
+	// world of rows of length m: rows r/m, then columns r%m.
+	rowsCols := func(n, m int) []split {
+		return []split{
+			{func(r int) int { return r / m },
+				func(r int) (int, []int, uint64) { return r % m, span(r/m*m, m, 1), ctxOf(0, r/m) }},
+			{func(r int) int { return r % m },
+				func(r int) (int, []int, uint64) { return r / m, span(r%m, n/m, m), ctxOf(1, r%m) }},
+		}
+	}
+	var layouts []layout
+	for _, bands := range []int{1, 2, 4} {
+		layouts = append(layouts, layout{fmt.Sprintf("dist %dx%d", bands, 8/bands), 8, rowsCols(8, 8/bands)})
+	}
+	for _, k := range []int{1, 3, 8} {
+		layouts = append(layouts, layout{fmt.Sprintf("first %d of 8", k), 8, []split{{
+			func(r int) int {
+				if r < k {
+					return 0
+				}
+				return -1
+			},
+			func(r int) (int, []int, uint64) {
+				if r >= k {
+					return 0, nil, 0
+				}
+				return r, span(0, k, 1), ctxOf(0, 0)
+			}}}})
+	}
+	layouts = append(layouts, layout{"pblas 2x3", 6, rowsCols(6, 3)})
+	// Sparse colors past one bitset word: 3, 70 and 130 index 0, 1, 2.
+	colors := []int{70, 3, 70, -1, 130, 3}
+	groups := map[int][]int{3: {1, 5}, 70: {0, 2}, 130: {4}}
+	layouts = append(layouts, layout{"sparse colors", len(colors), []split{{
+		func(r int) int { return colors[r] },
+		func(r int) (int, []int, uint64) {
+			g := groups[colors[r]]
+			return slices.Index(g, r), g, ctxOf(0, slices.Index([]int{3, 70, 130}, colors[r]))
+		}}}})
+	for _, l := range layouts {
+		err := runRanks(l.n, ThreadSingle, func(c *Comm) {
+			for s, sp := range l.splits {
+				sub := c.Split(sp.colorOf)
+				rank, group, ctx := sp.want(c.Rank())
+				switch {
+				case group == nil && sub != nil:
+					t.Errorf("%s split %d rank %d: got size %d, want nil", l.name, s, c.Rank(), sub.Size())
+				case group == nil:
+				case sub == nil:
+					t.Errorf("%s split %d rank %d: got nil, want size %d", l.name, s, c.Rank(), len(group))
+				case sub.Size() != len(group) || sub.Rank() != rank || !slices.Equal(sub.group, group) || sub.ctx != ctx:
+					t.Errorf("%s split %d rank %d: size %d rank %d group %v ctx %#x, want %d, %d, %v and %#x",
+						l.name, s, c.Rank(), sub.Size(), sub.Rank(), sub.group, sub.ctx, len(group), rank, group, ctx)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", l.name, err)
+		}
+	}
+}
+
 // TestSplitColorGrouping: ranks with the same color land in the same
 // communicator, with sizes matching the color populations and ranks
-// ordered by old rank when keys are equal.
+// ordered by old rank.
 func TestSplitColorGrouping(t *testing.T) {
 	const n = 6
 	var sizes [n]int32
 	var ranks [n]int32
 	err := runRanks(n, ThreadSingle, func(c *Comm) {
 		// Colors 0,0,1,1,2,2 by pairs.
-		sub := c.Split(c.Rank()/2, 0)
+		sub := c.Split(func(r int) int { return r / 2 })
 		if sub == nil {
 			t.Errorf("rank %d: nil communicator for non-negative color", c.Rank())
 			return
@@ -46,35 +164,12 @@ func TestSplitColorGrouping(t *testing.T) {
 	}
 }
 
-// TestSplitKeyOrdering: descending keys reverse the rank order inside
-// the new communicator, and equal keys fall back to old-rank order.
-func TestSplitKeyOrdering(t *testing.T) {
-	const n = 4
-	var newRanks [n]int32
-	err := runRanks(n, ThreadSingle, func(c *Comm) {
-		sub := c.Split(0, -c.Rank()) // negative keys are legal; only order matters
-		atomic.StoreInt32(&newRanks[c.Rank()], int32(sub.Rank()))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < n; r++ {
-		if want := int32(n - 1 - r); newRanks[r] != want {
-			t.Errorf("old rank %d: new rank %d, want %d (reversed by key)", r, newRanks[r], want)
-		}
-	}
-}
-
 // TestSplitNegativeColor: a negative color (MPI_UNDEFINED) yields nil,
 // and the remaining ranks form a correctly sized communicator.
 func TestSplitNegativeColor(t *testing.T) {
 	const n = 4
 	err := runRanks(n, ThreadSingle, func(c *Comm) {
-		color := 0
-		if c.Rank()%2 == 1 {
-			color = -1
-		}
-		sub := c.Split(color, 0)
+		sub := c.Split(func(r int) int { return -(r % 2) })
 		if c.Rank()%2 == 1 {
 			if sub != nil {
 				t.Errorf("rank %d: want nil for negative color, got size %d", c.Rank(), sub.Size())
@@ -106,7 +201,7 @@ func TestSplitNegativeColor(t *testing.T) {
 func TestSplitContextIsolation(t *testing.T) {
 	const n = 4
 	err := runRanks(n, ThreadSingle, func(c *Comm) {
-		sub := c.Split(0, 0) // same membership, distinct context
+		sub := c.Split(func(int) int { return 0 }) // same membership, distinct context
 		parentBuf := []float64{0}
 		childBuf := []float64{0}
 		if c.Rank() == 0 {
@@ -135,9 +230,9 @@ func TestSplitContextIsolation(t *testing.T) {
 func TestSplitNestedGrids(t *testing.T) {
 	const n = 8 // 2 groups x (2x2 grid)
 	err := runRanks(n, ThreadSingle, func(c *Comm) {
-		group := c.Split(c.Rank()/4, c.Rank()) // two groups of 4
-		row := group.Split(group.Rank()/2, group.Rank()%2)
-		col := group.Split(group.Rank()%2, group.Rank()/2)
+		group := c.Split(func(r int) int { return r / 4 }) // two groups of 4
+		row := group.Split(func(r int) int { return r / 2 })
+		col := group.Split(func(r int) int { return r % 2 })
 		if row.Size() != 2 || col.Size() != 2 {
 			t.Errorf("rank %d: row size %d col size %d, want 2 and 2", c.Rank(), row.Size(), col.Size())
 		}

@@ -38,19 +38,20 @@ type Grid2D struct {
 }
 
 // NewGrid2D builds a pr x pc grid over the communicator (pr*pc must
-// equal its size) and splits the row/column sub-communicators. Every
-// rank of the communicator must call it collectively.
+// equal its size) and splits the row/column sub-communicators. It sends
+// no message; every rank of the communicator calls it.
 func NewGrid2D(comm *mpi.Comm, pr, pc int) (*Grid2D, error) {
 	if pr < 1 || pc < 1 || pr*pc != comm.Size() {
 		return nil, fmt.Errorf("pblas: grid %dx%d needs %d ranks, have %d", pr, pc, pr*pc, comm.Size())
 	}
 	r := comm.Rank()
 	g := &Grid2D{Comm: comm, Pr: pr, Pc: pc, Myrow: r / pc, Mycol: r % pc}
-	// Keys order the sub-communicators by the orthogonal coordinate, so
-	// Row rank == Mycol and Col rank == Myrow — panel broadcasts can name
-	// roots by grid coordinate directly.
-	g.Row = comm.Split(g.Myrow, g.Mycol)
-	g.Col = comm.Split(g.Mycol, g.Myrow)
+	// Split numbers by old rank, which within a row ascends with the
+	// column and within a column with the row, so Row rank == Mycol and
+	// Col rank == Myrow — panel broadcasts can name roots by grid
+	// coordinate directly.
+	g.Row = comm.Split(func(r int) int { return r / pc })
+	g.Col = comm.Split(func(r int) int { return r % pc })
 	return g, nil
 }
 

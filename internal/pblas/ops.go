@@ -95,7 +95,7 @@ func MatMul(a, b *DistMatrix) (*DistMatrix, error) {
 				}
 				row := bpan[t*b.ln : (t+1)*b.ln]
 				for lc := range out {
-					out[lc] += ail * row[lc]
+					out[lc] += float64(ail * row[lc])
 				}
 			}
 		}
@@ -157,7 +157,7 @@ func Cholesky(a *DistMatrix) (*DistMatrix, error) {
 					sum := l.Local[lrB+i][lcB+j]
 					for t := 0; t < j; t++ {
 						//lint:ignore detsumcheck diagonal-block Cholesky factor in ascending t order on one rank — the serial algorithm's exact rounding sequence
-						sum -= l.Local[lrB+i][lcB+t] * l.Local[lrB+j][lcB+t]
+						sum -= float64(l.Local[lrB+i][lcB+t] * l.Local[lrB+j][lcB+t])
 					}
 					if i == j {
 						// Same relative tolerance as linalg.Cholesky,
@@ -196,7 +196,7 @@ func Cholesky(a *DistMatrix) (*DistMatrix, error) {
 					sum := row[lcB+j]
 					for t := 0; t < j; t++ {
 						//lint:ignore detsumcheck panel column solve in ascending t order against the broadcast diagonal block — fixed-order rank-local update
-						sum -= row[lcB+t] * lkk[j*bw+t]
+						sum -= float64(row[lcB+t] * lkk[j*bw+t])
 					}
 					row[lcB+j] = sum / lkk[j*bw+j]
 				}
@@ -242,7 +242,7 @@ func Cholesky(a *DistMatrix) (*DistMatrix, error) {
 				v := l.Local[lr][lc]
 				for t := 0; t < bw; t++ {
 					//lint:ignore detsumcheck trailing update walks the k panel in ascending global order, matching the replicated Cholesky's rounding sequence element-wise
-					v -= prow[t] * ljk[t]
+					v -= float64(prow[t] * ljk[t])
 				}
 				l.Local[lr][lc] = v
 			}
