@@ -89,10 +89,10 @@
 //     Cartesian process grid with halo exchange through internal/core's
 //     overlap protocol, realizing the paper's four programming
 //     approaches at the solver level (per-rank worker pools inside MPI
-//     ranks); a serial run is the one-rank instance, which NewPoisson,
-//     NewHamiltonian and NewSCF build over mpi.Self. The hot iteration
-//     loops — Poisson CG, its V-cycle's smoother and residual, the
-//     eigensolver's Hamiltonian application including the
+//     ranks); every solver is built on a Dist, and a serial run is the
+//     one-rank instance, which SelfDist builds over mpi.Self. The hot
+//     iteration loops — Poisson CG, its V-cycle's smoother and
+//     residual, the eigensolver's Hamiltonian application including the
 //     band-parallel path — run split-phase in every approach except
 //     flat original, which keeps the serialized exchange as the
 //     differential baseline; overlapped and serialized runs are

@@ -17,14 +17,14 @@ func main() {
 	omega := 1.0
 
 	v := gpaw.HarmonicPotential(dims, h, omega)
-	ham := gpaw.NewHamiltonian(h, v, gpaw.Dirichlet)
-	solver := gpaw.NewEigenSolver(ham)
+	d := gpaw.SelfDist(dims, 2, gpaw.Dirichlet)
+	solver := gpaw.NewEigenSolver(gpaw.NewDistHamiltonian(d, h, v))
 
 	// Four levels wanted, five states asked for: the top state of the
 	// block is the solver's guard — it bounds the filter and is not
 	// converged itself.
 	analytic := []float64{1.5, 2.5, 2.5, 2.5} // ω(n+3/2), first shell triple
-	psis := gpaw.InitGuess(len(analytic)+1, [3]int{dims[0], dims[1], dims[2]}, 2)
+	psis := d.InitGuessBand(len(analytic)+1, [3]int{dims[0], dims[1], dims[2]})
 	eig, err := solver.Solve(len(psis), psis)
 	if err != nil {
 		panic(err)

@@ -18,14 +18,14 @@ func main() {
 	q := 1.0
 
 	rho := gpaw.GaussianDensity(dims, h, sigma, q)
-	solver := gpaw.NewPoisson(h, gpaw.Dirichlet)
+	solver := gpaw.NewDistPoisson(gpaw.SelfDist(dims, 2, gpaw.Dirichlet), h)
 	v, err := solver.HartreePotential(rho)
 	if err != nil {
 		panic(err)
 	}
 
 	c := (dims[0] - 1) / 2
-	cx := float64(dims[0]-1) / 2
+	cx := float64(float64(dims[0]-1) / 2) // a product by 0.5: keep it out of the subtractions below
 	fmt.Println("    r        v(FD)   v(analytic)+C")
 	// The Dirichlet box shifts the potential by a constant; estimate it
 	// at one radius and show the match elsewhere.

@@ -32,7 +32,7 @@ func main() {
 
 	maxErr := 0.0
 	for i := 0; i < n; i++ {
-		want := -3 * src.At(i, 5, 9)
+		want := float64(-3 * src.At(i, 5, 9))
 		if d := math.Abs(dst.At(i, 5, 9) - want); d > maxErr {
 			maxErr = d
 		}

@@ -177,7 +177,7 @@ func main() {
 	rhs := grid.NewDims(global, 2)
 	rhs.FillFunc(func(i, j, k int) float64 {
 		dx, dy, dz := float64(i)-13.5, float64(j)-17.5, float64(k)-11.5
-		return math.Exp(-(dx*dx + dy*dy + dz*dz) / 18)
+		return math.Exp(-(float64(dx*dx) + float64(dy*dy) + float64(dz*dz)) / 18)
 	})
 	for _, procs := range []topology.Dims{{1, 1, 1}, {2, 1, 1}, {2, 2, 1}, {2, 2, 2}} {
 		it, _, dt := distCG(global, procs, rhs, h)
@@ -287,7 +287,7 @@ func main() {
 		Dims: fGlobal, Spacing: fh, BC: gpaw.Dirichlet,
 		Vext: gpaw.HarmonicPotential(fGlobal, fh, 1), Electrons: 2,
 	}
-	serialSCF := gpaw.NewSCF(sys)
+	serialSCF := gpaw.NewDistSCF(gpaw.SelfDist(fGlobal, 2, gpaw.Dirichlet), sys)
 	serialSCF.Tol = 1e-4
 	want, err := serialSCF.Run()
 	if err != nil {

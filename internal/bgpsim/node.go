@@ -184,7 +184,7 @@ func (nd *node) rankAt(pos topology.Coord, self int) *simRank {
 // compute charges the stencil computation of `points` grid points on the
 // calling process and books the useful work.
 func (nd *node) compute(p *sim.Proc, points int, tpp float64) {
-	t := float64(points) * tpp
+	t := float64(float64(points) * tpp)
 	p.Hold(t)
 	nd.useful += t
 }
@@ -194,7 +194,7 @@ func (nd *node) compute(p *sim.Proc, points int, tpp float64) {
 // share plus a fork-join barrier; all of the work is useful. With a
 // single thread there is nobody to synchronize with and no barrier.
 func (nd *node) forkJoinCompute(p *sim.Proc, points int, tpp float64, threads int) {
-	work := float64(points) * tpp
+	work := float64(float64(points) * tpp)
 	if threads <= 1 {
 		p.Hold(work)
 		nd.useful += work

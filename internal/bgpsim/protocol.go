@@ -147,7 +147,7 @@ func bestIntraDims(ranksPerNode int, rankGrid, g topology.Dims) (topology.Dims, 
 			sx := float64(g[0]) / float64(rankGrid[0]/x)
 			sy := float64(g[1]) / float64(rankGrid[1]/y)
 			sz := float64(g[2]) / float64(rankGrid[2]/z)
-			surface := 2 * (sx*sy + sy*sz + sx*sz)
+			surface := 2 * (float64(sx*sy) + float64(sy*sz) + float64(sx*sz))
 			if bestScore < 0 || surface < bestScore {
 				bestScore = surface
 				best = topology.Dims{x, y, z}

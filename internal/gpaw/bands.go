@@ -111,7 +111,7 @@ func (d *Dist) gatherBands(m int, local []*grid.Grid) []*grid.Grid {
 
 // stateScratch is the eigen pass's working storage, owned by the Dist
 // and grown on first use (never in NewDist: most contexts — the Poisson
-// and multigrid ones, every per-call selfDist — run no eigen pass). The
+// and multigrid ones — run no eigen pass). The
 // pass's consumers of a second state set use it strictly one after the
 // other on the rank's master goroutine — the filter's ping-pong partner,
 // then RayleighRitz's H·psi set and, once the subspace matrices are
@@ -319,9 +319,6 @@ func (d *Dist) subspace(m int) *subspaceScratch {
 //
 //gpaw:hotpath
 func (h *Hamiltonian) RayleighRitz(m int, psis []*grid.Grid) ([]float64, error) {
-	if len(psis) > 0 {
-		h = h.bound(psis[0])
-	}
 	d := h.D
 	defer d.Cart.TraceRank().Region("bands.rayleighritz").End()
 	// H·psi lands in the scratch set: only interiors are written here and

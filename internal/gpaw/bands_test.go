@@ -88,7 +88,8 @@ func testBandSymMatrixRotate(t *testing.T, bands int) {
 	global := topology.Dims{8, 6, 8}
 	dims := [3]int{8, 6, 8}
 	const m = 5
-	serial := InitGuess(m, dims, 2)
+	self := SelfDist(global, 2, Dirichlet)
+	serial := self.InitGuessBand(m, dims)
 	want := linalg.NewMatrix(m, m)
 	for i := 0; i < m; i++ {
 		for j := i; j < m; j++ {
@@ -108,7 +109,7 @@ func testBandSymMatrixRotate(t *testing.T, bands int) {
 	for i := range rotSerial {
 		rotSerial[i] = serial[i].Clone()
 	}
-	selfDist(global, 2, Dirichlet).bandRotate(m, rotSerial, rotSerial, c)
+	self.bandRotate(m, rotSerial, rotSerial, c)
 	runBand(t, global, topology.Dims{1, 1, 2}, bands, Dirichlet, core.FlatOptimized, func(d *Dist) {
 		psis := d.InitGuessBand(m, dims)
 		// Two right-hand sets in one assembly; the second is the first
@@ -153,11 +154,11 @@ func TestBandEigenDifferential(t *testing.T) {
 	h := 0.5
 	const m = 4
 	vext := HarmonicPotential(global, h, 1)
-	ham := NewHamiltonian(h, vext, Dirichlet)
-	es := NewEigenSolver(ham)
+	self := SelfDist(global, 2, Dirichlet)
+	es := NewEigenSolver(NewDistHamiltonian(self, h, vext))
 	es.Tol = 1e-7
 	es.MaxIter = 500
-	serialPsis := InitGuess(m, dims, 2)
+	serialPsis := self.InitGuessBand(m, dims)
 	want, err := es.Solve(m, serialPsis)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +217,7 @@ func TestBandSCFDifferential(t *testing.T) {
 	h := 0.7
 	sys := scfSystem(global, h)
 	sys.Electrons = 8 // four doubly occupied states: s + closed p shell
-	scf := NewSCF(sys)
+	scf := NewDistSCF(SelfDist(sys.Dims, 2, sys.BC), sys)
 	scf.Tol = 1e-4
 	want, err := scf.Run()
 	if err != nil {
@@ -321,11 +322,14 @@ func TestHartreeToleranceFollowsResidual(t *testing.T) {
 		tols[r] = append(tols[r], ps.Tol)
 	}
 	defer func() { testHookHartree = nil }()
-	// scf builds the driver on d, serial (NewSCF's one-rank context) when
+	// scf builds the driver on d, serial (a fresh one-rank context) when
 	// d is nil.
 	scf := func(d *Dist, maxIter int) *SCF {
-		s := NewSCF(sys)
-		s.D, s.Tol, s.MaxIter = d, 1e-8, maxIter
+		if d == nil {
+			d = SelfDist(global, 2, sys.BC)
+		}
+		s := NewDistSCF(d, sys)
+		s.Tol, s.MaxIter = 1e-8, maxIter
 		return s
 	}
 
@@ -490,11 +494,11 @@ func TestBandEmptyGroup(t *testing.T) {
 	h := 0.5
 	const m = 3 // over 4 band groups: slices 1,1,1,0
 	vext := HarmonicPotential(global, h, 1)
-	ham := NewHamiltonian(h, vext, Dirichlet)
-	es := NewEigenSolver(ham)
+	self := SelfDist(global, 2, Dirichlet)
+	es := NewEigenSolver(NewDistHamiltonian(self, h, vext))
 	es.Tol = 1e-7
 	es.MaxIter = 500
-	want, err := es.Solve(m, InitGuess(m, dims, 2))
+	want, err := es.Solve(m, self.InitGuessBand(m, dims))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +538,7 @@ func TestBandSmoke(t *testing.T) {
 	h := 0.7
 	sys := scfSystem(global, h)
 	sys.Electrons = 8
-	scf := NewSCF(sys)
+	scf := NewDistSCF(SelfDist(sys.Dims, 2, sys.BC), sys)
 	scf.Tol = 1e-4
 	want, err := scf.Run()
 	if err != nil {

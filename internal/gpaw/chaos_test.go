@@ -25,7 +25,7 @@ import (
 // compared against.
 func chaosWant(t *testing.T, sys System) *SCFResult {
 	t.Helper()
-	scf := NewSCF(sys)
+	scf := NewDistSCF(SelfDist(sys.Dims, 2, sys.BC), sys)
 	scf.Tol = 1e-4
 	want, err := scf.Run()
 	if err != nil {
@@ -302,7 +302,7 @@ func TestCheckpointStores(t *testing.T) {
 		// naming versions 2-4; step 10 under a layout of two band groups
 		// over its one shard; step 11 under the JSON manifest version 4 wrote; step 12
 		// a shard with one byte flipped under its honest manifest.
-		d := selfDist(box, 2, Dirichlet)
+		d := SelfDist(box, 2, Dirichlet)
 		short := appendShard(nil, []float64{1.5}, fields[:2])
 		flipped := slices.Clone(data)
 		flipped[len(flipped)/2] ^= 0x40

@@ -20,7 +20,7 @@ import (
 // rank additionally running the shared-memory worker pool inside it —
 // the paper's hybrid execution model lifted from a single stencil apply
 // to the full solver stack. A serial run is the same code on a one-rank
-// context (selfDist).
+// context (SelfDist).
 //
 // Determinism contract: every solver is bit-identical for every rank
 // count, process-grid shape and thread count — one rank included.
@@ -255,17 +255,17 @@ func NewDist(comm *mpi.Comm, cfg DistConfig) (*Dist, error) {
 	return d, nil
 }
 
-// selfDist builds the one-rank context the constructors that take no
-// Dist run on: a dims-sized domain on mpi.Self, so the calling goroutine
-// is the rank. It is hybrid master-only over the process-wide worker
-// pool — the caller communicates (with itself, for periodic wraps) and
-// every sweep fork-joins across stencil.Shared() — and owns no
-// goroutines, so it needs no Close.
-func selfDist(dims topology.Dims, halo int, bc Boundary) *Dist {
+// SelfDist builds the one-rank context of a serial calculation: a
+// dims-sized domain on mpi.Self, so the calling goroutine is the rank.
+// It is hybrid master-only over the process-wide worker pool — the
+// caller communicates (with itself, for periodic wraps) and every sweep
+// fork-joins across stencil.Shared() — and owns no goroutines, so it
+// needs no Close. It panics on a grid without points or halo.
+func SelfDist(dims topology.Dims, halo int, bc Boundary) *Dist {
 	d, err := NewDist(mpi.Self(), DistConfig{Global: dims, Procs: topology.Dims{1, 1, 1},
 		Halo: halo, BC: bc, Approach: core.HybridMasterOnly})
 	if err != nil {
-		panic(err) // only a grid without points or halo gets here
+		panic(err)
 	}
 	d.pool = stencil.Shared()
 	return d

@@ -157,7 +157,7 @@ func TestDistPoissonCGDifferential(t *testing.T) {
 	h := 0.35
 	rhs := poissonRHS(global)
 	for _, bc := range []Boundary{Dirichlet, Periodic} {
-		ps := NewPoisson(h, bc)
+		ps := NewDistPoisson(SelfDist(global, 2, bc), h)
 		wantPhi := grid.NewDims(global, 2)
 		wantIt, wantRes, err := ps.SolveCG(wantPhi, rhs)
 		if err != nil {
@@ -196,7 +196,7 @@ func TestDistMultigridDifferential(t *testing.T) {
 	h := 0.35
 	rhs := poissonRHS(global)
 	for _, bc := range []Boundary{Dirichlet, Periodic} {
-		mgS, err := selfDist(global, 2, bc).hierarchy(h)
+		mgS, err := SelfDist(global, 2, bc).hierarchy(h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +287,7 @@ func TestDistSCFDifferential(t *testing.T) {
 	global := topology.Dims{8, 8, 8}
 	h := 0.7
 	sys := scfSystem(global, h)
-	scf := NewSCF(sys)
+	scf := NewDistSCF(SelfDist(sys.Dims, 2, sys.BC), sys)
 	scf.Tol = 1e-4
 	want, err := scf.Run()
 	if err != nil {
@@ -347,10 +347,10 @@ func guessValue(s int, dims [3]int, i, j, k int) float64 {
 		float64(0.01*math.Cos(float64(s)+x+float64(2*y)+float64(3*z)))
 }
 
-// TestInitGuessMatchesGuessValue holds InitGuess, and InitGuessBand on
-// every rank of a 2x1x1 domain split under two band groups, to
-// guessValue bit for bit, over states that reach every mode and on a
-// grid too long for fillGuess's stack tables.
+// TestInitGuessMatchesGuessValue holds InitGuessBand on a one-rank
+// context, and on every rank of a 2x1x1 domain split under two band
+// groups, to guessValue bit for bit, over states that reach every mode
+// and on a grid too long for fillGuess's stack tables.
 func TestInitGuessMatchesGuessValue(t *testing.T) {
 	const m = 19
 	check := func(what string, s int, dims [3]int, g *grid.Grid, off topology.Coord) {
@@ -368,12 +368,12 @@ func TestInitGuessMatchesGuessValue(t *testing.T) {
 		}
 	}
 	dims := [3]int{7, 5, 6}
-	for s, g := range InitGuess(m, dims, 2) {
-		check("InitGuess", s, dims, g, topology.Coord{})
+	for s, g := range SelfDist(topology.Dims(dims), 2, Dirichlet).InitGuessBand(m, dims) {
+		check("one-rank InitGuessBand", s, dims, g, topology.Coord{})
 	}
 	long := [3]int{150, 30, 20}
-	for s, g := range InitGuess(2, long, 2) {
-		check("InitGuess", s, long, g, topology.Coord{})
+	for s, g := range SelfDist(topology.Dims(long), 2, Dirichlet).InitGuessBand(2, long) {
+		check("one-rank InitGuessBand", s, long, g, topology.Coord{})
 	}
 	err := runRanks(4, mpi.ThreadSingle, func(c *mpi.Comm) {
 		d, err := NewDist(c, DistConfig{
@@ -400,11 +400,11 @@ func TestDistEigenDifferential(t *testing.T) {
 	global := topology.Dims{8, 8, 8}
 	h := 0.5
 	vext := HarmonicPotential(global, h, 1)
-	ham := NewHamiltonian(h, vext, Dirichlet)
-	es := NewEigenSolver(ham)
+	self := SelfDist(global, 2, Dirichlet)
+	es := NewEigenSolver(NewDistHamiltonian(self, h, vext))
 	es.Tol = 1e-7
 	es.MaxIter = 500
-	psis := InitGuess(3, [3]int{8, 8, 8}, 2)
+	psis := self.InitGuessBand(3, [3]int{8, 8, 8})
 	want, err := es.Solve(3, psis)
 	if err != nil {
 		t.Fatal(err)
@@ -455,7 +455,7 @@ func TestSolverErrorsReportResidual(t *testing.T) {
 	rhs := poissonRHS(global)
 	wantSub := "did not converge (relative residual "
 	serialErr := func(name string, f func(ps *Poisson, phi *grid.Grid) (int, float64, error)) string {
-		ps := NewPoisson(h, Dirichlet)
+		ps := NewDistPoisson(SelfDist(global, 2, Dirichlet), h)
 		ps.MaxIter = 2
 		phi := grid.NewDims(global, 2)
 		_, res, err := f(ps, phi)
@@ -533,14 +533,14 @@ func TestDistSmoke(t *testing.T) {
 	global := topology.Dims{8, 8, 8}
 	h := 0.7
 	rhs := poissonRHS(global)
-	ps := NewPoisson(0.35, Dirichlet)
+	ps := NewDistPoisson(SelfDist(global, 2, Dirichlet), 0.35)
 	wantPhi := grid.NewDims(global, 2)
 	wantIt, _, err := ps.SolveCG(wantPhi, rhs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys := scfSystem(global, h)
-	scf := NewSCF(sys)
+	scf := NewDistSCF(SelfDist(sys.Dims, 2, sys.BC), sys)
 	scf.Tol = 1e-4
 	want, err := scf.Run()
 	if err != nil {

@@ -52,19 +52,16 @@ func NewEigenSolver(h *Hamiltonian) *EigenSolver {
 // domain layout. The top guardStates of them are the guard's and not
 // converged; a block of one state has no guard and converges slowly.
 // psis must be the slice D.BandRange(m) selects (the whole state set
-// when Bands is 1, as on an undecomposed Hamiltonian). The slice
-// elements are updated to hold the final states, but the passes
-// ping-pong through internal buffers, so individual *grid.Grid objects
-// may be replaced: read states through the slice after Solve returns,
-// not through element pointers saved beforehand.
+// when Bands is 1). The slice elements are updated to hold the final
+// states, but the passes ping-pong through internal buffers, so
+// individual *grid.Grid objects may be replaced: read states through
+// the slice after Solve returns, not through element pointers saved
+// beforehand.
 func (es *EigenSolver) Solve(m int, psis []*grid.Grid) ([]float64, error) {
-	if m < 1 || (es.H.D == nil && len(psis) == 0) {
+	if m < 1 {
 		return nil, fmt.Errorf("gpaw: no states to solve")
 	}
 	h := es.H
-	if len(psis) > 0 {
-		h = h.bound(psis[0])
-	}
 	if lo, hi := h.D.BandRange(m); hi-lo != len(psis) {
 		return nil, fmt.Errorf("gpaw: band group %d holds %d of %d states, want %d",
 			h.D.Band, len(psis), m, hi-lo)
@@ -249,16 +246,4 @@ func fillGuess(g *grid.Grid, s int, dims [3]int, off [3]int) {
 		return float64(sine[0][i]*sine[1][j]*sine[2][k]) +
 			float64(0.01*math.Cos(float64(s)+x+float64(2*y)+float64(3*z)))
 	})
-}
-
-// InitGuess fills m whole wave-function grids with deterministic,
-// linearly independent smooth fields suitable as eigensolver seeds.
-func InitGuess(m int, dims [3]int, halo int) []*grid.Grid {
-	psis := make([]*grid.Grid, m)
-	for s := 0; s < m; s++ {
-		g := grid.New(dims[0], dims[1], dims[2], halo)
-		fillGuess(g, s, dims, [3]int{})
-		psis[s] = g
-	}
-	return psis
 }

@@ -27,7 +27,7 @@ func fusedProblem(n int) (rhs *grid.Grid) {
 // unfused, unpreconditioned reference formulation, in fewer iterations.
 func TestFusedCGMatchesReference(t *testing.T) {
 	rhs := fusedProblem(14)
-	ps := NewPoisson(0.35, Dirichlet)
+	ps := NewDistPoisson(SelfDist(rhs.Dims(), 2, Dirichlet), 0.35)
 
 	phiRef := grid.New(14, 14, 14, 2)
 	itRef, _, err := ps.SolveCGReference(phiRef, rhs)
@@ -75,7 +75,7 @@ func TestFusedCGWorkerCountInvariant(t *testing.T) {
 // benchmark's 24^3.
 func TestFusedCGReducesTraffic(t *testing.T) {
 	rhs := fusedProblem(24)
-	ps := NewPoisson(0.35, Dirichlet)
+	ps := NewDistPoisson(SelfDist(rhs.Dims(), 2, Dirichlet), 0.35)
 
 	phi := grid.New(24, 24, 24, 2)
 	grid.ResetTraffic()
@@ -136,7 +136,7 @@ func TestEigenSolverPoolInvariant(t *testing.T) {
 			es.Tol = 1e-7
 			es.MaxIter = 400
 			var err error
-			if eig, err = es.Solve(2, InitGuess(2, [3]int{10, 10, 10}, 2)); err != nil {
+			if eig, err = es.Solve(2, d.InitGuessBand(2, [3]int{10, 10, 10})); err != nil {
 				panic(err)
 			}
 		})

@@ -11,7 +11,6 @@ import (
 
 // Expectation returns <psi|H|psi> / <psi|psi>.
 func (h *Hamiltonian) Expectation(psi *grid.Grid) float64 {
-	h = h.bound(psi)
 	hp := grid.NewDims(psi.Dims(), psi.H)
 	h.Apply(hp, psi)
 	return h.D.Dot(psi, hp) / h.D.Dot(psi, psi)
@@ -25,7 +24,7 @@ func (h *Hamiltonian) Expectation(psi *grid.Grid) float64 {
 func (ps *Poisson) SolveCGReference(phi, rhs *grid.Grid) (int, float64, error) {
 	b := rhs.Clone()
 	b.Scale(-1)
-	if ps.bc == Periodic {
+	if ps.D.BC == Periodic {
 		removeMeanSerial(b)
 	}
 	norm0 := b.Norm2()
@@ -34,7 +33,7 @@ func (ps *Poisson) SolveCGReference(phi, rhs *grid.Grid) (int, float64, error) {
 		return 0, 0, nil
 	}
 	apply := func(dst, src *grid.Grid) {
-		fillHalos(src, ps.bc)
+		fillHalos(src, ps.D.BC)
 		ps.Op.Apply(dst, src)
 		dst.Scale(-1)
 	}
@@ -44,7 +43,7 @@ func (ps *Poisson) SolveCGReference(phi, rhs *grid.Grid) (int, float64, error) {
 	apply(r, phi)
 	r.Scale(-1)
 	r.Axpy(1, b)
-	if ps.bc == Periodic {
+	if ps.D.BC == Periodic {
 		removeMeanSerial(r)
 	}
 	p := r.Clone()
@@ -54,12 +53,12 @@ func (ps *Poisson) SolveCGReference(phi, rhs *grid.Grid) (int, float64, error) {
 		alpha := rsold / p.Dot(ap)
 		phi.Axpy(alpha, p)
 		r.Axpy(-alpha, ap)
-		if ps.bc == Periodic {
+		if ps.D.BC == Periodic {
 			removeMeanSerial(r)
 		}
 		rs := r.Dot(r)
 		if math.Sqrt(rs)/norm0 < ps.Tol {
-			if ps.bc == Periodic {
+			if ps.D.BC == Periodic {
 				removeMeanSerial(phi)
 			}
 			return it, math.Sqrt(rs) / norm0, nil
@@ -98,7 +97,7 @@ func TestPoissonPlaneWaveExact(t *testing.T) {
 	// solution is rhs/eigenvalue exactly (up to solver tolerance).
 	n := 16
 	h := 0.5
-	ps := NewPoisson(h, Periodic)
+	ps := NewDistPoisson(SelfDist(topology.Dims{n, n, n}, 2, Periodic), h)
 	w := stencil.CentralWeights(2, 2, h)
 	m := 2
 	eig := 0.0
@@ -127,7 +126,7 @@ func TestPoissonPlaneWaveExact(t *testing.T) {
 }
 
 func TestPoissonZeroRHS(t *testing.T) {
-	ps := NewPoisson(0.3, Periodic)
+	ps := NewDistPoisson(SelfDist(topology.Dims{6, 6, 6}, 2, Periodic), 0.3)
 	phi := grid.New(6, 6, 6, 2)
 	phi.Fill(3)
 	if _, res, err := ps.SolveCG(phi, grid.New(6, 6, 6, 2)); err != nil || res != 0 {
@@ -148,7 +147,7 @@ func TestHartreeGaussianMatchesAnalytic(t *testing.T) {
 	sigma := 1.0
 	q := 1.0
 	nrho := GaussianDensity(dims, h, sigma, q)
-	ps := NewPoisson(h, Dirichlet)
+	ps := NewDistPoisson(SelfDist(dims, 2, Dirichlet), h)
 	v, err := ps.HartreePotential(nrho)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +188,8 @@ func TestHamiltonianExpectationAndBound(t *testing.T) {
 	dims := topology.Dims{12, 12, 12}
 	h := 0.4
 	v := HarmonicPotential(dims, h, 1)
-	ham := NewHamiltonian(h, v, Dirichlet)
+	d := SelfDist(dims, 2, Dirichlet)
+	ham := NewDistHamiltonian(d, h, v)
 	psi := grid.NewDims(dims, 2)
 	psi.FillFunc(func(i, j, k int) float64 { return 1 })
 	e := ham.Expectation(psi)
@@ -201,7 +201,7 @@ func TestHamiltonianExpectationAndBound(t *testing.T) {
 		t.Fatalf("expectation %g exceeds spectral bound %g", e, bound)
 	}
 	// Without potential the expectation is pure kinetic.
-	free := NewHamiltonian(h, nil, Dirichlet)
+	free := NewDistHamiltonian(d, h, nil)
 	if free.Expectation(psi) >= e {
 		t.Fatal("adding a positive potential must raise the energy")
 	}
@@ -212,8 +212,9 @@ func TestHamiltonianExpectationAndBound(t *testing.T) {
 // and leaves orthonormal Ritz vectors whose Rayleigh quotients are the
 // returned Ritz values.
 func TestOrthonormalize(t *testing.T) {
-	ham := NewHamiltonian(0.5, HarmonicPotential(topology.Dims{10, 10, 10}, 0.5, 1), Dirichlet)
-	psis := InitGuess(4, [3]int{10, 10, 10}, 2)
+	d := SelfDist(topology.Dims{10, 10, 10}, 2, Dirichlet)
+	ham := NewDistHamiltonian(d, 0.5, HarmonicPotential(topology.Dims{10, 10, 10}, 0.5, 1))
+	psis := d.InitGuessBand(4, [3]int{10, 10, 10})
 	eig, err := ham.RayleighRitz(len(psis), psis)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +243,7 @@ func TestOrthonormalizeRejectsDependentStates(t *testing.T) {
 	a := grid.New(6, 6, 6, 2)
 	a.Fill(1)
 	b := a.Clone()
-	if _, err := NewHamiltonian(0.5, nil, Dirichlet).RayleighRitz(2, []*grid.Grid{a, b}); err == nil {
+	if _, err := NewDistHamiltonian(SelfDist(topology.Dims{6, 6, 6}, 2, Dirichlet), 0.5, nil).RayleighRitz(2, []*grid.Grid{a, b}); err == nil {
 		t.Fatal("linearly dependent states accepted")
 	}
 }
@@ -255,10 +256,10 @@ func TestParticleInBoxEigenvalues(t *testing.T) {
 	n := 14
 	h := 0.5
 	L := float64(n+1) * h
-	ham := NewHamiltonian(h, nil, Dirichlet)
-	es := NewEigenSolver(ham)
+	d := SelfDist(topology.Dims{n, n, n}, 2, Dirichlet)
+	es := NewEigenSolver(NewDistHamiltonian(d, h, nil))
 	es.MaxIter = 10 // the damped step this solver replaced took 799 iterations
-	psis := InitGuess(2+guardStates, [3]int{n, n, n}, 2)
+	psis := d.InitGuessBand(2+guardStates, [3]int{n, n, n})
 	eig, err := es.Solve(len(psis), psis)
 	if err != nil {
 		t.Fatal(err)
@@ -281,9 +282,10 @@ func harmonicLevels(t *testing.T, tol float64) []float64 {
 	t.Helper()
 	dims := topology.Dims{20, 20, 20}
 	h := 0.55
-	es := NewEigenSolver(NewHamiltonian(h, HarmonicPotential(dims, h, 1), Dirichlet))
+	d := SelfDist(dims, 2, Dirichlet)
+	es := NewEigenSolver(NewDistHamiltonian(d, h, HarmonicPotential(dims, h, 1)))
 	es.Tol = tol
-	psis := InitGuess(4+guardStates, [3]int{dims[0], dims[1], dims[2]}, 2)
+	psis := d.InitGuessBand(4+guardStates, [3]int{dims[0], dims[1], dims[2]})
 	eig, err := es.Solve(len(psis), psis)
 	if err != nil {
 		t.Fatal(err)
@@ -324,15 +326,16 @@ func TestHarmonicOscillatorLevels(t *testing.T) {
 // converges — and still reaches the level a guarded solve finds, slowly.
 func TestEigenSolverSingleState(t *testing.T) {
 	dims := [3]int{10, 10, 10}
-	ham := NewHamiltonian(0.5, nil, Dirichlet)
+	d := SelfDist(dims, 2, Dirichlet)
+	ham := NewDistHamiltonian(d, 0.5, nil)
 	guarded := NewEigenSolver(ham)
-	want, err := guarded.Solve(1+guardStates, InitGuess(1+guardStates, dims, 2))
+	want, err := guarded.Solve(1+guardStates, d.InitGuessBand(1+guardStates, dims))
 	if err != nil {
 		t.Fatal(err)
 	}
 	es := NewEigenSolver(ham)
 	es.Tol, es.MaxIter = 1e-7, 2000
-	eig, err := es.Solve(1, InitGuess(1, dims, 2))
+	eig, err := es.Solve(1, d.InitGuessBand(1, dims))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +345,7 @@ func TestEigenSolverSingleState(t *testing.T) {
 }
 
 func TestEigenSolverEmptyInput(t *testing.T) {
-	es := NewEigenSolver(NewHamiltonian(0.5, nil, Dirichlet))
+	es := NewEigenSolver(NewDistHamiltonian(SelfDist(topology.Dims{6, 6, 6}, 2, Dirichlet), 0.5, nil))
 	if _, err := es.Solve(0, nil); err == nil {
 		t.Fatal("empty state list accepted")
 	}
@@ -361,7 +364,7 @@ func TestSCFHarmonicTrapConverges(t *testing.T) {
 		Vext:      HarmonicPotential(dims, h, 1),
 		Electrons: 2,
 	}
-	scf := NewSCF(sys)
+	scf := NewDistSCF(SelfDist(dims, 2, Dirichlet), sys)
 	scf.Tol = 1e-4
 	res, err := scf.Run()
 	if err != nil {
@@ -424,7 +427,7 @@ func TestSCFEnergyNearFixedPoint(t *testing.T) {
 	}{{Dirichlet, goldenDirichlet, 40}, {Periodic, goldenPeriodic, 40}} {
 		// perStep[i] is the conjugate-gradient count of SCF step i+1.
 		energy := func(tol float64) (e float64, perStep []int) {
-			d := selfDist(dims, 2, c.bc)
+			d := SelfDist(dims, 2, c.bc)
 			scf := NewDistSCF(d, System{Dims: dims, Spacing: 0.6, BC: c.bc, Vext: vext, Electrons: 8})
 			scf.Tol, scf.MaxIter = tol, 100
 			before := 0
@@ -495,11 +498,13 @@ func TestPulayWeights(t *testing.T) {
 }
 
 func TestSCFValidation(t *testing.T) {
-	scf := NewSCF(System{Electrons: 0})
+	dims := topology.Dims{6, 6, 6}
+	d := SelfDist(dims, 2, Dirichlet)
+	scf := NewDistSCF(d, System{Dims: dims, Spacing: 0.5, BC: Dirichlet, Vext: grid.NewDims(dims, 2), Electrons: 0})
 	if _, err := scf.Run(); err == nil {
 		t.Fatal("0 electrons accepted")
 	}
-	scf = NewSCF(System{Electrons: 2})
+	scf = NewDistSCF(d, System{Dims: dims, Spacing: 0.5, BC: Dirichlet, Electrons: 2})
 	if _, err := scf.Run(); err == nil {
 		t.Fatal("missing potential accepted")
 	}

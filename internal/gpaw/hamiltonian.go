@@ -16,43 +16,24 @@ func Kinetic(r int, h float64) *stencil.Operator {
 // Hamiltonian is a one-particle Kohn–Sham Hamiltonian H = -(1/2)∇² + V
 // with a local effective potential, on the sub-domains of a Dist.
 type Hamiltonian struct {
-	// D is the distributed context. It is nil on a NewHamiltonian
-	// operator: each use then runs on a one-rank context covering its
-	// grids.
-	D *Dist
+	D *Dist             // the distributed context
 	T *stencil.Operator // kinetic operator
 	V *grid.Grid        // local effective potential (may be nil)
 
-	bc Boundary // the one-rank context's boundary condition when D is nil
+	pair [2]*grid.Grid // Apply's dst and psi, sliced into one-state sets without allocating
 }
 
-// NewHamiltonian builds an undecomposed H with the paper's radius-2
-// kinetic stencil: v and the wave-functions are whole grids.
-func NewHamiltonian(h float64, v *grid.Grid, bc Boundary) *Hamiltonian {
-	return &Hamiltonian{T: Kinetic(2, h), V: v, bc: bc}
-}
-
-// NewDistHamiltonian builds H on d: v and the wave-functions are d's
-// local sub-domains.
+// NewDistHamiltonian builds H on d with the paper's radius-2 kinetic
+// stencil: v and the wave-functions are d's local sub-domains.
 func NewDistHamiltonian(d *Dist, h float64, v *grid.Grid) *Hamiltonian {
 	return &Hamiltonian{D: d, T: Kinetic(2, h), V: v}
-}
-
-// bound returns h itself when it has a context, else a copy on a
-// one-rank context covering g.
-func (h *Hamiltonian) bound(g *grid.Grid) *Hamiltonian {
-	if h.D != nil {
-		return h
-	}
-	b := *h
-	b.D = selfDist(g.Dims(), g.H, h.bc)
-	return &b
 }
 
 // Apply computes dst = H psi in one fused sweep (kinetic stencil plus
 // potential term) behind one halo exchange of psi.
 func (h *Hamiltonian) Apply(dst, psi *grid.Grid) {
-	h.bound(psi).applyStates([]*grid.Grid{dst}, []*grid.Grid{psi}, nil, 1, 0, 0)
+	h.pair = [2]*grid.Grid{dst, psi}
+	h.applyStates(h.pair[:1], h.pair[1:], nil, 1, 0, 0)
 }
 
 // applyStates computes dsts[i] = beta*psis[i] + alpha*(H psis[i]) +
@@ -117,7 +98,7 @@ func maxPotential(v *grid.Grid) float64 {
 func (h *Hamiltonian) SpectralBound() float64 {
 	bound := kineticBound(h.T)
 	if h.V != nil {
-		bound += h.bound(h.V).D.Cart.AllreduceMax(maxPotential(h.V))
+		bound += h.D.Cart.AllreduceMax(maxPotential(h.V))
 	}
 	return bound
 }

@@ -5,11 +5,10 @@
 // on real-space grids, with thousands of wave-function grids all
 // decomposed identically — using the operators of internal/stencil.
 //
-// There is one solver stack. Every solver runs on a Dist — one rank's
-// share of a bands x domain layout over an MPI communicator (dist.go) —
-// and a serial calculation is the one-rank instance: the constructors
-// that take no Dist (NewPoisson, NewHamiltonian, NewSCF) run the same
-// code on a one-rank context over mpi.Self, on the calling goroutine and
+// There is one solver stack. Every solver is built on a Dist — one
+// rank's share of a bands x domain layout over an MPI communicator
+// (dist.go) — and a serial calculation is the one-rank instance
+// (SelfDist): the same code over mpi.Self, on the calling goroutine and
 // the process-wide worker pool. Only the unfused, unpreconditioned
 // SolveCGReference is a separate formulation, kept as the oracle the
 // fused solver is tested against.
@@ -56,46 +55,19 @@ func (b Boundary) String() string {
 // zero mean. Iterates are bit-identical for every rank count, process
 // grid and thread count.
 type Poisson struct {
-	// D is the distributed context. It is nil on a NewPoisson solver:
-	// each solve then runs on a one-rank context covering its grids, kept
-	// between solves of one shape (one goroutine at a time, then).
-	D       *Dist
+	D       *Dist // the distributed context
 	Op      *stencil.Operator
 	Tol     float64 // relative residual target; the SCF sets it per solve
 	MaxIter int
 
-	h    float64  // grid spacing: the preconditioner rediscretizes per level
-	bc   Boundary // D.BC, or the one-rank context's when D is nil
-	self *Dist    // the one-rank context of the last solve when D is nil
+	h float64 // grid spacing: the preconditioner rediscretizes per level
 }
 
-// NewPoisson builds an undecomposed solver with the paper's radius-2
-// Laplacian: phi and rhs are whole grids.
-func NewPoisson(h float64, bc Boundary) *Poisson {
-	return &Poisson{Op: stencil.Laplacian(2, h), Tol: 1e-8, MaxIter: 10000, h: h, bc: bc}
-}
-
-// NewDistPoisson builds the solver on d with the same defaults: phi and
-// rhs are d's local sub-domains, and every rank of d calls each solve.
+// NewDistPoisson builds the solver on d with the paper's radius-2
+// Laplacian: phi and rhs are d's local sub-domains, and every rank of d
+// calls each solve.
 func NewDistPoisson(d *Dist, h float64) *Poisson {
-	ps := NewPoisson(h, d.BC)
-	ps.D = d
-	return ps
-}
-
-// bound returns ps itself when it has a context, else a copy on the
-// one-rank context covering g — the last solve's when the shape is
-// unchanged, so its scratch and hierarchy are built once.
-func (ps *Poisson) bound(g *grid.Grid) *Poisson {
-	if ps.D != nil {
-		return ps
-	}
-	if ps.self == nil || ps.self.local != g.Dims() || ps.self.Decomp.Halo != g.H {
-		ps.self = selfDist(g.Dims(), g.H, ps.bc)
-	}
-	b := *ps
-	b.D = ps.self
-	return &b
+	return &Poisson{D: d, Op: stencil.Laplacian(2, h), Tol: 1e-8, MaxIter: 10000, h: h}
 }
 
 // SolveCG runs preconditioned conjugate gradients on the negated
@@ -107,7 +79,7 @@ func (ps *Poisson) bound(g *grid.Grid) *Poisson {
 // on work grids the Dist owns. It returns the iterations run and the
 // relative residual reached.
 func (ps *Poisson) SolveCG(phi, rhs *grid.Grid) (int, float64, error) {
-	return ps.bound(phi).solveNegated(phi, rhs, -1)
+	return ps.solveNegated(phi, rhs, -1)
 }
 
 // negated returns -op, derived on the first call for op and kept, so a
@@ -120,7 +92,7 @@ func (d *Dist) negated(op *stencil.Operator) *stencil.Operator {
 }
 
 // solveNegated is SolveCG's body on the symmetric positive
-// (semi-)definite problem (-∇²) phi = scale*src; ps has a context.
+// (semi-)definite problem (-∇²) phi = scale*src.
 func (ps *Poisson) solveNegated(phi, src *grid.Grid, scale float64) (int, float64, error) {
 	d := ps.D
 	defer d.Cart.TraceRank().Region("poisson.cg").End()
@@ -183,15 +155,14 @@ func (ps *Poisson) solveNegated(phi, src *grid.Grid, scale float64) (int, float6
 // v (zero-mean for periodic boundaries).
 func (ps *Poisson) HartreePotential(n *grid.Grid) (*grid.Grid, error) {
 	v := grid.NewDims(n.Dims(), n.H)
-	if err := ps.bound(n).hartreeInto(v, n); err != nil {
+	if err := ps.hartreeInto(v, n); err != nil {
 		return nil, err
 	}
 	return v, nil
 }
 
 // hartreeInto is HartreePotential into a caller-owned v, from the guess
-// v holds — the SCF hands back the previous step's potential; ps has a
-// context.
+// v holds — the SCF hands back the previous step's potential.
 func (ps *Poisson) hartreeInto(v, n *grid.Grid) error {
 	defer ps.D.Cart.TraceRank().Region("poisson.hartree").End()
 	_, _, err := ps.solveNegated(v, n, 4*math.Pi)

@@ -72,9 +72,7 @@ func xAlpha(n float64) float64 {
 // energies, iteration counts and residuals are identical on every rank
 // and bit-identical for every layout.
 type SCF struct {
-	// D is the distributed context. It is nil on a NewSCF driver: Run
-	// then builds a one-rank context covering Sys.Dims.
-	D       *Dist
+	D       *Dist // the distributed context
 	Sys     System
 	Tol     float64 // density residual target
 	MaxIter int
@@ -92,16 +90,17 @@ type SCF struct {
 	Guard *SDCGuard
 }
 
-// NewSCF builds an undecomposed SCF driver with conservative defaults.
+// NewSCF builds the driver on the one-rank context covering sys.Dims.
+// It is NewDistSCF's serial spelling, kept for the benchmark module
+// (benchmark/), which still calls it.
 func NewSCF(sys System) *SCF {
-	return &SCF{Sys: sys, Tol: 1e-6, MaxIter: 60}
+	return NewDistSCF(SelfDist(sys.Dims, 2, sys.BC), sys)
 }
 
-// NewDistSCF builds the driver on d with the same defaults; every rank
-// of d calls Run.
+// NewDistSCF builds the driver on d with conservative defaults; every
+// rank of d calls Run.
 func NewDistSCF(d *Dist, sys System) *SCF {
-	s := NewSCF(sys)
-	s.D = d
+	s := &SCF{D: d, Sys: sys, Tol: 1e-6, MaxIter: 60}
 	if d.ABFT {
 		s.Guard = &SDCGuard{}
 	}
@@ -180,11 +179,6 @@ func (s *SCF) run(rs *SCFRestart) (*SCFResult, error) {
 	}
 	if s.Sys.Vext == nil {
 		return nil, fmt.Errorf("gpaw: missing external potential")
-	}
-	if s.D == nil {
-		b := *s
-		b.D = selfDist(s.Sys.Dims, 2, s.Sys.BC)
-		s = &b
 	}
 	if s.Sys.BC != s.D.BC {
 		return nil, fmt.Errorf("gpaw: system boundary %v != distributed context boundary %v", s.Sys.BC, s.D.BC)

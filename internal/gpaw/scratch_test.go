@@ -42,7 +42,7 @@ func TestEigenIterationAllocatesNoGrids(t *testing.T) {
 
 func testEigenIterationAllocs(t *testing.T, workers int) {
 	dims := topology.Dims{24, 24, 24}
-	d := selfDist(dims, 2, Dirichlet)
+	d := SelfDist(dims, 2, Dirichlet)
 	d.pool = nil // one worker: every allocation is this goroutine's
 	if workers > 1 {
 		d.pool = stencil.NewPool(workers)
@@ -112,6 +112,24 @@ func testEigenIterationAllocs(t *testing.T, workers int) {
 			over, scfIterationAllocs, own, elsewhere)
 	} else if over > 0 {
 		t.Logf("%d allocations of the warmed iterations are the runtime's own", over)
+	}
+}
+
+// TestSerialApplyAllocatesNothing: a warmed H·psi on a one-rank Dist,
+// the serial operator, allocates nothing under either boundary
+// condition — the context, its halo engine and the kernel are built
+// once, not per Apply.
+func TestSerialApplyAllocatesNothing(t *testing.T) {
+	dims := topology.Dims{12, 10, 8}
+	for _, bc := range []Boundary{Dirichlet, Periodic} {
+		d := SelfDist(dims, 2, bc)
+		d.pool = nil // one worker: every allocation is this goroutine's
+		ham := NewDistHamiltonian(d, 0.5, HarmonicPotential(dims, 0.5, 1))
+		psi, dst := d.InitGuessBand(1, [3]int(dims))[0], d.NewLocalGrid()
+		ham.Apply(dst, psi)
+		if n := testing.AllocsPerRun(20, func() { ham.Apply(dst, psi) }); n != 0 {
+			t.Errorf("%v: a warmed serial Apply makes %g allocations, want 0", bc, n)
+		}
 	}
 }
 
@@ -332,12 +350,12 @@ func TestEigenScratchIsPerDist(t *testing.T) {
 		m      int
 	}
 	a, b := problem{topology.Dims{8, 8, 8}, 4}, problem{topology.Dims{10, 6, 8}, 3}
-	fresh := func(p problem) []uint64 { return solveBits(t, selfDist(p.global, 2, Dirichlet), p.m, p.global) }
+	fresh := func(p problem) []uint64 { return solveBits(t, SelfDist(p.global, 2, Dirichlet), p.m, p.global) }
 	wantA, wantB := fresh(a), fresh(b)
 
 	// One Dist reused across state counts: 4 states, then 2, then 4
 	// again; the scratch set shrinks and regrows.
-	d := selfDist(a.global, 2, Dirichlet)
+	d := SelfDist(a.global, 2, Dirichlet)
 	first := solveBits(t, d, a.m, a.global)
 	solveBits(t, d, 2, a.global)
 	if again := solveBits(t, d, a.m, a.global); !slices.Equal(first, wantA) || !slices.Equal(again, wantA) {

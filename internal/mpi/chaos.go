@@ -140,6 +140,7 @@ func (f *MsgFaults) roll(kind uint64, src, dst int, seq uint64, attempt int) flo
 type chaosFrame struct {
 	commSrc  int // sender's rank in the destination communicator
 	tag      int
+	ctx      uint64
 	epoch    int
 	seq      uint64
 	data     []float64
@@ -308,7 +309,7 @@ func (c *Comm) chaosSend(toW, tag int, data []float64, arriveAt int64) {
 	pair.sendSeq++
 	pair.mu.Unlock()
 
-	fr := &chaosFrame{commSrc: c.rank, tag: tag, epoch: c.epoch, seq: seq,
+	fr := &chaosFrame{commSrc: c.rank, tag: tag, ctx: c.ctx, epoch: c.epoch, seq: seq,
 		data: append([]float64(nil), data...), arriveAt: arriveAt}
 	fr.crc = crcFloats(fr.data)
 	ctr.sent.Add(1)
@@ -463,7 +464,7 @@ func (cs *chaosState) inject(w *World, pair *chaosPair, srcW, toW int, fr *chaos
 	// The mailbox copies each payload, as it copies an eager send's.
 	for ; fr != nil; fr = pair.pending[pair.nextSeq] {
 		delete(pair.pending, pair.nextSeq)
-		w.boxes[toW].deliver(fr.commSrc, fr.tag, fr.epoch, fr.data, fr.arriveAt, fr.fail)
+		w.boxes[toW].deliver(fr.commSrc, fr.tag, fr.ctx, fr.epoch, fr.data, fr.arriveAt, fr.fail)
 		pair.nextSeq++
 	}
 }

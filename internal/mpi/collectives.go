@@ -8,21 +8,18 @@ import (
 )
 
 // Collectives are implemented over point-to-point messages with reserved
-// negative tags derived from the communicator's context id and a per-rank
-// collective sequence number. MPI requires every rank of a communicator to
-// invoke collectives in the same order, so local counters agree across
-// ranks and successive collectives on one communicator can never
-// cross-match; the context id keeps collectives on *different*
-// communicators that share ranks (e.g. a band communicator and the world
-// it was split from) in disjoint tag spaces. Sequence numbers wrap, which
-// is safe because matching is FIFO per (source, tag): a wrapped tag can
-// only collide with a message the receiver must consume first anyway.
+// negative tags from a per-rank collective sequence number. MPI requires
+// every rank of a communicator to invoke collectives in the same order,
+// so the counters agree across ranks; messages match only within their
+// communicator's context, so collectives on communicators sharing ranks
+// (a band communicator and the world it was split from) never meet.
+// Sequence numbers wrap, which is safe because matching is FIFO per
+// (source, tag): a wrapped tag only collides with a message the receiver
+// must consume first anyway.
 
 // collTag returns the reserved tag for the n-th collective call on this
 // communicator.
-func (c *Comm) collTag(seq uint64) int {
-	return -2 - int(seq%(1<<16)) - int(c.ctx%(1<<31))<<16
-}
+func (c *Comm) collTag(seq uint64) int { return -2 - int(seq%(1<<16)) }
 
 // Op is a reduction operator for Reduce/Allreduce.
 type Op int
@@ -285,12 +282,14 @@ func (c *Comm) Gather(root int, in, out []float64) {
 // The child communicator's context id is derived deterministically from
 // (parent context, parent split count, index of the color among the
 // sorted distinct non-negative colors), so every member computes the
-// same id and collectives on sibling or nested communicators occupy
-// disjoint tag spaces. The encoding packs 8 bits of split count and 8
-// bits of color index per level, which is collision-free for the
-// shallow communicator trees the solver stack builds (world -> domain /
-// band -> process-grid row/column).
+// same id and sibling or nested communicators never match each other's
+// messages. The encoding packs 8 bits of split count and 8 bits of color
+// index per level into the 64-bit id, so it holds four levels below a
+// world; a fifth panics rather than wrap onto another communicator's id.
 func (c *Comm) Split(colorOf func(r int) int) *Comm {
+	if c.ctx >= 1<<48 {
+		panic("mpi: Split nested too deep for a 64-bit context id")
+	}
 	c.splits++
 	color := colorOf(c.rank)
 	if color < 0 {

@@ -87,7 +87,8 @@ type envelope struct {
 	src   int // sender's rank in the destination communicator
 	tag   int
 	data  []float64
-	epoch int // fault-tolerance epoch the message belongs to
+	ctx   uint64 // context of the communicator it was sent on
+	epoch int    // fault-tolerance epoch the message belongs to
 	// arriveAt is the modeled virtual arrival time under the network
 	// model (see netmodel.go); 0 when no model is armed or the message
 	// is a free self-send.
@@ -192,14 +193,14 @@ func matches(from, wantTag, src, tag int) bool {
 	return (from == AnySource || from == src) && (wantTag == AnyTag || wantTag == tag)
 }
 
-// find returns the index of the earliest arrived envelope of the epoch
-// that a receive for (from, tag) matches, or -1. Arrival order makes
-// matching FIFO per (source, tag). Caller holds m.mu.
+// find returns the index of the earliest arrived envelope of the
+// context and epoch that a receive for (from, tag) matches, or -1.
+// Arrival order makes matching FIFO per (source, tag). Caller holds m.mu.
 //
 //gpaw:hotpath
-func (m *mailbox) find(from, tag, epoch int) int {
+func (m *mailbox) find(from, tag int, ctx uint64, epoch int) int {
 	for i, env := range m.arrived {
-		if env.epoch == epoch && matches(from, tag, env.src, env.tag) {
+		if env.ctx == ctx && env.epoch == epoch && matches(from, tag, env.src, env.tag) {
 			return i
 		}
 	}
@@ -207,15 +208,15 @@ func (m *mailbox) find(from, tag, epoch int) int {
 }
 
 // deliver hands one message to the mailbox, eager sends and chaos
-// frames alike: the earliest posted receive of the epoch that matches
-// completes straight from data, with no intermediate copy; otherwise an
-// eager copy waits in a pooled envelope. Epochs must agree, so a
-// pre-failure send can never complete a post-recovery receive. A
-// non-nil fail is a poisoned chaos delivery: its receive completes with
-// that error. An aborted mailbox drops the message.
+// frames alike: the earliest posted receive of the context and epoch
+// that matches completes straight from data, with no intermediate copy;
+// otherwise an eager copy waits in a pooled envelope. So, as in MPI, no
+// message crosses communicators, nor a pre-failure send into a
+// post-recovery receive. A non-nil fail is a poisoned chaos delivery:
+// its receive completes with that error. An aborted mailbox drops it.
 //
 //gpaw:hotpath
-func (m *mailbox) deliver(src, tag, epoch int, data []float64, arriveAt int64, fail error) {
+func (m *mailbox) deliver(src, tag int, ctx uint64, epoch int, data []float64, arriveAt int64, fail error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.aborted {
@@ -223,7 +224,7 @@ func (m *mailbox) deliver(src, tag, epoch int, data []float64, arriveAt int64, f
 	}
 	defer m.cond.Broadcast()
 	for i, pr := range m.posted {
-		if pr != nil && pr.epoch == epoch && matches(pr.prSrc, pr.prTag, src, tag) {
+		if pr != nil && pr.ctx == ctx && pr.epoch == epoch && matches(pr.prSrc, pr.prTag, src, tag) {
 			m.posted[i] = nil
 			completeRecv(pr, src, tag, data, arriveAt, fail)
 			return
@@ -231,7 +232,7 @@ func (m *mailbox) deliver(src, tag, epoch int, data []float64, arriveAt int64, f
 	}
 	env := m.getEnvelope(len(data))
 	copy(env.data, data)
-	env.src, env.tag, env.epoch, env.arriveAt, env.fail = src, tag, epoch, arriveAt, fail
+	env.src, env.tag, env.ctx, env.epoch, env.arriveAt, env.fail = src, tag, ctx, epoch, arriveAt, fail
 	//lint:ignore hotpathalloc arrived-list growth: its capacity is warm once the message pattern repeats
 	m.arrived = append(m.arrived, env)
 }
@@ -389,14 +390,12 @@ type Comm struct {
 	coll   uint64 // per-rank collective sequence number (local, no lock)
 
 	// ctx is the communicator's context id, the analogue of an MPI
-	// context: collective tags fold it in so collectives on different
-	// communicators sharing ranks (a domain communicator and a band
-	// communicator, a process grid and its row/column sub-communicators)
-	// can never cross-match, even when a fast rank races ahead into a
-	// sibling communicator's collectives. The world communicator has
+	// context: messages match only within it, so traffic on communicators
+	// sharing ranks (a domain and a band communicator, a process grid and
+	// its row/column sub-communicators) never cross-matches, even when a
+	// fast rank races ahead into a sibling's collectives. The world has
 	// ctx 0; Split derives children's contexts deterministically, so
-	// every member of a communicator agrees on its ctx without any
-	// communication.
+	// every member agrees on its ctx without any communication.
 	ctx uint64
 	// splits counts Split calls on this communicator. The ranks of one
 	// color make the same sequence of Split calls, so the local counter
@@ -578,7 +577,7 @@ func (c *Comm) sendDeliver(to, tag int, data []float64) {
 		c.chaosSend(toW, tag, data, arriveAt)
 		return
 	}
-	c.world.boxes[toW].deliver(c.rank, tag, c.epoch, data, arriveAt, nil)
+	c.world.boxes[toW].deliver(c.rank, tag, c.ctx, c.epoch, data, arriveAt, nil)
 }
 
 // completeRecv copies a message payload into the posted buffer and
@@ -666,8 +665,8 @@ func (c *Comm) irecv(from, tag int, buf []float64) *Request {
 	req := box.getRequest(c.world)
 	req.prSrc, req.prTag, req.buf = from, tag, buf
 	req.owner = me
-	req.epoch = c.epoch
-	if i := box.find(from, tag, c.epoch); i >= 0 {
+	req.ctx, req.epoch = c.ctx, c.epoch
+	if i := box.find(from, tag, c.ctx, c.epoch); i >= 0 {
 		env := box.arrived[i]
 		last := len(box.arrived) - 1
 		copy(box.arrived[i:], box.arrived[i+1:])
@@ -772,7 +771,7 @@ func (c *Comm) Probe(from, tag int) (src, gotTag, n int) {
 				panic(c.world.failure())
 			}
 		}
-		if i := box.find(from, tag, c.epoch); i >= 0 {
+		if i := box.find(from, tag, c.ctx, c.epoch); i >= 0 {
 			env := box.arrived[i]
 			src, gotTag, n, fail, arriveAt = env.src, env.tag, len(env.data), env.fail, env.arriveAt
 			break

@@ -36,11 +36,12 @@ type Request struct {
 	prSrc, prTag int
 	buf          []float64
 
-	// owner is the world rank that posted the request and epoch the
-	// fault-tolerance epoch it was posted in; both are written before
-	// the request is published and read by failure revocation and the
-	// timeout diagnostics.
+	// owner is the world rank that posted the request, ctx and epoch the
+	// context and fault-tolerance epoch it was posted in: written before
+	// the request is published, read by matching, failure revocation and
+	// the timeout diagnostics.
 	owner int
+	ctx   uint64
 	epoch int
 
 	// w is the world whose mailbox of rank owner guards the request and
@@ -76,7 +77,7 @@ func (r *Request) reset() {
 	r.err = nil
 	r.prSrc, r.prTag = 0, 0
 	r.buf = nil
-	r.owner, r.epoch = 0, 0
+	r.owner, r.ctx, r.epoch = 0, 0, 0
 }
 
 // Reclaim returns completed requests to the free list of the mailbox of

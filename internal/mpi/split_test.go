@@ -252,3 +252,54 @@ func TestSplitNestedGrids(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNestedContextsNeverAlias: the multigrid shrink chain's shape —
+// world -> D (every rank) -> D's first 4 -> their first 2 — nests
+// contexts three levels deep, and the grandchild's context equals its
+// parent's modulo 2³¹. Ranks 0 and 1 are ranks 0 and 1 of both, and
+// their first collectives on each carry the same sequence number. Rank
+// 0 broadcasts on the parent, then on the grandchild; rank 1 receives
+// the two in the opposite order. Each broadcast must deliver its own
+// communicator's value: messages match on the whole context.
+func TestNestedContextsNeverAlias(t *testing.T) {
+	w := testWorld(4, ThreadSingle)
+	w.SetOpTimeout(5 * time.Second)
+	first := func(n int) func(r int) int {
+		return func(r int) int {
+			if r < n {
+				return 0
+			}
+			return -1
+		}
+	}
+	const parentVal, childVal = 4, 2
+	err := w.Run(func(c *Comm) {
+		d := c.Split(func(int) int { return 0 })
+		four := d.Split(first(4))
+		two := four.Split(first(2))
+		if four.ctx != 16843009 || two != nil && two.ctx != 1103823438081 {
+			t.Errorf("rank %d: parent context %d, want 16843009 (and the grandchild's 1103823438081)", c.Rank(), four.ctx)
+			return
+		}
+		parent, child := []float64{0}, []float64{0}
+		switch c.Rank() {
+		case 0:
+			parent[0], child[0] = parentVal, childVal
+			four.Bcast(0, parent)
+			two.Bcast(0, child)
+		case 1:
+			two.Bcast(0, child)
+			four.Bcast(0, parent)
+		default:
+			four.Bcast(0, parent)
+			child[0] = childVal
+		}
+		if parent[0] != parentVal || child[0] != childVal {
+			t.Errorf("rank %d: parent broadcast delivered %g, grandchild's %g; want %d and %d",
+				c.Rank(), parent[0], child[0], parentVal, childVal)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
