@@ -17,7 +17,7 @@ func main() {
 	omega := 1.0
 
 	v := gpaw.HarmonicPotential(dims, h, omega)
-	d := gpaw.SelfDist(dims, 2, gpaw.Dirichlet)
+	d := gpaw.SelfDist(dims, gpaw.Dirichlet)
 	solver := gpaw.NewEigenSolver(gpaw.NewDistHamiltonian(d, h, v))
 
 	// Four levels wanted, five states asked for: the top state of the

@@ -18,7 +18,7 @@ func main() {
 	q := 1.0
 
 	rho := gpaw.GaussianDensity(dims, h, sigma, q)
-	solver := gpaw.NewDistPoisson(gpaw.SelfDist(dims, 2, gpaw.Dirichlet), h)
+	solver := gpaw.NewDistPoisson(gpaw.SelfDist(dims, gpaw.Dirichlet), h)
 	v, err := solver.HartreePotential(rho)
 	if err != nil {
 		panic(err)

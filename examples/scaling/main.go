@@ -287,7 +287,7 @@ func main() {
 		Dims: fGlobal, Spacing: fh, BC: gpaw.Dirichlet,
 		Vext: gpaw.HarmonicPotential(fGlobal, fh, 1), Electrons: 2,
 	}
-	serialSCF := gpaw.NewDistSCF(gpaw.SelfDist(fGlobal, 2, gpaw.Dirichlet), sys)
+	serialSCF := gpaw.NewDistSCF(gpaw.SelfDist(fGlobal, gpaw.Dirichlet), sys)
 	serialSCF.Tol = 1e-4
 	want, err := serialSCF.Run()
 	if err != nil {

@@ -88,7 +88,7 @@ func testBandSymMatrixRotate(t *testing.T, bands int) {
 	global := topology.Dims{8, 6, 8}
 	dims := [3]int{8, 6, 8}
 	const m = 5
-	self := SelfDist(global, 2, Dirichlet)
+	self := SelfDist(global, Dirichlet)
 	serial := self.InitGuessBand(m, dims)
 	want := linalg.NewMatrix(m, m)
 	for i := 0; i < m; i++ {
@@ -154,7 +154,7 @@ func TestBandEigenDifferential(t *testing.T) {
 	h := 0.5
 	const m = 4
 	vext := HarmonicPotential(global, h, 1)
-	self := SelfDist(global, 2, Dirichlet)
+	self := SelfDist(global, Dirichlet)
 	es := NewEigenSolver(NewDistHamiltonian(self, h, vext))
 	es.Tol = 1e-7
 	es.MaxIter = 500
@@ -217,7 +217,7 @@ func TestBandSCFDifferential(t *testing.T) {
 	h := 0.7
 	sys := scfSystem(global, h)
 	sys.Electrons = 8 // four doubly occupied states: s + closed p shell
-	scf := NewDistSCF(SelfDist(sys.Dims, 2, sys.BC), sys)
+	scf := NewDistSCF(SelfDist(sys.Dims, sys.BC), sys)
 	scf.Tol = 1e-4
 	want, err := scf.Run()
 	if err != nil {
@@ -326,7 +326,7 @@ func TestHartreeToleranceFollowsResidual(t *testing.T) {
 	// d is nil.
 	scf := func(d *Dist, maxIter int) *SCF {
 		if d == nil {
-			d = SelfDist(global, 2, sys.BC)
+			d = SelfDist(global, sys.BC)
 		}
 		s := NewDistSCF(d, sys)
 		s.Tol, s.MaxIter = 1e-8, maxIter
@@ -494,7 +494,7 @@ func TestBandEmptyGroup(t *testing.T) {
 	h := 0.5
 	const m = 3 // over 4 band groups: slices 1,1,1,0
 	vext := HarmonicPotential(global, h, 1)
-	self := SelfDist(global, 2, Dirichlet)
+	self := SelfDist(global, Dirichlet)
 	es := NewEigenSolver(NewDistHamiltonian(self, h, vext))
 	es.Tol = 1e-7
 	es.MaxIter = 500
@@ -538,7 +538,7 @@ func TestBandSmoke(t *testing.T) {
 	h := 0.7
 	sys := scfSystem(global, h)
 	sys.Electrons = 8
-	scf := NewDistSCF(SelfDist(sys.Dims, 2, sys.BC), sys)
+	scf := NewDistSCF(SelfDist(sys.Dims, sys.BC), sys)
 	scf.Tol = 1e-4
 	want, err := scf.Run()
 	if err != nil {

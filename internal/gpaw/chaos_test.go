@@ -25,7 +25,7 @@ import (
 // compared against.
 func chaosWant(t *testing.T, sys System) *SCFResult {
 	t.Helper()
-	scf := NewDistSCF(SelfDist(sys.Dims, 2, sys.BC), sys)
+	scf := NewDistSCF(SelfDist(sys.Dims, sys.BC), sys)
 	scf.Tol = 1e-4
 	want, err := scf.Run()
 	if err != nil {
@@ -174,6 +174,51 @@ func TestChaosNoRecoveryTypedError(t *testing.T) {
 	}
 }
 
+// TestRecoveryShrinksHierarchyTwice: a recovered run whose V-cycle
+// shrinks at both of its coarse levels. Rank 3 of 12 dies on the 16³
+// grid; the 11 survivors' own layout is too thin for the halo, so
+// chooseProcs runs the SCF on 1x2x5 of them, and the hierarchy
+// 16 -> 8 -> 4 re-splits at 8 and again at 4. Its coarsest solve thus
+// runs on a communicator nested four levels below the shrunk world
+// (first 10, NewDist's domain, two shrink levels). The recovered result
+// must equal the one-rank run's bit for bit.
+func TestRecoveryShrinksHierarchyTwice(t *testing.T) {
+	global := topology.Dims{16, 16, 16}
+	sys := scfSystem(global, 0.35)
+	want := chaosWant(t, sys)
+	if procs, active := chooseProcs(global, 11, 2); procs != (topology.Dims{1, 2, 5}) || active != 10 {
+		t.Fatalf("11 survivors recover onto %v (%d ranks), want 1x2x5 (10)", procs, active)
+	}
+	const p = 12
+	store := NewMemStore()
+	err := runRanks(p, mpi.ThreadSingle, func(c *mpi.Comm) {
+		ft := FTConfig{
+			Store: store, Every: 1, Recover: true,
+			Configure: func(s *SCF) {
+				s.Tol = 1e-4
+				s.OnIteration = func(it int) {
+					if it == 2 && c.Rank() == 3 {
+						c.Fail()
+					}
+				}
+			},
+		}
+		cfg := DistConfig{Global: global, Procs: topology.Dims{2, 2, 3}, Halo: 2, BC: sys.BC,
+			Approach: core.FlatOptimized, Threads: 1, Batch: 2}
+		res, err := RunSCFFT(c, cfg, sys, ft)
+		if err != nil {
+			panic(err)
+		}
+		if res.TotalEnergy != want.TotalEnergy || res.Iterations != want.Iterations {
+			t.Errorf("rank %d: recovered E=%.17g it=%d, one-rank E=%.17g it=%d",
+				c.Rank(), res.TotalEnergy, res.Iterations, want.TotalEnergy, want.Iterations)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCheckpointRestartBitIdentical: a checkpoint written on one
 // process grid resumes on another — fewer ranks (shrink) and more
 // ranks (grow) — with results bitwise identical to the serial run. It
@@ -302,7 +347,7 @@ func TestCheckpointStores(t *testing.T) {
 		// naming versions 2-4; step 10 under a layout of two band groups
 		// over its one shard; step 11 under the JSON manifest version 4 wrote; step 12
 		// a shard with one byte flipped under its honest manifest.
-		d := SelfDist(box, 2, Dirichlet)
+		d := SelfDist(box, Dirichlet)
 		short := appendShard(nil, []float64{1.5}, fields[:2])
 		flipped := slices.Clone(data)
 		flipped[len(flipped)/2] ^= 0x40

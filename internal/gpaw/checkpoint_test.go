@@ -253,11 +253,11 @@ func TestResumeRefusesOtherSystem(t *testing.T) {
 			t.Errorf("periodic restore of a Dirichlet step: rank %d returned %v, want a step it cannot take", r, err)
 		}
 	}
-	rs, err := RestoreSCF(SelfDist(global, 2, Dirichlet), store, step)
+	rs, err := RestoreSCF(SelfDist(global, Dirichlet), store, step)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDistSCF(SelfDist(global, 2, Dirichlet), scfSystem(global, 1.4)).Resume(rs); err == nil {
+	if _, err := NewDistSCF(SelfDist(global, Dirichlet), scfSystem(global, 1.4)).Resume(rs); err == nil {
 		t.Error("resume at h = 1.4 of a checkpoint at h = 0.7 succeeded")
 	}
 }

@@ -159,10 +159,10 @@ type Dist struct {
 	// and sweepFn the one compute callback every such sweep hands
 	// Engine.Run, Dist.compute, built on first use: a closure per call
 	// would escape into the engine's hybrid-multiple fan-out and cost an
-	// allocation. one holds withOverlap's destination and source; rot
-	// and move are the pool Tasks of bandRotate and of the V-cycle's
-	// level transfers. All are touched only from the rank's master
-	// goroutine.
+	// allocation. one holds the destination and source of a one-grid
+	// sweep (withOverlap's and Hamiltonian.Apply's); rot and move are
+	// the pool Tasks of bandRotate and of the V-cycle's level transfers.
+	// All are touched only from the rank's master goroutine.
 	sw      sweep
 	sweepFn func(core.Batch, stencil.Region)
 	one     [2]*grid.Grid
@@ -256,14 +256,15 @@ func NewDist(comm *mpi.Comm, cfg DistConfig) (*Dist, error) {
 }
 
 // SelfDist builds the one-rank context of a serial calculation: a
-// dims-sized domain on mpi.Self, so the calling goroutine is the rank.
+// dims-sized domain on mpi.Self, so the calling goroutine is the rank,
+// with the halo of 2 that the solvers' radius-2 stencils read.
 // It is hybrid master-only over the process-wide worker pool — the
 // caller communicates (with itself, for periodic wraps) and every sweep
 // fork-joins across stencil.Shared() — and owns no goroutines, so it
-// needs no Close. It panics on a grid without points or halo.
-func SelfDist(dims topology.Dims, halo int, bc Boundary) *Dist {
+// needs no Close. It panics on a grid without points.
+func SelfDist(dims topology.Dims, bc Boundary) *Dist {
 	d, err := NewDist(mpi.Self(), DistConfig{Global: dims, Procs: topology.Dims{1, 1, 1},
-		Halo: halo, BC: bc, Approach: core.HybridMasterOnly})
+		Halo: 2, BC: bc, Approach: core.HybridMasterOnly})
 	if err != nil {
 		panic(err)
 	}

@@ -67,7 +67,7 @@ func TestOverlapVsSerializedDifferential(t *testing.T) {
 	h := 0.35
 	rhs := poissonRHS(global)
 	for _, bc := range []Boundary{Dirichlet, Periodic} {
-		ps := NewDistPoisson(SelfDist(global, 2, bc), h)
+		ps := NewDistPoisson(SelfDist(global, bc), h)
 		wantPhi := grid.NewDims(global, 2)
 		wantIt, wantRes, err := ps.SolveCG(wantPhi, rhs)
 		if err != nil {

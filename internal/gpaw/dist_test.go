@@ -157,7 +157,7 @@ func TestDistPoissonCGDifferential(t *testing.T) {
 	h := 0.35
 	rhs := poissonRHS(global)
 	for _, bc := range []Boundary{Dirichlet, Periodic} {
-		ps := NewDistPoisson(SelfDist(global, 2, bc), h)
+		ps := NewDistPoisson(SelfDist(global, bc), h)
 		wantPhi := grid.NewDims(global, 2)
 		wantIt, wantRes, err := ps.SolveCG(wantPhi, rhs)
 		if err != nil {
@@ -196,7 +196,7 @@ func TestDistMultigridDifferential(t *testing.T) {
 	h := 0.35
 	rhs := poissonRHS(global)
 	for _, bc := range []Boundary{Dirichlet, Periodic} {
-		mgS, err := SelfDist(global, 2, bc).hierarchy(h)
+		mgS, err := SelfDist(global, bc).hierarchy(h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +287,7 @@ func TestDistSCFDifferential(t *testing.T) {
 	global := topology.Dims{8, 8, 8}
 	h := 0.7
 	sys := scfSystem(global, h)
-	scf := NewDistSCF(SelfDist(sys.Dims, 2, sys.BC), sys)
+	scf := NewDistSCF(SelfDist(sys.Dims, sys.BC), sys)
 	scf.Tol = 1e-4
 	want, err := scf.Run()
 	if err != nil {
@@ -368,11 +368,11 @@ func TestInitGuessMatchesGuessValue(t *testing.T) {
 		}
 	}
 	dims := [3]int{7, 5, 6}
-	for s, g := range SelfDist(topology.Dims(dims), 2, Dirichlet).InitGuessBand(m, dims) {
+	for s, g := range SelfDist(topology.Dims(dims), Dirichlet).InitGuessBand(m, dims) {
 		check("one-rank InitGuessBand", s, dims, g, topology.Coord{})
 	}
 	long := [3]int{150, 30, 20}
-	for s, g := range SelfDist(topology.Dims(long), 2, Dirichlet).InitGuessBand(2, long) {
+	for s, g := range SelfDist(topology.Dims(long), Dirichlet).InitGuessBand(2, long) {
 		check("one-rank InitGuessBand", s, long, g, topology.Coord{})
 	}
 	err := runRanks(4, mpi.ThreadSingle, func(c *mpi.Comm) {
@@ -400,7 +400,7 @@ func TestDistEigenDifferential(t *testing.T) {
 	global := topology.Dims{8, 8, 8}
 	h := 0.5
 	vext := HarmonicPotential(global, h, 1)
-	self := SelfDist(global, 2, Dirichlet)
+	self := SelfDist(global, Dirichlet)
 	es := NewEigenSolver(NewDistHamiltonian(self, h, vext))
 	es.Tol = 1e-7
 	es.MaxIter = 500
@@ -455,7 +455,7 @@ func TestSolverErrorsReportResidual(t *testing.T) {
 	rhs := poissonRHS(global)
 	wantSub := "did not converge (relative residual "
 	serialErr := func(name string, f func(ps *Poisson, phi *grid.Grid) (int, float64, error)) string {
-		ps := NewDistPoisson(SelfDist(global, 2, Dirichlet), h)
+		ps := NewDistPoisson(SelfDist(global, Dirichlet), h)
 		ps.MaxIter = 2
 		phi := grid.NewDims(global, 2)
 		_, res, err := f(ps, phi)
@@ -533,14 +533,14 @@ func TestDistSmoke(t *testing.T) {
 	global := topology.Dims{8, 8, 8}
 	h := 0.7
 	rhs := poissonRHS(global)
-	ps := NewDistPoisson(SelfDist(global, 2, Dirichlet), 0.35)
+	ps := NewDistPoisson(SelfDist(global, Dirichlet), 0.35)
 	wantPhi := grid.NewDims(global, 2)
 	wantIt, _, err := ps.SolveCG(wantPhi, rhs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys := scfSystem(global, h)
-	scf := NewDistSCF(SelfDist(sys.Dims, 2, sys.BC), sys)
+	scf := NewDistSCF(SelfDist(sys.Dims, sys.BC), sys)
 	scf.Tol = 1e-4
 	want, err := scf.Run()
 	if err != nil {

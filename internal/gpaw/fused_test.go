@@ -27,7 +27,7 @@ func fusedProblem(n int) (rhs *grid.Grid) {
 // unfused, unpreconditioned reference formulation, in fewer iterations.
 func TestFusedCGMatchesReference(t *testing.T) {
 	rhs := fusedProblem(14)
-	ps := NewDistPoisson(SelfDist(rhs.Dims(), 2, Dirichlet), 0.35)
+	ps := NewDistPoisson(SelfDist(rhs.Dims(), Dirichlet), 0.35)
 
 	phiRef := grid.New(14, 14, 14, 2)
 	itRef, _, err := ps.SolveCGReference(phiRef, rhs)
@@ -75,7 +75,7 @@ func TestFusedCGWorkerCountInvariant(t *testing.T) {
 // benchmark's 24^3.
 func TestFusedCGReducesTraffic(t *testing.T) {
 	rhs := fusedProblem(24)
-	ps := NewDistPoisson(SelfDist(rhs.Dims(), 2, Dirichlet), 0.35)
+	ps := NewDistPoisson(SelfDist(rhs.Dims(), Dirichlet), 0.35)
 
 	phi := grid.New(24, 24, 24, 2)
 	grid.ResetTraffic()

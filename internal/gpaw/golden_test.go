@@ -139,7 +139,7 @@ func TestSerialGolden(t *testing.T) {
 		bc := boundaryNamed(t, g.BC)
 		onGoldenLayouts(t, global, bc, func(d *Dist, where string) {
 			phi, b := grid.NewDims(global, 2), rhs
-			ps := NewDistPoisson(SelfDist(global, 2, bc), g.Spacing)
+			ps := NewDistPoisson(SelfDist(global, bc), g.Spacing)
 			if d != nil {
 				phi, b, ps = d.NewLocalGrid(), d.ScatterReplicated(rhs), NewDistPoisson(d, g.Spacing)
 			}
@@ -173,7 +173,7 @@ func TestSerialGolden(t *testing.T) {
 		g := &gold.Eigen[gi]
 		bc := boundaryNamed(t, g.BC)
 		onGoldenLayouts(t, small, bc, func(d *Dist, where string) {
-			self := SelfDist(small, 2, bc)
+			self := SelfDist(small, bc)
 			ham, psis := NewDistHamiltonian(self, 0.5, vext), self.InitGuessBand(g.States, [3]int(small))
 			if d != nil {
 				ham, psis = NewDistHamiltonian(d, 0.5, d.ScatterReplicated(vext)), d.InitGuessBand(g.States, [3]int(small))
@@ -199,7 +199,7 @@ func TestSerialGolden(t *testing.T) {
 		sys := scfSystem(small, 0.7)
 		sys.BC, sys.Electrons = boundaryNamed(t, g.BC), g.Electrons
 		onGoldenLayouts(t, small, sys.BC, func(d *Dist, where string) {
-			scf := NewDistSCF(SelfDist(sys.Dims, 2, sys.BC), sys)
+			scf := NewDistSCF(SelfDist(sys.Dims, sys.BC), sys)
 			if d != nil {
 				scf = NewDistSCF(d, sys)
 			}

@@ -97,7 +97,7 @@ func TestPoissonPlaneWaveExact(t *testing.T) {
 	// solution is rhs/eigenvalue exactly (up to solver tolerance).
 	n := 16
 	h := 0.5
-	ps := NewDistPoisson(SelfDist(topology.Dims{n, n, n}, 2, Periodic), h)
+	ps := NewDistPoisson(SelfDist(topology.Dims{n, n, n}, Periodic), h)
 	w := stencil.CentralWeights(2, 2, h)
 	m := 2
 	eig := 0.0
@@ -126,7 +126,7 @@ func TestPoissonPlaneWaveExact(t *testing.T) {
 }
 
 func TestPoissonZeroRHS(t *testing.T) {
-	ps := NewDistPoisson(SelfDist(topology.Dims{6, 6, 6}, 2, Periodic), 0.3)
+	ps := NewDistPoisson(SelfDist(topology.Dims{6, 6, 6}, Periodic), 0.3)
 	phi := grid.New(6, 6, 6, 2)
 	phi.Fill(3)
 	if _, res, err := ps.SolveCG(phi, grid.New(6, 6, 6, 2)); err != nil || res != 0 {
@@ -147,7 +147,7 @@ func TestHartreeGaussianMatchesAnalytic(t *testing.T) {
 	sigma := 1.0
 	q := 1.0
 	nrho := GaussianDensity(dims, h, sigma, q)
-	ps := NewDistPoisson(SelfDist(dims, 2, Dirichlet), h)
+	ps := NewDistPoisson(SelfDist(dims, Dirichlet), h)
 	v, err := ps.HartreePotential(nrho)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestHamiltonianExpectationAndBound(t *testing.T) {
 	dims := topology.Dims{12, 12, 12}
 	h := 0.4
 	v := HarmonicPotential(dims, h, 1)
-	d := SelfDist(dims, 2, Dirichlet)
+	d := SelfDist(dims, Dirichlet)
 	ham := NewDistHamiltonian(d, h, v)
 	psi := grid.NewDims(dims, 2)
 	psi.FillFunc(func(i, j, k int) float64 { return 1 })
@@ -212,7 +212,7 @@ func TestHamiltonianExpectationAndBound(t *testing.T) {
 // and leaves orthonormal Ritz vectors whose Rayleigh quotients are the
 // returned Ritz values.
 func TestOrthonormalize(t *testing.T) {
-	d := SelfDist(topology.Dims{10, 10, 10}, 2, Dirichlet)
+	d := SelfDist(topology.Dims{10, 10, 10}, Dirichlet)
 	ham := NewDistHamiltonian(d, 0.5, HarmonicPotential(topology.Dims{10, 10, 10}, 0.5, 1))
 	psis := d.InitGuessBand(4, [3]int{10, 10, 10})
 	eig, err := ham.RayleighRitz(len(psis), psis)
@@ -243,7 +243,7 @@ func TestOrthonormalizeRejectsDependentStates(t *testing.T) {
 	a := grid.New(6, 6, 6, 2)
 	a.Fill(1)
 	b := a.Clone()
-	if _, err := NewDistHamiltonian(SelfDist(topology.Dims{6, 6, 6}, 2, Dirichlet), 0.5, nil).RayleighRitz(2, []*grid.Grid{a, b}); err == nil {
+	if _, err := NewDistHamiltonian(SelfDist(topology.Dims{6, 6, 6}, Dirichlet), 0.5, nil).RayleighRitz(2, []*grid.Grid{a, b}); err == nil {
 		t.Fatal("linearly dependent states accepted")
 	}
 }
@@ -256,7 +256,7 @@ func TestParticleInBoxEigenvalues(t *testing.T) {
 	n := 14
 	h := 0.5
 	L := float64(n+1) * h
-	d := SelfDist(topology.Dims{n, n, n}, 2, Dirichlet)
+	d := SelfDist(topology.Dims{n, n, n}, Dirichlet)
 	es := NewEigenSolver(NewDistHamiltonian(d, h, nil))
 	es.MaxIter = 10 // the damped step this solver replaced took 799 iterations
 	psis := d.InitGuessBand(2+guardStates, [3]int{n, n, n})
@@ -282,7 +282,7 @@ func harmonicLevels(t *testing.T, tol float64) []float64 {
 	t.Helper()
 	dims := topology.Dims{20, 20, 20}
 	h := 0.55
-	d := SelfDist(dims, 2, Dirichlet)
+	d := SelfDist(dims, Dirichlet)
 	es := NewEigenSolver(NewDistHamiltonian(d, h, HarmonicPotential(dims, h, 1)))
 	es.Tol = tol
 	psis := d.InitGuessBand(4+guardStates, [3]int{dims[0], dims[1], dims[2]})
@@ -326,7 +326,7 @@ func TestHarmonicOscillatorLevels(t *testing.T) {
 // converges — and still reaches the level a guarded solve finds, slowly.
 func TestEigenSolverSingleState(t *testing.T) {
 	dims := [3]int{10, 10, 10}
-	d := SelfDist(dims, 2, Dirichlet)
+	d := SelfDist(dims, Dirichlet)
 	ham := NewDistHamiltonian(d, 0.5, nil)
 	guarded := NewEigenSolver(ham)
 	want, err := guarded.Solve(1+guardStates, d.InitGuessBand(1+guardStates, dims))
@@ -345,7 +345,7 @@ func TestEigenSolverSingleState(t *testing.T) {
 }
 
 func TestEigenSolverEmptyInput(t *testing.T) {
-	es := NewEigenSolver(NewDistHamiltonian(SelfDist(topology.Dims{6, 6, 6}, 2, Dirichlet), 0.5, nil))
+	es := NewEigenSolver(NewDistHamiltonian(SelfDist(topology.Dims{6, 6, 6}, Dirichlet), 0.5, nil))
 	if _, err := es.Solve(0, nil); err == nil {
 		t.Fatal("empty state list accepted")
 	}
@@ -364,7 +364,7 @@ func TestSCFHarmonicTrapConverges(t *testing.T) {
 		Vext:      HarmonicPotential(dims, h, 1),
 		Electrons: 2,
 	}
-	scf := NewDistSCF(SelfDist(dims, 2, Dirichlet), sys)
+	scf := NewDistSCF(SelfDist(dims, Dirichlet), sys)
 	scf.Tol = 1e-4
 	res, err := scf.Run()
 	if err != nil {
@@ -427,7 +427,7 @@ func TestSCFEnergyNearFixedPoint(t *testing.T) {
 	}{{Dirichlet, goldenDirichlet, 40}, {Periodic, goldenPeriodic, 40}} {
 		// perStep[i] is the conjugate-gradient count of SCF step i+1.
 		energy := func(tol float64) (e float64, perStep []int) {
-			d := SelfDist(dims, 2, c.bc)
+			d := SelfDist(dims, c.bc)
 			scf := NewDistSCF(d, System{Dims: dims, Spacing: 0.6, BC: c.bc, Vext: vext, Electrons: 8})
 			scf.Tol, scf.MaxIter = tol, 100
 			before := 0
@@ -499,7 +499,7 @@ func TestPulayWeights(t *testing.T) {
 
 func TestSCFValidation(t *testing.T) {
 	dims := topology.Dims{6, 6, 6}
-	d := SelfDist(dims, 2, Dirichlet)
+	d := SelfDist(dims, Dirichlet)
 	scf := NewDistSCF(d, System{Dims: dims, Spacing: 0.5, BC: Dirichlet, Vext: grid.NewDims(dims, 2), Electrons: 0})
 	if _, err := scf.Run(); err == nil {
 		t.Fatal("0 electrons accepted")

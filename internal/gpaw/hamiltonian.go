@@ -19,8 +19,6 @@ type Hamiltonian struct {
 	D *Dist             // the distributed context
 	T *stencil.Operator // kinetic operator
 	V *grid.Grid        // local effective potential (may be nil)
-
-	pair [2]*grid.Grid // Apply's dst and psi, sliced into one-state sets without allocating
 }
 
 // NewDistHamiltonian builds H on d with the paper's radius-2 kinetic
@@ -32,8 +30,8 @@ func NewDistHamiltonian(d *Dist, h float64, v *grid.Grid) *Hamiltonian {
 // Apply computes dst = H psi in one fused sweep (kinetic stencil plus
 // potential term) behind one halo exchange of psi.
 func (h *Hamiltonian) Apply(dst, psi *grid.Grid) {
-	h.pair = [2]*grid.Grid{dst, psi}
-	h.applyStates(h.pair[:1], h.pair[1:], nil, 1, 0, 0)
+	h.D.one = [2]*grid.Grid{dst, psi}
+	h.applyStates(h.D.one[:1], h.D.one[1:], nil, 1, 0, 0)
 }
 
 // applyStates computes dsts[i] = beta*psis[i] + alpha*(H psis[i]) +

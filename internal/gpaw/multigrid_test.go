@@ -14,7 +14,7 @@ import (
 // hierarchy at spacing h.
 func hierarchyOf(t *testing.T, dims topology.Dims, h float64, bc Boundary) *multigrid {
 	t.Helper()
-	mg, err := SelfDist(dims, 2, bc).hierarchy(h)
+	mg, err := SelfDist(dims, bc).hierarchy(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestMultigridHierarchy(t *testing.T) {
 	}
 	// The hierarchy is the Dist's: built by the first call, not by
 	// NewDist, kept while the spacing stays, rebuilt when it changes.
-	d := SelfDist(topology.Dims{16, 16, 16}, 2, Dirichlet)
+	d := SelfDist(topology.Dims{16, 16, 16}, Dirichlet)
 	if d.mg != nil {
 		t.Fatal("NewDist built a hierarchy")
 	}
@@ -52,7 +52,7 @@ func TestMultigridHierarchy(t *testing.T) {
 // unpreconditioned oracle: same solution, far fewer iterations.
 func matchesReference(t *testing.T, rhs *grid.Grid, h float64, bc Boundary) {
 	t.Helper()
-	ps := NewDistPoisson(SelfDist(rhs.Dims(), 2, bc), h)
+	ps := NewDistPoisson(SelfDist(rhs.Dims(), bc), h)
 	phi, ref := grid.NewDims(rhs.Dims(), 2), grid.NewDims(rhs.Dims(), 2)
 	it, rel, err := ps.SolveCG(phi, rhs)
 	if err != nil {
@@ -108,7 +108,7 @@ func TestPCGIterationsIndependentOfResolution(t *testing.T) {
 		rhs.FillFunc(func(i, j, k int) float64 {
 			return math.Sin(2 * math.Pi * float64(i+j+k) / float64(n))
 		})
-		it, _, err := NewDistPoisson(SelfDist(topology.Dims{n, n, n}, 2, bc), 8.0/float64(n)).SolveCG(grid.New(n, n, n, 2), rhs)
+		it, _, err := NewDistPoisson(SelfDist(topology.Dims{n, n, n}, bc), 8.0/float64(n)).SolveCG(grid.New(n, n, n, 2), rhs)
 		if err != nil {
 			t.Fatal(err)
 		}

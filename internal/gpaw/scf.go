@@ -94,7 +94,7 @@ type SCF struct {
 // It is NewDistSCF's serial spelling, kept for the benchmark module
 // (benchmark/), which still calls it.
 func NewSCF(sys System) *SCF {
-	return NewDistSCF(SelfDist(sys.Dims, 2, sys.BC), sys)
+	return NewDistSCF(SelfDist(sys.Dims, sys.BC), sys)
 }
 
 // NewDistSCF builds the driver on d with conservative defaults; every

@@ -42,7 +42,7 @@ func TestEigenIterationAllocatesNoGrids(t *testing.T) {
 
 func testEigenIterationAllocs(t *testing.T, workers int) {
 	dims := topology.Dims{24, 24, 24}
-	d := SelfDist(dims, 2, Dirichlet)
+	d := SelfDist(dims, Dirichlet)
 	d.pool = nil // one worker: every allocation is this goroutine's
 	if workers > 1 {
 		d.pool = stencil.NewPool(workers)
@@ -122,7 +122,7 @@ func testEigenIterationAllocs(t *testing.T, workers int) {
 func TestSerialApplyAllocatesNothing(t *testing.T) {
 	dims := topology.Dims{12, 10, 8}
 	for _, bc := range []Boundary{Dirichlet, Periodic} {
-		d := SelfDist(dims, 2, bc)
+		d := SelfDist(dims, bc)
 		d.pool = nil // one worker: every allocation is this goroutine's
 		ham := NewDistHamiltonian(d, 0.5, HarmonicPotential(dims, 0.5, 1))
 		psi, dst := d.InitGuessBand(1, [3]int(dims))[0], d.NewLocalGrid()
@@ -350,12 +350,12 @@ func TestEigenScratchIsPerDist(t *testing.T) {
 		m      int
 	}
 	a, b := problem{topology.Dims{8, 8, 8}, 4}, problem{topology.Dims{10, 6, 8}, 3}
-	fresh := func(p problem) []uint64 { return solveBits(t, SelfDist(p.global, 2, Dirichlet), p.m, p.global) }
+	fresh := func(p problem) []uint64 { return solveBits(t, SelfDist(p.global, Dirichlet), p.m, p.global) }
 	wantA, wantB := fresh(a), fresh(b)
 
 	// One Dist reused across state counts: 4 states, then 2, then 4
 	// again; the scratch set shrinks and regrows.
-	d := SelfDist(a.global, 2, Dirichlet)
+	d := SelfDist(a.global, Dirichlet)
 	first := solveBits(t, d, a.m, a.global)
 	solveBits(t, d, 2, a.global)
 	if again := solveBits(t, d, a.m, a.global); !slices.Equal(first, wantA) || !slices.Equal(again, wantA) {

@@ -207,7 +207,7 @@ func TestTracedFaultRecovery(t *testing.T) {
 		Dims: global, Spacing: h, BC: Dirichlet,
 		Vext: HarmonicPotential(global, h, 1), Electrons: 2,
 	}
-	serial := NewDistSCF(SelfDist(sys.Dims, 2, sys.BC), sys)
+	serial := NewDistSCF(SelfDist(sys.Dims, sys.BC), sys)
 	serial.Tol = 1e-4
 	want, err := serial.Run()
 	if err != nil {

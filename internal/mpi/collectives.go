@@ -279,17 +279,12 @@ func (c *Comm) Gather(root int, in, out []float64) {
 // of one color must make the same sequence of Split calls on c, so that
 // their split counts agree.
 //
-// The child communicator's context id is derived deterministically from
-// (parent context, parent split count, index of the color among the
-// sorted distinct non-negative colors), so every member computes the
-// same id and sibling or nested communicators never match each other's
-// messages. The encoding packs 8 bits of split count and 8 bits of color
-// index per level into the 64-bit id, so it holds four levels below a
-// world; a fifth panics rather than wrap onto another communicator's id.
+// The child communicator is named by (parent context, parent split
+// count, index of the color among the sorted distinct non-negative
+// colors), which every member computes alike, and newCtx gives that name
+// a context id of its own, so sibling or nested communicators never
+// match each other's messages at any depth or split count.
 func (c *Comm) Split(colorOf func(r int) int) *Comm {
-	if c.ctx >= 1<<48 {
-		panic("mpi: Split nested too deep for a 64-bit context id")
-	}
 	c.splits++
 	color := colorOf(c.rank)
 	if color < 0 {
@@ -308,7 +303,7 @@ func (c *Comm) Split(colorOf func(r int) int) *Comm {
 			colorIndex++
 		}
 	}
-	ctx := c.ctx*(1<<16) + (c.splits%(1<<8))*(1<<8) + uint64(colorIndex+1)%(1<<8)
+	ctx := c.world.newCtx(ctxKey{c.ctx, c.splits, colorIndex}, members)
 	group := make([]int, 0, members)
 	newRank := 0
 	for r, wr := range c.group {
@@ -321,4 +316,36 @@ func (c *Comm) Split(colorOf func(r int) int) *Comm {
 		group = append(group, wr)
 	}
 	return &Comm{world: c.world, rank: newRank, group: group, active: c.active, ctx: ctx, epoch: c.epoch}
+}
+
+// ctxKey names a child communicator by its parent's context, the
+// parent's split count (Shrink: the new epoch) and the color's index
+// (Shrink: -1); ctxEntry is its id and the members yet to take it.
+type ctxKey struct {
+	parent, seq uint64
+	color       int
+}
+type ctxEntry struct {
+	id   uint64
+	left int
+}
+
+// newCtx returns the context id of child communicator k of the given
+// member count: the first member to ask draws the world's next id, and
+// the entry goes once every member has taken it. The ranks share the
+// World, so this sends nothing.
+func (w *World) newCtx(k ctxKey, members int) uint64 {
+	w.ctxMu.Lock()
+	defer w.ctxMu.Unlock()
+	e, ok := w.ctxs[k]
+	if !ok {
+		w.lastCtx++
+		e = ctxEntry{w.lastCtx, members}
+	}
+	if e.left--; e.left > 0 {
+		w.ctxs[k] = e
+	} else {
+		delete(w.ctxs, k)
+	}
+	return e.id
 }

@@ -430,7 +430,7 @@ func (c *Comm) Shrink(live []int) *Comm {
 		rank:   newRank,
 		group:  group,
 		active: c.active,
-		ctx:    uint64(newEpoch),
+		ctx:    w.newCtx(ctxKey{c.ctx, uint64(newEpoch), -1}, len(live)),
 		epoch:  newEpoch,
 	}
 }

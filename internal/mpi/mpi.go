@@ -316,6 +316,12 @@ type World struct {
 	// worlds that never arm message faults pay nothing beyond it.
 	chaosOn atomic.Bool
 	chaos   *chaosState
+
+	// Context ids (newCtx): the children still being built, and the
+	// last id drawn.
+	ctxMu   sync.Mutex
+	ctxs    map[ctxKey]ctxEntry
+	lastCtx uint64
 }
 
 // NewWorld creates a world of n ranks with the given thread mode.
@@ -323,7 +329,7 @@ func NewWorld(n int, mode ThreadMode) *World {
 	if n < 1 {
 		panic(fmt.Sprintf("mpi: world of %d ranks", n))
 	}
-	w := &World{size: n, mode: mode}
+	w := &World{size: n, mode: mode, ctxs: make(map[ctxKey]ctxEntry)}
 	w.boxes = make([]*mailbox, n)
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
@@ -394,13 +400,12 @@ type Comm struct {
 	// sharing ranks (a domain and a band communicator, a process grid and
 	// its row/column sub-communicators) never cross-matches, even when a
 	// fast rank races ahead into a sibling's collectives. The world has
-	// ctx 0; Split derives children's contexts deterministically, so
-	// every member agrees on its ctx without any communication.
+	// ctx 0; Split and Shrink draw each child's from the world's table
+	// (newCtx), so every member agrees on it without any communication.
 	ctx uint64
 	// splits counts Split calls on this communicator. The ranks of one
 	// color make the same sequence of Split calls, so the local counter
-	// agrees across a child's members and feeds the deterministic
-	// child-context derivation.
+	// agrees across a child's members and names the child in newCtx.
 	splits uint64
 
 	// epoch is the fault-tolerance epoch the communicator belongs to.

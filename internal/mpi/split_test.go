@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,8 +16,8 @@ import (
 // TestSplitSendsNothing: Split is local. Only rank 0 of a 4-rank world
 // calls it while the other ranks return at once — a collective would
 // strand rank 0 — and rank 0 still gets its pair communicator's size,
-// rank and context. Under the network model every rank's virtual clock
-// stays at 0.
+// rank and a context of its own. Under the network model every rank's
+// virtual clock stays at 0.
 func TestSplitSendsNothing(t *testing.T) {
 	w := testWorld(4, ThreadSingle)
 	w.SetOpTimeout(5 * time.Second)
@@ -26,8 +27,8 @@ func TestSplitSendsNothing(t *testing.T) {
 			return
 		}
 		sub := c.Split(func(r int) int { return r / 2 })
-		if sub.Size() != 2 || sub.Rank() != 0 || sub.ctx != 1<<8+1 {
-			t.Errorf("size %d rank %d ctx %#x, want 2, 0 and 0x101", sub.Size(), sub.Rank(), sub.ctx)
+		if sub.Size() != 2 || sub.Rank() != 0 || sub.ctx == c.ctx {
+			t.Errorf("size %d rank %d ctx %#x, want 2, 0 and not the world's %#x", sub.Size(), sub.Rank(), sub.ctx, c.ctx)
 		}
 	})
 	if err != nil {
@@ -40,11 +41,13 @@ func TestSplitSendsNothing(t *testing.T) {
 	}
 }
 
-// TestSplitMatchesLayouts holds every member's size, rank, group and
-// context to closed forms for the colorings the solver stack uses:
-// NewDist's band groups and band columns, the first k ranks (shrunk
-// multigrid levels, fault recovery) and pblas's grid rows and columns,
-// and for sparse colors with a rank left out. Split s (0-based) on the world gets context (s+1)·2⁸ + index + 1.
+// TestSplitMatchesLayouts holds every member's size, rank and group to
+// closed forms for the colorings the solver stack uses: NewDist's band
+// groups and band columns, the first k ranks (shrunk multigrid levels,
+// fault recovery) and pblas's grid rows and columns, and for sparse
+// colors with a rank left out. The members of one child, named by
+// (split s, color index), share one context, and no two children of a
+// layout share one.
 func TestSplitMatchesLayouts(t *testing.T) {
 	span := func(first, n, stride int) []int {
 		g := make([]int, n)
@@ -53,12 +56,12 @@ func TestSplitMatchesLayouts(t *testing.T) {
 		}
 		return g
 	}
-	ctxOf := func(s, index int) uint64 { return uint64(s+1)<<8 + uint64(index+1) }
+	type child struct{ s, index int }
 	// want gives world rank r's new rank, group (world ranks, nil when
-	// Split returns nil) and context.
+	// Split returns nil) and child.
 	type split struct {
 		colorOf func(r int) int
-		want    func(r int) (rank int, group []int, ctx uint64)
+		want    func(r int) (rank int, group []int, ch child)
 	}
 	type layout struct {
 		name   string
@@ -70,9 +73,9 @@ func TestSplitMatchesLayouts(t *testing.T) {
 	rowsCols := func(n, m int) []split {
 		return []split{
 			{func(r int) int { return r / m },
-				func(r int) (int, []int, uint64) { return r % m, span(r/m*m, m, 1), ctxOf(0, r/m) }},
+				func(r int) (int, []int, child) { return r % m, span(r/m*m, m, 1), child{0, r / m} }},
 			{func(r int) int { return r % m },
-				func(r int) (int, []int, uint64) { return r / m, span(r%m, n/m, m), ctxOf(1, r%m) }},
+				func(r int) (int, []int, child) { return r / m, span(r%m, n/m, m), child{1, r % m} }},
 		}
 	}
 	var layouts []layout
@@ -87,11 +90,11 @@ func TestSplitMatchesLayouts(t *testing.T) {
 				}
 				return -1
 			},
-			func(r int) (int, []int, uint64) {
+			func(r int) (int, []int, child) {
 				if r >= k {
-					return 0, nil, 0
+					return 0, nil, child{}
 				}
-				return r, span(0, k, 1), ctxOf(0, 0)
+				return r, span(0, k, 1), child{0, 0}
 			}}}})
 	}
 	layouts = append(layouts, layout{"pblas 2x3", 6, rowsCols(6, 3)})
@@ -100,29 +103,45 @@ func TestSplitMatchesLayouts(t *testing.T) {
 	groups := map[int][]int{3: {1, 5}, 70: {0, 2}, 130: {4}}
 	layouts = append(layouts, layout{"sparse colors", len(colors), []split{{
 		func(r int) int { return colors[r] },
-		func(r int) (int, []int, uint64) {
+		func(r int) (int, []int, child) {
 			g := groups[colors[r]]
-			return slices.Index(g, r), g, ctxOf(0, slices.Index([]int{3, 70, 130}, colors[r]))
+			return slices.Index(g, r), g, child{0, slices.Index([]int{3, 70, 130}, colors[r])}
 		}}}})
 	for _, l := range layouts {
+		var mu sync.Mutex
+		ctxs := map[child]uint64{}
 		err := runRanks(l.n, ThreadSingle, func(c *Comm) {
 			for s, sp := range l.splits {
 				sub := c.Split(sp.colorOf)
-				rank, group, ctx := sp.want(c.Rank())
+				rank, group, ch := sp.want(c.Rank())
 				switch {
 				case group == nil && sub != nil:
 					t.Errorf("%s split %d rank %d: got size %d, want nil", l.name, s, c.Rank(), sub.Size())
 				case group == nil:
 				case sub == nil:
 					t.Errorf("%s split %d rank %d: got nil, want size %d", l.name, s, c.Rank(), len(group))
-				case sub.Size() != len(group) || sub.Rank() != rank || !slices.Equal(sub.group, group) || sub.ctx != ctx:
-					t.Errorf("%s split %d rank %d: size %d rank %d group %v ctx %#x, want %d, %d, %v and %#x",
-						l.name, s, c.Rank(), sub.Size(), sub.Rank(), sub.group, sub.ctx, len(group), rank, group, ctx)
+				case sub.Size() != len(group) || sub.Rank() != rank || !slices.Equal(sub.group, group):
+					t.Errorf("%s split %d rank %d: size %d rank %d group %v, want %d, %d and %v",
+						l.name, s, c.Rank(), sub.Size(), sub.Rank(), sub.group, len(group), rank, group)
+				default:
+					mu.Lock()
+					if prev, ok := ctxs[ch]; ok && prev != sub.ctx {
+						t.Errorf("%s split %d rank %d: ctx %#x, another member has %#x", l.name, s, c.Rank(), sub.ctx, prev)
+					}
+					ctxs[ch] = sub.ctx
+					mu.Unlock()
 				}
 			}
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", l.name, err)
+		}
+		owner := map[uint64]child{0: {-1, -1}} // the world's context
+		for ch, ctx := range ctxs {
+			if prev, ok := owner[ctx]; ok {
+				t.Errorf("%s: children %v and %v share ctx %#x", l.name, prev, ch, ctx)
+			}
+			owner[ctx] = ch
 		}
 	}
 }
@@ -255,9 +274,8 @@ func TestSplitNestedGrids(t *testing.T) {
 
 // TestNestedContextsNeverAlias: the multigrid shrink chain's shape —
 // world -> D (every rank) -> D's first 4 -> their first 2 — nests
-// contexts three levels deep, and the grandchild's context equals its
-// parent's modulo 2³¹. Ranks 0 and 1 are ranks 0 and 1 of both, and
-// their first collectives on each carry the same sequence number. Rank
+// contexts three levels deep. Ranks 0 and 1 are ranks 0 and 1 of both,
+// and their first collectives on each carry the same tag. Rank
 // 0 broadcasts on the parent, then on the grandchild; rank 1 receives
 // the two in the opposite order. Each broadcast must deliver its own
 // communicator's value: messages match on the whole context.
@@ -277,10 +295,6 @@ func TestNestedContextsNeverAlias(t *testing.T) {
 		d := c.Split(func(int) int { return 0 })
 		four := d.Split(first(4))
 		two := four.Split(first(2))
-		if four.ctx != 16843009 || two != nil && two.ctx != 1103823438081 {
-			t.Errorf("rank %d: parent context %d, want 16843009 (and the grandchild's 1103823438081)", c.Rank(), four.ctx)
-			return
-		}
 		parent, child := []float64{0}, []float64{0}
 		switch c.Rank() {
 		case 0:
@@ -297,6 +311,56 @@ func TestNestedContextsNeverAlias(t *testing.T) {
 		if parent[0] != parentVal || child[0] != childVal {
 			t.Errorf("rank %d: parent broadcast delivered %g, grandchild's %g; want %d and %d",
 				c.Rank(), parent[0], child[0], parentVal, childVal)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestContextsNeverAliasAtAnyDepth: a communicator chain nested nine
+// levels below a shrunk world, and the first and 257th children of one
+// parent, each keep their own traffic. Rank 0 broadcasts on every
+// communicator of a set in order and rank 1 receives in the reverse
+// order, so two of them sharing a context would swap values.
+func TestContextsNeverAliasAtAnyDepth(t *testing.T) {
+	w := testWorld(2, ThreadSingle)
+	w.SetOpTimeout(5 * time.Second)
+	all := func(int) int { return 0 }
+	err := w.Run(func(c *Comm) {
+		chain := []*Comm{c.Shrink([]int{0, 1})}
+		for len(chain) < 10 {
+			chain = append(chain, chain[len(chain)-1].Split(all))
+		}
+		wide := []*Comm{c.Split(all), nil}
+		for i := 0; i < 255; i++ {
+			c.Split(all)
+		}
+		wide[1] = c.Split(all)
+		for _, set := range []struct {
+			name  string
+			comms []*Comm
+		}{{"chain", chain}, {"wide", wide}} {
+			name, comms := set.name, set.comms
+			bufs := make([][]float64, len(comms))
+			for i := range bufs {
+				bufs[i] = []float64{0}
+				if c.Rank() == 0 {
+					bufs[i][0] = float64(i + 1)
+				}
+			}
+			for k := range comms {
+				i := k
+				if c.Rank() == 1 {
+					i = len(comms) - 1 - k
+				}
+				comms[i].Bcast(0, bufs[i])
+			}
+			for i, b := range bufs {
+				if b[0] != float64(i+1) {
+					t.Errorf("rank %d: %s communicator %d delivered %g, want %d", c.Rank(), name, i, b[0], i+1)
+				}
+			}
 		}
 	})
 	if err != nil {
