@@ -45,8 +45,9 @@
 //     world-wide pending-receive dump.
 //   - internal/bgpsim — a calibrated discrete-event model of Blue
 //     Gene/P (Table I constants, torus links, DMA, mesh partitions)
-//     that replays the protocols at up to 16 384 cores and regenerates
-//     every figure of the paper's evaluation. It and the live runtime's
+//     that prices core.Schedule, the engine's own exchange schedule,
+//     at up to 16 384 cores and regenerates every figure of the
+//     paper's evaluation. It and the live runtime's
 //     virtual-time network model (mpi.World.SetNetModel) are one cost
 //     model: one parameter set (mpi.NetParams, embedded in
 //     bgpsim.Params) and one pricing of an inter-node message,

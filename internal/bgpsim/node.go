@@ -100,15 +100,16 @@ func (r *simRank) copyCost(p *sim.Proc, n int64) {
 }
 
 // sendFace models sending one halo message of n bytes toward `side` of
-// dimension dim. It charges posting cost on the calling process, prices
-// the message with NetParams.Inject (or the intra-node engine) and
-// fulfils the completion slot of the mirrored receiver — the
+// dimension dim. It charges the send's posting cost on the calling
+// process (the receive's is charged where it is posted, before the
+// pack), prices the message with NetParams.Inject (or the intra-node
+// engine) and fulfils the completion slot of the mirrored receiver — the
 // node-local rank standing in for the actual destination under
 // translational symmetry.
 func (r *simRank) sendFace(p *sim.Proc, dim int, side int, n int64) {
 	nd := r.nd
 	lay := &nd.lay
-	r.post(p) // the matching receive's posting is charged by awaitFace
+	r.post(p)
 	seq := r.sendSeq[dim][side]
 	r.sendSeq[dim][side]++
 
@@ -158,16 +159,12 @@ func (r *simRank) sendFace(p *sim.Proc, dim int, side int, n int64) {
 }
 
 // awaitFace blocks the process until the next incoming halo message for
-// (dim, side) has arrived, charging the receive posting cost.
+// (dim, side) has arrived. It charges no CPU: waiting is idle time.
 func (r *simRank) awaitFace(p *sim.Proc, dim, side int) {
 	seq := r.recvSeq[dim][side]
 	r.recvSeq[dim][side]++
 	r.slot(dim, side, seq).await(p)
 }
-
-// postRecv charges the CPU cost of posting the receive (done before the
-// sends in the real protocol).
-func (r *simRank) postRecv(p *sim.Proc) { r.post(p) }
 
 // rankAt finds the node-local rank with the given intra position. For
 // hybrid layouts (intra = 1x1x1) every thread maps to thread `self` —

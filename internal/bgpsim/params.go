@@ -3,6 +3,12 @@
 // machine scale (up to 16 384 cores), standing in for the 4-rack system
 // the authors benchmarked.
 //
+// The replay writes no schedule of its own: Simulate hands core.Schedule
+// a Steps value that prices each post, wait and compute on the node
+// model in the order core.Engine runs them — per dimension, post both
+// receives, pack, send both faces; after a wait, unpack (or wrap an
+// undivided dimension) dimension by dimension.
+//
 // # Model
 //
 // Machine constants come from Table I of the paper. Free parameters of

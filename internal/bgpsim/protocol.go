@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/stencil"
 	"repro/internal/topology"
 )
 
@@ -19,7 +20,7 @@ type Workload struct {
 	Applications int
 }
 
-// DefaultWorkload fills in the paper's constants for unset fields.
+// withDefaults fills in the paper's constants for unset fields.
 func (w Workload) withDefaults() Workload {
 	if w.Radius == 0 {
 		w.Radius = 2
@@ -186,61 +187,45 @@ func Simulate(w Workload, cfg Config) (Result, error) {
 	if active > CoresPerNode {
 		active = CoresPerNode
 	}
-	tpp := prm.PointTime(w.FlopsPerPoint(), 16, active)
-	localPoints := lay.local.Count()
 	opts := core.OptionsFor(cfg.Approach, cfg.BatchSize, CoresPerNode)
 	opts.BatchRamp = cfg.BatchRamp
-
-	// Build the simulated ranks/threads and their grid shares.
-	type share struct {
-		r     *simRank
-		grids int
+	x0 := replay{forkJoin: cfg.Approach == core.HybridMasterOnly, points: lay.local.Count(),
+		tpp: prm.PointTime(w.FlopsPerPoint(), 16, active), active: active}
+	for d := 0; d < 3; d++ {
+		x0.faceBytes[d] = topology.HaloBytes(lay.local, d, w.Radius, w.Elem)
+		x0.commDim[d] = lay.rankGrid[d] > 1
 	}
-	var shares []share
-	switch {
-	case cfg.SplitGroups:
-		groups := lay.ranksNode
-		for i := 0; i < groups; i++ {
-			r := &simRank{nd: nd, idx: i, multiple: false}
-			nd.ranks = append(nd.ranks, r)
-			_, n := topology.Split(w.NumGrids, groups, i)
-			shares = append(shares, share{r, n})
+	// run places one simulated rank or thread on the node and replays
+	// the schedule over its share of the grids.
+	run := func(r *simRank, grids int) {
+		nd.ranks = append(nd.ranks, r)
+		if grids == 0 {
+			return
 		}
-	case cfg.Approach == core.HybridMultiple:
+		x := x0
+		x.r = r
+		k.Spawn(func(p *sim.Proc) {
+			x.p = p
+			core.Schedule(opts, grids, false, &x)
+			if cfg.Approach == core.HybridMultiple {
+				p.Hold(prm.JoinOnce)
+			}
+		})
+	}
+	switch {
+	case cfg.SplitGroups || cfg.Approach == core.HybridMultiple:
+		// Whole grids divided among the node's threads or, with
+		// SplitGroups, among its grid groups, one per core.
 		for i := 0; i < lay.ranksNode; i++ {
-			r := &simRank{nd: nd, idx: i, multiple: true}
-			nd.ranks = append(nd.ranks, r)
 			_, n := topology.Split(w.NumGrids, lay.ranksNode, i)
-			shares = append(shares, share{r, n})
+			run(&simRank{nd: nd, idx: i, multiple: !cfg.SplitGroups}, n)
 		}
 	case cfg.Approach == core.HybridMasterOnly:
-		r := &simRank{nd: nd, idx: 0, multiple: false}
-		nd.ranks = append(nd.ranks, r)
-		shares = append(shares, share{r, w.NumGrids})
+		run(&simRank{nd: nd}, w.NumGrids)
 	default: // flat layouts: every rank owns a piece of every grid
 		for i := 0; i < lay.ranksNode; i++ {
-			r := &simRank{nd: nd, idx: i, intraPos: lay.intra.Coord(i), multiple: false}
-			nd.ranks = append(nd.ranks, r)
-			shares = append(shares, share{r, w.NumGrids})
+			run(&simRank{nd: nd, idx: i, intraPos: lay.intra.Coord(i)}, w.NumGrids)
 		}
-	}
-
-	// faceBytes[dim] per grid in one direction.
-	var faceBytes [3]int64
-	for d := 0; d < 3; d++ {
-		faceBytes[d] = topology.HaloBytes(lay.local, d, w.Radius, w.Elem)
-	}
-	// commDim[dim] reports whether dimension d crosses rank boundaries.
-	var commDim [3]bool
-	for d := 0; d < 3; d++ {
-		commDim[d] = lay.rankGrid[d] > 1
-	}
-
-	for _, sh := range shares {
-		sh := sh
-		k.Spawn(func(p *sim.Proc) {
-			runProtocol(p, nd, sh.r, sh.grids, cfg, opts, tpp, localPoints, faceBytes, commDim)
-		})
 	}
 	wall := k.Run()
 	if wall <= 0 {
@@ -263,117 +248,69 @@ func Simulate(w Workload, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// runProtocol enacts one application of the approach's exchange +
-// compute protocol for one rank or thread owning `grids` grids.
-func runProtocol(p *sim.Proc, nd *node, r *simRank, grids int,
-	cfg Config, opts core.Options, tpp float64, localPoints int,
-	faceBytes [3]int64, commDim [3]bool) {
+// replay prices the actions of core.Schedule for one rank or thread on
+// the node model, in the live engine's order.
+type replay struct {
+	p         *sim.Proc
+	r         *simRank
+	forkJoin  bool // hybrid master-only: each grid fork-joins the threads
+	tpp       float64
+	points    int // local points per grid
+	active    int // cores computing on the node
+	faceBytes [3]int64
+	commDim   [3]bool // the dimension crosses rank boundaries
+}
 
-	if grids == 0 {
-		return
+// dims returns the dimensions [lo, hi) a Schedule action names.
+func dims(dim int) (lo, hi int) {
+	if dim == core.AllDims {
+		return 0, 3
 	}
-	batches := core.MakeBatches(grids, opts.BatchSize, opts.BatchRamp)
-	prm := nd.prm
+	return dim, dim + 1
+}
 
-	packBatch := func(n int) {
-		// Pack the six face buffers of n grids (CPU copies).
-		for d := 0; d < 3; d++ {
-			if !commDim[d] {
-				continue
-			}
-			r.copyCost(p, 2*faceBytes[d]*int64(n))
+// Post charges, per dimension that crosses rank boundaries, the posting
+// of both receives, the pack of the batch's faces and both sends, as
+// core.Engine.postDim runs them.
+func (x *replay) Post(_ int, b core.Batch, dim int) {
+	lo, hi := dims(dim)
+	for d := lo; d < hi; d++ {
+		if !x.commDim[d] {
+			continue
 		}
+		n := x.faceBytes[d] * int64(b.Size())
+		x.r.post(x.p)
+		x.r.post(x.p)
+		x.r.copyCost(x.p, 2*n)
+		x.r.sendFace(x.p, d, 0, n)
+		x.r.sendFace(x.p, d, 1, n)
 	}
-	unpackBatch := func(n int) {
-		for d := 0; d < 3; d++ {
-			if !commDim[d] {
-				continue
-			}
-			r.copyCost(p, 2*faceBytes[d]*int64(n))
-		}
-	}
-	localWrap := func(n int) {
-		// Undivided periodic dimensions wrap locally: one copy per face,
-		// as the live engine does (core.Engine.unpackDim, grid.WrapHalos).
-		for d := 0; d < 3; d++ {
-			if commDim[d] {
-				continue
-			}
-			r.copyCost(p, 2*faceBytes[d]*int64(n))
-		}
-	}
-	start := func(n int) {
-		packBatch(n)
-		for d := 0; d < 3; d++ {
-			if !commDim[d] {
-				continue
-			}
-			r.postRecv(p)
-			r.postRecv(p)
-			r.sendFace(p, d, 0, faceBytes[d]*int64(n))
-			r.sendFace(p, d, 1, faceBytes[d]*int64(n))
-		}
-	}
-	finish := func(n int) {
-		for d := 0; d < 3; d++ {
-			if !commDim[d] {
-				continue
-			}
-			r.awaitFace(p, d, 0)
-			r.awaitFace(p, d, 1)
-		}
-		unpackBatch(n)
-		localWrap(n)
-	}
-	serialized := func(n int) {
-		for d := 0; d < 3; d++ {
-			if !commDim[d] {
-				continue
-			}
-			r.copyCost(p, 2*faceBytes[d]*int64(n)) // pack this dimension
-			r.postRecv(p)
-			r.postRecv(p)
-			r.sendFace(p, d, 0, faceBytes[d]*int64(n))
-			r.sendFace(p, d, 1, faceBytes[d]*int64(n))
-			r.awaitFace(p, d, 0)
-			r.awaitFace(p, d, 1)
-			r.copyCost(p, 2*faceBytes[d]*int64(n)) // unpack before next dim
-		}
-		localWrap(n)
-	}
-	active := cfg.Cores
-	if active > CoresPerNode {
-		active = CoresPerNode
-	}
-	computeBatch := func(n int) {
-		for g := 0; g < n; g++ {
-			if cfg.Approach == core.HybridMasterOnly {
-				nd.forkJoinCompute(p, localPoints, tpp, active)
-			} else {
-				nd.compute(p, localPoints, tpp)
-			}
-		}
-	}
+}
 
-	// The approach is the schedule, as in core.Engine: flat original
-	// exchanges serialized, every other approach double-buffers.
-	if cfg.Approach == core.FlatOriginal {
-		for _, b := range batches {
-			serialized(b.Size())
-			computeBatch(b.Size())
-		}
-	} else {
-		start(batches[0].Size())
-		for bi := range batches {
-			if bi+1 < len(batches) {
-				start(batches[bi+1].Size())
-			}
-			finish(batches[bi].Size())
-			computeBatch(batches[bi].Size())
+// Wait awaits the batch's faces, then copies each dimension in order:
+// the unpack of received faces, or the local wrap of an undivided
+// dimension (core.Engine.unpackDim, grid.WrapHalos) — one copy per face
+// either way.
+func (x *replay) Wait(_ int, b core.Batch, dim int) {
+	lo, hi := dims(dim)
+	for d := lo; d < hi; d++ {
+		if x.commDim[d] {
+			x.r.awaitFace(x.p, d, 0)
+			x.r.awaitFace(x.p, d, 1)
 		}
 	}
+	for d := lo; d < hi; d++ {
+		x.r.copyCost(x.p, 2*x.faceBytes[d]*int64(b.Size()))
+	}
+}
 
-	if cfg.Approach == core.HybridMultiple {
-		p.Hold(prm.JoinOnce)
+// Compute charges the stencil on every grid of the batch.
+func (x *replay) Compute(b core.Batch, _ stencil.Region) {
+	for g := 0; g < b.Size(); g++ {
+		if x.forkJoin {
+			x.r.nd.forkJoinCompute(x.p, x.points, x.tpp, x.active)
+		} else {
+			x.r.nd.compute(x.p, x.points, x.tpp)
+		}
 	}
 }

@@ -7,11 +7,14 @@
 // built for one approach, and that approach alone selects its exchange
 // schedule; there are no separate exchange switches.
 //
-// The engine runs on the in-process MPI runtime (internal/mpi) and does
-// real arithmetic; all four approaches are verified to produce results
-// identical to a sequential reference. The same protocols are re-enacted
-// at full machine scale on the Blue Gene/P performance model in
-// internal/bgpsim.
+// The schedule is one function, Schedule: it orders the posts, waits and
+// compute of a set of grids through the three actions of a Steps value.
+// The engine's Steps run them on the in-process MPI runtime
+// (internal/mpi) with real arithmetic; all four approaches are verified
+// to produce results identical to a sequential reference. The Blue
+// Gene/P performance model in internal/bgpsim prices the same Schedule
+// at full machine scale, so the schedule it times is the one the engine
+// runs.
 package core
 
 import "fmt"

@@ -53,13 +53,94 @@ func TestOptionsForMatchesPaper(t *testing.T) {
 	}
 }
 
+// scheduledBatches returns the batches Schedule hands to Compute for n
+// grids in batches of size, the first halved with ramp.
+func scheduledBatches(n, size int, ramp bool) []Batch {
+	var r recorder
+	Schedule(Options{Approach: FlatOptimized, BatchSize: size, BatchRamp: ramp}, n, false, &r)
+	return r.batches
+}
+
+// recorder is a Steps that records every action as a token: Post and
+// Wait as "P" or "W", batch index and dimension (x, y, z, or a for
+// AllDims), Compute as the region's initial (F, I, S) and the batch.
+// It panics if a Wait names another batch than its Post.
+type recorder struct {
+	actions []string
+	batches []Batch // Compute's batches, in order, without repeats
+	posted  map[int]Batch
+}
+
+func (r *recorder) step(op string, bi int, b Batch, dim int) {
+	if r.posted == nil {
+		r.posted = map[int]Batch{}
+	}
+	if op == "P" {
+		r.posted[bi] = b
+	} else if r.posted[bi] != b {
+		panic(fmt.Sprintf("%s%d: batch %v, posted %v", op, bi, b, r.posted[bi]))
+	}
+	r.actions = append(r.actions, fmt.Sprintf("%s%d%c", op, bi, "axyz"[dim+1]))
+}
+
+func (r *recorder) Post(bi int, b Batch, dim int) { r.step("P", bi, b, dim) }
+func (r *recorder) Wait(bi int, b Batch, dim int) { r.step("W", bi, b, dim) }
+func (r *recorder) Compute(b Batch, reg stencil.Region) {
+	if n := len(r.batches); n == 0 || r.batches[n-1] != b {
+		r.batches = append(r.batches, b)
+	}
+	r.actions = append(r.actions, fmt.Sprintf("%c[%d,%d)", "FIS"[reg], b.Lo, b.Hi))
+}
+
+// TestScheduleOrder pins the action sequence of Schedule for every
+// approach, with and without overlap, on one grid and on 7 grids in
+// batches of 2 with the first halved: flat original posts and waits on
+// each dimension in turn before it computes; the others post batch b+1
+// before they wait on batch b; overlap computes Interior before the wait
+// and Shell after.
+func TestScheduleOrder(t *testing.T) {
+	serialized := func(bi int, compute string) string {
+		return strings.ReplaceAll("P#x W#x P#y W#y P#z W#z ", "#", fmt.Sprint(bi)) + compute
+	}
+	want := map[[3]bool]string{
+		// {flat original, overlap, 7 grids}
+		{true, false, false}: serialized(0, "F[0,1)"),
+		{true, true, false}:  serialized(0, "I[0,1) S[0,1)"),
+		{true, false, true}: serialized(0, "F[0,1)") + " " + serialized(1, "F[1,3)") + " " +
+			serialized(2, "F[3,5)") + " " + serialized(3, "F[5,7)"),
+		{true, true, true}: serialized(0, "I[0,1) S[0,1)") + " " + serialized(1, "I[1,3) S[1,3)") + " " +
+			serialized(2, "I[3,5) S[3,5)") + " " + serialized(3, "I[5,7) S[5,7)"),
+		{false, false, false}: "P0a W0a F[0,1)",
+		{false, true, false}:  "P0a I[0,1) W0a S[0,1)",
+		{false, false, true}:  "P0a P1a W0a F[0,1) P2a W1a F[1,3) P3a W2a F[3,5) W3a F[5,7)",
+		{false, true, true}: "P0a P1a I[0,1) W0a S[0,1) P2a I[1,3) W1a S[1,3) " +
+			"P3a I[3,5) W2a S[3,5) I[5,7) W3a S[5,7)",
+	}
+	for _, a := range Approaches {
+		for _, overlap := range []bool{false, true} {
+			for _, many := range []bool{false, true} {
+				o, n := Options{Approach: a, BatchSize: 1, Threads: 1}, 1
+				if many {
+					o.BatchSize, o.BatchRamp, n = 2, true, 7
+				}
+				var r recorder
+				Schedule(o, n, overlap, &r)
+				w := want[[3]bool{a == FlatOriginal, overlap, many}]
+				if got := strings.Join(r.actions, " "); got != w {
+					t.Errorf("%v overlap=%v grids=%d:\n got %s\nwant %s", a, overlap, n, got, w)
+				}
+			}
+		}
+	}
+}
+
 func TestMakeBatches(t *testing.T) {
-	bs := MakeBatches(10, 4, false)
+	bs := scheduledBatches(10, 4, false)
 	if len(bs) != 3 || bs[0] != (Batch{0, 4}) || bs[1] != (Batch{4, 8}) || bs[2] != (Batch{8, 10}) {
 		t.Fatalf("batches = %v", bs)
 	}
 	// Ramp halves the first batch.
-	bs = MakeBatches(10, 4, true)
+	bs = scheduledBatches(10, 4, true)
 	if bs[0].Size() != 2 {
 		t.Fatalf("ramp first batch = %d, want 2", bs[0].Size())
 	}
@@ -75,11 +156,11 @@ func TestMakeBatches(t *testing.T) {
 	if total != 10 {
 		t.Fatalf("batches cover %d grids, want 10", total)
 	}
-	if got := MakeBatches(0, 4, true); got != nil {
+	if got := scheduledBatches(0, 4, true); got != nil {
 		t.Fatalf("batches of empty set = %v", got)
 	}
 	// Ramp with n <= size leaves a single batch.
-	bs = MakeBatches(3, 8, true)
+	bs = scheduledBatches(3, 8, true)
 	if len(bs) != 1 || bs[0].Size() != 3 {
 		t.Fatalf("small ramp batches = %v", bs)
 	}

@@ -43,10 +43,10 @@ type Engine struct {
 	stats   Stats
 
 	// scratchMu guards the free pool below. Exchange state (pack/unpack
-	// buffers, request slices, batch lists) is hoisted onto the engine
-	// and recycled across protocol invocations, so the steady state of
-	// the protocol loop — blocking and split-phase alike — performs no
-	// per-iteration allocation.
+	// buffers, request slices) is hoisted onto the engine and recycled
+	// across protocol invocations, so the steady state of the protocol
+	// loop — blocking and split-phase alike — performs no per-iteration
+	// allocation.
 	scratchMu   sync.Mutex
 	scratchFree []*applyScratch
 }
@@ -152,38 +152,74 @@ func (b Batch) Size() int { return b.Hi - b.Lo }
 // shift returns the batch moved up by off grid indices.
 func (b Batch) shift(off int) Batch { return Batch{b.Lo + off, b.Hi + off} }
 
-// MakeBatches splits n grids into batches of the given size. With ramp
-// the first batch is halved (rounded up) so the pipeline can start
-// computing sooner; the paper's example reduces an initial 128 to 64.
-// It is shared by the real engine and the Blue Gene/P simulator so both
-// enact identical batch structures.
-func MakeBatches(n, size int, ramp bool) []Batch {
-	if n == 0 {
-		return nil
-	}
-	return appendBatches(nil, n, size, ramp)
+// AllDims names, as the dim of a Steps action, the exchange of all three
+// dimensions at once (section V); 0, 1 and 2 name one dimension of the
+// serialized pattern (section IV.A).
+const AllDims = -1
+
+// Steps are the three actions Schedule orders. Batch bi's exchange is
+// posted by Post(bi, b, dim) and completed, its halos installed, by
+// Wait(bi, b, dim); Compute(b, r) computes region r of the batch. The
+// engine's applyScratch runs them on the MPI runtime, internal/bgpsim's
+// replay prices them on the Blue Gene/P node model.
+type Steps interface {
+	Post(bi int, b Batch, dim int)
+	Wait(bi int, b Batch, dim int)
+	Compute(b Batch, r stencil.Region)
 }
 
-// appendBatches is MakeBatches appending into a reusable slice, so the
-// per-iteration protocol loops build their batch lists without
-// allocating once the slice has grown to its steady-state capacity.
-func appendBatches(out []Batch, n, size int, ramp bool) []Batch {
-	lo := 0
-	if ramp && size > 1 {
-		if first := (size + 1) / 2; first < n {
-			out = append(out, Batch{0, first})
-			lo = first
+// Schedule is the one exchange schedule: it orders the posts, waits and
+// compute of n grids under the options' approach, in batches of
+// o.BatchSize after a first batch halved (rounded up) with o.BatchRamp,
+// so the pipeline starts computing sooner (the paper reduces an initial
+// 128 to 64).
+//
+// Flat original completes dimension 1, then 2, then 3, blocking on each
+// (section IV.A), before it computes the batch. Every other approach
+// posts all three dimensions at once and double-buffers: batch b+1's
+// exchange is posted before batch b's is awaited (section V). Without
+// overlap each batch computes Full after its wait; with it, Interior
+// (which reads no halo) before the wait and Shell after, so the
+// serialized pattern, having no window, runs both after its waits.
+func Schedule(o Options, n int, overlap bool, s Steps) {
+	size, first := o.BatchSize, o.BatchSize
+	if o.BatchRamp {
+		first = (size + 1) / 2
+	}
+	next := func(b Batch) Batch { return Batch{b.Hi, min(b.Hi+size, n)} }
+	b := Batch{0, min(first, n)}
+	if o.Approach == FlatOriginal {
+		for bi := 0; b.Lo < n; bi, b = bi+1, next(b) {
+			for dim := 0; dim < 3; dim++ {
+				s.Post(bi, b, dim)
+				s.Wait(bi, b, dim)
+			}
+			if overlap {
+				s.Compute(b, stencil.Interior)
+				s.Compute(b, stencil.Shell)
+			} else {
+				s.Compute(b, stencil.Full)
+			}
+		}
+		return
+	}
+	if n > 0 {
+		s.Post(0, b, AllDims)
+	}
+	for bi := 0; b.Lo < n; bi, b = bi+1, next(b) {
+		if nb := next(b); nb.Lo < n {
+			s.Post(bi+1, nb, AllDims)
+		}
+		if overlap {
+			s.Compute(b, stencil.Interior)
+		}
+		s.Wait(bi, b, AllDims)
+		if overlap {
+			s.Compute(b, stencil.Shell)
+		} else {
+			s.Compute(b, stencil.Full)
 		}
 	}
-	for lo < n {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		out = append(out, Batch{lo, hi})
-		lo = hi
-	}
-	return out
 }
 
 // exchangeState holds the buffers and requests of one in-flight batch
@@ -192,19 +228,20 @@ type exchangeState struct {
 	send [3][2][]float64
 	recv [3][2][]float64
 	reqs []*mpi.Request
-	b    Batch
-	// tag names the non-blocking exchange on the trace: its halo.post
-	// and halo.wait spans carry it, which is how trace.Profile pairs
-	// them.
-	tag int
 }
 
-// applyScratch is the reusable state of one protocol invocation: the
-// batch list and the two exchange states the double buffer ping-pongs
-// between. Scratches are pooled on the engine (getScratch/putScratch),
-// so their buffers persist across solver iterations.
+// applyScratch is one protocol invocation: the share it runs — src,
+// its tagBase, the offset off of its batches in the caller's slice and
+// the compute callback — and the two exchange states the double buffer
+// ping-pongs between. It is the engine's Steps. Scratches are pooled on
+// the engine (getScratch/putScratch), so their buffers persist across
+// solver iterations and a Run hands Schedule no new value.
 type applyScratch struct {
-	batches []Batch
+	e       *Engine
+	src     []*grid.Grid
+	tagBase int
+	off     int
+	compute func(b Batch, r stencil.Region)
 	states  [2]exchangeState
 }
 
@@ -221,11 +258,13 @@ func (e *Engine) getScratch() *applyScratch {
 		return sc
 	}
 	e.scratchMu.Unlock()
-	return &applyScratch{}
+	return &applyScratch{e: e}
 }
 
-// putScratch returns a scratch (and its grown buffers) to the pool.
+// putScratch returns a scratch (and its grown buffers) to the pool,
+// dropping its share.
 func (e *Engine) putScratch(sc *applyScratch) {
+	sc.src, sc.compute = nil, nil
 	e.scratchMu.Lock()
 	e.scratchFree = append(e.scratchFree, sc)
 	e.scratchMu.Unlock()
@@ -239,17 +278,85 @@ func faceTag(tagBase, bi, dim int, side grid.Side) int {
 	return tagBase + bi*6 + dim*2 + int(side)
 }
 
-// startExchange packs the batch's surface points and posts the receives
-// and sends for every dimension at once (section V).
+// state returns the exchange state of batch bi: the serialized pattern
+// completes each dimension before it posts the next, so it keeps one.
+func (sc *applyScratch) state(bi, dim int) *exchangeState {
+	if dim == AllDims {
+		return &sc.states[bi%2]
+	}
+	return &sc.states[0]
+}
+
+// Post packs the batch's surface points and posts the receives and
+// sends of dimension dim, or of every dimension at once inside a
+// halo.post span tagged for the batch.
 //
 //gpaw:hotpath
-func (e *Engine) startExchange(st *exchangeState, src []*grid.Grid, tagBase, bi int) {
-	st.tag = faceTag(tagBase, bi, 0, grid.Low)
-	sp := e.cart.TraceRank().BeginComm(trace.HaloPost, trace.KindExchange, -1, st.tag, 0)
+func (sc *applyScratch) Post(bi int, b Batch, dim int) {
+	e, st := sc.e, sc.state(bi, dim)
 	st.reqs = st.reqs[:0]
-	for dim := 0; dim < 3; dim++ {
-		e.postDim(st, src, tagBase, bi, dim)
+	if dim != AllDims {
+		e.postDim(st, sc.src, b, sc.tagBase, bi, dim)
+		return
 	}
+	sp := e.cart.TraceRank().BeginComm(trace.HaloPost, trace.KindExchange, -1, faceTag(sc.tagBase, bi, 0, grid.Low), 0)
+	for dim := 0; dim < 3; dim++ {
+		e.postDim(st, sc.src, b, sc.tagBase, bi, dim)
+	}
+	sp.End()
+}
+
+// Wait waits for the transfers Post started and installs the received
+// surface points into the batch's halos, dimension by dimension.
+// Completed receive requests are reclaimed into the rank's own mailbox
+// for reuse by the next batch. An all-dimension wait's halo.wait span
+// carries the tag of its halo.post: the time since the post ended is
+// latency the rank could hide behind compute, the span itself what it
+// could not. The serialized pattern has no non-blocking window: its
+// waits carry no tag, pair with no halo.post, and count as visible
+// only, which is exactly what its profile should show.
+//
+//gpaw:hotpath
+func (sc *applyScratch) Wait(bi int, b Batch, dim int) {
+	e, st := sc.e, sc.state(bi, dim)
+	rk := e.cart.TraceRank()
+	lo, hi := dim, dim+1
+	var sp trace.Span
+	if dim == AllDims {
+		lo, hi = 0, 3
+		sp = rk.BeginComm(trace.HaloWait, trace.KindWait, -1, faceTag(sc.tagBase, bi, 0, grid.Low), 0)
+	} else {
+		sp = rk.Begin(trace.HaloWait, trace.KindWait)
+	}
+	mpi.Waitall(st.reqs...)
+	sp.End()
+	for d := lo; d < hi; d++ {
+		e.unpackDim(st, sc.src, b, d)
+	}
+	mpi.Reclaim(st.reqs...)
+	st.reqs = st.reqs[:0]
+	if hi == 3 {
+		e.noteExchanges(int64(b.Size()))
+	}
+}
+
+// Compute runs the callback on the batch, in indices of the caller's
+// slice; a split-phase region runs inside a compute.interior or
+// compute.shell span.
+func (sc *applyScratch) Compute(b Batch, r stencil.Region) {
+	b = b.shift(sc.off)
+	if r == stencil.Full {
+		sc.compute(b, r)
+		return
+	}
+	rk := sc.e.cart.TraceRank()
+	var sp trace.Span
+	if r == stencil.Interior {
+		sp = rk.Region(trace.ComputeInterior)
+	} else {
+		sp = rk.Region(trace.ComputeShell)
+	}
+	sc.compute(b, r)
 	sp.End()
 }
 
@@ -273,12 +380,12 @@ func (e *Engine) wraps(dim int) bool {
 // An isolated or wrapped dimension posts nothing.
 //
 //gpaw:hotpath
-func (e *Engine) postDim(st *exchangeState, src []*grid.Grid, tagBase, bi, dim int) {
+func (e *Engine) postDim(st *exchangeState, src []*grid.Grid, b Batch, tagBase, bi, dim int) {
 	if e.isolated(dim) || e.wraps(dim) {
 		return
 	}
-	faceLen := src[st.b.Lo].FaceLen(dim, e.op.R)
-	n := st.b.Size() * faceLen
+	faceLen := src[b.Lo].FaceLen(dim, e.op.R)
+	n := b.Size() * faceLen
 	for _, side := range [...]grid.Side{grid.Low, grid.High} {
 		if e.nbr[dim][side] == mpi.ProcNull {
 			continue
@@ -299,7 +406,7 @@ func (e *Engine) postDim(st *exchangeState, src []*grid.Grid, tagBase, bi, dim i
 	// A side without a neighbour never gets a buffer, so it stays nil
 	// and PackFaces skips it.
 	low, high := st.send[dim][grid.Low], st.send[dim][grid.High]
-	for gi := st.b.Lo; gi < st.b.Hi; gi++ {
+	for gi := b.Lo; gi < b.Hi; gi++ {
 		src[gi].PackFaces(dim, e.op.R, low, high)
 		low, high = advance(low, faceLen), advance(high, faceLen)
 	}
@@ -327,33 +434,6 @@ func advance(buf []float64, n int) []float64 {
 	return buf[n:]
 }
 
-// finishExchange waits for the batch's transfers and installs received
-// surface points into the grids' halos. Completed receive requests are
-// reclaimed into the rank's own mailbox for reuse by the next batch. The
-// halo.wait span carries the exchange's tag: the time since its
-// halo.post ended is latency the rank could hide behind compute, the
-// span itself what it could not.
-//
-//gpaw:hotpath
-func (e *Engine) finishExchange(st *exchangeState, src []*grid.Grid) {
-	sp := e.cart.TraceRank().BeginComm(trace.HaloWait, trace.KindWait, -1, st.tag, 0)
-	mpi.Waitall(st.reqs...)
-	sp.End()
-	e.unpack(st, src)
-	mpi.Reclaim(st.reqs...)
-	st.reqs = st.reqs[:0]
-}
-
-// unpack copies every received face buffer into the halos of the batch.
-//
-//gpaw:hotpath
-func (e *Engine) unpack(st *exchangeState, src []*grid.Grid) {
-	for dim := 0; dim < 3; dim++ {
-		e.unpackDim(st, src, dim)
-	}
-	e.noteExchanges(int64(st.b.Size()))
-}
-
 // unpackDim copies one dimension's received face buffers into the halos
 // of the batch. A side without a neighbour has no buffer (nil) and is
 // skipped: a Dirichlet boundary's halos were zeroed at allocation and
@@ -362,132 +442,35 @@ func (e *Engine) unpack(st *exchangeState, src []*grid.Grid) {
 // while the rest of the exchange is in flight.
 //
 //gpaw:hotpath
-func (e *Engine) unpackDim(st *exchangeState, src []*grid.Grid, dim int) {
+func (e *Engine) unpackDim(st *exchangeState, src []*grid.Grid, b Batch, dim int) {
 	if e.isolated(dim) {
 		return
 	}
 	if e.wraps(dim) {
-		for gi := st.b.Lo; gi < st.b.Hi; gi++ {
+		for gi := b.Lo; gi < b.Hi; gi++ {
 			src[gi].WrapHalos(dim, e.op.R)
 		}
 		return
 	}
-	faceLen := src[st.b.Lo].FaceLen(dim, e.op.R)
+	faceLen := src[b.Lo].FaceLen(dim, e.op.R)
 	low, high := st.recv[dim][grid.Low], st.recv[dim][grid.High]
-	for gi := st.b.Lo; gi < st.b.Hi; gi++ {
+	for gi := b.Lo; gi < b.Hi; gi++ {
 		src[gi].UnpackHalos(dim, e.op.R, low, high)
 		low, high = advance(low, faceLen), advance(high, faceLen)
 	}
 }
 
-// exchangeSerialized performs the original GPAW pattern for one batch:
-// complete dimension 1, then dimension 2, then dimension 3 (section
-// IV.A), blocking on each.
-func (e *Engine) exchangeSerialized(st *exchangeState, src []*grid.Grid, tagBase, bi int) {
-	rk := e.cart.TraceRank()
-	for dim := 0; dim < 3; dim++ {
-		st.reqs = st.reqs[:0]
-		e.postDim(st, src, tagBase, bi, dim)
-		// The serialized pattern has no non-blocking window: its waits
-		// carry no tag, pair with no halo.post, and count as visible
-		// only, which is exactly what its profile should show.
-		sp := rk.Begin(trace.HaloWait, trace.KindWait)
-		mpi.Waitall(st.reqs...)
-		sp.End()
-		mpi.Reclaim(st.reqs...)
-		// Install this dimension's halos before the next dimension runs
-		// (the serialized pattern's defining property).
-		e.unpackDim(st, src, dim)
-	}
-	e.noteExchanges(int64(st.b.Size()))
-}
-
-// runBatches is the engine's one protocol loop. It runs the approach's
-// exchange schedule over one thread's share of the grids and computes
-// each batch around it:
-//
-//   - overlapped, compute(b, Interior) runs while the batch's halo
-//     messages are still in flight — it may touch every point that does
-//     not read a halo (the paper's communication/computation overlap) —
-//     and compute(b, Shell) runs after the batch's halos are installed,
-//     traced as compute.interior / compute.shell regions;
-//   - otherwise compute(b, Full) runs, untimed, after the halos are
-//     installed: the original finish-then-compute protocol.
-//
-// Flat original exchanges serialized, so there is no non-blocking window
-// and an overlapped run's Interior and Shell both follow the blocking
-// exchange. Every other approach double-buffers the async exchange.
-// tagBase keeps concurrent threads' messages disjoint; off shifts the
-// batches compute sees, so a thread's share is reported in indices of
-// the caller's whole slice.
+// runBatches runs Schedule over one thread's share of the grids on the
+// engine's exchange. tagBase keeps concurrent threads' messages
+// disjoint; off shifts the batches compute sees, so a thread's share is
+// reported in indices of the caller's whole slice. The scratch is the
+// Steps value, so the loop allocates nothing in steady state
+// (TestOverlapExchangeZeroAlloc).
 func (e *Engine) runBatches(src []*grid.Grid, tagBase, off int, overlap bool, compute func(b Batch, r stencil.Region)) {
-	if len(src) == 0 {
-		return
-	}
 	sc := e.getScratch()
 	defer e.putScratch(sc)
-	sc.batches = appendBatches(sc.batches[:0], len(src), e.opts.BatchSize, e.opts.BatchRamp)
-	batches := sc.batches
-	// inFlight and landed are the compute calls on either side of the
-	// completion of batch b's exchange. Neither closure escapes, so the
-	// loop allocates nothing in steady state
-	// (TestOverlapExchangeZeroAlloc).
-	inFlight := func(b Batch) {
-		if overlap {
-			e.phase(compute, b.shift(off), stencil.Interior)
-		}
-	}
-	landed := func(b Batch) {
-		if overlap {
-			e.phase(compute, b.shift(off), stencil.Shell)
-		} else {
-			compute(b.shift(off), stencil.Full)
-		}
-	}
-
-	if e.opts.Approach == FlatOriginal {
-		st := &sc.states[0]
-		for bi, b := range batches {
-			st.b = b
-			e.exchangeSerialized(st, src, tagBase, bi)
-			inFlight(b)
-			landed(b)
-		}
-		return
-	}
-
-	// Double buffering (section V): keep the next batch's exchange in
-	// flight while computing the current one. Combined with the split
-	// phases, batch b's interior work hides both its own messages and
-	// the posting latency of batch b+1.
-	states := [2]*exchangeState{&sc.states[0], &sc.states[1]}
-	states[0].b = batches[0]
-	e.startExchange(states[0], src, tagBase, 0)
-	for bi := range batches {
-		cur := states[bi%2]
-		if bi+1 < len(batches) {
-			nxt := states[(bi+1)%2]
-			nxt.b = batches[bi+1]
-			e.startExchange(nxt, src, tagBase, bi+1)
-		}
-		inFlight(cur.b)
-		e.finishExchange(cur, src)
-		landed(cur.b)
-	}
-}
-
-// phase runs one split-phase compute callback inside a compute.interior
-// or compute.shell region.
-func (e *Engine) phase(compute func(b Batch, r stencil.Region), b Batch, r stencil.Region) {
-	rk := e.cart.TraceRank()
-	var sp trace.Span
-	if r == stencil.Interior {
-		sp = rk.Region(trace.ComputeInterior)
-	} else {
-		sp = rk.Region(trace.ComputeShell)
-	}
-	compute(b, r)
-	sp.End()
+	sc.src, sc.tagBase, sc.off, sc.compute = src, tagBase, off, compute
+	Schedule(e.opts, len(src), overlap, sc)
 }
 
 // tagStride returns the tag-space width reserved per thread for n grids.

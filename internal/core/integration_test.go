@@ -18,7 +18,7 @@ func TestMakeBatchesProperty(t *testing.T) {
 	f := func(nRaw, sizeRaw uint16, ramp bool) bool {
 		n := int(nRaw % 500)
 		size := int(sizeRaw%64) + 1
-		bs := MakeBatches(n, size, ramp)
+		bs := scheduledBatches(n, size, ramp)
 		pos := 0
 		for _, b := range bs {
 			if b.Lo != pos || b.Size() < 1 || b.Size() > size {
