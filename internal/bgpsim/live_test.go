@@ -59,11 +59,10 @@ func liveExchange(t *testing.T, prm Params, nodes int, global topology.Dims, gri
 // 8x8x8 torus every node's timeline is identical and the two agree to
 // the nanosecond. Mesh partitions are logged, not asserted: the replay
 // models one periodic corner node, the live model each rank's own route.
-// Both run core.Schedule, but this exchange is one batch with free
-// copies: the test cannot see the copy and posting costs of a
-// multi-batch schedule, which the replay alone charges (the live model
-// prices messages, not CPU), nor the overlap of compute with messages
-// in flight.
+// Both run core.Schedule, but this is one batch of one approach with
+// free copies and no compute: the test cannot see the pack/unpack and
+// fork-join charges only the replay makes, nor how a multi-batch
+// schedule overlaps compute with messages in flight.
 func TestLiveTransportMatchesReplay(t *testing.T) {
 	prm := DefaultParams()
 	prm.CopyBandwidth = math.Inf(1)

@@ -261,8 +261,8 @@ type replay struct {
 	commDim   [3]bool // the dimension crosses rank boundaries
 }
 
-// dims returns the dimensions [lo, hi) a Schedule action names.
-func dims(dim int) (lo, hi int) {
+// stepDims returns the dimensions [lo, hi) a Schedule action names.
+func stepDims(dim int) (lo, hi int) {
 	if dim == core.AllDims {
 		return 0, 3
 	}
@@ -273,7 +273,7 @@ func dims(dim int) (lo, hi int) {
 // of both receives, the pack of the batch's faces and both sends, as
 // core.Engine.postDim runs them.
 func (x *replay) Post(_ int, b core.Batch, dim int) {
-	lo, hi := dims(dim)
+	lo, hi := stepDims(dim)
 	for d := lo; d < hi; d++ {
 		if !x.commDim[d] {
 			continue
@@ -292,7 +292,7 @@ func (x *replay) Post(_ int, b core.Batch, dim int) {
 // dimension (core.Engine.unpackDim, grid.WrapHalos) — one copy per face
 // either way.
 func (x *replay) Wait(_ int, b core.Batch, dim int) {
-	lo, hi := dims(dim)
+	lo, hi := stepDims(dim)
 	for d := lo; d < hi; d++ {
 		if x.commDim[d] {
 			x.r.awaitFace(x.p, d, 0)

@@ -335,7 +335,7 @@ func (sc *applyScratch) Wait(bi int, b Batch, dim int) {
 	}
 	mpi.Reclaim(st.reqs...)
 	st.reqs = st.reqs[:0]
-	if hi == 3 {
+	if hi == 3 { // the batch's last dimension is installed
 		e.noteExchanges(int64(b.Size()))
 	}
 }

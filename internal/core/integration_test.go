@@ -13,7 +13,8 @@ import (
 )
 
 // TestMakeBatchesProperty: for any grid count, batch size and ramp flag,
-// batches tile [0, n) contiguously with every batch within size.
+// the batches Schedule computes tile [0, n) contiguously with every
+// batch within size.
 func TestMakeBatchesProperty(t *testing.T) {
 	f := func(nRaw, sizeRaw uint16, ramp bool) bool {
 		n := int(nRaw % 500)
